@@ -7,7 +7,8 @@
 //
 //	gvfs-proxyc [-listen 127.0.0.1:4049] [-cb-listen :4050] \
 //	            [-cb-addr host:4050] [-upstream proxyhost:3049] \
-//	            [-model polling|delegation] [-id client-1] [-writeback]
+//	            [-model polling|delegation] [-id client-1] [-writeback] \
+//	            [-readahead 4] [-flush-parallelism 4]
 package main
 
 import (
@@ -43,20 +44,23 @@ func main() {
 	diskDir := flag.String("disk-cache-dir", "", "directory for the crash-consistent persistent block cache (empty = in-memory only); a restart on the same directory recovers the cache")
 	diskBytes := flag.Int64("disk-cache-bytes", 0, "clean-block byte budget of the persistent cache (0 = the in-memory cache budget)")
 	diskSync := flag.String("disk-cache-sync", "dirty", "persistent-cache journal sync policy: dirty (fsync dirty-state transitions), always, none")
+	readahead := flag.Int("readahead", 0, "initial sequential-readahead window in blocks; it grows from there to what the upstream link can carry (0 = readahead off)")
+	flushPar := flag.Int("flush-parallelism", 0, "write-back WRITEs kept in flight across the upstream link (0 = the default, 1)")
 	flag.Parse()
 
-	if err := run(*listen, *cbListen, *cbAddr, *upstream, *model, *id, *session, *writeback, *poll, *metrics, *workers, *queueDepth, *diskDir, *diskBytes, *diskSync); err != nil {
+	cfg := core.Config{
+		PollPeriod: *poll, WriteBack: *writeback,
+		ServerWorkers: *workers, ServerQueueDepth: *queueDepth,
+		DiskCacheDir: *diskDir, DiskCacheBytes: *diskBytes, DiskCacheSyncPolicy: *diskSync,
+		ReadAhead: *readahead, FlushParallelism: *flushPar,
+	}
+	if err := run(cfg, *listen, *cbListen, *cbAddr, *upstream, *model, *id, *session, *metrics); err != nil {
 		fmt.Fprintln(os.Stderr, "gvfs-proxyc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, cbListen, cbAddr, upstream, model, id, session string, writeback bool, poll time.Duration, metrics string, workers, queueDepth int, diskDir string, diskBytes int64, diskSync string) error {
-	cfg := core.Config{
-		PollPeriod: poll, WriteBack: writeback,
-		ServerWorkers: workers, ServerQueueDepth: queueDepth,
-		DiskCacheDir: diskDir, DiskCacheBytes: diskBytes, DiskCacheSyncPolicy: diskSync,
-	}
+func run(cfg core.Config, listen, cbListen, cbAddr, upstream, model, id, session, metrics string) error {
 	switch model {
 	case "polling":
 		cfg.Model = core.ModelPolling
@@ -81,7 +85,7 @@ func run(listen, cbListen, cbAddr, upstream, model, id, session string, writebac
 	}
 	cred := core.SessionCred{SessionKey: session, ClientID: id, CallbackAddr: cbAddr}
 	proxy := core.NewProxyClient(clk, cfg, sunrpc.NewClient(clk, upConn, sunrpc.NoneCred()), cred)
-	if diskDir != "" {
+	if cfg.DiskCacheDir != "" {
 		// A restart on a warm directory recovered blocks at construction;
 		// revalidate them and write recovered dirty data back before serving.
 		proxy.RecoverAfterCrash()

@@ -3,11 +3,16 @@ package gvfs
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/nfs3"
+	"repro/internal/nfscall"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -266,5 +271,447 @@ func TestChaosParallelFlush(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// --- self-sizing readahead window --------------------------------------------
+
+// fastWAN is the wall-clock ladder's wide-area link in virtual time: the
+// paper's 40 ms round trip at 100 Mbit/s, a bandwidth-delay product of about
+// 15 blocks. simnet.WAN, the paper's 4 Mbit/s, holds less than one.
+var fastWAN = simnet.Params{RTT: pipelineRTT, Bandwidth: 100_000_000 / 8}
+
+const streamBS = 32 * 1024
+
+// streamData is a file whose every block names its file and block number, so
+// a read served from the wrong block or a stale version cannot pass.
+func streamData(id, blocks int) []byte {
+	data := make([]byte, blocks*streamBS)
+	for bn := 0; bn < blocks; bn++ {
+		blk := data[bn*streamBS : (bn+1)*streamBS]
+		for i := range blk {
+			blk[i] = byte(id*31 + bn*7 + i%13)
+		}
+	}
+	return data
+}
+
+// streamReader drives one mount's proxy client with raw block-aligned READs,
+// the way a kernel client does once its own page cache has missed.
+type streamReader struct {
+	t    *testing.T
+	d    *Deployment
+	m    *Mount
+	conn *nfscall.Conn
+}
+
+// runStream populates files (name -> content) on a deployment whose
+// wide-area link is wan, mounts one session client and runs fn on it.
+func runStream(t *testing.T, wan simnet.Params, cfg core.Config, files map[string][]byte, fn func(r *streamReader, sess *Session)) *Deployment {
+	t.Helper()
+	d, err := NewDeployment(Config{WAN: wan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	for name, data := range files {
+		if _, err := d.FS.WriteFile(name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Run("stream", func() {
+		sess, err := d.NewSession("s", cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		m, err := sess.Mount("C1", kernelNoac())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		fn(&streamReader{t: t, d: d, m: m, conn: m.Client.Conn()}, sess)
+	})
+	return d
+}
+
+func (r *streamReader) lookup(name string) nfs3.FH {
+	lk, err := r.conn.Lookup(r.m.Client.Root(), name)
+	if err != nil || lk.Status != nfs3.OK {
+		r.t.Errorf("lookup %s: %v status %v", name, err, lk.Status)
+	}
+	return lk.FH
+}
+
+// read issues one block READ and checks it against the file's content.
+func (r *streamReader) read(fh nfs3.FH, bn int, content []byte) {
+	res, err := r.conn.Read(fh, uint64(bn)*streamBS, streamBS)
+	if err != nil || res.Status != nfs3.OK {
+		r.t.Errorf("read block %d: %v status %v", bn, err, res.Status)
+		return
+	}
+	if !bytes.Equal(res.Data, content[bn*streamBS:(bn+1)*streamBS]) {
+		r.t.Errorf("block %d served wrong bytes (%d of them)", bn, res.Count)
+	}
+}
+
+func (r *streamReader) wanReads() int64 { return r.m.WANCounts()["READ"] }
+
+// settle lets every prefetch in flight land.
+func (r *streamReader) settle() { r.d.Clock.Sleep(2 * time.Second) }
+
+// series sums a metric family over the deployment's registry.
+func series(d *Deployment, fam string) int64 {
+	snap := d.Obs.Registry().Snapshot()
+	var total int64
+	for _, m := range []map[string]int64{snap.Counters, snap.Gauges} {
+		for name, v := range m {
+			if name == fam || strings.HasPrefix(name, fam+"{") {
+				total += v
+			}
+		}
+	}
+	return total
+}
+
+func readaheadWindow(d *Deployment) int64 { return series(d, "gvfs_client_readahead_window") }
+
+// readaheadSpans returns the deployment's READAHEAD spans, oldest first.
+func readaheadSpans(d *Deployment) []obs.Span {
+	var out []obs.Span
+	for _, s := range d.Obs.Spans() {
+		if s.Op == "READAHEAD" {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// peakOverlap is the most spans open at any one instant.
+func peakOverlap(spans []obs.Span) int {
+	type edge struct {
+		at    time.Duration
+		delta int
+	}
+	var edges []edge
+	for _, s := range spans {
+		edges = append(edges, edge{s.Start, 1}, edge{s.End, -1})
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].at != edges[j].at {
+			return edges[i].at < edges[j].at
+		}
+		return edges[i].delta < edges[j].delta // close before open at a tie
+	})
+	peak, open := 0, 0
+	for _, e := range edges {
+		if open += e.delta; open > peak {
+			peak = open
+		}
+	}
+	return peak
+}
+
+// TestReadAheadWindowFillsTheLink is the tentpole's headline in virtual
+// time: starting from a window of 4 — a quarter of the link's
+// bandwidth-delay product — one cold sequential stream learns a window deep
+// enough that the read is bound by the link's bandwidth, not its latency,
+// and still crosses the wide area exactly once per block.
+func TestReadAheadWindowFillsTheLink(t *testing.T) {
+	const blocks = 64
+	data := streamData(1, blocks)
+	var elapsed time.Duration
+	var reads int64
+	d := runStream(t, fastWAN, core.Config{ReadAhead: 4}, map[string][]byte{"data": data},
+		func(r *streamReader, _ *Session) {
+			fh := r.lookup("data")
+			elapsed = r.d.Elapsed(func() {
+				for bn := 0; bn < blocks; bn++ {
+					r.read(fh, bn, data)
+				}
+			})
+			reads = r.wanReads()
+		})
+	wire := time.Duration(float64(len(data)) / float64(fastWAN.Bandwidth) * float64(time.Second))
+	budget := (pipelineRTT+wire)*3/2 + 2*pipelineRTT // link time, plus the window's ramp
+	t.Logf("cold %d-block stream: %v (budget %v, %v on the wire), learned window %d", blocks, elapsed, budget, wire, readaheadWindow(d))
+	if elapsed > budget {
+		t.Errorf("cold %d-block stream took %v, want <= %v (1.5 x (RTT + wire time) + 2 RTT)", blocks, elapsed, budget)
+	}
+	if reads != blocks {
+		t.Errorf("WAN READs = %d, want exactly %d", reads, blocks)
+	}
+	if w := readaheadWindow(d); w < 16 {
+		t.Errorf("learned window = %d blocks, want >= the link's ~15-block BDP", w)
+	}
+	if wasted := series(d, "gvfs_client_readahead_wasted_total"); wasted != 0 {
+		t.Errorf("%d prefetched blocks wasted on a clean sequential read", wasted)
+	}
+	// Every prefetch says which window issued it, and the last ones were
+	// issued by the learned one.
+	spans := readaheadSpans(d)
+	if len(spans) == 0 {
+		t.Fatal("no READAHEAD spans")
+	}
+	for _, s := range spans {
+		if !strings.HasPrefix(s.Detail, "win=") {
+			t.Fatalf("READAHEAD span without a window detail: %+v", s)
+		}
+	}
+	if got, want := spans[len(spans)-1].Detail, fmt.Sprintf("win=%d", readaheadWindow(d)); got != want {
+		t.Errorf("last READAHEAD span detail = %q, want %q", got, want)
+	}
+}
+
+// TestReadAheadWindowHoldsOnThinLink is the other side of the learning rule:
+// on the paper's 4 Mbit/s link a block's transfer time exceeds the round
+// trip, every stalled prefetch is overdue rather than late, and the window
+// never leaves its initial size — fig4 and fig8 do not over-fetch.
+func TestReadAheadWindowHoldsOnThinLink(t *testing.T) {
+	const blocks, initial = 64, 4
+	data := streamData(2, blocks)
+	var reads int64
+	d := runStream(t, simnet.WAN, core.Config{ReadAhead: initial}, map[string][]byte{"data": data},
+		func(r *streamReader, _ *Session) {
+			fh := r.lookup("data")
+			for bn := 0; bn < blocks; bn++ {
+				r.read(fh, bn, data)
+			}
+			reads = r.wanReads()
+		})
+	if w := readaheadWindow(d); w != initial {
+		t.Errorf("window = %d on a link with BDP < 1 block, want the initial %d", w, initial)
+	}
+	if peak := peakOverlap(readaheadSpans(d)); peak > initial {
+		t.Errorf("peak in-flight prefetches = %d, want <= %d", peak, initial)
+	}
+	if reads != blocks {
+		t.Errorf("WAN READs = %d, want exactly %d", reads, blocks)
+	}
+}
+
+// TestReadAheadIgnoresRandomAndBoundsAbandonedStreams: reads that are not
+// sequential prefetch nothing, and a reader that walks away mid-file leaves
+// at most one window of blocks fetched for nothing.
+func TestReadAheadIgnoresRandomAndBoundsAbandonedStreams(t *testing.T) {
+	const blocks = 64
+	rnd, seq := streamData(3, blocks), streamData(4, blocks)
+	runStream(t, fastWAN, core.Config{ReadAhead: 4}, map[string][]byte{"rnd": rnd, "seq": seq},
+		func(r *streamReader, _ *Session) {
+			// Uniformly random blocks, except that block 0 and the successor
+			// of the previous read are redrawn: those two *are* sequential
+			// reads as far as any detector can tell.
+			fh := r.lookup("rnd")
+			rng := rand.New(rand.NewSource(42))
+			prev := -2
+			const n = 40
+			for i := 0; i < n; i++ {
+				bn := rng.Intn(blocks)
+				for bn == 0 || bn == prev+1 {
+					bn = rng.Intn(blocks)
+				}
+				r.read(fh, bn, rnd)
+				prev = bn
+			}
+			r.settle()
+			if got := r.m.Proxy.Stats().ReadAheads; got != 0 {
+				t.Errorf("random reads prefetched %d blocks", got)
+			}
+			if got := r.wanReads(); got > n {
+				t.Errorf("%d random reads cost %d WAN READs", n, got)
+			}
+
+			// A stream abandoned after ten blocks.
+			before := r.wanReads()
+			fh = r.lookup("seq")
+			const consumed = 10
+			for bn := 0; bn < consumed; bn++ {
+				r.read(fh, bn, seq)
+			}
+			r.settle()
+			over := r.wanReads() - before - consumed
+			if w := readaheadWindow(r.d); over > w {
+				t.Errorf("abandoned stream over-fetched %d blocks, more than one window (%d)", over, w)
+			}
+		})
+}
+
+// TestReadAheadWindowCappedByCache: the window never exceeds a quarter of
+// the cache, so the blocks prefetch brings in are never evicted before the
+// reader gets to them.
+func TestReadAheadWindowCappedByCache(t *testing.T) {
+	const blocks = 64
+	data := streamData(5, blocks)
+	var reads int64
+	d := runStream(t, fastWAN, core.Config{ReadAhead: 4, CacheBytes: 16 * streamBS}, map[string][]byte{"data": data},
+		func(r *streamReader, _ *Session) {
+			fh := r.lookup("data")
+			for bn := 0; bn < blocks; bn++ {
+				r.read(fh, bn, data)
+			}
+			reads = r.wanReads()
+		})
+	if w := readaheadWindow(d); w != 4 {
+		t.Errorf("window = %d with a 16-block cache, want the cap of 4", w)
+	}
+	if wasted := series(d, "gvfs_client_readahead_wasted_total"); wasted != 0 {
+		t.Errorf("%d prefetched blocks evicted before their demand read", wasted)
+	}
+	if reads != blocks {
+		t.Errorf("WAN READs = %d, want exactly %d (an evicted prefetch is fetched twice)", reads, blocks)
+	}
+}
+
+// TestReadAheadStreamsInterleavedFiles: streams are per file, so two files
+// read turn and turn about both pipeline.
+func TestReadAheadStreamsInterleavedFiles(t *testing.T) {
+	const blocks = 32
+	a, b := streamData(6, blocks), streamData(7, blocks)
+	var elapsed time.Duration
+	var reads int64
+	runStream(t, fastWAN, core.Config{ReadAhead: 4}, map[string][]byte{"a": a, "b": b},
+		func(r *streamReader, _ *Session) {
+			fa, fb := r.lookup("a"), r.lookup("b")
+			elapsed = r.d.Elapsed(func() {
+				for bn := 0; bn < blocks; bn++ {
+					r.read(fa, bn, a)
+					r.read(fb, bn, b)
+				}
+			})
+			reads = r.wanReads()
+			if ras := r.m.Proxy.Stats().ReadAheads; ras < 2*(blocks-2) {
+				t.Errorf("only %d of %d blocks were prefetched", ras, 2*blocks)
+			}
+		})
+	if serial := 2 * blocks * pipelineRTT; elapsed > serial/4 {
+		t.Errorf("interleaved streams took %v, want well under the serial %v", elapsed, serial)
+	}
+	if reads != 2*blocks {
+		t.Errorf("WAN READs = %d, want exactly %d", reads, 2*blocks)
+	}
+}
+
+// TestReadAheadWindowIsPerSession: what one file's stream learned about the
+// link, the next file starts with; and a file shorter than the window costs
+// exactly its own blocks.
+func TestReadAheadWindowIsPerSession(t *testing.T) {
+	const blocks, short = 64, 5
+	first, second, small := streamData(8, blocks), streamData(9, blocks), streamData(10, short)
+	runStream(t, fastWAN, core.Config{ReadAhead: 4},
+		map[string][]byte{"first": first, "second": second, "small": small},
+		func(r *streamReader, _ *Session) {
+			fh := r.lookup("first")
+			for bn := 0; bn < blocks; bn++ {
+				r.read(fh, bn, first)
+			}
+			learned := readaheadWindow(r.d)
+			if learned <= 4 {
+				t.Errorf("window did not grow on the first file: %d", learned)
+				return
+			}
+
+			// One READ of a new file: the demand block plus a full learned
+			// window behind it, at once.
+			before := r.wanReads()
+			r.read(r.lookup("second"), 0, second)
+			r.settle()
+			if got := r.wanReads() - before; got != 1+learned {
+				t.Errorf("first read of a new file issued %d WAN READs, want 1 + the learned window %d", got, learned)
+			}
+
+			// A file shorter than the window is fetched once, whole.
+			before = r.wanReads()
+			fh = r.lookup("small")
+			r.read(fh, 0, small)
+			r.settle()
+			if got := r.wanReads() - before; got != short {
+				t.Errorf("first read of a %d-block file issued %d WAN READs", short, got)
+			}
+			for bn := 1; bn < short; bn++ {
+				r.read(fh, bn, small)
+			}
+			if got := r.wanReads() - before; got != short {
+				t.Errorf("%d-block file cost %d WAN READs in all", short, got)
+			}
+		})
+}
+
+// TestReadAheadInvalidatedMidStream: another client truncates and rewrites
+// the file while a deep pipeline is streaming it, under both models. The
+// reader must come back with the new bytes, the oracle must see no stale
+// serve, the blocks prefetched from the old version are dropped unread, and
+// once the reader knows the new size no prefetch is issued past it.
+func TestReadAheadInvalidatedMidStream(t *testing.T) {
+	const blocks, consumed, newBlocks = 64, 20, 24
+	for _, model := range []core.Model{core.ModelPolling, core.ModelDelegation} {
+		t.Run(model.String(), func(t *testing.T) {
+			old := streamData(11, blocks)
+			cfg := core.Config{Model: model, ReadAhead: 4, PollPeriod: time.Second}
+			var known time.Duration
+			d := runStream(t, fastWAN, cfg, map[string][]byte{"data": old},
+				func(r *streamReader, sess *Session) {
+					fh := r.lookup("data")
+					for bn := 0; bn < consumed; bn++ {
+						r.read(fh, bn, old)
+					}
+					r.settle()
+					prefetched := r.m.Proxy.Stats().ReadAheads
+
+					// The other client cuts the file short and rewrites what
+					// is now its last block.
+					m2, err := sess.Mount("C2", kernelNoac())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					f, err := m2.Client.Open("data")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					fresh := append([]byte(nil), old[:newBlocks*streamBS]...)
+					last := fresh[(newBlocks-1)*streamBS:]
+					for i := range last {
+						last[i] = 0xEE
+					}
+					if err := f.Truncate(newBlocks * streamBS); err != nil {
+						t.Error(err)
+					}
+					if _, err := f.WriteAt(last, (newBlocks-1)*streamBS); err != nil {
+						t.Error(err)
+					}
+					if err := f.Close(); err != nil {
+						t.Error(err)
+					}
+					r.d.Clock.Sleep(3 * time.Second) // a poll period and more
+					known = r.d.Clock.Now()
+
+					// The reader revalidates, as a kernel client would, and
+					// streams on to the new end of file.
+					ga, err := r.conn.Getattr(fh)
+					if err != nil || ga.Status != nfs3.OK || ga.Attr.Size != newBlocks*streamBS {
+						t.Errorf("getattr after truncation: %v status %v size %d", err, ga.Status, ga.Attr.Size)
+						return
+					}
+					for bn := consumed; bn < newBlocks; bn++ {
+						r.read(fh, bn, fresh)
+					}
+					r.settle()
+					if r.m.Proxy.Stats().ReadAheads == prefetched {
+						t.Error("the stream did not restart after the invalidation")
+					}
+				})
+			if v := d.PublishMetrics().SumCounters("gvfs_staleness_violations_total"); v != 0 {
+				t.Errorf("%d staleness violations", v)
+			}
+			if wasted := series(d, "gvfs_client_readahead_wasted_total"); wasted == 0 {
+				t.Error("blocks prefetched from the old version were not dropped unread")
+			}
+			for _, s := range readaheadSpans(d) {
+				if s.Start >= known && s.Bytes == 0 {
+					t.Errorf("prefetch past the new end of file: %+v", s)
+				}
+			}
+		})
 	}
 }

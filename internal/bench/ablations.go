@@ -271,10 +271,14 @@ func runExpiryVariant(opt Options, expiry time.Duration) (AblationRow, error) {
 
 // RunFlushPipelineAblation sweeps the upstream pipeline's two knobs: the
 // write-back parallelism (how many dirty-block WRITEs cross the wide area
-// at once) and the sequential readahead depth. Both trade wide-area
-// concurrency for latency: flushing N blocks costs ~N/W round-trips, and a
-// deep enough readahead turns a cold sequential read from one round-trip
-// per block into a pipelined stream.
+// at once) and the initial readahead window. Both trade wide-area
+// concurrency for latency: flushing N blocks costs ~N/W round-trips, and
+// readahead turns a cold sequential read from one round-trip per block into
+// a pipelined stream whose depth the session sizes to the link. The last two
+// rows read a longer file over a bandwidth-limited link, where the question
+// is no longer round trips but how much of the link one stream uses; the
+// sweep fails if readahead leaves a fifth of it idle or fetches any block
+// twice.
 func RunFlushPipelineAblation(opt Options) (AblationResult, error) {
 	res := AblationResult{Name: "write-back & readahead pipeline", Columns: "flush / cold-read latency vs wide-area concurrency"}
 	const blocks = 16
@@ -287,11 +291,23 @@ func RunFlushPipelineAblation(opt Options) (AblationResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	for _, ra := range []int{0, 2, 4, 8} {
-		row, err := runReadAheadVariant(opt, ra, blocks)
+		row, _, err := runReadAheadVariant(opt, pipelineWAN, ra, blocks)
 		if err != nil {
 			return res, fmt.Errorf("readahead ablation RA=%d: %w", ra, err)
 		}
 		opt.logf("ablate readahead RA=%-2d coldread(%d blocks)=%-8v reads=%d", ra, blocks, row.Staleness, row.RPCs["READ"])
+		res.Rows = append(res.Rows, row)
+	}
+	for _, ra := range []int{0, 4} {
+		row, util, err := runReadAheadVariant(opt, fastWAN, ra, fastWANBlocks)
+		if err != nil {
+			return res, fmt.Errorf("readahead ablation RA=%d at 100 Mbit/s: %w", ra, err)
+		}
+		opt.logf("ablate readahead RA=%-2d coldread(%d blocks, 100 Mbit/s)=%-8v %s reads=%d", ra, fastWANBlocks, row.Staleness, row.Extra, row.RPCs["READ"])
+		if ra > 0 && (util < 0.8 || row.RPCs["READ"] != fastWANBlocks) {
+			return res, fmt.Errorf("readahead RA=%d at 100 Mbit/s x 40 ms: link utilisation %.2f (want >= 0.80), %d READs for %d blocks (want one each)",
+				ra, util, row.RPCs["READ"], fastWANBlocks)
+		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
@@ -301,6 +317,14 @@ func RunFlushPipelineAblation(opt Options) (AblationResult, error) {
 // round-trip with unconstrained bandwidth, so latencies count round-trips
 // and are not muddied by transfer serialization.
 var pipelineWAN = simnet.Params{RTT: 40 * time.Millisecond}
+
+// fastWAN is the wall-clock benchmark's wide-area link in virtual time: the
+// same round trip at 100 Mbit/s, a bandwidth-delay product of about fifteen
+// 32 KiB blocks. The file read over it is long enough (16 MiB) that the open
+// and the window's ramp are a small part of the read.
+var fastWAN = simnet.Params{RTT: 40 * time.Millisecond, Bandwidth: 100_000_000 / 8}
+
+const fastWANBlocks = 512
 
 // runFlushVariant buffers `blocks` dirty blocks at the proxy client and
 // measures how long the synchronous write-back triggered by a truncation
@@ -378,11 +402,13 @@ func runFlushVariant(opt Options, w, blocks int) (AblationRow, error) {
 }
 
 // runReadAheadVariant measures a cold sequential read of `blocks` blocks
-// with readahead depth ra.
-func runReadAheadVariant(opt Options, ra, blocks int) (AblationRow, error) {
-	d, err := gvfs.NewDeployment(gvfs.Config{WAN: pipelineWAN})
+// over wan with an initial readahead window of ra. On a bandwidth-limited
+// link it also reports the share of the read (open included) during which the
+// link was carrying the file's bytes.
+func runReadAheadVariant(opt Options, wan simnet.Params, ra, blocks int) (AblationRow, float64, error) {
+	d, err := gvfs.NewDeployment(gvfs.Config{WAN: wan})
 	if err != nil {
-		return AblationRow{}, err
+		return AblationRow{}, 0, err
 	}
 	defer d.Close()
 	bs := 32 * 1024
@@ -393,6 +419,9 @@ func runReadAheadVariant(opt Options, ra, blocks int) (AblationRow, error) {
 	d.FS.WriteFile("data", data)
 
 	row := AblationRow{Param: fmt.Sprintf("readahead RA=%d", ra), RPCs: make(map[string]int64)}
+	if wan.Bandwidth > 0 {
+		row.Param += fmt.Sprintf(" @%dMbit/s", wan.Bandwidth*8/1_000_000)
+	}
 	var runErr error
 	d.Run("ablate-readahead", func() {
 		sess, serr := d.NewSession("s", core.Config{
@@ -424,7 +453,13 @@ func runReadAheadVariant(opt Options, ra, blocks int) (AblationRow, error) {
 		}
 	})
 	opt.dumpMetrics(fmt.Sprintf("ablate-readahead RA=%d", ra), d)
-	return row, runErr
+	var util float64
+	if wan.Bandwidth > 0 && row.Staleness > 0 {
+		wire := time.Duration(float64(len(data)) / float64(wan.Bandwidth) * float64(time.Second))
+		util = float64(wire) / float64(row.Staleness)
+		row.Extra = fmt.Sprintf("util=%.2f", util)
+	}
+	return row, util, runErr
 }
 
 // RunAblations executes all four sweeps.

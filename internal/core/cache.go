@@ -9,6 +9,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/nfs3"
 	"repro/internal/obs"
+	"repro/internal/vclock"
 )
 
 // sessionCache is the GVFS per-session client-side disk cache: file
@@ -28,7 +29,7 @@ type sessionCache struct {
 	// now reads the session's virtual clock for TTL stamps; nil freezes the
 	// clock at zero, which with zero TTLs reproduces the untimed behavior.
 	now func() time.Duration
-	met *metaCounters
+	met *cacheCounters
 
 	attrs    map[string]attrEnt     // FH key -> attributes (validity = presence)
 	lookups  map[string]lookupEnt   // dir key + "\x00" + name -> child handle
@@ -65,29 +66,37 @@ type metaPolicy struct {
 	maxListings int
 }
 
-// metaCounters receives the cache-internal metadata events; any field (or
-// the whole struct) may be nil, which disables reporting.
-type metaCounters struct {
+// cacheCounters receives the cache-internal events (metadata bookkeeping and
+// readahead waste); any field (or the whole struct) may be nil, which
+// disables reporting.
+type cacheCounters struct {
 	expiries   *obs.Counter // TTL expiries across all metadata caches
 	evictions  *obs.Counter // capacity evictions across all metadata caches
 	dirFlushes *obs.Counter // dentries+negatives flushed by a dir invalidation
+	raWasted   *obs.Counter // prefetched blocks that left the cache unread
 }
 
-func (m *metaCounters) expiry(n int64) {
+func (m *cacheCounters) expiry(n int64) {
 	if m != nil && m.expiries != nil && n > 0 {
 		m.expiries.Add(n)
 	}
 }
 
-func (m *metaCounters) eviction(n int64) {
+func (m *cacheCounters) eviction(n int64) {
 	if m != nil && m.evictions != nil && n > 0 {
 		m.evictions.Add(n)
 	}
 }
 
-func (m *metaCounters) dirFlush(n int64) {
+func (m *cacheCounters) dirFlush(n int64) {
 	if m != nil && m.dirFlushes != nil && n > 0 {
 		m.dirFlushes.Add(n)
+	}
+}
+
+func (m *cacheCounters) wasted(n int64) {
+	if m != nil && m.raWasted != nil && n > 0 {
+		m.raWasted.Add(n)
 	}
 }
 
@@ -138,10 +147,17 @@ type cachedFile struct {
 	// them so concurrent flushers (periodic flush, recall chase, pre-SETATTR
 	// flush, parallel flush workers) never double-issue a block.
 	flushing map[uint64]bool
-	// fetching marks blocks with a prefetch READ in flight: readahead skips
-	// them and demand reads wait for the fetch instead of issuing a
-	// duplicate wide-area READ.
-	fetching map[uint64]bool
+	// fetching holds the blocks with a prefetch READ in flight, each with
+	// the demand reads parked on it: readahead skips them and demand reads
+	// wait for the fetch instead of issuing a duplicate wide-area READ.
+	fetching map[uint64][]*vclock.Waiter
+	// stream is the file's sequential-read detector (see readahead.go); it
+	// lives and dies with this entry.
+	stream readStream
+	// unread marks prefetched blocks no demand read has consumed yet, so one
+	// that leaves the cache first is counted as wasted. Nil until the first
+	// prefetch lands.
+	unread map[uint64]bool
 	// stamps records the virtual time each block's bytes entered the cache
 	// (server fetch or local write), feeding the staleness observatory: a
 	// cache hit's measured age is relative to this stamp.
@@ -167,7 +183,7 @@ func newSessionCache(blockSize int, maxBytes int64) *sessionCache {
 // setMetaPolicy installs the session's metadata cache policy, clock, and
 // event counters. The proxy calls it at construction and again when it
 // adopts a surviving disk cache, whose previous owner's policy dies with it.
-func (sc *sessionCache) setMetaPolicy(now func() time.Duration, pol metaPolicy, met *metaCounters) {
+func (sc *sessionCache) setMetaPolicy(now func() time.Duration, pol metaPolicy, met *cacheCounters) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	sc.now = now
@@ -224,6 +240,11 @@ func (sc *sessionCache) setAttrLocked(key string, a nfs3.Fattr) {
 func (sc *sessionCache) delAttrLocked(key string) {
 	delete(sc.attrs, key)
 	sc.attrLRU.remove(key)
+	// Whatever dropped the attributes (GETINV, recall, stale handle) may have
+	// moved EOF: the read stream restarts against the revalidated size.
+	if fc, ok := sc.files[key]; ok {
+		fc.stream = readStream{}
+	}
 }
 
 // getAttr returns the cached attributes for fh, if valid. When the file has
@@ -255,6 +276,14 @@ func (sc *sessionCache) putAttr(fh nfs3.FH, a nfs3.Fattr) {
 	key := fh.Key()
 	if fc, ok := sc.files[key]; ok {
 		sc.noteRecoveredLocked(key, fc, a.Mtime)
+		if old, cached := sc.attrs[key]; cached {
+			switch st := &fc.stream; {
+			case a.Size < old.attr.Size:
+				*st = readStream{} // truncated: the stream restarts against the new EOF
+			case a.Size > old.attr.Size && st.frontier == streamDone:
+				st.frontier = st.next // grown past the EOF prefetch stopped at: resume
+			}
+		}
 		if fc.mtime != a.Mtime {
 			sc.dropCleanLocked(key, fc)
 			fc.mtime = a.Mtime
@@ -328,21 +357,31 @@ func (sc *sessionCache) invalidateAllAttrs() {
 	sc.attrLRU = newKeyLRU()
 	sc.lookupLRU = newKeyLRU()
 	sc.listLRU = newKeyLRU()
+	for _, fc := range sc.files {
+		fc.stream = readStream{}
+	}
 }
 
-// forget removes every trace of fh (REMOVE, stale handle).
+// forget removes every trace of fh (REMOVE, stale handle). Demand reads
+// parked on a prefetch of the file are released: the prefetch, when it
+// returns, finds no entry to clear and nobody to wake.
 func (sc *sessionCache) forget(fh nfs3.FH) {
 	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	key := fh.Key()
 	sc.delAttrLocked(key)
 	sc.flushDirLocked(key)
+	var parked []*vclock.Waiter
 	if fc, ok := sc.files[key]; ok {
 		sc.dropCleanLocked(key, fc)
+		parked = fc.dropFetchesLocked(nil)
 		delete(sc.files, key)
 		if sc.persist != nil {
 			sc.persist.DropFile(key)
 		}
+	}
+	sc.mu.Unlock()
+	for _, w := range parked {
+		w.Wake()
 	}
 }
 
@@ -517,7 +556,7 @@ func (sc *sessionCache) fileFor(key string) *cachedFile {
 			dirty:    make(map[uint64]bool),
 			dirtyGen: make(map[uint64]uint64),
 			flushing: make(map[uint64]bool),
-			fetching: make(map[uint64]bool),
+			fetching: make(map[uint64][]*vclock.Waiter),
 			stamps:   make(map[uint64]time.Duration),
 		}
 		sc.files[key] = fc
@@ -537,12 +576,21 @@ func (sc *sessionCache) getBlock(fh nfs3.FH, bn uint64) ([]byte, bool) {
 	if ok && !fc.dirty[bn] {
 		sc.lru.touch(fh.Key(), bn)
 	}
+	if len(fc.unread) > 0 {
+		delete(fc.unread, bn) // a prefetched block found its demand read
+	}
 	return b, ok
 }
 
-// putCleanBlock caches data fetched from the server for (fh, bn), tagged
-// with the server attributes observed alongside it.
+// putCleanBlock caches data a demand READ fetched from the server for
+// (fh, bn), tagged with the server attributes observed alongside it.
 func (sc *sessionCache) putCleanBlock(fh nfs3.FH, bn uint64, data []byte, attr nfs3.Fattr) {
+	sc.putBlock(fh, bn, data, attr, false)
+}
+
+// putBlock is putCleanBlock with the block's provenance: one readahead
+// fetched stays marked unread until a demand read consumes it.
+func (sc *sessionCache) putBlock(fh nfs3.FH, bn uint64, data []byte, attr nfs3.Fattr, prefetched bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	key := fh.Key()
@@ -555,7 +603,12 @@ func (sc *sessionCache) putCleanBlock(fh nfs3.FH, bn uint64, data []byte, attr n
 			fc.size = attr.Size
 		}
 	}
+	// An earlier prefetch of this block that nothing read is superseded.
+	sc.dropUnreadLocked(fc, bn)
 	if fc.dirty[bn] {
+		if prefetched {
+			sc.met.wasted(1)
+		}
 		return // never overwrite dirty data with server state
 	}
 	// Tail blocks (the EOF path) are stored at their natural length; full
@@ -572,12 +625,27 @@ func (sc *sessionCache) putCleanBlock(fh nfs3.FH, bn uint64, data []byte, attr n
 	}
 	fc.blocks[bn] = block
 	fc.stamps[bn] = sc.nowLocked()
+	if prefetched {
+		if fc.unread == nil {
+			fc.unread = make(map[uint64]bool)
+		}
+		fc.unread[bn] = true
+	}
 	sc.lru.add(key, bn, len(block))
 	if sc.persist != nil {
 		sc.persist.PutBlock(key, bn, block, false, fc.dirtyGen[bn])
 		sc.persistMetaLocked(key, fc)
 	}
 	sc.evictLocked()
+}
+
+// dropUnreadLocked forgets that bn was prefetched, counting the prefetch as
+// wasted if no demand read consumed it.
+func (sc *sessionCache) dropUnreadLocked(fc *cachedFile, bn uint64) {
+	if fc.unread[bn] {
+		delete(fc.unread, bn)
+		sc.met.wasted(1)
+	}
 }
 
 // --- fetch stamps (staleness observatory) ---------------------------------
@@ -686,6 +754,7 @@ func (sc *sessionCache) writeDirty(fh nfs3.FH, off uint64, data []byte) uint64 {
 		fc.dirty[bn] = true
 		fc.dirtyGen[bn]++
 		fc.stamps[bn] = sc.nowLocked()
+		sc.dropUnreadLocked(fc, bn)
 		copy(block[bo:], data[n:n+chunk])
 		if sc.persist != nil {
 			sc.persist.PutBlock(key, bn, block, true, fc.dirtyGen[bn])
@@ -859,50 +928,35 @@ func (sc *sessionCache) flushInFlight(fh nfs3.FH) bool {
 	return ok && len(fc.flushing) > 0
 }
 
-// tryBeginFetch claims (fh, bn) for a prefetch READ. It refuses blocks that
-// are already cached, dirty, or being fetched, so concurrent readahead and
-// demand reads never double-issue the same wide-area READ.
-func (sc *sessionCache) tryBeginFetch(fh nfs3.FH, bn uint64) bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	fc := sc.fileFor(fh.Key())
-	if _, cached := fc.blocks[bn]; cached || fc.dirty[bn] || fc.fetching[bn] {
-		return false
-	}
-	fc.fetching[bn] = true
-	return true
-}
-
-// endFetch clears a block's in-flight prefetch mark.
-func (sc *sessionCache) endFetch(fh nfs3.FH, bn uint64) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if fc, ok := sc.files[fh.Key()]; ok {
-		delete(fc.fetching, bn)
-	}
-}
-
-// fetchInFlight reports whether a prefetch of (fh, bn) is in flight.
-func (sc *sessionCache) fetchInFlight(fh nfs3.FH, bn uint64) bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	fc, ok := sc.files[fh.Key()]
-	return ok && fc.fetching[bn]
-}
-
-// clearInFlight drops all in-flight marks; called when a restarted proxy
-// adopts a surviving disk cache whose previous owner's RPCs died with it.
+// clearInFlight drops all in-flight marks and read streams; called when a
+// restarted proxy adopts a surviving disk cache whose previous owner's RPCs
+// died with it. Demand reads of that owner still parked on a prefetch are
+// released (they find no block and forward).
 func (sc *sessionCache) clearInFlight() {
 	sc.mu.Lock()
-	defer sc.mu.Unlock()
+	var parked []*vclock.Waiter
 	for _, fc := range sc.files {
 		for bn := range fc.flushing {
 			delete(fc.flushing, bn)
 		}
-		for bn := range fc.fetching {
-			delete(fc.fetching, bn)
-		}
+		parked = fc.dropFetchesLocked(parked)
+		fc.stream = readStream{}
 	}
+	sc.mu.Unlock()
+	for _, w := range parked {
+		w.Wake()
+	}
+}
+
+// dropFetchesLocked clears every in-flight prefetch mark of the file and
+// appends the demand reads parked on them to ws; the caller wakes them once
+// it has released the cache mutex.
+func (fc *cachedFile) dropFetchesLocked(ws []*vclock.Waiter) []*vclock.Waiter {
+	for bn, parked := range fc.fetching {
+		ws = append(ws, parked...)
+		delete(fc.fetching, bn)
+	}
+	return ws
 }
 
 // flushed marks a dirty block clean after its WRITE succeeded, adopting the
@@ -997,6 +1051,7 @@ func (sc *sessionCache) dropCleanLocked(key string, fc *cachedFile) {
 			sc.lru.remove(key, bn)
 			delete(fc.blocks, bn)
 			delete(fc.stamps, bn)
+			sc.dropUnreadLocked(fc, bn)
 			if sc.persist != nil {
 				sc.persist.DropBlock(key, bn)
 			}
@@ -1013,6 +1068,7 @@ func (sc *sessionCache) evictLocked() {
 		if fc, exists := sc.files[key]; exists {
 			delete(fc.blocks, bn)
 			delete(fc.stamps, bn)
+			sc.dropUnreadLocked(fc, bn)
 		}
 		if sc.persist != nil {
 			sc.persist.DropBlock(key, bn)

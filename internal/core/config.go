@@ -155,10 +155,13 @@ type Config struct {
 	// nfs3.MaxIOSize, the wire-level payload bound.
 	MaxWriteBytes int
 
-	// ReadAhead is the number of blocks the proxy client prefetches into
-	// the session cache ahead of a detected sequential read pattern,
-	// pipelining cold sequential reads instead of paying one round-trip per
-	// block. 0 disables readahead. Default 0.
+	// ReadAhead turns on sequential readahead and sets its initial window:
+	// the number of blocks the proxy client keeps in flight ahead of a
+	// detected sequential reader. The session then sizes the window itself —
+	// it doubles while demand reads still stall on in-flight prefetches and
+	// the link has room, up to min(nfs3.MaxIOSize, CacheBytes/4) bytes'
+	// worth of blocks — so this is where the window starts, not a depth to
+	// tune per link. 0 disables readahead entirely. Default 0.
 	ReadAhead int
 
 	// CallTimeout bounds upstream and callback RPCs so crashes and

@@ -11,16 +11,16 @@ import (
 
 // newMetaCache builds a session cache with a manually advanced virtual clock
 // and the given metadata policy; the returned *time.Duration is the clock.
-func newMetaCache(pol metaPolicy, met *metaCounters) (*sessionCache, *time.Duration) {
+func newMetaCache(pol metaPolicy, met *cacheCounters) (*sessionCache, *time.Duration) {
 	now := new(time.Duration)
 	sc := newSessionCache(32*1024, 1<<20)
 	sc.setMetaPolicy(func() time.Duration { return *now }, pol, met)
 	return sc, now
 }
 
-func testMetaCounters() (*metaCounters, *obs.Registry) {
+func testMetaCounters() (*cacheCounters, *obs.Registry) {
 	reg := obs.New(func() time.Duration { return 0 }, 16).Registry()
-	return &metaCounters{
+	return &cacheCounters{
 		expiries:   reg.Counter("expiries"),
 		evictions:  reg.Counter("evictions"),
 		dirFlushes: reg.Counter("dir_flushes"),

@@ -54,6 +54,8 @@ type clientMetrics struct {
 	flushErrors        *obs.Counter
 	readAheads         *obs.Counter
 	readaheadJoins     *obs.Counter
+	readaheadWasted    *obs.Counter
+	readaheadWindow    *obs.Gauge
 	renewBypass        *obs.Counter
 	pollCapped         *obs.Counter
 	coalescedWrites    *obs.Counter
@@ -101,6 +103,8 @@ func newClientMetrics(reg *obs.Registry, node string) *clientMetrics {
 		flushErrors:        reg.Counter(l("gvfs_client_flush_errors_total")),
 		readAheads:         reg.Counter(l("gvfs_client_readaheads_total")),
 		readaheadJoins:     reg.Counter(l("gvfs_client_readahead_joins_total")),
+		readaheadWasted:    reg.Counter(l("gvfs_client_readahead_wasted_total")),
+		readaheadWindow:    reg.Gauge(l("gvfs_client_readahead_window")),
 		renewBypass:        reg.Counter(l("gvfs_client_deleg_renew_bypass_total")),
 		pollCapped:         reg.Counter(l("gvfs_client_poll_capped_total")),
 		coalescedWrites:    reg.Counter(l("gvfs_client_coalesced_writes_total")),
@@ -129,12 +133,13 @@ func newClientMetrics(reg *obs.Registry, node string) *clientMetrics {
 	}
 }
 
-// metaCounters exposes the session cache's slice of the client metrics.
-func (m *clientMetrics) metaCounters() *metaCounters {
-	return &metaCounters{
+// cacheCounters exposes the session cache's slice of the client metrics.
+func (m *clientMetrics) cacheCounters() *cacheCounters {
+	return &cacheCounters{
 		expiries:   m.metaExpiries,
 		evictions:  m.metaEvictions,
 		dirFlushes: m.metaDirFlush,
+		raWasted:   m.readaheadWasted,
 	}
 }
 

@@ -45,10 +45,8 @@ type ProxyClient struct {
 	delegs       map[string]DelegType
 	noncacheable map[string]bool
 	lastForward  map[string]time.Duration
-	recallFence  map[string]uint64             // FH key -> seq of the latest recall served
-	lastRead     map[string]uint64             // FH key -> last block read (sequential detection)
-	flushWait    map[string][]*vclock.Waiter   // FH key -> waiters for in-flight flushes
-	fetchWait    map[fetchKey][]*vclock.Waiter // block -> waiters for an in-flight prefetch
+	recallFence  map[string]uint64           // FH key -> seq of the latest recall served
+	flushWait    map[string][]*vclock.Waiter // FH key -> waiters for in-flight flushes
 	lastInvTS    uint64
 	pollWindow   time.Duration
 	stopped      bool
@@ -71,6 +69,10 @@ type ProxyClient struct {
 	recallFlushQ   []recallFlushReq
 	recallFlushers int
 	recallFlushMax int
+
+	// ra is the session's readahead pipeline (readahead.go); idle, and never
+	// consulted, when Config.ReadAhead is 0.
+	ra readPipe
 
 	// node records this proxy's trace spans; met holds its registry series.
 	// Counters are the single source of truth — ProxyClientStats is now a
@@ -135,12 +137,6 @@ type ProxyClientStats struct {
 	RecoveryDropped   int64
 	RevalidatedBlocks int64
 	RefetchedBlocks   int64
-}
-
-// fetchKey identifies one block of one file for prefetch coordination.
-type fetchKey struct {
-	fh string
-	bn uint64
 }
 
 // recallFlushReq is one queued background write-back (recall with a large
@@ -230,9 +226,7 @@ func NewProxyClient(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, cred
 		noncacheable: make(map[string]bool),
 		lastForward:  make(map[string]time.Duration),
 		recallFence:  make(map[string]uint64),
-		lastRead:     make(map[string]uint64),
 		flushWait:    make(map[string][]*vclock.Waiter),
-		fetchWait:    make(map[fetchKey][]*vclock.Waiter),
 		pollWindow:   cfg.PollPeriod,
 	}
 	o := cfg.Obs
@@ -245,8 +239,10 @@ func NewProxyClient(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, cred
 	}
 	p.node = o.Node("proxyc:" + name)
 	p.met = newClientMetrics(o.Registry(), name)
+	p.ra.init(cfg)
+	p.met.readaheadWindow.Set(p.ra.window.Load())
 	cfg.Staleness.Register(shortModel(cfg.Model))
-	p.cache.setMetaPolicy(clk.Now, cfg.metaPolicy(), p.met.metaCounters())
+	p.cache.setMetaPolicy(clk.Now, cfg.metaPolicy(), p.met.cacheCounters())
 	if cfg.DiskCacheDir != "" {
 		p.openDiskCache()
 	}
@@ -346,7 +342,7 @@ func (p *ProxyClient) AdoptCache(c *SessionCacheState) {
 	if c != nil && c.cache != nil {
 		p.cache = c.cache
 		p.cache.bs = p.cfg.BlockSize
-		p.cache.setMetaPolicy(p.clk.Now, p.cfg.metaPolicy(), p.met.metaCounters())
+		p.cache.setMetaPolicy(p.clk.Now, p.cfg.metaPolicy(), p.met.cacheCounters())
 		// The previous owner's in-flight WRITEs and prefetch READs died with
 		// its process; stale marks would wedge flushing forever.
 		p.cache.clearInFlight()
@@ -901,12 +897,16 @@ func (p *ProxyClient) callUpstream(rid uint64, proc uint32, args wireEnc, res wi
 	}
 	start := p.node.Now()
 	d, err := p.rawCall(rid, nfs3.Program, nfs3.Version, proc, e.Bytes())
-	p.met.forwardLatency.ObserveDuration(p.node.Now() - start)
+	lat := p.node.Now() - start
+	p.met.forwardLatency.ObserveDuration(lat)
 	if err != nil {
 		return nil, err
 	}
 	if err := res.Decode(d); err != nil {
 		return nil, err
+	}
+	if p.cfg.ReadAhead > 0 {
+		p.ra.observe(lat, res, p.cfg.BlockSize)
 	}
 	var ts Trailers
 	if d.Remaining() > 0 {
@@ -1268,13 +1268,13 @@ func (p *ProxyClient) read(call *sunrpc.Call) sunrpc.AcceptStat {
 	bs := uint64(p.cfg.BlockSize)
 	bn := args.Offset / bs
 	aligned := args.Offset%bs == 0 && uint64(args.Count) <= bs
-	seq := p.noteRead(args.FH, bn)
 
 	// Dirty blocks are always ours to serve.
 	if aligned {
-		// A readahead for this block may already be in flight: wait for it
+		// With readahead on, keep the pipeline ahead of a sequential reader;
+		// and if a prefetch of this very block is in flight, wait for it
 		// rather than double-issuing the wide-area READ.
-		joined := p.waitFetch(args.FH, bn)
+		joined := p.cfg.ReadAhead > 0 && p.readAhead(call.ReqID, args.FH, bn)
 		if block, ok := p.cache.getBlock(args.FH, bn); ok {
 			if attr, attrOK := p.cache.getAttr(args.FH); attrOK && (p.servable(args.FH) || p.cache.hasDirty(args.FH)) {
 				// res stays on this frame's stack: the warm hit path's only
@@ -1297,9 +1297,6 @@ func (p *ProxyClient) read(call *sunrpc.Call) sunrpc.AcceptStat {
 					if p.cfg.DiskDelay > 0 {
 						p.clk.Sleep(p.cfg.DiskDelay) // read the block from the disk cache
 					}
-					if seq {
-						p.startReadAhead(call.ReqID, args.FH, bn)
-					}
 					res.Encode(call.Reply)
 					releaseReadRes(&res)
 					return sunrpc.Success
@@ -1308,19 +1305,14 @@ func (p *ProxyClient) read(call *sunrpc.Call) sunrpc.AcceptStat {
 		}
 	}
 
-	return p.readForward(call, args, bn, aligned, seq)
+	return p.readForward(call, args, bn, aligned)
 }
 
 // readForward forwards a READ upstream. args arrives by value: callUpstream's
 // interface parameter makes &args escape, and keeping that address-taking out
 // of read lets the warm hit path hold its ReadArgs on the stack — otherwise
 // every READ, hit or miss, paid a heap allocation at the `var args` line.
-func (p *ProxyClient) readForward(call *sunrpc.Call, args nfs3.ReadArgs, bn uint64, aligned, seq bool) sunrpc.AcceptStat {
-	if aligned && seq {
-		// Kick the pipeline before the demand READ so the next blocks cross
-		// the wide area concurrently with this one.
-		p.startReadAhead(call.ReqID, args.FH, bn)
-	}
+func (p *ProxyClient) readForward(call *sunrpc.Call, args nfs3.ReadArgs, bn uint64, aligned bool) sunrpc.AcceptStat {
 	bs := uint64(p.cfg.BlockSize)
 	var res nfs3.ReadRes
 	if _, err := p.callUpstream(call.ReqID, nfs3.ProcRead, &args, &res); err != nil {
@@ -1390,129 +1382,6 @@ func releaseReadRes(res *nfs3.ReadRes) {
 	if res != nil && res.Data != nil {
 		bufpool.Put(res.Data)
 		res.Data = nil
-	}
-}
-
-// noteRead records a read of block bn of fh and reports whether it continues
-// a sequential pattern (the previous read hit the preceding block).
-func (p *ProxyClient) noteRead(fh nfs3.FH, bn uint64) bool {
-	key := fh.Key()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	last, ok := p.lastRead[key]
-	p.lastRead[key] = bn
-	return ok && bn == last+1
-}
-
-// startReadAhead prefetches up to Config.ReadAhead blocks following bn, each
-// in its own actor so the wide-area READs are pipelined instead of paying
-// one round-trip per block. Blocks already cached, dirty, or being fetched
-// are skipped via the cache's in-flight accounting.
-func (p *ProxyClient) startReadAhead(parent uint64, fh nfs3.FH, bn uint64) {
-	ra := p.cfg.ReadAhead
-	if ra <= 0 || p.isNoncacheable(fh) {
-		return
-	}
-	p.mu.Lock()
-	stopped := p.stopped
-	p.mu.Unlock()
-	if stopped {
-		return
-	}
-	attr, ok := p.cache.getAttr(fh)
-	if !ok {
-		return
-	}
-	bs := uint64(p.cfg.BlockSize)
-	for i := uint64(1); i <= uint64(ra); i++ {
-		nb := bn + i
-		if nb*bs >= attr.Size {
-			break
-		}
-		if !p.cache.tryBeginFetch(fh, nb) {
-			continue
-		}
-		// Each prefetch is its own traced request, parented on the demand
-		// read that triggered it. Minted here, in the sequential spawn loop,
-		// so the ID order is deterministic regardless of actor scheduling.
-		rid := p.node.Mint()
-		p.clk.Go("gvfs-readahead", func() { p.prefetchBlock(parent, rid, fh, nb) })
-	}
-}
-
-// prefetchBlock fetches one block across the wide area into the session
-// cache. The in-flight mark is cleared and waiting demand reads are woken
-// whether or not the fetch succeeded — on failure they simply forward.
-func (p *ProxyClient) prefetchBlock(parent, rid uint64, fh nfs3.FH, bn uint64) {
-	defer p.fetchDone(fh, bn)
-	start := p.node.Now()
-	bs := uint64(p.cfg.BlockSize)
-	args := nfs3.ReadArgs{FH: fh, Offset: bn * bs, Count: uint32(bs)}
-	var res nfs3.ReadRes
-	sp := obs.Span{
-		Req:    rid,
-		Parent: parent,
-		Op:     "READAHEAD",
-		FH:     fh.String(),
-		Model:  shortModel(p.cfg.Model),
-		Start:  start,
-	}
-	if _, err := p.callUpstream(rid, nfs3.ProcRead, &args, &res); err != nil {
-		sp.End = p.node.Now()
-		sp.Err = err.Error()
-		p.node.Record(sp)
-		return
-	}
-	if res.Status == nfs3.OK && res.Attr.Present && (uint64(res.Count) == bs || res.EOF) {
-		p.cache.putCleanBlock(fh, bn, res.Data, res.Attr.Attr)
-		p.met.readAheads.Inc()
-	}
-	sp.End = p.node.Now()
-	sp.Bytes = int64(res.Count)
-	if res.Status != nfs3.OK {
-		sp.Err = res.Status.String()
-	}
-	p.node.Record(sp)
-}
-
-// fetchDone clears a block's in-flight prefetch mark and wakes demand reads
-// waiting on it.
-func (p *ProxyClient) fetchDone(fh nfs3.FH, bn uint64) {
-	p.cache.endFetch(fh, bn)
-	k := fetchKey{fh: fh.Key(), bn: bn}
-	p.mu.Lock()
-	ws := p.fetchWait[k]
-	delete(p.fetchWait, k)
-	p.mu.Unlock()
-	for _, w := range ws {
-		w.Wake()
-	}
-}
-
-// waitFetch blocks (through the clock) until no prefetch of (fh, bn) is in
-// flight, and reports whether it actually waited — a demand read that did is
-// a readahead join.
-func (p *ProxyClient) waitFetch(fh nfs3.FH, bn uint64) (joined bool) {
-	k := fetchKey{fh: fh.Key(), bn: bn}
-	// Fast path first: the common demand read has no prefetch in flight, so
-	// don't allocate a waiter just to discard it.
-	p.mu.Lock()
-	busy := p.cache.fetchInFlight(fh, bn)
-	p.mu.Unlock()
-	if !busy {
-		return false
-	}
-	for {
-		w := p.clk.NewWaiter()
-		p.mu.Lock()
-		if !p.cache.fetchInFlight(fh, bn) {
-			p.mu.Unlock()
-			return joined
-		}
-		p.fetchWait[k] = append(p.fetchWait[k], w)
-		p.mu.Unlock()
-		joined = true
-		p.clk.WaitAs(w, "readahead fetch")
 	}
 }
 

@@ -1,0 +1,498 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/memfs"
+	"repro/internal/nfs3"
+	"repro/internal/nfscall"
+	"repro/internal/nfsserver"
+	"repro/internal/simnet"
+	"repro/internal/sunrpc"
+	"repro/internal/vclock"
+)
+
+const raBS = 32 * 1024
+
+// streamCache is a session cache holding attributes for one file of the
+// given number of blocks.
+func streamCache(fh nfs3.FH, blocks int) *sessionCache {
+	sc := newSessionCache(raBS, 1<<30)
+	a := attrWithMtime(1, nfs3.TypeReg)
+	a.Size = uint64(blocks) * raBS
+	sc.putAttr(fh, a)
+	return sc
+}
+
+// liveStreams counts files carrying read-stream state.
+func (sc *sessionCache) liveStreams() int {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	n := 0
+	for _, fc := range sc.files {
+		if fc.stream != (readStream{}) {
+			n++
+		}
+	}
+	return n
+}
+
+func blockRange(lo, hi uint64) []uint64 {
+	var out []uint64
+	for bn := lo; bn < hi; bn++ {
+		out = append(out, bn)
+	}
+	return out
+}
+
+// TestStreamChunksAtHalfWindow walks the per-file state machine: a read of
+// block 0 starts the stream and claims a window; sequential hits cost a
+// comparison until the reader has consumed half of what is ahead; then one
+// chunk tops the pipeline back up to a full window.
+func TestStreamChunksAtHalfWindow(t *testing.T) {
+	fh := fhN(1)
+	sc := streamCache(fh, 64)
+	const w = 8
+	land := func(bns []uint64) {
+		for _, bn := range bns {
+			sc.endFetch(fh, bn)
+			sc.putBlock(fh, bn, make([]byte, raBS), attrWithMtime(1, nfs3.TypeReg), true)
+		}
+	}
+
+	if due, busy := sc.streamRead(fh, 0, w); !due || busy {
+		t.Fatalf("read of block 0: due=%v busy=%v, want a chunk due and nothing in flight", due, busy)
+	}
+	first := sc.beginFetches(fh, w)
+	if want := blockRange(1, 9); !reflect.DeepEqual(first, want) {
+		t.Fatalf("first chunk = %v, want %v", first, want)
+	}
+	if _, busy := sc.streamRead(fh, 1, w); !busy {
+		t.Fatal("block 1 is in flight; the read must see that")
+	}
+	land(first)
+	// Reads 2 and 3 have more than half a window ahead of them: nothing is due.
+	for bn := uint64(2); bn <= 3; bn++ {
+		if due, busy := sc.streamRead(fh, bn, w); due || busy {
+			t.Fatalf("read of block %d: due=%v busy=%v, want a plain hit", bn, due, busy)
+		}
+	}
+	// Reading 4 leaves 4 of 8 ahead: the half-way mark.
+	if due, _ := sc.streamRead(fh, 4, w); !due {
+		t.Fatal("no chunk due at the half-way mark")
+	}
+	if got, want := sc.beginFetches(fh, w), blockRange(9, 13); !reflect.DeepEqual(got, want) {
+		t.Fatalf("second chunk = %v, want %v (up to one window past the reader)", got, want)
+	}
+}
+
+// TestStreamStopsAtEOF: a file shorter than the window is claimed once and
+// the stream then stays quiet, however many more blocks are read — until the
+// file grows or is read again from the top.
+func TestStreamStopsAtEOF(t *testing.T) {
+	fh := fhN(1)
+	sc := streamCache(fh, 5)
+	sc.streamRead(fh, 0, 32)
+	if got, want := sc.beginFetches(fh, 32), blockRange(1, 5); !reflect.DeepEqual(got, want) {
+		t.Fatalf("claimed %v, want %v", got, want)
+	}
+	for bn := uint64(1); bn < 5; bn++ {
+		sc.endFetch(fh, bn)
+		if due, _ := sc.streamRead(fh, bn, 32); due {
+			t.Fatalf("chunk due at block %d of a file already requested to its end", bn)
+		}
+	}
+	// The file grows under the reader (an appender, a log being tailed): the
+	// stream resumes past the old end instead of staying finished.
+	grown := attrWithMtime(1, nfs3.TypeReg)
+	grown.Size = 9 * raBS
+	sc.putAttr(fh, grown)
+	if due, _ := sc.streamRead(fh, 5, 32); !due {
+		t.Fatal("no chunk due after the file grew past the end prefetch had reached")
+	}
+	if got, want := sc.beginFetches(fh, 32), blockRange(6, 9); !reflect.DeepEqual(got, want) {
+		t.Fatalf("claimed %v after growth, want %v", got, want)
+	}
+	// A second pass from the top starts over.
+	if due, _ := sc.streamRead(fh, 0, 32); !due {
+		t.Fatal("re-reading from block 0 did not restart the stream")
+	}
+}
+
+// TestStreamBoundsPrefetchesInFlight: the window bounds the file's
+// prefetches in flight, counting one the reader is itself waiting on.
+func TestStreamBoundsPrefetchesInFlight(t *testing.T) {
+	fh := fhN(1)
+	sc := streamCache(fh, 64)
+	const w = 4
+	sc.streamRead(fh, 0, w)
+	sc.beginFetches(fh, w) // 1..4 in flight
+	sc.streamRead(fh, 1, w)
+	sc.streamRead(fh, 2, w) // past the half-way mark, but nothing has landed
+	if got := sc.beginFetches(fh, w); len(got) != 0 {
+		t.Fatalf("claimed %v with a full window in flight", got)
+	}
+	sc.endFetch(fh, 1)
+	sc.endFetch(fh, 2)
+	if got, want := sc.beginFetches(fh, w), blockRange(5, 7); !reflect.DeepEqual(got, want) {
+		t.Fatalf("claimed %v, want %v", got, want)
+	}
+}
+
+// TestStreamResets covers every way a stream must restart: a non-sequential
+// read, either invalidation channel, a truncation, and a restarted proxy
+// adopting the cache. After each, no chunk is due until two sequential reads
+// re-establish the pattern, and nothing is claimed past the file's end.
+func TestStreamResets(t *testing.T) {
+	fh := fhN(1)
+	const w = 4
+	attr := func(blocks int) nfs3.Fattr {
+		a := attrWithMtime(1, nfs3.TypeReg)
+		a.Size = uint64(blocks) * raBS
+		return a
+	}
+	cases := []struct {
+		name  string
+		reset func(sc *sessionCache)
+		eof   uint64
+	}{
+		{"random read", func(sc *sessionCache) { sc.streamRead(fh, 40, w) }, 64},
+		{"GETINV invalidation", func(sc *sessionCache) { sc.invalidateHandle(fh); sc.putAttr(fh, attr(64)) }, 64},
+		{"recall", func(sc *sessionCache) { sc.invalidateAttr(fh); sc.putAttr(fh, attr(64)) }, 64},
+		{"force invalidation", func(sc *sessionCache) { sc.invalidateAllAttrs(); sc.putAttr(fh, attr(64)) }, 64},
+		{"truncation", func(sc *sessionCache) { sc.putAttr(fh, attr(12)) }, 12},
+		{"adopted after crash", func(sc *sessionCache) { sc.clearInFlight() }, 64},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := streamCache(fh, 64)
+			sc.putAttr(fh, attr(64))
+			for bn := uint64(0); bn < 3; bn++ {
+				sc.streamRead(fh, bn, w)
+			}
+			for _, bn := range sc.beginFetches(fh, w) {
+				sc.endFetch(fh, bn)
+			}
+			tc.reset(sc)
+			if tc.name != "random read" && sc.liveStreams() != 0 {
+				t.Fatal("stream state survived the reset")
+			}
+			if got := sc.beginFetches(fh, w); len(got) != 0 {
+				t.Fatalf("claimed %v straight after the reset", got)
+			}
+			// The reader resumes near the (possibly new) end of the file.
+			at := tc.eof - 3
+			if due, _ := sc.streamRead(fh, at, w); due {
+				t.Fatal("chunk due on the first read after a reset")
+			}
+			if due, _ := sc.streamRead(fh, at+1, w); !due {
+				t.Fatal("stream did not restart on the second sequential read")
+			}
+			if got, want := sc.beginFetches(fh, w), blockRange(at+2, tc.eof); !reflect.DeepEqual(got, want) {
+				t.Fatalf("claimed %v, want %v (never past block %d)", got, want, tc.eof)
+			}
+		})
+	}
+}
+
+// TestReadPipeGrowthRule pins the learning rule on the links the repository
+// models: it grows while half a window's blocks take less wire time than
+// one block's round trip, and holds from there.
+func TestReadPipeGrowthRule(t *testing.T) {
+	ms := func(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
+	cases := []struct {
+		name       string
+		rtt, block time.Duration
+		cfg        Config
+		want       int64
+	}{
+		{"100 Mbit/s x 40 ms: grows to the READ size cap", ms(40), ms(42.6), Config{ReadAhead: 4}, 32},
+		{"4 Mbit/s x 40 ms: initial window is already past the BDP", ms(40), ms(105.5), Config{ReadAhead: 4}, 4},
+		{"4 Mbit/s x 40 ms from 1: stops at 4", ms(40), ms(105.5), Config{ReadAhead: 1}, 4},
+		{"10 Mbit/s x 40 ms", ms(40), ms(66.2), Config{ReadAhead: 4}, 8},
+		{"LAN", ms(0.5), ms(3.1), Config{ReadAhead: 4}, 4},
+		{"unlimited bandwidth: only the cap stops it", ms(40), ms(40), Config{ReadAhead: 2}, 32},
+		{"a quarter of the cache caps it", ms(40), ms(42.6), Config{ReadAhead: 4, CacheBytes: 64 * raBS}, 16},
+		{"initial window above the cap is clamped", ms(40), ms(42.6), Config{ReadAhead: 8, CacheBytes: 16 * raBS}, 4},
+		{"no small RPC timed yet: hold", 0, ms(42.6), Config{ReadAhead: 4}, 4},
+		{"no block timed yet: hold", ms(40), 0, Config{ReadAhead: 4}, 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var r readPipe
+			r.init(tc.cfg.withDefaults())
+			observeMin(&r.minRTT, tc.rtt)
+			observeMin(&r.minBlock, tc.block)
+			observeMin(&r.minBlock, 2*tc.block) // a queued sample never raises the minimum
+			for i := 0; i < 10; i++ {
+				r.grow()
+			}
+			if got := r.window.Load(); got != tc.want {
+				t.Errorf("window settled at %d, want %d", got, tc.want)
+			}
+		})
+	}
+	var off readPipe
+	off.init(Config{}.withDefaults())
+	if off.window.Load() != 0 || off.grow() != 0 {
+		t.Error("ReadAhead 0 must leave the pipeline off")
+	}
+}
+
+// TestUnreadPrefetchAccounting: a prefetched block counts as wasted exactly
+// when it leaves the cache before any demand read consumed it.
+func TestUnreadPrefetchAccounting(t *testing.T) {
+	met, reg := testMetaCounters()
+	met.raWasted = reg.Counter("wasted")
+	fh := fhN(1)
+	sc := newSessionCache(4, 12) // room for three blocks
+	sc.setMetaPolicy(nil, metaPolicy{}, met)
+	a := attrWithMtime(1, nfs3.TypeReg)
+	a.Size = 64
+	blk := []byte{1, 2, 3, 4}
+
+	sc.putBlock(fh, 0, blk, a, true)
+	sc.putBlock(fh, 1, blk, a, true)
+	sc.getBlock(fh, 0) // consumed
+	sc.putCleanBlock(fh, 2, blk, a)
+	sc.putCleanBlock(fh, 3, blk, a) // evicts block 1 (least recently used), unread
+	if got := met.raWasted.Value(); got != 1 {
+		t.Fatalf("wasted = %d after evicting one unread prefetch, want 1", got)
+	}
+	sc.putBlock(fh, 4, blk, a, true) // evicts block 0: read, not wasted
+	a2 := attrWithMtime(2, nfs3.TypeReg)
+	sc.putAttr(fh, a2) // foreign change drops the clean blocks, block 4 unread
+	if got := met.raWasted.Value(); got != 2 {
+		t.Fatalf("wasted = %d after invalidating one unread prefetch, want 2", got)
+	}
+	sc.writeDirty(fh, 20, blk)
+	sc.putBlock(fh, 5, blk, a2, true) // lands on a dirty block: dropped
+	if got := met.raWasted.Value(); got != 3 {
+		t.Fatalf("wasted = %d after a prefetch lost to dirty data, want 3", got)
+	}
+}
+
+// raBed is a proxy client over a plain NFS server on a simulated 40 ms link,
+// with a raw NFS connection to its kernel-facing port.
+type raBed struct {
+	clk  *vclock.Clock
+	fs   *memfs.FS
+	p    *ProxyClient
+	nc   *nfscall.Conn
+	root nfs3.FH
+}
+
+// runRABed runs fn as a virtual-time actor against a fresh bed.
+func runRABed(t *testing.T, cfg Config, populate func(fs *memfs.FS), fn func(b *raBed)) {
+	t.Helper()
+	clk := vclock.NewVirtual()
+	defer clk.Stop()
+	net := simnet.New(clk, simnet.Params{RTT: 40 * time.Millisecond})
+	fs := memfs.New(clk.Now)
+	populate(fs)
+	rpcSrv := sunrpc.NewServer(clk)
+	nfsserver.New(fs, 1).Register(rpcSrv)
+	l, err := net.Host("server").Listen(":2049")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rpcSrv.Close()
+	rpcSrv.Serve(l)
+
+	done := make(chan struct{})
+	clk.Go("driver", func() {
+		defer close(done)
+		client := net.Host("client")
+		conn, err := client.Dial("server:2049")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		p := NewProxyClient(clk, cfg, sunrpc.NewClient(clk, conn, sunrpc.NoneCred()),
+			SessionCred{SessionKey: "s", ClientID: "ra-test"})
+		kl, err := client.Listen(":3049")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		p.Serve(kl, nil)
+		defer p.Stop()
+		kconn, err := client.Dial("client:3049")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		nc := nfscall.New(sunrpc.NewClient(clk, kconn, sunrpc.SysCred("kernel", 0, 0)))
+		defer nc.Close()
+		root, err := nc.Mount("/export")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		fn(&raBed{clk: clk, fs: fs, p: p, nc: nc, root: root})
+	})
+	<-done
+}
+
+// TestStreamStateReclaimedWithFile is the regression test for the lastRead
+// leak: the old detector kept one map entry per file handle ever read and
+// never pruned it. Stream state now lives in the file's cache entry and goes
+// when that does.
+func TestStreamStateReclaimedWithFile(t *testing.T) {
+	const files = 50
+	name := func(i int) string { return fmt.Sprintf("f%02d", i) }
+	runRABed(t, Config{ReadAhead: 4},
+		func(fs *memfs.FS) {
+			for i := 0; i < files; i++ {
+				if _, err := fs.WriteFile(name(i), make([]byte, 3*raBS)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		func(b *raBed) {
+			fhs := make([]nfs3.FH, files)
+			for i := range fhs {
+				lk, err := b.nc.Lookup(b.root, name(i))
+				if err != nil || lk.Status != nfs3.OK {
+					t.Errorf("lookup: %v %v", err, lk.Status)
+					return
+				}
+				fhs[i] = lk.FH
+				for bn := uint64(0); bn < 2; bn++ {
+					if res, err := b.nc.Read(lk.FH, bn*raBS, raBS); err != nil || res.Status != nfs3.OK {
+						t.Errorf("read: %v %v", err, res.Status)
+						return
+					}
+				}
+			}
+			if got := b.p.cache.liveStreams(); got != files {
+				t.Errorf("%d files streaming, want %d", got, files)
+			}
+			if got := b.p.Stats().ReadAheads; got != files*2 {
+				t.Errorf("prefetched %d blocks, want %d (each file's other two)", got, files*2)
+			}
+			// Removed behind the proxy's back and invalidated, as a GETINV
+			// round would: its next look at each handle finds it stale and
+			// forgets the file.
+			for i, fh := range fhs {
+				if err := b.fs.Remove(b.fs.Root(), name(i)); err != nil {
+					t.Error(err)
+					return
+				}
+				b.p.cache.invalidateHandle(fh)
+				if res, err := b.nc.Getattr(fh); err != nil || res.Status != nfs3.ErrStale {
+					t.Errorf("getattr of a removed file: %v %v", err, res.Status)
+					return
+				}
+			}
+			if got := b.p.cache.liveStreams(); got != 0 {
+				t.Errorf("%d stream entries outlive their files", got)
+			}
+			if _, _, cached, _ := b.p.CacheStats(); cached != 0 {
+				t.Errorf("%d file entries outlive their files", cached)
+			}
+		})
+}
+
+// TestNoPrefetchAfterStop: a stopped proxy issues no more prefetches, even
+// for a read already past the stream bookkeeping.
+func TestNoPrefetchAfterStop(t *testing.T) {
+	runRABed(t, Config{ReadAhead: 4},
+		func(fs *memfs.FS) {
+			if _, err := fs.WriteFile("data", make([]byte, 16*raBS)); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func(b *raBed) {
+			lk, err := b.nc.Lookup(b.root, "data")
+			if err != nil || lk.Status != nfs3.OK {
+				t.Errorf("lookup: %v %v", err, lk.Status)
+				return
+			}
+			if _, err := b.nc.Read(lk.FH, 0, raBS); err != nil {
+				t.Error(err)
+				return
+			}
+			b.clk.Sleep(time.Second)
+			before := b.p.Stats().ReadAheads
+			if before == 0 {
+				t.Error("nothing was prefetched before the stop")
+			}
+			b.p.Stop()
+			if due, _ := b.p.cache.streamRead(lk.FH, 1, 4); due {
+				b.p.startPrefetch(0, lk.FH, 4)
+			}
+			b.p.startPrefetch(0, lk.FH, 4)
+			b.clk.Sleep(time.Second)
+			if got := b.p.Stats().ReadAheads; got != before {
+				t.Errorf("prefetched %d more blocks after Stop", got-before)
+			}
+			b.p.cache.mu.Lock()
+			inflight := len(b.p.cache.files[lk.FH.Key()].fetching)
+			b.p.cache.mu.Unlock()
+			if inflight != 0 {
+				t.Errorf("%d blocks claimed after Stop", inflight)
+			}
+		})
+}
+
+// TestForgetReleasesParkedReads: a demand read parked on an in-flight
+// prefetch must come back when the file's cache entry is forgotten under it.
+// The file is removed behind the proxy's back; a GETATTR finds the handle
+// stale and forgets the file while a read of block 1 sleeps on block 1's
+// prefetch. The prefetch's own reply then finds no entry to clear, so the
+// forget is what has to wake the reader.
+func TestForgetReleasesParkedReads(t *testing.T) {
+	// DisableMetaCache makes the GETATTR cross the wide area although the
+	// LOOKUP's attributes (which the prefetcher needs for EOF) are cached.
+	runRABed(t, Config{ReadAhead: 4, DisableMetaCache: true},
+		func(fs *memfs.FS) {
+			if _, err := fs.WriteFile("data", make([]byte, 16*raBS)); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func(b *raBed) {
+			lk, err := b.nc.Lookup(b.root, "data")
+			if err != nil || lk.Status != nfs3.OK {
+				t.Errorf("lookup: %v %v", err, lk.Status)
+				return
+			}
+			if err := b.fs.Remove(b.fs.Root(), "data"); err != nil {
+				t.Error(err)
+				return
+			}
+			g := b.clk.NewGroup()
+			g.Go("getattr", func() {
+				if res, err := b.nc.Getattr(lk.FH); err != nil || res.Status != nfs3.ErrStale {
+					t.Errorf("getattr of a removed file: %v %v", err, res.Status)
+				}
+			})
+			g.Go("read 0", func() {
+				b.clk.Sleep(time.Millisecond)
+				b.nc.Read(lk.FH, 0, raBS) // starts the stream: blocks 1..4 in flight
+			})
+			g.Go("read 1", func() {
+				b.clk.Sleep(2 * time.Millisecond)
+				if _, err := b.nc.Read(lk.FH, raBS, raBS); err != nil {
+					t.Errorf("read parked on a forgotten file's prefetch: %v", err)
+				}
+			})
+			parked := 0
+			g.Go("check", func() {
+				b.clk.Sleep(10 * time.Millisecond)
+				b.p.cache.mu.Lock()
+				parked = len(b.p.cache.files[lk.FH.Key()].fetching[1])
+				b.p.cache.mu.Unlock()
+			})
+			g.Wait()
+			if parked != 1 {
+				t.Errorf("%d reads parked on block 1's prefetch, want 1: the test proves nothing", parked)
+			}
+			if now := b.clk.Now(); now > time.Second {
+				t.Errorf("finished at %v: the parked read sat out a timeout instead of being woken", now)
+			}
+		})
+}
