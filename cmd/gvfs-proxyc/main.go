@@ -8,7 +8,7 @@
 //	gvfs-proxyc [-listen 127.0.0.1:4049] [-cb-listen :4050] \
 //	            [-cb-addr host:4050] [-upstream proxyhost:3049] \
 //	            [-model polling|delegation] [-id client-1] [-writeback] \
-//	            [-readahead 4] [-flush-parallelism 4]
+//	            [-readahead 4|-1] [-flush-parallelism 4]
 package main
 
 import (
@@ -44,7 +44,7 @@ func main() {
 	diskDir := flag.String("disk-cache-dir", "", "directory for the crash-consistent persistent block cache (empty = in-memory only); a restart on the same directory recovers the cache")
 	diskBytes := flag.Int64("disk-cache-bytes", 0, "clean-block byte budget of the persistent cache (0 = the in-memory cache budget)")
 	diskSync := flag.String("disk-cache-sync", "dirty", "persistent-cache journal sync policy: dirty (fsync dirty-state transitions), always, none")
-	readahead := flag.Int("readahead", 0, "initial sequential-readahead window in blocks; it grows from there to what the upstream link can carry (0 = readahead off)")
+	readahead := flag.Int("readahead", 0, "initial sequential-readahead window in blocks; it grows from there to what the upstream link can carry (0 = the default, 4; negative = readahead off)")
 	flushPar := flag.Int("flush-parallelism", 0, "write-back WRITEs kept in flight across the upstream link (0 = the default, 1)")
 	flag.Parse()
 

@@ -147,7 +147,7 @@ func TestReadAheadPipelinesColdSequentialRead(t *testing.T) {
 		return elapsed, m
 	}
 
-	serial, _ := coldRead(t, 0)
+	serial, _ := coldRead(t, -1)
 	piped, m := coldRead(t, 8)
 	if t.Failed() {
 		return
@@ -432,7 +432,7 @@ func TestReadAheadWindowFillsTheLink(t *testing.T) {
 			})
 			reads = r.wanReads()
 		})
-	wire := time.Duration(float64(len(data)) / float64(fastWAN.Bandwidth) * float64(time.Second))
+	wire := wireTime(len(data))
 	budget := (pipelineRTT+wire)*3/2 + 2*pipelineRTT // link time, plus the window's ramp
 	t.Logf("cold %d-block stream: %v (budget %v, %v on the wire), learned window %d", blocks, elapsed, budget, wire, readaheadWindow(d))
 	if elapsed > budget {
@@ -711,6 +711,194 @@ func TestReadAheadInvalidatedMidStream(t *testing.T) {
 				if s.Start >= known && s.Bytes == 0 {
 					t.Errorf("prefetch past the new end of file: %+v", s)
 				}
+			}
+		})
+	}
+}
+
+// --- readahead on by default, COMMITs answered at home ------------------------
+
+// wanDelta is what a mount's proxy client sent upstream since before, by
+// procedure; GETINV polls are background traffic and left out.
+func wanDelta(m *Mount, before map[string]int64) map[string]int64 {
+	out := make(map[string]int64)
+	for op, n := range m.WANCounts() {
+		if d := n - before[op]; d != 0 && op != "GETINV" {
+			out[op] = d
+		}
+	}
+	return out
+}
+
+// wireTime is how long bytes occupy fastWAN in one direction.
+func wireTime(bytes int) time.Duration {
+	return time.Duration(float64(bytes) / float64(fastWAN.Bandwidth) * float64(time.Second))
+}
+
+// TestSmallFileTransactionRoundTrips pins what the default configuration
+// makes of a PostMark-shaped transaction — look a file up, stat it, read its
+// two blocks, create another, write two blocks, commit — over a 40 ms link
+// with write-back: the second block rides a prefetch issued beside the first,
+// the COMMIT is answered at home once the FILE_SYNC flush has landed, and
+// four round trips are left where there were six.
+func TestSmallFileTransactionRoundTrips(t *testing.T) {
+	src := streamData(20, 2)
+	dst := streamData(21, 2)
+	var elapsed time.Duration
+	var sent map[string]int64
+	d := runStream(t, fastWAN, core.Config{WriteBack: true}, map[string][]byte{"src": src},
+		func(r *streamReader, _ *Session) {
+			before := r.m.WANCounts()
+			elapsed = r.d.Elapsed(func() {
+				fh := r.lookup("src")
+				if ga, err := r.conn.Getattr(fh); err != nil || ga.Status != nfs3.OK || ga.Attr.Size != 2*streamBS {
+					t.Errorf("getattr: %v status %v size %d", err, ga.Status, ga.Attr.Size)
+				}
+				r.read(fh, 0, src)
+				r.read(fh, 1, src)
+				cr, err := r.conn.Create(r.m.Client.Root(), "dst", 0o644, nfs3.CreateGuarded)
+				if err != nil || cr.Status != nfs3.OK || !cr.FHFollows {
+					t.Errorf("create: %v status %v", err, cr.Status)
+					return
+				}
+				for bn := 0; bn < 2; bn++ {
+					wr, err := r.conn.Write(cr.FH, uint64(bn)*streamBS, dst[bn*streamBS:(bn+1)*streamBS], nfs3.Unstable)
+					if err != nil || wr.Status != nfs3.OK || wr.Count != streamBS {
+						t.Errorf("write block %d: %v status %v", bn, err, wr.Status)
+					}
+				}
+				if cm, err := r.conn.Commit(cr.FH, 0, 0); err != nil || cm.Status != nfs3.OK {
+					t.Errorf("commit: %v status %v", err, cm.Status)
+				}
+			})
+			sent = wanDelta(r.m, before)
+		})
+	want := map[string]int64{"LOOKUP": 1, "READ": 2, "CREATE": 1, "WRITE": 1}
+	if fmt.Sprint(sent) != fmt.Sprint(want) {
+		t.Errorf("the transaction sent %v upstream, want exactly %v", sent, want)
+	}
+	budget := 4*pipelineRTT + 2*wireTime(len(src)+len(dst))
+	t.Logf("transaction: %v (budget %v), upstream %v", elapsed, budget, sent)
+	if elapsed > budget {
+		t.Errorf("transaction took %v, want <= %v (4 round trips + serialisation)", elapsed, budget)
+	}
+	if joins := series(d, "gvfs_client_readahead_joins_total"); joins != 1 {
+		t.Errorf("%d demand reads joined a prefetch, want 1 (block 1)", joins)
+	}
+	if local := series(d, "gvfs_client_commit_local_total"); local != 1 {
+		t.Errorf("commit_local counter = %d, want 1", local)
+	}
+	var details []string
+	for _, s := range d.Obs.Spans() {
+		if s.Op == "COMMIT" && strings.HasPrefix(s.Node, "proxyc:") {
+			details = append(details, s.Detail)
+		}
+	}
+	if fmt.Sprint(details) != "[local]" {
+		t.Errorf("proxy client COMMIT span details = %v, want [local]", details)
+	}
+	if attr, err := d.FS.LookupPath("dst"); err != nil || attr.Size != uint64(len(dst)) {
+		t.Errorf("committed file on the server: %v size %d", err, attr.Size)
+	}
+}
+
+// TestFirstReadFetchesTheWholeSmallFile: with nothing configured, the first
+// READ of a file fetches the blocks its cached attributes say are behind it
+// beside the demand block — each block once, a one-block file alone.
+func TestFirstReadFetchesTheWholeSmallFile(t *testing.T) {
+	files := map[string][]byte{"one": streamData(22, 1), "two": streamData(23, 2), "five": streamData(24, 5)}
+	runStream(t, fastWAN, core.Config{}, files, func(r *streamReader, _ *Session) {
+		for _, name := range []string{"one", "two", "five"} {
+			data := files[name]
+			blocks := len(data) / streamBS
+			fh := r.lookup(name)
+			reads, prefetched := r.wanReads(), r.m.Proxy.Stats().ReadAheads
+			elapsed := r.d.Elapsed(func() {
+				for bn := 0; bn < blocks; bn++ {
+					r.read(fh, bn, data)
+				}
+			})
+			r.settle()
+			if got := r.wanReads() - reads; got != int64(blocks) {
+				t.Errorf("%s: %d WAN READs for %d blocks", name, got, blocks)
+			}
+			if got := r.m.Proxy.Stats().ReadAheads - prefetched; got != int64(blocks-1) {
+				t.Errorf("%s: %d blocks prefetched, want %d", name, got, blocks-1)
+			}
+			if limit := pipelineRTT + 2*wireTime(len(data)); elapsed > limit {
+				t.Errorf("%s: read in %v, want <= %v (its READs overlapped in one round trip)", name, elapsed, limit)
+			}
+		}
+	})
+}
+
+// TestHandoffRereadPipelines: a consumer that re-reads a file another client
+// has just rewritten overlaps its cold READs under both models, with no
+// stale serve; and under delegation the producer's handle, non-cacheable
+// while the consumer shares the file, prefetches nothing.
+func TestHandoffRereadPipelines(t *testing.T) {
+	const blocks = 8
+	for _, model := range []core.Model{core.ModelPolling, core.ModelDelegation} {
+		t.Run(model.String(), func(t *testing.T) {
+			old, fresh := streamData(25, blocks), streamData(26, blocks)
+			cfg := core.Config{Model: model, PollPeriod: time.Second}
+			d := runStream(t, fastWAN, cfg, map[string][]byte{"data": old},
+				func(r *streamReader, sess *Session) {
+					fh := r.lookup("data")
+					for bn := 0; bn < blocks; bn++ {
+						r.read(fh, bn, old)
+					}
+					r.settle()
+
+					m2, err := sess.Mount("C2", kernelNoac())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					producer := &streamReader{t: t, d: r.d, m: m2, conn: m2.Client.Conn()}
+					pfh := producer.lookup("data")
+					for bn := 0; bn < blocks; bn++ {
+						wr, err := producer.conn.Write(pfh, uint64(bn)*streamBS, fresh[bn*streamBS:(bn+1)*streamBS], nfs3.FileSync)
+						if err != nil || wr.Status != nfs3.OK {
+							t.Errorf("producer write block %d: %v status %v", bn, err, wr.Status)
+						}
+					}
+					if model == core.ModelDelegation {
+						// The producer writes through while the consumer has
+						// the file open: its handle is non-cacheable, and a
+						// READ of it fetches that block and no other.
+						before := producer.wanReads()
+						producer.read(pfh, 0, fresh)
+						producer.settle()
+						if got := producer.wanReads() - before; got != 1 {
+							t.Errorf("READ of a non-cacheable handle cost %d WAN READs, want 1", got)
+						}
+						if got := m2.Proxy.Stats().ReadAheads; got != 0 {
+							t.Errorf("non-cacheable handle prefetched %d blocks", got)
+						}
+					}
+					r.d.Clock.Sleep(3 * time.Second) // a poll period and more
+
+					before := r.wanReads()
+					elapsed := r.d.Elapsed(func() {
+						if ga, err := r.conn.Getattr(fh); err != nil || ga.Status != nfs3.OK {
+							t.Errorf("getattr: %v status %v", err, ga.Status)
+						}
+						for bn := 0; bn < blocks; bn++ {
+							r.read(fh, bn, fresh)
+						}
+					})
+					if got := r.wanReads() - before; got != blocks {
+						t.Errorf("re-read cost %d WAN READs, want %d", got, blocks)
+					}
+					serial := (blocks + 1) * pipelineRTT
+					t.Logf("handoff re-read: %v (serial %v)", elapsed, serial)
+					if elapsed > serial/2 {
+						t.Errorf("re-read took %v, want under half the serial %v", elapsed, serial)
+					}
+				})
+			if v := d.PublishMetrics().SumCounters("gvfs_staleness_violations_total"); v != 0 {
+				t.Errorf("%d staleness violations", v)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/gvfs"
 	"repro/internal/core"
+	"repro/internal/nfs3"
 	"repro/internal/nfsclient"
 	"repro/internal/simnet"
 )
@@ -72,7 +73,7 @@ func runPollVariant(opt Options, name string, period, backoff time.Duration) (Ab
 	var runErr error
 	d.Run("ablate-poll", func() {
 		sess, serr := d.NewSession("s", core.Config{
-			Model: core.ModelPolling, PollPeriod: period, PollBackoffMax: backoff,
+			Model: core.ModelPolling, PollPeriod: period, PollBackoffMax: backoff, ReadAhead: noReadAhead,
 		})
 		if serr != nil {
 			runErr = serr
@@ -162,7 +163,7 @@ func runBufferVariant(opt Options, entries int) (AblationRow, error) {
 	var runErr error
 	d.Run("ablate-buffer", func() {
 		sess, serr := d.NewSession("s", core.Config{
-			Model: core.ModelPolling, PollPeriod: 30 * time.Second, InvBufferEntries: entries,
+			Model: core.ModelPolling, PollPeriod: 30 * time.Second, InvBufferEntries: entries, ReadAhead: noReadAhead,
 		})
 		if serr != nil {
 			runErr = serr
@@ -237,7 +238,7 @@ func runExpiryVariant(opt Options, expiry time.Duration) (AblationRow, error) {
 	var runErr error
 	d.Run("ablate-expiry", func() {
 		sess, serr := d.NewSession("s", core.Config{
-			Model: core.ModelDelegation, DelegExpiry: expiry,
+			Model: core.ModelDelegation, DelegExpiry: expiry, ReadAhead: noReadAhead,
 		})
 		if serr != nil {
 			runErr = serr
@@ -278,7 +279,11 @@ func runExpiryVariant(opt Options, expiry time.Duration) (AblationRow, error) {
 // rows read a longer file over a bandwidth-limited link, where the question
 // is no longer round trips but how much of the link one stream uses; the
 // sweep fails if readahead leaves a fifth of it idle or fetches any block
-// twice.
+// twice. The small-file rows run PostMark-shaped transactions over the same
+// link, under the default configuration and with readahead off: what is left
+// of a transaction is its round trips, and the sweep fails if a COMMIT
+// crosses the wide area after a flush that went out FILE_SYNC, or if a block
+// is read twice.
 func RunFlushPipelineAblation(opt Options) (AblationResult, error) {
 	res := AblationResult{Name: "write-back & readahead pipeline", Columns: "flush / cold-read latency vs wide-area concurrency"}
 	const blocks = 16
@@ -290,7 +295,7 @@ func RunFlushPipelineAblation(opt Options) (AblationResult, error) {
 		opt.logf("ablate flush W=%-2d flush(%d blocks)=%-8v writes=%d", w, blocks, row.Staleness, row.RPCs["WRITE"])
 		res.Rows = append(res.Rows, row)
 	}
-	for _, ra := range []int{0, 2, 4, 8} {
+	for _, ra := range []int{noReadAhead, 2, 4, 8} {
 		row, _, err := runReadAheadVariant(opt, pipelineWAN, ra, blocks)
 		if err != nil {
 			return res, fmt.Errorf("readahead ablation RA=%d: %w", ra, err)
@@ -298,7 +303,7 @@ func RunFlushPipelineAblation(opt Options) (AblationResult, error) {
 		opt.logf("ablate readahead RA=%-2d coldread(%d blocks)=%-8v reads=%d", ra, blocks, row.Staleness, row.RPCs["READ"])
 		res.Rows = append(res.Rows, row)
 	}
-	for _, ra := range []int{0, 4} {
+	for _, ra := range []int{noReadAhead, 4} {
 		row, util, err := runReadAheadVariant(opt, fastWAN, ra, fastWANBlocks)
 		if err != nil {
 			return res, fmt.Errorf("readahead ablation RA=%d at 100 Mbit/s: %w", ra, err)
@@ -308,6 +313,14 @@ func RunFlushPipelineAblation(opt Options) (AblationResult, error) {
 			return res, fmt.Errorf("readahead RA=%d at 100 Mbit/s x 40 ms: link utilisation %.2f (want >= 0.80), %d READs for %d blocks (want one each)",
 				ra, util, row.RPCs["READ"], fastWANBlocks)
 		}
+		res.Rows = append(res.Rows, row)
+	}
+	for _, ra := range []int{0, noReadAhead} {
+		row, err := runSmallFileVariant(opt, ra)
+		if err != nil {
+			return res, fmt.Errorf("small-file ablation RA=%d: %w", ra, err)
+		}
+		opt.logf("ablate %-20s txn=%-8v %s rpcs=%v", row.Param, row.Staleness, row.Extra, row.RPCs)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
@@ -348,7 +361,7 @@ func runFlushVariant(opt Options, w, blocks int) (AblationRow, error) {
 			// One WRITE per block: this ablation isolates flush
 			// parallelism; write coalescing is measured by the hotpath
 			// experiment.
-			MaxWriteBytes: 32 * 1024,
+			MaxWriteBytes: 32 * 1024, ReadAhead: noReadAhead,
 		})
 		if serr != nil {
 			runErr = serr
@@ -460,6 +473,96 @@ func runReadAheadVariant(opt Options, wan simnet.Params, ra, blocks int) (Ablati
 		row.Extra = fmt.Sprintf("util=%.2f", util)
 	}
 	return row, util, runErr
+}
+
+// smallFileTxns is how many transactions a small-file row averages over.
+const smallFileTxns = 8
+
+// runSmallFileVariant runs PostMark-shaped transactions against a write-back
+// session over fastWAN, as raw NFS calls to the proxy client the way a kernel
+// client whose own caches have missed makes them: look a two-block file up,
+// stat it, read it, create another, write its two blocks UNSTABLE, commit.
+// The row reports the mean transaction time and what crossed the wide area;
+// ra is the session's Config.ReadAhead (0 = the default).
+func runSmallFileVariant(opt Options, ra int) (AblationRow, error) {
+	d, err := gvfs.NewDeployment(gvfs.Config{WAN: fastWAN})
+	if err != nil {
+		return AblationRow{}, err
+	}
+	defer d.Close()
+	const bs = 32 * 1024
+	block := make([]byte, bs)
+	for i := 0; i < smallFileTxns; i++ {
+		d.FS.WriteFile(fmt.Sprintf("f%d", i), make([]byte, 2*bs))
+	}
+
+	row := AblationRow{Param: "smallfile RA=default", RPCs: make(map[string]int64)}
+	if ra != 0 {
+		row.Param = fmt.Sprintf("smallfile RA=%d", ra)
+	}
+	var runErr error
+	d.Run("ablate-smallfile", func() {
+		sess, serr := d.NewSession("s", core.Config{Model: core.ModelPolling, WriteBack: true, ReadAhead: ra})
+		if serr != nil {
+			runErr = serr
+			return
+		}
+		m, err := sess.Mount("C1", nfsclient.Options{NoAC: true})
+		if err != nil {
+			runErr = err
+			return
+		}
+		nc, root := m.Client.Conn(), m.Client.Root()
+		txn := func(i int) error {
+			lk, err := nc.Lookup(root, fmt.Sprintf("f%d", i))
+			if err != nil || lk.Status != nfs3.OK {
+				return fmt.Errorf("lookup: %v %v", err, lk.Status)
+			}
+			if ga, err := nc.Getattr(lk.FH); err != nil || ga.Status != nfs3.OK {
+				return fmt.Errorf("getattr: %v %v", err, ga.Status)
+			}
+			for bn := uint64(0); bn < 2; bn++ {
+				if rd, err := nc.Read(lk.FH, bn*bs, bs); err != nil || rd.Status != nfs3.OK || rd.Count != bs {
+					return fmt.Errorf("read: %v %v", err, rd.Status)
+				}
+			}
+			cr, err := nc.Create(root, fmt.Sprintf("n%d", i), 0o644, nfs3.CreateGuarded)
+			if err != nil || cr.Status != nfs3.OK || !cr.FHFollows {
+				return fmt.Errorf("create: %v %v", err, cr.Status)
+			}
+			for bn := uint64(0); bn < 2; bn++ {
+				if wr, err := nc.Write(cr.FH, bn*bs, block, nfs3.Unstable); err != nil || wr.Status != nfs3.OK {
+					return fmt.Errorf("write: %v %v", err, wr.Status)
+				}
+			}
+			if cm, err := nc.Commit(cr.FH, 0, 0); err != nil || cm.Status != nfs3.OK {
+				return fmt.Errorf("commit: %v %v", err, cm.Status)
+			}
+			return nil
+		}
+		before := m.WANCounts()
+		elapsed := d.Elapsed(func() {
+			for i := 0; i < smallFileTxns && runErr == nil; i++ {
+				runErr = txn(i)
+			}
+		})
+		row.Staleness = elapsed / smallFileTxns
+		var total int64
+		for k, v := range m.WANCounts() {
+			if n := v - before[k]; n != 0 && k != "GETINV" {
+				row.RPCs[k] = n
+				total += n
+			}
+		}
+		row.Extra = fmt.Sprintf("rpcs/txn=%.2f commits/txn=%.2f",
+			float64(total)/smallFileTxns, float64(row.RPCs["COMMIT"])/smallFileTxns)
+	})
+	opt.dumpMetrics("ablate-"+row.Param, d)
+	if runErr == nil && (row.RPCs["COMMIT"] != 0 || row.RPCs["READ"] != 2*smallFileTxns) {
+		runErr = fmt.Errorf("%d transactions sent %d COMMITs (want 0: every flush is FILE_SYNC) and %d READs (want %d: each block once)",
+			smallFileTxns, row.RPCs["COMMIT"], row.RPCs["READ"], 2*smallFileTxns)
+	}
+	return row, runErr
 }
 
 // RunAblations executes all four sweeps.

@@ -72,6 +72,12 @@ func (o Options) logf(format string, args ...any) {
 // the evaluation.
 const thirty = 30 * time.Second
 
+// noReadAhead is Config.ReadAhead for every set-up that reproduces a figure
+// or a committed BENCH table and does not name a window itself: the paper's
+// proxies do not prefetch, so their RPC counts stay the paper's while the
+// shipped default keeps readahead on.
+const noReadAhead = -1
+
 // kernel30 returns the kernel client mount options for the paper's "30 s
 // revalidation period": the Linux attribute cache is adaptive, starting at
 // acregmin (3 s) for objects that keep changing and growing to the 30 s

@@ -308,20 +308,26 @@ func TestAblationsRun(t *testing.T) {
 	// Pipeline: parallel write-back beats serial, and readahead beats
 	// one-round-trip-per-block cold reads.
 	pipe := res[3]
-	if len(pipe.Rows) != 10 {
-		t.Fatalf("pipeline sweep has %d rows, want 10", len(pipe.Rows))
+	if len(pipe.Rows) != 12 {
+		t.Fatalf("pipeline sweep has %d rows, want 12", len(pipe.Rows))
 	}
 	if w8, w1 := pipe.Rows[3].Staleness, pipe.Rows[0].Staleness; w8*2 >= w1 {
 		t.Errorf("W=8 flush %v not meaningfully faster than W=1 %v", w8, w1)
 	}
 	if ra8, ra0 := pipe.Rows[7].Staleness, pipe.Rows[4].Staleness; ra8*2 >= ra0 {
-		t.Errorf("RA=8 cold read %v not meaningfully faster than RA=0 %v", ra8, ra0)
+		t.Errorf("RA=8 cold read %v not meaningfully faster than readahead off %v", ra8, ra0)
 	}
 	// On the bandwidth-limited link the sweep itself gates the readahead
 	// row's utilisation and READ count; here, that it is not a near miss of
 	// the serial read.
 	if ra4, ra0 := pipe.Rows[9].Staleness, pipe.Rows[8].Staleness; ra4*4 >= ra0 {
-		t.Errorf("RA=4 at 100 Mbit/s %v not meaningfully faster than RA=0 %v", ra4, ra0)
+		t.Errorf("RA=4 at 100 Mbit/s %v not meaningfully faster than readahead off %v", ra4, ra0)
+	}
+	// Small files: the sweep gates the COMMIT and READ counts; here, that the
+	// default configuration's prefetch takes a round trip out of every
+	// transaction.
+	if def, off := pipe.Rows[10].Staleness, pipe.Rows[11].Staleness; def+30*time.Millisecond > off {
+		t.Errorf("small-file transaction %v under the default config, %v with readahead off: want a round trip (40 ms) less", def, off)
 	}
 	var sb strings.Builder
 	RenderAblations(&sb, res)

@@ -85,7 +85,7 @@ func runFig4Setup(opt Options, link simnet.Params, mode string, cfg workload.Mak
 		case "NFS":
 			m, runErr = d.DirectMount("C1", kernel30())
 		default:
-			scfg := core.Config{Model: core.ModelPolling, PollPeriod: thirty, ProxyDelay: proxyDelay, DiskDelay: diskDelay}
+			scfg := core.Config{Model: core.ModelPolling, PollPeriod: thirty, ProxyDelay: proxyDelay, DiskDelay: diskDelay, ReadAhead: noReadAhead}
 			if mode == "GVFS-WB" {
 				scfg.WriteBack = true
 				scfg.FlushParallelism = 4

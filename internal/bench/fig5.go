@@ -96,14 +96,14 @@ func runFig5Setup(opt Options, link simnet.Params, mode string, cfg workload.Pos
 			// caching for both reads and writes (the paper motivates exactly
 			// this for unshared workloads), overlaid with invalidation
 			// polling.
-			sess, serr := d.NewSession("pm", core.Config{Model: core.ModelPolling, PollPeriod: thirty, WriteBack: true, ProxyDelay: proxyDelay, DiskDelay: diskDelay})
+			sess, serr := d.NewSession("pm", core.Config{Model: core.ModelPolling, PollPeriod: thirty, WriteBack: true, ProxyDelay: proxyDelay, DiskDelay: diskDelay, ReadAhead: noReadAhead})
 			if serr != nil {
 				runErr = serr
 				return
 			}
 			m, runErr = sess.Mount("C1", nfsclient.Options{CacheBytes: kernelCache})
 		case "GVFS2":
-			sess, serr := d.NewSession("pm", core.Config{Model: core.ModelDelegation, ProxyDelay: proxyDelay, DiskDelay: diskDelay})
+			sess, serr := d.NewSession("pm", core.Config{Model: core.ModelDelegation, ProxyDelay: proxyDelay, DiskDelay: diskDelay, ReadAhead: noReadAhead})
 			if serr != nil {
 				runErr = serr
 				return

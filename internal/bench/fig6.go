@@ -71,9 +71,9 @@ func runFig6NFS(opt Options, mode string, cfg workload.LockConfig) (Fig6Setup, e
 		var sess *gvfs.Session
 		switch mode {
 		case "GVFS-inv":
-			sess, runErr = d.NewSession("locks", core.Config{Model: core.ModelPolling, PollPeriod: thirty})
+			sess, runErr = d.NewSession("locks", core.Config{Model: core.ModelPolling, PollPeriod: thirty, ReadAhead: noReadAhead})
 		case "GVFS-cb":
-			sess, runErr = d.NewSession("locks", core.Config{Model: core.ModelDelegation})
+			sess, runErr = d.NewSession("locks", core.Config{Model: core.ModelDelegation, ReadAhead: noReadAhead})
 		}
 		if runErr != nil {
 			return

@@ -92,7 +92,7 @@ func runFig7Setup(opt Options, mode string, cfg workload.NanoMOSConfig) (Fig7Ser
 		var admin *gvfs.Mount
 		if mode == "GVFS" {
 			sess, runErr = d.NewSession("repo", core.Config{
-				Model: core.ModelPolling, PollPeriod: thirty, MaxHandlesPerReply: 512,
+				Model: core.ModelPolling, PollPeriod: thirty, MaxHandlesPerReply: 512, ReadAhead: noReadAhead,
 			})
 			if runErr != nil {
 				return

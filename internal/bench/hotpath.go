@@ -140,7 +140,7 @@ func runHotpathSetup(opt Options, path string, pooled bool, ops int) (HotpathSet
 		// measured window, so the deltas below are the op path alone.
 		sess, err := d.NewSession("hot", core.Config{
 			Model: core.ModelPolling, PollPeriod: time.Hour,
-			WriteBack: true, FlushInterval: time.Hour,
+			WriteBack: true, FlushInterval: time.Hour, ReadAhead: noReadAhead,
 		})
 		if err != nil {
 			runErr = err
@@ -282,7 +282,7 @@ func runHotpathCoalesce(opt Options, name string, maxWrite int) (HotpathCoalesce
 	d.Run("hotpath-coalesce", func() {
 		sess, err := d.NewSession("hot", core.Config{
 			Model: core.ModelPolling, WriteBack: true,
-			FlushInterval: time.Hour, MaxWriteBytes: maxWrite,
+			FlushInterval: time.Hour, MaxWriteBytes: maxWrite, ReadAhead: noReadAhead,
 		})
 		if err != nil {
 			runErr = err

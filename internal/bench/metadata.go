@@ -89,7 +89,7 @@ func runMetadataSetup(opt Options, name string, disable bool, cfg workload.StatS
 		scfg := core.Config{
 			Model: core.ModelPolling, PollPeriod: thirty,
 			ProxyDelay: proxyDelay, DiskDelay: diskDelay,
-			DisableMetaCache: disable,
+			DisableMetaCache: disable, ReadAhead: noReadAhead,
 		}
 		sess, err := d.NewSession("meta", scfg)
 		if err != nil {

@@ -106,7 +106,7 @@ func runRestartSetup(opt Options, name string, model core.Model, files, changed 
 		scfg := core.Config{
 			Model: model, PollPeriod: thirty,
 			ProxyDelay: proxyDelay, DiskDelay: diskDelay,
-			DiskCacheDir: dir,
+			DiskCacheDir: dir, ReadAhead: noReadAhead,
 		}
 		sess, err := d.NewSession("restart", scfg)
 		if err != nil {

@@ -110,7 +110,7 @@ func schedConfig(workers int) core.Config {
 	return core.Config{
 		Model: core.ModelPolling, PollPeriod: thirty,
 		ProxyDelay: proxyDelay, DiskDelay: diskDelay,
-		ServerWorkers: workers,
+		ServerWorkers: workers, ReadAhead: noReadAhead,
 	}
 }
 

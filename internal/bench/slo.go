@@ -89,7 +89,7 @@ func RunSLO(opt Options) (SLOResult, error) {
 }
 
 func sloConfig(model core.Model) core.Config {
-	cfg := core.Config{Model: model, ProxyDelay: proxyDelay, DiskDelay: diskDelay}
+	cfg := core.Config{Model: model, ProxyDelay: proxyDelay, DiskDelay: diskDelay, ReadAhead: noReadAhead}
 	if model == core.ModelPolling {
 		cfg.PollPeriod = thirty
 	}

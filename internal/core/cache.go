@@ -147,6 +147,15 @@ type cachedFile struct {
 	// them so concurrent flushers (periodic flush, recall chase, pre-SETATTR
 	// flush, parallel flush workers) never double-issue a block.
 	flushing map[uint64]bool
+	// unstable counts the forwarded WRITEs of this file the server
+	// acknowledged short of FILE_SYNC and no forwarded COMMIT has covered
+	// since: data of this session that may not be on stable storage yet. lost
+	// is set when a write-back WRITE was refused and the dirty data dropped;
+	// the next COMMIT reports it. Both decide how a COMMIT is answered
+	// (settleCommit) and go with this entry — a COMMIT that finds no entry is
+	// forwarded.
+	unstable int
+	lost     bool
 	// fetching holds the blocks with a prefetch READ in flight, each with
 	// the demand reads parked on it: readahead skips them and demand reads
 	// wait for the fetch instead of issuing a duplicate wide-area READ.
@@ -1015,6 +1024,69 @@ func (sc *sessionCache) flushed(fh nfs3.FH, bn uint64, gen uint64, wcc nfs3.WccD
 	sc.evictLocked()
 }
 
+// noteUnstable records that the server acknowledged a WRITE of fh short of
+// FILE_SYNC: the next COMMIT has to cross the wide area.
+func (sc *sessionCache) noteUnstable(fh nfs3.FH) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.fileFor(fh.Key()).unstable++
+}
+
+// commitVerdict is how a COMMIT is answered once the file's write-back has
+// drained.
+type commitVerdict int
+
+const (
+	// commitForward: the server may hold unstable data of the file, or the
+	// cache cannot tell (no entry, no attributes). The zero value, so doubt
+	// forwards.
+	commitForward commitVerdict = iota
+	// commitLocal: everything this session wrote is on the server's stable
+	// storage; the reply carries the cached post-flush attributes.
+	commitLocal
+	// commitLost: a write-back was refused and the dirty data dropped.
+	commitLost
+	// commitPending: blocks are still dirty or in flight (upstream
+	// unreachable, or written again under the flush); the client retries.
+	commitPending
+)
+
+// settleCommit decides how a COMMIT of fh is answered, after the caller has
+// flushed the file and waited its write-back out. A loss is reported once.
+// With a forward verdict comes the number of unstable WRITE replies the
+// COMMIT will cover if it succeeds (commitCovered): one that arrives while
+// the COMMIT is in flight is not among them, and makes the next COMMIT cross
+// as well.
+func (sc *sessionCache) settleCommit(fh nfs3.FH) (v commitVerdict, attr nfs3.Fattr, unstable int) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	key := fh.Key()
+	fc, ok := sc.files[key]
+	switch {
+	case !ok:
+		return commitForward, attr, 0
+	case fc.lost:
+		fc.lost = false
+		return commitLost, attr, 0
+	case len(fc.dirty) > 0 || len(fc.flushing) > 0:
+		return commitPending, attr, 0
+	}
+	if attr, ok = sc.attrLocked(key); !ok || fc.unstable > 0 {
+		return commitForward, attr, fc.unstable
+	}
+	return commitLocal, attr, 0
+}
+
+// commitCovered records that a forwarded COMMIT of fh succeeded: the n
+// unstable WRITE replies seen before it was sent are on stable storage now.
+func (sc *sessionCache) commitCovered(fh nfs3.FH, n int) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if fc, ok := sc.files[fh.Key()]; ok {
+		fc.unstable = max(fc.unstable-n, 0)
+	}
+}
+
 // hasDirty reports whether fh has buffered dirty blocks.
 func (sc *sessionCache) hasDirty(fh nfs3.FH) bool {
 	sc.mu.Lock()
@@ -1023,15 +1095,26 @@ func (sc *sessionCache) hasDirty(fh nfs3.FH) bool {
 	return ok && len(fc.dirty) > 0
 }
 
-// dropDirty abandons dirty data (file removed, or corruption detected after
-// crash recovery per Section 4.3.4).
-func (sc *sessionCache) dropDirty(fh nfs3.FH) {
+// dropDirty abandons dirty data the kernel client no longer wants (file
+// removed, or truncated by an unchecked create).
+func (sc *sessionCache) dropDirty(fh nfs3.FH) { sc.discardDirty(fh, false) }
+
+// loseDirty abandons dirty data the server refused to take (the target is
+// gone, the write-back was fenced, or corruption was detected after crash
+// recovery per Section 4.3.4): acknowledged writes are gone, which the file's
+// next COMMIT must say.
+func (sc *sessionCache) loseDirty(fh nfs3.FH) { sc.discardDirty(fh, true) }
+
+func (sc *sessionCache) discardDirty(fh nfs3.FH, lost bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	key := fh.Key()
 	fc, ok := sc.files[key]
 	if !ok {
 		return
+	}
+	if lost && len(fc.dirty) > 0 {
+		fc.lost = true
 	}
 	for bn := range fc.dirty {
 		delete(fc.dirty, bn)

@@ -59,6 +59,9 @@ func (sc *sessionCache) adoptRecovered(files map[string]*diskcache.FileState) {
 		fc.mtime = nfs3.Time{Sec: fs.MtimeSec, Nsec: fs.MtimeNsec}
 		fc.size = fs.Size
 		fc.localChange = fs.LocalChange
+		// Which WRITE replies the previous incarnation saw is not on disk:
+		// the file's first COMMIT crosses the wide area.
+		fc.unstable = 1
 		hasClean := false
 		for bn, b := range fs.Blocks {
 			fc.blocks[bn] = b.Data

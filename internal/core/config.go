@@ -155,13 +155,16 @@ type Config struct {
 	// nfs3.MaxIOSize, the wire-level payload bound.
 	MaxWriteBytes int
 
-	// ReadAhead turns on sequential readahead and sets its initial window:
-	// the number of blocks the proxy client keeps in flight ahead of a
-	// detected sequential reader. The session then sizes the window itself —
-	// it doubles while demand reads still stall on in-flight prefetches and
-	// the link has room, up to min(nfs3.MaxIOSize, CacheBytes/4) bytes'
-	// worth of blocks — so this is where the window starts, not a depth to
-	// tune per link. 0 disables readahead entirely. Default 0.
+	// ReadAhead is the sequential readahead pipeline's initial window: the
+	// number of blocks the proxy client keeps in flight ahead of a sequential
+	// reader. Readahead is on for every session; the first aligned READ of a
+	// file whose cached attributes say it has more blocks fetches up to a
+	// window of them concurrently, never past EOF and never for a
+	// non-cacheable handle. The session then sizes the window itself — it
+	// doubles while demand reads still stall on in-flight prefetches and the
+	// link has room, up to min(nfs3.MaxIOSize, CacheBytes/4) bytes' worth of
+	// blocks — so this is where the window starts, not a depth to tune per
+	// link. Negative disables readahead entirely. Default 4.
 	ReadAhead int
 
 	// CallTimeout bounds upstream and callback RPCs so crashes and
@@ -314,6 +317,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxWriteBytes < c.BlockSize {
 		c.MaxWriteBytes = c.BlockSize
+	}
+	if c.ReadAhead == 0 {
+		c.ReadAhead = 4
 	}
 	if c.CallTimeout == 0 {
 		c.CallTimeout = 15 * time.Second

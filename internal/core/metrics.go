@@ -59,6 +59,7 @@ type clientMetrics struct {
 	renewBypass        *obs.Counter
 	pollCapped         *obs.Counter
 	coalescedWrites    *obs.Counter
+	commitLocal        *obs.Counter
 
 	// Metadata fast path: per-cache local serves, plus the session cache's
 	// bookkeeping events (TTL expiries, capacity evictions, whole-directory
@@ -108,6 +109,7 @@ func newClientMetrics(reg *obs.Registry, node string) *clientMetrics {
 		renewBypass:        reg.Counter(l("gvfs_client_deleg_renew_bypass_total")),
 		pollCapped:         reg.Counter(l("gvfs_client_poll_capped_total")),
 		coalescedWrites:    reg.Counter(l("gvfs_client_coalesced_writes_total")),
+		commitLocal:        reg.Counter(l("gvfs_client_commit_local_total")),
 		attrHits:           reg.Counter(obs.Label(l("gvfs_client_meta_hits_total"), "cache", "attr")),
 		dentryHits:         reg.Counter(obs.Label(l("gvfs_client_meta_hits_total"), "cache", "dentry")),
 		negHits:            reg.Counter(obs.Label(l("gvfs_client_meta_hits_total"), "cache", "negative")),

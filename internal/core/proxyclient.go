@@ -71,7 +71,7 @@ type ProxyClient struct {
 	recallFlushMax int
 
 	// ra is the session's readahead pipeline (readahead.go); idle, and never
-	// consulted, when Config.ReadAhead is 0.
+	// consulted, when Config.ReadAhead is negative.
 	ra readPipe
 
 	// node records this proxy's trace spans; met holds its registry series.
@@ -194,7 +194,7 @@ func (p *ProxyClient) drainRecallFlushes() {
 		req := p.recallFlushQ[0]
 		p.recallFlushQ = p.recallFlushQ[1:]
 		p.mu.Unlock()
-		p.flushFile(req.rid, req.fh, 0, false)
+		p.flushFile(req.rid, req.fh)
 	}
 }
 
@@ -398,7 +398,7 @@ func (p *ProxyClient) RecoverAfterCrash() {
 			continue
 		}
 		if err := p.flushBlock(0, fh, blocks[0]); err != nil {
-			p.cache.dropDirty(fh)
+			p.cache.loseDirty(fh)
 		}
 	}
 }
@@ -736,14 +736,12 @@ func (p *ProxyClient) flushAll(rid uint64) {
 // flushFile writes back every dirty block of fh, then waits until no flush
 // of fh remains in flight — its own or a concurrent actor's — so callers
 // (SETATTR truncation, COMMIT, recalls) may order upstream operations after
-// the write-back. When skip is set, skipBn was already flushed by the
-// caller.
-func (p *ProxyClient) flushFile(rid uint64, fh nfs3.FH, skipBn uint64, skip bool) {
+// the write-back. What became of the data is in the cache entry afterwards
+// (settleCommit): blocks an unreachable upstream left dirty, or the mark a
+// refused WRITE leaves when it drops them.
+func (p *ProxyClient) flushFile(rid uint64, fh nfs3.FH) {
 	var items []flushItem
 	for _, bn := range p.cache.dirtyBlocks(fh) {
-		if skip && bn == skipBn {
-			continue
-		}
 		items = append(items, flushItem{fh: fh, bn: bn})
 	}
 	p.flushParallel(rid, items)
@@ -868,7 +866,7 @@ func (p *ProxyClient) flushBlock(rid uint64, fh nfs3.FH, bn uint64) error {
 		// The write-back target is gone or rejecting writes (e.g. removed
 		// behind our back): keeping the block dirty would retry forever.
 		// Drop it, as the paper drops "corrupted" dirty data (Section 4.3.4).
-		p.cache.dropDirty(fh)
+		p.cache.loseDirty(fh)
 		p.met.flushErrors.Inc()
 		return &nfs3.Error{Status: res.Status, Proc: nfs3.ProcWrite}
 	}
@@ -1385,6 +1383,11 @@ func releaseReadRes(res *nfs3.ReadRes) {
 	}
 }
 
+// localWriteVerf is the write verifier of every reply the proxy client makes
+// up itself: an absorbed WRITE's, and the COMMIT's that finds nothing
+// unstable upstream. A forwarded reply carries the server's own.
+const localWriteVerf = 1
+
 func (p *ProxyClient) write(call *sunrpc.Call) sunrpc.AcceptStat {
 	var args nfs3.WriteArgs
 	if args.Decode(call.Args) != nil {
@@ -1438,7 +1441,7 @@ func (p *ProxyClient) write(call *sunrpc.Call) sunrpc.AcceptStat {
 				Wcc:       nfs3.WccData{After: nfs3.PostOpAttr{Present: true, Attr: newAttr}},
 				Count:     uint32(len(args.Data)),
 				Committed: nfs3.FileSync,
-				Verf:      1,
+				Verf:      localWriteVerf,
 			}
 			res.Encode(call.Reply)
 			return sunrpc.Success
@@ -1458,6 +1461,9 @@ func (p *ProxyClient) writeForward(call *sunrpc.Call, args nfs3.WriteArgs) sunrp
 	}
 	p.hitForward(call)
 	p.noteForward(args.FH)
+	if res.Status == nfs3.OK && res.Committed != nfs3.FileSync {
+		p.cache.noteUnstable(args.FH)
+	}
 	if res.Status == nfs3.OK && res.Wcc.After.Present {
 		// Reconcile first (recognizing our own mtime advance via the wcc
 		// data), then cache the freshly written block.
@@ -1486,7 +1492,7 @@ func (p *ProxyClient) setattr(call *sunrpc.Call) sunrpc.AcceptStat {
 	// Truncation invalidates buffered writes beyond the new size; flush
 	// first for simplicity and correctness.
 	if p.cache.hasDirty(args.FH) {
-		p.flushFile(call.ReqID, args.FH, 0, false)
+		p.flushFile(call.ReqID, args.FH)
 	}
 	var res nfs3.WccRes
 	if _, err := p.callUpstream(call.ReqID, nfs3.ProcSetattr, &args, &res); err != nil {
@@ -1729,11 +1735,37 @@ func (p *ProxyClient) commit(call *sunrpc.Call) sunrpc.AcceptStat {
 	}
 	call.SpanFH = args.FH.String()
 	if p.cache.hasDirty(args.FH) {
-		p.flushFile(call.ReqID, args.FH, 0, false)
+		p.flushFile(call.ReqID, args.FH)
+	}
+	verdict, attr, unstable := p.cache.settleCommit(args.FH)
+	switch {
+	case verdict == commitLost:
+		return encodeReply(call, &nfs3.CommitRes{Status: nfs3.ErrIO})
+	case verdict == commitPending:
+		return encodeReply(call, &nfs3.CommitRes{Status: nfs3.ErrJukebox})
+	case verdict == commitLocal && p.servable(args.FH):
+		// Every write-back WRITE is sent FILE_SYNC and none of this session's
+		// forwarded WRITEs is waiting on a COMMIT: the server has nothing
+		// left to make stable, so the round trip would carry no news.
+		p.met.commitLocal.Inc()
+		call.SpanDetail = "local"
+		p.hitLocal(call)
+		if p.cfg.Staleness != nil {
+			st, sok := p.cache.attrStamp(args.FH)
+			p.observeServe(args.FH, st, sok)
+		}
+		return encodeReply(call, &nfs3.CommitRes{
+			Status: nfs3.OK,
+			Wcc:    nfs3.WccData{After: nfs3.PostOpAttr{Present: true, Attr: attr}},
+			Verf:   localWriteVerf,
+		})
 	}
 	var res nfs3.CommitRes
 	if _, err := p.callUpstream(call.ReqID, nfs3.ProcCommit, &args, &res); err != nil {
 		return encodeReply(call, &nfs3.CommitRes{Status: nfs3.ErrJukebox})
+	}
+	if res.Status == nfs3.OK {
+		p.cache.commitCovered(args.FH, unstable)
 	}
 	p.hitForward(call)
 	return encodeReply(call, &res)
@@ -1874,7 +1906,7 @@ func (p *ProxyClient) handleRecall(call *sunrpc.Call) sunrpc.AcceptStat {
 		} else {
 			// Small dirty set: write everything back before replying, with
 			// the WRITEs pipelined up to FlushParallelism deep.
-			p.flushFile(call.ReqID, args.FH, 0, false)
+			p.flushFile(call.ReqID, args.FH)
 		}
 	}
 	return encodeReply(call, &res)

@@ -235,10 +235,14 @@ func TestReadPipeGrowthRule(t *testing.T) {
 			}
 		})
 	}
-	var off readPipe
-	off.init(Config{}.withDefaults())
+	var off, def readPipe
+	off.init(Config{ReadAhead: -1}.withDefaults())
 	if off.window.Load() != 0 || off.grow() != 0 {
-		t.Error("ReadAhead 0 must leave the pipeline off")
+		t.Error("a negative ReadAhead must leave the pipeline off")
+	}
+	def.init(Config{}.withDefaults())
+	if got := def.window.Load(); got != 4 {
+		t.Errorf("the zero Config starts the window at %d, want 4", got)
 	}
 }
 
@@ -279,14 +283,27 @@ func TestUnreadPrefetchAccounting(t *testing.T) {
 // with a raw NFS connection to its kernel-facing port.
 type raBed struct {
 	clk  *vclock.Clock
+	net  *simnet.Net
 	fs   *memfs.FS
 	p    *ProxyClient
 	nc   *nfscall.Conn
 	root nfs3.FH
 }
 
+// serverVerf is the bed NFS server's write verifier: anything but
+// localWriteVerf, so a reply shows who made it.
+const serverVerf = 7
+
 // runRABed runs fn as a virtual-time actor against a fresh bed.
 func runRABed(t *testing.T, cfg Config, populate func(fs *memfs.FS), fn func(b *raBed)) {
+	t.Helper()
+	runTamperedBed(t, cfg, nil, populate, fn)
+}
+
+// runTamperedBed is runRABed with tamper, when not nil, rewriting every NFS
+// reply (the result bytes of procedure proc) on its way from the server to
+// the proxy client: an upstream that answers what the test needs it to.
+func runTamperedBed(t *testing.T, cfg Config, tamper func(proc uint32, reply []byte) []byte, populate func(fs *memfs.FS), fn func(b *raBed)) {
 	t.Helper()
 	clk := vclock.NewVirtual()
 	defer clk.Stop()
@@ -294,7 +311,7 @@ func runRABed(t *testing.T, cfg Config, populate func(fs *memfs.FS), fn func(b *
 	fs := memfs.New(clk.Now)
 	populate(fs)
 	rpcSrv := sunrpc.NewServer(clk)
-	nfsserver.New(fs, 1).Register(rpcSrv)
+	nfsserver.New(fs, serverVerf).Register(rpcSrv)
 	l, err := net.Host("server").Listen(":2049")
 	if err != nil {
 		t.Fatal(err)
@@ -305,8 +322,41 @@ func runRABed(t *testing.T, cfg Config, populate func(fs *memfs.FS), fn func(b *
 	done := make(chan struct{})
 	clk.Go("driver", func() {
 		defer close(done)
+		upstream := "server:2049"
+		if tamper != nil {
+			// A front on the server's own host relays to the real server.
+			bconn, err := net.Host("server").Dial("server:2049")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			back := sunrpc.NewClient(clk, bconn, sunrpc.NoneCred())
+			defer back.Close()
+			relay := func(prog, vers uint32, edit func(uint32, []byte) []byte) sunrpc.DispatchFunc {
+				return func(call *sunrpc.Call) sunrpc.AcceptStat {
+					d, err := back.Call(prog, vers, call.Proc, remainingBytes(call.Args))
+					if err != nil {
+						return sunrpc.SystemErr
+					}
+					call.Reply.FixedOpaque(edit(call.Proc, remainingBytes(d)))
+					return sunrpc.Success
+				}
+			}
+			front := sunrpc.NewServer(clk)
+			front.Register(nfs3.Program, nfs3.Version, relay(nfs3.Program, nfs3.Version, tamper))
+			front.Register(nfs3.MountProgram, nfs3.MountVersion,
+				relay(nfs3.MountProgram, nfs3.MountVersion, func(_ uint32, b []byte) []byte { return b }))
+			fl, err := net.Host("server").Listen(":2050")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer front.Close()
+			front.Serve(fl)
+			upstream = "server:2050"
+		}
 		client := net.Host("client")
-		conn, err := client.Dial("server:2049")
+		conn, err := client.Dial(upstream)
 		if err != nil {
 			t.Error(err)
 			return
@@ -332,9 +382,15 @@ func runRABed(t *testing.T, cfg Config, populate func(fs *memfs.FS), fn func(b *
 			t.Error(err)
 			return
 		}
-		fn(&raBed{clk: clk, fs: fs, p: p, nc: nc, root: root})
+		fn(&raBed{clk: clk, net: net, fs: fs, p: p, nc: nc, root: root})
 	})
 	<-done
+}
+
+// wan is the number of RPCs of NFS procedure proc the bed's proxy client has
+// sent upstream.
+func (b *raBed) wan(proc uint32) int64 {
+	return b.p.UpstreamCounts()[uint64(nfs3.Program)<<32|uint64(proc)]
 }
 
 // TestStreamStateReclaimedWithFile is the regression test for the lastRead
