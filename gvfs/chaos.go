@@ -366,7 +366,7 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 		cfg.WriteBack = true
 	}
 	if o.DiskCacheDir != "" {
-		cfg.DiskCacheDir = o.DiskCacheDir // mountWithCache appends the hostname
+		cfg.DiskCacheDir = o.DiskCacheDir // Mount appends the hostname
 	}
 	if o.Overload {
 		// Bounded server: a two-worker pool and a global admission bucket

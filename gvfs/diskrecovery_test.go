@@ -98,7 +98,7 @@ func TestWarmRestartRevalidatesInsteadOfRefetch(t *testing.T) {
 				}
 
 				// Restart on the same disk directory.
-				nm, err := sess.mountWithCache("C1", kernelNoac(), nil)
+				nm, err := sess.Mount("C1", kernelNoac())
 				if err != nil {
 					t.Errorf("remount from disk: %v", err)
 					return

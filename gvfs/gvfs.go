@@ -381,38 +381,21 @@ func (s *Session) RestartProxyServer() error {
 	return nil
 }
 
-// RemountAfterCrash models a client-machine crash: the kernel client's
-// memory caches and the proxy process are gone, but the proxy's disk cache
-// survives. A new proxy client adopts it, runs crash recovery (Section
-// 4.3.4), and a fresh kernel client mounts through it. The returned Mount
-// replaces m. Call within Run/Go.
-func (s *Session) RemountAfterCrash(m *Mount, kopts nfsclient.Options) (*Mount, error) {
-	state := m.Proxy.CacheState()
-	m.Proxy.Crash()
-	m.conn.Close()
-
-	nm, err := s.mountWithCache(m.host, kopts, state)
-	if err != nil {
-		return nil, err
-	}
-	nm.Proxy.RecoverAfterCrash()
-	return nm, nil
-}
-
-// RemountFromDisk models a full client-machine power loss and restart: the
-// proxy process dies abruptly (no final flush, no checkpoint) and — unlike
-// RemountAfterCrash — the in-memory session cache dies with it. The new
-// proxy instance rebuilds its cache solely from the crash-consistent
-// persistent store under the session's DiskCacheDir: surviving clean blocks
+// RemountFromDisk models a client-machine power loss and restart: the proxy
+// process dies abruptly (no final flush, no checkpoint) and its memory — the
+// kernel client's caches, the session cache — dies with it. The new proxy
+// instance rebuilds its cache solely from the crash-consistent persistent
+// store under the session's DiskCacheDir, runs crash recovery (Section
+// 4.3.4), and a fresh kernel client mounts through it: surviving clean blocks
 // are revalidated through the model's normal channel instead of refetched,
 // and dirty blocks re-enter write-back with their saved generations. The
 // session must have been configured with DiskCacheDir for anything to
-// survive. Call within Run/Go.
+// survive. The returned Mount replaces m. Call within Run/Go.
 func (s *Session) RemountFromDisk(m *Mount, kopts nfsclient.Options) (*Mount, error) {
 	m.Proxy.Crash() // abandons the disk store mid-state, SIGKILL-style
 	m.conn.Close()
 
-	nm, err := s.mountWithCache(m.host, kopts, nil)
+	nm, err := s.Mount(m.host, kopts)
 	if err != nil {
 		return nil, err
 	}
@@ -447,10 +430,6 @@ type Mount struct {
 // kernel client to it over the host loopback, and mounts the export. Call
 // within Run/Go.
 func (s *Session) Mount(hostname string, kopts nfsclient.Options) (*Mount, error) {
-	return s.mountWithCache(hostname, kopts, nil)
-}
-
-func (s *Session) mountWithCache(hostname string, kopts nfsclient.Options, cache *core.SessionCacheState) (*Mount, error) {
 	d := s.d
 	h := d.Net.Host(hostname)
 
@@ -482,7 +461,6 @@ func (s *Session) mountWithCache(hostname string, kopts nfsclient.Options, cache
 		pcfg.DiskCacheDir = filepath.Join(s.Cfg.DiskCacheDir, hostname)
 	}
 	proxy := core.NewProxyClient(d.Clock, pcfg, up, cred)
-	proxy.AdoptCache(cache)
 	proxy.SetRedial(func() (*sunrpc.Client, error) {
 		c, err := h.Dial(s.addr)
 		if err != nil {

@@ -434,7 +434,7 @@ func TestProxyClientCrashRecovery(t *testing.T) {
 	d := newDeployment(t)
 	d.FS.WriteFile("crash/f", []byte("original"))
 	d.Run("test", func() {
-		cfg := core.Config{Model: core.ModelDelegation, FlushInterval: time.Hour}
+		cfg := core.Config{Model: core.ModelDelegation, FlushInterval: time.Hour, DiskCacheDir: t.TempDir()}
 		sess, _ := d.NewSession("s", cfg)
 		a, _ := sess.Mount("C1", kernelNoac())
 
@@ -443,7 +443,7 @@ func TestProxyClientCrashRecovery(t *testing.T) {
 			return
 		}
 		// Crash the client machine; the proxy disk cache survives.
-		a2, err := sess.RemountAfterCrash(a, kernelNoac())
+		a2, err := sess.RemountFromDisk(a, kernelNoac())
 		if err != nil {
 			t.Errorf("remount: %v", err)
 			return

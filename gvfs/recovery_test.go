@@ -144,18 +144,19 @@ func TestRestartProxyServerRecallsDirty(t *testing.T) {
 	})
 }
 
-// TestRemountAfterCrashFlushesDirty crashes a client machine (kernel
-// caches and proxy process lost, disk cache intact) while it holds dirty
+// TestRemountFromDiskFlushesDirty crashes a client machine (kernel caches,
+// proxy process and its memory lost, disk cache intact) while it holds dirty
 // delegated blocks. The recovered proxy must write the surviving dirty
 // blocks back so both the remounted client and other clients read the
 // pre-crash data.
-func TestRemountAfterCrashFlushesDirty(t *testing.T) {
+func TestRemountFromDiskFlushesDirty(t *testing.T) {
 	d := newDeployment(t)
 	d.FS.WriteFile("d/g", []byte("v0"))
 	d.Run("crash", func() {
 		cfg := core.Config{
 			Model:         core.ModelDelegation,
 			FlushInterval: 10 * time.Minute,
+			DiskCacheDir:  t.TempDir(),
 		}
 		sess, err := d.NewSession("crash", cfg)
 		if err != nil {
@@ -167,11 +168,11 @@ func TestRemountAfterCrashFlushesDirty(t *testing.T) {
 			t.Fatalf("write: %v", err)
 		}
 
-		nm, err := sess.RemountAfterCrash(ms[0], kernelNoac())
+		nm, err := sess.RemountFromDisk(ms[0], kernelNoac())
 		if err != nil {
 			t.Fatalf("remount after crash: %v", err)
 		}
-		if st := nm.Proxy.Stats(); st.FlushedBlocks == 0 {
+		if st := nm.Proxy.Stats(); st.RecoveredDirty == 0 || st.FlushedBlocks == 0 {
 			t.Errorf("recovered proxy flushed nothing: %+v", st)
 		}
 		if got, err := nm.Client.ReadFile("d/g"); err != nil || string(got) != "v1-precrash" {

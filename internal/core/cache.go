@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/list"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -41,16 +42,13 @@ type sessionCache struct {
 
 	attrLRU, lookupLRU, listLRU *keyLRU
 
-	lru  *lruList
+	lru  lruList
 	maxB int64
 
 	// persist, when non-nil, mirrors data blocks and their dirty state into
 	// the crash-consistent disk store. Every call site already holds sc.mu.
 	persist blockPersister
-	// recovered marks files restored from disk whose clean blocks await
-	// their first server attribute observation (revalidated vs refetched).
-	recovered map[string]bool
-	recMet    *recoveryCounters
+	recMet  recoveryCounters
 }
 
 // metaPolicy bounds the metadata caches: TTLs in virtual time (0 = entries
@@ -128,25 +126,29 @@ type lookupEnt struct {
 }
 
 type cachedFile struct {
+	key string
 	// mtime is the server mtime the clean blocks correspond to.
 	mtime nfs3.Time
 	size  uint64
 	// localChange > 0 while dirty data is buffered; it perturbs the mtime
 	// served to the kernel client so local writes remain visible.
 	localChange uint32
-	blocks      map[uint64][]byte
-	dirty       map[uint64]bool
-	// dirtyGen counts the writes that dirtied each block. A flush records
-	// the generation it copied and only marks the block clean if no newer
-	// write landed while its WRITE was in flight; otherwise the block stays
-	// dirty and the newer data is flushed next round. Entries are never
-	// deleted so an in-flight flush can't match a re-dirtied block's reset
-	// generation.
-	dirtyGen map[uint64]uint64
-	// flushing marks blocks with a WRITE RPC in flight: takeDirty refuses
-	// them so concurrent flushers (periodic flush, recall chase, pre-SETATTR
-	// flush, parallel flush workers) never double-issue a block.
-	flushing map[uint64]bool
+	// blocks holds one record per block the cache has; ndirty counts the
+	// dirty ones among them.
+	blocks map[uint64]*cachedBlock
+	ndirty int
+	// wseq is the file's write sequence: every local write takes the next
+	// value as its block's generation, so a generation is never reused in the
+	// file, not even for a block dropped and written again while a flush of
+	// its earlier contents is still in flight. Recovery seeds it from the
+	// highest generation the disk store handed back.
+	wseq uint64
+	// inflight counts blocks with a write-back WRITE in flight (taken, not yet
+	// endFlush'd). fenced is set when such blocks were discarded under their
+	// WRITE: until the last of those returns nothing of the file is taken, so
+	// a WRITE of newer data can never overtake a stale one.
+	inflight int
+	fenced   bool
 	// unstable counts the forwarded WRITEs of this file the server
 	// acknowledged short of FILE_SYNC and no forwarded COMMIT has covered
 	// since: data of this session that may not be on stable storage yet. lost
@@ -156,25 +158,51 @@ type cachedFile struct {
 	// forwarded.
 	unstable int
 	lost     bool
+	// recovered marks a file restored from disk whose clean blocks await
+	// their first server attribute observation (revalidated vs refetched).
+	recovered bool
 	// fetching holds the blocks with a prefetch READ in flight, each with
 	// the demand reads parked on it: readahead skips them and demand reads
-	// wait for the fetch instead of issuing a duplicate wide-area READ.
+	// wait for the fetch instead of issuing a duplicate wide-area READ. These
+	// are blocks the cache does not hold yet, so they have no record.
 	fetching map[uint64][]*vclock.Waiter
 	// stream is the file's sequential-read detector (see readahead.go); it
 	// lives and dies with this entry.
 	stream readStream
-	// unread marks prefetched blocks no demand read has consumed yet, so one
-	// that leaves the cache first is counted as wasted. Nil until the first
-	// prefetch lands.
-	unread map[uint64]bool
-	// stamps records the virtual time each block's bytes entered the cache
-	// (server fetch or local write), feeding the staleness observatory: a
-	// cache hit's measured age is relative to this stamp.
-	stamps map[uint64]time.Duration
+}
+
+// cachedBlock is everything the cache knows about one block it holds. The
+// record is created when the block's bytes enter the cache and is freed, with
+// every mark on it, by dropBlockLocked — the only way a block leaves.
+type cachedBlock struct {
+	fc   *cachedFile
+	bn   uint64
+	data []byte
+	// dirty blocks hold buffered writes; they stay off the LRU until flushed.
+	dirty bool
+	// gen is the file's write sequence at the last local write to the block
+	// (0: never written here). A flush records the generation it copied and
+	// only marks the block clean if no newer write landed while its WRITE was
+	// in flight; otherwise the block stays dirty and the newer data is flushed
+	// next round.
+	gen uint64
+	// flushing marks a block with a WRITE RPC in flight: takeDirtyRun refuses
+	// it so concurrent flushers (periodic flush, recall chase, pre-SETATTR
+	// flush, parallel flush workers) never double-issue a block.
+	flushing bool
+	// unread marks a prefetched block no demand read has consumed yet, so one
+	// that leaves the cache first is counted as wasted.
+	unread bool
+	// stamp is the virtual time the block's bytes entered the cache (server
+	// fetch or local write), feeding the staleness observatory: a cache hit's
+	// measured age is relative to it.
+	stamp time.Duration
+	// prev and next link clean blocks into the session's LRU.
+	prev, next *cachedBlock
 }
 
 func newSessionCache(blockSize int, maxBytes int64) *sessionCache {
-	return &sessionCache{
+	sc := &sessionCache{
 		bs:        blockSize,
 		attrs:     make(map[string]attrEnt),
 		lookups:   make(map[string]lookupEnt),
@@ -184,14 +212,14 @@ func newSessionCache(blockSize int, maxBytes int64) *sessionCache {
 		attrLRU:   newKeyLRU(),
 		lookupLRU: newKeyLRU(),
 		listLRU:   newKeyLRU(),
-		lru:       newLRUList(),
 		maxB:      maxBytes,
 	}
+	sc.lru.head.prev, sc.lru.head.next = &sc.lru.head, &sc.lru.head
+	return sc
 }
 
 // setMetaPolicy installs the session's metadata cache policy, clock, and
-// event counters. The proxy calls it at construction and again when it
-// adopts a surviving disk cache, whose previous owner's policy dies with it.
+// event counters; the proxy calls it at construction.
 func (sc *sessionCache) setMetaPolicy(now func() time.Duration, pol metaPolicy, met *cacheCounters) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -284,7 +312,7 @@ func (sc *sessionCache) putAttr(fh nfs3.FH, a nfs3.Fattr) {
 	defer sc.mu.Unlock()
 	key := fh.Key()
 	if fc, ok := sc.files[key]; ok {
-		sc.noteRecoveredLocked(key, fc, a.Mtime)
+		sc.noteRecoveredLocked(fc, a.Mtime)
 		if old, cached := sc.attrs[key]; cached {
 			switch st := &fc.stream; {
 			case a.Size < old.attr.Size:
@@ -294,7 +322,7 @@ func (sc *sessionCache) putAttr(fh nfs3.FH, a nfs3.Fattr) {
 			}
 		}
 		if fc.mtime != a.Mtime {
-			sc.dropCleanLocked(key, fc)
+			sc.dropCleanLocked(fc)
 			fc.mtime = a.Mtime
 			if fc.localChange == 0 {
 				fc.size = a.Size
@@ -304,7 +332,7 @@ func (sc *sessionCache) putAttr(fh nfs3.FH, a nfs3.Fattr) {
 		} else if fc.localChange == 0 {
 			fc.size = a.Size
 		}
-		sc.persistMetaLocked(key, fc)
+		sc.persistMetaLocked(fc)
 	}
 	sc.setAttrLocked(key, a)
 }
@@ -381,8 +409,10 @@ func (sc *sessionCache) forget(fh nfs3.FH) {
 	sc.flushDirLocked(key)
 	var parked []*vclock.Waiter
 	if fc, ok := sc.files[key]; ok {
-		sc.dropCleanLocked(key, fc)
-		parked = fc.dropFetchesLocked(nil)
+		sc.dropCleanLocked(fc)
+		for _, ws := range fc.fetching {
+			parked = append(parked, ws...)
+		}
 		delete(sc.files, key)
 		if sc.persist != nil {
 			sc.persist.DropFile(key)
@@ -561,34 +591,80 @@ func (sc *sessionCache) fileFor(key string) *cachedFile {
 	fc, ok := sc.files[key]
 	if !ok {
 		fc = &cachedFile{
-			blocks:   make(map[uint64][]byte),
-			dirty:    make(map[uint64]bool),
-			dirtyGen: make(map[uint64]uint64),
-			flushing: make(map[uint64]bool),
+			key:      key,
+			blocks:   make(map[uint64]*cachedBlock),
 			fetching: make(map[uint64][]*vclock.Waiter),
-			stamps:   make(map[uint64]time.Duration),
 		}
 		sc.files[key] = fc
 	}
 	return fc
 }
 
+// blockFor returns the file's record for block bn, a new empty one if the
+// cache does not hold the block yet.
+func (fc *cachedFile) blockFor(bn uint64) *cachedBlock {
+	blk := fc.blocks[bn]
+	if blk == nil {
+		blk = &cachedBlock{fc: fc, bn: bn}
+		fc.blocks[bn] = blk
+	}
+	return blk
+}
+
+// blockLocked looks up a held block for a reader: a clean one moves to the
+// front of the LRU, a prefetched one has found its demand read.
+func (sc *sessionCache) blockLocked(key string, bn uint64) (*cachedFile, *cachedBlock) {
+	fc := sc.files[key]
+	if fc == nil {
+		return nil, nil
+	}
+	blk := fc.blocks[bn]
+	if blk != nil {
+		if !blk.dirty {
+			sc.lru.add(blk)
+		}
+		blk.unread = false
+	}
+	return fc, blk
+}
+
 // getBlock returns the cached block, and whether it was present.
 func (sc *sessionCache) getBlock(fh nfs3.FH, bn uint64) ([]byte, bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc, ok := sc.files[fh.Key()]
-	if !ok {
-		return nil, false
+	if _, blk := sc.blockLocked(fh.Key(), bn); blk != nil {
+		return blk.data, true
 	}
-	b, ok := fc.blocks[bn]
-	if ok && !fc.dirty[bn] {
-		sc.lru.touch(fh.Key(), bn)
+	return nil, false
+}
+
+// blockHit is what one pass through the cache tells a READ about a block it
+// holds: the bytes, when they entered the cache, the file's attributes as
+// getAttr would return them (attrOK false: not validly cached), and whether
+// the file has buffered writes.
+type blockHit struct {
+	data   []byte
+	stamp  time.Duration
+	attr   nfs3.Fattr
+	attrOK bool
+	dirty  bool
+}
+
+// readHit is getBlock, getAttr and hasDirty in one critical section: the warm
+// READ path crosses the cache mutex once.
+func (sc *sessionCache) readHit(fh nfs3.FH, bn uint64) (h blockHit, ok bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	key := fh.Key()
+	fc, blk := sc.blockLocked(key, bn)
+	if blk == nil {
+		return h, false
 	}
-	if len(fc.unread) > 0 {
-		delete(fc.unread, bn) // a prefetched block found its demand read
+	h = blockHit{data: blk.data, stamp: blk.stamp, dirty: fc.ndirty > 0}
+	if h.attr, h.attrOK = sc.attrLocked(key); h.attrOK {
+		h.attr = sc.adjustLocked(key, h.attr)
 	}
-	return b, ok
+	return h, true
 }
 
 // putCleanBlock caches data a demand READ fetched from the server for
@@ -604,17 +680,18 @@ func (sc *sessionCache) putBlock(fh nfs3.FH, bn uint64, data []byte, attr nfs3.F
 	defer sc.mu.Unlock()
 	key := fh.Key()
 	fc := sc.fileFor(key)
-	sc.noteRecoveredLocked(key, fc, attr.Mtime)
+	sc.noteRecoveredLocked(fc, attr.Mtime)
 	if fc.mtime != attr.Mtime {
-		sc.dropCleanLocked(key, fc)
+		sc.dropCleanLocked(fc)
 		fc.mtime = attr.Mtime
 		if fc.localChange == 0 {
 			fc.size = attr.Size
 		}
 	}
+	blk := fc.blockFor(bn)
 	// An earlier prefetch of this block that nothing read is superseded.
-	sc.dropUnreadLocked(fc, bn)
-	if fc.dirty[bn] {
+	sc.dropUnreadLocked(blk)
+	if blk.dirty {
 		if prefetched {
 			sc.met.wasted(1)
 		}
@@ -622,37 +699,25 @@ func (sc *sessionCache) putBlock(fh nfs3.FH, bn uint64, data []byte, attr nfs3.F
 	}
 	// Tail blocks (the EOF path) are stored at their natural length; full
 	// blocks are padded to the block size. Serving code must therefore never
-	// derive in-block offsets from len(block).
-	n := len(data)
-	if n > sc.bs {
-		n = sc.bs
-	}
-	block := make([]byte, n)
-	copy(block, data[:n])
-	if _, existed := fc.blocks[bn]; existed {
-		sc.lru.remove(key, bn)
-	}
-	fc.blocks[bn] = block
-	fc.stamps[bn] = sc.nowLocked()
-	if prefetched {
-		if fc.unread == nil {
-			fc.unread = make(map[uint64]bool)
-		}
-		fc.unread[bn] = true
-	}
-	sc.lru.add(key, bn, len(block))
+	// derive in-block offsets from len(block). The copy is a fresh slice: a
+	// reader may still be copying out of the one it replaces.
+	sc.lru.remove(blk)
+	blk.data = append([]byte(nil), data[:min(len(data), sc.bs)]...)
+	blk.stamp = sc.nowLocked()
+	blk.unread = prefetched
+	sc.lru.add(blk)
 	if sc.persist != nil {
-		sc.persist.PutBlock(key, bn, block, false, fc.dirtyGen[bn])
-		sc.persistMetaLocked(key, fc)
+		sc.persist.PutBlock(key, bn, blk.data, false, blk.gen)
+		sc.persistMetaLocked(fc)
 	}
 	sc.evictLocked()
 }
 
-// dropUnreadLocked forgets that bn was prefetched, counting the prefetch as
+// dropUnreadLocked forgets that blk was prefetched, counting the prefetch as
 // wasted if no demand read consumed it.
-func (sc *sessionCache) dropUnreadLocked(fc *cachedFile, bn uint64) {
-	if fc.unread[bn] {
-		delete(fc.unread, bn)
+func (sc *sessionCache) dropUnreadLocked(blk *cachedBlock) {
+	if blk.unread {
+		blk.unread = false
 		sc.met.wasted(1)
 	}
 }
@@ -661,9 +726,9 @@ func (sc *sessionCache) dropUnreadLocked(fc *cachedFile, bn uint64) {
 //
 // The observatory measures a cache hit's age from the virtual time its bytes
 // entered the cache. Attribute and lookup entries already carry fetch stamps
-// for the TTL policy; blocks carry theirs in cachedFile.stamps. All getters
-// are ok=false when the entry is absent — the caller then skips the observe
-// rather than inventing an age.
+// for the TTL policy; a block's is in its record and comes back with readHit.
+// The getters are ok=false when the entry is absent — the caller then skips
+// the observe rather than inventing an age.
 
 // attrStamp reports when fh's cached attributes were fetched.
 func (sc *sessionCache) attrStamp(fh nfs3.FH) (time.Duration, bool) {
@@ -682,18 +747,6 @@ func (sc *sessionCache) lookupStamp(dir nfs3.FH, name string) (time.Duration, bo
 	return ent.fetched, ok
 }
 
-// blockStamp reports when block bn of fh entered the cache.
-func (sc *sessionCache) blockStamp(fh nfs3.FH, bn uint64) (time.Duration, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	fc, ok := sc.files[fh.Key()]
-	if !ok {
-		return 0, false
-	}
-	st, ok := fc.stamps[bn]
-	return st, ok
-}
-
 // updateAfterWrite reconciles the cache with a forwarded WRITE's reply,
 // using the weak-cache-consistency data to recognize our own modification:
 // when the pre-op mtime matches the cached one, the mtime advance is ours
@@ -710,11 +763,11 @@ func (sc *sessionCache) updateAfterWrite(fh nfs3.FH, wcc nfs3.WccData) {
 		if wcc.Before.Present {
 			// The pre-op mtime is the server state the surviving clean blocks
 			// are judged against: unchanged since the crash means revalidated.
-			sc.noteRecoveredLocked(key, fc, wcc.Before.Attr.Mtime)
+			sc.noteRecoveredLocked(fc, wcc.Before.Attr.Mtime)
 		}
 		ours := wcc.Before.Present && wcc.Before.Attr.Mtime == fc.mtime
 		if !ours && fc.mtime != after.Mtime {
-			sc.dropCleanLocked(key, fc)
+			sc.dropCleanLocked(fc)
 		}
 		fc.mtime = after.Mtime
 		if fc.localChange == 0 {
@@ -722,7 +775,7 @@ func (sc *sessionCache) updateAfterWrite(fh nfs3.FH, wcc nfs3.WccData) {
 		} else if after.Size > fc.size {
 			fc.size = after.Size
 		}
-		sc.persistMetaLocked(key, fc)
+		sc.persistMetaLocked(fc)
 	}
 	sc.setAttrLocked(key, after)
 }
@@ -739,34 +792,25 @@ func (sc *sessionCache) writeDirty(fh nfs3.FH, off uint64, data []byte) uint64 {
 		pos := off + uint64(n)
 		bn := pos / bs
 		bo := pos % bs
-		chunk := int(bs - bo)
-		if rem := len(data) - n; chunk > rem {
-			chunk = rem
+		chunk := min(int(bs-bo), len(data)-n)
+		blk := fc.blockFor(bn)
+		sc.lru.remove(blk)
+		if uint64(len(blk.data)) < bs {
+			// A new block, or a short-stored tail being overwritten: dirty
+			// blocks are always full-sized.
+			blk.data = append(make([]byte, 0, bs), blk.data...)[:bs]
 		}
-		block, ok := fc.blocks[bn]
-		if !ok {
-			block = make([]byte, bs)
-			fc.blocks[bn] = block
-		} else {
-			if !fc.dirty[bn] {
-				sc.lru.remove(key, bn)
-			}
-			if uint64(len(block)) < bs {
-				// A short-stored tail block is being overwritten: grow it to
-				// a full block so dirty blocks are always full-sized.
-				grown := make([]byte, bs)
-				copy(grown, block)
-				block = grown
-				fc.blocks[bn] = block
-			}
+		if !blk.dirty {
+			blk.dirty = true
+			fc.ndirty++
 		}
-		fc.dirty[bn] = true
-		fc.dirtyGen[bn]++
-		fc.stamps[bn] = sc.nowLocked()
-		sc.dropUnreadLocked(fc, bn)
-		copy(block[bo:], data[n:n+chunk])
+		fc.wseq++
+		blk.gen = fc.wseq
+		blk.stamp = sc.nowLocked()
+		sc.dropUnreadLocked(blk)
+		copy(blk.data[bo:], data[n:n+chunk])
 		if sc.persist != nil {
-			sc.persist.PutBlock(key, bn, block, true, fc.dirtyGen[bn])
+			sc.persist.PutBlock(key, bn, blk.data, true, blk.gen)
 		}
 		n += chunk
 	}
@@ -774,24 +818,30 @@ func (sc *sessionCache) writeDirty(fh nfs3.FH, off uint64, data []byte) uint64 {
 		fc.size = end
 	}
 	fc.localChange++
-	sc.persistMetaLocked(key, fc)
+	sc.persistMetaLocked(fc)
 	return fc.size
+}
+
+// dirtyBlocksLocked returns the sorted dirty block numbers of fc.
+func (fc *cachedFile) dirtyBlocksLocked() []uint64 {
+	out := make([]uint64, 0, fc.ndirty)
+	for bn, blk := range fc.blocks {
+		if blk.dirty {
+			out = append(out, bn)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // dirtyBlocks returns the sorted dirty block numbers of fh.
 func (sc *sessionCache) dirtyBlocks(fh nfs3.FH) []uint64 {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc, ok := sc.files[fh.Key()]
-	if !ok {
-		return nil
+	if fc, ok := sc.files[fh.Key()]; ok {
+		return fc.dirtyBlocksLocked()
 	}
-	out := make([]uint64, 0, len(fc.dirty))
-	for bn := range fc.dirty {
-		out = append(out, bn)
-	}
-	sortUint64(out)
-	return out
+	return nil
 }
 
 // dirtyFiles lists handles with buffered dirty data, in stable key order so
@@ -802,7 +852,7 @@ func (sc *sessionCache) dirtyFiles() []nfs3.FH {
 	defer sc.mu.Unlock()
 	keys := make([]string, 0, len(sc.files))
 	for key, fc := range sc.files {
-		if len(fc.dirty) > 0 {
+		if fc.ndirty > 0 {
 			keys = append(keys, key)
 		}
 	}
@@ -816,40 +866,54 @@ func (sc *sessionCache) dirtyFiles() []nfs3.FH {
 	return out
 }
 
-// takeDirty extracts one dirty block for flushing: its data (bounded by the
-// file size), start offset, and the block's dirty generation, which the
-// flusher passes back to flushed. ok is false when bn is no longer dirty or
-// when another flusher already has a WRITE for it in flight; a successful
-// take marks the block in flight until endFlush.
-func (sc *sessionCache) takeDirty(fh nfs3.FH, bn uint64) (data []byte, off uint64, gen uint64, ok bool) {
+// runLocked measures the write-back run that starts at bn: consecutive dirty
+// blocks inside the file with no WRITE in flight, as many as fit maxBytes
+// (the first always does), ending at a short tail. n is 0 when bn itself
+// cannot be taken.
+func (sc *sessionCache) runLocked(fc *cachedFile, bn uint64, maxBytes int) (n int, total uint64) {
+	if fc.fenced {
+		return 0, 0
+	}
+	bs := uint64(sc.bs)
+	for b := bn; ; b++ {
+		blk := fc.blocks[b]
+		if blk == nil || !blk.dirty || blk.flushing || b*bs >= fc.size {
+			break
+		}
+		count := min(bs, fc.size-b*bs)
+		if n > 0 && total+count > uint64(maxBytes) {
+			break
+		}
+		n++
+		total += count
+		if count < bs {
+			break // short tail ends the run at EOF
+		}
+	}
+	return n, total
+}
+
+// flushStarts returns the blocks a flush pass over fh should hand to
+// takeDirtyRun, in order: the first block of each run the file's dirty blocks
+// split into under maxBytes, worked out in one pass so parallel flush workers
+// take whole runs instead of racing each other for adjacent blocks. A dirty
+// block no run covers (in flight, or beyond a truncation, where its own take
+// drops it) is its own start.
+func (sc *sessionCache) flushStarts(fh nfs3.FH, maxBytes int) []uint64 {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	key := fh.Key()
-	fc, exists := sc.files[key]
-	if !exists || !fc.dirty[bn] || fc.flushing[bn] {
-		return nil, 0, 0, false
+	fc, ok := sc.files[fh.Key()]
+	if !ok {
+		return nil
 	}
-	block := fc.blocks[bn]
-	bs := uint64(sc.bs)
-	off = bn * bs
-	count := bs
-	if off+count > fc.size {
-		if off >= fc.size {
-			// Block wholly beyond a truncation; drop it.
-			delete(fc.dirty, bn)
-			delete(fc.blocks, bn)
-			delete(fc.stamps, bn)
-			if sc.persist != nil {
-				sc.persist.DropBlock(key, bn)
-			}
-			return nil, 0, 0, false
-		}
-		count = fc.size - off
+	dirty := fc.dirtyBlocksLocked()
+	starts := dirty[:0]
+	for i := 0; i < len(dirty); {
+		n, _ := sc.runLocked(fc, dirty[i], maxBytes)
+		starts = append(starts, dirty[i])
+		i += max(n, 1)
 	}
-	data = make([]byte, count)
-	copy(data, block[:count])
-	fc.flushing[bn] = true
-	return data, off, fc.dirtyGen[bn], true
+	return starts
 }
 
 // takeDirtyRun extracts a run of consecutive dirty blocks starting at bn,
@@ -858,74 +922,56 @@ func (sc *sessionCache) takeDirty(fh nfs3.FH, bn uint64) (data []byte, off uint6
 // carries each block's dirty generation so the flusher can pass them back to
 // flushed individually (a racing write dirties just its own block again).
 // The staging buffer is pool-owned: the caller must bufpool.Put it once the
-// WRITE RPC has completed. ok is false when bn itself is not takeable, under
-// exactly the takeDirty rules.
+// WRITE RPC has completed. ok is false when bn is no longer dirty or when
+// another flusher already has a WRITE for it in flight.
 func (sc *sessionCache) takeDirtyRun(fh nfs3.FH, bn uint64, maxBytes int) (data []byte, off uint64, bns, gens []uint64, ok bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	key := fh.Key()
-	fc, exists := sc.files[key]
-	if !exists || !fc.dirty[bn] || fc.flushing[bn] {
+	fc, exists := sc.files[fh.Key()]
+	if !exists {
 		return nil, 0, nil, nil, false
 	}
-	bs := uint64(sc.bs)
-	off = bn * bs
-	if off >= fc.size {
-		// Block wholly beyond a truncation; drop it.
-		delete(fc.dirty, bn)
-		delete(fc.blocks, bn)
-		delete(fc.stamps, bn)
-		if sc.persist != nil {
-			sc.persist.DropBlock(key, bn)
+	n, total := sc.runLocked(fc, bn, maxBytes)
+	if n == 0 {
+		bs := uint64(sc.bs)
+		if blk := fc.blocks[bn]; blk != nil && blk.dirty && !blk.flushing && bn*bs >= fc.size {
+			sc.dropBlockLocked(blk) // wholly beyond a truncation
 		}
 		return nil, 0, nil, nil, false
 	}
-	if maxBytes < sc.bs {
-		maxBytes = sc.bs
-	}
-	// First measure the run, then stage it, so the buffer is sized once.
-	var total uint64
-	for b := bn; ; b++ {
-		blkOff := b * bs
-		if blkOff >= fc.size || !fc.dirty[b] || fc.flushing[b] {
-			break
-		}
-		count := bs
-		if blkOff+count > fc.size {
-			count = fc.size - blkOff
-		}
-		if len(bns) > 0 && total+count > uint64(maxBytes) {
-			break
-		}
-		bns = append(bns, b)
-		gens = append(gens, fc.dirtyGen[b])
-		total += count
-		if count < bs {
-			break // short tail ends the run at EOF
-		}
-	}
+	// The run is measured; stage it into a buffer sized once. Dirty blocks
+	// are always stored full-sized (see writeDirty), so copy cannot run past
+	// one.
 	data = bufpool.Get(int(total))
-	pos := uint64(0)
-	for _, b := range bns {
-		count := bs
-		if b*bs+count > fc.size {
-			count = fc.size - b*bs
-		}
-		// Dirty blocks are always stored full-sized (see writeDirty), so the
-		// slice below cannot run past the block.
-		copy(data[pos:pos+count], fc.blocks[b][:count])
-		fc.flushing[b] = true
-		pos += count
+	bns, gens = make([]uint64, n), make([]uint64, n)
+	for i := range bns {
+		blk := fc.blocks[bn+uint64(i)]
+		bns[i], gens[i] = blk.bn, blk.gen
+		copy(data[i*sc.bs:], blk.data)
+		blk.flushing = true
 	}
-	return data, off, bns, gens, true
+	fc.inflight += n
+	return data, bn * uint64(sc.bs), bns, gens, true
 }
 
-// endFlush clears a block's in-flight flush mark (success or failure).
-func (sc *sessionCache) endFlush(fh nfs3.FH, bn uint64) {
+// endFlush ends the in-flight WRITE of a run takeDirtyRun handed out (success
+// or failure).
+func (sc *sessionCache) endFlush(fh nfs3.FH, bns []uint64) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if fc, ok := sc.files[fh.Key()]; ok {
-		delete(fc.flushing, bn)
+	fc, ok := sc.files[fh.Key()]
+	if !ok {
+		return
+	}
+	for _, bn := range bns {
+		if blk := fc.blocks[bn]; blk != nil {
+			blk.flushing = false
+		}
+	}
+	// Below zero: the run was taken from an entry since forgotten, and this is
+	// a successor that never counted it.
+	if fc.inflight -= len(bns); fc.inflight <= 0 {
+		fc.inflight, fc.fenced = 0, false
 	}
 }
 
@@ -934,38 +980,7 @@ func (sc *sessionCache) flushInFlight(fh nfs3.FH) bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	fc, ok := sc.files[fh.Key()]
-	return ok && len(fc.flushing) > 0
-}
-
-// clearInFlight drops all in-flight marks and read streams; called when a
-// restarted proxy adopts a surviving disk cache whose previous owner's RPCs
-// died with it. Demand reads of that owner still parked on a prefetch are
-// released (they find no block and forward).
-func (sc *sessionCache) clearInFlight() {
-	sc.mu.Lock()
-	var parked []*vclock.Waiter
-	for _, fc := range sc.files {
-		for bn := range fc.flushing {
-			delete(fc.flushing, bn)
-		}
-		parked = fc.dropFetchesLocked(parked)
-		fc.stream = readStream{}
-	}
-	sc.mu.Unlock()
-	for _, w := range parked {
-		w.Wake()
-	}
-}
-
-// dropFetchesLocked clears every in-flight prefetch mark of the file and
-// appends the demand reads parked on them to ws; the caller wakes them once
-// it has released the cache mutex.
-func (fc *cachedFile) dropFetchesLocked(ws []*vclock.Waiter) []*vclock.Waiter {
-	for bn, parked := range fc.fetching {
-		ws = append(ws, parked...)
-		delete(fc.fetching, bn)
-	}
-	return ws
+	return ok && fc.inflight > 0
 }
 
 // flushed marks a dirty block clean after its WRITE succeeded, adopting the
@@ -977,7 +992,6 @@ func (fc *cachedFile) dropFetchesLocked(ws []*vclock.Waiter) []*vclock.Waiter {
 // the pre-op mtime does not match the cached one, another writer interleaved
 // and every clean copy is suspect.
 func (sc *sessionCache) flushed(fh nfs3.FH, bn uint64, gen uint64, wcc nfs3.WccData) {
-
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	key := fh.Key()
@@ -985,42 +999,46 @@ func (sc *sessionCache) flushed(fh nfs3.FH, bn uint64, gen uint64, wcc nfs3.WccD
 	if !exists {
 		return
 	}
-	// The WRITE is no longer in flight; a subsequent takeDirty may re-flush
-	// the block (it stays dirty below when a newer write raced us).
-	delete(fc.flushing, bn)
+	blk := fc.blocks[bn]
+	if blk != nil {
+		// The WRITE is no longer in flight; a subsequent take may re-flush the
+		// block (it stays dirty below when a newer write raced us).
+		blk.flushing = false
+	}
 	if wcc.Before.Present {
-		sc.noteRecoveredLocked(key, fc, wcc.Before.Attr.Mtime)
+		sc.noteRecoveredLocked(fc, wcc.Before.Attr.Mtime)
 	}
 	after := wcc.After
 	if after.Present && wcc.Before.Present &&
 		wcc.Before.Attr.Mtime != fc.mtime && fc.mtime != after.Attr.Mtime {
-		sc.dropCleanLocked(key, fc)
+		sc.dropCleanLocked(fc)
 	}
 	// Only mark the block clean if it is still the data we flushed: a write
-	// that landed while the WRITE RPC was in flight bumps the generation,
+	// that landed while the WRITE RPC was in flight took a later generation,
 	// and clearing the dirty bit then would lose that newer data.
-	if fc.dirty[bn] && fc.dirtyGen[bn] == gen {
-		delete(fc.dirty, bn)
-		sc.lru.add(key, bn, sc.bs)
+	if blk != nil && blk.dirty && blk.gen == gen {
+		blk.dirty = false
+		fc.ndirty--
+		sc.lru.add(blk)
 		// The WRITE's success proves these bytes are the server's latest
 		// committed state for this block, superseding any commit that
 		// interleaved since the local write. Re-stamp so the staleness
 		// observatory ages the block from this flush, not from the
 		// (possibly much older) local write it carried.
-		fc.stamps[bn] = sc.nowLocked()
+		blk.stamp = sc.nowLocked()
 		if sc.persist != nil {
 			sc.persist.MarkClean(key, bn, gen)
 		}
 	}
 	if after.Present {
 		fc.mtime = after.Attr.Mtime
-		if len(fc.dirty) == 0 {
+		if fc.ndirty == 0 {
 			fc.localChange = 0
 			fc.size = after.Attr.Size
 		}
 		sc.setAttrLocked(key, after.Attr)
 	}
-	sc.persistMetaLocked(key, fc)
+	sc.persistMetaLocked(fc)
 	sc.evictLocked()
 }
 
@@ -1068,7 +1086,7 @@ func (sc *sessionCache) settleCommit(fh nfs3.FH) (v commitVerdict, attr nfs3.Fat
 	case fc.lost:
 		fc.lost = false
 		return commitLost, attr, 0
-	case len(fc.dirty) > 0 || len(fc.flushing) > 0:
+	case fc.ndirty > 0 || fc.inflight > 0:
 		return commitPending, attr, 0
 	}
 	if attr, ok = sc.attrLocked(key); !ok || fc.unstable > 0 {
@@ -1092,7 +1110,7 @@ func (sc *sessionCache) hasDirty(fh nfs3.FH) bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	fc, ok := sc.files[fh.Key()]
-	return ok && len(fc.dirty) > 0
+	return ok && fc.ndirty > 0
 }
 
 // dropDirty abandons dirty data the kernel client no longer wants (file
@@ -1108,54 +1126,51 @@ func (sc *sessionCache) loseDirty(fh nfs3.FH) { sc.discardDirty(fh, true) }
 func (sc *sessionCache) discardDirty(fh nfs3.FH, lost bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	key := fh.Key()
-	fc, ok := sc.files[key]
+	fc, ok := sc.files[fh.Key()]
 	if !ok {
 		return
 	}
-	if lost && len(fc.dirty) > 0 {
+	if lost && fc.ndirty > 0 {
 		fc.lost = true
 	}
-	for bn := range fc.dirty {
-		delete(fc.dirty, bn)
-		delete(fc.blocks, bn)
-		delete(fc.stamps, bn)
-		if sc.persist != nil {
-			sc.persist.DropBlock(key, bn)
+	for _, blk := range fc.blocks {
+		if blk.dirty {
+			sc.dropBlockLocked(blk)
 		}
 	}
+	// Every block with a WRITE in flight was dirty and is gone now.
+	fc.fenced = fc.inflight > 0
 	fc.localChange = 0
-	sc.persistMetaLocked(key, fc)
+	sc.persistMetaLocked(fc)
 }
 
-func (sc *sessionCache) dropCleanLocked(key string, fc *cachedFile) {
-	for bn := range fc.blocks {
-		if !fc.dirty[bn] {
-			sc.lru.remove(key, bn)
-			delete(fc.blocks, bn)
-			delete(fc.stamps, bn)
-			sc.dropUnreadLocked(fc, bn)
-			if sc.persist != nil {
-				sc.persist.DropBlock(key, bn)
-			}
+func (sc *sessionCache) dropCleanLocked(fc *cachedFile) {
+	for _, blk := range fc.blocks {
+		if !blk.dirty {
+			sc.dropBlockLocked(blk)
 		}
+	}
+}
+
+// dropBlockLocked is how a block leaves the cache, whoever decided it should:
+// off the LRU, out of the dirty count, counted as wasted if it was prefetched
+// and never read, out of the file's table and off the disk.
+func (sc *sessionCache) dropBlockLocked(blk *cachedBlock) {
+	fc := blk.fc
+	sc.lru.remove(blk)
+	if blk.dirty {
+		fc.ndirty--
+	}
+	sc.dropUnreadLocked(blk)
+	delete(fc.blocks, blk.bn)
+	if sc.persist != nil {
+		sc.persist.DropBlock(fc.key, blk.bn)
 	}
 }
 
 func (sc *sessionCache) evictLocked() {
-	for sc.lru.bytes > sc.maxB {
-		key, bn, ok := sc.lru.evict()
-		if !ok {
-			return
-		}
-		if fc, exists := sc.files[key]; exists {
-			delete(fc.blocks, bn)
-			delete(fc.stamps, bn)
-			sc.dropUnreadLocked(fc, bn)
-		}
-		if sc.persist != nil {
-			sc.persist.DropBlock(key, bn)
-		}
+	for blk := sc.lru.oldest(); blk != nil && sc.lru.bytes > sc.maxB; blk = sc.lru.oldest() {
+		sc.dropBlockLocked(blk)
 	}
 }
 
@@ -1175,61 +1190,39 @@ func (sc *sessionCache) stats() cacheStats {
 
 // --- byte-bounded LRU over clean blocks ----------------------------------
 
+// lruList threads the clean block records themselves into a ring around
+// head: head.next is the most recently used block, head.prev the next to be
+// evicted. A record off the list has nil links.
 type lruList struct {
-	order *list.List
-	index map[lruKey]*list.Element
+	head  cachedBlock
 	bytes int64
 }
 
-type lruKey struct {
-	file  string
-	block uint64
+// add puts blk at the front, whether or not it was on the list.
+func (l *lruList) add(blk *cachedBlock) {
+	l.remove(blk)
+	blk.prev, blk.next = &l.head, l.head.next
+	blk.prev.next, blk.next.prev = blk, blk
+	l.bytes += int64(len(blk.data))
 }
 
-type lruRef struct {
-	key  lruKey
-	size int
+// oldest returns the block next to be evicted, nil when the list is empty.
+func (l *lruList) oldest() *cachedBlock {
+	if l.head.prev == &l.head {
+		return nil
+	}
+	return l.head.prev
 }
 
-func newLRUList() *lruList {
-	return &lruList{order: list.New(), index: make(map[lruKey]*list.Element)}
-}
-
-func (l *lruList) add(file string, block uint64, size int) {
-	k := lruKey{file, block}
-	if el, ok := l.index[k]; ok {
-		l.order.MoveToFront(el)
+// remove takes blk off the list if it is on it. A block's data may only be
+// replaced while it is off.
+func (l *lruList) remove(blk *cachedBlock) {
+	if blk.next == nil {
 		return
 	}
-	l.index[k] = l.order.PushFront(&lruRef{key: k, size: size})
-	l.bytes += int64(size)
-}
-
-func (l *lruList) touch(file string, block uint64) {
-	if el, ok := l.index[lruKey{file, block}]; ok {
-		l.order.MoveToFront(el)
-	}
-}
-
-func (l *lruList) remove(file string, block uint64) {
-	k := lruKey{file, block}
-	if el, ok := l.index[k]; ok {
-		l.bytes -= int64(el.Value.(*lruRef).size)
-		l.order.Remove(el)
-		delete(l.index, k)
-	}
-}
-
-func (l *lruList) evict() (file string, block uint64, ok bool) {
-	el := l.order.Back()
-	if el == nil {
-		return "", 0, false
-	}
-	ref := el.Value.(*lruRef)
-	l.order.Remove(el)
-	delete(l.index, ref.key)
-	l.bytes -= int64(ref.size)
-	return ref.key.file, ref.key.block, true
+	blk.prev.next, blk.next.prev = blk.next, blk.prev
+	blk.prev, blk.next = nil, nil
+	l.bytes -= int64(len(blk.data))
 }
 
 // --- entry-count LRU over string-keyed metadata caches --------------------
@@ -1272,13 +1265,4 @@ func (l *keyLRU) evict() (string, bool) {
 	l.order.Remove(el)
 	delete(l.index, key)
 	return key, true
-}
-
-func sortUint64(s []uint64) {
-	// Insertion sort: dirty lists are small and often nearly sorted.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

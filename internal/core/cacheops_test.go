@@ -1,0 +1,288 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/bufpool"
+	"repro/internal/nfs3"
+)
+
+// mirrorBlock is one block as the fake disk store saw it last.
+type mirrorBlock struct {
+	data  []byte
+	dirty bool
+	gen   uint64
+}
+
+// fakePersister is a blockPersister that keeps what a disk store would: the
+// last bytes, dirty bit and generation put for each block, until dropped.
+// After any sequence of cache operations it must equal the cache.
+type fakePersister map[string]map[uint64]mirrorBlock
+
+func (m fakePersister) PutBlock(key string, bn uint64, data []byte, dirty bool, gen uint64) {
+	if m[key] == nil {
+		m[key] = map[uint64]mirrorBlock{}
+	}
+	m[key][bn] = mirrorBlock{data: bytes.Clone(data), dirty: dirty, gen: gen}
+}
+
+func (m fakePersister) MarkClean(key string, bn uint64, gen uint64) {
+	if b, ok := m[key][bn]; ok && b.dirty && b.gen == gen {
+		b.dirty = false
+		m[key][bn] = b
+	}
+}
+
+func (m fakePersister) DropBlock(key string, bn uint64) {
+	delete(m[key], bn)
+	if len(m[key]) == 0 {
+		delete(m, key)
+	}
+}
+
+func (m fakePersister) DropFile(key string) { delete(m, key) }
+
+func (m fakePersister) SetFileMeta(string, uint32, uint32, uint64, uint32) {}
+
+// opsBS and opsBudget size the cache under test: tiny blocks, and room for
+// five clean ones, so a few dozen operations reach eviction.
+const (
+	opsBS     = 8
+	opsBudget = 5 * opsBS
+	opsFiles  = 3
+	opsBlocks = 8
+)
+
+// inflightRun is a run the driver took and has not ended yet.
+type inflightRun struct {
+	fh        nfs3.FH
+	bns, gens []uint64
+}
+
+// runCacheOps decodes ops into sessionCache operations — every way a block
+// enters, changes state in, or leaves the cache — and checks the cache's
+// structural invariants after each one.
+func runCacheOps(t *testing.T, ops []byte) {
+	t.Helper()
+	sc := newSessionCache(opsBS, opsBudget)
+	var tick time.Duration
+	sc.setMetaPolicy(func() time.Duration { tick++; return tick }, metaPolicy{}, nil)
+	mirror := fakePersister{}
+	sc.setPersister(mirror, recoveryCounters{})
+
+	next := func() int {
+		if len(ops) == 0 {
+			return 0
+		}
+		b := ops[0]
+		ops = ops[1:]
+		return int(b)
+	}
+	var runs []inflightRun
+	// stale holds the files whose cache entry was forgotten under a run in
+	// flight (the handle went stale): when that run ends it finds no entry, or
+	// a successor's that never heard of it, so the in-flight accounting of
+	// such a handle — dead upstream — is not held to the invariant.
+	stale := map[string]bool{}
+	for step := 0; len(ops) > 0; step++ {
+		op := next() % 14
+		fh := fhN(uint64(1 + next()%opsFiles))
+		bn := uint64(next() % opsBlocks)
+		arg := next()
+		attr := attrWithMtime(uint32(1+arg%2), nfs3.TypeReg)
+		attr.Size = opsBlocks * opsBS
+		switch op {
+		case 0, 1: // a demand READ's block, or a prefetched one; full or a short tail
+			n := opsBS
+			if arg%4 == 0 {
+				n = 1 + arg%opsBS
+			}
+			sc.putBlock(fh, bn, bytes.Repeat([]byte{byte(arg)}, n), attr, op == 1)
+		case 2: // a local write, possibly unaligned and spanning blocks
+			off := bn*opsBS + uint64(arg%opsBS)
+			sc.writeDirty(fh, off, bytes.Repeat([]byte{byte(step)}, 1+arg%(2*opsBS)))
+		case 3: // a flusher takes a run
+			maxBytes := []int{opsBS, 3 * opsBS, 1 << 20}[arg%3]
+			if data, _, bns, gens, ok := sc.takeDirtyRun(fh, bn, maxBytes); ok {
+				bufpool.Put(data)
+				runs = append(runs, inflightRun{fh: fh, bns: bns, gens: gens})
+			}
+		case 4, 5, 6: // a run's WRITE returns: landed, refused, or the RPC failed
+			if len(runs) == 0 {
+				continue
+			}
+			i := arg % len(runs)
+			r := runs[i]
+			runs = append(runs[:i], runs[i+1:]...)
+			switch op {
+			case 4:
+				wcc := nfs3.WccData{After: nfs3.PostOpAttr{Present: true, Attr: attr}}
+				if arg%3 > 0 { // pre-op attributes: ours, or a foreign writer's
+					wcc.Before = nfs3.PreOpAttr{Present: true, Attr: nfs3.WccAttr{Mtime: nfs3.Time{Sec: uint32(arg % 3)}}}
+				}
+				for j, b := range r.bns {
+					sc.flushed(r.fh, b, r.gens[j], wcc)
+				}
+			case 5:
+				sc.loseDirty(r.fh)
+			}
+			sc.endFlush(r.fh, r.bns)
+		case 7:
+			sc.dropDirty(fh)
+		case 8:
+			switch arg % 3 {
+			case 0:
+				sc.invalidateAttr(fh)
+			case 1:
+				sc.invalidateHandle(fh)
+			case 2:
+				sc.invalidateAllAttrs()
+			}
+		case 9:
+			sc.forget(fh)
+			for _, r := range runs {
+				if r.fh.Equal(fh) {
+					stale[fh.Key()] = true
+				}
+			}
+		case 10: // server attributes: the same mtime, or a foreign change
+			sc.putAttr(fh, attr)
+		case 11:
+			sc.readHit(fh, bn)
+		case 12: // a truncation behind the flusher's back
+			if fc := sc.files[fh.Key()]; fc != nil {
+				fc.size = bn * opsBS
+			}
+		case 13: // a whole flush pass: afterwards nothing of the file is left to take
+			maxBytes := []int{opsBS, 3 * opsBS, 1 << 20}[arg%3]
+			for _, start := range sc.flushStarts(fh, maxBytes) {
+				if data, _, bns, gens, ok := sc.takeDirtyRun(fh, start, maxBytes); ok {
+					bufpool.Put(data)
+					runs = append(runs, inflightRun{fh: fh, bns: bns, gens: gens})
+				}
+			}
+			if fc := sc.files[fh.Key()]; fc != nil && !fc.fenced {
+				for b, blk := range fc.blocks {
+					if blk.dirty && !blk.flushing {
+						t.Fatalf("step %d: flush pass over %s (cap %d) left dirty block %d behind", step, fh, maxBytes, b)
+					}
+				}
+			}
+		}
+		if err := checkCacheInvariants(sc, mirror, runs, stale); err != nil {
+			t.Fatalf("step %d (op %d, file %s, block %d, arg %d): %v", step, op, fh, bn, arg, err)
+		}
+	}
+}
+
+// checkCacheInvariants is what must hold between any two cache operations.
+func checkCacheInvariants(sc *sessionCache, mirror fakePersister, runs []inflightRun, stale map[string]bool) error {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	// The driver's view of what is in flight.
+	taken := map[string]map[uint64]bool{}
+	for _, r := range runs {
+		key := r.fh.Key()
+		if taken[key] == nil {
+			taken[key] = map[uint64]bool{}
+		}
+		for _, bn := range r.bns {
+			taken[key][bn] = true
+		}
+	}
+	var cleanBytes int64
+	clean := 0
+	for key, fc := range sc.files {
+		if fc.key != key {
+			return fmt.Errorf("file %q filed under %q", fc.key, key)
+		}
+		dirty, marked := 0, 0
+		for bn, blk := range fc.blocks {
+			if blk.fc != fc || blk.bn != bn {
+				return fmt.Errorf("%q/%d: record belongs to %q/%d", key, bn, blk.fc.key, blk.bn)
+			}
+			if blk.gen > fc.wseq {
+				return fmt.Errorf("%q/%d: generation %d above the file's write sequence %d", key, bn, blk.gen, fc.wseq)
+			}
+			if onLRU := blk.next != nil; onLRU == blk.dirty {
+				return fmt.Errorf("%q/%d: dirty=%v, on the LRU=%v", key, bn, blk.dirty, onLRU)
+			}
+			if blk.dirty {
+				dirty++
+				if len(blk.data) != opsBS || blk.gen == 0 || blk.unread {
+					return fmt.Errorf("%q/%d: dirty block with %d bytes, generation %d, unread=%v", key, bn, len(blk.data), blk.gen, blk.unread)
+				}
+			} else {
+				clean++
+				cleanBytes += int64(len(blk.data))
+			}
+			if blk.flushing {
+				marked++
+				if !blk.dirty || (!taken[key][bn] && !stale[key]) {
+					return fmt.Errorf("%q/%d: in-flight mark on a block that is clean (dirty=%v) or that nobody took", key, bn, blk.dirty)
+				}
+			}
+			m, ok := mirror[key][bn]
+			if !ok || m.dirty != blk.dirty || m.gen != blk.gen || !bytes.Equal(m.data, blk.data) {
+				return fmt.Errorf("%q/%d: cache has dirty=%v gen=%d %v, mirror has %+v (present=%v)", key, bn, blk.dirty, blk.gen, blk.data, m, ok)
+			}
+		}
+		if dirty != fc.ndirty {
+			return fmt.Errorf("%q: dirty counter %d, %d dirty records", key, fc.ndirty, dirty)
+		}
+		if fc.fenced && fc.inflight == 0 {
+			return fmt.Errorf("%q: fenced with nothing in flight", key)
+		}
+		if !stale[key] && (marked > fc.inflight || fc.inflight != len(taken[key])) {
+			return fmt.Errorf("%q: %d marks, in-flight counter %d, %d blocks taken, fenced=%v", key, marked, fc.inflight, len(taken[key]), fc.fenced)
+		}
+		if len(mirror[key]) != len(fc.blocks) {
+			return fmt.Errorf("%q: mirror holds %d blocks, cache %d", key, len(mirror[key]), len(fc.blocks))
+		}
+	}
+	for key := range mirror {
+		if sc.files[key] == nil {
+			return fmt.Errorf("mirror keeps %q, which the cache forgot", key)
+		}
+	}
+	// The LRU ring is exactly the clean blocks, and its byte count theirs.
+	ring := 0
+	for blk := sc.lru.head.next; blk != &sc.lru.head; blk = blk.next {
+		if blk.next.prev != blk || blk.dirty || blk.fc.blocks[blk.bn] != blk || sc.files[blk.fc.key] != blk.fc {
+			return fmt.Errorf("LRU ring broken or holding a block the cache does not (%q/%d)", blk.fc.key, blk.bn)
+		}
+		if ring++; ring > clean {
+			break
+		}
+	}
+	if ring != clean || sc.lru.bytes != cleanBytes || cleanBytes > opsBudget {
+		return fmt.Errorf("LRU has %d blocks / %d bytes; the cache holds %d clean blocks / %d bytes (budget %d)", ring, sc.lru.bytes, clean, cleanBytes, opsBudget)
+	}
+	return nil
+}
+
+// TestSessionCacheRandomOps drives seeded random operation sequences through
+// the cache and its fake disk mirror.
+func TestSessionCacheRandomOps(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		ops := make([]byte, 4*1500)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		runCacheOps(t, ops)
+	}
+}
+
+// FuzzSessionCacheOps is the same driver fed by the fuzzer.
+func FuzzSessionCacheOps(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		ops := make([]byte, 4*64)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		f.Add(ops)
+	}
+	// write, take, re-write under the WRITE, discard under it, write again
+	f.Add([]byte{2, 0, 0, 0, 3, 0, 0, 2, 2, 0, 0, 1, 7, 0, 0, 0, 2, 0, 0, 3, 3, 0, 0, 0, 4, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) { runCacheOps(t, ops) })
+}

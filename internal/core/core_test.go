@@ -280,6 +280,16 @@ func TestCacheOwnWriteKeepsBlocks(t *testing.T) {
 	}
 }
 
+// takeOne takes block bn alone, the way a flusher whose MaxWriteBytes is one
+// block does: the run is capped at the block it starts with.
+func takeOne(sc *sessionCache, fh nfs3.FH, bn uint64) (data []byte, off, gen uint64, ok bool) {
+	data, off, _, gens, ok := sc.takeDirtyRun(fh, bn, sc.bs)
+	if !ok {
+		return nil, 0, 0, false
+	}
+	return data, off, gens[0], true
+}
+
 func TestCacheDirtyLifecycle(t *testing.T) {
 	sc := newSessionCache(4, 1<<20)
 	fh := fhN(1)
@@ -299,17 +309,17 @@ func TestCacheDirtyLifecycle(t *testing.T) {
 	if a, ok := sc.getAttr(fh); !ok || a.Size != 6 {
 		t.Fatalf("adjusted size = %+v", a)
 	}
-	data, off, gen1, ok := sc.takeDirty(fh, 1)
+	data, off, gen1, ok := takeOne(sc, fh, 1)
 	if !ok || off != 4 || len(data) != 2 {
-		t.Fatalf("takeDirty = %v @%d, %v", data, off, ok)
+		t.Fatalf("take of block 1 = %v @%d, %v", data, off, ok)
 	}
-	_, _, gen0, ok := sc.takeDirty(fh, 0)
+	_, _, gen0, ok := takeOne(sc, fh, 0)
 	if !ok {
-		t.Fatal("takeDirty(0) not dirty")
+		t.Fatal("block 0 not takeable")
 	}
 	sc.flushed(fh, 1, gen1, nfs3.WccData{After: nfs3.PostOpAttr{Present: true, Attr: attrWithMtime(2, nfs3.TypeReg)}})
 	sc.flushed(fh, 0, gen0, nfs3.WccData{After: nfs3.PostOpAttr{Present: true, Attr: attrWithMtime(3, nfs3.TypeReg)}})
-	// takeDirty for block 0 still worked before flushed(0) marked it clean;
+	// The take of block 0 still worked before flushed(0) marked it clean;
 	// after both flushes nothing is dirty.
 	if sc.hasDirty(fh) {
 		t.Fatal("dirty state after flushing all blocks")
@@ -326,9 +336,9 @@ func TestCacheFlushRaceKeepsNewerWrite(t *testing.T) {
 	fh := fhN(1)
 	sc.putAttr(fh, attrWithMtime(1, nfs3.TypeReg))
 	sc.writeDirty(fh, 0, []byte{1, 1, 1, 1})
-	_, _, gen, ok := sc.takeDirty(fh, 0)
+	_, _, gen, ok := takeOne(sc, fh, 0)
 	if !ok {
-		t.Fatal("takeDirty failed")
+		t.Fatal("take failed")
 	}
 	// Concurrent write while the flush is "in flight".
 	sc.writeDirty(fh, 0, []byte{2, 2, 2, 2})
@@ -337,9 +347,9 @@ func TestCacheFlushRaceKeepsNewerWrite(t *testing.T) {
 		t.Fatal("stale flush completion marked a re-dirtied block clean — newer write lost")
 	}
 	// The re-flush takes the newer data and its matching generation clears it.
-	data, _, gen2, ok := sc.takeDirty(fh, 0)
+	data, _, gen2, ok := takeOne(sc, fh, 0)
 	if !ok || data[0] != 2 {
-		t.Fatalf("re-flush takeDirty = %v, %v", data, ok)
+		t.Fatalf("re-flush take = %v, %v", data, ok)
 	}
 	sc.flushed(fh, 0, gen2, nfs3.WccData{After: nfs3.PostOpAttr{Present: true, Attr: attrWithMtime(3, nfs3.TypeReg)}})
 	if sc.hasDirty(fh) {
@@ -362,9 +372,9 @@ func TestCacheFlushForeignCommitDropsClean(t *testing.T) {
 	// commit has moved the file to mtime 2, so our reply reads pre-op mtime
 	// 2, post-op mtime 3.
 	sc.writeDirty(fh, 0, []byte{1, 1, 1, 1})
-	_, _, gen, ok := sc.takeDirty(fh, 0)
+	_, _, gen, ok := takeOne(sc, fh, 0)
 	if !ok {
-		t.Fatal("takeDirty failed")
+		t.Fatal("take failed")
 	}
 	sc.flushed(fh, 0, gen, nfs3.WccData{
 		Before: nfs3.PreOpAttr{Present: true, Attr: nfs3.WccAttr{Mtime: nfs3.Time{Sec: 2}}},
@@ -384,9 +394,9 @@ func TestCacheFlushForeignCommitDropsClean(t *testing.T) {
 	// clean copies.
 	sc.putCleanBlock(fh, 1, []byte{8, 8, 8, 8}, attrWithMtime(3, nfs3.TypeReg))
 	sc.writeDirty(fh, 0, []byte{2, 2, 2, 2})
-	_, _, gen2, ok := sc.takeDirty(fh, 0)
+	_, _, gen2, ok := takeOne(sc, fh, 0)
 	if !ok {
-		t.Fatal("takeDirty failed")
+		t.Fatal("take failed")
 	}
 	sc.flushed(fh, 0, gen2, nfs3.WccData{
 		Before: nfs3.PreOpAttr{Present: true, Attr: nfs3.WccAttr{Mtime: nfs3.Time{Sec: 3}}},
@@ -406,7 +416,7 @@ func TestCacheDirtyBeyondTruncationDropped(t *testing.T) {
 	sc.mu.Lock()
 	sc.files[fh.Key()].size = 4
 	sc.mu.Unlock()
-	if _, _, _, ok := sc.takeDirty(fh, 2); ok {
+	if _, _, _, ok := takeOne(sc, fh, 2); ok {
 		t.Fatal("dirty block beyond truncation point was flushed")
 	}
 	if sc.hasDirty(fh) {

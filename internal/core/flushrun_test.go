@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/nfs3"
 )
 
 // TestTakeDirtyRunMaxWriteBytesBoundary audits the coalesced write-back
@@ -82,51 +84,71 @@ func TestTakeDirtyRunMaxWriteBytesBoundary(t *testing.T) {
 			taken := map[uint64]bool{}
 			for _, bn := range bns {
 				taken[bn] = true
-				if !fc.flushing[bn] {
+				if !fc.blocks[bn].flushing {
 					t.Errorf("block %d not marked in flight", bn)
 				}
 			}
-			for bn := range fc.dirty {
-				if !taken[bn] && fc.flushing[bn] {
+			for bn, blk := range fc.blocks {
+				if !taken[bn] && blk.flushing {
 					t.Errorf("block %d outside the run marked in flight", bn)
 				}
+			}
+			if fc.inflight != len(bns) {
+				t.Errorf("file counts %d blocks in flight, run has %d", fc.inflight, len(bns))
 			}
 		})
 	}
 }
 
-// TestTakeDirtyRunTruncatedStartDropsStamp pins the truncation-drop path: a
-// dirty block wholly beyond the file size is discarded in full — dirty mark,
-// data, and its observatory stamp (the stamp used to leak, leaving a
-// fetched-at time for a block that no longer exists).
-func TestTakeDirtyRunTruncatedStartDropsStamp(t *testing.T) {
+// TestTakeDirtyRunTruncatedStartDropsBlock pins the truncation-drop path: a
+// dirty block wholly beyond the file size is discarded in full — record, dirty
+// count and all — whatever the run cap (one block, as the per-block pipeline
+// takes it, or many).
+func TestTakeDirtyRunTruncatedStartDropsBlock(t *testing.T) {
 	const bs = 8
-	for _, fn := range []string{"takeDirtyRun", "takeDirty"} {
-		t.Run(fn, func(t *testing.T) {
-			sc := newSessionCache(bs, 1<<20)
-			fh := fhN(1)
-			sc.writeDirty(fh, 0, make([]byte, 20)) // blocks 0..2, size 20
-			// SETATTR truncation behind the flusher's back.
-			sc.files[fh.Key()].size = 6
-			var ok bool
-			if fn == "takeDirtyRun" {
-				_, _, _, _, ok = sc.takeDirtyRun(fh, 2, 1<<20)
-			} else {
-				_, _, _, ok = sc.takeDirty(fh, 2)
-			}
-			if ok {
-				t.Fatal("block beyond truncation was staged for write-back")
-			}
-			fc := sc.files[fh.Key()]
-			if fc.dirty[2] {
-				t.Error("truncated block still dirty")
-			}
-			if _, exists := fc.blocks[2]; exists {
-				t.Error("truncated block data retained")
-			}
-			if _, exists := fc.stamps[2]; exists {
-				t.Error("truncated block's observatory stamp leaked")
-			}
-		})
+	for _, maxBytes := range []int{bs, 1 << 20} {
+		sc := newSessionCache(bs, 1<<20)
+		fh := fhN(1)
+		sc.writeDirty(fh, 0, make([]byte, 20)) // blocks 0..2, size 20
+		// SETATTR truncation behind the flusher's back.
+		sc.files[fh.Key()].size = 6
+		if _, _, _, _, ok := sc.takeDirtyRun(fh, 2, maxBytes); ok {
+			t.Fatal("block beyond truncation was staged for write-back")
+		}
+		fc := sc.files[fh.Key()]
+		if _, exists := fc.blocks[2]; exists {
+			t.Error("truncated block's record retained")
+		}
+		if fc.ndirty != 2 {
+			t.Errorf("dirty count %d after the drop, want 2", fc.ndirty)
+		}
 	}
+}
+
+// TestParallelFlushKeepsRunsWhole: a flush pass hands each worker a whole
+// run. Queueing one item per dirty block let FlushParallelism workers race
+// for adjacent blocks of the same run: whichever got the cache mutex second
+// took blocks bn+1 onwards and left the first a one-block WRITE. 64 dirty
+// 32 KiB blocks are two 1 MiB runs, so two WRITEs, however the workers are
+// scheduled.
+func TestParallelFlushKeepsRunsWhole(t *testing.T) {
+	const blocks = 64
+	cfg := Config{WriteBack: true, FlushInterval: time.Hour, FlushParallelism: 4}
+	commitBed(t, cfg, nil, func(b *raBed, fh nfs3.FH) {
+		for bn := uint64(0); bn < blocks; bn++ {
+			b.writeBlock(t, fh, bn, 0x5A)
+		}
+		if cm := b.commit(t, fh); cm.Status != nfs3.OK {
+			t.Errorf("COMMIT: %v", cm.Status)
+		}
+		if got := b.wan(nfs3.ProcWrite); got != 2 {
+			t.Errorf("%d dirty blocks flushed in %d wide-area WRITEs, want 2", blocks, got)
+		}
+		if got := b.p.Stats().FlushedBlocks; got != blocks {
+			t.Errorf("flushed %d blocks, want %d", got, blocks)
+		}
+		if !b.onServer(blocks, 0x5A) {
+			t.Error("the server's copy is not what was written")
+		}
+	})
 }

@@ -335,38 +335,6 @@ func (p *ProxyClient) rawCall(rid uint64, prog, vers, proc uint32, args []byte) 
 	}
 }
 
-// AdoptCache installs a previously used disk cache, modeling the on-disk
-// cache that survives a proxy-client crash (Section 4.3.4). Must be called
-// before Start.
-func (p *ProxyClient) AdoptCache(c *SessionCacheState) {
-	if c != nil && c.cache != nil {
-		p.cache = c.cache
-		p.cache.bs = p.cfg.BlockSize
-		p.cache.setMetaPolicy(p.clk.Now, p.cfg.metaPolicy(), p.met.cacheCounters())
-		// The previous owner's in-flight WRITEs and prefetch READs died with
-		// its process; stale marks would wedge flushing forever.
-		p.cache.clearInFlight()
-		// The adopted in-memory cache supersedes whatever openDiskCache
-		// recovered into the cache it replaced: resync the disk mirror to
-		// the adopted contents and attach it. The adopted cache's old
-		// persister (the crashed incarnation's store, abandoned on Crash)
-		// is displaced here.
-		if p.disk != nil {
-			p.disk.ResetTo(p.cache.persistSnapshot())
-			p.attachPersister()
-		}
-	}
-}
-
-// SessionCacheState is an opaque handle to the session's disk cache
-// contents, used to persist them across proxy restarts.
-type SessionCacheState struct{ cache *sessionCache }
-
-// CacheState exports the disk cache for a later AdoptCache.
-func (p *ProxyClient) CacheState() *SessionCacheState {
-	return &SessionCacheState{cache: p.cache}
-}
-
 // Serve starts serving kernel NFS traffic on nfsListener and GVFS callbacks
 // on cbListener, and launches the session's maintenance actors.
 func (p *ProxyClient) Serve(nfsListener, cbListener transport.Listener) {
@@ -382,11 +350,12 @@ func (p *ProxyClient) Serve(nfsListener, cbListener transport.Listener) {
 	}
 }
 
-// RecoverAfterCrash models the proxy client restarting with its disk cache
-// intact: it invalidates all cached attributes to force revalidation and
-// attempts to write back one block per dirty file to reconcile conflicts
-// and reacquire delegations (Section 4.3.4). Files whose write-back fails
-// with a conflict have their dirty data discarded as corrupted.
+// RecoverAfterCrash is the proxy client's restart over the disk cache its
+// predecessor left (NewProxyClient has already reopened it): it invalidates
+// all cached attributes to force revalidation and attempts to write back one
+// block per dirty file to reconcile conflicts and reacquire delegations
+// (Section 4.3.4). Files whose write-back fails with a conflict have their
+// dirty data discarded as corrupted.
 func (p *ProxyClient) RecoverAfterCrash() {
 	p.cache.invalidateAllAttrs()
 	p.mu.Lock()
@@ -427,8 +396,9 @@ func (p *ProxyClient) Stop() {
 }
 
 // Crash models an abrupt proxy-client failure: connections drop and no
-// dirty data is flushed. The disk cache object survives (it is "on disk");
-// recover with AdoptCache + RecoverAfterCrash on a new instance.
+// dirty data is flushed. What outlives it is what the disk store under
+// Config.DiskCacheDir holds; a new instance over the same directory recovers
+// it (RecoverAfterCrash).
 func (p *ProxyClient) Crash() {
 	p.mu.Lock()
 	p.stopped = true
@@ -726,11 +696,18 @@ func (p *ProxyClient) flushLoop() {
 func (p *ProxyClient) flushAll(rid uint64) {
 	var items []flushItem
 	for _, fh := range p.cache.dirtyFiles() {
-		for _, bn := range p.cache.dirtyBlocks(fh) {
-			items = append(items, flushItem{fh: fh, bn: bn})
-		}
+		items = p.appendRuns(items, fh)
 	}
 	p.flushParallel(rid, items)
+}
+
+// appendRuns queues fh's write-back: one item per coalesced run, not per
+// block, so parallel workers each take a whole run.
+func (p *ProxyClient) appendRuns(items []flushItem, fh nfs3.FH) []flushItem {
+	for _, bn := range p.cache.flushStarts(fh, p.cfg.MaxWriteBytes) {
+		items = append(items, flushItem{fh: fh, bn: bn})
+	}
+	return items
 }
 
 // flushFile writes back every dirty block of fh, then waits until no flush
@@ -740,26 +717,22 @@ func (p *ProxyClient) flushAll(rid uint64) {
 // (settleCommit): blocks an unreachable upstream left dirty, or the mark a
 // refused WRITE leaves when it drops them.
 func (p *ProxyClient) flushFile(rid uint64, fh nfs3.FH) {
-	var items []flushItem
-	for _, bn := range p.cache.dirtyBlocks(fh) {
-		items = append(items, flushItem{fh: fh, bn: bn})
-	}
-	p.flushParallel(rid, items)
+	p.flushParallel(rid, p.appendRuns(nil, fh))
 	p.waitFlushIdle(fh)
 }
 
-// flushItem is one dirty block queued for write-back.
+// flushItem is one write-back run queued by its first block.
 type flushItem struct {
 	fh nfs3.FH
 	bn uint64
 }
 
-// flushParallel writes back the given dirty blocks with up to
-// Config.FlushParallelism WRITE RPCs in flight at once, so N blocks cost
-// about N/W round-trips. Blocks another actor is already flushing are
-// skipped (takeDirty refuses them), so concurrent flushers never
-// double-issue a WRITE; the per-block dirty-generation protocol keeps
-// re-dirtied blocks dirty regardless of completion order.
+// flushParallel writes back the given runs with up to
+// Config.FlushParallelism WRITE RPCs in flight at once, so N runs cost about
+// N/W round-trips. Blocks another actor is already flushing are skipped
+// (takeDirtyRun refuses them), so concurrent flushers never double-issue a
+// WRITE; the per-block dirty-generation protocol keeps re-dirtied blocks
+// dirty regardless of completion order.
 func (p *ProxyClient) flushParallel(rid uint64, items []flushItem) {
 	w := p.cfg.FlushParallelism
 	if w > len(items) {
@@ -792,10 +765,10 @@ func (p *ProxyClient) flushParallel(rid uint64, items []flushItem) {
 	g.Wait()
 }
 
-// flushDone clears a block's in-flight mark and wakes actors draining the
+// flushDone clears a run's in-flight marks and wakes actors draining the
 // file's flushes.
-func (p *ProxyClient) flushDone(fh nfs3.FH, bn uint64) {
-	p.cache.endFlush(fh, bn)
+func (p *ProxyClient) flushDone(fh nfs3.FH, bns []uint64) {
+	p.cache.endFlush(fh, bns)
 	key := fh.Key()
 	p.mu.Lock()
 	ws := p.flushWait[key]
@@ -846,11 +819,7 @@ func (p *ProxyClient) flushBlock(rid uint64, fh nfs3.FH, bn uint64) error {
 	defer bufpool.Put(data)
 	p.met.flushInflight.Add(1)
 	defer p.met.flushInflight.Add(-1)
-	defer func() {
-		for _, b := range bns {
-			p.flushDone(fh, b)
-		}
-	}()
+	defer p.flushDone(fh, bns)
 	if p.cfg.DiskDelay > 0 {
 		p.clk.Sleep(p.cfg.DiskDelay) // read the dirty run back from disk
 	}
@@ -956,6 +925,21 @@ func (p *ProxyClient) mapIdentity(attr *nfs3.Sattr) {
 	}
 }
 
+// forgetHandle drops every trace of a handle that no longer names a file:
+// the cache's, and this proxy's per-handle protocol state, which otherwise
+// keeps an entry for every file the session ever touched. Only for handles
+// known dead — a live file's recall fence must outlast its cache entry.
+func (p *ProxyClient) forgetHandle(fh nfs3.FH) {
+	p.cache.forget(fh)
+	key := fh.Key()
+	p.mu.Lock()
+	delete(p.delegs, key)
+	delete(p.noncacheable, key)
+	delete(p.lastForward, key)
+	delete(p.recallFence, key)
+	p.mu.Unlock()
+}
+
 // noteForward records that a request for fh bypassed the cache (renewal
 // bookkeeping).
 func (p *ProxyClient) noteForward(fh nfs3.FH) {
@@ -1007,13 +991,14 @@ func (p *ProxyClient) hasWriteDeleg(fh nfs3.FH) bool {
 // last complete poll drain's send time under polling. Serves of files with
 // buffered dirty data are skipped: the bytes served are this client's own.
 func (p *ProxyClient) observeServe(fh nfs3.FH, fetchedAt time.Duration, ok bool) {
-	so := p.cfg.Staleness
-	if so == nil || !ok {
-		return
+	if p.cfg.Staleness != nil && ok && !p.cache.hasDirty(fh) {
+		p.reportServe(fh, fetchedAt)
 	}
-	if p.cache.hasDirty(fh) {
-		return
-	}
+}
+
+// reportServe is observeServe once the caller knows the observatory is on
+// and the file has no buffered writes.
+func (p *ProxyClient) reportServe(fh nfs3.FH, fetchedAt time.Duration) {
 	var horizon time.Duration
 	if p.cfg.Model == ModelDelegation {
 		horizon = p.clk.Now()
@@ -1022,7 +1007,7 @@ func (p *ProxyClient) observeServe(fh nfs3.FH, fetchedAt time.Duration, ok bool)
 		horizon = p.pollHorizon
 		p.mu.Unlock()
 	}
-	so.ObserveServe(fh.Key(), p.cred.ClientID, shortModel(p.cfg.Model), fetchedAt, horizon)
+	p.cfg.Staleness.ObserveServe(fh.Key(), p.cred.ClientID, shortModel(p.cfg.Model), fetchedAt, horizon)
 }
 
 // hitLocal counts a kernel RPC answered from the disk cache and annotates
@@ -1183,7 +1168,7 @@ func (p *ProxyClient) getattr(call *sunrpc.Call) sunrpc.AcceptStat {
 	case nfs3.OK:
 		p.cache.putAttr(args.FH, res.Attr)
 	case nfs3.ErrStale:
-		p.cache.forget(args.FH)
+		p.forgetHandle(args.FH)
 	}
 	return encodeReply(call, &res)
 }
@@ -1273,13 +1258,15 @@ func (p *ProxyClient) read(call *sunrpc.Call) sunrpc.AcceptStat {
 		// and if a prefetch of this very block is in flight, wait for it
 		// rather than double-issuing the wide-area READ.
 		joined := p.cfg.ReadAhead > 0 && p.readAhead(call.ReqID, args.FH, bn)
-		if block, ok := p.cache.getBlock(args.FH, bn); ok {
-			if attr, attrOK := p.cache.getAttr(args.FH); attrOK && (p.servable(args.FH) || p.cache.hasDirty(args.FH)) {
+		// One pass through the cache: the block, the file's attributes, whether
+		// it has buffered writes, and when the block got here.
+		if hit, ok := p.cache.readHit(args.FH, bn); ok {
+			if hit.attrOK && (p.servable(args.FH) || hit.dirty) {
 				// res stays on this frame's stack: the warm hit path's only
 				// allocation is the pooled staging buffer inside
 				// localReadInto, recycled right after the reply encodes.
 				var res nfs3.ReadRes
-				if localReadInto(&res, attr, block, args.Offset, args.Count, bs) {
+				if localReadInto(&res, hit.attr, hit.data, args.Offset, args.Count, bs) {
 					if joined {
 						// The demand read rode an in-flight readahead
 						// instead of paying its own round-trip.
@@ -1287,9 +1274,8 @@ func (p *ProxyClient) read(call *sunrpc.Call) sunrpc.AcceptStat {
 						call.SpanDetail = "join"
 					}
 					p.hitLocal(call)
-					if p.cfg.Staleness != nil {
-						st, sok := p.cache.blockStamp(args.FH, bn)
-						p.observeServe(args.FH, st, sok)
+					if p.cfg.Staleness != nil && !hit.dirty {
+						p.reportServe(args.FH, hit.stamp)
 					}
 					call.SpanBytes = int64(res.Count)
 					if p.cfg.DiskDelay > 0 {
@@ -1579,8 +1565,10 @@ func (p *ProxyClient) unlink(call *sunrpc.Call) sunrpc.AcceptStat {
 	}
 	call.SpanFH = args.Dir.String()
 	// Abandon buffered dirty data for the victim: it is being deleted.
-	if childFH, negative, ok := p.cache.getLookup(args.Dir, args.Name); ok && !negative {
-		p.cache.dropDirty(childFH)
+	victim, negative, known := p.cache.getLookup(args.Dir, args.Name)
+	known = known && !negative
+	if known {
+		p.cache.dropDirty(victim)
 	}
 	var res nfs3.WccRes
 	if _, err := p.callUpstream(call.ReqID, call.Proc, &args, &res); err != nil {
@@ -1588,6 +1576,13 @@ func (p *ProxyClient) unlink(call *sunrpc.Call) sunrpc.AcceptStat {
 	}
 	p.hitForward(call)
 	p.noteForward(args.Dir)
+	if res.Status == nfs3.OK && known {
+		// That was the handle's last name (a directory has one; a file whose
+		// cached link count says otherwise is left to go stale on its own).
+		if a, ok := p.cache.getAttr(victim); call.Proc == nfs3.ProcRmdir || (ok && a.Nlink <= 1) {
+			p.forgetHandle(victim)
+		}
+	}
 	p.cache.dropLookup(args.Dir, args.Name)
 	if res.Wcc.After.Present {
 		p.cache.putAttr(args.Dir, res.Wcc.After.Attr)
@@ -1894,7 +1889,7 @@ func (p *ProxyClient) handleRecall(call *sunrpc.Call) sunrpc.AcceptStat {
 				p.flushBlock(call.ReqID, args.FH, args.Offset/bs)
 			}
 			// A concurrent flusher (periodic flush, another recall) may still
-			// have WRITEs in flight for the blocks above — takeDirty refuses
+			// have WRITEs in flight for the blocks above — takeDirtyRun refuses
 			// in-flight blocks, so our inline calls may have been no-ops.
 			// Drain before building the pending list so the reply's promises
 			// reflect durable state.

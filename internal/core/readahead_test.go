@@ -143,9 +143,9 @@ func TestStreamBoundsPrefetchesInFlight(t *testing.T) {
 }
 
 // TestStreamResets covers every way a stream must restart: a non-sequential
-// read, either invalidation channel, a truncation, and a restarted proxy
-// adopting the cache. After each, no chunk is due until two sequential reads
-// re-establish the pattern, and nothing is claimed past the file's end.
+// read, either invalidation channel, and a truncation. After each, no chunk
+// is due until two sequential reads re-establish the pattern, and nothing is
+// claimed past the file's end.
 func TestStreamResets(t *testing.T) {
 	fh := fhN(1)
 	const w = 4
@@ -164,7 +164,6 @@ func TestStreamResets(t *testing.T) {
 		{"recall", func(sc *sessionCache) { sc.invalidateAttr(fh); sc.putAttr(fh, attr(64)) }, 64},
 		{"force invalidation", func(sc *sessionCache) { sc.invalidateAllAttrs(); sc.putAttr(fh, attr(64)) }, 64},
 		{"truncation", func(sc *sessionCache) { sc.putAttr(fh, attr(12)) }, 12},
-		{"adopted after crash", func(sc *sessionCache) { sc.clearInFlight() }, 64},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -472,10 +472,6 @@ func (s *Store) PutBlock(key string, bn uint64, data []byte, dirty bool, gen uin
 	if !s.ok() {
 		return
 	}
-	s.putBlockLocked(key, bn, data, dirty, gen)
-}
-
-func (s *Store) putBlockLocked(key string, bn uint64, data []byte, dirty bool, gen uint64) {
 	fm := s.fileMetaFor(key)
 	old, had := fm.blocks[bn]
 	if !dirty && s.maxB > 0 {
@@ -489,6 +485,7 @@ func (s *Store) putBlockLocked(key string, bn uint64, data []byte, dirty bool, g
 		}
 	}
 	path := s.blockPath(key, bn, gen)
+	dcrc := crc32.ChecksumIEEE(data)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		s.failLocked(err)
 		return
@@ -508,7 +505,7 @@ func (s *Store) putBlockLocked(key string, bn uint64, data []byte, dirty bool, g
 		tail[16] = 1
 	}
 	binary.BigEndian.PutUint32(tail[17:], uint32(len(data)))
-	binary.BigEndian.PutUint32(tail[21:], crc32.ChecksumIEEE(data))
+	binary.BigEndian.PutUint32(tail[21:], dcrc)
 	s.appendRecordLocked(p, dirty)
 	// The new record is committed; a superseded generation's file is garbage.
 	if had {
@@ -517,7 +514,7 @@ func (s *Store) putBlockLocked(key string, bn uint64, data []byte, dirty bool, g
 			os.Remove(s.blockPath(key, bn, old.gen))
 		}
 	}
-	fm.blocks[bn] = blockMeta{gen: gen, dlen: uint32(len(data)), dcrc: crc32.ChecksumIEEE(data), dirty: dirty}
+	fm.blocks[bn] = blockMeta{gen: gen, dlen: uint32(len(data)), dcrc: dcrc, dirty: dirty}
 	s.bytes += int64(len(data))
 }
 
@@ -611,10 +608,6 @@ func (s *Store) SetFileMeta(key string, mtimeSec, mtimeNsec uint32, size uint64,
 	if !s.ok() {
 		return
 	}
-	s.setFileMetaLocked(key, mtimeSec, mtimeNsec, size, localChange)
-}
-
-func (s *Store) setFileMetaLocked(key string, mtimeSec, mtimeNsec uint32, size uint64, localChange uint32) {
 	fm := s.files[key]
 	if fm == nil {
 		// Meta for a file with no persisted blocks is useless on recovery.
@@ -633,55 +626,6 @@ func (s *Store) setFileMetaLocked(key string, mtimeSec, mtimeNsec uint32, size u
 	fm.mtimeSec, fm.mtimeNsec = mtimeSec, mtimeNsec
 	fm.size = size
 	fm.localChange = localChange
-}
-
-// ResetTo resynchronizes the mirror with an authoritative cache snapshot:
-// blocks missing from the snapshot are dropped, blocks whose bytes already
-// match (generation, length, CRC) keep their files, everything else is
-// rewritten. The proxy uses it when it adopts an in-memory cache that this
-// store did not observe being built (AdoptCache after a warm restart).
-func (s *Store) ResetTo(files map[string]*FileState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ok() {
-		return
-	}
-	for key, fm := range s.files {
-		want := files[key]
-		for bn := range fm.blocks {
-			if want == nil || want.Blocks[bn] == nil {
-				s.dropBlockLocked(key, bn)
-			}
-		}
-	}
-	// Dirty blocks first: the clean-byte budget must never squeeze them out.
-	keys := make([]string, 0, len(files))
-	for key := range files {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, pass := range []bool{true, false} {
-		for _, key := range keys {
-			fs := files[key]
-			for bn, b := range fs.Blocks {
-				if b.Dirty != pass {
-					continue
-				}
-				if fm := s.files[key]; fm != nil {
-					if bm, ok := fm.blocks[bn]; ok && bm.gen == b.Gen && bm.dirty == b.Dirty &&
-						bm.dlen == uint32(len(b.Data)) && bm.dcrc == crc32.ChecksumIEEE(b.Data) {
-						continue
-					}
-				}
-				s.putBlockLocked(key, bn, b.Data, b.Dirty, b.Gen)
-			}
-		}
-	}
-	for _, key := range keys {
-		fs := files[key]
-		s.setFileMetaLocked(key, fs.MtimeSec, fs.MtimeNsec, fs.Size, fs.LocalChange)
-	}
-	s.failLocked(s.checkpointLocked())
 }
 
 // Checkpoint forces a manifest compaction.

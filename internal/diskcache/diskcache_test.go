@@ -255,41 +255,6 @@ func TestBudgetSkipDropsStaleCopy(t *testing.T) {
 	}
 }
 
-func TestResetToResyncsMirror(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openT(t, dir, 0)
-	s.PutBlock("gone", 0, []byte("stale"), false, 0)
-	s.PutBlock("kept", 0, []byte("same-bytes"), false, 0)
-	s.SetFileMeta("kept", 1, 2, 10, 0)
-	before := blockFiles(dir)
-
-	s.ResetTo(map[string]*FileState{
-		"kept": {MtimeSec: 1, MtimeNsec: 2, Size: 10, Blocks: map[uint64]*BlockState{
-			0: {Data: []byte("same-bytes")},
-		}},
-		"new": {MtimeSec: 9, Size: 5, Blocks: map[uint64]*BlockState{
-			2: {Data: []byte("fresh"), Dirty: true, Gen: 4},
-		}},
-	})
-	after := blockFiles(dir)
-	if len(after) != 2 {
-		t.Fatalf("block files after reset = %v (before %v)", after, before)
-	}
-	s.Close()
-
-	s2, rec := openT(t, dir, 0)
-	defer s2.Close()
-	if _, ok := rec.Files["gone"]; ok {
-		t.Fatal("ResetTo kept a file absent from the snapshot")
-	}
-	if b := rec.Files["kept"].Blocks[0]; b == nil || !bytes.Equal(b.Data, []byte("same-bytes")) {
-		t.Fatalf("kept block = %+v", b)
-	}
-	if b := rec.Files["new"].Blocks[2]; b == nil || !b.Dirty || b.Gen != 4 || !bytes.Equal(b.Data, []byte("fresh")) {
-		t.Fatalf("new block = %+v", b)
-	}
-}
-
 func TestParseSyncPolicy(t *testing.T) {
 	for in, want := range map[string]SyncPolicy{
 		"": SyncDirty, "dirty": SyncDirty, "always": SyncAlways, "none": SyncNone, "off": SyncNone,
