@@ -660,7 +660,6 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 		rep.ClientStats.NegLookupHits += s.NegLookupHits
 		rep.ClientStats.AccessHits += s.AccessHits
 		rep.ClientStats.ListingHits += s.ListingHits
-		rep.ClientStats.MetaExpiries += s.MetaExpiries
 		rep.ClientStats.MetaEvictions += s.MetaEvictions
 		rep.ClientStats.PollCapped += s.PollCapped
 		rep.ClientStats.RecoveredBlocks += s.RecoveredBlocks

@@ -154,7 +154,7 @@ func TestCoalescedFlushSplitsAtHolesAndCap(t *testing.T) {
 // TestCoalescedFlushNoSpuriousRetransmits runs the coalesced write-back over
 // the real bandwidth-limited WAN profile: a megabyte WRITE spends ~2s in
 // transfer at 4 Mbit/s, well past the 1s base retransmission timeout, so
-// without the size-stretched timeout (Config.RetransmitPerByte) every large
+// without the size-stretched timeout (core's retransmitPerByte) every large
 // coalesced WRITE would be retransmitted while its first copy was still in
 // flight — doubling exactly the WAN traffic coalescing exists to save.
 func TestCoalescedFlushNoSpuriousRetransmits(t *testing.T) {

@@ -288,48 +288,66 @@ func (d *Deployment) NewSession(name string, cfg core.Config) (*Session, error) 
 	cfg.Obs = d.Obs
 	cfg.ObsName = name
 	cfg.Staleness = d.Staleness
-	host := d.Net.Host(d.serverHost)
-	conn, err := host.Dial(d.nfsAddr)
-	if err != nil {
-		return nil, fmt.Errorf("gvfs: session %s: dial NFS server: %w", name, err)
-	}
-	up := sunrpc.NewClient(d.Clock, conn, sunrpc.SysCred(d.serverHost, 0, 0))
-	store := &core.MemStateStore{}
-	dial := core.Dialer(host.Dial)
-	key := secure.KeyFromSession(name)
-	if cfg.Encrypt {
-		// Callback channels to clients are sealed with the session key.
-		dial = func(addr string) (transport.Conn, error) {
-			c, err := host.Dial(addr)
-			if err != nil {
-				return nil, err
-			}
-			return secure.Client(c, key)
-		}
-	}
-	srv := core.NewProxyServer(d.Clock, cfg, up, dial, store)
-	port := d.nextPort()
-	var l transport.Listener
-	l, err = host.Listen(fmt.Sprintf(":%d", port))
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Encrypt {
-		l = secure.NewListener(l, key)
-	}
-	srv.Serve(l)
 	s := &Session{
 		Name:  name,
 		Cfg:   cfg,
 		d:     d,
-		addr:  fmt.Sprintf("%s:%d", d.serverHost, port),
-		srv:   srv,
-		store: store,
+		addr:  fmt.Sprintf("%s:%d", d.serverHost, d.nextPort()),
+		store: &core.MemStateStore{},
+	}
+	if err := s.startProxyServer(); err != nil {
+		return nil, err
 	}
 	d.mu.Lock()
 	d.sessions = append(d.sessions, s)
 	d.mu.Unlock()
 	return s, nil
+}
+
+// dial and listen are the session's wide-area transport on host h: the
+// simulated network's own, sealed with the session key when Cfg.Encrypt is set
+// (proxy client <-> proxy server, callbacks included). Loopback traffic and
+// the proxy server's connection to the NFS server do not go through them.
+func (s *Session) dial(h *simnet.Host, addr string) (transport.Conn, error) {
+	c, err := h.Dial(addr)
+	if err != nil || !s.Cfg.Encrypt {
+		return c, err
+	}
+	sealed, err := secure.Client(c, secure.KeyFromSession(s.Name))
+	if err != nil {
+		return nil, err
+	}
+	return sealed, nil
+}
+
+func (s *Session) listen(h *simnet.Host, addr string) (transport.Listener, error) {
+	l, err := h.Listen(addr)
+	if err != nil || !s.Cfg.Encrypt {
+		return l, err
+	}
+	return secure.NewListener(l, secure.KeyFromSession(s.Name)), nil
+}
+
+// startProxyServer dials the NFS server, builds a proxy server over the
+// session's state store and serves it on the session's address — a new
+// session's first instance, and every instance after a restart.
+func (s *Session) startProxyServer() error {
+	d := s.d
+	host := d.Net.Host(d.serverHost)
+	conn, err := host.Dial(d.nfsAddr)
+	if err != nil {
+		return fmt.Errorf("gvfs: session %s: dial NFS server: %w", s.Name, err)
+	}
+	up := sunrpc.NewClient(d.Clock, conn, sunrpc.SysCred(d.serverHost, 0, 0))
+	dial := func(addr string) (transport.Conn, error) { return s.dial(host, addr) }
+	srv := core.NewProxyServer(d.Clock, s.Cfg, up, dial, s.store)
+	l, err := s.listen(host, s.addr[len(d.serverHost):])
+	if err != nil {
+		return err
+	}
+	s.srv = srv
+	srv.Serve(l)
+	return nil
 }
 
 // ProxyServer exposes the session's proxy server (stats, state size).
@@ -348,37 +366,8 @@ func (s *Session) StateStore() *core.MemStateStore { return s.store }
 // the session via whole-cache callbacks. Proxy clients reconnect and retry
 // transparently. Call within Run/Go.
 func (s *Session) RestartProxyServer() error {
-	d := s.d
 	s.srv.Stop()
-	host := d.Net.Host(d.serverHost)
-	conn, err := host.Dial(d.nfsAddr)
-	if err != nil {
-		return fmt.Errorf("gvfs: restart session %s: %w", s.Name, err)
-	}
-	up := sunrpc.NewClient(d.Clock, conn, sunrpc.SysCred(d.serverHost, 0, 0))
-	dial := core.Dialer(host.Dial)
-	key := secure.KeyFromSession(s.Name)
-	if s.Cfg.Encrypt {
-		dial = func(addr string) (transport.Conn, error) {
-			c, err := host.Dial(addr)
-			if err != nil {
-				return nil, err
-			}
-			return secure.Client(c, key)
-		}
-	}
-	srv := core.NewProxyServer(d.Clock, s.Cfg, up, dial, s.store)
-	var l transport.Listener
-	l, err = host.Listen(":" + s.addr[len(d.serverHost)+1:])
-	if err != nil {
-		return err
-	}
-	if s.Cfg.Encrypt {
-		l = secure.NewListener(l, key)
-	}
-	s.srv = srv
-	srv.Serve(l)
-	return nil
+	return s.startProxyServer()
 }
 
 // RemountFromDisk models a client-machine power loss and restart: the proxy
@@ -433,15 +422,9 @@ func (s *Session) Mount(hostname string, kopts nfsclient.Options) (*Mount, error
 	d := s.d
 	h := d.Net.Host(hostname)
 
-	upConn, err := h.Dial(s.addr)
+	upConn, err := s.dial(h, s.addr)
 	if err != nil {
 		return nil, fmt.Errorf("gvfs: mount on %s: dial proxy server: %w", hostname, err)
-	}
-	key := secure.KeyFromSession(s.Name)
-	if s.Cfg.Encrypt {
-		if upConn, err = secure.Client(upConn, key); err != nil {
-			return nil, err
-		}
 	}
 	up := sunrpc.NewClient(d.Clock, upConn, sunrpc.NoneCred())
 
@@ -462,17 +445,11 @@ func (s *Session) Mount(hostname string, kopts nfsclient.Options) (*Mount, error
 	}
 	proxy := core.NewProxyClient(d.Clock, pcfg, up, cred)
 	proxy.SetRedial(func() (*sunrpc.Client, error) {
-		c, err := h.Dial(s.addr)
+		c, err := s.dial(h, s.addr)
 		if err != nil {
 			return nil, err
 		}
-		var tc transport.Conn = c
-		if s.Cfg.Encrypt {
-			if tc, err = secure.Client(c, key); err != nil {
-				return nil, err
-			}
-		}
-		return sunrpc.NewClient(d.Clock, tc, sunrpc.NoneCred()), nil
+		return sunrpc.NewClient(d.Clock, c, sunrpc.NoneCred()), nil
 	})
 
 	nfsPort := d.nextPort()
@@ -480,13 +457,9 @@ func (s *Session) Mount(hostname string, kopts nfsclient.Options) (*Mount, error
 	if err != nil {
 		return nil, err
 	}
-	var cbL transport.Listener
-	cbL, err = h.Listen(fmt.Sprintf(":%d", cbPort))
+	cbL, err := s.listen(h, fmt.Sprintf(":%d", cbPort))
 	if err != nil {
 		return nil, err
-	}
-	if s.Cfg.Encrypt {
-		cbL = secure.NewListener(cbL, key)
 	}
 	proxy.Serve(nfsL, cbL)
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/nfs3"
 	"repro/internal/nfsclient"
 )
 
@@ -250,6 +251,63 @@ func TestPartialWritebackOnRecall(t *testing.T) {
 		}
 		if st.FlushedBlocks < nblocks {
 			t.Errorf("writer flushed %d blocks, want >= %d", st.FlushedBlocks, nblocks)
+		}
+	})
+}
+
+// TestRecallFenceDiesWithTheServer: a recall fence orders grants and recalls
+// within one proxy-server instance's sequence. A restarted server counts from
+// zero again, so a client that kept its fences across RECALL_ALL would drop
+// every grant for a file recalled before the crash — and forward every access
+// to it — until the new counter happened to pass the old fence.
+func TestRecallFenceDiesWithTheServer(t *testing.T) {
+	d := newDeployment(t)
+	d.FS.WriteFile("fence/f", []byte("v0"))
+	d.Run("fence", func() {
+		sess, err := d.NewSession("fence", core.Config{Model: core.ModelDelegation})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ms := mountClients(t, sess, 2)
+		f, err := ms[0].Client.Open("fence/f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		fh, reader := f.FH(), ms[0].Client.Conn()
+		// Reader and writer take turns, so the server's sequence is well past
+		// what one client's remount traffic reaches, and the last thing the
+		// reader hears before the crash is a recall.
+		for i := 0; i < 8; i++ {
+			if res, err := reader.Getattr(fh); err != nil || res.Status != nfs3.OK {
+				t.Errorf("getattr %d: %v %v", i, err, res.Status)
+				return
+			}
+			if err := ms[1].Client.WriteFile("fence/f", []byte(fmt.Sprintf("v%d", i+1))); err != nil {
+				t.Errorf("write %d: %v", i, err)
+				return
+			}
+		}
+		if ms[0].Proxy.Stats().Recalls == 0 {
+			t.Error("the reader was never recalled: no fence to outlive the server")
+		}
+		if err := sess.RestartProxyServer(); err != nil {
+			t.Errorf("restart: %v", err)
+			return
+		}
+		// The first access re-registers with the new server and is granted a
+		// delegation; the second is served under it.
+		for i, wantLocal := range []bool{false, true} {
+			before := ms[0].Proxy.Stats()
+			if res, err := reader.Getattr(fh); err != nil || res.Status != nfs3.OK {
+				t.Errorf("getattr %d after restart: %v %v", i, err, res.Status)
+				return
+			}
+			after := ms[0].Proxy.Stats()
+			if local := after.AttrHits > before.AttrHits && after.Forwards == before.Forwards; local != wantLocal {
+				t.Errorf("access %d after the restart: served locally = %v, want %v", i+1, local, wantLocal)
+			}
 		}
 	})
 }

@@ -335,3 +335,20 @@ func TestAblationsRun(t *testing.T) {
 		t.Error("render empty")
 	}
 }
+
+// TestHotpathMetaAllocs gates the warm metadata row of the hotpath experiment
+// with tracing off: GETATTR, LOOKUP and ACCESS hits format no span label —
+// nobody would read it — and each is decided in one pass through the session
+// cache: 9.0 allocs/op with the pools off, 11.3 when every call formatted its
+// handle. The unpooled row is the one gated here because it is exact: sync.Pool
+// drops entries at random under the race detector, the plain allocator does
+// not. RunHotpath gates the pooled row.
+func TestHotpathMetaAllocs(t *testing.T) {
+	setup, err := runHotpathSetup(Options{}, "meta", false, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if setup.AllocsPerOp > 10 {
+		t.Errorf("warm metadata calls cost %.2f allocs/op unpooled with tracing off, want at most 10", setup.AllocsPerOp)
+	}
+}

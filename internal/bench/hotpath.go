@@ -16,9 +16,10 @@ import (
 	"repro/internal/xdr"
 )
 
-// The hotpath experiment quantifies the memory work of the warm block path:
-// the proxy client serving READs from its cache and absorbing write-back
-// WRITEs. The cache is warmed through the full RPC stack, then the measured
+// The hotpath experiment quantifies the memory work of the warm paths: the
+// proxy client serving READs from its cache, absorbing write-back WRITEs, and
+// answering the metadata calls (GETATTR, LOOKUP, ACCESS in turn) the kernel
+// keeps issuing for files it already knows. The cache is warmed through the full RPC stack, then the measured
 // loop drives the proxy's real dispatch (ProxyClient.ServeCall) directly —
 // XDR decode, cache serve, XDR reply encode — with tracing off, the way a
 // production server with span retention disabled runs it. That isolates the
@@ -36,7 +37,7 @@ import (
 // HotpathSetup is one (path, pooling) cell.
 type HotpathSetup struct {
 	Name        string
-	Path        string // "read" or "write"
+	Path        string // "read", "write" or "meta"
 	Pooled      bool
 	Ops         int
 	Runtime     time.Duration
@@ -76,6 +77,9 @@ type HotpathResult struct {
 const (
 	hotpathBS     = 32 * 1024
 	hotpathBlocks = 64
+	// hotpathMetaAllocs bounds allocs/op of the pooled metadata row; RunHotpath
+	// fails above it.
+	hotpathMetaAllocs = 3.5
 )
 
 // RunHotpath executes all cells.
@@ -85,7 +89,7 @@ func RunHotpath(opt Options) (HotpathResult, error) {
 		ops = max(ops/s, 100)
 	}
 	var res HotpathResult
-	for _, path := range []string{"read", "write"} {
+	for _, path := range []string{"read", "write", "meta"} {
 		for _, pooled := range []bool{false, true} {
 			setup, err := runHotpathSetup(opt, path, pooled, ops)
 			if err != nil {
@@ -94,6 +98,9 @@ func RunHotpath(opt Options) (HotpathResult, error) {
 			opt.logf("hotpath %-5s pooled=%-5v ops=%d allocs/op=%6.1f bytes/op=%8.0f ops/sec=%8.0f",
 				path, pooled, setup.Ops, setup.AllocsPerOp, setup.BytesPerOp, setup.OpsPerSec())
 			res.Setups = append(res.Setups, setup)
+			if path == "meta" && pooled && setup.AllocsPerOp > hotpathMetaAllocs {
+				return res, fmt.Errorf("hotpath meta: %.2f allocs/op with tracing off, want at most %.1f", setup.AllocsPerOp, hotpathMetaAllocs)
+			}
 		}
 	}
 	for _, cell := range []struct {
@@ -178,29 +185,42 @@ func runHotpathSetup(opt Options, path string, pooled bool, ops int) (HotpathSet
 			}
 		}
 
-		// One pre-marshalled request frame per block; the loop drives the
-		// proxy's real dispatch with a reused decoder and Call, so the deltas
-		// are the decode -> cache -> encode path alone.
-		proc := uint32(nfs3.ProcRead)
-		if path == "write" {
-			proc = nfs3.ProcWrite
+		// One pre-marshalled request frame per block (or per metadata call);
+		// the loop drives the proxy's real dispatch with a reused decoder and
+		// Call, so the deltas are the decode -> cache -> encode path alone.
+		type frame struct {
+			proc uint32
+			args interface{ Encode(*xdr.Encoder) }
 		}
-		frames := make([][]byte, hotpathBlocks)
-		for bn := range frames {
-			e := xdr.NewEncoder()
+		var frames []frame
+		for bn := 0; bn < hotpathBlocks && path != "meta"; bn++ {
 			off := uint64(bn) * hotpathBS
 			if path == "read" {
-				(&nfs3.ReadArgs{FH: fh, Offset: off, Count: hotpathBS}).Encode(e)
+				frames = append(frames, frame{nfs3.ProcRead, &nfs3.ReadArgs{FH: fh, Offset: off, Count: hotpathBS}})
 			} else {
-				(&nfs3.WriteArgs{FH: fh, Offset: off, Count: hotpathBS, Stable: nfs3.Unstable, Data: block}).Encode(e)
+				frames = append(frames, frame{nfs3.ProcWrite, &nfs3.WriteArgs{FH: fh, Offset: off, Count: hotpathBS, Stable: nfs3.Unstable, Data: block}})
 			}
-			frames[bn] = e.Bytes()
+		}
+		if path == "meta" {
+			frames = []frame{
+				{nfs3.ProcGetattr, &nfs3.GetattrArgs{FH: fh}},
+				{nfs3.ProcLookup, &nfs3.DirOpArgs{Dir: m.Client.Root(), Name: "hot"}},
+				{nfs3.ProcAccess, &nfs3.AccessArgs{FH: fh, Access: nfs3.AccessRead}},
+			}
+		}
+		wire := make([][]byte, len(frames))
+		for i, f := range frames {
+			e := xdr.NewEncoder()
+			f.args.Encode(e)
+			wire[i] = e.Bytes()
 		}
 		dec := xdr.NewDecoder(nil)
-		call := &sunrpc.Call{Prog: nfs3.Program, Vers: nfs3.Version, Proc: proc}
+		call := &sunrpc.Call{Prog: nfs3.Program, Vers: nfs3.Version}
+		forwards := m.Proxy.Stats().Forwards
 		dispatch := func(i int) error {
-			dec.Reset(frames[i%hotpathBlocks])
+			dec.Reset(wire[i%len(wire)])
 			enc := bufpool.GetEncoder()
+			call.Proc = frames[i%len(wire)].proc
 			call.Args = dec
 			call.Reply = enc
 			st := m.Proxy.ServeCall(call)
@@ -211,11 +231,13 @@ func runHotpathSetup(opt Options, path string, pooled bool, ops int) (HotpathSet
 			return nil
 		}
 		// Verify the reply once, outside the measured window: a warm read
-		// must return the full block, a warm write must be absorbed (OK).
-		{
-			dec.Reset(frames[0])
+		// must return the full block, a warm write must be absorbed (OK); the
+		// metadata calls are checked after the loop, by never having crossed
+		// the wide area.
+		if path != "meta" {
+			dec.Reset(wire[0])
 			enc := bufpool.GetEncoder()
-			call.Args, call.Reply = dec, enc
+			call.Proc, call.Args, call.Reply = frames[0].proc, dec, enc
 			if st := m.Proxy.ServeCall(call); st != sunrpc.Success {
 				runErr = fmt.Errorf("%s probe: %v", path, st)
 				return
@@ -253,6 +275,9 @@ func runHotpathSetup(opt Options, path string, pooled bool, ops int) (HotpathSet
 		runtime.ReadMemStats(&after)
 		setup.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(ops)
 		setup.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(ops)
+		if n := m.Proxy.Stats().Forwards - forwards; n != 0 {
+			runErr = fmt.Errorf("%d of %d warm %s calls crossed the wide area", n, ops, path)
+		}
 	})
 	if runErr == nil && setup.PoolOutstandingDelta != 0 {
 		runErr = fmt.Errorf("pool outstanding delta %d over %d steady-state ops (buffer leak or double recycle)",
@@ -325,7 +350,7 @@ func runHotpathCoalesce(opt Options, name string, maxWrite int) (HotpathCoalesce
 
 // Render prints the comparison tables.
 func (r HotpathResult) Render(w io.Writer) {
-	fmt.Fprintf(w, "Hot path memory: warm %d KiB block ops through the full RPC stack\n", hotpathBS/1024)
+	fmt.Fprintf(w, "Hot path memory: warm %d KiB block ops and metadata calls through the proxy client's dispatch\n", hotpathBS/1024)
 	fmt.Fprintf(w, "%-16s%10s%14s%14s%12s\n", "setup", "ops", "allocs/op", "bytes/op", "ops/sec")
 	for _, s := range r.Setups {
 		fmt.Fprintf(w, "%-16s%10d%14.1f%14.0f%12.0f\n", s.Name, s.Ops, s.AllocsPerOp, s.BytesPerOp, s.OpsPerSec())

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"slices"
 	"sort"
 	"sync"
@@ -13,34 +12,35 @@ import (
 	"repro/internal/vclock"
 )
 
-// sessionCache is the GVFS per-session client-side disk cache: file
-// attributes, directory lookup results, and data blocks, plus dirty-block
-// state for write-back sessions. Unlike the kernel client's caches, entries
-// are by default not timed out — their validity is governed by the session's
-// consistency protocol (invalidation polling or delegation callbacks), which
-// is the heart of the paper's design. A session may additionally bound the
-// metadata caches with TTLs and capacity limits (metaPolicy); the proxy
-// enables TTLs only under the polling model, which already tolerates
-// staleness up to the poll window.
+// sessionCache is the GVFS per-session client-side disk cache: one record per
+// file handle — attributes, a directory's listing and name resolutions, data
+// blocks with their dirty state, and the handle's consistency-protocol state.
+// Unlike the kernel client's caches, entries are not timed out: their validity
+// is governed by the session's consistency protocol (invalidation polling or
+// delegation callbacks), which is the heart of the paper's design, and whether
+// a valid entry may be served is decided here, in the same critical section
+// that reads it.
 type sessionCache struct {
 	bs int
 
 	mu  sync.Mutex
-	pol metaPolicy
-	// now reads the session's virtual clock for TTL stamps; nil freezes the
-	// clock at zero, which with zero TTLs reproduces the untimed behavior.
+	pol cachePolicy
+	// now reads the session's virtual clock for fetch stamps and delegation
+	// renewal; nil freezes the clock at zero.
 	now func() time.Duration
-	met *cacheCounters
+	met cacheCounters
 
-	attrs    map[string]attrEnt     // FH key -> attributes (validity = presence)
-	lookups  map[string]lookupEnt   // dir key + "\x00" + name -> child handle
-	files    map[string]*cachedFile // FH key -> data blocks
-	listings map[string]dirListing  // dir key -> complete directory listing
-	// dirNames indexes the lookup cache by directory, so invalidating a
-	// directory handle flushes its dentries and negatives in one sweep.
-	dirNames map[string]map[string]bool
+	// files is the one table keyed by file handle. A record appears on first
+	// sight of a handle and leaves only through forget (the handle is dead);
+	// the attribute and listing caps evict that part of a record, never the
+	// record.
+	files map[string]*cachedFile
 
-	attrLRU, lookupLRU, listLRU *keyLRU
+	// One ring per cap: a record is on attrLRU exactly while its attributes
+	// are valid and on listLRU exactly while it holds a listing; a lookup entry
+	// (cachedFile.names) is on lookupLRU for as long as it exists.
+	attrLRU, listLRU ring[cachedFile]
+	lookupLRU        ring[lookupEnt]
 
 	lru  lruList
 	maxB int64
@@ -51,69 +51,37 @@ type sessionCache struct {
 	recMet  recoveryCounters
 }
 
-// metaPolicy bounds the metadata caches: TTLs in virtual time (0 = entries
-// live until the consistency protocol invalidates them) and per-cache entry
-// caps (0 = unbounded) enforced by LRU eviction.
-type metaPolicy struct {
-	attrTTL   time.Duration
-	dentryTTL time.Duration
-	negTTL    time.Duration
+// cachePolicy is what the session tells its cache at construction: the
+// consistency model that decides whether a record may be served, the
+// delegation renewal period, whether WRITEs are absorbed without a write
+// delegation, and the per-part entry caps (0 = unbounded) enforced by LRU
+// eviction.
+type cachePolicy struct {
+	model      Model
+	delegRenew time.Duration
+	writeBack  bool
 
 	maxAttrs    int
 	maxDentries int
 	maxListings int
 }
 
-// cacheCounters receives the cache-internal events (metadata bookkeeping and
-// readahead waste); any field (or the whole struct) may be nil, which
-// disables reporting.
+// cacheCounters receives the cache-internal events (metadata bookkeeping,
+// renewal bypasses and readahead waste); a nil counter counts nothing.
 type cacheCounters struct {
-	expiries   *obs.Counter // TTL expiries across all metadata caches
-	evictions  *obs.Counter // capacity evictions across all metadata caches
-	dirFlushes *obs.Counter // dentries+negatives flushed by a dir invalidation
-	raWasted   *obs.Counter // prefetched blocks that left the cache unread
+	evictions   *obs.Counter // capacity evictions across all metadata caches
+	dirFlushes  *obs.Counter // dentries+negatives flushed by a dir invalidation
+	raWasted    *obs.Counter // prefetched blocks that left the cache unread
+	renewBypass *obs.Counter // serves refused so a request renews the delegation
 }
 
-func (m *cacheCounters) expiry(n int64) {
-	if m != nil && m.expiries != nil && n > 0 {
-		m.expiries.Add(n)
-	}
-}
-
-func (m *cacheCounters) eviction(n int64) {
-	if m != nil && m.evictions != nil && n > 0 {
-		m.evictions.Add(n)
-	}
-}
-
-func (m *cacheCounters) dirFlush(n int64) {
-	if m != nil && m.dirFlushes != nil && n > 0 {
-		m.dirFlushes.Add(n)
-	}
-}
-
-func (m *cacheCounters) wasted(n int64) {
-	if m != nil && m.raWasted != nil && n > 0 {
-		m.raWasted.Add(n)
-	}
-}
-
-// attrEnt is one cached attribute record, stamped with its fetch time so a
-// TTL policy can expire it.
-type attrEnt struct {
-	attr    nfs3.Fattr
-	fetched time.Duration
-}
-
-// dirListing caches a complete (single-page) READDIR result, tagged like
-// negative lookups with the directory mtime it was observed under.
-type dirListing struct {
-	entries  []nfs3.DirEntry
-	dirMtime nfs3.Time
-}
-
+// lookupEnt is one cached name resolution: name, under the directory dir,
+// is bound to fh or known absent.
 type lookupEnt struct {
-	fh nfs3.FH
+	dir  *cachedFile
+	name string
+	link link[lookupEnt]
+	fh   nfs3.FH
 	// negative records a NOENT result: the name is known not to exist.
 	negative bool
 	// dirMtime tags the entry with the directory modification time it was
@@ -122,11 +90,49 @@ type lookupEnt struct {
 	// followed by revalidation of a *changed* directory cannot revive
 	// stale name resolutions.
 	dirMtime nfs3.Time
-	fetched  time.Duration
+	// fetched is when the resolution was observed, for the staleness
+	// observatory.
+	fetched time.Duration
 }
 
+// cachedFile is everything the session knows about one file handle: what the
+// server said about it, what the session holds of it, and what the consistency
+// protocol currently lets the session do with it.
 type cachedFile struct {
 	key string
+
+	// attr is the handle's attributes as the server last reported them, and
+	// fetched when; valid exactly while attrLink is on the attribute LRU.
+	attr     nfs3.Fattr
+	fetched  time.Duration
+	attrLink link[cachedFile]
+	// listing is a directory's complete (single-page) READDIR result, tagged
+	// like negative lookups with the directory mtime it was observed under;
+	// held exactly while listLink is on the listing LRU. names is the lookup
+	// cache of this directory — the one table in the cache keyed by name — so
+	// invalidating a directory handle flushes its dentries and negatives in one
+	// sweep.
+	listing   []nfs3.DirEntry
+	listMtime nfs3.Time
+	listLink  link[cachedFile]
+	names     map[string]*lookupEnt
+
+	// The handle's protocol state. deleg is the delegation held (always
+	// DelegNone under polling); noncacheable is the server's verdict that the
+	// handle must not be cached at all; lastForward is when a request for the
+	// handle last crossed the wide area (delegation renewal); recallFence is
+	// the sequence of the latest recall served, against which grants that lost
+	// a race with it are dropped. Only a dead handle's fence may go: a live
+	// file's must outlast everything else cached of it.
+	deleg        DelegType
+	noncacheable bool
+	lastForward  time.Duration
+	recallFence  uint64
+
+	// The data state follows; blocks and fetching are nil until the data path
+	// first touches the handle, which is also what "a cached file" means to
+	// stats and to the disk store.
+	//
 	// mtime is the server mtime the clean blocks correspond to.
 	mtime nfs3.Time
 	size  uint64
@@ -149,6 +155,9 @@ type cachedFile struct {
 	// a WRITE of newer data can never overtake a stale one.
 	inflight int
 	fenced   bool
+	// flushWait holds the actors waiting for inflight to reach zero; endFlush
+	// hands them back to be woken.
+	flushWait []*vclock.Waiter
 	// unstable counts the forwarded WRITEs of this file the server
 	// acknowledged short of FILE_SYNC and no forwarded COMMIT has covered
 	// since: data of this session that may not be on stable storage yet. lost
@@ -197,38 +206,32 @@ type cachedBlock struct {
 	// fetch or local write), feeding the staleness observatory: a cache hit's
 	// measured age is relative to it.
 	stamp time.Duration
-	// prev and next link clean blocks into the session's LRU.
-	prev, next *cachedBlock
+	// link threads clean blocks into the session's byte-bounded LRU.
+	link link[cachedBlock]
 }
 
 func newSessionCache(blockSize int, maxBytes int64) *sessionCache {
 	sc := &sessionCache{
-		bs:        blockSize,
-		attrs:     make(map[string]attrEnt),
-		lookups:   make(map[string]lookupEnt),
-		files:     make(map[string]*cachedFile),
-		listings:  make(map[string]dirListing),
-		dirNames:  make(map[string]map[string]bool),
-		attrLRU:   newKeyLRU(),
-		lookupLRU: newKeyLRU(),
-		listLRU:   newKeyLRU(),
-		maxB:      maxBytes,
+		bs:    blockSize,
+		files: make(map[string]*cachedFile),
+		maxB:  maxBytes,
 	}
-	sc.lru.head.prev, sc.lru.head.next = &sc.lru.head, &sc.lru.head
+	sc.attrLRU.init()
+	sc.listLRU.init()
+	sc.lookupLRU.init()
+	sc.lru.init()
 	return sc
 }
 
-// setMetaPolicy installs the session's metadata cache policy, clock, and
-// event counters; the proxy calls it at construction.
-func (sc *sessionCache) setMetaPolicy(now func() time.Duration, pol metaPolicy, met *cacheCounters) {
+// setPolicy installs the session's cache policy, clock, and event counters;
+// the proxy calls it at construction.
+func (sc *sessionCache) setPolicy(now func() time.Duration, pol cachePolicy, met cacheCounters) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	sc.now = now
 	sc.pol = pol
 	sc.met = met
 }
-
-// --- attributes ---------------------------------------------------------
 
 func (sc *sessionCache) nowLocked() time.Duration {
 	if sc.now == nil {
@@ -237,72 +240,245 @@ func (sc *sessionCache) nowLocked() time.Duration {
 	return sc.now()
 }
 
-// expiredLocked reports whether an entry fetched at the given stamp has
-// outlived ttl (0 disables the TTL).
-func (sc *sessionCache) expiredLocked(fetched, ttl time.Duration) bool {
-	return ttl > 0 && sc.nowLocked()-fetched >= ttl
+// --- records ----------------------------------------------------------------
+
+// record returns the record for key, a new one on first sight of the handle.
+func (sc *sessionCache) record(key string) *cachedFile {
+	fc := sc.files[key]
+	if fc == nil {
+		fc = &cachedFile{key: key}
+		fc.attrLink.of, fc.listLink.of = fc, fc
+		sc.files[key] = fc
+	}
+	return fc
 }
 
-// attrLocked returns the valid cached attributes for key, expiring a
-// TTL-stale entry on the way.
-func (sc *sessionCache) attrLocked(key string) (nfs3.Fattr, bool) {
-	ent, ok := sc.attrs[key]
-	if !ok {
-		return nfs3.Fattr{}, false
+// fileFor is record for the data path: the record gains its block tables.
+func (sc *sessionCache) fileFor(key string) *cachedFile {
+	fc := sc.record(key)
+	if fc.blocks == nil {
+		fc.blocks = make(map[uint64]*cachedBlock)
+		fc.fetching = make(map[uint64][]*vclock.Waiter)
 	}
-	if sc.expiredLocked(ent.fetched, sc.pol.attrTTL) {
-		sc.delAttrLocked(key)
-		sc.met.expiry(1)
-		return nfs3.Fattr{}, false
-	}
-	sc.attrLRU.bump(key)
-	return ent.attr, true
+	return fc
 }
 
-// setAttrLocked installs attributes for key, evicting the least recently
-// used entry when the cache is over its cap.
-func (sc *sessionCache) setAttrLocked(key string, a nfs3.Fattr) {
-	sc.attrs[key] = attrEnt{attr: a, fetched: sc.nowLocked()}
-	sc.attrLRU.bump(key)
-	for sc.pol.maxAttrs > 0 && len(sc.attrs) > sc.pol.maxAttrs {
-		victim, ok := sc.attrLRU.evict()
-		if !ok {
-			break
-		}
-		delete(sc.attrs, victim)
-		sc.met.eviction(1)
+// dataFor returns key's record if the data path has touched the handle, nil
+// otherwise: write-back, COMMIT and mtime reconciliation have nothing to do
+// for a handle known only by its attributes or protocol state.
+func (sc *sessionCache) dataFor(key string) *cachedFile {
+	if fc := sc.files[key]; fc != nil && fc.blocks != nil {
+		return fc
+	}
+	return nil
+}
+
+// forget removes every trace of fh (REMOVE, stale handle): the one way a
+// record leaves. Demand reads parked on a prefetch of the file and actors
+// waiting out its write-back are released: whatever was in flight finds no
+// record to clear and nobody to wake when it returns.
+func (sc *sessionCache) forget(fh nfs3.FH) {
+	sc.mu.Lock()
+	key := fh.Key()
+	fc := sc.files[key]
+	if fc == nil {
+		sc.mu.Unlock()
+		return
+	}
+	sc.attrLRU.remove(&fc.attrLink)
+	sc.flushDirLocked(fc)
+	sc.dropCleanLocked(fc)
+	parked := fc.flushWait
+	for _, ws := range fc.fetching {
+		parked = append(parked, ws...)
+	}
+	delete(sc.files, key)
+	if fc.blocks != nil && sc.persist != nil {
+		sc.persist.DropFile(key)
+	}
+	sc.mu.Unlock()
+	for _, w := range parked {
+		w.Wake()
 	}
 }
 
-func (sc *sessionCache) delAttrLocked(key string) {
-	delete(sc.attrs, key)
-	sc.attrLRU.remove(key)
-	// Whatever dropped the attributes (GETINV, recall, stale handle) may have
-	// moved EOF: the read stream restarts against the revalidated size.
-	if fc, ok := sc.files[key]; ok {
-		fc.stream = readStream{}
+// --- protocol state: who may serve, when ------------------------------------
+
+// servableLocked reports whether fc's cached state may answer requests locally
+// under the session's consistency model. Under delegation a held delegation is
+// required, and once per renewal period the answer is no so that one request
+// bypasses the cache and the server sees the file as still open (Section
+// 4.3.1); under polling cached entries are valid until invalidated.
+func (sc *sessionCache) servableLocked(fc *cachedFile) bool {
+	switch {
+	case fc.noncacheable:
+		return false
+	case sc.pol.model != ModelDelegation:
+		return true
+	case fc.deleg == DelegNone:
+		return false
+	case sc.nowLocked()-fc.lastForward >= sc.pol.delegRenew:
+		sc.met.renewBypass.Inc()
+		return false
 	}
+	return true
 }
 
-// getAttr returns the cached attributes for fh, if valid. When the file has
-// buffered dirty data, the returned attributes are adjusted (size, perturbed
-// mtime) so the caller observes its own writes.
-func (sc *sessionCache) getAttr(fh nfs3.FH) (nfs3.Fattr, bool) {
+// applyReply records what a forwarded request's reply says about handles: for
+// each the proxy server's trailers name, the delegation granted (if any) and
+// whether the handle may be cached; and for those and the handles the request
+// itself was for, that a request just crossed the wide area (renewal clock).
+func (sc *sessionCache) applyReply(ts Trailers, forwarded []nfs3.FH) {
+	if len(ts)+len(forwarded) == 0 {
+		return
+	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	a, ok := sc.attrLocked(fh.Key())
-	if !ok {
-		return nfs3.Fattr{}, false
+	now := sc.nowLocked()
+	for _, tr := range ts {
+		if tr.FH.IsZero() {
+			continue
+		}
+		fc := sc.record(tr.FH.Key())
+		if sc.pol.model == ModelDelegation {
+			if tr.Deleg != DelegNone && tr.Seq <= fc.recallFence {
+				// The grant raced with (and lost to) a recall for a concurrent
+				// destructive operation: honoring it would cache revoked state.
+				// Drop it; the next access simply forwards.
+				tr.Deleg = DelegNone
+				tr.Cacheable = false
+			}
+			fc.deleg = tr.Deleg
+		}
+		fc.noncacheable = !tr.Cacheable
+		fc.lastForward = now
 	}
-	return sc.adjustLocked(fh.Key(), a), true
+	for _, fh := range forwarded {
+		sc.record(fh.Key()).lastForward = now
+	}
 }
 
-func (sc *sessionCache) adjustLocked(key string, a nfs3.Fattr) nfs3.Fattr {
-	if fc, ok := sc.files[key]; ok && fc.localChange > 0 {
+// recall applies a delegation recall: the delegation is gone, grants stamped
+// at or before seq are fenced off, and the attributes must be revalidated.
+// Data blocks are kept; they are reconciled against the next server-observed
+// attributes. Recalls are precise — a destructive directory operation carries
+// the removed name and recalls the victim handle separately — so the named
+// binding goes and the directory's other dentries need no blanket flush.
+func (sc *sessionCache) recall(fh nfs3.FH, seq uint64, name string) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	fc := sc.record(fh.Key())
+	fc.deleg = DelegNone
+	fc.recallFence = max(fc.recallFence, seq)
+	sc.dropAttrLocked(fc)
+	sc.dropLookupLocked(fc.names[name])
+}
+
+// recallAll applies the loss of the proxy server's state (RECALL_ALL during
+// its reconstruction, Section 4.3.4) or of this proxy's own (crash recovery):
+// every cached attribute must be revalidated and every delegation is void. So
+// is every recall fence — the sequence they were stamped in died with the
+// server, and a fence kept across the restart would drop the new instance's
+// grants until its counter happened to pass it. With rebuild, files holding
+// locally modified data keep a write delegation, which the server's rebuild
+// re-establishes from the returned list.
+func (sc *sessionCache) recallAll(rebuild bool) []nfs3.FH {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.invalidateAllLocked()
+	for _, fc := range sc.files {
+		fc.recallFence = 0
+		fc.deleg = DelegNone
+		if rebuild && fc.ndirty > 0 {
+			fc.deleg = DelegWrite
+		}
+	}
+	return sc.dirtyFilesLocked()
+}
+
+// --- attributes -------------------------------------------------------------
+
+// attrLocked returns fc's valid cached attributes; fc may be nil.
+func (sc *sessionCache) attrLocked(fc *cachedFile) (nfs3.Fattr, bool) {
+	if fc == nil || !fc.attrLink.on() {
+		return nfs3.Fattr{}, false
+	}
+	sc.attrLRU.bump(&fc.attrLink)
+	return fc.attr, true
+}
+
+// setAttrLocked installs attributes on fc, evicting the least recently used
+// attributes when the cache is over its cap.
+func (sc *sessionCache) setAttrLocked(fc *cachedFile, a nfs3.Fattr) {
+	fc.attr, fc.fetched = a, sc.nowLocked()
+	sc.attrLRU.bump(&fc.attrLink)
+	for sc.pol.maxAttrs > 0 && sc.attrLRU.n > sc.pol.maxAttrs {
+		sc.attrLRU.remove(&sc.attrLRU.oldest().attrLink)
+		sc.met.evictions.Inc()
+	}
+}
+
+// dropAttrLocked invalidates fc's attributes. Whatever dropped them (GETINV,
+// recall, force-invalidate) may have moved EOF: the read stream restarts
+// against the revalidated size.
+func (sc *sessionCache) dropAttrLocked(fc *cachedFile) {
+	sc.attrLRU.remove(&fc.attrLink)
+	fc.stream = readStream{}
+}
+
+// adjust returns server attributes as the kernel client must see them: while
+// the file has buffered dirty data the size and a perturbed mtime make the
+// caller observe its own writes.
+func (fc *cachedFile) adjust(a nfs3.Fattr) nfs3.Fattr {
+	if fc.localChange > 0 {
 		a.Size = fc.size
 		a.Mtime.Nsec += fc.localChange
 	}
 	return a
+}
+
+// getAttr returns the cached attributes for fh, if valid, adjusted for
+// buffered writes — whether or not the model would let them be served.
+func (sc *sessionCache) getAttr(fh nfs3.FH) (nfs3.Fattr, bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	fc := sc.files[fh.Key()]
+	a, ok := sc.attrLocked(fc)
+	if !ok {
+		return nfs3.Fattr{}, false
+	}
+	return fc.adjust(a), true
+}
+
+// metaHit is what one pass through the cache tells a metadata request about a
+// handle it may answer locally: the attributes as getAttr returns them, when
+// the served state was fetched, and whether the file has buffered writes (the
+// staleness observatory skips those: the state served is this client's own).
+type metaHit struct {
+	attr  nfs3.Fattr
+	stamp time.Duration
+	dirty bool
+}
+
+// hitLocked is the decision behind every local metadata serve: fc (nil for an
+// unknown handle) has validly cached attributes and the model lets them be
+// served.
+func (sc *sessionCache) hitLocked(fc *cachedFile) (h metaHit, ok bool) {
+	if fc == nil || !sc.servableLocked(fc) {
+		return h, false
+	}
+	a, ok := sc.attrLocked(fc)
+	if !ok {
+		return h, false
+	}
+	return metaHit{attr: fc.adjust(a), stamp: fc.fetched, dirty: fc.ndirty > 0}, true
+}
+
+// attrHit answers GETATTR and ACCESS in one critical section.
+func (sc *sessionCache) attrHit(fh nfs3.FH) (metaHit, bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.hitLocked(sc.files[fh.Key()])
 }
 
 // putAttr installs server-observed attributes, reconciling the data cache:
@@ -310,14 +486,14 @@ func (sc *sessionCache) adjustLocked(key string, a nfs3.Fattr) nfs3.Fattr {
 func (sc *sessionCache) putAttr(fh nfs3.FH, a nfs3.Fattr) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	key := fh.Key()
-	if fc, ok := sc.files[key]; ok {
+	fc := sc.record(fh.Key())
+	if fc.blocks != nil {
 		sc.noteRecoveredLocked(fc, a.Mtime)
-		if old, cached := sc.attrs[key]; cached {
+		if fc.attrLink.on() {
 			switch st := &fc.stream; {
-			case a.Size < old.attr.Size:
+			case a.Size < fc.attr.Size:
 				*st = readStream{} // truncated: the stream restarts against the new EOF
-			case a.Size > old.attr.Size && st.frontier == streamDone:
+			case a.Size > fc.attr.Size && st.frontier == streamDone:
 				st.frontier = st.next // grown past the EOF prefetch stopped at: resume
 			}
 		}
@@ -334,19 +510,7 @@ func (sc *sessionCache) putAttr(fh nfs3.FH, a nfs3.Fattr) {
 		}
 		sc.persistMetaLocked(fc)
 	}
-	sc.setAttrLocked(key, a)
-}
-
-// invalidateAttr drops the attribute entry for fh, forcing revalidation on
-// next access. Data blocks are kept; they are reconciled against the next
-// server-observed attributes. This is the callback-recall channel: recalls
-// are precise — destructive directory operations carry the removed name and
-// recall the victim handle separately — so the file's dentries need no
-// blanket flush here.
-func (sc *sessionCache) invalidateAttr(fh nfs3.FH) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.delAttrLocked(fh.Key())
+	sc.setAttrLocked(fc, a)
 }
 
 // invalidateHandle serves the GETINV polling channel, which conveys only
@@ -354,32 +518,26 @@ func (sc *sessionCache) invalidateAttr(fh nfs3.FH) {
 // moved. So besides the attributes, a directory's dentries, negatives, and
 // cached listing are all flushed: any binding observed under the old
 // contents is suspect. The flush granularity matches the invalidation
-// channel's granularity.
+// channel's granularity. A handle the session has never seen has nothing to
+// invalidate and gains no record.
 func (sc *sessionCache) invalidateHandle(fh nfs3.FH) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	key := fh.Key()
-	sc.delAttrLocked(key)
-	sc.flushDirLocked(key)
+	if fc := sc.files[fh.Key()]; fc != nil {
+		sc.dropAttrLocked(fc)
+		sc.flushDirLocked(fc)
+	}
 }
 
 // flushDirLocked drops every dentry, negative entry, and cached listing
-// hanging off the directory key.
-func (sc *sessionCache) flushDirLocked(dirKey string) {
-	names := sc.dirNames[dirKey]
-	for name := range names {
-		lk := dirKey + "\x00" + name
-		delete(sc.lookups, lk)
-		sc.lookupLRU.remove(lk)
+// hanging off the directory.
+func (sc *sessionCache) flushDirLocked(fc *cachedFile) {
+	sc.met.dirFlushes.Add(int64(len(fc.names)))
+	for _, ent := range fc.names {
+		sc.lookupLRU.remove(&ent.link)
 	}
-	if n := len(names); n > 0 {
-		sc.met.dirFlush(int64(n))
-	}
-	delete(sc.dirNames, dirKey)
-	if _, ok := sc.listings[dirKey]; ok {
-		delete(sc.listings, dirKey)
-		sc.listLRU.remove(dirKey)
-	}
+	fc.names = nil
+	sc.dropListingLocked(fc)
 }
 
 // invalidateAllAttrs implements the force-invalidate flag: the entire
@@ -387,84 +545,85 @@ func (sc *sessionCache) flushDirLocked(dirKey string) {
 func (sc *sessionCache) invalidateAllAttrs() {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	sc.attrs = make(map[string]attrEnt)
-	sc.lookups = make(map[string]lookupEnt)
-	sc.listings = make(map[string]dirListing)
-	sc.dirNames = make(map[string]map[string]bool)
-	sc.attrLRU = newKeyLRU()
-	sc.lookupLRU = newKeyLRU()
-	sc.listLRU = newKeyLRU()
+	sc.invalidateAllLocked()
+}
+
+func (sc *sessionCache) invalidateAllLocked() {
 	for _, fc := range sc.files {
-		fc.stream = readStream{}
+		sc.dropAttrLocked(fc)
+		sc.dropListingLocked(fc)
+		fc.names = nil
 	}
+	sc.lookupLRU.init()
 }
 
-// forget removes every trace of fh (REMOVE, stale handle). Demand reads
-// parked on a prefetch of the file are released: the prefetch, when it
-// returns, finds no entry to clear and nobody to wake.
-func (sc *sessionCache) forget(fh nfs3.FH) {
-	sc.mu.Lock()
-	key := fh.Key()
-	sc.delAttrLocked(key)
-	sc.flushDirLocked(key)
-	var parked []*vclock.Waiter
-	if fc, ok := sc.files[key]; ok {
-		sc.dropCleanLocked(fc)
-		for _, ws := range fc.fetching {
-			parked = append(parked, ws...)
-		}
-		delete(sc.files, key)
-		if sc.persist != nil {
-			sc.persist.DropFile(key)
-		}
-	}
-	sc.mu.Unlock()
-	for _, w := range parked {
-		w.Wake()
-	}
-}
+// --- lookup cache and directory listings --------------------------------------
 
-// --- lookup cache -------------------------------------------------------
-
-func cacheLookupKey(dir nfs3.FH, name string) string { return dir.Key() + "\x00" + name }
-
-// getLookup returns a cached name resolution (possibly negative); it is
-// only valid while the directory's attributes are validly cached.
+// lookupLocked returns the cached resolution of name under the directory dfc
+// (possibly negative, possibly nil); it is only valid while the directory's
+// attributes are validly cached.
 //
 // Positive bindings additionally require the caller to hold valid cached
-// attributes for the child (checked at the serving site): per-file
-// invalidations cover every way a binding can break (REMOVE and RENAME
-// invalidate the victim's handle), so a directory mtime change alone —
-// e.g. an unrelated file created next to it — does not force re-lookups of
-// every name. Negative entries have no child to validate, so they are
-// additionally tagged with the directory mtime they were observed under and
-// die on any directory change.
+// attributes for the child: per-file invalidations cover every way a binding
+// can break (REMOVE and RENAME invalidate the victim's handle), so a directory
+// mtime change alone — e.g. an unrelated file created next to it — does not
+// force re-lookups of every name. Negative entries have no child to validate,
+// so they are additionally tagged with the directory mtime they were observed
+// under and die on any directory change.
+func (sc *sessionCache) lookupLocked(dfc *cachedFile, name string) *lookupEnt {
+	dirAttr, dirValid := sc.attrLocked(dfc)
+	if !dirValid {
+		return nil
+	}
+	ent := dfc.names[name]
+	if ent == nil || (ent.negative && ent.dirMtime != dirAttr.Mtime) {
+		return nil
+	}
+	sc.lookupLRU.bump(&ent.link)
+	return ent
+}
+
+// getLookup returns a cached name resolution (possibly negative), whether or
+// not the model would let it be served.
 func (sc *sessionCache) getLookup(dir nfs3.FH, name string) (fh nfs3.FH, negative, ok bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	dirAttr, dirValid := sc.attrLocked(dir.Key())
-	if !dirValid {
-		return nfs3.FH{}, false, false
+	if ent := sc.lookupLocked(sc.files[dir.Key()], name); ent != nil {
+		return ent.fh, ent.negative, true
 	}
-	lk := cacheLookupKey(dir, name)
-	ent, ok := sc.lookups[lk]
-	if !ok {
-		return nfs3.FH{}, false, false
+	return nfs3.FH{}, false, false
+}
+
+// nameHit is a LOOKUP answered in one pass: the directory's attributes and
+// either a cached NOENT (dir.stamp is then the negative entry's) or the child
+// handle with its attributes. Under the strong model the child's attributes —
+// and thus the binding's continued existence — are only trustworthy while a
+// delegation on the child is held, so both handles must be servable.
+type nameHit struct {
+	dir      metaHit
+	negative bool
+	fh       nfs3.FH
+	child    metaHit
+}
+
+func (sc *sessionCache) lookupHit(dir nfs3.FH, name string) (h nameHit, ok bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	dfc := sc.files[dir.Key()]
+	if h.dir, ok = sc.hitLocked(dfc); !ok {
+		return h, false
 	}
-	ttl := sc.pol.dentryTTL
+	ent := sc.lookupLocked(dfc, name)
+	if ent == nil {
+		return h, false
+	}
 	if ent.negative {
-		ttl = sc.pol.negTTL
+		h.negative, h.dir.stamp = true, ent.fetched
+		return h, true
 	}
-	if sc.expiredLocked(ent.fetched, ttl) {
-		sc.dropLookupKeyLocked(dir.Key(), name)
-		sc.met.expiry(1)
-		return nfs3.FH{}, false, false
-	}
-	if ent.negative && ent.dirMtime != dirAttr.Mtime {
-		return nfs3.FH{}, false, false
-	}
-	sc.lookupLRU.bump(lk)
-	return ent.fh, ent.negative, true
+	h.fh = ent.fh
+	h.child, ok = sc.hitLocked(sc.files[ent.fh.Key()])
+	return h, ok
 }
 
 // putLookup caches a resolution; fh zero with negative set records NOENT.
@@ -481,48 +640,42 @@ func (sc *sessionCache) putNegLookup(dir nfs3.FH, name string) {
 func (sc *sessionCache) putLookupEnt(dir nfs3.FH, name string, fh nfs3.FH, negative bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	dirKey := dir.Key()
-	dirAttr, dirValid := sc.attrLocked(dirKey)
+	dfc := sc.files[dir.Key()]
+	dirAttr, dirValid := sc.attrLocked(dfc)
 	if !dirValid {
 		return
 	}
-	lk := cacheLookupKey(dir, name)
-	sc.lookups[lk] = lookupEnt{
-		fh: fh, negative: negative, dirMtime: dirAttr.Mtime, fetched: sc.nowLocked(),
-	}
-	names := sc.dirNames[dirKey]
-	if names == nil {
-		names = make(map[string]bool)
-		sc.dirNames[dirKey] = names
-	}
-	names[name] = true
-	sc.lookupLRU.bump(lk)
-	for sc.pol.maxDentries > 0 && len(sc.lookups) > sc.pol.maxDentries {
-		victim, ok := sc.lookupLRU.evict()
-		if !ok {
-			break
+	ent := dfc.names[name]
+	if ent == nil {
+		ent = &lookupEnt{dir: dfc, name: name}
+		ent.link.of = ent
+		if dfc.names == nil {
+			dfc.names = make(map[string]*lookupEnt)
 		}
-		delete(sc.lookups, victim)
-		if d, n, split := splitLookupKey(victim); split {
-			if ns := sc.dirNames[d]; ns != nil {
-				delete(ns, n)
-				if len(ns) == 0 {
-					delete(sc.dirNames, d)
-				}
-			}
-		}
-		sc.met.eviction(1)
+		dfc.names[name] = ent
+	}
+	ent.fh, ent.negative, ent.dirMtime, ent.fetched = fh, negative, dirAttr.Mtime, sc.nowLocked()
+	sc.lookupLRU.bump(&ent.link)
+	for sc.pol.maxDentries > 0 && sc.lookupLRU.n > sc.pol.maxDentries {
+		sc.dropLookupLocked(sc.lookupLRU.oldest())
+		sc.met.evictions.Inc()
 	}
 }
 
-// splitLookupKey recovers (dir key, name) from a lookup cache key.
-func splitLookupKey(lk string) (dirKey, name string, ok bool) {
-	for i := len(lk) - 1; i >= 0; i-- {
-		if lk[i] == 0 {
-			return lk[:i], lk[i+1:], true
-		}
+func (sc *sessionCache) dropLookup(dir nfs3.FH, name string) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if dfc := sc.files[dir.Key()]; dfc != nil {
+		sc.dropLookupLocked(dfc.names[name])
 	}
-	return "", "", false
+}
+
+// dropLookupLocked removes one resolution (nil: there is none).
+func (sc *sessionCache) dropLookupLocked(ent *lookupEnt) {
+	if ent != nil {
+		sc.lookupLRU.remove(&ent.link)
+		delete(ent.dir.names, ent.name)
+	}
 }
 
 // putDirListing caches a complete directory listing observed alongside the
@@ -530,75 +683,39 @@ func splitLookupKey(lk string) (dirKey, name string, ok bool) {
 func (sc *sessionCache) putDirListing(dir nfs3.FH, entries []nfs3.DirEntry) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	dirKey := dir.Key()
-	dirAttr, ok := sc.attrLocked(dirKey)
+	fc := sc.files[dir.Key()]
+	dirAttr, ok := sc.attrLocked(fc)
 	if !ok {
 		return
 	}
-	cp := make([]nfs3.DirEntry, len(entries))
-	copy(cp, entries)
-	sc.listings[dirKey] = dirListing{entries: cp, dirMtime: dirAttr.Mtime}
-	sc.listLRU.bump(dirKey)
-	for sc.pol.maxListings > 0 && len(sc.listings) > sc.pol.maxListings {
-		victim, ok := sc.listLRU.evict()
-		if !ok {
-			break
-		}
-		delete(sc.listings, victim)
-		sc.met.eviction(1)
+	fc.listing, fc.listMtime = slices.Clone(entries), dirAttr.Mtime
+	sc.listLRU.bump(&fc.listLink)
+	for sc.pol.maxListings > 0 && sc.listLRU.n > sc.pol.maxListings {
+		sc.dropListingLocked(sc.listLRU.oldest())
+		sc.met.evictions.Inc()
 	}
 }
 
-// getDirListing returns the cached complete listing if it is still coherent
-// with the cached directory attributes.
-func (sc *sessionCache) getDirListing(dir nfs3.FH) ([]nfs3.DirEntry, bool) {
+func (sc *sessionCache) dropListingLocked(fc *cachedFile) {
+	sc.listLRU.remove(&fc.listLink)
+	fc.listing = nil
+}
+
+// listingHit answers a READDIR from the cached complete listing, if the model
+// lets the directory be served and the listing is still coherent with its
+// cached attributes.
+func (sc *sessionCache) listingHit(dir nfs3.FH) (entries []nfs3.DirEntry, h metaHit, ok bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	dirKey := dir.Key()
-	dirAttr, ok := sc.attrLocked(dirKey)
-	if !ok {
-		return nil, false
+	fc := sc.files[dir.Key()]
+	if h, ok = sc.hitLocked(fc); !ok || !fc.listLink.on() || fc.listMtime != fc.attr.Mtime {
+		return nil, h, false
 	}
-	l, ok := sc.listings[dirKey]
-	if !ok || l.dirMtime != dirAttr.Mtime {
-		return nil, false
-	}
-	sc.listLRU.bump(dirKey)
-	return l.entries, true
-}
-
-func (sc *sessionCache) dropLookup(dir nfs3.FH, name string) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.dropLookupKeyLocked(dir.Key(), name)
-}
-
-func (sc *sessionCache) dropLookupKeyLocked(dirKey, name string) {
-	lk := dirKey + "\x00" + name
-	delete(sc.lookups, lk)
-	sc.lookupLRU.remove(lk)
-	if ns := sc.dirNames[dirKey]; ns != nil {
-		delete(ns, name)
-		if len(ns) == 0 {
-			delete(sc.dirNames, dirKey)
-		}
-	}
+	sc.listLRU.bump(&fc.listLink)
+	return fc.listing, h, true
 }
 
 // --- data blocks ----------------------------------------------------------
-
-func (sc *sessionCache) fileFor(key string) *cachedFile {
-	fc, ok := sc.files[key]
-	if !ok {
-		fc = &cachedFile{
-			key:      key,
-			blocks:   make(map[uint64]*cachedBlock),
-			fetching: make(map[uint64][]*vclock.Waiter),
-		}
-		sc.files[key] = fc
-	}
-	return fc
-}
 
 // blockFor returns the file's record for block bn, a new empty one if the
 // cache does not hold the block yet.
@@ -606,6 +723,7 @@ func (fc *cachedFile) blockFor(bn uint64) *cachedBlock {
 	blk := fc.blocks[bn]
 	if blk == nil {
 		blk = &cachedBlock{fc: fc, bn: bn}
+		blk.link.of = blk
 		fc.blocks[bn] = blk
 	}
 	return blk
@@ -639,32 +757,29 @@ func (sc *sessionCache) getBlock(fh nfs3.FH, bn uint64) ([]byte, bool) {
 }
 
 // blockHit is what one pass through the cache tells a READ about a block it
-// holds: the bytes, when they entered the cache, the file's attributes as
-// getAttr would return them (attrOK false: not validly cached), and whether
-// the file has buffered writes.
+// may serve: the bytes, and the file's metaHit with the stamp of the block
+// rather than of the attributes.
 type blockHit struct {
-	data   []byte
-	stamp  time.Duration
-	attr   nfs3.Fattr
-	attrOK bool
-	dirty  bool
+	data []byte
+	metaHit
 }
 
-// readHit is getBlock, getAttr and hasDirty in one critical section: the warm
-// READ path crosses the cache mutex once.
+// readHit answers a READ of one block in one critical section: the cache holds
+// the block, the file's attributes are validly cached, and either the model
+// lets the file be served or it has buffered writes — dirty blocks are always
+// ours to serve.
 func (sc *sessionCache) readHit(fh nfs3.FH, bn uint64) (h blockHit, ok bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	key := fh.Key()
-	fc, blk := sc.blockLocked(key, bn)
+	fc, blk := sc.blockLocked(fh.Key(), bn)
 	if blk == nil {
 		return h, false
 	}
-	h = blockHit{data: blk.data, stamp: blk.stamp, dirty: fc.ndirty > 0}
-	if h.attr, h.attrOK = sc.attrLocked(key); h.attrOK {
-		h.attr = sc.adjustLocked(key, h.attr)
+	a, ok := sc.attrLocked(fc)
+	if !ok || !(sc.servableLocked(fc) || fc.ndirty > 0) {
+		return h, false
 	}
-	return h, true
+	return blockHit{blk.data, metaHit{attr: fc.adjust(a), stamp: blk.stamp, dirty: fc.ndirty > 0}}, true
 }
 
 // putCleanBlock caches data a demand READ fetched from the server for
@@ -693,7 +808,7 @@ func (sc *sessionCache) putBlock(fh nfs3.FH, bn uint64, data []byte, attr nfs3.F
 	sc.dropUnreadLocked(blk)
 	if blk.dirty {
 		if prefetched {
-			sc.met.wasted(1)
+			sc.met.raWasted.Inc()
 		}
 		return // never overwrite dirty data with server state
 	}
@@ -718,33 +833,8 @@ func (sc *sessionCache) putBlock(fh nfs3.FH, bn uint64, data []byte, attr nfs3.F
 func (sc *sessionCache) dropUnreadLocked(blk *cachedBlock) {
 	if blk.unread {
 		blk.unread = false
-		sc.met.wasted(1)
+		sc.met.raWasted.Inc()
 	}
-}
-
-// --- fetch stamps (staleness observatory) ---------------------------------
-//
-// The observatory measures a cache hit's age from the virtual time its bytes
-// entered the cache. Attribute and lookup entries already carry fetch stamps
-// for the TTL policy; a block's is in its record and comes back with readHit.
-// The getters are ok=false when the entry is absent — the caller then skips
-// the observe rather than inventing an age.
-
-// attrStamp reports when fh's cached attributes were fetched.
-func (sc *sessionCache) attrStamp(fh nfs3.FH) (time.Duration, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	ent, ok := sc.attrs[fh.Key()]
-	return ent.fetched, ok
-}
-
-// lookupStamp reports when the cached resolution of name under dir was
-// fetched.
-func (sc *sessionCache) lookupStamp(dir nfs3.FH, name string) (time.Duration, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	ent, ok := sc.lookups[cacheLookupKey(dir, name)]
-	return ent.fetched, ok
 }
 
 // updateAfterWrite reconciles the cache with a forwarded WRITE's reply,
@@ -757,9 +847,9 @@ func (sc *sessionCache) updateAfterWrite(fh nfs3.FH, wcc nfs3.WccData) {
 	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	key := fh.Key()
 	after := wcc.After.Attr
-	if fc, ok := sc.files[key]; ok {
+	fc := sc.record(fh.Key())
+	if fc.blocks != nil {
 		if wcc.Before.Present {
 			// The pre-op mtime is the server state the surviving clean blocks
 			// are judged against: unchanged since the crash means revalidated.
@@ -777,12 +867,27 @@ func (sc *sessionCache) updateAfterWrite(fh nfs3.FH, wcc nfs3.WccData) {
 		}
 		sc.persistMetaLocked(fc)
 	}
-	sc.setAttrLocked(key, after)
+	sc.setAttrLocked(fc, after)
+}
+
+// absorbable reports whether a WRITE to fh may be buffered locally — the
+// session writes back or holds a write delegation, the handle is cacheable and
+// its attributes are validly cached — returning them as getAttr does.
+func (sc *sessionCache) absorbable(fh nfs3.FH) (nfs3.Fattr, bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	fc := sc.files[fh.Key()]
+	if fc == nil || fc.noncacheable || !(sc.pol.writeBack || fc.deleg == DelegWrite) {
+		return nfs3.Fattr{}, false
+	}
+	a, ok := sc.attrLocked(fc)
+	return fc.adjust(a), ok
 }
 
 // writeDirty buffers a write locally (write-back / write delegation),
-// returning the resulting file size.
-func (sc *sessionCache) writeDirty(fh nfs3.FH, off uint64, data []byte) uint64 {
+// returning the file's attributes as the writer must now see them (zero if
+// they are no longer validly cached).
+func (sc *sessionCache) writeDirty(fh nfs3.FH, off uint64, data []byte) nfs3.Fattr {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	key := fh.Key()
@@ -819,7 +924,10 @@ func (sc *sessionCache) writeDirty(fh nfs3.FH, off uint64, data []byte) uint64 {
 	}
 	fc.localChange++
 	sc.persistMetaLocked(fc)
-	return fc.size
+	if a, ok := sc.attrLocked(fc); ok {
+		return fc.adjust(a)
+	}
+	return nfs3.Fattr{}
 }
 
 // dirtyBlocksLocked returns the sorted dirty block numbers of fc.
@@ -838,7 +946,7 @@ func (fc *cachedFile) dirtyBlocksLocked() []uint64 {
 func (sc *sessionCache) dirtyBlocks(fh nfs3.FH) []uint64 {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if fc, ok := sc.files[fh.Key()]; ok {
+	if fc := sc.files[fh.Key()]; fc != nil {
 		return fc.dirtyBlocksLocked()
 	}
 	return nil
@@ -850,6 +958,10 @@ func (sc *sessionCache) dirtyBlocks(fh nfs3.FH) []uint64 {
 func (sc *sessionCache) dirtyFiles() []nfs3.FH {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	return sc.dirtyFilesLocked()
+}
+
+func (sc *sessionCache) dirtyFilesLocked() []nfs3.FH {
 	keys := make([]string, 0, len(sc.files))
 	for key, fc := range sc.files {
 		if fc.ndirty > 0 {
@@ -902,8 +1014,8 @@ func (sc *sessionCache) runLocked(fc *cachedFile, bn uint64, maxBytes int) (n in
 func (sc *sessionCache) flushStarts(fh nfs3.FH, maxBytes int) []uint64 {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc, ok := sc.files[fh.Key()]
-	if !ok {
+	fc := sc.files[fh.Key()]
+	if fc == nil {
 		return nil
 	}
 	dirty := fc.dirtyBlocksLocked()
@@ -927,8 +1039,8 @@ func (sc *sessionCache) flushStarts(fh nfs3.FH, maxBytes int) []uint64 {
 func (sc *sessionCache) takeDirtyRun(fh nfs3.FH, bn uint64, maxBytes int) (data []byte, off uint64, bns, gens []uint64, ok bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc, exists := sc.files[fh.Key()]
-	if !exists {
+	fc := sc.dataFor(fh.Key())
+	if fc == nil {
 		return nil, 0, nil, nil, false
 	}
 	n, total := sc.runLocked(fc, bn, maxBytes)
@@ -955,13 +1067,14 @@ func (sc *sessionCache) takeDirtyRun(fh nfs3.FH, bn uint64, maxBytes int) (data 
 }
 
 // endFlush ends the in-flight WRITE of a run takeDirtyRun handed out (success
-// or failure).
-func (sc *sessionCache) endFlush(fh nfs3.FH, bns []uint64) {
+// or failure) and hands back, to be woken, the actors waiting out the file's
+// write-back: each looks again and parks again if more is in flight.
+func (sc *sessionCache) endFlush(fh nfs3.FH, bns []uint64) []*vclock.Waiter {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc, ok := sc.files[fh.Key()]
-	if !ok {
-		return
+	fc := sc.dataFor(fh.Key())
+	if fc == nil {
+		return nil
 	}
 	for _, bn := range bns {
 		if blk := fc.blocks[bn]; blk != nil {
@@ -973,14 +1086,25 @@ func (sc *sessionCache) endFlush(fh nfs3.FH, bns []uint64) {
 	if fc.inflight -= len(bns); fc.inflight <= 0 {
 		fc.inflight, fc.fenced = 0, false
 	}
+	ws := fc.flushWait
+	fc.flushWait = nil
+	return ws
 }
 
-// flushInFlight reports whether any flush of fh is still in flight.
-func (sc *sessionCache) flushInFlight(fh nfs3.FH) bool {
+// awaitFlushIdle parks a new waiter on fh's in-flight write-back and returns
+// it, in the same critical section that saw the write-back in flight, so the
+// endFlush that ends it cannot be missed. nil: nothing is in flight (the
+// common case allocates no waiter).
+func (sc *sessionCache) awaitFlushIdle(fh nfs3.FH, clk *vclock.Clock) *vclock.Waiter {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc, ok := sc.files[fh.Key()]
-	return ok && fc.inflight > 0
+	fc := sc.files[fh.Key()]
+	if fc == nil || fc.inflight == 0 {
+		return nil
+	}
+	w := clk.NewWaiter()
+	fc.flushWait = append(fc.flushWait, w)
+	return w
 }
 
 // flushed marks a dirty block clean after its WRITE succeeded, adopting the
@@ -995,8 +1119,8 @@ func (sc *sessionCache) flushed(fh nfs3.FH, bn uint64, gen uint64, wcc nfs3.WccD
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	key := fh.Key()
-	fc, exists := sc.files[key]
-	if !exists {
+	fc := sc.dataFor(key)
+	if fc == nil {
 		return
 	}
 	blk := fc.blocks[bn]
@@ -1036,7 +1160,7 @@ func (sc *sessionCache) flushed(fh nfs3.FH, bn uint64, gen uint64, wcc nfs3.WccD
 			fc.localChange = 0
 			fc.size = after.Attr.Size
 		}
-		sc.setAttrLocked(key, after.Attr)
+		sc.setAttrLocked(fc, after.Attr)
 	}
 	sc.persistMetaLocked(fc)
 	sc.evictLocked()
@@ -1067,32 +1191,40 @@ const (
 	// commitPending: blocks are still dirty or in flight (upstream
 	// unreachable, or written again under the flush); the client retries.
 	commitPending
+	// commitFlush: the file has buffered writes the caller has not flushed
+	// yet; it flushes, waits the write-back out and asks again.
+	commitFlush
 )
 
-// settleCommit decides how a COMMIT of fh is answered, after the caller has
-// flushed the file and waited its write-back out. A loss is reported once.
-// With a forward verdict comes the number of unstable WRITE replies the
-// COMMIT will cover if it succeeds (commitCovered): one that arrives while
-// the COMMIT is in flight is not among them, and makes the next COMMIT cross
-// as well.
-func (sc *sessionCache) settleCommit(fh nfs3.FH) (v commitVerdict, attr nfs3.Fattr, unstable int) {
+// settleCommit decides how a COMMIT of fh is answered; flushed says the caller
+// has flushed the file and waited its write-back out (a file with nothing
+// buffered needs neither, and is settled in this one pass). A loss is reported
+// once. A local verdict means the model lets the cached post-flush attributes
+// be served, and carries them. With a forward verdict comes the number of
+// unstable WRITE replies the COMMIT will cover if it succeeds (commitCovered):
+// one that arrives while the COMMIT is in flight is not among them, and makes
+// the next COMMIT cross as well.
+func (sc *sessionCache) settleCommit(fh nfs3.FH, flushed bool) (v commitVerdict, h metaHit, unstable int) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	key := fh.Key()
-	fc, ok := sc.files[key]
+	fc := sc.dataFor(fh.Key())
 	switch {
-	case !ok:
-		return commitForward, attr, 0
+	case fc == nil:
+		return commitForward, h, 0
+	case fc.ndirty > 0 && !flushed:
+		return commitFlush, h, 0
 	case fc.lost:
 		fc.lost = false
-		return commitLost, attr, 0
+		return commitLost, h, 0
 	case fc.ndirty > 0 || fc.inflight > 0:
-		return commitPending, attr, 0
+		return commitPending, h, 0
+	case fc.unstable > 0:
+		return commitForward, h, fc.unstable
 	}
-	if attr, ok = sc.attrLocked(key); !ok || fc.unstable > 0 {
-		return commitForward, attr, fc.unstable
+	if h, ok := sc.hitLocked(fc); ok {
+		return commitLocal, h, 0
 	}
-	return commitLocal, attr, 0
+	return commitForward, h, 0
 }
 
 // commitCovered records that a forwarded COMMIT of fh succeeded: the n
@@ -1100,7 +1232,7 @@ func (sc *sessionCache) settleCommit(fh nfs3.FH) (v commitVerdict, attr nfs3.Fat
 func (sc *sessionCache) commitCovered(fh nfs3.FH, n int) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if fc, ok := sc.files[fh.Key()]; ok {
+	if fc := sc.files[fh.Key()]; fc != nil {
 		fc.unstable = max(fc.unstable-n, 0)
 	}
 }
@@ -1109,8 +1241,8 @@ func (sc *sessionCache) commitCovered(fh nfs3.FH, n int) {
 func (sc *sessionCache) hasDirty(fh nfs3.FH) bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc, ok := sc.files[fh.Key()]
-	return ok && fc.ndirty > 0
+	fc := sc.files[fh.Key()]
+	return fc != nil && fc.ndirty > 0
 }
 
 // dropDirty abandons dirty data the kernel client no longer wants (file
@@ -1126,8 +1258,8 @@ func (sc *sessionCache) loseDirty(fh nfs3.FH) { sc.discardDirty(fh, true) }
 func (sc *sessionCache) discardDirty(fh nfs3.FH, lost bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc, ok := sc.files[fh.Key()]
-	if !ok {
+	fc := sc.dataFor(fh.Key())
+	if fc == nil {
 		return
 	}
 	if lost && fc.ndirty > 0 {
@@ -1174,95 +1306,80 @@ func (sc *sessionCache) evictLocked() {
 	}
 }
 
-// stats snapshot for instrumentation.
-type cacheStats struct {
-	Attrs   int
-	Lookups int
-	Files   int
-	Bytes   int64
-}
-
-func (sc *sessionCache) stats() cacheStats {
+// stats reports occupancy for instrumentation: records with valid attributes,
+// cached name resolutions, records the data path has touched, and clean bytes.
+func (sc *sessionCache) stats() (attrs, lookups, files int, bytes int64) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return cacheStats{Attrs: len(sc.attrs), Lookups: len(sc.lookups), Files: len(sc.files), Bytes: sc.lru.bytes}
+	for _, fc := range sc.files {
+		if fc.blocks != nil {
+			files++
+		}
+	}
+	return sc.attrLRU.n, sc.lookupLRU.n, files, sc.lru.bytes
 }
 
-// --- byte-bounded LRU over clean blocks ----------------------------------
+// --- LRUs ------------------------------------------------------------------
 
-// lruList threads the clean block records themselves into a ring around
-// head: head.next is the most recently used block, head.prev the next to be
-// evicted. A record off the list has nil links.
+// link threads the entry that embeds it into one LRU ring; off the ring its
+// pointers are nil. of points back at the entry.
+type link[T any] struct {
+	prev, next *link[T]
+	of         *T
+}
+
+func (k *link[T]) on() bool { return k.next != nil }
+
+// ring is an intrusive LRU: the cached entries themselves are threaded around
+// head, head.next the most recently used, head.prev the next to be evicted. n
+// counts them.
+type ring[T any] struct {
+	head link[T]
+	n    int
+}
+
+func (l *ring[T]) init() { l.head.prev, l.head.next, l.n = &l.head, &l.head, 0 }
+
+// bump puts k at the front, whether or not it was on the ring.
+func (l *ring[T]) bump(k *link[T]) {
+	l.remove(k)
+	k.prev, k.next = &l.head, l.head.next
+	k.prev.next, k.next.prev = k, k
+	l.n++
+}
+
+// remove takes k off the ring if it is on it.
+func (l *ring[T]) remove(k *link[T]) {
+	if k.next == nil {
+		return
+	}
+	k.prev.next, k.next.prev = k.next, k.prev
+	k.prev, k.next = nil, nil
+	l.n--
+}
+
+// oldest returns the entry next to be evicted, nil when the ring is empty
+// (head belongs to no entry).
+func (l *ring[T]) oldest() *T { return l.head.prev.of }
+
+// lruList is the byte-bounded ring of clean blocks. A block's data may only
+// be replaced while it is off.
 type lruList struct {
-	head  cachedBlock
+	ring[cachedBlock]
 	bytes int64
 }
 
 // add puts blk at the front, whether or not it was on the list.
 func (l *lruList) add(blk *cachedBlock) {
 	l.remove(blk)
-	blk.prev, blk.next = &l.head, l.head.next
-	blk.prev.next, blk.next.prev = blk, blk
+	l.bump(&blk.link)
 	l.bytes += int64(len(blk.data))
 }
 
-// oldest returns the block next to be evicted, nil when the list is empty.
-func (l *lruList) oldest() *cachedBlock {
-	if l.head.prev == &l.head {
-		return nil
-	}
-	return l.head.prev
-}
-
-// remove takes blk off the list if it is on it. A block's data may only be
-// replaced while it is off.
+// remove takes blk off the list if it is on it.
 func (l *lruList) remove(blk *cachedBlock) {
-	if blk.next == nil {
-		return
+	if blk.link.on() {
+		l.ring.remove(&blk.link)
+		l.bytes -= int64(len(blk.data))
 	}
-	blk.prev.next, blk.next.prev = blk.next, blk.prev
-	blk.prev, blk.next = nil, nil
-	l.bytes -= int64(len(blk.data))
-}
-
-// --- entry-count LRU over string-keyed metadata caches --------------------
-
-// keyLRU orders string keys by recency for the metadata caches' capacity
-// eviction. Unlike lruList it counts entries, not bytes: metadata records
-// are small and uniform.
-type keyLRU struct {
-	order *list.List
-	index map[string]*list.Element
-}
-
-func newKeyLRU() *keyLRU {
-	return &keyLRU{order: list.New(), index: make(map[string]*list.Element)}
-}
-
-// bump inserts key at the front, or moves an existing key there.
-func (l *keyLRU) bump(key string) {
-	if el, ok := l.index[key]; ok {
-		l.order.MoveToFront(el)
-		return
-	}
-	l.index[key] = l.order.PushFront(key)
-}
-
-func (l *keyLRU) remove(key string) {
-	if el, ok := l.index[key]; ok {
-		l.order.Remove(el)
-		delete(l.index, key)
-	}
-}
-
-// evict removes and returns the least recently used key.
-func (l *keyLRU) evict() (string, bool) {
-	el := l.order.Back()
-	if el == nil {
-		return "", false
-	}
-	key := el.Value.(string)
-	l.order.Remove(el)
-	delete(l.index, key)
-	return key, true
 }

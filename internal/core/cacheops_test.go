@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/nfs3"
+	"repro/internal/vclock"
 )
 
 // mirrorBlock is one block as the fake disk store saw it last.
@@ -57,20 +59,26 @@ const (
 	opsBlocks = 8
 )
 
+// opsNames are the names the driver binds under its handles.
+var opsNames = []string{"a", "b", "c", "d", "e"}
+
 // inflightRun is a run the driver took and has not ended yet.
 type inflightRun struct {
 	fh        nfs3.FH
 	bns, gens []uint64
 }
 
-// runCacheOps decodes ops into sessionCache operations — every way a block
-// enters, changes state in, or leaves the cache — and checks the cache's
-// structural invariants after each one.
+// runCacheOps decodes ops into sessionCache operations — every way a block,
+// a handle's attributes, names, listing or protocol state enters, changes
+// state in, or leaves the cache — and checks the cache's structural invariants
+// after each one. The metadata caps are small enough to be reached.
 func runCacheOps(t *testing.T, ops []byte) {
 	t.Helper()
 	sc := newSessionCache(opsBS, opsBudget)
 	var tick time.Duration
-	sc.setMetaPolicy(func() time.Duration { tick++; return tick }, metaPolicy{}, nil)
+	pol := cachePolicy{model: ModelDelegation, delegRenew: 50, maxAttrs: 2, maxDentries: 3, maxListings: 1}
+	sc.setPolicy(func() time.Duration { tick++; return tick }, pol, cacheCounters{})
+	clk := vclock.NewVirtual()
 	mirror := fakePersister{}
 	sc.setPersister(mirror, recoveryCounters{})
 
@@ -89,7 +97,7 @@ func runCacheOps(t *testing.T, ops []byte) {
 	// such a handle — dead upstream — is not held to the invariant.
 	stale := map[string]bool{}
 	for step := 0; len(ops) > 0; step++ {
-		op := next() % 14
+		op := next() % 20
 		fh := fhN(uint64(1 + next()%opsFiles))
 		bn := uint64(next() % opsBlocks)
 		arg := next()
@@ -130,17 +138,21 @@ func runCacheOps(t *testing.T, ops []byte) {
 			case 5:
 				sc.loseDirty(r.fh)
 			}
-			sc.endFlush(r.fh, r.bns)
+			for _, w := range sc.endFlush(r.fh, r.bns) {
+				w.Wake()
+			}
 		case 7:
 			sc.dropDirty(fh)
 		case 8:
-			switch arg % 3 {
+			switch arg % 4 {
 			case 0:
-				sc.invalidateAttr(fh)
+				sc.recall(fh, uint64(arg), opsNames[arg%len(opsNames)])
 			case 1:
 				sc.invalidateHandle(fh)
 			case 2:
 				sc.invalidateAllAttrs()
+			case 3:
+				sc.recallAll(arg%8 < 4)
 			}
 		case 9:
 			sc.forget(fh)
@@ -151,8 +163,12 @@ func runCacheOps(t *testing.T, ops []byte) {
 			}
 		case 10: // server attributes: the same mtime, or a foreign change
 			sc.putAttr(fh, attr)
-		case 11:
+		case 11: // every local serve
 			sc.readHit(fh, bn)
+			sc.attrHit(fh)
+			sc.listingHit(fh)
+			sc.lookupHit(fh, opsNames[arg%len(opsNames)])
+			sc.absorbable(fh)
 		case 12: // a truncation behind the flusher's back
 			if fc := sc.files[fh.Key()]; fc != nil {
 				fc.size = bn * opsBS
@@ -172,6 +188,31 @@ func runCacheOps(t *testing.T, ops []byte) {
 					}
 				}
 			}
+		case 14: // a name under the handle: a binding, a NOENT, or gone again
+			name := opsNames[arg%len(opsNames)]
+			switch arg % 3 {
+			case 0:
+				sc.putLookup(fh, name, fhN(uint64(1+bn%opsFiles)))
+			case 1:
+				sc.putNegLookup(fh, name)
+			case 2:
+				sc.dropLookup(fh, name)
+			}
+		case 15:
+			sc.putDirListing(fh, []nfs3.DirEntry{{Name: opsNames[arg%len(opsNames)]}})
+		case 16: // a reply's trailer: a grant (possibly stale), or a non-cacheable verdict
+			sc.applyReply(Trailers{{FH: fh, Deleg: DelegType(arg % 3), Cacheable: arg%5 != 0, Seq: uint64(arg)}}, nil)
+		case 17:
+			sc.applyReply(nil, []nfs3.FH{fh})
+		case 18: // an actor waits out the file's write-back
+			if w := sc.awaitFlushIdle(fh, clk); w != nil {
+				if fc := sc.files[fh.Key()]; fc == nil || fc.inflight == 0 {
+					t.Fatalf("step %d: parked on %s with nothing in flight", step, fh)
+				}
+			}
+		case 19:
+			sc.commitCovered(fh, arg%2)
+			sc.settleCommit(fh, arg%2 == 0)
 		}
 		if err := checkCacheInvariants(sc, mirror, runs, stale); err != nil {
 			t.Fatalf("step %d (op %d, file %s, block %d, arg %d): %v", step, op, fh, bn, arg, err)
@@ -195,10 +236,33 @@ func checkCacheInvariants(sc *sessionCache, mirror fakePersister, runs []infligh
 		}
 	}
 	var cleanBytes int64
-	clean := 0
+	clean, withAttrs, withListing, indexed := 0, 0, 0, 0
 	for key, fc := range sc.files {
 		if fc.key != key {
 			return fmt.Errorf("file %q filed under %q", fc.key, key)
+		}
+		if fc.attrLink.of != fc || fc.listLink.of != fc {
+			return fmt.Errorf("%q: LRU links belong to another record", key)
+		}
+		if fc.attrLink.on() {
+			withAttrs++
+		}
+		if fc.listLink.on() {
+			withListing++
+		} else if fc.listing != nil {
+			return fmt.Errorf("%q: listing held off the listing LRU", key)
+		}
+		for name, ent := range fc.names {
+			indexed++
+			if ent.dir != fc || ent.name != name || ent.link.of != ent {
+				return fmt.Errorf("%q holds %q's resolution under %q", key, ent.name, name)
+			}
+		}
+		if fc.inflight == 0 && len(fc.flushWait) > 0 {
+			return fmt.Errorf("%q: %d flush waiters parked with nothing in flight", key, len(fc.flushWait))
+		}
+		if sc.pol.model != ModelDelegation && fc.deleg != DelegNone {
+			return fmt.Errorf("%q: delegation %v held outside the delegation model", key, fc.deleg)
 		}
 		dirty, marked := 0, 0
 		for bn, blk := range fc.blocks {
@@ -208,7 +272,7 @@ func checkCacheInvariants(sc *sessionCache, mirror fakePersister, runs []infligh
 			if blk.gen > fc.wseq {
 				return fmt.Errorf("%q/%d: generation %d above the file's write sequence %d", key, bn, blk.gen, fc.wseq)
 			}
-			if onLRU := blk.next != nil; onLRU == blk.dirty {
+			if onLRU := blk.link.on(); onLRU == blk.dirty {
 				return fmt.Errorf("%q/%d: dirty=%v, on the LRU=%v", key, bn, blk.dirty, onLRU)
 			}
 			if blk.dirty {
@@ -249,18 +313,55 @@ func checkCacheInvariants(sc *sessionCache, mirror fakePersister, runs []infligh
 			return fmt.Errorf("mirror keeps %q, which the cache forgot", key)
 		}
 	}
-	// The LRU ring is exactly the clean blocks, and its byte count theirs.
-	ring := 0
-	for blk := sc.lru.head.next; blk != &sc.lru.head; blk = blk.next {
-		if blk.next.prev != blk || blk.dirty || blk.fc.blocks[blk.bn] != blk || sc.files[blk.fc.key] != blk.fc {
-			return fmt.Errorf("LRU ring broken or holding a block the cache does not (%q/%d)", blk.fc.key, blk.bn)
+	if sc.lru.bytes != cleanBytes || cleanBytes > opsBudget {
+		return fmt.Errorf("LRU counts %d bytes; the cache holds %d clean bytes (budget %d)", sc.lru.bytes, cleanBytes, opsBudget)
+	}
+	// Each ring threads exactly the entries holding its part — so nothing
+	// forgotten is reachable from one — within its cap.
+	return errors.Join(
+		checkRing("block", &sc.lru.ring, clean, clean, func(blk *cachedBlock) *link[cachedBlock] {
+			if blk.dirty || blk.fc.blocks[blk.bn] != blk || sc.files[blk.fc.key] != blk.fc {
+				return nil
+			}
+			return &blk.link
+		}),
+		checkRing("attribute", &sc.attrLRU, withAttrs, sc.pol.maxAttrs, func(fc *cachedFile) *link[cachedFile] {
+			if sc.files[fc.key] != fc {
+				return nil
+			}
+			return &fc.attrLink
+		}),
+		checkRing("listing", &sc.listLRU, withListing, sc.pol.maxListings, func(fc *cachedFile) *link[cachedFile] {
+			if sc.files[fc.key] != fc {
+				return nil
+			}
+			return &fc.listLink
+		}),
+		checkRing("lookup", &sc.lookupLRU, indexed, sc.pol.maxDentries, func(ent *lookupEnt) *link[lookupEnt] {
+			if sc.files[ent.dir.key] != ent.dir || ent.dir.names[ent.name] != ent {
+				return nil
+			}
+			return &ent.link
+		}),
+	)
+}
+
+// checkRing walks an LRU ring: it must thread exactly want entries, count as
+// many, stay within most, and hold only entries the cache still holds — held
+// returns the link the entry should be on the ring by, nil if the cache does
+// not hold it.
+func checkRing[T any](name string, r *ring[T], want, most int, held func(*T) *link[T]) error {
+	n := 0
+	for k := r.head.next; k != &r.head; k = k.next {
+		if k.next.prev != k || k.of == nil || held(k.of) != k {
+			return fmt.Errorf("%s LRU broken or holding an entry the cache does not", name)
 		}
-		if ring++; ring > clean {
+		if n++; n > want {
 			break
 		}
 	}
-	if ring != clean || sc.lru.bytes != cleanBytes || cleanBytes > opsBudget {
-		return fmt.Errorf("LRU has %d blocks / %d bytes; the cache holds %d clean blocks / %d bytes (budget %d)", ring, sc.lru.bytes, clean, cleanBytes, opsBudget)
+	if n != want || r.n != want || want > most {
+		return fmt.Errorf("%s LRU threads %d entries and counts %d; the cache holds %d (cap %d)", name, n, r.n, want, most)
 	}
 	return nil
 }

@@ -63,8 +63,8 @@ func (sc *sessionCache) adoptRecovered(files map[string]*diskcache.FileState) {
 		// the file's first COMMIT crosses the wide area.
 		fc.unstable = 1
 		for bn, b := range fs.Blocks {
-			blk := &cachedBlock{fc: fc, bn: bn, data: b.Data, dirty: b.Dirty, gen: b.Gen, stamp: sc.nowLocked()}
-			fc.blocks[bn] = blk
+			blk := fc.blockFor(bn)
+			blk.data, blk.dirty, blk.gen, blk.stamp = b.Data, b.Dirty, b.Gen, sc.nowLocked()
 			fc.wseq = max(fc.wseq, b.Gen)
 			if b.Dirty {
 				fc.ndirty++

@@ -77,18 +77,6 @@ type Config struct {
 	// (Section 4.3.3). Default 65536.
 	MaxOpenFiles int
 
-	// AttrTTL, DentryTTL, and NegDentryTTL bound how long the metadata fast
-	// path may serve cached attributes, directory entries, and negative
-	// (NOENT) entries without revalidation, in virtual time. The TTLs are
-	// honored only under ModelPolling, which already tolerates staleness up
-	// to the poll window; a delegation session's entries are valid exactly
-	// as long as the delegation is held, so adding a timer there would
-	// weaken nothing and save nothing. 0 disables the TTL: validity is then
-	// governed purely by the invalidation protocol. Default 0.
-	AttrTTL      time.Duration
-	DentryTTL    time.Duration
-	NegDentryTTL time.Duration
-
 	// MaxAttrEntries, MaxDentries, and MaxDirListings cap the metadata
 	// caches; past the cap the least recently used entry is evicted.
 	// Defaults 65536, 65536, and 1024; negative values remove the bound.
@@ -175,30 +163,15 @@ type Config struct {
 	// callback RPC is retransmitted under the same XID (the at-least-once
 	// recovery NFS assumes; the server's duplicate-request cache keeps the
 	// extra copies from re-executing). Subsequent waits double up to
-	// RetransmitMax. Negative disables retransmission. Default 1 s.
+	// RetransmitMax, each stretched by the request frame's size and a
+	// deterministic jitter (retransmitPerByte, retransmitJitter). Negative
+	// disables retransmission. Default 1 s.
 	RetransmitInitial time.Duration
 	// RetransmitMax caps the exponential retransmission backoff.
 	// Default 8 s.
 	RetransmitMax time.Duration
-	// RetransmitJitter bounds the deterministic per-attempt jitter added to
-	// each retransmission wait (hashed from RetransmitSeed, the XID and the
-	// attempt, so simulations reproduce exactly). Default 100 ms.
-	RetransmitJitter time.Duration
 	// RetransmitSeed perturbs the retransmission jitter hash. Default 0.
 	RetransmitSeed int64
-	// RetransmitPerByte stretches the initial retransmission wait by the
-	// request frame's size (effective initial = RetransmitInitial +
-	// frameBytes*RetransmitPerByte), so a coalesced megabyte WRITE is not
-	// retransmitted while its first copy is still crossing a
-	// bandwidth-limited link. The default, 2 µs/byte, is the transfer rate
-	// of the paper's 4 Mbit/s WAN — a conservative floor that at worst
-	// delays a retransmission by the frame's own transfer time. Negative
-	// disables the stretch. Default 2 µs.
-	RetransmitPerByte time.Duration
-	// DRCEntries bounds each connection's duplicate-request cache at the
-	// proxy RPC servers (proxy server, NFS server, and the proxy client's
-	// callback service). Negative disables the cache. Default 512.
-	DRCEntries int
 
 	// ServerWorkers bounds how many request handlers the proxy server (and
 	// the proxy client's callback service) run concurrently: requests beyond
@@ -254,6 +227,25 @@ type Config struct {
 	// sees commits from every writer. Nil disables the observatory.
 	Staleness *obs.StalenessOracle
 }
+
+const (
+	// retransmitJitter bounds the deterministic per-attempt jitter added to
+	// each retransmission wait (hashed from RetransmitSeed, the XID and the
+	// attempt, so simulations reproduce exactly).
+	retransmitJitter = 100 * time.Millisecond
+	// retransmitPerByte stretches the initial retransmission wait by the
+	// request frame's size (effective initial = RetransmitInitial +
+	// frameBytes*retransmitPerByte), so a coalesced megabyte WRITE is not
+	// retransmitted while its first copy is still crossing a
+	// bandwidth-limited link. 2 µs/byte is the transfer rate of the paper's
+	// 4 Mbit/s WAN — a conservative floor that at worst delays a
+	// retransmission by the frame's own transfer time.
+	retransmitPerByte = 2 * time.Microsecond
+	// drcEntries bounds each connection's duplicate-request cache at the
+	// proxy RPC servers (proxy server and the proxy client's NFS and callback
+	// services).
+	drcEntries = 512
+)
 
 func (c Config) withDefaults() Config {
 	if c.Model == 0 {
@@ -330,39 +322,25 @@ func (c Config) withDefaults() Config {
 	if c.RetransmitMax == 0 {
 		c.RetransmitMax = 8 * time.Second
 	}
-	if c.RetransmitJitter == 0 {
-		c.RetransmitJitter = 100 * time.Millisecond
-	}
-	if c.RetransmitPerByte == 0 {
-		c.RetransmitPerByte = 2 * time.Microsecond
-	}
-	if c.DRCEntries == 0 {
-		c.DRCEntries = 512
-	}
 	return c
 }
 
-// metaPolicy derives the session cache's metadata bounds from the config:
-// capacity caps always apply; TTLs only under the polling model (see the
-// AttrTTL field docs).
-func (c Config) metaPolicy() metaPolicy {
+// cachePolicy derives what the session cache is told at construction.
+func (c Config) cachePolicy() cachePolicy {
 	cap := func(n int) int {
 		if n < 0 {
 			return 0 // unbounded
 		}
 		return n
 	}
-	pol := metaPolicy{
+	return cachePolicy{
+		model:       c.Model,
+		delegRenew:  c.DelegRenew,
+		writeBack:   c.WriteBack,
 		maxAttrs:    cap(c.MaxAttrEntries),
 		maxDentries: cap(c.MaxDentries),
 		maxListings: cap(c.MaxDirListings),
 	}
-	if c.Model == ModelPolling {
-		pol.attrTTL = c.AttrTTL
-		pol.dentryTTL = c.DentryTTL
-		pol.negTTL = c.NegDentryTTL
-	}
-	return pol
 }
 
 // callbackSchedConfig derives the scheduling configuration for the proxy
@@ -410,15 +388,11 @@ func (c Config) applyRetransmit(cl *sunrpc.Client) {
 	if c.RetransmitInitial <= 0 {
 		return
 	}
-	perByte := c.RetransmitPerByte
-	if perByte < 0 {
-		perByte = 0
-	}
 	cl.SetRetransmit(sunrpc.RetransmitPolicy{
 		Initial: c.RetransmitInitial,
 		Max:     c.RetransmitMax,
-		PerByte: perByte,
-		Jitter:  c.RetransmitJitter,
+		PerByte: retransmitPerByte,
+		Jitter:  retransmitJitter,
 		Seed:    c.RetransmitSeed,
 	})
 }

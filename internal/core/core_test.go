@@ -182,7 +182,7 @@ func TestCacheAttrLifecycle(t *testing.T) {
 	if a, ok := sc.getAttr(fh); !ok || a.Mtime.Sec != 1 {
 		t.Fatalf("getAttr = %+v, %v", a, ok)
 	}
-	sc.invalidateAttr(fh)
+	sc.recall(fh, 0, "")
 	if _, ok := sc.getAttr(fh); ok {
 		t.Fatal("invalidated attr still served")
 	}
@@ -234,7 +234,7 @@ func TestCacheLookupRequiresDirAttrs(t *testing.T) {
 	dir := fhN(1)
 	sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
 	sc.putLookup(dir, "x", fhN(2))
-	sc.invalidateAttr(dir)
+	sc.recall(dir, 0, "")
 	if _, _, ok := sc.getLookup(dir, "x"); ok {
 		t.Fatal("lookup served with invalidated dir attrs")
 	}
@@ -433,9 +433,8 @@ func TestCacheLRUEviction(t *testing.T) {
 		// 1-byte blocks would fit the bound without evicting anything.
 		sc.putCleanBlock(fh, bn, []byte{byte(bn), byte(bn), byte(bn), byte(bn)}, a)
 	}
-	st := sc.stats()
-	if st.Bytes > 12 {
-		t.Fatalf("cache %d bytes, bound 12", st.Bytes)
+	if _, _, _, bytes := sc.stats(); bytes > 12 {
+		t.Fatalf("cache %d bytes, bound 12", bytes)
 	}
 	// Oldest blocks evicted.
 	if _, ok := sc.getBlock(fh, 0); ok {

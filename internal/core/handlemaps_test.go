@@ -67,17 +67,17 @@ func runChainBed(t *testing.T, cfg Config, fn func(p *ProxyClient, nc *nfscall.C
 	<-done
 }
 
-// handleEntries counts the proxy client's per-handle protocol state.
+// handleEntries counts the session's per-handle records.
 func (p *ProxyClient) handleEntries() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.delegs) + len(p.noncacheable) + len(p.lastForward) + len(p.recallFence)
+	p.cache.mu.Lock()
+	defer p.cache.mu.Unlock()
+	return len(p.cache.files)
 }
 
-// TestHandleStateFollowsLiveFiles: the proxy client's per-handle maps used to
-// gain an entry for every handle a reply ever named and never lose one, so a
-// session that creates and removes files grew without bound. A handle's
-// entries now go where its cache entry goes: when the session removes its
+// TestHandleStateFollowsLiveFiles: per-handle state used to gain an entry for
+// every handle a reply ever named and never lose one, so a session that
+// creates and removes files grew without bound. A handle's record — cached
+// state and protocol state alike — goes when the session removes the handle's
 // last name, and when the server calls it stale.
 func TestHandleStateFollowsLiveFiles(t *testing.T) {
 	const churn = 200
@@ -121,7 +121,7 @@ func TestHandleStateFollowsLiveFiles(t *testing.T) {
 					}
 				}
 				if got := p.handleEntries(); got > live {
-					t.Errorf("%d per-handle entries after %d create/read/remove rounds, %d with the same files live before them", got, churn, live)
+					t.Errorf("%d handle records after %d create/read/remove rounds, %d with the same files live before them", got, churn, live)
 				}
 				if _, _, files, _ := p.CacheStats(); files > 1 {
 					t.Errorf("%d cached file entries, 1 file live", files)
@@ -142,7 +142,7 @@ func TestHandleStateFollowsLiveFiles(t *testing.T) {
 					t.Errorf("getattr of the removed file: %v %v", err, ga.Status)
 				}
 				if got := p.handleEntries(); got > live {
-					t.Errorf("%d per-handle entries after a stale handle, want at most %d", got, live)
+					t.Errorf("%d handle records after a stale handle, want at most %d", got, live)
 				}
 			})
 		})
@@ -155,7 +155,7 @@ func TestHandleStateFollowsLiveFiles(t *testing.T) {
 func removeBehind(p *ProxyClient, dir nfs3.FH, name string) error {
 	args := nfs3.DirOpArgs{Dir: dir, Name: name}
 	var res nfs3.WccRes
-	if _, err := p.callUpstream(0, nfs3.ProcRemove, &args, &res); err != nil || res.Status != nfs3.OK {
+	if err := p.callUpstream(0, nfs3.ProcRemove, &args, &res); err != nil || res.Status != nfs3.OK {
 		return fmt.Errorf("remove behind the proxy: %v %v", err, res.Status)
 	}
 	return nil

@@ -1,0 +1,219 @@
+package core
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/nfs3"
+	"repro/internal/obs"
+)
+
+// TestHandleStateMachine walks one handle's record through the client-side
+// protocol states of DESIGN.md's table, in both models: after each event,
+// whether a local serve is legal, and what the record remembers.
+func TestHandleStateMachine(t *testing.T) {
+	const (
+		renew  = 8 * time.Minute
+		blocks = 8
+	)
+	for _, model := range []Model{ModelPolling, ModelDelegation} {
+		t.Run(model.String(), func(t *testing.T) {
+			deleg := model == ModelDelegation
+			var now time.Duration
+			bypass := obs.New(func() time.Duration { return now }, 16).Registry().Counter("bypass")
+			sc := newSessionCache(opsBS, 1<<20)
+			sc.setPolicy(func() time.Duration { return now }, cachePolicy{model: model, delegRenew: renew}, cacheCounters{renewBypass: bypass})
+			fh := fhN(1)
+			attr := attrWithMtime(1, nfs3.TypeReg)
+			attr.Size = blocks * opsBS
+			revalidate := func() {
+				sc.putAttr(fh, attr)
+				sc.putCleanBlock(fh, 0, make([]byte, opsBS), attr)
+			}
+			grant := func(d DelegType, cacheable bool, seq uint64) {
+				sc.applyReply(Trailers{{FH: fh, Deleg: d, Cacheable: cacheable, Seq: seq}}, nil)
+			}
+			// served asks every local-serve decision at once; they must agree.
+			served := func() bool {
+				t.Helper()
+				_, getattr := sc.attrHit(fh)
+				_, read := sc.readHit(fh, 0)
+				if getattr != read {
+					t.Fatalf("GETATTR served = %v, READ served = %v", getattr, read)
+				}
+				return getattr
+			}
+			// prefetches confirms a sequential stream and asks for its next chunk.
+			prefetches := func() int {
+				sc.streamRead(fh, 0, 4)
+				sc.streamRead(fh, 1, 4)
+				claimed := sc.beginFetches(fh, 4)
+				for _, bn := range claimed {
+					sc.endFetch(fh, bn)
+				}
+				return len(claimed)
+			}
+			record := func() cachedFile {
+				sc.mu.Lock()
+				defer sc.mu.Unlock()
+				if fc := sc.files[fh.Key()]; fc != nil {
+					return cachedFile{deleg: fc.deleg, noncacheable: fc.noncacheable, recallFence: fc.recallFence}
+				}
+				return cachedFile{}
+			}
+
+			steps := []struct {
+				event string
+				do    func()
+				// serve is whether a local serve is legal afterwards, under
+				// polling and under delegation; want is the record's protocol
+				// state under delegation (polling never holds a delegation).
+				servePoll, serveDeleg bool
+				want                  cachedFile
+			}{
+				{"attributes and a block, no trailer yet", revalidate,
+					true, false, cachedFile{}},
+				{"grant", func() { grant(DelegRead, true, 5) },
+					true, true, cachedFile{deleg: DelegRead}},
+				{"recall", func() { sc.recall(fh, 7, "") },
+					false, false, cachedFile{recallFence: 7}},
+				{"an older recall arrives late: the fence only rises", func() { sc.recall(fh, 6, "") },
+					false, false, cachedFile{recallFence: 7}},
+				{"revalidated, no delegation", revalidate,
+					true, false, cachedFile{recallFence: 7}},
+				{"stale grant (seq <= fence)", func() { grant(DelegWrite, true, 7) },
+					true, false, cachedFile{recallFence: 7, noncacheable: true}},
+				{"newer grant", func() { grant(DelegWrite, true, 8) },
+					true, true, cachedFile{recallFence: 7, deleg: DelegWrite}},
+				{"just short of the renewal period", func() { now += renew - 1 },
+					true, true, cachedFile{recallFence: 7, deleg: DelegWrite}},
+				{"renewal period elapsed: the request bypasses the cache", func() { now++ },
+					true, false, cachedFile{recallFence: 7, deleg: DelegWrite}},
+				{"the bypass was forwarded", func() { sc.applyReply(nil, []nfs3.FH{fh}) },
+					true, true, cachedFile{recallFence: 7, deleg: DelegWrite}},
+				{"RECALL_ALL: delegations and fences are void", func() { sc.recallAll(true); revalidate() },
+					true, false, cachedFile{}},
+				{"the new server's first grant", func() { grant(DelegRead, true, 1) },
+					true, true, cachedFile{deleg: DelegRead}},
+				{"non-cacheable trailer", func() { grant(DelegRead, false, 9) },
+					false, false, cachedFile{deleg: DelegRead, noncacheable: true}},
+			}
+			for _, st := range steps {
+				st.do()
+				want := st.servePoll
+				if deleg {
+					want = st.serveDeleg
+				}
+				if got := served(); got != want {
+					t.Fatalf("after %q: served locally = %v, want %v", st.event, got, want)
+				}
+				if got, want := record(), st.want; deleg && (got.deleg != want.deleg || got.noncacheable != want.noncacheable || got.recallFence != want.recallFence) {
+					t.Fatalf("after %q: deleg=%v noncacheable=%v fence=%d, want deleg=%v noncacheable=%v fence=%d", st.event,
+						got.deleg, got.noncacheable, got.recallFence, want.deleg, want.noncacheable, want.recallFence)
+				}
+			}
+			// The renewal refused exactly one kind of serve, and only under
+			// delegation: served() asked twice at the elapsed step.
+			if got := bypass.Value(); (got > 0) != deleg {
+				t.Errorf("%d renewal bypasses counted", got)
+			}
+
+			// Non-cacheable: never served (above), never absorbed, never
+			// prefetched — and prefetched again once the verdict is lifted.
+			if _, ok := sc.absorbable(fh); ok {
+				t.Error("a WRITE to a non-cacheable handle would be absorbed")
+			}
+			if n := prefetches(); n != 0 {
+				t.Errorf("%d blocks of a non-cacheable handle prefetched", n)
+			}
+			grant(DelegRead, true, 10)
+			if n := prefetches(); n == 0 {
+				t.Error("nothing prefetched once the handle is cacheable again")
+			}
+
+			// forget: nothing left, on any table or ring — not even the fence.
+			sc.recall(fh, 20, "")
+			sc.forget(fh)
+			sc.mu.Lock()
+			left := len(sc.files) + sc.attrLRU.n + sc.listLRU.n + sc.lookupLRU.n + int(sc.lru.bytes)
+			sc.mu.Unlock()
+			if left != 0 {
+				t.Errorf("%d traces left of a forgotten handle", left)
+			}
+			revalidate()
+			grant(DelegRead, true, 1)
+			if !served() {
+				t.Error("a dead handle's fence outlived it: the reused handle's first grant was dropped")
+			}
+		})
+	}
+}
+
+// TestHandleRecordRaces hammers one handle's record from every direction at
+// once — recalls, grant trailers, revalidations, forwards and warm reads — for
+// the race detector, then checks the table's invariants and that the fence
+// kept the highest recall it saw.
+func TestHandleRecordRaces(t *testing.T) {
+	const rounds = 2000
+	var tick atomic.Int64
+	sc := newSessionCache(opsBS, opsBudget)
+	sc.setPolicy(func() time.Duration { return time.Duration(tick.Add(1)) },
+		cachePolicy{model: ModelDelegation, delegRenew: 64, maxAttrs: 2, maxDentries: 3, maxListings: 1}, cacheCounters{})
+	mirror := fakePersister{}
+	sc.setPersister(mirror, recoveryCounters{})
+	dir, fh := fhN(1), fhN(2)
+	attr := attrWithMtime(1, nfs3.TypeReg)
+	attr.Size = opsBlocks * opsBS
+
+	var wg sync.WaitGroup
+	for _, actor := range []func(i int){
+		func(i int) { sc.recall(fh, uint64(i), "f") },
+		func(i int) {
+			sc.applyReply(Trailers{{FH: fh, Deleg: DelegType(i % 3), Cacheable: i%7 != 0, Seq: uint64(i)}, {FH: dir, Deleg: DelegRead, Cacheable: true, Seq: uint64(i)}}, nil)
+		},
+		func(i int) {
+			sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
+			sc.putAttr(fh, attr)
+			sc.putLookup(dir, "f", fh)
+			sc.putDirListing(dir, []nfs3.DirEntry{{Name: "f"}})
+			sc.putCleanBlock(fh, uint64(i%opsBlocks), make([]byte, opsBS), attr)
+		},
+		func(i int) { sc.applyReply(nil, []nfs3.FH{fh, dir}) },
+		func(i int) {
+			sc.readHit(fh, uint64(i%opsBlocks))
+			sc.attrHit(fh)
+			sc.lookupHit(dir, "f")
+			sc.listingHit(dir)
+			sc.settleCommit(fh, false)
+		},
+		func(i int) {
+			if i%500 == 499 {
+				sc.recallAll(true)
+			}
+			sc.invalidateHandle(dir)
+		},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= rounds; i++ {
+				actor(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := checkCacheInvariants(sc, mirror, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Without a RECALL_ALL in the way the fence is the highest recall served.
+	sc.recall(fh, rounds+1, "")
+	sc.recall(fh, 3, "")
+	sc.mu.Lock()
+	fence := sc.files[fh.Key()].recallFence
+	sc.mu.Unlock()
+	if fence != rounds+1 {
+		t.Errorf("recall fence = %d after recalls up to %d", fence, rounds+1)
+	}
+}

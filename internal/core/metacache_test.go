@@ -11,97 +11,19 @@ import (
 
 // newMetaCache builds a session cache with a manually advanced virtual clock
 // and the given metadata policy; the returned *time.Duration is the clock.
-func newMetaCache(pol metaPolicy, met *cacheCounters) (*sessionCache, *time.Duration) {
+func newMetaCache(pol cachePolicy, met cacheCounters) (*sessionCache, *time.Duration) {
 	now := new(time.Duration)
 	sc := newSessionCache(32*1024, 1<<20)
-	sc.setMetaPolicy(func() time.Duration { return *now }, pol, met)
+	sc.setPolicy(func() time.Duration { return *now }, pol, met)
 	return sc, now
 }
 
-func testMetaCounters() (*cacheCounters, *obs.Registry) {
+func testMetaCounters() (cacheCounters, *obs.Registry) {
 	reg := obs.New(func() time.Duration { return 0 }, 16).Registry()
-	return &cacheCounters{
-		expiries:   reg.Counter("expiries"),
+	return cacheCounters{
 		evictions:  reg.Counter("evictions"),
 		dirFlushes: reg.Counter("dir_flushes"),
 	}, reg
-}
-
-// TestMetaTTLExpiry drives each metadata cache past its TTL in virtual time
-// and checks the entry dies exactly at the bound, not before.
-func TestMetaTTLExpiry(t *testing.T) {
-	const ttl = 10 * time.Second
-	dir, child := fhN(1), fhN(2)
-	cases := []struct {
-		name string
-		pol  metaPolicy
-		put  func(sc *sessionCache)
-		get  func(sc *sessionCache) bool
-	}{
-		{
-			name: "attr",
-			pol:  metaPolicy{attrTTL: ttl},
-			put:  func(sc *sessionCache) { sc.putAttr(child, attrWithMtime(1, nfs3.TypeReg)) },
-			get: func(sc *sessionCache) bool {
-				_, ok := sc.getAttr(child)
-				return ok
-			},
-		},
-		{
-			name: "dentry",
-			pol:  metaPolicy{dentryTTL: ttl},
-			put: func(sc *sessionCache) {
-				sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
-				sc.putLookup(dir, "x", child)
-			},
-			get: func(sc *sessionCache) bool {
-				_, neg, ok := sc.getLookup(dir, "x")
-				return ok && !neg
-			},
-		},
-		{
-			name: "negative",
-			pol:  metaPolicy{negTTL: ttl},
-			put: func(sc *sessionCache) {
-				sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
-				sc.putNegLookup(dir, "ghost")
-			},
-			get: func(sc *sessionCache) bool {
-				_, neg, ok := sc.getLookup(dir, "ghost")
-				return ok && neg
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			met, _ := testMetaCounters()
-			sc, now := newMetaCache(tc.pol, met)
-			tc.put(sc)
-			*now = ttl - 1
-			if !tc.get(sc) {
-				t.Fatal("entry expired before its TTL")
-			}
-			*now = ttl
-			if tc.get(sc) {
-				t.Fatal("entry served past its TTL")
-			}
-			if met.expiries.Value() == 0 {
-				t.Fatal("expiry not counted")
-			}
-		})
-	}
-}
-
-// TestMetaTTLZeroMeansUntimed checks the default policy keeps the paper's
-// semantics: entries live until the consistency protocol invalidates them.
-func TestMetaTTLZeroMeansUntimed(t *testing.T) {
-	sc, now := newMetaCache(metaPolicy{}, nil)
-	fh := fhN(1)
-	sc.putAttr(fh, attrWithMtime(1, nfs3.TypeReg))
-	*now = 365 * 24 * time.Hour
-	if _, ok := sc.getAttr(fh); !ok {
-		t.Fatal("untimed entry expired")
-	}
 }
 
 // TestMetaCapacityEviction fills each cache one entry past its cap and checks
@@ -109,7 +31,7 @@ func TestMetaTTLZeroMeansUntimed(t *testing.T) {
 func TestMetaCapacityEviction(t *testing.T) {
 	t.Run("attrs", func(t *testing.T) {
 		met, _ := testMetaCounters()
-		sc, _ := newMetaCache(metaPolicy{maxAttrs: 3}, met)
+		sc, _ := newMetaCache(cachePolicy{maxAttrs: 3}, met)
 		for i := uint64(1); i <= 3; i++ {
 			sc.putAttr(fhN(i), attrWithMtime(1, nfs3.TypeReg))
 		}
@@ -129,7 +51,7 @@ func TestMetaCapacityEviction(t *testing.T) {
 	})
 	t.Run("dentries", func(t *testing.T) {
 		met, _ := testMetaCounters()
-		sc, _ := newMetaCache(metaPolicy{maxDentries: 3}, met)
+		sc, _ := newMetaCache(cachePolicy{maxDentries: 3}, met)
 		dir := fhN(1)
 		sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
 		for i := 0; i < 4; i++ {
@@ -144,28 +66,32 @@ func TestMetaCapacityEviction(t *testing.T) {
 		if met.evictions.Value() != 1 {
 			t.Fatalf("evictions = %d, want 1", met.evictions.Value())
 		}
-		// The dirNames index must shrink with the eviction, or a later dir
-		// flush would count ghosts.
+		// The directory's name index must shrink with the eviction, or a
+		// later dir flush would count ghosts.
 		sc.mu.Lock()
-		n := len(sc.dirNames[dir.Key()])
+		n := len(sc.files[dir.Key()].names)
 		sc.mu.Unlock()
 		if n != 3 {
-			t.Fatalf("dirNames holds %d names, want 3", n)
+			t.Fatalf("the directory indexes %d names, want 3", n)
 		}
 	})
 	t.Run("listings", func(t *testing.T) {
 		met, _ := testMetaCounters()
-		sc, _ := newMetaCache(metaPolicy{maxListings: 1}, met)
+		sc, _ := newMetaCache(cachePolicy{maxListings: 1}, met)
 		d1, d2 := fhN(1), fhN(2)
 		sc.putAttr(d1, attrWithMtime(1, nfs3.TypeDir))
 		sc.putAttr(d2, attrWithMtime(1, nfs3.TypeDir))
 		sc.putDirListing(d1, []nfs3.DirEntry{{Name: "a"}})
 		sc.putDirListing(d2, []nfs3.DirEntry{{Name: "b"}})
-		if _, ok := sc.getDirListing(d1); ok {
+		if _, _, ok := sc.listingHit(d1); ok {
 			t.Fatal("old listing survived eviction")
 		}
-		if _, ok := sc.getDirListing(d2); !ok {
+		if _, _, ok := sc.listingHit(d2); !ok {
 			t.Fatal("fresh listing wrongly evicted")
+		}
+		// The cap evicts the listing, not the record: d1's attributes stay.
+		if _, ok := sc.getAttr(d1); !ok {
+			t.Fatal("evicting a listing took the directory's attributes with it")
 		}
 		if met.evictions.Value() != 1 {
 			t.Fatalf("evictions = %d, want 1", met.evictions.Value())
@@ -195,7 +121,7 @@ func TestMetaInvalidationChannels(t *testing.T) {
 
 	t.Run("getinv-flushes-dir", func(t *testing.T) {
 		met, _ := testMetaCounters()
-		sc, _ := newMetaCache(metaPolicy{}, met)
+		sc, _ := newMetaCache(cachePolicy{}, met)
 		seed(sc)
 		sc.invalidateHandle(dir) // what pollOnce applies per GETINV handle
 		revalidate(sc)
@@ -205,7 +131,7 @@ func TestMetaInvalidationChannels(t *testing.T) {
 		if _, _, ok := sc.getLookup(dir, "ghost"); ok {
 			t.Fatal("negative survived GETINV dir invalidation")
 		}
-		if _, ok := sc.getDirListing(dir); ok {
+		if _, _, ok := sc.listingHit(dir); ok {
 			t.Fatal("listing survived GETINV dir invalidation")
 		}
 		if met.dirFlushes.Value() != 2 {
@@ -214,12 +140,11 @@ func TestMetaInvalidationChannels(t *testing.T) {
 	})
 
 	t.Run("recall-drops-attrs-only", func(t *testing.T) {
-		sc, _ := newMetaCache(metaPolicy{}, nil)
+		sc, _ := newMetaCache(cachePolicy{}, cacheCounters{})
 		seed(sc)
 		// What handleRecall applies for a recall of the dir triggered by
 		// REMOVE(dir, "kept"): attr invalidation plus the named binding.
-		sc.invalidateAttr(dir)
-		sc.dropLookup(dir, "kept")
+		sc.recall(dir, 1, "kept")
 		revalidate(sc)
 		if _, _, ok := sc.getLookup(dir, "kept"); ok {
 			t.Fatal("recalled binding still served")
@@ -232,9 +157,9 @@ func TestMetaInvalidationChannels(t *testing.T) {
 
 // TestMetaNegativePromotionOnCreate models CREATE after a cached NOENT: the
 // negative entry must be replaced by the positive binding immediately (the
-// creator reads its own writes), not linger until a TTL or invalidation.
+// creator reads its own writes), not linger until an invalidation.
 func TestMetaNegativePromotionOnCreate(t *testing.T) {
-	sc, _ := newMetaCache(metaPolicy{}, nil)
+	sc, _ := newMetaCache(cachePolicy{}, cacheCounters{})
 	dir, child := fhN(1), fhN(2)
 	sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
 	sc.putNegLookup(dir, "new")
@@ -242,7 +167,7 @@ func TestMetaNegativePromotionOnCreate(t *testing.T) {
 		t.Fatal("negative entry not cached")
 	}
 	// CREATE succeeds: the proxy caches the new dir attrs (mtime advanced)
-	// and the child binding, as afterCreateLike does.
+	// and the child binding, as forwardCreate does.
 	sc.putAttr(dir, attrWithMtime(2, nfs3.TypeDir))
 	sc.putAttr(child, attrWithMtime(2, nfs3.TypeReg))
 	sc.putLookup(dir, "new", child)
@@ -252,29 +177,14 @@ func TestMetaNegativePromotionOnCreate(t *testing.T) {
 	}
 }
 
-// TestMetaPolicyModelGating checks TTLs reach the cache only under the
-// polling model; delegation sessions must never add timers to entries whose
-// validity the protocol already bounds exactly.
-func TestMetaPolicyModelGating(t *testing.T) {
-	base := Config{AttrTTL: time.Second, DentryTTL: 2 * time.Second, NegDentryTTL: 3 * time.Second}
-
-	poll := base
-	poll.Model = ModelPolling
-	if p := poll.withDefaults().metaPolicy(); p.attrTTL != time.Second || p.dentryTTL != 2*time.Second || p.negTTL != 3*time.Second {
-		t.Fatalf("polling metaPolicy dropped TTLs: %+v", p)
-	}
-
-	deleg := base
-	deleg.Model = ModelDelegation
-	if p := deleg.withDefaults().metaPolicy(); p.attrTTL != 0 || p.dentryTTL != 0 || p.negTTL != 0 {
-		t.Fatalf("delegation metaPolicy kept TTLs: %+v", p)
-	}
-
+// TestCachePolicyCaps checks how the config's metadata caps reach the cache:
+// defaults apply, and a negative cap means unbounded.
+func TestCachePolicyCaps(t *testing.T) {
 	unbounded := Config{Model: ModelPolling, MaxAttrEntries: -1, MaxDentries: -1, MaxDirListings: -1}
-	if p := unbounded.withDefaults().metaPolicy(); p.maxAttrs != 0 || p.maxDentries != 0 || p.maxListings != 0 {
+	if p := unbounded.withDefaults().cachePolicy(); p.maxAttrs != 0 || p.maxDentries != 0 || p.maxListings != 0 {
 		t.Fatalf("negative caps should mean unbounded: %+v", p)
 	}
-	if p := (Config{}).withDefaults().metaPolicy(); p.maxAttrs != 65536 || p.maxDentries != 65536 || p.maxListings != 1024 {
+	if p := (Config{}).withDefaults().cachePolicy(); p.maxAttrs != 65536 || p.maxDentries != 65536 || p.maxListings != 1024 {
 		t.Fatalf("default caps wrong: %+v", p)
 	}
 }

@@ -62,14 +62,13 @@ type clientMetrics struct {
 	commitLocal        *obs.Counter
 
 	// Metadata fast path: per-cache local serves, plus the session cache's
-	// bookkeeping events (TTL expiries, capacity evictions, whole-directory
-	// flushes on invalidation).
+	// bookkeeping events (capacity evictions, whole-directory flushes on
+	// invalidation).
 	attrHits      *obs.Counter
 	dentryHits    *obs.Counter
 	negHits       *obs.Counter
 	accessHits    *obs.Counter
 	listingHits   *obs.Counter
-	metaExpiries  *obs.Counter
 	metaEvictions *obs.Counter
 	metaDirFlush  *obs.Counter
 
@@ -115,7 +114,6 @@ func newClientMetrics(reg *obs.Registry, node string) *clientMetrics {
 		negHits:            reg.Counter(obs.Label(l("gvfs_client_meta_hits_total"), "cache", "negative")),
 		accessHits:         reg.Counter(obs.Label(l("gvfs_client_meta_hits_total"), "cache", "access")),
 		listingHits:        reg.Counter(obs.Label(l("gvfs_client_meta_hits_total"), "cache", "listing")),
-		metaExpiries:       reg.Counter(l("gvfs_client_meta_expiries_total")),
 		metaEvictions:      reg.Counter(l("gvfs_client_meta_evictions_total")),
 		metaDirFlush:       reg.Counter(l("gvfs_client_meta_dir_flushes_total")),
 		recoveredBlocks:    reg.Counter(l("gvfs_client_recovered_blocks_total")),
@@ -136,12 +134,12 @@ func newClientMetrics(reg *obs.Registry, node string) *clientMetrics {
 }
 
 // cacheCounters exposes the session cache's slice of the client metrics.
-func (m *clientMetrics) cacheCounters() *cacheCounters {
-	return &cacheCounters{
-		expiries:   m.metaExpiries,
-		evictions:  m.metaEvictions,
-		dirFlushes: m.metaDirFlush,
-		raWasted:   m.readaheadWasted,
+func (m *clientMetrics) cacheCounters() cacheCounters {
+	return cacheCounters{
+		evictions:   m.metaEvictions,
+		dirFlushes:  m.metaDirFlush,
+		raWasted:    m.readaheadWasted,
+		renewBypass: m.renewBypass,
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bufpool"
@@ -39,17 +40,15 @@ type ProxyClient struct {
 	// (server restart, healed partition); nil disables reconnection.
 	redial func() (*sunrpc.Client, error)
 
-	mu           sync.Mutex
-	up           *sunrpc.Client
-	accum        map[uint64]int64 // upstream RPC counts from closed connections
-	delegs       map[string]DelegType
-	noncacheable map[string]bool
-	lastForward  map[string]time.Duration
-	recallFence  map[string]uint64           // FH key -> seq of the latest recall served
-	flushWait    map[string][]*vclock.Waiter // FH key -> waiters for in-flight flushes
-	lastInvTS    uint64
-	pollWindow   time.Duration
-	stopped      bool
+	stopped atomic.Bool
+
+	// mu guards connection, poll and recall-queue state only: everything keyed
+	// by file handle lives in the session cache's record table, under its lock.
+	mu         sync.Mutex
+	up         *sunrpc.Client
+	accum      map[uint64]int64 // upstream RPC counts from closed connections
+	lastInvTS  uint64
+	pollWindow time.Duration
 	// pollHorizon is the staleness observatory's freshness horizon under the
 	// polling model: the send time of the latest GETINV round whose
 	// pre-round invalidations have all been applied to this cache (see the
@@ -117,9 +116,7 @@ type ProxyClientStats struct {
 	NegLookupHits int64
 	AccessHits    int64
 	ListingHits   int64
-	// MetaExpiries counts TTL expirations, MetaEvictions capacity evictions
-	// in the metadata caches.
-	MetaExpiries  int64
+	// MetaEvictions counts capacity evictions in the metadata caches.
 	MetaEvictions int64
 
 	// PollCapped counts GETINV polls abandoned at the round cap.
@@ -157,11 +154,10 @@ const recallFlushWorkers = 2
 // are running. A flush already queued for the same file is coalesced: one
 // flushFile pass writes back every dirty block the file has by then.
 func (p *ProxyClient) queueRecallFlush(rid uint64, fh nfs3.FH) {
-	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
+	if p.stopped.Load() {
 		return
 	}
+	p.mu.Lock()
 	for _, r := range p.recallFlushQ {
 		if r.fh.Key() == fh.Key() {
 			p.mu.Unlock()
@@ -186,7 +182,7 @@ func (p *ProxyClient) queueRecallFlush(rid uint64, fh nfs3.FH) {
 func (p *ProxyClient) drainRecallFlushes() {
 	for {
 		p.mu.Lock()
-		if len(p.recallFlushQ) == 0 || p.stopped {
+		if len(p.recallFlushQ) == 0 || p.stopped.Load() {
 			p.recallFlushers--
 			p.mu.Unlock()
 			return
@@ -214,20 +210,15 @@ func NewProxyClient(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, cred
 	cfg = cfg.withDefaults()
 	upstream.SetCred(cred.Encode())
 	p := &ProxyClient{
-		clk:          clk,
-		cfg:          cfg,
-		cred:         cred,
-		up:           upstream,
-		accum:        make(map[uint64]int64),
-		cache:        newSessionCache(cfg.BlockSize, cfg.CacheBytes),
-		srv:          sunrpc.NewServer(clk),
-		cbSrv:        sunrpc.NewServer(clk),
-		delegs:       make(map[string]DelegType),
-		noncacheable: make(map[string]bool),
-		lastForward:  make(map[string]time.Duration),
-		recallFence:  make(map[string]uint64),
-		flushWait:    make(map[string][]*vclock.Waiter),
-		pollWindow:   cfg.PollPeriod,
+		clk:        clk,
+		cfg:        cfg,
+		cred:       cred,
+		up:         upstream,
+		accum:      make(map[uint64]int64),
+		cache:      newSessionCache(cfg.BlockSize, cfg.CacheBytes),
+		srv:        sunrpc.NewServer(clk),
+		cbSrv:      sunrpc.NewServer(clk),
+		pollWindow: cfg.PollPeriod,
 	}
 	o := cfg.Obs
 	if o == nil {
@@ -242,7 +233,7 @@ func NewProxyClient(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, cred
 	p.ra.init(cfg)
 	p.met.readaheadWindow.Set(p.ra.window.Load())
 	cfg.Staleness.Register(shortModel(cfg.Model))
-	p.cache.setMetaPolicy(clk.Now, cfg.metaPolicy(), p.met.cacheCounters())
+	p.cache.setPolicy(clk.Now, cfg.cachePolicy(), p.met.cacheCounters())
 	if cfg.DiskCacheDir != "" {
 		p.openDiskCache()
 	}
@@ -250,14 +241,14 @@ func NewProxyClient(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, cred
 	// proxy's node, nested under the kernel request via the shared ID.
 	upstream.SetObs(p.node, RPCName)
 	cfg.applyRetransmit(upstream)
-	p.srv.SetDRCSize(cfg.DRCEntries)
+	p.srv.SetDRCSize(drcEntries)
 	p.srv.Register(nfs3.Program, nfs3.Version, p.dispatchNFS)
 	p.srv.Register(nfs3.MountProgram, nfs3.MountVersion, p.dispatchMount)
 	// The callback service must be replay-safe too: a recall the server
 	// retransmits may not flush (or fence) twice. It also runs behind the
 	// bounded scheduling pool (rate limits elided — see callbackSchedConfig)
 	// so a recall storm cannot spawn unbounded handlers.
-	p.cbSrv.SetDRCSize(cfg.DRCEntries)
+	p.cbSrv.SetDRCSize(drcEntries)
 	p.cbSrv.SetSched(cfg.callbackSchedConfig())
 	p.cbSrv.Register(CallbackProgram, CallbackVersion, p.dispatchCallback)
 	return p
@@ -320,10 +311,7 @@ func (p *ProxyClient) rawCall(rid uint64, prog, vers, proc uint32, args []byte) 
 			return d, nil
 		}
 		p.met.upstreamRetries.Inc()
-		p.mu.Lock()
-		stopped := p.stopped
-		p.mu.Unlock()
-		if stopped || attempt >= 2 {
+		if p.stopped.Load() || attempt >= 2 {
 			return nil, err
 		}
 		if !p.reconnect(up) {
@@ -352,16 +340,12 @@ func (p *ProxyClient) Serve(nfsListener, cbListener transport.Listener) {
 
 // RecoverAfterCrash is the proxy client's restart over the disk cache its
 // predecessor left (NewProxyClient has already reopened it): it invalidates
-// all cached attributes to force revalidation and attempts to write back one
-// block per dirty file to reconcile conflicts and reacquire delegations
-// (Section 4.3.4). Files whose write-back fails with a conflict have their
-// dirty data discarded as corrupted.
+// all cached attributes to force revalidation, holds no delegation, and
+// attempts to write back one block per dirty file to reconcile conflicts and
+// reacquire delegations (Section 4.3.4). Files whose write-back fails with a
+// conflict have their dirty data discarded as corrupted.
 func (p *ProxyClient) RecoverAfterCrash() {
-	p.cache.invalidateAllAttrs()
-	p.mu.Lock()
-	p.delegs = make(map[string]DelegType)
-	p.mu.Unlock()
-	for _, fh := range p.cache.dirtyFiles() {
+	for _, fh := range p.cache.recallAll(false) {
 		blocks := p.cache.dirtyBlocks(fh)
 		if len(blocks) == 0 {
 			continue
@@ -375,13 +359,9 @@ func (p *ProxyClient) RecoverAfterCrash() {
 // Stop halts the proxy and closes its connections. Dirty data is flushed
 // first on a best-effort basis.
 func (p *ProxyClient) Stop() {
-	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
+	if p.stopped.Swap(true) {
 		return
 	}
-	p.stopped = true
-	p.mu.Unlock()
 	p.flushAll(0)
 	if p.disk != nil {
 		// The flushed MarkClean records are already journaled; Close folds
@@ -400,9 +380,7 @@ func (p *ProxyClient) Stop() {
 // Config.DiskCacheDir holds; a new instance over the same directory recovers
 // it (RecoverAfterCrash).
 func (p *ProxyClient) Crash() {
-	p.mu.Lock()
-	p.stopped = true
-	p.mu.Unlock()
+	p.stopped.Store(true)
 	if p.disk != nil {
 		// SIGKILL-equivalent: no checkpoint, no final syncs. Whatever the
 		// journal already holds is what recovery will see — and the store
@@ -433,7 +411,6 @@ func (p *ProxyClient) Stats() ProxyClientStats {
 		NegLookupHits:      p.met.negHits.Value(),
 		AccessHits:         p.met.accessHits.Value(),
 		ListingHits:        p.met.listingHits.Value(),
-		MetaExpiries:       p.met.metaExpiries.Value(),
 		MetaEvictions:      p.met.metaEvictions.Value(),
 		PollCapped:         p.met.pollCapped.Value(),
 		RecoveredBlocks:    p.met.recoveredBlocks.Value(),
@@ -448,11 +425,11 @@ func (p *ProxyClient) Stats() ProxyClientStats {
 // totals) into the obs registry. Deployments call it before scraping a
 // snapshot; counters and histograms need no publishing, they update live.
 func (p *ProxyClient) PublishMetrics() {
-	s := p.cache.stats()
-	p.met.cacheAttrs.Set(int64(s.Attrs))
-	p.met.cacheLookups.Set(int64(s.Lookups))
-	p.met.cacheFiles.Set(int64(s.Files))
-	p.met.cacheBytes.Set(s.Bytes)
+	attrs, lookups, files, bytes := p.cache.stats()
+	p.met.cacheAttrs.Set(int64(attrs))
+	p.met.cacheLookups.Set(int64(lookups))
+	p.met.cacheFiles.Set(int64(files))
+	p.met.cacheBytes.Set(bytes)
 	if reg := p.node.Registry(); reg != nil {
 		base := obs.Label("gvfs_client_wan_calls_total", "node", p.node.Name())
 		for k, v := range p.UpstreamCounts() {
@@ -481,8 +458,7 @@ func (p *ProxyClient) UpstreamCounts() map[uint64]int64 {
 
 // CacheStats reports disk cache occupancy.
 func (p *ProxyClient) CacheStats() (attrs, lookups, files int, bytes int64) {
-	s := p.cache.stats()
-	return s.Attrs, s.Lookups, s.Files, s.Bytes
+	return p.cache.stats()
 }
 
 // --- maintenance actors ---------------------------------------------------
@@ -501,10 +477,7 @@ func (p *ProxyClient) pollLoop() {
 	p.pollOnce()
 	for {
 		p.clk.Sleep(p.currentWindow())
-		p.mu.Lock()
-		stopped := p.stopped
-		p.mu.Unlock()
-		if stopped {
+		if p.stopped.Load() {
 			return
 		}
 		gotAny, err := p.pollOnce()
@@ -683,10 +656,7 @@ func (p *ProxyClient) PollHorizon() time.Duration {
 func (p *ProxyClient) flushLoop() {
 	for {
 		p.clk.Sleep(p.cfg.FlushInterval)
-		p.mu.Lock()
-		stopped := p.stopped
-		p.mu.Unlock()
-		if stopped {
+		if p.stopped.Load() {
 			return
 		}
 		p.flushAll(0)
@@ -768,33 +738,15 @@ func (p *ProxyClient) flushParallel(rid uint64, items []flushItem) {
 // flushDone clears a run's in-flight marks and wakes actors draining the
 // file's flushes.
 func (p *ProxyClient) flushDone(fh nfs3.FH, bns []uint64) {
-	p.cache.endFlush(fh, bns)
-	key := fh.Key()
-	p.mu.Lock()
-	ws := p.flushWait[key]
-	delete(p.flushWait, key)
-	p.mu.Unlock()
-	for _, w := range ws {
+	for _, w := range p.cache.endFlush(fh, bns) {
 		w.Wake()
 	}
 }
 
 // waitFlushIdle blocks (through the clock) until no flush of fh is in
-// flight. The common case — nothing in flight — allocates no waiter.
+// flight.
 func (p *ProxyClient) waitFlushIdle(fh nfs3.FH) {
-	key := fh.Key()
-	for {
-		if !p.cache.flushInFlight(fh) {
-			return
-		}
-		w := p.clk.NewWaiter()
-		p.mu.Lock()
-		if !p.cache.flushInFlight(fh) {
-			p.mu.Unlock()
-			return
-		}
-		p.flushWait[key] = append(p.flushWait[key], w)
-		p.mu.Unlock()
+	for w := p.cache.awaitFlushIdle(fh, p.clk); w != nil; w = p.cache.awaitFlushIdle(fh, p.clk) {
 		p.clk.WaitAs(w, "flush drain")
 	}
 }
@@ -828,7 +780,7 @@ func (p *ProxyClient) flushBlock(rid uint64, fh nfs3.FH, bn uint64) error {
 	}
 	args := nfs3.WriteArgs{FH: fh, Offset: off, Count: uint32(len(data)), Stable: nfs3.FileSync, Data: data}
 	var res nfs3.WriteRes
-	if _, err := p.callUpstream(rid, nfs3.ProcWrite, &args, &res); err != nil {
+	if err := p.callUpstream(rid, nfs3.ProcWrite, &args, &res); err != nil {
 		return err
 	}
 	if res.Status != nfs3.OK {
@@ -851,10 +803,11 @@ func (p *ProxyClient) flushBlock(rid uint64, fh nfs3.FH, bn uint64) error {
 type wireEnc interface{ Encode(*xdr.Encoder) }
 type wireDec interface{ Decode(*xdr.Decoder) error }
 
-// callUpstream forwards one NFS call across the wide area and extracts the
+// callUpstream forwards one NFS call across the wide area and applies the
 // GVFS trailers the proxy server piggybacks on the reply (absent when the
-// upstream is a plain NFS server).
-func (p *ProxyClient) callUpstream(rid uint64, proc uint32, args wireEnc, res wireDec) (Trailers, error) {
+// upstream is a plain NFS server). forwarded names the handles for which a
+// kernel request thereby bypassed the cache (renewal bookkeeping).
+func (p *ProxyClient) callUpstream(rid uint64, proc uint32, args wireEnc, res wireDec, forwarded ...nfs3.FH) error {
 	// The args encoder is pooled: rawCall copies them into the outgoing call
 	// message before blocking for the reply, so recycling on return is safe.
 	e := bufpool.GetEncoder()
@@ -867,10 +820,10 @@ func (p *ProxyClient) callUpstream(rid uint64, proc uint32, args wireEnc, res wi
 	lat := p.node.Now() - start
 	p.met.forwardLatency.ObserveDuration(lat)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := res.Decode(d); err != nil {
-		return nil, err
+		return err
 	}
 	if p.cfg.ReadAhead > 0 {
 		p.ra.observe(lat, res, p.cfg.BlockSize)
@@ -881,31 +834,18 @@ func (p *ProxyClient) callUpstream(rid uint64, proc uint32, args wireEnc, res wi
 			ts = nil
 		}
 	}
-	for _, tr := range ts {
-		p.applyTrailer(tr)
-	}
-	return ts, nil
+	p.cache.applyReply(ts, forwarded)
+	return nil
 }
 
-func (p *ProxyClient) applyTrailer(tr Trailer) {
-	if tr.FH.IsZero() {
-		return
+// forward is callUpstream for the kernel RPC being served: the call crossed the
+// wide area, and is counted so.
+func (p *ProxyClient) forward(call *sunrpc.Call, proc uint32, args wireEnc, res wireDec, forwarded ...nfs3.FH) error {
+	err := p.callUpstream(call.ReqID, proc, args, res, forwarded...)
+	if err == nil {
+		p.hitForward(call)
 	}
-	key := tr.FH.Key()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cfg.Model == ModelDelegation {
-		if tr.Deleg != DelegNone && tr.Seq <= p.recallFence[key] {
-			// The grant raced with (and lost to) a recall for a concurrent
-			// destructive operation: honoring it would cache revoked state.
-			// Drop it; the next access simply forwards.
-			tr.Deleg = DelegNone
-			tr.Cacheable = false
-		}
-		p.delegs[key] = tr.Deleg
-	}
-	p.noncacheable[key] = !tr.Cacheable
-	p.lastForward[key] = p.clk.Now()
+	return err
 }
 
 // mapIdentity rewrites settable attributes per the session's cross-domain
@@ -925,80 +865,17 @@ func (p *ProxyClient) mapIdentity(attr *nfs3.Sattr) {
 	}
 }
 
-// forgetHandle drops every trace of a handle that no longer names a file:
-// the cache's, and this proxy's per-handle protocol state, which otherwise
-// keeps an entry for every file the session ever touched. Only for handles
-// known dead — a live file's recall fence must outlast its cache entry.
-func (p *ProxyClient) forgetHandle(fh nfs3.FH) {
-	p.cache.forget(fh)
-	key := fh.Key()
-	p.mu.Lock()
-	delete(p.delegs, key)
-	delete(p.noncacheable, key)
-	delete(p.lastForward, key)
-	delete(p.recallFence, key)
-	p.mu.Unlock()
-}
-
-// noteForward records that a request for fh bypassed the cache (renewal
-// bookkeeping).
-func (p *ProxyClient) noteForward(fh nfs3.FH) {
-	p.mu.Lock()
-	p.lastForward[fh.Key()] = p.clk.Now()
-	p.mu.Unlock()
-}
-
-// servable reports whether fh's cached state may answer requests locally
-// under the session's consistency model, and whether this particular access
-// should instead bypass the cache to renew a delegation.
-func (p *ProxyClient) servable(fh nfs3.FH) bool {
-	key := fh.Key()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.noncacheable[key] {
-		return false
-	}
-	switch p.cfg.Model {
-	case ModelDelegation:
-		if p.delegs[key] == DelegNone {
-			return false
-		}
-		// Renewal: let a request bypass the cache periodically so the
-		// server sees the file as still open (Section 4.3.1).
-		if p.clk.Now()-p.lastForward[key] >= p.cfg.DelegRenew {
-			p.met.renewBypass.Inc()
-			return false
-		}
-		return true
-	default:
-		// Polling: cached entries are valid until invalidated.
-		return true
-	}
-}
-
-// hasWriteDeleg reports whether writes may be absorbed locally.
-func (p *ProxyClient) hasWriteDeleg(fh nfs3.FH) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.delegs[fh.Key()] == DelegWrite && !p.noncacheable[fh.Key()]
-}
-
-// observeServe reports one cache-served read to the staleness observatory:
+// observeServe reports one cache-served reply to the staleness observatory:
 // fh's cached state, fetched into the cache at fetchedAt, just answered a
 // kernel RPC locally. The freshness horizon is the model's guarantee at this
-// instant — now under delegation (the hit path already proved a delegation is
-// held, and a recall would have invalidated the entry synchronously), the
-// last complete poll drain's send time under polling. Serves of files with
-// buffered dirty data are skipped: the bytes served are this client's own.
-func (p *ProxyClient) observeServe(fh nfs3.FH, fetchedAt time.Duration, ok bool) {
-	if p.cfg.Staleness != nil && ok && !p.cache.hasDirty(fh) {
-		p.reportServe(fh, fetchedAt)
+// instant — now under delegation (the hit already proved a delegation is held,
+// and a recall would have invalidated the entry synchronously), the last
+// complete poll drain's send time under polling. Serves of files with buffered
+// dirty data are skipped: the bytes served are this client's own.
+func (p *ProxyClient) observeServe(fh nfs3.FH, fetchedAt time.Duration, dirty bool) {
+	if p.cfg.Staleness == nil || dirty {
+		return
 	}
-}
-
-// reportServe is observeServe once the caller knows the observatory is on
-// and the file has no buffered writes.
-func (p *ProxyClient) reportServe(fh nfs3.FH, fetchedAt time.Duration) {
 	var horizon time.Duration
 	if p.cfg.Model == ModelDelegation {
 		horizon = p.clk.Now()
@@ -1008,6 +885,14 @@ func (p *ProxyClient) reportServe(fh nfs3.FH, fetchedAt time.Duration) {
 		p.mu.Unlock()
 	}
 	p.cfg.Staleness.ObserveServe(fh.Key(), p.cred.ClientID, shortModel(p.cfg.Model), fetchedAt, horizon)
+}
+
+// spanFH labels the call's span with fh — formatted only when a retained span
+// will carry it.
+func spanFH(call *sunrpc.Call, fh nfs3.FH) {
+	if call.Traced {
+		call.SpanFH = fh.String()
+	}
 }
 
 // hitLocal counts a kernel RPC answered from the disk cache and annotates
@@ -1062,18 +947,24 @@ func (p *ProxyClient) ServeCall(call *sunrpc.Call) sunrpc.AcceptStat {
 // own sunrpc.Server records no generic spans (SetObs is not installed on it),
 // so this is the single serve-side record per kernel call at this node.
 func (p *ProxyClient) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
-	// The proxy records spans at its own node, not the RPC server's (which
-	// has no tracer installed): announce that here so handlers compute their
-	// span labels exactly when a retained record will carry them.
+	return p.traced(call, nfs3.Program, p.serveNFS)
+}
+
+// traced runs serve under a span of this proxy's node, named after prog's
+// procedure. The proxy records spans at its own node, not the RPC server's
+// (which has no tracer installed): it announces that in call.Traced, so
+// handlers compute their span labels exactly when a retained record will carry
+// them.
+func (p *ProxyClient) traced(call *sunrpc.Call, prog uint32, serve func(*sunrpc.Call) sunrpc.AcceptStat) sunrpc.AcceptStat {
 	call.Traced = p.node.Tracing()
 	if !call.Traced {
-		return p.serveNFS(call)
+		return serve(call)
 	}
 	start := p.node.Now()
-	stat := p.serveNFS(call)
+	stat := serve(call)
 	sp := obs.Span{
 		Req:    call.ReqID,
-		Op:     RPCName(nfs3.Program, call.Proc),
+		Op:     RPCName(prog, call.Proc),
 		FH:     call.SpanFH,
 		Model:  shortModel(p.cfg.Model),
 		Detail: call.SpanDetail,
@@ -1142,33 +1033,28 @@ func (p *ProxyClient) getattr(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
-	if call.Traced {
-		call.SpanFH = args.FH.String()
-	}
-	if !p.cfg.DisableMetaCache && p.servable(args.FH) {
-		if a, ok := p.cache.getAttr(args.FH); ok {
+	spanFH(call, args.FH)
+	if !p.cfg.DisableMetaCache {
+		if h, ok := p.cache.attrHit(args.FH); ok {
 			p.met.attrHits.Inc()
 			p.hitLocal(call)
-			if p.cfg.Staleness != nil {
-				st, sok := p.cache.attrStamp(args.FH)
-				p.observeServe(args.FH, st, sok)
-			}
-			res := nfs3.GetattrRes{Status: nfs3.OK, Attr: a}
+			p.observeServe(args.FH, h.stamp, h.dirty)
+			res := nfs3.GetattrRes{Status: nfs3.OK, Attr: h.attr}
 			res.Encode(call.Reply)
 			return sunrpc.Success
 		}
 	}
 	var res nfs3.GetattrRes
-	if _, err := p.callUpstream(call.ReqID, nfs3.ProcGetattr, &args, &res); err != nil {
+	if err := p.forward(call, nfs3.ProcGetattr, &args, &res, args.FH); err != nil {
 		return encodeReply(call, &nfs3.GetattrRes{Status: nfs3.ErrJukebox})
 	}
-	p.hitForward(call)
-	p.noteForward(args.FH)
 	switch res.Status {
 	case nfs3.OK:
 		p.cache.putAttr(args.FH, res.Attr)
 	case nfs3.ErrStale:
-		p.forgetHandle(args.FH)
+		// The handle no longer names a file: every trace of it goes, its
+		// protocol state included.
+		p.cache.forget(args.FH)
 	}
 	return encodeReply(call, &res)
 }
@@ -1178,51 +1064,32 @@ func (p *ProxyClient) lookup(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
-	call.SpanFH = args.Dir.String()
-	if !p.cfg.DisableMetaCache && p.servable(args.Dir) {
-		if childFH, negative, ok := p.cache.getLookup(args.Dir, args.Name); ok {
-			dirAttr, dirOK := p.cache.getAttr(args.Dir)
-			if negative && dirOK {
+	spanFH(call, args.Dir)
+	if !p.cfg.DisableMetaCache {
+		if h, ok := p.cache.lookupHit(args.Dir, args.Name); ok {
+			dirAttr := nfs3.PostOpAttr{Present: true, Attr: h.dir.attr}
+			p.hitLocal(call)
+			if h.negative {
 				// A cached NOENT: the per-file checks the kernel keeps
 				// issuing for absent names are filtered out locally.
 				p.met.negHits.Inc()
-				p.hitLocal(call)
-				if p.cfg.Staleness != nil {
-					st, sok := p.cache.lookupStamp(args.Dir, args.Name)
-					p.observeServe(args.Dir, st, sok)
-				}
-				return encodeReply(call, &nfs3.LookupRes{
-					Status:  nfs3.ErrNoEnt,
-					DirAttr: nfs3.PostOpAttr{Present: true, Attr: dirAttr},
-				})
+				p.observeServe(args.Dir, h.dir.stamp, h.dir.dirty)
+				return encodeReply(call, &nfs3.LookupRes{Status: nfs3.ErrNoEnt, DirAttr: dirAttr})
 			}
-			if !negative && dirOK && p.servable(childFH) {
-				// Under the strong model the child's attributes (and thus
-				// the binding's continued existence) are only trustworthy
-				// while a delegation on the child is held.
-				if childAttr, ok2 := p.cache.getAttr(childFH); ok2 {
-					p.met.dentryHits.Inc()
-					p.hitLocal(call)
-					if p.cfg.Staleness != nil {
-						st, sok := p.cache.attrStamp(childFH)
-						p.observeServe(childFH, st, sok)
-					}
-					return encodeReply(call, &nfs3.LookupRes{
-						Status:  nfs3.OK,
-						FH:      childFH,
-						Attr:    nfs3.PostOpAttr{Present: true, Attr: childAttr},
-						DirAttr: nfs3.PostOpAttr{Present: true, Attr: dirAttr},
-					})
-				}
-			}
+			p.met.dentryHits.Inc()
+			p.observeServe(h.fh, h.child.stamp, h.child.dirty)
+			return encodeReply(call, &nfs3.LookupRes{
+				Status:  nfs3.OK,
+				FH:      h.fh,
+				Attr:    nfs3.PostOpAttr{Present: true, Attr: h.child.attr},
+				DirAttr: dirAttr,
+			})
 		}
 	}
 	var res nfs3.LookupRes
-	if _, err := p.callUpstream(call.ReqID, nfs3.ProcLookup, &args, &res); err != nil {
+	if err := p.forward(call, nfs3.ProcLookup, &args, &res, args.Dir); err != nil {
 		return encodeReply(call, &nfs3.LookupRes{Status: nfs3.ErrJukebox})
 	}
-	p.hitForward(call)
-	p.noteForward(args.Dir)
 	if res.DirAttr.Present {
 		p.cache.putAttr(args.Dir, res.DirAttr.Attr)
 	}
@@ -1245,46 +1112,39 @@ func (p *ProxyClient) read(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
-	if call.Traced {
-		call.SpanFH = args.FH.String()
-	}
+	spanFH(call, args.FH)
 	bs := uint64(p.cfg.BlockSize)
 	bn := args.Offset / bs
 	aligned := args.Offset%bs == 0 && uint64(args.Count) <= bs
 
-	// Dirty blocks are always ours to serve.
 	if aligned {
 		// With readahead on, keep the pipeline ahead of a sequential reader;
 		// and if a prefetch of this very block is in flight, wait for it
 		// rather than double-issuing the wide-area READ.
 		joined := p.cfg.ReadAhead > 0 && p.readAhead(call.ReqID, args.FH, bn)
 		// One pass through the cache: the block, the file's attributes, whether
-		// it has buffered writes, and when the block got here.
+		// the model lets them be served, and when the block got here.
 		if hit, ok := p.cache.readHit(args.FH, bn); ok {
-			if hit.attrOK && (p.servable(args.FH) || hit.dirty) {
-				// res stays on this frame's stack: the warm hit path's only
-				// allocation is the pooled staging buffer inside
-				// localReadInto, recycled right after the reply encodes.
-				var res nfs3.ReadRes
-				if localReadInto(&res, hit.attr, hit.data, args.Offset, args.Count, bs) {
-					if joined {
-						// The demand read rode an in-flight readahead
-						// instead of paying its own round-trip.
-						p.met.readaheadJoins.Inc()
-						call.SpanDetail = "join"
-					}
-					p.hitLocal(call)
-					if p.cfg.Staleness != nil && !hit.dirty {
-						p.reportServe(args.FH, hit.stamp)
-					}
-					call.SpanBytes = int64(res.Count)
-					if p.cfg.DiskDelay > 0 {
-						p.clk.Sleep(p.cfg.DiskDelay) // read the block from the disk cache
-					}
-					res.Encode(call.Reply)
-					releaseReadRes(&res)
-					return sunrpc.Success
+			// res stays on this frame's stack: the warm hit path's only
+			// allocation is the pooled staging buffer inside localReadInto,
+			// recycled right after the reply encodes.
+			var res nfs3.ReadRes
+			if localReadInto(&res, hit.attr, hit.data, args.Offset, args.Count, bs) {
+				if joined {
+					// The demand read rode an in-flight readahead instead of
+					// paying its own round-trip.
+					p.met.readaheadJoins.Inc()
+					call.SpanDetail = "join"
 				}
+				p.hitLocal(call)
+				p.observeServe(args.FH, hit.stamp, hit.dirty)
+				call.SpanBytes = int64(res.Count)
+				if p.cfg.DiskDelay > 0 {
+					p.clk.Sleep(p.cfg.DiskDelay) // read the block from the disk cache
+				}
+				res.Encode(call.Reply)
+				releaseReadRes(&res)
+				return sunrpc.Success
 			}
 		}
 	}
@@ -1299,12 +1159,10 @@ func (p *ProxyClient) read(call *sunrpc.Call) sunrpc.AcceptStat {
 func (p *ProxyClient) readForward(call *sunrpc.Call, args nfs3.ReadArgs, bn uint64, aligned bool) sunrpc.AcceptStat {
 	bs := uint64(p.cfg.BlockSize)
 	var res nfs3.ReadRes
-	if _, err := p.callUpstream(call.ReqID, nfs3.ProcRead, &args, &res); err != nil {
+	if err := p.forward(call, nfs3.ProcRead, &args, &res, args.FH); err != nil {
 		return encodeReply(call, &nfs3.ReadRes{Status: nfs3.ErrJukebox})
 	}
-	p.hitForward(call)
 	call.SpanBytes = int64(res.Count)
-	p.noteForward(args.FH)
 	if res.Status == nfs3.OK && res.Attr.Present {
 		if aligned && (uint64(res.Count) == bs || res.EOF) {
 			p.cache.putCleanBlock(args.FH, bn, res.Data, res.Attr.Attr)
@@ -1379,14 +1237,10 @@ func (p *ProxyClient) write(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
-	if call.Traced {
-		call.SpanFH = args.FH.String()
-	}
+	spanFH(call, args.FH)
 	call.SpanBytes = int64(len(args.Data))
-	writeLocal := p.cfg.WriteBack || (p.cfg.Model == ModelDelegation && p.hasWriteDeleg(args.FH))
-	attr, attrOK := p.cache.getAttr(args.FH)
 
-	if writeLocal && attrOK && !p.isNoncacheable(args.FH) {
+	if attr, writeLocal := p.cache.absorbable(args.FH); writeLocal {
 		bs := uint64(p.cfg.BlockSize)
 		// Read-modify-write: fetch a partially overwritten block that is
 		// inside the current file but not yet cached.
@@ -1404,7 +1258,7 @@ func (p *ProxyClient) write(call *sunrpc.Call) sunrpc.AcceptStat {
 			}
 			var rres nfs3.ReadRes
 			rargs := nfs3.ReadArgs{FH: args.FH, Offset: blockStart, Count: uint32(bs)}
-			if _, err := p.callUpstream(call.ReqID, nfs3.ProcRead, &rargs, &rres); err != nil || rres.Status != nfs3.OK {
+			if err := p.callUpstream(call.ReqID, nfs3.ProcRead, &rargs, &rres); err != nil || rres.Status != nfs3.OK {
 				writeLocal = false
 				break
 			}
@@ -1417,8 +1271,7 @@ func (p *ProxyClient) write(call *sunrpc.Call) sunrpc.AcceptStat {
 			if p.cfg.DiskDelay > 0 {
 				p.clk.Sleep(p.cfg.DiskDelay) // persist the dirty block to the disk cache
 			}
-			p.cache.writeDirty(args.FH, args.Offset, args.Data)
-			newAttr, _ := p.cache.getAttr(args.FH)
+			newAttr := p.cache.writeDirty(args.FH, args.Offset, args.Data)
 			p.hitLocal(call)
 			// Stack-encoded directly: the absorbed-write path allocates
 			// nothing at steady state.
@@ -1442,11 +1295,9 @@ func (p *ProxyClient) write(call *sunrpc.Call) sunrpc.AcceptStat {
 // stack instead of heap-allocating it for callUpstream's sake.
 func (p *ProxyClient) writeForward(call *sunrpc.Call, args nfs3.WriteArgs) sunrpc.AcceptStat {
 	var res nfs3.WriteRes
-	if _, err := p.callUpstream(call.ReqID, nfs3.ProcWrite, &args, &res); err != nil {
+	if err := p.forward(call, nfs3.ProcWrite, &args, &res, args.FH); err != nil {
 		return encodeReply(call, &nfs3.WriteRes{Status: nfs3.ErrJukebox})
 	}
-	p.hitForward(call)
-	p.noteForward(args.FH)
 	if res.Status == nfs3.OK && res.Committed != nfs3.FileSync {
 		p.cache.noteUnstable(args.FH)
 	}
@@ -1462,30 +1313,22 @@ func (p *ProxyClient) writeForward(call *sunrpc.Call, args nfs3.WriteArgs) sunrp
 	return encodeReply(call, &res)
 }
 
-func (p *ProxyClient) isNoncacheable(fh nfs3.FH) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.noncacheable[fh.Key()]
-}
-
 func (p *ProxyClient) setattr(call *sunrpc.Call) sunrpc.AcceptStat {
 	var args nfs3.SetattrArgs
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
 	p.mapIdentity(&args.Attr)
-	call.SpanFH = args.FH.String()
+	spanFH(call, args.FH)
 	// Truncation invalidates buffered writes beyond the new size; flush
 	// first for simplicity and correctness.
 	if p.cache.hasDirty(args.FH) {
 		p.flushFile(call.ReqID, args.FH)
 	}
 	var res nfs3.WccRes
-	if _, err := p.callUpstream(call.ReqID, nfs3.ProcSetattr, &args, &res); err != nil {
+	if err := p.forward(call, nfs3.ProcSetattr, &args, &res, args.FH); err != nil {
 		return encodeReply(call, &nfs3.WccRes{Status: nfs3.ErrJukebox})
 	}
-	p.hitForward(call)
-	p.noteForward(args.FH)
 	if res.Status == nfs3.OK && res.Wcc.After.Present {
 		p.cache.putAttr(args.FH, res.Wcc.After.Attr)
 	}
@@ -1497,20 +1340,9 @@ func (p *ProxyClient) create(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
-	p.mapIdentity(&args.Attr)
-	call.SpanFH = args.Where.Dir.String()
-	var res nfs3.CreateRes
-	if _, err := p.callUpstream(call.ReqID, nfs3.ProcCreate, &args, &res); err != nil {
-		return encodeReply(call, &nfs3.CreateRes{Status: nfs3.ErrJukebox})
-	}
-	p.hitForward(call)
-	if res.Status == nfs3.OK && res.FHFollows && args.Mode == nfs3.CreateUnchecked {
-		// An unchecked create truncates an existing file: any dirty data
-		// buffered for the old contents is gone by definition.
-		p.cache.dropDirty(res.FH)
-	}
-	p.afterCreateLike(args.Where, &res)
-	return encodeReply(call, &res)
+	// An unchecked create truncates an existing file: any dirty data buffered
+	// for the old contents is gone by definition.
+	return p.forwardCreate(call, &args, args.Where, &args.Attr, args.Mode == nfs3.CreateUnchecked)
 }
 
 func (p *ProxyClient) mkdir(call *sunrpc.Call) sunrpc.AcceptStat {
@@ -1518,15 +1350,7 @@ func (p *ProxyClient) mkdir(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
-	p.mapIdentity(&args.Attr)
-	call.SpanFH = args.Where.Dir.String()
-	var res nfs3.CreateRes
-	if _, err := p.callUpstream(call.ReqID, nfs3.ProcMkdir, &args, &res); err != nil {
-		return encodeReply(call, &nfs3.CreateRes{Status: nfs3.ErrJukebox})
-	}
-	p.hitForward(call)
-	p.afterCreateLike(args.Where, &res)
-	return encodeReply(call, &res)
+	return p.forwardCreate(call, &args, args.Where, &args.Attr, false)
 }
 
 func (p *ProxyClient) symlink(call *sunrpc.Call) sunrpc.AcceptStat {
@@ -1534,28 +1358,31 @@ func (p *ProxyClient) symlink(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
-	p.mapIdentity(&args.Attr)
-	call.SpanFH = args.Where.Dir.String()
-	var res nfs3.CreateRes
-	if _, err := p.callUpstream(call.ReqID, nfs3.ProcSymlink, &args, &res); err != nil {
-		return encodeReply(call, &nfs3.CreateRes{Status: nfs3.ErrJukebox})
-	}
-	p.hitForward(call)
-	p.afterCreateLike(args.Where, &res)
-	return encodeReply(call, &res)
+	return p.forwardCreate(call, &args, args.Where, &args.Attr, false)
 }
 
-func (p *ProxyClient) afterCreateLike(where nfs3.DirOpArgs, res *nfs3.CreateRes) {
-	p.noteForward(where.Dir)
+// forwardCreate forwards a decoded CREATE, MKDIR or SYMLINK and caches what
+// the reply says about the directory and the new object.
+func (p *ProxyClient) forwardCreate(call *sunrpc.Call, args wireEnc, where nfs3.DirOpArgs, attr *nfs3.Sattr, truncates bool) sunrpc.AcceptStat {
+	p.mapIdentity(attr)
+	spanFH(call, where.Dir)
+	var res nfs3.CreateRes
+	if err := p.forward(call, call.Proc, args, &res, where.Dir); err != nil {
+		return encodeReply(call, &nfs3.CreateRes{Status: nfs3.ErrJukebox})
+	}
 	if res.DirWcc.After.Present {
 		p.cache.putAttr(where.Dir, res.DirWcc.After.Attr)
 	}
 	if res.Status == nfs3.OK && res.FHFollows {
+		if truncates {
+			p.cache.dropDirty(res.FH)
+		}
 		if res.Attr.Present {
 			p.cache.putAttr(res.FH, res.Attr.Attr)
 		}
 		p.cache.putLookup(where.Dir, where.Name, res.FH)
 	}
+	return encodeReply(call, &res)
 }
 
 func (p *ProxyClient) unlink(call *sunrpc.Call) sunrpc.AcceptStat {
@@ -1563,7 +1390,7 @@ func (p *ProxyClient) unlink(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
-	call.SpanFH = args.Dir.String()
+	spanFH(call, args.Dir)
 	// Abandon buffered dirty data for the victim: it is being deleted.
 	victim, negative, known := p.cache.getLookup(args.Dir, args.Name)
 	known = known && !negative
@@ -1571,16 +1398,14 @@ func (p *ProxyClient) unlink(call *sunrpc.Call) sunrpc.AcceptStat {
 		p.cache.dropDirty(victim)
 	}
 	var res nfs3.WccRes
-	if _, err := p.callUpstream(call.ReqID, call.Proc, &args, &res); err != nil {
+	if err := p.forward(call, call.Proc, &args, &res, args.Dir); err != nil {
 		return encodeReply(call, &nfs3.WccRes{Status: nfs3.ErrJukebox})
 	}
-	p.hitForward(call)
-	p.noteForward(args.Dir)
 	if res.Status == nfs3.OK && known {
 		// That was the handle's last name (a directory has one; a file whose
 		// cached link count says otherwise is left to go stale on its own).
 		if a, ok := p.cache.getAttr(victim); call.Proc == nfs3.ProcRmdir || (ok && a.Nlink <= 1) {
-			p.forgetHandle(victim)
+			p.cache.forget(victim)
 		}
 	}
 	p.cache.dropLookup(args.Dir, args.Name)
@@ -1599,14 +1424,11 @@ func (p *ProxyClient) rename(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
-	call.SpanFH = args.From.Dir.String()
+	spanFH(call, args.From.Dir)
 	var res nfs3.RenameRes
-	if _, err := p.callUpstream(call.ReqID, nfs3.ProcRename, &args, &res); err != nil {
+	if err := p.forward(call, nfs3.ProcRename, &args, &res, args.From.Dir, args.To.Dir); err != nil {
 		return encodeReply(call, &nfs3.RenameRes{Status: nfs3.ErrJukebox})
 	}
-	p.hitForward(call)
-	p.noteForward(args.From.Dir)
-	p.noteForward(args.To.Dir)
 	p.cache.dropLookup(args.From.Dir, args.From.Name)
 	p.cache.dropLookup(args.To.Dir, args.To.Name)
 	if res.FromWcc.After.Present {
@@ -1623,14 +1445,11 @@ func (p *ProxyClient) linkProc(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
-	call.SpanFH = args.FH.String()
+	spanFH(call, args.FH)
 	var res nfs3.LinkRes
-	if _, err := p.callUpstream(call.ReqID, nfs3.ProcLink, &args, &res); err != nil {
+	if err := p.forward(call, nfs3.ProcLink, &args, &res, args.FH, args.Link.Dir); err != nil {
 		return encodeReply(call, &nfs3.LinkRes{Status: nfs3.ErrJukebox})
 	}
-	p.hitForward(call)
-	p.noteForward(args.FH)
-	p.noteForward(args.Link.Dir)
 	if res.Attr.Present {
 		p.cache.putAttr(args.FH, res.Attr.Attr)
 	}
@@ -1648,34 +1467,27 @@ func (p *ProxyClient) readdir(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
-	call.SpanFH = args.Dir.String()
+	spanFH(call, args.Dir)
 	// Serve complete cached listings that fit one reply; pagination always
 	// forwards, since upstream cookies are opaque to us.
-	if args.Cookie == 0 && !p.cfg.DisableMetaCache && p.servable(args.Dir) {
-		if entries, ok := p.cache.getDirListing(args.Dir); ok {
-			if dirAttr, ok2 := p.cache.getAttr(args.Dir); ok2 && listingFits(entries, args.Count) {
-				p.met.listingHits.Inc()
-				p.hitLocal(call)
-				if p.cfg.Staleness != nil {
-					st, sok := p.cache.attrStamp(args.Dir)
-					p.observeServe(args.Dir, st, sok)
-				}
-				return encodeReply(call, &nfs3.ReaddirRes{
-					Status:     nfs3.OK,
-					DirAttr:    nfs3.PostOpAttr{Present: true, Attr: dirAttr},
-					CookieVerf: 1,
-					Entries:    entries,
-					EOF:        true,
-				})
-			}
+	if args.Cookie == 0 && !p.cfg.DisableMetaCache {
+		if entries, h, ok := p.cache.listingHit(args.Dir); ok && listingFits(entries, args.Count) {
+			p.met.listingHits.Inc()
+			p.hitLocal(call)
+			p.observeServe(args.Dir, h.stamp, h.dirty)
+			return encodeReply(call, &nfs3.ReaddirRes{
+				Status:     nfs3.OK,
+				DirAttr:    nfs3.PostOpAttr{Present: true, Attr: h.attr},
+				CookieVerf: 1,
+				Entries:    entries,
+				EOF:        true,
+			})
 		}
 	}
 	var res nfs3.ReaddirRes
-	if _, err := p.callUpstream(call.ReqID, nfs3.ProcReaddir, &args, &res); err != nil {
+	if err := p.forward(call, nfs3.ProcReaddir, &args, &res, args.Dir); err != nil {
 		return encodeReply(call, &nfs3.ReaddirRes{Status: nfs3.ErrJukebox})
 	}
-	p.hitForward(call)
-	p.noteForward(args.Dir)
 	if res.DirAttr.Present {
 		p.cache.putAttr(args.Dir, res.DirAttr.Attr)
 	}
@@ -1702,13 +1514,11 @@ func (p *ProxyClient) readdirplus(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
-	call.SpanFH = args.Dir.String()
+	spanFH(call, args.Dir)
 	var res nfs3.ReaddirplusRes
-	if _, err := p.callUpstream(call.ReqID, nfs3.ProcReaddirplus, &args, &res); err != nil {
+	if err := p.forward(call, nfs3.ProcReaddirplus, &args, &res, args.Dir); err != nil {
 		return encodeReply(call, &nfs3.ReaddirplusRes{Status: nfs3.ErrJukebox})
 	}
-	p.hitForward(call)
-	p.noteForward(args.Dir)
 	if res.DirAttr.Present {
 		p.cache.putAttr(args.Dir, res.DirAttr.Attr)
 	}
@@ -1728,41 +1538,38 @@ func (p *ProxyClient) commit(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
-	call.SpanFH = args.FH.String()
-	if p.cache.hasDirty(args.FH) {
+	spanFH(call, args.FH)
+	verdict, h, unstable := p.cache.settleCommit(args.FH, false)
+	if verdict == commitFlush {
 		p.flushFile(call.ReqID, args.FH)
+		verdict, h, unstable = p.cache.settleCommit(args.FH, true)
 	}
-	verdict, attr, unstable := p.cache.settleCommit(args.FH)
-	switch {
-	case verdict == commitLost:
+	switch verdict {
+	case commitLost:
 		return encodeReply(call, &nfs3.CommitRes{Status: nfs3.ErrIO})
-	case verdict == commitPending:
+	case commitPending:
 		return encodeReply(call, &nfs3.CommitRes{Status: nfs3.ErrJukebox})
-	case verdict == commitLocal && p.servable(args.FH):
+	case commitLocal:
 		// Every write-back WRITE is sent FILE_SYNC and none of this session's
 		// forwarded WRITEs is waiting on a COMMIT: the server has nothing
 		// left to make stable, so the round trip would carry no news.
 		p.met.commitLocal.Inc()
 		call.SpanDetail = "local"
 		p.hitLocal(call)
-		if p.cfg.Staleness != nil {
-			st, sok := p.cache.attrStamp(args.FH)
-			p.observeServe(args.FH, st, sok)
-		}
+		p.observeServe(args.FH, h.stamp, h.dirty)
 		return encodeReply(call, &nfs3.CommitRes{
 			Status: nfs3.OK,
-			Wcc:    nfs3.WccData{After: nfs3.PostOpAttr{Present: true, Attr: attr}},
+			Wcc:    nfs3.WccData{After: nfs3.PostOpAttr{Present: true, Attr: h.attr}},
 			Verf:   localWriteVerf,
 		})
 	}
 	var res nfs3.CommitRes
-	if _, err := p.callUpstream(call.ReqID, nfs3.ProcCommit, &args, &res); err != nil {
+	if err := p.forward(call, nfs3.ProcCommit, &args, &res); err != nil {
 		return encodeReply(call, &nfs3.CommitRes{Status: nfs3.ErrJukebox})
 	}
 	if res.Status == nfs3.OK {
 		p.cache.commitCovered(args.FH, unstable)
 	}
-	p.hitForward(call)
 	return encodeReply(call, &res)
 }
 
@@ -1778,32 +1585,27 @@ func (p *ProxyClient) access(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
-	call.SpanFH = args.FH.String()
-	if !p.cfg.DisableMetaCache && p.servable(args.FH) {
-		if a, ok := p.cache.getAttr(args.FH); ok {
+	spanFH(call, args.FH)
+	if !p.cfg.DisableMetaCache {
+		if h, ok := p.cache.attrHit(args.FH); ok {
 			uid, gid, idOK := call.Cred.SysIdentity()
 			if !idOK {
 				uid, gid = 0, 0
 			}
 			p.met.accessHits.Inc()
 			p.hitLocal(call)
-			if p.cfg.Staleness != nil {
-				st, sok := p.cache.attrStamp(args.FH)
-				p.observeServe(args.FH, st, sok)
-			}
+			p.observeServe(args.FH, h.stamp, h.dirty)
 			return encodeReply(call, &nfs3.AccessRes{
 				Status: nfs3.OK,
-				Attr:   nfs3.PostOpAttr{Present: true, Attr: a},
-				Access: nfs3.AccessForAttr(a, uid, gid, args.Access),
+				Attr:   nfs3.PostOpAttr{Present: true, Attr: h.attr},
+				Access: nfs3.AccessForAttr(h.attr, uid, gid, args.Access),
 			})
 		}
 	}
 	var res nfs3.AccessRes
-	if _, err := p.callUpstream(call.ReqID, nfs3.ProcAccess, &args, &res); err != nil {
+	if err := p.forward(call, nfs3.ProcAccess, &args, &res, args.FH); err != nil {
 		return encodeReply(call, &nfs3.AccessRes{Status: nfs3.ErrJukebox})
 	}
-	p.hitForward(call)
-	p.noteForward(args.FH)
 	if res.Status == nfs3.OK && res.Attr.Present {
 		p.cache.putAttr(args.FH, res.Attr.Attr)
 	}
@@ -1824,30 +1626,15 @@ func (p *ProxyClient) passthrough(call *sunrpc.Call) sunrpc.AcceptStat {
 // --- callback service (proxy server -> proxy client) ------------------------
 
 func (p *ProxyClient) dispatchCallback(call *sunrpc.Call) sunrpc.AcceptStat {
-	start := p.node.Now()
-	var stat sunrpc.AcceptStat
-	switch call.Proc {
-	case ProcRecall:
-		stat = p.handleRecall(call)
-	case ProcRecallAll:
-		stat = p.handleRecallAll(call)
-	default:
+	return p.traced(call, CallbackProgram, func(call *sunrpc.Call) sunrpc.AcceptStat {
+		switch call.Proc {
+		case ProcRecall:
+			return p.handleRecall(call)
+		case ProcRecallAll:
+			return p.handleRecallAll(call)
+		}
 		return sunrpc.ProcUnavail
-	}
-	sp := obs.Span{
-		Req:    call.ReqID,
-		Op:     RPCName(CallbackProgram, call.Proc),
-		FH:     call.SpanFH,
-		Model:  shortModel(p.cfg.Model),
-		Detail: call.SpanDetail,
-		Start:  start,
-		End:    p.node.Now(),
-	}
-	if stat != sunrpc.Success {
-		sp.Err = stat.String()
-	}
-	p.node.Record(sp)
-	return stat
+	})
 }
 
 // handleRecall serves a delegation recall (Section 4.3.2). Read recalls
@@ -1858,21 +1645,12 @@ func (p *ProxyClient) handleRecall(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
-	call.SpanFH = args.FH.String()
+	spanFH(call, args.FH)
 	p.met.recalls.Inc()
-	p.mu.Lock()
-	delete(p.delegs, args.FH.Key())
-	if args.Seq > p.recallFence[args.FH.Key()] {
-		p.recallFence[args.FH.Key()] = args.Seq
-	}
-	p.mu.Unlock()
-	p.cache.invalidateAttr(args.FH)
+	// A Name says the recall was triggered by an operation removing or
+	// replacing that entry of the (directory) handle: the binding goes too.
+	p.cache.recall(args.FH, args.Seq, args.Name)
 	p.cfg.Staleness.ObservePropagation("recall", args.FH.Key())
-	if args.Name != "" {
-		// The recall was triggered by an operation removing or replacing
-		// this entry of the (directory) handle: the binding must go.
-		p.cache.dropLookup(args.FH, args.Name)
-	}
 
 	res := RecallRes{Status: nfs3.OK}
 	dirty := p.cache.dirtyBlocks(args.FH)
@@ -1911,17 +1689,6 @@ func (p *ProxyClient) handleRecall(call *sunrpc.Call) sunrpc.AcceptStat {
 // reconstruction (Section 4.3.4): invalidate all cached attributes and
 // report which files hold locally modified data.
 func (p *ProxyClient) handleRecallAll(call *sunrpc.Call) sunrpc.AcceptStat {
-	p.cache.invalidateAllAttrs()
 	p.met.recalls.Inc()
-	p.mu.Lock()
-	dirty := p.cache.dirtyFiles()
-	// Delegations are void (the server lost its state); write delegations
-	// on dirty files are re-established by the server's rebuild.
-	p.delegs = make(map[string]DelegType)
-	for _, fh := range dirty {
-		p.delegs[fh.Key()] = DelegWrite
-	}
-	p.mu.Unlock()
-	res := RecallAllRes{DirtyFiles: dirty}
-	return encodeReply(call, &res)
+	return encodeReply(call, &RecallAllRes{DirtyFiles: p.cache.recallAll(true)})
 }

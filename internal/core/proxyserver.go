@@ -157,7 +157,7 @@ func NewProxyServer(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, dial
 	s.srv.SetObs(s.node, RPCName)
 	s.up.SetObs(s.node, RPCName)
 	cfg.applyRetransmit(upstream)
-	s.srv.SetDRCSize(cfg.DRCEntries)
+	s.srv.SetDRCSize(drcEntries)
 	s.srv.SetSched(cfg.schedConfig())
 	s.srv.Register(nfs3.Program, nfs3.Version, s.dispatchNFS)
 	s.srv.Register(nfs3.MountProgram, nfs3.MountVersion, s.forwardRaw(nfs3.MountProgram, nfs3.MountVersion))

@@ -133,21 +133,21 @@ func (sc *sessionCache) streamRead(fh nfs3.FH, bn uint64, window int64) (due, bu
 // `window` blocks past the reader, never past EOF as the cached attributes
 // have it, and never more than brings the file's prefetches in flight to
 // `window` — and returns the blocks to fetch. Blocks already cached (clean
-// or dirty) or in flight are skipped, so each crosses the wide area once.
+// or dirty) or in flight are skipped, so each crosses the wide area once; a
+// non-cacheable handle is never prefetched.
 func (sc *sessionCache) beginFetches(fh nfs3.FH, window int64) []uint64 {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	key := fh.Key()
-	fc, ok := sc.files[key]
-	if !ok || fc.stream.frontier == 0 {
+	fc := sc.dataFor(fh.Key())
+	if fc == nil || fc.noncacheable || fc.stream.frontier == 0 {
 		return nil // no confirmed stream: reset since streamRead, or a random read
 	}
-	attr, ok := sc.attrLocked(key)
+	attr, ok := sc.attrLocked(fc)
 	if !ok {
 		return nil
 	}
 	bs := uint64(sc.bs)
-	eof := (sc.adjustLocked(key, attr).Size + bs - 1) / bs
+	eof := (fc.adjust(attr).Size + bs - 1) / bs
 	st := &fc.stream
 	hi := min(st.next+uint64(window), eof)
 	var claimed []uint64
@@ -174,8 +174,8 @@ func (sc *sessionCache) beginFetches(fh nfs3.FH, window int64) []uint64 {
 func (sc *sessionCache) awaitFetch(fh nfs3.FH, bn uint64, w *vclock.Waiter) bool {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc, ok := sc.files[fh.Key()]
-	if !ok {
+	fc := sc.files[fh.Key()]
+	if fc == nil {
 		return false
 	}
 	ws, inflight := fc.fetching[bn]
@@ -190,8 +190,8 @@ func (sc *sessionCache) awaitFetch(fh nfs3.FH, bn uint64, w *vclock.Waiter) bool
 func (sc *sessionCache) endFetch(fh nfs3.FH, bn uint64) []*vclock.Waiter {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc, ok := sc.files[fh.Key()]
-	if !ok {
+	fc := sc.files[fh.Key()]
+	if fc == nil {
 		return nil
 	}
 	ws := fc.fetching[bn]
@@ -238,10 +238,7 @@ func (p *ProxyClient) readAhead(parent uint64, fh nfs3.FH, bn uint64) (joined bo
 // startPrefetch issues the stream's next chunk, one READ actor per block so
 // the wide-area round trips overlap.
 func (p *ProxyClient) startPrefetch(parent uint64, fh nfs3.FH, window int64) {
-	p.mu.Lock()
-	refuse := p.stopped || p.noncacheable[fh.Key()]
-	p.mu.Unlock()
-	if refuse {
+	if p.stopped.Load() {
 		return
 	}
 	for _, bn := range p.cache.beginFetches(fh, window) {
@@ -271,7 +268,7 @@ func (p *ProxyClient) prefetchBlock(parent, rid uint64, fh nfs3.FH, bn uint64, w
 		sp.FH = fh.String()
 		sp.Detail = "win=" + strconv.FormatInt(window, 10)
 	}
-	if _, err := p.callUpstream(rid, nfs3.ProcRead, &args, &res); err != nil {
+	if err := p.callUpstream(rid, nfs3.ProcRead, &args, &res); err != nil {
 		sp.End = p.node.Now()
 		sp.Err = err.Error()
 		p.node.Record(sp)

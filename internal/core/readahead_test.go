@@ -161,7 +161,7 @@ func TestStreamResets(t *testing.T) {
 	}{
 		{"random read", func(sc *sessionCache) { sc.streamRead(fh, 40, w) }, 64},
 		{"GETINV invalidation", func(sc *sessionCache) { sc.invalidateHandle(fh); sc.putAttr(fh, attr(64)) }, 64},
-		{"recall", func(sc *sessionCache) { sc.invalidateAttr(fh); sc.putAttr(fh, attr(64)) }, 64},
+		{"recall", func(sc *sessionCache) { sc.recall(fh, 0, ""); sc.putAttr(fh, attr(64)) }, 64},
 		{"force invalidation", func(sc *sessionCache) { sc.invalidateAllAttrs(); sc.putAttr(fh, attr(64)) }, 64},
 		{"truncation", func(sc *sessionCache) { sc.putAttr(fh, attr(12)) }, 12},
 	}
@@ -252,7 +252,7 @@ func TestUnreadPrefetchAccounting(t *testing.T) {
 	met.raWasted = reg.Counter("wasted")
 	fh := fhN(1)
 	sc := newSessionCache(4, 12) // room for three blocks
-	sc.setMetaPolicy(nil, metaPolicy{}, met)
+	sc.setPolicy(nil, cachePolicy{}, met)
 	a := attrWithMtime(1, nfs3.TypeReg)
 	a.Size = 64
 	blk := []byte{1, 2, 3, 4}
