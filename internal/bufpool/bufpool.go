@@ -7,9 +7,12 @@
 //     caller must overwrite every byte it reads back.
 //   - Put(b) recycles a slice. Only the goroutine that owns the buffer may
 //     Put it, exactly once, after which no alias of it may be touched.
-//   - Buffers that become cache-resident (proxy/kern block caches) or that are
-//     handed to a peer (client-received frames, DRC reply copies) are never
-//     Put — losing a buffer to the GC is always safe; double-recycling never is.
+//   - Buffers that become cache-resident (proxy/kern block caches, replies
+//     the DRC retains) are never Put. A frame a client received belongs to
+//     the caller that got the reply: it Puts it through sunrpc.Reply.Release
+//     when done, or never. Losing a buffer to the GC is always safe;
+//     double-recycling, or reading one after Put, never is — race builds
+//     overwrite a buffer on Put so that tests notice (poison_race.go).
 //
 // Pools can be disabled (SetEnabled(false)) so benchmarks can measure the
 // unpooled baseline; Get then allocates fresh and Put drops.
@@ -108,6 +111,7 @@ func Put(b []byte) {
 		return
 	}
 	outstanding.Add(-1)
+	poison(b[:c])
 	w := wrapPool.Get().(*poolBuf)
 	w.b = b[:0:c]
 	classes[cls].Put(w)

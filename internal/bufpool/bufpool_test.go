@@ -94,3 +94,24 @@ func TestAllocsOnSteadyState(t *testing.T) {
 		t.Fatalf("steady-state Get/Put allocates %.1f times per op", allocs)
 	}
 }
+
+// TestPutPoisonsInRaceBuilds pins the use-after-release detector: in a race
+// build a recycled buffer comes back from the pool overwritten, in a normal
+// build untouched (the hot path pays nothing).
+func TestPutPoisonsInRaceBuilds(t *testing.T) {
+	b := Get(100)
+	for i := range b {
+		b[i] = 7
+	}
+	stale := b[:cap(b)]
+	Put(b)
+	want := byte(7)
+	if RaceBuild {
+		want = 0xDB
+	}
+	for i, v := range stale[:100] {
+		if v != want {
+			t.Fatalf("byte %d of a recycled buffer is %#x, want %#x", i, v, want)
+		}
+	}
+}

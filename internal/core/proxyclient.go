@@ -243,6 +243,7 @@ func NewProxyClient(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, cred
 	cfg.applyRetransmit(upstream)
 	p.srv.SetDRCSize(drcEntries)
 	p.srv.Register(nfs3.Program, nfs3.Version, p.dispatchNFS)
+	p.srv.SetReadOnly(nfs3.Program, nfs3.Version, nfs3.ReadOnlyProcs()...)
 	p.srv.Register(nfs3.MountProgram, nfs3.MountVersion, p.dispatchMount)
 	// The callback service must be replay-safe too: a recall the server
 	// retransmits may not flush (or fence) twice. It also runs behind the
@@ -302,24 +303,50 @@ func (p *ProxyClient) reconnect(old *sunrpc.Client) bool {
 
 // rawCall issues one upstream RPC with reconnect-and-retry on failure. rid
 // is the trace request ID propagated from the kernel call that caused this
-// RPC; 0 lets the upstream client mint one (background traffic).
-func (p *ProxyClient) rawCall(rid uint64, prog, vers, proc uint32, args []byte) (*xdr.Decoder, error) {
+// RPC; 0 lets the upstream client mint one (background traffic). The caller
+// owns the reply's frame and releases it when done with the body.
+func (p *ProxyClient) rawCall(rid uint64, prog, vers, proc uint32, args []byte) (sunrpc.Reply, error) {
+	return p.waitCall(p.startCall(rid, prog, vers, proc, args), args)
+}
+
+// upstreamCall is an RPC sent upstream that nobody has waited for yet.
+type upstreamCall struct {
+	sunrpc.Pending
+	up               *sunrpc.Client
+	rid              uint64
+	prog, vers, proc uint32
+}
+
+// startCall sends one upstream RPC and returns without waiting: waitCall
+// collects the reply. Apart, they let a burst go out in an order of the
+// caller's choosing (issueChunk).
+func (p *ProxyClient) startCall(rid uint64, prog, vers, proc uint32, args []byte) upstreamCall {
+	up := p.upstream()
+	return upstreamCall{
+		Pending: up.Start(rid, prog, vers, proc, args, p.cfg.CallTimeout),
+		up:      up, rid: rid, prog: prog, vers: vers, proc: proc,
+	}
+}
+
+// waitCall collects a started call's reply; on failure it reconnects and
+// sends the call again — args once more, for that.
+func (p *ProxyClient) waitCall(c upstreamCall, args []byte) (sunrpc.Reply, error) {
 	for attempt := 0; ; attempt++ {
-		up := p.upstream()
-		d, err := up.CallTraced(rid, prog, vers, proc, args, p.cfg.CallTimeout)
+		rep, err := c.Wait()
 		if err == nil {
-			return d, nil
+			return rep, nil
 		}
 		p.met.upstreamRetries.Inc()
 		if p.stopped.Load() || attempt >= 2 {
-			return nil, err
+			return sunrpc.Reply{}, err
 		}
-		if !p.reconnect(up) {
+		if !p.reconnect(c.up) {
 			p.clk.Sleep(time.Second)
-			if !p.reconnect(up) {
-				return nil, err
+			if !p.reconnect(c.up) {
+				return sunrpc.Reply{}, err
 			}
 		}
+		c = p.startCall(c.rid, c.prog, c.vers, c.proc, args)
 	}
 }
 
@@ -560,13 +587,15 @@ func (p *ProxyClient) pollOnce() (gotAny bool, err error) {
 		// buffer before the server processes this GETINV, so a complete
 		// drain proves this cache has seen every such commit.
 		sentAt := p.clk.Now()
-		d, callErr := p.rawCall(rid, InvProgram, InvVersion, ProcGetInv, e.Bytes())
+		rep, callErr := p.rawCall(rid, InvProgram, InvVersion, ProcGetInv, e.Bytes())
 		bufpool.PutEncoder(e)
 		if callErr != nil {
 			return gotAny, callErr
 		}
 		var res GetInvRes
-		if decErr := res.Decode(d); decErr != nil {
+		decErr := res.Decode(rep.Body)
+		rep.Release() // the handles are copies
+		if decErr != nil {
 			return gotAny, decErr
 		}
 
@@ -806,24 +835,49 @@ type wireDec interface{ Decode(*xdr.Decoder) error }
 // callUpstream forwards one NFS call across the wide area and applies the
 // GVFS trailers the proxy server piggybacks on the reply (absent when the
 // upstream is a plain NFS server). forwarded names the handles for which a
-// kernel request thereby bypassed the cache (renewal bookkeeping).
+// kernel request thereby bypassed the cache (renewal bookkeeping). The reply
+// frame goes back to the pool before it returns, so res must own everything
+// it decoded — every result does but READ's, whose callers use startUpstream
+// and finishUpstream themselves and release the frame when done with the data.
 func (p *ProxyClient) callUpstream(rid uint64, proc uint32, args wireEnc, res wireDec, forwarded ...nfs3.FH) error {
-	// The args encoder is pooled: rawCall copies them into the outgoing call
-	// message before blocking for the reply, so recycling on return is safe.
+	rep, err := p.finishUpstream(p.startUpstream(rid, proc, args), res, forwarded)
+	rep.Release()
+	return err
+}
+
+// nfsCall is an NFS call sent upstream and not yet waited for.
+type nfsCall struct {
+	upstreamCall
+	args  *xdr.Encoder // the encoded arguments, pooled; a retry sends them again
+	start time.Duration
+}
+
+// startUpstream encodes args and sends the call; finishUpstream must follow.
+func (p *ProxyClient) startUpstream(rid uint64, proc uint32, args wireEnc) nfsCall {
 	e := bufpool.GetEncoder()
-	defer bufpool.PutEncoder(e)
 	if args != nil {
 		args.Encode(e)
 	}
 	start := p.node.Now()
-	d, err := p.rawCall(rid, nfs3.Program, nfs3.Version, proc, e.Bytes())
-	lat := p.node.Now() - start
+	return nfsCall{p.startCall(rid, nfs3.Program, nfs3.Version, proc, e.Bytes()), e, start}
+}
+
+// finishUpstream waits for a started NFS call, decodes its result into res
+// and applies the reply's trailers. The caller owns the reply's frame, which
+// a READ result's Data aliases: it releases it once the data is where it was
+// going — copied into the cache, encoded into the kernel's reply.
+func (p *ProxyClient) finishUpstream(c nfsCall, res wireDec, forwarded []nfs3.FH) (sunrpc.Reply, error) {
+	rep, err := p.waitCall(c.upstreamCall, c.args.Bytes())
+	bufpool.PutEncoder(c.args)
+	lat := p.node.Now() - c.start
 	p.met.forwardLatency.ObserveDuration(lat)
 	if err != nil {
-		return err
+		return rep, err
 	}
+	d := rep.Body
 	if err := res.Decode(d); err != nil {
-		return err
+		rep.Release()
+		return rep, err
 	}
 	if p.cfg.ReadAhead > 0 {
 		p.ra.observe(lat, res, p.cfg.BlockSize)
@@ -835,7 +889,7 @@ func (p *ProxyClient) callUpstream(rid uint64, proc uint32, args wireEnc, res wi
 		}
 	}
 	p.cache.applyReply(ts, forwarded)
-	return nil
+	return rep, nil
 }
 
 // forward is callUpstream for the kernel RPC being served: the call crossed the
@@ -917,18 +971,13 @@ func (p *ProxyClient) hitForward(call *sunrpc.Call) {
 
 func (p *ProxyClient) dispatchMount(call *sunrpc.Call) sunrpc.AcceptStat {
 	// Forward MOUNT verbatim: the root handle comes from the real server.
-	raw, err := p.rawCall(call.ReqID, nfs3.MountProgram, nfs3.MountVersion, call.Proc, remainingBytes(call.Args))
+	rep, err := p.rawCall(call.ReqID, nfs3.MountProgram, nfs3.MountVersion, call.Proc, call.Args.Rest())
 	if err != nil {
 		return sunrpc.SystemErr
 	}
-	call.Reply.FixedOpaque(remainingBytes(raw))
+	call.Reply.FixedOpaque(rep.Body.Rest())
+	rep.Release()
 	return sunrpc.Success
-}
-
-// remainingBytes drains a decoder's unread bytes.
-func remainingBytes(d *xdr.Decoder) []byte {
-	b, _ := d.FixedOpaque(d.Remaining())
-	return b
 }
 
 // ServeCall executes one NFSv3 call against the proxy exactly as the RPC
@@ -1117,19 +1166,27 @@ func (p *ProxyClient) read(call *sunrpc.Call) sunrpc.AcceptStat {
 	bn := args.Offset / bs
 	aligned := args.Offset%bs == 0 && uint64(args.Count) <= bs
 
+	// chunk is the stream's next run of prefetches when this read made one
+	// due. Its READs go out behind this block's own, if that has to be sent.
+	var chunk prefetchChunk
 	if aligned {
 		// With readahead on, keep the pipeline ahead of a sequential reader;
 		// and if a prefetch of this very block is in flight, wait for it
 		// rather than double-issuing the wide-area READ.
-		joined := p.cfg.ReadAhead > 0 && p.readAhead(call.ReqID, args.FH, bn)
+		joined := false
+		if p.cfg.ReadAhead > 0 {
+			joined, chunk = p.readAhead(call.ReqID, args.FH, bn)
+		}
 		// One pass through the cache: the block, the file's attributes, whether
 		// the model lets them be served, and when the block got here.
 		if hit, ok := p.cache.readHit(args.FH, bn); ok {
-			// res stays on this frame's stack: the warm hit path's only
-			// allocation is the pooled staging buffer inside localReadInto,
-			// recycled right after the reply encodes.
+			// res stays on this frame's stack and its Data is a window onto
+			// the cached block, so the hit's one copy is the one Encode makes:
+			// cache to reply, here, before anything can wait.
 			var res nfs3.ReadRes
 			if localReadInto(&res, hit.attr, hit.data, args.Offset, args.Count, bs) {
+				p.issueChunk(chunk)
+				res.Encode(call.Reply)
 				if joined {
 					// The demand read rode an in-flight readahead instead of
 					// paying its own round-trip.
@@ -1142,26 +1199,28 @@ func (p *ProxyClient) read(call *sunrpc.Call) sunrpc.AcceptStat {
 				if p.cfg.DiskDelay > 0 {
 					p.clk.Sleep(p.cfg.DiskDelay) // read the block from the disk cache
 				}
-				res.Encode(call.Reply)
-				releaseReadRes(&res)
 				return sunrpc.Success
 			}
 		}
 	}
 
-	return p.readForward(call, args, bn, aligned)
+	return p.readForward(call, args, bn, aligned, chunk)
 }
 
-// readForward forwards a READ upstream. args arrives by value: callUpstream's
+// readForward forwards a READ upstream. args arrives by value: startUpstream's
 // interface parameter makes &args escape, and keeping that address-taking out
 // of read lets the warm hit path hold its ReadArgs on the stack — otherwise
 // every READ, hit or miss, paid a heap allocation at the `var args` line.
-func (p *ProxyClient) readForward(call *sunrpc.Call, args nfs3.ReadArgs, bn uint64, aligned bool) sunrpc.AcceptStat {
+func (p *ProxyClient) readForward(call *sunrpc.Call, args nfs3.ReadArgs, bn uint64, aligned bool, chunk prefetchChunk) sunrpc.AcceptStat {
 	bs := uint64(p.cfg.BlockSize)
 	var res nfs3.ReadRes
-	if err := p.forward(call, nfs3.ProcRead, &args, &res, args.FH); err != nil {
+	c := p.startUpstream(call.ReqID, nfs3.ProcRead, &args)
+	p.issueChunk(chunk) // behind the block the reader is waiting for
+	rep, err := p.finishUpstream(c, &res, []nfs3.FH{args.FH})
+	if err != nil {
 		return encodeReply(call, &nfs3.ReadRes{Status: nfs3.ErrJukebox})
 	}
+	p.hitForward(call)
 	call.SpanBytes = int64(res.Count)
 	if res.Status == nfs3.OK && res.Attr.Present {
 		if aligned && (uint64(res.Count) == bs || res.EOF) {
@@ -1169,16 +1228,18 @@ func (p *ProxyClient) readForward(call *sunrpc.Call, args nfs3.ReadArgs, bn uint
 		}
 		p.cache.putAttr(args.FH, res.Attr.Attr)
 	}
-	return encodeReply(call, &res)
+	res.Encode(call.Reply)
+	rep.Release() // cached and encoded: nothing reads the upstream frame again
+	return sunrpc.Success
 }
 
 // localReadInto fills res with a READ reply from one cached block, returning
 // false when the requested range cannot be served from it (the caller then
 // forwards upstream). Tail blocks are stored at their natural, short length,
 // so the in-block offset must be derived from the configured block size —
-// never from len(block). The out-parameter shape lets the hot path keep res
-// on the caller's stack: a warm cache hit allocates nothing but the pooled
-// data staging buffer.
+// never from len(block). res.Data is a window onto block, not a copy: the
+// caller encodes it at once. The out-parameter shape lets the hot path keep
+// res on the caller's stack: a warm cache hit allocates nothing.
 func localReadInto(res *nfs3.ReadRes, attr nfs3.Fattr, block []byte, offset uint64, count uint32, blockSize uint64) bool {
 	size := attr.Size
 	if offset >= size {
@@ -1202,29 +1263,14 @@ func localReadInto(res *nfs3.ReadRes, attr nfs3.Fattr, block []byte, offset uint
 		// cannot serve it.
 		return false
 	}
-	// The copy is pool-owned (the cache-resident block cannot be handed out
-	// directly: it may be overwritten under the lock while the reply is
-	// encoded); the caller recycles it after the reply encodes via
-	// releaseReadRes.
-	data := bufpool.Get(n)
-	copy(data, block[bo:bo+n])
 	*res = nfs3.ReadRes{
 		Status: nfs3.OK,
 		Attr:   nfs3.PostOpAttr{Present: true, Attr: attr},
 		Count:  uint32(n),
 		EOF:    offset+uint64(n) >= size,
-		Data:   data,
+		Data:   block[bo : bo+n],
 	}
 	return true
-}
-
-// releaseReadRes recycles a localReadRes staging buffer once the reply has
-// been encoded (the encoder copied the payload).
-func releaseReadRes(res *nfs3.ReadRes) {
-	if res != nil && res.Data != nil {
-		bufpool.Put(res.Data)
-		res.Data = nil
-	}
 }
 
 // localWriteVerf is the write verifier of every reply the proxy client makes
@@ -1258,7 +1304,9 @@ func (p *ProxyClient) write(call *sunrpc.Call) sunrpc.AcceptStat {
 			}
 			var rres nfs3.ReadRes
 			rargs := nfs3.ReadArgs{FH: args.FH, Offset: blockStart, Count: uint32(bs)}
-			if err := p.callUpstream(call.ReqID, nfs3.ProcRead, &rargs, &rres); err != nil || rres.Status != nfs3.OK {
+			rep, err := p.finishUpstream(p.startUpstream(call.ReqID, nfs3.ProcRead, &rargs), &rres, nil)
+			if err != nil || rres.Status != nfs3.OK {
+				rep.Release()
 				writeLocal = false
 				break
 			}
@@ -1266,6 +1314,7 @@ func (p *ProxyClient) write(call *sunrpc.Call) sunrpc.AcceptStat {
 			if rres.Attr.Present {
 				p.cache.putCleanBlock(args.FH, bn, rres.Data, rres.Attr.Attr)
 			}
+			rep.Release()
 		}
 		if writeLocal {
 			if p.cfg.DiskDelay > 0 {
@@ -1614,12 +1663,13 @@ func (p *ProxyClient) access(call *sunrpc.Call) sunrpc.AcceptStat {
 
 // passthrough forwards a call without caching semantics.
 func (p *ProxyClient) passthrough(call *sunrpc.Call) sunrpc.AcceptStat {
-	raw, err := p.rawCall(call.ReqID, nfs3.Program, nfs3.Version, call.Proc, remainingBytes(call.Args))
+	rep, err := p.rawCall(call.ReqID, nfs3.Program, nfs3.Version, call.Proc, call.Args.Rest())
 	if err != nil {
 		return sunrpc.SystemErr
 	}
 	p.hitForward(call)
-	call.Reply.FixedOpaque(remainingBytes(raw))
+	call.Reply.FixedOpaque(rep.Body.Rest())
+	rep.Release()
 	return sunrpc.Success
 }
 

@@ -160,6 +160,7 @@ func NewProxyServer(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, dial
 	s.srv.SetDRCSize(drcEntries)
 	s.srv.SetSched(cfg.schedConfig())
 	s.srv.Register(nfs3.Program, nfs3.Version, s.dispatchNFS)
+	s.srv.SetReadOnly(nfs3.Program, nfs3.Version, nfs3.ReadOnlyProcs()...)
 	s.srv.Register(nfs3.MountProgram, nfs3.MountVersion, s.forwardRaw(nfs3.MountProgram, nfs3.MountVersion))
 	s.srv.Register(InvProgram, InvVersion, s.dispatchInv)
 	return s

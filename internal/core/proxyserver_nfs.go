@@ -37,11 +37,12 @@ type callInfo struct {
 // forwardRaw relays a program verbatim (MOUNT).
 func (s *ProxyServer) forwardRaw(prog, vers uint32) sunrpc.DispatchFunc {
 	return func(call *sunrpc.Call) sunrpc.AcceptStat {
-		d, err := s.up.CallTraced(call.ReqID, prog, vers, call.Proc, remainingBytes(call.Args), s.cfg.CallTimeout)
+		rep, err := s.up.CallOwned(call.ReqID, prog, vers, call.Proc, call.Args.Rest(), s.cfg.CallTimeout)
 		if err != nil {
 			return sunrpc.SystemErr
 		}
-		call.Reply.FixedOpaque(remainingBytes(d))
+		call.Reply.FixedOpaque(rep.Body.Rest())
+		rep.Release()
 		return sunrpc.Success
 	}
 }
@@ -58,7 +59,9 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 	call.Yield(s.waitGrace)
 	client := s.ensureClient(call.Cred)
 
-	argBytes := remainingBytes(call.Args)
+	// The arguments are relayed out of the call's frame and the results out
+	// of the upstream reply's, neither through a copy of its own.
+	argBytes := call.Args.Rest()
 	info, ok := s.inspect(call.ReqID, call.Proc, argBytes)
 	if !ok {
 		return sunrpc.GarbageArgs
@@ -97,11 +100,11 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 
 	// Forward across the loopback to the kernel NFS server.
 	s.met.forwards.Inc()
-	d, err := s.up.CallTraced(call.ReqID, nfs3.Program, nfs3.Version, call.Proc, argBytes, s.cfg.CallTimeout)
+	rep, err := s.up.CallOwned(call.ReqID, nfs3.Program, nfs3.Version, call.Proc, argBytes, s.cfg.CallTimeout)
 	if err != nil {
 		return sunrpc.SystemErr
 	}
-	replyBytes := remainingBytes(d)
+	replyBytes := rep.Body.Rest()
 
 	status := replyStatus(replyBytes)
 	if status == nfs3.OK {
@@ -151,6 +154,7 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 	}
 
 	call.Reply.FixedOpaque(replyBytes)
+	rep.Release() // nothing below reads the upstream frame
 	trailers.Encode(call.Reply)
 	return sunrpc.Success
 }

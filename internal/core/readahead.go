@@ -202,16 +202,17 @@ func (sc *sessionCache) endFetch(fh nfs3.FH, bn uint64) []*vclock.Waiter {
 // --- proxy client side -------------------------------------------------------
 
 // readAhead runs the pipeline for an aligned demand read of block bn: it
-// advances the file's stream, issues the next chunk of prefetches when one
-// is due, and — when a prefetch of bn itself is in flight — waits for it
-// rather than double-issuing the wide-area READ, reporting that it did (a
-// join). The sequential hit that needs neither costs one pass through the
-// cache mutex.
-func (p *ProxyClient) readAhead(parent uint64, fh nfs3.FH, bn uint64) (joined bool) {
+// advances the file's stream, claims the next chunk of prefetches when one is
+// due, and — when a prefetch of bn itself is in flight — waits for it rather
+// than double-issuing the wide-area READ, reporting that it did (a join). The
+// sequential hit that needs neither costs one pass through the cache mutex.
+// A chunk it returns is the caller's to issue (issueChunk); before sleeping on
+// a join it has issued the chunk itself.
+func (p *ProxyClient) readAhead(parent uint64, fh nfs3.FH, bn uint64) (joined bool, chunk prefetchChunk) {
 	window := p.ra.window.Load()
 	due, busy := p.cache.streamRead(fh, bn, window)
 	if !due && !busy {
-		return false
+		return false, chunk
 	}
 	var w *vclock.Waiter
 	if busy {
@@ -227,48 +228,82 @@ func (p *ProxyClient) readAhead(parent uint64, fh nfs3.FH, bn uint64) (joined bo
 		}
 	}
 	if due {
-		p.startPrefetch(parent, fh, window)
+		chunk = p.claimChunk(parent, fh, window)
 	}
 	if joined {
+		p.issueChunk(chunk)
 		p.clk.WaitAs(w, "readahead fetch")
+		return true, prefetchChunk{}
 	}
-	return joined
+	return false, chunk
 }
 
-// startPrefetch issues the stream's next chunk, one READ actor per block so
-// the wide-area round trips overlap.
-func (p *ProxyClient) startPrefetch(parent uint64, fh nfs3.FH, window int64) {
+// prefetchChunk is a run of a stream's blocks claimed for prefetch (marked in
+// flight) whose READs have not been sent yet. The zero value is no chunk.
+type prefetchChunk struct {
+	parent uint64 // the demand read's request ID
+	fh     nfs3.FH
+	window int64
+	blocks []uint64
+	rids   []uint64 // one request ID per block
+}
+
+// claimChunk claims the stream's next chunk under a window of `window`.
+func (p *ProxyClient) claimChunk(parent uint64, fh nfs3.FH, window int64) prefetchChunk {
 	if p.stopped.Load() {
+		return prefetchChunk{}
+	}
+	blocks := p.cache.beginFetches(fh, window)
+	// Each prefetch is its own traced request, parented on the demand read
+	// that triggered it. Minted here, before any actor is spawned, so the ID
+	// order is deterministic regardless of actor scheduling.
+	rids := make([]uint64, len(blocks))
+	for i := range rids {
+		rids[i] = p.node.Mint()
+	}
+	return prefetchChunk{parent, fh, window, blocks, rids}
+}
+
+// issueChunk sends a claimed chunk: one READ per block, sent one after
+// another by a single actor so that they cross the link — and their replies
+// come back over it — in block order, the order the reader will ask for them,
+// and waited for by one actor each so that the round trips overlap. Sent from
+// the waiting actors, the chunk would leave in whatever order the scheduler
+// ran those, and the reader's next blocks could be the last to arrive. For
+// the same reason a demand read that has a READ of its own to send issues the
+// chunk after it: the block the reader is waiting for goes first.
+func (p *ProxyClient) issueChunk(c prefetchChunk) {
+	if len(c.blocks) == 0 {
 		return
 	}
-	for _, bn := range p.cache.beginFetches(fh, window) {
-		// Each prefetch is its own traced request, parented on the demand
-		// read that triggered it. Minted here, in the sequential spawn loop,
-		// so the ID order is deterministic regardless of actor scheduling.
-		rid := p.node.Mint()
-		p.clk.Go("gvfs-readahead", func() { p.prefetchBlock(parent, rid, fh, bn, window) })
-	}
+	p.clk.Go("gvfs-readahead", func() {
+		bs := uint64(p.cfg.BlockSize)
+		for i, bn := range c.blocks {
+			rid := c.rids[i]
+			call := p.startUpstream(rid, nfs3.ProcRead, &nfs3.ReadArgs{FH: c.fh, Offset: bn * bs, Count: uint32(bs)})
+			p.clk.Go("gvfs-readahead", func() { p.prefetchBlock(c.parent, rid, c.fh, bn, c.window, call) })
+		}
+	})
 }
 
-// prefetchBlock fetches one block across the wide area into the session
-// cache. The in-flight mark is cleared and waiting demand reads are woken
-// whether or not the fetch succeeded — on failure they simply forward.
-func (p *ProxyClient) prefetchBlock(parent, rid uint64, fh nfs3.FH, bn uint64, window int64) {
+// prefetchBlock collects one block's READ into the session cache. The
+// in-flight mark is cleared and waiting demand reads are woken whether or not
+// the fetch succeeded — on failure they simply forward.
+func (p *ProxyClient) prefetchBlock(parent, rid uint64, fh nfs3.FH, bn uint64, window int64, c nfsCall) {
 	defer func() {
 		for _, w := range p.cache.endFetch(fh, bn) {
 			w.Wake()
 		}
 	}()
-	start := p.node.Now()
 	bs := uint64(p.cfg.BlockSize)
-	args := nfs3.ReadArgs{FH: fh, Offset: bn * bs, Count: uint32(bs)}
 	var res nfs3.ReadRes
-	sp := obs.Span{Req: rid, Parent: parent, Op: "READAHEAD", Model: shortModel(p.cfg.Model), Start: start}
+	sp := obs.Span{Req: rid, Parent: parent, Op: "READAHEAD", Model: shortModel(p.cfg.Model), Start: c.start}
 	if p.node.Tracing() {
 		sp.FH = fh.String()
 		sp.Detail = "win=" + strconv.FormatInt(window, 10)
 	}
-	if err := p.callUpstream(rid, nfs3.ProcRead, &args, &res); err != nil {
+	rep, err := p.finishUpstream(c, &res, nil)
+	if err != nil {
 		sp.End = p.node.Now()
 		sp.Err = err.Error()
 		p.node.Record(sp)
@@ -279,6 +314,7 @@ func (p *ProxyClient) prefetchBlock(parent, rid uint64, fh nfs3.FH, bn uint64, w
 		p.cache.putBlock(fh, bn, res.Data, res.Attr.Attr, true)
 		p.met.readAheads.Inc()
 	}
+	rep.Release() // the cache copied what it kept
 	sp.Bytes = int64(res.Count)
 	if res.Status != nfs3.OK {
 		sp.Err = res.Status.String()

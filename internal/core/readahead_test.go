@@ -1,8 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +15,7 @@ import (
 	"repro/internal/nfsserver"
 	"repro/internal/simnet"
 	"repro/internal/sunrpc"
+	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
@@ -287,6 +291,33 @@ type raBed struct {
 	p    *ProxyClient
 	nc   *nfscall.Conn
 	root nfs3.FH
+	up   *readRecorder // the proxy client's upstream connection
+}
+
+// readRecorder notes the offset of every NFS READ call sent through it, in
+// the order they were sent.
+type readRecorder struct {
+	transport.Conn
+	mu      sync.Mutex
+	offsets []uint64
+}
+
+func (c *readRecorder) Send(msg []byte) error {
+	// An RPC call names its program at byte 12 and its procedure at byte 20;
+	// READ3args end in the offset and the count.
+	if len(msg) >= 36 && binary.BigEndian.Uint32(msg[4:]) == 0 &&
+		binary.BigEndian.Uint32(msg[12:]) == nfs3.Program && binary.BigEndian.Uint32(msg[20:]) == nfs3.ProcRead {
+		c.mu.Lock()
+		c.offsets = append(c.offsets, binary.BigEndian.Uint64(msg[len(msg)-12:]))
+		c.mu.Unlock()
+	}
+	return c.Conn.Send(msg)
+}
+
+func (c *readRecorder) sent() []uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]uint64(nil), c.offsets...)
 }
 
 // serverVerf is the bed NFS server's write verifier: anything but
@@ -333,11 +364,11 @@ func runTamperedBed(t *testing.T, cfg Config, tamper func(proc uint32, reply []b
 			defer back.Close()
 			relay := func(prog, vers uint32, edit func(uint32, []byte) []byte) sunrpc.DispatchFunc {
 				return func(call *sunrpc.Call) sunrpc.AcceptStat {
-					d, err := back.Call(prog, vers, call.Proc, remainingBytes(call.Args))
+					d, err := back.Call(prog, vers, call.Proc, call.Args.Rest())
 					if err != nil {
 						return sunrpc.SystemErr
 					}
-					call.Reply.FixedOpaque(edit(call.Proc, remainingBytes(d)))
+					call.Reply.FixedOpaque(edit(call.Proc, d.Rest()))
 					return sunrpc.Success
 				}
 			}
@@ -360,7 +391,8 @@ func runTamperedBed(t *testing.T, cfg Config, tamper func(proc uint32, reply []b
 			t.Error(err)
 			return
 		}
-		p := NewProxyClient(clk, cfg, sunrpc.NewClient(clk, conn, sunrpc.NoneCred()),
+		up := &readRecorder{Conn: conn}
+		p := NewProxyClient(clk, cfg, sunrpc.NewClient(clk, up, sunrpc.NoneCred()),
 			SessionCred{SessionKey: "s", ClientID: "ra-test"})
 		kl, err := client.Listen(":3049")
 		if err != nil {
@@ -381,7 +413,7 @@ func runTamperedBed(t *testing.T, cfg Config, tamper func(proc uint32, reply []b
 			t.Error(err)
 			return
 		}
-		fn(&raBed{clk: clk, net: net, fs: fs, p: p, nc: nc, root: root})
+		fn(&raBed{clk: clk, net: net, fs: fs, p: p, nc: nc, root: root, up: up})
 	})
 	<-done
 }
@@ -478,9 +510,9 @@ func TestNoPrefetchAfterStop(t *testing.T) {
 			}
 			b.p.Stop()
 			if due, _ := b.p.cache.streamRead(lk.FH, 1, 4); due {
-				b.p.startPrefetch(0, lk.FH, 4)
+				b.p.issueChunk(b.p.claimChunk(0, lk.FH, 4))
 			}
-			b.p.startPrefetch(0, lk.FH, 4)
+			b.p.issueChunk(b.p.claimChunk(0, lk.FH, 4))
 			b.clk.Sleep(time.Second)
 			if got := b.p.Stats().ReadAheads; got != before {
 				t.Errorf("prefetched %d more blocks after Stop", got-before)
@@ -548,6 +580,65 @@ func TestForgetReleasesParkedReads(t *testing.T) {
 			}
 			if now := b.clk.Now(); now > time.Second {
 				t.Errorf("finished at %v: the parked read sat out a timeout instead of being woken", now)
+			}
+		})
+}
+
+// TestChunkLeavesInBlockOrder: the READs of one readahead chunk are waited
+// for by an actor each but sent by one, in block order and behind the demand
+// read's own, because a link that serialises their replies gives them back in
+// the order they went out and the reader wants block 0, then 1, long before
+// block 31. Sent by the per-block actors they left in the order the scheduler
+// happened to run those.
+func TestChunkLeavesInBlockOrder(t *testing.T) {
+	const blocks = 40
+	runRABed(t, Config{ReadAhead: 32},
+		func(fs *memfs.FS) {
+			if _, err := fs.WriteFile("data", make([]byte, blocks*raBS)); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func(b *raBed) {
+			lk, err := b.nc.Lookup(b.root, "data")
+			if err != nil || lk.Status != nfs3.OK {
+				t.Errorf("lookup: %v %v", err, lk.Status)
+				return
+			}
+			for round := 0; round < 20; round++ {
+				before := len(b.up.sent())
+				if _, err := b.nc.Read(lk.FH, 0, raBS); err != nil { // block 0 starts a stream at the full window
+					t.Error(err)
+					return
+				}
+				b.clk.Sleep(time.Second)
+				sent := b.up.sent()[before:]
+				if len(sent) == 0 || sent[0] != 0 {
+					t.Errorf("round %d: the block the reader waits for was not sent first: %v", round, sent)
+					return
+				}
+				var prefetched []uint64
+				for _, off := range sent[1:] {
+					prefetched = append(prefetched, off/raBS)
+				}
+				if len(prefetched) != 32 {
+					t.Errorf("round %d: %d prefetch READs went out, want a chunk of 32", round, len(prefetched))
+					return
+				}
+				if !slices.IsSorted(prefetched) {
+					t.Errorf("round %d: the chunk left out of block order: %v", round, prefetched)
+					return
+				}
+				// Forget the file's blocks so that the next round fetches again.
+				b.p.cache.invalidateHandle(lk.FH)
+				b.p.cache.mu.Lock()
+				if fc := b.p.cache.files[lk.FH.Key()]; fc != nil {
+					b.p.cache.dropCleanLocked(fc)
+				}
+				b.p.cache.mu.Unlock()
+				if _, err := b.nc.Getattr(lk.FH); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		})
 }

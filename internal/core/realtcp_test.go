@@ -3,11 +3,16 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/memfs"
+	"repro/internal/nfs3"
 	"repro/internal/nfscall"
 	"repro/internal/nfsclient"
 	"repro/internal/nfsserver"
@@ -17,75 +22,82 @@ import (
 	"repro/internal/vclock"
 )
 
+// tcpChain stands up NFS server -> proxy server -> proxy client on loopback
+// TCP sockets with the real clock, the deployment shape of the cmd/ daemons,
+// and returns the proxy client with its kernel-facing address. Everything is
+// torn down when the test ends.
+func tcpChain(t *testing.T, clk *vclock.Clock, fs *memfs.FS, cfg core.Config) (*core.ProxyClient, string) {
+	t.Helper()
+	var tn tcpnet.Net
+	listen := func() transport.Listener {
+		l, err := tn.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	dial := func(addr string) transport.Conn {
+		c, err := tn.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	nfsRPC := sunrpc.NewServer(clk)
+	nfsserver.New(fs, 1).Register(nfsRPC)
+	nfsL := listen()
+	t.Cleanup(nfsRPC.Close)
+	nfsRPC.Serve(nfsL)
+
+	proxySrv := core.NewProxyServer(clk, cfg,
+		sunrpc.NewClient(clk, dial(nfsL.Addr()), sunrpc.SysCred("proxyd", 0, 0)),
+		func(addr string) (transport.Conn, error) { return tn.Dial(addr) },
+		&core.MemStateStore{})
+	psL := listen()
+	t.Cleanup(proxySrv.Stop)
+	proxySrv.Serve(psL)
+
+	cbL := listen()
+	cred := core.SessionCred{SessionKey: "tcp-test", ClientID: "tcp-client", CallbackAddr: cbL.Addr()}
+	proxy := core.NewProxyClient(clk, cfg, sunrpc.NewClient(clk, dial(psL.Addr()), sunrpc.NoneCred()), cred)
+	localL := listen()
+	t.Cleanup(proxy.Stop)
+	proxy.Serve(localL, cbL)
+	return proxy, localL.Addr()
+}
+
+// tcpMount opens a kernel client's connection to a proxy client and mounts.
+func tcpMount(t *testing.T, clk *vclock.Clock, kernelAddr string) (*nfscall.Conn, nfs3.FH) {
+	t.Helper()
+	var tn tcpnet.Net
+	c, err := tn.Dial(kernelAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := nfscall.New(sunrpc.NewClient(clk, c, sunrpc.SysCred("workstation", 0, 0)))
+	t.Cleanup(func() { nc.Close() })
+	root, err := nc.Mount("/export")
+	if err != nil {
+		t.Fatalf("mount through proxy chain: %v", err)
+	}
+	return nc, root
+}
+
 // TestFullChainOverRealTCP wires the complete GVFS chain — kernel client ->
 // proxy client -> proxy server -> NFS server — over real TCP sockets with
 // the real clock, the deployment shape of the cmd/ daemons. It proves the
 // protocol stack is not simulator-only.
 func TestFullChainOverRealTCP(t *testing.T) {
 	clk := vclock.NewReal()
-	var tn tcpnet.Net
-
-	// NFS server.
 	fs := memfs.New(clk.Now)
 	if _, err := fs.WriteFile("exported/hello.txt", []byte("over real sockets")); err != nil {
 		t.Fatal(err)
 	}
-	nfsSrv := nfsserver.New(fs, 1)
-	nfsRPC := sunrpc.NewServer(clk)
-	nfsSrv.Register(nfsRPC)
-	nfsL, err := tn.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nfsRPC.Close()
-	nfsRPC.Serve(nfsL)
-
-	// Proxy server fronting it.
-	upConn, err := tn.Dial(nfsL.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.Config{Model: core.ModelPolling, PollPeriod: time.Second}
-	proxySrv := core.NewProxyServer(clk, cfg,
-		sunrpc.NewClient(clk, upConn, sunrpc.SysCred("proxyd", 0, 0)),
-		func(addr string) (transport.Conn, error) { return tn.Dial(addr) },
-		&core.MemStateStore{})
-	psL, err := tn.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxySrv.Stop()
-	proxySrv.Serve(psL)
-
-	// Proxy client on the "client machine".
-	pcUp, err := tn.Dial(psL.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cbL, err := tn.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cred := core.SessionCred{SessionKey: "tcp-test", ClientID: "tcp-client", CallbackAddr: cbL.Addr()}
-	proxy := core.NewProxyClient(clk, cfg, sunrpc.NewClient(clk, pcUp, sunrpc.NoneCred()), cred)
-	localL, err := tn.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Stop()
-	proxy.Serve(localL, cbL)
+	proxy, kernelAddr := tcpChain(t, clk, fs, core.Config{Model: core.ModelPolling, PollPeriod: time.Second})
 
 	// Kernel client mounting through the proxy.
-	kConn, err := tn.Dial(localL.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc := nfscall.New(sunrpc.NewClient(clk, kConn, sunrpc.SysCred("workstation", 0, 0)))
-	defer nc.Close()
-	root, err := nc.Mount("/export")
-	if err != nil {
-		t.Fatalf("mount through proxy chain: %v", err)
-	}
+	nc, root := tcpMount(t, clk, kernelAddr)
 	kc := nfsclient.New(clk, nc, root, nfsclient.Options{})
 
 	// Read through the whole chain.
@@ -229,5 +241,134 @@ func TestInvalidationOverRealTCP(t *testing.T) {
 	}
 	if readerProxy.Stats().Invalidations == 0 && readerProxy.Stats().ForceInvalidations == 0 {
 		t.Error("no invalidations processed over TCP")
+	}
+}
+
+// tcpLookup walks names down from root.
+func tcpLookup(t *testing.T, nc *nfscall.Conn, root nfs3.FH, names ...string) nfs3.FH {
+	t.Helper()
+	fh := root
+	for _, name := range names {
+		res, err := nc.Lookup(fh, name)
+		if err != nil || res.Status != nfs3.OK {
+			t.Fatalf("lookup %s: %v %v", name, res.Status, err)
+		}
+		fh = res.FH
+	}
+	return fh
+}
+
+// blockOf is block bn of the test file: every byte depends on the block and
+// on its position, so a reply assembled from the wrong buffer cannot pass.
+func blockOf(bn, size int) []byte {
+	b := make([]byte, size)
+	for i := range b {
+		b[i] = byte(bn*131 + i*7 + i>>8)
+	}
+	return b
+}
+
+func bigFile(t *testing.T, fs *memfs.FS, path string, blocks, blockSize int) {
+	t.Helper()
+	var content []byte
+	for bn := 0; bn < blocks; bn++ {
+		content = append(content, blockOf(bn, blockSize)...)
+	}
+	if _, err := fs.WriteFile(path, content); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestColdReadsOverRealTCPByteForByte drives random READs of a file eight
+// times the proxy client's cache through proxyc -> proxyd -> nfsd on real
+// sockets, four readers at once with readahead on, and checks every reply
+// byte for byte. Every miss hands its upstream reply frame back to the pool
+// at two hops while other requests are taking frames out of it, so a frame
+// released while anything still reads it shows as wrong content — loudly in a
+// race build, where a recycled buffer is overwritten (bufpool's poison).
+func TestColdReadsOverRealTCPByteForByte(t *testing.T) {
+	const blocks, bs = 64, 32 << 10
+	clk := vclock.NewReal()
+	fs := memfs.New(clk.Now)
+	bigFile(t, fs, "exported/big", blocks, bs)
+	cfg := core.Config{Model: core.ModelPolling, PollPeriod: time.Second, BlockSize: bs, CacheBytes: blocks * bs / 8}
+	proxy, kernelAddr := tcpChain(t, clk, fs, cfg)
+
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		nc, root := tcpMount(t, clk, kernelAddr)
+		file := tcpLookup(t, nc, root, "exported", "big")
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r) + 1))
+			for i := 0; i < 300; i++ {
+				bn := rng.Intn(blocks)
+				if i%10 < 3 {
+					bn = (i + r*16) % blocks // a sequential stretch: readahead joins in
+				}
+				res, err := nc.Read(file, uint64(bn)*bs, bs)
+				if err != nil || res.Status != nfs3.OK {
+					t.Errorf("reader %d: READ block %d: %v %v", r, bn, res.Status, err)
+					return
+				}
+				if !bytes.Equal(res.Data, blockOf(bn, bs)) {
+					t.Errorf("reader %d: READ %d returned block %d with wrong content", r, i, bn)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if st := proxy.Stats(); st.Forwards == 0 || st.LocalHits == 0 {
+		t.Errorf("want both misses and hits, got %d forwards, %d hits", st.Forwards, st.LocalHits)
+	}
+}
+
+// TestWarmReadAllocatesLittle is the gate on the hit path's memory: a 32 KiB
+// READ served from the proxy client's cache, through its RPC server with the
+// duplicate-request cache on and over a real socket, allocates under 2 KiB
+// all told — the caller's side of the call included — and no buffer of the
+// payload's size: not a retained reply, not a staging copy, not a frame.
+func TestWarmReadAllocatesLittle(t *testing.T) {
+	const blocks, bs = 8, 32 << 10
+	clk := vclock.NewReal()
+	fs := memfs.New(clk.Now)
+	bigFile(t, fs, "exported/big", blocks, bs)
+	_, kernelAddr := tcpChain(t, clk, fs, core.Config{Model: core.ModelPolling, PollPeriod: time.Hour, BlockSize: bs})
+	nc, root := tcpMount(t, clk, kernelAddr)
+	file := tcpLookup(t, nc, root, "exported", "big")
+	want := make([][]byte, blocks)
+	for bn := range want {
+		want[bn] = blockOf(bn, bs)
+	}
+	read := func(bn int) {
+		e := bufpool.GetEncoder()
+		(&nfs3.ReadArgs{FH: file, Offset: uint64(bn) * bs, Count: bs}).Encode(e)
+		rep, err := nc.RPC().CallOwned(0, nfs3.Program, nfs3.Version, nfs3.ProcRead, e.Bytes(), time.Minute)
+		bufpool.PutEncoder(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res nfs3.ReadRes
+		if err := res.Decode(rep.Body); err != nil || !bytes.Equal(res.Data, want[bn]) {
+			t.Fatalf("READ block %d: wrong content (%v)", bn, err)
+		}
+		rep.Release()
+	}
+	for bn := 0; bn < blocks; bn++ {
+		read(bn) // warm the cache, the pools and the encoders
+	}
+	const n = 2000
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		read(i % blocks)
+	}
+	runtime.ReadMemStats(&m1)
+	perOp := (m1.TotalAlloc - m0.TotalAlloc) / n
+	t.Logf("%d bytes allocated per warm READ", perOp)
+	if perOp >= 2<<10 && !bufpool.RaceBuild {
+		t.Errorf("a warm 32 KiB READ allocates %d bytes, want under 2 KiB", perOp)
 	}
 }

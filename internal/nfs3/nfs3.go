@@ -46,6 +46,18 @@ const (
 	ProcCommit      = 21
 )
 
+// ReadOnlyProcs lists the procedures that change nothing at whoever executes
+// them, so that executing a retransmitted duplicate again is as good as
+// replaying the first reply. Servers of this program declare them to the RPC
+// layer (sunrpc.Server.SetReadOnly), whose duplicate-request cache then keeps
+// no copy of their replies — READ's above all.
+func ReadOnlyProcs() []uint32 {
+	return []uint32{
+		ProcNull, ProcGetattr, ProcLookup, ProcAccess, ProcReadlink, ProcRead,
+		ProcReaddir, ProcReaddirplus, ProcFsstat, ProcFsinfo, ProcPathconf,
+	}
+}
+
 // ProcName returns the conventional name of an NFSv3 procedure, for
 // reporting RPC counts the way the paper's figures do.
 func ProcName(proc uint32) string {

@@ -37,6 +37,7 @@ func (s *Server) RootFH() nfs3.FH {
 // Register installs the NFS and MOUNT programs on rpc.
 func (s *Server) Register(rpc *sunrpc.Server) {
 	rpc.Register(nfs3.Program, nfs3.Version, s.dispatch)
+	rpc.SetReadOnly(nfs3.Program, nfs3.Version, nfs3.ReadOnlyProcs()...)
 	rpc.Register(nfs3.MountProgram, nfs3.MountVersion, s.dispatchMount)
 }
 

@@ -110,11 +110,11 @@ type Client struct {
 }
 
 type pendingCall struct {
-	w    *vclock.Waiter // current attempt's waiter; swapped under Client.mu on retransmit
-	body *xdr.Decoder
-	stat AcceptStat
-	err  error
-	done bool
+	w     *vclock.Waiter // current attempt's waiter; swapped under Client.mu on retransmit
+	reply Reply
+	stat  AcceptStat
+	err   error
+	done  bool
 	// retryable marks calls whose retransmit loop is armed (policy + timeout):
 	// for those a TryLater reply is swallowed like a lost reply — the backoff
 	// timer drives the retry under the same XID. Single-send calls surface
@@ -188,12 +188,75 @@ func (c *Client) CallTimeout(prog, vers, proc uint32, args []byte, timeout time.
 // CallTraced is CallTimeout carrying an explicit trace request ID, used by
 // proxies forwarding a traced call so the downstream RPC shares the
 // originating ID. A zero reqID mints a fresh ID when a trace node is
-// attached.
+// attached. The frame the returned decoder reads is never recycled: the
+// caller may keep what it decodes by reference for as long as it likes.
 func (c *Client) CallTraced(reqID uint64, prog, vers, proc uint32, args []byte, timeout time.Duration) (*xdr.Decoder, error) {
+	rep, err := c.CallOwned(reqID, prog, vers, proc, args, timeout)
+	return rep.Body, err
+}
+
+// Reply is a completed call's result: the body, and the received frame the
+// body decodes from. Whatever is decoded from Body by reference (OpaqueRef,
+// Rest, a READ result's Data) aliases that frame.
+type Reply struct {
+	Body  *xdr.Decoder
+	frame []byte
+}
+
+// Release hands the reply's frame back to the buffer pool. The caller must be
+// done with Body and with every slice decoded from it by reference. Releasing
+// is optional — a frame never released is collected, which is always safe —
+// and releasing the same Reply again does nothing; what is never safe is
+// touching the frame's bytes afterwards.
+func (r *Reply) Release() {
+	if r.frame != nil {
+		bufpool.Put(r.frame)
+		r.frame, r.Body = nil, nil
+	}
+}
+
+// CallOwned is CallTraced for callers that give the reply frame back: it
+// returns the body with its frame, which the caller owns outright and
+// releases once it has copied out what it keeps. A forwarding proxy receives
+// a 32 KiB frame per READ; released, they cycle through the pool instead of
+// being allocated and zeroed for each reply.
+func (c *Client) CallOwned(reqID uint64, prog, vers, proc uint32, args []byte, timeout time.Duration) (Reply, error) {
+	p := c.Start(reqID, prog, vers, proc, args, timeout)
+	return p.Wait()
+}
+
+// Pending is a call that Start has sent and Wait has not yet collected.
+type Pending struct {
+	c   *Client
+	pc  *pendingCall // nil: the client was already closed and nothing was sent
+	err error        // the first transmission failed
+	// The call message is built once in a pooled encoder and re-Sent verbatim
+	// on every retransmission; nothing retains msg past a Send (transports
+	// either copy or write synchronously), so Wait recycles the encoder as soon
+	// as the attempt loop is over.
+	enc *xdr.Encoder
+	msg []byte
+
+	xid, prog, proc uint32
+	reqID           uint64
+	argBytes        int
+	timeout         time.Duration
+	start           time.Duration // trace time at Start
+	firstSend       time.Duration
+}
+
+// Start sends the call and returns without waiting for its reply; Wait, which
+// must follow exactly once, collects it. Call, CallTimeout, CallTraced and
+// CallOwned are Start then Wait. Starting apart from waiting is for a burst
+// of calls whose order on the wire matters — readahead's chunk of READs comes
+// back in the order it went out, and the reader wants the blocks in theirs:
+// started one after another they leave in that order, while started from as
+// many goroutines they leave in whatever order the scheduler ran those.
+func (c *Client) Start(reqID uint64, prog, vers, proc uint32, args []byte, timeout time.Duration) Pending {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClosed
+		return Pending{err: ErrClosed}
 	}
 	// Skip XID 0 and any XID still pending: after a uint32 wrap (or with
 	// long-abandoned timeout-0 calls parked in the map) reusing a live XID
@@ -215,23 +278,49 @@ func (c *Client) CallTraced(reqID uint64, prog, vers, proc uint32, args []byte, 
 	c.pending[xid] = pc
 	c.counts[uint64(prog)<<32|uint64(proc)]++
 	cred := c.cred
-	node, procName := c.node, c.procName
+	node := c.node
 	c.mu.Unlock()
 
 	if reqID == 0 {
 		reqID = node.Mint() // nil node mints 0: call stays untraced
 	}
-	start := node.Now()
-	body, retrans, stall, err := c.send(xid, prog, vers, proc, cred, reqID, args, pc, timeout)
-	if node.Tracing() {
+	p := Pending{
+		c: c, pc: pc, xid: xid, prog: prog, proc: proc, reqID: reqID,
+		argBytes: len(args), timeout: timeout, start: node.Now(),
+	}
+	p.enc = bufpool.GetEncoder()
+	p.msg = marshalCall(p.enc, xid, prog, vers, proc, cred, reqID, args)
+	p.firstSend = c.clk.Now()
+	if err := c.conn.Send(p.msg); err != nil {
 		c.mu.Lock()
-		shed := pc.shed
+		delete(c.pending, xid)
 		c.mu.Unlock()
+		p.err = ErrClosed
+	}
+	return p
+}
+
+// Wait blocks for the call's completion and returns its reply, whose frame
+// the caller owns (see CallOwned).
+func (p *Pending) Wait() (Reply, error) {
+	if p.pc == nil {
+		return Reply{}, p.err
+	}
+	c := p.c
+	rep, retrans, stall, err := p.await()
+	bufpool.PutEncoder(p.enc)
+	p.enc, p.msg = nil, nil
+
+	c.mu.Lock()
+	node, procName := c.node, c.procName
+	shed := p.pc.shed
+	c.mu.Unlock()
+	if node.Tracing() {
 		sp := obs.Span{
-			Req:   reqID,
-			Op:    "call " + procLabel(procName, prog, proc),
-			Bytes: int64(len(args)),
-			Start: start,
+			Req:   p.reqID,
+			Op:    "call " + procLabel(procName, p.prog, p.proc),
+			Bytes: int64(p.argBytes),
+			Start: p.start,
 			End:   node.Now(),
 		}
 		if retrans > 0 {
@@ -252,37 +341,27 @@ func (c *Client) CallTraced(reqID uint64, prog, vers, proc uint32, args []byte, 
 			}
 			sp.Detail += "stall=" + stall.String()
 		}
-		if body != nil {
-			sp.Bytes += int64(body.Remaining())
+		if rep.Body != nil {
+			sp.Bytes += int64(rep.Body.Remaining())
 		}
 		if err != nil {
 			sp.Err = err.Error()
 		}
 		node.Record(sp)
 	}
-	return body, err
+	return rep, err
 }
 
-// send transmits the call and blocks for its completion, retransmitting under
-// the same XID when a policy is installed. It returns the reply body, how
-// many retransmissions were sent, and the stall — virtual time between the
-// first and the last transmission, i.e. the extra latency retransmission
-// waits added to this call.
-func (c *Client) send(xid, prog, vers, proc uint32, cred Cred, reqID uint64, args []byte, pc *pendingCall, timeout time.Duration) (*xdr.Decoder, int, time.Duration, error) {
-	// The call message is built once in a pooled encoder and re-Sent verbatim
-	// on every retransmission; nothing retains msg past a Send (transports
-	// either copy or write synchronously), so the encoder is recycled as soon
-	// as this attempt loop is over.
-	enc := bufpool.GetEncoder()
-	defer bufpool.PutEncoder(enc)
-	msg := marshalCall(enc, xid, prog, vers, proc, cred, reqID, args)
-	firstSend := c.clk.Now()
-	if err := c.conn.Send(msg); err != nil {
-		c.mu.Lock()
-		delete(c.pending, xid)
-		c.mu.Unlock()
-		return nil, 0, 0, ErrClosed
+// await blocks for the started call's completion, retransmitting under the
+// same XID when a policy is installed. It returns the reply, how many
+// retransmissions were sent, and the stall — virtual time between the first
+// and the last transmission, i.e. the extra latency retransmission waits added
+// to this call.
+func (p *Pending) await() (Reply, int, time.Duration, error) {
+	if p.err != nil {
+		return Reply{}, 0, 0, p.err
 	}
+	c, xid, pc, msg, timeout := p.c, p.xid, p.pc, p.msg, p.timeout
 
 	c.mu.Lock()
 	policy := c.retr
@@ -307,8 +386,8 @@ func (c *Client) send(xid, prog, vers, proc uint32, cred Cred, reqID uint64, arg
 		if timer != nil {
 			timer.Stop()
 		}
-		body, err := c.finish(xid, pc)
-		return body, 0, 0, err
+		rep, err := c.finish(xid, pc)
+		return rep, 0, 0, err
 	}
 
 	deadline := c.clk.Now() + timeout
@@ -323,7 +402,7 @@ func (c *Client) send(xid, prog, vers, proc uint32, cred Cred, reqID uint64, arg
 		effMax = rto
 	}
 	retrans := 0
-	lastSend := firstSend
+	lastSend := p.firstSend
 	for attempt := 0; ; attempt++ {
 		wait := rto + policy.jitterFor(xid, attempt)
 		last := false
@@ -383,27 +462,29 @@ func (c *Client) send(xid, prog, vers, proc uint32, cred Cred, reqID uint64, arg
 			rto = effMax
 		}
 	}
-	body, err := c.finish(xid, pc)
-	return body, retrans, lastSend - firstSend, err
+	rep, err := c.finish(xid, pc)
+	return rep, retrans, lastSend - p.firstSend, err
 }
 
 // finish evaluates a completed (or shutdown-released) call under the lock.
-func (c *Client) finish(xid uint32, pc *pendingCall) (*xdr.Decoder, error) {
+func (c *Client) finish(xid uint32, pc *pendingCall) (Reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !pc.done {
 		// Woken without a completion: the clock is shutting down and
 		// released all waiters.
 		delete(c.pending, xid)
-		return nil, ErrClosed
+		return Reply{}, ErrClosed
 	}
 	if pc.err != nil {
-		return nil, pc.err
+		return Reply{}, pc.err
 	}
 	if pc.stat != Success {
-		return nil, &Error{Stat: pc.stat}
+		// The body of a refusal is of no use to anyone.
+		pc.reply.Release()
+		return Reply{}, &Error{Stat: pc.stat}
 	}
-	return pc.body, nil
+	return pc.reply, nil
 }
 
 // Counts returns a snapshot of calls sent, keyed by prog<<32|proc.
@@ -454,7 +535,7 @@ func (c *Client) demux() {
 		var w *vclock.Waiter
 		if ok {
 			delete(c.pending, m.xid)
-			pc.body = m.body
+			pc.reply = Reply{Body: m.body, frame: raw}
 			pc.stat = m.acceptStat
 			pc.done = true
 			w = pc.w // read under the lock: retransmission swaps waiters
@@ -465,8 +546,8 @@ func (c *Client) demux() {
 		} else if !ok {
 			// A duplicate (retransmitted XID already completed) or very late
 			// reply: no pending call will ever read this frame — recycle.
-			// Completed replies (ok) are exempt: pc.body aliases raw and the
-			// caller's decoder may hold references into it.
+			// A completed reply's frame (ok) went to the caller with the body
+			// that aliases it; only the caller can know when it is dead.
 			bufpool.Put(raw)
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // later replies on the same connection. Client A's reply is dropped; while
 // A waits to retransmit, client B hammers the server with different-sized
 // echoes, forcing the pooled encoder through many reuse cycles. The replay
-// A eventually receives must still carry A's payload. Before sendReply
+// A eventually receives must still carry A's payload. Before the server
 // copied into the DRC, this returned B's bytes (or garbage) to A.
 func TestDRCReplayUnaffectedByEncoderReuse(t *testing.T) {
 	clk := vclock.NewVirtual()

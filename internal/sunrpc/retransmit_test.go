@@ -1,6 +1,7 @@
 package sunrpc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -21,9 +22,10 @@ import (
 type faultyConn struct {
 	transport.Conn
 	mu        sync.Mutex
-	dropSends int // swallow the next N outbound messages
-	dupSends  int // send the next N outbound messages twice
-	dropRecvs int // swallow the next N inbound messages
+	dropSends int      // swallow the next N outbound messages
+	dupSends  int      // send the next N outbound messages twice
+	dropRecvs int      // swallow the next N inbound messages
+	recvLog   [][]byte // a copy of every inbound message, swallowed or not
 }
 
 func (f *faultyConn) Send(b []byte) error {
@@ -54,6 +56,7 @@ func (f *faultyConn) Recv() ([]byte, error) {
 			return nil, err
 		}
 		f.mu.Lock()
+		f.recvLog = append(f.recvLog, append([]byte(nil), b...))
 		drop := f.dropRecvs > 0
 		if drop {
 			f.dropRecvs--
@@ -65,10 +68,18 @@ func (f *faultyConn) Recv() ([]byte, error) {
 	}
 }
 
+// Procedures of replaySim's program beside procEcho: the same echo, declared
+// read-only, at once and after 100 ms.
+const (
+	procPeek     = 5
+	procSlowPeek = 6
+)
+
 // replaySim builds a server and client over a 10ms-RTT link with the client's
 // traffic routed through a faultyConn, a counting echo handler, observability
 // on both ends, and a fast deterministic retransmission policy (50ms initial,
-// no jitter).
+// no jitter). procEcho keeps its replies for replay; procPeek and
+// procSlowPeek are declared read-only.
 func replaySim(t *testing.T) (*vclock.Clock, *obs.Obs, *Client, *faultyConn, *int, func()) {
 	t.Helper()
 	clk := vclock.NewVirtual()
@@ -80,7 +91,7 @@ func replaySim(t *testing.T) (*vclock.Clock, *obs.Obs, *Client, *faultyConn, *in
 	execs := new(int)
 	var execMu sync.Mutex
 	srv.Register(testProg, testVers, func(call *Call) AcceptStat {
-		if call.Proc != procEcho {
+		if call.Proc != procEcho && call.Proc != procPeek && call.Proc != procSlowPeek {
 			return ProcUnavail
 		}
 		execMu.Lock()
@@ -90,9 +101,13 @@ func replaySim(t *testing.T) (*vclock.Clock, *obs.Obs, *Client, *faultyConn, *in
 		if err != nil {
 			return GarbageArgs
 		}
+		if call.Proc == procSlowPeek {
+			clk.Sleep(100 * time.Millisecond)
+		}
 		call.Reply.Opaque(b)
 		return Success
 	})
+	srv.SetReadOnly(testProg, testVers, procPeek, procSlowPeek)
 
 	var cli *Client
 	var fc *faultyConn
@@ -134,31 +149,57 @@ func counterSum(o *obs.Obs, fam string) int64 {
 // single message the link loses or duplicates, the handler runs exactly once
 // and the caller still gets the correct reply — retransmission supplies
 // at-least-once delivery, the server's duplicate-request cache trims it back
-// to exactly-once effects.
+// to exactly-once effects. A procedure declared read-only has no effect to
+// protect and no reply retained: a duplicate is absorbed only while the
+// original still executes, and executes again — to the same bytes — after.
 func TestReplayExactlyOnce(t *testing.T) {
 	cases := []struct {
 		name        string
+		proc        uint32
 		inject      func(*faultyConn)
+		wantExecs   int
 		wantRetrans int64 // client retransmissions
 		wantReplays int64 // DRC hits + DRC busy drops at the server
 	}{
 		{
 			name:        "drop-first-request",
+			proc:        procEcho,
 			inject:      func(f *faultyConn) { f.dropSends = 1 },
+			wantExecs:   1,
 			wantRetrans: 1,
 			wantReplays: 0, // server never saw the lost copy
 		},
 		{
 			name:        "drop-reply",
+			proc:        procEcho,
 			inject:      func(f *faultyConn) { f.dropRecvs = 1 },
+			wantExecs:   1,
 			wantRetrans: 1,
 			wantReplays: 1, // retransmission answered from the cache
 		},
 		{
 			name:        "duplicate-request",
+			proc:        procEcho,
 			inject:      func(f *faultyConn) { f.dupSends = 1 },
+			wantExecs:   1,
 			wantRetrans: 0,
 			wantReplays: 1, // the extra copy is absorbed by the cache
+		},
+		{
+			name:        "read-only-drop-reply",
+			proc:        procPeek,
+			inject:      func(f *faultyConn) { f.dropRecvs = 1 },
+			wantExecs:   2, // nothing retained: the retransmission executes
+			wantRetrans: 1,
+			wantReplays: 0,
+		},
+		{
+			name:        "read-only-duplicate-mid-execution",
+			proc:        procSlowPeek,
+			inject:      func(f *faultyConn) { f.dupSends = 1 },
+			wantExecs:   1, // the in-progress entry silences the copy
+			wantRetrans: 1, // at 50 ms, mid-execution too: silent as well
+			wantReplays: 2,
 		},
 	}
 	for _, tc := range cases {
@@ -170,7 +211,7 @@ func TestReplayExactlyOnce(t *testing.T) {
 				tc.inject(fc)
 				args := xdr.NewEncoder()
 				args.Opaque([]byte("once"))
-				reply, err := cli.CallTimeout(testProg, testVers, procEcho, args.Bytes(), 2*time.Second)
+				reply, err := cli.CallTimeout(testProg, testVers, tc.proc, args.Bytes(), 2*time.Second)
 				if err != nil {
 					t.Errorf("call: %v", err)
 					return
@@ -179,8 +220,16 @@ func TestReplayExactlyOnce(t *testing.T) {
 					t.Errorf("echo = %q, %v", b, err)
 				}
 				clk.Sleep(time.Second) // let stragglers (late dup, replayed reply) drain
-				if *execs != 1 {
-					t.Errorf("handler executed %d times, want exactly 1", *execs)
+				if *execs != tc.wantExecs {
+					t.Errorf("handler executed %d times, want exactly %d", *execs, tc.wantExecs)
+				}
+				fc.mu.Lock()
+				replies := fc.recvLog
+				fc.mu.Unlock()
+				for _, r := range replies[1:] {
+					if !bytes.Equal(r, replies[0]) {
+						t.Errorf("a later reply differs from the first: %x vs %x", r, replies[0])
+					}
 				}
 				if got := counterSum(o, "gvfs_rpc_retransmits_total"); got != tc.wantRetrans {
 					t.Errorf("retransmits = %d, want %d", got, tc.wantRetrans)
@@ -394,39 +443,103 @@ func TestNoStrayTimersAfterTimedCalls(t *testing.T) {
 	}
 }
 
+// peek returns xid's entry without admitting it.
+func (d *drc) peek(xid uint32) *drcEntry {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.entries[xid]
+}
+
+// checkDRC walks both lists and checks them against the map: every entry is
+// on exactly the list its state says, in the order given, and the bound holds.
+func checkDRC(t *testing.T, d *drc, wantBusy, wantDone []uint32) {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	walk := func(l *drcList, done bool) []uint32 {
+		var xids []uint32
+		var prev *drcEntry
+		for e := l.front(); e != nil; e = e.next {
+			if e == &l.root {
+				break
+			}
+			if e.done != done || d.entries[e.xid] != e {
+				t.Errorf("xid %d: on the wrong list or not in the map", e.xid)
+			}
+			if prev != nil && e.prev != prev {
+				t.Errorf("xid %d: broken back link", e.xid)
+			}
+			prev = e
+			xids = append(xids, e.xid)
+		}
+		return xids
+	}
+	busy, done := walk(&d.busy, false), walk(&d.done, true)
+	if fmt.Sprint(busy) != fmt.Sprint(wantBusy) || fmt.Sprint(done) != fmt.Sprint(wantDone) {
+		t.Errorf("busy=%v done=%v, want busy=%v done=%v", busy, done, wantBusy, wantDone)
+	}
+	if n := len(d.entries); n != len(busy)+len(done) || n > d.max {
+		t.Errorf("map holds %d entries, lists %d, bound %d", n, len(busy)+len(done), d.max)
+	}
+}
+
 // TestDRCBounded fills a connection's duplicate-request cache past its bound
 // and checks old completed entries are evicted (a retransmission of an evicted
 // XID re-executes — the classic, accepted NFS DRC limitation) while the cache
-// never grows past its configured size.
+// never grows past its configured size, however many times it turns over.
 func TestDRCBounded(t *testing.T) {
 	d := newDRC(4)
 	for xid := uint32(1); xid <= 10; xid++ {
-		d.begin(xid)
+		if st, _ := d.admit(xid); st != drcNew {
+			t.Fatalf("xid %d: state %d, want new", xid, st)
+		}
 		d.complete(xid, []byte{byte(xid)})
 	}
-	d.mu.Lock()
-	n := len(d.entries)
-	d.mu.Unlock()
-	if n > 4 {
-		t.Fatalf("cache holds %d entries, bound is 4", n)
-	}
-	if e := d.lookup(1); e != nil {
+	checkDRC(t, d, nil, []uint32{7, 8, 9, 10})
+	if d.peek(1) != nil {
 		t.Error("oldest entry not evicted")
 	}
-	if e := d.lookup(10); e == nil || !e.done || e.reply[0] != 10 {
+	if st, reply := d.admit(10); st != drcDone || reply[0] != 10 {
 		t.Error("newest entry missing or corrupted")
 	}
+	// A long mixed run, as a connection sees it: most calls read-only and
+	// dropped on completion, every seventh retained, a few still executing —
+	// the lists turn over many times and stay consistent. One slot of the
+	// four is the executing call's, so three replies stay retained.
+	var wantDone []uint32
+	for xid := uint32(100); xid < 100+50*4; xid++ {
+		if st, _ := d.admit(xid); st != drcNew {
+			t.Fatalf("xid %d not new", xid)
+		}
+		if st, _ := d.admit(xid); st != drcBusy {
+			t.Fatalf("xid %d: duplicate while executing not busy", xid)
+		}
+		if xid%7 == 0 {
+			d.complete(xid, []byte{byte(xid)})
+			wantDone = append(wantDone, xid)
+		} else {
+			d.remove(xid)
+		}
+	}
+	checkDRC(t, d, nil, wantDone[len(wantDone)-3:])
+
 	// In-progress entries survive eviction pressure while any done entry
 	// remains: evicting them would let a pending duplicate re-execute.
 	d2 := newDRC(2)
-	d2.begin(100) // stays in progress
-	d2.begin(101)
+	d2.admit(100) // stays in progress
+	d2.admit(101)
 	d2.complete(101, nil)
-	d2.begin(102) // evicts 101 (done), not 100 (in progress)
-	if d2.lookup(100) == nil {
+	d2.admit(102) // evicts 101 (done), not 100 (in progress)
+	if d2.peek(100) == nil {
 		t.Error("in-progress entry evicted while a done entry was available")
 	}
-	if d2.lookup(101) != nil {
+	if d2.peek(101) != nil {
 		t.Error("done entry should have been the eviction victim")
 	}
+	checkDRC(t, d2, []uint32{100, 102}, nil)
+	// With nothing completed to give up, the oldest in-progress entry goes —
+	// and completing it later is a no-op, not a resurrection.
+	d2.admit(103)
+	d2.complete(100, []byte{1})
+	checkDRC(t, d2, []uint32{102, 103}, nil)
 }

@@ -530,9 +530,7 @@ func (sc *sched) yieldItem(it *schedItem, fn func()) {
 // Inflight returns the current and peak number of concurrently executing
 // handlers (zero for an unscheduled server).
 func (s *Server) Inflight() (running, peak int) {
-	s.mu.Lock()
-	sc := s.sched
-	s.mu.Unlock()
+	sc := s.table.Load().sched
 	if sc == nil {
 		return 0, 0
 	}

@@ -26,6 +26,7 @@ func schedSim(t *testing.T, cfg SchedConfig, n int, dispatch DispatchFunc) (*vcl
 	srv.SetObs(o.Node("server"), nil)
 	srv.SetSched(cfg)
 	srv.Register(testProg, testVers, dispatch)
+	srv.SetReadOnly(testProg, testVers, procPeek)
 
 	clis := make([]*Client, n)
 	setup := make(chan struct{})
@@ -71,7 +72,7 @@ func countingDispatch(clk *vclock.Clock, delay time.Duration) (DispatchFunc, fun
 	var mu sync.Mutex
 	execs := make(map[string]int)
 	fn := func(call *Call) AcceptStat {
-		if call.Proc != procEcho {
+		if call.Proc != procEcho && call.Proc != procPeek {
 			return ProcUnavail
 		}
 		b, err := call.Args.Opaque(0)
@@ -289,8 +290,14 @@ func TestSchedDRRFairness(t *testing.T) {
 // TestSchedShedThenRetransmitExactlyOnce is the DRC-interaction regression:
 // a queued request shed by oldest-drop overflow must leave no DRC entry, so
 // the client's same-XID retransmission executes it exactly once — not zero
-// times (replayed shed) and not twice.
+// times (replayed shed) and not twice. That holds for a procedure whose
+// reply the cache would retain and for a read-only one alike.
 func TestSchedShedThenRetransmitExactlyOnce(t *testing.T) {
+	t.Run("retained", func(t *testing.T) { shedThenRetransmit(t, procEcho) })
+	t.Run("read-only", func(t *testing.T) { shedThenRetransmit(t, procPeek) })
+}
+
+func shedThenRetransmit(t *testing.T, proc uint32) {
 	var dmu sync.Mutex
 	var realDispatch DispatchFunc
 	indirect := func(call *Call) AcceptStat {
@@ -311,18 +318,18 @@ func TestSchedShedThenRetransmitExactlyOnce(t *testing.T) {
 	inSim(t, clk, func() {
 		done := vclock.NewMailbox[error](clk)
 		clk.Go("plug", func() {
-			_, err := plugC.CallTimeout(testProg, testVers, procEcho, echoArgs("plug"), 30*time.Second)
+			_, err := plugC.CallTimeout(testProg, testVers, proc, echoArgs("plug"), 30*time.Second)
 			done.Put(err)
 		})
 		clk.Sleep(7 * time.Millisecond) // plug occupies the only worker
 		clk.Go("b1", func() {
-			_, err := b.CallTimeout(testProg, testVers, procEcho, echoArgs("b1"), 30*time.Second)
+			_, err := b.CallTimeout(testProg, testVers, proc, echoArgs("b1"), 30*time.Second)
 			done.Put(err)
 		})
 		clk.Sleep(2 * time.Millisecond) // b1 sits queued (depth 1)
 		clk.Go("b2", func() {
 			// Overflows b's queue: b1 is shed oldest-first to make room.
-			_, err := b.CallTimeout(testProg, testVers, procEcho, echoArgs("b2"), 30*time.Second)
+			_, err := b.CallTimeout(testProg, testVers, proc, echoArgs("b2"), 30*time.Second)
 			done.Put(err)
 		})
 		for i := 0; i < 3; i++ {
@@ -512,33 +519,59 @@ func TestSchedYield(t *testing.T) {
 // begins fresh, while other entries and the eviction order stay intact.
 func TestDRCRemove(t *testing.T) {
 	d := newDRC(4)
-	d.begin(1)
-	d.begin(2)
-	d.begin(3)
+	d.admit(1)
+	d.admit(2)
+	d.admit(3)
 	d.remove(2)
-	if d.lookup(2) != nil {
+	if d.peek(2) != nil {
 		t.Error("removed entry still present")
 	}
-	if d.lookup(1) == nil || d.lookup(3) == nil {
-		t.Error("neighboring entries disturbed by remove")
-	}
 	d.remove(99) // unknown XID: no-op
+	checkDRC(t, d, []uint32{1, 3}, nil)
 	// The freed slot is genuinely free: filling to the bound evicts nothing
 	// that was begun after the removal.
-	d.begin(4)
-	d.begin(5)
-	d.mu.Lock()
-	n, ord := len(d.entries), len(d.order)
-	d.mu.Unlock()
-	if n != 4 || ord != 4 {
-		t.Errorf("entries=%d order=%d after remove+refill, want 4/4", n, ord)
-	}
-	// Re-begun XID after remove executes fresh (no stale done state).
+	d.admit(4)
+	d.admit(5)
+	checkDRC(t, d, []uint32{1, 3, 4, 5}, nil)
+	// Re-begun XID after remove executes fresh (no stale done state), at the
+	// back of the arrival order.
+	d.complete(3, []byte{3})
 	d.remove(3)
-	d.begin(3)
-	if e := d.lookup(3); e == nil || e.done {
+	if st, _ := d.admit(3); st != drcNew {
 		t.Error("re-begun XID should be a fresh in-progress entry")
 	}
+	checkDRC(t, d, []uint32{1, 4, 5, 3}, nil)
+	// Removing the head, the tail and a completed entry keeps the lists
+	// whole while they turn over.
+	for xid := uint32(10); xid < 40; xid++ {
+		d.admit(xid)
+		switch xid % 3 {
+		case 0:
+			d.remove(xid) // the tail of busy
+		case 1:
+			d.complete(xid, nil)
+		}
+		if e := d.busy.front(); e != nil && xid%5 == 0 {
+			d.remove(e.xid) // the head of busy
+		}
+		if e := d.done.front(); e != nil && xid%4 == 0 {
+			d.remove(e.xid) // a completed entry
+		}
+	}
+	d.mu.Lock()
+	n := len(d.entries)
+	d.mu.Unlock()
+	if n > 4 {
+		t.Errorf("cache holds %d entries, bound is 4", n)
+	}
+	var busy, done []uint32
+	for e := d.busy.front(); e != nil && e != &d.busy.root; e = e.next {
+		busy = append(busy, e.xid)
+	}
+	for e := d.done.front(); e != nil && e != &d.done.root; e = e.next {
+		done = append(done, e.xid)
+	}
+	checkDRC(t, d, busy, done)
 }
 
 // TestBucketRefill pins the token bucket's virtual-time arithmetic.

@@ -1,7 +1,10 @@
 package sunrpc
 
 import (
+	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bufpool"
@@ -22,20 +25,31 @@ type progVers struct{ prog, vers uint32 }
 // explicit size is configured.
 const defaultDRCEntries = 512
 
-// Server accepts connections from a listener and dispatches RPC calls to
-// registered programs.
-type Server struct {
-	clk *vclock.Clock
+// procSlots is how many procedures of a program are counted with atomics and
+// can be declared read-only; NFSv3, the largest program here, has 22.
+const procSlots = 64
 
-	mu         sync.Mutex
-	programs   map[progVers]DispatchFunc
-	progs      map[uint32]bool // known program numbers, for ProgMismatch
-	ls         []transport.Listener
-	conns      map[transport.Conn]bool
-	closed     bool
-	counts     map[uint64]int64 // prog<<32|proc -> calls served
-	drcEntries int
-	sched      *sched
+// program is one registered (prog, vers).
+type program struct {
+	fn DispatchFunc
+	// readOnly has bit p set when procedure p was declared read-only
+	// (SetReadOnly): the duplicate-request cache does not retain its replies.
+	readOnly uint64
+}
+
+func (p program) isReadOnly(proc uint32) bool {
+	return proc < procSlots && p.readOnly&(1<<proc) != 0
+}
+
+// dispatchTable is everything a request needs from the server to be
+// dispatched. It is immutable: Register, SetReadOnly, SetSched and SetObs
+// swap in an edited copy, so connections dispatch without a server-wide lock.
+type dispatchTable struct {
+	programs map[progVers]program
+	// calls counts calls served per procedure of each registered program
+	// number. The counter arrays are shared by every copy of the table.
+	calls map[uint32]*[procSlots]atomic.Int64
+	sched *sched
 
 	node     *obs.Node
 	procName ProcNameFunc
@@ -44,21 +58,46 @@ type Server struct {
 	metDRCBusy *obs.Counter
 }
 
+// Server accepts connections from a listener and dispatches RPC calls to
+// registered programs.
+type Server struct {
+	clk *vclock.Clock
+
+	table atomic.Pointer[dispatchTable]
+
+	mu         sync.Mutex // guards the fields below and serialises table edits
+	ls         []transport.Listener
+	conns      map[transport.Conn]*drc // live connections; a nil cache when the DRC is off
+	closed     bool
+	otherCalls map[uint64]int64 // prog<<32|proc -> calls the table has no counter for
+	drcEntries int
+}
+
+// edit swaps in a copy of the dispatch table that fn has changed. fn must
+// replace, not modify, any map it touches.
+func (s *Server) edit(fn func(t *dispatchTable)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := *s.table.Load()
+	fn(&t)
+	s.table.Store(&t)
+}
+
 // SetObs attaches a trace node: every dispatched call records a
 // "serve <PROC>" span carrying the caller's request ID and any annotations
 // the dispatch function left on the Call.
 func (s *Server) SetObs(node *obs.Node, procName ProcNameFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.node = node
-	s.procName = procName
-	if reg := node.Registry(); reg != nil {
-		s.metDRCHits = reg.Counter(obs.Label("gvfs_rpc_drc_hits_total", "node", node.Name()))
-		s.metDRCBusy = reg.Counter(obs.Label("gvfs_rpc_drc_busy_total", "node", node.Name()))
-	}
-	if s.sched != nil {
-		s.sched.setObs(node)
-	}
+	s.edit(func(t *dispatchTable) {
+		t.node = node
+		t.procName = procName
+		if reg := node.Registry(); reg != nil {
+			t.metDRCHits = reg.Counter(obs.Label("gvfs_rpc_drc_hits_total", "node", node.Name()))
+			t.metDRCBusy = reg.Counter(obs.Label("gvfs_rpc_drc_busy_total", "node", node.Name()))
+		}
+		if t.sched != nil {
+			t.sched.setObs(node)
+		}
+	})
 }
 
 // SetSched installs the bounded scheduling layer (worker pool, per-client
@@ -66,17 +105,17 @@ func (s *Server) SetObs(node *obs.Node, procName ProcNameFunc) {
 // restores the legacy unbounded per-request dispatch. Takes effect for
 // requests received after the call.
 func (s *Server) SetSched(cfg SchedConfig) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !cfg.active() {
-		s.sched = nil
-		return
-	}
-	s.sched = newSched(s.clk, s, cfg)
-	s.sched.global = newBucket(s.sched.cfg.RateLimit, s.sched.cfg.RateBurst, s.clk.Now())
-	if s.node != nil {
-		s.sched.setObs(s.node)
-	}
+	s.edit(func(t *dispatchTable) {
+		if !cfg.active() {
+			t.sched = nil
+			return
+		}
+		t.sched = newSched(s.clk, s, cfg)
+		t.sched.global = newBucket(t.sched.cfg.RateLimit, t.sched.cfg.RateBurst, s.clk.Now())
+		if t.node != nil {
+			t.sched.setObs(t.node)
+		}
+	})
 }
 
 // SetDRCSize bounds each connection's duplicate-request cache at n entries.
@@ -96,22 +135,55 @@ func (s *Server) SetDRCSize(n int) {
 // NewServer returns an empty server; register programs before Serve. The
 // duplicate-request cache is on by default (see SetDRCSize).
 func NewServer(clk *vclock.Clock) *Server {
-	return &Server{
+	s := &Server{
 		clk:        clk,
-		programs:   make(map[progVers]DispatchFunc),
-		progs:      make(map[uint32]bool),
-		conns:      make(map[transport.Conn]bool),
-		counts:     make(map[uint64]int64),
+		conns:      make(map[transport.Conn]*drc),
+		otherCalls: make(map[uint64]int64),
 		drcEntries: defaultDRCEntries,
 	}
+	s.table.Store(&dispatchTable{
+		programs: make(map[progVers]program),
+		calls:    make(map[uint32]*[procSlots]atomic.Int64),
+	})
+	return s
 }
 
 // Register installs the dispatch function for (prog, vers).
 func (s *Server) Register(prog, vers uint32, fn DispatchFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.programs[progVers{prog, vers}] = fn
-	s.progs[prog] = true
+	s.edit(func(t *dispatchTable) {
+		t.programs = maps.Clone(t.programs)
+		t.programs[progVers{prog, vers}] = program{fn: fn}
+		if t.calls[prog] == nil {
+			t.calls = maps.Clone(t.calls)
+			t.calls[prog] = new([procSlots]atomic.Int64)
+		}
+	})
+}
+
+// SetReadOnly declares procedures of the registered (prog, vers) that change
+// nothing when executed twice. It is for the package that implements the
+// program to call next to Register — a property of the protocol, not a
+// setting. The duplicate-request cache exists so that a retransmitted call
+// does not take effect a second time; for a read-only procedure there is no
+// effect to protect, so its reply is not retained: a duplicate that arrives
+// while the original executes is still dropped, one that arrives afterwards
+// executes again. Every procedure not declared here keeps its reply for
+// replay.
+func (s *Server) SetReadOnly(prog, vers uint32, procs ...uint32) {
+	s.edit(func(t *dispatchTable) {
+		p, ok := t.programs[progVers{prog, vers}]
+		if !ok {
+			panic(fmt.Sprintf("sunrpc: SetReadOnly of unregistered program %d version %d", prog, vers))
+		}
+		for _, proc := range procs {
+			if proc >= procSlots {
+				panic(fmt.Sprintf("sunrpc: SetReadOnly of procedure %d, limit is %d", proc, procSlots))
+			}
+			p.readOnly |= 1 << proc
+		}
+		t.programs = maps.Clone(t.programs)
+		t.programs[progVers{prog, vers}] = p
+	})
 }
 
 // Serve starts an accept loop on l. It returns immediately; connection and
@@ -133,20 +205,40 @@ func (s *Server) Serve(l transport.Listener) {
 				conn.Close()
 				return
 			}
-			s.conns[conn] = true
+			var cache *drc
+			if s.drcEntries > 0 {
+				cache = newDRC(s.drcEntries)
+			}
+			s.conns[conn] = cache
 			s.mu.Unlock()
-			s.clk.GoDaemon("sunrpc-conn:"+conn.RemoteAddr(), func() { s.serveConn(conn) })
+			s.clk.GoDaemon("sunrpc-conn:"+conn.RemoteAddr(), func() { s.serveConn(conn, cache) })
 		}
 	})
+}
+
+// count records one call of (prog, proc): an atomic add for the procedures
+// of registered programs, the locked map for anything else a peer may send.
+func (s *Server) count(t *dispatchTable, prog, proc uint32) {
+	if c := t.calls[prog]; c != nil && proc < procSlots {
+		c[proc].Add(1)
+		return
+	}
+	s.mu.Lock()
+	s.otherCalls[uint64(prog)<<32|uint64(proc)]++
+	s.mu.Unlock()
 }
 
 // Counts returns a snapshot of calls served, keyed by prog<<32|proc.
 func (s *Server) Counts() map[uint64]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[uint64]int64, len(s.counts))
-	for k, v := range s.counts {
-		out[k] = v
+	out := maps.Clone(s.otherCalls)
+	for prog, c := range s.table.Load().calls {
+		for proc := range c {
+			if n := c[proc].Load(); n > 0 {
+				out[uint64(prog)<<32|uint64(proc)] = n
+			}
+		}
 	}
 	return out
 }
@@ -161,7 +253,7 @@ func (s *Server) Close() {
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
-	s.conns = make(map[transport.Conn]bool)
+	s.conns = make(map[transport.Conn]*drc)
 	s.mu.Unlock()
 	for _, l := range ls {
 		l.Close()
@@ -172,11 +264,48 @@ func (s *Server) Close() {
 }
 
 // drcEntry tracks one XID on a connection: in progress until the handler
-// finishes, then holding the reply bytes for replay.
+// finishes, then holding the reply bytes for replay. It is a link of the
+// drcList it is on.
 type drcEntry struct {
-	done  bool
-	reply []byte
+	xid        uint32
+	done       bool
+	reply      []byte
+	prev, next *drcEntry
 }
+
+// drcList is an intrusive FIFO of entries with O(1) push, front and unlink.
+// The zero value is an empty list.
+type drcList struct{ root drcEntry }
+
+func (l *drcList) front() *drcEntry {
+	if l.root.next == nil || l.root.next == &l.root {
+		return nil
+	}
+	return l.root.next
+}
+
+func (l *drcList) pushBack(e *drcEntry) {
+	if l.root.next == nil {
+		l.root.prev, l.root.next = &l.root, &l.root
+	}
+	e.prev, e.next = l.root.prev, &l.root
+	e.prev.next = e
+	l.root.prev = e
+}
+
+func (e *drcEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// drcState is what the cache knows about an arriving XID.
+type drcState int
+
+const (
+	drcNew  drcState = iota // first sight: now recorded as in progress
+	drcBusy                 // duplicate of a call still executing
+	drcDone                 // duplicate of a completed call whose reply is retained
+)
 
 // drc is the classic NFS duplicate-request cache, scoped to one connection
 // identity. At-least-once clients retransmit under the same XID; the cache
@@ -184,90 +313,80 @@ type drcEntry struct {
 // while the original is still executing) instead of re-executed handlers,
 // which is what makes non-idempotent procedures — REMOVE, RENAME, CREATE,
 // the GETINV queue drain, callback recalls — safe under message loss.
+// Replies of procedures declared read-only are not kept (Server.SetReadOnly).
 type drc struct {
 	mu      sync.Mutex
 	max     int
 	entries map[uint32]*drcEntry
-	order   []uint32 // begin order, for bounded FIFO eviction
+	busy    drcList // in progress, in arrival order
+	done    drcList // completed and retained, in completion order
 }
 
 func newDRC(max int) *drc {
 	return &drc{max: max, entries: make(map[uint32]*drcEntry)}
 }
 
-// lookup returns the cached state for xid, or nil for a fresh request.
-func (d *drc) lookup(xid uint32) *drcEntry {
+// admit looks xid up and, when it is new, records it as in progress. For a
+// duplicate of a completed call it returns the reply to replay. Past the
+// bound a new entry evicts the oldest completed one; an in-progress one only
+// when nothing else is left, since that lets a still pending duplicate
+// re-execute.
+func (d *drc) admit(xid uint32) (drcState, []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.entries[xid]
-}
-
-// begin records xid as in progress and evicts beyond the bound, preferring
-// the oldest completed entry (evicting an in-progress one would let a still
-// pending duplicate re-execute, so that is a last resort).
-func (d *drc) begin(xid uint32) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.entries[xid] = &drcEntry{}
-	d.order = append(d.order, xid)
-	for len(d.entries) > d.max && len(d.order) > 0 {
-		victim := -1
-		for i, x := range d.order {
-			if e, ok := d.entries[x]; ok && e.done {
-				victim = i
-				break
-			}
+	if e := d.entries[xid]; e != nil {
+		if e.done {
+			return drcDone, e.reply
 		}
-		if victim < 0 {
-			victim = 0
-		}
-		delete(d.entries, d.order[victim])
-		d.order = append(d.order[:victim], d.order[victim+1:]...)
+		return drcBusy, nil
 	}
+	if len(d.entries) >= d.max {
+		victim := d.done.front()
+		if victim == nil {
+			victim = d.busy.front()
+		}
+		victim.unlink()
+		delete(d.entries, victim.xid)
+	}
+	e := &drcEntry{xid: xid}
+	d.entries[xid] = e
+	d.busy.pushBack(e)
+	return drcNew, nil
 }
 
-// remove forgets xid entirely — used when the scheduler sheds a queued
-// request after begin: the shed reply must leave no trace so the client's
-// retransmission under the same XID executes the handler (exactly once).
+// remove forgets xid entirely: when the scheduler sheds a queued request the
+// shed reply must leave no trace, so that the client's retransmission under
+// the same XID executes the handler (exactly once); and when a read-only
+// procedure completes there is nothing a replay would protect.
 func (d *drc) remove(xid uint32) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.entries[xid]; !ok {
-		return
-	}
-	delete(d.entries, xid)
-	for i, x := range d.order {
-		if x == xid {
-			d.order = append(d.order[:i], d.order[i+1:]...)
-			break
-		}
+	if e := d.entries[xid]; e != nil {
+		e.unlink()
+		delete(d.entries, xid)
 	}
 }
 
-// complete stores the reply bytes for later replay.
+// complete stores the reply bytes for later replay. The cache owns them from
+// here on; nobody may write to them again.
 func (d *drc) complete(xid uint32, reply []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if e, ok := d.entries[xid]; ok {
+	if e := d.entries[xid]; e != nil && !e.done {
 		e.done = true
 		e.reply = reply
+		e.unlink()
+		d.done.pushBack(e)
 	}
 }
 
-func (s *Server) serveConn(conn transport.Conn) {
+func (s *Server) serveConn(conn transport.Conn, cache *drc) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	s.mu.Lock()
-	drcSize := s.drcEntries
-	s.mu.Unlock()
-	var cache *drc
-	if drcSize > 0 {
-		cache = newDRC(drcSize)
-	}
 	for {
 		raw, err := conn.Recv()
 		if err != nil {
@@ -279,30 +398,27 @@ func (s *Server) serveConn(conn transport.Conn) {
 			continue
 		}
 		// The frame is recycled once the request reaches its terminal state:
-		// replayed here, shed, or handled. Client connections never recycle —
-		// see parsedMsg.raw.
+		// replayed here, shed, or handled. Client connections recycle theirs
+		// only when the caller releases the reply — see parsedMsg.raw.
 		m.raw = raw
+		t := s.table.Load()
 		if cache != nil {
-			if e := cache.lookup(m.xid); e != nil {
-				// Retransmitted XID: replay the cached reply, or stay silent
-				// while the original execution is still in flight (the client
-				// will retransmit again if the eventual reply is lost).
-				if e.done {
-					s.metDRCHits.Inc()
-					conn.Send(e.reply)
+			// Retransmitted XID: replay the cached reply, or stay silent
+			// while the original execution is still in flight (the client
+			// will retransmit again if the eventual reply is lost).
+			state, reply := cache.admit(m.xid)
+			if state != drcNew {
+				if state == drcDone {
+					t.metDRCHits.Inc()
+					conn.Send(reply)
 				} else {
-					s.metDRCBusy.Inc()
+					t.metDRCBusy.Inc()
 				}
 				m.recycleFrame()
 				continue
 			}
 		}
-		s.mu.Lock()
-		sc := s.sched
-		s.mu.Unlock()
-		if cache != nil {
-			cache.begin(m.xid)
-		}
+		sc := t.sched
 		if sc == nil {
 			// Unscheduled: each request is served on its own actor so slow
 			// handlers (e.g. a proxy server blocked issuing a callback) do
@@ -326,18 +442,15 @@ func (s *Server) serveConn(conn transport.Conn) {
 // gvfs_server_shed_total counter. The reply deliberately bypasses the DRC:
 // the retransmission must execute, not replay the shed.
 func (s *Server) shed(conn transport.Conn, m *parsedMsg, reason string) {
-	s.mu.Lock()
-	node, procName := s.node, s.procName
-	sc := s.sched
-	s.mu.Unlock()
-	if sc != nil {
-		sc.shedCounter(reason).Inc()
+	t := s.table.Load()
+	if t.sched != nil {
+		t.sched.shedCounter(reason).Inc()
 	}
-	if node != nil {
-		now := node.Now()
-		node.Record(obs.Span{
+	if t.node != nil {
+		now := t.node.Now()
+		t.node.Record(obs.Span{
 			Req:    m.reqID,
-			Op:     "serve " + procLabel(procName, m.prog, m.proc),
+			Op:     "serve " + procLabel(t.procName, m.prog, m.proc),
 			Detail: "shed=" + reason,
 			Err:    TryLater.String(),
 			Start:  now,
@@ -348,27 +461,13 @@ func (s *Server) shed(conn transport.Conn, m *parsedMsg, reason string) {
 	m.recycleFrame()
 }
 
-// reply finishes a call: the wire reply is recorded in the connection's
-// duplicate-request cache before it is sent, so a retransmission that races
-// the reply still replays identical bytes.
+// reply finishes a call the server answers itself: the wire reply is
+// recorded in the connection's duplicate-request cache before it is sent, so
+// a retransmission that races the reply still replays identical bytes.
 func (s *Server) reply(conn transport.Conn, cache *drc, xid uint32, stat AcceptStat, results []byte) {
 	raw := marshalReply(xid, stat, results)
 	if cache != nil {
 		cache.complete(xid, raw)
-	}
-	conn.Send(raw)
-}
-
-// sendReply records and sends reply bytes that alias a pooled encoder. The
-// DRC must own its replay bytes outright — the encoder is recycled as soon as
-// the caller returns — so it stores a copy, never the alias. Recording still
-// happens before Send so a retransmission racing the reply replays identical
-// bytes.
-func (s *Server) sendReply(conn transport.Conn, cache *drc, xid uint32, raw []byte) {
-	if cache != nil {
-		cp := make([]byte, len(raw))
-		copy(cp, raw)
-		cache.complete(xid, cp)
 	}
 	conn.Send(raw)
 }
@@ -378,22 +477,19 @@ func (s *Server) sendReply(conn transport.Conn, cache *drc, xid uint32, raw []by
 // waiting for a worker slot, recorded as a "queued=" span detail when
 // scheduled is true.
 func (s *Server) handle(conn transport.Conn, cache *drc, m *parsedMsg, yield func(func()), queued time.Duration, scheduled bool) {
-	s.mu.Lock()
-	fn, ok := s.programs[progVers{m.prog, m.vers}]
-	knownProg := s.progs[m.prog]
-	s.counts[uint64(m.prog)<<32|uint64(m.proc)]++
-	node, procName := s.node, s.procName
-	s.mu.Unlock()
-
+	t := s.table.Load()
+	s.count(t, m.prog, m.proc)
+	p, ok := t.programs[progVers{m.prog, m.vers}]
 	if !ok {
 		stat := ProgUnavail
-		if knownProg {
+		if t.calls[m.prog] != nil {
 			stat = ProgMismatch
 		}
 		s.reply(conn, cache, m.xid, stat, nil)
 		m.recycleFrame()
 		return
 	}
+	node := t.node
 
 	// The reply is encoded once, in place: the header goes into a pooled
 	// encoder first and the dispatch function appends its results directly
@@ -414,7 +510,7 @@ func (s *Server) handle(conn transport.Conn, cache *drc, m *parsedMsg, yield fun
 		yield:  yield,
 	}
 	start := node.Now()
-	stat := fn(call)
+	stat := p.fn(call)
 	if stat != Success {
 		// Discard whatever the handler half-encoded and patch the stat slot.
 		enc.Truncate(replyHeaderLen)
@@ -423,7 +519,7 @@ func (s *Server) handle(conn transport.Conn, cache *drc, m *parsedMsg, yield fun
 	if node.Tracing() {
 		sp := obs.Span{
 			Req:    call.ReqID,
-			Op:     "serve " + procLabel(procName, m.prog, m.proc),
+			Op:     "serve " + procLabel(t.procName, m.prog, m.proc),
 			FH:     call.SpanFH,
 			Detail: call.SpanDetail,
 			Bytes:  call.SpanBytes,
@@ -443,7 +539,23 @@ func (s *Server) handle(conn transport.Conn, cache *drc, m *parsedMsg, yield fun
 		}
 		node.Record(sp)
 	}
-	s.sendReply(conn, cache, m.xid, enc.Bytes())
+	raw := enc.Bytes()
+	switch {
+	case cache == nil:
+		conn.Send(raw)
+	case p.isReadOnly(m.proc):
+		// Nothing a replay would protect. The in-progress entry has kept
+		// duplicates silent while the handler ran and does so until the
+		// reply is out; one that arrives later executes again.
+		conn.Send(raw)
+		cache.remove(m.xid)
+	default:
+		// The cache keeps a copy — raw is the pooled encoder's, about to be
+		// written over — recorded before Send, so that a retransmission
+		// racing the reply replays identical bytes.
+		cache.complete(m.xid, append([]byte(nil), raw...))
+		conn.Send(raw)
+	}
 	bufpool.PutEncoder(enc)
 	m.recycleFrame()
 }

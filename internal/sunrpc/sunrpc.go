@@ -265,9 +265,10 @@ type parsedMsg struct {
 	body *xdr.Decoder
 	// raw is the received frame body aliases. Servers recycle it to the
 	// buffer pool once the request reaches its terminal state (handled,
-	// shed, or discarded); clients leave it nil — a completed reply's body
-	// escapes to the caller, so the demux recycles only frames no caller
-	// will ever see (garbage, shed retries, duplicate replies).
+	// shed, or discarded); clients leave it nil — a completed reply's frame
+	// goes to the caller with the body (Reply), so the demux recycles only
+	// frames no caller will ever see (garbage, shed retries, duplicate
+	// replies).
 	raw []byte
 }
 

@@ -61,49 +61,81 @@ func (l *listener) Accept() (transport.Conn, error) {
 func (l *listener) Close() error { return l.nl.Close() }
 func (l *listener) Addr() string { return l.nl.Addr().String() }
 
+// readBufSize is the per-connection read buffer. The length prefix and
+// whatever arrived with it — the whole of a small frame, several pipelined
+// ones — cost one read system call; what is left of a frame larger than the
+// buffer is read straight into the frame, so a 32 KiB payload copies through
+// here only the bytes that came in with its header.
+const readBufSize = 4096
+
 type conn struct {
 	nc net.Conn
 
+	// Send state, under sendMu: the length prefix and the two-element vector
+	// that writev takes live here so a Send allocates nothing.
 	sendMu sync.Mutex
+	hdr    [4]byte
+	vec    [2][]byte
+	bufs   net.Buffers
+
+	// Recv state, under recvMu: rbuf[r:w] is read but not yet delivered.
 	recvMu sync.Mutex
+	rbuf   [readBufSize]byte
+	r, w   int
 }
 
 var _ transport.Conn = (*conn)(nil)
 
 func newConn(nc net.Conn) *conn { return &conn{nc: nc} }
 
+// Send writes the length prefix and the message with one writev, so a frame
+// is one system call and — small enough — one segment and one wake-up of the
+// peer. Concurrent Sends serialise on sendMu and never interleave.
 func (c *conn) Send(msg []byte) error {
 	if len(msg) > MaxMessage {
 		return fmt.Errorf("tcpnet: message of %d bytes exceeds limit", len(msg))
 	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(msg)))
-	if _, err := c.nc.Write(hdr[:]); err != nil {
-		return mapErr(err)
-	}
-	if _, err := c.nc.Write(msg); err != nil {
+	binary.BigEndian.PutUint32(c.hdr[:], uint32(len(msg)))
+	c.vec[0], c.vec[1] = c.hdr[:], msg
+	c.bufs = c.vec[:]
+	_, err := c.bufs.WriteTo(c.nc)
+	c.vec[1] = nil // WriteTo clears what it consumed; on error do not pin msg
+	if err != nil {
 		return mapErr(err)
 	}
 	return nil
 }
 
+// Recv returns the next frame in a buffer from the shared pool that the
+// caller owns outright: it never aliases the connection's read buffer, so it
+// may be handed to bufpool.Put (the RPC server does once a request is
+// terminal, a client's caller when it releases the reply) while the next Recv
+// is already running.
 func (c *conn) Recv() ([]byte, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.nc, hdr[:]); err != nil {
-		return nil, mapErr(err)
+	if c.w-c.r < 4 {
+		// Move the partial prefix to the front and read until it is whole,
+		// taking along whatever else has arrived.
+		c.w = copy(c.rbuf[:], c.rbuf[c.r:c.w])
+		c.r = 0
+		n, err := io.ReadAtLeast(c.nc, c.rbuf[c.w:], 4-c.w)
+		c.w += n
+		if err != nil {
+			return nil, mapErr(err)
+		}
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(c.rbuf[c.r:])
 	if n > MaxMessage {
 		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", n)
 	}
-	// Frames come from the shared pool; the RPC server recycles them once a
-	// request is terminal, while client-received frames stay with the caller.
+	c.r += 4
 	buf := bufpool.Get(int(n))
-	if _, err := io.ReadFull(c.nc, buf); err != nil {
+	got := copy(buf, c.rbuf[c.r:c.w])
+	c.r += got
+	if _, err := io.ReadFull(c.nc, buf[got:]); err != nil {
 		bufpool.Put(buf)
 		return nil, mapErr(err)
 	}

@@ -192,6 +192,14 @@ func (d *Decoder) OpaqueRef(maxLen uint32) ([]byte, error) {
 	return out, nil
 }
 
+// Rest consumes and returns every unread byte. Like OpaqueRef's, the slice
+// ALIASES the decoder's buffer; it is for relaying a body verbatim.
+func (d *Decoder) Rest() []byte {
+	out := d.buf[d.off:len(d.buf):len(d.buf)]
+	d.off = len(d.buf)
+	return out
+}
+
 // FixedOpaque decodes n bytes plus padding. The returned slice is a copy.
 func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
 	if n < 0 || d.Remaining() < n {
