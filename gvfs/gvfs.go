@@ -216,12 +216,6 @@ func (d *Deployment) ServerCounts() map[string]int64 {
 	return translateCounts(d.rpcSrv.Counts())
 }
 
-// NFSInflight reports the kernel NFS server's current and peak concurrently
-// executing handlers (zero when NFSSched leaves it unscheduled).
-func (d *Deployment) NFSInflight() (running, peak int) {
-	return d.rpcSrv.Inflight()
-}
-
 // Close shuts everything down.
 func (d *Deployment) Close() {
 	d.mu.Lock()

@@ -834,6 +834,52 @@ func TestProxyServerProactiveStateEviction(t *testing.T) {
 	})
 }
 
+// TestEvictedWriterIsStillTheWriterAfterItsWriteBack: a writer recalled for
+// the state budget writes its dirty blocks back, and as the file's only
+// sharer those WRITEs grant it the write delegation again — stamped after the
+// recall, so its proxy client honours it and goes on buffering. The server
+// must still know: the next reader has to recall what the writer wrote since.
+func TestEvictedWriterIsStillTheWriterAfterItsWriteBack(t *testing.T) {
+	d := newDeployment(t)
+	d.FS.WriteFile("ev/f", []byte("zero"))
+	d.FS.WriteFile("ev/g", []byte("x"))
+	d.Run("test", func() {
+		cfg := core.Config{Model: core.ModelDelegation, MaxOpenFiles: 1, DelegExpiry: 4 * time.Minute, FlushInterval: time.Hour}
+		sess, _ := d.NewSession("s", cfg)
+		ms := mountClients(t, sess, 2)
+		a, b := ms[0], ms[1]
+		if err := a.Client.WriteFile("ev/f", []byte("first")); err != nil {
+			t.Errorf("A write: %v", err)
+			return
+		}
+		a.Client.ReadFile("ev/g") // ev/f is now the least recently accessed
+		srv := sess.ProxyServer()
+		for waited := 0; srv.Stats().CallbacksSent == 0; waited++ {
+			if waited > 120 {
+				t.Error("the budget sweep never recalled A")
+				return
+			}
+			d.Clock.Sleep(time.Second)
+		}
+		d.Clock.Sleep(2 * time.Second) // A's write-back and its answer are in
+		if flushed := a.Proxy.Stats().FlushedBlocks; flushed == 0 {
+			t.Error("A wrote nothing back for the recall")
+			return
+		}
+		// Overwritten in place: nothing about it need cross the wide area.
+		f, err := a.Client.Open("ev/f")
+		if err != nil {
+			t.Errorf("A reopen: %v", err)
+			return
+		}
+		f.WriteAt([]byte("later"), 0)
+		f.Close()
+		if got, err := b.Client.ReadFile("ev/f"); err != nil || string(got) != "later" {
+			t.Errorf("B reads %q, %v; want A's latest write, recalled from it", got, err)
+		}
+	})
+}
+
 func TestWriteBackConvergesWhenFileRemovedBehindProxy(t *testing.T) {
 	d := newDeployment(t)
 	d.FS.WriteFile("wbr/victim", []byte("original"))

@@ -311,3 +311,88 @@ func TestRecallFenceDiesWithTheServer(t *testing.T) {
 		}
 	})
 }
+
+// TestPartitionLongerThanExpiryFencesWriteBack: a client buffers dirty blocks
+// under a write delegation and is then partitioned for longer than
+// DelegExpiry, so the recall that takes the delegation back comes from the
+// idle sweep, and is lost. The sweep must settle that like a lost recall on
+// any other path: when the link heals, the client's write-back — older than
+// what another client has written since — is refused with NFS3ERR_STALE and
+// discarded (Section 4.3.4), instead of landing last.
+func TestPartitionLongerThanExpiryFencesWriteBack(t *testing.T) {
+	const size = 4 * 32 * 1024
+	d := newDeployment(t)
+	d.FS.WriteFile("px/f", bytes.Repeat([]byte("0"), size))
+	onServer := func() []byte {
+		attr, err := d.FS.LookupPath("px/f")
+		if err != nil {
+			t.Fatalf("server lost the file: %v", err)
+		}
+		buf := make([]byte, size+1)
+		n, _, _ := d.FS.ReadAt(attr.ID, buf, 0)
+		return buf[:n]
+	}
+	d.Run("partition", func() {
+		cfg := core.Config{
+			Model:         core.ModelDelegation,
+			DelegExpiry:   time.Minute,
+			DelegRenew:    45 * time.Second,
+			FlushInterval: 5 * time.Second,
+			CallTimeout:   4 * time.Second,
+		}
+		sess, err := d.NewSession("px", cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ms := mountClients(t, sess, 2)
+		a, b := ms[0], ms[1]
+
+		older, newer := bytes.Repeat([]byte("A"), size), bytes.Repeat([]byte("B"), size)
+		if err := a.Client.WriteFile("px/f", older); err != nil {
+			t.Errorf("A write: %v", err)
+			return
+		}
+		if bytes.Equal(onServer(), older) {
+			t.Error("A's write went through: nothing is buffered under a write delegation")
+			return
+		}
+		d.Net.Partition(a.Host(), "server")
+
+		// A idles past DelegExpiry with its flushes failing; the sweep's
+		// recall cannot reach it either.
+		srv := sess.ProxyServer()
+		for waited := 0; srv.Stats().CallbacksSent == 0; waited++ {
+			if waited > 180 {
+				t.Error("the idle sweep never recalled A's write delegation")
+				return
+			}
+			d.Clock.Sleep(time.Second)
+		}
+		d.Clock.Sleep(2 * time.Second) // the unreachable dial has failed by now
+
+		// Only then does B write the file, and its bytes reach the server.
+		if err := b.Client.WriteFile("px/f", newer); err != nil {
+			t.Errorf("B write: %v", err)
+			return
+		}
+		d.Clock.Sleep(2 * cfg.FlushInterval)
+		if !bytes.Equal(onServer(), newer) {
+			t.Error("B's bytes never reached the server")
+			return
+		}
+
+		// The link heals and A's flush loop runs.
+		d.Net.Heal(a.Host(), "server")
+		d.Clock.Sleep(4*cfg.FlushInterval + 2*cfg.CallTimeout)
+		if got := onServer(); !bytes.Equal(got, newer) {
+			t.Errorf("server holds %q..., want B's bytes: A's stale write-back landed over them", got[:8])
+		}
+		if st := a.Proxy.Stats(); st.FlushErrors == 0 || st.FlushedBlocks != 0 {
+			t.Errorf("A's write-back was not refused and discarded: %+v", st)
+		}
+		if got, err := a.Client.ReadFile("px/f"); err != nil || !bytes.Equal(got, newer) {
+			t.Errorf("A reads %d bytes (%q...), %v after the discard; want B's", len(got), got[:min(8, len(got))], err)
+		}
+	})
+}

@@ -1,11 +1,10 @@
 // Package afslike is a minimal AFS-style distributed file service used as
 // the traditional strong-consistency reference point in Figure 6 (the paper
-// tests OpenAFS 1.2.11). It implements the two properties that matter for
-// that comparison:
-//
-//   - whole-file caching at clients, and
-//   - server-maintained callback promises broken by a server-to-client RPC
-//     whenever another client mutates a file.
+// tests OpenAFS 1.2.11). The lock benchmark only asks whether a path exists
+// and creates, links and removes files, so that is all there is: clients
+// cache what they have learnt exists, and the server keeps a callback promise
+// per cached path, broken by a server-to-client RPC whenever another client
+// mutates it. File data is never transferred.
 //
 // The protocol is path-based and intentionally small; the paper notes AFS's
 // RPC mix is not comparable to NFS's, so only runtimes are reported for it.
@@ -28,8 +27,6 @@ const (
 	Program = 400200
 	Version = 1
 
-	ProcFetch  = 1
-	ProcStore  = 2
 	ProcStat   = 3
 	ProcCreate = 4
 	ProcRemove = 5
@@ -79,7 +76,6 @@ type Server struct {
 	mu        sync.Mutex
 	callbacks map[string]map[string]bool // path -> set of client callback addrs
 	cbConns   map[string]*sunrpc.Client  // callback addr -> connection
-	breaks    int64
 }
 
 // NewServer wraps fs. dial reaches clients' callback listeners.
@@ -113,13 +109,6 @@ func (s *Server) Close() {
 	s.rpc.Close()
 }
 
-// Breaks reports the number of callback-break RPCs sent.
-func (s *Server) Breaks() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.breaks
-}
-
 // caller identifies the client and its callback address from the AUTH_SYS
 // machine name, which clients set to their callback address.
 func caller(call *sunrpc.Call) string {
@@ -142,23 +131,6 @@ func (s *Server) dispatch(call *sunrpc.Call) sunrpc.AcceptStat {
 	}
 	from := caller(call)
 	switch call.Proc {
-	case ProcFetch:
-		attr, err := s.fs.LookupPath(path)
-		if err != nil {
-			call.Reply.Uint32(StatusNoEnt)
-			return sunrpc.Success
-		}
-		data := make([]byte, attr.Size)
-		if attr.Type == memfs.TypeFile && attr.Size > 0 {
-			if _, _, err := s.fs.ReadAt(attr.ID, data, 0); err != nil {
-				call.Reply.Uint32(StatusIOErr)
-				return sunrpc.Success
-			}
-		}
-		s.promise(path, from)
-		call.Reply.Uint32(StatusOK)
-		call.Reply.Uint64(attr.Change)
-		call.Reply.Opaque(data)
 	case ProcStat:
 		attr, err := s.fs.LookupPath(path)
 		if err != nil {
@@ -169,17 +141,6 @@ func (s *Server) dispatch(call *sunrpc.Call) sunrpc.AcceptStat {
 		call.Reply.Uint32(StatusOK)
 		call.Reply.Uint64(attr.Change)
 		call.Reply.Uint64(attr.Size)
-	case ProcStore:
-		data, err := call.Args.Opaque(0)
-		if err != nil {
-			return sunrpc.GarbageArgs
-		}
-		if _, err := s.fs.WriteFile(path, data); err != nil {
-			call.Reply.Uint32(StatusIOErr)
-			return sunrpc.Success
-		}
-		s.breakCallbacks(path, from)
-		call.Reply.Uint32(StatusOK)
 	case ProcCreate:
 		dir, name := splitPath(path)
 		dirAttr, err := s.fs.LookupPath(dir)
@@ -304,28 +265,18 @@ func (s *Server) breakOne(addr, path string) {
 	}
 	e := xdr.NewEncoder()
 	e.String(path)
-	s.mu.Lock()
-	s.breaks++
-	s.mu.Unlock()
 	conn.Call(CallbackProgram, CallbackVersion, ProcBreak, e.Bytes())
 }
 
-// Client is a whole-file-caching AFS-like client.
+// Client is an AFS-like client caching, under callback promises, which paths
+// exist.
 type Client struct {
 	clk *vclock.Clock
 	rpc *sunrpc.Client
 	srv *sunrpc.Server
 
 	mu    sync.Mutex
-	cache map[string]*entry
-}
-
-type entry struct {
-	version uint64
-	size    uint64
-	data    []byte
-	hasData bool
-	exists  bool
+	cache map[string]bool // paths known to exist; the server promised to say when that changes
 }
 
 // NewClient connects to the server over conn and serves callback breaks on
@@ -336,7 +287,7 @@ func NewClient(clk *vclock.Clock, conn transport.Conn, cbListener transport.List
 		clk:   clk,
 		rpc:   sunrpc.NewClient(clk, conn, sunrpc.SysCred(cbAddr, 0, 0)),
 		srv:   sunrpc.NewServer(clk),
-		cache: make(map[string]*entry),
+		cache: make(map[string]bool),
 	}
 	c.srv.Register(CallbackProgram, CallbackVersion, c.dispatchBreak)
 	c.srv.Serve(cbListener)
@@ -370,12 +321,11 @@ func (c *Client) call(proc uint32, enc func(*xdr.Encoder)) (*xdr.Decoder, error)
 // cache when possible.
 func (c *Client) Exists(path string) (bool, error) {
 	c.mu.Lock()
-	if ent, ok := c.cache[path]; ok {
-		exists := ent.exists
-		c.mu.Unlock()
-		return exists, nil
-	}
+	cached := c.cache[path]
 	c.mu.Unlock()
+	if cached {
+		return true, nil
+	}
 	d, err := c.call(ProcStat, func(e *xdr.Encoder) { e.String(path) })
 	if err != nil {
 		return false, err
@@ -384,12 +334,12 @@ func (c *Client) Exists(path string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	ent := &entry{}
 	switch st {
 	case StatusOK:
-		ent.exists = true
-		ent.version, _ = d.Uint64()
-		ent.size, _ = d.Uint64()
+		c.mu.Lock()
+		c.cache[path] = true
+		c.mu.Unlock()
+		return true, nil
 	case StatusNoEnt:
 		// Negative entries are not callback-protected by the server (it
 		// only promises on existing paths), so do not cache them.
@@ -397,62 +347,6 @@ func (c *Client) Exists(path string) (bool, error) {
 	default:
 		return false, statusErr(st)
 	}
-	c.mu.Lock()
-	c.cache[path] = ent
-	c.mu.Unlock()
-	return ent.exists, nil
-}
-
-// Fetch returns the whole file, from cache when the callback promise holds.
-func (c *Client) Fetch(path string) ([]byte, error) {
-	c.mu.Lock()
-	if ent, ok := c.cache[path]; ok && ent.hasData {
-		data := ent.data
-		c.mu.Unlock()
-		return data, nil
-	}
-	c.mu.Unlock()
-	d, err := c.call(ProcFetch, func(e *xdr.Encoder) { e.String(path) })
-	if err != nil {
-		return nil, err
-	}
-	st, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if st != StatusOK {
-		return nil, statusErr(st)
-	}
-	version, _ := d.Uint64()
-	data, err := d.Opaque(0)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.cache[path] = &entry{version: version, size: uint64(len(data)), data: data, hasData: true, exists: true}
-	c.mu.Unlock()
-	return data, nil
-}
-
-// Store uploads the whole file (AFS store-on-close semantics).
-func (c *Client) Store(path string, data []byte) error {
-	d, err := c.call(ProcStore, func(e *xdr.Encoder) {
-		e.String(path)
-		e.Opaque(data)
-	})
-	if err != nil {
-		return err
-	}
-	st, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	if st == StatusOK {
-		c.mu.Lock()
-		c.cache[path] = &entry{size: uint64(len(data)), data: append([]byte(nil), data...), hasData: true, exists: true}
-		c.mu.Unlock()
-	}
-	return statusErr(st)
 }
 
 // CreateFile creates an empty file.

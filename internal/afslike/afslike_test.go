@@ -1,7 +1,6 @@
 package afslike
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -79,66 +78,39 @@ func (e *env) run(t *testing.T, fn func()) {
 	}
 }
 
-func TestFetchStoreRoundTrip(t *testing.T) {
-	e, cleanup := setup(t, 1)
-	defer cleanup()
-	c := e.clients[0]
-	e.run(t, func() {
-		data := bytes.Repeat([]byte("afs"), 1000)
-		if err := c.Store("vol/file", data); err != nil {
-			t.Errorf("store: %v", err)
-			return
-		}
-		got, err := c.Fetch("vol/file")
-		if err != nil || !bytes.Equal(got, data) {
-			t.Errorf("fetch: %v", err)
-		}
-	})
-}
-
-func TestWholeFileCacheServedLocally(t *testing.T) {
-	e, cleanup := setup(t, 2)
-	defer cleanup()
-	a, b := e.clients[0], e.clients[1]
-	e.run(t, func() {
-		a.Store("f", []byte("cached"))
-		if _, err := b.Fetch("f"); err != nil {
-			t.Errorf("fetch: %v", err)
-			return
-		}
-		// Repeated fetches within the callback promise: no extra latency.
-		start := e.clk.Now()
-		for i := 0; i < 10; i++ {
-			if _, err := b.Fetch("f"); err != nil {
-				t.Errorf("cached fetch: %v", err)
-				return
-			}
-		}
-		if elapsed := e.clk.Now() - start; elapsed > time.Millisecond {
-			t.Errorf("10 cached fetches took %v; whole-file cache not working", elapsed)
-		}
-	})
-}
-
 func TestCallbackBreakInvalidatesCache(t *testing.T) {
 	e, cleanup := setup(t, 2)
 	defer cleanup()
 	a, b := e.clients[0], e.clients[1]
 	e.run(t, func() {
-		a.Store("f", []byte("v1"))
-		if got, _ := b.Fetch("f"); string(got) != "v1" {
-			t.Errorf("fetch = %q", got)
+		if err := a.CreateFile("f"); err != nil {
+			t.Errorf("create: %v", err)
 			return
 		}
-		// A stores a new version; B's cache is broken by callback and the
-		// next fetch is fresh — strong consistency.
-		a.Store("f", []byte("v2"))
-		e.clk.Sleep(100 * time.Millisecond) // callback propagation
-		if got, _ := b.Fetch("f"); string(got) != "v2" {
-			t.Errorf("fetch after break = %q, want v2", got)
+		if held, err := b.Exists("f"); err != nil || !held {
+			t.Errorf("exists = %v, %v", held, err)
+			return
 		}
-		if e.srv.Breaks() == 0 {
-			t.Error("no callback breaks recorded")
+		// Within the callback promise B answers from its cache.
+		start := e.clk.Now()
+		for i := 0; i < 10; i++ {
+			if held, err := b.Exists("f"); err != nil || !held {
+				t.Errorf("cached exists = %v, %v", held, err)
+				return
+			}
+		}
+		if elapsed := e.clk.Now() - start; elapsed > time.Millisecond {
+			t.Errorf("10 cached lookups took %v; the cache is not serving them", elapsed)
+		}
+		// A removes the file; B's cached entry is broken by callback and its
+		// next lookup is fresh — strong consistency.
+		if err := a.Remove("f"); err != nil {
+			t.Errorf("remove: %v", err)
+			return
+		}
+		e.clk.Sleep(100 * time.Millisecond) // callback propagation
+		if held, _ := b.Exists("f"); held {
+			t.Error("b still sees the removed file: its cached entry was not broken")
 		}
 	})
 }
@@ -148,8 +120,8 @@ func TestLinkPrimitiveForLocks(t *testing.T) {
 	defer cleanup()
 	a, b := e.clients[0], e.clients[1]
 	e.run(t, func() {
-		a.Store("tmp-a", nil)
-		b.Store("tmp-b", nil)
+		a.CreateFile("tmp-a")
+		b.CreateFile("tmp-b")
 		if err := a.Link("tmp-a", "LOCK"); err != nil {
 			t.Errorf("first link: %v", err)
 			return
@@ -185,7 +157,7 @@ func TestExistsNegativeNotCachedStale(t *testing.T) {
 		if held, _ := b.Exists("nope"); held {
 			t.Error("phantom file")
 		}
-		a.Store("nope", []byte("now it exists"))
+		a.CreateFile("nope")
 		e.clk.Sleep(100 * time.Millisecond)
 		if held, _ := b.Exists("nope"); !held {
 			t.Error("negative result incorrectly cached")

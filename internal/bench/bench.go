@@ -13,7 +13,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -143,23 +142,6 @@ func renderRPCTable(w io.Writer, setups []Setup, procs []string) {
 		fmt.Fprintf(w, "%12d", s.Total())
 	}
 	fmt.Fprintln(w)
-}
-
-// sortedProcs lists every procedure seen across setups, biggest first by
-// the first setup's counts.
-func sortedProcs(setups []Setup) []string {
-	seen := map[string]bool{}
-	var procs []string
-	for _, s := range setups {
-		for k := range s.RPCs {
-			if !seen[k] && k != "MOUNT" && k != "NULL" {
-				seen[k] = true
-				procs = append(procs, k)
-			}
-		}
-	}
-	sort.Strings(procs)
-	return procs
 }
 
 func seconds(d time.Duration) float64 { return d.Seconds() }

@@ -44,9 +44,6 @@ func init() { enabled.Store(true) }
 // Put discards; used by benchmarks to measure the unpooled baseline.
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// Enabled reports whether pooling is active.
-func Enabled() bool { return enabled.Load() }
-
 func classFor(n int) int {
 	if n <= 1<<minShift {
 		return 0

@@ -241,10 +241,6 @@ const (
 	// 4 Mbit/s WAN — a conservative floor that at worst delays a
 	// retransmission by the frame's own transfer time.
 	retransmitPerByte = 2 * time.Microsecond
-	// drcEntries bounds each connection's duplicate-request cache at the
-	// proxy RPC servers (proxy server and the proxy client's NFS and callback
-	// services).
-	drcEntries = 512
 )
 
 func (c Config) withDefaults() Config {

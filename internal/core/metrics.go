@@ -150,8 +150,7 @@ type serverMetrics struct {
 	invQueued        *obs.Counter
 	callbacksSent    *obs.Counter
 	forwards         *obs.Counter
-	delegReadGrants  *obs.Counter
-	delegWriteGrants *obs.Counter
+	delegationGrants [DelegWrite + 1]*obs.Counter // by type granted; none is not counted
 	delegRecalls     *obs.Counter
 	invOverflows     *obs.Counter
 
@@ -162,14 +161,14 @@ type serverMetrics struct {
 
 func newServerMetrics(reg *obs.Registry, node string) *serverMetrics {
 	l := func(name string) string { return obs.Label(name, "node", node) }
+	grants := func(typ string) string { return obs.Label(l("gvfs_server_deleg_grants_total"), "type", typ) }
 	return &serverMetrics{
 		getInvServed:     reg.Counter(l("gvfs_server_getinv_served_total")),
 		forceReplies:     reg.Counter(l("gvfs_server_force_replies_total")),
 		invQueued:        reg.Counter(l("gvfs_server_invalidations_queued_total")),
 		callbacksSent:    reg.Counter(l("gvfs_server_callbacks_sent_total")),
 		forwards:         reg.Counter(l("gvfs_server_forwards_total")),
-		delegReadGrants:  reg.Counter(obs.Label(l("gvfs_server_deleg_grants_total"), "type", "read")),
-		delegWriteGrants: reg.Counter(obs.Label(l("gvfs_server_deleg_grants_total"), "type", "write")),
+		delegationGrants: [DelegWrite + 1]*obs.Counter{DelegRead: reg.Counter(grants("read")), DelegWrite: reg.Counter(grants("write"))},
 		delegRecalls:     reg.Counter(l("gvfs_server_deleg_recalls_total")),
 		invOverflows:     reg.Counter(l("gvfs_server_invbuffer_overflows_total")),
 		getinvBatch:      reg.Histogram(l("gvfs_server_getinv_batch"), obs.CountBuckets),

@@ -241,7 +241,6 @@ func NewProxyClient(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, cred
 	// proxy's node, nested under the kernel request via the shared ID.
 	upstream.SetObs(p.node, RPCName)
 	cfg.applyRetransmit(upstream)
-	p.srv.SetDRCSize(drcEntries)
 	p.srv.Register(nfs3.Program, nfs3.Version, p.dispatchNFS)
 	p.srv.SetReadOnly(nfs3.Program, nfs3.Version, nfs3.ReadOnlyProcs()...)
 	p.srv.Register(nfs3.MountProgram, nfs3.MountVersion, p.dispatchMount)
@@ -249,7 +248,6 @@ func NewProxyClient(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, cred
 	// retransmits may not flush (or fence) twice. It also runs behind the
 	// bounded scheduling pool (rate limits elided — see callbackSchedConfig)
 	// so a recall storm cannot spawn unbounded handlers.
-	p.cbSrv.SetDRCSize(drcEntries)
 	p.cbSrv.SetSched(cfg.callbackSchedConfig())
 	p.cbSrv.Register(CallbackProgram, CallbackVersion, p.dispatchCallback)
 	return p

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -82,13 +81,13 @@ type ProxyServer struct {
 	mu       sync.Mutex
 	clients  map[string]*clientState
 	invTS    uint64
-	files    map[string]*fileState
+	files    map[string]*fileState // the sharer table (proxyserver_nfs.go)
+	lru      ring[fileState]       // files, most recently accessed first
 	grace    bool
 	grantSeq uint64
 	graceW   []*vclock.Waiter
 	store    StateStore
 	stopped  bool
-	lruClock uint64
 
 	// node records this proxy's trace spans; met holds its registry series.
 	// Counters are the single source of truth — ProxyServerStats is a view
@@ -103,19 +102,23 @@ type clientState struct {
 	buf *invBuffer
 }
 
+// fileState is one row of the sharer table (proxyserver_nfs.go).
 type fileState struct {
 	fh      nfs3.FH
 	sharers map[string]*sharer
-	touched uint64 // lruClock stamp for proactive state eviction
+	link    link[fileState] // on ProxyServer.lru: the order MaxOpenFiles evicts in
 }
 
 type sharer struct {
-	deleg      DelegType
-	mode       DelegType // highest access mode observed (read or write)
+	c     *clientState
+	deleg DelegType
+	// lastAccess is the idle clock DelegExpiry runs on: the sharer's last
+	// access, or the settling of a recall that left it owing something.
 	lastAccess time.Duration
-	pending    map[uint64]bool // dirty byte offsets awaiting write-back
-	// grantSeq is the fence stamp of the latest grant to this sharer.
-	grantSeq uint64
+	// closing: the sweep speculated it gone and asked for its delegation. It
+	// leaves when that settles, unless an access of its own came first.
+	closing bool
+	pending map[uint64]bool // dirty byte offsets awaiting write-back
 	// lostRecall is set when a recall callback to this sharer failed: its
 	// delegation was revoked without acknowledgement, so dirty data it
 	// buffered may predate writes by others that the revocation admitted.
@@ -141,6 +144,7 @@ func NewProxyServer(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, dial
 		files:   make(map[string]*fileState),
 		store:   store,
 	}
+	s.lru.init()
 	o := cfg.Obs
 	if o == nil {
 		o = obs.New(clk.Now, 1024)
@@ -157,7 +161,6 @@ func NewProxyServer(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, dial
 	s.srv.SetObs(s.node, RPCName)
 	s.up.SetObs(s.node, RPCName)
 	cfg.applyRetransmit(upstream)
-	s.srv.SetDRCSize(drcEntries)
 	s.srv.SetSched(cfg.schedConfig())
 	s.srv.Register(nfs3.Program, nfs3.Version, s.dispatchNFS)
 	s.srv.SetReadOnly(nfs3.Program, nfs3.Version, nfs3.ReadOnlyProcs()...)
@@ -258,29 +261,19 @@ func (s *ProxyServer) StateSize() (files, sharers int) {
 func (s *ProxyServer) recover() {
 	s.mu.Lock()
 	clients := make([]*clientState, 0, len(s.clients))
-	for _, c := range s.clients {
-		clients = append(clients, c)
+	for _, id := range sortedKeys(s.clients) { // the rebuild round is traced
+		clients = append(clients, s.clients[id])
 	}
 	s.mu.Unlock()
-	// Stable callback order: the rebuild round is traced, and map iteration
-	// order would make runs of the same seed diverge.
-	sort.Slice(clients, func(i, j int) bool { return clients[i].rec.ID < clients[j].rec.ID })
-
 	rid := s.node.Mint()
 	for _, c := range clients {
-		res, err := s.callbackRecallAll(rid, c)
-		if err != nil {
-			// Client unreachable: drop it from the session.
-			s.mu.Lock()
-			delete(s.clients, c.rec.ID)
-			s.mu.Unlock()
-			continue
-		}
-		now := s.clk.Now()
+		dirty, err := s.callbackRecallAll(rid, c)
 		s.mu.Lock()
-		for _, fh := range res.DirtyFiles {
-			fs := s.fileForLocked(fh)
-			fs.sharers[c.rec.ID] = &sharer{deleg: DelegWrite, mode: DelegWrite, lastAccess: now}
+		if err != nil {
+			delete(s.clients, c.rec.ID) // unreachable: out of the session
+		}
+		for _, fh := range dirty {
+			s.rebuildLocked(c, fh, s.clk.Now())
 		}
 		s.mu.Unlock()
 	}
@@ -308,9 +301,10 @@ func (s *ProxyServer) waitGrace() {
 	s.clk.WaitAs(w, "gvfs-grace")
 }
 
-// expiryLoop speculates files closed after DelegExpiry of inactivity,
-// recalling any delegation still held (Section 4.3.3), and proactively
-// evicts least recently touched state beyond MaxOpenFiles.
+// expiryLoop is the table's background sweep: every quarter of DelegExpiry it
+// speculates files closed by sharers idle that long (Section 4.3.3), then
+// sheds the least recently accessed files beyond MaxOpenFiles. The sweep only
+// decides; what it wants back goes through recall like any other delegation.
 func (s *ProxyServer) expiryLoop() {
 	period := s.cfg.DelegExpiry / 4
 	if period <= 0 {
@@ -323,81 +317,12 @@ func (s *ProxyServer) expiryLoop() {
 			s.mu.Unlock()
 			return
 		}
-		now := s.clk.Now()
-		type recall struct {
-			c   *clientState
-			fh  nfs3.FH
-			t   DelegType
-			seq uint64
-		}
-		var recalls []recall
-		// Walk files and sharers in sorted order so expiry recalls are
-		// issued (and traced) identically across runs of the same seed.
-		fileKeys := make([]string, 0, len(s.files))
-		for key := range s.files {
-			fileKeys = append(fileKeys, key)
-		}
-		sort.Strings(fileKeys)
-		for _, key := range fileKeys {
-			fs := s.files[key]
-			for _, id := range sortedSharerIDs(fs) {
-				sh := fs.sharers[id]
-				if now-sh.lastAccess > s.cfg.DelegExpiry {
-					if sh.deleg != DelegNone {
-						if c := s.clients[id]; c != nil {
-							s.grantSeq++
-							recalls = append(recalls, recall{c: c, fh: fs.fh, t: sh.deleg, seq: s.grantSeq})
-						}
-					}
-					delete(fs.sharers, id)
-				}
-			}
-			if len(fs.sharers) == 0 {
-				delete(s.files, key)
-			}
-		}
-		// Proactive LRU eviction of excess state.
-		for len(s.files) > s.cfg.MaxOpenFiles {
-			var oldestKey string
-			var oldest uint64
-			first := true
-			for key, fs := range s.files {
-				if first || fs.touched < oldest {
-					oldestKey, oldest, first = key, fs.touched, false
-				}
-			}
-			fs := s.files[oldestKey]
-			for _, id := range sortedSharerIDs(fs) {
-				sh := fs.sharers[id]
-				if sh.deleg != DelegNone {
-					if c := s.clients[id]; c != nil {
-						s.grantSeq++
-						recalls = append(recalls, recall{c: c, fh: fs.fh, t: sh.deleg, seq: s.grantSeq})
-					}
-				}
-			}
-			delete(s.files, oldestKey)
-		}
+		reqs := s.sweepLocked(s.clk.Now())
 		s.mu.Unlock()
-		if len(recalls) == 0 {
-			continue
-		}
-		rid := s.node.Mint()
-		for _, r := range recalls {
-			s.callbackRecall(rid, r.c, RecallArgs{FH: r.fh, Deleg: r.t, Seq: r.seq})
+		if len(reqs) > 0 {
+			s.recall(s.node.Mint(), reqs)
 		}
 	}
-}
-
-// sortedSharerIDs lists a file's sharer IDs in stable order; recall fan-out
-// loops use it so traced callback order is deterministic.
-func sortedSharerIDs(fs *fileState) []string {
-	ids := make([]string, 0, len(fs.sharers))
-	for id := range fs.sharers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // --- client registry ------------------------------------------------------
@@ -437,18 +362,16 @@ func (s *ProxyServer) persistClients() {
 // callbackClient lazily dials the client's callback service.
 func (s *ProxyServer) callbackClient(c *clientState) (*sunrpc.Client, error) {
 	s.mu.Lock()
-	if c.cb != nil {
-		cb := c.cb
-		s.mu.Unlock()
+	cb, addr := c.cb, c.rec.CallbackAddr
+	s.mu.Unlock()
+	if cb != nil {
 		return cb, nil
 	}
-	addr := c.rec.CallbackAddr
-	s.mu.Unlock()
 	conn, err := s.dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	cb := sunrpc.NewClient(s.clk, conn, sunrpc.NoneCred())
+	cb = sunrpc.NewClient(s.clk, conn, sunrpc.NoneCred())
 	cb.SetObs(s.node, RPCName)
 	s.cfg.applyRetransmit(cb)
 	s.mu.Lock()
@@ -494,10 +417,9 @@ func (s *ProxyServer) callbackCall(rid uint64, c *clientState, proc uint32, args
 	return nil, lastErr
 }
 
-// callbackRecall issues one recall RPC; failures drop the client's
-// delegation state (the client is presumed dead — its soft state is safe to
-// discard, and NFS retries recover the rest). rid is the trace request ID of
-// the conflicting request that forced the recall, so the whole causal chain
+// callbackRecall issues one recall RPC for recall, its only caller; nil means
+// the client never answered. rid is the trace request ID of the conflicting
+// request (or the sweep) that forced the recall, so the whole causal chain
 // shares one ID in the trace.
 func (s *ProxyServer) callbackRecall(rid uint64, c *clientState, args RecallArgs) *RecallRes {
 	s.met.callbacksSent.Inc()
@@ -515,7 +437,8 @@ func (s *ProxyServer) callbackRecall(rid uint64, c *clientState, args RecallArgs
 	return &res
 }
 
-func (s *ProxyServer) callbackRecallAll(rid uint64, c *clientState) (*RecallAllRes, error) {
+// callbackRecallAll asks a client which files it holds dirty data for.
+func (s *ProxyServer) callbackRecallAll(rid uint64, c *clientState) ([]nfs3.FH, error) {
 	s.met.callbacksSent.Inc()
 	d, err := s.callbackCall(rid, c, ProcRecallAll, nil)
 	if err != nil {
@@ -525,7 +448,7 @@ func (s *ProxyServer) callbackRecallAll(rid uint64, c *clientState) (*RecallAllR
 	if err := res.Decode(d); err != nil {
 		return nil, err
 	}
-	return &res, nil
+	return res.DirtyFiles, nil
 }
 
 // --- invalidation buffers (Section 4.2) ------------------------------------

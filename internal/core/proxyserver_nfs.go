@@ -1,6 +1,9 @@
 package core
 
 import (
+	"sort"
+	"time"
+
 	"repro/internal/nfs3"
 	"repro/internal/sunrpc"
 	"repro/internal/xdr"
@@ -9,9 +12,11 @@ import (
 // accessReq describes one (file, mode) touch implied by an NFS call, used to
 // drive the delegation state machine.
 type accessReq struct {
-	fh     nfs3.FH
-	write  bool
-	offset *uint64 // for WRITE/READ: the touched offset (pending-block chasing)
+	fh    nfs3.FH
+	write bool
+	// offset is set for READ and WRITE (pending-block chasing); with write,
+	// it is a WRITE's data arriving.
+	offset *uint64
 	// name is set on directory write accesses that remove or replace an
 	// entry; recalls propagate it so clients drop the binding.
 	name string
@@ -23,15 +28,8 @@ type callInfo struct {
 	accesses []accessReq
 	// invTargets are invalidated at other clients when the call succeeds.
 	invTargets []nfs3.FH
-	// primary receives the delegation trailer (zero = args-independent,
-	// resolved post-reply for LOOKUP/CREATE-like calls).
-	primary nfs3.FH
-	// primaryWrite is the access mode used for the trailer decision.
-	primaryWrite bool
-	// postResolve marks calls whose primary handle is in the reply.
+	// postResolve marks calls whose reply names one more handle to decide on.
 	postResolve bool
-	// writeOffset is set for WRITE calls (pending-block accounting).
-	writeOffset *uint64
 }
 
 // forwardRaw relays a program verbatim (MOUNT).
@@ -66,24 +64,8 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 	if !ok {
 		return sunrpc.GarbageArgs
 	}
-	if !info.primary.IsZero() {
-		call.SpanFH = info.primary.String()
-	} else if len(info.accesses) > 0 {
+	if len(info.accesses) > 0 {
 		call.SpanFH = info.accesses[0].fh.String()
-	}
-
-	// A client whose write-delegation recall was lost may write back stale
-	// data long after the revocation admitted newer writes by others.
-	// Reject its first write-back: the client discards the suspect dirty
-	// blocks (Section 4.3.4) rather than clobbering newer data.
-	if s.cfg.Model == ModelDelegation && call.Proc == nfs3.ProcWrite &&
-		info.writeOffset != nil && s.takeLostRecall(client.rec.ID, info.primary) {
-		res := nfs3.WriteRes{Status: nfs3.ErrStale}
-		e := xdr.NewEncoder()
-		res.Encode(e)
-		call.Reply.FixedOpaque(e.Bytes())
-		Trailers(nil).Encode(call.Reply)
-		return sunrpc.Success
 	}
 
 	// Delegation model: resolve conflicts before the operation proceeds,
@@ -91,11 +73,17 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 	var trailers Trailers
 	if s.cfg.Model == ModelDelegation {
 		for _, a := range info.accesses {
-			deleg, cacheable, _, seq := s.handleAccess(call.ReqID, client, a, call.Yield)
-			trailers = append(trailers, Trailer{Deleg: deleg, Cacheable: cacheable, FH: a.fh, Seq: seq})
+			t, _, fenced := s.handleAccess(call.ReqID, client, a, call.Yield)
+			if fenced {
+				// Refused: the client discards the blocks (Section 4.3.4).
+				(&nfs3.WriteRes{Status: nfs3.ErrStale}).Encode(call.Reply)
+				Trailers(nil).Encode(call.Reply)
+				return sunrpc.Success
+			}
+			trailers = append(trailers, t)
 		}
-	} else if !info.primary.IsZero() {
-		trailers = append(trailers, Trailer{Deleg: DelegNone, Cacheable: true, FH: info.primary})
+	} else if len(info.accesses) > 0 && !info.postResolve {
+		trailers = append(trailers, Trailer{Deleg: DelegNone, Cacheable: true, FH: info.accesses[0].fh})
 	}
 
 	// Forward across the loopback to the kernel NFS server.
@@ -106,8 +94,7 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 	}
 	replyBytes := rep.Body.Rest()
 
-	status := replyStatus(replyBytes)
-	if status == nfs3.OK {
+	if replyStatus(replyBytes) == nfs3.OK {
 		// Ground truth for the staleness observatory: every invalidation
 		// target of a successfully forwarded mutation is a committed remote
 		// write, stamped here (both models) with the committing client's
@@ -131,24 +118,20 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 				}
 			}
 		}
-		if info.writeOffset != nil {
-			s.noteWriteArrived(client.rec.ID, info.primary, *info.writeOffset)
-		}
 		if info.postResolve {
 			if fh, isWrite, ok := postPrimary(call.Proc, replyBytes); ok {
-				a := accessReq{fh: fh, write: isWrite}
+				t := Trailer{Deleg: DelegNone, Cacheable: true, FH: fh}
 				if s.cfg.Model == ModelDelegation {
-					deleg, cacheable, recalled, seq := s.handleAccess(call.ReqID, client, a, call.Yield)
+					var recalled bool
+					t, recalled, _ = s.handleAccess(call.ReqID, client, accessReq{fh: fh, write: isWrite}, call.Yield)
 					if recalled {
 						// The reply in hand predates the recall-triggered
 						// write-back; withholding the delegation forces the
 						// client to revalidate on its next access.
-						deleg, cacheable = DelegNone, false
+						t.Deleg, t.Cacheable = DelegNone, false
 					}
-					trailers = append(trailers, Trailer{Deleg: deleg, Cacheable: cacheable, FH: fh, Seq: seq})
-				} else {
-					trailers = append(trailers, Trailer{Deleg: DelegNone, Cacheable: true, FH: fh})
 				}
+				trailers = append(trailers, t)
 			}
 		}
 	}
@@ -205,7 +188,6 @@ func (s *ProxyServer) inspect(rid uint64, proc uint32, argBytes []byte) (callInf
 		}
 		if proc == nfs3.ProcGetattr {
 			info.accesses = []accessReq{{fh: args.FH}}
-			info.primary = args.FH
 		}
 	case nfs3.ProcSetattr:
 		var args nfs3.SetattrArgs
@@ -214,8 +196,6 @@ func (s *ProxyServer) inspect(rid uint64, proc uint32, argBytes []byte) (callInf
 		}
 		info.accesses = []accessReq{{fh: args.FH, write: true}}
 		info.invTargets = []nfs3.FH{args.FH}
-		info.primary = args.FH
-		info.primaryWrite = true
 	case nfs3.ProcLookup:
 		var args nfs3.DirOpArgs
 		if args.Decode(d) != nil {
@@ -230,7 +210,6 @@ func (s *ProxyServer) inspect(rid uint64, proc uint32, argBytes []byte) (callInf
 		}
 		off := args.Offset
 		info.accesses = []accessReq{{fh: args.FH, offset: &off}}
-		info.primary = args.FH
 	case nfs3.ProcWrite:
 		var args nfs3.WriteArgs
 		if args.Decode(d) != nil {
@@ -239,9 +218,6 @@ func (s *ProxyServer) inspect(rid uint64, proc uint32, argBytes []byte) (callInf
 		off := args.Offset
 		info.accesses = []accessReq{{fh: args.FH, write: true, offset: &off}}
 		info.invTargets = []nfs3.FH{args.FH}
-		info.primary = args.FH
-		info.primaryWrite = true
-		info.writeOffset = &off
 	case nfs3.ProcCreate:
 		var args nfs3.CreateArgs
 		if args.Decode(d) != nil {
@@ -273,8 +249,6 @@ func (s *ProxyServer) inspect(rid uint64, proc uint32, argBytes []byte) (callInf
 		}
 		info.accesses = []accessReq{{fh: args.Dir, write: true, name: args.Name}}
 		info.invTargets = []nfs3.FH{args.Dir}
-		info.primary = args.Dir
-		info.primaryWrite = true
 		if victim, ok := s.lookupUpstream(rid, args.Dir, args.Name); ok {
 			info.accesses = append(info.accesses, accessReq{fh: victim, write: true})
 			info.invTargets = append(info.invTargets, victim)
@@ -289,8 +263,6 @@ func (s *ProxyServer) inspect(rid uint64, proc uint32, argBytes []byte) (callInf
 			{fh: args.To.Dir, write: true, name: args.To.Name},
 		}
 		info.invTargets = []nfs3.FH{args.From.Dir, args.To.Dir}
-		info.primary = args.From.Dir
-		info.primaryWrite = true
 		if victim, ok := s.lookupUpstream(rid, args.To.Dir, args.To.Name); ok {
 			info.accesses = append(info.accesses, accessReq{fh: victim, write: true})
 			info.invTargets = append(info.invTargets, victim)
@@ -308,26 +280,20 @@ func (s *ProxyServer) inspect(rid uint64, proc uint32, argBytes []byte) (callInf
 			{fh: args.FH, write: true},
 		}
 		info.invTargets = []nfs3.FH{args.Link.Dir, args.FH}
-		info.primary = args.Link.Dir
-		info.primaryWrite = true
 	case nfs3.ProcReaddir:
 		var args nfs3.ReaddirArgs
 		if args.Decode(d) != nil {
 			return info, false
 		}
 		info.accesses = []accessReq{{fh: args.Dir}}
-		info.primary = args.Dir
 	case nfs3.ProcReaddirplus:
 		var args nfs3.ReaddirplusArgs
 		if args.Decode(d) != nil {
 			return info, false
 		}
 		info.accesses = []accessReq{{fh: args.Dir}}
-		info.primary = args.Dir
-	case nfs3.ProcCommit, nfs3.ProcNull:
-		// No consistency implications.
 	default:
-		// Unknown procedures forward without inspection.
+		// COMMIT, NULL and anything unknown: forwarded without inspection.
 	}
 	return info, true
 }
@@ -349,245 +315,274 @@ func (s *ProxyServer) lookupUpstream(rid uint64, dir nfs3.FH, name string) (nfs3
 	return res.FH, true
 }
 
-// --- delegation state machine (Section 4.3) --------------------------------
+// --- the sharer table (Section 4.3) ----------------------------------------
+//
+// s.files is the strong model's whole server state: per file handle, the
+// clients presumed to have it open and what each holds — a delegation, dirty
+// blocks it still owes (pending), the fence of a write recall it never
+// answered (lostRecall). Only the *Locked functions below change it. Each is
+// a transition: under s.mu, no I/O, nothing that blocks, so
+// TestSharerStateMachine runs them on a bare ProxyServer; DESIGN.md "The
+// sharer table" is the state x event table they implement. What a transition
+// wants back leaves through recall, which settles every answer the same way,
+// and a sharer leaves only through dropSharerLocked — never ahead of the
+// callback.
 
-func (s *ProxyServer) fileForLocked(fh nfs3.FH) *fileState {
-	key := fh.Key()
-	fs, ok := s.files[key]
-	if !ok {
-		fs = &fileState{fh: fh, sharers: make(map[string]*sharer)}
-		s.files[key] = fs
-	}
-	s.lruClock++
-	fs.touched = s.lruClock
-	return fs
+// recallReq is one delegation to take back. closed says the server also
+// speculates the file closed by that client (idle, or beyond the state
+// budget; Section 4.3.3): a clean acknowledgement then ends the sharer.
+type recallReq struct {
+	f      *fileState
+	c      *clientState
+	args   RecallArgs
+	closed bool
 }
 
-// handleAccess records a client's access to a file, recalls conflicting
-// delegations (blocking until the callbacks complete, as the paper's
-// conflicting request does), and returns the delegation granted to this
-// client along with the cacheability decision. The blocking recall section
-// runs inside yield (when non-nil): a recalled client writes dirty data back
-// through this same server, so a bounded worker pool must release the slot
-// while the callback is in flight or the write-backs deadlock behind it.
-func (s *ProxyServer) handleAccess(rid uint64, client *clientState, a accessReq, yield func(func())) (granted DelegType, cacheable, recalled bool, seq uint64) {
-	id := client.rec.ID
-	now := s.clk.Now()
+// blockOf rounds a byte offset down to its block, the unit of pending lists.
+func (s *ProxyServer) blockOf(off uint64) uint64 {
+	return off - off%uint64(s.cfg.BlockSize)
+}
 
-	type recallTarget struct {
-		c    *clientState
-		args RecallArgs
-		sh   *sharer
+// sortedKeys lists m's keys in stable order: callbacks are issued (and traced)
+// in it, and map order would make runs of the same seed diverge.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
 	}
-	var recalls []recallTarget
+	sort.Strings(keys)
+	return keys
+}
 
-	s.mu.Lock()
-	fs := s.fileForLocked(a.fh)
-	sh, ok := fs.sharers[id]
-	if !ok {
-		sh = &sharer{}
-		fs.sharers[id] = sh
+// touchLocked records an access by c to fh at now: the file moves to the
+// front of the eviction order and c is (or becomes) one of its sharers.
+func (s *ProxyServer) touchLocked(fh nfs3.FH, c *clientState, now time.Duration) (*fileState, *sharer) {
+	key := fh.Key()
+	f := s.files[key]
+	if f == nil {
+		f = &fileState{fh: fh, sharers: make(map[string]*sharer)}
+		f.link.of = f
+		s.files[key] = f
+	}
+	s.lru.bump(&f.link)
+	sh := f.sharers[c.rec.ID]
+	if sh == nil {
+		sh = &sharer{c: c}
+		f.sharers[c.rec.ID] = sh
+	}
+	sh.lastAccess, sh.closing = now, false
+	return f, sh
+}
+
+// dropSharerLocked takes id out of f's sharers and, with its last sharer, f
+// out of the table.
+func (s *ProxyServer) dropSharerLocked(f *fileState, id string) {
+	delete(f.sharers, id)
+	if len(f.sharers) == 0 {
+		s.lru.remove(&f.link)
+		delete(s.files, f.fh.Key())
+	}
+}
+
+// demandLocked adds to reqs the recall of what sh holds on f, for the access
+// a it cannot coexist with.
+func (s *ProxyServer) demandLocked(reqs []recallReq, f *fileState, sh *sharer, a accessReq, closed bool) []recallReq {
+	s.grantSeq++
+	args := RecallArgs{FH: f.fh, Deleg: sh.deleg, Seq: s.grantSeq, Name: a.name}
+	if a.offset != nil {
+		args.HasOffset, args.Offset = true, *a.offset
+	}
+	return append(reqs, recallReq{f: f, c: sh.c, args: args, closed: closed})
+}
+
+// conflictsLocked lists what other sharers of f hold that cannot coexist
+// with id's access a (Section 4.3.1): any delegation against a write, a write
+// delegation against a read, and — chasing a partial write-back, Section
+// 4.3.2 — a block at a's offset that its holder has yet to submit.
+func (s *ProxyServer) conflictsLocked(f *fileState, id string, a accessReq) (reqs []recallReq) {
+	for _, otherID := range sortedKeys(f.sharers) {
+		other := f.sharers[otherID]
+		switch {
+		case otherID == id:
+		case a.write && other.deleg != DelegNone,
+			!a.write && other.deleg == DelegWrite,
+			a.offset != nil && other.pending[s.blockOf(*a.offset)]:
+			reqs = s.demandLocked(reqs, f, other, a, false)
+		}
+	}
+	return reqs
+}
+
+// accessLocked is c's access a arriving: c is (still, or again) a sharer, and
+// what it conflicts with is listed. A WRITE from behind a lost recall takes
+// the one-shot fence instead: the caller must refuse the data.
+func (s *ProxyServer) accessLocked(c *clientState, a accessReq, now time.Duration) (reqs []recallReq, fenced bool) {
+	f, sh := s.touchLocked(a.fh, c, now)
+	if sh.lostRecall && a.write && a.offset != nil {
+		sh.lostRecall = false
+		return nil, true
+	}
+	return s.conflictsLocked(f, c.rec.ID, a), false
+}
+
+// grantLocked decides what c holds on a.fh now that the recalls its access
+// demanded have settled (Section 4.3.1), and stamps the decision. c is
+// touched again: a sweep may have dropped it while it waited.
+func (s *ProxyServer) grantLocked(c *clientState, a accessReq, now time.Duration) (DelegType, uint64) {
+	f, sh := s.touchLocked(a.fh, c, now)
+	// Only a *held* write delegation, or blocks its past holder still owes,
+	// denies read delegations: a writer whose delegation has been recalled
+	// writes through the server, and any future write of its triggers fresh
+	// recalls. This keeps the non-cacheable state temporary, as the paper
+	// requires.
+	readable := true
+	for _, other := range f.sharers {
+		if other != sh && (other.deleg == DelegWrite || len(other.pending) > 0) {
+			readable = false
+		}
+	}
+	sh.deleg = DelegNone
+	switch {
+	// THE ROW "Delegation that delegates" (ROADMAP) will edit: any other
+	// sharer, even one holding nothing since its recall, denies the write
+	// delegation until it ages out — which is what keeps the benchmark's
+	// share producer writing through. TestSharerStateMachine pins it.
+	case a.write && len(f.sharers) == 1:
+		sh.deleg = DelegWrite
+	case !a.write && readable:
+		sh.deleg = DelegRead
+	}
+	s.grantSeq++
+	return sh.deleg, s.grantSeq
+}
+
+// committedLocked is id's destructive operation a made durable: a WRITE
+// clears its block from the writer's own pending list, and whatever others
+// gained on a.fh between the conflict scan and the forward is listed.
+func (s *ProxyServer) committedLocked(id string, a accessReq) []recallReq {
+	f := s.files[a.fh.Key()]
+	if f == nil {
+		return nil
+	}
+	if sh := f.sharers[id]; sh != nil && a.offset != nil {
+		delete(sh.pending, s.blockOf(*a.offset))
+	}
+	return s.conflictsLocked(f, id, accessReq{fh: a.fh, write: true, name: a.name})
+}
+
+// settleLocked records how one recall ended (res nil: never answered),
+// whatever demanded it. The delegation is gone. An unanswered write recall
+// leaves the fence, an answer naming unwritten blocks the pending list;
+// either restarts the sharer's idle clock and fronts the file in the
+// eviction order, so what it owes outlives the sweep that found it by a
+// full DelegExpiry (or a turn of the budget).
+func (s *ProxyServer) settleLocked(r recallReq, res *RecallRes, now time.Duration) {
+	f, id := r.f, r.c.rec.ID
+	sh := f.sharers[id]
+	if sh == nil || r.closed && !sh.closing {
+		return // dropped, or back since the sweep speculated it gone: what it holds now stands
+	}
+	sh.deleg, sh.closing = DelegNone, false
+	switch {
+	case res == nil && r.args.Deleg == DelegWrite:
+		sh.lostRecall = true
+	case res != nil && len(res.Pending) > 0:
+		sh.pending = make(map[uint64]bool, len(res.Pending))
+		for _, off := range res.Pending {
+			sh.pending[s.blockOf(off)] = true
+		}
+	default:
+		if r.closed {
+			s.dropSharerLocked(f, id)
+		}
+		return
 	}
 	sh.lastAccess = now
-	mode := DelegRead
-	if a.write {
-		mode = DelegWrite
-	}
-	if mode > sh.mode {
-		sh.mode = mode
-	}
-
-	// Identify conflicting delegations held by other sharers, in stable
-	// order so recall callbacks are issued (and traced) deterministically.
-	for _, otherID := range sortedSharerIDs(fs) {
-		other := fs.sharers[otherID]
-		if otherID == id {
-			continue
-		}
-		conflict := false
-		if a.write && other.deleg != DelegNone {
-			conflict = true
-		}
-		if !a.write && other.deleg == DelegWrite {
-			conflict = true
-		}
-		// Chase pending write-backs covering the requested offset
-		// (Section 4.3.2): reads to not-yet-submitted blocks force prompt
-		// submission.
-		if !conflict && a.offset != nil && len(other.pending) > 0 {
-			bs := uint64(s.cfg.BlockSize)
-			if other.pending[*a.offset/bs*bs] {
-				conflict = true
-			}
-		}
-		if conflict {
-			s.grantSeq++
-			args := RecallArgs{FH: a.fh, Deleg: other.deleg, Seq: s.grantSeq, Name: a.name}
-			if a.offset != nil {
-				args.HasOffset = true
-				args.Offset = *a.offset
-			}
-			if c := s.clients[otherID]; c != nil {
-				recalls = append(recalls, recallTarget{c: c, args: args, sh: other})
-			} else {
-				other.deleg = DelegNone
-			}
-		}
-	}
-	s.mu.Unlock()
-
-	// Issue the callbacks without holding the lock: the recalled clients
-	// will write dirty data back through this same server.
-	if len(recalls) > 0 {
-		issue := func() {
-			for _, r := range recalls {
-				res := s.callbackRecall(rid, r.c, r.args)
-				s.mu.Lock()
-				r.sh.deleg = DelegNone
-				if res == nil && r.args.Deleg == DelegWrite {
-					r.sh.lostRecall = true
-				}
-				if res != nil && len(res.Pending) > 0 {
-					r.sh.pending = make(map[uint64]bool, len(res.Pending))
-					bs := uint64(s.cfg.BlockSize)
-					for _, off := range res.Pending {
-						r.sh.pending[off/bs*bs] = true
-					}
-				}
-				s.mu.Unlock()
-			}
-		}
-		if yield != nil {
-			yield(issue)
-		} else {
-			issue()
-		}
-	}
-
-	// Grant decision (Section 4.3.1).
-	recalled = len(recalls) > 0
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	otherOpen := false
-	otherWriter := false
-	otherPending := false
-	for otherID, other := range fs.sharers {
-		if otherID == id {
-			continue
-		}
-		otherOpen = true
-		// Only a *held* write delegation blocks read delegations: a past
-		// writer whose delegation has been recalled writes through the
-		// server, and any future write of its triggers fresh recalls. This
-		// keeps the non-cacheable state temporary, as the paper requires.
-		if other.deleg == DelegWrite {
-			otherWriter = true
-		}
-		if len(other.pending) > 0 {
-			otherPending = true
-		}
-	}
-	switch {
-	case a.write && !otherOpen:
-		granted = DelegWrite
-		s.met.delegWriteGrants.Inc()
-	case !a.write && !otherWriter && !otherPending:
-		granted = DelegRead
-		s.met.delegReadGrants.Inc()
-	default:
-		granted = DelegNone
-	}
-	sh.deleg = granted
-	s.grantSeq++
-	sh.grantSeq = s.grantSeq
-	cacheable = granted != DelegNone
-	return granted, cacheable, recalled, s.grantSeq
+	s.lru.bump(&f.link)
 }
 
-// revokeOthers recalls every delegation other clients hold on a.fh; used
-// after a destructive operation commits to catch grants that raced with it.
-// As in handleAccess, the recall fan-out runs inside yield so a bounded
-// worker pool keeps serving the write-backs the recalls trigger.
+// releaseLocked speculates f closed by every sharer last heard from before
+// idle: a delegation is asked back (once) and its holder leaves when that
+// settles; a sharer holding none leaves now, with whatever it still owed.
+func (s *ProxyServer) releaseLocked(reqs []recallReq, f *fileState, idle time.Duration) []recallReq {
+	for _, id := range sortedKeys(f.sharers) {
+		switch sh := f.sharers[id]; {
+		case sh.lastAccess >= idle || sh.closing:
+		case sh.deleg != DelegNone:
+			sh.closing = true
+			reqs = s.demandLocked(reqs, f, sh, accessReq{}, true)
+		default:
+			s.dropSharerLocked(f, id)
+		}
+	}
+	return reqs
+}
+
+// sweepLocked releases every sharer idle for longer than DelegExpiry, then
+// the rest of the least recently accessed files beyond MaxOpenFiles (a file
+// whose idle holders have yet to answer still counts, and is the oldest).
+func (s *ProxyServer) sweepLocked(now time.Duration) (reqs []recallReq) {
+	for _, key := range sortedKeys(s.files) {
+		reqs = s.releaseLocked(reqs, s.files[key], now-s.cfg.DelegExpiry)
+	}
+	k := s.lru.head.prev
+	for n := s.lru.n - s.cfg.MaxOpenFiles; n > 0; n-- {
+		f := k.of
+		k = k.prev // before f can leave the ring
+		reqs = s.releaseLocked(reqs, f, now+1)
+	}
+	return reqs
+}
+
+// rebuildLocked re-enters a client that answered the restart's RECALL_ALL
+// with dirty data for fh as the file's writer (Section 4.3.4).
+func (s *ProxyServer) rebuildLocked(c *clientState, fh nfs3.FH, now time.Duration) {
+	_, sh := s.touchLocked(fh, c, now)
+	sh.deleg = DelegWrite
+}
+
+// recall takes back every delegation in reqs, in order, settling each answer
+// (or the lack of one) before the next is sent. No lock is held across a
+// callback: the recalled client writes back through this same server.
+func (s *ProxyServer) recall(rid uint64, reqs []recallReq) {
+	for _, r := range reqs {
+		res := s.callbackRecall(rid, r.c, r.args)
+		s.mu.Lock()
+		s.settleLocked(r, res, s.clk.Now())
+		s.mu.Unlock()
+	}
+}
+
+// handleAccess runs one access through the table: it recalls conflicting
+// delegations (blocking until the callbacks complete, as the paper's
+// conflicting request does) and returns the decision to piggyback. The
+// recalls run inside yield: a bounded worker pool must release the slot while
+// a callback is in flight, or the write-backs it triggers deadlock behind it.
+func (s *ProxyServer) handleAccess(rid uint64, client *clientState, a accessReq, yield func(func())) (t Trailer, recalled, fenced bool) {
+	now := s.clk.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	reqs, fenced := s.accessLocked(client, a, now)
+	if fenced {
+		return t, false, true
+	}
+	if len(reqs) > 0 {
+		s.mu.Unlock()
+		yield(func() { s.recall(rid, reqs) })
+		s.mu.Lock()
+	}
+	granted, seq := s.grantLocked(client, a, now)
+	s.met.delegationGrants[granted].Inc()
+	return Trailer{Deleg: granted, Cacheable: granted != DelegNone, FH: a.fh, Seq: seq}, len(reqs) > 0, false
+}
+
+// revokeOthers runs committedLocked once a destructive operation is durable
+// and recalls what it lists.
 func (s *ProxyServer) revokeOthers(rid uint64, client *clientState, a accessReq, yield func(func())) {
-	id := client.rec.ID
-	type target struct {
-		c    *clientState
-		args RecallArgs
-		sh   *sharer
-	}
-	var recalls []target
 	s.mu.Lock()
-	fs, ok := s.files[a.fh.Key()]
-	if ok {
-		for _, otherID := range sortedSharerIDs(fs) {
-			other := fs.sharers[otherID]
-			if otherID == id || other.deleg == DelegNone {
-				continue
-			}
-			if c := s.clients[otherID]; c != nil {
-				s.grantSeq++
-				recalls = append(recalls, target{
-					c:    c,
-					args: RecallArgs{FH: a.fh, Deleg: other.deleg, Seq: s.grantSeq, Name: a.name},
-					sh:   other,
-				})
-			} else {
-				other.deleg = DelegNone
-			}
-		}
-	}
+	reqs := s.committedLocked(client.rec.ID, a)
 	s.mu.Unlock()
-	if len(recalls) == 0 {
-		return
+	if len(reqs) > 0 {
+		yield(func() { s.recall(rid, reqs) })
 	}
-	issue := func() {
-		for _, r := range recalls {
-			res := s.callbackRecall(rid, r.c, r.args)
-			s.mu.Lock()
-			r.sh.deleg = DelegNone
-			if res == nil && r.args.Deleg == DelegWrite {
-				r.sh.lostRecall = true
-			}
-			s.mu.Unlock()
-		}
-	}
-	if yield != nil {
-		yield(issue)
-	} else {
-		issue()
-	}
-}
-
-// takeLostRecall reports and clears the one-shot write-back fence raised
-// when a write-delegation recall to this client was lost.
-func (s *ProxyServer) takeLostRecall(clientID string, fh nfs3.FH) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fs, ok := s.files[fh.Key()]
-	if !ok {
-		return false
-	}
-	sh, ok := fs.sharers[clientID]
-	if !ok || !sh.lostRecall {
-		return false
-	}
-	sh.lostRecall = false
-	return true
-}
-
-// noteWriteArrived clears pending write-back accounting as the recalled
-// client's dirty blocks land.
-func (s *ProxyServer) noteWriteArrived(clientID string, fh nfs3.FH, offset uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fs, ok := s.files[fh.Key()]
-	if !ok {
-		return
-	}
-	sh, ok := fs.sharers[clientID]
-	if !ok || len(sh.pending) == 0 {
-		return
-	}
-	bs := uint64(s.cfg.BlockSize)
-	delete(sh.pending, offset/bs*bs)
 }

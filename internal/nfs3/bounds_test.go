@@ -18,7 +18,7 @@ import (
 func hostileWriteArgs(claimedLen uint32, actual []byte) []byte {
 	e := xdr.NewEncoder()
 	encodeFH(e, MakeFH(1, 2))
-	e.Uint64(0)            // offset
+	e.Uint64(0)          // offset
 	e.Uint32(claimedLen) // count
 	e.Uint32(FileSync)   // stable
 	e.Uint32(claimedLen) // opaque length, lying

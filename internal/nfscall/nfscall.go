@@ -64,12 +64,6 @@ func (c *Conn) Mount(path string) (nfs3.FH, error) {
 	return nfs3.FHFromBytes(b)
 }
 
-// Null issues the NULL probe.
-func (c *Conn) Null() error {
-	_, err := c.rpc.CallTimeout(nfs3.Program, nfs3.Version, nfs3.ProcNull, nil, c.Timeout)
-	return err
-}
-
 // Getattr fetches attributes.
 func (c *Conn) Getattr(fh nfs3.FH) (nfs3.GetattrRes, error) {
 	var res nfs3.GetattrRes

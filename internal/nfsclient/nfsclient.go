@@ -202,23 +202,6 @@ func (c *Client) dropCleanBlocksLocked(key string, fc *fileCache) {
 	}
 }
 
-// InvalidateAttr drops the cached attributes (and thus forces revalidation)
-// for one handle. Exposed for integration with external invalidation
-// channels.
-func (c *Client) InvalidateAttr(fh nfs3.FH) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.attrs, fh.Key())
-}
-
-// InvalidateAll drops every cached attribute.
-func (c *Client) InvalidateAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.attrs = make(map[string]*attrEntry)
-	c.dnlc = make(map[string]dnlcEntry)
-}
-
 // getattr returns attributes for fh, from cache when fresh, via GETATTR
 // otherwise. force bypasses the cache (close-to-open).
 func (c *Client) getattr(fh nfs3.FH, force bool) (nfs3.Fattr, error) {

@@ -135,14 +135,6 @@ func (n *Net) SetLink(a, b string, p Params) {
 	n.links[hostPair{b, a}] = p
 }
 
-// SetDefault replaces the default link parameters for pairs without an
-// explicit SetLink entry.
-func (n *Net) SetDefault(p Params) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.def = p
-}
-
 // Partition drops all future traffic between a and b until Heal.
 func (n *Net) Partition(a, b string) {
 	n.mu.Lock()

@@ -346,9 +346,7 @@ func (sc *sched) admitArrivalsLocked(now time.Duration) {
 		if reason := sc.admitLocked(it.key, now); reason != "" {
 			// The shed reply must leave no DRC entry: the client's
 			// retransmission under the same XID re-executes the request.
-			if it.cache != nil {
-				it.cache.remove(it.m.xid)
-			}
+			it.cache.remove(it.m.xid)
 			sc.sheds = append(sc.sheds, shedAction{it.conn, it.m, reason})
 			continue
 		}
@@ -364,9 +362,7 @@ func (sc *sched) admitArrivalsLocked(now time.Duration) {
 			dropped := q.items[0]
 			q.items = q.items[1:]
 			sc.queued--
-			if dropped.cache != nil {
-				dropped.cache.remove(dropped.m.xid)
-			}
+			dropped.cache.remove(dropped.m.xid)
 			sc.sheds = append(sc.sheds, shedAction{dropped.conn, dropped.m, "overflow"})
 		}
 		it.q = q

@@ -21,8 +21,7 @@ type DispatchFunc func(call *Call) AcceptStat
 
 type progVers struct{ prog, vers uint32 }
 
-// defaultDRCEntries bounds each connection's duplicate-request cache when no
-// explicit size is configured.
+// defaultDRCEntries bounds each connection's duplicate-request cache.
 const defaultDRCEntries = 512
 
 // procSlots is how many procedures of a program are counted with atomics and
@@ -67,10 +66,9 @@ type Server struct {
 
 	mu         sync.Mutex // guards the fields below and serialises table edits
 	ls         []transport.Listener
-	conns      map[transport.Conn]*drc // live connections; a nil cache when the DRC is off
+	conns      map[transport.Conn]*drc // live connections, each with its duplicate-request cache
 	closed     bool
 	otherCalls map[uint64]int64 // prog<<32|proc -> calls the table has no counter for
-	drcEntries int
 }
 
 // edit swaps in a copy of the dispatch table that fn has changed. fn must
@@ -118,28 +116,13 @@ func (s *Server) SetSched(cfg SchedConfig) {
 	})
 }
 
-// SetDRCSize bounds each connection's duplicate-request cache at n entries.
-// Zero restores the default; negative disables the cache (every call, even a
-// retransmitted duplicate, executes its handler — at-least-once semantics
-// with no replay protection). Takes effect for connections accepted after
-// the call.
-func (s *Server) SetDRCSize(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n == 0 {
-		n = defaultDRCEntries
-	}
-	s.drcEntries = n
-}
-
-// NewServer returns an empty server; register programs before Serve. The
-// duplicate-request cache is on by default (see SetDRCSize).
+// NewServer returns an empty server; register programs before Serve. Every
+// connection it accepts gets a duplicate-request cache.
 func NewServer(clk *vclock.Clock) *Server {
 	s := &Server{
 		clk:        clk,
 		conns:      make(map[transport.Conn]*drc),
 		otherCalls: make(map[uint64]int64),
-		drcEntries: defaultDRCEntries,
 	}
 	s.table.Store(&dispatchTable{
 		programs: make(map[progVers]program),
@@ -205,10 +188,7 @@ func (s *Server) Serve(l transport.Listener) {
 				conn.Close()
 				return
 			}
-			var cache *drc
-			if s.drcEntries > 0 {
-				cache = newDRC(s.drcEntries)
-			}
+			cache := newDRC(defaultDRCEntries)
 			s.conns[conn] = cache
 			s.mu.Unlock()
 			s.clk.GoDaemon("sunrpc-conn:"+conn.RemoteAddr(), func() { s.serveConn(conn, cache) })
@@ -402,21 +382,19 @@ func (s *Server) serveConn(conn transport.Conn, cache *drc) {
 		// only when the caller releases the reply — see parsedMsg.raw.
 		m.raw = raw
 		t := s.table.Load()
-		if cache != nil {
-			// Retransmitted XID: replay the cached reply, or stay silent
-			// while the original execution is still in flight (the client
-			// will retransmit again if the eventual reply is lost).
-			state, reply := cache.admit(m.xid)
-			if state != drcNew {
-				if state == drcDone {
-					t.metDRCHits.Inc()
-					conn.Send(reply)
-				} else {
-					t.metDRCBusy.Inc()
-				}
-				m.recycleFrame()
-				continue
+		// Retransmitted XID: replay the cached reply, or stay silent while
+		// the original execution is still in flight (the client will
+		// retransmit again if the eventual reply is lost).
+		state, reply := cache.admit(m.xid)
+		if state != drcNew {
+			if state == drcDone {
+				t.metDRCHits.Inc()
+				conn.Send(reply)
+			} else {
+				t.metDRCBusy.Inc()
 			}
+			m.recycleFrame()
+			continue
 		}
 		sc := t.sched
 		if sc == nil {
@@ -457,7 +435,7 @@ func (s *Server) shed(conn transport.Conn, m *parsedMsg, reason string) {
 			End:    now,
 		})
 	}
-	s.reply(conn, nil, m.xid, TryLater, nil)
+	conn.Send(marshalReply(m.xid, TryLater, nil))
 	m.recycleFrame()
 }
 
@@ -466,9 +444,7 @@ func (s *Server) shed(conn transport.Conn, m *parsedMsg, reason string) {
 // a retransmission that races the reply still replays identical bytes.
 func (s *Server) reply(conn transport.Conn, cache *drc, xid uint32, stat AcceptStat, results []byte) {
 	raw := marshalReply(xid, stat, results)
-	if cache != nil {
-		cache.complete(xid, raw)
-	}
+	cache.complete(xid, raw)
 	conn.Send(raw)
 }
 
@@ -540,16 +516,13 @@ func (s *Server) handle(conn transport.Conn, cache *drc, m *parsedMsg, yield fun
 		node.Record(sp)
 	}
 	raw := enc.Bytes()
-	switch {
-	case cache == nil:
-		conn.Send(raw)
-	case p.isReadOnly(m.proc):
+	if p.isReadOnly(m.proc) {
 		// Nothing a replay would protect. The in-progress entry has kept
 		// duplicates silent while the handler ran and does so until the
 		// reply is out; one that arrives later executes again.
 		conn.Send(raw)
 		cache.remove(m.xid)
-	default:
+	} else {
 		// The cache keeps a copy — raw is the pooled encoder's, about to be
 		// written over — recorded before Send, so that a retransmission
 		// racing the reply replays identical bytes.

@@ -72,18 +72,6 @@ func (m *Mailbox[T]) Get() (v T, ok bool) {
 	}
 }
 
-// TryGet pops a value without blocking.
-func (m *Mailbox[T]) TryGet() (v T, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.q) == 0 {
-		return v, false
-	}
-	v = m.q[0]
-	m.q = m.q[1:]
-	return v, true
-}
-
 // GetTimeout is Get with a deadline of d from now. timedOut reports that the
 // deadline elapsed with no value available.
 func (m *Mailbox[T]) GetTimeout(d time.Duration) (v T, ok, timedOut bool) {

@@ -159,7 +159,6 @@ type NanoMOSStats struct {
 	// IterRuntimes[i] is the wall time of iteration i+1 (max across the
 	// parallel clients, since the job finishes when the slowest does).
 	IterRuntimes []time.Duration
-	Errors       int
 }
 
 // ApplyUpdate rewrites repository files through the administrator's mount
