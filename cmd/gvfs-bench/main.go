@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	gvfs-bench [-exp all|fig4|fig5|fig6|fig7|fig8|lanov|ablate|meta|hotpath|slo|restart]
+//	gvfs-bench [-exp all|fig4|fig5|fig6|fig7|fig8|lanov|ablate|meta|slo|restart]
 //	           [-scale N] [-q] [-metrics-out file] [-json-out file] [-trace-out file]
 //
 // Scale 1 is the paper's full workload size; larger values shrink the
@@ -27,11 +27,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, fig4, fig5, fig6, fig7, fig8, lanov, ablate, meta, hotpath, slo, restart")
+	exp := flag.String("exp", "all", "experiment to run: all, fig4, fig5, fig6, fig7, fig8, lanov, ablate, meta, slo, restart")
 	scale := flag.Int("scale", 1, "divide workload sizes by this factor (1 = paper scale)")
 	quiet := flag.Bool("q", false, "suppress per-setup progress lines")
 	metricsOut := flag.String("metrics-out", "", "write per-deployment metrics dumps to this file (- for stderr)")
-	jsonOut := flag.String("json-out", "", "write the machine-readable result of JSON-capable experiments (meta, hotpath, slo, restart) to this file")
+	jsonOut := flag.String("json-out", "", "write the machine-readable result of a JSON-capable experiment (-exp meta, slo or restart) to this file")
 	traceOut := flag.String("trace-out", "", "write a JSON trace dump from trace-capable experiments (slo) to this file, for gvfs-trace")
 	flag.Parse()
 
@@ -54,159 +54,48 @@ func run(w io.Writer, exp string, scale int, quiet bool, metricsOut, jsonOut, tr
 	if traceOut != "" {
 		opt.TraceOut = &traceBuf
 	}
-	type experiment struct {
+	experiments := []struct {
 		name string
-		run  func() error
-	}
-	experiments := []experiment{
-		{"fig4", func() error {
-			r, err := bench.RunFig4(opt)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig5", func() error {
-			r, err := bench.RunFig5(opt)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig6", func() error {
-			r, err := bench.RunFig6(opt)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig7", func() error {
-			r, err := bench.RunFig7(opt)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"fig8", func() error {
-			r, err := bench.RunFig8(opt)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"lanov", func() error {
-			r, err := bench.RunLANOverhead(opt)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			return nil
-		}},
-		{"ablate", func() error {
-			rs, err := bench.RunAblations(opt)
-			if err != nil {
-				return err
-			}
-			bench.RenderAblations(w, rs)
-			return nil
-		}},
-		{"meta", func() error {
-			r, err := bench.RunMetadata(opt)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			if jsonOut != "" {
-				f, err := os.Create(jsonOut)
-				if err != nil {
-					return fmt.Errorf("create %s: %w", jsonOut, err)
-				}
-				defer f.Close()
-				if err := r.WriteJSON(f); err != nil {
-					return fmt.Errorf("write %s: %w", jsonOut, err)
-				}
-				fmt.Fprintf(w, "json: %s\n", jsonOut)
-			}
-			return nil
-		}},
-		{"hotpath", func() error {
-			r, err := bench.RunHotpath(opt)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			if jsonOut != "" && exp == "hotpath" {
-				f, err := os.Create(jsonOut)
-				if err != nil {
-					return fmt.Errorf("create %s: %w", jsonOut, err)
-				}
-				defer f.Close()
-				if err := r.WriteJSON(f); err != nil {
-					return fmt.Errorf("write %s: %w", jsonOut, err)
-				}
-				fmt.Fprintf(w, "json: %s\n", jsonOut)
-			}
-			return nil
-		}},
-		{"slo", func() error {
-			r, err := bench.RunSLO(opt)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			if jsonOut != "" && exp == "slo" {
-				f, err := os.Create(jsonOut)
-				if err != nil {
-					return fmt.Errorf("create %s: %w", jsonOut, err)
-				}
-				defer f.Close()
-				if err := r.WriteJSON(f); err != nil {
-					return fmt.Errorf("write %s: %w", jsonOut, err)
-				}
-				fmt.Fprintf(w, "json: %s\n", jsonOut)
-			}
-			return nil
-		}},
-		{"restart", func() error {
-			r, err := bench.RunRestart(opt)
-			if err != nil {
-				return err
-			}
-			r.Render(w)
-			if jsonOut != "" && exp == "restart" {
-				f, err := os.Create(jsonOut)
-				if err != nil {
-					return fmt.Errorf("create %s: %w", jsonOut, err)
-				}
-				defer f.Close()
-				if err := r.WriteJSON(f); err != nil {
-					return fmt.Errorf("write %s: %w", jsonOut, err)
-				}
-				fmt.Fprintf(w, "json: %s\n", jsonOut)
-			}
-			return nil
-		}},
+		run  func(bench.Options) (result, error)
+	}{
+		{"fig4", experiment(bench.RunFig4)},
+		{"fig5", experiment(bench.RunFig5)},
+		{"fig6", experiment(bench.RunFig6)},
+		{"fig7", experiment(bench.RunFig7)},
+		{"fig8", experiment(bench.RunFig8)},
+		{"lanov", experiment(bench.RunLANOverhead)},
+		{"ablate", experiment(bench.RunAblations)},
+		{"meta", experiment(bench.RunMetadata)},
+		{"slo", experiment(bench.RunSLO)},
+		{"restart", experiment(bench.RunRestart)},
 	}
 
-	ran := false
+	ran, wroteJSON := false, false
 	for _, e := range experiments {
 		if exp != "all" && exp != e.name {
 			continue
 		}
 		ran = true
 		fmt.Fprintf(w, "==== %s ====\n", e.name)
-		if err := e.run(); err != nil {
+		r, err := e.run(opt)
+		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		r.Render(w)
+		if j, ok := r.(interface{ WriteJSON(io.Writer) error }); ok && jsonOut != "" && exp == e.name {
+			if err := writeJSON(jsonOut, j.WriteJSON); err != nil {
+				return fmt.Errorf("%s: %w", e.name, err)
+			}
+			fmt.Fprintf(w, "json: %s\n", jsonOut)
+			wroteJSON = true
 		}
 		fmt.Fprintln(w)
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", exp)
+	}
+	if jsonOut != "" && !wroteJSON {
+		return fmt.Errorf("-json-out needs one JSON-capable experiment (meta, slo, restart), not %q", exp)
 	}
 	if metricsOut != "" {
 		// Self-validate before writing: an empty or malformed dump means the
@@ -244,4 +133,28 @@ func run(w io.Writer, exp string, scale int, quiet bool, metricsOut, jsonOut, tr
 		fmt.Fprintf(w, "trace: %d spans (%d dropped) -> %s\n", len(d.Spans), d.Dropped, traceOut)
 	}
 	return nil
+}
+
+// result is what every experiment returns: tables to print. Those with a
+// committed BENCH_*.json also have a WriteJSON(io.Writer) error.
+type result interface{ Render(io.Writer) }
+
+// experiment adapts a bench.Run* function to the table in run.
+func experiment[R result](run func(bench.Options) (R, error)) func(bench.Options) (result, error) {
+	return func(opt bench.Options) (result, error) {
+		r, err := run(opt)
+		return r, err
+	}
+}
+
+func writeJSON(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("create %s: %w", path, err)
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	return f.Close()
 }

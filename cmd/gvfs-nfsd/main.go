@@ -14,16 +14,13 @@ import (
 	"fmt"
 	"io/fs"
 	"log"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
 
-	"repro/internal/core"
+	"repro/gvfs"
 	"repro/internal/memfs"
-	"repro/internal/nfsserver"
 	"repro/internal/obs"
-	"repro/internal/obs/attr"
 	"repro/internal/sunrpc"
 	"repro/internal/tcpnet"
 	"repro/internal/vclock"
@@ -36,13 +33,16 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU()*4, "request worker-pool size (0 = unbounded legacy spawn)")
 	queueDepth := flag.Int("queue-depth", 0, "per-client queue bound (0 = scheduler default)")
 	flag.Parse()
-	if err := run(*listen, *seed, *metrics, *workers, *queueDepth); err != nil {
+	// Pool only, no admission control: this server may face clients with no
+	// retransmission policy, so it must never shed.
+	sched := sunrpc.SchedConfig{Workers: *workers, QueueDepth: *queueDepth}
+	if err := run(*listen, *seed, *metrics, sched); err != nil {
 		fmt.Fprintln(os.Stderr, "gvfs-nfsd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, seed, metrics string, workers, queueDepth int) error {
+func run(listen, seed, metrics string, sched sunrpc.SchedConfig) error {
 	clk := vclock.NewReal()
 	mfs := memfs.New(clk.Now)
 	if seed != "" {
@@ -50,32 +50,13 @@ func run(listen, seed, metrics string, workers, queueDepth int) error {
 			return fmt.Errorf("seed from %s: %w", seed, err)
 		}
 	}
-	srv := nfsserver.New(mfs, 1)
-	rpcSrv := sunrpc.NewServer(clk)
-	srv.Register(rpcSrv)
 	o := obs.New(clk.Now, 4096)
-	rpcSrv.SetObs(o.Node("nfsd"), core.RPCName)
-	// Pool only, no admission control: this server may face clients with no
-	// retransmission policy, so it must never shed.
-	rpcSrv.SetSched(sunrpc.SchedConfig{Workers: workers, QueueDepth: queueDepth})
-	if metrics != "" {
-		mux := o.Handler(nil)
-		mux.HandleFunc("/attr", attr.Handler(o.Spans))
-		go func() {
-			log.Printf("gvfs-nfsd: metrics on http://%s/metrics", metrics)
-			if err := http.ListenAndServe(metrics, mux); err != nil {
-				log.Printf("gvfs-nfsd: metrics server: %v", err)
-			}
-		}()
-	}
-
-	var tn tcpnet.Net
-	l, err := tn.Listen(listen)
+	_, addr, err := gvfs.ServeNFS(clk, tcpnet.Net{}, listen, mfs, o, sched)
 	if err != nil {
 		return err
 	}
-	log.Printf("gvfs-nfsd: exporting in-memory filesystem on %s", l.Addr())
-	rpcSrv.Serve(l)
+	gvfs.ServeMetrics("gvfs-nfsd", metrics, o, nil)
+	log.Printf("gvfs-nfsd: exporting in-memory filesystem on %s", addr)
 	select {} // serve forever
 }
 

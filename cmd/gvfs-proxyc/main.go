@@ -6,7 +6,7 @@
 // Usage:
 //
 //	gvfs-proxyc [-listen 127.0.0.1:4049] [-cb-listen :4050] \
-//	            [-cb-addr host:4050] [-upstream proxyhost:3049] \
+//	            [-cb-addr natted-host:4050] [-upstream proxyhost:3049] \
 //	            [-model polling|delegation] [-id client-1] [-writeback] \
 //	            [-readahead 4|-1] [-flush-parallelism 4]
 package main
@@ -15,15 +15,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"runtime"
 	"time"
 
+	"repro/gvfs"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/obs/attr"
-	"repro/internal/sunrpc"
 	"repro/internal/tcpnet"
 	"repro/internal/vclock"
 )
@@ -31,7 +29,7 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:4049", "local NFS listen address for the kernel client")
 	cbListen := flag.String("cb-listen", ":4050", "listen address for proxy-server callbacks")
-	cbAddr := flag.String("cb-addr", "", "externally reachable callback address (defaults to cb-listen)")
+	cbAddr := flag.String("cb-addr", "", "callback address to advertise when this host is behind NAT (default: the address the upstream connection leaves from, with the port cb-listen bound)")
 	upstream := flag.String("upstream", "localhost:3049", "proxy server (or NFS server) address")
 	model := flag.String("model", "polling", "consistency model: polling or delegation")
 	id := flag.String("id", "client-1", "session client ID")
@@ -54,70 +52,25 @@ func main() {
 		DiskCacheDir: *diskDir, DiskCacheBytes: *diskBytes, DiskCacheSyncPolicy: *diskSync,
 		ReadAhead: *readahead, FlushParallelism: *flushPar,
 	}
-	if err := run(cfg, *listen, *cbListen, *cbAddr, *upstream, *model, *id, *session, *metrics); err != nil {
+	cred := core.SessionCred{SessionKey: *session, ClientID: *id, CallbackAddr: *cbAddr}
+	if err := run(cfg, cred, *listen, *cbListen, *upstream, *model, *metrics); err != nil {
 		fmt.Fprintln(os.Stderr, "gvfs-proxyc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(cfg core.Config, listen, cbListen, cbAddr, upstream, model, id, session, metrics string) error {
-	switch model {
-	case "polling":
-		cfg.Model = core.ModelPolling
-	case "delegation":
-		cfg.Model = core.ModelDelegation
-	default:
-		return fmt.Errorf("unknown model %q", model)
+func run(cfg core.Config, cred core.SessionCred, listen, cbListen, upstream, model, metrics string) (err error) {
+	if cfg.Model, err = core.ParseModel(model); err != nil {
+		return err
 	}
-
 	clk := vclock.NewReal()
-	o := obs.New(clk.Now, 4096)
-	cfg.Obs = o
-	cfg.ObsName = id
-	var tn tcpnet.Net
-	upConn, err := tn.Dial(upstream)
-	if err != nil {
-		return fmt.Errorf("dial upstream %s: %w", upstream, err)
-	}
-
-	if cbAddr == "" {
-		cbAddr = cbListen
-	}
-	cred := core.SessionCred{SessionKey: session, ClientID: id, CallbackAddr: cbAddr}
-	proxy := core.NewProxyClient(clk, cfg, sunrpc.NewClient(clk, upConn, sunrpc.NoneCred()), cred)
-	if cfg.DiskCacheDir != "" {
-		// A restart on a warm directory recovered blocks at construction;
-		// revalidate them and write recovered dirty data back before serving.
-		proxy.RecoverAfterCrash()
-	}
-	if metrics != "" {
-		mux := o.Handler(proxy.PublishMetrics)
-		mux.HandleFunc("/attr", attr.Handler(o.Spans))
-		go func() {
-			log.Printf("gvfs-proxyc: metrics on http://%s/metrics", metrics)
-			if err := http.ListenAndServe(metrics, mux); err != nil {
-				log.Printf("gvfs-proxyc: metrics server: %v", err)
-			}
-		}()
-	}
-	proxy.SetRedial(func() (*sunrpc.Client, error) {
-		c, err := tn.Dial(upstream)
-		if err != nil {
-			return nil, err
-		}
-		return sunrpc.NewClient(clk, c, sunrpc.NoneCred()), nil
-	})
-
-	nfsL, err := tn.Listen(listen)
+	cfg.Obs = obs.New(clk.Now, 4096)
+	proxy, addr, err := gvfs.StartProxyClient(clk, tcpnet.Net{}, tcpnet.Net{}, upstream, listen, cbListen, cfg, cred)
 	if err != nil {
 		return err
 	}
-	cbL, err := tn.Listen(cbListen)
-	if err != nil {
-		return err
-	}
-	log.Printf("gvfs-proxyc: %s session %s/%s, NFS on %s, callbacks on %s, upstream %s",
-		cfg.Model, session, id, nfsL.Addr(), cbL.Addr(), upstream)
-	proxy.Serve(nfsL, cbL)
+	gvfs.ServeMetrics("gvfs-proxyc", metrics, cfg.Obs, proxy.PublishMetrics)
+	log.Printf("gvfs-proxyc: %s session %s/%s, NFS on %s, upstream %s",
+		cfg.Model, cred.SessionKey, cred.ClientID, addr, upstream)
 	select {} // serve forever
 }

@@ -12,17 +12,14 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"runtime"
 	"time"
 
+	"repro/gvfs"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/obs/attr"
-	"repro/internal/sunrpc"
 	"repro/internal/tcpnet"
-	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
@@ -42,55 +39,28 @@ func main() {
 	flag.Parse()
 
 	cfg := core.Config{
+		PollPeriod: *poll, DelegExpiry: *expiry,
 		ServerWorkers: *workers, ServerQueueDepth: *queueDepth,
 		RateLimitOps: *rateLimit, RateLimitBurst: *rateBurst,
 		ClientRateLimitOps: *clientRate, ClientRateLimitBurst: *clientBurst,
 	}
-	if err := run(*listen, *upstream, *model, *poll, *expiry, *metrics, cfg); err != nil {
+	if err := run(cfg, *listen, *upstream, *model, *metrics); err != nil {
 		fmt.Fprintln(os.Stderr, "gvfs-proxyd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, upstream, model string, poll, expiry time.Duration, metrics string, cfg core.Config) error {
-	cfg.PollPeriod, cfg.DelegExpiry = poll, expiry
-	switch model {
-	case "polling":
-		cfg.Model = core.ModelPolling
-	case "delegation":
-		cfg.Model = core.ModelDelegation
-	default:
-		return fmt.Errorf("unknown model %q", model)
+func run(cfg core.Config, listen, upstream, model, metrics string) (err error) {
+	if cfg.Model, err = core.ParseModel(model); err != nil {
+		return err
 	}
-
 	clk := vclock.NewReal()
-	o := obs.New(clk.Now, 4096)
-	cfg.Obs = o
-	var tn tcpnet.Net
-	upConn, err := tn.Dial(upstream)
-	if err != nil {
-		return fmt.Errorf("dial upstream %s: %w", upstream, err)
-	}
-	up := sunrpc.NewClient(clk, upConn, sunrpc.SysCred("gvfs-proxyd", 0, 0))
-
-	dial := func(addr string) (transport.Conn, error) { return tn.Dial(addr) }
-	srv := core.NewProxyServer(clk, cfg, up, dial, &core.MemStateStore{})
-	if metrics != "" {
-		mux := o.Handler(srv.PublishMetrics)
-		mux.HandleFunc("/attr", attr.Handler(o.Spans))
-		go func() {
-			log.Printf("gvfs-proxyd: metrics on http://%s/metrics", metrics)
-			if err := http.ListenAndServe(metrics, mux); err != nil {
-				log.Printf("gvfs-proxyd: metrics server: %v", err)
-			}
-		}()
-	}
-
-	l, err := tn.Listen(listen)
+	cfg.Obs = obs.New(clk.Now, 4096)
+	srv, addr, err := gvfs.StartProxyServer(clk, tcpnet.Net{}, tcpnet.Net{}, listen, upstream, cfg, &core.MemStateStore{})
 	if err != nil {
 		return err
 	}
-	log.Printf("gvfs-proxyd: %s session on %s, upstream %s", cfg.Model, l.Addr(), upstream)
-	srv.Serve(l)
+	gvfs.ServeMetrics("gvfs-proxyd", metrics, cfg.Obs, srv.PublishMetrics)
+	log.Printf("gvfs-proxyd: %s session on %s, upstream %s", cfg.Model, addr, upstream)
 	select {} // serve forever
 }

@@ -97,13 +97,13 @@ func TestWarmRestartRevalidatesInsteadOfRefetch(t *testing.T) {
 					}
 				}
 
-				// Restart on the same disk directory.
+				// Restart on the same disk directory: the new proxy client
+				// finds the store warm and recovers as it starts.
 				nm, err := sess.Mount("C1", kernelNoac())
 				if err != nil {
 					t.Errorf("remount from disk: %v", err)
 					return
 				}
-				nm.Proxy.RecoverAfterCrash()
 
 				for i := 0; i < nfiles; i++ {
 					p := fmt.Sprintf("wr/f%d", i)

@@ -6,10 +6,12 @@
 // A Deployment stands up a file server (an in-memory filesystem exported
 // over real NFSv3 messages) and a network — by default a simulated wide
 // area network driven by deterministic virtual time, mirroring the paper's
-// NIST Net testbed (40 ms RTT, 4 Mbps). Sessions are then created per
-// application, each with its own proxy server, and mounted on client hosts
-// through per-session proxy clients with disk caching and the chosen
-// consistency model:
+// NIST Net testbed (40 ms RTT, 4 Mbps); with Config.RealTime, loopback TCP
+// on the wall clock, the shape the cmd/gvfs-* daemons run. Either way the
+// pieces are built by the same three functions (assembly.go), which the
+// daemons call too. Sessions are then created per application, each with
+// its own proxy server, and mounted on client hosts through per-session
+// proxy clients with disk caching and the chosen consistency model:
 //
 //	d, _ := gvfs.NewDeployment(gvfs.Config{})
 //	defer d.Close()
@@ -36,46 +38,42 @@ import (
 	"repro/internal/nfs3"
 	"repro/internal/nfscall"
 	"repro/internal/nfsclient"
-	"repro/internal/nfsserver"
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
 	"repro/internal/secure"
 	"repro/internal/simnet"
 	"repro/internal/sunrpc"
+	"repro/internal/tcpnet"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
 // Config parameterizes a Deployment.
 type Config struct {
-	// RealTime uses the wall clock instead of virtual time. Virtual time
-	// (the default) makes wide-area experiments deterministic and fast.
+	// RealTime runs the deployment the way the daemons run: the wall clock
+	// and loopback TCP sockets (tcpnet) in place of virtual time and the
+	// simulated network. Host names are then labels only, every address is
+	// the one a listener actually bound, Deployment.Net is nil and WAN is
+	// ignored. Virtual time (the default) makes wide-area experiments
+	// deterministic and fast.
 	RealTime bool
 	// WAN is the default link between distinct hosts. Defaults to the
 	// paper's 40 ms RTT / 4 Mbps profile.
 	WAN simnet.Params
-	// ServerHost names the host running the NFS server and proxy servers.
-	// Defaults to "server".
-	ServerHost string
 	// TraceRing bounds each node's span ring buffer (default 4096 spans).
 	// Negative disables span retention entirely; hot paths then skip
 	// building span labels (allocation benchmarks use this to measure the
 	// block path as a tracing-off production server would run it).
 	TraceRing int
-	// NFSSched bounds the kernel NFS server's request scheduling (worker
-	// pool, per-client DRR queues — see sunrpc.SchedConfig). The zero value
-	// keeps the legacy unbounded per-request dispatch. Leave the rate limits
-	// zero unless every client of the export retransmits: a TRY_LATER shed
-	// is absorbed transparently only by clients with a retransmit policy,
-	// and direct kernel mounts have none.
-	NFSSched sunrpc.SchedConfig
 }
 
-// Deployment is a file server plus a (simulated) network that sessions and
-// mounts are created on.
+// Deployment is a file server plus a network that sessions and mounts are
+// created on.
 type Deployment struct {
 	Clock *vclock.Clock
-	Net   *simnet.Net
+	// Net is the simulated network (links, partitions, faults); nil for a
+	// RealTime deployment, which runs on the host's loopback.
+	Net *simnet.Net
 	// FS is the filesystem backing the NFS export; tests and workload
 	// setup may populate it directly (that models local activity on the
 	// server, not wide-area traffic).
@@ -92,10 +90,8 @@ type Deployment struct {
 
 	attrObs *attr.Observatory
 
-	serverHost string
-	nfsAddr    string
-	rpcSrv     *sunrpc.Server
-	nfsSrv     *nfsserver.Server
+	nfsAddr string
+	rpcSrv  *sunrpc.Server
 
 	mu       sync.Mutex
 	portSeq  int
@@ -108,49 +104,59 @@ type Deployment struct {
 // NewDeployment builds the server side: filesystem, NFS server, and
 // network. It does not block.
 func NewDeployment(cfg Config) (*Deployment, error) {
-	if cfg.ServerHost == "" {
-		cfg.ServerHost = "server"
-	}
 	if cfg.WAN == (simnet.Params{}) {
 		cfg.WAN = simnet.WAN
-	}
-	clk := vclock.NewVirtual()
-	if cfg.RealTime {
-		clk = vclock.NewReal()
 	}
 	if cfg.TraceRing == 0 {
 		cfg.TraceRing = 4096
 	}
-	net := simnet.New(clk, cfg.WAN)
-	fs := memfs.New(clk.Now)
-	nfsSrv := nfsserver.New(fs, 1)
-	rpcSrv := sunrpc.NewServer(clk)
-	nfsSrv.Register(rpcSrv)
+	clk := vclock.NewVirtual()
+	var net *simnet.Net
+	if cfg.RealTime {
+		clk = vclock.NewReal()
+	} else {
+		net = simnet.New(clk, cfg.WAN)
+	}
 	o := obs.New(clk.Now, cfg.TraceRing)
-	rpcSrv.SetObs(o.Node("nfsd"), core.RPCName)
-	rpcSrv.SetSched(cfg.NFSSched)
-	net.SetObs(o.Registry())
-
+	if net != nil {
+		net.SetObs(o.Registry())
+	}
 	d := &Deployment{
-		Clock:      clk,
-		Net:        net,
-		FS:         fs,
-		Obs:        o,
-		Staleness:  obs.NewStalenessOracle(clk.Now, o.Registry()),
-		attrObs:    attr.NewObservatory(o.Registry()),
-		serverHost: cfg.ServerHost,
-		nfsAddr:    cfg.ServerHost + ":2049",
-		rpcSrv:     rpcSrv,
-		nfsSrv:     nfsSrv,
-		portSeq:    5000,
+		Clock:     clk,
+		Net:       net,
+		FS:        memfs.New(clk.Now),
+		Obs:       o,
+		Staleness: obs.NewStalenessOracle(clk.Now, o.Registry()),
+		attrObs:   attr.NewObservatory(o.Registry()),
+		portSeq:   5000,
 	}
-	l, err := net.Host(cfg.ServerHost).Listen(":2049")
+	var err error
+	d.rpcSrv, d.nfsAddr, err = ServeNFS(clk, d.network(serverHost), d.listenAddr(2049), d.FS, o, sunrpc.SchedConfig{})
 	if err != nil {
-		return nil, fmt.Errorf("gvfs: export NFS server: %w", err)
+		return nil, fmt.Errorf("gvfs: %w", err)
 	}
-	rpcSrv.Serve(l)
 	d.park()
 	return d, nil
+}
+
+// network is the deployment's network as host sees it — the one place the
+// transport under every session is chosen.
+func (d *Deployment) network(host string) transport.Network {
+	if d.Net == nil {
+		return tcpnet.Net{}
+	}
+	return d.Net.Host(host)
+}
+
+// listenAddr is where a new listener asks to bind: the given port of the
+// simulated host (the simulator hands ports out in a fixed order, so traces
+// repeat), any free loopback port on real sockets. Callers use the address
+// the listener reports back, never this one.
+func (d *Deployment) listenAddr(simPort int) string {
+	if d.Net == nil {
+		return "127.0.0.1:0"
+	}
+	return fmt.Sprintf(":%d", simPort)
 }
 
 // park pins the virtual clock: it spawns a keeper actor that blocks on a
@@ -286,7 +292,7 @@ func (d *Deployment) NewSession(name string, cfg core.Config) (*Session, error) 
 		Name:  name,
 		Cfg:   cfg,
 		d:     d,
-		addr:  fmt.Sprintf("%s:%d", d.serverHost, d.nextPort()),
+		addr:  d.listenAddr(d.nextPort()), // where to bind; then what was bound
 		store: &core.MemStateStore{},
 	}
 	if err := s.startProxyServer(); err != nil {
@@ -298,49 +304,28 @@ func (d *Deployment) NewSession(name string, cfg core.Config) (*Session, error) 
 	return s, nil
 }
 
-// dial and listen are the session's wide-area transport on host h: the
-// simulated network's own, sealed with the session key when Cfg.Encrypt is set
-// (proxy client <-> proxy server, callbacks included). Loopback traffic and
-// the proxy server's connection to the NFS server do not go through them.
-func (s *Session) dial(h *simnet.Host, addr string) (transport.Conn, error) {
-	c, err := h.Dial(addr)
-	if err != nil || !s.Cfg.Encrypt {
-		return c, err
+// wan is the session's wide-area network as host sees it (proxy client <->
+// proxy server, callbacks included): the deployment's own, sealed with the
+// session key when Cfg.Encrypt is set. Loopback traffic and the proxy
+// server's connection to the NFS server stay on the plain network.
+func (s *Session) wan(host string) transport.Network {
+	nw := s.d.network(host)
+	if s.Cfg.Encrypt {
+		return sealed{nw, secure.KeyFromSession(s.Name)}
 	}
-	sealed, err := secure.Client(c, secure.KeyFromSession(s.Name))
-	if err != nil {
-		return nil, err
-	}
-	return sealed, nil
+	return nw
 }
 
-func (s *Session) listen(h *simnet.Host, addr string) (transport.Listener, error) {
-	l, err := h.Listen(addr)
-	if err != nil || !s.Cfg.Encrypt {
-		return l, err
-	}
-	return secure.NewListener(l, secure.KeyFromSession(s.Name)), nil
-}
-
-// startProxyServer dials the NFS server, builds a proxy server over the
-// session's state store and serves it on the session's address — a new
-// session's first instance, and every instance after a restart.
+// startProxyServer starts a proxy server over the session's state store on
+// the session's address — a new session's first instance, and every instance
+// after a restart, which binds the address the first one was given.
 func (s *Session) startProxyServer() error {
 	d := s.d
-	host := d.Net.Host(d.serverHost)
-	conn, err := host.Dial(d.nfsAddr)
+	srv, addr, err := StartProxyServer(d.Clock, s.wan(serverHost), d.network(serverHost), s.addr, d.nfsAddr, s.Cfg, s.store)
 	if err != nil {
-		return fmt.Errorf("gvfs: session %s: dial NFS server: %w", s.Name, err)
+		return fmt.Errorf("gvfs: session %s: %w", s.Name, err)
 	}
-	up := sunrpc.NewClient(d.Clock, conn, sunrpc.SysCred(d.serverHost, 0, 0))
-	dial := func(addr string) (transport.Conn, error) { return s.dial(host, addr) }
-	srv := core.NewProxyServer(d.Clock, s.Cfg, up, dial, s.store)
-	l, err := s.listen(host, s.addr[len(d.serverHost):])
-	if err != nil {
-		return err
-	}
-	s.srv = srv
-	srv.Serve(l)
+	s.srv, s.addr = srv, addr
 	return nil
 }
 
@@ -368,22 +353,17 @@ func (s *Session) RestartProxyServer() error {
 // process dies abruptly (no final flush, no checkpoint) and its memory — the
 // kernel client's caches, the session cache — dies with it. The new proxy
 // instance rebuilds its cache solely from the crash-consistent persistent
-// store under the session's DiskCacheDir, runs crash recovery (Section
-// 4.3.4), and a fresh kernel client mounts through it: surviving clean blocks
-// are revalidated through the model's normal channel instead of refetched,
-// and dirty blocks re-enter write-back with their saved generations. The
-// session must have been configured with DiskCacheDir for anything to
-// survive. The returned Mount replaces m. Call within Run/Go.
+// store under the session's DiskCacheDir and runs crash recovery (Section
+// 4.3.4) as it starts (StartProxyClient has the order); a fresh kernel client
+// then mounts through it: surviving clean blocks are revalidated through the
+// model's normal channel instead of refetched, and dirty blocks re-enter
+// write-back with their saved generations. The session must have been
+// configured with DiskCacheDir for anything to survive. The returned Mount
+// replaces m. Call within Run/Go.
 func (s *Session) RemountFromDisk(m *Mount, kopts nfsclient.Options) (*Mount, error) {
 	m.Proxy.Crash() // abandons the disk store mid-state, SIGKILL-style
 	m.conn.Close()
-
-	nm, err := s.Mount(m.host, kopts)
-	if err != nil {
-		return nil, err
-	}
-	nm.Proxy.RecoverAfterCrash()
-	return nm, nil
+	return s.Mount(m.host, kopts)
 }
 
 func (s *Session) close() {
@@ -405,6 +385,7 @@ type Mount struct {
 	Proxy *core.ProxyClient
 
 	host string
+	addr string
 	conn *nfscall.Conn
 }
 
@@ -414,58 +395,29 @@ type Mount struct {
 // within Run/Go.
 func (s *Session) Mount(hostname string, kopts nfsclient.Options) (*Mount, error) {
 	d := s.d
-	h := d.Net.Host(hostname)
-
-	upConn, err := s.dial(h, s.addr)
-	if err != nil {
-		return nil, fmt.Errorf("gvfs: mount on %s: dial proxy server: %w", hostname, err)
-	}
-	up := sunrpc.NewClient(d.Clock, upConn, sunrpc.NoneCred())
-
-	cbPort := d.nextPort()
-	cred := core.SessionCred{
-		SessionKey:   s.Name,
-		ClientID:     hostname + "/" + s.Name,
-		CallbackAddr: fmt.Sprintf("%s:%d", hostname, cbPort),
-	}
-	// Each mount is its own observability node, named by the session-scoped
-	// client ID so concurrent mounts never collide in the trace.
+	// The client ID is session-scoped, so concurrent mounts never collide in
+	// the server's client list or in the trace.
+	cred := core.SessionCred{SessionKey: s.Name, ClientID: hostname + "/" + s.Name}
 	pcfg := s.Cfg
-	pcfg.ObsName = cred.ClientID
 	if pcfg.DiskCacheDir != "" {
 		// Each mount persists under its own subdirectory: a remount of the
 		// same host recovers exactly its predecessor's store.
 		pcfg.DiskCacheDir = filepath.Join(s.Cfg.DiskCacheDir, hostname)
 	}
-	proxy := core.NewProxyClient(d.Clock, pcfg, up, cred)
-	proxy.SetRedial(func() (*sunrpc.Client, error) {
-		c, err := s.dial(h, s.addr)
-		if err != nil {
-			return nil, err
-		}
-		return sunrpc.NewClient(d.Clock, c, sunrpc.NoneCred()), nil
-	})
-
-	nfsPort := d.nextPort()
-	nfsL, err := h.Listen(fmt.Sprintf(":%d", nfsPort))
+	cbListen, nfsListen := d.listenAddr(d.nextPort()), d.listenAddr(d.nextPort())
+	proxy, kernelAddr, err := StartProxyClient(d.Clock, s.wan(hostname), d.network(hostname), s.addr, nfsListen, cbListen, pcfg, cred)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("gvfs: mount on %s: %w", hostname, err)
 	}
-	cbL, err := s.listen(h, fmt.Sprintf(":%d", cbPort))
-	if err != nil {
-		return nil, err
-	}
-	proxy.Serve(nfsL, cbL)
+	s.mu.Lock()
+	s.proxies = append(s.proxies, proxy)
+	s.mu.Unlock()
 
-	m, err := attachKernelClient(d, hostname, fmt.Sprintf("%s:%d", hostname, nfsPort), kopts)
+	m, err := attachKernelClient(d, hostname, kernelAddr, kopts)
 	if err != nil {
 		return nil, err
 	}
 	m.Proxy = proxy
-
-	s.mu.Lock()
-	s.proxies = append(s.proxies, proxy)
-	s.mu.Unlock()
 	d.mu.Lock()
 	d.mounts = append(d.mounts, m)
 	d.mu.Unlock()
@@ -487,8 +439,7 @@ func (d *Deployment) DirectMount(hostname string, kopts nfsclient.Options) (*Mou
 }
 
 func attachKernelClient(d *Deployment, hostname, addr string, kopts nfsclient.Options) (*Mount, error) {
-	h := d.Net.Host(hostname)
-	conn, err := h.Dial(addr)
+	conn, err := d.network(hostname).Dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("gvfs: mount on %s: %w", hostname, err)
 	}
@@ -504,12 +455,17 @@ func attachKernelClient(d *Deployment, hostname, addr string, kopts nfsclient.Op
 	return &Mount{
 		Client: nfsclient.New(d.Clock, nc, root, kopts),
 		host:   hostname,
+		addr:   addr,
 		conn:   nc,
 	}, nil
 }
 
 // Host returns the mount's host name.
 func (m *Mount) Host() string { return m.host }
+
+// Addr returns the address the kernel client mounted: its proxy client's
+// kernel-facing listener, or the NFS server for a direct mount.
+func (m *Mount) Addr() string { return m.addr }
 
 // WANCounts reports this mount's RPCs that crossed the wide-area link,
 // keyed by procedure name (GETINV appears as its own row). For direct

@@ -1,0 +1,273 @@
+package gvfs
+
+import (
+	"bytes"
+	"net"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/tcpnet"
+)
+
+// The strong model on sockets. Every test here runs a session on a RealTime
+// deployment — wall clock, loopback TCP, the assembly the cmd/gvfs-* daemons
+// call — so recalls, RECALL_ALL and recovery write-back cross tcpnet framing,
+// pooled frames and real callback connections; under -race the buffer poison
+// is on. FlushInterval is an hour throughout so dirty data moves only when
+// the protocol step under test moves it.
+
+func newRealTimeDeployment(t *testing.T) *Deployment {
+	t.Helper()
+	d, err := NewDeployment(Config{RealTime: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	return d
+}
+
+func realTimeSession(t *testing.T, d *Deployment, cfg core.Config) *Session {
+	t.Helper()
+	sess, err := d.NewSession("rt", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+func realTimeMount(t *testing.T, sess *Session, host string) *Mount {
+	t.Helper()
+	m, err := sess.Mount(host, kernelNoac())
+	if err != nil {
+		t.Fatalf("mount %s: %v", host, err)
+	}
+	return m
+}
+
+func noStalenessViolations(t *testing.T, d *Deployment) {
+	t.Helper()
+	snap := d.PublishMetrics()
+	if v := snap.SumCounters("gvfs_staleness_violations_total"); v != 0 {
+		t.Errorf("staleness violations = %d, want 0", v)
+	}
+	if snap.Histograms[obs.Label("gvfs_staleness_age", "model", "deleg")].Count == 0 {
+		t.Error("the staleness oracle scored no cache serve")
+	}
+}
+
+// handoff is the scenario of (i) and (iv): A absorbs a multi-block file under
+// its write delegation, B's read recalls it over a callback connection the
+// proxy server dials, and B must see every byte A wrote.
+func handoff(t *testing.T, d *Deployment, sess *Session) {
+	t.Helper()
+	if _, err := d.FS.WriteFile("rt/file", nil); err != nil {
+		t.Fatal(err)
+	}
+	a, b := realTimeMount(t, sess, "A"), realTimeMount(t, sess, "B")
+	payload := bytes.Repeat([]byte("real sockets "), 20_000)
+	if err := a.Client.WriteFile("rt/file", payload); err != nil {
+		t.Fatalf("A write: %v", err)
+	}
+	blocks := int64((len(payload) + 32<<10 - 1) / (32 << 10))
+	if writes := a.WANCounts()["WRITE"]; writes >= blocks {
+		t.Errorf("A sent %d WRITEs for %d blocks: the write delegation absorbed nothing", writes, blocks)
+	}
+	got, err := b.Client.ReadFile("rt/file")
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("B read after the recall: %d bytes, %v; want A's %d", len(got), err, len(payload))
+	}
+	if a.Proxy.Stats().Recalls == 0 {
+		t.Error("A received no recall over TCP")
+	}
+	// And back: A re-reads what it wrote from its cache or the server, B's
+	// read delegation notwithstanding.
+	if got, err := a.Client.ReadFile("rt/file"); err != nil || !bytes.Equal(got, payload) {
+		t.Errorf("A re-read: %d bytes, %v", len(got), err)
+	}
+	noStalenessViolations(t, d)
+}
+
+func TestRealTimeDelegationHandoff(t *testing.T) {
+	d := newRealTimeDeployment(t)
+	handoff(t, d, realTimeSession(t, d, core.Config{Model: core.ModelDelegation, FlushInterval: time.Hour}))
+}
+
+// TestRealTimeSealedSession is the hand-off with Config.Encrypt: every
+// wide-area connection, the server-dialled callback leg included, is sealed
+// by the session's Network and nothing else changes.
+func TestRealTimeSealedSession(t *testing.T) {
+	d := newRealTimeDeployment(t)
+	sess := realTimeSession(t, d, core.Config{Model: core.ModelDelegation, FlushInterval: time.Hour, Encrypt: true})
+	handoff(t, d, sess)
+
+	// The channel is sealed for real: a plain connection to the proxy
+	// server's address gets no answer it can read.
+	c, err := tcpnet.Net{}.Dial(sess.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Send([]byte("not sealed with the session key")); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := c.Recv(); err == nil {
+		t.Errorf("the sealed listener answered a plain frame with %d bytes", len(msg))
+	}
+}
+
+// TestRealTimeCallbackAddressIsWorkedOut starts a proxy client the way
+// gvfs-proxyc starts with its defaults — a wildcard callback listener, no
+// advertised address — and requires its recall to arrive. Advertising the
+// listen address verbatim (":0" here, ":4050" for the daemon) names no host
+// the proxy server could dial.
+func TestRealTimeCallbackAddressIsWorkedOut(t *testing.T) {
+	d := newRealTimeDeployment(t)
+	sess := realTimeSession(t, d, core.Config{Model: core.ModelDelegation, FlushInterval: time.Hour})
+	if _, err := d.FS.WriteFile("rt/f", []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	proxy, kernelAddr, err := StartProxyClient(d.Clock, tcpnet.Net{}, tcpnet.Net{}, sess.Addr(), "127.0.0.1:0", ":0",
+		sess.Cfg, core.SessionCred{SessionKey: sess.Name, ClientID: "daemon"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(proxy.Stop)
+	reader, err := attachKernelClient(d, "daemon", kernelAddr, kernelNoac())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reader.conn.Close() })
+	writer := realTimeMount(t, sess, "W")
+
+	if got, err := reader.Client.ReadFile("rt/f"); err != nil || string(got) != "one" {
+		t.Fatalf("read = %q, %v", got, err)
+	}
+	if err := writer.Client.WriteFile("rt/f", []byte("two")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if proxy.Stats().Recalls == 0 {
+		t.Error("the read delegation was never recalled: the proxy server could not dial the advertised address")
+	}
+	if got, err := reader.Client.ReadFile("rt/f"); err != nil || string(got) != "two" {
+		t.Errorf("read after the write = %q, %v", got, err)
+	}
+	for _, rec := range sess.StateStore().LoadClients() {
+		if rec.ID != "daemon" {
+			continue
+		}
+		host, port, err := net.SplitHostPort(rec.CallbackAddr)
+		if err != nil || host != "127.0.0.1" || port == "0" || port == "" {
+			t.Errorf("advertised callback address %q, want the upstream connection's host with the bound port", rec.CallbackAddr)
+		}
+	}
+}
+
+// TestRealTimeProxyServerRestart restarts the proxy server on the TCP port
+// its first instance bound. The clients' connections die with it; they
+// redial the same address, the new instance rebuilds the session by
+// RECALL_ALL over fresh callback connections, and A — dirty across the
+// restart — is still the writer: B's read recalls A's bytes.
+func TestRealTimeProxyServerRestart(t *testing.T) {
+	d := newRealTimeDeployment(t)
+	sess := realTimeSession(t, d, core.Config{Model: core.ModelDelegation, FlushInterval: time.Hour})
+	if _, err := d.FS.WriteFile("rt/f", []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	a, b := realTimeMount(t, sess, "A"), realTimeMount(t, sess, "B")
+	// B is in the session before the restart, so RECALL_ALL reaches it too.
+	if _, err := b.Client.Stat("rt"); err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("dirty across the restart "), 4000)
+	if err := a.Client.WriteFile("rt/f", payload); err != nil {
+		t.Fatalf("A write: %v", err)
+	}
+	if onServer := readServerFile(t, d, "rt/f", len(payload)); bytes.Equal(onServer, payload) {
+		t.Fatal("A's write-back landed before the restart; nothing is dirty")
+	}
+
+	addr := sess.Addr()
+	if err := sess.RestartProxyServer(); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	if sess.Addr() != addr {
+		t.Errorf("restarted on %s, want the first instance's %s", sess.Addr(), addr)
+	}
+	got, err := b.Client.ReadFile("rt/f")
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("B read after the restart: %d bytes, %v; want A's %d dirty bytes", len(got), err, len(payload))
+	}
+	if a.Proxy.Stats().UpstreamRetries+b.Proxy.Stats().UpstreamRetries == 0 {
+		t.Error("no client redialled")
+	}
+	if a.Proxy.Stats().Recalls == 0 {
+		t.Error("A's rebuilt write delegation was never recalled")
+	}
+	if st := sess.ProxyServer().Stats(); st.CallbacksSent < 2 {
+		t.Errorf("the new instance sent %d callbacks, want a RECALL_ALL round and a recall", st.CallbacksSent)
+	}
+	noStalenessViolations(t, d)
+}
+
+// TestRealTimeRemountFromDisk power-cycles a proxy client over TCP: what it
+// had acknowledged and not yet written back reaches the server, and the
+// clean blocks it had cached are revalidated, not fetched again.
+func TestRealTimeRemountFromDisk(t *testing.T) {
+	const cleanBlocks = 6
+	d := newRealTimeDeployment(t)
+	clean := bytes.Repeat([]byte("c"), cleanBlocks*32<<10)
+	if _, err := d.FS.WriteFile("rt/clean", clean); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.FS.WriteFile("rt/dirty", nil); err != nil {
+		t.Fatal(err)
+	}
+	sess := realTimeSession(t, d, core.Config{
+		Model: core.ModelDelegation, FlushInterval: time.Hour, DiskCacheDir: t.TempDir(),
+	})
+	m := realTimeMount(t, sess, "A")
+	if got, err := m.Client.ReadFile("rt/clean"); err != nil || !bytes.Equal(got, clean) {
+		t.Fatalf("cold read: %d bytes, %v", len(got), err)
+	}
+	dirty := bytes.Repeat([]byte("acknowledged "), 10_000)
+	if err := m.Client.WriteFile("rt/dirty", dirty); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+
+	nm, err := sess.RemountFromDisk(m, kernelNoac())
+	if err != nil {
+		t.Fatalf("remount from disk: %v", err)
+	}
+	st := nm.Proxy.Stats()
+	if st.RecoveredDirty == 0 {
+		t.Fatal("nothing dirty was recovered: the crash tested nothing")
+	}
+	// Recovery itself writes back one block per dirty file before the mount
+	// returns; the file's COMMIT lands the rest.
+	if st.FlushedBlocks == 0 {
+		t.Error("recovery wrote nothing back before the proxy client was handed over")
+	}
+	f, err := nm.Client.Open("rt/dirty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatalf("commit after recovery: %v", err)
+	}
+	f.Close()
+	if got := readServerFile(t, d, "rt/dirty", len(dirty)); !bytes.Equal(got, dirty) {
+		t.Errorf("server holds %d bytes of the acknowledged write, want all %d", len(got), len(dirty))
+	}
+	if got, err := nm.Client.ReadFile("rt/clean"); err != nil || !bytes.Equal(got, clean) {
+		t.Errorf("warm read: %d bytes, %v", len(got), err)
+	}
+	if reads := nm.WANCounts()["READ"]; reads != 0 {
+		t.Errorf("%d READs crossed after the restart, want 0: the clean blocks were on disk", reads)
+	}
+	if st := nm.Proxy.Stats(); st.RevalidatedBlocks != cleanBlocks || st.RefetchedBlocks != 0 {
+		t.Errorf("revalidated %d, refetched %d blocks; want %d and 0", st.RevalidatedBlocks, st.RefetchedBlocks, cleanBlocks)
+	}
+	noStalenessViolations(t, d)
+}

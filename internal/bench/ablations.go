@@ -359,8 +359,8 @@ func runFlushVariant(opt Options, w, blocks int) (AblationRow, error) {
 			Model: core.ModelPolling, WriteBack: true,
 			FlushParallelism: w, FlushInterval: time.Hour,
 			// One WRITE per block: this ablation isolates flush
-			// parallelism; write coalescing is measured by the hotpath
-			// experiment.
+			// parallelism; gvfs/coalesce_test.go pins what coalescing
+			// saves.
 			MaxWriteBytes: 32 * 1024, ReadAhead: noReadAhead,
 		})
 		if serr != nil {
@@ -566,8 +566,8 @@ func runSmallFileVariant(opt Options, ra int) (AblationRow, error) {
 }
 
 // RunAblations executes all four sweeps.
-func RunAblations(opt Options) ([]AblationResult, error) {
-	var out []AblationResult
+func RunAblations(opt Options) (Ablations, error) {
+	var out Ablations
 	for _, run := range []func(Options) (AblationResult, error){
 		RunPollPeriodAblation,
 		RunBufferSizeAblation,
@@ -583,8 +583,11 @@ func RunAblations(opt Options) ([]AblationResult, error) {
 	return out, nil
 }
 
-// RenderAblations prints the sweeps.
-func RenderAblations(w io.Writer, results []AblationResult) {
+// Ablations is every sweep of one run, in RunAblations' order.
+type Ablations []AblationResult
+
+// Render prints the sweeps.
+func (results Ablations) Render(w io.Writer) {
 	for _, res := range results {
 		fmt.Fprintf(w, "Ablation: %s (%s)\n", res.Name, res.Columns)
 		for _, row := range res.Rows {

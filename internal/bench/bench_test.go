@@ -330,25 +330,32 @@ func TestAblationsRun(t *testing.T) {
 		t.Errorf("small-file transaction %v under the default config, %v with readahead off: want a round trip (40 ms) less", def, off)
 	}
 	var sb strings.Builder
-	RenderAblations(&sb, res)
+	res.Render(&sb)
 	if !strings.Contains(sb.String(), "Ablation") {
 		t.Error("render empty")
 	}
 }
 
-// TestHotpathMetaAllocs gates the warm metadata row of the hotpath experiment
-// with tracing off: GETATTR, LOOKUP and ACCESS hits format no span label —
-// nobody would read it — and each is decided in one pass through the session
-// cache: 9.0 allocs/op with the pools off, 11.3 when every call formatted its
-// handle. The unpooled row is the one gated here because it is exact: sync.Pool
-// drops entries at random under the race detector, the plain allocator does
-// not. RunHotpath gates the pooled row.
-func TestHotpathMetaAllocs(t *testing.T) {
-	setup, err := runHotpathSetup(Options{}, "meta", false, 600)
+// TestRestartShape is the warm-restart gate: in both models a proxy client
+// restarted on its disk cache refetches only what changed while it was down
+// (under a tenth of the cold pass's wide-area READs) and revalidates the rest.
+func TestRestartShape(t *testing.T) {
+	res, err := RunRestart(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if setup.AllocsPerOp > 10 {
-		t.Errorf("warm metadata calls cost %.2f allocs/op unpooled with tracing off, want at most 10", setup.AllocsPerOp)
+	if len(res.Setups) != 2 {
+		t.Fatalf("restart covers %d set-ups, want both consistency models", len(res.Setups))
+	}
+	for _, s := range res.Setups {
+		if s.ColdReads == 0 {
+			t.Errorf("%s: the cold pass read nothing over the WAN", s.Name)
+		}
+		if r := s.WarmColdRatio(); r >= 0.10 {
+			t.Errorf("%s: warm restart refetched %.1f%% of the cold READs, want under 10%%", s.Name, 100*r)
+		}
+		if s.RevalidatedBlocks == 0 {
+			t.Errorf("%s: no block was revalidated", s.Name)
+		}
 	}
 }

@@ -13,9 +13,6 @@
 //     when done, or never. Losing a buffer to the GC is always safe;
 //     double-recycling, or reading one after Put, never is — race builds
 //     overwrite a buffer on Put so that tests notice (poison_race.go).
-//
-// Pools can be disabled (SetEnabled(false)) so benchmarks can measure the
-// unpooled baseline; Get then allocates fresh and Put drops.
 package bufpool
 
 import (
@@ -36,14 +33,6 @@ const (
 
 var classes [maxShift - minShift + 1]sync.Pool
 
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns pooling on or off globally. Off, Get allocates fresh and
-// Put discards; used by benchmarks to measure the unpooled baseline.
-func SetEnabled(on bool) { enabled.Store(on) }
-
 func classFor(n int) int {
 	if n <= 1<<minShift {
 		return 0
@@ -59,12 +48,11 @@ func classFor(n int) int {
 // returned by Put — the leak detector for the ownership rules above. Buffers
 // that legitimately become cache-resident keep the count up; a steady-state
 // loop that neither grows a cache nor hands frames to a peer must leave it
-// unchanged (the hot-path bench asserts exactly that).
+// unchanged (TestServeCallAllocs asserts exactly that).
 var outstanding atomic.Int64
 
 // Outstanding reports the number of pool-owned buffers currently checked
-// out: Gets minus Puts, counting only class-eligible buffers while pooling
-// is enabled.
+// out: Gets minus Puts, counting only class-eligible buffers.
 func Outstanding() int64 { return outstanding.Load() }
 
 // Get returns a byte slice of length n with arbitrary contents. Capacity is
@@ -75,7 +63,7 @@ func Get(n int) []byte {
 		panic("bufpool: negative size")
 	}
 	c := classFor(n)
-	if c < 0 || !enabled.Load() {
+	if c < 0 {
 		return make([]byte, n)
 	}
 	outstanding.Add(1)
@@ -100,7 +88,7 @@ var wrapPool = sync.Pool{New: func() any { return new(poolBuf) }}
 // to the GC — that is always safe.
 func Put(b []byte) {
 	c := cap(b)
-	if c < 1<<minShift || c&(c-1) != 0 || !enabled.Load() {
+	if c < 1<<minShift || c&(c-1) != 0 {
 		return
 	}
 	cls := bits.Len(uint(c)) - 1 - minShift
@@ -122,9 +110,6 @@ var encPool = sync.Pool{New: func() any { return xdr.NewEncoder() }}
 // GetEncoder returns an empty encoder, reusing grown scratch space when
 // available.
 func GetEncoder() *xdr.Encoder {
-	if !enabled.Load() {
-		return xdr.NewEncoder()
-	}
 	e := encPool.Get().(*xdr.Encoder)
 	e.Reset()
 	return e
@@ -133,7 +118,7 @@ func GetEncoder() *xdr.Encoder {
 // PutEncoder recycles an encoder. The caller must not retain e.Bytes() —
 // copy anything that outlives the encoder (the DRC does exactly this).
 func PutEncoder(e *xdr.Encoder) {
-	if e == nil || !enabled.Load() {
+	if e == nil {
 		return
 	}
 	encPool.Put(e)

@@ -57,18 +57,6 @@ func TestReuseRoundTrip(t *testing.T) {
 	Put(c)
 }
 
-func TestDisabledAllocatesFresh(t *testing.T) {
-	SetEnabled(false)
-	defer SetEnabled(true)
-	b := Get(1 << 10)
-	p := &b[0]
-	Put(b)
-	c := Get(1 << 10)
-	if &c[0] == p {
-		t.Fatal("pool reused a buffer while disabled")
-	}
-}
-
 func TestEncoderReuseResets(t *testing.T) {
 	e := GetEncoder()
 	e.Uint32(42)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/nfs3"
@@ -29,6 +30,19 @@ func (m Model) String() string {
 		return "delegation-callback"
 	default:
 		return "unknown"
+	}
+}
+
+// ParseModel maps a model's command-line name, "polling" or "delegation", to
+// the Model.
+func ParseModel(name string) (Model, error) {
+	switch name {
+	case "polling":
+		return ModelPolling, nil
+	case "delegation":
+		return ModelDelegation, nil
+	default:
+		return 0, fmt.Errorf("unknown consistency model %q (want polling or delegation)", name)
 	}
 }
 

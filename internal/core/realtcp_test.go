@@ -9,65 +9,49 @@ import (
 	"testing"
 	"time"
 
+	"repro/gvfs"
 	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/memfs"
 	"repro/internal/nfs3"
 	"repro/internal/nfscall"
 	"repro/internal/nfsclient"
-	"repro/internal/nfsserver"
 	"repro/internal/sunrpc"
 	"repro/internal/tcpnet"
-	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
-// tcpChain stands up NFS server -> proxy server -> proxy client on loopback
-// TCP sockets with the real clock, the deployment shape of the cmd/ daemons,
-// and returns the proxy client with its kernel-facing address. Everything is
-// torn down when the test ends.
-func tcpChain(t *testing.T, clk *vclock.Clock, fs *memfs.FS, cfg core.Config) (*core.ProxyClient, string) {
+// tcpSession stands up NFS server -> proxy server on loopback TCP sockets
+// with the real clock through the middleware's one assembly (a RealTime
+// deployment calls the functions the cmd/ daemons call). Proxy clients are
+// mounted on it per test; everything is torn down when the test ends.
+func tcpSession(t *testing.T, cfg core.Config) (*gvfs.Deployment, *gvfs.Session) {
 	t.Helper()
-	var tn tcpnet.Net
-	listen := func() transport.Listener {
-		l, err := tn.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
+	d, err := gvfs.NewDeployment(gvfs.Config{RealTime: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	dial := func(addr string) transport.Conn {
-		c, err := tn.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+	t.Cleanup(d.Close)
+	sess, err := d.NewSession("tcp-test", cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	nfsRPC := sunrpc.NewServer(clk)
-	nfsserver.New(fs, 1).Register(nfsRPC)
-	nfsL := listen()
-	t.Cleanup(nfsRPC.Close)
-	nfsRPC.Serve(nfsL)
-
-	proxySrv := core.NewProxyServer(clk, cfg,
-		sunrpc.NewClient(clk, dial(nfsL.Addr()), sunrpc.SysCred("proxyd", 0, 0)),
-		func(addr string) (transport.Conn, error) { return tn.Dial(addr) },
-		&core.MemStateStore{})
-	psL := listen()
-	t.Cleanup(proxySrv.Stop)
-	proxySrv.Serve(psL)
-
-	cbL := listen()
-	cred := core.SessionCred{SessionKey: "tcp-test", ClientID: "tcp-client", CallbackAddr: cbL.Addr()}
-	proxy := core.NewProxyClient(clk, cfg, sunrpc.NewClient(clk, dial(psL.Addr()), sunrpc.NoneCred()), cred)
-	localL := listen()
-	t.Cleanup(proxy.Stop)
-	proxy.Serve(localL, cbL)
-	return proxy, localL.Addr()
+	return d, sess
 }
 
-// tcpMount opens a kernel client's connection to a proxy client and mounts.
+// tcpProxy starts a proxy client of the session under a kernel client with
+// the given options.
+func tcpProxy(t *testing.T, sess *gvfs.Session, host string, kopts nfsclient.Options) *gvfs.Mount {
+	t.Helper()
+	m, err := sess.Mount(host, kopts)
+	if err != nil {
+		t.Fatalf("mount through proxy chain: %v", err)
+	}
+	return m
+}
+
+// tcpMount opens one more bare kernel-side connection to a proxy client —
+// no kernel caches, no tracing on the caller's side — and mounts.
 func tcpMount(t *testing.T, clk *vclock.Clock, kernelAddr string) (*nfscall.Conn, nfs3.FH) {
 	t.Helper()
 	var tn tcpnet.Net
@@ -89,16 +73,15 @@ func tcpMount(t *testing.T, clk *vclock.Clock, kernelAddr string) (*nfscall.Conn
 // the real clock, the deployment shape of the cmd/ daemons. It proves the
 // protocol stack is not simulator-only.
 func TestFullChainOverRealTCP(t *testing.T) {
-	clk := vclock.NewReal()
-	fs := memfs.New(clk.Now)
+	d, sess := tcpSession(t, core.Config{Model: core.ModelPolling, PollPeriod: time.Second})
+	fs := d.FS
 	if _, err := fs.WriteFile("exported/hello.txt", []byte("over real sockets")); err != nil {
 		t.Fatal(err)
 	}
-	proxy, kernelAddr := tcpChain(t, clk, fs, core.Config{Model: core.ModelPolling, PollPeriod: time.Second})
 
 	// Kernel client mounting through the proxy.
-	nc, root := tcpMount(t, clk, kernelAddr)
-	kc := nfsclient.New(clk, nc, root, nfsclient.Options{})
+	m := tcpProxy(t, sess, "workstation", nfsclient.Options{})
+	kc, proxy := m.Client, m.Proxy
 
 	// Read through the whole chain.
 	got, err := kc.ReadFile("exported/hello.txt")
@@ -155,66 +138,11 @@ func TestFullChainOverRealTCP(t *testing.T) {
 // clock: an update by one client must reach the other through GETINV within
 // its (short) polling window.
 func TestInvalidationOverRealTCP(t *testing.T) {
-	clk := vclock.NewReal()
-	var tn tcpnet.Net
-
-	fs := memfs.New(clk.Now)
-	fs.WriteFile("shared/doc", []byte("v1"))
-	nfsSrv := nfsserver.New(fs, 1)
-	nfsRPC := sunrpc.NewServer(clk)
-	nfsSrv.Register(nfsRPC)
-	nfsL, err := tn.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nfsRPC.Close()
-	nfsRPC.Serve(nfsL)
-
-	cfg := core.Config{Model: core.ModelPolling, PollPeriod: 50 * time.Millisecond}
-	upConn, err := tn.Dial(nfsL.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxySrv := core.NewProxyServer(clk, cfg,
-		sunrpc.NewClient(clk, upConn, sunrpc.SysCred("proxyd", 0, 0)),
-		func(addr string) (transport.Conn, error) { return tn.Dial(addr) },
-		&core.MemStateStore{})
-	psL, err := tn.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxySrv.Stop()
-	proxySrv.Serve(psL)
-
+	d, sess := tcpSession(t, core.Config{Model: core.ModelPolling, PollPeriod: 50 * time.Millisecond})
+	d.FS.WriteFile("shared/doc", []byte("v1"))
 	mountClient := func(id string) (*nfsclient.Client, *core.ProxyClient) {
-		t.Helper()
-		pcUp, err := tn.Dial(psL.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cbL, err := tn.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cred := core.SessionCred{SessionKey: "tcp", ClientID: id, CallbackAddr: cbL.Addr()}
-		proxy := core.NewProxyClient(clk, cfg, sunrpc.NewClient(clk, pcUp, sunrpc.NoneCred()), cred)
-		localL, err := tn.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(proxy.Stop)
-		proxy.Serve(localL, cbL)
-		kConn, err := tn.Dial(localL.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		nc := nfscall.New(sunrpc.NewClient(clk, kConn, sunrpc.SysCred(id, 0, 0)))
-		t.Cleanup(func() { nc.Close() })
-		root, err := nc.Mount("/export")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nfsclient.New(clk, nc, root, nfsclient.Options{NoAC: true}), proxy
+		m := tcpProxy(t, sess, id, nfsclient.Options{NoAC: true})
+		return m.Client, m.Proxy
 	}
 
 	reader, readerProxy := mountClient("tcp-reader")
@@ -288,11 +216,11 @@ func bigFile(t *testing.T, fs *memfs.FS, path string, blocks, blockSize int) {
 // race build, where a recycled buffer is overwritten (bufpool's poison).
 func TestColdReadsOverRealTCPByteForByte(t *testing.T) {
 	const blocks, bs = 64, 32 << 10
-	clk := vclock.NewReal()
-	fs := memfs.New(clk.Now)
-	bigFile(t, fs, "exported/big", blocks, bs)
 	cfg := core.Config{Model: core.ModelPolling, PollPeriod: time.Second, BlockSize: bs, CacheBytes: blocks * bs / 8}
-	proxy, kernelAddr := tcpChain(t, clk, fs, cfg)
+	d, sess := tcpSession(t, cfg)
+	bigFile(t, d.FS, "exported/big", blocks, bs)
+	m := tcpProxy(t, sess, "workstation", nfsclient.Options{})
+	clk, proxy, kernelAddr := d.Clock, m.Proxy, m.Addr()
 
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -332,11 +260,10 @@ func TestColdReadsOverRealTCPByteForByte(t *testing.T) {
 // payload's size: not a retained reply, not a staging copy, not a frame.
 func TestWarmReadAllocatesLittle(t *testing.T) {
 	const blocks, bs = 8, 32 << 10
-	clk := vclock.NewReal()
-	fs := memfs.New(clk.Now)
-	bigFile(t, fs, "exported/big", blocks, bs)
-	_, kernelAddr := tcpChain(t, clk, fs, core.Config{Model: core.ModelPolling, PollPeriod: time.Hour, BlockSize: bs})
-	nc, root := tcpMount(t, clk, kernelAddr)
+	d, sess := tcpSession(t, core.Config{Model: core.ModelPolling, PollPeriod: time.Hour, BlockSize: bs})
+	bigFile(t, d.FS, "exported/big", blocks, bs)
+	m := tcpProxy(t, sess, "workstation", nfsclient.Options{})
+	nc, root := tcpMount(t, d.Clock, m.Addr())
 	file := tcpLookup(t, nc, root, "exported", "big")
 	want := make([][]byte, blocks)
 	for bn := range want {

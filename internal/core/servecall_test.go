@@ -1,0 +1,142 @@
+package core_test
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/gvfs"
+	"repro/internal/bufpool"
+	"repro/internal/core"
+	"repro/internal/nfs3"
+	"repro/internal/nfsclient"
+	"repro/internal/sunrpc"
+	"repro/internal/xdr"
+)
+
+// TestServeCallAllocs is the gate on the warm paths' memory: the proxy
+// client's dispatch (ProxyClient.ServeCall: XDR decode, cache serve, XDR
+// reply encode) serving READs from its cache, absorbing write-back WRITEs and
+// answering the metadata calls a kernel keeps issuing, with span retention
+// off as a production server would run it. Each path stays within its
+// allocation budget, never crosses the wide area, and leaves the buffer pool
+// as it found it — a nonzero Outstanding delta over a steady-state loop is a
+// buffer leaked or recycled twice. The ladder times the same dispatch
+// (core.servecall_*_ns in BENCHMARK.json); this holds what it must not grow.
+func TestServeCallAllocs(t *testing.T) {
+	const blocks, bs, ops = 64, 32 << 10, 2000
+	d, err := gvfs.NewDeployment(gvfs.Config{RealTime: true, TraceRing: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.FS.WriteFile("hot", make([]byte, blocks*bs)); err != nil {
+		t.Fatal(err)
+	}
+	// Hour-long periods keep the poll and flush actors quiet, so the deltas
+	// below are the dispatch alone.
+	sess, err := d.NewSession("hot", core.Config{
+		Model: core.ModelPolling, PollPeriod: time.Hour,
+		WriteBack: true, FlushInterval: time.Hour, ReadAhead: -1, BlockSize: bs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sess.Mount("C1", nfsclient.Options{NoAC: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := m.Client.Open("hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh, conn := f.FH(), m.Client.Conn()
+	block := make([]byte, bs)
+	for i := range block {
+		block[i] = byte(i)
+	}
+	// Warm every block through the whole chain, and the metadata entries.
+	for bn := uint64(0); bn < blocks; bn++ {
+		if res, err := conn.Read(fh, bn*bs, bs); err != nil || res.Status != nfs3.OK {
+			t.Fatalf("warm block %d: %v %v", bn, res.Status, err)
+		}
+	}
+	if _, err := m.Client.Stat("hot"); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := conn.Access(fh, nfs3.AccessRead); err != nil || res.Status != nfs3.OK {
+		t.Fatalf("warm ACCESS: %v %v", res.Status, err)
+	}
+
+	type request struct {
+		proc uint32
+		args interface{ Encode(*xdr.Encoder) }
+	}
+	var reads, writes []request
+	for bn := uint64(0); bn < blocks; bn++ {
+		reads = append(reads, request{nfs3.ProcRead, &nfs3.ReadArgs{FH: fh, Offset: bn * bs, Count: bs}})
+		writes = append(writes, request{nfs3.ProcWrite, &nfs3.WriteArgs{FH: fh, Offset: bn * bs, Count: bs, Stable: nfs3.Unstable, Data: block}})
+	}
+	for _, tc := range []struct {
+		name   string
+		reqs   []request
+		budget float64 // allocs/op
+	}{
+		{"read", reads, 2},
+		{"meta", []request{
+			{nfs3.ProcGetattr, &nfs3.GetattrArgs{FH: fh}},
+			{nfs3.ProcLookup, &nfs3.DirOpArgs{Dir: m.Client.Root(), Name: "hot"}},
+			{nfs3.ProcAccess, &nfs3.AccessArgs{FH: fh, Access: nfs3.AccessRead}},
+		}, 3.5},
+		{"write", writes, 2}, // last: it leaves every block dirty
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wire := make([][]byte, len(tc.reqs))
+			for i, r := range tc.reqs {
+				e := xdr.NewEncoder()
+				r.args.Encode(e)
+				wire[i] = e.Bytes()
+			}
+			dec, res := xdr.NewDecoder(nil), xdr.NewDecoder(nil)
+			call := &sunrpc.Call{Prog: nfs3.Program, Vers: nfs3.Version}
+			dispatch := func(i int) {
+				dec.Reset(wire[i%len(wire)])
+				enc := bufpool.GetEncoder()
+				call.Proc, call.Args, call.Reply = tc.reqs[i%len(wire)].proc, dec, enc
+				if st := m.Proxy.ServeCall(call); st != sunrpc.Success {
+					t.Fatalf("%s op %d: %v", tc.name, i, st)
+				}
+				res.Reset(enc.Bytes())
+				if st, err := res.Uint32(); err != nil || nfs3.Status(st) != nfs3.OK {
+					t.Fatalf("%s op %d: status %v, %v", tc.name, i, nfs3.Status(st), err)
+				}
+				bufpool.PutEncoder(enc)
+			}
+			for i := 0; i < 2*len(wire); i++ {
+				dispatch(i) // the first pass dirties (write) and fills the pools
+			}
+			forwards := m.Proxy.Stats().Forwards
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			outstanding := bufpool.Outstanding()
+			for i := 0; i < ops; i++ {
+				dispatch(i)
+			}
+			leaked := bufpool.Outstanding() - outstanding
+			runtime.ReadMemStats(&after)
+			perOp := float64(after.Mallocs-before.Mallocs) / ops
+			t.Logf("%.2f allocs/op, %d bytes/op", perOp, (after.TotalAlloc-before.TotalAlloc)/ops)
+			if n := m.Proxy.Stats().Forwards - forwards; n != 0 {
+				t.Errorf("%d of %d warm calls crossed the wide area", n, ops)
+			}
+			if leaked != 0 {
+				t.Errorf("pool outstanding moved by %d over %d steady-state calls", leaked, ops)
+			}
+			// sync.Pool drops entries at random under the race detector.
+			if perOp > tc.budget && !bufpool.RaceBuild {
+				t.Errorf("%.2f allocs/op, want at most %.1f", perOp, tc.budget)
+			}
+		})
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/transport"
 )
@@ -28,6 +29,10 @@ type Conn struct {
 	inner transport.Conn
 	aead  cipher.AEAD
 
+	// sendMu makes a Send's nonce and its place on the wire one step:
+	// concurrent Sends (an RPC server's pipelined replies) must reach the
+	// peer in nonce order or it rejects them.
+	sendMu  sync.Mutex
 	sendSeq uint64
 	recvSeq uint64
 	// role disambiguates the two directions' nonce spaces.
@@ -68,6 +73,8 @@ func nonce(role byte, seq uint64, size int) []byte {
 
 // Send seals and transmits one message.
 func (c *Conn) Send(msg []byte) error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
 	n := nonce(c.sendRole, c.sendSeq, c.aead.NonceSize())
 	c.sendSeq++
 	sealed := c.aead.Seal(nil, n, msg, nil)

@@ -2,6 +2,7 @@ package secure
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -209,3 +210,50 @@ func (c *queueConn) Recv() ([]byte, error) {
 func (c *queueConn) Close() error       { return nil }
 func (c *queueConn) LocalAddr() string  { return "q" }
 func (c *queueConn) RemoteAddr() string { return "q" }
+
+// chanConn is an in-order message pipe for tests that need real goroutines
+// rather than clock actors.
+type chanConn struct{ out, in chan []byte }
+
+func (c chanConn) Send(msg []byte) error { c.out <- append([]byte(nil), msg...); return nil }
+func (c chanConn) Recv() ([]byte, error) { return <-c.in, nil }
+func (chanConn) Close() error            { return nil }
+func (chanConn) LocalAddr() string       { return "a" }
+func (chanConn) RemoteAddr() string      { return "b" }
+
+// TestConcurrentSendsAuthenticate is the transport.Conn contract an RPC
+// server's pipelined replies rely on: Sends from several goroutines at once
+// all open at the peer. A nonce taken outside the step that puts the frame on
+// the wire reorders them, and the peer rejects the stream (run with -race).
+func TestConcurrentSendsAuthenticate(t *testing.T) {
+	const senders, each = 8, 200
+	key := KeyFromSession("pipelined")
+	wire := make(chan []byte, senders*each)
+	client, err := Client(chanConn{out: wire}, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := Server(chanConn{in: wire}, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := client.Send([]byte("reply")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < senders*each; i++ {
+		if msg, err := server.Recv(); err != nil || string(msg) != "reply" {
+			t.Fatalf("frame %d: %q, %v", i, msg, err)
+		}
+	}
+}
