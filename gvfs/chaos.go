@@ -797,14 +797,30 @@ type chaosMetaOp struct {
 	events     map[string]*chaosNameEvent
 }
 
+// observe records what a stat or access check of op.name returned: the name
+// exists, does not, or (any other error) the probe says nothing.
+func (op *chaosMetaOp) observe(err error) {
+	switch {
+	case err == nil:
+		op.probe, op.observed = true, true
+	case isNoEnt(err):
+		op.probe = true
+	default:
+		op.err = err
+	}
+}
+
 func isNoEnt(err error) bool {
 	var ne *nfs3.Error
 	return errors.As(err, &ne) && ne.Status == nfs3.ErrNoEnt
 }
 
+// chaosMetaSweep is how many names one name-at-a-time sweep resolves.
+const chaosMetaSweep = 4
+
 // chaosMetaClientLoop runs one client's random namespace schedule: ~25%
-// exclusive creates, 20% unlinks, 15% renames, 30% stat/access probes, 10%
-// readdir membership scans.
+// exclusive creates, 20% unlinks, 15% renames, 20% stat/access probes, 10%
+// name-at-a-time sweeps, 10% readdir membership scans.
 func chaosMetaClientLoop(d *Deployment, m *Mount, client int, o ChaosOptions, names []string) []chaosMetaOp {
 	r := rand.New(rand.NewSource(o.Seed + 5000*int64(client+1)))
 	log := make([]chaosMetaOp, 0, o.Steps)
@@ -846,6 +862,22 @@ func chaosMetaClientLoop(d *Deployment, m *Mount, client int, o ChaosOptions, na
 				n:   {client: client, exists: false, start: op.start, end: op.end, failed: failed},
 				dst: {client: client, exists: true, start: op.start, end: op.end, failed: failed},
 			}
+		case roll < 14:
+			// Name-at-a-time sweep: open a run of the pool's files by name
+			// without listing their directory, as tar of a file list does — what
+			// makes a polling proxy walk the directory itself (its pages land
+			// while the other clients create, remove and rename under it).
+			// Each name resolved is an existence observation of its own.
+			for k, at := 0, r.Intn(len(names)); ; k++ {
+				op = chaosMetaOp{kind: 'p', name: names[(at+k)%len(names)], start: d.Clock.Now()}
+				_, err := m.Client.Stat(op.name)
+				op.end = d.Clock.Now()
+				op.observe(err)
+				if k == chaosMetaSweep-1 {
+					break
+				}
+				log = append(log, op)
+			}
 		case roll < 18: // existence probe via stat or access check
 			if roll == 17 {
 				// Ghost names are never created: their probes exercise the
@@ -867,14 +899,7 @@ func chaosMetaClientLoop(d *Deployment, m *Mount, client int, o ChaosOptions, na
 				_, err = m.Client.Access(op.name, nfs3.AccessRead)
 			}
 			op.end = d.Clock.Now()
-			switch {
-			case err == nil:
-				op.probe, op.observed = true, true
-			case isNoEnt(err):
-				op.probe, op.observed = true, false
-			default:
-				op.err = err // indeterminate
-			}
+			op.observe(err)
 		default: // readdir membership scan
 			op.kind = 'd'
 			entries, err := m.Client.ReadDir(chaosMetaDir)

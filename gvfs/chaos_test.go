@@ -155,8 +155,8 @@ func TestChaosLossyLinksBothModels(t *testing.T) {
 }
 
 // TestChaosMetadataBothModels drives the namespace-churn workload —
-// exclusive creates, unlinks, renames, stat/access probes, readdir
-// membership scans — over the lossy fault profile in both consistency
+// exclusive creates, unlinks, renames, stat/access probes, name-at-a-time
+// sweeps, readdir membership scans — over the lossy fault profile in both consistency
 // models, and asserts the existence checker finds zero violations while
 // the dentry and negative-lookup caches demonstrably carried load.
 func TestChaosMetadataBothModels(t *testing.T) {
@@ -195,8 +195,18 @@ func TestChaosMetadataBothModels(t *testing.T) {
 				t.Errorf("metadata caches idle under namespace churn: dentry=%d negative=%d",
 					cs.DentryHits, cs.NegLookupHits)
 			}
-			t.Logf("%s: %d ops (%d mutations, %d probes, %d errors), client %+v",
-				mode.name, rep.Ops, rep.Writes, rep.Reads, rep.OpErrors, cs)
+			// The name-at-a-time sweeps make a polling proxy walk the shared
+			// directory under the other clients' churn; under delegation a
+			// seeded name could not be served, so no page is ever asked for.
+			pages := rep.Metrics.SumCounters("gvfs_client_dirwalk_pages_total")
+			if polling := mode.model == core.ModelPolling; (pages > 0) != polling {
+				t.Errorf("%d directory-walk pages under %s", pages, mode.name)
+			}
+			t.Logf("%s: %d ops (%d mutations, %d probes, %d errors), %d walk pages (%d entries, %d used, %d pages discarded), client %+v",
+				mode.name, rep.Ops, rep.Writes, rep.Reads, rep.OpErrors, pages,
+				rep.Metrics.SumCounters("gvfs_client_dirwalk_entries_total"),
+				rep.Metrics.SumCounters("gvfs_client_dirwalk_entries_used_total"),
+				rep.Metrics.SumCounters("gvfs_client_dirwalk_discarded_total"), cs)
 		})
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/nfs3"
+	"repro/internal/simnet"
 	"repro/internal/workload"
 )
 
@@ -141,6 +143,94 @@ func TestMetadataFastPathDisabledIsON(t *testing.T) {
 		ps := m.Proxy.Stats()
 		if ps.AttrHits != 0 || ps.DentryHits != 0 || ps.NegLookupHits != 0 || ps.AccessHits != 0 {
 			t.Errorf("disabled cache still served hits: %+v", ps)
+		}
+	})
+}
+
+// TestListingThatCrossedAnInvalidationIsServedNotCached: a READDIRPLUS reply
+// held up on the wide area while another client removes a name it lists, and
+// while this client's GETINV poll drains the invalidations of that REMOVE,
+// still answers the kernel that asked — but the cache does not keep it. Kept,
+// it would bind the removed name again after its invalidation had been
+// consumed, and nothing would ever take the binding back.
+func TestListingThatCrossedAnInvalidationIsServedNotCached(t *testing.T) {
+	const poll = 300 * time.Millisecond
+	d := newDeployment(t)
+	for _, name := range []string{"dir/kept", "dir/gone"} {
+		if _, err := d.FS.WriteFile(name, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Run("test", func() {
+		sess, err := d.NewSession("s", core.Config{Model: core.ModelPolling, PollPeriod: poll})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		a, err := sess.Mount("C1", kernelNoac())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		b, err := sess.Mount("C2", kernelNoac())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn := a.Client.Conn()
+		dir, err := conn.Lookup(a.Client.Root(), "dir")
+		if err != nil || dir.Status != nfs3.OK {
+			t.Errorf("lookup dir: %v %v", err, dir.Status)
+			return
+		}
+		// Start just after one of A's polls, so that the next is a whole period
+		// away: after B's REMOVE, before the held-up reply.
+		for polls := a.WANCounts()["GETINV"]; a.WANCounts()["GETINV"] == polls; {
+			d.Clock.Sleep(time.Millisecond)
+		}
+		d.Clock.Sleep(50 * time.Millisecond)
+
+		var listed bool
+		invalidated := a.Proxy.Stats().Invalidations
+		g := d.Clock.NewGroup()
+		g.Go("kernel A", func() {
+			res, err := conn.Readdirplus(dir.FH, 0, 0, 4096, 32768)
+			if err != nil || res.Status != nfs3.OK {
+				t.Errorf("readdirplus: %v %v", err, res.Status)
+			}
+			for _, ent := range res.Entries {
+				listed = listed || ent.Name == "gone"
+			}
+		})
+		// The request is on the wire at the link's usual speed; its reply leaves
+		// the server while the link is slow, and nothing else does. The delay
+		// stays under the proxy client's first retransmission.
+		slow := simnet.WAN
+		slow.RTT = 1400 * time.Millisecond
+		d.Clock.Sleep(10 * time.Millisecond)
+		d.Net.SetLink("C1", "server", slow)
+		d.Clock.Sleep(20 * time.Millisecond)
+		d.Net.SetLink("C1", "server", simnet.WAN)
+		if err := b.Client.Remove("dir/gone"); err != nil {
+			t.Errorf("B remove: %v", err)
+		}
+		g.Wait()
+		if !listed {
+			t.Error("the kernel's READDIRPLUS was not answered with what the server listed when it asked")
+		}
+		if a.Proxy.Stats().Invalidations == invalidated {
+			t.Error("A's poll did not drain the REMOVE's invalidations while the reply was held up; the test is not testing the race")
+		}
+		before := a.Proxy.Stats().DentryHits
+		lk, err := conn.Lookup(dir.FH, "gone")
+		if err != nil || lk.Status != nfs3.ErrNoEnt {
+			t.Errorf("LOOKUP of the removed name after the late reply: %v status %v, want NOENT", err, lk.Status)
+		}
+		if a.Proxy.Stats().DentryHits != before {
+			t.Error("the removed name was a local hit: the late reply was cached across its invalidation")
+		}
+		if lk, err := conn.Lookup(dir.FH, "kept"); err != nil || lk.Status != nfs3.OK {
+			t.Errorf("LOOKUP of the name that stayed: %v status %v", err, lk.Status)
 		}
 	})
 }

@@ -802,6 +802,86 @@ func TestSmallFileTransactionRoundTrips(t *testing.T) {
 	}
 }
 
+// TestSmallFileTransactionsInOneDirectory is the same transaction over and
+// over in one directory, by name, with nobody ever listing it — PostMark's
+// shape. The first LOOKUP miss there starts nothing (the test above); the
+// second buys the directory's listing one page behind itself, and from then on
+// the names are answered at home: by the fourth transaction three round trips
+// are left where there were four.
+func TestSmallFileTransactionsInOneDirectory(t *testing.T) {
+	const txns = 8
+	files := map[string][]byte{}
+	for n := 0; n < txns; n++ {
+		files[fmt.Sprintf("pm/src%d", n)] = streamData(30+n, 2)
+	}
+	dst := streamData(40, 2)
+	d := runStream(t, fastWAN, core.Config{WriteBack: true}, files,
+		func(r *streamReader, _ *Session) {
+			dir := r.lookup("pm")
+			for n := 0; n < txns; n++ {
+				src := files[fmt.Sprintf("pm/src%d", n)]
+				before := r.m.WANCounts()
+				elapsed := r.d.Elapsed(func() {
+					lk, err := r.conn.Lookup(dir, fmt.Sprintf("src%d", n))
+					if err != nil || lk.Status != nfs3.OK {
+						t.Errorf("lookup src%d: %v status %v", n, err, lk.Status)
+						return
+					}
+					if ga, err := r.conn.Getattr(lk.FH); err != nil || ga.Status != nfs3.OK || ga.Attr.Size != 2*streamBS {
+						t.Errorf("getattr src%d: %v status %v size %d", n, err, ga.Status, ga.Attr.Size)
+					}
+					r.read(lk.FH, 0, src)
+					r.read(lk.FH, 1, src)
+					cr, err := r.conn.Create(dir, fmt.Sprintf("dst%d", n), 0o644, nfs3.CreateGuarded)
+					if err != nil || cr.Status != nfs3.OK || !cr.FHFollows {
+						t.Errorf("create dst%d: %v status %v", n, err, cr.Status)
+						return
+					}
+					for bn := 0; bn < 2; bn++ {
+						wr, err := r.conn.Write(cr.FH, uint64(bn)*streamBS, dst[bn*streamBS:(bn+1)*streamBS], nfs3.Unstable)
+						if err != nil || wr.Status != nfs3.OK || wr.Count != streamBS {
+							t.Errorf("write dst%d block %d: %v status %v", n, bn, err, wr.Status)
+						}
+					}
+					if cm, err := r.conn.Commit(cr.FH, 0, 0); err != nil || cm.Status != nfs3.OK {
+						t.Errorf("commit dst%d: %v status %v", n, err, cm.Status)
+					}
+				})
+				sent := wanDelta(r.m, before)
+				t.Logf("transaction %d: %v, upstream %v", n, elapsed, sent)
+				if n < 3 {
+					continue
+				}
+				if want := map[string]int64{"READ": 2, "CREATE": 1, "WRITE": 1}; fmt.Sprint(sent) != fmt.Sprint(want) {
+					t.Errorf("transaction %d sent %v upstream, want exactly %v", n, sent, want)
+				}
+				if budget := 3*pipelineRTT + 2*wireTime(len(src)+len(dst)); elapsed > budget {
+					t.Errorf("transaction %d took %v, want <= %v (3 round trips + serialisation)", n, elapsed, budget)
+				}
+			}
+		})
+	if pages := series(d, "gvfs_client_dirwalk_pages_total"); pages != 1 {
+		t.Errorf("%d pages walked a directory that fits one, want 1", pages)
+	}
+	if used, brought := series(d, "gvfs_client_dirwalk_entries_used_total"), series(d, "gvfs_client_dirwalk_entries_total"); used != txns-2 || brought < txns {
+		t.Errorf("%d of %d walked entries served, want %d of at least %d", used, brought, txns-2, txns)
+	}
+	var pages []obs.Span
+	for _, s := range d.Obs.Spans() {
+		if s.Op == "prefetch READDIRPLUS" {
+			pages = append(pages, s)
+		}
+	}
+	if len(pages) != 1 || pages[0].Parent == 0 || pages[0].Req == pages[0].Parent {
+		t.Errorf("prefetch READDIRPLUS spans = %+v, want one under a request ID of its own, parented on its LOOKUP", pages)
+	}
+	for n := 0; n < txns; n++ {
+		if attr, err := d.FS.LookupPath(fmt.Sprintf("pm/dst%d", n)); err != nil || attr.Size != uint64(len(dst)) {
+			t.Errorf("committed file dst%d on the server: %v size %d", n, err, attr.Size)
+		}
+	}
+}
+
 // TestFirstReadFetchesTheWholeSmallFile: with nothing configured, the first
 // READ of a file fetches the blocks its cached attributes say are behind it
 // beside the demand block — each block once, a one-block file alone.

@@ -2,11 +2,13 @@ package gvfs
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/nfs3"
 	"repro/internal/obs"
 	"repro/internal/tcpnet"
 )
@@ -270,4 +272,63 @@ func TestRealTimeRemountFromDisk(t *testing.T) {
 		t.Errorf("revalidated %d, refetched %d blocks; want %d and 0", st.RevalidatedBlocks, st.RefetchedBlocks, cleanBlocks)
 	}
 	noStalenessViolations(t, d)
+}
+
+// TestRealTimeDirectoryWalk runs a directory walk over sockets: a polling
+// session whose kernel resolves every name of a two-page directory one at a
+// time. The pages are decoded out of pooled frames by an actor of their own
+// while LOOKUPs are served beside it, so under -race every seeded handle and
+// size below is also a use-after-release check.
+func TestRealTimeDirectoryWalk(t *testing.T) {
+	const files = 300
+	d := newRealTimeDeployment(t)
+	for i := 0; i < files; i++ {
+		if _, err := d.FS.WriteFile(fmt.Sprintf("rt/f%03d", i), bytes.Repeat([]byte{byte(i)}, i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := realTimeMount(t, realTimeSession(t, d, core.Config{Model: core.ModelPolling}), "A")
+	// until waits for something another goroutine of the session does.
+	until := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	// The session's bootstrap poll force-invalidates, which would start the
+	// walk's evidence over in the middle of the count below.
+	until("the bootstrap poll", func() bool { return m.Proxy.Stats().ForceInvalidations > 0 })
+	conn := m.Client.Conn()
+	dir, err := conn.Lookup(m.Client.Root(), "rt")
+	if err != nil || dir.Status != nfs3.OK {
+		t.Fatalf("lookup rt: %v %v", err, dir.Status)
+	}
+	landed := func(n int64) {
+		t.Helper()
+		until(fmt.Sprintf("the walk's pages to bring %d entries", n), func() bool { return series(d, "gvfs_client_dirwalk_entries_total") >= n })
+	}
+	for i := 0; i < files; i++ {
+		lk, err := conn.Lookup(dir.FH, fmt.Sprintf("f%03d", i))
+		if err != nil || lk.Status != nfs3.OK || !lk.Attr.Present || lk.Attr.Attr.Size != uint64(i+1) {
+			t.Fatalf("lookup f%03d: %v status %v size %d", i, err, lk.Status, lk.Attr.Attr.Size)
+		}
+		if ga, err := conn.Getattr(lk.FH); err != nil || ga.Status != nfs3.OK || ga.Attr.Size != uint64(i+1) {
+			t.Fatalf("getattr f%03d through the seeded handle: %v status %v size %d", i, err, ga.Status, ga.Attr.Size)
+		}
+		switch i {
+		case 1:
+			landed(1) // the second miss bought the first page
+		case 2:
+			landed(files) // the third LOOKUP the second, which completes the listing
+		}
+	}
+	sent := m.WANCounts()
+	if sent["READDIRPLUS"] != 2 || sent["LOOKUP"] > 4 || sent["GETATTR"] != 0 {
+		t.Errorf("%d names resolved with %v upstream, want 2 pages, the directory's own LOOKUP and at most three misses", files, sent)
+	}
+	if used := series(d, "gvfs_client_dirwalk_entries_used_total"); used < files-3 {
+		t.Errorf("%d walked entries served, want at least %d", used, files-3)
+	}
 }

@@ -323,6 +323,12 @@ func RunFlushPipelineAblation(opt Options) (AblationResult, error) {
 		opt.logf("ablate %-20s txn=%-8v %s rpcs=%v", row.Param, row.Staleness, row.Extra, row.RPCs)
 		res.Rows = append(res.Rows, row)
 	}
+	row, err := runDirWalkVariant(opt)
+	if err != nil {
+		return res, fmt.Errorf("directory-walk ablation: %w", err)
+	}
+	opt.logf("ablate %-20s open=%-8v %s rpcs=%v", row.Param, row.Staleness, row.Extra, row.RPCs)
+	res.Rows = append(res.Rows, row)
 	return res, nil
 }
 
@@ -562,6 +568,90 @@ func runSmallFileVariant(opt Options, ra int) (AblationRow, error) {
 		runErr = fmt.Errorf("%d transactions sent %d COMMITs (want 0: every flush is FILE_SYNC) and %d READs (want %d: each block once)",
 			smallFileTxns, row.RPCs["COMMIT"], row.RPCs["READ"], 2*smallFileTxns)
 	}
+	return row, runErr
+}
+
+// dirWalkNames is how many files the directory-walk row opens.
+const dirWalkNames = 256
+
+// runDirWalkVariant opens every file of a 256-entry directory by name —
+// LOOKUP, GETATTR — over the paper's wide-area link without ever listing the
+// directory, as raw NFS calls to a polling session's proxy client. The second
+// miss makes the proxy client walk the directory itself, a block-sized
+// READDIRPLUS page per LOOKUP; the row reports the mean open and what crossed,
+// and fails if more LOOKUPs crossed than the pages plus the two misses that
+// started them, or if any metadata call crossed once the last page was in.
+func runDirWalkVariant(opt Options) (AblationRow, error) {
+	d, err := gvfs.NewDeployment(gvfs.Config{})
+	if err != nil {
+		return AblationRow{}, err
+	}
+	defer d.Close()
+	for i := 0; i < dirWalkNames; i++ {
+		d.FS.WriteFile(fmt.Sprintf("dir/f%03d", i), []byte("x"))
+	}
+	row := AblationRow{Param: fmt.Sprintf("dirwalk %d names", dirWalkNames), RPCs: make(map[string]int64)}
+	var runErr error
+	d.Run("ablate-dirwalk", func() {
+		sess, serr := d.NewSession("s", core.Config{Model: core.ModelPolling})
+		if serr != nil {
+			runErr = serr
+			return
+		}
+		m, err := sess.Mount("C1", nfsclient.Options{NoAC: true})
+		if err != nil {
+			runErr = err
+			return
+		}
+		nc := m.Client.Conn()
+		dir, err := nc.Lookup(m.Client.Root(), "dir")
+		if err != nil || dir.Status != nfs3.OK {
+			runErr = fmt.Errorf("lookup dir: %v %v", err, dir.Status)
+			return
+		}
+		meta := func() int64 {
+			c := m.WANCounts()
+			return c["LOOKUP"] + c["GETATTR"] + c["ACCESS"] + c["READDIR"] + c["READDIRPLUS"]
+		}
+		walk := func(series string) int64 {
+			return d.Obs.Registry().Snapshot().SumCounters("gvfs_client_dirwalk_" + series)
+		}
+		before := m.WANCounts()
+		var settled, after int64 // metadata RPCs sent when the last page was first seen in, and by the end
+		elapsed := d.Elapsed(func() {
+			for i := 0; i < dirWalkNames; i++ {
+				lk, err := nc.Lookup(dir.FH, fmt.Sprintf("f%03d", i))
+				if err != nil || lk.Status != nfs3.OK {
+					runErr = fmt.Errorf("lookup f%03d: %v %v", i, err, lk.Status)
+					return
+				}
+				if ga, err := nc.Getattr(lk.FH); err != nil || ga.Status != nfs3.OK || ga.Attr.Size != 1 {
+					runErr = fmt.Errorf("getattr f%03d: %v %v", i, err, ga.Status)
+					return
+				}
+				if settled == 0 && walk("entries_total") >= dirWalkNames {
+					settled = meta()
+				}
+			}
+		})
+		after = meta()
+		row.Staleness = elapsed / dirWalkNames
+		for k, v := range m.WANCounts() {
+			if n := v - before[k]; n != 0 && k != "GETINV" {
+				row.RPCs[k] = n
+			}
+		}
+		lookups, pages, discarded := row.RPCs["LOOKUP"], row.RPCs["READDIRPLUS"], walk("discarded_total")
+		row.Extra = fmt.Sprintf("lookups=%d pages=%d", lookups, pages)
+		switch {
+		case runErr != nil:
+		case pages == 0 || discarded != 0 || lookups > pages+2:
+			runErr = fmt.Errorf("%d names opened with %d LOOKUPs and %d pages crossing (%d pages discarded); want at most pages + 2 LOOKUPs", dirWalkNames, lookups, pages, discarded)
+		case settled == 0 || after != settled:
+			runErr = fmt.Errorf("%d metadata RPCs crossed after the walk was complete (%d when its last page was in, %d at the end)", after-settled, settled, after)
+		}
+	})
+	opt.dumpMetrics("ablate-"+row.Param, d)
 	return row, runErr
 }
 

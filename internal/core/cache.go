@@ -41,6 +41,10 @@ type sessionCache struct {
 	// (cachedFile.names) is on lookupLRU for as long as it exists.
 	attrLRU, listLRU ring[cachedFile]
 	lookupLRU        ring[lookupEnt]
+	// invGen counts the invalidations the consistency channel has delivered; a
+	// reply sent before one and installed after it would bring back what the
+	// invalidation took (seedTicket).
+	invGen uint64
 
 	lru  lruList
 	maxB int64
@@ -73,6 +77,14 @@ type cacheCounters struct {
 	dirFlushes  *obs.Counter // dentries+negatives flushed by a dir invalidation
 	raWasted    *obs.Counter // prefetched blocks that left the cache unread
 	renewBypass *obs.Counter // serves refused so a request renews the delegation
+
+	// Directory walks (dirwalk.go): pages asked for, the entries they brought,
+	// those of them a LOOKUP was since answered from, and pages that came back
+	// across an invalidation and were dropped whole.
+	walkPages     *obs.Counter
+	walkEntries   *obs.Counter
+	walkUsed      *obs.Counter
+	walkDiscarded *obs.Counter
 }
 
 // lookupEnt is one cached name resolution: name, under the directory dir,
@@ -93,6 +105,9 @@ type lookupEnt struct {
 	// fetched is when the resolution was observed, for the staleness
 	// observatory.
 	fetched time.Duration
+	// walked marks an entry a directory walk's page brought that no LOOKUP has
+	// been answered from yet: the first serve counts it as used.
+	walked bool
 }
 
 // cachedFile is everything the session knows about one file handle: what the
@@ -116,6 +131,12 @@ type cachedFile struct {
 	listMtime nfs3.Time
 	listLink  link[cachedFile]
 	names     map[string]*lookupEnt
+	// namesGen counts the times a name under this directory was taken back —
+	// flushed by an invalidation, or changed by one of the session's own
+	// namespace operations; see seedTicket. walk is the directory's walk
+	// (dirwalk.go), reset whenever the names are flushed.
+	namesGen uint64
+	walk     dirWalk
 
 	// The handle's protocol state. deleg is the delegation held (always
 	// DelegNone under polling); noncacheable is the server's verdict that the
@@ -371,6 +392,7 @@ func (sc *sessionCache) recall(fh nfs3.FH, seq uint64, name string) {
 	fc.deleg = DelegNone
 	fc.recallFence = max(fc.recallFence, seq)
 	sc.dropAttrLocked(fc)
+	fc.namesGen++
 	sc.dropLookupLocked(fc.names[name])
 }
 
@@ -385,7 +407,7 @@ func (sc *sessionCache) recall(fh nfs3.FH, seq uint64, name string) {
 func (sc *sessionCache) recallAll(rebuild bool) []nfs3.FH {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	sc.invalidateAllLocked()
+	sc.invalidateAllLocked(true)
 	for _, fc := range sc.files {
 		fc.recallFence = 0
 		fc.deleg = DelegNone
@@ -486,7 +508,10 @@ func (sc *sessionCache) attrHit(fh nfs3.FH) (metaHit, bool) {
 func (sc *sessionCache) putAttr(fh nfs3.FH, a nfs3.Fattr) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc := sc.record(fh.Key())
+	sc.putAttrLocked(sc.record(fh.Key()), a)
+}
+
+func (sc *sessionCache) putAttrLocked(fc *cachedFile, a nfs3.Fattr) {
 	if fc.blocks != nil {
 		sc.noteRecoveredLocked(fc, a.Mtime)
 		if fc.attrLink.on() {
@@ -523,6 +548,7 @@ func (sc *sessionCache) putAttr(fh nfs3.FH, a nfs3.Fattr) {
 func (sc *sessionCache) invalidateHandle(fh nfs3.FH) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	sc.invGen++
 	if fc := sc.files[fh.Key()]; fc != nil {
 		sc.dropAttrLocked(fc)
 		sc.flushDirLocked(fc)
@@ -530,29 +556,38 @@ func (sc *sessionCache) invalidateHandle(fh nfs3.FH) {
 }
 
 // flushDirLocked drops every dentry, negative entry, and cached listing
-// hanging off the directory.
+// hanging off the directory, and with them its walk: what the walk had seeded
+// is gone, so the evidence for one starts over.
 func (sc *sessionCache) flushDirLocked(fc *cachedFile) {
 	sc.met.dirFlushes.Add(int64(len(fc.names)))
 	for _, ent := range fc.names {
 		sc.lookupLRU.remove(&ent.link)
 	}
 	fc.names = nil
+	fc.namesGen++
+	fc.walk.reset()
 	sc.dropListingLocked(fc)
 }
 
 // invalidateAllAttrs implements the force-invalidate flag: the entire
-// attribute (and lookup) cache is dropped.
-func (sc *sessionCache) invalidateAllAttrs() {
+// attribute (and lookup) cache is dropped. news is false for the session's
+// bootstrap poll, whose force flag is how the protocol starts rather than word
+// of a change: replies in flight across that one are still installed.
+func (sc *sessionCache) invalidateAllAttrs(news bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	sc.invalidateAllLocked()
+	sc.invalidateAllLocked(news)
 }
 
-func (sc *sessionCache) invalidateAllLocked() {
+func (sc *sessionCache) invalidateAllLocked(news bool) {
+	if news {
+		sc.invGen++
+	}
 	for _, fc := range sc.files {
 		sc.dropAttrLocked(fc)
 		sc.dropListingLocked(fc)
 		fc.names = nil
+		fc.walk.reset()
 	}
 	sc.lookupLRU.init()
 }
@@ -606,10 +641,19 @@ type nameHit struct {
 	child    metaHit
 }
 
-func (sc *sessionCache) lookupHit(dir nfs3.FH, name string) (h nameHit, ok bool) {
+// lookupHit answers a LOOKUP from the cache if it can. Hit or miss, it is also
+// the directory walk's one input (dirwalk.go): pg is the ticket under which a
+// forwarded LOOKUP's reply may be cached and, when pg.due, the READDIRPLUS page
+// the caller is to send.
+func (sc *sessionCache) lookupHit(dir nfs3.FH, name string) (h nameHit, pg dirPage, ok bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	dfc := sc.files[dir.Key()]
+	dfc := sc.record(dir.Key())
+	h, ok = sc.nameHitLocked(dfc, name)
+	return h, sc.walkStepLocked(dir, dfc, !ok), ok
+}
+
+func (sc *sessionCache) nameHitLocked(dfc *cachedFile, name string) (h nameHit, ok bool) {
 	if h.dir, ok = sc.hitLocked(dfc); !ok {
 		return h, false
 	}
@@ -622,13 +666,18 @@ func (sc *sessionCache) lookupHit(dir nfs3.FH, name string) (h nameHit, ok bool)
 		return h, true
 	}
 	h.fh = ent.fh
-	h.child, ok = sc.hitLocked(sc.files[ent.fh.Key()])
+	if h.child, ok = sc.hitLocked(sc.files[ent.fh.Key()]); ok && ent.walked {
+		ent.walked = false
+		sc.met.walkUsed.Inc()
+	}
 	return h, ok
 }
 
-// putLookup caches a resolution; fh zero with negative set records NOENT.
-// The entry is skipped if the directory's attributes are not cached (there
-// is nothing to validate it against).
+// putLookup records what one of the session's own namespace operations made of
+// name: bound to fh (putLookup) or gone (putNegLookup). Either way the
+// directory's names changed under any reply still in flight (namesGen). The
+// entry is skipped if the directory's attributes are not cached (there is
+// nothing to validate it against).
 func (sc *sessionCache) putLookup(dir nfs3.FH, name string, fh nfs3.FH) {
 	sc.putLookupEnt(dir, name, fh, false)
 }
@@ -640,7 +689,15 @@ func (sc *sessionCache) putNegLookup(dir nfs3.FH, name string) {
 func (sc *sessionCache) putLookupEnt(dir nfs3.FH, name string, fh nfs3.FH, negative bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	dfc := sc.files[dir.Key()]
+	if dfc := sc.files[dir.Key()]; dfc != nil {
+		dfc.namesGen++
+		sc.putLookupLocked(dfc, name, fh, negative, false)
+	}
+}
+
+// putLookupLocked caches a resolution under dfc; fh zero with negative set
+// records NOENT, walked that a directory walk brought it.
+func (sc *sessionCache) putLookupLocked(dfc *cachedFile, name string, fh nfs3.FH, negative, walked bool) {
 	dirAttr, dirValid := sc.attrLocked(dfc)
 	if !dirValid {
 		return
@@ -654,7 +711,7 @@ func (sc *sessionCache) putLookupEnt(dir nfs3.FH, name string, fh nfs3.FH, negat
 		}
 		dfc.names[name] = ent
 	}
-	ent.fh, ent.negative, ent.dirMtime, ent.fetched = fh, negative, dirAttr.Mtime, sc.nowLocked()
+	ent.fh, ent.negative, ent.dirMtime, ent.fetched, ent.walked = fh, negative, dirAttr.Mtime, sc.nowLocked(), walked
 	sc.lookupLRU.bump(&ent.link)
 	for sc.pol.maxDentries > 0 && sc.lookupLRU.n > sc.pol.maxDentries {
 		sc.dropLookupLocked(sc.lookupLRU.oldest())
@@ -666,6 +723,7 @@ func (sc *sessionCache) dropLookup(dir nfs3.FH, name string) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if dfc := sc.files[dir.Key()]; dfc != nil {
+		dfc.namesGen++
 		sc.dropLookupLocked(dfc.names[name])
 	}
 }

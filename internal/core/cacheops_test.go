@@ -150,7 +150,7 @@ func runCacheOps(t *testing.T, ops []byte) {
 			case 1:
 				sc.invalidateHandle(fh)
 			case 2:
-				sc.invalidateAllAttrs()
+				sc.invalidateAllAttrs(true)
 			case 3:
 				sc.recallAll(arg%8 < 4)
 			}
@@ -260,6 +260,9 @@ func checkCacheInvariants(sc *sessionCache, mirror fakePersister, runs []infligh
 		}
 		if fc.inflight == 0 && len(fc.flushWait) > 0 {
 			return fmt.Errorf("%q: %d flush waiters parked with nothing in flight", key, len(fc.flushWait))
+		}
+		if w := fc.walk; ((w.inflight || w.done || w.off || w.cookie != 0) && !w.started) || (w.started && sc.pol.model == ModelDelegation) {
+			return fmt.Errorf("%q: directory walk %+v under %v", key, w, sc.pol.model)
 		}
 		if sc.pol.model != ModelDelegation && fc.deleg != DelegNone {
 			return fmt.Errorf("%q: delegation %v held outside the delegation model", key, fc.deleg)

@@ -193,7 +193,7 @@ func TestCacheInvalidateAllDropsLookups(t *testing.T) {
 	dir := fhN(1)
 	sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
 	sc.putLookup(dir, "x", fhN(2))
-	sc.invalidateAllAttrs()
+	sc.invalidateAllAttrs(true)
 	sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
 	if _, _, ok := sc.getLookup(dir, "x"); ok {
 		t.Fatal("lookup survived force-invalidation")

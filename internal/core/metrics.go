@@ -72,6 +72,14 @@ type clientMetrics struct {
 	metaEvictions *obs.Counter
 	metaDirFlush  *obs.Counter
 
+	// Directory walks: READDIRPLUS pages the proxy asked for on its own, what
+	// they brought, how much of that was ever served, and pages dropped for
+	// having crossed an invalidation.
+	dirwalkPages       *obs.Counter
+	dirwalkEntries     *obs.Counter
+	dirwalkEntriesUsed *obs.Counter
+	dirwalkDiscarded   *obs.Counter
+
 	// Disk-cache recovery: blocks carried across a restart, how their
 	// contents were settled (revalidated without a refetch vs dropped by
 	// the normal mtime reconciliation), and store-level failures.
@@ -116,6 +124,10 @@ func newClientMetrics(reg *obs.Registry, node string) *clientMetrics {
 		listingHits:        reg.Counter(obs.Label(l("gvfs_client_meta_hits_total"), "cache", "listing")),
 		metaEvictions:      reg.Counter(l("gvfs_client_meta_evictions_total")),
 		metaDirFlush:       reg.Counter(l("gvfs_client_meta_dir_flushes_total")),
+		dirwalkPages:       reg.Counter(l("gvfs_client_dirwalk_pages_total")),
+		dirwalkEntries:     reg.Counter(l("gvfs_client_dirwalk_entries_total")),
+		dirwalkEntriesUsed: reg.Counter(l("gvfs_client_dirwalk_entries_used_total")),
+		dirwalkDiscarded:   reg.Counter(l("gvfs_client_dirwalk_discarded_total")),
 		recoveredBlocks:    reg.Counter(l("gvfs_client_recovered_blocks_total")),
 		recoveredDirty:     reg.Counter(l("gvfs_client_recovered_dirty_blocks_total")),
 		recoveryDropped:    reg.Counter(l("gvfs_client_recovery_dropped_total")),
@@ -136,10 +148,14 @@ func newClientMetrics(reg *obs.Registry, node string) *clientMetrics {
 // cacheCounters exposes the session cache's slice of the client metrics.
 func (m *clientMetrics) cacheCounters() cacheCounters {
 	return cacheCounters{
-		evictions:   m.metaEvictions,
-		dirFlushes:  m.metaDirFlush,
-		raWasted:    m.readaheadWasted,
-		renewBypass: m.renewBypass,
+		evictions:     m.metaEvictions,
+		dirFlushes:    m.metaDirFlush,
+		raWasted:      m.readaheadWasted,
+		renewBypass:   m.renewBypass,
+		walkPages:     m.dirwalkPages,
+		walkEntries:   m.dirwalkEntries,
+		walkUsed:      m.dirwalkEntriesUsed,
+		walkDiscarded: m.dirwalkDiscarded,
 	}
 }
 

@@ -606,7 +606,7 @@ func (p *ProxyClient) pollOnce() (gotAny bool, err error) {
 		switch {
 		case res.ForceInvalidate:
 			// 2) Invalidate the entire attributes cache.
-			p.cache.invalidateAllAttrs()
+			p.cache.invalidateAllAttrs(ts != 0)
 			p.met.forceInvalidations.Inc()
 			gotAny = true
 		default:
@@ -1112,8 +1112,16 @@ func (p *ProxyClient) lookup(call *sunrpc.Call) sunrpc.AcceptStat {
 		return sunrpc.GarbageArgs
 	}
 	spanFH(call, args.Dir)
-	if !p.cfg.DisableMetaCache {
-		if h, ok := p.cache.lookupHit(args.Dir, args.Name); ok {
+	// pg is the ticket this LOOKUP's reply is cached under if it is forwarded
+	// and, when the directory's walk says so, a page of its listing to ask for.
+	var pg dirPage
+	if p.cfg.DisableMetaCache {
+		pg.seedTicket = p.cache.ticket(args.Dir)
+	} else {
+		var h nameHit
+		var ok bool
+		if h, pg, ok = p.cache.lookupHit(args.Dir, args.Name); ok {
+			p.issuePage(call.ReqID, pg)
 			dirAttr := nfs3.PostOpAttr{Present: true, Attr: h.dir.attr}
 			p.hitLocal(call)
 			if h.negative {
@@ -1134,23 +1142,15 @@ func (p *ProxyClient) lookup(call *sunrpc.Call) sunrpc.AcceptStat {
 		}
 	}
 	var res nfs3.LookupRes
-	if err := p.forward(call, nfs3.ProcLookup, &args, &res, args.Dir); err != nil {
+	c := p.startUpstream(call.ReqID, nfs3.ProcLookup, &args)
+	p.issuePage(call.ReqID, pg) // behind the reply the kernel is waiting for
+	rep, err := p.finishUpstream(c, &res, []nfs3.FH{args.Dir})
+	rep.Release() // the result owns what it decoded
+	if err != nil {
 		return encodeReply(call, &nfs3.LookupRes{Status: nfs3.ErrJukebox})
 	}
-	if res.DirAttr.Present {
-		p.cache.putAttr(args.Dir, res.DirAttr.Attr)
-	}
-	switch res.Status {
-	case nfs3.OK:
-		if res.Attr.Present {
-			p.cache.putAttr(res.FH, res.Attr.Attr)
-		}
-		p.cache.putLookup(args.Dir, args.Name, res.FH)
-	case nfs3.ErrNoEnt:
-		p.cache.putNegLookup(args.Dir, args.Name)
-	default:
-		p.cache.dropLookup(args.Dir, args.Name)
-	}
+	p.hitForward(call)
+	p.cache.seedLookup(pg.seedTicket, args.Name, &res)
 	return encodeReply(call, &res)
 }
 
@@ -1547,11 +1547,11 @@ func (p *ProxyClient) readdir(call *sunrpc.Call) sunrpc.AcceptStat {
 }
 
 // listingFits reports whether entries encode within a READDIR count budget,
-// using the same per-entry cost model as the NFS server.
+// charged as the NFS server charges it: what the result occupies on the wire.
 func listingFits(entries []nfs3.DirEntry, count uint32) bool {
-	budget := int(count)
+	budget := int(count) - nfs3.DirResOverhead
 	for i := range entries {
-		budget -= 16 + len(entries[i].Name) + 8
+		budget -= entries[i].WireSize()
 	}
 	return budget >= 0
 }
@@ -1562,21 +1562,12 @@ func (p *ProxyClient) readdirplus(call *sunrpc.Call) sunrpc.AcceptStat {
 		return sunrpc.GarbageArgs
 	}
 	spanFH(call, args.Dir)
+	tk := p.cache.ticket(args.Dir)
 	var res nfs3.ReaddirplusRes
 	if err := p.forward(call, nfs3.ProcReaddirplus, &args, &res, args.Dir); err != nil {
 		return encodeReply(call, &nfs3.ReaddirplusRes{Status: nfs3.ErrJukebox})
 	}
-	if res.DirAttr.Present {
-		p.cache.putAttr(args.Dir, res.DirAttr.Attr)
-	}
-	// Entry attributes and handles are a free prefetch into the disk cache.
-	for i := range res.Entries {
-		ent := &res.Entries[i]
-		if ent.FHFollows && ent.Attr.Present {
-			p.cache.putAttr(ent.FH, ent.Attr.Attr)
-			p.cache.putLookup(args.Dir, ent.Name, ent.FH)
-		}
-	}
+	p.cache.seedDir(tk, &res)
 	return encodeReply(call, &res)
 }
 

@@ -166,7 +166,7 @@ func TestStreamResets(t *testing.T) {
 		{"random read", func(sc *sessionCache) { sc.streamRead(fh, 40, w) }, 64},
 		{"GETINV invalidation", func(sc *sessionCache) { sc.invalidateHandle(fh); sc.putAttr(fh, attr(64)) }, 64},
 		{"recall", func(sc *sessionCache) { sc.recall(fh, 0, ""); sc.putAttr(fh, attr(64)) }, 64},
-		{"force invalidation", func(sc *sessionCache) { sc.invalidateAllAttrs(); sc.putAttr(fh, attr(64)) }, 64},
+		{"force invalidation", func(sc *sessionCache) { sc.invalidateAllAttrs(true); sc.putAttr(fh, attr(64)) }, 64},
 		{"truncation", func(sc *sessionCache) { sc.putAttr(fh, attr(12)) }, 12},
 	}
 	for _, tc := range cases {
@@ -294,30 +294,59 @@ type raBed struct {
 	up   *readRecorder // the proxy client's upstream connection
 }
 
-// readRecorder notes the offset of every NFS READ call sent through it, in
-// the order they were sent.
+// readRecorder notes every NFS call sent through it, in the order they were
+// sent: the procedure, and what the tests ask about its arguments — a READ's
+// offset, a READDIRPLUS's cookie and counts.
 type readRecorder struct {
 	transport.Conn
-	mu      sync.Mutex
-	offsets []uint64
+	mu    sync.Mutex
+	calls []wireCall
+}
+
+// wireCall is one NFS call as it went upstream.
+type wireCall struct {
+	proc               uint32
+	offset             uint64 // READ
+	cookie             uint64 // READDIRPLUS
+	dirCount, maxCount uint32 // READDIRPLUS
 }
 
 func (c *readRecorder) Send(msg []byte) error {
 	// An RPC call names its program at byte 12 and its procedure at byte 20;
-	// READ3args end in the offset and the count.
-	if len(msg) >= 36 && binary.BigEndian.Uint32(msg[4:]) == 0 &&
-		binary.BigEndian.Uint32(msg[12:]) == nfs3.Program && binary.BigEndian.Uint32(msg[20:]) == nfs3.ProcRead {
+	// READ3args end in the offset and the count, READDIRPLUS3args in the
+	// cookie, its verifier and the two counts.
+	if len(msg) >= 48 && binary.BigEndian.Uint32(msg[4:]) == 0 && binary.BigEndian.Uint32(msg[12:]) == nfs3.Program {
+		call := wireCall{proc: binary.BigEndian.Uint32(msg[20:])}
+		switch call.proc {
+		case nfs3.ProcRead:
+			call.offset = binary.BigEndian.Uint64(msg[len(msg)-12:])
+		case nfs3.ProcReaddirplus:
+			call.cookie = binary.BigEndian.Uint64(msg[len(msg)-24:])
+			call.dirCount = binary.BigEndian.Uint32(msg[len(msg)-8:])
+			call.maxCount = binary.BigEndian.Uint32(msg[len(msg)-4:])
+		}
 		c.mu.Lock()
-		c.offsets = append(c.offsets, binary.BigEndian.Uint64(msg[len(msg)-12:]))
+		c.calls = append(c.calls, call)
 		c.mu.Unlock()
 	}
 	return c.Conn.Send(msg)
 }
 
-func (c *readRecorder) sent() []uint64 {
+// sent returns the offsets of the READs sent so far, in wire order.
+func (c *readRecorder) sent() (offsets []uint64) {
+	for _, call := range c.sentCalls() {
+		if call.proc == nfs3.ProcRead {
+			offsets = append(offsets, call.offset)
+		}
+	}
+	return offsets
+}
+
+// sentCalls returns the NFS calls sent so far, in wire order.
+func (c *readRecorder) sentCalls() []wireCall {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]uint64(nil), c.offsets...)
+	return append([]wireCall(nil), c.calls...)
 }
 
 // serverVerf is the bed NFS server's write verifier: anything but

@@ -717,6 +717,22 @@ type DirEntry struct {
 	Cookie uint64
 }
 
+// DirResOverhead is what an OK READDIR or READDIRPLUS result with its
+// directory attributes occupies on the wire besides its entries: status,
+// post-op attributes, cookie verifier, the end of the entry list and the EOF
+// flag. A server holding a reply to the client's count charges it first.
+const DirResOverhead = 4 + (4 + fattrWireSize) + 8 + 4 + 4
+
+// fattrWireSize is the wire size of fattr3.
+const fattrWireSize = 84
+
+// opaqueWireSize is the wire size of a variable-length opaque or string of n
+// bytes: the length, the bytes, padding to a multiple of four.
+func opaqueWireSize(n int) int { return 4 + (n+3)&^3 }
+
+// WireSize is what the entry adds to an encoded READDIR result.
+func (ent *DirEntry) WireSize() int { return 4 + 8 + opaqueWireSize(len(ent.Name)) + 8 }
+
 // ReaddirRes is READDIR3res.
 type ReaddirRes struct {
 	Status     Status
@@ -838,6 +854,18 @@ type DirEntryPlus struct {
 	Attr      PostOpAttr
 	FHFollows bool
 	FH        FH
+}
+
+// WireSize is what the entry adds to an encoded READDIRPLUS result.
+func (ent *DirEntryPlus) WireSize() int {
+	n := 4 + 8 + opaqueWireSize(len(ent.Name)) + 8 + 4 + 4
+	if ent.Attr.Present {
+		n += fattrWireSize
+	}
+	if ent.FHFollows {
+		n += opaqueWireSize(len(ent.FH.Bytes()))
+	}
+	return n
 }
 
 // ReaddirplusRes is READDIRPLUS3res.

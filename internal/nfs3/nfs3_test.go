@@ -208,3 +208,37 @@ func TestPropertyDecodersRejectJunkWithoutPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDirEntryWireSizes: the sizes a server budgets a directory reply with
+// are exactly what the encoder writes, for every name length mod 4 and with
+// and without the optional parts.
+func TestDirEntryWireSizes(t *testing.T) {
+	size := func(m interface{ Encode(*xdr.Encoder) }) int {
+		e := xdr.NewEncoder()
+		m.Encode(e)
+		return e.Len()
+	}
+	dirAttr := PostOpAttr{Present: true}
+	if got := size(&ReaddirRes{Status: OK, DirAttr: dirAttr}); got != DirResOverhead {
+		t.Errorf("an empty READDIR result encodes to %d bytes, DirResOverhead = %d", got, DirResOverhead)
+	}
+	if got := size(&ReaddirplusRes{Status: OK, DirAttr: dirAttr}); got != DirResOverhead {
+		t.Errorf("an empty READDIRPLUS result encodes to %d bytes, DirResOverhead = %d", got, DirResOverhead)
+	}
+	for n := 1; n <= 9; n++ {
+		name := fmt.Sprintf("%0*d", n, 7)
+		ent := DirEntry{FileID: 1, Name: name, Cookie: 2}
+		if got := size(&ReaddirRes{Status: OK, DirAttr: dirAttr, Entries: []DirEntry{ent}}) - DirResOverhead; got != ent.WireSize() {
+			t.Errorf("READDIR entry %q adds %d bytes, WireSize = %d", name, got, ent.WireSize())
+		}
+		for _, plus := range []DirEntryPlus{
+			{Name: name},
+			{Name: name, Attr: PostOpAttr{Present: true}},
+			{Name: name, Attr: PostOpAttr{Present: true}, FHFollows: true, FH: MakeFH(1, 2)},
+		} {
+			if got := size(&ReaddirplusRes{Status: OK, DirAttr: dirAttr, Entries: []DirEntryPlus{plus}}) - DirResOverhead; got != plus.WireSize() {
+				t.Errorf("READDIRPLUS entry %+v adds %d bytes, WireSize = %d", plus, got, plus.WireSize())
+			}
+		}
+	}
+}

@@ -563,20 +563,17 @@ func (s *Server) readdir(call *sunrpc.Call) sunrpc.AcceptStat {
 	res.Status = nfs3.OK
 	res.DirAttr = s.postOp(dirID)
 	res.CookieVerf = 1
-	// Cookies are 1-based positions in the sorted entry list.
-	start := int(args.Cookie)
-	budget := int(args.Count)
-	for i := start; i < len(ents); i++ {
-		entryCost := 16 + len(ents[i].Name) + 8
-		if budget-entryCost < 0 && len(res.Entries) > 0 {
+	// Cookies are 1-based positions in the sorted entry list. Count bounds the
+	// whole encoded result (RFC 1813): every entry is charged what it adds to
+	// the wire, after the fixed part. The first entry is returned whatever it
+	// costs, or a small count could never make progress.
+	budget := int(args.Count) - nfs3.DirResOverhead
+	for i := int(min(args.Cookie, uint64(len(ents)))); i < len(ents); i++ {
+		ent := nfs3.DirEntry{FileID: uint64(ents[i].ID), Name: ents[i].Name, Cookie: uint64(i + 1)}
+		if budget -= ent.WireSize(); budget < 0 && len(res.Entries) > 0 {
 			return reply(call, &res)
 		}
-		budget -= entryCost
-		res.Entries = append(res.Entries, nfs3.DirEntry{
-			FileID: uint64(ents[i].ID),
-			Name:   ents[i].Name,
-			Cookie: uint64(i + 1),
-		})
+		res.Entries = append(res.Entries, ent)
 	}
 	res.EOF = true
 	return reply(call, &res)
@@ -601,22 +598,27 @@ func (s *Server) readdirplus(call *sunrpc.Call) sunrpc.AcceptStat {
 	res.Status = nfs3.OK
 	res.DirAttr = s.postOp(dirID)
 	res.CookieVerf = 1
-	start := int(args.Cookie)
-	budget := int(args.MaxCount)
-	for i := start; i < len(ents); i++ {
-		entryCost := 16 + len(ents[i].Name) + 8 + 88 + nfs3.FHSize
-		if budget-entryCost < 0 && len(res.Entries) > 0 {
-			return reply(call, &res)
-		}
-		budget -= entryCost
-		res.Entries = append(res.Entries, nfs3.DirEntryPlus{
+	// MaxCount bounds the whole encoded result, DirCount the part of it a plain
+	// READDIR would have carried (file ids, names, cookies); both are charged
+	// what each entry really adds, and as in readdir the first entry always
+	// goes.
+	budget := int(args.MaxCount) - nfs3.DirResOverhead
+	dirBudget := int(args.DirCount)
+	for i := int(min(args.Cookie, uint64(len(ents)))); i < len(ents); i++ {
+		ent := nfs3.DirEntryPlus{
 			FileID:    uint64(ents[i].ID),
 			Name:      ents[i].Name,
 			Cookie:    uint64(i + 1),
 			Attr:      s.postOp(ents[i].ID),
 			FHFollows: true,
 			FH:        s.fh(ents[i].ID),
-		})
+		}
+		budget -= ent.WireSize()
+		dirBudget -= (&nfs3.DirEntry{Name: ent.Name}).WireSize()
+		if (budget < 0 || dirBudget < 0) && len(res.Entries) > 0 {
+			return reply(call, &res)
+		}
+		res.Entries = append(res.Entries, ent)
 	}
 	res.EOF = true
 	return reply(call, &res)

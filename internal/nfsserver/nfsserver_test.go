@@ -2,7 +2,9 @@ package nfsserver
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/sunrpc"
 	"repro/internal/vclock"
+	"repro/internal/xdr"
 )
 
 // env is a simulated NFS server plus one connected typed client.
@@ -217,6 +220,98 @@ func TestReaddirPagination(t *testing.T) {
 		}
 		if len(got) != len(want) {
 			t.Errorf("got %d entries, want %d", len(got), len(want))
+		}
+	})
+}
+
+// TestReaddirRepliesHonourTheCount: the count a client sends bounds the whole
+// encoded result (RFC 1813 — READDIR's count, READDIRPLUS's maxcount, and
+// dircount for the part a plain READDIR would carry), a single first entry
+// that is larger than the count excepted; and following the cookies to EOF
+// still lists every name exactly once, whatever the page size.
+func TestReaddirRepliesHonourTheCount(t *testing.T) {
+	e, cleanup := setup(t)
+	defer cleanup()
+	const files = 300
+	want := map[string]bool{}
+	for i := 0; i < files; i++ {
+		// Names of every length mod 4, so the padding is charged too.
+		name := fmt.Sprintf("%s%03d", strings.Repeat("n", 1+i%9), i)
+		if _, err := e.fs.WriteFile("big/"+name, nil); err != nil {
+			t.Fatal(err)
+		}
+		want[name] = true
+	}
+	encoded := func(res interface{ Encode(*xdr.Encoder) }) int {
+		enc := xdr.NewEncoder()
+		res.Encode(enc)
+		return enc.Len()
+	}
+	one := (&nfs3.DirEntryPlus{Name: "nnnnnnnnn000", Attr: nfs3.PostOpAttr{Present: true}, FHFollows: true, FH: e.root}).WireSize()
+	e.run(t, func() {
+		lk, err := e.nfs.Lookup(e.root, "big")
+		if err != nil || lk.Status != nfs3.OK {
+			t.Errorf("lookup: %v %v", err, lk.Status)
+			return
+		}
+		// list follows cookies to EOF through page, which fetches one page and
+		// reports its names, its last cookie, its encoded size and EOF.
+		list := func(what string, count uint32, page func(cookie uint64) (names []string, last uint64, size int, eof bool, ok bool)) {
+			got := map[string]bool{}
+			var cookie uint64
+			for pages := 0; ; pages++ {
+				names, last, size, eof, ok := page(cookie)
+				if !ok || pages > files+1 {
+					t.Errorf("%s count %d: page %d failed or the listing does not end", what, count, pages)
+					return
+				}
+				if size > int(count) && len(names) > 1 {
+					t.Errorf("%s count %d: a reply of %d entries encodes to %d bytes", what, count, len(names), size)
+				}
+				for _, n := range names {
+					if got[n] {
+						t.Errorf("%s count %d: %q listed twice", what, count, n)
+					}
+					got[n] = true
+				}
+				cookie = last
+				if eof {
+					break
+				}
+			}
+			if len(got) != len(want) {
+				t.Errorf("%s count %d: %d names listed, want %d", what, count, len(got), len(want))
+			}
+		}
+		for _, count := range []uint32{uint32(one), uint32(nfs3.DirResOverhead + one), 512, 4096, 8192, 32768, 65536, nfs3.MaxIOSize} {
+			list("READDIRPLUS", count, func(cookie uint64) (names []string, last uint64, size int, eof, ok bool) {
+				res, err := e.nfs.Readdirplus(lk.FH, cookie, 1, count, count)
+				for _, ent := range res.Entries {
+					names, last = append(names, ent.Name), ent.Cookie
+				}
+				return names, last, encoded(&res), res.EOF, err == nil && res.Status == nfs3.OK
+			})
+			list("READDIR", count, func(cookie uint64) (names []string, last uint64, size int, eof, ok bool) {
+				res, err := e.nfs.Readdir(lk.FH, cookie, 1, count)
+				for _, ent := range res.Entries {
+					names, last = append(names, ent.Name), ent.Cookie
+				}
+				return names, last, encoded(&res), res.EOF, err == nil && res.Status == nfs3.OK
+			})
+		}
+		// DirCount bounds the names' share on its own: a generous MaxCount
+		// does not lift it.
+		res, err := e.nfs.Readdirplus(lk.FH, 0, 1, 512, 65536)
+		if err != nil || res.Status != nfs3.OK {
+			t.Errorf("readdirplus: %v %v", err, res.Status)
+			return
+		}
+		dir := 0
+		for _, ent := range res.Entries {
+			dir += (&nfs3.DirEntry{Name: ent.Name}).WireSize()
+		}
+		if dir > 512 || len(res.Entries) < 2 {
+			t.Errorf("DirCount 512: %d entries carrying %d bytes of directory information", len(res.Entries), dir)
 		}
 	})
 }
