@@ -148,6 +148,20 @@ func TestChaosLossyLinksBothModels(t *testing.T) {
 			if rep.OpErrors == rep.Ops {
 				t.Errorf("every one of %d ops errored — harness not exercising the stack", rep.Ops)
 			}
+			// Whole-file reads of paths drawn at random: a polling session links
+			// each file read to its end to the next one opened, believes a first
+			// link at once and is usually wrong, so its window crosses a file
+			// boundary now and then and is withheld after each miss (a handful of
+			// blocks a run, none on some seeds). Under delegation a speculative
+			// READ could recall another client's delegation: nothing is ever
+			// requested across a boundary.
+			spilled := rep.Metrics.SumCounters("gvfs_client_readahead_spill_blocks_total")
+			if mode.model == core.ModelDelegation && spilled != 0 {
+				t.Errorf("%d blocks requested across a file boundary under delegation", spilled)
+			}
+			t.Logf("%s: %d blocks spilled across file boundaries, %d successor misses, %d prefetched blocks wasted", mode.name, spilled,
+				rep.Metrics.SumCounters("gvfs_client_readahead_successor_misses_total"),
+				rep.Metrics.SumCounters("gvfs_client_readahead_wasted_total"))
 			t.Logf("%s: %d ops (%d errors), %d retransmits, %d DRC hits, net %+v",
 				mode.name, rep.Ops, rep.OpErrors, rep.Retransmits, rep.DRCHits, rep.NetStats)
 		})

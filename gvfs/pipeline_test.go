@@ -983,3 +983,106 @@ func TestHandoffRereadPipelines(t *testing.T) {
 		})
 	}
 }
+
+// TestReadAheadSpillInvalidatedInFlight: the window of a session that has read
+// x then y before spills from the tail of x into the head of y; another client
+// rewrites that head while the spill's READs are on the wire, and the reader
+// drains the invalidation before it gets to y. It must come back with the new
+// bytes, the oracle must see no stale serve, and what the spill brought of the
+// old version is dropped unread — counted wasted, like any abandoned prefetch.
+func TestReadAheadSpillInvalidatedInFlight(t *testing.T) {
+	const blocks, rewritten = 64, 4
+	x, old := streamData(27, blocks), streamData(28, blocks)
+	fresh := append([]byte(nil), old...)
+	for i := range fresh[:rewritten*streamBS] {
+		fresh[i] = 0xEE
+	}
+	// One file's worth of cache: by the time a pass reaches the end of x, the
+	// head of y is long evicted.
+	cfg := core.Config{Model: core.ModelPolling, ReadAhead: 4, CacheBytes: blocks * streamBS, PollPeriod: time.Second}
+	d := runStream(t, fastWAN, cfg, map[string][]byte{"x": x, "y": old},
+		func(r *streamReader, sess *Session) {
+			fx, fy := r.lookup("x"), r.lookup("y")
+			for bn := 0; bn < blocks; bn++ {
+				r.read(fx, bn, x)
+			}
+			for bn := 0; bn < blocks; bn++ {
+				r.read(fy, bn, old)
+			}
+			r.settle()
+			if got := series(r.d, "gvfs_client_readahead_spill_blocks_total"); got != 0 {
+				t.Errorf("the first pass spilled %d blocks: nothing was known yet", got)
+			}
+			m2, err := sess.Mount("C2", kernelNoac())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			writer := &streamReader{t: t, d: r.d, m: m2, conn: m2.Client.Conn()}
+			wfh := writer.lookup("y")
+
+			// The second pass over x, up to the read that sends the window
+			// across the boundary.
+			bn := 0
+			for ; bn < blocks && series(r.d, "gvfs_client_readahead_spill_blocks_total") == 0; bn++ {
+				r.read(fx, bn, x)
+			}
+			spilled := series(r.d, "gvfs_client_readahead_spill_blocks_total")
+			if spilled == 0 {
+				t.Error("the second pass over x never spilled into y")
+				return
+			}
+			landed := r.m.Proxy.Stats().ReadAheads
+			defer func() {
+				// A trace shows which read paid for which file's head: the spill's
+				// prefetches are marked, and hang off a demand READ of the file
+				// before — x for y's head here, and y for x's once the last pass
+				// over y nears its end (x was opened after y, too).
+				byReq := map[uint64]obs.Span{}
+				for _, s := range r.d.Obs.Spans() {
+					if s.Op == "READ" && strings.HasPrefix(s.Node, "proxyc") {
+						byReq[s.Req] = s
+					}
+				}
+				var next, yUnderX int64
+				for _, s := range readaheadSpans(r.d) {
+					parent := byReq[s.Parent]
+					if marked := strings.HasSuffix(s.Detail, " next"); marked != (parent.FH != s.FH) || !strings.HasPrefix(s.Detail, "win=") {
+						t.Errorf("READAHEAD %+v under %+v: want win=N, and next exactly when it crossed a file boundary", s, parent)
+					} else if marked {
+						next++
+						if s.FH == fy.String() && parent.FH == fx.String() {
+							yUnderX++
+						}
+					}
+				}
+				if total := series(r.d, "gvfs_client_readahead_spill_blocks_total"); next != total || yUnderX != spilled {
+					t.Errorf("%d READAHEAD spans marked next (%d of y under a READ of x), want the %d blocks spilled (%d before the rewrite)", next, yUnderX, total, spilled)
+				}
+			}()
+			wr, err := writer.conn.Write(wfh, 0, fresh[:rewritten*streamBS], nfs3.FileSync)
+			if err != nil || wr.Status != nfs3.OK {
+				t.Errorf("rewrite of y's head: %v status %v", err, wr.Status)
+			}
+			r.settle() // the spill lands, a poll period passes, the GETINV is drained
+			if got := r.m.Proxy.Stats().ReadAheads - landed; got < spilled {
+				t.Errorf("%d prefetches landed after the rewrite began, fewer than the %d the spill had on the wire", got, spilled)
+			}
+			wasted := series(r.d, "gvfs_client_readahead_wasted_total")
+			for ; bn < blocks; bn++ {
+				r.read(fx, bn, x)
+			}
+			for bn := 0; bn < blocks; bn++ {
+				r.read(fy, bn, fresh)
+			}
+			r.settle()
+			// All but block 0: the demand read that found it (and could not serve
+			// it, the attributes being gone) is what the accounting calls its reader.
+			if got := series(r.d, "gvfs_client_readahead_wasted_total") - wasted; got < spilled-1 {
+				t.Errorf("%d blocks counted wasted once y was read, want the %d the spill brought of the old version but for block 0", got, spilled)
+			}
+		})
+	if v := d.PublishMetrics().SumCounters("gvfs_staleness_violations_total"); v != 0 {
+		t.Errorf("%d staleness violations", v)
+	}
+}

@@ -332,3 +332,60 @@ func TestRealTimeDirectoryWalk(t *testing.T) {
 		t.Errorf("%d walked entries served, want at least %d", used, files-3)
 	}
 }
+
+// TestRealTimeReadAheadAcrossFiles runs the window's spill over sockets: a
+// polling session reads a ring of four files three times through a cache that
+// holds two of them. From the second pass on the head of every file is decoded
+// out of pooled frames by prefetch actors started while the kernel was still
+// reading the file before it, so under -race every byte compared below is also
+// a use-after-release check.
+func TestRealTimeReadAheadAcrossFiles(t *testing.T) {
+	const files, blocks, passes = 4, 32, 3
+	d := newRealTimeDeployment(t)
+	content := make([][]byte, files)
+	for k := range content {
+		content[k] = streamData(40+k, blocks)
+		if _, err := d.FS.WriteFile(fmt.Sprintf("ring/f%d", k), content[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := core.Config{Model: core.ModelPolling, ReadAhead: 8, CacheBytes: 2 * blocks * streamBS}
+	m := realTimeMount(t, realTimeSession(t, d, cfg), "A")
+	// The bootstrap poll's force-invalidate restarts every stream it finds.
+	for deadline := time.Now().Add(10 * time.Second); m.Proxy.Stats().ForceInvalidations == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the bootstrap poll")
+		}
+	}
+	r := &streamReader{t: t, d: d, m: m, conn: m.Client.Conn()}
+	dir := r.lookup("ring")
+	fhs := make([]nfs3.FH, files)
+	for k := range fhs {
+		lk, err := r.conn.Lookup(dir, fmt.Sprintf("f%d", k))
+		if err != nil || lk.Status != nfs3.OK {
+			t.Fatalf("lookup f%d: %v %v", k, err, lk.Status)
+		}
+		fhs[k] = lk.FH
+	}
+	for pass := 0; pass < passes; pass++ {
+		for k, fh := range fhs {
+			for bn := 0; bn < blocks; bn++ {
+				r.read(fh, bn, content[k])
+			}
+		}
+	}
+	// Every boundary of the second and third pass but the one the second began
+	// with, which is where the ring's wrap was learned.
+	if got, want := series(d, "gvfs_client_readahead_spills_total"), int64((passes-1)*files-1); got != want {
+		t.Errorf("%d file boundaries crossed on a spill, want %d", got, want)
+	}
+	if miss, wasted := series(d, "gvfs_client_readahead_successor_misses_total"), series(d, "gvfs_client_readahead_wasted_total"); miss != 0 || wasted != 0 {
+		t.Errorf("%d successor misses, %d prefetched blocks wasted on a ring read in order", miss, wasted)
+	}
+	// The last spill, over the wrap into a fourth pass nobody reads, is in
+	// flight or landed — at most a window, which a quarter of the cache caps at
+	// half a file: the only READs beyond one per block per pass.
+	if got, most := r.wanReads(), int64(passes*files*blocks+blocks/2); got < passes*files*blocks || got > most {
+		t.Errorf("%d READs crossed for %d passes over %d blocks", got, passes, files*blocks)
+	}
+}

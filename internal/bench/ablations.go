@@ -279,7 +279,10 @@ func runExpiryVariant(opt Options, expiry time.Duration) (AblationRow, error) {
 // rows read a longer file over a bandwidth-limited link, where the question
 // is no longer round trips but how much of the link one stream uses; the
 // sweep fails if readahead leaves a fifth of it idle or fetches any block
-// twice. The small-file rows run PostMark-shaped transactions over the same
+// twice. The ring row reads four 2 MiB files in order, twice, through a cache
+// that holds two of them: the second pass knows which file follows which, and
+// the sweep fails if it leaves a tenth of the link idle, fetches any block
+// twice, or fetches one nobody reads. The small-file rows run PostMark-shaped transactions over the same
 // link, under the default configuration and with readahead off: what is left
 // of a transaction is its round trips, and the sweep fails if a COMMIT
 // crosses the wide area after a flush that went out FILE_SYNC, or if a block
@@ -323,7 +326,13 @@ func RunFlushPipelineAblation(opt Options) (AblationResult, error) {
 		opt.logf("ablate %-20s txn=%-8v %s rpcs=%v", row.Param, row.Staleness, row.Extra, row.RPCs)
 		res.Rows = append(res.Rows, row)
 	}
-	row, err := runDirWalkVariant(opt)
+	row, err := runRingVariant(opt)
+	if err != nil {
+		return res, fmt.Errorf("readahead ring ablation: %w", err)
+	}
+	opt.logf("ablate %-20s pass2=%-8v %s reads=%d", row.Param, row.Staleness, row.Extra, row.RPCs["READ"])
+	res.Rows = append(res.Rows, row)
+	row, err = runDirWalkVariant(opt)
 	if err != nil {
 		return res, fmt.Errorf("directory-walk ablation: %w", err)
 	}
@@ -479,6 +488,105 @@ func runReadAheadVariant(opt Options, wan simnet.Params, ra, blocks int) (Ablati
 		row.Extra = fmt.Sprintf("util=%.2f", util)
 	}
 	return row, util, runErr
+}
+
+const ringFiles, ringBlocks = 4, 64
+
+// runRingVariant reads a ring of four 64-block files twice, in order, over
+// fastWAN, as raw block READs to a polling session's proxy client whose cache
+// holds two of the files: every block of both passes is cold. The first pass
+// pays a round trip on an idle link at the start of every file; the second
+// knows what follows what, and the readahead window spills from the tail of
+// each file into the head of the next. The row reports the second pass's time
+// and link utilisation beside the first's, and fails if the second leaves a
+// tenth of the link idle, if any block crossed twice in a pass, or if a block
+// the window fetched across a boundary went unread.
+func runRingVariant(opt Options) (AblationRow, error) {
+	d, err := gvfs.NewDeployment(gvfs.Config{WAN: fastWAN})
+	if err != nil {
+		return AblationRow{}, err
+	}
+	defer d.Close()
+	const bs = 32 * 1024
+	for k := 0; k < ringFiles; k++ {
+		data := make([]byte, ringBlocks*bs)
+		for i := range data {
+			data[i] = byte(k*37 + i/bs)
+		}
+		d.FS.WriteFile(fmt.Sprintf("ring%d", k), data)
+	}
+	row := AblationRow{Param: fmt.Sprintf("readahead ring %dx%d", ringFiles, ringBlocks), RPCs: make(map[string]int64)}
+	var runErr error
+	d.Run("ablate-ring", func() {
+		sess, serr := d.NewSession("s", core.Config{Model: core.ModelPolling, CacheBytes: 2 * ringBlocks * bs})
+		if serr != nil {
+			runErr = serr
+			return
+		}
+		m, err := sess.Mount("C1", nfsclient.Options{NoAC: true})
+		if err != nil {
+			runErr = err
+			return
+		}
+		nc, root := m.Client.Conn(), m.Client.Root()
+		var fhs [ringFiles]nfs3.FH
+		for k := range fhs {
+			lk, err := nc.Lookup(root, fmt.Sprintf("ring%d", k))
+			if err != nil || lk.Status != nfs3.OK {
+				runErr = fmt.Errorf("lookup ring%d: %v %v", k, err, lk.Status)
+				return
+			}
+			fhs[k] = lk.FH
+		}
+		counter := func(series string) int64 {
+			return d.Obs.Registry().Snapshot().SumCounters("gvfs_client_readahead_" + series)
+		}
+		// wrap is what the second pass's last file spilled over the ring's wrap:
+		// blocks of the first file a third pass would read.
+		var elapsed [2]time.Duration
+		var reads [2]int64
+		var wrap int64
+		for pass := range elapsed {
+			before := m.WANCounts()["READ"]
+			elapsed[pass] = d.Elapsed(func() {
+				for k, fh := range fhs {
+					if k == ringFiles-1 {
+						wrap = counter("spill_blocks_total")
+					}
+					for bn := uint64(0); bn < ringBlocks && runErr == nil; bn++ {
+						rd, err := nc.Read(fh, bn*bs, bs)
+						if err != nil || rd.Status != nfs3.OK || rd.Count != bs || rd.Data[0] != byte(k*37+int(bn)) || rd.Data[bs-1] != byte(k*37+int(bn)) {
+							runErr = fmt.Errorf("pass %d, ring%d block %d: %v %v, %d bytes", pass, k, bn, err, rd.Status, rd.Count)
+						}
+					}
+				}
+			})
+			reads[pass] = m.WANCounts()["READ"] - before
+		}
+		if runErr != nil {
+			return
+		}
+		d.Clock.Sleep(time.Second) // the wrap's spill lands
+		wrap = counter("spill_blocks_total") - wrap
+		wire := float64(ringFiles*ringBlocks*bs) / float64(fastWAN.Bandwidth) * float64(time.Second)
+		util := [2]float64{wire / float64(elapsed[0]), wire / float64(elapsed[1])}
+		row.Staleness = elapsed[1]
+		row.RPCs["READ"] = reads[0] + reads[1]
+		row.Extra = fmt.Sprintf("pass1=%v util=%.2f->%.2f", elapsed[0], util[0], util[1])
+		const blocks = ringFiles * ringBlocks
+		switch wasted, misses := counter("wasted_total"), counter("successor_misses_total"); {
+		case util[1] < 0.90:
+			runErr = fmt.Errorf("second pass over the ring took %v: link utilisation %.2f, want >= 0.90 (first pass %v, %.2f)",
+				elapsed[1], util[1], elapsed[0], util[0])
+		case reads[0] != blocks || reads[1] != blocks+wrap:
+			runErr = fmt.Errorf("%d and %d READs crossed in the two passes over %d blocks (%d of the second's over the ring's wrap); want one a block",
+				reads[0], reads[1], blocks, wrap)
+		case wasted != 0 || misses != 0:
+			runErr = fmt.Errorf("%d prefetched blocks wasted, %d spills into a file that was not opened next, on a ring read in order", wasted, misses)
+		}
+	})
+	opt.dumpMetrics("ablate-"+row.Param, d)
+	return row, runErr
 }
 
 // smallFileTxns is how many transactions a small-file row averages over.

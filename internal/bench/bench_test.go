@@ -308,8 +308,8 @@ func TestAblationsRun(t *testing.T) {
 	// Pipeline: parallel write-back beats serial, and readahead beats
 	// one-round-trip-per-block cold reads.
 	pipe := res[3]
-	if len(pipe.Rows) != 13 {
-		t.Fatalf("pipeline sweep has %d rows, want 13", len(pipe.Rows))
+	if len(pipe.Rows) != 14 {
+		t.Fatalf("pipeline sweep has %d rows, want 14", len(pipe.Rows))
 	}
 	if w8, w1 := pipe.Rows[3].Staleness, pipe.Rows[0].Staleness; w8*2 >= w1 {
 		t.Errorf("W=8 flush %v not meaningfully faster than W=1 %v", w8, w1)
@@ -329,9 +329,17 @@ func TestAblationsRun(t *testing.T) {
 	if def, off := pipe.Rows[10].Staleness, pipe.Rows[11].Staleness; def+30*time.Millisecond > off {
 		t.Errorf("small-file transaction %v under the default config, %v with readahead off: want a round trip (40 ms) less", def, off)
 	}
+	// The ring: the sweep gates the second pass's utilisation, READ count and
+	// waste; here, that it took the start-of-file round trips out — 40 ms a
+	// file over the first pass, whose own first file also ramped the window.
+	if ring := pipe.Rows[12]; !strings.HasPrefix(ring.Param, "readahead ring") || !strings.Contains(ring.Extra, "pass1=") {
+		t.Errorf("row 12 is %q (%s), want the readahead ring", ring.Param, ring.Extra)
+	} else if limit := time.Duration(float64(ringFiles*ringBlocks*32*1024)/float64(fastWAN.Bandwidth)*float64(time.Second)) + 2*pipelineWAN.RTT; ring.Staleness > limit {
+		t.Errorf("second pass over the ring took %v, want the link's %v or less: its wire time and the one unlearned file start", ring.Staleness, limit)
+	}
 	// Directory walk: the sweep gates LOOKUPs against pages; here, that opening
 	// 256 files by name costs a handful of round trips, not one per name.
-	if walk := pipe.Rows[12]; walk.Staleness*10 > pipelineWAN.RTT || walk.RPCs["READDIRPLUS"] == 0 {
+	if walk := pipe.Rows[13]; walk.Staleness*10 > pipelineWAN.RTT || walk.RPCs["READDIRPLUS"] == 0 {
 		t.Errorf("name-at-a-time open: %v a name, %v crossing; want the directory's pages instead of a round trip (%v) per name",
 			walk.Staleness, walk.RPCs, pipelineWAN.RTT)
 	}

@@ -49,6 +49,11 @@ type sessionCache struct {
 	lru  lruList
 	maxB int64
 
+	// lastDone is the record whose sequential reader most recently consumed its
+	// last block: the next file opened from the top is what followed it
+	// (readahead.go, "across files"). A hint, like every succ pointer.
+	lastDone *cachedFile
+
 	// persist, when non-nil, mirrors data blocks and their dirty state into
 	// the crash-consistent disk store. Every call site already holds sc.mu.
 	persist blockPersister
@@ -77,6 +82,13 @@ type cacheCounters struct {
 	dirFlushes  *obs.Counter // dentries+negatives flushed by a dir invalidation
 	raWasted    *obs.Counter // prefetched blocks that left the cache unread
 	renewBypass *obs.Counter // serves refused so a request renews the delegation
+
+	// The readahead window across files (readahead.go): file boundaries a
+	// reader crossed onto a head the window had already requested, the blocks
+	// so requested, and spills whose successor was not the file opened next.
+	raSpills      *obs.Counter
+	raSpillBlocks *obs.Counter
+	raSuccMisses  *obs.Counter
 
 	// Directory walks (dirwalk.go): pages asked for, the entries they brought,
 	// those of them a LOOKUP was since answered from, and pages that came back
@@ -199,6 +211,15 @@ type cachedFile struct {
 	// stream is the file's sequential-read detector (see readahead.go); it
 	// lives and dies with this entry.
 	stream readStream
+	// succ is the file a sequential reader opened from the top right after it
+	// last finished this one, and pred the file that names this one so: the
+	// session's learned reading order, a set of chains the readahead window
+	// follows across file boundaries. Hints only — never persisted, a wrong one
+	// costs bytes — and both ends go with either record (unlinkLocked).
+	// succHeld withholds the spill after a wrong prediction until the new
+	// successor has followed twice running.
+	succ, pred *cachedFile
+	succHeld   bool
 }
 
 // cachedBlock is everything the cache knows about one block it holds. The
@@ -309,6 +330,7 @@ func (sc *sessionCache) forget(fh nfs3.FH) {
 	sc.attrLRU.remove(&fc.attrLink)
 	sc.flushDirLocked(fc)
 	sc.dropCleanLocked(fc)
+	sc.unlinkLocked(fc)
 	parked := fc.flushWait
 	for _, ws := range fc.fetching {
 		parked = append(parked, ws...)

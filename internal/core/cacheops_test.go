@@ -311,13 +311,16 @@ func checkCacheInvariants(sc *sessionCache, mirror fakePersister, runs []infligh
 			return fmt.Errorf("%q: mirror holds %d blocks, cache %d", key, len(mirror[key]), len(fc.blocks))
 		}
 	}
+	if err := checkSuccLocked(sc); err != nil {
+		return err
+	}
 	for key := range mirror {
 		if sc.files[key] == nil {
 			return fmt.Errorf("mirror keeps %q, which the cache forgot", key)
 		}
 	}
-	if sc.lru.bytes != cleanBytes || cleanBytes > opsBudget {
-		return fmt.Errorf("LRU counts %d bytes; the cache holds %d clean bytes (budget %d)", sc.lru.bytes, cleanBytes, opsBudget)
+	if sc.lru.bytes != cleanBytes || cleanBytes > sc.maxB {
+		return fmt.Errorf("LRU counts %d bytes; the cache holds %d clean bytes (budget %d)", sc.lru.bytes, cleanBytes, sc.maxB)
 	}
 	// Each ring threads exactly the entries holding its part — so nothing
 	// forgotten is reachable from one — within its cap.
@@ -347,6 +350,28 @@ func checkCacheInvariants(sc *sessionCache, mirror fakePersister, runs []infligh
 			return &ent.link
 		}),
 	)
+}
+
+// checkSuccLocked checks the learned reading order (readahead.go, "across
+// files"): a successor is a live record other than this one that names this
+// one back, the same from the other end, a spill is only ever withheld from a
+// successor, and the file last read to its end is live.
+func checkSuccLocked(sc *sessionCache) error {
+	for key, fc := range sc.files {
+		if y := fc.succ; y != nil && (y == fc || sc.files[y.key] != y || y.pred != fc) {
+			return fmt.Errorf("%q: successor %q is itself, forgotten, or follows another record", key, y.key)
+		}
+		if x := fc.pred; x != nil && (sc.files[x.key] != x || x.succ != fc) {
+			return fmt.Errorf("%q: predecessor %q is forgotten or is followed by another record", key, x.key)
+		}
+		if fc.succHeld && fc.succ == nil {
+			return fmt.Errorf("%q: a spill withheld from no successor", key)
+		}
+	}
+	if d := sc.lastDone; d != nil && sc.files[d.key] != d {
+		return fmt.Errorf("the last file read to its end, %q, is forgotten", d.key)
+	}
+	return nil
 }
 
 // checkRing walks an LRU ring: it must thread exactly want entries, count as

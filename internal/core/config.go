@@ -161,12 +161,15 @@ type Config struct {
 	// number of blocks the proxy client keeps in flight ahead of a sequential
 	// reader. Readahead is on for every session; the first aligned READ of a
 	// file whose cached attributes say it has more blocks fetches up to a
-	// window of them concurrently, never past EOF and never for a
+	// window of them concurrently, never past that file's EOF and never for a
 	// non-cacheable handle. The session then sizes the window itself — it
 	// doubles while demand reads still stall on in-flight prefetches and the
 	// link has room, up to min(nfs3.MaxIOSize, CacheBytes/4) bytes' worth of
 	// blocks — so this is where the window starts, not a depth to tune per
-	// link. Negative disables readahead entirely. Default 4.
+	// link. Under polling the window also crosses file boundaries: a session
+	// that has read these files in this order before continues from the tail
+	// of one into the head of the next, inside the same budget. Negative
+	// disables readahead entirely. Default 4.
 	ReadAhead int
 
 	// CallTimeout bounds upstream and callback RPCs so crashes and

@@ -56,6 +56,9 @@ type clientMetrics struct {
 	readaheadJoins     *obs.Counter
 	readaheadWasted    *obs.Counter
 	readaheadWindow    *obs.Gauge
+	readaheadSpills    *obs.Counter
+	readaheadSpillBlks *obs.Counter
+	readaheadSuccMiss  *obs.Counter
 	renewBypass        *obs.Counter
 	pollCapped         *obs.Counter
 	coalescedWrites    *obs.Counter
@@ -113,6 +116,9 @@ func newClientMetrics(reg *obs.Registry, node string) *clientMetrics {
 		readaheadJoins:     reg.Counter(l("gvfs_client_readahead_joins_total")),
 		readaheadWasted:    reg.Counter(l("gvfs_client_readahead_wasted_total")),
 		readaheadWindow:    reg.Gauge(l("gvfs_client_readahead_window")),
+		readaheadSpills:    reg.Counter(l("gvfs_client_readahead_spills_total")),
+		readaheadSpillBlks: reg.Counter(l("gvfs_client_readahead_spill_blocks_total")),
+		readaheadSuccMiss:  reg.Counter(l("gvfs_client_readahead_successor_misses_total")),
 		renewBypass:        reg.Counter(l("gvfs_client_deleg_renew_bypass_total")),
 		pollCapped:         reg.Counter(l("gvfs_client_poll_capped_total")),
 		coalescedWrites:    reg.Counter(l("gvfs_client_coalesced_writes_total")),
@@ -156,6 +162,9 @@ func (m *clientMetrics) cacheCounters() cacheCounters {
 		walkEntries:   m.dirwalkEntries,
 		walkUsed:      m.dirwalkEntriesUsed,
 		walkDiscarded: m.dirwalkDiscarded,
+		raSpills:      m.readaheadSpills,
+		raSpillBlocks: m.readaheadSpillBlks,
+		raSuccMisses:  m.readaheadSuccMiss,
 	}
 }
 

@@ -19,6 +19,15 @@ import (
 // link's bandwidth rather than wait out its latency. Every block still
 // crosses the wide area in its own READ, exactly once: joins stay
 // block-granular.
+//
+// Across files. The window does not stop at end-of-file. The session learns
+// which file a sequential reader opens after which — from two events of the
+// data path, a reader consuming a file's last block and the next demand read
+// of another file's block 0 — and when a stream has been claimed to EOF the
+// window spills into the head of the file that followed last time, so the
+// link stays full across the boundary. Only under polling: a speculative READ
+// under delegation would make this client a sharer of a file nobody here
+// asked for, and could recall another client's write delegation for it.
 
 // readStream is one file's sequential-read detector. The zero value is "no
 // stream". It is guarded by the session cache's mutex and reclaimed with the
@@ -26,8 +35,12 @@ import (
 type readStream struct {
 	next uint64 // block a sequential reader asks for next
 	// frontier is the first block prefetch has not requested yet; 0 until a
-	// second sequential read confirms the pattern.
+	// second sequential read confirms the pattern. With next still 0 it is the
+	// predecessor's spill that got this far: the reader has yet to arrive.
 	frontier uint64
+	// eof is the file's length in blocks as the cached attributes had it when
+	// frontier became streamDone; meaningful only then.
+	eof uint64
 }
 
 // streamDone is a stream's frontier once prefetch has reached EOF: no read
@@ -107,8 +120,9 @@ func (r *readPipe) grow() int64 {
 // window of `window` blocks. A read of block 0, or of the block after the
 // previous read, continues (or starts) the stream; any other restarts
 // detection at bn. due reports that the reader has consumed half of what
-// prefetch requested ahead of it, so the next chunk should be issued; busy
-// that a prefetch of bn itself is in flight.
+// prefetch requested ahead of it — in this file or, once this one is claimed
+// to EOF, in the one expected to follow — so the next chunk should be issued;
+// busy that a prefetch of bn itself is in flight.
 func (sc *sessionCache) streamRead(fh nfs3.FH, bn uint64, window int64) (due, busy bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -117,7 +131,11 @@ func (sc *sessionCache) streamRead(fh nfs3.FH, bn uint64, window int64) (due, bu
 	st := &fc.stream
 	switch {
 	case bn == 0:
-		st.frontier = 0 // a pass from the top starts the pipeline afresh
+		// A pass from the top starts the pipeline afresh, unless the file read
+		// before this one already spilled into its head.
+		if !sc.openLocked(fc, busy) {
+			*st = readStream{}
+		}
 	case bn != st.next:
 		*st = readStream{next: bn + 1}
 		return false, busy
@@ -126,7 +144,36 @@ func (sc *sessionCache) streamRead(fh nfs3.FH, bn uint64, window int64) (due, bu
 	if st.frontier < st.next {
 		st.frontier = st.next
 	}
-	return st.next+uint64(window)/2 >= st.frontier, busy
+	if st.frontier != streamDone {
+		return st.next+uint64(window)/2 >= st.frontier, busy
+	}
+	if st.next >= st.eof {
+		sc.lastDone = fc
+	}
+	y, _ := sc.spillTargetLocked(fc, window)
+	return y != nil, busy
+}
+
+// claimLocked marks the blocks of fc in [from, hi) that are neither cached
+// (clean or dirty) nor in flight as being prefetched, for as long as fewer than
+// limit of the file's blocks are, and returns them and the block it stopped at.
+func (fc *cachedFile) claimLocked(from, hi uint64, limit int64) (claimed []uint64, bn uint64) {
+	for bn = from; bn < hi && int64(len(fc.fetching)) < limit; bn++ {
+		_, cached := fc.blocks[bn]
+		if _, inflight := fc.fetching[bn]; cached || inflight {
+			continue
+		}
+		fc.fetching[bn] = nil
+		claimed = append(claimed, bn)
+	}
+	return claimed, bn
+}
+
+// blocksLocked is fc's length in blocks as attr, adjusted for buffered writes,
+// has it.
+func (sc *sessionCache) blocksLocked(fc *cachedFile, attr nfs3.Fattr) uint64 {
+	bs := uint64(sc.bs)
+	return (fc.adjust(attr).Size + bs - 1) / bs
 }
 
 // beginFetches claims the next chunk of fh's stream — from its frontier to
@@ -146,27 +193,169 @@ func (sc *sessionCache) beginFetches(fh nfs3.FH, window int64) []uint64 {
 	if !ok {
 		return nil
 	}
-	bs := uint64(sc.bs)
-	eof := (fc.adjust(attr).Size + bs - 1) / bs
+	eof := sc.blocksLocked(fc, attr)
 	st := &fc.stream
-	hi := min(st.next+uint64(window), eof)
-	var claimed []uint64
-	bn := st.frontier
-	for ; bn < hi && int64(len(fc.fetching)) < window; bn++ {
-		_, cached := fc.blocks[bn]
-		if _, inflight := fc.fetching[bn]; cached || inflight {
-			continue
-		}
-		fc.fetching[bn] = nil
-		claimed = append(claimed, bn)
-	}
+	claimed, bn := fc.claimLocked(st.frontier, min(st.next+uint64(window), eof), window)
 	switch {
 	case bn >= eof:
-		st.frontier = streamDone
+		st.frontier, st.eof = streamDone, eof
+		if st.next >= eof {
+			sc.lastDone = fc // a file that ends under its reader's first chunk
+		}
 	case bn > st.frontier:
 		st.frontier = bn
 	}
 	return claimed
+}
+
+// --- across files: the successor table and the spill ---------------------------
+
+// openLocked is the successor table's learning event: a demand read of block 0
+// of fc. Whichever other file a sequential reader finished last is followed by
+// fc: the first link is believed at once; one that replaces a different
+// successor must repeat before it is spilled into again, so an order that keeps
+// changing wastes one spill per change and then nothing. Re-reading the file
+// just finished links nothing. begun reports that fc's stream was begun by a
+// predecessor's spill whose head is still here (cached or in flight), so the
+// reader's own stream carries on from that frontier.
+func (sc *sessionCache) openLocked(fc *cachedFile, busy bool) (begun bool) {
+	if st := &fc.stream; st.next == 0 && st.frontier != 0 {
+		if blk := fc.blocks[0]; blk != nil || busy {
+			begun = true
+			if busy || blk.unread {
+				sc.met.raSpills.Inc() // the head was requested for this reader
+			}
+		}
+	}
+	x := sc.lastDone
+	if x == nil || x == fc {
+		return begun
+	}
+	sc.lastDone = nil
+	if x.succ == fc {
+		x.succHeld = false
+		return begun
+	}
+	replaced := x.succ != nil
+	if y := x.succ; replaced && y.stream.next == 0 && y.stream.frontier != 0 {
+		// The window went into y and the reader did not: its stream starts
+		// over, and what the spill fetched ages out as wasted like any
+		// abandoned prefetch.
+		if y.spillPendingLocked() {
+			sc.met.raSuccMisses.Inc()
+		}
+		y.stream = readStream{}
+	}
+	x.unlinkSuccLocked()
+	if fc.pred != nil {
+		fc.pred.unlinkSuccLocked() // one predecessor a record, so forget finds it
+	}
+	x.succ, fc.pred, x.succHeld = fc, x, replaced
+	return begun
+}
+
+// spillPendingLocked reports whether a spill that began y's stream fetched
+// anything still waiting for its reader. The stream reaches at most a window
+// into y.
+func (y *cachedFile) spillPendingLocked() bool {
+	hi := y.stream.frontier
+	if hi == streamDone {
+		hi = y.stream.eof
+	}
+	for bn := uint64(0); bn < hi; bn++ {
+		if _, inflight := y.fetching[bn]; inflight {
+			return true
+		}
+		if blk := y.blocks[bn]; blk != nil && blk.unread {
+			return true
+		}
+	}
+	return false
+}
+
+// unlinkSuccLocked takes x's successor link down, both ends.
+func (x *cachedFile) unlinkSuccLocked() {
+	if x.succ != nil {
+		x.succ.pred = nil
+	}
+	x.succ, x.succHeld = nil, false
+}
+
+// unlinkLocked takes fc out of the learned order (forget): no pointer to it
+// stays behind.
+func (sc *sessionCache) unlinkLocked(fc *cachedFile) {
+	fc.unlinkSuccLocked()
+	if fc.pred != nil {
+		fc.pred.unlinkSuccLocked()
+	}
+	if sc.lastDone == fc {
+		sc.lastDone = nil
+	}
+}
+
+// spillTargetLocked returns the record the window of fc — its own stream
+// claimed to EOF — should now continue into, and the block of it to go on from;
+// nil when nothing is due. That takes a believed successor that may be cached,
+// has an EOF to stop at and is not being read by anyone (its stream never
+// started, finished, or only ever begun by a spill), the polling model, and a
+// reader within half a window of what has been requested ahead of it, counting
+// through the end of fc into the successor: the cadence chunks use.
+func (sc *sessionCache) spillTargetLocked(fc *cachedFile, window int64) (y *cachedFile, from uint64) {
+	y = fc.succ
+	if y == nil || fc.succHeld || sc.pol.model == ModelDelegation ||
+		fc.noncacheable || y.noncacheable || !y.attrLink.on() {
+		return nil, 0
+	}
+	st, yst := &fc.stream, &y.stream
+	switch {
+	case yst.next == 0:
+		from = yst.frontier
+	case yst.frontier == streamDone && yst.next >= yst.eof:
+		// read to the end before: this pass starts from the top
+	default:
+		return nil, 0
+	}
+	if from == streamDone || st.next+uint64(window)/2 < st.eof+from {
+		return nil, 0
+	}
+	return y, from
+}
+
+// beginSpill claims the chunk of fh's successor that fh's window, its own
+// stream claimed to EOF, reaches into: up to `window` blocks past the reader
+// counted across the boundary, never past the successor's EOF as its cached
+// attributes have it, skipping what is cached or in flight, and never bringing
+// the two files' prefetches in flight together above `window`. It returns the
+// successor's handle and the blocks to fetch, nil when there are none.
+func (sc *sessionCache) beginSpill(fh nfs3.FH, window int64) *spillRun {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	fc := sc.dataFor(fh.Key())
+	if fc == nil || fc.stream.frontier != streamDone {
+		return nil
+	}
+	y, from := sc.spillTargetLocked(fc, window)
+	if y == nil {
+		return nil
+	}
+	attr, _ := sc.attrLocked(y)
+	eof := sc.blocksLocked(y, attr)
+	// Blocks of fc the reader has yet to consume: at most half a window, or
+	// nothing would be due.
+	st := &fc.stream
+	ahead := st.eof - min(st.next, st.eof)
+	claimed, bn := y.claimLocked(from, min(uint64(window)-ahead, eof), window-int64(len(fc.fetching)))
+	if bn >= eof {
+		y.stream = readStream{frontier: streamDone, eof: eof}
+	} else {
+		y.stream = readStream{frontier: bn}
+	}
+	if len(claimed) == 0 {
+		return nil
+	}
+	sc.met.raSpillBlocks.Add(int64(len(claimed)))
+	next, _ := nfs3.FHFromBytes([]byte(y.key)) // a key is a handle's bytes
+	return &spillRun{next, claimed}
 }
 
 // awaitFetch parks w on the in-flight prefetch of (fh, bn); it reports false
@@ -239,57 +428,81 @@ func (p *ProxyClient) readAhead(parent uint64, fh nfs3.FH, bn uint64) (joined bo
 }
 
 // prefetchChunk is a run of a stream's blocks claimed for prefetch (marked in
-// flight) whose READs have not been sent yet. The zero value is no chunk.
+// flight) whose READs have not been sent yet — and, where the window spilled
+// over the end of the file, the blocks it claimed at the head of the next. The
+// zero value is no chunk.
 type prefetchChunk struct {
 	parent uint64 // the demand read's request ID
 	fh     nfs3.FH
 	window int64
 	blocks []uint64
-	rids   []uint64 // one request ID per block
+	spill  *spillRun // sent behind blocks; nil when the window stayed in fh
+	rids   []uint64  // one request ID per block, blocks' then the spill's
 }
 
-// claimChunk claims the stream's next chunk under a window of `window`.
+// spillRun is the part of a chunk that lies across the file boundary: blocks at
+// the head of the file expected next.
+type spillRun struct {
+	fh     nfs3.FH
+	blocks []uint64
+}
+
+// claimChunk claims the stream's next chunk under a window of `window`, and
+// behind it whatever of the window now reaches into the file expected next.
 func (p *ProxyClient) claimChunk(parent uint64, fh nfs3.FH, window int64) prefetchChunk {
 	if p.stopped.Load() {
 		return prefetchChunk{}
 	}
 	blocks := p.cache.beginFetches(fh, window)
+	spill := p.cache.beginSpill(fh, window)
+	n := len(blocks)
+	if spill != nil {
+		n += len(spill.blocks)
+	}
 	// Each prefetch is its own traced request, parented on the demand read
 	// that triggered it. Minted here, before any actor is spawned, so the ID
 	// order is deterministic regardless of actor scheduling.
-	rids := make([]uint64, len(blocks))
+	rids := make([]uint64, n)
 	for i := range rids {
 		rids[i] = p.node.Mint()
 	}
-	return prefetchChunk{parent, fh, window, blocks, rids}
+	return prefetchChunk{parent, fh, window, blocks, spill, rids}
 }
 
 // issueChunk sends a claimed chunk: one READ per block, sent one after
 // another by a single actor so that they cross the link — and their replies
-// come back over it — in block order, the order the reader will ask for them,
-// and waited for by one actor each so that the round trips overlap. Sent from
-// the waiting actors, the chunk would leave in whatever order the scheduler
-// ran those, and the reader's next blocks could be the last to arrive. For
-// the same reason a demand read that has a READ of its own to send issues the
-// chunk after it: the block the reader is waiting for goes first.
+// come back over it — in block order, the order the reader will ask for them
+// (the next file's head behind this one's tail), and waited for by one actor
+// each so that the round trips overlap. Sent from the waiting actors, the chunk
+// would leave in whatever order the scheduler ran those, and the reader's next
+// blocks could be the last to arrive. For the same reason a demand read that
+// has a READ of its own to send issues the chunk after it: the block the reader
+// is waiting for goes first.
 func (p *ProxyClient) issueChunk(c prefetchChunk) {
-	if len(c.blocks) == 0 {
+	if len(c.rids) == 0 {
 		return
 	}
 	p.clk.Go("gvfs-readahead", func() {
 		bs := uint64(p.cfg.BlockSize)
-		for i, bn := range c.blocks {
-			rid := c.rids[i]
-			call := p.startUpstream(rid, nfs3.ProcRead, &nfs3.ReadArgs{FH: c.fh, Offset: bn * bs, Count: uint32(bs)})
-			p.clk.Go("gvfs-readahead", func() { p.prefetchBlock(c.parent, rid, c.fh, bn, c.window, call) })
+		send := func(fh nfs3.FH, blocks, rids []uint64, spilled bool) {
+			for i, bn := range blocks {
+				rid := rids[i]
+				call := p.startUpstream(rid, nfs3.ProcRead, &nfs3.ReadArgs{FH: fh, Offset: bn * bs, Count: uint32(bs)})
+				p.clk.Go("gvfs-readahead", func() { p.prefetchBlock(c.parent, rid, fh, bn, c.window, spilled, call) })
+			}
+		}
+		send(c.fh, c.blocks, c.rids, false)
+		if c.spill != nil {
+			send(c.spill.fh, c.spill.blocks, c.rids[len(c.blocks):], true)
 		}
 	})
 }
 
-// prefetchBlock collects one block's READ into the session cache. The
-// in-flight mark is cleared and waiting demand reads are woken whether or not
-// the fetch succeeded — on failure they simply forward.
-func (p *ProxyClient) prefetchBlock(parent, rid uint64, fh nfs3.FH, bn uint64, window int64, c nfsCall) {
+// prefetchBlock collects one block's READ into the session cache; spilled
+// says the window reached it across a file boundary. The in-flight mark is
+// cleared and waiting demand reads are woken whether or not the fetch
+// succeeded — on failure they simply forward.
+func (p *ProxyClient) prefetchBlock(parent, rid uint64, fh nfs3.FH, bn uint64, window int64, spilled bool, c nfsCall) {
 	defer func() {
 		for _, w := range p.cache.endFetch(fh, bn) {
 			w.Wake()
@@ -301,6 +514,9 @@ func (p *ProxyClient) prefetchBlock(parent, rid uint64, fh nfs3.FH, bn uint64, w
 	if p.node.Tracing() {
 		sp.FH = fh.String()
 		sp.Detail = "win=" + strconv.FormatInt(window, 10)
+		if spilled {
+			sp.Detail += " next"
+		}
 	}
 	rep, err := p.finishUpstream(c, &res, nil)
 	if err != nil {

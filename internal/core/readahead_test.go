@@ -296,40 +296,65 @@ type raBed struct {
 
 // readRecorder notes every NFS call sent through it, in the order they were
 // sent: the procedure, and what the tests ask about its arguments — a READ's
-// offset, a READDIRPLUS's cookie and counts.
+// handle and offset, a READDIRPLUS's cookie and counts — and when its reply
+// came back.
 type readRecorder struct {
 	transport.Conn
+	now   func() time.Duration
 	mu    sync.Mutex
 	calls []wireCall
+	byXID map[uint32]int // index into calls
 }
 
 // wireCall is one NFS call as it went upstream.
 type wireCall struct {
 	proc               uint32
+	fh                 string // READ: the handle's bytes
 	offset             uint64 // READ
 	cookie             uint64 // READDIRPLUS
 	dirCount, maxCount uint32 // READDIRPLUS
+	replied            time.Duration
 }
 
 func (c *readRecorder) Send(msg []byte) error {
 	// An RPC call names its program at byte 12 and its procedure at byte 20;
-	// READ3args end in the offset and the count, READDIRPLUS3args in the
-	// cookie, its verifier and the two counts.
+	// READ3args are the handle, the offset and the count, READDIRPLUS3args end
+	// in the cookie, its verifier and the two counts.
 	if len(msg) >= 48 && binary.BigEndian.Uint32(msg[4:]) == 0 && binary.BigEndian.Uint32(msg[12:]) == nfs3.Program {
 		call := wireCall{proc: binary.BigEndian.Uint32(msg[20:])}
 		switch call.proc {
 		case nfs3.ProcRead:
 			call.offset = binary.BigEndian.Uint64(msg[len(msg)-12:])
+			if fh := msg[len(msg)-12-nfs3.FHSize-4:]; binary.BigEndian.Uint32(fh) == nfs3.FHSize {
+				call.fh = string(fh[4 : 4+nfs3.FHSize])
+			}
 		case nfs3.ProcReaddirplus:
 			call.cookie = binary.BigEndian.Uint64(msg[len(msg)-24:])
 			call.dirCount = binary.BigEndian.Uint32(msg[len(msg)-8:])
 			call.maxCount = binary.BigEndian.Uint32(msg[len(msg)-4:])
 		}
 		c.mu.Lock()
+		if c.byXID == nil {
+			c.byXID = make(map[uint32]int)
+		}
+		c.byXID[binary.BigEndian.Uint32(msg)] = len(c.calls)
 		c.calls = append(c.calls, call)
 		c.mu.Unlock()
 	}
 	return c.Conn.Send(msg)
+}
+
+// Recv stamps the call a reply answers with the time it came back.
+func (c *readRecorder) Recv() ([]byte, error) {
+	msg, err := c.Conn.Recv()
+	if err == nil && len(msg) >= 8 && binary.BigEndian.Uint32(msg[4:]) == 1 {
+		c.mu.Lock()
+		if i, ok := c.byXID[binary.BigEndian.Uint32(msg)]; ok {
+			c.calls[i].replied = c.now()
+		}
+		c.mu.Unlock()
+	}
+	return msg, err
 }
 
 // sent returns the offsets of the READs sent so far, in wire order.
@@ -364,9 +389,15 @@ func runRABed(t *testing.T, cfg Config, populate func(fs *memfs.FS), fn func(b *
 // the proxy client: an upstream that answers what the test needs it to.
 func runTamperedBed(t *testing.T, cfg Config, tamper func(proc uint32, reply []byte) []byte, populate func(fs *memfs.FS), fn func(b *raBed)) {
 	t.Helper()
+	runBedOver(t, simnet.Params{RTT: 40 * time.Millisecond}, cfg, tamper, populate, fn)
+}
+
+// runBedOver is runTamperedBed over a link of the caller's choosing.
+func runBedOver(t *testing.T, link simnet.Params, cfg Config, tamper func(proc uint32, reply []byte) []byte, populate func(fs *memfs.FS), fn func(b *raBed)) {
+	t.Helper()
 	clk := vclock.NewVirtual()
 	defer clk.Stop()
-	net := simnet.New(clk, simnet.Params{RTT: 40 * time.Millisecond})
+	net := simnet.New(clk, link)
 	fs := memfs.New(clk.Now)
 	populate(fs)
 	rpcSrv := sunrpc.NewServer(clk)
@@ -420,7 +451,7 @@ func runTamperedBed(t *testing.T, cfg Config, tamper func(proc uint32, reply []b
 			t.Error(err)
 			return
 		}
-		up := &readRecorder{Conn: conn}
+		up := &readRecorder{Conn: conn, now: clk.Now}
 		p := NewProxyClient(clk, cfg, sunrpc.NewClient(clk, up, sunrpc.NoneCred()),
 			SessionCred{SessionKey: "s", ClientID: "ra-test"})
 		kl, err := client.Listen(":3049")
@@ -668,6 +699,142 @@ func TestChunkLeavesInBlockOrder(t *testing.T) {
 					t.Error(err)
 					return
 				}
+			}
+		})
+}
+
+// TestWindowSpillsAcrossFilesOnTheWire: a ring of four 64-block files read
+// twice through a cache that holds two of them, over the 40 ms link. On the
+// first pass every file starts with a round trip on an idle link: its block 0
+// is asked for only once the kernel's READ of it has arrived. On the second
+// the session knows what follows what: the head of each file leaves before the
+// kernel asks for it, in block order behind the previous file's last chunk,
+// and the link never idles across a boundary — while every block still
+// crosses exactly once a pass.
+func TestWindowSpillsAcrossFilesOnTheWire(t *testing.T) {
+	const files, blocks, rtt = 4, 64, 40 * time.Millisecond
+	name := func(k int) string { return fmt.Sprintf("ring%d", k) }
+	// 100 Mbit/s: a block is 2.6 ms of link, so a window of 32 keeps the pipe
+	// full and any longer silence is the link idling.
+	runBedOver(t, simnet.Params{RTT: rtt, Bandwidth: 100_000_000 / 8}, Config{ReadAhead: 32, CacheBytes: 2 * blocks * raBS}, nil,
+		func(fs *memfs.FS) {
+			for k := 0; k < files; k++ {
+				if _, err := fs.WriteFile(name(k), make([]byte, blocks*raBS)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		func(b *raBed) {
+			fhs := make([]nfs3.FH, files)
+			for k := range fhs {
+				lk, err := b.nc.Lookup(b.root, name(k))
+				if err != nil || lk.Status != nfs3.OK {
+					t.Errorf("lookup: %v %v", err, lk.Status)
+					return
+				}
+				fhs[k] = lk.FH
+			}
+			// opened[pass][k] is how many calls had gone upstream when the kernel
+			// asked for block 0 of file k; ended[pass] closes the pass.
+			var opened [3][files]int
+			var ended [2]int
+			readFile := func(pass, k, upTo int) bool {
+				opened[pass][k] = len(b.up.sentCalls())
+				for bn := uint64(0); bn < uint64(upTo); bn++ {
+					if res, err := b.nc.Read(fhs[k], bn*raBS, raBS); err != nil || res.Status != nfs3.OK || res.Count != raBS {
+						t.Errorf("pass %d, file %d, block %d: %v %v", pass, k, bn, err, res.Status)
+						return false
+					}
+				}
+				return true
+			}
+			for pass := 0; pass < 2; pass++ {
+				for k := 0; k < files; k++ {
+					if !readFile(pass, k, blocks) {
+						return
+					}
+				}
+				ended[pass] = len(b.up.sentCalls())
+			}
+			// The ring's wrap is an order like any other: the third pass's first
+			// file was on its way before the second pass ended.
+			if !readFile(2, 0, 1) {
+				return
+			}
+			b.clk.Sleep(time.Second)
+			calls := b.up.sentCalls()
+
+			// at[pass][file][block] is the index in calls of the block's one READ
+			// of that pass.
+			var at [2][files][blocks]int
+			start := 0
+			for pass, end := range ended {
+				seen := map[[2]int]bool{}
+				for i := start; i < end; i++ {
+					c := calls[i]
+					if c.proc != nfs3.ProcRead {
+						continue
+					}
+					k := slices.IndexFunc(fhs, func(fh nfs3.FH) bool { return fh.Key() == c.fh })
+					bn := int(c.offset / raBS)
+					if k < 0 || bn >= blocks {
+						t.Fatalf("pass %d: READ %d of an unknown file or block: %+v", pass, i, c)
+					}
+					if pass == 1 && k == 0 && i > opened[1][files-1] {
+						continue // the spill over the ring's wrap: the third pass's
+					}
+					if seen[[2]int{k, bn}] {
+						t.Errorf("pass %d: file %d block %d crossed twice", pass, k, bn)
+					}
+					seen[[2]int{k, bn}] = true
+					at[pass][k][bn] = i
+				}
+				// The second pass's span holds the spill into the third's first
+				// file as well: the blocks of file 0 sent after its own pass.
+				if want := files * blocks; len(seen) != want {
+					t.Errorf("pass %d: %d distinct blocks crossed, want %d", pass, len(seen), want)
+				}
+				start = end
+			}
+			for pass := 0; pass < 2; pass++ {
+				for k := 1; k < files; k++ {
+					head, prevLast := at[pass][k][0], at[pass][k-1][blocks-1]
+					gap := calls[head].replied - calls[prevLast].replied
+					if pass == 0 {
+						if head < opened[pass][k] || gap <= rtt/2 {
+							t.Errorf("first pass, file %d: block 0 sent as call %d (the kernel asked at %d), %v after file %d's last reply; want a demand READ a round trip later",
+								k, head, opened[pass][k], gap, k-1)
+						}
+						continue
+					}
+					if head >= opened[pass][k] {
+						t.Errorf("second pass, file %d: block 0 went upstream as call %d, not before the kernel asked for it at %d", k, head, opened[pass][k])
+					}
+					if head < prevLast {
+						t.Errorf("second pass, file %d: its head (call %d) left before file %d's last chunk (call %d)", k, head, k-1, prevLast)
+					}
+					// What left before the kernel arrived left in block order.
+					var spilled []int
+					for bn := 0; bn < blocks && at[pass][k][bn] < opened[pass][k]; bn++ {
+						spilled = append(spilled, at[pass][k][bn])
+					}
+					if len(spilled) < 16 || !slices.IsSorted(spilled) {
+						t.Errorf("second pass, file %d: %d blocks left before the kernel arrived, as calls %v; want half a window or more, in block order", k, len(spilled), spilled)
+					}
+					if gap > rtt/2 {
+						t.Errorf("second pass, file %d: its first reply came %v after file %d's last: the link idled across the boundary", k, gap, k-1)
+					}
+				}
+			}
+			wrapped := false
+			for i := ended[0]; i < opened[2][0]; i++ {
+				wrapped = wrapped || i > at[1][files-1][0] && calls[i].proc == nfs3.ProcRead && calls[i].fh == fhs[0].Key() && calls[i].offset == 0
+			}
+			if !wrapped {
+				t.Error("the ring's wrap did not spill: the first file's head was not on its way when the second pass ended")
+			}
+			if s, m, w := b.p.met.readaheadSpills.Value(), b.p.met.readaheadSuccMiss.Value(), b.p.met.readaheadWasted.Value(); s != files || m != 0 || w != 0 {
+				t.Errorf("%d boundaries crossed on a spill, %d successor misses, %d blocks wasted; want %d, 0 and 0", s, m, w, files)
 			}
 		})
 }
