@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/nfs3"
 	"repro/internal/nfsclient"
 )
 
@@ -300,6 +301,65 @@ func TestWriteDelegationAbsorbsWritesUntilRecall(t *testing.T) {
 		got, err := b.Client.ReadFile("wb/file")
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Errorf("b read after recall: %d bytes, err=%v", len(got), err)
+		}
+	})
+}
+
+// TestConcurrentReadersCostOneRecall: A holds a write delegation with blocks
+// it has not written back; six clients open the file at the same instant.
+// The first access that conflicts recalls A's delegation and the others wait
+// for that recall to settle rather than each calling A back: one callback,
+// and every reader still sees every byte A wrote, never the server's copy from
+// before A's write-back.
+func TestConcurrentReadersCostOneRecall(t *testing.T) {
+	const readers, blocks = 6, 4
+	d := newDeployment(t)
+	d.FS.WriteFile("file", make([]byte, blocks*streamBS))
+	payload := streamData(50, blocks)
+	d.Run("test", func() {
+		sess, err := d.NewSession("s", core.Config{Model: core.ModelDelegation, FlushInterval: time.Hour})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		a, err := sess.Mount("A", kernelNoac())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var mounts []*Mount
+		for i := 0; i < readers; i++ {
+			m, err := sess.Mount(fmt.Sprintf("R%d", i), kernelNoac())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mounts = append(mounts, m)
+		}
+		// A's first WRITE crosses and is granted the write delegation (A is the
+		// file's only sharer); the rest stay in A's cache.
+		w := &streamReader{t: t, d: d, m: a, conn: a.Client.Conn()}
+		fh := w.lookup("file")
+		for bn := 0; bn < blocks; bn++ {
+			if wr, err := w.conn.Write(fh, uint64(bn)*streamBS, payload[bn*streamBS:(bn+1)*streamBS], nfs3.FileSync); err != nil || wr.Status != nfs3.OK {
+				t.Errorf("A's write of block %d: %v %v", bn, err, wr.Status)
+				return
+			}
+		}
+		if sent := a.WANCounts()["WRITE"]; sent != 1 {
+			t.Fatalf("A sent %d WRITEs, want 1: the test needs blocks left to write back", sent)
+		}
+		g := d.NewGroup()
+		for _, m := range mounts {
+			g.Go("reader "+m.Host(), func() {
+				if got, err := m.Client.ReadFile("file"); err != nil || !bytes.Equal(got, payload) {
+					t.Errorf("%s read %d bytes (%v), not what A wrote", m.Host(), len(got), err)
+				}
+			})
+		}
+		g.Wait()
+		if sent, served := sess.ProxyServer().Stats().CallbacksSent, a.Proxy.Stats().Recalls; sent != 1 || served != 1 {
+			t.Errorf("%d callbacks sent, %d recalls served at A; want one for %d readers", sent, served, readers)
 		}
 	})
 }

@@ -389,3 +389,67 @@ func TestRealTimeReadAheadAcrossFiles(t *testing.T) {
 		t.Errorf("%d READs crossed for %d passes over %d blocks", got, passes, files*blocks)
 	}
 }
+
+// TestRealTimeHandoffReread runs the re-read after a remote write over
+// sockets, in both models: a producer rewrites a file block by block, and the
+// consumer — once the news has reached it — revalidates with a GETATTR and
+// reads the file back. Every GETATTR carries the file's head behind it, the
+// consumer's READs join those, each block crosses once a round, and every byte
+// is the producer's latest; under -race the re-read's blocks are decoded out
+// of pooled frames by actors started beside the GETATTR, so each comparison is
+// also a use-after-release check.
+func TestRealTimeHandoffReread(t *testing.T) {
+	const blocks, rounds = 8, 4
+	for _, model := range []core.Model{core.ModelPolling, core.ModelDelegation} {
+		t.Run(model.String(), func(t *testing.T) {
+			d := newRealTimeDeployment(t)
+			content := streamData(60, blocks)
+			if _, err := d.FS.WriteFile("shared", content); err != nil {
+				t.Fatal(err)
+			}
+			sess := realTimeSession(t, d, core.Config{Model: model, FlushInterval: time.Hour, PollPeriod: 20 * time.Millisecond})
+			pm, cm := realTimeMount(t, sess, "P"), realTimeMount(t, sess, "C")
+			until := func(what string, done func() bool) {
+				t.Helper()
+				for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("timed out waiting for %s", what)
+					}
+				}
+			}
+			// The bootstrap poll's force-invalidate would take the attributes the
+			// first read needs mid-pass.
+			until("the bootstrap poll", func() bool { return model == core.ModelDelegation || cm.Proxy.Stats().ForceInvalidations > 0 })
+			p := &streamReader{t: t, d: d, m: pm, conn: pm.Client.Conn()}
+			c := &streamReader{t: t, d: d, m: cm, conn: cm.Client.Conn()}
+			pfh, fh := p.lookup("shared"), c.lookup("shared")
+			for bn := 0; bn < blocks; bn++ {
+				c.read(fh, bn, content)
+			}
+			for round := 1; round <= rounds; round++ {
+				content = streamData(60+round, blocks)
+				p.writeBlocks(pfh, content, 0, blocks)
+				if model == core.ModelPolling {
+					written := d.Clock.Now()
+					until("the consumer's poll to cover the writes", func() bool { return cm.Proxy.PollHorizon() > written })
+				}
+				reads := c.wanReads()
+				if ga, err := c.conn.Getattr(fh); err != nil || ga.Status != nfs3.OK {
+					t.Fatalf("round %d: getattr: %v %v", round, err, ga.Status)
+				}
+				for bn := 0; bn < blocks; bn++ {
+					c.read(fh, bn, content)
+				}
+				if got := c.wanReads() - reads; got != blocks {
+					t.Errorf("round %d: %d READs crossed for %d blocks", round, got, blocks)
+				}
+			}
+			if got := series(d, "gvfs_client_readahead_reopens_total"); got != rounds {
+				t.Errorf("%d GETATTRs carried a re-read, want one a round (%d)", got, rounds)
+			}
+			if v := d.PublishMetrics().SumCounters("gvfs_staleness_violations_total"); v != 0 {
+				t.Errorf("staleness violations = %d, want 0", v)
+			}
+		})
+	}
+}

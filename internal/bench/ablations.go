@@ -8,6 +8,7 @@ import (
 	"repro/gvfs"
 	"repro/internal/core"
 	"repro/internal/nfs3"
+	"repro/internal/nfscall"
 	"repro/internal/nfsclient"
 	"repro/internal/simnet"
 )
@@ -338,6 +339,14 @@ func RunFlushPipelineAblation(opt Options) (AblationResult, error) {
 	}
 	opt.logf("ablate %-20s open=%-8v %s rpcs=%v", row.Param, row.Staleness, row.Extra, row.RPCs)
 	res.Rows = append(res.Rows, row)
+	for _, model := range []core.Model{core.ModelPolling, core.ModelDelegation} {
+		row, err := runHandoffVariant(opt, model)
+		if err != nil {
+			return res, fmt.Errorf("handoff ablation (%v): %w", model, err)
+		}
+		opt.logf("ablate %-20s reread=%-8v %s reads=%d", row.Param, row.Staleness, row.Extra, row.RPCs["READ"])
+		res.Rows = append(res.Rows, row)
+	}
 	return res, nil
 }
 
@@ -760,6 +769,105 @@ func runDirWalkVariant(opt Options) (AblationRow, error) {
 		}
 	})
 	opt.dumpMetrics("ablate-"+row.Param, d)
+	return row, runErr
+}
+
+// handoffBlocks is the length of the file the handoff rows hand over.
+const handoffBlocks = 8
+
+// runHandoffVariant hands a file from a producer to a consumer over fastWAN,
+// as raw NFS calls to two clients' proxies the way kernel clients whose own
+// caches have missed make them: the consumer reads the file through, the
+// producer rewrites it block by block, and once the news has reached the
+// consumer (a GETINV, or the recall of its read delegation) the consumer
+// revalidates with a GETATTR and reads the file back — the close-to-open
+// handoff. The row reports that revalidation and re-read, and fails if it
+// takes longer than one round trip plus the blocks' wire time, plus 10 %, if
+// any block crosses twice, or if a byte read back is not the producer's.
+func runHandoffVariant(opt Options, model core.Model) (AblationRow, error) {
+	d, err := gvfs.NewDeployment(gvfs.Config{WAN: fastWAN})
+	if err != nil {
+		return AblationRow{}, err
+	}
+	defer d.Close()
+	const bs = 32 * 1024
+	version := func(v int) []byte {
+		data := make([]byte, handoffBlocks*bs)
+		for i := range data {
+			data[i] = byte(v*31 + i/bs)
+		}
+		return data
+	}
+	d.FS.WriteFile("handoff", version(0))
+	name := map[core.Model]string{core.ModelPolling: "poll", core.ModelDelegation: "deleg"}[model]
+	row := AblationRow{Param: fmt.Sprintf("handoff re-read %dx32K %s", handoffBlocks, name), RPCs: make(map[string]int64)}
+	var runErr error
+	d.Run("ablate-handoff", func() {
+		sess, serr := d.NewSession("s", core.Config{Model: model, PollPeriod: time.Second})
+		if serr != nil {
+			runErr = serr
+			return
+		}
+		var conns [2]*nfscall.Conn
+		var fhs [2]nfs3.FH
+		var mounts [2]*gvfs.Mount
+		for i, host := range []string{"consumer", "producer"} {
+			m, err := sess.Mount(host, nfsclient.Options{NoAC: true})
+			if err != nil {
+				runErr = err
+				return
+			}
+			lk, err := m.Client.Conn().Lookup(m.Client.Root(), "handoff")
+			if err != nil || lk.Status != nfs3.OK {
+				runErr = fmt.Errorf("%s lookup: %v %v", host, err, lk.Status)
+				return
+			}
+			mounts[i], conns[i], fhs[i] = m, m.Client.Conn(), lk.FH
+		}
+		readBack := func(v int) {
+			want := version(v)
+			for bn := uint64(0); bn < handoffBlocks && runErr == nil; bn++ {
+				rd, err := conns[0].Read(fhs[0], bn*bs, bs)
+				if err != nil || rd.Status != nfs3.OK || string(rd.Data) != string(want[bn*bs:(bn+1)*bs]) {
+					runErr = fmt.Errorf("consumer read of version %d block %d: %v %v, %d bytes", v, bn, err, rd.Status, rd.Count)
+				}
+			}
+		}
+		readBack(0)
+		d.Clock.Sleep(2 * time.Second)
+		fresh := version(1)
+		for bn := uint64(0); bn < handoffBlocks; bn++ {
+			if wr, err := conns[1].Write(fhs[1], bn*bs, fresh[bn*bs:(bn+1)*bs], nfs3.FileSync); err != nil || wr.Status != nfs3.OK {
+				runErr = fmt.Errorf("producer write block %d: %v %v", bn, err, wr.Status)
+				return
+			}
+		}
+		d.Clock.Sleep(3 * time.Second) // a poll period and more
+		before := mounts[0].WANCounts()
+		row.Staleness = d.Elapsed(func() {
+			if ga, err := conns[0].Getattr(fhs[0]); err != nil || ga.Status != nfs3.OK {
+				runErr = fmt.Errorf("consumer getattr: %v %v", err, ga.Status)
+				return
+			}
+			readBack(1)
+		})
+		for k, v := range mounts[0].WANCounts() {
+			if n := v - before[k]; n != 0 && k != "GETINV" {
+				row.RPCs[k] = n
+			}
+		}
+	})
+	opt.dumpMetrics("ablate-"+row.Param, d)
+	wire := time.Duration(float64(handoffBlocks*32*1024) / float64(fastWAN.Bandwidth) * float64(time.Second))
+	limit := (fastWAN.RTT + wire) * 11 / 10
+	row.Extra = fmt.Sprintf("limit=%v", limit)
+	switch {
+	case runErr != nil:
+	case row.Staleness > limit:
+		runErr = fmt.Errorf("the consumer's revalidation and re-read took %v, want <= %v (one round trip + %v on the wire, + 10%%)", row.Staleness, limit, wire)
+	case row.RPCs["READ"] != handoffBlocks:
+		runErr = fmt.Errorf("%d READs crossed for the %d blocks handed over, want one each", row.RPCs["READ"], handoffBlocks)
+	}
 	return row, runErr
 }
 

@@ -308,8 +308,8 @@ func TestAblationsRun(t *testing.T) {
 	// Pipeline: parallel write-back beats serial, and readahead beats
 	// one-round-trip-per-block cold reads.
 	pipe := res[3]
-	if len(pipe.Rows) != 14 {
-		t.Fatalf("pipeline sweep has %d rows, want 14", len(pipe.Rows))
+	if len(pipe.Rows) != 16 {
+		t.Fatalf("pipeline sweep has %d rows, want 16", len(pipe.Rows))
 	}
 	if w8, w1 := pipe.Rows[3].Staleness, pipe.Rows[0].Staleness; w8*2 >= w1 {
 		t.Errorf("W=8 flush %v not meaningfully faster than W=1 %v", w8, w1)
@@ -342,6 +342,15 @@ func TestAblationsRun(t *testing.T) {
 	if walk := pipe.Rows[13]; walk.Staleness*10 > pipelineWAN.RTT || walk.RPCs["READDIRPLUS"] == 0 {
 		t.Errorf("name-at-a-time open: %v a name, %v crossing; want the directory's pages instead of a round trip (%v) per name",
 			walk.Staleness, walk.RPCs, pipelineWAN.RTT)
+	}
+	// Handoff: the sweep gates the re-read at one round trip plus the wire
+	// time; here, that it is one row per model, each a round trip short of the
+	// GETATTR-then-READ serial path.
+	for i, model := range []string{"poll", "deleg"} {
+		row := pipe.Rows[14+i]
+		if !strings.HasPrefix(row.Param, "handoff re-read") || !strings.HasSuffix(row.Param, model) || row.Staleness >= 2*fastWAN.RTT {
+			t.Errorf("row %d is %q in %v, want the %s handoff in under two round trips", 14+i, row.Param, row.Staleness, model)
+		}
 	}
 	var sb strings.Builder
 	res.Render(&sb)

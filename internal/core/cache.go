@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bufpool"
@@ -33,8 +34,11 @@ type sessionCache struct {
 	// files is the one table keyed by file handle. A record appears on first
 	// sight of a handle and leaves only through forget (the handle is dead);
 	// the attribute and listing caps evict that part of a record, never the
-	// record.
-	files map[string]*cachedFile
+	// record. forgets counts the records forget has taken: a reply to a call
+	// sent before one cannot tell a handle it never saw from one that died
+	// under it, and brings no record back (applyReplySince).
+	files   map[string]*cachedFile
+	forgets atomic.Uint64
 
 	// One ring per cap: a record is on attrLRU exactly while its attributes
 	// are valid and on listLRU exactly while it holds a listing; a lookup entry
@@ -89,6 +93,10 @@ type cacheCounters struct {
 	raSpills      *obs.Counter
 	raSpillBlocks *obs.Counter
 	raSuccMisses  *obs.Counter
+	// Re-reads after a remote write (readahead.go): revalidating GETATTRs that
+	// carried a file's head behind them, and the blocks they claimed.
+	raReopens      *obs.Counter
+	raReopenBlocks *obs.Counter
 
 	// Directory walks (dirwalk.go): pages asked for, the entries they brought,
 	// those of them a LOOKUP was since answered from, and pages that came back
@@ -220,6 +228,12 @@ type cachedFile struct {
 	// successor has followed twice running.
 	succ, pred *cachedFile
 	succHeld   bool
+	// The evidence for re-reading the file after a remote write (readahead.go):
+	// readThrough, this session's sequential reader last consumed its final
+	// block; remoteWrite, its attributes were taken by news of another client's
+	// write. Hints, like succ: neither is persisted, and dropping attributes
+	// for any other reason sets neither.
+	readThrough, remoteWrite bool
 }
 
 // cachedBlock is everything the cache knows about one block it holds. The
@@ -336,6 +350,7 @@ func (sc *sessionCache) forget(fh nfs3.FH) {
 		parked = append(parked, ws...)
 	}
 	delete(sc.files, key)
+	sc.forgets.Add(1)
 	if fc.blocks != nil && sc.persist != nil {
 		sc.persist.DropFile(key)
 	}
@@ -367,11 +382,17 @@ func (sc *sessionCache) servableLocked(fc *cachedFile) bool {
 	return true
 }
 
-// applyReply records what a forwarded request's reply says about handles: for
-// each the proxy server's trailers name, the delegation granted (if any) and
-// whether the handle may be cached; and for those and the handles the request
-// itself was for, that a request just crossed the wide area (renewal clock).
-func (sc *sessionCache) applyReply(ts Trailers, forwarded []nfs3.FH) {
+// applyReplySince records what a forwarded request's reply says about handles:
+// for each the proxy server's trailers name, the delegation granted (if any)
+// and whether the handle may be cached; and for those and the handles the
+// request itself was for, that a request just crossed the wide area (renewal
+// clock). forgets is sc.forgets when the request was sent. Only a trailer that
+// says something — a delegation, or that the handle may not be cached — makes a
+// record for a handle the session holds none of, and not if a record was
+// forgotten while the request was in flight: a READ of a file this session has
+// since removed, or that the server has since called stale, would otherwise
+// bring the dead handle back, under delegation holding a read delegation.
+func (sc *sessionCache) applyReplySince(ts Trailers, forwarded []nfs3.FH, forgets uint64) {
 	if len(ts)+len(forwarded) == 0 {
 		return
 	}
@@ -379,10 +400,14 @@ func (sc *sessionCache) applyReply(ts Trailers, forwarded []nfs3.FH) {
 	defer sc.mu.Unlock()
 	now := sc.nowLocked()
 	for _, tr := range ts {
-		if tr.FH.IsZero() {
+		fc := sc.files[tr.FH.Key()]
+		switch {
+		case fc != nil:
+		case tr.FH.IsZero(), tr.Deleg == DelegNone && tr.Cacheable, sc.forgets.Load() != forgets:
 			continue
+		default:
+			fc = sc.record(tr.FH.Key())
 		}
-		fc := sc.record(tr.FH.Key())
 		if sc.pol.model == ModelDelegation {
 			if tr.Deleg != DelegNone && tr.Seq <= fc.recallFence {
 				// The grant raced with (and lost to) a recall for a concurrent
@@ -397,25 +422,32 @@ func (sc *sessionCache) applyReply(ts Trailers, forwarded []nfs3.FH) {
 		fc.lastForward = now
 	}
 	for _, fh := range forwarded {
-		sc.record(fh.Key()).lastForward = now
+		if fc := sc.files[fh.Key()]; fc != nil {
+			fc.lastForward = now
+		}
 	}
 }
 
-// recall applies a delegation recall: the delegation is gone, grants stamped
-// at or before seq are fenced off, and the attributes must be revalidated.
-// Data blocks are kept; they are reconciled against the next server-observed
-// attributes. Recalls are precise — a destructive directory operation carries
-// the removed name and recalls the victim handle separately — so the named
-// binding goes and the directory's other dentries need no blanket flush.
-func (sc *sessionCache) recall(fh nfs3.FH, seq uint64, name string) {
+// applyRecall applies a delegation recall: the delegation is gone, grants
+// stamped at or before the recall's are fenced off, and the attributes must be
+// revalidated. Data blocks are kept; they are reconciled against the next
+// server-observed attributes. Recalls are precise — a destructive directory
+// operation carries the removed name and recalls the victim handle separately
+// — so the named binding goes and the directory's other dentries need no
+// blanket flush. A recall of a read delegation that names an offset can only
+// be for another client's WRITE: news of a remote write (readahead.go).
+func (sc *sessionCache) applyRecall(args RecallArgs) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc := sc.record(fh.Key())
+	fc := sc.record(args.FH.Key())
 	fc.deleg = DelegNone
-	fc.recallFence = max(fc.recallFence, seq)
+	fc.recallFence = max(fc.recallFence, args.Seq)
 	sc.dropAttrLocked(fc)
 	fc.namesGen++
-	sc.dropLookupLocked(fc.names[name])
+	sc.dropLookupLocked(fc.names[args.Name])
+	if args.Deleg == DelegRead && args.HasOffset && fc.blocks != nil {
+		fc.remoteWrite = true
+	}
 }
 
 // recallAll applies the loss of the proxy server's state (RECALL_ALL during
@@ -452,9 +484,11 @@ func (sc *sessionCache) attrLocked(fc *cachedFile) (nfs3.Fattr, bool) {
 }
 
 // setAttrLocked installs attributes on fc, evicting the least recently used
-// attributes when the cache is over its cap.
+// attributes when the cache is over its cap. Whatever news of a remote write
+// took the old ones is answered.
 func (sc *sessionCache) setAttrLocked(fc *cachedFile, a nfs3.Fattr) {
 	fc.attr, fc.fetched = a, sc.nowLocked()
+	fc.remoteWrite = false
 	sc.attrLRU.bump(&fc.attrLink)
 	for sc.pol.maxAttrs > 0 && sc.attrLRU.n > sc.pol.maxAttrs {
 		sc.attrLRU.remove(&sc.attrLRU.oldest().attrLink)
@@ -464,7 +498,8 @@ func (sc *sessionCache) setAttrLocked(fc *cachedFile, a nfs3.Fattr) {
 
 // dropAttrLocked invalidates fc's attributes. Whatever dropped them (GETINV,
 // recall, force-invalidate) may have moved EOF: the read stream restarts
-// against the revalidated size.
+// against the revalidated size. That the last pass read the file through is
+// not forgotten.
 func (sc *sessionCache) dropAttrLocked(fc *cachedFile) {
 	sc.attrLRU.remove(&fc.attrLink)
 	fc.stream = readStream{}
@@ -536,7 +571,9 @@ func (sc *sessionCache) putAttr(fh nfs3.FH, a nfs3.Fattr) {
 func (sc *sessionCache) putAttrLocked(fc *cachedFile, a nfs3.Fattr) {
 	if fc.blocks != nil {
 		sc.noteRecoveredLocked(fc, a.Mtime)
-		if fc.attrLink.on() {
+		// A stream begun by a revalidating GETATTR was claimed against the
+		// last-known size, which is what the answer is compared with.
+		if fc.attrLink.on() || fc.stream.reread {
 			switch st := &fc.stream; {
 			case a.Size < fc.attr.Size:
 				*st = readStream{} // truncated: the stream restarts against the new EOF
@@ -566,7 +603,9 @@ func (sc *sessionCache) putAttrLocked(fc *cachedFile, a nfs3.Fattr) {
 // cached listing are all flushed: any binding observed under the old
 // contents is suspect. The flush granularity matches the invalidation
 // channel's granularity. A handle the session has never seen has nothing to
-// invalidate and gains no record.
+// invalidate and gains no record. The channel names only what another client
+// changed: for a file the data path has touched, news of a remote write
+// (readahead.go).
 func (sc *sessionCache) invalidateHandle(fh nfs3.FH) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -574,6 +613,9 @@ func (sc *sessionCache) invalidateHandle(fh nfs3.FH) {
 	if fc := sc.files[fh.Key()]; fc != nil {
 		sc.dropAttrLocked(fc)
 		sc.flushDirLocked(fc)
+		if fc.blocks != nil {
+			fc.remoteWrite = true
+		}
 	}
 }
 
@@ -873,8 +915,10 @@ func (sc *sessionCache) putCleanBlock(fh nfs3.FH, bn uint64, data []byte, attr n
 func (sc *sessionCache) putBlock(fh nfs3.FH, bn uint64, data []byte, attr nfs3.Fattr, prefetched bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	key := fh.Key()
-	fc := sc.fileFor(key)
+	sc.putBlockLocked(sc.fileFor(fh.Key()), bn, data, attr, prefetched)
+}
+
+func (sc *sessionCache) putBlockLocked(fc *cachedFile, bn uint64, data []byte, attr nfs3.Fattr, prefetched bool) {
 	sc.noteRecoveredLocked(fc, attr.Mtime)
 	if fc.mtime != attr.Mtime {
 		sc.dropCleanLocked(fc)
@@ -902,7 +946,7 @@ func (sc *sessionCache) putBlock(fh nfs3.FH, bn uint64, data []byte, attr nfs3.F
 	blk.unread = prefetched
 	sc.lru.add(blk)
 	if sc.persist != nil {
-		sc.persist.PutBlock(key, bn, blk.data, false, blk.gen)
+		sc.persist.PutBlock(fc.key, bn, blk.data, false, blk.gen)
 		sc.persistMetaLocked(fc)
 	}
 	sc.evictLocked()

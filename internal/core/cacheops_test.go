@@ -267,6 +267,10 @@ func checkCacheInvariants(sc *sessionCache, mirror fakePersister, runs []infligh
 		if sc.pol.model != ModelDelegation && fc.deleg != DelegNone {
 			return fmt.Errorf("%q: delegation %v held outside the delegation model", key, fc.deleg)
 		}
+		if fc.remoteWrite && (fc.blocks == nil || fc.attrLink.on()) || fc.stream.reread && fc.stream.next != 0 {
+			return fmt.Errorf("%q: news of a remote write=%v (data touched=%v, attributes valid=%v), revalidation stream %+v",
+				key, fc.remoteWrite, fc.blocks != nil, fc.attrLink.on(), fc.stream)
+		}
 		dirty, marked := 0, 0
 		for bn, blk := range fc.blocks {
 			if blk.fc != fc || blk.bn != bn {

@@ -168,8 +168,11 @@ type Config struct {
 	// blocks — so this is where the window starts, not a depth to tune per
 	// link. Under polling the window also crosses file boundaries: a session
 	// that has read these files in this order before continues from the tail
-	// of one into the head of the next, inside the same budget. Negative
-	// disables readahead entirely. Default 4.
+	// of one into the head of the next, inside the same budget. And in both
+	// models a GETATTR that revalidates a file another client has just
+	// written, which this session last read to its end, carries the file's
+	// head — up to a window — behind it. Negative disables readahead
+	// entirely. Default 4.
 	ReadAhead int
 
 	// CallTimeout bounds upstream and callback RPCs so crashes and

@@ -21,11 +21,20 @@ import (
 // a real session's replies carry.
 func runChainBed(t *testing.T, cfg Config, fn func(p *ProxyClient, nc *nfscall.Conn, root nfs3.FH)) {
 	t.Helper()
+	runChainBedOver(t, simnet.Params{RTT: 40 * time.Millisecond}, cfg, func(*memfs.FS) {}, fn)
+}
+
+// runChainBedOver is runChainBed over a link of the caller's choosing, with
+// the NFS server's files populated first.
+func runChainBedOver(t *testing.T, link simnet.Params, cfg Config, populate func(fs *memfs.FS), fn func(p *ProxyClient, nc *nfscall.Conn, root nfs3.FH)) {
+	t.Helper()
 	clk := vclock.NewVirtual()
 	defer clk.Stop()
-	net := simnet.New(clk, simnet.Params{RTT: 40 * time.Millisecond})
+	net := simnet.New(clk, link)
+	fs := memfs.New(clk.Now)
+	populate(fs)
 	rpcSrv := sunrpc.NewServer(clk)
-	nfsserver.New(memfs.New(clk.Now), serverVerf).Register(rpcSrv)
+	nfsserver.New(fs, serverVerf).Register(rpcSrv)
 	server, client := net.Host("server"), net.Host("client")
 	listen := func(h *simnet.Host, addr string) transport.Listener {
 		l, err := h.Listen(addr)
@@ -143,6 +152,87 @@ func TestHandleStateFollowsLiveFiles(t *testing.T) {
 				}
 				if got := p.handleEntries(); got > live {
 					t.Errorf("%d handle records after a stale handle, want at most %d", got, live)
+				}
+			})
+		})
+	}
+}
+
+// TestRepliesDoNotBringForgottenHandlesBack: a reply in flight when its handle
+// is forgotten finds no record, and must not make one — not through its
+// trailer (which under delegation grants a read delegation on the dead
+// handle), not through the handle the request was for, not through the block
+// a prefetch brings. Two ways a readahead chunk ends up in flight across a
+// forget, in both models: the session forgets the file (as its own REMOVE
+// does) while the chunk's replies are still on a 100 Mbit/s link; and a
+// GETATTR, sent just before the READ that starts the chunk, finds the file
+// removed behind the session's back — STALE — and forgets it before the
+// READs' STALE replies are in.
+func TestRepliesDoNotBringForgottenHandlesBack(t *testing.T) {
+	link := simnet.Params{RTT: 40 * time.Millisecond, Bandwidth: 100_000_000 / 8}
+	populate := func(fs *memfs.FS) {
+		if _, err := fs.WriteFile("f", make([]byte, 16*raBS)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, model := range []Model{ModelPolling, ModelDelegation} {
+		t.Run(model.String()+"/forgotten under the chunk", func(t *testing.T) {
+			runChainBedOver(t, link, Config{Model: model, PollPeriod: time.Hour}, populate, func(p *ProxyClient, nc *nfscall.Conn, root nfs3.FH) {
+				lk, err := nc.Lookup(root, "f")
+				if err != nil || lk.Status != nfs3.OK {
+					t.Errorf("lookup: %v %v", err, lk.Status)
+					return
+				}
+				if rd, err := nc.Read(lk.FH, 0, raBS); err != nil || rd.Status != nfs3.OK {
+					t.Errorf("read: %v %v", err, rd.Status)
+					return
+				}
+				p.cache.mu.Lock()
+				inflight := len(p.cache.files[lk.FH.Key()].fetching)
+				p.cache.mu.Unlock()
+				p.cache.forget(lk.FH)
+				live := p.handleEntries()
+				p.clk.Sleep(time.Second)
+				if inflight == 0 {
+					t.Error("no prefetch was in flight at the forget: the test proves nothing")
+				}
+				if got := p.handleEntries(); got != live {
+					t.Errorf("%d handle records once the chunk (%d READs) landed, %d after the forget", got, inflight, live)
+				}
+			})
+		})
+		t.Run(model.String()+"/stale under the chunk", func(t *testing.T) {
+			// DisableMetaCache: the GETATTR crosses although the LOOKUP's
+			// attributes (which the chunk needs for EOF) are cached.
+			cfg := Config{Model: model, PollPeriod: time.Hour, DisableMetaCache: true}
+			runChainBedOver(t, link, cfg, populate, func(p *ProxyClient, nc *nfscall.Conn, root nfs3.FH) {
+				lk, err := nc.Lookup(root, "f")
+				if err != nil || lk.Status != nfs3.OK {
+					t.Errorf("lookup: %v %v", err, lk.Status)
+					return
+				}
+				live := p.handleEntries() - 1
+				if err := removeBehind(p, root, "f"); err != nil {
+					t.Error(err)
+					return
+				}
+				g := p.clk.NewGroup()
+				g.Go("getattr", func() {
+					if ga, err := nc.Getattr(lk.FH); err != nil || ga.Status != nfs3.ErrStale {
+						t.Errorf("getattr of the removed file: %v %v", err, ga.Status)
+					}
+				})
+				g.Go("read", func() {
+					p.clk.Sleep(time.Millisecond)
+					nc.Read(lk.FH, 0, raBS) // STALE, and blocks 1..4 asked for behind it
+				})
+				g.Wait()
+				p.clk.Sleep(time.Second)
+				if got := p.handleEntries(); got != live {
+					t.Errorf("%d handle records after the stale file's replies landed, %d without it", got, live)
+				}
+				if got := p.Stats().ReadAheads; got != 0 {
+					t.Errorf("%d blocks of a dead file cached", got)
 				}
 			})
 		})

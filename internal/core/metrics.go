@@ -59,6 +59,8 @@ type clientMetrics struct {
 	readaheadSpills    *obs.Counter
 	readaheadSpillBlks *obs.Counter
 	readaheadSuccMiss  *obs.Counter
+	readaheadReopens   *obs.Counter
+	readaheadReopenBlk *obs.Counter
 	renewBypass        *obs.Counter
 	pollCapped         *obs.Counter
 	coalescedWrites    *obs.Counter
@@ -119,6 +121,8 @@ func newClientMetrics(reg *obs.Registry, node string) *clientMetrics {
 		readaheadSpills:    reg.Counter(l("gvfs_client_readahead_spills_total")),
 		readaheadSpillBlks: reg.Counter(l("gvfs_client_readahead_spill_blocks_total")),
 		readaheadSuccMiss:  reg.Counter(l("gvfs_client_readahead_successor_misses_total")),
+		readaheadReopens:   reg.Counter(l("gvfs_client_readahead_reopens_total")),
+		readaheadReopenBlk: reg.Counter(l("gvfs_client_readahead_reopen_blocks_total")),
 		renewBypass:        reg.Counter(l("gvfs_client_deleg_renew_bypass_total")),
 		pollCapped:         reg.Counter(l("gvfs_client_poll_capped_total")),
 		coalescedWrites:    reg.Counter(l("gvfs_client_coalesced_writes_total")),
@@ -154,17 +158,19 @@ func newClientMetrics(reg *obs.Registry, node string) *clientMetrics {
 // cacheCounters exposes the session cache's slice of the client metrics.
 func (m *clientMetrics) cacheCounters() cacheCounters {
 	return cacheCounters{
-		evictions:     m.metaEvictions,
-		dirFlushes:    m.metaDirFlush,
-		raWasted:      m.readaheadWasted,
-		renewBypass:   m.renewBypass,
-		walkPages:     m.dirwalkPages,
-		walkEntries:   m.dirwalkEntries,
-		walkUsed:      m.dirwalkEntriesUsed,
-		walkDiscarded: m.dirwalkDiscarded,
-		raSpills:      m.readaheadSpills,
-		raSpillBlocks: m.readaheadSpillBlks,
-		raSuccMisses:  m.readaheadSuccMiss,
+		evictions:      m.metaEvictions,
+		dirFlushes:     m.metaDirFlush,
+		raWasted:       m.readaheadWasted,
+		renewBypass:    m.renewBypass,
+		walkPages:      m.dirwalkPages,
+		walkEntries:    m.dirwalkEntries,
+		walkUsed:       m.dirwalkEntriesUsed,
+		walkDiscarded:  m.dirwalkDiscarded,
+		raSpills:       m.readaheadSpills,
+		raSpillBlocks:  m.readaheadSpillBlks,
+		raSuccMisses:   m.readaheadSuccMiss,
+		raReopens:      m.readaheadReopens,
+		raReopenBlocks: m.readaheadReopenBlk,
 	}
 }
 

@@ -846,8 +846,9 @@ func (p *ProxyClient) callUpstream(rid uint64, proc uint32, args wireEnc, res wi
 // nfsCall is an NFS call sent upstream and not yet waited for.
 type nfsCall struct {
 	upstreamCall
-	args  *xdr.Encoder // the encoded arguments, pooled; a retry sends them again
-	start time.Duration
+	args    *xdr.Encoder // the encoded arguments, pooled; a retry sends them again
+	start   time.Duration
+	forgets uint64 // the session cache's forget count when it was sent
 }
 
 // startUpstream encodes args and sends the call; finishUpstream must follow.
@@ -856,8 +857,8 @@ func (p *ProxyClient) startUpstream(rid uint64, proc uint32, args wireEnc) nfsCa
 	if args != nil {
 		args.Encode(e)
 	}
-	start := p.node.Now()
-	return nfsCall{p.startCall(rid, nfs3.Program, nfs3.Version, proc, e.Bytes()), e, start}
+	start, forgets := p.node.Now(), p.cache.forgets.Load()
+	return nfsCall{p.startCall(rid, nfs3.Program, nfs3.Version, proc, e.Bytes()), e, start, forgets}
 }
 
 // finishUpstream waits for a started NFS call, decodes its result into res
@@ -886,7 +887,7 @@ func (p *ProxyClient) finishUpstream(c nfsCall, res wireDec, forwarded []nfs3.FH
 			ts = nil
 		}
 	}
-	p.cache.applyReply(ts, forwarded)
+	p.cache.applyReplySince(ts, forwarded, c.forgets)
 	return rep, nil
 }
 
@@ -1081,6 +1082,11 @@ func (p *ProxyClient) getattr(call *sunrpc.Call) sunrpc.AcceptStat {
 		return sunrpc.GarbageArgs
 	}
 	spanFH(call, args.FH)
+	// reread is the file's head when this GETATTR revalidates a file another
+	// client has just rewritten and this session read through last time: its
+	// READs go out right behind the GETATTR, so the kernel's READs that follow
+	// the answer join them (readahead.go, "after a remote write").
+	var reread prefetchChunk
 	if !p.cfg.DisableMetaCache {
 		if h, ok := p.cache.attrHit(args.FH); ok {
 			p.met.attrHits.Inc()
@@ -1090,11 +1096,17 @@ func (p *ProxyClient) getattr(call *sunrpc.Call) sunrpc.AcceptStat {
 			res.Encode(call.Reply)
 			return sunrpc.Success
 		}
+		reread = p.claimReread(call.ReqID, args.FH)
 	}
 	var res nfs3.GetattrRes
-	if err := p.forward(call, nfs3.ProcGetattr, &args, &res, args.FH); err != nil {
+	c := p.startUpstream(call.ReqID, nfs3.ProcGetattr, &args)
+	p.issueChunk(reread) // behind the answer the kernel is waiting for
+	rep, err := p.finishUpstream(c, &res, []nfs3.FH{args.FH})
+	rep.Release() // the result owns what it decoded
+	if err != nil {
 		return encodeReply(call, &nfs3.GetattrRes{Status: nfs3.ErrJukebox})
 	}
+	p.hitForward(call)
 	switch res.Status {
 	case nfs3.OK:
 		p.cache.putAttr(args.FH, res.Attr)
@@ -1688,7 +1700,7 @@ func (p *ProxyClient) handleRecall(call *sunrpc.Call) sunrpc.AcceptStat {
 	p.met.recalls.Inc()
 	// A Name says the recall was triggered by an operation removing or
 	// replacing that entry of the (directory) handle: the binding goes too.
-	p.cache.recall(args.FH, args.Seq, args.Name)
+	p.cache.applyRecall(args)
 	p.cfg.Staleness.ObservePropagation("recall", args.FH.Key())
 
 	res := RecallRes{Status: nfs3.OK}

@@ -118,6 +118,10 @@ type sharer struct {
 	// closing: the sweep speculated it gone and asked for its delegation. It
 	// leaves when that settles, unless an access of its own came first.
 	closing bool
+	// recall is the callback on the wire to it, nil when there is none: an
+	// access that conflicts with it meanwhile waits for that to settle rather
+	// than calling it back again.
+	recall  *recallFlight
 	pending map[uint64]bool // dirty byte offsets awaiting write-back
 	// lostRecall is set when a recall callback to this sharer failed: its
 	// delegation was revoked without acknowledgement, so dirty data it

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/nfs3"
 	"repro/internal/sunrpc"
+	"repro/internal/vclock"
 	"repro/internal/xdr"
 )
 
@@ -94,7 +96,13 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 	}
 	replyBytes := rep.Body.Rest()
 
-	if replyStatus(replyBytes) == nfs3.OK {
+	switch replyStatus(replyBytes) {
+	case nfs3.ErrStale:
+		// The handle is dead: nothing granted on it is worth the client's
+		// keeping, and the client forgets it. (Only STALE: a LOOKUP's NOENT,
+		// say, carries the directory's grant its negative entry is served by.)
+		trailers = nil
+	case nfs3.OK:
 		// Ground truth for the staleness observatory: every invalidation
 		// target of a successfully forwarded mutation is a committed remote
 		// write, stamped here (both models) with the committing client's
@@ -331,11 +339,22 @@ func (s *ProxyServer) lookupUpstream(rid uint64, dir nfs3.FH, name string) (nfs3
 // recallReq is one delegation to take back. closed says the server also
 // speculates the file closed by that client (idle, or beyond the state
 // budget; Section 4.3.3): a clean acknowledgement then ends the sharer.
+// flight is the callback the request is — or, joined, the one already on the
+// wire to that sharer, which the access waits out instead of sending another.
 type recallReq struct {
 	f      *fileState
 	c      *clientState
 	args   RecallArgs
 	closed bool
+	flight *recallFlight
+	joined bool
+}
+
+// recallFlight is one recall callback from the time a transition demands it
+// until it settles, and the accesses waiting for that.
+type recallFlight struct {
+	settled bool
+	waiters []*vclock.Waiter
 }
 
 // blockOf rounds a byte offset down to its block, the unit of pending lists.
@@ -385,28 +404,34 @@ func (s *ProxyServer) dropSharerLocked(f *fileState, id string) {
 }
 
 // demandLocked adds to reqs the recall of what sh holds on f, for the access
-// a it cannot coexist with.
+// a it cannot coexist with, and marks sh as being called back.
 func (s *ProxyServer) demandLocked(reqs []recallReq, f *fileState, sh *sharer, a accessReq, closed bool) []recallReq {
 	s.grantSeq++
 	args := RecallArgs{FH: f.fh, Deleg: sh.deleg, Seq: s.grantSeq, Name: a.name}
 	if a.offset != nil {
 		args.HasOffset, args.Offset = true, *a.offset
 	}
-	return append(reqs, recallReq{f: f, c: sh.c, args: args, closed: closed})
+	sh.recall = &recallFlight{}
+	return append(reqs, recallReq{f: f, c: sh.c, args: args, closed: closed, flight: sh.recall})
 }
 
 // conflictsLocked lists what other sharers of f hold that cannot coexist
 // with id's access a (Section 4.3.1): any delegation against a write, a write
 // delegation against a read, and — chasing a partial write-back, Section
-// 4.3.2 — a block at a's offset that its holder has yet to submit.
+// 4.3.2 — a block at a's offset that its holder has yet to submit. A sharer
+// already being called back is not called again: the access joins that recall,
+// and looks again once it has settled (recallWithin).
 func (s *ProxyServer) conflictsLocked(f *fileState, id string, a accessReq) (reqs []recallReq) {
 	for _, otherID := range sortedKeys(f.sharers) {
 		other := f.sharers[otherID]
+		conflict := a.write && other.deleg != DelegNone ||
+			!a.write && other.deleg == DelegWrite ||
+			a.offset != nil && other.pending[s.blockOf(*a.offset)]
 		switch {
-		case otherID == id:
-		case a.write && other.deleg != DelegNone,
-			!a.write && other.deleg == DelegWrite,
-			a.offset != nil && other.pending[s.blockOf(*a.offset)]:
+		case otherID == id || !conflict:
+		case other.recall != nil:
+			reqs = append(reqs, recallReq{f: f, c: other.c, args: RecallArgs{FH: f.fh, Deleg: other.deleg}, flight: other.recall, joined: true})
+		default:
 			reqs = s.demandLocked(reqs, f, other, a, false)
 		}
 	}
@@ -475,12 +500,21 @@ func (s *ProxyServer) committedLocked(id string, a accessReq) []recallReq {
 // leaves the fence, an answer naming unwritten blocks the pending list;
 // either restarts the sharer's idle clock and fronts the file in the
 // eviction order, so what it owes outlives the sweep that found it by a
-// full DelegExpiry (or a turn of the budget).
-func (s *ProxyServer) settleLocked(r recallReq, res *RecallRes, now time.Duration) {
+// full DelegExpiry (or a turn of the budget). The sharer is no longer being
+// called back, and the accesses that joined the recall are handed back, to be
+// woken. A request that joined settles nothing.
+func (s *ProxyServer) settleLocked(r recallReq, res *RecallRes, now time.Duration) (joined []*vclock.Waiter) {
+	if r.joined {
+		return nil
+	}
+	r.flight.settled, joined, r.flight.waiters = true, r.flight.waiters, nil
 	f, id := r.f, r.c.rec.ID
 	sh := f.sharers[id]
+	if sh != nil && sh.recall == r.flight {
+		sh.recall = nil
+	}
 	if sh == nil || r.closed && !sh.closing {
-		return // dropped, or back since the sweep speculated it gone: what it holds now stands
+		return joined // dropped, or back since the sweep speculated it gone: what it holds now stands
 	}
 	sh.deleg, sh.closing = DelegNone, false
 	switch {
@@ -495,19 +529,21 @@ func (s *ProxyServer) settleLocked(r recallReq, res *RecallRes, now time.Duratio
 		if r.closed {
 			s.dropSharerLocked(f, id)
 		}
-		return
+		return joined
 	}
 	sh.lastAccess = now
 	s.lru.bump(&f.link)
+	return joined
 }
 
 // releaseLocked speculates f closed by every sharer last heard from before
-// idle: a delegation is asked back (once) and its holder leaves when that
-// settles; a sharer holding none leaves now, with whatever it still owed.
+// idle: a delegation is asked back (once, and not while a recall of it is on
+// the wire already) and its holder leaves when that settles; a sharer holding
+// none leaves now, with whatever it still owed.
 func (s *ProxyServer) releaseLocked(reqs []recallReq, f *fileState, idle time.Duration) []recallReq {
 	for _, id := range sortedKeys(f.sharers) {
 		switch sh := f.sharers[id]; {
-		case sh.lastAccess >= idle || sh.closing:
+		case sh.lastAccess >= idle || sh.closing || sh.recall != nil:
 		case sh.deleg != DelegNone:
 			sh.closing = true
 			reqs = s.demandLocked(reqs, f, sh, accessReq{}, true)
@@ -542,14 +578,54 @@ func (s *ProxyServer) rebuildLocked(c *clientState, fh nfs3.FH, now time.Duratio
 }
 
 // recall takes back every delegation in reqs, in order, settling each answer
-// (or the lack of one) before the next is sent. No lock is held across a
-// callback: the recalled client writes back through this same server.
+// (or the lack of one) before the next is sent; a request that joined a recall
+// already on the wire waits for that one's settle instead. No lock is held
+// across a callback: the recalled client writes back through this same server.
 func (s *ProxyServer) recall(rid uint64, reqs []recallReq) {
 	for _, r := range reqs {
+		if r.joined {
+			s.awaitSettle(r.flight)
+			continue
+		}
 		res := s.callbackRecall(rid, r.c, r.args)
 		s.mu.Lock()
-		s.settleLocked(r, res, s.clk.Now())
+		joined := s.settleLocked(r, res, s.clk.Now())
 		s.mu.Unlock()
+		for _, w := range joined {
+			w.Wake()
+		}
+	}
+}
+
+// awaitSettle parks until the recall fl has settled.
+func (s *ProxyServer) awaitSettle(fl *recallFlight) {
+	s.mu.Lock()
+	if fl.settled {
+		s.mu.Unlock()
+		return
+	}
+	w := s.clk.NewWaiter()
+	fl.waiters = append(fl.waiters, w)
+	s.mu.Unlock()
+	s.clk.WaitAs(w, "recall in flight")
+}
+
+// recallWithin runs reqs through recall inside yield, with s.mu (held by the
+// caller) released meanwhile. When one of them joined another access's recall,
+// that settle is all it waited for: the table is looked at again (rescan) and
+// what still conflicts — a block the holder still owes, a delegation granted
+// since — is asked for in turn, so an access never goes ahead of the holder's
+// write-back and one delegation is called back once however many accesses
+// want it at the same time.
+func (s *ProxyServer) recallWithin(rid uint64, reqs []recallReq, yield func(func()), rescan func() []recallReq) {
+	for len(reqs) > 0 {
+		s.mu.Unlock()
+		yield(func() { s.recall(rid, reqs) })
+		s.mu.Lock()
+		if !slices.ContainsFunc(reqs, func(r recallReq) bool { return r.joined }) {
+			return
+		}
+		reqs = rescan()
 	}
 }
 
@@ -566,11 +642,12 @@ func (s *ProxyServer) handleAccess(rid uint64, client *clientState, a accessReq,
 	if fenced {
 		return t, false, true
 	}
-	if len(reqs) > 0 {
-		s.mu.Unlock()
-		yield(func() { s.recall(rid, reqs) })
-		s.mu.Lock()
-	}
+	s.recallWithin(rid, reqs, yield, func() []recallReq {
+		if f := s.files[a.fh.Key()]; f != nil {
+			return s.conflictsLocked(f, client.rec.ID, a)
+		}
+		return nil
+	})
 	granted, seq := s.grantLocked(client, a, now)
 	s.met.delegationGrants[granted].Inc()
 	return Trailer{Deleg: granted, Cacheable: granted != DelegNone, FH: a.fh, Seq: seq}, len(reqs) > 0, false
@@ -580,9 +657,7 @@ func (s *ProxyServer) handleAccess(rid uint64, client *clientState, a accessReq,
 // and recalls what it lists.
 func (s *ProxyServer) revokeOthers(rid uint64, client *clientState, a accessReq, yield func(func())) {
 	s.mu.Lock()
-	reqs := s.committedLocked(client.rec.ID, a)
-	s.mu.Unlock()
-	if len(reqs) > 0 {
-		yield(func() { s.recall(rid, reqs) })
-	}
+	defer s.mu.Unlock()
+	committed := func() []recallReq { return s.committedLocked(client.rec.ID, a) }
+	s.recallWithin(rid, committed(), yield, committed)
 }

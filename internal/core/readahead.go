@@ -28,6 +28,17 @@ import (
 // link stays full across the boundary. Only under polling: a speculative READ
 // under delegation would make this client a sharer of a file nobody here
 // asked for, and could recall another client's write delegation for it.
+//
+// After a remote write. A kernel opens a file by revalidating it with GETATTR
+// and reads it only once the answer is in, so a file another client has just
+// rewritten costs two round trips in series: the GETATTR, then the READs. When
+// the session has the evidence — the file's attributes were taken by news of
+// another client's write (a GETINV entry; a recall of this client's read
+// delegation naming a WRITE's offset), and its last sequential pass here read
+// it through — the GETATTR that revalidates it carries the file's head behind
+// it, up to a window, through the same chunk path: one round trip. Under
+// delegation too: the GETATTR is already this client's read access to the
+// file, and the READs behind it conflict with nothing it does not.
 
 // readStream is one file's sequential-read detector. The zero value is "no
 // stream". It is guarded by the session cache's mutex and reclaimed with the
@@ -35,12 +46,17 @@ import (
 type readStream struct {
 	next uint64 // block a sequential reader asks for next
 	// frontier is the first block prefetch has not requested yet; 0 until a
-	// second sequential read confirms the pattern. With next still 0 it is the
-	// predecessor's spill that got this far: the reader has yet to arrive.
+	// second sequential read confirms the pattern. With next still 0 it is a
+	// predecessor's spill, or a revalidating GETATTR (reread), that got this
+	// far: the reader has yet to arrive.
 	frontier uint64
 	// eof is the file's length in blocks as the cached attributes had it when
 	// frontier became streamDone; meaningful only then.
 	eof uint64
+	// reread marks a stream begun by a revalidating GETATTR (beginReread), until
+	// its reader arrives: it was claimed against the last-known size, which the
+	// GETATTR's answer is compared with (putAttr), and its head is not a spill.
+	reread bool
 }
 
 // streamDone is a stream's frontier once prefetch has reached EOF: no read
@@ -122,22 +138,28 @@ func (r *readPipe) grow() int64 {
 // detection at bn. due reports that the reader has consumed half of what
 // prefetch requested ahead of it — in this file or, once this one is claimed
 // to EOF, in the one expected to follow — so the next chunk should be issued;
-// busy that a prefetch of bn itself is in flight.
+// busy that a prefetch of bn itself is in flight and is what the reader must
+// wait for. A block the cache holds, with attributes to serve it by, is not
+// waited for even while it is fetched again (a revalidating GETATTR's claim
+// whose answer did not drop it): a held, servable block is served.
 func (sc *sessionCache) streamRead(fh nfs3.FH, bn uint64, window int64) (due, busy bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	fc := sc.fileFor(fh.Key())
 	_, busy = fc.fetching[bn]
+	busy = busy && (fc.blocks[bn] == nil || !fc.attrLink.on())
 	st := &fc.stream
 	switch {
 	case bn == 0:
 		// A pass from the top starts the pipeline afresh, unless the file read
-		// before this one already spilled into its head.
+		// before this one already spilled into its head, or the GETATTR that
+		// revalidated it asked for it again.
 		if !sc.openLocked(fc, busy) {
 			*st = readStream{}
 		}
 	case bn != st.next:
 		*st = readStream{next: bn + 1}
+		fc.readThrough = false
 		return false, busy
 	}
 	st.next = bn + 1
@@ -148,19 +170,20 @@ func (sc *sessionCache) streamRead(fh nfs3.FH, bn uint64, window int64) (due, bu
 		return st.next+uint64(window)/2 >= st.frontier, busy
 	}
 	if st.next >= st.eof {
-		sc.lastDone = fc
+		sc.lastDone, fc.readThrough = fc, true
 	}
 	y, _ := sc.spillTargetLocked(fc, window)
 	return y != nil, busy
 }
 
-// claimLocked marks the blocks of fc in [from, hi) that are neither cached
-// (clean or dirty) nor in flight as being prefetched, for as long as fewer than
-// limit of the file's blocks are, and returns them and the block it stopped at.
-func (fc *cachedFile) claimLocked(from, hi uint64, limit int64) (claimed []uint64, bn uint64) {
+// claimLocked marks the blocks of fc in [from, hi) that are neither dirty nor
+// in flight — nor, unless refetch, cached clean — as being prefetched, for as
+// long as fewer than limit of the file's blocks are, and returns them and the
+// block it stopped at.
+func (fc *cachedFile) claimLocked(from, hi uint64, limit int64, refetch bool) (claimed []uint64, bn uint64) {
 	for bn = from; bn < hi && int64(len(fc.fetching)) < limit; bn++ {
-		_, cached := fc.blocks[bn]
-		if _, inflight := fc.fetching[bn]; cached || inflight {
+		blk := fc.blocks[bn]
+		if _, inflight := fc.fetching[bn]; inflight || blk != nil && (blk.dirty || !refetch) {
 			continue
 		}
 		fc.fetching[bn] = nil
@@ -195,12 +218,12 @@ func (sc *sessionCache) beginFetches(fh nfs3.FH, window int64) []uint64 {
 	}
 	eof := sc.blocksLocked(fc, attr)
 	st := &fc.stream
-	claimed, bn := fc.claimLocked(st.frontier, min(st.next+uint64(window), eof), window)
+	claimed, bn := fc.claimLocked(st.frontier, min(st.next+uint64(window), eof), window, false)
 	switch {
 	case bn >= eof:
 		st.frontier, st.eof = streamDone, eof
 		if st.next >= eof {
-			sc.lastDone = fc // a file that ends under its reader's first chunk
+			sc.lastDone, fc.readThrough = fc, true // a file that ends under its reader's first chunk
 		}
 	case bn > st.frontier:
 		st.frontier = bn
@@ -216,15 +239,17 @@ func (sc *sessionCache) beginFetches(fh nfs3.FH, window int64) []uint64 {
 // successor must repeat before it is spilled into again, so an order that keeps
 // changing wastes one spill per change and then nothing. Re-reading the file
 // just finished links nothing. begun reports that fc's stream was begun by a
-// predecessor's spill whose head is still here (cached or in flight), so the
-// reader's own stream carries on from that frontier.
+// predecessor's spill, or by the GETATTR that revalidated fc, whose head is
+// still here (cached or in flight), so the reader's own stream carries on from
+// that frontier.
 func (sc *sessionCache) openLocked(fc *cachedFile, busy bool) (begun bool) {
 	if st := &fc.stream; st.next == 0 && st.frontier != 0 {
 		if blk := fc.blocks[0]; blk != nil || busy {
 			begun = true
-			if busy || blk.unread {
+			if !st.reread && (busy || blk.unread) {
 				sc.met.raSpills.Inc() // the head was requested for this reader
 			}
+			st.reread = false
 		}
 	}
 	x := sc.lastDone
@@ -344,7 +369,7 @@ func (sc *sessionCache) beginSpill(fh nfs3.FH, window int64) *spillRun {
 	// nothing would be due.
 	st := &fc.stream
 	ahead := st.eof - min(st.next, st.eof)
-	claimed, bn := y.claimLocked(from, min(uint64(window)-ahead, eof), window-int64(len(fc.fetching)))
+	claimed, bn := y.claimLocked(from, min(uint64(window)-ahead, eof), window-int64(len(fc.fetching)), false)
 	if bn >= eof {
 		y.stream = readStream{frontier: streamDone, eof: eof}
 	} else {
@@ -356,6 +381,42 @@ func (sc *sessionCache) beginSpill(fh nfs3.FH, window int64) *spillRun {
 	sc.met.raSpillBlocks.Add(int64(len(claimed)))
 	next, _ := nfs3.FHFromBytes([]byte(y.key)) // a key is a handle's bytes
 	return &spillRun{next, claimed}
+}
+
+// --- after a remote write: the revalidating GETATTR's claim -------------------
+
+// beginReread is the claim a GETATTR the cache could not answer carries behind
+// it, when the file's attributes were taken by news of another client's write
+// and this session's last sequential pass read it through (and block 0 is
+// still here, clean, under a cacheable handle the session has not just
+// recovered from disk): blocks 0 up to `window`, never past EOF as last known,
+// clean ones held included — the news is what makes them suspect — and dirty
+// or in-flight ones skipped. The news is consumed, and the file's stream is
+// begun for its reader the way a spill begins one. nil when nothing is claimed.
+func (sc *sessionCache) beginReread(fh nfs3.FH, window int64) []uint64 {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	fc := sc.dataFor(fh.Key())
+	if fc == nil || !fc.remoteWrite || !fc.readThrough || fc.attrLink.on() || fc.noncacheable || fc.recovered {
+		return nil
+	}
+	if blk := fc.blocks[0]; blk == nil || blk.dirty {
+		return nil
+	}
+	fc.remoteWrite = false
+	eof := sc.blocksLocked(fc, fc.attr)
+	claimed, bn := fc.claimLocked(0, min(uint64(window), eof), window, true)
+	if len(claimed) == 0 {
+		return nil
+	}
+	if bn >= eof {
+		fc.stream = readStream{frontier: streamDone, eof: eof, reread: true}
+	} else {
+		fc.stream = readStream{frontier: bn, reread: true}
+	}
+	sc.met.raReopens.Inc()
+	sc.met.raReopenBlocks.Add(int64(len(claimed)))
+	return claimed
 }
 
 // awaitFetch parks w on the in-flight prefetch of (fh, bn); it reports false
@@ -374,18 +435,35 @@ func (sc *sessionCache) awaitFetch(fh nfs3.FH, bn uint64, w *vclock.Waiter) bool
 	return inflight
 }
 
-// endFetch clears a block's in-flight prefetch mark and returns the demand
-// reads parked on it.
-func (sc *sessionCache) endFetch(fh nfs3.FH, bn uint64) []*vclock.Waiter {
+// landFetch ends the prefetch of (fh, bn) with its reply — nil when the call
+// failed — and hands back the demand reads parked on it, to be woken; one that
+// finds no block forwards. The bytes are kept (through putBlock's mtime
+// reconciliation) when the claim still stands — a record forgotten under it
+// gets none back — and the reply is OK, carries attributes and holds a whole
+// block or the file's tail. A block at or past the end of file the reply
+// reports was claimed against a length the file no longer has: it is not
+// cached, and counts as wasted.
+func (sc *sessionCache) landFetch(fh nfs3.FH, bn uint64, res *nfs3.ReadRes) (ws []*vclock.Waiter, kept bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	fc := sc.files[fh.Key()]
 	if fc == nil {
-		return nil
+		return nil, false
 	}
-	ws := fc.fetching[bn]
+	ws, claimed := fc.fetching[bn]
 	delete(fc.fetching, bn)
-	return ws
+	if !claimed || res == nil || res.Status != nfs3.OK || !res.Attr.Present {
+		return ws, false
+	}
+	bs := uint64(sc.bs)
+	switch {
+	case bn*bs >= res.Attr.Attr.Size:
+		sc.met.raWasted.Inc()
+	case uint64(res.Count) == bs || res.EOF:
+		sc.putBlockLocked(fc, bn, res.Data, res.Attr.Attr, true)
+		return ws, true
+	}
+	return ws, false
 }
 
 // --- proxy client side -------------------------------------------------------
@@ -432,12 +510,13 @@ func (p *ProxyClient) readAhead(parent uint64, fh nfs3.FH, bn uint64) (joined bo
 // over the end of the file, the blocks it claimed at the head of the next. The
 // zero value is no chunk.
 type prefetchChunk struct {
-	parent uint64 // the demand read's request ID
+	parent uint64 // the demand read's request ID, or the revalidating GETATTR's
 	fh     nfs3.FH
 	window int64
 	blocks []uint64
 	spill  *spillRun // sent behind blocks; nil when the window stayed in fh
 	rids   []uint64  // one request ID per block, blocks' then the spill's
+	reread bool      // blocks are a revalidating GETATTR's claim (beginReread)
 }
 
 // spillRun is the part of a chunk that lies across the file boundary: blocks at
@@ -459,14 +538,32 @@ func (p *ProxyClient) claimChunk(parent uint64, fh nfs3.FH, window int64) prefet
 	if spill != nil {
 		n += len(spill.blocks)
 	}
-	// Each prefetch is its own traced request, parented on the demand read
-	// that triggered it. Minted here, before any actor is spawned, so the ID
-	// order is deterministic regardless of actor scheduling.
+	return prefetchChunk{parent: parent, fh: fh, window: window, blocks: blocks, spill: spill, rids: p.mintIDs(n)}
+}
+
+// claimReread claims what a GETATTR of fh the cache could not answer carries
+// behind it (beginReread), as a chunk parented on that GETATTR.
+func (p *ProxyClient) claimReread(parent uint64, fh nfs3.FH) prefetchChunk {
+	if p.cfg.ReadAhead <= 0 || p.stopped.Load() {
+		return prefetchChunk{}
+	}
+	window := p.ra.window.Load()
+	blocks := p.cache.beginReread(fh, window)
+	if len(blocks) == 0 {
+		return prefetchChunk{}
+	}
+	return prefetchChunk{parent: parent, fh: fh, window: window, blocks: blocks, rids: p.mintIDs(len(blocks)), reread: true}
+}
+
+// mintIDs mints a request ID for each of n prefetches: each is its own traced
+// request, parented on the request that made it due. Minted before any actor
+// is spawned, so the ID order is deterministic regardless of actor scheduling.
+func (p *ProxyClient) mintIDs(n int) []uint64 {
 	rids := make([]uint64, n)
 	for i := range rids {
 		rids[i] = p.node.Mint()
 	}
-	return prefetchChunk{parent, fh, window, blocks, spill, rids}
+	return rids
 }
 
 // issueChunk sends a claimed chunk: one READ per block, sent one after
@@ -477,63 +574,60 @@ func (p *ProxyClient) claimChunk(parent uint64, fh nfs3.FH, window int64) prefet
 // would leave in whatever order the scheduler ran those, and the reader's next
 // blocks could be the last to arrive. For the same reason a demand read that
 // has a READ of its own to send issues the chunk after it: the block the reader
-// is waiting for goes first.
+// is waiting for goes first — and a revalidating GETATTR's claim goes behind
+// the GETATTR.
 func (p *ProxyClient) issueChunk(c prefetchChunk) {
 	if len(c.rids) == 0 {
 		return
 	}
 	p.clk.Go("gvfs-readahead", func() {
 		bs := uint64(p.cfg.BlockSize)
-		send := func(fh nfs3.FH, blocks, rids []uint64, spilled bool) {
+		send := func(fh nfs3.FH, blocks, rids []uint64, why string) {
 			for i, bn := range blocks {
 				rid := rids[i]
 				call := p.startUpstream(rid, nfs3.ProcRead, &nfs3.ReadArgs{FH: fh, Offset: bn * bs, Count: uint32(bs)})
-				p.clk.Go("gvfs-readahead", func() { p.prefetchBlock(c.parent, rid, fh, bn, c.window, spilled, call) })
+				p.clk.Go("gvfs-readahead", func() { p.prefetchBlock(c.parent, rid, fh, bn, c.window, why, call) })
 			}
 		}
-		send(c.fh, c.blocks, c.rids, false)
+		why := ""
+		if c.reread {
+			why = " reopen"
+		}
+		send(c.fh, c.blocks, c.rids, why)
 		if c.spill != nil {
-			send(c.spill.fh, c.spill.blocks, c.rids[len(c.blocks):], true)
+			send(c.spill.fh, c.spill.blocks, c.rids[len(c.blocks):], " next")
 		}
 	})
 }
 
-// prefetchBlock collects one block's READ into the session cache; spilled
-// says the window reached it across a file boundary. The in-flight mark is
-// cleared and waiting demand reads are woken whether or not the fetch
-// succeeded — on failure they simply forward.
-func (p *ProxyClient) prefetchBlock(parent, rid uint64, fh nfs3.FH, bn uint64, window int64, spilled bool, c nfsCall) {
-	defer func() {
-		for _, w := range p.cache.endFetch(fh, bn) {
-			w.Wake()
-		}
-	}()
-	bs := uint64(p.cfg.BlockSize)
+// prefetchBlock collects one block's READ into the session cache; why is what
+// its span's detail says beyond the window: " next" for a block the window
+// reached across a file boundary, " reopen" for a revalidating GETATTR's
+// claim. The in-flight mark is cleared and waiting demand reads are woken
+// whether or not the fetch succeeded — on failure they simply forward.
+func (p *ProxyClient) prefetchBlock(parent, rid uint64, fh nfs3.FH, bn uint64, window int64, why string, c nfsCall) {
 	var res nfs3.ReadRes
 	sp := obs.Span{Req: rid, Parent: parent, Op: "READAHEAD", Model: shortModel(p.cfg.Model), Start: c.start}
 	if p.node.Tracing() {
 		sp.FH = fh.String()
-		sp.Detail = "win=" + strconv.FormatInt(window, 10)
-		if spilled {
-			sp.Detail += " next"
-		}
+		sp.Detail = "win=" + strconv.FormatInt(window, 10) + why
 	}
-	rep, err := p.finishUpstream(c, &res, nil)
-	if err != nil {
-		sp.End = p.node.Now()
-		sp.Err = err.Error()
-		p.node.Record(sp)
-		return
-	}
+	got := &res
+	rep, err := p.finishUpstream(c, got, nil)
 	sp.End = p.node.Now()
-	if res.Status == nfs3.OK && res.Attr.Present && (uint64(res.Count) == bs || res.EOF) {
-		p.cache.putBlock(fh, bn, res.Data, res.Attr.Attr, true)
-		p.met.readAheads.Inc()
-	}
-	rep.Release() // the cache copied what it kept
-	sp.Bytes = int64(res.Count)
-	if res.Status != nfs3.OK {
+	if err != nil {
+		got, sp.Err = nil, err.Error()
+	} else if res.Status != nfs3.OK {
 		sp.Err = res.Status.String()
 	}
+	ws, kept := p.cache.landFetch(fh, bn, got)
+	rep.Release() // the cache copied what it kept
+	if kept {
+		p.met.readAheads.Inc()
+	}
+	sp.Bytes = int64(res.Count)
 	p.node.Record(sp)
+	for _, w := range ws {
+		w.Wake()
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,11 +40,16 @@ func tableServer(ids ...string) *ProxyServer {
 
 func off(block uint64) *uint64 { o := block * tblBS; return &o }
 
-// describeReqs renders recalls as "A:write A:none@4096 B:read/closed".
+// describeReqs renders recalls as "A:write A:none@4096 B:read/closed", and an
+// access joining the recall on the wire to A as "A:joined".
 func describeReqs(reqs []recallReq) string {
 	var out []string
 	for _, r := range reqs {
 		d := r.c.rec.ID + ":" + r.args.Deleg.String()
+		if r.joined {
+			out = append(out, r.c.rec.ID+":joined")
+			continue
+		}
 		if r.args.HasOffset {
 			d += fmt.Sprintf("@%d", r.args.Offset/tblBS)
 		}
@@ -55,8 +61,9 @@ func describeReqs(reqs []recallReq) string {
 	return strings.Join(out, " ")
 }
 
-// describeFile renders fh's row as "A=none+owes(1,2) B=read C=none+fence",
-// "" when the file is not in the table.
+// describeFile renders fh's row as "A=none+owes(1,2) B=read C=none+fence
+// D=write+recalling" (a recall of D's delegation on the wire), "" when the
+// file is not in the table.
 func describeFile(s *ProxyServer, fh nfs3.FH) string {
 	f := s.files[fh.Key()]
 	if f == nil {
@@ -77,6 +84,9 @@ func describeFile(s *ProxyServer, fh nfs3.FH) string {
 		}
 		if sh.lostRecall {
 			d += "+fence"
+		}
+		if sh.recall != nil {
+			d += "+recalling"
 		}
 		out = append(out, d)
 	}
@@ -104,30 +114,49 @@ func (o outcome) res() *RecallRes {
 
 // tableDriver runs requests through the transitions in the order
 // handleAccess, revokeOthers and expiryLoop do, with the network replaced by
-// a verdict per recalled client (acked unless told otherwise).
+// a verdict per recalled client (acked unless told otherwise). onWire holds
+// recalls a state left unanswered; an access that joins one has it answered.
 type tableDriver struct {
 	s       *ProxyServer
 	now     time.Duration
 	answers map[string]outcome
+	onWire  []recallReq
 }
 
 func (d *tableDriver) settle(reqs []recallReq) {
 	for _, r := range reqs {
+		if r.joined {
+			i := slices.IndexFunc(d.onWire, func(w recallReq) bool { return w.flight == r.flight })
+			if i < 0 {
+				continue
+			}
+			r = d.onWire[i]
+			d.onWire = slices.Delete(d.onWire, i, i+1)
+		}
 		d.s.settleLocked(r, d.answers[r.c.rec.ID].res(), d.now)
 	}
 }
 
-// access is handleAccess: what was recalled, and the grant ("fenced" for a
-// refused WRITE).
+// access is handleAccess: what was recalled or joined, and the grant
+// ("fenced" for a refused WRITE).
 func (d *tableDriver) access(id string, a accessReq) (recalls, grant string) {
 	c := d.s.clients[id]
 	reqs, fenced := d.s.accessLocked(c, a, d.now)
 	if fenced {
 		return "", "fenced"
 	}
-	d.settle(reqs)
+	var all []recallReq
+	for len(reqs) > 0 {
+		all = append(all, reqs...)
+		d.settle(reqs)
+		if f := d.s.files[a.fh.Key()]; f != nil && slices.ContainsFunc(reqs, func(r recallReq) bool { return r.joined }) {
+			reqs = d.s.conflictsLocked(f, id, a)
+		} else {
+			reqs = nil
+		}
+	}
 	granted, _ := d.s.grantLocked(c, a, d.now)
-	return describeReqs(reqs), granted.String()
+	return describeReqs(all), granted.String()
 }
 
 // sweep is one turn of expiryLoop.
@@ -169,6 +198,10 @@ func TestSharerStateMachine(t *testing.T) {
 			d.answers["A"] = acked
 		}, "A=none+fence B=read"},
 		{"idle holder", func(d *tableDriver) { d.access("A", rd(0)); d.now += tblExpiry + 1 }, "A=read"},
+		{"writer with a recall on the wire", func(d *tableDriver) {
+			d.access("A", wr(0))
+			d.onWire, _ = d.s.accessLocked(d.s.clients["B"], rd(0), d.now)
+		}, "A=write+recalling B=none"},
 	}
 
 	type result struct{ recalls, grant, row string }
@@ -324,6 +357,21 @@ func TestSharerStateMachine(t *testing.T) {
 			{"A:read/closed", "", ""},                       // over budget
 			{"A:read/closed", "", "A=none+owes(1,2)"},       // over budget, A answers owing blocks
 			{"", "", "A=write"},                             // the server restarts; A reports the file dirty
+		},
+		// A conflicting access joins the recall B's read put on the wire and is
+		// decided once it has settled; the sweep leaves A's delegation to it.
+		"writer with a recall on the wire": {
+			{"A:joined", "read", "A=none B=none C=read"},           // C reads block 0
+			{"A:joined", "read", "A=none B=none C=read"},           // C reads block 1
+			{"A:joined", "none", "A=none B=none C=none"},           // C writes, recalls acknowledged
+			{"A:joined", "none", "A=none+owes(1,2) B=none C=none"}, // C writes, A answers owing blocks
+			{"A:joined", "none", "A=none+fence B=none C=none"},     // C writes, A never answers
+			{"", "none", "A=none+recalling B=none"},                // A's WRITE of block 1 arrives and lands
+			{"", "", "A=write+recalling"},                          // everyone idles past expiry
+			{"", "", "A=write+recalling"},                          // everyone idles past expiry, A never answers
+			{"", "", "A=write+recalling"},                          // over budget
+			{"", "", "A=write+recalling"},                          // over budget, A answers owing blocks
+			{"", "", "A=write"},                                    // the server restarts; A reports the file dirty
 		},
 	}
 
