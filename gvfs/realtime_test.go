@@ -390,6 +390,55 @@ func TestRealTimeReadAheadAcrossFiles(t *testing.T) {
 	}
 }
 
+// TestRealTimeWriteBackFlush runs write-back over sockets, in both models: a
+// kernel writes 2 MiB block by block, UNSTABLE, and commits. The proxy client
+// absorbs the WRITEs; the COMMIT flushes them as two coalesced 1 MiB WRITEs,
+// each written to the socket out of the run staged under the cache lock and
+// relayed by the proxy server out of the frame it arrived in, and is then
+// answered here. Under -race a staged run is poisoned once it is given back,
+// so every byte the server holds is also a use-after-release check on both
+// hops.
+func TestRealTimeWriteBackFlush(t *testing.T) {
+	const blocks = 64
+	for _, model := range []core.Model{core.ModelPolling, core.ModelDelegation} {
+		t.Run(model.String(), func(t *testing.T) {
+			d := newRealTimeDeployment(t)
+			if _, err := d.FS.WriteFile("wb", nil); err != nil {
+				t.Fatal(err)
+			}
+			m := realTimeMount(t, realTimeSession(t, d, core.Config{Model: model, WriteBack: true, FlushInterval: time.Hour}), "A")
+			// The bootstrap poll's force-invalidate would drop the attributes
+			// the first WRITE is absorbed against.
+			for deadline := time.Now().Add(10 * time.Second); model == core.ModelPolling && m.Proxy.Stats().ForceInvalidations == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("timed out waiting for the bootstrap poll")
+				}
+			}
+			w := &streamReader{t: t, d: d, m: m, conn: m.Client.Conn()}
+			fh := w.lookup("wb")
+			content := streamData(70, blocks)
+			for bn := 0; bn < blocks; bn++ {
+				res, err := w.conn.Write(fh, uint64(bn)*streamBS, content[bn*streamBS:(bn+1)*streamBS], nfs3.Unstable)
+				if err != nil || res.Status != nfs3.OK || res.Count != streamBS {
+					t.Fatalf("write block %d: %v status %v count %d", bn, err, res.Status, res.Count)
+				}
+			}
+			if got := m.WANCounts()["WRITE"]; got != 0 {
+				t.Errorf("%d WRITEs crossed before the COMMIT: the proxy absorbed %d of %d blocks", got, blocks-int(got), blocks)
+			}
+			if cm, err := w.conn.Commit(fh, 0, 0); err != nil || cm.Status != nfs3.OK {
+				t.Fatalf("commit: %v status %v", err, cm.Status)
+			}
+			if sent := m.WANCounts(); sent["WRITE"] != 2 || sent["COMMIT"] != 0 {
+				t.Errorf("the COMMIT sent %d WRITEs and %d COMMITs upstream, want 2 coalesced WRITEs and none", sent["WRITE"], sent["COMMIT"])
+			}
+			if got := readServerFile(t, d, "wb", len(content)); !bytes.Equal(got, content) {
+				t.Errorf("the server holds %d bytes that differ from the %d committed", len(got), len(content))
+			}
+		})
+	}
+}
+
 // TestRealTimeHandoffReread runs the re-read after a remote write over
 // sockets, in both models: a producer rewrites a file block by block, and the
 // consumer — once the news has reached it — revalidates with a GETATTR and

@@ -61,13 +61,18 @@ func (b *raBed) commit(t *testing.T, fh nfs3.FH) nfs3.CommitRes {
 // onServer reports whether the server's copy of file "n" is blocks blocks of
 // fill bytes.
 func (b *raBed) onServer(blocks int, fill byte) bool {
-	attr, err := b.fs.LookupPath("n")
-	if err != nil || attr.Size != uint64(blocks)*raBS {
+	return b.onServerAs("n", bytes.Repeat([]byte{fill}, blocks*raBS))
+}
+
+// onServerAs reports whether the server's copy of name is want.
+func (b *raBed) onServerAs(name string, want []byte) bool {
+	attr, err := b.fs.LookupPath(name)
+	if err != nil || attr.Size != uint64(len(want)) {
 		return false
 	}
-	got := make([]byte, attr.Size)
+	got := make([]byte, len(want))
 	n, _, err := b.fs.ReadAt(attr.ID, got, 0)
-	return err == nil && n == len(got) && bytes.Equal(got, bytes.Repeat([]byte{fill}, len(got)))
+	return err == nil && n == len(want) && bytes.Equal(got, want)
 }
 
 var writeBackCfg = Config{WriteBack: true, FlushInterval: time.Hour}

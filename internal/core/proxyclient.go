@@ -304,7 +304,7 @@ func (p *ProxyClient) reconnect(old *sunrpc.Client) bool {
 // RPC; 0 lets the upstream client mint one (background traffic). The caller
 // owns the reply's frame and releases it when done with the body.
 func (p *ProxyClient) rawCall(rid uint64, prog, vers, proc uint32, args []byte) (sunrpc.Reply, error) {
-	return p.waitCall(p.startCall(rid, prog, vers, proc, args), args)
+	return p.waitCall(p.startCall(rid, prog, vers, proc, args, nil))
 }
 
 // upstreamCall is an RPC sent upstream that nobody has waited for yet.
@@ -313,22 +313,25 @@ type upstreamCall struct {
 	up               *sunrpc.Client
 	rid              uint64
 	prog, vers, proc uint32
+	args, tail       []byte // what a retry sends again
 }
 
 // startCall sends one upstream RPC and returns without waiting: waitCall
 // collects the reply. Apart, they let a burst go out in an order of the
-// caller's choosing (issueChunk).
-func (p *ProxyClient) startCall(rid uint64, prog, vers, proc uint32, args []byte) upstreamCall {
+// caller's choosing (issueChunk). tail, when there is one, follows args on the
+// wire by reference (sunrpc.Client.StartParts) and is the call's until
+// waitCall returns.
+func (p *ProxyClient) startCall(rid uint64, prog, vers, proc uint32, args, tail []byte) upstreamCall {
 	up := p.upstream()
 	return upstreamCall{
-		Pending: up.Start(rid, prog, vers, proc, args, p.cfg.CallTimeout),
-		up:      up, rid: rid, prog: prog, vers: vers, proc: proc,
+		Pending: up.StartParts(rid, prog, vers, proc, args, tail, p.cfg.CallTimeout),
+		up:      up, rid: rid, prog: prog, vers: vers, proc: proc, args: args, tail: tail,
 	}
 }
 
 // waitCall collects a started call's reply; on failure it reconnects and
-// sends the call again — args once more, for that.
-func (p *ProxyClient) waitCall(c upstreamCall, args []byte) (sunrpc.Reply, error) {
+// sends the call again, args and tail once more.
+func (p *ProxyClient) waitCall(c upstreamCall) (sunrpc.Reply, error) {
 	for attempt := 0; ; attempt++ {
 		rep, err := c.Wait()
 		if err == nil {
@@ -344,7 +347,7 @@ func (p *ProxyClient) waitCall(c upstreamCall, args []byte) (sunrpc.Reply, error
 				return sunrpc.Reply{}, err
 			}
 		}
-		c = p.startCall(c.rid, c.prog, c.vers, c.proc, args)
+		c = p.startCall(c.rid, c.prog, c.vers, c.proc, c.args, c.tail)
 	}
 }
 
@@ -793,8 +796,10 @@ func (p *ProxyClient) flushBlock(rid uint64, fh nfs3.FH, bn uint64) error {
 	if !ok {
 		return nil
 	}
-	// The staging buffer is pool-owned; the WRITE payload is copied into the
-	// outgoing call message before callUpstream returns, so it recycles here.
+	// The staging buffer is pool-owned and is the WRITE's data on the wire,
+	// sent by reference on every transmission (startUpstream); callUpstream
+	// returns after the last, so it recycles here. Staging it is the one copy
+	// the write-back makes: the snapshot taken under the cache lock.
 	defer bufpool.Put(data)
 	p.met.flushInflight.Add(1)
 	defer p.met.flushInflight.Add(-1)
@@ -846,19 +851,24 @@ func (p *ProxyClient) callUpstream(rid uint64, proc uint32, args wireEnc, res wi
 // nfsCall is an NFS call sent upstream and not yet waited for.
 type nfsCall struct {
 	upstreamCall
-	args    *xdr.Encoder // the encoded arguments, pooled; a retry sends them again
+	enc     *xdr.Encoder // the encoded arguments, pooled; a retry sends them again
 	start   time.Duration
 	forgets uint64 // the session cache's forget count when it was sent
 }
 
 // startUpstream encodes args and sends the call; finishUpstream must follow.
+// A WRITE's data is not encoded: it follows the head by reference, so it must
+// stay as it is until finishUpstream returns.
 func (p *ProxyClient) startUpstream(rid uint64, proc uint32, args wireEnc) nfsCall {
 	e := bufpool.GetEncoder()
-	if args != nil {
+	var tail []byte
+	if w, ok := args.(*nfs3.WriteArgs); ok {
+		tail = w.EncodeHead(e)
+	} else if args != nil {
 		args.Encode(e)
 	}
 	start, forgets := p.node.Now(), p.cache.forgets.Load()
-	return nfsCall{p.startCall(rid, nfs3.Program, nfs3.Version, proc, e.Bytes()), e, start, forgets}
+	return nfsCall{p.startCall(rid, nfs3.Program, nfs3.Version, proc, e.Bytes(), tail), e, start, forgets}
 }
 
 // finishUpstream waits for a started NFS call, decodes its result into res
@@ -866,8 +876,8 @@ func (p *ProxyClient) startUpstream(rid uint64, proc uint32, args wireEnc) nfsCa
 // a READ result's Data aliases: it releases it once the data is where it was
 // going — copied into the cache, encoded into the kernel's reply.
 func (p *ProxyClient) finishUpstream(c nfsCall, res wireDec, forwarded []nfs3.FH) (sunrpc.Reply, error) {
-	rep, err := p.waitCall(c.upstreamCall, c.args.Bytes())
-	bufpool.PutEncoder(c.args)
+	rep, err := p.waitCall(c.upstreamCall)
+	bufpool.PutEncoder(c.enc)
 	lat := p.node.Now() - c.start
 	p.met.forwardLatency.ObserveDuration(lat)
 	if err != nil {
@@ -1351,7 +1361,8 @@ func (p *ProxyClient) write(call *sunrpc.Call) sunrpc.AcceptStat {
 
 // writeForward forwards a WRITE upstream. As with readForward, args arrives
 // by value so the absorbed-write path in write keeps its WriteArgs on the
-// stack instead of heap-allocating it for callUpstream's sake.
+// stack instead of heap-allocating it for callUpstream's sake. The data goes
+// upstream out of the kernel's call frame, which outlives the handler's call.
 func (p *ProxyClient) writeForward(call *sunrpc.Call, args nfs3.WriteArgs) sunrpc.AcceptStat {
 	var res nfs3.WriteRes
 	if err := p.forward(call, nfs3.ProcWrite, &args, &res, args.FH); err != nil {

@@ -34,10 +34,11 @@ type callInfo struct {
 	postResolve bool
 }
 
-// forwardRaw relays a program verbatim (MOUNT).
+// forwardRaw relays a program verbatim (MOUNT), the arguments by reference
+// out of the call's frame as dispatchNFS relays them.
 func (s *ProxyServer) forwardRaw(prog, vers uint32) sunrpc.DispatchFunc {
 	return func(call *sunrpc.Call) sunrpc.AcceptStat {
-		rep, err := s.up.CallOwned(call.ReqID, prog, vers, call.Proc, call.Args.Rest(), s.cfg.CallTimeout)
+		rep, err := s.up.CallParts(call.ReqID, prog, vers, call.Proc, nil, call.Args.Rest(), s.cfg.CallTimeout)
 		if err != nil {
 			return sunrpc.SystemErr
 		}
@@ -59,8 +60,11 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 	call.Yield(s.waitGrace)
 	client := s.ensureClient(call.Cred)
 
-	// The arguments are relayed out of the call's frame and the results out
-	// of the upstream reply's, neither through a copy of its own.
+	// The arguments go upstream by reference, as the tail of the forwarded
+	// call: a transport that gathers writes them out of this call's frame,
+	// which lives until the handler returns, and any other joins them to the
+	// call's header once. The results are copied once, from the upstream
+	// reply's frame into this call's reply.
 	argBytes := call.Args.Rest()
 	info, ok := s.inspect(call.ReqID, call.Proc, argBytes)
 	if !ok {
@@ -90,7 +94,7 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 
 	// Forward across the loopback to the kernel NFS server.
 	s.met.forwards.Inc()
-	rep, err := s.up.CallOwned(call.ReqID, nfs3.Program, nfs3.Version, call.Proc, argBytes, s.cfg.CallTimeout)
+	rep, err := s.up.CallParts(call.ReqID, nfs3.Program, nfs3.Version, call.Proc, nil, argBytes, s.cfg.CallTimeout)
 	if err != nil {
 		return sunrpc.SystemErr
 	}

@@ -291,19 +291,25 @@ type raBed struct {
 	p    *ProxyClient
 	nc   *nfscall.Conn
 	root nfs3.FH
-	up   *readRecorder // the proxy client's upstream connection
+	up   *readRecorder  // the proxy client's upstream connection
+	srv  *sunrpc.Server // the NFS server
 }
 
 // readRecorder notes every NFS call sent through it, in the order they were
 // sent: the procedure, and what the tests ask about its arguments — a READ's
-// handle and offset, a READDIRPLUS's cookie and counts — and when its reply
-// came back.
+// handle and offset, a READDIRPLUS's cookie and counts, the tail a WRITE's
+// data went by — and when its reply came back. It gathers, handing a call's
+// parts on as it got them.
 type readRecorder struct {
 	transport.Conn
 	now   func() time.Duration
 	mu    sync.Mutex
 	calls []wireCall
 	byXID map[uint32]int // index into calls
+	// cut makes the next call with a tail the connection's last: noted, it
+	// closes the connection in place of sending, as a socket that dies with
+	// the frame half-written delivers none of it.
+	cut bool
 }
 
 // wireCall is one NFS call as it went upstream.
@@ -313,15 +319,18 @@ type wireCall struct {
 	offset             uint64 // READ
 	cookie             uint64 // READDIRPLUS
 	dirCount, maxCount uint32 // READDIRPLUS
+	tail               []byte // the bytes sent by reference behind the message
 	replied            time.Duration
 }
 
-func (c *readRecorder) Send(msg []byte) error {
+func (c *readRecorder) Send(msg []byte) error { return c.SendGather(msg, nil) }
+
+func (c *readRecorder) SendGather(msg, tail []byte) error {
 	// An RPC call names its program at byte 12 and its procedure at byte 20;
 	// READ3args are the handle, the offset and the count, READDIRPLUS3args end
 	// in the cookie, its verifier and the two counts.
 	if len(msg) >= 48 && binary.BigEndian.Uint32(msg[4:]) == 0 && binary.BigEndian.Uint32(msg[12:]) == nfs3.Program {
-		call := wireCall{proc: binary.BigEndian.Uint32(msg[20:])}
+		call := wireCall{proc: binary.BigEndian.Uint32(msg[20:]), tail: tail}
 		switch call.proc {
 		case nfs3.ProcRead:
 			call.offset = binary.BigEndian.Uint64(msg[len(msg)-12:])
@@ -339,9 +348,17 @@ func (c *readRecorder) Send(msg []byte) error {
 		}
 		c.byXID[binary.BigEndian.Uint32(msg)] = len(c.calls)
 		c.calls = append(c.calls, call)
+		cut := c.cut && tail != nil
+		if cut {
+			c.cut = false
+		}
 		c.mu.Unlock()
+		if cut {
+			c.Conn.Close()
+			return transport.ErrClosed
+		}
 	}
-	return c.Conn.Send(msg)
+	return transport.SendParts(c.Conn, msg, tail)
 }
 
 // Recv stamps the call a reply answers with the time it came back.
@@ -473,7 +490,7 @@ func runBedOver(t *testing.T, link simnet.Params, cfg Config, tamper func(proc u
 			t.Error(err)
 			return
 		}
-		fn(&raBed{clk: clk, net: net, fs: fs, p: p, nc: nc, root: root, up: up})
+		fn(&raBed{clk: clk, net: net, fs: fs, p: p, nc: nc, root: root, up: up, srv: rpcSrv})
 	})
 	<-done
 }

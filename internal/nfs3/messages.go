@@ -376,12 +376,24 @@ type WriteArgs struct {
 }
 
 // Encode writes the wire form.
-func (a *WriteArgs) Encode(e *xdr.Encoder) {
+func (a *WriteArgs) Encode(e *xdr.Encoder) { e.FixedOpaque(a.EncodeHead(e)) }
+
+// EncodeHead writes the wire form up to and including the data's length and
+// returns what follows: the data itself, for the caller to send by reference
+// behind the head (sunrpc.Client.StartParts). Data whose length is not a
+// multiple of four must be followed by its XDR padding, so it is encoded whole
+// and nothing is returned.
+func (a *WriteArgs) EncodeHead(e *xdr.Encoder) []byte {
 	encodeFH(e, a.FH)
 	e.Uint64(a.Offset)
 	e.Uint32(a.Count)
 	e.Uint32(a.Stable)
-	e.Opaque(a.Data)
+	if len(a.Data)%4 != 0 {
+		e.Opaque(a.Data)
+		return nil
+	}
+	e.Uint32(uint32(len(a.Data)))
+	return a.Data
 }
 
 // Decode reads the wire form.

@@ -39,12 +39,13 @@ type RetransmitPolicy struct {
 	// Max caps the exponentially growing wait. Zero defaults to 8*Initial;
 	// values below Initial are clamped to Initial.
 	Max time.Duration
-	// PerByte stretches the first wait by the request frame's size: the
-	// effective initial timeout is Initial + len(frame)*PerByte. Large
-	// coalesced WRITEs spend real transfer time on bandwidth-limited links;
-	// a fixed timeout sized for small calls would retransmit them while the
-	// first copy is still in flight, doubling exactly the traffic the
-	// coalescing saved. Zero leaves the timeout size-independent.
+	// PerByte stretches the first wait by the request frame's size, a tail
+	// sent by reference included: the effective initial timeout is Initial +
+	// len(frame)*PerByte. Large coalesced WRITEs spend real transfer time on
+	// bandwidth-limited links; a fixed timeout sized for small calls would
+	// retransmit them while the first copy is still in flight, doubling
+	// exactly the traffic the coalescing saved. Zero leaves the timeout
+	// size-independent.
 	PerByte time.Duration
 	// Jitter bounds the deterministic per-attempt jitter added to each wait.
 	// The jitter is a hash of (Seed, XID, attempt), not a draw from a shared
@@ -221,7 +222,12 @@ func (r *Reply) Release() {
 // a 32 KiB frame per READ; released, they cycle through the pool instead of
 // being allocated and zeroed for each reply.
 func (c *Client) CallOwned(reqID uint64, prog, vers, proc uint32, args []byte, timeout time.Duration) (Reply, error) {
-	p := c.Start(reqID, prog, vers, proc, args, timeout)
+	return c.CallParts(reqID, prog, vers, proc, args, nil, timeout)
+}
+
+// CallParts is CallOwned for arguments that end in bulk bytes: see StartParts.
+func (c *Client) CallParts(reqID uint64, prog, vers, proc uint32, args, tail []byte, timeout time.Duration) (Reply, error) {
+	p := c.StartParts(reqID, prog, vers, proc, args, tail, timeout)
 	return p.Wait()
 }
 
@@ -230,12 +236,13 @@ type Pending struct {
 	c   *Client
 	pc  *pendingCall // nil: the client was already closed and nothing was sent
 	err error        // the first transmission failed
-	// The call message is built once in a pooled encoder and re-Sent verbatim
-	// on every retransmission; nothing retains msg past a Send (transports
-	// either copy or write synchronously), so Wait recycles the encoder as soon
-	// as the attempt loop is over.
-	enc *xdr.Encoder
-	msg []byte
+	// The call message is built once in a pooled encoder and re-sent verbatim,
+	// tail behind it, on every retransmission; nothing retains msg or tail
+	// past a send (transports either copy or write synchronously), so Wait
+	// recycles the encoder as soon as the attempt loop is over.
+	enc  *xdr.Encoder
+	msg  []byte
+	tail []byte
 
 	xid, prog, proc uint32
 	reqID           uint64
@@ -253,6 +260,18 @@ type Pending struct {
 // started one after another they leave in that order, while started from as
 // many goroutines they leave in whatever order the scheduler ran those.
 func (c *Client) Start(reqID uint64, prog, vers, proc uint32, args []byte, timeout time.Duration) Pending {
+	return c.StartParts(reqID, prog, vers, proc, args, nil, timeout)
+}
+
+// StartParts is Start for arguments in two parts: args, encoded by the
+// caller, and tail, the bytes that follow them on the wire — a WRITE's data,
+// a relayed call's arguments — XDR padding included. The tail is not copied
+// into the call message: a transport that gathers (transport.SendParts)
+// writes it from where it lies, on the first transmission and on every
+// retransmission, so it belongs to the call until Wait returns and must not
+// change or be recycled before then. The retransmission timeout's size
+// stretch and the call span's byte count include it. An empty tail is Start.
+func (c *Client) StartParts(reqID uint64, prog, vers, proc uint32, args, tail []byte, timeout time.Duration) Pending {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -285,13 +304,13 @@ func (c *Client) Start(reqID uint64, prog, vers, proc uint32, args []byte, timeo
 		reqID = node.Mint() // nil node mints 0: call stays untraced
 	}
 	p := Pending{
-		c: c, pc: pc, xid: xid, prog: prog, proc: proc, reqID: reqID,
-		argBytes: len(args), timeout: timeout, start: node.Now(),
+		c: c, pc: pc, xid: xid, prog: prog, proc: proc, reqID: reqID, tail: tail,
+		argBytes: len(args) + len(tail), timeout: timeout, start: node.Now(),
 	}
 	p.enc = bufpool.GetEncoder()
 	p.msg = marshalCall(p.enc, xid, prog, vers, proc, cred, reqID, args)
 	p.firstSend = c.clk.Now()
-	if err := c.conn.Send(p.msg); err != nil {
+	if err := transport.SendParts(c.conn, p.msg, tail); err != nil {
 		c.mu.Lock()
 		delete(c.pending, xid)
 		c.mu.Unlock()
@@ -309,7 +328,7 @@ func (p *Pending) Wait() (Reply, error) {
 	c := p.c
 	rep, retrans, stall, err := p.await()
 	bufpool.PutEncoder(p.enc)
-	p.enc, p.msg = nil, nil
+	p.enc, p.msg, p.tail = nil, nil, nil
 
 	c.mu.Lock()
 	node, procName := c.node, c.procName
@@ -361,7 +380,7 @@ func (p *Pending) await() (Reply, int, time.Duration, error) {
 	if p.err != nil {
 		return Reply{}, 0, 0, p.err
 	}
-	c, xid, pc, msg, timeout := p.c, p.xid, p.pc, p.msg, p.timeout
+	c, xid, pc, msg, tail, timeout := p.c, p.xid, p.pc, p.msg, p.tail, p.timeout
 
 	c.mu.Lock()
 	policy := c.retr
@@ -393,7 +412,7 @@ func (p *Pending) await() (Reply, int, time.Duration, error) {
 	deadline := c.clk.Now() + timeout
 	rto := policy.Initial
 	if policy.PerByte > 0 {
-		rto += time.Duration(len(msg)) * policy.PerByte
+		rto += time.Duration(len(msg)+len(tail)) * policy.PerByte
 	}
 	// A size-stretched initial may exceed the configured cap; the cap bounds
 	// backoff growth, never the transfer-time floor.
@@ -443,7 +462,7 @@ func (p *Pending) await() (Reply, int, time.Duration, error) {
 		pc.w = c.clk.NewWaiter()
 		c.mu.Unlock()
 
-		if err := c.conn.Send(msg); err != nil {
+		if err := transport.SendParts(c.conn, msg, tail); err != nil {
 			c.mu.Lock()
 			if !pc.done {
 				pc.err = ErrClosed

@@ -3,7 +3,6 @@ package sunrpc
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/transport"
@@ -11,7 +10,8 @@ import (
 )
 
 // pipeConn is an in-memory transport.Conn, one end of a pair of channels.
-// Like tcpnet it hands the receiver a pooled copy of each message.
+// Like tcpnet it hands the receiver a pooled copy of each message, and like
+// tcpnet it gathers: a message in two parts is copied straight from both.
 type pipeConn struct {
 	in   <-chan []byte
 	out  chan<- []byte
@@ -26,9 +26,11 @@ func newPipe() (a, b *pipeConn) {
 	return &pipeConn{in: ba, out: ab, done: done, once: once}, &pipeConn{in: ab, out: ba, done: done, once: once}
 }
 
-func (c *pipeConn) Send(msg []byte) error {
-	cp := bufpool.Get(len(msg))
-	copy(cp, msg)
+func (c *pipeConn) Send(msg []byte) error { return c.SendGather(msg, nil) }
+
+func (c *pipeConn) SendGather(head, tail []byte) error {
+	cp := bufpool.Get(len(head) + len(tail))
+	copy(cp[copy(cp, head):], tail)
 	select {
 	case c.out <- cp:
 		return nil
@@ -68,19 +70,30 @@ func (l *pipeListener) Accept() (transport.Conn, error) {
 func (l *pipeListener) Close() error { l.once.Do(func() { close(l.done) }); return nil }
 func (l *pipeListener) Addr() string { return "pipe" }
 
+// joinedConn hides the SendGather of the connection it wraps: a call's parts
+// reach it joined, as they reach simnet, secure and every wrapper that embeds
+// a transport.Conn.
+type joinedConn struct{ transport.Conn }
+
 // Procedures of pipePair's program: each of NULL and a 32 KiB READ, once
 // retained by the duplicate-request cache (the default) and once declared
-// read-only.
+// read-only; and a WRITE of an opaque of up to 1 MiB, answered with its
+// length.
 const (
 	pipeNull = iota
 	pipeRead
 	pipeNullRO
 	pipeReadRO
+	pipeWrite
 )
 
 // pipePair returns a server with the default duplicate-request cache and a
 // client connected to it through an in-memory pipe, on the real clock.
-func pipePair(tb testing.TB) (*Server, *Client) {
+func pipePair(tb testing.TB) (*Server, *Client) { return pipePairOver(tb, nil) }
+
+// pipePairOver is pipePair with the client's end of the pipe wrapped by wrap,
+// when it is not nil.
+func pipePairOver(tb testing.TB, wrap func(transport.Conn) transport.Conn) (*Server, *Client) {
 	tb.Helper()
 	clk := vclock.NewReal()
 	block := make([]byte, 32<<10)
@@ -93,6 +106,12 @@ func pipePair(tb testing.TB) (*Server, *Client) {
 		case pipeNull, pipeNullRO:
 		case pipeRead, pipeReadRO:
 			call.Reply.Opaque(block)
+		case pipeWrite:
+			data, err := call.Args.OpaqueRef(1 << 20)
+			if err != nil {
+				return GarbageArgs
+			}
+			call.Reply.Uint32(uint32(len(data)))
 		default:
 			return ProcUnavail
 		}
@@ -103,7 +122,11 @@ func pipePair(tb testing.TB) (*Server, *Client) {
 	l := &pipeListener{conn: make(chan transport.Conn, 1), done: make(chan struct{})}
 	l.conn <- b
 	srv.Serve(l)
-	cli := NewClient(clk, a, NoneCred())
+	var conn transport.Conn = a
+	if wrap != nil {
+		conn = wrap(a)
+	}
+	cli := NewClient(clk, conn, NoneCred())
 	tb.Cleanup(func() {
 		cli.Close()
 		srv.Close()
@@ -132,6 +155,9 @@ func retainedBytes(s *Server) (entries, bytes int) {
 // to its bound.
 func TestReadOnlyRepliesAreNotRetained(t *testing.T) {
 	srv, cli := pipePair(t)
+	// One worker: the server runs the calls one at a time, each to its end,
+	// in the order they came.
+	srv.SetSched(SchedConfig{Workers: 1})
 	for i := 0; i < 10000; i++ {
 		rep, err := cli.CallOwned(0, testProg, testVers, pipeReadRO, nil, 0)
 		if err != nil {
@@ -139,14 +165,18 @@ func TestReadOnlyRepliesAreNotRetained(t *testing.T) {
 		}
 		rep.Release()
 	}
-	// The last call's in-progress entry goes once its reply is out, which the
-	// server does after the send that let the client return: give it a moment.
-	entries, bytes := retainedBytes(srv)
-	for deadline := time.Now().Add(2 * time.Second); entries != 0 && time.Now().Before(deadline); entries, bytes = retainedBytes(srv) {
-		time.Sleep(time.Millisecond)
+	// The last READ's in-progress entry goes once its reply is out, after the
+	// send that let the client return. The reply to a call sent after it is
+	// the server's word that it has: with one worker that call's handler
+	// starts only when the READ's has returned. It is retained, so its small
+	// reply is the one entry left.
+	rep, err := cli.CallOwned(0, testProg, testVers, pipeNull, nil, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if entries != 0 || bytes != 0 {
-		t.Errorf("after 10000 read-only READs the cache holds %d entries, %d reply bytes; want none", entries, bytes)
+	rep.Release()
+	if entries, bytes := retainedBytes(srv); entries != 1 || bytes >= 1<<10 {
+		t.Errorf("after 10000 read-only READs and a NULL the cache holds %d entries, %d reply bytes; want the NULL's alone", entries, bytes)
 	}
 	for i := 0; i < 2*defaultDRCEntries; i++ {
 		rep, err := cli.CallOwned(0, testProg, testVers, pipeRead, nil, 0)
@@ -155,7 +185,7 @@ func TestReadOnlyRepliesAreNotRetained(t *testing.T) {
 		}
 		rep.Release()
 	}
-	entries, bytes = retainedBytes(srv)
+	entries, bytes := retainedBytes(srv)
 	if entries != defaultDRCEntries || bytes < entries*32<<10 {
 		t.Errorf("retained READs: %d entries holding %d bytes, want %d entries of a reply each", entries, bytes, defaultDRCEntries)
 	}

@@ -18,7 +18,8 @@ import (
 
 // faultyConn wraps a transport.Conn with deterministic, countable faults, so
 // replay tests can lose or duplicate exactly the message they mean to instead
-// of relying on probabilistic link faults.
+// of relying on probabilistic link faults. It gathers: a call in two parts
+// reaches it as such, and it hands them on to the connection it wraps.
 type faultyConn struct {
 	transport.Conn
 	mu        sync.Mutex
@@ -26,25 +27,33 @@ type faultyConn struct {
 	dupSends  int      // send the next N outbound messages twice
 	dropRecvs int      // swallow the next N inbound messages
 	recvLog   [][]byte // a copy of every inbound message, swallowed or not
+	sent      [][]byte // a copy of every two-part message put on the wire
 }
 
-func (f *faultyConn) Send(b []byte) error {
+func (f *faultyConn) Send(b []byte) error { return f.SendGather(b, nil) }
+
+func (f *faultyConn) SendGather(head, tail []byte) error {
 	f.mu.Lock()
 	if f.dropSends > 0 {
 		f.dropSends--
 		f.mu.Unlock()
 		return nil // lost on the wire; the sender cannot tell
 	}
-	dup := f.dupSends > 0
-	if dup {
+	copies := 1
+	if f.dupSends > 0 {
 		f.dupSends--
+		copies = 2
 	}
 	f.mu.Unlock()
-	if err := f.Conn.Send(b); err != nil {
-		return err
-	}
-	if dup {
-		return f.Conn.Send(b)
+	for i := 0; i < copies; i++ {
+		if len(tail) > 0 {
+			f.mu.Lock()
+			f.sent = append(f.sent, append(append([]byte(nil), head...), tail...))
+			f.mu.Unlock()
+		}
+		if err := transport.SendParts(f.Conn, head, tail); err != nil {
+			return err
+		}
 	}
 	return nil
 }

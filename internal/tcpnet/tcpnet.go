@@ -71,11 +71,11 @@ const readBufSize = 4096
 type conn struct {
 	nc net.Conn
 
-	// Send state, under sendMu: the length prefix and the two-element vector
-	// that writev takes live here so a Send allocates nothing.
+	// Send state, under sendMu: the length prefix and the vector of prefix,
+	// head and tail that writev takes live here so a Send allocates nothing.
 	sendMu sync.Mutex
 	hdr    [4]byte
-	vec    [2][]byte
+	vec    [3][]byte
 	bufs   net.Buffers
 
 	// Recv state, under recvMu: rbuf[r:w] is read but not yet delivered.
@@ -84,24 +84,34 @@ type conn struct {
 	r, w   int
 }
 
-var _ transport.Conn = (*conn)(nil)
+var (
+	_ transport.Conn     = (*conn)(nil)
+	_ transport.Gatherer = (*conn)(nil)
+)
 
 func newConn(nc net.Conn) *conn { return &conn{nc: nc} }
 
 // Send writes the length prefix and the message with one writev, so a frame
 // is one system call and — small enough — one segment and one wake-up of the
 // peer. Concurrent Sends serialise on sendMu and never interleave.
-func (c *conn) Send(msg []byte) error {
-	if len(msg) > MaxMessage {
-		return fmt.Errorf("tcpnet: message of %d bytes exceeds limit", len(msg))
+func (c *conn) Send(msg []byte) error { return c.SendGather(msg, nil) }
+
+// SendGather is Send of head followed by tail, written from where they lie:
+// prefix, head and tail go to the kernel in one writev, however many
+// partial writes it takes, before sendMu lets another frame in. A frame over
+// MaxMessage is refused before a byte of it is written.
+func (c *conn) SendGather(head, tail []byte) error {
+	n := len(head) + len(tail)
+	if n > MaxMessage {
+		return fmt.Errorf("tcpnet: message of %d bytes exceeds limit", n)
 	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	binary.BigEndian.PutUint32(c.hdr[:], uint32(len(msg)))
-	c.vec[0], c.vec[1] = c.hdr[:], msg
+	binary.BigEndian.PutUint32(c.hdr[:], uint32(n))
+	c.vec = [3][]byte{c.hdr[:], head, tail}
 	c.bufs = c.vec[:]
 	_, err := c.bufs.WriteTo(c.nc)
-	c.vec[1] = nil // WriteTo clears what it consumed; on error do not pin msg
+	c.vec = [3][]byte{} // WriteTo clears what it consumed; on error do not pin the parts
 	if err != nil {
 		return mapErr(err)
 	}

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/transport"
@@ -281,71 +283,177 @@ func TestRecvPackedFrames(t *testing.T) {
 	recvWant(t, c, last[4:])
 }
 
-// TestConcurrentSendersDoNotInterleave: eight goroutines send frames of
-// assorted sizes, some far larger than a socket buffer so that a writev comes
-// back short; every frame arrives whole, its prefix with its own payload.
-func TestConcurrentSendersDoNotInterleave(t *testing.T) {
+// connPair returns the two framed ends of one loopback connection.
+func connPair(t *testing.T) (dialled, accepted *conn) {
+	t.Helper()
 	var n Net
 	l, err := n.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	defer l.Close()
-	const senders, each = 8, 40
-	sizes := []int{0, 1, 90, 4096, 33000, 1 << 20}
-	go func() {
-		c, err := n.Dial(l.Addr())
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		var wg sync.WaitGroup
-		for s := 0; s < senders; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				for i := 0; i < each; i++ {
-					// Byte 0 names the sender, the rest is its constant fill.
-					msg := bytes.Repeat([]byte{byte(s + 1)}, sizes[(s+i)%len(sizes)])
-					if c.Send(msg) != nil {
-						return
-					}
-				}
-			}(s)
-		}
-		wg.Wait()
-	}()
-	c, err := l.Accept()
+	d, err := n.Dial(l.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	a, err := l.Accept()
 	if err != nil {
 		t.Fatalf("accept: %v", err)
 	}
-	defer c.Close()
-	total := make(map[int]int)
+	t.Cleanup(func() {
+		d.Close()
+		a.Close()
+	})
+	return d.(*conn), a.(*conn)
+}
+
+// shrinkBuffers sets a 4 KiB send buffer on c, so a large writev comes back
+// short many times over before its frame is out.
+func shrinkBuffers(t *testing.T, c *conn) {
+	t.Helper()
+	if err := c.nc.(*net.TCPConn).SetWriteBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentSendersDoNotInterleave: eight goroutines send frames over one
+// connection, some far larger than a socket buffer so that a writev comes back
+// short; every frame arrives whole, its prefix with its own payload. "send"
+// sends frames of assorted sizes in one part; "gathered" sends 1 MiB frames as
+// a head and a tail through a 4 KiB send buffer, the shape of a coalesced
+// WRITE relayed by reference.
+func TestConcurrentSendersDoNotInterleave(t *testing.T) {
+	const senders = 8
+	t.Run("send", func(t *testing.T) {
+		const each = 40
+		sizes := []int{0, 1, 90, 4096, 33000, 1 << 20}
+		total := make(map[int]int)
+		interleave(t, senders, each, false, func(c *conn, s, i int) error {
+			// Byte 0 names the sender, the rest is its constant fill.
+			return c.Send(bytes.Repeat([]byte{byte(s + 1)}, sizes[(s+i)%len(sizes)]))
+		}, func(i int, m []byte) {
+			if !slices.Contains(sizes, len(m)) {
+				t.Fatalf("frame %d has a length nobody sent: %d", i, len(m))
+			}
+			total[len(m)]++
+		})
+		for _, sz := range sizes {
+			// Each size is sent senders*each/len(sizes) times, give or take the
+			// remainder of the division.
+			if got, want := total[sz], senders*each/len(sizes); got < want-senders || got > want+senders {
+				t.Errorf("%d frames of %d bytes, want about %d", got, sz, want)
+			}
+		}
+	})
+	t.Run("gathered", func(t *testing.T) {
+		const each = 1
+		heads, tails := make([][]byte, senders), make([][]byte, senders)
+		for s := range heads {
+			// The frame's length names its sender as well as its fill does.
+			heads[s] = bytes.Repeat([]byte{byte(s + 1)}, 100+s)
+			tails[s] = bytes.Repeat([]byte{byte(s + 1)}, 1<<20)
+		}
+		got := make([]int, senders)
+		interleave(t, senders, each, true, func(c *conn, s, _ int) error {
+			return c.SendGather(heads[s], tails[s])
+		}, func(i int, m []byte) {
+			s := int(m[0]) - 1
+			if s < 0 || s >= senders || len(m) != len(heads[s])+len(tails[s]) {
+				t.Fatalf("frame %d: %d bytes from sender %d, which sent no such frame", i, len(m), s)
+			}
+			got[s]++
+		})
+		for s, n := range got {
+			if n != each {
+				t.Errorf("sender %d: %d frames arrived, want %d", s, n, each)
+			}
+		}
+	})
+}
+
+// interleave runs send on senders goroutines, each times, over one connection
+// — with a 4 KiB send buffer if small — and hands every frame the other end
+// receives to check after making sure no two senders' bytes are mixed in it.
+func interleave(t *testing.T, senders, each int, small bool, send func(c *conn, s, i int) error, check func(i int, m []byte)) {
+	t.Helper()
+	tx, rx := connPair(t)
+	if small {
+		shrinkBuffers(t, tx)
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := send(tx, s, i); err != nil {
+					t.Errorf("sender %d: %v", s, err)
+					return
+				}
+			}
+		}(s)
+	}
+	defer func() {
+		if t.Failed() {
+			tx.Close() // release senders stuck on a receiver that gave up
+		}
+		wg.Wait()
+	}()
 	for i := 0; i < senders*each; i++ {
-		m, err := c.Recv()
+		m, err := rx.Recv()
 		if err != nil {
 			t.Fatalf("recv %d: %v", i, err)
-		}
-		ok := false
-		for _, sz := range sizes {
-			ok = ok || sz == len(m)
-		}
-		if !ok {
-			t.Fatalf("frame %d has a length nobody sent: %d", i, len(m))
 		}
 		if len(m) > 0 && !bytes.Equal(m, bytes.Repeat(m[:1], len(m))) {
 			t.Fatalf("frame %d mixes two senders' bytes", i)
 		}
-		total[len(m)]++
+		check(i, m)
 		bufpool.Put(m)
 	}
-	for _, sz := range sizes {
-		// Each size is sent senders*each/len(sizes) times, give or take the
-		// remainder of the division.
-		if got, want := total[sz], senders*each/len(sizes); got < want-senders || got > want+senders {
-			t.Errorf("%d frames of %d bytes, want about %d", got, sz, want)
-		}
+}
+
+// TestCloseMidWritevDeliversNoShortFrame closes a connection while a gathered
+// 1 MiB frame is stuck half-way into a 4 KiB send buffer: the sender gets
+// ErrClosed, and the peer, which has part of the frame, gets ErrClosed too —
+// never a short frame.
+func TestCloseMidWritevDeliversNoShortFrame(t *testing.T) {
+	tx, rx := connPair(t)
+	shrinkBuffers(t, tx)
+	if err := rx.nc.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
+		t.Fatal(err)
 	}
+	sent := make(chan error, 1)
+	go func() { sent <- tx.SendGather(pattern(1, 64), pattern(2, 1<<20)) }()
+	// Nobody reads rx, so the writev fills both buffers and waits; what is
+	// left of 1 MiB does not fit in them however long it is given.
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case err := <-sent:
+		t.Fatalf("a 1 MiB frame went into 4 KiB buffers before anyone read: %v", err)
+	default:
+	}
+	tx.Close()
+	if err := <-sent; !errors.Is(err, transport.ErrClosed) {
+		t.Errorf("sender: %v, want ErrClosed", err)
+	}
+	if m, err := rx.Recv(); !errors.Is(err, transport.ErrClosed) {
+		t.Errorf("receiver: a frame of %d bytes and %v, want ErrClosed", len(m), err)
+	}
+}
+
+// TestOversizeGatherRejectedBeforeWrite: a head and tail that together exceed
+// MaxMessage are refused without a byte reaching the wire, so the frame after
+// them is the first the peer sees.
+func TestOversizeGatherRejectedBeforeWrite(t *testing.T) {
+	tx, rx := connPair(t)
+	if err := tx.SendGather(pattern(1, 8), make([]byte, MaxMessage)); err == nil || errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("oversize SendGather: %v, want a size error", err)
+	}
+	after := pattern(3, 40)
+	if err := tx.SendGather(after[:16], after[16:]); err != nil {
+		t.Fatal(err)
+	}
+	recvWant(t, rx, after)
 }
 
 // TestOversizePrefixRejectedBeforeAllocation: a corrupt or hostile length
