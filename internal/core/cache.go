@@ -706,10 +706,10 @@ type nameHit struct {
 }
 
 // lookupHit answers a LOOKUP from the cache if it can. Hit or miss, it is also
-// the directory walk's one input (dirwalk.go): pg is the ticket under which a
-// forwarded LOOKUP's reply may be cached and, when pg.due, the READDIRPLUS page
-// the caller is to send.
-func (sc *sessionCache) lookupHit(dir nfs3.FH, name string) (h nameHit, pg dirPage, ok bool) {
+// the directory walk's one input (walkStepLocked): pg carries the ticket a
+// forwarded LOOKUP's reply is seeded under and, when pg.due, is the
+// READDIRPLUS page the caller is to mint and issue.
+func (sc *sessionCache) lookupHit(dir nfs3.FH, name string) (h nameHit, pg speculation, ok bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	dfc := sc.record(dir.Key())

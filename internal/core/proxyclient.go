@@ -318,7 +318,7 @@ type upstreamCall struct {
 
 // startCall sends one upstream RPC and returns without waiting: waitCall
 // collects the reply. Apart, they let a burst go out in an order of the
-// caller's choosing (issueChunk). tail, when there is one, follows args on the
+// caller's choosing (issue). tail, when there is one, follows args on the
 // wire by reference (sunrpc.Client.StartParts) and is the call's until
 // waitCall returns.
 func (p *ProxyClient) startCall(rid uint64, prog, vers, proc uint32, args, tail []byte) upstreamCall {
@@ -888,9 +888,7 @@ func (p *ProxyClient) finishUpstream(c nfsCall, res wireDec, forwarded []nfs3.FH
 		rep.Release()
 		return rep, err
 	}
-	if p.cfg.ReadAhead > 0 {
-		p.ra.observe(lat, res, p.cfg.BlockSize)
-	}
+	p.ra.observe(lat, res, p.cfg.BlockSize)
 	var ts Trailers
 	if d.Remaining() > 0 {
 		if ts, err = DecodeTrailers(d); err != nil {
@@ -1096,7 +1094,7 @@ func (p *ProxyClient) getattr(call *sunrpc.Call) sunrpc.AcceptStat {
 	// client has just rewritten and this session read through last time: its
 	// READs go out right behind the GETATTR, so the kernel's READs that follow
 	// the answer join them (readahead.go, "after a remote write").
-	var reread prefetchChunk
+	var reread []speculation
 	if !p.cfg.DisableMetaCache {
 		if h, ok := p.cache.attrHit(args.FH); ok {
 			p.met.attrHits.Inc()
@@ -1106,11 +1104,11 @@ func (p *ProxyClient) getattr(call *sunrpc.Call) sunrpc.AcceptStat {
 			res.Encode(call.Reply)
 			return sunrpc.Success
 		}
-		reread = p.claimReread(call.ReqID, args.FH)
+		reread = p.rereadClaim(call.ReqID, args.FH)
 	}
 	var res nfs3.GetattrRes
 	c := p.startUpstream(call.ReqID, nfs3.ProcGetattr, &args)
-	p.issueChunk(reread) // behind the answer the kernel is waiting for
+	p.issue(reread) // behind the answer the kernel is waiting for
 	rep, err := p.finishUpstream(c, &res, []nfs3.FH{args.FH})
 	rep.Release() // the result owns what it decoded
 	if err != nil {
@@ -1134,16 +1132,20 @@ func (p *ProxyClient) lookup(call *sunrpc.Call) sunrpc.AcceptStat {
 		return sunrpc.GarbageArgs
 	}
 	spanFH(call, args.Dir)
-	// pg is the ticket this LOOKUP's reply is cached under if it is forwarded
-	// and, when the directory's walk says so, a page of its listing to ask for.
-	var pg dirPage
+	// tk is the ticket this LOOKUP's reply is cached under if it is forwarded
+	// and page, when the directory's walk says so, a page of its listing to ask
+	// for.
+	var tk seedTicket
+	var page []speculation
 	if p.cfg.DisableMetaCache {
-		pg.seedTicket = p.cache.ticket(args.Dir)
+		tk = p.cache.ticket(args.Dir)
 	} else {
-		var h nameHit
-		var ok bool
-		if h, pg, ok = p.cache.lookupHit(args.Dir, args.Name); ok {
-			p.issuePage(call.ReqID, pg)
+		h, pg, ok := p.cache.lookupHit(args.Dir, args.Name)
+		if tk = pg.seedTicket; !p.stopped.Load() {
+			page = p.mint(call.ReqID, pg)
+		}
+		if ok {
+			p.issue(page)
 			dirAttr := nfs3.PostOpAttr{Present: true, Attr: h.dir.attr}
 			p.hitLocal(call)
 			if h.negative {
@@ -1165,14 +1167,14 @@ func (p *ProxyClient) lookup(call *sunrpc.Call) sunrpc.AcceptStat {
 	}
 	var res nfs3.LookupRes
 	c := p.startUpstream(call.ReqID, nfs3.ProcLookup, &args)
-	p.issuePage(call.ReqID, pg) // behind the reply the kernel is waiting for
+	p.issue(page) // behind the reply the kernel is waiting for
 	rep, err := p.finishUpstream(c, &res, []nfs3.FH{args.Dir})
 	rep.Release() // the result owns what it decoded
 	if err != nil {
 		return encodeReply(call, &nfs3.LookupRes{Status: nfs3.ErrJukebox})
 	}
 	p.hitForward(call)
-	p.cache.seedLookup(pg.seedTicket, args.Name, &res)
+	p.cache.seedLookup(tk, args.Name, &res)
 	return encodeReply(call, &res)
 }
 
@@ -1188,15 +1190,13 @@ func (p *ProxyClient) read(call *sunrpc.Call) sunrpc.AcceptStat {
 
 	// chunk is the stream's next run of prefetches when this read made one
 	// due. Its READs go out behind this block's own, if that has to be sent.
-	var chunk prefetchChunk
+	var chunk []speculation
 	if aligned {
 		// With readahead on, keep the pipeline ahead of a sequential reader;
 		// and if a prefetch of this very block is in flight, wait for it
 		// rather than double-issuing the wide-area READ.
-		joined := false
-		if p.cfg.ReadAhead > 0 {
-			joined, chunk = p.readAhead(call.ReqID, args.FH, bn)
-		}
+		var joined bool
+		joined, chunk = p.readAhead(call.ReqID, args.FH, bn)
 		// One pass through the cache: the block, the file's attributes, whether
 		// the model lets them be served, and when the block got here.
 		if hit, ok := p.cache.readHit(args.FH, bn); ok {
@@ -1205,7 +1205,7 @@ func (p *ProxyClient) read(call *sunrpc.Call) sunrpc.AcceptStat {
 			// cache to reply, here, before anything can wait.
 			var res nfs3.ReadRes
 			if localReadInto(&res, hit.attr, hit.data, args.Offset, args.Count, bs) {
-				p.issueChunk(chunk)
+				p.issue(chunk)
 				res.Encode(call.Reply)
 				if joined {
 					// The demand read rode an in-flight readahead instead of
@@ -1231,11 +1231,11 @@ func (p *ProxyClient) read(call *sunrpc.Call) sunrpc.AcceptStat {
 // interface parameter makes &args escape, and keeping that address-taking out
 // of read lets the warm hit path hold its ReadArgs on the stack — otherwise
 // every READ, hit or miss, paid a heap allocation at the `var args` line.
-func (p *ProxyClient) readForward(call *sunrpc.Call, args nfs3.ReadArgs, bn uint64, aligned bool, chunk prefetchChunk) sunrpc.AcceptStat {
+func (p *ProxyClient) readForward(call *sunrpc.Call, args nfs3.ReadArgs, bn uint64, aligned bool, chunk []speculation) sunrpc.AcceptStat {
 	bs := uint64(p.cfg.BlockSize)
 	var res nfs3.ReadRes
 	c := p.startUpstream(call.ReqID, nfs3.ProcRead, &args)
-	p.issueChunk(chunk) // behind the block the reader is waiting for
+	p.issue(chunk) // behind the block the reader is waiting for
 	rep, err := p.finishUpstream(c, &res, []nfs3.FH{args.FH})
 	if err != nil {
 		return encodeReply(call, &nfs3.ReadRes{Status: nfs3.ErrJukebox})

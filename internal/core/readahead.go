@@ -1,33 +1,33 @@
 package core
 
 import (
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/nfs3"
-	"repro/internal/obs"
 	"repro/internal/vclock"
 )
 
-// Sequential readahead. Each file carries a small stream detector (where a
-// sequential reader is, how far prefetch has got); the session carries one
-// pipeline depth — the window — because how many READs it takes to fill the
-// link is a property of the link, not of the file. The window starts at
-// Config.ReadAhead and doubles each time a demand read stalls on an in-flight
-// prefetch, until the READs it keeps in flight already queue behind the
-// link's bandwidth rather than wait out its latency. Every block still
-// crosses the wide area in its own READ, exactly once: joins stay
-// block-granular.
+// Sequential readahead: the READ kinds of speculation (speculation.go). Each
+// file carries a small stream detector (where a sequential reader is, how far
+// prefetch has got); the session carries one pipeline depth — the window —
+// because how many READs it takes to fill the link is a property of the link,
+// not of the file. The window starts at Config.ReadAhead (no pipe: readahead
+// off) and doubles each time a demand read stalls on an in-flight prefetch,
+// until the READs it keeps in flight already queue behind the link's bandwidth
+// rather than wait out its latency. Every block still crosses the wide area in
+// its own READ, exactly once: joins stay block-granular. A demand read that
+// streamRead finds due claims the stream's next chunk (claimStreamLocked).
 //
 // Across files. The window does not stop at end-of-file. The session learns
 // which file a sequential reader opens after which — from two events of the
 // data path, a reader consuming a file's last block and the next demand read
 // of another file's block 0 — and when a stream has been claimed to EOF the
 // window spills into the head of the file that followed last time, so the
-// link stays full across the boundary. Only under polling: a speculative READ
-// under delegation would make this client a sharer of a file nobody here
-// asked for, and could recall another client's write delegation for it.
+// link stays full across the boundary (claimSpillLocked). Only under polling:
+// a speculative READ under delegation would make this client a sharer of a
+// file nobody here asked for, and could recall another client's write
+// delegation for it.
 //
 // After a remote write. A kernel opens a file by revalidating it with GETATTR
 // and reads it only once the answer is in, so a file another client has just
@@ -36,9 +36,9 @@ import (
 // another client's write (a GETINV entry; a recall of this client's read
 // delegation naming a WRITE's offset), and its last sequential pass here read
 // it through — the GETATTR that revalidates it carries the file's head behind
-// it, up to a window, through the same chunk path: one round trip. Under
-// delegation too: the GETATTR is already this client's read access to the
-// file, and the READs behind it conflict with nothing it does not.
+// it, up to a window (claimReread): one round trip. Under delegation too: the
+// GETATTR is already this client's read access to the file, and the READs
+// behind it conflict with nothing it does not.
 
 // readStream is one file's sequential-read detector. The zero value is "no
 // stream". It is guarded by the session cache's mutex and reclaimed with the
@@ -53,7 +53,7 @@ type readStream struct {
 	// eof is the file's length in blocks as the cached attributes had it when
 	// frontier became streamDone; meaningful only then.
 	eof uint64
-	// reread marks a stream begun by a revalidating GETATTR (beginReread), until
+	// reread marks a stream begun by a revalidating GETATTR (claimReread), until
 	// its reader arrives: it was claimed against the last-known size, which the
 	// GETATTR's answer is compared with (putAttr), and its head is not a spill.
 	reread bool
@@ -87,10 +87,16 @@ func (r *readPipe) init(cfg Config) {
 	r.window.Store(min(int64(cfg.ReadAhead), r.limit))
 }
 
+// off reports that readahead is off: Config.ReadAhead sized no pipe.
+func (r *readPipe) off() bool { return r.limit == 0 }
+
 // observe folds one upstream RPC's latency into the link measurements:
 // every reply bounds the round trip, a READ reply carrying a full block also
 // bounds what a block costs.
 func (r *readPipe) observe(lat time.Duration, res wireDec, blockSize int) {
+	if r.off() {
+		return
+	}
 	observeMin(&r.minRTT, lat)
 	if rr, ok := res.(*nfs3.ReadRes); ok && rr.Status == nfs3.OK && int(rr.Count) == blockSize {
 		observeMin(&r.minBlock, lat)
@@ -199,22 +205,38 @@ func (sc *sessionCache) blocksLocked(fc *cachedFile, attr nfs3.Fattr) uint64 {
 	return (fc.adjust(attr).Size + bs - 1) / bs
 }
 
-// beginFetches claims the next chunk of fh's stream — from its frontier to
-// `window` blocks past the reader, never past EOF as the cached attributes
-// have it, and never more than brings the file's prefetches in flight to
-// `window` — and returns the blocks to fetch. Blocks already cached (clean
-// or dirty) or in flight are skipped, so each crosses the wide area once; a
-// non-cacheable handle is never prefetched.
-func (sc *sessionCache) beginFetches(fh nfs3.FH, window int64) []uint64 {
+// claimedLocked is a READ kind's speculation on fc: the blocks claimed, if
+// any, and the ticket taken with them.
+func (sc *sessionCache) claimedLocked(kind specKind, fh nfs3.FH, fc *cachedFile, blocks []uint64, window int64) (s speculation) {
+	if len(blocks) > 0 {
+		s = speculation{kind: kind, due: true, seedTicket: sc.ticketLocked(fh, fc), blocks: blocks, window: window}
+	}
+	return s
+}
+
+// claimChunk is the claim of a demand read of fh that streamRead found due:
+// the stream's next chunk, and behind it whatever of the window now reaches
+// into the file expected next.
+func (sc *sessionCache) claimChunk(fh nfs3.FH, window int64) (own, spill speculation) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	return sc.claimStreamLocked(fh, window), sc.claimSpillLocked(fh, window)
+}
+
+// claimStreamLocked claims the next chunk of fh's stream — from its frontier
+// to `window` blocks past the reader, never past EOF as the cached attributes
+// have it, and never more than brings the file's prefetches in flight to
+// `window`. Blocks already cached (clean or dirty) or in flight are skipped,
+// so each crosses the wide area once; a non-cacheable handle is never
+// prefetched.
+func (sc *sessionCache) claimStreamLocked(fh nfs3.FH, window int64) speculation {
 	fc := sc.dataFor(fh.Key())
 	if fc == nil || fc.noncacheable || fc.stream.frontier == 0 {
-		return nil // no confirmed stream: reset since streamRead, or a random read
+		return speculation{} // no confirmed stream: reset since streamRead, or a random read
 	}
 	attr, ok := sc.attrLocked(fc)
 	if !ok {
-		return nil
+		return speculation{}
 	}
 	eof := sc.blocksLocked(fc, attr)
 	st := &fc.stream
@@ -228,7 +250,7 @@ func (sc *sessionCache) beginFetches(fh nfs3.FH, window int64) []uint64 {
 	case bn > st.frontier:
 		st.frontier = bn
 	}
-	return claimed
+	return sc.claimedLocked(specStream, fh, fc, claimed, window)
 }
 
 // --- across files: the successor table and the spill ---------------------------
@@ -346,22 +368,19 @@ func (sc *sessionCache) spillTargetLocked(fc *cachedFile, window int64) (y *cach
 	return y, from
 }
 
-// beginSpill claims the chunk of fh's successor that fh's window, its own
-// stream claimed to EOF, reaches into: up to `window` blocks past the reader
-// counted across the boundary, never past the successor's EOF as its cached
-// attributes have it, skipping what is cached or in flight, and never bringing
-// the two files' prefetches in flight together above `window`. It returns the
-// successor's handle and the blocks to fetch, nil when there are none.
-func (sc *sessionCache) beginSpill(fh nfs3.FH, window int64) *spillRun {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
+// claimSpillLocked claims the chunk of fh's successor that fh's window, its
+// own stream claimed to EOF, reaches into: up to `window` blocks past the
+// reader counted across the boundary, never past the successor's EOF as its
+// cached attributes have it, skipping what is cached or in flight, and never
+// bringing the two files' prefetches in flight together above `window`.
+func (sc *sessionCache) claimSpillLocked(fh nfs3.FH, window int64) speculation {
 	fc := sc.dataFor(fh.Key())
 	if fc == nil || fc.stream.frontier != streamDone {
-		return nil
+		return speculation{}
 	}
 	y, from := sc.spillTargetLocked(fc, window)
 	if y == nil {
-		return nil
+		return speculation{}
 	}
 	attr, _ := sc.attrLocked(y)
 	eof := sc.blocksLocked(y, attr)
@@ -376,38 +395,38 @@ func (sc *sessionCache) beginSpill(fh nfs3.FH, window int64) *spillRun {
 		y.stream = readStream{frontier: bn}
 	}
 	if len(claimed) == 0 {
-		return nil
+		return speculation{}
 	}
 	sc.met.raSpillBlocks.Add(int64(len(claimed)))
 	next, _ := nfs3.FHFromBytes([]byte(y.key)) // a key is a handle's bytes
-	return &spillRun{next, claimed}
+	return sc.claimedLocked(specSpill, next, y, claimed, window)
 }
 
 // --- after a remote write: the revalidating GETATTR's claim -------------------
 
-// beginReread is the claim a GETATTR the cache could not answer carries behind
+// claimReread is the claim a GETATTR the cache could not answer carries behind
 // it, when the file's attributes were taken by news of another client's write
 // and this session's last sequential pass read it through (and block 0 is
 // still here, clean, under a cacheable handle the session has not just
 // recovered from disk): blocks 0 up to `window`, never past EOF as last known,
 // clean ones held included — the news is what makes them suspect — and dirty
 // or in-flight ones skipped. The news is consumed, and the file's stream is
-// begun for its reader the way a spill begins one. nil when nothing is claimed.
-func (sc *sessionCache) beginReread(fh nfs3.FH, window int64) []uint64 {
+// begun for its reader the way a spill begins one.
+func (sc *sessionCache) claimReread(fh nfs3.FH, window int64) speculation {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	fc := sc.dataFor(fh.Key())
 	if fc == nil || !fc.remoteWrite || !fc.readThrough || fc.attrLink.on() || fc.noncacheable || fc.recovered {
-		return nil
+		return speculation{}
 	}
 	if blk := fc.blocks[0]; blk == nil || blk.dirty {
-		return nil
+		return speculation{}
 	}
 	fc.remoteWrite = false
 	eof := sc.blocksLocked(fc, fc.attr)
 	claimed, bn := fc.claimLocked(0, min(uint64(window), eof), window, true)
 	if len(claimed) == 0 {
-		return nil
+		return speculation{}
 	}
 	if bn >= eof {
 		fc.stream = readStream{frontier: streamDone, eof: eof, reread: true}
@@ -416,7 +435,7 @@ func (sc *sessionCache) beginReread(fh nfs3.FH, window int64) []uint64 {
 	}
 	sc.met.raReopens.Inc()
 	sc.met.raReopenBlocks.Add(int64(len(claimed)))
-	return claimed
+	return sc.claimedLocked(specReread, fh, fc, claimed, window)
 }
 
 // awaitFetch parks w on the in-flight prefetch of (fh, bn); it reports false
@@ -435,37 +454,6 @@ func (sc *sessionCache) awaitFetch(fh nfs3.FH, bn uint64, w *vclock.Waiter) bool
 	return inflight
 }
 
-// landFetch ends the prefetch of (fh, bn) with its reply — nil when the call
-// failed — and hands back the demand reads parked on it, to be woken; one that
-// finds no block forwards. The bytes are kept (through putBlock's mtime
-// reconciliation) when the claim still stands — a record forgotten under it
-// gets none back — and the reply is OK, carries attributes and holds a whole
-// block or the file's tail. A block at or past the end of file the reply
-// reports was claimed against a length the file no longer has: it is not
-// cached, and counts as wasted.
-func (sc *sessionCache) landFetch(fh nfs3.FH, bn uint64, res *nfs3.ReadRes) (ws []*vclock.Waiter, kept bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	fc := sc.files[fh.Key()]
-	if fc == nil {
-		return nil, false
-	}
-	ws, claimed := fc.fetching[bn]
-	delete(fc.fetching, bn)
-	if !claimed || res == nil || res.Status != nfs3.OK || !res.Attr.Present {
-		return ws, false
-	}
-	bs := uint64(sc.bs)
-	switch {
-	case bn*bs >= res.Attr.Attr.Size:
-		sc.met.raWasted.Inc()
-	case uint64(res.Count) == bs || res.EOF:
-		sc.putBlockLocked(fc, bn, res.Data, res.Attr.Attr, true)
-		return ws, true
-	}
-	return ws, false
-}
-
 // --- proxy client side -------------------------------------------------------
 
 // readAhead runs the pipeline for an aligned demand read of block bn: it
@@ -473,13 +461,16 @@ func (sc *sessionCache) landFetch(fh nfs3.FH, bn uint64, res *nfs3.ReadRes) (ws 
 // due, and — when a prefetch of bn itself is in flight — waits for it rather
 // than double-issuing the wide-area READ, reporting that it did (a join). The
 // sequential hit that needs neither costs one pass through the cache mutex.
-// A chunk it returns is the caller's to issue (issueChunk); before sleeping on
-// a join it has issued the chunk itself.
-func (p *ProxyClient) readAhead(parent uint64, fh nfs3.FH, bn uint64) (joined bool, chunk prefetchChunk) {
+// A chunk it returns is the caller's to issue; before sleeping on a join it
+// has issued the chunk itself.
+func (p *ProxyClient) readAhead(parent uint64, fh nfs3.FH, bn uint64) (joined bool, chunk []speculation) {
+	if p.ra.off() {
+		return false, nil
+	}
 	window := p.ra.window.Load()
 	due, busy := p.cache.streamRead(fh, bn, window)
 	if !due && !busy {
-		return false, chunk
+		return false, nil
 	}
 	var w *vclock.Waiter
 	if busy {
@@ -495,139 +486,31 @@ func (p *ProxyClient) readAhead(parent uint64, fh nfs3.FH, bn uint64) (joined bo
 		}
 	}
 	if due {
-		chunk = p.claimChunk(parent, fh, window)
+		chunk = p.streamClaim(parent, fh, window)
 	}
 	if joined {
-		p.issueChunk(chunk)
+		p.issue(chunk)
 		p.clk.WaitAs(w, "readahead fetch")
-		return true, prefetchChunk{}
+		return true, nil
 	}
 	return false, chunk
 }
 
-// prefetchChunk is a run of a stream's blocks claimed for prefetch (marked in
-// flight) whose READs have not been sent yet — and, where the window spilled
-// over the end of the file, the blocks it claimed at the head of the next. The
-// zero value is no chunk.
-type prefetchChunk struct {
-	parent uint64 // the demand read's request ID, or the revalidating GETATTR's
-	fh     nfs3.FH
-	window int64
-	blocks []uint64
-	spill  *spillRun // sent behind blocks; nil when the window stayed in fh
-	rids   []uint64  // one request ID per block, blocks' then the spill's
-	reread bool      // blocks are a revalidating GETATTR's claim (beginReread)
-}
-
-// spillRun is the part of a chunk that lies across the file boundary: blocks at
-// the head of the file expected next.
-type spillRun struct {
-	fh     nfs3.FH
-	blocks []uint64
-}
-
-// claimChunk claims the stream's next chunk under a window of `window`, and
+// streamClaim claims the stream's next chunk under a window of `window`, and
 // behind it whatever of the window now reaches into the file expected next.
-func (p *ProxyClient) claimChunk(parent uint64, fh nfs3.FH, window int64) prefetchChunk {
+func (p *ProxyClient) streamClaim(parent uint64, fh nfs3.FH, window int64) []speculation {
 	if p.stopped.Load() {
-		return prefetchChunk{}
+		return nil
 	}
-	blocks := p.cache.beginFetches(fh, window)
-	spill := p.cache.beginSpill(fh, window)
-	n := len(blocks)
-	if spill != nil {
-		n += len(spill.blocks)
-	}
-	return prefetchChunk{parent: parent, fh: fh, window: window, blocks: blocks, spill: spill, rids: p.mintIDs(n)}
+	own, spill := p.cache.claimChunk(fh, window)
+	return p.mint(parent, own, spill)
 }
 
-// claimReread claims what a GETATTR of fh the cache could not answer carries
-// behind it (beginReread), as a chunk parented on that GETATTR.
-func (p *ProxyClient) claimReread(parent uint64, fh nfs3.FH) prefetchChunk {
-	if p.cfg.ReadAhead <= 0 || p.stopped.Load() {
-		return prefetchChunk{}
+// rereadClaim claims what a GETATTR of fh the cache could not answer carries
+// behind it (claimReread), parented on that GETATTR.
+func (p *ProxyClient) rereadClaim(parent uint64, fh nfs3.FH) []speculation {
+	if p.ra.off() || p.stopped.Load() {
+		return nil
 	}
-	window := p.ra.window.Load()
-	blocks := p.cache.beginReread(fh, window)
-	if len(blocks) == 0 {
-		return prefetchChunk{}
-	}
-	return prefetchChunk{parent: parent, fh: fh, window: window, blocks: blocks, rids: p.mintIDs(len(blocks)), reread: true}
-}
-
-// mintIDs mints a request ID for each of n prefetches: each is its own traced
-// request, parented on the request that made it due. Minted before any actor
-// is spawned, so the ID order is deterministic regardless of actor scheduling.
-func (p *ProxyClient) mintIDs(n int) []uint64 {
-	rids := make([]uint64, n)
-	for i := range rids {
-		rids[i] = p.node.Mint()
-	}
-	return rids
-}
-
-// issueChunk sends a claimed chunk: one READ per block, sent one after
-// another by a single actor so that they cross the link — and their replies
-// come back over it — in block order, the order the reader will ask for them
-// (the next file's head behind this one's tail), and waited for by one actor
-// each so that the round trips overlap. Sent from the waiting actors, the chunk
-// would leave in whatever order the scheduler ran those, and the reader's next
-// blocks could be the last to arrive. For the same reason a demand read that
-// has a READ of its own to send issues the chunk after it: the block the reader
-// is waiting for goes first — and a revalidating GETATTR's claim goes behind
-// the GETATTR.
-func (p *ProxyClient) issueChunk(c prefetchChunk) {
-	if len(c.rids) == 0 {
-		return
-	}
-	p.clk.Go("gvfs-readahead", func() {
-		bs := uint64(p.cfg.BlockSize)
-		send := func(fh nfs3.FH, blocks, rids []uint64, why string) {
-			for i, bn := range blocks {
-				rid := rids[i]
-				call := p.startUpstream(rid, nfs3.ProcRead, &nfs3.ReadArgs{FH: fh, Offset: bn * bs, Count: uint32(bs)})
-				p.clk.Go("gvfs-readahead", func() { p.prefetchBlock(c.parent, rid, fh, bn, c.window, why, call) })
-			}
-		}
-		why := ""
-		if c.reread {
-			why = " reopen"
-		}
-		send(c.fh, c.blocks, c.rids, why)
-		if c.spill != nil {
-			send(c.spill.fh, c.spill.blocks, c.rids[len(c.blocks):], " next")
-		}
-	})
-}
-
-// prefetchBlock collects one block's READ into the session cache; why is what
-// its span's detail says beyond the window: " next" for a block the window
-// reached across a file boundary, " reopen" for a revalidating GETATTR's
-// claim. The in-flight mark is cleared and waiting demand reads are woken
-// whether or not the fetch succeeded — on failure they simply forward.
-func (p *ProxyClient) prefetchBlock(parent, rid uint64, fh nfs3.FH, bn uint64, window int64, why string, c nfsCall) {
-	var res nfs3.ReadRes
-	sp := obs.Span{Req: rid, Parent: parent, Op: "READAHEAD", Model: shortModel(p.cfg.Model), Start: c.start}
-	if p.node.Tracing() {
-		sp.FH = fh.String()
-		sp.Detail = "win=" + strconv.FormatInt(window, 10) + why
-	}
-	got := &res
-	rep, err := p.finishUpstream(c, got, nil)
-	sp.End = p.node.Now()
-	if err != nil {
-		got, sp.Err = nil, err.Error()
-	} else if res.Status != nfs3.OK {
-		sp.Err = res.Status.String()
-	}
-	ws, kept := p.cache.landFetch(fh, bn, got)
-	rep.Release() // the cache copied what it kept
-	if kept {
-		p.met.readAheads.Inc()
-	}
-	sp.Bytes = int64(res.Count)
-	p.node.Record(sp)
-	for _, w := range ws {
-		w.Wake()
-	}
+	return p.mint(parent, p.cache.claimReread(fh, p.ra.window.Load()))
 }

@@ -1,0 +1,228 @@
+package core
+
+import (
+	"strconv"
+	"time"
+
+	"repro/internal/nfs3"
+	"repro/internal/obs"
+	"repro/internal/vclock"
+)
+
+// Speculation: every prefetch the proxy client makes takes one path, claim →
+// issue → land (DESIGN.md, "Speculation"). A critical section the demand
+// request already takes claims it under a ticket (claimChunk, claimReread,
+// walkStepLocked); mint and issue send it behind the demand call; collect
+// lands it (landLocked).
+
+// specKind is the evidence a speculation was claimed on.
+type specKind uint8
+
+const (
+	specStream specKind = iota + 1 // the file's sequential reader (readahead.go)
+	specSpill                      // the reader's window crossing into the next file
+	specReread                     // a revalidating GETATTR after a remote write
+	specPage                       // a directory's LOOKUPs (dirwalk.go)
+)
+
+// specDetail is what a READ kind's span says beyond its window.
+var specDetail = [...]string{specSpill: " next", specReread: " reopen"}
+
+// speculation is one claimed prefetch on one record. The zero value, and any
+// value with due unset, claims nothing.
+type speculation struct {
+	kind         specKind
+	due          bool     // something was claimed: its issuer's to send
+	seedTicket            // the record and its handle, and what the landing compares
+	blocks       []uint64 // READ kinds: one READ per block, in this order
+	epoch        uint64   // page: the walk it was claimed in
+	cookie, verf uint64   // page: where the listing resumes
+	window       int64    // READ kinds: the window it was claimed under
+	parent       uint64   // the request that made it due
+	rids         []uint64 // one request ID per call (mint)
+}
+
+// seedTicket is taken when a request goes out whose reply will seed the cache
+// (a LOOKUP, a READDIRPLUS, any speculation at its claim) and shown when the
+// reply lands. Names and attributes that were in flight while the directory's
+// names were taken back, or while the invalidation channel delivered anything
+// at all, are not installed: an attribute has no mtime-style reconciliation to
+// catch it later, and a name whose invalidation was already consumed would be
+// bound again for good. A block needs only its record (landLocked).
+type seedTicket struct {
+	fh    nfs3.FH
+	rec   *cachedFile
+	names uint64 // rec.namesGen when sent
+	inv   uint64 // sessionCache.invGen when sent
+	sent  time.Duration
+}
+
+func (sc *sessionCache) ticketLocked(fh nfs3.FH, fc *cachedFile) seedTicket {
+	return seedTicket{fh: fh, rec: fc, names: fc.namesGen, inv: sc.invGen, sent: sc.nowLocked()}
+}
+
+// ticket is the seedTicket for a request about dir that is about to be sent.
+func (sc *sessionCache) ticket(dir nfs3.FH) seedTicket {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.ticketLocked(dir, sc.record(dir.Key()))
+}
+
+// freshLocked reports whether a reply sent under tk may still be installed.
+func (sc *sessionCache) freshLocked(tk seedTicket) bool {
+	return sc.files[tk.rec.key] == tk.rec && tk.rec.namesGen == tk.names && sc.invGen == tk.inv
+}
+
+// land settles call i of s with its reply (nil, or a nil result, when the call
+// failed), returning the demand reads parked on it, to be woken.
+func (sc *sessionCache) land(s *speculation, i int, res wireDec) (ws []*vclock.Waiter, kept bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.landLocked(s, i, res)
+}
+
+// landLocked is the one landing: the ticket is shown, then the kind's rule
+// decides. A page moves its walk on only within the walk's epoch, and is
+// seeded only on a fresh ticket; one that crossed an invalidation is discarded
+// whole, and one not OK latches the walk off. A block needs its record (forget
+// handed back what was parked on a forgotten one) and its claim mark; its
+// bytes are kept, through putBlockLocked's mtime reconciliation, when the
+// reply is OK with attributes and holds a whole block or the file's tail. One
+// at or past the end of file the reply reports counts as wasted.
+func (sc *sessionCache) landLocked(s *speculation, i int, res wireDec) (ws []*vclock.Waiter, kept bool) {
+	fc := s.rec
+	if s.kind == specPage {
+		pg, _ := res.(*nfs3.ReaddirplusRes)
+		fresh := pg != nil && sc.freshLocked(s.seedTicket)
+		if w := &fc.walk; w.epoch == s.epoch {
+			w.inflight = false
+			switch {
+			case !fresh: // the same page is asked for again
+			case pg.Status != nfs3.OK || (len(pg.Entries) == 0 && !pg.EOF):
+				w.off = true
+			default:
+				if n := len(pg.Entries); n > 0 {
+					w.cookie = pg.Entries[n-1].Cookie
+				}
+				w.verf, w.done = pg.CookieVerf, pg.EOF
+			}
+		}
+		switch {
+		case fresh:
+			sc.seedDirLocked(s.seedTicket, pg, true)
+		case pg != nil:
+			sc.met.walkDiscarded.Inc()
+		}
+		return nil, false
+	}
+	if sc.files[fc.key] != fc {
+		return nil, false
+	}
+	bn := s.blocks[i]
+	ws, claimed := fc.fetching[bn]
+	delete(fc.fetching, bn)
+	rr, _ := res.(*nfs3.ReadRes)
+	if !claimed || rr == nil || rr.Status != nfs3.OK || !rr.Attr.Present {
+		return ws, false
+	}
+	bs := uint64(sc.bs)
+	switch {
+	case bn*bs >= rr.Attr.Attr.Size:
+		sc.met.raWasted.Inc()
+	case uint64(rr.Count) == bs || rr.EOF:
+		sc.putBlockLocked(fc, bn, rr.Data, rr.Attr.Attr, true)
+		return ws, true
+	}
+	return ws, false
+}
+
+// --- proxy client side -------------------------------------------------------
+
+// mint stamps what a claim returned with the request that made it due, and
+// each of its calls with a request ID of its own: every prefetch is its own
+// traced request, so attribution never charges the demand request for it.
+// Minted by the claiming actor before any collector is spawned, so the ID
+// order is the same every run. It returns the speculations that are due, nil
+// when none is.
+func (p *ProxyClient) mint(parent uint64, claimed ...speculation) []speculation {
+	var due []speculation
+	for _, s := range claimed {
+		if !s.due {
+			continue
+		}
+		s.parent, s.rids = parent, make([]uint64, max(len(s.blocks), 1)) // a page is one call
+		for i := range s.rids {
+			s.rids[i] = p.node.Mint()
+		}
+		due = append(due, s)
+	}
+	return due
+}
+
+// issue sends minted speculations from one actor, in claim order, so that they
+// cross the link (and their replies come back) in the order the reader will
+// want them, and parks one collector on each so that the round trips overlap;
+// sent from the collectors, they would leave in whatever order the scheduler
+// ran those. The sender is an actor of its own so that a reply served from the
+// cache does not wait for the sends. A caller forwarding a request of its own
+// starts it first: its reply never queues behind a prefetch. A page is one
+// block: on a slow link a reply of MaxIOSize would hold demand traffic up for
+// seconds.
+func (p *ProxyClient) issue(specs []speculation) {
+	if len(specs) == 0 {
+		return
+	}
+	p.clk.Go("gvfs-prefetch", func() {
+		bs := uint32(p.cfg.BlockSize)
+		for k := range specs {
+			s := &specs[k]
+			for i, rid := range s.rids {
+				var c nfsCall
+				if s.kind == specPage {
+					c = p.startUpstream(rid, nfs3.ProcReaddirplus, &nfs3.ReaddirplusArgs{
+						Dir: s.fh, Cookie: s.cookie, CookieVerf: s.verf, DirCount: bs, MaxCount: bs,
+					})
+				} else {
+					c = p.startUpstream(rid, nfs3.ProcRead, &nfs3.ReadArgs{FH: s.fh, Offset: s.blocks[i] * uint64(bs), Count: bs})
+				}
+				p.clk.Go("gvfs-prefetch", func() { p.collect(s, i, c) })
+			}
+		}
+	})
+}
+
+// collect waits for call i of s, records its span and lands it. Waiting demand
+// reads are woken whether or not the call succeeded: on failure they forward.
+func (p *ProxyClient) collect(s *speculation, i int, c nfsCall) {
+	sp := obs.Span{Req: s.rids[i], Parent: s.parent, Op: "READAHEAD", Model: shortModel(p.cfg.Model), Start: c.start}
+	var read nfs3.ReadRes
+	var page nfs3.ReaddirplusRes
+	var res wireDec = &read
+	st := &read.Status
+	if s.kind == specPage {
+		sp.Op, res, st = "prefetch READDIRPLUS", &page, &page.Status
+	}
+	if p.node.Tracing() {
+		sp.FH = s.fh.String()
+		if s.kind != specPage {
+			sp.Detail = "win=" + strconv.FormatInt(s.window, 10) + specDetail[s.kind]
+		}
+	}
+	rep, err := p.finishUpstream(c, res, nil)
+	sp.End = p.node.Now()
+	if err != nil {
+		res, sp.Err = nil, err.Error()
+	} else if *st != nfs3.OK {
+		sp.Err = st.String()
+	}
+	ws, kept := p.cache.land(s, i, res)
+	rep.Release() // the cache copied what it kept
+	if kept {
+		p.met.readAheads.Inc()
+	}
+	sp.Bytes = int64(read.Count)
+	p.node.Record(sp)
+	for _, w := range ws {
+		w.Wake()
+	}
+}
