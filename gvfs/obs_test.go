@@ -113,14 +113,20 @@ func TestTraceFullReadPipeline(t *testing.T) {
 		}
 	}
 
-	// Readahead children carry the triggering request as Parent; the next
-	// sequential kernel READ joins the in-flight prefetch.
-	var readaheads, joins int
+	// Readahead children carry the triggering request as Parent, one span a
+	// READ, saying how many blocks it asked for and carrying the reply's bytes;
+	// the next sequential kernel READ joins the in-flight prefetch.
+	var readaheads, readaheadBlocks int64
+	var joins int
 	for _, s := range spans {
 		if s.Op == "READAHEAD" && s.FH == key {
 			readaheads++
+			readaheadBlocks += spanBlocks(s)
 			if s.Parent == 0 {
 				t.Errorf("READAHEAD span has no parent: %+v", s)
+			}
+			if s.Bytes != spanBlocks(s)*32*1024 {
+				t.Errorf("READAHEAD span of %d whole blocks carries %d bytes: %+v", spanBlocks(s), s.Bytes, s)
 			}
 		}
 		if s.Node == "proxyc:C1/tr" && s.Op == "READ" && s.Detail == "join" {
@@ -153,8 +159,8 @@ func TestTraceFullReadPipeline(t *testing.T) {
 	if v := snap.Counters[`gvfs_client_forwards_total{node="C1/tr"}`]; v == 0 {
 		t.Errorf("forwards counter not incremented: %v", snap.Counters)
 	}
-	if v := snap.Counters[`gvfs_client_readaheads_total{node="C1/tr"}`]; v != int64(readaheads) {
-		t.Errorf("readaheads counter = %d, want %d (the READAHEAD span count)", v, readaheads)
+	if v := snap.Counters[`gvfs_client_readaheads_total{node="C1/tr"}`]; v != readaheadBlocks {
+		t.Errorf("readaheads counter = %d, want %d (the blocks the READAHEAD spans asked for)", v, readaheadBlocks)
 	}
 	if v := snap.Counters[`gvfs_client_readahead_joins_total{node="C1/tr"}`]; v == 0 {
 		t.Errorf("readahead joins counter not incremented")

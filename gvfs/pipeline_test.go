@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -117,7 +118,7 @@ func TestReadAheadPipelinesColdSequentialRead(t *testing.T) {
 		data[i] = byte(i % 251)
 	}
 
-	coldRead := func(t *testing.T, ra int) (time.Duration, *Mount) {
+	coldRead := func(t *testing.T, ra int) (time.Duration, *Deployment, *Mount) {
 		d := newPipelineDeployment(t)
 		d.FS.WriteFile("data", data)
 		var elapsed time.Duration
@@ -144,11 +145,11 @@ func TestReadAheadPipelinesColdSequentialRead(t *testing.T) {
 				t.Errorf("readahead corrupted the stream: got %d bytes", len(got))
 			}
 		})
-		return elapsed, m
+		return elapsed, d, m
 	}
 
-	serial, _ := coldRead(t, -1)
-	piped, m := coldRead(t, 8)
+	serial, _, _ := coldRead(t, -1)
+	piped, d, m := coldRead(t, 8)
 	if t.Failed() {
 		return
 	}
@@ -160,8 +161,8 @@ func TestReadAheadPipelinesColdSequentialRead(t *testing.T) {
 	if ras := m.Proxy.Stats().ReadAheads; ras == 0 {
 		t.Error("no blocks were prefetched")
 	}
-	if reads := m.WANCounts()["READ"]; reads != blocks {
-		t.Errorf("WAN READs = %d, want %d (readahead must not double-issue)", reads, blocks)
+	if got := wanBlocks(d, m); got != blocks {
+		t.Errorf("WAN READs asked for %d blocks, want %d (readahead must not double-issue)", got, blocks)
 	}
 }
 
@@ -357,6 +358,22 @@ func (r *streamReader) read(fh nfs3.FH, bn int, content []byte) {
 
 func (r *streamReader) wanReads() int64 { return r.m.WANCounts()["READ"] }
 
+// wanBlocks is how many blocks m's READs have asked the wide area for, each
+// READ by its offset and count: a prefetched run counts as the blocks it
+// carries.
+func wanBlocks(d *Deployment, m *Mount) int64 {
+	prefix := `gvfs_client_read_blocks_total{node="` + m.Host() + "/"
+	var n int64
+	for name, v := range d.Obs.Registry().Snapshot().Counters {
+		if strings.HasPrefix(name, prefix) {
+			n += v
+		}
+	}
+	return n
+}
+
+func (r *streamReader) wanBlocks() int64 { return wanBlocks(r.d, r.m) }
+
 // settle lets every prefetch in flight land.
 func (r *streamReader) settle() { r.d.Clock.Sleep(2 * time.Second) }
 
@@ -375,6 +392,13 @@ func series(d *Deployment, fam string) int64 {
 }
 
 func readaheadWindow(d *Deployment) int64 { return series(d, "gvfs_client_readahead_window") }
+
+// spanBlocks is how many blocks a READAHEAD span's READ asked for.
+func spanBlocks(s obs.Span) int64 {
+	_, rest, _ := strings.Cut(s.Detail, " blocks=")
+	n, _ := strconv.ParseInt(strings.Fields(rest + " ")[0], 10, 64)
+	return n
+}
 
 // readaheadSpans returns the deployment's READAHEAD spans, oldest first.
 func readaheadSpans(d *Deployment) []obs.Span {
@@ -416,12 +440,12 @@ func peakOverlap(spans []obs.Span) int {
 // time: starting from a window of 4 — a quarter of the link's
 // bandwidth-delay product — one cold sequential stream learns a window deep
 // enough that the read is bound by the link's bandwidth, not its latency,
-// and still crosses the wide area exactly once per block.
+// and every block still crosses the wide area exactly once.
 func TestReadAheadWindowFillsTheLink(t *testing.T) {
 	const blocks = 64
 	data := streamData(1, blocks)
 	var elapsed time.Duration
-	var reads int64
+	var fetched int64
 	d := runStream(t, fastWAN, core.Config{ReadAhead: 4}, map[string][]byte{"data": data},
 		func(r *streamReader, _ *Session) {
 			fh := r.lookup("data")
@@ -430,7 +454,7 @@ func TestReadAheadWindowFillsTheLink(t *testing.T) {
 					r.read(fh, bn, data)
 				}
 			})
-			reads = r.wanReads()
+			fetched = r.wanBlocks()
 		})
 	wire := wireTime(len(data))
 	budget := (pipelineRTT+wire)*3/2 + 2*pipelineRTT // link time, plus the window's ramp
@@ -438,8 +462,8 @@ func TestReadAheadWindowFillsTheLink(t *testing.T) {
 	if elapsed > budget {
 		t.Errorf("cold %d-block stream took %v, want <= %v (1.5 x (RTT + wire time) + 2 RTT)", blocks, elapsed, budget)
 	}
-	if reads != blocks {
-		t.Errorf("WAN READs = %d, want exactly %d", reads, blocks)
+	if fetched != blocks {
+		t.Errorf("WAN READs asked for %d blocks, want exactly %d", fetched, blocks)
 	}
 	if w := readaheadWindow(d); w < 16 {
 		t.Errorf("learned window = %d blocks, want >= the link's ~15-block BDP", w)
@@ -447,8 +471,8 @@ func TestReadAheadWindowFillsTheLink(t *testing.T) {
 	if wasted := series(d, "gvfs_client_readahead_wasted_total"); wasted != 0 {
 		t.Errorf("%d prefetched blocks wasted on a clean sequential read", wasted)
 	}
-	// Every prefetch says which window issued it, and the last ones were
-	// issued by the learned one.
+	// Every prefetch says which window issued it and how many blocks it asked
+	// for, and the last ones were issued by the learned one.
 	spans := readaheadSpans(d)
 	if len(spans) == 0 {
 		t.Fatal("no READAHEAD spans")
@@ -458,8 +482,55 @@ func TestReadAheadWindowFillsTheLink(t *testing.T) {
 			t.Fatalf("READAHEAD span without a window detail: %+v", s)
 		}
 	}
-	if got, want := spans[len(spans)-1].Detail, fmt.Sprintf("win=%d", readaheadWindow(d)); got != want {
-		t.Errorf("last READAHEAD span detail = %q, want %q", got, want)
+	if got, want := spans[len(spans)-1].Detail, fmt.Sprintf("win=%d blocks=", readaheadWindow(d)); !strings.HasPrefix(got, want) || spanBlocks(spans[len(spans)-1]) == 0 {
+		t.Errorf("last READAHEAD span detail = %q, want %q and a count", got, want)
+	}
+}
+
+// TestReadRunsOverALossyLink: a cold 64-block stream over the 100 Mbit/s
+// link, whose window grows until its prefetches cross as runs of eight blocks a
+// READ, while the link drops, duplicates and reorders messages, in both models.
+// A run's READ is retransmitted under its XID and its reply may come back
+// twice or behind a later one's: every byte read is the file's, the oracle
+// sees no stale serve, and no prefetched block lands twice or is thrown away.
+func TestReadRunsOverALossyLink(t *testing.T) {
+	const blocks = 64
+	for _, model := range []core.Model{core.ModelPolling, core.ModelDelegation} {
+		for _, seed := range []int64{1, 3, 5} {
+			t.Run(fmt.Sprintf("%v/seed=%d", model, seed), func(t *testing.T) {
+				data := streamData(30, blocks)
+				d := runStream(t, fastWAN, core.Config{Model: model, ReadAhead: 4}, map[string][]byte{"data": data},
+					func(r *streamReader, _ *Session) {
+						fh := r.lookup("data")
+						lossy := simnet.Faults{Seed: seed, DropProb: 0.1, DupProb: 0.1, ReorderProb: 0.2}
+						r.d.Net.SetFaults(r.m.Host(), serverHost, lossy)
+						for bn := 0; bn < blocks; bn++ {
+							r.read(fh, bn, data)
+						}
+						r.d.Net.SetFaults(r.m.Host(), serverHost, simnet.Faults{})
+						r.settle()
+						if got := r.m.Proxy.Stats().ReadAheads; got == 0 || got > blocks-1 {
+							t.Errorf("%d prefetched blocks landed for the %d behind block 0: none, or one landed twice", got, blocks-1)
+						}
+						if got := series(r.d, "gvfs_client_readahead_wasted_total"); got != 0 {
+							t.Errorf("%d prefetched blocks thrown away on a clean sequential read", got)
+						}
+						if reads, fetched := r.wanReads(), r.wanBlocks(); reads >= fetched {
+							t.Errorf("%d READs for %d blocks: no run of blocks crossed, the test proves nothing", reads, fetched)
+						}
+						up, down := r.d.Net.LinkStats(r.m.Host(), serverHost), r.d.Net.LinkStats(serverHost, r.m.Host())
+						t.Logf("%d READs for %d blocks; calls: %d dropped, %d duplicated, %d reordered; replies: %d, %d, %d; %d retransmissions",
+							r.wanReads(), r.wanBlocks(), up.FaultDrops, up.FaultDups, up.FaultReorders,
+							down.FaultDrops, down.FaultDups, down.FaultReorders, series(r.d, "gvfs_rpc_retransmits_total"))
+						if down.FaultDrops == 0 || down.FaultDups+down.FaultReorders == 0 {
+							t.Error("no reply was lost, or none duplicated or reordered: the test proves nothing")
+						}
+					})
+				if v := d.PublishMetrics().SumCounters("gvfs_staleness_violations_total"); v != 0 {
+					t.Errorf("%d staleness violations", v)
+				}
+			})
+		}
 	}
 }
 
@@ -522,14 +593,14 @@ func TestReadAheadIgnoresRandomAndBoundsAbandonedStreams(t *testing.T) {
 			}
 
 			// A stream abandoned after ten blocks.
-			before := r.wanReads()
+			before := r.wanBlocks()
 			fh = r.lookup("seq")
 			const consumed = 10
 			for bn := 0; bn < consumed; bn++ {
 				r.read(fh, bn, seq)
 			}
 			r.settle()
-			over := r.wanReads() - before - consumed
+			over := r.wanBlocks() - before - consumed
 			if w := readaheadWindow(r.d); over > w {
 				t.Errorf("abandoned stream over-fetched %d blocks, more than one window (%d)", over, w)
 			}
@@ -542,14 +613,14 @@ func TestReadAheadIgnoresRandomAndBoundsAbandonedStreams(t *testing.T) {
 func TestReadAheadWindowCappedByCache(t *testing.T) {
 	const blocks = 64
 	data := streamData(5, blocks)
-	var reads int64
+	var fetched int64
 	d := runStream(t, fastWAN, core.Config{ReadAhead: 4, CacheBytes: 16 * streamBS}, map[string][]byte{"data": data},
 		func(r *streamReader, _ *Session) {
 			fh := r.lookup("data")
 			for bn := 0; bn < blocks; bn++ {
 				r.read(fh, bn, data)
 			}
-			reads = r.wanReads()
+			fetched = r.wanBlocks()
 		})
 	if w := readaheadWindow(d); w != 4 {
 		t.Errorf("window = %d with a 16-block cache, want the cap of 4", w)
@@ -557,8 +628,8 @@ func TestReadAheadWindowCappedByCache(t *testing.T) {
 	if wasted := series(d, "gvfs_client_readahead_wasted_total"); wasted != 0 {
 		t.Errorf("%d prefetched blocks evicted before their demand read", wasted)
 	}
-	if reads != blocks {
-		t.Errorf("WAN READs = %d, want exactly %d (an evicted prefetch is fetched twice)", reads, blocks)
+	if fetched != blocks {
+		t.Errorf("WAN READs asked for %d blocks, want exactly %d (an evicted prefetch is fetched twice)", fetched, blocks)
 	}
 }
 
@@ -568,7 +639,7 @@ func TestReadAheadStreamsInterleavedFiles(t *testing.T) {
 	const blocks = 32
 	a, b := streamData(6, blocks), streamData(7, blocks)
 	var elapsed time.Duration
-	var reads int64
+	var fetched int64
 	runStream(t, fastWAN, core.Config{ReadAhead: 4}, map[string][]byte{"a": a, "b": b},
 		func(r *streamReader, _ *Session) {
 			fa, fb := r.lookup("a"), r.lookup("b")
@@ -578,7 +649,7 @@ func TestReadAheadStreamsInterleavedFiles(t *testing.T) {
 					r.read(fb, bn, b)
 				}
 			})
-			reads = r.wanReads()
+			fetched = r.wanBlocks()
 			if ras := r.m.Proxy.Stats().ReadAheads; ras < 2*(blocks-2) {
 				t.Errorf("only %d of %d blocks were prefetched", ras, 2*blocks)
 			}
@@ -586,8 +657,8 @@ func TestReadAheadStreamsInterleavedFiles(t *testing.T) {
 	if serial := 2 * blocks * pipelineRTT; elapsed > serial/4 {
 		t.Errorf("interleaved streams took %v, want well under the serial %v", elapsed, serial)
 	}
-	if reads != 2*blocks {
-		t.Errorf("WAN READs = %d, want exactly %d", reads, 2*blocks)
+	if fetched != 2*blocks {
+		t.Errorf("WAN READs asked for %d blocks, want exactly %d", fetched, 2*blocks)
 	}
 }
 
@@ -612,26 +683,26 @@ func TestReadAheadWindowIsPerSession(t *testing.T) {
 
 			// One READ of a new file: the demand block plus a full learned
 			// window behind it, at once.
-			before := r.wanReads()
+			before := r.wanBlocks()
 			r.read(r.lookup("second"), 0, second)
 			r.settle()
-			if got := r.wanReads() - before; got != 1+learned {
-				t.Errorf("first read of a new file issued %d WAN READs, want 1 + the learned window %d", got, learned)
+			if got := r.wanBlocks() - before; got != 1+learned {
+				t.Errorf("first read of a new file asked the WAN for %d blocks, want 1 + the learned window %d", got, learned)
 			}
 
 			// A file shorter than the window is fetched once, whole.
-			before = r.wanReads()
+			before = r.wanBlocks()
 			fh = r.lookup("small")
 			r.read(fh, 0, small)
 			r.settle()
-			if got := r.wanReads() - before; got != short {
-				t.Errorf("first read of a %d-block file issued %d WAN READs", short, got)
+			if got := r.wanBlocks() - before; got != short {
+				t.Errorf("first read of a %d-block file asked the WAN for %d blocks", short, got)
 			}
 			for bn := 1; bn < short; bn++ {
 				r.read(fh, bn, small)
 			}
-			if got := r.wanReads() - before; got != short {
-				t.Errorf("%d-block file cost %d WAN READs in all", short, got)
+			if got := r.wanBlocks() - before; got != short {
+				t.Errorf("%d-block file cost %d blocks of WAN READs in all", short, got)
 			}
 		})
 }
@@ -892,15 +963,15 @@ func TestFirstReadFetchesTheWholeSmallFile(t *testing.T) {
 			data := files[name]
 			blocks := len(data) / streamBS
 			fh := r.lookup(name)
-			reads, prefetched := r.wanReads(), r.m.Proxy.Stats().ReadAheads
+			fetched, prefetched := r.wanBlocks(), r.m.Proxy.Stats().ReadAheads
 			elapsed := r.d.Elapsed(func() {
 				for bn := 0; bn < blocks; bn++ {
 					r.read(fh, bn, data)
 				}
 			})
 			r.settle()
-			if got := r.wanReads() - reads; got != int64(blocks) {
-				t.Errorf("%s: %d WAN READs for %d blocks", name, got, blocks)
+			if got := r.wanBlocks() - fetched; got != int64(blocks) {
+				t.Errorf("%s: WAN READs asked for %d blocks of %d", name, got, blocks)
 			}
 			if got := r.m.Proxy.Stats().ReadAheads - prefetched; got != int64(blocks-1) {
 				t.Errorf("%s: %d blocks prefetched, want %d", name, got, blocks-1)
@@ -915,7 +986,7 @@ func TestFirstReadFetchesTheWholeSmallFile(t *testing.T) {
 // TestHandoffRereadPipelines: a consumer that re-reads a file another client
 // has just rewritten — GETATTR, then every block — pays one round trip for it
 // under both models, with no stale serve: the GETATTR that revalidates the
-// file carries its head behind it, one READ a block, and the kernel's READs
+// file carries its head behind it, in runs of blocks, and the kernel's READs
 // join those. Under delegation the producer's handle, non-cacheable while the
 // consumer shares the file, prefetches nothing.
 func TestHandoffRereadPipelines(t *testing.T) {
@@ -940,7 +1011,7 @@ func TestHandoffRereadPipelines(t *testing.T) {
 					}
 				}
 			}, func(r *streamReader, fh nfs3.FH) {
-				before := r.wanReads()
+				before := r.wanBlocks()
 				elapsed := r.d.Elapsed(func() {
 					if ga, err := r.conn.Getattr(fh); err != nil || ga.Status != nfs3.OK {
 						t.Errorf("getattr: %v status %v", err, ga.Status)
@@ -949,8 +1020,8 @@ func TestHandoffRereadPipelines(t *testing.T) {
 						r.read(fh, bn, fresh)
 					}
 				})
-				if got := r.wanReads() - before; got != blocks {
-					t.Errorf("re-read cost %d WAN READs, want %d", got, blocks)
+				if got := r.wanBlocks() - before; got != blocks {
+					t.Errorf("re-read asked the WAN for %d blocks, want %d", got, blocks)
 				}
 				budget := pipelineRTT + wireTime(len(fresh)) + 5*time.Millisecond
 				t.Logf("handoff re-read: %v (budget %v)", elapsed, budget)
@@ -972,17 +1043,17 @@ func TestHandoffRereadPipelines(t *testing.T) {
 					getattrs[s.Req] = true
 				}
 			}
-			reopen := 0
+			var reopen int64
 			for _, s := range readaheadSpans(d) {
 				if strings.HasSuffix(s.Detail, " reopen") {
-					reopen++
+					reopen += spanBlocks(s)
 					if !strings.HasPrefix(s.Detail, "win=") || !getattrs[s.Parent] {
-						t.Errorf("re-read span %+v: want win=N reopen, parented on the consumer's GETATTR", s)
+						t.Errorf("re-read span %+v: want win=N blocks=K reopen, parented on the consumer's GETATTR", s)
 					}
 				}
 			}
 			if reopen != blocks {
-				t.Errorf("%d READAHEAD spans say reopen, want %d", reopen, blocks)
+				t.Errorf("READAHEAD spans that say reopen asked for %d blocks, want %d", reopen, blocks)
 			}
 		})
 	}
@@ -1129,7 +1200,7 @@ func TestHandoffRereadGetattrStorm(t *testing.T) {
 			d := runHandoff(t, model, blocks, func(p *streamReader, pfh nfs3.FH) {
 				p.writeBlocks(pfh, fresh, 0, blocks)
 			}, func(r *streamReader, fh nfs3.FH) {
-				before := r.wanReads()
+				before := r.wanBlocks()
 				g := r.d.NewGroup()
 				for i := 0; i < 3; i++ {
 					g.Go("getattr", func() {
@@ -1143,8 +1214,8 @@ func TestHandoffRereadGetattrStorm(t *testing.T) {
 					r.read(fh, bn, fresh)
 				}
 				r.settle()
-				if got := r.wanReads() - before; got != blocks {
-					t.Errorf("re-read cost %d WAN READs, want %d", got, blocks)
+				if got := r.wanBlocks() - before; got != blocks {
+					t.Errorf("re-read asked the WAN for %d blocks, want %d", got, blocks)
 				}
 			})
 			if n := series(d, "gvfs_client_readahead_reopens_total"); n != 1 {
@@ -1223,14 +1294,14 @@ func TestReadAheadSpillInvalidatedInFlight(t *testing.T) {
 					if marked := strings.HasSuffix(s.Detail, " next"); marked != (parent.FH != s.FH) || !strings.HasPrefix(s.Detail, "win=") {
 						t.Errorf("READAHEAD %+v under %+v: want win=N, and next exactly when it crossed a file boundary", s, parent)
 					} else if marked {
-						next++
+						next += spanBlocks(s)
 						if s.FH == fy.String() && parent.FH == fx.String() {
-							yUnderX++
+							yUnderX += spanBlocks(s)
 						}
 					}
 				}
 				if total := series(r.d, "gvfs_client_readahead_spill_blocks_total"); next != total || yUnderX != spilled {
-					t.Errorf("%d READAHEAD spans marked next (%d of y under a READ of x), want the %d blocks spilled (%d before the rewrite)", next, yUnderX, total, spilled)
+					t.Errorf("READAHEAD spans marked next asked for %d blocks (%d of y under a READ of x), want the %d blocks spilled (%d before the rewrite)", next, yUnderX, total, spilled)
 				}
 			}()
 			wr, err := writer.conn.Write(wfh, 0, fresh[:rewritten*streamBS], nfs3.FileSync)

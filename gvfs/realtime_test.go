@@ -384,9 +384,9 @@ func TestRealTimeReadAheadAcrossFiles(t *testing.T) {
 	}
 	// The last spill, over the wrap into a fourth pass nobody reads, is in
 	// flight or landed — at most a window, which a quarter of the cache caps at
-	// half a file: the only READs beyond one per block per pass.
-	if got, most := r.wanReads(), int64(passes*files*blocks+blocks/2); got < passes*files*blocks || got > most {
-		t.Errorf("%d READs crossed for %d passes over %d blocks", got, passes, files*blocks)
+	// half a file: the only blocks asked for beyond one per block per pass.
+	if got, most := r.wanBlocks(), int64(passes*files*blocks+blocks/2); got < passes*files*blocks || got > most {
+		t.Errorf("READs asked for %d blocks in %d passes over %d blocks", got, passes, files*blocks)
 	}
 }
 
@@ -482,15 +482,15 @@ func TestRealTimeHandoffReread(t *testing.T) {
 					written := d.Clock.Now()
 					until("the consumer's poll to cover the writes", func() bool { return cm.Proxy.PollHorizon() > written })
 				}
-				reads := c.wanReads()
+				fetched := c.wanBlocks()
 				if ga, err := c.conn.Getattr(fh); err != nil || ga.Status != nfs3.OK {
 					t.Fatalf("round %d: getattr: %v %v", round, err, ga.Status)
 				}
 				for bn := 0; bn < blocks; bn++ {
 					c.read(fh, bn, content)
 				}
-				if got := c.wanReads() - reads; got != blocks {
-					t.Errorf("round %d: %d READs crossed for %d blocks", round, got, blocks)
+				if got := c.wanBlocks() - fetched; got != blocks {
+					t.Errorf("round %d: READs asked the WAN for %d blocks of %d", round, got, blocks)
 				}
 			}
 			if got := series(d, "gvfs_client_readahead_reopens_total"); got != rounds {

@@ -258,6 +258,11 @@ type cachedBlock struct {
 	// unread marks a prefetched block no demand read has consumed yet, so one
 	// that leaves the cache first is counted as wasted.
 	unread bool
+	// lent marks data handed to a reader (blockLocked) since it was last
+	// written: the reader may still be copying out of it after sc.mu is
+	// released, so a local write gives the block a fresh slice instead of
+	// writing over this one.
+	lent bool
 	// stamp is the virtual time the block's bytes entered the cache (server
 	// fetch or local write), feeding the staleness observatory: a cache hit's
 	// measured age is relative to it.
@@ -852,7 +857,8 @@ func (fc *cachedFile) blockFor(bn uint64) *cachedBlock {
 }
 
 // blockLocked looks up a held block for a reader: a clean one moves to the
-// front of the LRU, a prefetched one has found its demand read.
+// front of the LRU, a prefetched one has found its demand read, and its bytes
+// are lent until the next local write.
 func (sc *sessionCache) blockLocked(key string, bn uint64) (*cachedFile, *cachedBlock) {
 	fc := sc.files[key]
 	if fc == nil {
@@ -863,7 +869,7 @@ func (sc *sessionCache) blockLocked(key string, bn uint64) (*cachedFile, *cached
 		if !blk.dirty {
 			sc.lru.add(blk)
 		}
-		blk.unread = false
+		blk.unread, blk.lent = false, true
 	}
 	return fc, blk
 }
@@ -941,7 +947,7 @@ func (sc *sessionCache) putBlockLocked(fc *cachedFile, bn uint64, data []byte, a
 	// derive in-block offsets from len(block). The copy is a fresh slice: a
 	// reader may still be copying out of the one it replaces.
 	sc.lru.remove(blk)
-	blk.data = append([]byte(nil), data[:min(len(data), sc.bs)]...)
+	blk.data, blk.lent = append([]byte(nil), data[:min(len(data), sc.bs)]...), false
 	blk.stamp = sc.nowLocked()
 	blk.unread = prefetched
 	sc.lru.add(blk)
@@ -1024,10 +1030,12 @@ func (sc *sessionCache) writeDirty(fh nfs3.FH, off uint64, data []byte) nfs3.Fat
 		chunk := min(int(bs-bo), len(data)-n)
 		blk := fc.blockFor(bn)
 		sc.lru.remove(blk)
-		if uint64(len(blk.data)) < bs {
+		if uint64(len(blk.data)) < bs || blk.lent {
 			// A new block, or a short-stored tail being overwritten: dirty
-			// blocks are always full-sized.
+			// blocks are always full-sized. Or bytes a reader may still be
+			// copying out of: they do not change under it.
 			blk.data = append(make([]byte, 0, bs), blk.data...)[:bs]
+			blk.lent = false
 		}
 		if !blk.dirty {
 			blk.dirty = true

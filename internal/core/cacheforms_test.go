@@ -8,11 +8,18 @@ import (
 // The short forms the bare-cache tests drive the session cache with. The proxy
 // client calls the long ones, which carry what only a real call knows: when it
 // was sent (applyReplySince), what the recall names beyond its handle
-// (applyRecall), the speculation a reply belongs to (landLocked).
+// (applyRecall), the speculation a reply belongs to and how much of it landed
+// (landCall).
 
 // applyReply is a reply to a request sent just now.
 func (sc *sessionCache) applyReply(ts Trailers, forwarded []nfs3.FH) {
 	sc.applyReplySince(ts, forwarded, sc.forgets.Load())
+}
+
+// land is landCall reporting whether the call kept anything.
+func (sc *sessionCache) land(s *speculation, i int, res wireDec) ([]*vclock.Waiter, bool) {
+	ws, kept := sc.landCall(s, i, res)
+	return ws, kept > 0
 }
 
 // recall is a recall naming no offset.
@@ -65,13 +72,14 @@ func (sc *sessionCache) landFetch(fh nfs3.FH, bn uint64, res *nfs3.ReadRes) ([]*
 	if fc == nil {
 		return nil, false
 	}
-	s := speculation{kind: specStream, seedTicket: seedTicket{fh: fh, rec: fc}, blocks: []uint64{bn}}
-	return sc.landLocked(&s, 0, res)
+	s := speculation{kind: specStream, seedTicket: seedTicket{fh: fh, rec: fc}, blocks: []uint64{bn}, runs: [][]uint64{{bn}}}
+	ws, kept := sc.landLocked(&s, 0, res)
+	return ws, kept > 0
 }
 
 // landPage lands a walk's page.
 func (sc *sessionCache) landPage(pg dirPage, res *nfs3.ReaddirplusRes) {
-	sc.land(&pg, 0, res)
+	sc.landCall(&pg, 0, res)
 }
 
 // claimChunk is the READ path's claim of the stream's next chunk.

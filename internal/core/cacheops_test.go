@@ -91,13 +91,14 @@ func runCacheOps(t *testing.T, ops []byte) {
 		return int(b)
 	}
 	var runs []inflightRun
+	var specs []speculation // prefetched runs claimed and not landed yet
 	// stale holds the files whose cache entry was forgotten under a run in
 	// flight (the handle went stale): when that run ends it finds no entry, or
 	// a successor's that never heard of it, so the in-flight accounting of
 	// such a handle — dead upstream — is not held to the invariant.
 	stale := map[string]bool{}
 	for step := 0; len(ops) > 0; step++ {
-		op := next() % 20
+		op := next() % 22
 		fh := fhN(uint64(1 + next()%opsFiles))
 		bn := uint64(next() % opsBlocks)
 		arg := next()
@@ -213,6 +214,48 @@ func runCacheOps(t *testing.T, ops []byte) {
 		case 19:
 			sc.commitCovered(fh, arg%2)
 			sc.settleCommit(fh, arg%2 == 0)
+		case 20: // a prefetch claims up to four blocks, cut into runs by a window
+			sc.mu.Lock()
+			fc := sc.fileFor(fh.Key())
+			claimed, _ := fc.claimLocked(bn, min(bn+uint64(1+arg%4), opsBlocks), opsBlocks, false)
+			if s := sc.claimedLocked(specStream, fh, fc, claimed, int64(1+arg%8)); s.due {
+				specs = append(specs, s)
+			}
+			sc.mu.Unlock()
+		case 21: // a claim's READs land: whole, cut short at the file's end, short without EOF, or failed
+			if len(specs) == 0 {
+				continue
+			}
+			i := arg % len(specs)
+			s := specs[i]
+			specs = append(specs[:i], specs[i+1:]...)
+			for j, run := range s.runs {
+				res := &nfs3.ReadRes{Status: nfs3.OK, Attr: nfs3.PostOpAttr{Present: true, Attr: attr},
+					Data: bytes.Repeat([]byte{byte(step)}, len(run)*opsBS)}
+				switch arg % 4 {
+				case 1: // the file now ends in the run's first block
+					res.Attr.Attr.Size = run[0]*opsBS + 1 + uint64(arg%opsBS)
+					res.Data, res.EOF = res.Data[:res.Attr.Attr.Size-run[0]*opsBS], true
+				case 2:
+					res.Data = res.Data[:opsBS]
+				}
+				res.Count = uint32(len(res.Data))
+				var landed wireDec = res
+				if arg%4 == 3 {
+					landed = nil
+				}
+				sc.landCall(&s, j, landed)
+			}
+			sc.mu.Lock()
+			if sc.files[s.rec.key] == s.rec {
+				for _, b := range s.blocks {
+					if _, inflight := s.rec.fetching[b]; inflight {
+						sc.mu.Unlock()
+						t.Fatalf("step %d: block %d of %s still in flight after its run landed", step, b, s.fh)
+					}
+				}
+			}
+			sc.mu.Unlock()
 		}
 		if err := checkCacheInvariants(sc, mirror, runs, stale); err != nil {
 			t.Fatalf("step %d (op %d, file %s, block %d, arg %d): %v", step, op, fh, bn, arg, err)
@@ -417,5 +460,8 @@ func FuzzSessionCacheOps(f *testing.F) {
 	}
 	// write, take, re-write under the WRITE, discard under it, write again
 	f.Add([]byte{2, 0, 0, 0, 3, 0, 0, 2, 2, 0, 0, 1, 7, 0, 0, 0, 2, 0, 0, 3, 3, 0, 0, 0, 4, 0, 0, 0})
+	// claim blocks 2..5 in runs of two, write block 3 under them, land them cut
+	// short at the file's end
+	f.Add([]byte{20, 0, 2, 15, 2, 0, 3, 0, 21, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) { runCacheOps(t, ops) })
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -166,13 +167,15 @@ type Config struct {
 	// doubles while demand reads still stall on in-flight prefetches and the
 	// link has room, up to min(nfs3.MaxIOSize, CacheBytes/4) bytes' worth of
 	// blocks — so this is where the window starts, not a depth to tune per
-	// link. Under polling the window also crosses file boundaries: a session
-	// that has read these files in this order before continues from the tail
-	// of one into the head of the next, inside the same budget. And in both
-	// models a GETATTR that revalidates a file another client has just
-	// written, which this session last read to its end, carries the file's
-	// head — up to a window — behind it. Negative disables readahead
-	// entirely. Default 4.
+	// link. The window is topped up each time the reader has consumed a
+	// quarter of it, and adjacent blocks cross in one READ, up to a quarter
+	// of the window a READ. Under polling the window also crosses file
+	// boundaries: a session that has read these files in this order before
+	// continues from the tail of one into the head of the next, inside the
+	// same budget. And in both models a GETATTR that revalidates a file
+	// another client has just written, which this session last read to its
+	// end, carries the file's head — up to a window — behind it. Negative
+	// disables readahead entirely. Default 4.
 	ReadAhead int
 
 	// CallTimeout bounds upstream and callback RPCs so crashes and
@@ -183,9 +186,9 @@ type Config struct {
 	// callback RPC is retransmitted under the same XID (the at-least-once
 	// recovery NFS assumes; the server's duplicate-request cache keeps the
 	// extra copies from re-executing). Subsequent waits double up to
-	// RetransmitMax, each stretched by the request frame's size and a
-	// deterministic jitter (retransmitPerByte, retransmitJitter). Negative
-	// disables retransmission. Default 1 s.
+	// RetransmitMax, each stretched by the request frame's size, a READ's
+	// count and a deterministic jitter (retransmitPerByte, retransmitJitter).
+	// Negative disables retransmission. Default 1 s.
 	RetransmitInitial time.Duration
 	// RetransmitMax caps the exponential retransmission backoff.
 	// Default 8 s.
@@ -254,12 +257,13 @@ const (
 	// attempt, so simulations reproduce exactly).
 	retransmitJitter = 100 * time.Millisecond
 	// retransmitPerByte stretches the initial retransmission wait by the
-	// request frame's size (effective initial = RetransmitInitial +
-	// frameBytes*retransmitPerByte), so a coalesced megabyte WRITE is not
-	// retransmitted while its first copy is still crossing a
-	// bandwidth-limited link. 2 µs/byte is the transfer rate of the paper's
-	// 4 Mbit/s WAN — a conservative floor that at worst delays a
-	// retransmission by the frame's own transfer time.
+	// request frame's size and a READ's count (effective initial =
+	// RetransmitInitial + (frameBytes+count)*retransmitPerByte), so neither a
+	// coalesced megabyte WRITE nor a multi-block READ is retransmitted while
+	// its first copy, or its reply, is still crossing a bandwidth-limited
+	// link. 2 µs/byte is the transfer rate of the paper's 4 Mbit/s WAN — a
+	// conservative floor that at worst delays a retransmission by the frame's
+	// own transfer time.
 	retransmitPerByte = 2 * time.Microsecond
 )
 
@@ -401,14 +405,35 @@ func (c Config) schedConfig() sunrpc.SchedConfig {
 // applyRetransmit installs the session's retransmission policy on an RPC
 // client (upstream or callback), unless retransmission is disabled.
 func (c Config) applyRetransmit(cl *sunrpc.Client) {
-	if c.RetransmitInitial <= 0 {
-		return
+	if c.RetransmitInitial > 0 {
+		cl.SetRetransmit(c.retransmitPolicy())
 	}
-	cl.SetRetransmit(sunrpc.RetransmitPolicy{
-		Initial: c.RetransmitInitial,
-		Max:     c.RetransmitMax,
-		PerByte: retransmitPerByte,
-		Jitter:  retransmitJitter,
-		Seed:    c.RetransmitSeed,
-	})
+}
+
+// retransmitPolicy is the session's retransmission policy.
+func (c Config) retransmitPolicy() sunrpc.RetransmitPolicy {
+	return sunrpc.RetransmitPolicy{
+		Initial:    c.RetransmitInitial,
+		Max:        c.RetransmitMax,
+		PerByte:    retransmitPerByte,
+		ReplyBytes: readReplyBytes,
+		Jitter:     retransmitJitter,
+		Seed:       c.RetransmitSeed,
+	}
+}
+
+// readReplyBytes is the retransmission policy's expected reply size: a READ's
+// is the count it asks for, the last word of its arguments however the call
+// splits them between head and tail; every other reply counts for nothing.
+func readReplyBytes(prog, proc uint32, args, tail []byte) int {
+	if prog != nfs3.Program || proc != nfs3.ProcRead {
+		return 0
+	}
+	if len(tail) > 0 {
+		args = tail
+	}
+	if len(args) < 4 {
+		return 0
+	}
+	return int(binary.BigEndian.Uint32(args[len(args)-4:]))
 }

@@ -28,6 +28,13 @@ func runChainBed(t *testing.T, cfg Config, fn func(p *ProxyClient, nc *nfscall.C
 // the NFS server's files populated first.
 func runChainBedOver(t *testing.T, link simnet.Params, cfg Config, populate func(fs *memfs.FS), fn func(p *ProxyClient, nc *nfscall.Conn, root nfs3.FH)) {
 	t.Helper()
+	runRecordedChainBed(t, link, cfg, populate, func(p *ProxyClient, nc *nfscall.Conn, root nfs3.FH, _ *readRecorder) { fn(p, nc, root) })
+}
+
+// runRecordedChainBed is runChainBedOver with what the proxy client sends the
+// proxy server noted on the way (readRecorder).
+func runRecordedChainBed(t *testing.T, link simnet.Params, cfg Config, populate func(fs *memfs.FS), fn func(p *ProxyClient, nc *nfscall.Conn, root nfs3.FH, up *readRecorder)) {
+	t.Helper()
 	clk := vclock.NewVirtual()
 	defer clk.Stop()
 	net := simnet.New(clk, link)
@@ -60,7 +67,13 @@ func runChainBedOver(t *testing.T, link simnet.Params, cfg Config, populate func
 		ps := NewProxyServer(clk, cfg, dial(server, "server:2049", sunrpc.SysCred("proxyd", 0, 0)), Dialer(server.Dial), &MemStateStore{})
 		defer ps.Stop()
 		ps.Serve(listen(server, ":4000"))
-		p := NewProxyClient(clk, cfg, dial(client, "server:4000", sunrpc.NoneCred()),
+		conn, err := client.Dial("server:4000")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		up := &readRecorder{Conn: conn, now: clk.Now}
+		p := NewProxyClient(clk, cfg, sunrpc.NewClient(clk, up, sunrpc.NoneCred()),
 			SessionCred{SessionKey: "s", ClientID: "client/s", CallbackAddr: "client:3050"})
 		defer p.Stop()
 		p.Serve(listen(client, ":3049"), listen(client, ":3050"))
@@ -71,7 +84,7 @@ func runChainBedOver(t *testing.T, link simnet.Params, cfg Config, populate func
 			t.Error(err)
 			return
 		}
-		fn(p, nc, root)
+		fn(p, nc, root, up)
 	})
 	<-done
 }

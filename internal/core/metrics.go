@@ -53,6 +53,7 @@ type clientMetrics struct {
 	upstreamRetries    *obs.Counter
 	flushErrors        *obs.Counter
 	readAheads         *obs.Counter
+	readBlocks         *obs.Counter // blocks READs asked the wide area for, demand and prefetch
 	readaheadJoins     *obs.Counter
 	readaheadWasted    *obs.Counter
 	readaheadWindow    *obs.Gauge
@@ -115,6 +116,7 @@ func newClientMetrics(reg *obs.Registry, node string) *clientMetrics {
 		upstreamRetries:    reg.Counter(l("gvfs_client_upstream_retries_total")),
 		flushErrors:        reg.Counter(l("gvfs_client_flush_errors_total")),
 		readAheads:         reg.Counter(l("gvfs_client_readaheads_total")),
+		readBlocks:         reg.Counter(l("gvfs_client_read_blocks_total")),
 		readaheadJoins:     reg.Counter(l("gvfs_client_readahead_joins_total")),
 		readaheadWasted:    reg.Counter(l("gvfs_client_readahead_wasted_total")),
 		readaheadWindow:    reg.Gauge(l("gvfs_client_readahead_window")),

@@ -858,14 +858,22 @@ type nfsCall struct {
 
 // startUpstream encodes args and sends the call; finishUpstream must follow.
 // A WRITE's data is not encoded: it follows the head by reference, so it must
-// stay as it is until finishUpstream returns.
+// stay as it is until finishUpstream returns. A READ counts the blocks it asks
+// for.
 func (p *ProxyClient) startUpstream(rid uint64, proc uint32, args wireEnc) nfsCall {
 	e := bufpool.GetEncoder()
 	var tail []byte
-	if w, ok := args.(*nfs3.WriteArgs); ok {
-		tail = w.EncodeHead(e)
-	} else if args != nil {
-		args.Encode(e)
+	switch a := args.(type) {
+	case *nfs3.WriteArgs:
+		tail = a.EncodeHead(e)
+	case *nfs3.ReadArgs:
+		if bs := uint64(p.cfg.BlockSize); a.Count > 0 {
+			p.met.readBlocks.Add(int64((a.Offset+uint64(a.Count)-1)/bs - a.Offset/bs + 1))
+		}
+		a.Encode(e)
+	case nil: // a call without arguments
+	default:
+		a.Encode(e)
 	}
 	start, forgets := p.node.Now(), p.cache.forgets.Load()
 	return nfsCall{p.startCall(rid, nfs3.Program, nfs3.Version, proc, e.Bytes(), tail), e, start, forgets}

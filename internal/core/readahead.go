@@ -10,14 +10,17 @@ import (
 
 // Sequential readahead: the READ kinds of speculation (speculation.go). Each
 // file carries a small stream detector (where a sequential reader is, how far
-// prefetch has got); the session carries one pipeline depth — the window —
-// because how many READs it takes to fill the link is a property of the link,
-// not of the file. The window starts at Config.ReadAhead (no pipe: readahead
-// off) and doubles each time a demand read stalls on an in-flight prefetch,
-// until the READs it keeps in flight already queue behind the link's bandwidth
-// rather than wait out its latency. Every block still crosses the wide area in
-// its own READ, exactly once: joins stay block-granular. A demand read that
-// streamRead finds due claims the stream's next chunk (claimStreamLocked).
+// prefetch has got); the session carries one pipeline depth — the window, in
+// blocks — because how much it takes in flight to fill the link is a property
+// of the link, not of the file. The window starts at Config.ReadAhead (no
+// pipe: readahead off) and doubles each time a demand read stalls on an
+// in-flight prefetch, until the blocks it keeps in flight already queue behind
+// the link's bandwidth rather than wait out its latency. A demand read that
+// streamRead finds due — the reader has consumed a quarter of the window —
+// claims the stream's next chunk (claimStreamLocked). Its blocks cross the
+// wide area exactly once, in one READ per run of adjacent blocks up to a
+// quarter of the window (runsOf), so three quarters of the window stay on the
+// link; joins stay block-granular, each block of a run landing on its own.
 //
 // Across files. The window does not stop at end-of-file. The session learns
 // which file a sequential reader opens after which — from two events of the
@@ -141,11 +144,11 @@ func (r *readPipe) grow() int64 {
 // streamRead advances fh's stream for a demand read of block bn under a
 // window of `window` blocks. A read of block 0, or of the block after the
 // previous read, continues (or starts) the stream; any other restarts
-// detection at bn. due reports that the reader has consumed half of what
-// prefetch requested ahead of it — in this file or, once this one is claimed
-// to EOF, in the one expected to follow — so the next chunk should be issued;
-// busy that a prefetch of bn itself is in flight and is what the reader must
-// wait for. A block the cache holds, with attributes to serve it by, is not
+// detection at bn. due reports that the reader has consumed a quarter of the
+// window since prefetch last requested up to it — in this file or, once this
+// one is claimed to EOF, in the one expected to follow — so the next chunk
+// should be issued; busy that a prefetch of bn itself is in flight and is what
+// the reader must wait for. A block the cache holds, with attributes to serve it by, is not
 // waited for even while it is fetched again (a revalidating GETATTR's claim
 // whose answer did not drop it): a held, servable block is served.
 func (sc *sessionCache) streamRead(fh nfs3.FH, bn uint64, window int64) (due, busy bool) {
@@ -173,7 +176,7 @@ func (sc *sessionCache) streamRead(fh nfs3.FH, bn uint64, window int64) (due, bu
 		st.frontier = st.next
 	}
 	if st.frontier != streamDone {
-		return st.next+uint64(window)/2 >= st.frontier, busy
+		return st.next+3*uint64(window)/4 >= st.frontier, busy
 	}
 	if st.next >= st.eof {
 		sc.lastDone, fc.readThrough = fc, true
@@ -206,10 +209,11 @@ func (sc *sessionCache) blocksLocked(fc *cachedFile, attr nfs3.Fattr) uint64 {
 }
 
 // claimedLocked is a READ kind's speculation on fc: the blocks claimed, if
-// any, and the ticket taken with them.
+// any, cut into the READs that will carry them, and the ticket taken with
+// them.
 func (sc *sessionCache) claimedLocked(kind specKind, fh nfs3.FH, fc *cachedFile, blocks []uint64, window int64) (s speculation) {
 	if len(blocks) > 0 {
-		s = speculation{kind: kind, due: true, seedTicket: sc.ticketLocked(fh, fc), blocks: blocks, window: window}
+		s = speculation{kind: kind, due: true, seedTicket: sc.ticketLocked(fh, fc), blocks: blocks, runs: runsOf(blocks, window), window: window}
 	}
 	return s
 }
@@ -345,8 +349,9 @@ func (sc *sessionCache) unlinkLocked(fc *cachedFile) {
 // nil when nothing is due. That takes a believed successor that may be cached,
 // has an EOF to stop at and is not being read by anyone (its stream never
 // started, finished, or only ever begun by a spill), the polling model, and a
-// reader within half a window of what has been requested ahead of it, counting
-// through the end of fc into the successor: the cadence chunks use.
+// reader within three quarters of a window of what has been requested ahead of
+// it, counting through the end of fc into the successor: the cadence chunks
+// use.
 func (sc *sessionCache) spillTargetLocked(fc *cachedFile, window int64) (y *cachedFile, from uint64) {
 	y = fc.succ
 	if y == nil || fc.succHeld || sc.pol.model == ModelDelegation ||
@@ -362,7 +367,7 @@ func (sc *sessionCache) spillTargetLocked(fc *cachedFile, window int64) (y *cach
 	default:
 		return nil, 0
 	}
-	if from == streamDone || st.next+uint64(window)/2 < st.eof+from {
+	if from == streamDone || st.next+3*uint64(window)/4 < st.eof+from {
 		return nil, 0
 	}
 	return y, from
@@ -384,8 +389,8 @@ func (sc *sessionCache) claimSpillLocked(fh nfs3.FH, window int64) speculation {
 	}
 	attr, _ := sc.attrLocked(y)
 	eof := sc.blocksLocked(y, attr)
-	// Blocks of fc the reader has yet to consume: at most half a window, or
-	// nothing would be due.
+	// Blocks of fc the reader has yet to consume: at most three quarters of a
+	// window, or nothing would be due.
 	st := &fc.stream
 	ahead := st.eof - min(st.next, st.eof)
 	claimed, bn := y.claimLocked(from, min(uint64(window)-ahead, eof), window-int64(len(fc.fetching)), false)

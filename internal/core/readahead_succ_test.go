@@ -181,7 +181,7 @@ func (b *succBed) state() string {
 // their transitions on a bare session cache — no network, no clock: after each
 // event, what was claimed (own chunks "@block X[lo..hi]", spills "@block
 // ->Y[lo..hi]", each at the read that made it due) and what the session
-// remembers. Window 8, files of 16 blocks: a chunk every four reads.
+// remembers. Window 8, files of 16 blocks: a chunk every two reads.
 func TestSuccessorStateMachine(t *testing.T) {
 	b := newSuccBed(t, ModelPolling, 8, "X", 16, "Y", 16, "Z", 16)
 	steps := []struct {
@@ -191,35 +191,35 @@ func TestSuccessorStateMachine(t *testing.T) {
 		state  string
 	}{
 		{"pass one: X read to its end, the window stops at EOF", func() { b.whole("X") },
-			"@0 X[1..8] @4 X[9..12] @8 X[13..15]", "done=X"},
+			"@0 X[1..8] @2 X[9..10] @4 X[11..12] @6 X[13..14] @8 X[15]", "done=X"},
 		{"Y opened from the top: it follows X", func() { b.read("Y", 0) },
 			"@0 Y[1..8]", "X>Y"},
 		{"Y read on to its end", func() { b.reads("Y", 1, 16) },
-			"@4 Y[9..12] @8 Y[13..15]", "X>Y done=Y"},
+			"@2 Y[9..10] @4 Y[11..12] @6 Y[13..14] @8 Y[15]", "X>Y done=Y"},
 		{"Y read again from the top: a file never follows itself", func() { b.whole("Y") },
 			"", "X>Y done=Y"},
 		{"a random read of Z (not block 0) links nothing", func() { b.read("Z", 5) },
 			"", "X>Y done=Y"},
-		{"pass two: X follows Y, and within half a window of X's EOF the window goes on into Y (evicted since)",
+		{"pass two: X follows Y, and within three quarters of a window of X's EOF the window goes on into Y (evicted since)",
 			func() { b.evict("Y"); b.whole("X") },
-			"@11 ->Y[0..3] @15 ->Y[4..7]", "X>Y Y>X Y@8 done=X"},
+			"@9 ->Y[0..1] @11 ->Y[2..3] @13 ->Y[4..5] @15 ->Y[6..7]", "X>Y Y>X Y@8 done=X"},
 		{"the reader arrives at Y: block 0 is there, and nothing more is due yet", func() { b.read("Y", 0) },
 			"", "X>Y Y>X"},
 		{"Y's own stream carries on from block 8, not from 1; near its end its window moves on over X, all cached: nothing to fetch",
 			func() { b.reads("Y", 1, 16) },
-			"@3 Y[8..11] @7 Y[12..15]", "X>Y X@8 Y>X done=Y"},
+			"@1 Y[8..9] @3 Y[10..11] @5 Y[12..13] @7 Y[14..15]", "X>Y X@8 Y>X done=Y"},
 		{"pass three: the same again", func() { b.evict("Y"); b.whole("X") },
-			"@11 ->Y[0..3] @15 ->Y[4..7]", "X>Y Y>X Y@8 done=X"},
+			"@9 ->Y[0..1] @11 ->Y[2..3] @13 ->Y[4..5] @15 ->Y[6..7]", "X>Y Y>X Y@8 done=X"},
 		{"Z is opened instead: it replaces Y, the spill is withheld, Y's begun stream is dropped and its blocks age out unread",
 			func() { b.read("Z", 0); b.evict("Y") },
 			"@0 Z[1,2,3,4,6,7,8]", "X>Z! Y>X"}, // block 5 is the random read's
 		{"Z read to its end, X again: Z takes Y's place in front of X (one predecessor a record); nothing spills while withheld",
 			func() { b.reads("Z", 1, 16); b.evict("Z"); b.whole("X") },
-			"@4 Z[9..12] @8 Z[13..15]", "X>Z! Z>X done=X"},
+			"@2 Z[9..10] @4 Z[11..12] @6 Z[13..14] @8 Z[15]", "X>Z! Z>X done=X"},
 		{"Z opened after X a second time running: believed again", func() { b.whole("Z") },
-			"@0 Z[1..8] @4 Z[9..12] @8 Z[13..15]", "X>Z X@8 Z>X done=Z"},
+			"@0 Z[1..8] @2 Z[9..10] @4 Z[11..12] @6 Z[13..14] @8 Z[15]", "X>Z X@8 Z>X done=Z"},
 		{"and the next pass over X spills into Z", func() { b.evict("Z"); b.whole("X") },
-			"@11 ->Z[0..3] @15 ->Z[4..7]", "X>Z Z>X Z@8 done=X"},
+			"@9 ->Z[0..1] @11 ->Z[2..3] @13 ->Z[4..5] @15 ->Z[6..7]", "X>Z Z>X Z@8 done=X"},
 		{"Z's attributes invalidated: the link stays, the stream the spill began does not", func() { b.sc.invalidateHandle(b.file("Z")) },
 			"", "X>Z Z>X done=X"},
 		{"Z is removed: no pointer to it stays behind", func() { b.sc.forget(b.file("Z")) },
@@ -323,7 +323,7 @@ func TestSpillGates(t *testing.T) {
 			b.evict("Y")
 			b.take()
 			b.whole("X")
-			if got := b.take(); !strings.HasSuffix(got, "@11 ->Y[0..3] @15 ->Y[4..7]") {
+			if got := b.take(); !strings.HasSuffix(got, "@9 ->Y[0..1] @11 ->Y[2..3] @13 ->Y[4..5] @15 ->Y[6..7]") {
 				t.Fatalf("with the gate lifted the next pass claimed %q", got)
 			}
 		})
@@ -347,7 +347,7 @@ func TestSpillSizing(t *testing.T) {
 	t.Run("clipped at Y's EOF, and Y's stream is then done before its reader arrives", func(t *testing.T) {
 		b := learn(t, 16, 3)
 		b.whole("X")
-		if got, want := b.take(), "@11 ->Y[0..2]"; got != want {
+		if got, want := b.take(), "@9 ->Y[0..1] @11 ->Y[2]"; got != want {
 			t.Fatalf("claimed %q, want %q", got, want)
 		}
 		if got, want := b.state(), "X>Y Y>X Y@eof done=X"; got != want {
@@ -370,7 +370,7 @@ func TestSpillSizing(t *testing.T) {
 		b.sc.files[y.Key()].fetching[3] = nil
 		b.sc.mu.Unlock()
 		b.reads("X", 0, 12)
-		if got, want := b.take(), "@11 ->Y[0]"; got != want {
+		if got, want := b.take(), "@9 ->Y[0]"; got != want {
 			t.Fatalf("claimed %q, want %q", got, want)
 		}
 		b.sc.endFetch(y, 3)
@@ -382,7 +382,7 @@ func TestSpillSizing(t *testing.T) {
 			t.Fatalf("claimed %q, want %q", got, want)
 		}
 		b.whole("Y")
-		if got, want := b.take(), "@3 Y[8..11] @7 Y[12..15]"; got != want {
+		if got, want := b.take(), "@1 Y[8..9] @3 Y[10..11] @5 Y[12..13] @7 Y[14..15]"; got != want {
 			t.Fatalf("Y's reader claimed %q, want %q", got, want)
 		}
 	})
@@ -400,16 +400,16 @@ func TestSpillSizing(t *testing.T) {
 		b.reads("X", 0, 8)
 		b.hold = true // from here on nothing lands (read checks the bound at every claim)
 		b.reads("X", 8, 16)
-		if got, want := b.take(), "@0 X[1..8] @4 X[9..12] @8 X[13..15] @11 ->Y[0..3] @15 ->Y[4]"; got != want {
+		if got, want := b.take(), "@0 X[1..8] @2 X[9..10] @4 X[11..12] @6 X[13..14] @8 X[15] @9 ->Y[0..1] @11 ->Y[2..3] @13 ->Y[4..5] @15 ->Y[6]"; got != want {
 			t.Fatalf("claimed %q, want %q", got, want)
 		}
 		if got := b.inflight(); got != 8 {
 			t.Fatalf("%d prefetches in flight, want the window's 8", got)
 		}
 		// X's tail lands: the next read in reach of the boundary tops the spill up.
-		b.land(b.file("X"), []uint64{13, 14, 15})
+		b.land(b.file("X"), []uint64{15})
 		b.read("Y", 0)
-		if got, want := b.take(), "@0 Y[5..7]"; got != want {
+		if got, want := b.take(), "@0 Y[7]"; got != want {
 			t.Fatalf("claimed %q, want %q", got, want)
 		}
 	})

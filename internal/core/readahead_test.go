@@ -52,11 +52,11 @@ func blockRange(lo, hi uint64) []uint64 {
 	return out
 }
 
-// TestStreamChunksAtHalfWindow walks the per-file state machine: a read of
+// TestStreamChunksAtQuarterWindow walks the per-file state machine: a read of
 // block 0 starts the stream and claims a window; sequential hits cost a
-// comparison until the reader has consumed half of what is ahead; then one
+// comparison until the reader has consumed a quarter of what is ahead; then one
 // chunk tops the pipeline back up to a full window.
-func TestStreamChunksAtHalfWindow(t *testing.T) {
+func TestStreamChunksAtQuarterWindow(t *testing.T) {
 	fh := fhN(1)
 	sc := streamCache(fh, 64)
 	const w = 8
@@ -74,22 +74,29 @@ func TestStreamChunksAtHalfWindow(t *testing.T) {
 	if want := blockRange(1, 9); !reflect.DeepEqual(first, want) {
 		t.Fatalf("first chunk = %v, want %v", first, want)
 	}
-	if _, busy := sc.streamRead(fh, 1, w); !busy {
-		t.Fatal("block 1 is in flight; the read must see that")
+	if due, busy := sc.streamRead(fh, 1, w); due || !busy {
+		t.Fatalf("read of block 1: due=%v busy=%v, want it in flight and nothing due", due, busy)
 	}
 	land(first)
-	// Reads 2 and 3 have more than half a window ahead of them: nothing is due.
-	for bn := uint64(2); bn <= 3; bn++ {
-		if due, busy := sc.streamRead(fh, bn, w); due || busy {
-			t.Fatalf("read of block %d: due=%v busy=%v, want a plain hit", bn, due, busy)
-		}
+	// Reading 2 leaves 6 of 8 ahead: the quarter mark.
+	if due, _ := sc.streamRead(fh, 2, w); !due {
+		t.Fatal("no chunk due at the quarter mark")
 	}
-	// Reading 4 leaves 4 of 8 ahead: the half-way mark.
+	second := sc.beginFetches(fh, w)
+	if want := blockRange(9, 11); !reflect.DeepEqual(second, want) {
+		t.Fatalf("second chunk = %v, want %v (up to one window past the reader)", second, want)
+	}
+	land(second)
+	// Read 3 has more than three quarters of a window ahead of it: nothing is due.
+	if due, busy := sc.streamRead(fh, 3, w); due || busy {
+		t.Fatalf("read of block 3: due=%v busy=%v, want a plain hit", due, busy)
+	}
+	// Reading 4 is the next quarter.
 	if due, _ := sc.streamRead(fh, 4, w); !due {
-		t.Fatal("no chunk due at the half-way mark")
+		t.Fatal("no chunk due at the next quarter mark")
 	}
-	if got, want := sc.beginFetches(fh, w), blockRange(9, 13); !reflect.DeepEqual(got, want) {
-		t.Fatalf("second chunk = %v, want %v (up to one window past the reader)", got, want)
+	if got, want := sc.beginFetches(fh, w), blockRange(11, 13); !reflect.DeepEqual(got, want) {
+		t.Fatalf("third chunk = %v, want %v", got, want)
 	}
 }
 
@@ -297,9 +304,9 @@ type raBed struct {
 
 // readRecorder notes every NFS call sent through it, in the order they were
 // sent: the procedure, and what the tests ask about its arguments — a READ's
-// handle and offset, a READDIRPLUS's cookie and counts, the tail a WRITE's
-// data went by — and when its reply came back. It gathers, handing a call's
-// parts on as it got them.
+// handle, offset and count, a READDIRPLUS's cookie and counts, the tail a
+// WRITE's data went by — and when its reply came back. It gathers, handing a
+// call's parts on as it got them.
 type readRecorder struct {
 	transport.Conn
 	now   func() time.Duration
@@ -317,6 +324,7 @@ type wireCall struct {
 	proc               uint32
 	fh                 string // READ: the handle's bytes
 	offset             uint64 // READ
+	count              uint32 // READ
 	cookie             uint64 // READDIRPLUS
 	dirCount, maxCount uint32 // READDIRPLUS
 	tail               []byte // the bytes sent by reference behind the message
@@ -334,6 +342,7 @@ func (c *readRecorder) SendGather(msg, tail []byte) error {
 		switch call.proc {
 		case nfs3.ProcRead:
 			call.offset = binary.BigEndian.Uint64(msg[len(msg)-12:])
+			call.count = binary.BigEndian.Uint32(msg[len(msg)-4:])
 			if fh := msg[len(msg)-12-nfs3.FHSize-4:]; binary.BigEndian.Uint32(fh) == nfs3.FHSize {
 				call.fh = string(fh[4 : 4+nfs3.FHSize])
 			}
@@ -374,14 +383,22 @@ func (c *readRecorder) Recv() ([]byte, error) {
 	return msg, err
 }
 
-// sent returns the offsets of the READs sent so far, in wire order.
-func (c *readRecorder) sent() (offsets []uint64) {
+// sent returns the READs sent so far, in wire order.
+func (c *readRecorder) sent() (reads []wireCall) {
 	for _, call := range c.sentCalls() {
 		if call.proc == nfs3.ProcRead {
-			offsets = append(offsets, call.offset)
+			reads = append(reads, call)
 		}
 	}
-	return offsets
+	return reads
+}
+
+// blocks are the blocks a READ asked for, from its offset and count.
+func (c wireCall) blocks() (bns []uint64) {
+	for off := c.offset; off < c.offset+uint64(c.count); off += raBS {
+		bns = append(bns, off/raBS)
+	}
+	return bns
 }
 
 // sentCalls returns the NFS calls sent so far, in wire order.
@@ -689,16 +706,16 @@ func TestChunkLeavesInBlockOrder(t *testing.T) {
 				}
 				b.clk.Sleep(time.Second)
 				sent := b.up.sent()[before:]
-				if len(sent) == 0 || sent[0] != 0 {
-					t.Errorf("round %d: the block the reader waits for was not sent first: %v", round, sent)
+				if len(sent) == 0 || !slices.Equal(sent[0].blocks(), []uint64{0}) {
+					t.Errorf("round %d: the block the reader waits for was not sent first, alone: %+v", round, sent)
 					return
 				}
 				var prefetched []uint64
-				for _, off := range sent[1:] {
-					prefetched = append(prefetched, off/raBS)
+				for _, c := range sent[1:] {
+					prefetched = append(prefetched, c.blocks()...)
 				}
 				if len(prefetched) != 32 {
-					t.Errorf("round %d: %d prefetch READs went out, want a chunk of 32", round, len(prefetched))
+					t.Errorf("round %d: %d blocks went out in prefetch READs, want a chunk of 32", round, len(prefetched))
 					return
 				}
 				if !slices.IsSorted(prefetched) {
@@ -731,8 +748,9 @@ func TestChunkLeavesInBlockOrder(t *testing.T) {
 func TestWindowSpillsAcrossFilesOnTheWire(t *testing.T) {
 	const files, blocks, rtt = 4, 64, 40 * time.Millisecond
 	name := func(k int) string { return fmt.Sprintf("ring%d", k) }
-	// 100 Mbit/s: a block is 2.6 ms of link, so a window of 32 keeps the pipe
-	// full and any longer silence is the link idling.
+	// 100 Mbit/s: a block is 2.6 ms of link (blockWire), so a window of 32 keeps
+	// the pipe full and any longer silence is the link idling.
+	const blockWire = raBS * 8 * time.Second / 100_000_000
 	runBedOver(t, simnet.Params{RTT: rtt, Bandwidth: 100_000_000 / 8}, Config{ReadAhead: 32, CacheBytes: 2 * blocks * raBS}, nil,
 		func(fs *memfs.FS) {
 			for k := 0; k < files; k++ {
@@ -793,18 +811,19 @@ func TestWindowSpillsAcrossFilesOnTheWire(t *testing.T) {
 						continue
 					}
 					k := slices.IndexFunc(fhs, func(fh nfs3.FH) bool { return fh.Key() == c.fh })
-					bn := int(c.offset / raBS)
-					if k < 0 || bn >= blocks {
-						t.Fatalf("pass %d: READ %d of an unknown file or block: %+v", pass, i, c)
-					}
 					if pass == 1 && k == 0 && i > opened[1][files-1] {
 						continue // the spill over the ring's wrap: the third pass's
 					}
-					if seen[[2]int{k, bn}] {
-						t.Errorf("pass %d: file %d block %d crossed twice", pass, k, bn)
+					for _, bn := range c.blocks() {
+						if k < 0 || bn >= blocks {
+							t.Fatalf("pass %d: READ %d of an unknown file or block: %+v", pass, i, c)
+						}
+						if seen[[2]int{k, int(bn)}] {
+							t.Errorf("pass %d: file %d block %d crossed twice", pass, k, bn)
+						}
+						seen[[2]int{k, int(bn)}] = true
+						at[pass][k][bn] = i
 					}
-					seen[[2]int{k, bn}] = true
-					at[pass][k][bn] = i
 				}
 				// The second pass's span holds the spill into the third's first
 				// file as well: the blocks of file 0 sent after its own pass.
@@ -816,7 +835,10 @@ func TestWindowSpillsAcrossFilesOnTheWire(t *testing.T) {
 			for pass := 0; pass < 2; pass++ {
 				for k := 1; k < files; k++ {
 					head, prevLast := at[pass][k][0], at[pass][k-1][blocks-1]
-					gap := calls[head].replied - calls[prevLast].replied
+					// A READ of n blocks comes back n blocks' wire time after the
+					// one before it on a busy link: its first block would have come
+					// back after one.
+					gap := calls[head].replied - calls[prevLast].replied - time.Duration(len(calls[head].blocks())-1)*blockWire
 					if pass == 0 {
 						if head < opened[pass][k] || gap <= rtt/2 {
 							t.Errorf("first pass, file %d: block 0 sent as call %d (the kernel asked at %d), %v after file %d's last reply; want a demand READ a round trip later",

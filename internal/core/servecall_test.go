@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -9,8 +11,10 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/nfs3"
+	"repro/internal/nfscall"
 	"repro/internal/nfsclient"
 	"repro/internal/sunrpc"
+	"repro/internal/tcpnet"
 	"repro/internal/xdr"
 )
 
@@ -138,5 +142,86 @@ func TestServeCallAllocs(t *testing.T) {
 				t.Errorf("%.2f allocs/op, want at most %.1f", perOp, tc.budget)
 			}
 		})
+	}
+}
+
+// TestHitReadsBesideAbsorbedWrites is the regression test for a data race on a
+// cached block: a READ hit encodes its reply out of the cached block after the
+// cache lock is released, and a write-back WRITE of the whole block used to
+// copy into that same slice meanwhile. One kernel connection reads block 0 from
+// the cache while another overwrites it, over loopback TCP, for the race
+// detector; every reply holds one WRITE's block whole, never a mix of two.
+func TestHitReadsBesideAbsorbedWrites(t *testing.T) {
+	const bs, rounds = 32 << 10, 300
+	d, err := gvfs.NewDeployment(gvfs.Config{RealTime: true, TraceRing: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.FS.WriteFile("hot", make([]byte, bs)); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := d.NewSession("hot", core.Config{
+		Model: core.ModelPolling, PollPeriod: time.Hour,
+		WriteBack: true, FlushInterval: time.Hour, ReadAhead: -1, BlockSize: bs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sess.Mount("C1", nfsclient.Options{NoAC: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The bootstrap poll's force-invalidate would send a READ or a WRITE
+	// across in the middle.
+	for deadline := time.Now().Add(10 * time.Second); m.Proxy.Stats().ForceInvalidations == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the bootstrap poll")
+		}
+	}
+	f, err := m.Client.Open("hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh, reader := f.FH(), m.Client.Conn()
+	conn, err := tcpnet.Net{}.Dial(m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer := nfscall.New(sunrpc.NewClient(d.Clock, conn, sunrpc.SysCred("kernel", 0, 0)))
+	defer writer.Close()
+	if res, err := reader.Read(fh, 0, bs); err != nil || res.Status != nfs3.OK {
+		t.Fatalf("warm block 0: %v %v", res.Status, err)
+	}
+	forwards := m.Proxy.Stats().Forwards
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= rounds; i++ {
+			if res, err := writer.Write(fh, 0, bytes.Repeat([]byte{byte(i)}, bs), nfs3.Unstable); err != nil || res.Status != nfs3.OK {
+				t.Errorf("write %d: %v %v", i, res.Status, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			res, err := reader.Read(fh, 0, bs)
+			if err != nil || res.Status != nfs3.OK || res.Count != bs {
+				t.Errorf("read %d: %v %v, %d bytes", i, res.Status, err, res.Count)
+				return
+			}
+			if n := bytes.Count(res.Data, res.Data[:1]); n != bs {
+				t.Errorf("read %d: %d of %d bytes are %#x: a reply mixed two WRITEs", i, n, bs, res.Data[0])
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if n := m.Proxy.Stats().Forwards - forwards; n != 0 {
+		t.Errorf("%d READs and WRITEs of a cached, write-back block crossed the wide area", n)
 	}
 }

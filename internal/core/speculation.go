@@ -12,8 +12,9 @@ import (
 // Speculation: every prefetch the proxy client makes takes one path, claim →
 // issue → land (DESIGN.md, "Speculation"). A critical section the demand
 // request already takes claims it under a ticket (claimChunk, claimReread,
-// walkStepLocked); mint and issue send it behind the demand call; collect
-// lands it (landLocked).
+// walkStepLocked); mint and issue send it behind the demand call, a READ
+// kind's blocks as one READ per run of adjacent ones; collect lands it
+// (landLocked), block by block.
 
 // specKind is the evidence a speculation was claimed on.
 type specKind uint8
@@ -32,14 +33,35 @@ var specDetail = [...]string{specSpill: " next", specReread: " reopen"}
 // value with due unset, claims nothing.
 type speculation struct {
 	kind         specKind
-	due          bool     // something was claimed: its issuer's to send
-	seedTicket            // the record and its handle, and what the landing compares
-	blocks       []uint64 // READ kinds: one READ per block, in this order
-	epoch        uint64   // page: the walk it was claimed in
-	cookie, verf uint64   // page: where the listing resumes
-	window       int64    // READ kinds: the window it was claimed under
-	parent       uint64   // the request that made it due
-	rids         []uint64 // one request ID per call (mint)
+	due          bool       // something was claimed: its issuer's to send
+	seedTicket              // the record and its handle, and what the landing compares
+	blocks       []uint64   // READ kinds: the blocks claimed, in block order
+	runs         [][]uint64 // READ kinds: blocks cut into one READ each (runsOf)
+	epoch        uint64     // page: the walk it was claimed in
+	cookie, verf uint64     // page: where the listing resumes
+	window       int64      // READ kinds: the window it was claimed under
+	parent       uint64     // the request that made it due
+	rids         []uint64   // one request ID per call: a run, or the page (mint)
+}
+
+// runsOf cuts claimed blocks into the READs that carry them: adjacent blocks
+// share one, up to a quarter of the window (and at least one block) a READ.
+// A READ a block pays a message's overhead on every block; a READ for the
+// whole window would hold every block of it until the last had crossed, while
+// the reader waits on the first. The quarter is the stream's cadence too
+// (streamRead): a run lands while three more are still on the link.
+func runsOf(blocks []uint64, window int64) [][]uint64 {
+	limit := max(int(window/4), 1)
+	var runs [][]uint64
+	for lo := 0; lo < len(blocks); {
+		hi := lo + 1
+		for hi < len(blocks) && hi-lo < limit && blocks[hi] == blocks[hi-1]+1 {
+			hi++
+		}
+		runs = append(runs, blocks[lo:hi:hi])
+		lo = hi
+	}
+	return runs
 }
 
 // seedTicket is taken when a request goes out whose reply will seed the cache
@@ -73,9 +95,10 @@ func (sc *sessionCache) freshLocked(tk seedTicket) bool {
 	return sc.files[tk.rec.key] == tk.rec && tk.rec.namesGen == tk.names && sc.invGen == tk.inv
 }
 
-// land settles call i of s with its reply (nil, or a nil result, when the call
-// failed), returning the demand reads parked on it, to be woken.
-func (sc *sessionCache) land(s *speculation, i int, res wireDec) (ws []*vclock.Waiter, kept bool) {
+// landCall settles call i of s with its reply (nil, or a nil result, when the
+// call failed), returning the demand reads parked on it, to be woken, and how
+// many blocks it kept.
+func (sc *sessionCache) landCall(s *speculation, i int, res wireDec) (ws []*vclock.Waiter, kept int) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	return sc.landLocked(s, i, res)
@@ -84,12 +107,16 @@ func (sc *sessionCache) land(s *speculation, i int, res wireDec) (ws []*vclock.W
 // landLocked is the one landing: the ticket is shown, then the kind's rule
 // decides. A page moves its walk on only within the walk's epoch, and is
 // seeded only on a fresh ticket; one that crossed an invalidation is discarded
-// whole, and one not OK latches the walk off. A block needs its record (forget
-// handed back what was parked on a forgotten one) and its claim mark; its
-// bytes are kept, through putBlockLocked's mtime reconciliation, when the
-// reply is OK with attributes and holds a whole block or the file's tail. One
-// at or past the end of file the reply reports counts as wasted.
-func (sc *sessionCache) landLocked(s *speculation, i int, res wireDec) (ws []*vclock.Waiter, kept bool) {
+// whole, and one not OK latches the walk off. A READ's blocks land one by one,
+// in block order, each under the same rule: it needs its record (forget handed
+// back what was parked on a forgotten one) and its claim mark; its bytes are
+// kept, through putBlockLocked's mtime reconciliation, when the reply is OK
+// with attributes and holds the whole block or ends in it at the file's tail.
+// One at or past the end of file the reply reports counts as wasted; one a
+// reply without EOF stops short of was not answered, and is neither kept nor
+// counted. The readers parked on each block are handed back, kept or not: one
+// that finds nothing forwards.
+func (sc *sessionCache) landLocked(s *speculation, i int, res wireDec) (ws []*vclock.Waiter, kept int) {
 	fc := s.rec
 	if s.kind == specPage {
 		pg, _ := res.(*nfs3.ReaddirplusRes)
@@ -113,34 +140,41 @@ func (sc *sessionCache) landLocked(s *speculation, i int, res wireDec) (ws []*vc
 		case pg != nil:
 			sc.met.walkDiscarded.Inc()
 		}
-		return nil, false
+		return nil, 0
 	}
 	if sc.files[fc.key] != fc {
-		return nil, false
+		return nil, 0
 	}
-	bn := s.blocks[i]
-	ws, claimed := fc.fetching[bn]
-	delete(fc.fetching, bn)
 	rr, _ := res.(*nfs3.ReadRes)
-	if !claimed || rr == nil || rr.Status != nfs3.OK || !rr.Attr.Present {
-		return ws, false
+	ok := rr != nil && rr.Status == nfs3.OK && rr.Attr.Present
+	for j, bn := range s.runs[i] {
+		parked, claimed := fc.fetching[bn]
+		delete(fc.fetching, bn)
+		ws = append(ws, parked...)
+		lo := j * sc.bs
+		if !claimed || !ok || lo >= len(rr.Data) && !rr.EOF {
+			continue // nothing to land, or a reply that stopped short of the block
+		}
+		// This block's share of the reply: whole, the tail it ends in at EOF,
+		// or nothing past it.
+		data := rr.Data[min(lo, len(rr.Data)):min(lo+sc.bs, len(rr.Data))]
+		switch {
+		case bn*uint64(sc.bs) >= rr.Attr.Attr.Size:
+			sc.met.raWasted.Inc()
+		case len(data) == sc.bs || rr.EOF:
+			sc.putBlockLocked(fc, bn, data, rr.Attr.Attr, true)
+			kept++
+		}
 	}
-	bs := uint64(sc.bs)
-	switch {
-	case bn*bs >= rr.Attr.Attr.Size:
-		sc.met.raWasted.Inc()
-	case uint64(rr.Count) == bs || rr.EOF:
-		sc.putBlockLocked(fc, bn, rr.Data, rr.Attr.Attr, true)
-		return ws, true
-	}
-	return ws, false
+	return ws, kept
 }
 
 // --- proxy client side -------------------------------------------------------
 
 // mint stamps what a claim returned with the request that made it due, and
-// each of its calls with a request ID of its own: every prefetch is its own
-// traced request, so attribution never charges the demand request for it.
+// each of its calls — a READ kind's runs, a page — with a request ID of its
+// own: every prefetch is its own traced request, so attribution never charges
+// the demand request for it.
 // Minted by the claiming actor before any collector is spawned, so the ID
 // order is the same every run. It returns the speculations that are due, nil
 // when none is.
@@ -150,7 +184,7 @@ func (p *ProxyClient) mint(parent uint64, claimed ...speculation) []speculation 
 		if !s.due {
 			continue
 		}
-		s.parent, s.rids = parent, make([]uint64, max(len(s.blocks), 1)) // a page is one call
+		s.parent, s.rids = parent, make([]uint64, max(len(s.runs), 1)) // a page is one call
 		for i := range s.rids {
 			s.rids[i] = p.node.Mint()
 		}
@@ -165,9 +199,9 @@ func (p *ProxyClient) mint(parent uint64, claimed ...speculation) []speculation 
 // sent from the collectors, they would leave in whatever order the scheduler
 // ran those. The sender is an actor of its own so that a reply served from the
 // cache does not wait for the sends. A caller forwarding a request of its own
-// starts it first: its reply never queues behind a prefetch. A page is one
-// block: on a slow link a reply of MaxIOSize would hold demand traffic up for
-// seconds.
+// starts it first: its reply never queues behind a prefetch. A run is one
+// READ of its blocks (runsOf). A page is one block: on a slow link a reply of
+// MaxIOSize would hold demand traffic up for seconds.
 func (p *ProxyClient) issue(specs []speculation) {
 	if len(specs) == 0 {
 		return
@@ -183,7 +217,8 @@ func (p *ProxyClient) issue(specs []speculation) {
 						Dir: s.fh, Cookie: s.cookie, CookieVerf: s.verf, DirCount: bs, MaxCount: bs,
 					})
 				} else {
-					c = p.startUpstream(rid, nfs3.ProcRead, &nfs3.ReadArgs{FH: s.fh, Offset: s.blocks[i] * uint64(bs), Count: bs})
+					run := s.runs[i]
+					c = p.startUpstream(rid, nfs3.ProcRead, &nfs3.ReadArgs{FH: s.fh, Offset: run[0] * uint64(bs), Count: uint32(len(run)) * bs})
 				}
 				p.clk.Go("gvfs-prefetch", func() { p.collect(s, i, c) })
 			}
@@ -193,6 +228,7 @@ func (p *ProxyClient) issue(specs []speculation) {
 
 // collect waits for call i of s, records its span and lands it. Waiting demand
 // reads are woken whether or not the call succeeded: on failure they forward.
+// A READ's span says how many blocks it asked for; its bytes are the reply's.
 func (p *ProxyClient) collect(s *speculation, i int, c nfsCall) {
 	sp := obs.Span{Req: s.rids[i], Parent: s.parent, Op: "READAHEAD", Model: shortModel(p.cfg.Model), Start: c.start}
 	var read nfs3.ReadRes
@@ -205,7 +241,7 @@ func (p *ProxyClient) collect(s *speculation, i int, c nfsCall) {
 	if p.node.Tracing() {
 		sp.FH = s.fh.String()
 		if s.kind != specPage {
-			sp.Detail = "win=" + strconv.FormatInt(s.window, 10) + specDetail[s.kind]
+			sp.Detail = "win=" + strconv.FormatInt(s.window, 10) + " blocks=" + strconv.Itoa(len(s.runs[i])) + specDetail[s.kind]
 		}
 	}
 	rep, err := p.finishUpstream(c, res, nil)
@@ -215,11 +251,9 @@ func (p *ProxyClient) collect(s *speculation, i int, c nfsCall) {
 	} else if *st != nfs3.OK {
 		sp.Err = st.String()
 	}
-	ws, kept := p.cache.land(s, i, res)
+	ws, kept := p.cache.landCall(s, i, res)
 	rep.Release() // the cache copied what it kept
-	if kept {
-		p.met.readAheads.Inc()
-	}
+	p.met.readAheads.Add(int64(kept))
 	sp.Bytes = int64(read.Count)
 	p.node.Record(sp)
 	for _, w := range ws {

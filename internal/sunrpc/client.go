@@ -40,13 +40,21 @@ type RetransmitPolicy struct {
 	// values below Initial are clamped to Initial.
 	Max time.Duration
 	// PerByte stretches the first wait by the request frame's size, a tail
-	// sent by reference included: the effective initial timeout is Initial +
-	// len(frame)*PerByte. Large coalesced WRITEs spend real transfer time on
-	// bandwidth-limited links; a fixed timeout sized for small calls would
-	// retransmit them while the first copy is still in flight, doubling
+	// sent by reference included, and by the reply's expected size
+	// (ReplyBytes): the effective initial timeout is Initial +
+	// (len(frame)+reply)*PerByte. Large coalesced WRITEs spend real transfer
+	// time on bandwidth-limited links; a fixed timeout sized for small calls
+	// would retransmit them while the first copy is still in flight, doubling
 	// exactly the traffic the coalescing saved. Zero leaves the timeout
 	// size-independent.
 	PerByte time.Duration
+	// ReplyBytes, when set, is what a call's reply is expected to carry, from
+	// its program, procedure and arguments (args, then tail, as StartParts
+	// sends them); the first wait is stretched by it at PerByte too. A READ
+	// is a small call with a large reply: sized by its request frame alone it
+	// would be given none of its own transfer time, and a multi-block READ on
+	// a slow link would be sent again while its reply is still crossing.
+	ReplyBytes func(prog, proc uint32, args, tail []byte) int
 	// Jitter bounds the deterministic per-attempt jitter added to each wait.
 	// The jitter is a hash of (Seed, XID, attempt), not a draw from a shared
 	// PRNG, so simulations stay reproducible regardless of actor scheduling.
@@ -247,6 +255,7 @@ type Pending struct {
 	xid, prog, proc uint32
 	reqID           uint64
 	argBytes        int
+	replyBytes      int // what the retransmit policy expects the reply to carry
 	timeout         time.Duration
 	start           time.Duration // trace time at Start
 	firstSend       time.Duration
@@ -298,6 +307,7 @@ func (c *Client) StartParts(reqID uint64, prog, vers, proc uint32, args, tail []
 	c.counts[uint64(prog)<<32|uint64(proc)]++
 	cred := c.cred
 	node := c.node
+	retr := c.retr
 	c.mu.Unlock()
 
 	if reqID == 0 {
@@ -306,6 +316,9 @@ func (c *Client) StartParts(reqID uint64, prog, vers, proc uint32, args, tail []
 	p := Pending{
 		c: c, pc: pc, xid: xid, prog: prog, proc: proc, reqID: reqID, tail: tail,
 		argBytes: len(args) + len(tail), timeout: timeout, start: node.Now(),
+	}
+	if retr != nil && retr.ReplyBytes != nil {
+		p.replyBytes = retr.ReplyBytes(prog, proc, args, tail)
 	}
 	p.enc = bufpool.GetEncoder()
 	p.msg = marshalCall(p.enc, xid, prog, vers, proc, cred, reqID, args)
@@ -412,7 +425,7 @@ func (p *Pending) await() (Reply, int, time.Duration, error) {
 	deadline := c.clk.Now() + timeout
 	rto := policy.Initial
 	if policy.PerByte > 0 {
-		rto += time.Duration(len(msg)+len(tail)) * policy.PerByte
+		rto += time.Duration(len(msg)+len(tail)+p.replyBytes) * policy.PerByte
 	}
 	// A size-stretched initial may exceed the configured cap; the cap bounds
 	// backoff growth, never the transfer-time floor.
