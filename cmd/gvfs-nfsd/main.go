@@ -29,7 +29,7 @@ import (
 func main() {
 	listen := flag.String("listen", ":2049", "TCP listen address")
 	seed := flag.String("seed", "", "optional local directory to pre-populate the export from")
-	metrics := flag.String("metrics", "", "HTTP listen address for /metrics, /metrics.json, /spans, /trace and /attr (empty = disabled)")
+	metrics := flag.String("metrics", "", "HTTP listen address for /metrics, /metrics.json, /spans, /trace, /attr and /debug/pprof/ (empty = disabled)")
 	workers := flag.Int("workers", runtime.NumCPU()*4, "request worker-pool size (0 = unbounded legacy spawn)")
 	queueDepth := flag.Int("queue-depth", 0, "per-client queue bound (0 = scheduler default)")
 	flag.Parse()

@@ -36,7 +36,7 @@ func main() {
 	session := flag.String("session", "default", "session key")
 	writeback := flag.Bool("writeback", false, "enable write-back caching")
 	poll := flag.Duration("poll-period", 30*time.Second, "invalidation polling window")
-	metrics := flag.String("metrics", "", "HTTP listen address for /metrics, /metrics.json, /spans, /trace and /attr (empty = disabled)")
+	metrics := flag.String("metrics", "", "HTTP listen address for /metrics, /metrics.json, /spans, /trace, /attr and /debug/pprof/ (empty = disabled)")
 	workers := flag.Int("workers", runtime.NumCPU()*4, "callback-service worker-pool size (0 = unbounded legacy spawn)")
 	queueDepth := flag.Int("queue-depth", 0, "callback-service queue bound (0 = scheduler default)")
 	diskDir := flag.String("disk-cache-dir", "", "directory for the crash-consistent persistent block cache (empty = in-memory only); a restart on the same directory recovers the cache")

@@ -29,7 +29,7 @@ func main() {
 	model := flag.String("model", "polling", "consistency model: polling or delegation")
 	poll := flag.Duration("poll-period", 30*time.Second, "invalidation polling window")
 	expiry := flag.Duration("deleg-expiry", 10*time.Minute, "delegation expiration period")
-	metrics := flag.String("metrics", "", "HTTP listen address for /metrics, /metrics.json, /spans, /trace and /attr (empty = disabled)")
+	metrics := flag.String("metrics", "", "HTTP listen address for /metrics, /metrics.json, /spans, /trace, /attr and /debug/pprof/ (empty = disabled)")
 	workers := flag.Int("workers", runtime.NumCPU()*4, "request worker-pool size (0 = unbounded legacy spawn)")
 	queueDepth := flag.Int("queue-depth", 0, "per-client queue bound (0 = scheduler default)")
 	rateLimit := flag.Float64("rate-limit", 0, "global admission rate in ops/sec (0 = unlimited)")

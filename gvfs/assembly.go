@@ -5,6 +5,8 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
+	"runtime/metrics"
 
 	"repro/internal/core"
 	"repro/internal/memfs"
@@ -168,18 +170,80 @@ func (n sealed) Listen(addr string) (transport.Listener, error) {
 
 // ServeMetrics serves o's /metrics, /metrics.json, /spans, /trace and /attr
 // over HTTP at addr for the life of the process — the daemons' scrape
-// endpoint. publish, if not nil, refreshes the sampled gauges before each
-// scrape. An empty addr serves nothing.
+// endpoint — with the Go runtime's own gauges in /metrics (publishRuntime) and
+// its profiles under /debug/pprof/. publish, if not nil, refreshes the sampled
+// gauges before each scrape. An empty addr serves nothing.
 func ServeMetrics(daemon, addr string, o *obs.Obs, publish func()) {
 	if addr == "" {
 		return
 	}
-	mux := o.Handler(publish)
-	mux.HandleFunc("/attr", attr.Handler(o.Spans))
+	mux := metricsMux(o, publish)
 	go func() {
 		log.Printf("%s: metrics on http://%s/metrics", daemon, addr)
 		if err := http.ListenAndServe(addr, mux); err != nil {
 			log.Printf("%s: metrics server: %v", daemon, err)
 		}
 	}()
+}
+
+// metricsMux is what ServeMetrics serves.
+func metricsMux(o *obs.Obs, publish func()) *http.ServeMux {
+	reg := o.Registry()
+	mux := o.Handler(func() {
+		publishRuntime(reg)
+		if publish != nil {
+			publish()
+		}
+	})
+	mux.HandleFunc("/attr", attr.Handler(o.Spans))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
+// Runtime gauges: the series publishRuntime sets, each from one
+// runtime/metrics sample. GC CPU is the share of the process's CPU time the
+// collector has taken since start, in parts per million (gauges are integers).
+const (
+	goHeapBytes     = "go_heap_bytes"
+	goGCCycles      = "go_gc_cycles"
+	goGCCPUFraction = "go_gc_cpu_fraction_ppm"
+	goGoroutines    = "go_goroutines"
+)
+
+var runtimeHelp = map[string]string{
+	goHeapBytes:     "Bytes of heap memory occupied by live objects and by dead ones not yet collected.",
+	goGCCycles:      "Garbage-collection cycles completed since the process started.",
+	goGCCPUFraction: "Share of the process's CPU time spent collecting garbage since it started, in parts per million.",
+	goGoroutines:    "Live goroutines.",
+}
+
+// publishRuntime reads the Go runtime's measurements into reg's gauges:
+// runtime/metrics reads them without stopping the world, so a scrape costs the
+// daemon nothing it would notice. A sample this runtime does not support
+// leaves its gauge alone.
+func publishRuntime(reg *obs.Registry) {
+	samples := []metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/sched/goroutines:goroutines"},
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+	}
+	metrics.Read(samples)
+	for name, help := range runtimeHelp {
+		reg.SetHelp(name, help)
+	}
+	for i, name := range []string{goHeapBytes, goGCCycles, goGoroutines} {
+		if v := samples[i].Value; v.Kind() == metrics.KindUint64 {
+			reg.Gauge(name).Set(int64(v.Uint64()))
+		}
+	}
+	gc, total := samples[3].Value, samples[4].Value
+	if gc.Kind() == metrics.KindFloat64 && total.Kind() == metrics.KindFloat64 && total.Float64() > 0 {
+		reg.Gauge(goGCCPUFraction).Set(int64(gc.Float64() / total.Float64() * 1e6))
+	}
 }

@@ -3,15 +3,21 @@ package gvfs
 import (
 	"bytes"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sunrpc"
 	"repro/internal/transport"
+	"repro/internal/vclock"
 	"repro/internal/xdr"
 )
 
@@ -294,5 +300,45 @@ func TestAssemblyParity(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tcp, want) {
 		t.Errorf("tcpnet assembly decided\n %+v, want\n %+v", tcp, want)
+	}
+}
+
+// TestMetricsEndpointServesRuntime: the daemons' metrics listener serves the
+// Go runtime's profiles under /debug/pprof/, and /metrics carries the
+// runtime's gauges — heap bytes, GC cycles, GC CPU share, goroutines — next to
+// the daemon's own series, in a well-formed exposition.
+func TestMetricsEndpointServesRuntime(t *testing.T) {
+	o := obs.New(vclock.NewReal().Now, -1)
+	published := false
+	mux := metricsMux(o, func() { published = true })
+	get := func(path string) string {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, rec.Code)
+		}
+		return rec.Body.String()
+	}
+	if index := get("/debug/pprof/"); !strings.Contains(index, "goroutine") || !strings.Contains(index, "heap") {
+		t.Errorf("/debug/pprof/ lists no goroutine and heap profiles:\n%s", index)
+	}
+	runtime.GC() // at least one cycle to count
+	body := get("/metrics")
+	if !published {
+		t.Error("the daemon's own gauges were not refreshed for the scrape")
+	}
+	for _, name := range []string{goHeapBytes, goGCCycles, goGCCPUFraction, goGoroutines} {
+		if !strings.Contains(body, "\n"+name+" ") {
+			t.Errorf("/metrics has no %s sample", name)
+		}
+	}
+	if g := o.Registry().Gauge(goGCCycles).Value(); g < 1 {
+		t.Errorf("%s = %d after a collection", goGCCycles, g)
+	}
+	if g := o.Registry().Gauge(goGoroutines).Value(); g < 1 {
+		t.Errorf("%s = %d", goGoroutines, g)
+	}
+	if _, err := obs.ParseProm(strings.NewReader(body)); err != nil {
+		t.Errorf("/metrics is not a well-formed exposition: %v", err)
 	}
 }

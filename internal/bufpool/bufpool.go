@@ -7,12 +7,16 @@
 //     caller must overwrite every byte it reads back.
 //   - Put(b) recycles a slice. Only the goroutine that owns the buffer may
 //     Put it, exactly once, after which no alias of it may be touched.
-//   - Buffers that become cache-resident (proxy/kern block caches, replies
-//     the DRC retains) are never Put. A frame a client received belongs to
-//     the caller that got the reply: it Puts it through sunrpc.Reply.Release
-//     when done, or never. Losing a buffer to the GC is always safe;
-//     double-recycling, or reading one after Put, never is — race builds
-//     overwrite a buffer on Put so that tests notice (poison_race.go).
+//   - A cache-resident buffer is never Put while lent. The proxy client's
+//     block cache takes every block buffer from Get and Puts it when the
+//     block leaves the cache or new bytes replace it — unless the block was
+//     lent to a reader, who may still be copying out of it after the cache
+//     lock is released; that buffer is Abandoned to the GC instead. A frame
+//     a client received belongs to the caller that got the reply: it Puts it
+//     through sunrpc.Reply.Release when done, or never. Losing a buffer to
+//     the GC is always safe; double-recycling, or reading one after Put,
+//     never is — race builds overwrite a buffer on Put so that tests notice
+//     (poison_race.go).
 package bufpool
 
 import (
@@ -87,19 +91,39 @@ var wrapPool = sync.Pool{New: func() any { return new(poolBuf) }}
 // append, sub-sliced mid-buffer, or larger than the biggest class) are dropped
 // to the GC — that is always safe.
 func Put(b []byte) {
-	c := cap(b)
-	if c < 1<<minShift || c&(c-1) != 0 {
-		return
-	}
-	cls := bits.Len(uint(c)) - 1 - minShift
-	if cls < 0 || cls > maxShift-minShift {
+	cls := classOf(b)
+	if cls < 0 {
 		return
 	}
 	outstanding.Add(-1)
-	poison(b[:c])
+	poison(b[:cap(b)])
 	w := wrapPool.Get().(*poolBuf)
-	w.b = b[:0:c]
+	w.b = b[:0:cap(b)]
 	classes[cls].Put(w)
+}
+
+// Abandon gives a buffer from Get up to the GC instead of recycling it: it
+// leaves the outstanding count as Put would, but nothing is overwritten or
+// reused, so a reader still holding an alias is safe. It is for an owner that
+// cannot know when the last alias dies (a block lent to a reader).
+func Abandon(b []byte) {
+	if classOf(b) >= 0 {
+		outstanding.Add(-1)
+	}
+}
+
+// classOf returns the size class a buffer of b's capacity belongs to, -1 when
+// the capacity is no exact class and Get never counted it.
+func classOf(b []byte) int {
+	c := cap(b)
+	if c < 1<<minShift || c&(c-1) != 0 {
+		return -1
+	}
+	cls := bits.Len(uint(c)) - 1 - minShift
+	if cls > maxShift-minShift {
+		return -1
+	}
+	return cls
 }
 
 // Pooled XDR encoders for reply/call marshalling. The encoder keeps its grown

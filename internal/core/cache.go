@@ -52,6 +52,9 @@ type sessionCache struct {
 
 	lru  lruList
 	maxB int64
+	// spare holds block records dropBlockLocked freed, for blockForLocked to
+	// reuse: a cache that misses inserts one block and evicts another per READ.
+	spare []*cachedBlock
 
 	// lastDone is the record whose sequential reader most recently consumed its
 	// last block: the next file opened from the top is what followed it
@@ -261,7 +264,7 @@ type cachedBlock struct {
 	// lent marks data handed to a reader (blockLocked) since it was last
 	// written: the reader may still be copying out of it after sc.mu is
 	// released, so a local write gives the block a fresh slice instead of
-	// writing over this one.
+	// writing over this one, and the slice is never recycled (releaseData).
 	lent bool
 	// stamp is the virtual time the block's bytes entered the cache (server
 	// fetch or local write), feeding the staleness observatory: a cache hit's
@@ -349,6 +352,9 @@ func (sc *sessionCache) forget(fh nfs3.FH) {
 	sc.attrLRU.remove(&fc.attrLink)
 	sc.flushDirLocked(fc)
 	sc.dropCleanLocked(fc)
+	for _, blk := range fc.blocks {
+		blk.releaseData() // dirty: a flush in flight staged its own copy
+	}
 	sc.unlinkLocked(fc)
 	parked := fc.flushWait
 	for _, ws := range fc.fetching {
@@ -844,12 +850,17 @@ func (sc *sessionCache) listingHit(dir nfs3.FH) (entries []nfs3.DirEntry, h meta
 
 // --- data blocks ----------------------------------------------------------
 
-// blockFor returns the file's record for block bn, a new empty one if the
+// blockForLocked returns fc's record for block bn, a new empty one if the
 // cache does not hold the block yet.
-func (fc *cachedFile) blockFor(bn uint64) *cachedBlock {
+func (sc *sessionCache) blockForLocked(fc *cachedFile, bn uint64) *cachedBlock {
 	blk := fc.blocks[bn]
 	if blk == nil {
-		blk = &cachedBlock{fc: fc, bn: bn}
+		if n := len(sc.spare); n > 0 {
+			blk, sc.spare = sc.spare[n-1], sc.spare[:n-1]
+		} else {
+			blk = new(cachedBlock)
+		}
+		*blk = cachedBlock{fc: fc, bn: bn}
 		blk.link.of = blk
 		fc.blocks[bn] = blk
 	}
@@ -872,6 +883,25 @@ func (sc *sessionCache) blockLocked(key string, bn uint64) (*cachedFile, *cached
 		blk.unread, blk.lent = false, true
 	}
 	return fc, blk
+}
+
+// setData gives blk the bytes of buf, a buffer from bufpool.Get the block now
+// owns, releasing the ones it held.
+func (blk *cachedBlock) setData(buf []byte) {
+	blk.releaseData()
+	blk.data = buf
+}
+
+// releaseData gives the block's buffer up: back to the pool, unless it was
+// lent — then a reader may still be copying out of it, and it is left to the
+// garbage collector.
+func (blk *cachedBlock) releaseData() {
+	if blk.lent {
+		bufpool.Abandon(blk.data)
+	} else {
+		bufpool.Put(blk.data)
+	}
+	blk.data, blk.lent = nil, false
 }
 
 // getBlock returns the cached block, and whether it was present.
@@ -933,7 +963,7 @@ func (sc *sessionCache) putBlockLocked(fc *cachedFile, bn uint64, data []byte, a
 			fc.size = attr.Size
 		}
 	}
-	blk := fc.blockFor(bn)
+	blk := sc.blockForLocked(fc, bn)
 	// An earlier prefetch of this block that nothing read is superseded.
 	sc.dropUnreadLocked(blk)
 	if blk.dirty {
@@ -944,10 +974,12 @@ func (sc *sessionCache) putBlockLocked(fc *cachedFile, bn uint64, data []byte, a
 	}
 	// Tail blocks (the EOF path) are stored at their natural length; full
 	// blocks are padded to the block size. Serving code must therefore never
-	// derive in-block offsets from len(block). The copy is a fresh slice: a
-	// reader may still be copying out of the one it replaces.
+	// derive in-block offsets from len(block). The copy goes into a buffer of
+	// its own: a reader may still be copying out of the one it replaces.
 	sc.lru.remove(blk)
-	blk.data, blk.lent = append([]byte(nil), data[:min(len(data), sc.bs)]...), false
+	buf := bufpool.Get(min(len(data), sc.bs))
+	copy(buf, data)
+	blk.setData(buf)
 	blk.stamp = sc.nowLocked()
 	blk.unread = prefetched
 	sc.lru.add(blk)
@@ -1028,14 +1060,16 @@ func (sc *sessionCache) writeDirty(fh nfs3.FH, off uint64, data []byte) nfs3.Fat
 		bn := pos / bs
 		bo := pos % bs
 		chunk := min(int(bs-bo), len(data)-n)
-		blk := fc.blockFor(bn)
+		blk := sc.blockForLocked(fc, bn)
 		sc.lru.remove(blk)
 		if uint64(len(blk.data)) < bs || blk.lent {
 			// A new block, or a short-stored tail being overwritten: dirty
 			// blocks are always full-sized. Or bytes a reader may still be
-			// copying out of: they do not change under it.
-			blk.data = append(make([]byte, 0, bs), blk.data...)[:bs]
-			blk.lent = false
+			// copying out of: they do not change under it. A hole reads as
+			// zeros.
+			buf := bufpool.Get(int(bs))
+			clear(buf[copy(buf, blk.data):])
+			blk.setData(buf)
 		}
 		if !blk.dirty {
 			blk.dirty = true
@@ -1418,7 +1452,8 @@ func (sc *sessionCache) dropCleanLocked(fc *cachedFile) {
 
 // dropBlockLocked is how a block leaves the cache, whoever decided it should:
 // off the LRU, out of the dirty count, counted as wasted if it was prefetched
-// and never read, out of the file's table and off the disk.
+// and never read, out of the file's table, its buffer released, and off the
+// disk. The record is spare from here on: nobody may hold it past sc.mu.
 func (sc *sessionCache) dropBlockLocked(blk *cachedBlock) {
 	fc := blk.fc
 	sc.lru.remove(blk)
@@ -1427,6 +1462,8 @@ func (sc *sessionCache) dropBlockLocked(blk *cachedBlock) {
 	}
 	sc.dropUnreadLocked(blk)
 	delete(fc.blocks, blk.bn)
+	blk.releaseData()
+	sc.spare = append(sc.spare, blk)
 	if sc.persist != nil {
 		sc.persist.DropBlock(fc.key, blk.bn)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/bufpool"
 	"repro/internal/diskcache"
 	"repro/internal/nfs3"
 	"repro/internal/obs"
@@ -63,8 +64,11 @@ func (sc *sessionCache) adoptRecovered(files map[string]*diskcache.FileState) {
 		// the file's first COMMIT crosses the wide area.
 		fc.unstable = 1
 		for bn, b := range fs.Blocks {
-			blk := fc.blockFor(bn)
-			blk.data, blk.dirty, blk.gen, blk.stamp = b.Data, b.Dirty, b.Gen, sc.nowLocked()
+			blk := sc.blockForLocked(fc, bn)
+			buf := bufpool.Get(len(b.Data))
+			copy(buf, b.Data)
+			blk.setData(buf)
+			blk.dirty, blk.gen, blk.stamp = b.Dirty, b.Gen, sc.nowLocked()
 			fc.wseq = max(fc.wseq, b.Gen)
 			if b.Dirty {
 				fc.ndirty++

@@ -80,6 +80,7 @@ type ProxyServer struct {
 
 	mu       sync.Mutex
 	clients  map[string]*clientState
+	creds    map[string]ClientRecord // session credential body -> what it decodes to
 	invTS    uint64
 	files    map[string]*fileState // the sharer table (proxyserver_nfs.go)
 	lru      ring[fileState]       // files, most recently accessed first
@@ -145,6 +146,7 @@ func NewProxyServer(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, dial
 		srv:     sunrpc.NewServer(clk),
 		dial:    dial,
 		clients: make(map[string]*clientState),
+		creds:   make(map[string]ClientRecord),
 		files:   make(map[string]*fileState),
 		store:   store,
 	}
@@ -332,11 +334,8 @@ func (s *ProxyServer) expiryLoop() {
 // --- client registry ------------------------------------------------------
 
 func (s *ProxyServer) ensureClient(cred sunrpc.Cred) *clientState {
-	rec := ClientRecord{ID: "anonymous"}
-	if sc, err := DecodeSessionCred(cred); err == nil {
-		rec = ClientRecord{ID: sc.ClientID, CallbackAddr: sc.CallbackAddr}
-	}
 	s.mu.Lock()
+	rec := s.sessionLocked(cred)
 	c, ok := s.clients[rec.ID]
 	if !ok {
 		c = &clientState{rec: rec, buf: newInvBuffer(s.cfg.InvBufferEntries)}
@@ -351,6 +350,33 @@ func (s *ProxyServer) ensureClient(cred sunrpc.Cred) *clientState {
 	}
 	s.mu.Unlock()
 	return c
+}
+
+// maxSessionCreds bounds ProxyServer.creds: a peer may send any bytes as its
+// credential.
+const maxSessionCreds = 1024
+
+// sessionLocked returns the client record a call's credential names,
+// "anonymous" for a call without a valid session credential. Each session
+// credential is decoded once and remembered: a client sends the same one on
+// every call.
+func (s *ProxyServer) sessionLocked(cred sunrpc.Cred) ClientRecord {
+	if cred.Flavor != sunrpc.AuthGVFS {
+		return ClientRecord{ID: "anonymous"}
+	}
+	if rec, ok := s.creds[string(cred.Body)]; ok {
+		return rec
+	}
+	sc, err := DecodeSessionCred(cred)
+	if err != nil {
+		return ClientRecord{ID: "anonymous"}
+	}
+	rec := ClientRecord{ID: sc.ClientID, CallbackAddr: sc.CallbackAddr}
+	if len(s.creds) >= maxSessionCreds {
+		clear(s.creds)
+	}
+	s.creds[string(cred.Body)] = rec
+	return rec
 }
 
 func (s *ProxyServer) persistClients() {

@@ -71,12 +71,14 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 		return sunrpc.GarbageArgs
 	}
 	if len(info.accesses) > 0 {
-		call.SpanFH = info.accesses[0].fh.String()
+		spanFH(call, info.accesses[0].fh)
 	}
 
 	// Delegation model: resolve conflicts before the operation proceeds,
-	// collecting one piggyback decision per touched handle.
-	var trailers Trailers
+	// collecting one piggyback decision per touched handle. A call touches
+	// one or two handles, so their decisions fit on the stack.
+	var tbuf [2]Trailer
+	trailers := Trailers(tbuf[:0])
 	if s.cfg.Model == ModelDelegation {
 		for _, a := range info.accesses {
 			t, _, fenced := s.handleAccess(call.ReqID, client, a, call.Yield)

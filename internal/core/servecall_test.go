@@ -225,3 +225,89 @@ func TestHitReadsBesideAbsorbedWrites(t *testing.T) {
 		t.Errorf("%d READs and WRITEs of a cached, write-back block crossed the wide area", n)
 	}
 }
+
+// TestServeCallMissAllocs is TestServeCallAllocs for the READ miss: a cache of
+// four blocks cycling through a 64-block file, so every READ the proxy client
+// serves crosses to the proxy server and on to the NFS server over loopback
+// TCP, is cached, and evicts a block. The whole chain's allocations per READ —
+// the three servers', the upstream clients' and the cache's — stay within
+// budget, and the buffer pool ends where it started: the buffer of every
+// evicted block, never lent to a reader, goes back to it.
+func TestServeCallMissAllocs(t *testing.T) {
+	const blocks, bs, ops = 64, 32 << 10, 1000
+	const missBudget, missBytes = 20, 4 << 10 // a block is 32 KiB
+	d, err := gvfs.NewDeployment(gvfs.Config{RealTime: true, TraceRing: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.FS.WriteFile("cold", make([]byte, blocks*bs)); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := d.NewSession("cold", core.Config{
+		Model: core.ModelPolling, PollPeriod: time.Hour,
+		ReadAhead: -1, BlockSize: bs, CacheBytes: 4 * bs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sess.Mount("C1", nfsclient.Options{NoAC: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := m.Client.Open("cold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := make([][]byte, blocks)
+	for bn := range wire {
+		e := xdr.NewEncoder()
+		(&nfs3.ReadArgs{FH: f.FH(), Offset: uint64(bn) * bs, Count: bs}).Encode(e)
+		wire[bn] = e.Bytes()
+	}
+	dec, res := xdr.NewDecoder(nil), xdr.NewDecoder(nil)
+	call := &sunrpc.Call{Prog: nfs3.Program, Vers: nfs3.Version, Proc: nfs3.ProcRead}
+	read := func(i int) {
+		dec.Reset(wire[i%blocks])
+		enc := bufpool.GetEncoder()
+		call.Args, call.Reply = dec, enc
+		if st := m.Proxy.ServeCall(call); st != sunrpc.Success {
+			t.Fatalf("READ %d: %v", i, st)
+		}
+		res.Reset(enc.Bytes())
+		if st, err := res.Uint32(); err != nil || nfs3.Status(st) != nfs3.OK {
+			t.Fatalf("READ %d: status %v, %v", i, nfs3.Status(st), err)
+		}
+		bufpool.PutEncoder(enc)
+	}
+	for i := 0; i < 2*blocks; i++ {
+		read(i) // fills the cache, the pools and the servers' connections
+	}
+	forwards := m.Proxy.Stats().Forwards
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	outstanding := bufpool.Outstanding()
+	for i := 0; i < ops; i++ {
+		read(i)
+	}
+	runtime.ReadMemStats(&after)
+	perOp, bytesPerOp := float64(after.Mallocs-before.Mallocs)/ops, (after.TotalAlloc-before.TotalAlloc)/ops
+	t.Logf("%.2f allocs/op, %d bytes/op", perOp, bytesPerOp)
+	if n := m.Proxy.Stats().Forwards - forwards; n != ops {
+		t.Errorf("%d of %d READs crossed the wide area, want every one", n, ops)
+	}
+	// A server releases a request's frame just after sending its reply: give
+	// the last ones the moment they need.
+	leaked := bufpool.Outstanding() - outstanding
+	for deadline := time.Now().Add(time.Second); leaked != 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		leaked = bufpool.Outstanding() - outstanding
+	}
+	if leaked != 0 {
+		t.Errorf("pool outstanding moved by %d over %d steady-state misses", leaked, ops)
+	}
+	// sync.Pool drops entries at random under the race detector.
+	if !bufpool.RaceBuild && (perOp > missBudget || bytesPerOp > missBytes) {
+		t.Errorf("%.2f allocs and %d bytes per READ, want at most %d and %d", perOp, bytesPerOp, missBudget, missBytes)
+	}
+}

@@ -8,6 +8,7 @@ package nfs3
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -226,8 +227,10 @@ func (fh FH) Equal(other FH) bool {
 	return fh.n == other.n && bytes.Equal(fh.b[:fh.n], other.b[:other.n])
 }
 
-// String renders a short hex form for logs.
-func (fh FH) String() string { return fmt.Sprintf("fh:%x", fh.b[:fh.n]) }
+// String renders a short hex form for logs. Not through fmt: handing it the
+// handle's bytes would move the receiver to the heap wherever String is
+// inlined, on every call, whether or not the string is ever made.
+func (fh FH) String() string { return "fh:" + hex.EncodeToString(fh.b[:fh.n]) }
 
 // Key returns the handle as a map key without allocating (the string is
 // materialized once when the handle is constructed).

@@ -120,6 +120,8 @@ type Client struct {
 
 type pendingCall struct {
 	w     *vclock.Waiter // current attempt's waiter; swapped under Client.mu on retransmit
+	first vclock.Waiter  // the first attempt's, w until a retransmission
+	body  xdr.Decoder    // reply.Body
 	reply Reply
 	stat  AcceptStat
 	err   error
@@ -299,10 +301,8 @@ func (c *Client) StartParts(reqID uint64, prog, vers, proc uint32, args, tail []
 		}
 	}
 	xid := c.xid
-	pc := &pendingCall{
-		w:         c.clk.NewWaiter(),
-		retryable: c.retr != nil && timeout > 0,
-	}
+	pc := &pendingCall{retryable: c.retr != nil && timeout > 0}
+	pc.w = c.clk.InitWaiter(&pc.first)
 	c.pending[xid] = pc
 	c.counts[uint64(prog)<<32|uint64(proc)]++
 	cred := c.cred
@@ -400,23 +400,18 @@ func (p *Pending) await() (Reply, int, time.Duration, error) {
 	c.mu.Unlock()
 
 	if policy == nil || timeout <= 0 {
-		// Single-send path: one overall timer (if any), one wait.
-		var timer *vclock.Timer
-		if timeout > 0 {
-			timer = c.clk.AfterFunc(timeout, func() {
-				c.mu.Lock()
-				if p, ok := c.pending[xid]; ok && !p.done {
-					p.err = ErrTimeout
-					p.done = true
-					delete(c.pending, xid)
-				}
-				c.mu.Unlock()
-				pc.w.Wake()
-			})
-		}
-		c.clk.WaitAs(pc.w, "rpc call")
-		if timer != nil {
-			timer.Stop()
+		// Single-send path: one wait, bounded by the timeout if there is one.
+		if timeout <= 0 {
+			c.clk.WaitAs(pc.w, "rpc call")
+		} else {
+			c.clk.WaitFor(pc.w, timeout, "rpc call")
+			c.mu.Lock()
+			if !pc.done && !c.clk.Stopped() {
+				pc.err = ErrTimeout
+				pc.done = true
+				delete(c.pending, xid)
+			}
+			c.mu.Unlock()
 		}
 		rep, err := c.finish(xid, pc)
 		return rep, 0, 0, err
@@ -450,9 +445,7 @@ func (p *Pending) await() (Reply, int, time.Duration, error) {
 		}
 		w := pc.w
 		c.mu.Unlock()
-		timer := c.clk.AfterFunc(wait, w.Wake)
-		c.clk.WaitAs(w, "rpc call")
-		timer.Stop()
+		c.clk.WaitFor(w, wait, "rpc call")
 
 		c.mu.Lock()
 		if pc.done {
@@ -543,8 +536,8 @@ func (c *Client) demux() {
 			c.failAll()
 			return
 		}
-		m, err := parseMsg(raw)
-		if err != nil || m.mtype != msgReply {
+		var m parsedMsg
+		if err := m.parse(raw); err != nil || m.mtype != msgReply {
 			// Garbage or a stray call on a client connection: the frame was
 			// never handed to a caller, so ownership stays here — recycle.
 			bufpool.Put(raw)
@@ -567,7 +560,8 @@ func (c *Client) demux() {
 		var w *vclock.Waiter
 		if ok {
 			delete(c.pending, m.xid)
-			pc.reply = Reply{Body: m.body, frame: raw}
+			pc.body = m.body
+			pc.reply = Reply{Body: &pc.body, frame: raw}
 			pc.stat = m.acceptStat
 			pc.done = true
 			w = pc.w // read under the lock: retransmission swaps waiters

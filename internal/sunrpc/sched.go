@@ -1,12 +1,13 @@
 package sunrpc
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/transport"
 	"repro/internal/vclock"
 )
 
@@ -142,32 +143,10 @@ func (b *bucket) take(now time.Duration) bool {
 	return false
 }
 
-// schedItem is one request between arrival and execution.
-type schedItem struct {
-	conn  transport.Conn
-	cache *drc
-	m     *parsedMsg
-	cost  int // wire bytes, the DRR cost
-	enq   time.Duration
-	key   string
-	seq   uint64 // arrival order; within a key (one connection) deterministic
-	q     *clientQueue
-}
-
-// yieldReq is a parked handler waiting to re-acquire a worker slot. It
-// carries its request's identity so drain() can grant slots in a
-// deterministic order when several handlers return from Yield at the same
-// virtual instant.
-type yieldReq struct {
-	key string
-	seq uint64
-	w   *vclock.Waiter
-}
-
 // clientQueue is one client's FIFO plus its DRR and rate-limit state.
 type clientQueue struct {
 	key     string
-	items   []*schedItem
+	items   []*request
 	deficit int
 	inRound bool // queued in sched.round
 	visited bool // quantum already granted for the current round visit
@@ -181,18 +160,23 @@ type sched struct {
 	srv *Server
 	cfg SchedConfig
 
+	// drainFn is sc.drain bound once, so arming a drain allocates nothing.
+	drainFn func()
+
+	// The slices below are queues popped at the front (popFront), so each
+	// keeps its backing array.
 	mu         sync.Mutex
-	seq        uint64
-	arrivals   []*schedItem // awaiting the next drain
+	seq        uint64     // arrival order; within a key (one connection) deterministic
+	arrivals   []*request // awaiting the next drain
 	drainArmed bool
 	sheds      []shedAction // TryLater replies owed, sent one per drain step
-	spawns     []*schedItem // admission-only dispatches owed
+	spawns     []*request   // admission-only dispatches owed
 	queues     map[string]*clientQueue
 	round      []*clientQueue // DRR visiting order; only queues with items
 	running    int
 	peak       int
-	queued     int         // total items across all queues
-	yielders   []*yieldReq // parked handlers awaiting re-acquire
+	queued     int        // total items across all queues
+	yielders   []*request // parked handlers awaiting re-acquire
 	global     bucket
 
 	// Metrics (nil-safe when no registry is attached).
@@ -207,13 +191,36 @@ type sched struct {
 }
 
 func newSched(clk *vclock.Clock, srv *Server, cfg SchedConfig) *sched {
-	return &sched{
+	sc := &sched{
 		clk:     clk,
 		srv:     srv,
 		cfg:     cfg.withDefaults(),
 		queues:  make(map[string]*clientQueue),
 		metShed: make(map[string]*obs.Counter),
 	}
+	sc.drainFn = sc.drain
+	return sc
+}
+
+// popFront removes and returns s[0], moving the rest down so the slice keeps
+// its backing array: a queue re-sliced from the front and appended at the back
+// would reallocate as it goes.
+func popFront[T any](s []T) (T, []T) {
+	v := s[0]
+	n := copy(s, s[1:])
+	var zero T
+	s[n] = zero
+	return v, s[:n]
+}
+
+// byArrival orders requests by (client, arrival sequence): the order every
+// same-instant decision is taken in, whatever order the actors that submitted
+// them ran in.
+func byArrival(a, b *request) int {
+	if c := strings.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // setObs (re)binds the scheduler's metric series to a registry. Called under
@@ -258,14 +265,15 @@ func (sc *sched) shedCounter(reason string) *obs.Counter {
 	return c
 }
 
-// clientKey derives the fairness/bucket key for a request.
-func (sc *sched) clientKey(m *parsedMsg, conn transport.Conn) string {
+// clientKey derives the fairness/bucket key for a request from its
+// credential and its connection's remote address.
+func (sc *sched) clientKey(cred Cred, remote string) string {
 	if sc.cfg.ClientName != nil {
-		if k := sc.cfg.ClientName(m.cred, conn.RemoteAddr()); k != "" {
+		if k := sc.cfg.ClientName(cred, remote); k != "" {
 			return k
 		}
 	}
-	return conn.RemoteAddr()
+	return remote
 }
 
 func (sc *sched) queueLocked(key string) *clientQueue {
@@ -281,36 +289,34 @@ func (sc *sched) queueLocked(key string) *clientQueue {
 	return q
 }
 
-// armDrainLocked schedules a drain at the current virtual instant, once.
-// The zero-delay timer fires only after every currently runnable actor has
-// blocked, so the drain sees the complete batch of same-instant arrivals.
+// armDrainLocked schedules a drain at the current virtual instant, once
+// (vclock.Clock.Soon). Under the virtual clock it runs only after every
+// currently runnable actor has blocked, so the drain sees the complete batch
+// of same-instant arrivals; under the real clock it starts at once.
 func (sc *sched) armDrainLocked() {
 	if sc.drainArmed {
 		return
 	}
 	sc.drainArmed = true
-	sc.clk.AfterFunc(0, sc.drain)
+	sc.clk.Soon(sc.drainFn)
 }
 
 // submit records a request's arrival and arms the drain. All decisions —
 // admission, queueing, dispatch — are deferred to drain() so they cannot
 // depend on the order in which concurrent connection actors reach this
 // method.
-func (sc *sched) submit(key string, conn transport.Conn, cache *drc, m *parsedMsg, cost int) {
+func (sc *sched) submit(key string, r *request, cost int) {
 	sc.mu.Lock()
 	sc.seq++
-	sc.arrivals = append(sc.arrivals, &schedItem{
-		conn: conn, cache: cache, m: m, cost: cost,
-		enq: sc.clk.Now(), key: key, seq: sc.seq,
-	})
+	r.key, r.seq, r.cost, r.enq = key, sc.seq, cost, sc.clk.Now()
+	sc.arrivals = append(sc.arrivals, r)
 	sc.armDrainLocked()
 	sc.mu.Unlock()
 }
 
 // shedAction is a TryLater reply owed after a drain, sent outside sc.mu.
 type shedAction struct {
-	conn   transport.Conn
-	m      *parsedMsg
+	r      *request
 	reason string
 }
 
@@ -334,20 +340,13 @@ func (sc *sched) admitLocked(key string, now time.Duration) string {
 // lists and the per-client queues. Pure state transformation: no actors
 // are spawned and no messages sent here.
 func (sc *sched) admitArrivalsLocked(now time.Duration) {
-	arrivals := sc.arrivals
-	sc.arrivals = nil
-	sort.SliceStable(arrivals, func(i, j int) bool {
-		if arrivals[i].key != arrivals[j].key {
-			return arrivals[i].key < arrivals[j].key
-		}
-		return arrivals[i].seq < arrivals[j].seq
-	})
-	for _, it := range arrivals {
+	slices.SortFunc(sc.arrivals, byArrival)
+	for _, it := range sc.arrivals {
 		if reason := sc.admitLocked(it.key, now); reason != "" {
 			// The shed reply must leave no DRC entry: the client's
 			// retransmission under the same XID re-executes the request.
-			it.cache.remove(it.m.xid)
-			sc.sheds = append(sc.sheds, shedAction{it.conn, it.m, reason})
+			it.cache.remove(it.xid)
+			sc.sheds = append(sc.sheds, shedAction{it, reason})
 			continue
 		}
 		if sc.cfg.Workers <= 0 {
@@ -359,11 +358,11 @@ func (sc *sched) admitArrivalsLocked(now time.Duration) {
 		if len(q.items) >= sc.cfg.QueueDepth {
 			// Queue overflow: shed the oldest queued request to make room —
 			// its retransmission will find a shorter queue.
-			dropped := q.items[0]
-			q.items = q.items[1:]
+			var dropped *request
+			dropped, q.items = popFront(q.items)
 			sc.queued--
-			dropped.cache.remove(dropped.m.xid)
-			sc.sheds = append(sc.sheds, shedAction{dropped.conn, dropped.m, "overflow"})
+			dropped.cache.remove(dropped.xid)
+			sc.sheds = append(sc.sheds, shedAction{dropped, "overflow"})
 		}
 		it.q = q
 		q.items = append(q.items, it)
@@ -375,11 +374,13 @@ func (sc *sched) admitArrivalsLocked(now time.Duration) {
 		sc.metQueued.Set(int64(sc.queued))
 		sc.metQueueDepth.Observe(int64(sc.queued))
 	}
+	clear(sc.arrivals)
+	sc.arrivals = sc.arrivals[:0]
 }
 
-// drain is the scheduler's single decision point, run as a zero-delay timer
-// callback — vclock fires it only once every actor runnable at the current
-// instant has blocked. It admits accumulated arrivals, then performs at
+// drain is the scheduler's single decision point, run by Clock.Soon — under
+// the virtual clock only once every actor runnable at the current instant has
+// blocked. It admits accumulated arrivals, then performs at
 // most ONE action (a shed reply, an unbounded dispatch, a yielder grant, or
 // one pooled dispatch) and re-arms itself. One action per micro-step
 // matters for determinism beyond this scheduler: actors released in the
@@ -392,36 +393,31 @@ func (sc *sched) drain() {
 	sc.admitArrivalsLocked(sc.clk.Now())
 	// Owed TryLater replies first: fixed, deterministic order.
 	if len(sc.sheds) > 0 {
-		sh := sc.sheds[0]
-		sc.sheds = sc.sheds[1:]
+		var sh shedAction
+		sh, sc.sheds = popFront(sc.sheds)
 		sc.armDrainLocked()
 		sc.mu.Unlock()
-		sc.srv.shed(sh.conn, sh.m, sh.reason)
+		sc.srv.shed(sh.r, sh.reason)
 		return
 	}
 	// Admission-only dispatches (Workers <= 0): unbounded execution.
 	if len(sc.spawns) > 0 {
-		it := sc.spawns[0]
-		sc.spawns = sc.spawns[1:]
+		var it *request
+		it, sc.spawns = popFront(sc.spawns)
 		sc.armDrainLocked()
 		sc.mu.Unlock()
-		sc.clk.Go("sunrpc-req", func() { sc.srv.handle(it.conn, it.cache, it.m, nil, 0, false) })
+		sc.clk.Go("sunrpc-req", it.serve)
 		return
 	}
 	// Freed slots go to handlers returning from Yield first — a parked
 	// handler cannot be starved by new arrivals — in deterministic order.
 	if sc.cfg.Workers > 0 && sc.running < sc.cfg.Workers && len(sc.yielders) > 0 {
-		sort.SliceStable(sc.yielders, func(i, j int) bool {
-			if sc.yielders[i].key != sc.yielders[j].key {
-				return sc.yielders[i].key < sc.yielders[j].key
-			}
-			return sc.yielders[i].seq < sc.yielders[j].seq
-		})
-		y := sc.yielders[0]
-		sc.yielders = sc.yielders[1:]
+		slices.SortFunc(sc.yielders, byArrival)
+		var y *request
+		y, sc.yielders = popFront(sc.yielders)
 		sc.acquireLocked()
 		sc.armDrainLocked()
-		y.w.Wake()
+		y.wake.Wake()
 		sc.mu.Unlock()
 		return
 	}
@@ -429,15 +425,11 @@ func (sc *sched) drain() {
 	if sc.cfg.Workers > 0 && sc.running < sc.cfg.Workers {
 		if it := sc.nextLocked(); it != nil {
 			sc.acquireLocked()
-			wait := sc.clk.Now() - it.enq
-			sc.metQueueWait.ObserveDuration(wait)
+			it.pool, it.queued = sc, sc.clk.Now()-it.enq
+			sc.metQueueWait.ObserveDuration(it.queued)
 			it.q.served.Inc()
 			sc.armDrainLocked()
-			yield := func(fn func()) { sc.yieldItem(it, fn) }
-			sc.clk.Go("sunrpc-req", func() {
-				sc.srv.handle(it.conn, it.cache, it.m, yield, wait, true)
-				sc.release()
-			})
+			sc.clk.Go("sunrpc-req", it.serve)
 		}
 	}
 	sc.mu.Unlock()
@@ -458,17 +450,16 @@ func (sc *sched) acquireLocked() {
 // credit, drains requests while the credit lasts, then rotates to the back.
 // A bulk writer's jumbo requests thus cost it round-share, while a metadata
 // client's whole backlog of tiny calls drains in a single visit.
-func (sc *sched) nextLocked() *schedItem {
+func (sc *sched) nextLocked() *request {
 	for len(sc.round) > 0 {
 		q := sc.round[0]
 		if !q.visited {
 			q.visited = true
 			q.deficit += sc.cfg.Quantum
 		}
-		head := q.items[0]
-		if head.cost <= q.deficit {
+		if head := q.items[0]; head.cost <= q.deficit {
 			q.deficit -= head.cost
-			q.items = q.items[1:]
+			_, q.items = popFront(q.items)
 			sc.queued--
 			sc.metQueued.Set(int64(sc.queued))
 			if len(q.items) == 0 {
@@ -477,14 +468,15 @@ func (sc *sched) nextLocked() *schedItem {
 				q.deficit = 0
 				q.inRound = false
 				q.visited = false
-				sc.round = sc.round[1:]
+				_, sc.round = popFront(sc.round)
 			}
 			return head
 		}
 		// Credit exhausted for this round (or a jumbo head needs several
 		// quanta): rotate so other queues drain meanwhile.
 		q.visited = false
-		sc.round = append(sc.round[1:], q)
+		_, sc.round = popFront(sc.round)
+		sc.round = append(sc.round, q)
 	}
 	return nil
 }
@@ -502,10 +494,10 @@ func (sc *sched) release() {
 	sc.mu.Unlock()
 }
 
-// yieldItem implements Call.Yield for pooled handlers: release the slot, run
-// fn off-pool, then park until the drain grants a slot back — ahead of
-// freshly queued requests, so a parked handler cannot be starved.
-func (sc *sched) yieldItem(it *schedItem, fn func()) {
+// yield implements Call.Yield for pooled handlers: release the slot, run fn
+// off-pool, then park until the drain grants a slot back — ahead of freshly
+// queued requests, so a parked handler cannot be starved.
+func (sc *sched) yield(r *request, fn func()) {
 	sc.release()
 	defer func() {
 		sc.mu.Lock()
@@ -513,8 +505,11 @@ func (sc *sched) yieldItem(it *schedItem, fn func()) {
 			sc.mu.Unlock()
 			return
 		}
-		w := sc.clk.NewWaiter()
-		sc.yielders = append(sc.yielders, &yieldReq{key: it.key, seq: it.seq, w: w})
+		// Only the drain wakes it, and a Wake is done with the waiter once
+		// this Wait has returned: it can be readied again for the handler's
+		// next yield, or the request's next use.
+		w := sc.clk.InitWaiter(&r.wake)
+		sc.yielders = append(sc.yielders, r)
 		sc.armDrainLocked()
 		sc.mu.Unlock()
 		sc.clk.WaitAs(w, "sched reacquire")

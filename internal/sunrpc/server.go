@@ -1,6 +1,7 @@
 package sunrpc
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"sync"
@@ -243,6 +244,63 @@ func (s *Server) Close() {
 	}
 }
 
+// request is one received call from arrival to its terminal state — replayed
+// or dropped by the duplicate-request cache, shed, or handled — with what the
+// server and its scheduler keep about it and the Call its dispatch function
+// sees, in one pooled allocation: a steady-state server allocates nothing of
+// its own per call. release recycles it with its frame.
+type request struct {
+	parsedMsg
+	srv   *Server
+	conn  transport.Conn
+	cache *drc
+	call  Call
+	// Scheduler state (sched.go): the fairness key, arrival order and DRR
+	// cost; the queue it waits in; pool, the scheduler whose worker slot it
+	// holds while handled (nil: none), with the time it waited for the slot;
+	// and wake, what a yielding handler parks on to get a slot back.
+	key    string
+	seq    uint64
+	cost   int
+	enq    time.Duration
+	q      *clientQueue
+	pool   *sched
+	queued time.Duration
+	wake   vclock.Waiter
+	// serve is r.run bound once, so starting an actor on it allocates
+	// nothing.
+	serve func()
+}
+
+var requests sync.Pool
+
+func newRequest() *request {
+	r, _ := requests.Get().(*request)
+	if r == nil {
+		r = new(request)
+		r.serve = r.run
+	}
+	return r
+}
+
+// release recycles the request and its frame. Nothing may touch either
+// afterwards: the arguments, the credential and the Call all alias them.
+func (r *request) release() {
+	bufpool.Put(r.raw)
+	*r = request{serve: r.serve}
+	requests.Put(r)
+}
+
+// run handles the request on an actor of its own, then gives back the worker
+// slot it was dispatched into, if any.
+func (r *request) run() {
+	srv, pool := r.srv, r.pool
+	srv.handle(r)
+	if pool != nil {
+		pool.release()
+	}
+}
+
 // drcEntry tracks one XID on a connection: in progress until the handler
 // finishes, then holding the reply bytes for replay. It is a link of the
 // drcList it is on.
@@ -298,8 +356,9 @@ type drc struct {
 	mu      sync.Mutex
 	max     int
 	entries map[uint32]*drcEntry
-	busy    drcList // in progress, in arrival order
-	done    drcList // completed and retained, in completion order
+	busy    drcList   // in progress, in arrival order
+	done    drcList   // completed and retained, in completion order
+	free    *drcEntry // removed entries for admit to reuse, linked by next
 }
 
 func newDRC(max int) *drc {
@@ -327,11 +386,25 @@ func (d *drc) admit(xid uint32) (drcState, []byte) {
 		}
 		victim.unlink()
 		delete(d.entries, victim.xid)
+		d.recycle(victim)
 	}
-	e := &drcEntry{xid: xid}
+	e := d.free
+	if e != nil {
+		d.free = e.next
+		*e = drcEntry{xid: xid}
+	} else {
+		e = &drcEntry{xid: xid}
+	}
 	d.entries[xid] = e
 	d.busy.pushBack(e)
 	return drcNew, nil
+}
+
+// recycle keeps an entry that has left the cache for admit to reuse. The
+// reply it held stays with whoever admit handed it to.
+func (d *drc) recycle(e *drcEntry) {
+	e.reply, e.next = nil, d.free
+	d.free = e
 }
 
 // remove forgets xid entirely: when the scheduler sheds a queued request the
@@ -344,6 +417,7 @@ func (d *drc) remove(xid uint32) {
 	if e := d.entries[xid]; e != nil {
 		e.unlink()
 		delete(d.entries, xid)
+		d.recycle(e)
 	}
 }
 
@@ -367,25 +441,32 @@ func (s *Server) serveConn(conn transport.Conn, cache *drc) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
+	// What does not change from call to call is worked out once per
+	// connection: the peer's address (formatting a TCP address allocates)
+	// and the fairness key of the credential its calls carry.
+	remote := conn.RemoteAddr()
+	var keys connKey
 	for {
 		raw, err := conn.Recv()
 		if err != nil {
 			return
 		}
-		m, err := parseMsg(raw)
-		if err != nil || m.mtype != msgCall {
-			bufpool.Put(raw)
+		// The frame is recycled with the request once it reaches its
+		// terminal state: discarded or replayed here, shed, or handled.
+		// Client connections recycle theirs only when the caller releases the
+		// reply — see parsedMsg.raw.
+		r := newRequest()
+		r.raw = raw
+		if err := r.parse(raw); err != nil || r.mtype != msgCall {
+			r.release()
 			continue
 		}
-		// The frame is recycled once the request reaches its terminal state:
-		// replayed here, shed, or handled. Client connections recycle theirs
-		// only when the caller releases the reply — see parsedMsg.raw.
-		m.raw = raw
+		r.srv, r.conn, r.cache = s, conn, cache
 		t := s.table.Load()
 		// Retransmitted XID: replay the cached reply, or stay silent while
 		// the original execution is still in flight (the client will
 		// retransmit again if the eventual reply is lost).
-		state, reply := cache.admit(m.xid)
+		state, reply := cache.admit(r.xid)
 		if state != drcNew {
 			if state == drcDone {
 				t.metDRCHits.Inc()
@@ -393,7 +474,7 @@ func (s *Server) serveConn(conn transport.Conn, cache *drc) {
 			} else {
 				t.metDRCBusy.Inc()
 			}
-			m.recycleFrame()
+			r.release()
 			continue
 		}
 		sc := t.sched
@@ -403,7 +484,7 @@ func (s *Server) serveConn(conn transport.Conn, cache *drc) {
 			// not stall the connection — the multithreading the paper
 			// requires to avoid deadlock between NFS RPCs and GVFS
 			// callbacks.
-			s.clk.Go("sunrpc-req", func() { s.handle(conn, cache, m, nil, 0, false) })
+			s.clk.Go("sunrpc-req", r.serve)
 			continue
 		}
 		// Every scheduling decision — admission, queueing, dispatch — runs
@@ -411,15 +492,33 @@ func (s *Server) serveConn(conn transport.Conn, cache *drc) {
 		// order; serveConn only records the arrival. If the drain sheds this
 		// request it removes the DRC entry begun above, so the client's
 		// retransmission executes it fresh.
-		sc.submit(sc.clientKey(m, conn), conn, cache, m, len(raw))
+		sc.submit(keys.of(sc, r.cred, remote), r, len(raw))
 	}
+}
+
+// connKey remembers the fairness key of the credential a connection's calls
+// last carried: deriving it (SchedConfig.ClientName) decodes the credential,
+// and a connection's calls carry the same one call after call.
+type connKey struct {
+	sc     *sched
+	flavor uint32
+	body   []byte
+	key    string
+}
+
+func (k *connKey) of(sc *sched, cred Cred, remote string) string {
+	if sc != k.sc || cred.Flavor != k.flavor || !bytes.Equal(cred.Body, k.body) {
+		k.sc, k.flavor, k.body = sc, cred.Flavor, append(k.body[:0], cred.Body...)
+		k.key = sc.clientKey(cred, remote)
+	}
+	return k.key
 }
 
 // shed answers a request with TryLater instead of executing it, recording
 // the decision as a span (Detail "shed=<reason>") and a per-reason
-// gvfs_server_shed_total counter. The reply deliberately bypasses the DRC:
-// the retransmission must execute, not replay the shed.
-func (s *Server) shed(conn transport.Conn, m *parsedMsg, reason string) {
+// gvfs_server_shed_total counter, and releases it. The reply deliberately
+// bypasses the DRC: the retransmission must execute, not replay the shed.
+func (s *Server) shed(r *request, reason string) {
 	t := s.table.Load()
 	if t.sched != nil {
 		t.sched.shedCounter(reason).Inc()
@@ -427,16 +526,16 @@ func (s *Server) shed(conn transport.Conn, m *parsedMsg, reason string) {
 	if t.node != nil {
 		now := t.node.Now()
 		t.node.Record(obs.Span{
-			Req:    m.reqID,
-			Op:     "serve " + procLabel(t.procName, m.prog, m.proc),
+			Req:    r.reqID,
+			Op:     "serve " + procLabel(t.procName, r.prog, r.proc),
 			Detail: "shed=" + reason,
 			Err:    TryLater.String(),
 			Start:  now,
 			End:    now,
 		})
 	}
-	conn.Send(marshalReply(m.xid, TryLater, nil))
-	m.recycleFrame()
+	r.conn.Send(marshalReply(r.xid, TryLater, nil))
+	r.release()
 }
 
 // reply finishes a call the server answers itself: the wire reply is
@@ -448,21 +547,20 @@ func (s *Server) reply(conn transport.Conn, cache *drc, xid uint32, stat AcceptS
 	conn.Send(raw)
 }
 
-// handle executes one admitted request. yield is the scheduler's slot-park
-// hook (nil when unscheduled); queued is the virtual time the request spent
-// waiting for a worker slot, recorded as a "queued=" span detail when
-// scheduled is true.
-func (s *Server) handle(conn transport.Conn, cache *drc, m *parsedMsg, yield func(func()), queued time.Duration, scheduled bool) {
+// handle executes one admitted request and releases it. A request dispatched
+// into a worker slot (r.pool) records the time it waited for the slot as a
+// "queued=" span detail.
+func (s *Server) handle(r *request) {
 	t := s.table.Load()
-	s.count(t, m.prog, m.proc)
-	p, ok := t.programs[progVers{m.prog, m.vers}]
+	s.count(t, r.prog, r.proc)
+	p, ok := t.programs[progVers{r.prog, r.vers}]
 	if !ok {
 		stat := ProgUnavail
-		if t.calls[m.prog] != nil {
+		if t.calls[r.prog] != nil {
 			stat = ProgMismatch
 		}
-		s.reply(conn, cache, m.xid, stat, nil)
-		m.recycleFrame()
+		s.reply(r.conn, r.cache, r.xid, stat, nil)
+		r.release()
 		return
 	}
 	node := t.node
@@ -472,18 +570,19 @@ func (s *Server) handle(conn transport.Conn, cache *drc, m *parsedMsg, yield fun
 	// after it, so Success replies need no results-to-message copy and, at
 	// steady state, no allocation at all.
 	enc := bufpool.GetEncoder()
-	beginReply(enc, m.xid)
-	call := &Call{
-		XID:    m.xid,
-		Prog:   m.prog,
-		Vers:   m.vers,
-		Proc:   m.proc,
-		Cred:   m.cred,
-		ReqID:  m.reqID,
-		Args:   m.body,
+	beginReply(enc, r.xid)
+	call := &r.call
+	*call = Call{
+		XID:    r.xid,
+		Prog:   r.prog,
+		Vers:   r.vers,
+		Proc:   r.proc,
+		Cred:   r.cred,
+		ReqID:  r.reqID,
+		Args:   &r.body,
 		Reply:  enc,
 		Traced: node.Tracing(),
-		yield:  yield,
+		req:    r,
 	}
 	start := node.Now()
 	stat := p.fn(call)
@@ -495,15 +594,15 @@ func (s *Server) handle(conn transport.Conn, cache *drc, m *parsedMsg, yield fun
 	if node.Tracing() {
 		sp := obs.Span{
 			Req:    call.ReqID,
-			Op:     "serve " + procLabel(t.procName, m.prog, m.proc),
+			Op:     "serve " + procLabel(t.procName, r.prog, r.proc),
 			FH:     call.SpanFH,
 			Detail: call.SpanDetail,
 			Bytes:  call.SpanBytes,
 			Start:  start,
 			End:    node.Now(),
 		}
-		if scheduled {
-			q := "queued=" + queued.String()
+		if r.pool != nil {
+			q := "queued=" + r.queued.String()
 			if sp.Detail != "" {
 				sp.Detail += " " + q
 			} else {
@@ -516,19 +615,19 @@ func (s *Server) handle(conn transport.Conn, cache *drc, m *parsedMsg, yield fun
 		node.Record(sp)
 	}
 	raw := enc.Bytes()
-	if p.isReadOnly(m.proc) {
+	if p.isReadOnly(r.proc) {
 		// Nothing a replay would protect. The in-progress entry has kept
 		// duplicates silent while the handler ran and does so until the
 		// reply is out; one that arrives later executes again.
-		conn.Send(raw)
-		cache.remove(m.xid)
+		r.conn.Send(raw)
+		r.cache.remove(r.xid)
 	} else {
 		// The cache keeps a copy — raw is the pooled encoder's, about to be
 		// written over — recorded before Send, so that a retransmission
 		// racing the reply replays identical bytes.
-		cache.complete(m.xid, append([]byte(nil), raw...))
-		conn.Send(raw)
+		r.cache.complete(r.xid, append([]byte(nil), raw...))
+		r.conn.Send(raw)
 	}
 	bufpool.PutEncoder(enc)
-	m.recycleFrame()
+	r.release()
 }

@@ -5,10 +5,10 @@
 package sunrpc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
-	"repro/internal/bufpool"
 	"repro/internal/xdr"
 )
 
@@ -157,9 +157,8 @@ type Call struct {
 	SpanDetail string
 	SpanBytes  int64
 
-	// yield is set by the scheduler when the call runs inside a bounded
-	// worker pool; see Yield.
-	yield func(func())
+	// req is the server's record of the call; see Yield.
+	req *request
 }
 
 // Yield runs fn with this call's worker-pool slot released, re-acquiring it
@@ -167,11 +166,11 @@ type Call struct {
 // that block waiting on *other RPCs through the same pool* — a proxy server
 // issuing a callback recall that the client can only answer after flushing
 // WRITEs back through this server — must wrap the blocking section in Yield
-// or a full pool can deadlock on itself. When no scheduler is active fn just
-// runs inline.
+// or a full pool can deadlock on itself. When the call holds no pool slot fn
+// just runs inline.
 func (c *Call) Yield(fn func()) {
-	if c.yield != nil {
-		c.yield(fn)
+	if r := c.req; r != nil && r.pool != nil {
+		r.pool.yield(r, fn)
 		return
 	}
 	fn()
@@ -251,6 +250,7 @@ func marshalReply(xid uint32, stat AcceptStat, results []byte) []byte {
 }
 
 // parsedMsg is a decoded RPC message header plus remaining payload decoder.
+// The credential body and the payload alias the frame.
 type parsedMsg struct {
 	xid   uint32
 	mtype uint32
@@ -261,97 +261,86 @@ type parsedMsg struct {
 	// reply fields
 	replyStat  uint32
 	acceptStat AcceptStat
-	// body holds the procedure args/results
-	body *xdr.Decoder
+	// body decodes the procedure args/results out of the frame.
+	body xdr.Decoder
 	// raw is the received frame body aliases. Servers recycle it to the
 	// buffer pool once the request reaches its terminal state (handled,
-	// shed, or discarded); clients leave it nil — a completed reply's frame
-	// goes to the caller with the body (Reply), so the demux recycles only
-	// frames no caller will ever see (garbage, shed retries, duplicate
-	// replies).
+	// shed, or discarded: request.release); clients leave it nil — a
+	// completed reply's frame goes to the caller with the body (Reply), so
+	// the demux recycles only frames no caller will ever see (garbage, shed
+	// retries, duplicate replies).
 	raw []byte
 }
 
-// recycleFrame returns the request's frame to the buffer pool. Callers must
-// be past every use of body, cred references, and OpaqueRef'd args.
-func (m *parsedMsg) recycleFrame() {
-	if m.raw != nil {
-		bufpool.Put(m.raw)
-		m.raw = nil
-	}
-}
-
-func parseMsg(raw []byte) (*parsedMsg, error) {
-	d := xdr.NewDecoder(raw)
-	m := &parsedMsg{}
+// parse decodes raw's header into m and points m.body at the rest.
+func (m *parsedMsg) parse(raw []byte) error {
+	d := &m.body
+	d.Reset(raw)
 	var err error
 	if m.xid, err = d.Uint32(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.mtype, err = d.Uint32(); err != nil {
-		return nil, err
+		return err
 	}
 	switch m.mtype {
 	case msgCall:
 		rpcvers, err := d.Uint32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if rpcvers != 2 {
-			return nil, fmt.Errorf("sunrpc: unsupported RPC version %d", rpcvers)
+			return fmt.Errorf("sunrpc: unsupported RPC version %d", rpcvers)
 		}
 		if m.prog, err = d.Uint32(); err != nil {
-			return nil, err
+			return err
 		}
 		if m.vers, err = d.Uint32(); err != nil {
-			return nil, err
+			return err
 		}
 		if m.proc, err = d.Uint32(); err != nil {
-			return nil, err
+			return err
 		}
 		if m.cred.Flavor, err = d.Uint32(); err != nil {
-			return nil, err
+			return err
 		}
-		if m.cred.Body, err = d.Opaque(maxCred); err != nil {
-			return nil, err
+		if m.cred.Body, err = d.OpaqueRef(maxCred); err != nil {
+			return err
 		}
 		// Verifier: AuthTrace carries the trace request ID; anything else
 		// is ignored.
 		vflavor, err := d.Uint32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		vbody, err := d.OpaqueRef(maxCred) // consumed before returning
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if vflavor == AuthTrace && len(vbody) == 8 {
-			if id, err := xdr.NewDecoder(vbody).Uint64(); err == nil {
-				m.reqID = id
-			}
+			m.reqID = binary.BigEndian.Uint64(vbody)
 		}
 	case msgReply:
 		if m.replyStat, err = d.Uint32(); err != nil {
-			return nil, err
+			return err
 		}
 		if m.replyStat != msgAccepted {
-			return nil, fmt.Errorf("sunrpc: call denied by server")
+			return fmt.Errorf("sunrpc: call denied by server")
 		}
 		// Verifier (discarded).
 		if _, err = d.Uint32(); err != nil {
-			return nil, err
+			return err
 		}
 		if _, err = d.OpaqueRef(maxCred); err != nil {
-			return nil, err
+			return err
 		}
 		stat, err := d.Uint32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m.acceptStat = AcceptStat(stat)
 	default:
-		return nil, fmt.Errorf("sunrpc: unknown message type %d", m.mtype)
+		return fmt.Errorf("sunrpc: unknown message type %d", m.mtype)
 	}
-	m.body = d
-	return m, nil
+	return nil
 }

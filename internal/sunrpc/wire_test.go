@@ -157,3 +157,12 @@ func TestTraceVerifierRoundTrip(t *testing.T) {
 		t.Fatalf("untraced reqID = %d", um.reqID)
 	}
 }
+
+// parseMsg parses raw into a message of its own.
+func parseMsg(raw []byte) (*parsedMsg, error) {
+	m := new(parsedMsg)
+	if err := m.parse(raw); err != nil {
+		return nil, err
+	}
+	return m, nil
+}

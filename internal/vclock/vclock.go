@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -200,6 +201,23 @@ func (c *Clock) AfterFunc(d time.Duration, fn func()) *Timer {
 	if !c.virtual {
 		return &Timer{c: c, rt: time.AfterFunc(d, fn)}
 	}
+	return &Timer{c: c, t: c.callbackAfter(d, fn)}
+}
+
+// Soon runs fn once as a transient actor: under the virtual clock once every
+// actor runnable at the current instant has blocked (AfterFunc(0, fn), with no
+// Timer to stop it), under the real clock on a goroutine of its own at once.
+// Under the real clock it allocates nothing for a fn the caller keeps.
+func (c *Clock) Soon(fn func()) {
+	if !c.virtual {
+		go fn()
+		return
+	}
+	c.callbackAfter(0, fn)
+}
+
+// callbackAfter schedules the virtual-mode callback timer of AfterFunc.
+func (c *Clock) callbackAfter(d time.Duration, fn func()) *timer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.scheduleLocked(c.now+d, fn, nil)
@@ -208,7 +226,7 @@ func (c *Clock) AfterFunc(d time.Duration, fn func()) *Timer {
 		// kick the event loop so the timer is not stranded.
 		c.advanceLocked()
 	}
-	return &Timer{c: c, t: t}
+	return t
 }
 
 // Waiter is a one-shot wake-up point. Exactly one actor may Wait on it; any
@@ -216,22 +234,35 @@ func (c *Clock) AfterFunc(d time.Duration, fn func()) *Timer {
 type Waiter struct {
 	c  *Clock
 	ch chan struct{}
-	// guarded by c.mu in virtual mode, by once in real mode
+	// woken and waiting are guarded by c.mu in virtual mode; in real mode
+	// closed picks the one Wake that closes ch.
 	woken   bool
 	waiting bool
-	once    sync.Once
+	closed  atomic.Bool
 }
 
 // NewWaiter returns a fresh waiter bound to the clock.
 func (c *Clock) NewWaiter() *Waiter {
-	return &Waiter{c: c, ch: make(chan struct{})}
+	return c.InitWaiter(new(Waiter))
+}
+
+// InitWaiter readies w, a Waiter its owner embeds in a value of its own so as
+// not to allocate one apart, as NewWaiter would, and returns it. An owner may
+// ready the same Waiter again once its Wait has returned and nothing else will
+// Wake it: a Wake touches the waiter no more once it has closed the channel
+// the Wait returned on.
+func (c *Clock) InitWaiter(w *Waiter) *Waiter {
+	*w = Waiter{c: c, ch: make(chan struct{})}
+	return w
 }
 
 // Wake unblocks the waiter's Wait call. Safe to call multiple times and from
 // timer callbacks; only the first call has effect.
 func (w *Waiter) Wake() {
 	if !w.c.virtual {
-		w.once.Do(func() { close(w.ch) })
+		if w.closed.CompareAndSwap(false, true) {
+			close(w.ch)
+		}
 		return
 	}
 	w.c.mu.Lock()
@@ -281,6 +312,39 @@ func (c *Clock) WaitAs(w *Waiter, label string) {
 	<-w.ch
 	// The waker incremented runnable on our behalf.
 }
+
+// WaitFor is WaitAs bounded by d: it returns once w is woken or d has passed,
+// whichever comes first, and the caller tells which from its own state. A
+// timeout does not wake w under the real clock; under the virtual one it does
+// (a callback timer, as AfterFunc(d, w.Wake) would). The real clock's timers
+// are pooled, so a timed wait allocates nothing at steady state.
+func (c *Clock) WaitFor(w *Waiter, d time.Duration, label string) {
+	if c.virtual {
+		t := c.AfterFunc(d, w.Wake)
+		c.WaitAs(w, label)
+		t.Stop()
+		return
+	}
+	t, _ := realTimers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(d)
+	} else {
+		t.Reset(d)
+	}
+	select {
+	case <-w.ch:
+		if !t.Stop() {
+			// It fired meanwhile, and its tick may still be on the way to t.C:
+			// a later wait must not receive it.
+			return
+		}
+	case <-t.C:
+	}
+	realTimers.Put(t)
+}
+
+// realTimers holds stopped or drained real-clock timers for WaitFor.
+var realTimers sync.Pool
 
 // blockLocked marks the calling actor blocked and advances virtual time if it
 // was the last runnable actor.
