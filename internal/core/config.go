@@ -199,9 +199,10 @@ type Config struct {
 	// ServerWorkers bounds how many request handlers the proxy server (and
 	// the proxy client's callback service) run concurrently: requests beyond
 	// the pool wait in per-client FIFO queues drained by byte-costed deficit
-	// round-robin, so one hot mount cannot starve the rest. 0 keeps the
-	// legacy unbounded per-request dispatch; negative also means unbounded
-	// but allows the rate limits below to stand alone.
+	// round-robin, so one hot mount cannot starve the rest. 0 dispatches
+	// every request as it arrives, without bound (the kernel-facing server's
+	// dispatch, which never sheds); negative also means unbounded but allows
+	// the rate limits below to stand alone.
 	ServerWorkers int
 	// ServerQueueDepth bounds each client's queue; a full queue sheds its
 	// oldest request with a retryable TRY_LATER the retransmitting client

@@ -17,13 +17,15 @@
 // committed them, and recovery drops any block whose on-disk bytes do not
 // match (a torn block-file write).
 //
-// Durability policy: the journal (and a dirty block's data file) is
-// fsync'd on dirty-state transitions — a block becoming dirty, or a dirty
-// block marked clean after its WRITE landed — because those are the
-// records whose loss changes write-back semantics. Clean-block records ride
-// along unsynced: losing one merely refetches a block that the server still
-// has. SyncAlways upgrades every record, SyncNone downgrades all of them
-// (benchmarks, tmpfs).
+// Durability policy: the journal (and a dirty block's data file, then the
+// blk/ directory that names it) is fsync'd on dirty-state transitions — a
+// block becoming dirty, or a dirty block marked clean after its WRITE
+// landed — because those are the records whose loss changes write-back
+// semantics. The file and its directory entry are durable before the record
+// that names them is appended, so a committed record never names a file a
+// crash could take away. Clean-block records ride along unsynced: losing one
+// merely refetches a block that the server still has. SyncAlways upgrades
+// every record, SyncNone downgrades all of them (benchmarks, tmpfs).
 package diskcache
 
 import (
@@ -168,6 +170,7 @@ type Store struct {
 	closed  bool
 	failed  error
 	journal *os.File
+	blk     *os.File // the blk/ directory, synced after a new block file
 	jbytes  int64
 	files   map[string]*fileMeta
 	bytes   int64 // total data bytes the index references
@@ -194,15 +197,21 @@ func Open(dir string, maxBytes int64, policy SyncPolicy) (*Store, Recovered, err
 	s.loadBlocks(&rec)
 	rec.Stats.Replay = time.Since(start)
 
+	blk, err := os.Open(filepath.Join(dir, blockSubdir))
+	if err != nil {
+		return nil, rec, err
+	}
 	// Do NOT truncate here: the old journal must survive until the
 	// compacting checkpoint below has durably folded it into the manifest.
 	j, err := os.OpenFile(filepath.Join(dir, journalName), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
+		blk.Close()
 		return nil, rec, err
 	}
-	s.journal = j
+	s.journal, s.blk = j, blk
 	if err := s.checkpointLocked(); err != nil {
 		j.Close()
+		blk.Close()
 		return nil, rec, err
 	}
 	s.gcBlockFiles()
@@ -441,8 +450,8 @@ func (s *Store) appendRecordLocked(payload []byte, dirtyTransition bool) {
 		return
 	}
 	s.jbytes += int64(8 + len(payload))
-	if s.policy == SyncAlways || (s.policy == SyncDirty && dirtyTransition) {
-		s.failLocked(s.journal.Sync())
+	if s.syncs(dirtyTransition) {
+		s.failLocked(fsync(s.journal))
 	}
 	if s.jbytes >= checkpointBytes {
 		s.failLocked(s.checkpointLocked())
@@ -484,17 +493,10 @@ func (s *Store) PutBlock(key string, bn uint64, data []byte, dirty bool, gen uin
 			return
 		}
 	}
-	path := s.blockPath(key, bn, gen)
 	dcrc := crc32.ChecksumIEEE(data)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := s.writeBlockLocked(s.blockPath(key, bn, gen), data, s.syncs(dirty)); err != nil {
 		s.failLocked(err)
 		return
-	}
-	if s.policy == SyncAlways || (s.policy == SyncDirty && dirty) {
-		if f, err := os.OpenFile(path, os.O_RDONLY, 0); err == nil {
-			s.failLocked(f.Sync())
-			f.Close()
-		}
 	}
 	p := s.payload(opPut, key, 8+8+1+4+4)
 	tail := p[3+len(key):]
@@ -517,6 +519,36 @@ func (s *Store) PutBlock(key string, bn uint64, data []byte, dirty bool, gen uin
 	fm.blocks[bn] = blockMeta{gen: gen, dlen: uint32(len(data)), dcrc: dcrc, dirty: dirty}
 	s.bytes += int64(len(data))
 }
+
+// writeBlockLocked writes a block file through one open. With sync set the
+// file's data, then the blk/ directory entry naming it, reach stable storage
+// before it returns: the record committing the block is appended after.
+func (s *Store) writeBlockLocked(path string, data []byte, sync bool) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil && sync {
+		err = fsync(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && sync {
+		err = fsync(s.blk)
+	}
+	return err
+}
+
+// syncs reports whether the policy fsyncs a mutation that is (or is not) a
+// dirty-state transition.
+func (s *Store) syncs(dirtyTransition bool) bool {
+	return s.policy == SyncAlways || (s.policy == SyncDirty && dirtyTransition)
+}
+
+// fsync is every sync the store makes: file, directory and journal alike.
+var fsync = (*os.File).Sync
 
 // MarkClean records a dirty block's clean transition after its WRITE landed.
 // The generation must match the persisted one, mirroring the cache's own
@@ -689,7 +721,7 @@ func (s *Store) checkpointLocked() error {
 		w.record(p)
 	}
 	if w.err == nil && s.policy != SyncNone {
-		w.err = f.Sync()
+		w.err = fsync(f)
 	}
 	if cerr := f.Close(); w.err == nil {
 		w.err = cerr
@@ -703,7 +735,7 @@ func (s *Store) checkpointLocked() error {
 	}
 	if s.policy != SyncNone {
 		if d, err := os.Open(s.dir); err == nil {
-			d.Sync()
+			fsync(d)
 			d.Close()
 		}
 	}
@@ -755,6 +787,9 @@ func (s *Store) Close() error {
 			err = cerr
 		}
 	}
+	if s.blk != nil {
+		s.blk.Close()
+	}
 	s.closed = true
 	s.failLocked(err)
 	return err
@@ -773,6 +808,9 @@ func (s *Store) Abandon() {
 	s.closed = true
 	if s.journal != nil {
 		s.journal.Close()
+	}
+	if s.blk != nil {
+		s.blk.Close()
 	}
 }
 

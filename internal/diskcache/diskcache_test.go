@@ -291,3 +291,46 @@ func TestManifestSurvivesGarbageJournal(t *testing.T) {
 		t.Fatal("garbage journal not counted as dropped")
 	}
 }
+
+// TestPutSyncOrder pins the order a put reaches stable storage in: the block
+// file's data, then the blk/ directory entry naming it, then the journal
+// record committing it — so a crash can never leave a committed record
+// naming a file the directory lost. SyncDirty syncs a dirty put so and a
+// clean put not at all, SyncAlways syncs both, SyncNone nothing.
+func TestPutSyncOrder(t *testing.T) {
+	var synced []string
+	defer func(orig func(*os.File) error) { fsync = orig }(fsync)
+	fsync = func(f *os.File) error {
+		synced = append(synced, filepath.Base(f.Name()))
+		return nil
+	}
+	blockFile := func(bn, gen uint64) string {
+		return fmt.Sprintf("%x.%d.%d", "k", bn, gen)
+	}
+	for _, tc := range []struct {
+		policy       SyncPolicy
+		dirty, clean []string
+	}{
+		{SyncDirty, []string{blockFile(1, 3), blockSubdir, journalName}, nil},
+		{SyncAlways, []string{blockFile(1, 3), blockSubdir, journalName}, []string{blockFile(2, 0), blockSubdir, journalName}},
+		{SyncNone, nil, nil},
+	} {
+		s, _, err := Open(t.TempDir(), 0, tc.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		synced = nil
+		s.PutBlock("k", 1, []byte("dirty"), true, 3)
+		if fmt.Sprint(synced) != fmt.Sprint(tc.dirty) {
+			t.Errorf("%v: a dirty put synced %v, want %v", tc.policy, synced, tc.dirty)
+		}
+		synced = nil
+		s.PutBlock("k", 2, []byte("clean"), false, 0)
+		if fmt.Sprint(synced) != fmt.Sprint(tc.clean) {
+			t.Errorf("%v: a clean put synced %v, want %v", tc.policy, synced, tc.clean)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -12,8 +12,8 @@ import (
 )
 
 // This file is the server's bounded scheduling layer. Without it every
-// accepted request runs on its own actor, so a heavy fan-in of proxy
-// clients means unbounded concurrent handlers and no back-pressure — the
+// accepted request is dispatched at once (Server.dispatch), so a heavy fan-in
+// of proxy clients means unbounded concurrent handlers and no back-pressure — the
 // server-side metadata overload that concentrates on a handful of proxy
 // servers in the paper's architecture. The scheduler bounds the damage
 // three ways:
@@ -44,6 +44,13 @@ import (
 // sorted (client, arrival-sequence) order. Same-seed runs thus make
 // identical shed/dispatch decisions regardless of goroutine interleaving,
 // which the chaos harness asserts by diffing span traces.
+//
+// Under the real clock there is no instant to batch and no simulated link to
+// keep in order: the actor that changes the scheduler's state — a connection
+// submitting a call, a worker finishing one, a handler yielding — runs the
+// drain itself once it has released the mutex, taking every action it can
+// (drainNow), and a worker whose call is done serves the next queued call
+// itself before it parks.
 
 // Scheduler defaults.
 const (
@@ -57,9 +64,11 @@ const (
 )
 
 // SchedConfig parameterizes the server's scheduling layer. The zero value
-// disables it (legacy unbounded per-request actors). Any of Workers,
-// RateLimit, or ClientRate enables it; Workers <= 0 with a rate limit set
-// gives admission control with unbounded execution.
+// disables it: every call is dispatched as it arrives, without bound (under
+// the real clock onto the server's parked workers, under the virtual clock
+// onto an actor of its own). Any of Workers, RateLimit, or ClientRate enables
+// it; Workers <= 0 with a rate limit set gives admission control with
+// unbounded execution.
 type SchedConfig struct {
 	// Workers bounds concurrently executing handlers. <= 0 means unbounded.
 	Workers int
@@ -156,9 +165,10 @@ type clientQueue struct {
 
 // sched is the per-server scheduler instance.
 type sched struct {
-	clk *vclock.Clock
-	srv *Server
-	cfg SchedConfig
+	clk  *vclock.Clock
+	real bool // the real clock: the drain runs where it is armed (drainNow)
+	srv  *Server
+	cfg  SchedConfig
 
 	// drainFn is sc.drain bound once, so arming a drain allocates nothing.
 	drainFn func()
@@ -193,6 +203,7 @@ type sched struct {
 func newSched(clk *vclock.Clock, srv *Server, cfg SchedConfig) *sched {
 	sc := &sched{
 		clk:     clk,
+		real:    !clk.Virtual(),
 		srv:     srv,
 		cfg:     cfg.withDefaults(),
 		queues:  make(map[string]*clientQueue),
@@ -289,20 +300,25 @@ func (sc *sched) queueLocked(key string) *clientQueue {
 	return q
 }
 
-// armDrainLocked schedules a drain at the current virtual instant, once
-// (vclock.Clock.Soon). Under the virtual clock it runs only after every
-// currently runnable actor has blocked, so the drain sees the complete batch
-// of same-instant arrivals; under the real clock it starts at once.
-func (sc *sched) armDrainLocked() {
-	if sc.drainArmed {
-		return
+// armDrainLocked arms the drain after a change of the scheduler's state. Under
+// the virtual clock it schedules one at the current virtual instant, once
+// (vclock.Clock.Soon): it runs only after every currently runnable actor has
+// blocked, so it sees the complete batch of same-instant arrivals. Under the
+// real clock nothing is scheduled: it returns true, and the caller runs the
+// drain itself (drainNow) once it has released sc.mu.
+func (sc *sched) armDrainLocked() (now bool) {
+	if sc.real {
+		return true
 	}
-	sc.drainArmed = true
-	sc.clk.Soon(sc.drainFn)
+	if !sc.drainArmed {
+		sc.drainArmed = true
+		sc.clk.Soon(sc.drainFn)
+	}
+	return false
 }
 
 // submit records a request's arrival and arms the drain. All decisions —
-// admission, queueing, dispatch — are deferred to drain() so they cannot
+// admission, queueing, dispatch — are deferred to the drain so they cannot
 // depend on the order in which concurrent connection actors reach this
 // method.
 func (sc *sched) submit(key string, r *request, cost int) {
@@ -310,8 +326,11 @@ func (sc *sched) submit(key string, r *request, cost int) {
 	sc.seq++
 	r.key, r.seq, r.cost, r.enq = key, sc.seq, cost, sc.clk.Now()
 	sc.arrivals = append(sc.arrivals, r)
-	sc.armDrainLocked()
+	now := sc.armDrainLocked()
 	sc.mu.Unlock()
+	if now {
+		sc.drainNow(false)
+	}
 }
 
 // shedAction is a TryLater reply owed after a drain, sent outside sc.mu.
@@ -378,61 +397,113 @@ func (sc *sched) admitArrivalsLocked(now time.Duration) {
 	sc.arrivals = sc.arrivals[:0]
 }
 
-// drain is the scheduler's single decision point, run by Clock.Soon — under
-// the virtual clock only once every actor runnable at the current instant has
-// blocked. It admits accumulated arrivals, then performs at
-// most ONE action (a shed reply, an unbounded dispatch, a yielder grant, or
-// one pooled dispatch) and re-arms itself. One action per micro-step
-// matters for determinism beyond this scheduler: actors released in the
-// same instant race for shared simulated links (bandwidth serialization is
-// granted in Send order), so each granted actor must run to its blocking
-// point before the next grant.
-func (sc *sched) drain() {
-	sc.mu.Lock()
-	sc.drainArmed = false
+// action is one scheduling decision, taken under sc.mu and carried out
+// (do) once it is released.
+type action struct {
+	kind   actionKind
+	r      *request
+	reason string // actShed: why
+}
+
+type actionKind int
+
+const (
+	actNone     actionKind = iota
+	actShed                // answer r with TryLater
+	actDispatch            // run r on a worker: admission-only, or into a slot it now holds
+	actWake                // r is a yielder granted its slot back
+)
+
+// nextActionLocked admits the accumulated arrivals and takes the next
+// decision, in a fixed order: an owed TryLater reply, an admission-only
+// dispatch, a slot granted back to a yielder, one pooled dispatch.
+func (sc *sched) nextActionLocked() action {
 	sc.admitArrivalsLocked(sc.clk.Now())
 	// Owed TryLater replies first: fixed, deterministic order.
 	if len(sc.sheds) > 0 {
 		var sh shedAction
 		sh, sc.sheds = popFront(sc.sheds)
-		sc.armDrainLocked()
-		sc.mu.Unlock()
-		sc.srv.shed(sh.r, sh.reason)
-		return
+		return action{kind: actShed, r: sh.r, reason: sh.reason}
 	}
 	// Admission-only dispatches (Workers <= 0): unbounded execution.
 	if len(sc.spawns) > 0 {
 		var it *request
 		it, sc.spawns = popFront(sc.spawns)
-		sc.armDrainLocked()
-		sc.mu.Unlock()
-		sc.clk.Go("sunrpc-req", it.serve)
-		return
+		return action{kind: actDispatch, r: it}
+	}
+	if sc.cfg.Workers <= 0 || sc.running >= sc.cfg.Workers {
+		return action{}
 	}
 	// Freed slots go to handlers returning from Yield first — a parked
 	// handler cannot be starved by new arrivals — in deterministic order.
-	if sc.cfg.Workers > 0 && sc.running < sc.cfg.Workers && len(sc.yielders) > 0 {
+	if len(sc.yielders) > 0 {
 		slices.SortFunc(sc.yielders, byArrival)
 		var y *request
 		y, sc.yielders = popFront(sc.yielders)
 		sc.acquireLocked()
-		sc.armDrainLocked()
-		y.wake.Wake()
-		sc.mu.Unlock()
-		return
+		return action{kind: actWake, r: y}
 	}
-	// Finally one pooled dispatch, if a slot and a queued request exist.
-	if sc.cfg.Workers > 0 && sc.running < sc.cfg.Workers {
-		if it := sc.nextLocked(); it != nil {
-			sc.acquireLocked()
-			it.pool, it.queued = sc, sc.clk.Now()-it.enq
-			sc.metQueueWait.ObserveDuration(it.queued)
-			it.q.served.Inc()
-			sc.armDrainLocked()
-			sc.clk.Go("sunrpc-req", it.serve)
-		}
+	// Finally one pooled dispatch, if a queued request exists.
+	it := sc.nextLocked()
+	if it == nil {
+		return action{}
+	}
+	sc.acquireLocked()
+	it.pool, it.queued = sc, sc.clk.Now()-it.enq
+	sc.metQueueWait.ObserveDuration(it.queued)
+	it.q.served.Inc()
+	return action{kind: actDispatch, r: it}
+}
+
+// do carries an action out, outside sc.mu.
+func (sc *sched) do(a action) {
+	switch a.kind {
+	case actShed:
+		sc.srv.shed(a.r, a.reason)
+	case actDispatch:
+		sc.srv.dispatch(a.r)
+	case actWake:
+		a.r.wake.Wake()
+	}
+}
+
+// drain is the virtual clock's decision point, run by Clock.Soon once every
+// actor runnable at the current instant has blocked. It takes at most ONE
+// action and re-arms itself. One action per micro-step matters for
+// determinism beyond this scheduler: actors released in the same instant
+// race for shared simulated links (bandwidth serialization is granted in
+// Send order), so each granted actor must run to its blocking point before
+// the next grant.
+func (sc *sched) drain() {
+	sc.mu.Lock()
+	sc.drainArmed = false
+	a := sc.nextActionLocked()
+	if a.kind != actNone {
+		sc.armDrainLocked()
 	}
 	sc.mu.Unlock()
+	sc.do(a)
+}
+
+// drainNow is the real clock's drain, run by the actor that armed it: there
+// is no instant to batch and no simulated link to keep in order, so it takes
+// every action it can. With keep set, the caller is a worker whose call has
+// just finished, and the first pooled dispatch is returned for it to serve
+// itself rather than handed to another worker.
+func (sc *sched) drainNow(keep bool) (own *request) {
+	for {
+		sc.mu.Lock()
+		a := sc.nextActionLocked()
+		sc.mu.Unlock()
+		switch {
+		case a.kind == actNone:
+			return own
+		case keep && own == nil && a.kind == actDispatch && a.r.pool != nil:
+			own = a.r
+		default:
+			sc.do(a)
+		}
+	}
 }
 
 // acquireLocked takes one worker slot for a running handler.
@@ -481,24 +552,33 @@ func (sc *sched) nextLocked() *request {
 	return nil
 }
 
-// release frees a worker slot and arms a drain if anything is waiting for
-// it. The slot is granted by the drain, never here, so a release racing
-// other same-instant events cannot influence who runs next.
-func (sc *sched) release() {
+// release frees a worker slot and arms a drain if anything is waiting for it.
+// Under the virtual clock the slot is granted by the drain, never here, so a
+// release racing other same-instant events cannot influence who runs next;
+// it returns nil. Under the real clock the releasing actor drains at once,
+// and with keep set (a worker whose call has finished) returns the queued
+// call it takes on itself, if any.
+func (sc *sched) release(keep bool) *request {
 	sc.mu.Lock()
 	sc.running--
 	sc.metInflight.Set(int64(sc.running))
+	now := false
 	if len(sc.yielders) > 0 || sc.queued > 0 {
-		sc.armDrainLocked()
+		now = sc.armDrainLocked()
 	}
 	sc.mu.Unlock()
+	if now {
+		return sc.drainNow(keep)
+	}
+	return nil
 }
 
 // yield implements Call.Yield for pooled handlers: release the slot, run fn
 // off-pool, then park until the drain grants a slot back — ahead of freshly
-// queued requests, so a parked handler cannot be starved.
+// queued requests, so a parked handler cannot be starved. The handler keeps
+// its goroutine throughout; the slot goes to another worker.
 func (sc *sched) yield(r *request, fn func()) {
-	sc.release()
+	sc.release(false)
 	defer func() {
 		sc.mu.Lock()
 		if sc.cfg.Workers <= 0 {
@@ -510,8 +590,11 @@ func (sc *sched) yield(r *request, fn func()) {
 		// next yield, or the request's next use.
 		w := sc.clk.InitWaiter(&r.wake)
 		sc.yielders = append(sc.yielders, r)
-		sc.armDrainLocked()
+		now := sc.armDrainLocked()
 		sc.mu.Unlock()
+		if now {
+			sc.drainNow(false)
+		}
 		sc.clk.WaitAs(w, "sched reacquire")
 		// The drain's grant incremented running on our behalf.
 	}()

@@ -65,6 +65,9 @@ type Server struct {
 
 	table atomic.Pointer[dispatchTable]
 
+	// workers serves calls under the real clock (dispatch).
+	workers workerPool
+
 	mu         sync.Mutex // guards the fields below and serialises table edits
 	ls         []transport.Listener
 	conns      map[transport.Conn]*drc // live connections, each with its duplicate-request cache
@@ -101,7 +104,7 @@ func (s *Server) SetObs(node *obs.Node, procName ProcNameFunc) {
 
 // SetSched installs the bounded scheduling layer (worker pool, per-client
 // DRR queues, token-bucket admission — see sched.go). The zero SchedConfig
-// restores the legacy unbounded per-request dispatch. Takes effect for
+// removes it: every call is dispatched as it arrives. Takes effect for
 // requests received after the call.
 func (s *Server) SetSched(cfg SchedConfig) {
 	s.edit(func(t *dispatchTable) {
@@ -224,7 +227,8 @@ func (s *Server) Counts() map[uint64]int64 {
 	return out
 }
 
-// Close stops all listeners and closes all connections.
+// Close stops all listeners, closes all connections and ends the parked
+// workers; a busy worker ends once its call is done.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -242,6 +246,7 @@ func (s *Server) Close() {
 	for _, c := range conns {
 		c.Close()
 	}
+	s.workers.close()
 }
 
 // request is one received call from arrival to its terminal state — replayed
@@ -267,9 +272,9 @@ type request struct {
 	pool   *sched
 	queued time.Duration
 	wake   vclock.Waiter
-	// serve is r.run bound once, so starting an actor on it allocates
+	// run is r.serve bound once, so starting an actor on it allocates
 	// nothing.
-	serve func()
+	run func()
 }
 
 var requests sync.Pool
@@ -278,7 +283,7 @@ func newRequest() *request {
 	r, _ := requests.Get().(*request)
 	if r == nil {
 		r = new(request)
-		r.serve = r.run
+		r.run = func() { r.serve() }
 	}
 	return r
 }
@@ -287,17 +292,106 @@ func newRequest() *request {
 // afterwards: the arguments, the credential and the Call all alias them.
 func (r *request) release() {
 	bufpool.Put(r.raw)
-	*r = request{serve: r.serve}
+	*r = request{run: r.run}
 	requests.Put(r)
 }
 
-// run handles the request on an actor of its own, then gives back the worker
-// slot it was dispatched into, if any.
-func (r *request) run() {
+// serve handles the request, then gives back the worker slot it was
+// dispatched into, if any. It returns the queued call a real-clock worker
+// takes on next in that slot (sched.release), or nil.
+func (r *request) serve() *request {
 	srv, pool := r.srv, r.pool
 	srv.handle(r)
 	if pool != nil {
-		pool.release()
+		return pool.release(true)
+	}
+	return nil
+}
+
+// dispatch runs an admitted request: the one place a call is given an actor,
+// whether the server is unscheduled or its scheduler admitted the call or
+// granted it a slot. Under the virtual clock every call is an actor of its
+// own, so the simulation accounts for each handler and its deadlock dump
+// names every one still blocked. Under the real clock it goes to a worker of
+// this server (workerPool), which keeps the stack it has grown.
+func (s *Server) dispatch(r *request) {
+	if s.clk.Virtual() {
+		s.clk.Go("sunrpc-req", r.run)
+		return
+	}
+	s.workers.hand(r)
+}
+
+// workerPool is a server's real-clock workers: goroutines that serve one call
+// after another and park in between. A call is handed to the most recently
+// parked worker — the one whose stack is most likely still grown and warm in
+// cache — and a worker is started only when none is parked, so a server
+// starts no more workers than the calls it has had in hand at once.
+type workerPool struct {
+	mu sync.Mutex
+	// parked holds each parked worker's hand-off channel, a stack: the last
+	// parked is the first handed a call. A channel holds one call, so
+	// handing one over never blocks; nil is the pool's word to end.
+	parked []chan *request
+	closed bool
+	// busy counts workers in hand of a call, from the hand-off until they
+	// park again; peak is its maximum and started the workers ever started,
+	// which it bounds.
+	busy, peak, started int
+}
+
+// hand gives r to a parked worker, or starts one for it.
+func (p *workerPool) hand(r *request) {
+	p.mu.Lock()
+	if p.busy++; p.busy > p.peak {
+		p.peak = p.busy
+	}
+	if n := len(p.parked); n > 0 {
+		w := p.parked[n-1]
+		p.parked[n-1] = nil
+		p.parked = p.parked[:n-1]
+		p.mu.Unlock()
+		w <- r
+		return
+	}
+	p.started++
+	p.mu.Unlock()
+	go p.work(r)
+}
+
+// work is a worker's life: serve r and whatever it is handed next until the
+// pool is closed.
+func (p *workerPool) work(r *request) {
+	w := make(chan *request, 1)
+	for r != nil {
+		if r = r.serve(); r == nil {
+			r = p.park(w)
+		}
+	}
+}
+
+// park waits for the next call, or returns nil once the pool is closed.
+func (p *workerPool) park(w chan *request) *request {
+	p.mu.Lock()
+	p.busy--
+	if p.closed {
+		p.mu.Unlock()
+		return nil
+	}
+	p.parked = append(p.parked, w)
+	p.mu.Unlock()
+	return <-w
+}
+
+// close ends the parked workers, and every worker that parks from now on.
+func (p *workerPool) close() {
+	p.mu.Lock()
+	p.closed = true
+	parked := p.parked
+	p.parked = nil
+	p.mu.Unlock()
+	for _, w := range parked {
+		w <- nil
 	}
 }
 
@@ -479,12 +573,12 @@ func (s *Server) serveConn(conn transport.Conn, cache *drc) {
 		}
 		sc := t.sched
 		if sc == nil {
-			// Unscheduled: each request is served on its own actor so slow
-			// handlers (e.g. a proxy server blocked issuing a callback) do
-			// not stall the connection — the multithreading the paper
-			// requires to avoid deadlock between NFS RPCs and GVFS
-			// callbacks.
-			s.clk.Go("sunrpc-req", r.serve)
+			// Unscheduled: each request is served on an actor apart from the
+			// connection's, so slow handlers (e.g. a proxy server blocked
+			// issuing a callback) do not stall the connection — the
+			// multithreading the paper requires to avoid deadlock between
+			// NFS RPCs and GVFS callbacks.
+			s.dispatch(r)
 			continue
 		}
 		// Every scheduling decision — admission, queueing, dispatch — runs
