@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,19 +23,27 @@ import (
 // This file is the chaos harness: N concurrent mounts driven through a
 // random operation schedule while a seeded fault plan disrupts the wide
 // area (drops, duplicates, reordering, jitter, partition/heal cycles,
-// proxy-server crash/restarts), with every observed read checked against
+// proxy-server crash/restarts), with every observation checked against
 // the visibility rules of the configured consistency model.
+//
+// The unit is an event, which sets a key's state: a write sets a file (or
+// one of its blocks) to its (client, seq) value, and a create, unlink or
+// rename sets a name to exists or absent. The other unit is an
+// observation: a successful read, stat, access check or readdir reporting
+// a key's state. The workload decides what the clients do; the op log, the
+// client loop and the checker are the same for every workload.
 //
 // The checker is deliberately assertion-per-model, not shadow-state: under
 // write-back caching two concurrent writers give last-FLUSH-wins, not
-// last-write-wins, so a read is judged against the set of writes that are
-// *plausible* at its virtual time. A write w stops being plausible only
-// when some anchor write wa provably supersedes it: wa started after w's
-// last possible server landing (w.end + flushLag), and wa is either (a)
-// globally propagated (its visibility deadline passed before the read
-// began), (b) the reading client's own earlier write (read-your-writes), or
-// (c) a value this client already observed (monotonic reads). Failed ops
-// are indeterminate: plausible forever, never excluders.
+// last-write-wins, so an observation is judged against the set of events
+// that are *plausible* at its virtual time. Each event carries its landing
+// deadline, the last time it can still reach the server. An event e stops
+// being plausible only when some anchor event a provably supersedes it: a
+// started after e's deadline, and a is either (a) globally propagated (its
+// visibility deadline passed before the observation began), (b) the
+// observing client's own earlier op (read-your-writes), or (c) a value this
+// client already observed (monotonic reads). Failed ops are indeterminate:
+// never anchors, and plausible to a client forever.
 //
 // The staleness windows are per model. Polling (Section 4.2) bounds
 // staleness by the poll window — but only while polls succeed, so a
@@ -45,25 +54,18 @@ import (
 type ChaosOptions struct {
 	// Model is the consistency model under test (default ModelPolling).
 	Model core.Model
-	// Metadata switches the workload from data overwrites to namespace
-	// churn: exclusive creates, unlinks, and renames over a shared name
-	// pool, probed by stats, access checks, and readdir membership scans.
-	// The checker then validates observed *existence* instead of observed
-	// values, exercising the proxy's dentry, negative-lookup, and listing
-	// caches under the same fault plan.
-	Metadata bool
+	// Workload is what the clients do to the shared keys: Overwrites (the
+	// default when nil) or Namespace. The fault plan is the same for both.
+	Workload Workload
 	// Clients is the number of concurrent client mounts (default 2).
 	Clients int
 	// Steps is the number of operations each client performs (default 120).
 	Steps int
 	// Seed drives the op schedule, the fault plan, and the link PRNGs.
 	Seed int64
-	// Files is the number of shared paths clients contend on (default 6).
+	// Files is the number of shared files clients contend on (default 6;
+	// Namespace contends on twice as many names).
 	Files int
-	// ValueSize is the fixed byte size of every file (default 64). Writes
-	// are whole-value overwrites at offset zero so the files never change
-	// size and every read/write is a single atomic RPC.
-	ValueSize int
 	// Faults is the per-link fault policy installed between every client
 	// host and the server host once setup completes. Its Seed field is
 	// overwritten with Seed.
@@ -82,10 +84,6 @@ type ChaosOptions struct {
 	// many dirty-block WRITEs a proxy-client flush keeps in flight at
 	// once. 0 keeps the core default (serial).
 	FlushParallelism int
-	// TraceAll dumps the span trace of every contended path into
-	// ChaosReport.Traces, not just paths implicated in a violation — for
-	// replay-determinism assertions and offline inspection.
-	TraceAll bool
 	// Overload runs the session's proxy server with a bounded scheduling
 	// layer (small worker pool, global token-bucket admission) and opens
 	// every client's op schedule with a synchronized burst fan-in of cold
@@ -96,19 +94,22 @@ type ChaosOptions struct {
 	// DiskCacheDir enables the persistent disk cache on every mount (each
 	// mount persists under its own subdirectory). Required for WarmRestarts.
 	DiskCacheDir string
-	// WarmRestarts is the number of proxy-client warm restarts in data mode:
-	// a randomly chosen client is killed mid-run without any shutdown
-	// (in-flight flushes and all in-memory state drop on the floor; the
-	// persistent disk cache survives in whatever mid-state the crash left)
-	// and remounted from the same disk directory, recovering dirty blocks
-	// into write-back and revalidating clean ones. Defaults to 1 when
-	// DiskCacheDir is set; -1 for none. Ignored in Metadata mode.
+	// WarmRestarts is the number of proxy-client warm restarts: a randomly
+	// chosen client is killed mid-run without any shutdown (in-flight
+	// flushes and all in-memory state drop on the floor; the persistent
+	// disk cache survives in whatever mid-state the crash left) and
+	// remounted from the same disk directory, recovering dirty blocks into
+	// write-back and revalidating clean ones. Defaults to 1 when
+	// DiskCacheDir is set; -1 for none.
 	WarmRestarts int
 }
 
 func (o ChaosOptions) withDefaults() ChaosOptions {
 	if o.Model == 0 {
 		o.Model = core.ModelPolling
+	}
+	if o.Workload == nil {
+		o.Workload = Overwrites{}
 	}
 	if o.Clients == 0 {
 		o.Clients = 2
@@ -121,9 +122,6 @@ func (o ChaosOptions) withDefaults() ChaosOptions {
 	}
 	if o.Files == 0 {
 		o.Files = 6
-	}
-	if o.ValueSize == 0 {
-		o.ValueSize = 64
 	}
 	// Negative counts mean "none" and survive repeated normalization
 	// (withDefaults must be idempotent: RunChaos and NewChaosPlan both
@@ -188,7 +186,7 @@ func NewChaosPlan(o ChaosOptions) ChaosPlan {
 	for i := 0; i < max(0, o.ServerRestarts); i++ {
 		plan.Events = append(plan.Events, ChaosEvent{At: randAt(), Kind: "restart-server"})
 	}
-	if o.DiskCacheDir != "" && !o.Metadata {
+	if o.DiskCacheDir != "" {
 		for i := 0; i < max(0, o.WarmRestarts); i++ {
 			plan.Events = append(plan.Events,
 				ChaosEvent{At: randAt(), Kind: "restart-client", Host: chaosHost(r.Intn(o.Clients))})
@@ -222,8 +220,11 @@ func chaosBurstFanIn(m *Mount, client int) {
 
 // ChaosReport summarizes a chaos run for assertions and debugging.
 type ChaosReport struct {
-	Plan     ChaosPlan
-	Ops      int
+	Plan ChaosPlan
+	Ops  int
+	// Reads counts the successful ops that observed a key (the checked
+	// observations come from these); Writes counts the successful ops that
+	// set a key's state.
 	Reads    int
 	Writes   int
 	OpErrors int // ops that returned an error (indeterminate, not violations)
@@ -241,13 +242,11 @@ type ChaosReport struct {
 	// plan's "restart-client" events actually performed.
 	WarmRestarts int
 
-	ClientStats core.ProxyClientStats // summed over all mounts
-	ServerStats core.ProxyServerStats // the final server incarnation
-
-	// Traces maps each path implicated in a violation to the formatted
-	// span trace of every retained RPC that touched it — request IDs and
-	// virtual timestamps across kernel clients, proxies, and the server —
-	// so a seeded failure can be diagnosed without rerunning.
+	// Traces maps each contended path to the formatted span trace of every
+	// retained RPC that touched it — request IDs and virtual timestamps
+	// across kernel clients, proxies, and the server — so a seeded failure
+	// can be diagnosed without rerunning, and replays compared byte for
+	// byte. A path that no longer exists after the run has no trace.
 	Traces map[string]string
 
 	// Metrics is the unified registry snapshot taken after the drain.
@@ -276,39 +275,80 @@ type ChaosReport struct {
 	DroppedSpans uint64
 }
 
-// traceSpans bounds how many spans a per-path violation trace retains.
+// traceSpans bounds how many spans a per-path trace retains.
 const traceSpans = 400
+
+// chaosEvent sets one key's state. Client -1 is the initial contents.
+type chaosEvent struct {
+	key, state string
+	client     int
+	start      time.Duration
+	// land is the last virtual time at which the event can still reach the
+	// server: end + flushLag for a write-back write, end + nameLag for a
+	// write-through namespace op, start for the initial contents.
+	land time.Duration
+	// failed marks an op that returned an error: indeterminate, it never
+	// anchors, and a client may observe it at any time.
+	failed bool
+	// value marks a data value, which names this event alone: observing it
+	// advances the observer's monotonic-read anchor. An existence state
+	// does not say which event set it.
+	value bool
+}
+
+// chaosObs is one observation: a key's state as an op reported it.
+type chaosObs struct{ key, state string }
 
 // chaosOp is one recorded operation; the checker replays these after the
 // run completes.
 type chaosOp struct {
-	kind       byte // 'w', 'r', 's'
-	path       string
+	kind       byte   // a key of chaosKinds, or 'w', 'c', 'u', 'm'
+	path       string // the target (rename: the source)
 	start, end time.Duration
 	err        error
-	val        string // payload written, or observed by a read
-	size       uint64 // stat result
-	wr         *chaosWrite
+	events     []*chaosEvent // the keys this op set
+	obs        []chaosObs    // what it observed, if it succeeded
 }
 
-// chaosWrite is the checker's record of one write (client -1 is the
-// initial server-side contents).
-type chaosWrite struct {
-	client     int
-	seq        int
-	start, end time.Duration
-	failed     bool
+// chaosKinds names the observing op kinds in violation reports.
+var chaosKinds = map[byte]string{'r': "read", 's': "stat", 'p': "stat", 'a': "access", 'd': "readdir"}
+
+const (
+	farFuture  = time.Duration(math.MaxInt64 / 4)
+	nameExists = "exists"
+	nameAbsent = "absent"
+)
+
+func initialEvent(key, state string, at time.Duration, value bool) *chaosEvent {
+	return &chaosEvent{key: key, state: state, client: -1, start: at, land: at, value: value}
 }
 
-const farPast = time.Duration(math.MinInt64 / 4)
+// setValue records that op wrote state to key through the write-back cache:
+// it can land up to flushLag after the op returns.
+func (op *chaosOp) setValue(client int, key, state string, flushLag time.Duration) {
+	op.events = append(op.events, &chaosEvent{key: key, state: state, client: client,
+		start: op.start, land: op.end + flushLag, failed: op.err != nil, value: true})
+}
 
-// flushEnd is the last virtual time at which w's data can still land on
-// (or overwrite) the server.
-func (w *chaosWrite) flushEnd(flushLag time.Duration) time.Duration {
-	if w.client < 0 {
-		return w.start // initial contents: on the server from the start
+// setName records that a namespace op set name's existence. Namespace ops
+// are write-through: only the RPC retry window, nameLag, extends past the
+// op's return. A failed one has no deadline at all: its request can execute
+// even when its reply is lost, so its state stays plausible, even to the
+// server's final state.
+func (op *chaosOp) setName(client int, name string, exists bool, nameLag time.Duration) {
+	land := op.end + nameLag
+	if op.err != nil {
+		land = farFuture
 	}
-	return w.end + flushLag
+	op.events = append(op.events, &chaosEvent{key: name, state: existence(exists), client: client,
+		start: op.start, land: land, failed: op.err != nil})
+}
+
+func existence(exists bool) string {
+	if exists {
+		return nameExists
+	}
+	return nameAbsent
 }
 
 func chaosValue(client, seq, size int) string {
@@ -319,16 +359,372 @@ func chaosValue(client, seq, size int) string {
 	return s
 }
 
-// parseChaosValue recovers (client, seq) from a payload; ok is false for
-// anything the harness never wrote.
-func parseChaosValue(s string) (client, seq int, ok bool) {
-	parts := strings.SplitN(s, "|", 4)
-	if len(parts) != 4 || parts[0] != "v" {
-		return 0, 0, false
+// chaosState is the state a block's contents report: the (client, seq) of
+// the value, or the contents themselves if the harness never wrote them.
+func chaosState(b []byte) string {
+	parts := strings.SplitN(string(b), "|", 4)
+	if len(parts) == 4 && parts[0] == "v" {
+		c, err1 := strconv.Atoi(parts[1])
+		q, err2 := strconv.Atoi(parts[2])
+		if err1 == nil && err2 == nil {
+			return chaosValue(c, q, 0)
+		}
 	}
-	c, err1 := strconv.Atoi(parts[1])
-	q, err2 := strconv.Atoi(parts[2])
-	return c, q, err1 == nil && err2 == nil
+	return string(b)
+}
+
+// A Workload is what a chaos run's clients do: it seeds the contended
+// paths, runs one step of a client's op mix on that client's own PRNG
+// stream, and reads a path's keys back from the server after the drain.
+// Overwrites and Namespace are the two.
+type Workload interface {
+	// stream offsets client c's PRNG seed: Seed + stream()·(c+1).
+	stream() int64
+	// blockSize is the proxy's and the mount's block size (0: the default).
+	blockSize() int
+	// seed creates the initial contents at time at and returns the
+	// contended paths and every key's initial event.
+	seed(d *Deployment, files int, at time.Duration) ([]string, []*chaosEvent, error)
+	// step runs one step of c's op mix, appending its ops to c.log.
+	step(c *chaosClient, r *rand.Rand)
+	// final reads p's keys from the server.
+	final(d *Deployment, p string) ([]chaosObs, error)
+}
+
+// Overwrites is the data workload: clients overwrite, read and stat a pool
+// of fixed-size files. Writes overwrite in place, so files never change
+// size. With Blocks > 1 each block is a key of its own, path#bn: a write
+// is one block-aligned WRITE of one block, and a whole-file read observes
+// every block.
+type Overwrites struct {
+	// Blocks is each file's block count. 0 or 1: one 64-byte value per file,
+	// so every read and write is a single atomic RPC. More: files of Blocks
+	// 4 KiB blocks, with the proxy and the mount on 4 KiB blocks.
+	Blocks int
+}
+
+const (
+	chaosValueSize = 64      // a one-block file's size
+	chaosBlockSize = 4 << 10 // a multi-block file's block size
+)
+
+func (Overwrites) stream() int64 { return 1000 }
+
+func (w Overwrites) blockSize() int {
+	if w.Blocks > 1 {
+		return chaosBlockSize
+	}
+	return 0
+}
+
+// layout is a file's block count and block size.
+func (w Overwrites) layout() (blocks, size int) {
+	if w.Blocks > 1 {
+		return w.Blocks, chaosBlockSize
+	}
+	return 1, chaosValueSize
+}
+
+// key names block bn of p: p itself in a one-block file.
+func (w Overwrites) key(p string, bn int) string {
+	if w.Blocks > 1 {
+		return fmt.Sprintf("%s#%d", p, bn)
+	}
+	return p
+}
+
+// sizeKey is the key a stat of p observes: the size never changes.
+func sizeKey(p string) string { return p + "#size" }
+
+func (w Overwrites) seed(d *Deployment, files int, at time.Duration) ([]string, []*chaosEvent, error) {
+	blocks, size := w.layout()
+	init := chaosValue(-1, 0, size)
+	paths := make([]string, files)
+	var events []*chaosEvent
+	for i := range paths {
+		paths[i] = fmt.Sprintf("chaos/f%d", i)
+		if _, err := d.FS.WriteFile(paths[i], []byte(strings.Repeat(init, blocks))); err != nil {
+			return nil, nil, fmt.Errorf("chaos: seed %s: %w", paths[i], err)
+		}
+		events = append(events, w.initial(paths[i], at)...)
+	}
+	return paths, events, nil
+}
+
+// initial is the events of p's initial contents: its size and every block.
+func (w Overwrites) initial(p string, at time.Duration) []*chaosEvent {
+	blocks, size := w.layout()
+	events := []*chaosEvent{initialEvent(sizeKey(p), strconv.Itoa(blocks*size), at, true)}
+	for bn := 0; bn < blocks; bn++ {
+		events = append(events, initialEvent(w.key(p, bn), chaosValue(-1, 0, 0), at, true))
+	}
+	return events
+}
+
+// step: 40% overwrites, 40% whole-file reads, 20% stats.
+func (w Overwrites) step(c *chaosClient, r *rand.Rand) {
+	p := c.paths[r.Intn(len(c.paths))]
+	op := chaosOp{path: p, start: c.now()}
+	switch roll := r.Intn(10); {
+	case roll < 4:
+		blocks, size := w.layout()
+		bn := 0
+		if blocks > 1 {
+			bn = r.Intn(blocks)
+		}
+		c.seq++
+		op.kind = 'w'
+		op.err = chaosOverwrite(c.m, p, chaosValue(c.id, c.seq, size), bn*size)
+		op.end = c.now()
+		op.setValue(c.id, w.key(p, bn), chaosValue(c.id, c.seq, 0), c.flushLag)
+	case roll < 8:
+		op.kind = 'r'
+		var data []byte
+		data, op.err = c.m.Client.ReadFile(p)
+		op.end = c.now()
+		if op.err == nil {
+			op.obs = w.observe(p, data)
+		}
+	default:
+		op.kind = 's'
+		a, err := c.m.Client.Stat(p)
+		op.err, op.end = err, c.now()
+		if err == nil {
+			op.obs = []chaosObs{{sizeKey(p), strconv.FormatUint(a.Size, 10)}}
+		}
+	}
+	c.log = append(c.log, op)
+}
+
+// observe splits p's contents into its blocks' states.
+func (w Overwrites) observe(p string, data []byte) []chaosObs {
+	blocks, size := w.layout()
+	obs := make([]chaosObs, blocks)
+	for bn := range obs {
+		lo, hi := min(bn*size, len(data)), len(data)
+		if bn < blocks-1 {
+			hi = min(lo+size, len(data))
+		}
+		obs[bn] = chaosObs{w.key(p, bn), chaosState(data[lo:hi])}
+	}
+	return obs
+}
+
+func (w Overwrites) final(d *Deployment, p string) ([]chaosObs, error) {
+	attr, err := d.FS.LookupPath(p)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: final lookup %s: %w", p, err)
+	}
+	buf := make([]byte, attr.Size)
+	if attr.Size > 0 {
+		if _, _, err := d.FS.ReadAt(attr.ID, buf, 0); err != nil {
+			return nil, fmt.Errorf("chaos: final read %s: %w", p, err)
+		}
+	}
+	return w.observe(p, buf), nil
+}
+
+// chaosOverwrite overwrites val at off in place. It must not use
+// Client.WriteFile, which creates (and so truncates) the file: keeping the
+// size fixed keeps every block write a single atomic RPC.
+func chaosOverwrite(m *Mount, p, val string, off int) error {
+	f, err := m.Client.Open(p)
+	if err != nil {
+		return err
+	}
+	if _, err := f.WriteAt([]byte(val), uint64(off)); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close() // Close syncs: the WRITE reaches the proxy here
+}
+
+// Namespace is the namespace-churn workload: exclusive creates, unlinks and
+// renames over a shared name pool, probed by stats, access checks,
+// name-at-a-time sweeps and readdir membership scans. Each name is a key
+// whose state is its existence, so the checker exercises the proxy's
+// dentry, negative-lookup and listing caches under the same fault plan.
+type Namespace struct{}
+
+// chaosMetaDir holds the contended name pool.
+const chaosMetaDir = "meta"
+
+func chaosMetaName(i int) string { return fmt.Sprintf("%s/n%02d", chaosMetaDir, i) }
+
+// chaosMetaGhosts is the number of names no client ever creates: probing
+// them exercises the negative-lookup cache on every schedule.
+const chaosMetaGhosts = 3
+
+func chaosMetaGhost(i int) string { return fmt.Sprintf("%s/ghost%02d", chaosMetaDir, i) }
+
+// chaosMetaSweep is how many names one name-at-a-time sweep resolves.
+const chaosMetaSweep = 4
+
+func (Namespace) stream() int64  { return 5000 }
+func (Namespace) blockSize() int { return 0 }
+
+// seed makes a name pool of twice as many names as files, half
+// pre-created, so unlinks, probes, and negative lookups all have material
+// from the first step.
+func (Namespace) seed(d *Deployment, files int, at time.Duration) ([]string, []*chaosEvent, error) {
+	names := make([]string, 2*files)
+	var events []*chaosEvent
+	for i := range names {
+		names[i] = chaosMetaName(i)
+		if i%2 == 0 {
+			if _, err := d.FS.WriteFile(names[i], []byte("x")); err != nil {
+				return nil, nil, fmt.Errorf("chaos: seed %s: %w", names[i], err)
+			}
+		}
+		events = append(events, initialEvent(names[i], existence(i%2 == 0), at, false))
+	}
+	for i := 0; i < chaosMetaGhosts; i++ {
+		events = append(events, initialEvent(chaosMetaGhost(i), nameAbsent, at, false))
+	}
+	return names, events, nil
+}
+
+// step: ~25% exclusive creates, 20% unlinks, 15% renames, 20% stat/access
+// probes, 10% name-at-a-time sweeps, 10% readdir membership scans.
+func (Namespace) step(c *chaosClient, r *rand.Rand) {
+	names := c.paths
+	n := names[r.Intn(len(names))]
+	op := chaosOp{path: n, start: c.now()}
+	switch roll := r.Intn(20); {
+	case roll < 5: // exclusive create
+		op.kind = 'c'
+		f, err := c.m.Client.Create(n, 0o644, true)
+		if err == nil {
+			err = f.Close()
+		}
+		op.err, op.end = err, c.now()
+		op.setName(c.id, n, true, c.nameLag)
+	case roll < 9: // unlink
+		op.kind = 'u'
+		op.err = c.m.Client.Remove(n)
+		op.end = c.now()
+		op.setName(c.id, n, false, c.nameLag)
+	case roll < 12: // rename: n vanishes, dst appears (replacing any old dst)
+		op.kind = 'm'
+		dst := names[r.Intn(len(names))]
+		for dst == n {
+			dst = names[r.Intn(len(names))]
+		}
+		op.err = c.m.Client.Rename(n, dst)
+		op.end = c.now()
+		op.setName(c.id, n, false, c.nameLag)
+		op.setName(c.id, dst, true, c.nameLag)
+	case roll < 14:
+		// Name-at-a-time sweep: open a run of the pool's files by name
+		// without listing their directory, as tar of a file list does — what
+		// makes a polling proxy walk the directory itself (its pages land
+		// while the other clients create, remove and rename under it).
+		// Each name resolved is an existence observation of its own.
+		for k, at := 0, r.Intn(len(names)); ; k++ {
+			op = chaosOp{kind: 'p', path: names[(at+k)%len(names)], start: c.now()}
+			_, err := c.m.Client.Stat(op.path)
+			op.end = c.now()
+			op.observeName(err)
+			if k == chaosMetaSweep-1 {
+				break
+			}
+			c.log = append(c.log, op)
+		}
+	case roll < 18: // existence probe via stat or access check
+		if roll == 17 {
+			// Ghost names are never created: their probes exercise the
+			// negative-lookup cache regardless of how the schedule
+			// churns the real pool.
+			op.path = chaosMetaGhost(r.Intn(chaosMetaGhosts))
+		}
+		// Prime, then observe back-to-back: the first call fills the
+		// dentry or negative cache so the recorded observation also
+		// exercises the hit path.
+		var err error
+		if roll&1 == 0 {
+			op.kind = 'p'
+			c.m.Client.Stat(op.path)
+			_, err = c.m.Client.Stat(op.path)
+		} else {
+			op.kind = 'a'
+			c.m.Client.Access(op.path, nfs3.AccessRead)
+			_, err = c.m.Client.Access(op.path, nfs3.AccessRead)
+		}
+		op.end = c.now()
+		op.observeName(err)
+	default: // readdir membership scan
+		op.kind = 'd'
+		entries, err := c.m.Client.ReadDir(chaosMetaDir)
+		op.err, op.end = err, c.now()
+		if err == nil {
+			in := slices.Contains(entries, strings.TrimPrefix(n, chaosMetaDir+"/"))
+			op.obs = []chaosObs{{n, existence(in)}}
+		}
+	}
+	c.log = append(c.log, op)
+}
+
+// observeName records what a stat or access check of op.path returned: the
+// name exists, does not, or (any other error) the op says nothing.
+func (op *chaosOp) observeName(err error) {
+	switch {
+	case err == nil:
+		op.obs = []chaosObs{{op.path, nameExists}}
+	case isNoEnt(err):
+		op.obs = []chaosObs{{op.path, nameAbsent}}
+	default:
+		op.err = err
+	}
+}
+
+func isNoEnt(err error) bool {
+	var ne *nfs3.Error
+	return errors.As(err, &ne) && ne.Status == nfs3.ErrNoEnt
+}
+
+func (Namespace) final(d *Deployment, n string) ([]chaosObs, error) {
+	_, err := d.FS.LookupPath(n)
+	return []chaosObs{{n, existence(err == nil)}}, nil
+}
+
+// chaosClient is one client's side of a run: its mount, its op log, and
+// what its workload's steps need.
+type chaosClient struct {
+	d                 *Deployment
+	m                 *Mount
+	id, seq           int
+	paths             []string
+	flushLag, nameLag time.Duration
+	restarts          []time.Duration // warm restarts still to come
+	log               []chaosOp
+}
+
+func (c *chaosClient) now() time.Duration { return c.d.Clock.Now() }
+
+// run performs the client's op schedule. At each time in c.restarts the
+// client warm-restarts: the proxy is killed without shutdown (Crash
+// abandons the disk store in whatever mid-state it is in) and remounted
+// from the same disk directory before the next op.
+func (c *chaosClient) run(sess *Session, o ChaosOptions, mo nfsclient.Options, mu *sync.Mutex, rep *ChaosReport) {
+	r := rand.New(rand.NewSource(o.Seed + o.Workload.stream()*int64(c.id+1)))
+	c.log = make([]chaosOp, 0, o.Steps)
+	for step := 0; step < o.Steps; step++ {
+		if len(c.restarts) > 0 && c.now() >= c.restarts[0] {
+			c.restarts = c.restarts[1:]
+			nm, err := sess.RemountFromDisk(c.m, mo)
+			mu.Lock()
+			if err != nil {
+				rep.Violations = append(rep.Violations,
+					fmt.Sprintf("plan: warm-restart %s: %v", chaosHost(c.id), err))
+			} else {
+				rep.WarmRestarts++
+				c.m = nm
+			}
+			mu.Unlock()
+		}
+		o.Workload.step(c, r)
+		c.d.Clock.Sleep(500*time.Millisecond + time.Duration(r.Int63n(int64(o.OpGap))))
+	}
 }
 
 // RunChaos stands up a fresh deployment, executes the seeded chaos
@@ -347,6 +743,7 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 
 	cfg := core.Config{
 		Model:            o.Model,
+		BlockSize:        o.Workload.blockSize(),
 		PollPeriod:       10 * time.Second,
 		PollBackoffMax:   10 * time.Second, // no idle backoff: keep the poll window fixed
 		FlushInterval:    10 * time.Second,
@@ -377,6 +774,9 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 		cfg.RateLimitOps = 25
 		cfg.RateLimitBurst = 10
 	}
+	// NoAC so the kernel client revalidates attributes on every access:
+	// observed staleness is then purely the proxies'.
+	mo := nfsclient.Options{NoAC: true, BlockSize: o.Workload.blockSize()}
 	// rpcSlack: up to 3 rawCall attempts (timeout + redial pause) plus margin.
 	rpcSlack := 3*(cfg.CallTimeout+time.Second) + 5*time.Second
 	// flushLag: how long after an op returns its data can still land on the
@@ -401,12 +801,9 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 	nameLag := rpcSlack
 
 	rep := &ChaosReport{Plan: plan}
-	paths := make([]string, o.Files)
-	writes := make(map[string][]*chaosWrite, o.Files)
-	nameEvents := make(map[string][]*chaosNameEvent)
-	logs := make([][]chaosOp, o.Clients)
-	metaLogs := make([][]chaosMetaOp, o.Clients)
-	mounts := make([]*Mount, o.Clients)
+	events := make(map[string][]*chaosEvent)
+	var paths []string
+	clients := make([]*chaosClient, o.Clients)
 	var sess *Session
 	var runErr error
 
@@ -416,35 +813,12 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 		if runErr != nil {
 			return
 		}
-		initTime := d.Clock.Now()
-		if o.Metadata {
-			// Name pool: twice as many names as "files", half pre-created
-			// so unlinks, probes, and negative lookups all have material
-			// from the first step.
-			paths = make([]string, 2*o.Files)
-			for i := range paths {
-				paths[i] = chaosMetaName(i)
-				exists := i%2 == 0
-				if exists {
-					if _, err := d.FS.WriteFile(paths[i], []byte("x")); err != nil {
-						runErr = fmt.Errorf("chaos: seed %s: %w", paths[i], err)
-						return
-					}
-				}
-				nameEvents[paths[i]] = []*chaosNameEvent{{client: -1, exists: exists, start: initTime, end: initTime}}
-			}
-			for i := 0; i < chaosMetaGhosts; i++ {
-				nameEvents[chaosMetaGhost(i)] = []*chaosNameEvent{{client: -1, exists: false, start: initTime, end: initTime}}
-			}
-		} else {
-			for i := range paths {
-				paths[i] = fmt.Sprintf("chaos/f%d", i)
-				if _, err := d.FS.WriteFile(paths[i], []byte(chaosValue(-1, 0, o.ValueSize))); err != nil {
-					runErr = fmt.Errorf("chaos: seed %s: %w", paths[i], err)
-					return
-				}
-				writes[paths[i]] = []*chaosWrite{{client: -1, start: initTime, end: initTime}}
-			}
+		var seeded []*chaosEvent
+		if paths, seeded, runErr = o.Workload.seed(d, o.Files, d.Clock.Now()); runErr != nil {
+			return
+		}
+		for _, e := range seeded {
+			events[e.key] = append(events[e.key], e)
 		}
 		if o.Overload {
 			// Per-client cold files for the opening burst fan-in: distinct
@@ -459,15 +833,13 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 				}
 			}
 		}
-		for i := range mounts {
-			// NoAC so the kernel client revalidates attributes on every
-			// access: observed staleness is then purely the proxies'.
-			m, err := sess.Mount(chaosHost(i), nfsclient.Options{NoAC: true})
+		for i := range clients {
+			m, err := sess.Mount(chaosHost(i), mo)
 			if err != nil {
 				runErr = fmt.Errorf("chaos: mount %s: %w", chaosHost(i), err)
 				return
 			}
-			mounts[i] = m
+			clients[i] = &chaosClient{d: d, m: m, id: i, paths: paths, flushLag: flushLag, nameLag: nameLag}
 		}
 
 		// Chaos begins: install the fault policy on every client<->server
@@ -481,14 +853,10 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 		// first op boundary past the scheduled time, not by the driver: the
 		// loop is the mount's only user, so the crash/remount swap needs no
 		// cross-goroutine handoff. Times are absolute virtual clock values.
-		warmAt := make([][]time.Duration, o.Clients)
 		for _, ev := range plan.Events {
-			if ev.Kind != "restart-client" {
-				continue
-			}
-			for i := 0; i < o.Clients; i++ {
-				if chaosHost(i) == ev.Host {
-					warmAt[i] = append(warmAt[i], t0+ev.At)
+			for _, c := range clients {
+				if ev.Kind == "restart-client" && chaosHost(c.id) == ev.Host {
+					c.restarts = append(c.restarts, t0+ev.At)
 				}
 			}
 		}
@@ -504,30 +872,24 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 				case "heal":
 					d.Net.Heal(ev.Host, "server")
 				case "restart-server":
-					if err := sess.RestartProxyServer(); err != nil {
-						restartMu.Lock()
-						rep.Violations = append(rep.Violations,
-							fmt.Sprintf("driver: restart proxy server: %v", err))
-						restartMu.Unlock()
-						continue
-					}
+					err := sess.RestartProxyServer()
 					restartMu.Lock()
-					rep.Restarts++
+					if err != nil {
+						rep.Violations = append(rep.Violations,
+							fmt.Sprintf("plan: restart proxy server: %v", err))
+					} else {
+						rep.Restarts++
+					}
 					restartMu.Unlock()
 				}
 			}
 		})
-		for i := range mounts {
-			i := i
-			g.Go(fmt.Sprintf("chaos-%s", chaosHost(i)), func() {
+		for _, c := range clients {
+			g.Go(fmt.Sprintf("chaos-%s", chaosHost(c.id)), func() {
 				if o.Overload {
-					chaosBurstFanIn(mounts[i], i)
+					chaosBurstFanIn(c.m, c.id)
 				}
-				if o.Metadata {
-					metaLogs[i] = chaosMetaClientLoop(d, mounts[i], i, o, paths)
-				} else {
-					logs[i] = chaosClientLoop(d, sess, mounts, i, o, paths, warmAt[i], &restartMu, rep)
-				}
+				c.run(sess, o, mo, &restartMu, rep)
 			})
 		}
 		g.Wait()
@@ -543,94 +905,45 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 		return nil, runErr
 	}
 
-	if o.Metadata {
-		// Merge namespace events into per-name history, then check every
-		// existence observation. Reads counts the checkable probes; Writes
-		// counts the successful state-establishing ops.
-		for _, log := range metaLogs {
-			for i := range log {
-				op := &log[i]
-				rep.Ops++
-				if op.err != nil {
-					rep.OpErrors++
-					if len(rep.ErrorSamples) < 10 {
-						rep.ErrorSamples = append(rep.ErrorSamples, fmt.Sprintf(
-							"%c %s at %v: %v", op.kind, op.name, op.end, op.err))
-					}
-				}
-				if op.probe {
-					rep.Reads++
-				} else if op.err == nil && len(op.events) > 0 {
-					rep.Writes++
-				}
-				for n, e := range op.events {
-					nameEvents[n] = append(nameEvents[n], e)
+	// Merge every op's events into per-key history, then check every
+	// observation, the server's final state last.
+	for _, c := range clients {
+		for i := range c.log {
+			op := &c.log[i]
+			rep.Ops++
+			if op.err != nil {
+				rep.OpErrors++
+				if len(rep.ErrorSamples) < 10 {
+					rep.ErrorSamples = append(rep.ErrorSamples, fmt.Sprintf(
+						"%c %s at %v: %v", op.kind, op.path, op.end, op.err))
 				}
 			}
-		}
-		for client, log := range metaLogs {
-			rep.Violations = append(rep.Violations,
-				checkMetaClientLog(client, log, nameEvents, nameLag, propLag)...)
-		}
-		rep.Violations = append(rep.Violations,
-			checkFinalNameState(d, paths, nameEvents, nameLag)...)
-	} else {
-		// Merge write records into per-path history, then check every read.
-		for _, log := range logs {
-			for i := range log {
-				op := &log[i]
-				rep.Ops++
-				if op.err != nil {
-					rep.OpErrors++
-					if len(rep.ErrorSamples) < 10 {
-						rep.ErrorSamples = append(rep.ErrorSamples, fmt.Sprintf(
-							"%c %s at %v: %v", op.kind, op.path, op.end, op.err))
-					}
-				}
-				if op.kind == 'w' {
-					rep.Writes++
-					writes[op.path] = append(writes[op.path], op.wr)
-				}
+			if len(op.obs) > 0 {
+				rep.Reads++
 			}
-		}
-		for client, log := range logs {
-			rep.Violations = append(rep.Violations,
-				checkClientLog(client, log, writes, flushLag, propLag, o)...)
-			for i := range log {
-				if log[i].kind == 'r' {
-					rep.Reads++
-				}
+			if op.err == nil && len(op.events) > 0 {
+				rep.Writes++
 			}
-		}
-		if v, err := checkFinalServerState(d, paths, writes, flushLag); err != nil {
-			return nil, err
-		} else {
-			rep.Violations = append(rep.Violations, v...)
+			for _, e := range op.events {
+				events[e.key] = append(events[e.key], e)
+			}
 		}
 	}
-
-	// Attach the virtual-time span trace for every implicated path: a
-	// violation message always names its path followed by a delimiter, so a
-	// substring probe is enough to decide which files need dumping.
-	implicated := func(p string) bool {
-		if o.TraceAll {
-			return true
-		}
-		for _, v := range rep.Violations {
-			if strings.Contains(v, p+" ") || strings.Contains(v, p+":") {
-				return true
-			}
-		}
-		return false
+	for _, c := range clients {
+		rep.Violations = append(rep.Violations, checkClientLog(c.id, c.log, events, propLag)...)
 	}
 	for _, p := range paths {
-		if !implicated(p) {
-			continue
+		final, err := o.Workload.final(d, p)
+		if err != nil {
+			return nil, err
 		}
+		rep.Violations = append(rep.Violations, checkFinalState(final, events)...)
+	}
+
+	// Attach the virtual-time span trace of every contended path.
+	rep.Traces = make(map[string]string)
+	for _, p := range paths {
 		if spans, err := d.TraceForPath(p, traceSpans); err == nil {
-			if rep.Traces == nil {
-				rep.Traces = make(map[string]string)
-			}
 			rep.Traces[p] = obs.FormatSpans(spans, d.Obs.DroppedSpans())
 		}
 	}
@@ -644,511 +957,94 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 
 	rep.NetEvents = d.Net.Events()
 	rep.NetStats = d.Net.TotalStats()
-	for _, m := range mounts {
-		s := m.Proxy.Stats()
-		rep.ClientStats.LocalHits += s.LocalHits
-		rep.ClientStats.Forwards += s.Forwards
-		rep.ClientStats.Invalidations += s.Invalidations
-		rep.ClientStats.ForceInvalidations += s.ForceInvalidations
-		rep.ClientStats.Recalls += s.Recalls
-		rep.ClientStats.FlushedBlocks += s.FlushedBlocks
-		rep.ClientStats.UpstreamRetries += s.UpstreamRetries
-		rep.ClientStats.FlushErrors += s.FlushErrors
-		rep.ClientStats.ReadAheads += s.ReadAheads
-		rep.ClientStats.AttrHits += s.AttrHits
-		rep.ClientStats.DentryHits += s.DentryHits
-		rep.ClientStats.NegLookupHits += s.NegLookupHits
-		rep.ClientStats.AccessHits += s.AccessHits
-		rep.ClientStats.ListingHits += s.ListingHits
-		rep.ClientStats.MetaEvictions += s.MetaEvictions
-		rep.ClientStats.PollCapped += s.PollCapped
-		rep.ClientStats.RecoveredBlocks += s.RecoveredBlocks
-		rep.ClientStats.RecoveredDirty += s.RecoveredDirty
-		rep.ClientStats.RecoveryDropped += s.RecoveryDropped
-		rep.ClientStats.RevalidatedBlocks += s.RevalidatedBlocks
-		rep.ClientStats.RefetchedBlocks += s.RefetchedBlocks
-	}
-	rep.ServerStats = sess.ProxyServer().Stats()
 	return rep, nil
 }
 
-// chaosClientLoop runs one client's random op schedule and records every
-// operation with its virtual-time interval. restarts holds absolute virtual
-// times at which this client warm-restarts: the proxy is killed without
-// shutdown (Crash abandons the disk store in whatever mid-state it is in)
-// and remounted from the same disk directory before the next op. The new
-// mount is swapped into mounts[client] so the final stats sweep sees the
-// live incarnation.
-func chaosClientLoop(d *Deployment, sess *Session, mounts []*Mount, client int, o ChaosOptions, paths []string, restarts []time.Duration, mu *sync.Mutex, rep *ChaosReport) []chaosOp {
-	r := rand.New(rand.NewSource(o.Seed + 1000*int64(client+1)))
-	m := mounts[client]
-	log := make([]chaosOp, 0, o.Steps)
-	seq := 0
-	for step := 0; step < o.Steps; step++ {
-		if len(restarts) > 0 && d.Clock.Now() >= restarts[0] {
-			restarts = restarts[1:]
-			nm, err := sess.RemountFromDisk(m, nfsclient.Options{NoAC: true})
-			mu.Lock()
-			if err != nil {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("driver: warm-restart %s: %v", chaosHost(client), err))
-			} else {
-				rep.WarmRestarts++
-			}
-			mu.Unlock()
-			if err == nil {
-				m = nm
-				mounts[client] = nm
-			}
-		}
-		p := paths[r.Intn(len(paths))]
-		op := chaosOp{path: p, start: d.Clock.Now()}
-		switch roll := r.Intn(10); {
-		case roll < 4: // whole-value overwrite at offset 0 (never truncates)
-			seq++
-			op.kind = 'w'
-			op.val = chaosValue(client, seq, o.ValueSize)
-			op.err = chaosWriteOp(m, p, op.val)
-			op.end = d.Clock.Now()
-			op.wr = &chaosWrite{
-				client: client, seq: seq,
-				start: op.start, end: op.end,
-				failed: op.err != nil,
-			}
-		case roll < 8: // read
-			op.kind = 'r'
-			var data []byte
-			data, op.err = m.Client.ReadFile(p)
-			op.end = d.Clock.Now()
-			op.val = string(data)
-		default: // stat
-			op.kind = 's'
-			var attr, err = m.Client.Stat(p)
-			op.err = err
-			op.end = d.Clock.Now()
-			op.size = attr.Size
-		}
-		log = append(log, op)
-		d.Clock.Sleep(500*time.Millisecond + time.Duration(r.Int63n(int64(o.OpGap))))
-	}
-	return log
-}
-
-// chaosWriteOp overwrites p's full value in place. It must not use
-// Client.WriteFile, which creates (and so truncates) the file: keeping the
-// size fixed makes every access a single atomic RPC.
-func chaosWriteOp(m *Mount, p, val string) error {
-	f, err := m.Client.Open(p)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteAt([]byte(val), 0); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close() // Close syncs: the WRITE reaches the proxy here
-}
-
-// --- metadata chaos: namespace churn + existence checker --------------------
-
-// chaosMetaDir holds the contended name pool in metadata mode.
-const chaosMetaDir = "meta"
-
-func chaosMetaName(i int) string { return fmt.Sprintf("%s/n%02d", chaosMetaDir, i) }
-
-// chaosMetaGhosts is the number of names no client ever creates: probing
-// them exercises the negative-lookup cache on every schedule.
-const chaosMetaGhosts = 3
-
-func chaosMetaGhost(i int) string { return fmt.Sprintf("%s/ghost%02d", chaosMetaDir, i) }
-
-// chaosNameEvent records one state-establishing namespace operation on a
-// name: a create/rename-in makes it exist, an unlink/rename-out removes it.
-// Client -1 marks the initial server-side state. Failed ops are
-// indeterminate: their effect may still have landed (the op's request can
-// execute even when its reply is lost and retries surface an error), so
-// they stay plausible establishers forever but never exclude anything.
-type chaosNameEvent struct {
-	client     int
-	exists     bool
-	start, end time.Duration
-	failed     bool
-}
-
-// landEnd is the last virtual time at which e's effect can still reach the
-// server: namespace ops are write-through, so only the RPC retry window —
-// not a write-back flush — extends past the op's return.
-func (e *chaosNameEvent) landEnd(nameLag time.Duration) time.Duration {
-	if e.client < 0 {
-		return e.start
-	}
-	return e.end + nameLag
-}
-
-// chaosMetaOp is one recorded metadata operation.
-type chaosMetaOp struct {
-	kind       byte   // 'c' create, 'u' unlink, 'm' rename, 'p' stat, 'a' access, 'd' readdir
-	name       string // target (rename: source)
-	dest       string // rename destination
-	start, end time.Duration
-	err        error
-	probe      bool // op yielded a checkable existence observation
-	observed   bool // the observation: does name exist?
-	events     map[string]*chaosNameEvent
-}
-
-// observe records what a stat or access check of op.name returned: the name
-// exists, does not, or (any other error) the probe says nothing.
-func (op *chaosMetaOp) observe(err error) {
-	switch {
-	case err == nil:
-		op.probe, op.observed = true, true
-	case isNoEnt(err):
-		op.probe = true
-	default:
-		op.err = err
-	}
-}
-
-func isNoEnt(err error) bool {
-	var ne *nfs3.Error
-	return errors.As(err, &ne) && ne.Status == nfs3.ErrNoEnt
-}
-
-// chaosMetaSweep is how many names one name-at-a-time sweep resolves.
-const chaosMetaSweep = 4
-
-// chaosMetaClientLoop runs one client's random namespace schedule: ~25%
-// exclusive creates, 20% unlinks, 15% renames, 20% stat/access probes, 10%
-// name-at-a-time sweeps, 10% readdir membership scans.
-func chaosMetaClientLoop(d *Deployment, m *Mount, client int, o ChaosOptions, names []string) []chaosMetaOp {
-	r := rand.New(rand.NewSource(o.Seed + 5000*int64(client+1)))
-	log := make([]chaosMetaOp, 0, o.Steps)
-	for step := 0; step < o.Steps; step++ {
-		n := names[r.Intn(len(names))]
-		op := chaosMetaOp{name: n, start: d.Clock.Now()}
-		switch roll := r.Intn(20); {
-		case roll < 5: // exclusive create
-			op.kind = 'c'
-			f, err := m.Client.Create(n, 0o644, true)
-			if err == nil {
-				err = f.Close()
-			}
-			op.err = err
-			op.end = d.Clock.Now()
-			op.events = map[string]*chaosNameEvent{n: {
-				client: client, exists: true,
-				start: op.start, end: op.end, failed: err != nil,
-			}}
-		case roll < 9: // unlink
-			op.kind = 'u'
-			op.err = m.Client.Remove(n)
-			op.end = d.Clock.Now()
-			op.events = map[string]*chaosNameEvent{n: {
-				client: client, exists: false,
-				start: op.start, end: op.end, failed: op.err != nil,
-			}}
-		case roll < 12: // rename: n vanishes, dest appears (replacing any old dest)
-			op.kind = 'm'
-			dst := names[r.Intn(len(names))]
-			for dst == n {
-				dst = names[r.Intn(len(names))]
-			}
-			op.dest = dst
-			op.err = m.Client.Rename(n, dst)
-			op.end = d.Clock.Now()
-			failed := op.err != nil
-			op.events = map[string]*chaosNameEvent{
-				n:   {client: client, exists: false, start: op.start, end: op.end, failed: failed},
-				dst: {client: client, exists: true, start: op.start, end: op.end, failed: failed},
-			}
-		case roll < 14:
-			// Name-at-a-time sweep: open a run of the pool's files by name
-			// without listing their directory, as tar of a file list does — what
-			// makes a polling proxy walk the directory itself (its pages land
-			// while the other clients create, remove and rename under it).
-			// Each name resolved is an existence observation of its own.
-			for k, at := 0, r.Intn(len(names)); ; k++ {
-				op = chaosMetaOp{kind: 'p', name: names[(at+k)%len(names)], start: d.Clock.Now()}
-				_, err := m.Client.Stat(op.name)
-				op.end = d.Clock.Now()
-				op.observe(err)
-				if k == chaosMetaSweep-1 {
-					break
-				}
-				log = append(log, op)
-			}
-		case roll < 18: // existence probe via stat or access check
-			if roll == 17 {
-				// Ghost names are never created: their probes exercise the
-				// negative-lookup cache regardless of how the schedule
-				// churns the real pool.
-				op.name = chaosMetaGhost(r.Intn(chaosMetaGhosts))
-			}
-			// Prime, then observe back-to-back: the first call fills the
-			// dentry or negative cache so the recorded observation also
-			// exercises the hit path.
-			var err error
-			if roll&1 == 0 {
-				op.kind = 'p'
-				m.Client.Stat(op.name)
-				_, err = m.Client.Stat(op.name)
-			} else {
-				op.kind = 'a'
-				m.Client.Access(op.name, nfs3.AccessRead)
-				_, err = m.Client.Access(op.name, nfs3.AccessRead)
-			}
-			op.end = d.Clock.Now()
-			op.observe(err)
-		default: // readdir membership scan
-			op.kind = 'd'
-			entries, err := m.Client.ReadDir(chaosMetaDir)
-			op.end = d.Clock.Now()
-			if err != nil {
-				op.err = err
-			} else {
-				op.probe = true
-				base := strings.TrimPrefix(n, chaosMetaDir+"/")
-				for _, e := range entries {
-					if e == base {
-						op.observed = true
-						break
-					}
-				}
-			}
-		}
-		log = append(log, op)
-		d.Clock.Sleep(500*time.Millisecond + time.Duration(r.Int63n(int64(o.OpGap))))
-	}
-	return log
-}
-
-// checkMetaClientLog validates one client's existence observations. An
-// observation S of a name over [ps, pe] is plausible iff some event w
-// establishes S with w.start <= pe and w is not provably superseded: a
-// successful anchor event a exists with a.start > w.landEnd where a is
-// either this client's own earlier op (read-your-writes — the proxy
-// applies namespace ops to its caches synchronously) or globally
-// propagated (a.landEnd + propLag <= ps). Failed events never anchor and
-// stay plausible forever, exactly as in the data checker.
-func checkMetaClientLog(client int, log []chaosMetaOp, events map[string][]*chaosNameEvent, nameLag, propLag time.Duration) []string {
+// checkClientLog judges one client's observations. An observation of a key
+// in state s over [ps, pe] is plausible iff some event e set the key to s
+// with e.start <= pe, and e is failed or e.land >= anchor, the newest of:
+//   - own: the start of this client's last successful event on the key
+//     (read-your-writes: a proxy applies its client's ops to its caches);
+//   - seen: the start of the newest value this client observed on the key
+//     (monotonic reads: that value was on the server no earlier than its
+//     start, so nothing that had to land before then can be seen again);
+//   - propagated: the start of any successful event whose landing deadline
+//     plus propLag passed before ps, whoever observes.
+//
+// Ops are sequential per client, so every earlier op ended before the
+// current one started; virtual times are non-negative, so a zero anchor
+// excludes nothing.
+func checkClientLog(client int, log []chaosOp, events map[string][]*chaosEvent, propLag time.Duration) []string {
 	var out []string
-	ownAnchor := map[string]time.Duration{}
-	anchorOf := func(n string, ps time.Duration) time.Duration {
-		anchor := farPast
-		if a, ok := ownAnchor[n]; ok && a > anchor {
-			anchor = a
-		}
-		for _, e := range events[n] {
-			if !e.failed && e.client >= 0 && e.landEnd(nameLag)+propLag <= ps && e.start > anchor {
-				anchor = e.start
-			}
-		}
-		return anchor
-	}
-	kindName := map[byte]string{'p': "stat", 'a': "access", 'd': "readdir"}
+	own := map[string]time.Duration{}
+	seen := map[string]time.Duration{}
 	for i := range log {
 		op := &log[i]
 		if op.err == nil {
-			for n, e := range op.events {
-				if e.start > ownAnchor[n] {
-					ownAnchor[n] = e.start
+			for _, e := range op.events {
+				own[e.key] = max(own[e.key], e.start)
+			}
+		}
+		for _, ob := range op.obs {
+			anchor := max(own[ob.key], seen[ob.key])
+			for _, a := range events[ob.key] {
+				if !a.failed && a.client >= 0 && a.land+propLag <= op.start {
+					anchor = max(anchor, a.start)
 				}
 			}
-		}
-		if !op.probe {
-			continue
-		}
-		anchor := anchorOf(op.name, op.start)
-		plausible := false
-		for _, e := range events[op.name] {
-			if e.exists != op.observed || e.start > op.end {
-				continue
-			}
-			if e.failed || e.landEnd(nameLag) >= anchor {
-				plausible = true
-				break
-			}
-		}
-		if !plausible {
-			out = append(out, fmt.Sprintf(
-				"C%d %s %s at %v: observed exists=%v with no plausible establishing event (anchor %v)",
-				client+1, kindName[op.kind], op.name, op.end, op.observed, anchor))
-		}
-	}
-	return out
-}
-
-// checkFinalNameState verifies, after the drain, that each name's
-// server-side existence is established by some event no successful
-// opposite event provably supersedes.
-func checkFinalNameState(d *Deployment, names []string, events map[string][]*chaosNameEvent, nameLag time.Duration) []string {
-	var out []string
-	for _, n := range names {
-		_, err := d.FS.LookupPath(n)
-		exists := err == nil
-		plausible := false
-		for _, e := range events[n] {
-			if e.exists != exists {
-				continue
-			}
-			if e.failed {
-				plausible = true
-				break
-			}
-			superseded := false
-			for _, a := range events[n] {
-				if !a.failed && a.exists != exists && a.start > e.landEnd(nameLag) {
-					superseded = true
-					break
-				}
-			}
-			if !superseded {
-				plausible = true
-				break
-			}
-		}
-		if !plausible {
-			out = append(out, fmt.Sprintf(
-				"final %s: server exists=%v but every establishing event is superseded", n, exists))
-		}
-	}
-	return out
-}
-
-// checkClientLog validates one client's reads and stats against the
-// per-model visibility rules, returning violation descriptions.
-func checkClientLog(client int, log []chaosOp, writes map[string][]*chaosWrite, flushLag, propLag time.Duration, o ChaosOptions) []string {
-	var out []string
-	// Anchors per path: the start time of this client's own last
-	// successful write (read-your-writes) and of the newest value it has
-	// observed (monotonic reads). Ops are sequential per client, so every
-	// earlier op ended before the current one started.
-	ownAnchor := map[string]time.Duration{}
-	seenAnchor := map[string]time.Duration{}
-	anchorOf := func(p string, readStart time.Duration) time.Duration {
-		anchor := farPast
-		if a, ok := ownAnchor[p]; ok && a > anchor {
-			anchor = a
-		}
-		if a, ok := seenAnchor[p]; ok && a > anchor {
-			anchor = a
-		}
-		// Globally propagated writes exclude regardless of who reads.
-		for _, w := range writes[p] {
-			if !w.failed && w.client >= 0 && w.end+flushLag+propLag <= readStart && w.start > anchor {
-				anchor = w.start
-			}
-		}
-		return anchor
-	}
-
-	for i := range log {
-		op := &log[i]
-		switch op.kind {
-		case 'w':
-			if op.err == nil {
-				if op.start > ownAnchor[op.path] {
-					ownAnchor[op.path] = op.start
-				}
-			}
-		case 's':
-			if op.err == nil && op.size != uint64(o.ValueSize) {
-				out = append(out, fmt.Sprintf(
-					"C%d stat %s at %v: size %d, want fixed %d",
-					client+1, op.path, op.end, op.size, o.ValueSize))
-			}
-		case 'r':
-			if op.err != nil {
-				continue // indeterminate
-			}
-			wc, seq, ok := parseChaosValue(op.val)
-			if !ok {
-				out = append(out, fmt.Sprintf(
-					"C%d read %s at %v: unparseable value %q",
-					client+1, op.path, op.end, op.val))
-				continue
-			}
-			var w *chaosWrite
-			for _, cand := range writes[op.path] {
-				if cand.client == wc && cand.seq == seq {
-					w = cand
-					break
-				}
-			}
-			if w == nil {
-				out = append(out, fmt.Sprintf(
-					"C%d read %s at %v: value (client %d, seq %d) was never written",
-					client+1, op.path, op.end, wc, seq))
-				continue
-			}
-			if w.start > op.end {
-				out = append(out, fmt.Sprintf(
-					"C%d read %s at %v: observed write (client %d, seq %d) from the future (starts %v)",
-					client+1, op.path, op.end, wc, seq, w.start))
-				continue
-			}
-			// Failed writes are indeterminate: their data may land at any
-			// point (e.g. retried from a surviving cache), so they stay
-			// plausible and are checked only against the future rule.
-			if !w.failed {
-				if anchor := anchorOf(op.path, op.start); w.flushEnd(flushLag) < anchor {
-					out = append(out, fmt.Sprintf(
-						"C%d read %s at %v: stale value (client %d, seq %d, flush deadline %v) superseded by a write at %v",
-						client+1, op.path, op.end, wc, seq, w.flushEnd(flushLag), anchor))
-					continue
-				}
-			}
-			// Monotonic reads: this value was on the server no earlier
-			// than w.start, so anything that must have flushed before then
-			// can never be observed by this client again.
-			if w.start > seenAnchor[op.path] {
-				seenAnchor[op.path] = w.start
+			e, why := explain(events[ob.key], ob.state, op.end, anchor, false)
+			if e == nil {
+				out = append(out, fmt.Sprintf("C%d %s %s at %v: %s",
+					client+1, chaosKinds[op.kind], ob.key, op.end, why))
+			} else if e.value {
+				seen[ob.key] = max(seen[ob.key], e.start)
 			}
 		}
 	}
 	return out
 }
 
-// checkFinalServerState verifies, after the drain, that every path's
-// server-side contents is some write not provably superseded.
-func checkFinalServerState(d *Deployment, paths []string, writes map[string][]*chaosWrite, flushLag time.Duration) ([]string, error) {
+// checkFinalState judges the server's state after the drain. Every
+// successful event has landed and propagated by then, so the newest one
+// anchors, and a failed event is held to its landing deadline.
+func checkFinalState(final []chaosObs, events map[string][]*chaosEvent) []string {
 	var out []string
-	for _, p := range paths {
-		attr, err := d.FS.LookupPath(p)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: final lookup %s: %w", p, err)
-		}
-		buf := make([]byte, attr.Size)
-		if attr.Size > 0 {
-			if _, _, err := d.FS.ReadAt(attr.ID, buf, 0); err != nil {
-				return nil, fmt.Errorf("chaos: final read %s: %w", p, err)
+	for _, ob := range final {
+		var anchor time.Duration
+		for _, a := range events[ob.key] {
+			if !a.failed && a.client >= 0 {
+				anchor = max(anchor, a.start)
 			}
 		}
-		wc, seq, ok := parseChaosValue(string(buf))
-		if !ok {
-			out = append(out, fmt.Sprintf("final %s: unparseable server value %q", p, buf))
-			continue
-		}
-		var w *chaosWrite
-		for _, cand := range writes[p] {
-			if cand.client == wc && cand.seq == seq {
-				w = cand
-				break
-			}
-		}
-		if w == nil {
-			out = append(out, fmt.Sprintf("final %s: server value (client %d, seq %d) was never written", p, wc, seq))
-			continue
-		}
-		for _, w2 := range writes[p] {
-			if w2 != w && !w2.failed && w2.start > w.flushEnd(flushLag) {
-				out = append(out, fmt.Sprintf(
-					"final %s: server kept (client %d, seq %d) despite a write at %v after its flush deadline %v",
-					p, wc, seq, w2.start, w.flushEnd(flushLag)))
-				break
-			}
+		if _, why := explain(events[ob.key], ob.state, farFuture, anchor, true); why != "" {
+			out = append(out, fmt.Sprintf("final %s: server %s", ob.key, why))
 		}
 	}
-	return out, nil
+	return out
+}
+
+// explain returns an event that set state, started by end, and is not
+// superseded by anchor — or, if there is none, why the observation is a
+// violation. A client may observe a failed event at any time (final false).
+func explain(events []*chaosEvent, state string, end, anchor time.Duration, final bool) (*chaosEvent, string) {
+	var stale, future *chaosEvent
+	for _, e := range events {
+		switch {
+		case e.state != state:
+		case e.start > end:
+			future = e
+		case e.land >= anchor || e.failed && !final:
+			return e, ""
+		default:
+			stale = e
+		}
+	}
+	switch {
+	case stale != nil:
+		return nil, fmt.Sprintf("stale %s (client %d, deadline %v) superseded by an event at %v",
+			state, stale.client, stale.land, anchor)
+	case future != nil:
+		return nil, fmt.Sprintf("%s from the future (starts %v)", state, future.start)
+	}
+	return nil, fmt.Sprintf("%.40q was never set", state)
 }

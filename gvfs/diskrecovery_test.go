@@ -183,7 +183,7 @@ func TestWarmRestartRecoversDirtyBlocksMidFlush(t *testing.T) {
 			t.Fatalf("warm read: %v", err)
 		}
 		newVal := fixedVal("new")
-		if err := chaosWriteOp(m, path, string(newVal)); err != nil {
+		if err := chaosOverwrite(m, path, string(newVal), 0); err != nil {
 			t.Fatalf("write-back write: %v", err)
 		}
 
@@ -267,26 +267,23 @@ func TestChaosWarmRestartBothModels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("chaos run: %v", err)
 			}
-			for _, v := range rep.Violations {
-				t.Errorf("violation: %s", v)
-			}
-			for p, trace := range rep.Traces {
-				t.Logf("span trace for %s:\n%s", p, trace)
-			}
+			requireClean(t, rep)
 			if rep.WarmRestarts != 2 {
 				t.Errorf("warm restarts = %d, want 2", rep.WarmRestarts)
 			}
 			if rep.StalenessViolations != 0 {
 				t.Errorf("staleness violations = %d, want 0", rep.StalenessViolations)
 			}
-			if rep.ClientStats.RecoveredBlocks == 0 {
-				t.Errorf("RecoveredBlocks = 0, want > 0 across %d warm restarts", rep.WarmRestarts)
+			recovered := rep.Metrics.SumCounters("gvfs_client_recovered_blocks_total")
+			if recovered == 0 {
+				t.Errorf("no block recovered across %d warm restarts", rep.WarmRestarts)
 			}
 			t.Logf("ops=%d errors=%d warmRestarts=%d recovered=%d dirty=%d revalidated=%d refetched=%d dropped=%d",
-				rep.Ops, rep.OpErrors, rep.WarmRestarts,
-				rep.ClientStats.RecoveredBlocks, rep.ClientStats.RecoveredDirty,
-				rep.ClientStats.RevalidatedBlocks, rep.ClientStats.RefetchedBlocks,
-				rep.ClientStats.RecoveryDropped)
+				rep.Ops, rep.OpErrors, rep.WarmRestarts, recovered,
+				rep.Metrics.SumCounters("gvfs_client_recovered_dirty_blocks_total"),
+				rep.Metrics.SumCounters("gvfs_client_revalidated_blocks_total"),
+				rep.Metrics.SumCounters("gvfs_client_refetched_blocks_total"),
+				rep.Metrics.SumCounters("gvfs_client_recovery_dropped_total"))
 		})
 	}
 }

@@ -306,9 +306,7 @@ func TestModelMultiClientRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			for _, v := range rep.Violations {
-				t.Errorf("violation: %s", v)
-			}
+			requireClean(t, rep)
 			if rep.OpErrors != 0 {
 				t.Errorf("%d op errors on a clean network: %v", rep.OpErrors, rep.ErrorSamples)
 			}

@@ -230,51 +230,6 @@ func TestWarmRevalidationHitsLocally(t *testing.T) {
 	}
 }
 
-// TestChaosTraceDeterminism runs the same seeded chaos schedule twice and
-// requires byte-identical formatted span dumps for every contended path:
-// the acceptance bar that makes a seeded violation replayable offline.
-func TestChaosTraceDeterminism(t *testing.T) {
-	seed := testSeed(t, 23)
-	opts := ChaosOptions{
-		Model:            core.ModelPolling,
-		Steps:            40,
-		Seed:             seed,
-		Faults:           chaosFaults(),
-		FlushParallelism: 1,
-		TraceAll:         true,
-	}
-	r1, err := RunChaos(opts)
-	if err != nil {
-		t.Fatalf("run 1: %v", err)
-	}
-	r2, err := RunChaos(opts)
-	if err != nil {
-		t.Fatalf("run 2: %v", err)
-	}
-	for _, rep := range []*ChaosReport{r1, r2} {
-		for _, v := range rep.Violations {
-			t.Errorf("violation: %s", v)
-		}
-	}
-	if len(r1.Traces) == 0 {
-		t.Fatal("TraceAll produced no traces")
-	}
-	if len(r1.Traces) != len(r2.Traces) {
-		t.Fatalf("trace sets differ: %d vs %d paths", len(r1.Traces), len(r2.Traces))
-	}
-	for p, tr1 := range r1.Traces {
-		tr2, ok := r2.Traces[p]
-		if !ok {
-			t.Errorf("run 2 has no trace for %s", p)
-			continue
-		}
-		if tr1 != tr2 {
-			t.Errorf("trace for %s differs between runs of seed %d:\n--- run 1 ---\n%s--- run 2 ---\n%s",
-				p, seed, tr1, tr2)
-		}
-	}
-}
-
 // TestSnapshotRaceUnderTraffic hammers Snapshot, Spans, and the Prometheus
 // writer from unmanaged OS goroutines while clients generate contended
 // traffic — meaningful under -race, and a liveness check otherwise.

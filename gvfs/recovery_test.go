@@ -396,3 +396,80 @@ func TestPartitionLongerThanExpiryFencesWriteBack(t *testing.T) {
 		}
 	})
 }
+
+// TestFencedWriteBackWithoutConflictLands: a client buffers writes under a
+// write delegation and is partitioned; another client's read makes the
+// server recall the delegation, and the recall is lost. Nobody writes the
+// file meanwhile. When the link heals, the lost-recall fence refuses the
+// client's write-back — but the file is as it was under the dirty blocks, so
+// discarding them would lose writes the kernel was told had succeeded, with
+// nothing newer to protect. They must land, and the writer read them back.
+// (TestPartitionLongerThanExpiryFencesWriteBack is the other side: a
+// revocation another client did write behind is discarded.)
+func TestFencedWriteBackWithoutConflictLands(t *testing.T) {
+	const size = 4 * 32 * 1024
+	d := newDeployment(t)
+	d.FS.WriteFile("px/f", bytes.Repeat([]byte("0"), size))
+	onServer := func() []byte {
+		attr, err := d.FS.LookupPath("px/f")
+		if err != nil {
+			t.Fatalf("server lost the file: %v", err)
+		}
+		buf := make([]byte, size+1)
+		n, _, _ := d.FS.ReadAt(attr.ID, buf, 0)
+		return buf[:n]
+	}
+	d.Run("partition", func() {
+		cfg := core.Config{
+			Model:         core.ModelDelegation,
+			DelegExpiry:   2 * time.Minute,
+			DelegRenew:    time.Minute,
+			FlushInterval: 5 * time.Second,
+			CallTimeout:   4 * time.Second,
+		}
+		sess, err := d.NewSession("px", cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ms := mountClients(t, sess, 2)
+		a, b := ms[0], ms[1]
+
+		// The first block's WRITE crosses and brings the write delegation;
+		// the other three are buffered under it.
+		written := bytes.Repeat([]byte("A"), size)
+		if err := chaosOverwrite(a, "px/f", string(written), 0); err != nil {
+			t.Errorf("A write: %v", err)
+			return
+		}
+		if bytes.Equal(onServer(), written) {
+			t.Error("A's write went through: nothing is buffered under a write delegation")
+			return
+		}
+		d.Net.Partition(a.Host(), "server")
+
+		// B's read recalls A's delegation; the recall is lost and the server
+		// revokes it. B writes nothing.
+		srv := sess.ProxyServer()
+		if _, err := b.Client.ReadFile("px/f"); err != nil {
+			t.Errorf("B read: %v", err)
+			return
+		}
+		if srv.Stats().CallbacksSent == 0 {
+			t.Error("B's read recalled nothing: no fence to refuse A's write-back")
+			return
+		}
+
+		d.Net.Heal(a.Host(), "server")
+		d.Clock.Sleep(4*cfg.FlushInterval + 2*cfg.CallTimeout)
+		if !bytes.Equal(onServer(), written) {
+			t.Errorf("server holds %q... in block 1, want A's bytes: the fenced write-back was discarded", onServer()[32*1024:32*1024+8])
+		}
+		if n := d.PublishMetrics().Counters[`gvfs_client_flush_errors_total{node="C1/px"}`]; n != 0 {
+			t.Errorf("%d write-back errors at A", n)
+		}
+		if got, err := a.Client.ReadFile("px/f"); err != nil || !bytes.Equal(got, written) {
+			t.Errorf("A reads %d bytes (%q...), %v; want its own", len(got), got[:min(8, len(got))], err)
+		}
+	})
+}

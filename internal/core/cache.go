@@ -183,6 +183,10 @@ type cachedFile struct {
 	// localChange > 0 while dirty data is buffered; it perturbs the mtime
 	// served to the kernel client so local writes remain visible.
 	localChange uint32
+	// dirtyBase is the server mtime the dirty blocks were written over: the
+	// attributes' when the file last went from clean to dirty, moved on by
+	// each write-back that lands on it.
+	dirtyBase nfs3.Time
 	// blocks holds one record per block the cache has; ndirty counts the
 	// dirty ones among them.
 	blocks map[uint64]*cachedBlock
@@ -1053,7 +1057,15 @@ func (sc *sessionCache) writeDirty(fh nfs3.FH, off uint64, data []byte) nfs3.Fat
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	key := fh.Key()
+	if fc := sc.files[key]; fc != nil && fc.blocks == nil {
+		// The first data this session holds of a file known by its
+		// attributes alone: EOF is theirs until a write moves it past.
+		fc.size = fc.attr.Size
+	}
 	fc := sc.fileFor(key)
+	if fc.ndirty == 0 {
+		fc.dirtyBase = fc.attr.Mtime
+	}
 	bs := uint64(sc.bs)
 	for n := 0; n < len(data); {
 		pos := off + uint64(n)
@@ -1303,6 +1315,9 @@ func (sc *sessionCache) flushed(fh nfs3.FH, bn uint64, gen uint64, wcc nfs3.WccD
 		wcc.Before.Attr.Mtime != fc.mtime && fc.mtime != after.Attr.Mtime {
 		sc.dropCleanLocked(fc)
 	}
+	if after.Present && wcc.Before.Present && wcc.Before.Attr.Mtime == fc.dirtyBase {
+		fc.dirtyBase = after.Attr.Mtime
+	}
 	// Only mark the block clean if it is still the data we flushed: a write
 	// that landed while the WRITE RPC was in flight took a later generation,
 	// and clearing the dirty bit then would lose that newer data.
@@ -1420,6 +1435,16 @@ func (sc *sessionCache) dropDirty(fh nfs3.FH) { sc.discardDirty(fh, false) }
 // recovery per Section 4.3.4): acknowledged writes are gone, which the file's
 // next COMMIT must say.
 func (sc *sessionCache) loseDirty(fh nfs3.FH) { sc.discardDirty(fh, true) }
+
+// dirtyBaseOf returns the server mtime fh's dirty blocks were written over.
+func (sc *sessionCache) dirtyBaseOf(fh nfs3.FH) (nfs3.Time, bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if fc := sc.dataFor(fh.Key()); fc != nil && fc.ndirty > 0 {
+		return fc.dirtyBase, true
+	}
+	return nfs3.Time{}, false
+}
 
 func (sc *sessionCache) discardDirty(fh nfs3.FH, lost bool) {
 	sc.mu.Lock()

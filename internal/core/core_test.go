@@ -293,7 +293,9 @@ func takeOne(sc *sessionCache, fh nfs3.FH, bn uint64) (data []byte, off, gen uin
 func TestCacheDirtyLifecycle(t *testing.T) {
 	sc := newSessionCache(4, 1<<20)
 	fh := fhN(1)
-	sc.putAttr(fh, attrWithMtime(1, nfs3.TypeReg))
+	empty := attrWithMtime(1, nfs3.TypeReg)
+	empty.Size = 0 // the writes make the file; its size is theirs
+	sc.putAttr(fh, empty)
 	sc.writeDirty(fh, 0, []byte{9, 9, 9, 9})
 	sc.writeDirty(fh, 4, []byte{8, 8})
 	if !sc.hasDirty(fh) {
@@ -325,6 +327,30 @@ func TestCacheDirtyLifecycle(t *testing.T) {
 		t.Fatal("dirty state after flushing all blocks")
 	}
 	sc.dropDirty(fh) // no-op now
+}
+
+// TestFirstAbsorbedWriteKeepsEOF: a WRITE absorbed into a file the session
+// knows by its attributes alone, no block of it cached, serves the larger of
+// the attributes' size and the write's end. Serving the write's end tells a
+// reader of a 4-block file overwritten in block 2 that it has 3 blocks.
+func TestFirstAbsorbedWriteKeepsEOF(t *testing.T) {
+	const bs = 4
+	sc := newSessionCache(bs, 1<<20)
+	a := attrWithMtime(1, nfs3.TypeReg)
+	a.Size = 4 * bs
+	for i, tc := range []struct{ off, n, want uint64 }{
+		{2 * bs, bs, 4 * bs},  // inside EOF: the attributes' size
+		{4 * bs, 2, 4*bs + 2}, // past EOF: the write's end
+	} {
+		fh := fhN(uint64(i + 1))
+		sc.putAttr(fh, a)
+		if got := sc.writeDirty(fh, tc.off, make([]byte, tc.n)); got.Size != tc.want {
+			t.Errorf("write of %d at %d: writer sees size %d, want %d", tc.n, tc.off, got.Size, tc.want)
+		}
+		if got, ok := sc.getAttr(fh); !ok || got.Size != tc.want {
+			t.Errorf("write of %d at %d: GETATTR serves size %d (%v), want %d", tc.n, tc.off, got.Size, ok, tc.want)
+		}
+	}
 }
 
 // TestCacheFlushRaceKeepsNewerWrite pins the lost-update guard: a write

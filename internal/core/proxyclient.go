@@ -815,6 +815,19 @@ func (p *ProxyClient) flushBlock(rid uint64, fh nfs3.FH, bn uint64) error {
 	if err := p.callUpstream(rid, nfs3.ProcWrite, &args, &res); err != nil {
 		return err
 	}
+	if res.Status == nfs3.ErrStale && p.cfg.Model == ModelDelegation && p.unwrittenSince(rid, fh) {
+		// The lost-recall fence (Section 4.3.4): the server revoked a write
+		// delegation it could not recall, and refuses what was buffered
+		// under it lest it land over what the revocation let others write.
+		// Nobody has: the file is as it was under the dirty blocks, which
+		// may be newer than the revocation, acknowledged to the kernel
+		// while the partition hid the recall. Discarding them would lose
+		// those writes for nothing, so they go again; the fence is one shot.
+		res = nfs3.WriteRes{}
+		if err := p.callUpstream(rid, nfs3.ProcWrite, &args, &res); err != nil {
+			return err
+		}
+	}
 	if res.Status != nfs3.OK {
 		// The write-back target is gone or rejecting writes (e.g. removed
 		// behind our back): keeping the block dirty would retry forever.
@@ -834,6 +847,23 @@ func (p *ProxyClient) flushBlock(rid uint64, fh nfs3.FH, bn uint64) error {
 
 type wireEnc interface{ Encode(*xdr.Encoder) }
 type wireDec interface{ Decode(*xdr.Decoder) error }
+
+// unwrittenSince reports whether fh's server mtime is still the one its dirty
+// blocks were written over: no other client has changed the file since.
+func (p *ProxyClient) unwrittenSince(rid uint64, fh nfs3.FH) bool {
+	base, ok := p.cache.dirtyBaseOf(fh)
+	if !ok {
+		return false
+	}
+	var res nfs3.GetattrRes
+	if err := p.callUpstream(rid, nfs3.ProcGetattr, &nfs3.GetattrArgs{FH: fh}, &res); err != nil || res.Status != nfs3.OK {
+		return false
+	}
+	// The reply's trailer may grant a delegation: the attributes it covers
+	// are these.
+	p.cache.putAttr(fh, res.Attr)
+	return res.Attr.Mtime == base
+}
 
 // callUpstream forwards one NFS call across the wide area and applies the
 // GVFS trailers the proxy server piggybacks on the reply (absent when the
