@@ -50,10 +50,15 @@ func main() {
 		for i, rt := range st.RunTimes {
 			fmt.Printf("%3d  %5d  %v\n", i+1, st.FilesProcessed[i], rt)
 		}
+		// Counters live in the deployment's metrics registry, one series per
+		// proxy node: the proxy server is named after its session, a proxy
+		// client host/session.
+		snap := d.Obs.Registry().Snapshot()
+		callbacks := snap.Sum("gvfs_server_callbacks_sent_total", "node", sess.Name)
 		fmt.Printf("\ncallbacks issued by proxy server: %d (~%d per run — only the new files)\n",
-			sess.ProxyServer().Stats().CallbacksSent,
-			sess.ProxyServer().Stats().CallbacksSent/int64(cfg.Runs))
+			callbacks, callbacks/int64(cfg.Runs))
 		fmt.Printf("consumer wide-area traffic: %v\n", consumer.WANCounts())
-		fmt.Printf("consumer local cache hits:  %d\n", consumer.Proxy.Stats().LocalHits)
+		fmt.Printf("consumer local cache hits:  %d\n",
+			snap.Sum("gvfs_client_local_hits_total", "node", consumer.Host()+"/"+sess.Name))
 	})
 }

@@ -63,7 +63,7 @@ func main() {
 			fmt.Printf("runtime: %v for %d acquisitions\n", st.Elapsed.Round(time.Second), len(st.Sequence))
 			fmt.Printf("back-to-back reacquisitions (unfairness): %d\n", st.Reacquisitions())
 			fmt.Printf("wins per client: %v\n", st.PerClientWins(cfg.Clients))
-			fmt.Printf("callbacks: %d\n", sess.ProxyServer().Stats().CallbacksSent)
+			fmt.Printf("callbacks: %d\n", d.Obs.Registry().Snapshot().Sum("gvfs_server_callbacks_sent_total", "node", sess.Name))
 		})
 		d.Close()
 	}

@@ -94,7 +94,11 @@ func main() {
 
 		// The package itself was untouched: rereads stay warm.
 		rerun(c1, "C1")
+		// The proxy client's counters, from the deployment's registry (its
+		// node is host/session).
+		snap, node := d.Obs.Registry().Snapshot(), "C1/"+sess.Name
 		fmt.Printf("C1 processed %d invalidations, %d local cache hits\n",
-			c1.Proxy.Stats().Invalidations, c1.Proxy.Stats().LocalHits)
+			snap.Sum("gvfs_client_invalidations_total", "node", node),
+			snap.Sum("gvfs_client_local_hits_total", "node", node))
 	})
 }

@@ -84,11 +84,12 @@ func StartProxyServer(clk *vclock.Clock, wan, local transport.Network, listen, n
 // callback listener bound. Set it only where that is not routable (NAT).
 //
 // If the store under cfg.DiskCacheDir recovered a predecessor's blocks, crash
-// recovery (Section 4.3.4) runs here, after both listeners serve and before
-// the function returns: a callback that recovery's own write-back provokes —
-// a restarting proxy server's RECALL_ALL — finds this client listening, and a
-// kernel client that is attached once the function has returned, as a
-// session's mounts are, never races recovery.
+// recovery (Section 4.3.4) runs here, at the end of ProxyClient.Serve: after
+// both listeners serve and before the function returns. A callback that
+// recovery's own write-back provokes — a restarting proxy server's
+// RECALL_ALL — finds this client listening, and a kernel client that is
+// attached once the function has returned, as a session's mounts are, never
+// races recovery.
 func StartProxyClient(clk *vclock.Clock, wan, local transport.Network, upstream, listen, cbListen string, cfg core.Config, cred core.SessionCred) (*core.ProxyClient, string, error) {
 	conn, err := wan.Dial(upstream)
 	if err != nil {
@@ -120,9 +121,6 @@ func StartProxyClient(clk *vclock.Clock, wan, local transport.Network, upstream,
 		return sunrpc.NewClient(clk, c, sunrpc.NoneCred()), nil
 	})
 	proxy.Serve(nfsL, cbL)
-	if proxy.Stats().RecoveredBlocks > 0 {
-		proxy.RecoverAfterCrash()
-	}
 	return proxy, nfsL.Addr(), nil
 }
 

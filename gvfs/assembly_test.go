@@ -210,7 +210,7 @@ func standUp(t *testing.T, d *Deployment) assemblyFacts {
 				t.Error(err)
 				return nil, nil
 			}
-			m.Proxy = pc
+			m.Proxy, m.node = pc, "A/par"
 			return m, atReturn
 		}
 		m, cold := start()
@@ -248,7 +248,7 @@ func standUp(t *testing.T, d *Deployment) assemblyFacts {
 		if err := m.Client.WriteFile("par/after", []byte("restarted")); err != nil {
 			t.Errorf("create after the proxy server restart: %v", err)
 		}
-		f.Redialled = m.Proxy.Stats().UpstreamRetries > 0
+		f.Redialled = clientCount(d, m, "gvfs_client_upstream_retries_total") > 0
 
 		// The proxy client dies dirty and comes back over its disk cache.
 		m.Proxy.Crash()
@@ -264,7 +264,7 @@ func standUp(t *testing.T, d *Deployment) assemblyFacts {
 				break
 			}
 		}
-		f.RecoveredInStart = m.Proxy.Stats().RecoveredDirty > 0 && m.Proxy.Stats().FlushedBlocks > 0
+		f.RecoveredInStart = clientCount(d, m, "gvfs_client_recovered_dirty_blocks_total") > 0 && clientCount(d, m, "gvfs_client_flushed_blocks_total") > 0
 		if got, err := m.Client.ReadFile("par/f"); err != nil || !bytes.Equal(got, payload) {
 			t.Errorf("read after the proxy client restart: %d bytes, %v", len(got), err)
 		}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/obs/attr"
 	"repro/internal/simnet"
 )
@@ -213,7 +212,8 @@ func TestChaosMetadataBothModels(t *testing.T) {
 			if rep.Writes == 0 {
 				t.Error("no successful namespace mutations recorded")
 			}
-			dentry, negative := metaHits(rep.Metrics, "dentry"), metaHits(rep.Metrics, "negative")
+			dentry := rep.Metrics.Sum("gvfs_client_meta_hits_total", "cache", "dentry")
+			negative := rep.Metrics.Sum("gvfs_client_meta_hits_total", "cache", "negative")
 			if dentry == 0 || negative == 0 {
 				t.Errorf("metadata caches idle under namespace churn: dentry=%d negative=%d", dentry, negative)
 			}
@@ -271,17 +271,6 @@ func TestChaosOverloadBothModels(t *testing.T) {
 				mode.name, rep.Ops, rep.OpErrors, rep.Sheds, rep.Retransmits, rep.DRCHits)
 		})
 	}
-}
-
-// metaHits totals gvfs_client_meta_hits_total{cache=...} over every mount.
-func metaHits(s obs.Snapshot, cache string) int64 {
-	var n int64
-	for name, v := range s.Counters {
-		if strings.HasPrefix(name, "gvfs_client_meta_hits_total{") && strings.Contains(name, `cache="`+cache+`"`) {
-			n += v
-		}
-	}
-	return n
 }
 
 // TestChaosBlocksBothModels runs the overwrite workload on multi-block files

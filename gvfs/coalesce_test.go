@@ -238,7 +238,7 @@ func TestGetInvDrainsLargeBufferInOnePoll(t *testing.T) {
 		for i := 0; i < files; i++ {
 			reader.Client.Stat(fmt.Sprintf("pkg/f%03d", i))
 		}
-		invBefore := reader.Proxy.Stats().Invalidations
+		invBefore := clientCount(d, reader, "gvfs_client_invalidations_total")
 		for i := 0; i < files; i++ {
 			admin.Client.WriteFile(fmt.Sprintf("pkg/f%03d", i), []byte("y"))
 		}
@@ -248,7 +248,7 @@ func TestGetInvDrainsLargeBufferInOnePoll(t *testing.T) {
 		if polls != 1 {
 			t.Errorf("%d invalidations took %d GETINV calls, want 1 (old 256-handle reply bound would need 2)", files, polls)
 		}
-		if inv := reader.Proxy.Stats().Invalidations - invBefore; inv < files {
+		if inv := clientCount(d, reader, "gvfs_client_invalidations_total") - invBefore; inv < files {
 			t.Errorf("invalidations processed = %d, want >= %d", inv, files)
 		}
 	})

@@ -122,15 +122,14 @@ func TestWarmRestartRevalidatesInsteadOfRefetch(t *testing.T) {
 				if warm := nm.WANCounts()["READ"]; warm != changed {
 					t.Errorf("warm WAN READs = %d, want %d (changed blocks only)", warm, changed)
 				}
-				s := nm.Proxy.Stats()
-				if s.RecoveredBlocks != nfiles {
-					t.Errorf("RecoveredBlocks = %d, want %d", s.RecoveredBlocks, nfiles)
+				if got := clientCount(d, nm, "gvfs_client_recovered_blocks_total"); got != nfiles {
+					t.Errorf("recovered blocks = %d, want %d", got, nfiles)
 				}
-				if s.RevalidatedBlocks != nfiles-changed {
-					t.Errorf("RevalidatedBlocks = %d, want %d", s.RevalidatedBlocks, nfiles-changed)
+				if got := clientCount(d, nm, "gvfs_client_revalidated_blocks_total"); got != nfiles-changed {
+					t.Errorf("revalidated blocks = %d, want %d", got, nfiles-changed)
 				}
-				if s.RefetchedBlocks != changed {
-					t.Errorf("RefetchedBlocks = %d, want %d", s.RefetchedBlocks, changed)
+				if got := clientCount(d, nm, "gvfs_client_refetched_blocks_total"); got != changed {
+					t.Errorf("refetched blocks = %d, want %d", got, changed)
 				}
 			})
 			if v := d.PublishMetrics().SumCounters("gvfs_staleness_violations_total"); v != 0 {
@@ -194,7 +193,7 @@ func TestWarmRestartRecoversDirtyBlocksMidFlush(t *testing.T) {
 		// wait several flush intervals for one to fail.
 		d.Net.Partition("C1", "server")
 		d.Clock.Sleep(6 * cfg.FlushInterval)
-		if got := m.Proxy.Stats().FlushedBlocks; got != 0 {
+		if got := clientCount(d, m, "gvfs_client_flushed_blocks_total"); got != 0 {
 			t.Fatalf("FlushedBlocks = %d before crash, want 0 (partition must hold the flush in flight)", got)
 		}
 		if got := readServerFile(t, d, path, 64); !bytes.Equal(got, fixedVal("old")) {
@@ -211,11 +210,10 @@ func TestWarmRestartRecoversDirtyBlocksMidFlush(t *testing.T) {
 			t.Errorf("remount from disk: %v", err)
 			return
 		}
-		s := nm.Proxy.Stats()
-		if s.RecoveredDirty < 1 {
-			t.Errorf("RecoveredDirty = %d, want >= 1", s.RecoveredDirty)
+		if got := clientCount(d, nm, "gvfs_client_recovered_dirty_blocks_total"); got < 1 {
+			t.Errorf("recovered dirty blocks = %d, want >= 1", got)
 		}
-		// RecoverAfterCrash writes dirty blocks back synchronously: the
+		// Recovery writes dirty blocks back synchronously: the
 		// value must be on the server before any further activity.
 		if got := readServerFile(t, d, path, 64); !bytes.Equal(got, newVal) {
 			t.Errorf("server content after recovery = %q, want %q", got, newVal)

@@ -329,7 +329,7 @@ func (s *Session) startProxyServer() error {
 	return nil
 }
 
-// ProxyServer exposes the session's proxy server (stats, state size).
+// ProxyServer exposes the session's proxy server (state size, calls in flight).
 func (s *Session) ProxyServer() *core.ProxyServer { return s.srv }
 
 // Addr returns the proxy server's listen address.
@@ -385,6 +385,7 @@ type Mount struct {
 	Proxy *core.ProxyClient
 
 	host string
+	node string // the proxy client's trace and metrics node, host/session
 	addr string
 	conn *nfscall.Conn
 }
@@ -417,7 +418,7 @@ func (s *Session) Mount(hostname string, kopts nfsclient.Options) (*Mount, error
 	if err != nil {
 		return nil, err
 	}
-	m.Proxy = proxy
+	m.Proxy, m.node = proxy, cred.ClientID
 	d.mu.Lock()
 	d.mounts = append(d.mounts, m)
 	d.mu.Unlock()

@@ -67,7 +67,7 @@ func TestPollingSessionServesRepeatedStatsLocally(t *testing.T) {
 		if got := m.WANCounts()["GETATTR"]; got != base {
 			t.Errorf("WAN GETATTRs grew %d -> %d; proxy cache not absorbing", base, got)
 		}
-		if hits := m.Proxy.Stats().LocalHits; hits < 200 {
+		if hits := clientCount(d, m, "gvfs_client_local_hits_total"); hits < 200 {
 			t.Errorf("local hits = %d, want >= 200", hits)
 		}
 	})
@@ -95,7 +95,7 @@ func TestPollingInvalidationPropagates(t *testing.T) {
 		if got, _ := reader.Client.ReadFile("shared/data"); string(got) != "v2-longer" {
 			t.Errorf("after polling window read = %q, want v2-longer", got)
 		}
-		if inv := reader.Proxy.Stats().Invalidations; inv == 0 {
+		if inv := clientCount(d, reader, "gvfs_client_invalidations_total"); inv == 0 {
 			t.Error("reader proxy processed no invalidations")
 		}
 	})
@@ -144,7 +144,7 @@ func TestPollingGetInvBatchesManyUpdates(t *testing.T) {
 		if polls == 0 || polls > 3 {
 			t.Errorf("50 invalidations took %d GETINV calls, want 1-3 (batching)", polls)
 		}
-		if inv := reader.Proxy.Stats().Invalidations; inv < 50 {
+		if inv := clientCount(d, reader, "gvfs_client_invalidations_total"); inv < 50 {
 			t.Errorf("invalidations processed = %d, want >= 50", inv)
 		}
 	})
@@ -163,12 +163,12 @@ func TestPollingBufferOverflowForcesInvalidation(t *testing.T) {
 
 		reader.Client.Stat("many/f00")
 		d.Clock.Sleep(11 * time.Second) // complete bootstrap poll
-		forcedBefore := reader.Proxy.Stats().ForceInvalidations
+		forcedBefore := clientCount(d, reader, "gvfs_client_force_invalidations_total")
 		for i := 0; i < 40; i++ {
 			writer.Client.WriteFile(fmt.Sprintf("many/f%02d", i), []byte("y"))
 		}
 		d.Clock.Sleep(12 * time.Second)
-		if got := reader.Proxy.Stats().ForceInvalidations; got <= forcedBefore {
+		if got := clientCount(d, reader, "gvfs_client_force_invalidations_total"); got <= forcedBefore {
 			t.Errorf("buffer wrap-around did not force-invalidate (forced %d -> %d)", forcedBefore, got)
 		}
 		// Correctness after the force: fresh data visible.
@@ -198,9 +198,9 @@ func TestPollingPollAgainDrainsLargeBuffer(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			writer.Client.WriteFile(fmt.Sprintf("big/f%02d", i), []byte("y"))
 		}
-		invBefore := reader.Proxy.Stats().Invalidations
+		invBefore := clientCount(d, reader, "gvfs_client_invalidations_total")
 		d.Clock.Sleep(11 * time.Second)
-		if got := reader.Proxy.Stats().Invalidations - invBefore; got < 30 {
+		if got := clientCount(d, reader, "gvfs_client_invalidations_total") - invBefore; got < 30 {
 			t.Errorf("drained %d invalidations, want 30 (poll-again)", got)
 		}
 	})
@@ -272,7 +272,7 @@ func TestDelegationStrongConsistencyOnWrite(t *testing.T) {
 		if got, _ := a.Client.ReadFile("strong/f"); string(got) != "version-TWO" {
 			t.Errorf("a read after b's write = %q, want immediate version-TWO", got)
 		}
-		if cb := sess.ProxyServer().Stats().CallbacksSent; cb == 0 {
+		if cb := callbacksSent(d, sess); cb == 0 {
 			t.Error("no callbacks sent; conflict was not mediated by recall")
 		}
 	})
@@ -358,7 +358,7 @@ func TestConcurrentReadersCostOneRecall(t *testing.T) {
 			})
 		}
 		g.Wait()
-		if sent, served := sess.ProxyServer().Stats().CallbacksSent, a.Proxy.Stats().Recalls; sent != 1 || served != 1 {
+		if sent, served := callbacksSent(d, sess), clientCount(d, a, "gvfs_client_recalls_total"); sent != 1 || served != 1 {
 			t.Errorf("%d callbacks sent, %d recalls served at A; want one for %d readers", sent, served, readers)
 		}
 	})
@@ -445,7 +445,7 @@ func TestDelegationRenewalKeepsDelegationAlive(t *testing.T) {
 				return
 			}
 		}
-		if cb := sess.ProxyServer().Stats().CallbacksSent; cb != 0 {
+		if cb := callbacksSent(d, sess); cb != 0 {
 			t.Errorf("%d callbacks sent to a continuously active sole client", cb)
 		}
 		// Most stats still served locally: renewal forwards are periodic,
@@ -597,7 +597,7 @@ func TestReadDelegationSharedByMultipleReaders(t *testing.T) {
 			}
 		}
 		// Concurrent read sharing must not generate callbacks.
-		if cb := sess.ProxyServer().Stats().CallbacksSent; cb != 0 {
+		if cb := callbacksSent(d, sess); cb != 0 {
 			t.Errorf("read sharing caused %d callbacks", cb)
 		}
 		// And every client's repeat stats are local.
@@ -741,7 +741,7 @@ func TestEncryptedSessionEndToEnd(t *testing.T) {
 		if got, _ := a.Client.ReadFile("private/data"); string(got) != "rotated" {
 			t.Errorf("stale read %q through encrypted session", got)
 		}
-		if cb := sess.ProxyServer().Stats().CallbacksSent; cb == 0 {
+		if cb := callbacksSent(d, sess); cb == 0 {
 			t.Error("no callbacks crossed the encrypted channel")
 		}
 	})
@@ -884,7 +884,7 @@ func TestProxyServerProactiveStateEviction(t *testing.T) {
 		if files > 10 {
 			t.Errorf("server tracks %d files, budget 10", files)
 		}
-		if cb := sess.ProxyServer().Stats().CallbacksSent; cb == 0 {
+		if cb := callbacksSent(d, sess); cb == 0 {
 			t.Error("eviction issued no recalls")
 		}
 		// Evicted files are still readable (delegation re-granted on demand).
@@ -913,8 +913,7 @@ func TestEvictedWriterIsStillTheWriterAfterItsWriteBack(t *testing.T) {
 			return
 		}
 		a.Client.ReadFile("ev/g") // ev/f is now the least recently accessed
-		srv := sess.ProxyServer()
-		for waited := 0; srv.Stats().CallbacksSent == 0; waited++ {
+		for waited := 0; callbacksSent(d, sess) == 0; waited++ {
 			if waited > 120 {
 				t.Error("the budget sweep never recalled A")
 				return
@@ -922,7 +921,7 @@ func TestEvictedWriterIsStillTheWriterAfterItsWriteBack(t *testing.T) {
 			d.Clock.Sleep(time.Second)
 		}
 		d.Clock.Sleep(2 * time.Second) // A's write-back and its answer are in
-		if flushed := a.Proxy.Stats().FlushedBlocks; flushed == 0 {
+		if flushed := clientCount(d, a, "gvfs_client_flushed_blocks_total"); flushed == 0 {
 			t.Error("A wrote nothing back for the recall")
 			return
 		}
@@ -974,12 +973,12 @@ func TestWriteBackConvergesWhenFileRemovedBehindProxy(t *testing.T) {
 		// data (the paper's "corrupted" dirty-data rule) and converge —
 		// regression test for a retry-forever storm.
 		d.Clock.Sleep(5 * time.Minute)
-		st := writer.Proxy.Stats()
-		if st.FlushErrors == 0 {
+		errs := clientCount(d, writer, "gvfs_client_flush_errors_total")
+		if errs == 0 {
 			t.Error("no flush error recorded; scenario did not exercise the stale write-back")
 		}
-		if st.FlushErrors > 3 {
-			t.Errorf("flusher retried a doomed block %d times; must converge promptly", st.FlushErrors)
+		if errs > 3 {
+			t.Errorf("flusher retried a doomed block %d times; must converge promptly", errs)
 		}
 		// The proxy remains fully usable.
 		if err := writer.Client.WriteFile("wbr/fresh", []byte("ok")); err != nil {

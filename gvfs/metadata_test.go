@@ -93,10 +93,10 @@ func TestMetadataFastPathO1WANPerPollInterval(t *testing.T) {
 					}
 				}
 
-				ps := m.Proxy.Stats()
-				if ps.AttrHits == 0 || ps.DentryHits == 0 || ps.NegLookupHits == 0 || ps.AccessHits == 0 {
+				attr, dentry, neg, access := metaHitsOf(d, m)
+				if attr == 0 || dentry == 0 || neg == 0 || access == 0 {
 					t.Errorf("fast-path hits: attr=%d dentry=%d neg=%d access=%d; want all nonzero",
-						ps.AttrHits, ps.DentryHits, ps.NegLookupHits, ps.AccessHits)
+						attr, dentry, neg, access)
 				}
 			})
 		})
@@ -140,11 +140,17 @@ func TestMetadataFastPathDisabledIsON(t *testing.T) {
 			t.Errorf("disabled-cache storm of %d stats crossed only %d WAN metadata RPCs; want O(N) >= %d",
 				st.Stats, delta, storm.Files)
 		}
-		ps := m.Proxy.Stats()
-		if ps.AttrHits != 0 || ps.DentryHits != 0 || ps.NegLookupHits != 0 || ps.AccessHits != 0 {
-			t.Errorf("disabled cache still served hits: %+v", ps)
+		if attr, dentry, neg, access := metaHitsOf(d, m); attr != 0 || dentry != 0 || neg != 0 || access != 0 {
+			t.Errorf("disabled cache still served hits: attr=%d dentry=%d neg=%d access=%d", attr, dentry, neg, access)
 		}
 	})
+}
+
+// metaHitsOf reads m's local metadata serves from the attribute, dentry,
+// negative-lookup and access caches.
+func metaHitsOf(d *Deployment, m *Mount) (attr, dentry, neg, access int64) {
+	hits := func(cache string) int64 { return clientCount(d, m, "gvfs_client_meta_hits_total", "cache", cache) }
+	return hits("attr"), hits("dentry"), hits("negative"), hits("access")
 }
 
 // TestListingThatCrossedAnInvalidationIsServedNotCached: a READDIRPLUS reply
@@ -191,7 +197,7 @@ func TestListingThatCrossedAnInvalidationIsServedNotCached(t *testing.T) {
 		d.Clock.Sleep(50 * time.Millisecond)
 
 		var listed bool
-		invalidated := a.Proxy.Stats().Invalidations
+		invalidated := clientCount(d, a, "gvfs_client_invalidations_total")
 		g := d.Clock.NewGroup()
 		g.Go("kernel A", func() {
 			res, err := conn.Readdirplus(dir.FH, 0, 0, 4096, 32768)
@@ -218,15 +224,15 @@ func TestListingThatCrossedAnInvalidationIsServedNotCached(t *testing.T) {
 		if !listed {
 			t.Error("the kernel's READDIRPLUS was not answered with what the server listed when it asked")
 		}
-		if a.Proxy.Stats().Invalidations == invalidated {
+		if clientCount(d, a, "gvfs_client_invalidations_total") == invalidated {
 			t.Error("A's poll did not drain the REMOVE's invalidations while the reply was held up; the test is not testing the race")
 		}
-		before := a.Proxy.Stats().DentryHits
+		before := clientCount(d, a, "gvfs_client_meta_hits_total", "cache", "dentry")
 		lk, err := conn.Lookup(dir.FH, "gone")
 		if err != nil || lk.Status != nfs3.ErrNoEnt {
 			t.Errorf("LOOKUP of the removed name after the late reply: %v status %v, want NOENT", err, lk.Status)
 		}
-		if a.Proxy.Stats().DentryHits != before {
+		if clientCount(d, a, "gvfs_client_meta_hits_total", "cache", "dentry") != before {
 			t.Error("the removed name was a local hit: the late reply was cached across its invalidation")
 		}
 		if lk, err := conn.Lookup(dir.FH, "kept"); err != nil || lk.Status != nfs3.OK {

@@ -260,7 +260,7 @@ func TestModelMultiClientVisibility(t *testing.T) {
 			readExpect(t, ms[0], "shared/f", "v2", "immediate cross-client")
 			readExpect(t, ms[2], "shared/f", "v2", "immediate cross-client")
 
-			if st := ms[0].Proxy.Stats(); st.Recalls == 0 {
+			if clientCount(d, ms[0], "gvfs_client_recalls_total") == 0 {
 				t.Error("no recalls on the first writer despite cross-client reads")
 			}
 		})

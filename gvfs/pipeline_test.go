@@ -158,7 +158,7 @@ func TestReadAheadPipelinesColdSequentialRead(t *testing.T) {
 	if piped*2 >= serial {
 		t.Errorf("RA=8 cold read %v not meaningfully faster than serial %v", piped, serial)
 	}
-	if ras := m.Proxy.Stats().ReadAheads; ras == 0 {
+	if ras := clientCount(d, m, "gvfs_client_readaheads_total"); ras == 0 {
 		t.Error("no blocks were prefetched")
 	}
 	if got := wanBlocks(d, m); got != blocks {
@@ -362,14 +362,7 @@ func (r *streamReader) wanReads() int64 { return r.m.WANCounts()["READ"] }
 // READ by its offset and count: a prefetched run counts as the blocks it
 // carries.
 func wanBlocks(d *Deployment, m *Mount) int64 {
-	prefix := `gvfs_client_read_blocks_total{node="` + m.Host() + "/"
-	var n int64
-	for name, v := range d.Obs.Registry().Snapshot().Counters {
-		if strings.HasPrefix(name, prefix) {
-			n += v
-		}
-	}
-	return n
+	return clientCount(d, m, "gvfs_client_read_blocks_total")
 }
 
 func (r *streamReader) wanBlocks() int64 { return wanBlocks(r.d, r.m) }
@@ -378,17 +371,18 @@ func (r *streamReader) wanBlocks() int64 { return wanBlocks(r.d, r.m) }
 func (r *streamReader) settle() { r.d.Clock.Sleep(2 * time.Second) }
 
 // series sums a metric family over the deployment's registry.
-func series(d *Deployment, fam string) int64 {
-	snap := d.Obs.Registry().Snapshot()
-	var total int64
-	for _, m := range []map[string]int64{snap.Counters, snap.Gauges} {
-		for name, v := range m {
-			if name == fam || strings.HasPrefix(name, fam+"{") {
-				total += v
-			}
-		}
-	}
-	return total
+func series(d *Deployment, fam string) int64 { return d.Obs.Registry().Snapshot().Sum(fam) }
+
+// clientCount reads m's proxy-client series of family fam, narrowed by any
+// further label pairs kv, from the deployment's registry.
+func clientCount(d *Deployment, m *Mount, fam string, kv ...string) int64 {
+	return d.Obs.Registry().Snapshot().Sum(fam, append([]string{"node", m.node}, kv...)...)
+}
+
+// callbacksSent reads the session's proxy-server recall count from the
+// deployment's registry.
+func callbacksSent(d *Deployment, s *Session) int64 {
+	return d.Obs.Registry().Snapshot().Sum("gvfs_server_callbacks_sent_total", "node", s.Name)
 }
 
 func readaheadWindow(d *Deployment) int64 { return series(d, "gvfs_client_readahead_window") }
@@ -509,7 +503,7 @@ func TestReadRunsOverALossyLink(t *testing.T) {
 						}
 						r.d.Net.SetFaults(r.m.Host(), serverHost, simnet.Faults{})
 						r.settle()
-						if got := r.m.Proxy.Stats().ReadAheads; got == 0 || got > blocks-1 {
+						if got := clientCount(r.d, r.m, "gvfs_client_readaheads_total"); got == 0 || got > blocks-1 {
 							t.Errorf("%d prefetched blocks landed for the %d behind block 0: none, or one landed twice", got, blocks-1)
 						}
 						if got := series(r.d, "gvfs_client_readahead_wasted_total"); got != 0 {
@@ -585,7 +579,7 @@ func TestReadAheadIgnoresRandomAndBoundsAbandonedStreams(t *testing.T) {
 				prev = bn
 			}
 			r.settle()
-			if got := r.m.Proxy.Stats().ReadAheads; got != 0 {
+			if got := clientCount(r.d, r.m, "gvfs_client_readaheads_total"); got != 0 {
 				t.Errorf("random reads prefetched %d blocks", got)
 			}
 			if got := r.wanReads(); got > n {
@@ -650,7 +644,7 @@ func TestReadAheadStreamsInterleavedFiles(t *testing.T) {
 				}
 			})
 			fetched = r.wanBlocks()
-			if ras := r.m.Proxy.Stats().ReadAheads; ras < 2*(blocks-2) {
+			if ras := clientCount(r.d, r.m, "gvfs_client_readaheads_total"); ras < 2*(blocks-2) {
 				t.Errorf("only %d of %d blocks were prefetched", ras, 2*blocks)
 			}
 		})
@@ -726,7 +720,7 @@ func TestReadAheadInvalidatedMidStream(t *testing.T) {
 						r.read(fh, bn, old)
 					}
 					r.settle()
-					prefetched := r.m.Proxy.Stats().ReadAheads
+					prefetched := clientCount(r.d, r.m, "gvfs_client_readaheads_total")
 
 					// The other client cuts the file short and rewrites what
 					// is now its last block.
@@ -768,7 +762,7 @@ func TestReadAheadInvalidatedMidStream(t *testing.T) {
 						r.read(fh, bn, fresh)
 					}
 					r.settle()
-					if r.m.Proxy.Stats().ReadAheads == prefetched {
+					if clientCount(r.d, r.m, "gvfs_client_readaheads_total") == prefetched {
 						t.Error("the stream did not restart after the invalidation")
 					}
 				})
@@ -963,7 +957,7 @@ func TestFirstReadFetchesTheWholeSmallFile(t *testing.T) {
 			data := files[name]
 			blocks := len(data) / streamBS
 			fh := r.lookup(name)
-			fetched, prefetched := r.wanBlocks(), r.m.Proxy.Stats().ReadAheads
+			fetched, prefetched := r.wanBlocks(), clientCount(r.d, r.m, "gvfs_client_readaheads_total")
 			elapsed := r.d.Elapsed(func() {
 				for bn := 0; bn < blocks; bn++ {
 					r.read(fh, bn, data)
@@ -973,7 +967,7 @@ func TestFirstReadFetchesTheWholeSmallFile(t *testing.T) {
 			if got := r.wanBlocks() - fetched; got != int64(blocks) {
 				t.Errorf("%s: WAN READs asked for %d blocks of %d", name, got, blocks)
 			}
-			if got := r.m.Proxy.Stats().ReadAheads - prefetched; got != int64(blocks-1) {
+			if got := clientCount(r.d, r.m, "gvfs_client_readaheads_total") - prefetched; got != int64(blocks-1) {
 				t.Errorf("%s: %d blocks prefetched, want %d", name, got, blocks-1)
 			}
 			if limit := pipelineRTT + 2*wireTime(len(data)); elapsed > limit {
@@ -1006,7 +1000,7 @@ func TestHandoffRereadPipelines(t *testing.T) {
 					if got := producer.wanReads() - before; got != 1 {
 						t.Errorf("READ of a non-cacheable handle cost %d WAN READs, want 1", got)
 					}
-					if got := producer.m.Proxy.Stats().ReadAheads; got != 0 {
+					if got := clientCount(producer.d, producer.m, "gvfs_client_readaheads_total"); got != 0 {
 						t.Errorf("non-cacheable handle prefetched %d blocks", got)
 					}
 				}
@@ -1127,7 +1121,8 @@ func TestHandoffRereadTruncated(t *testing.T) {
 				if res, err := r.conn.Read(fh, kept*streamBS, streamBS); err != nil || res.Status != nfs3.OK || res.Count != 0 || !res.EOF {
 					t.Errorf("read past the new end: %v %v count %d eof %v", err, res.Status, res.Count, res.EOF)
 				}
-				if _, _, _, bytes := r.m.Proxy.CacheStats(); bytes != kept*streamBS {
+				r.m.Proxy.PublishMetrics()
+				if bytes := clientCount(r.d, r.m, "gvfs_client_cache_bytes"); bytes != kept*streamBS {
 					t.Errorf("%d bytes cached of a file of %d", bytes, kept*streamBS)
 				}
 			})
@@ -1178,8 +1173,10 @@ func TestHandoffRereadRemoved(t *testing.T) {
 					t.Errorf("the parked read came back after %v, want <= %v: it sat on a forgotten file's re-read", elapsed, budget)
 				}
 				r.settle()
-				if attrs, _, files, bytes := r.m.Proxy.CacheStats(); files != 0 || bytes != 0 {
-					t.Errorf("%d files (%d bytes) cached, %d attributes, after the only file went stale", files, bytes, attrs)
+				r.m.Proxy.PublishMetrics()
+				gauge := func(name string) int64 { return clientCount(r.d, r.m, name) }
+				if files, bytes := gauge("gvfs_client_cache_files"), gauge("gvfs_client_cache_bytes"); files != 0 || bytes != 0 {
+					t.Errorf("%d files (%d bytes) cached, %d attributes, after the only file went stale", files, bytes, gauge("gvfs_client_cache_attrs"))
 				}
 			})
 			if got := series(d, "gvfs_client_readahead_reopens_total"); got != 1 {
@@ -1276,7 +1273,7 @@ func TestReadAheadSpillInvalidatedInFlight(t *testing.T) {
 				t.Error("the second pass over x never spilled into y")
 				return
 			}
-			landed := r.m.Proxy.Stats().ReadAheads
+			landed := clientCount(r.d, r.m, "gvfs_client_readaheads_total")
 			defer func() {
 				// A trace shows which read paid for which file's head: the spill's
 				// prefetches are marked, and hang off a demand READ of the file
@@ -1309,7 +1306,7 @@ func TestReadAheadSpillInvalidatedInFlight(t *testing.T) {
 				t.Errorf("rewrite of y's head: %v status %v", err, wr.Status)
 			}
 			r.settle() // the spill lands, a poll period passes, the GETINV is drained
-			if got := r.m.Proxy.Stats().ReadAheads - landed; got < spilled {
+			if got := clientCount(r.d, r.m, "gvfs_client_readaheads_total") - landed; got < spilled {
 				t.Errorf("%d prefetches landed after the rewrite began, fewer than the %d the spill had on the wire", got, spilled)
 			}
 			wasted := series(r.d, "gvfs_client_readahead_wasted_total")

@@ -80,7 +80,7 @@ func handoff(t *testing.T, d *Deployment, sess *Session) {
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("B read after the recall: %d bytes, %v; want A's %d", len(got), err, len(payload))
 	}
-	if a.Proxy.Stats().Recalls == 0 {
+	if clientCount(d, a, "gvfs_client_recalls_total") == 0 {
 		t.Error("A received no recall over TCP")
 	}
 	// And back: A re-reads what it wrote from its cache or the server, B's
@@ -149,7 +149,7 @@ func TestRealTimeCallbackAddressIsWorkedOut(t *testing.T) {
 	if err := writer.Client.WriteFile("rt/f", []byte("two")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if proxy.Stats().Recalls == 0 {
+	if d.Obs.Registry().Snapshot().Sum("gvfs_client_recalls_total", "node", "daemon") == 0 {
 		t.Error("the read delegation was never recalled: the proxy server could not dial the advertised address")
 	}
 	if got, err := reader.Client.ReadFile("rt/f"); err != nil || string(got) != "two" {
@@ -201,14 +201,14 @@ func TestRealTimeProxyServerRestart(t *testing.T) {
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("B read after the restart: %d bytes, %v; want A's %d dirty bytes", len(got), err, len(payload))
 	}
-	if a.Proxy.Stats().UpstreamRetries+b.Proxy.Stats().UpstreamRetries == 0 {
+	if clientCount(d, a, "gvfs_client_upstream_retries_total")+clientCount(d, b, "gvfs_client_upstream_retries_total") == 0 {
 		t.Error("no client redialled")
 	}
-	if a.Proxy.Stats().Recalls == 0 {
+	if clientCount(d, a, "gvfs_client_recalls_total") == 0 {
 		t.Error("A's rebuilt write delegation was never recalled")
 	}
-	if st := sess.ProxyServer().Stats(); st.CallbacksSent < 2 {
-		t.Errorf("the new instance sent %d callbacks, want a RECALL_ALL round and a recall", st.CallbacksSent)
+	if sent := callbacksSent(d, sess); sent < 2 {
+		t.Errorf("the new instance sent %d callbacks, want a RECALL_ALL round and a recall", sent)
 	}
 	noStalenessViolations(t, d)
 }
@@ -242,13 +242,12 @@ func TestRealTimeRemountFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatalf("remount from disk: %v", err)
 	}
-	st := nm.Proxy.Stats()
-	if st.RecoveredDirty == 0 {
+	if clientCount(d, nm, "gvfs_client_recovered_dirty_blocks_total") == 0 {
 		t.Fatal("nothing dirty was recovered: the crash tested nothing")
 	}
 	// Recovery itself writes back one block per dirty file before the mount
 	// returns; the file's COMMIT lands the rest.
-	if st.FlushedBlocks == 0 {
+	if clientCount(d, nm, "gvfs_client_flushed_blocks_total") == 0 {
 		t.Error("recovery wrote nothing back before the proxy client was handed over")
 	}
 	f, err := nm.Client.Open("rt/dirty")
@@ -268,8 +267,8 @@ func TestRealTimeRemountFromDisk(t *testing.T) {
 	if reads := nm.WANCounts()["READ"]; reads != 0 {
 		t.Errorf("%d READs crossed after the restart, want 0: the clean blocks were on disk", reads)
 	}
-	if st := nm.Proxy.Stats(); st.RevalidatedBlocks != cleanBlocks || st.RefetchedBlocks != 0 {
-		t.Errorf("revalidated %d, refetched %d blocks; want %d and 0", st.RevalidatedBlocks, st.RefetchedBlocks, cleanBlocks)
+	if revalidated, refetched := clientCount(d, nm, "gvfs_client_revalidated_blocks_total"), clientCount(d, nm, "gvfs_client_refetched_blocks_total"); revalidated != cleanBlocks || refetched != 0 {
+		t.Errorf("revalidated %d, refetched %d blocks; want %d and 0", revalidated, refetched, cleanBlocks)
 	}
 	noStalenessViolations(t, d)
 }
@@ -299,7 +298,7 @@ func TestRealTimeDirectoryWalk(t *testing.T) {
 	}
 	// The session's bootstrap poll force-invalidates, which would start the
 	// walk's evidence over in the middle of the count below.
-	until("the bootstrap poll", func() bool { return m.Proxy.Stats().ForceInvalidations > 0 })
+	until("the bootstrap poll", func() bool { return clientCount(d, m, "gvfs_client_force_invalidations_total") > 0 })
 	conn := m.Client.Conn()
 	dir, err := conn.Lookup(m.Client.Root(), "rt")
 	if err != nil || dir.Status != nfs3.OK {
@@ -352,7 +351,7 @@ func TestRealTimeReadAheadAcrossFiles(t *testing.T) {
 	cfg := core.Config{Model: core.ModelPolling, ReadAhead: 8, CacheBytes: 2 * blocks * streamBS}
 	m := realTimeMount(t, realTimeSession(t, d, cfg), "A")
 	// The bootstrap poll's force-invalidate restarts every stream it finds.
-	for deadline := time.Now().Add(10 * time.Second); m.Proxy.Stats().ForceInvalidations == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); clientCount(d, m, "gvfs_client_force_invalidations_total") == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("timed out waiting for the bootstrap poll")
 		}
@@ -409,7 +408,7 @@ func TestRealTimeWriteBackFlush(t *testing.T) {
 			m := realTimeMount(t, realTimeSession(t, d, core.Config{Model: model, WriteBack: true, FlushInterval: time.Hour}), "A")
 			// The bootstrap poll's force-invalidate would drop the attributes
 			// the first WRITE is absorbed against.
-			for deadline := time.Now().Add(10 * time.Second); model == core.ModelPolling && m.Proxy.Stats().ForceInvalidations == 0; time.Sleep(time.Millisecond) {
+			for deadline := time.Now().Add(10 * time.Second); model == core.ModelPolling && clientCount(d, m, "gvfs_client_force_invalidations_total") == 0; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Fatal("timed out waiting for the bootstrap poll")
 				}
@@ -468,7 +467,9 @@ func TestRealTimeHandoffReread(t *testing.T) {
 			}
 			// The bootstrap poll's force-invalidate would take the attributes the
 			// first read needs mid-pass.
-			until("the bootstrap poll", func() bool { return model == core.ModelDelegation || cm.Proxy.Stats().ForceInvalidations > 0 })
+			until("the bootstrap poll", func() bool {
+				return model == core.ModelDelegation || clientCount(d, cm, "gvfs_client_force_invalidations_total") > 0
+			})
 			p := &streamReader{t: t, d: d, m: pm, conn: pm.Client.Conn()}
 			c := &streamReader{t: t, d: d, m: cm, conn: cm.Client.Conn()}
 			pfh, fh := p.lookup("shared"), c.lookup("shared")

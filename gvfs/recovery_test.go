@@ -59,7 +59,7 @@ func TestInvalidationBufferOverflow(t *testing.T) {
 		warm()
 		d.Clock.Sleep(cfg.PollPeriod + 5*time.Second)
 		warm()
-		base := reader.Proxy.Stats().ForceInvalidations
+		base := clientCount(d, reader, "gvfs_client_force_invalidations_total")
 
 		// Overwrite every file from the writer: each write queues at least
 		// one invalidation entry for the reader, wrapping its 4-entry
@@ -75,7 +75,7 @@ func TestInvalidationBufferOverflow(t *testing.T) {
 		// buffer and must force-invalidate the reader's whole cache.
 		d.Clock.Sleep(2*cfg.FlushInterval + cfg.PollPeriod + 10*time.Second)
 
-		if got := reader.Proxy.Stats().ForceInvalidations; got <= base {
+		if got := clientCount(d, reader, "gvfs_client_force_invalidations_total"); got <= base {
 			t.Errorf("ForceInvalidations = %d after overflow, want > baseline %d", got, base)
 		}
 		for i := 0; i < nfiles; i++ {
@@ -139,8 +139,8 @@ func TestRestartProxyServerRecallsDirty(t *testing.T) {
 		if got, err := ms[1].Client.ReadFile("d/f"); err != nil || string(got) != "v1-dirty" {
 			t.Errorf("cross-client read after restart = %q, %v, want v1-dirty", got, err)
 		}
-		if st := ms[0].Proxy.Stats(); st.FlushedBlocks == 0 {
-			t.Errorf("writer flushed no blocks; recovery never recalled its dirty data: %+v", st)
+		if clientCount(d, ms[0], "gvfs_client_flushed_blocks_total") == 0 {
+			t.Error("writer flushed no blocks; recovery never recalled its dirty data")
 		}
 	})
 }
@@ -173,8 +173,8 @@ func TestRemountFromDiskFlushesDirty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("remount after crash: %v", err)
 		}
-		if st := nm.Proxy.Stats(); st.RecoveredDirty == 0 || st.FlushedBlocks == 0 {
-			t.Errorf("recovered proxy flushed nothing: %+v", st)
+		if dirty, flushed := clientCount(d, nm, "gvfs_client_recovered_dirty_blocks_total"), clientCount(d, nm, "gvfs_client_flushed_blocks_total"); dirty == 0 || flushed == 0 {
+			t.Errorf("recovered proxy flushed nothing: %d dirty blocks recovered, %d flushed", dirty, flushed)
 		}
 		if got, err := nm.Client.ReadFile("d/g"); err != nil || string(got) != "v1-precrash" {
 			t.Errorf("remounted client read = %q, %v, want v1-precrash", got, err)
@@ -245,12 +245,11 @@ func TestPartialWritebackOnRecall(t *testing.T) {
 			}
 			t.Errorf("cross-client read diverges at byte %d (len %d vs %d)", i, len(got), len(content))
 		}
-		st := writerM.Proxy.Stats()
-		if st.Recalls == 0 {
-			t.Errorf("writer served no recalls: %+v", st)
+		if clientCount(d, writerM, "gvfs_client_recalls_total") == 0 {
+			t.Error("writer served no recalls")
 		}
-		if st.FlushedBlocks < nblocks {
-			t.Errorf("writer flushed %d blocks, want >= %d", st.FlushedBlocks, nblocks)
+		if flushed := clientCount(d, writerM, "gvfs_client_flushed_blocks_total"); flushed < nblocks {
+			t.Errorf("writer flushed %d blocks, want >= %d", flushed, nblocks)
 		}
 	})
 }
@@ -289,7 +288,7 @@ func TestRecallFenceDiesWithTheServer(t *testing.T) {
 				return
 			}
 		}
-		if ms[0].Proxy.Stats().Recalls == 0 {
+		if clientCount(d, ms[0], "gvfs_client_recalls_total") == 0 {
 			t.Error("the reader was never recalled: no fence to outlive the server")
 		}
 		if err := sess.RestartProxyServer(); err != nil {
@@ -299,13 +298,13 @@ func TestRecallFenceDiesWithTheServer(t *testing.T) {
 		// The first access re-registers with the new server and is granted a
 		// delegation; the second is served under it.
 		for i, wantLocal := range []bool{false, true} {
-			before := ms[0].Proxy.Stats()
+			hits, forwards := clientCount(d, ms[0], "gvfs_client_meta_hits_total", "cache", "attr"), clientCount(d, ms[0], "gvfs_client_forwards_total")
 			if res, err := reader.Getattr(fh); err != nil || res.Status != nfs3.OK {
 				t.Errorf("getattr %d after restart: %v %v", i, err, res.Status)
 				return
 			}
-			after := ms[0].Proxy.Stats()
-			if local := after.AttrHits > before.AttrHits && after.Forwards == before.Forwards; local != wantLocal {
+			served := clientCount(d, ms[0], "gvfs_client_meta_hits_total", "cache", "attr") > hits
+			if local := served && clientCount(d, ms[0], "gvfs_client_forwards_total") == forwards; local != wantLocal {
 				t.Errorf("access %d after the restart: served locally = %v, want %v", i+1, local, wantLocal)
 			}
 		}
@@ -361,8 +360,7 @@ func TestPartitionLongerThanExpiryFencesWriteBack(t *testing.T) {
 
 		// A idles past DelegExpiry with its flushes failing; the sweep's
 		// recall cannot reach it either.
-		srv := sess.ProxyServer()
-		for waited := 0; srv.Stats().CallbacksSent == 0; waited++ {
+		for waited := 0; callbacksSent(d, sess) == 0; waited++ {
 			if waited > 180 {
 				t.Error("the idle sweep never recalled A's write delegation")
 				return
@@ -388,8 +386,8 @@ func TestPartitionLongerThanExpiryFencesWriteBack(t *testing.T) {
 		if got := onServer(); !bytes.Equal(got, newer) {
 			t.Errorf("server holds %q..., want B's bytes: A's stale write-back landed over them", got[:8])
 		}
-		if st := a.Proxy.Stats(); st.FlushErrors == 0 || st.FlushedBlocks != 0 {
-			t.Errorf("A's write-back was not refused and discarded: %+v", st)
+		if errs, flushed := clientCount(d, a, "gvfs_client_flush_errors_total"), clientCount(d, a, "gvfs_client_flushed_blocks_total"); errs == 0 || flushed != 0 {
+			t.Errorf("A's write-back was not refused and discarded: %d flush errors, %d blocks flushed", errs, flushed)
 		}
 		if got, err := a.Client.ReadFile("px/f"); err != nil || !bytes.Equal(got, newer) {
 			t.Errorf("A reads %d bytes (%q...), %v after the discard; want B's", len(got), got[:min(8, len(got))], err)
@@ -450,12 +448,11 @@ func TestFencedWriteBackWithoutConflictLands(t *testing.T) {
 
 		// B's read recalls A's delegation; the recall is lost and the server
 		// revokes it. B writes nothing.
-		srv := sess.ProxyServer()
 		if _, err := b.Client.ReadFile("px/f"); err != nil {
 			t.Errorf("B read: %v", err)
 			return
 		}
-		if srv.Stats().CallbacksSent == 0 {
+		if callbacksSent(d, sess) == 0 {
 			t.Error("B's read recalled nothing: no fence to refuse A's write-back")
 			return
 		}

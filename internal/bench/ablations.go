@@ -196,7 +196,8 @@ func runBufferVariant(opt Options, entries int) (AblationRow, error) {
 				reader.Client.Stat(fmt.Sprintf("t/f%03d", i+60)) // untouched files
 			}
 		}
-		row.Extra = fmt.Sprintf("%d", reader.Proxy.Stats().ForceInvalidations)
+		forced := d.Obs.Registry().Snapshot().Sum("gvfs_client_force_invalidations_total", "node", reader.Host()+"/"+sess.Name)
+		row.Extra = fmt.Sprintf("%d", forced)
 		for k, v := range reader.WANCounts() {
 			row.RPCs[k] += v
 		}
@@ -263,7 +264,7 @@ func runExpiryVariant(opt Options, expiry time.Duration) (AblationRow, error) {
 			d.Clock.Sleep(time.Minute)
 		}
 		files, sharers := sess.ProxyServer().StateSize()
-		row.Extra = fmt.Sprintf("%d", sess.ProxyServer().Stats().CallbacksSent)
+		row.Extra = fmt.Sprintf("%d", d.Obs.Registry().Snapshot().Sum("gvfs_server_callbacks_sent_total", "node", sess.Name))
 		row.RPCs["state-files"] = int64(files)
 		row.RPCs["state-sharers"] = int64(sharers)
 		row.RPCs["GETATTR"] = m.WANCounts()["GETATTR"]

@@ -117,7 +117,7 @@ func runFig6NFS(opt Options, mode string, cfg workload.LockConfig) (Fig6Setup, e
 			addCounts(setup.RPCs, m.WANCounts())
 		}
 		if sess != nil {
-			setup.RPCs["CALLBACK"] += sess.ProxyServer().Stats().CallbacksSent
+			setup.RPCs["CALLBACK"] += d.Obs.Registry().Snapshot().Sum("gvfs_server_callbacks_sent_total", "node", sess.Name)
 		}
 	})
 	opt.dumpMetrics("fig6 "+mode, d)

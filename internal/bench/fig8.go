@@ -83,7 +83,7 @@ func runFig8Setup(opt Options, mode string, cfg workload.CH1DConfig) (Fig8Series
 		}
 		series.RunTimes = st.RunTimes
 		if sess != nil {
-			series.Callbacks = sess.ProxyServer().Stats().CallbacksSent
+			series.Callbacks = d.Obs.Registry().Snapshot().Sum("gvfs_server_callbacks_sent_total", "node", sess.Name)
 		}
 	})
 	opt.dumpMetrics("fig8 "+mode, d)

@@ -111,13 +111,10 @@ func runMetadataSetup(opt Options, name string, disable bool, cfg workload.StatS
 		setup.Runtime = st.Elapsed
 		setup.Ops = st.Stats + st.Accesses + st.Misses + cfg.Passes
 		addCounts(setup.RPCs, m.WANCounts())
-		ps := m.Proxy.Stats()
-		setup.Hits = map[string]int64{
-			"attr":     ps.AttrHits,
-			"dentry":   ps.DentryHits,
-			"negative": ps.NegLookupHits,
-			"access":   ps.AccessHits,
-			"listing":  ps.ListingHits,
+		snap := d.Obs.Registry().Snapshot()
+		setup.Hits = make(map[string]int64)
+		for _, cache := range []string{"attr", "dentry", "negative", "access", "listing"} {
+			setup.Hits[cache] = snap.Sum("gvfs_client_meta_hits_total", "node", m.Host()+"/"+sess.Name, "cache", cache)
 		}
 	})
 	opt.dumpMetrics(fmt.Sprintf("metadata %s", name), d)

@@ -148,11 +148,11 @@ func runRestartSetup(opt Options, name string, model core.Model, files, changed 
 		}
 		setup.WarmRPCs = nm.WANCounts()
 		setup.WarmReads = setup.WarmRPCs["READ"]
-		ps := nm.Proxy.Stats()
-		setup.RecoveredBlocks = ps.RecoveredBlocks
-		setup.RecoveredDirty = ps.RecoveredDirty
-		setup.RevalidatedBlocks = ps.RevalidatedBlocks
-		setup.RefetchedBlocks = ps.RefetchedBlocks
+		snap, node := d.Obs.Registry().Snapshot(), nm.Host()+"/"+sess.Name
+		setup.RecoveredBlocks = snap.Sum("gvfs_client_recovered_blocks_total", "node", node)
+		setup.RecoveredDirty = snap.Sum("gvfs_client_recovered_dirty_blocks_total", "node", node)
+		setup.RevalidatedBlocks = snap.Sum("gvfs_client_revalidated_blocks_total", "node", node)
+		setup.RefetchedBlocks = snap.Sum("gvfs_client_refetched_blocks_total", "node", node)
 	})
 	opt.dumpMetrics(fmt.Sprintf("restart %s", name), d)
 	return setup, runErr

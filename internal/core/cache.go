@@ -1003,11 +1003,13 @@ func (sc *sessionCache) dropUnreadLocked(blk *cachedBlock) {
 	}
 }
 
-// updateAfterWrite reconciles the cache with a forwarded WRITE's reply,
-// using the weak-cache-consistency data to recognize our own modification:
-// when the pre-op mtime matches the cached one, the mtime advance is ours
-// and cached blocks stay valid.
-func (sc *sessionCache) updateAfterWrite(fh nfs3.FH, wcc nfs3.WccData) {
+// updateAfterWrite reconciles the cache with the reply of a forwarded WRITE
+// of n bytes at off, using the weak-cache-consistency data to recognize our
+// own modification: when the pre-op mtime matches the cached one, the mtime
+// advance is ours and cached blocks stay valid — except the clean ones the
+// write overlaps, whose bytes the server now holds newer. They go; the
+// caller puts back a block the write covered whole.
+func (sc *sessionCache) updateAfterWrite(fh nfs3.FH, off uint64, n int, wcc nfs3.WccData) {
 	if !wcc.After.Present {
 		return
 	}
@@ -1024,6 +1026,11 @@ func (sc *sessionCache) updateAfterWrite(fh nfs3.FH, wcc nfs3.WccData) {
 		ours := wcc.Before.Present && wcc.Before.Attr.Mtime == fc.mtime
 		if !ours && fc.mtime != after.Mtime {
 			sc.dropCleanLocked(fc)
+		}
+		for bn := off / uint64(sc.bs); n > 0 && bn <= (off+uint64(n)-1)/uint64(sc.bs); bn++ {
+			if blk := fc.blocks[bn]; blk != nil && !blk.dirty {
+				sc.dropBlockLocked(blk)
+			}
 		}
 		fc.mtime = after.Mtime
 		if fc.localChange == 0 {

@@ -106,6 +106,7 @@ func (p *ProxyClient) openDiskCache() {
 		refetched:   p.met.refetchedBlks,
 	})
 	p.cache.adoptRecovered(rec.Files)
+	p.recovering = rec.Stats.Blocks > 0
 	p.met.recoveredBlocks.Add(int64(rec.Stats.Blocks))
 	p.met.recoveredDirty.Add(int64(rec.Stats.DirtyBlocks))
 	p.met.recoveryDropped.Add(int64(rec.Stats.Dropped))

@@ -188,7 +188,7 @@ func TestCommitReportsLostWriteBack(t *testing.T) {
 				if cm := b.commit(t, fh); cm.Status != nfs3.ErrIO {
 					t.Errorf("COMMIT over dropped data: status %v, want %v", cm.Status, nfs3.ErrIO)
 				}
-				if got := b.p.Stats().FlushErrors; got != 1 {
+				if got := b.p.met.flushErrors.Value(); got != 1 {
 					t.Errorf("flush errors = %d, want 1", got)
 				}
 				if b.p.cache.hasDirty(fh) {
@@ -265,7 +265,7 @@ func TestReadAheadOffDoesNoBookkeeping(t *testing.T) {
 			if w := b.p.ra.window.Load(); w != 0 {
 				t.Errorf("window = %d with readahead off", w)
 			}
-			if ras, reads := b.p.Stats().ReadAheads, b.wan(nfs3.ProcRead); ras != 0 || reads != 3 {
+			if ras, reads := b.p.met.readAheads.Value(), b.wan(nfs3.ProcRead); ras != 0 || reads != 3 {
 				t.Errorf("prefetched %d blocks, %d WAN READs for 3 blocks read", ras, reads)
 			}
 		})

@@ -260,9 +260,9 @@ func TestCacheOwnWriteKeepsBlocks(t *testing.T) {
 	fh := fhN(1)
 	a1 := attrWithMtime(1, nfs3.TypeReg)
 	sc.putCleanBlock(fh, 0, []byte{1, 2, 3, 4}, a1)
-	// Our own WRITE advanced mtime 1 -> 2; wcc proves it was us.
+	// Our own WRITE to block 1 advanced mtime 1 -> 2; wcc proves it was us.
 	a2 := attrWithMtime(2, nfs3.TypeReg)
-	sc.updateAfterWrite(fh, nfs3.WccData{
+	sc.updateAfterWrite(fh, 4, 4, nfs3.WccData{
 		Before: nfs3.PreOpAttr{Present: true, Attr: nfs3.WccAttr{Mtime: a1.Mtime, Size: a1.Size}},
 		After:  nfs3.PostOpAttr{Present: true, Attr: a2},
 	})
@@ -271,12 +271,33 @@ func TestCacheOwnWriteKeepsBlocks(t *testing.T) {
 	}
 	// A write whose pre-op mtime does not match is foreign: drop.
 	a9 := attrWithMtime(9, nfs3.TypeReg)
-	sc.updateAfterWrite(fh, nfs3.WccData{
+	sc.updateAfterWrite(fh, 4, 4, nfs3.WccData{
 		Before: nfs3.PreOpAttr{Present: true, Attr: nfs3.WccAttr{Mtime: nfs3.Time{Sec: 8}}},
 		After:  nfs3.PostOpAttr{Present: true, Attr: a9},
 	})
 	if _, ok := sc.getBlock(fh, 0); ok {
 		t.Fatal("foreign interleaved write did not drop blocks")
+	}
+}
+
+// TestCacheOwnPartialWriteDropsTheBlock: our own forwarded WRITE of two bytes
+// inside a cached block leaves the block's copy of them stale, so the block
+// goes, while a block the write does not touch stays.
+func TestCacheOwnPartialWriteDropsTheBlock(t *testing.T) {
+	sc := newSessionCache(4, 1<<20)
+	fh := fhN(1)
+	a1 := attrWithMtime(1, nfs3.TypeReg)
+	sc.putCleanBlock(fh, 0, []byte{1, 2, 3, 4}, a1)
+	sc.putCleanBlock(fh, 1, []byte{5, 6, 7, 8}, a1)
+	sc.updateAfterWrite(fh, 1, 2, nfs3.WccData{
+		Before: nfs3.PreOpAttr{Present: true, Attr: nfs3.WccAttr{Mtime: a1.Mtime, Size: a1.Size}},
+		After:  nfs3.PostOpAttr{Present: true, Attr: attrWithMtime(2, nfs3.TypeReg)},
+	})
+	if data, ok := sc.getBlock(fh, 0); ok {
+		t.Errorf("block 0 still cached as %v after our write of bytes 1-2", data)
+	}
+	if _, ok := sc.getBlock(fh, 1); !ok {
+		t.Error("block 1, which the write did not touch, was dropped")
 	}
 }
 

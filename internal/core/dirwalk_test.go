@@ -571,7 +571,7 @@ func TestDirWalkRule(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				b.lookup(i * 80)
 				b.settle()
-				if _, lookups, _, _ := b.p.CacheStats(); lookups > maxDentries {
+				if _, lookups, _, _ := b.p.cache.stats(); lookups > maxDentries {
 					t.Fatalf("%d name resolutions cached after %d LOOKUPs, cap %d", lookups, i+1, maxDentries)
 				}
 			}

@@ -144,7 +144,7 @@ func TestParallelFlushKeepsRunsWhole(t *testing.T) {
 		if got := b.wan(nfs3.ProcWrite); got != 2 {
 			t.Errorf("%d dirty blocks flushed in %d wide-area WRITEs, want 2", blocks, got)
 		}
-		if got := b.p.Stats().FlushedBlocks; got != blocks {
+		if got := b.p.met.flushedBlocks.Value(); got != blocks {
 			t.Errorf("flushed %d blocks, want %d", got, blocks)
 		}
 		if !b.onServer(blocks, 0x5A) {

@@ -145,7 +145,7 @@ func TestHandleStateFollowsLiveFiles(t *testing.T) {
 				if got := p.handleEntries(); got > live {
 					t.Errorf("%d handle records after %d create/read/remove rounds, %d with the same files live before them", got, churn, live)
 				}
-				if _, _, files, _ := p.CacheStats(); files > 1 {
+				if _, _, files, _ := p.cache.stats(); files > 1 {
 					t.Errorf("%d cached file entries, 1 file live", files)
 				}
 
@@ -244,7 +244,7 @@ func TestRepliesDoNotBringForgottenHandlesBack(t *testing.T) {
 				if got := p.handleEntries(); got != live {
 					t.Errorf("%d handle records after the stale file's replies landed, %d without it", got, live)
 				}
-				if got := p.Stats().ReadAheads; got != 0 {
+				if got := p.met.readAheads.Value(); got != 0 {
 					t.Errorf("%d blocks of a dead file cached", got)
 				}
 			})

@@ -30,7 +30,10 @@ type ProxyClient struct {
 	// session cache (nil when Config.DiskCacheDir is unset, or when the
 	// store failed to open and the proxy degraded to memory-only).
 	disk *diskcache.Store
-	srv  *sunrpc.Server
+	// recovering is set when disk came back holding a predecessor's blocks:
+	// Serve then runs crash recovery (recoverAfterCrash).
+	recovering bool
+	srv        *sunrpc.Server
 	// cbSrv serves the GVFS callback program on its own server so the
 	// bounded scheduling pool applies to recall traffic without ever
 	// shedding or queueing the kernel's loopback NFS calls (the kernel
@@ -73,67 +76,29 @@ type ProxyClient struct {
 	// consulted, when Config.ReadAhead is negative.
 	ra readPipe
 
-	// node records this proxy's trace spans; met holds its registry series.
-	// Counters are the single source of truth — ProxyClientStats is now a
-	// view assembled from them (see Stats).
+	// node records this proxy's trace spans; met holds its registry series,
+	// the only home of its counters.
 	node *obs.Node
 	met  *clientMetrics
 }
 
-// ProxyClientStats counts proxy-client activity for the evaluation harness.
+// ProxyClientStats is the pinned benchmark's view (benchmark/run.go) of nine
+// proxy-client counters. The counters live once, in the obs registry, under
+// the series named beside each field; every other reader reads them there.
+// The view goes when the benchmark reads the registry too.
 type ProxyClientStats struct {
-	// LocalHits are kernel RPCs answered from the disk cache without any
-	// wide-area traffic — the calls the paper's figures show disappearing.
-	LocalHits int64
-	// Forwards are kernel RPCs that crossed the wide area.
-	Forwards int64
-	// Invalidations is the number of handles invalidated via GETINV.
-	Invalidations int64
-	// ForceInvalidations counts whole-cache invalidations.
-	ForceInvalidations int64
-	// Recalls counts delegation callbacks served.
-	Recalls int64
-	// FlushedBlocks counts dirty blocks written back.
-	FlushedBlocks int64
-	// UpstreamRetries counts upstream call attempts that failed at the RPC
-	// layer (timeout or connection loss) and were retried or abandoned.
-	UpstreamRetries int64
-	// FlushErrors counts dirty-block write-backs that failed with an NFS
-	// error (e.g. the file was removed); the block is dropped.
-	FlushErrors int64
-	// ReadAheads counts blocks prefetched by the sequential readahead
-	// pipeline (each is one wide-area READ the kernel never waited a full
-	// round-trip for).
-	ReadAheads int64
+	LocalHits     int64 // gvfs_client_local_hits_total: kernel RPCs answered locally
+	Forwards      int64 // gvfs_client_forwards_total: kernel RPCs that crossed the wide area
+	Recalls       int64 // gvfs_client_recalls_total: delegation callbacks served
+	FlushedBlocks int64 // gvfs_client_flushed_blocks_total: dirty blocks written back
 
-	// Metadata fast path: local serves broken out by cache. AttrHits are
-	// GETATTRs answered from the attribute cache, DentryHits positive
-	// LOOKUPs, NegLookupHits cached NOENTs, AccessHits permission checks
-	// computed from cached attributes, ListingHits READDIRs served from a
-	// cached complete listing.
+	// Local metadata serves, gvfs_client_meta_hits_total by its cache label:
+	// attr, dentry, negative, access and listing.
 	AttrHits      int64
 	DentryHits    int64
 	NegLookupHits int64
 	AccessHits    int64
 	ListingHits   int64
-	// MetaEvictions counts capacity evictions in the metadata caches.
-	MetaEvictions int64
-
-	// PollCapped counts GETINV polls abandoned at the round cap.
-	PollCapped int64
-
-	// Disk-cache recovery accounting. RecoveredBlocks (of which
-	// RecoveredDirty were dirty) survived the last restart intact;
-	// RecoveryDropped were discarded during replay (torn tail, CRC
-	// mismatch, missing block file). RevalidatedBlocks were recovered clean
-	// blocks whose file's first post-restart server attribute observation
-	// confirmed them unchanged; RefetchedBlocks were dropped by the normal
-	// mtime reconciliation instead.
-	RecoveredBlocks   int64
-	RecoveredDirty    int64
-	RecoveryDropped   int64
-	RevalidatedBlocks int64
-	RefetchedBlocks   int64
 }
 
 // recallFlushReq is one queued background write-back (recall with a large
@@ -352,7 +317,10 @@ func (p *ProxyClient) waitCall(c upstreamCall) (sunrpc.Reply, error) {
 }
 
 // Serve starts serving kernel NFS traffic on nfsListener and GVFS callbacks
-// on cbListener, and launches the session's maintenance actors.
+// on cbListener, and launches the session's maintenance actors. If the disk
+// store this incarnation reopened held a predecessor's blocks, crash recovery
+// runs last, with both listeners up: a callback that recovery's own write-back
+// provokes finds this client listening.
 func (p *ProxyClient) Serve(nfsListener, cbListener transport.Listener) {
 	p.srv.Serve(nfsListener)
 	if cbListener != nil {
@@ -364,15 +332,18 @@ func (p *ProxyClient) Serve(nfsListener, cbListener transport.Listener) {
 	if p.cfg.WriteBack || p.cfg.Model == ModelDelegation {
 		p.clk.GoDaemon("gvfs-flush:"+p.cred.ClientID, p.flushLoop)
 	}
+	if p.recovering {
+		p.recoverAfterCrash()
+	}
 }
 
-// RecoverAfterCrash is the proxy client's restart over the disk cache its
+// recoverAfterCrash is the proxy client's restart over the disk cache its
 // predecessor left (NewProxyClient has already reopened it): it invalidates
 // all cached attributes to force revalidation, holds no delegation, and
 // attempts to write back one block per dirty file to reconcile conflicts and
 // reacquire delegations (Section 4.3.4). Files whose write-back fails with a
 // conflict have their dirty data discarded as corrupted.
-func (p *ProxyClient) RecoverAfterCrash() {
+func (p *ProxyClient) recoverAfterCrash() {
 	for _, fh := range p.cache.recallAll(false) {
 		blocks := p.cache.dirtyBlocks(fh)
 		if len(blocks) == 0 {
@@ -406,7 +377,7 @@ func (p *ProxyClient) Stop() {
 // Crash models an abrupt proxy-client failure: connections drop and no
 // dirty data is flushed. What outlives it is what the disk store under
 // Config.DiskCacheDir holds; a new instance over the same directory recovers
-// it (RecoverAfterCrash).
+// it (recoverAfterCrash).
 func (p *ProxyClient) Crash() {
 	p.stopped.Store(true)
 	if p.disk != nil {
@@ -421,31 +392,18 @@ func (p *ProxyClient) Crash() {
 	p.upstream().Close()
 }
 
-// Stats returns a snapshot of proxy activity counters. The counters live in
-// the obs registry; this remains as a typed view over them.
+// Stats returns the pinned benchmark's view of the registry's counters.
 func (p *ProxyClient) Stats() ProxyClientStats {
 	return ProxyClientStats{
-		LocalHits:          p.met.localHits.Value(),
-		Forwards:           p.met.forwards.Value(),
-		Invalidations:      p.met.invalidations.Value(),
-		ForceInvalidations: p.met.forceInvalidations.Value(),
-		Recalls:            p.met.recalls.Value(),
-		FlushedBlocks:      p.met.flushedBlocks.Value(),
-		UpstreamRetries:    p.met.upstreamRetries.Value(),
-		FlushErrors:        p.met.flushErrors.Value(),
-		ReadAheads:         p.met.readAheads.Value(),
-		AttrHits:           p.met.attrHits.Value(),
-		DentryHits:         p.met.dentryHits.Value(),
-		NegLookupHits:      p.met.negHits.Value(),
-		AccessHits:         p.met.accessHits.Value(),
-		ListingHits:        p.met.listingHits.Value(),
-		MetaEvictions:      p.met.metaEvictions.Value(),
-		PollCapped:         p.met.pollCapped.Value(),
-		RecoveredBlocks:    p.met.recoveredBlocks.Value(),
-		RecoveredDirty:     p.met.recoveredDirty.Value(),
-		RecoveryDropped:    p.met.recoveryDropped.Value(),
-		RevalidatedBlocks:  p.met.revalidatedBlks.Value(),
-		RefetchedBlocks:    p.met.refetchedBlks.Value(),
+		LocalHits:     p.met.localHits.Value(),
+		Forwards:      p.met.forwards.Value(),
+		Recalls:       p.met.recalls.Value(),
+		FlushedBlocks: p.met.flushedBlocks.Value(),
+		AttrHits:      p.met.attrHits.Value(),
+		DentryHits:    p.met.dentryHits.Value(),
+		NegLookupHits: p.met.negHits.Value(),
+		AccessHits:    p.met.accessHits.Value(),
+		ListingHits:   p.met.listingHits.Value(),
 	}
 }
 
@@ -482,11 +440,6 @@ func (p *ProxyClient) UpstreamCounts() map[uint64]int64 {
 		out[k] += v
 	}
 	return out
-}
-
-// CacheStats reports disk cache occupancy.
-func (p *ProxyClient) CacheStats() (attrs, lookups, files int, bytes int64) {
-	return p.cache.stats()
 }
 
 // --- maintenance actors ---------------------------------------------------
@@ -1412,7 +1365,7 @@ func (p *ProxyClient) writeForward(call *sunrpc.Call, args nfs3.WriteArgs) sunrp
 	if res.Status == nfs3.OK && res.Wcc.After.Present {
 		// Reconcile first (recognizing our own mtime advance via the wcc
 		// data), then cache the freshly written block.
-		p.cache.updateAfterWrite(args.FH, res.Wcc)
+		p.cache.updateAfterWrite(args.FH, args.Offset, len(args.Data), res.Wcc)
 		bs := uint64(p.cfg.BlockSize)
 		if args.Offset%bs == 0 && (uint64(len(args.Data)) == bs || args.Offset+uint64(len(args.Data)) >= res.Wcc.After.Attr.Size) {
 			p.cache.putCleanBlock(args.FH, args.Offset/bs, args.Data, res.Wcc.After.Attr)

@@ -472,13 +472,17 @@ func (s *ProxyServer) grantLocked(c *clientState, a accessReq, now time.Duration
 			readable = false
 		}
 	}
+	held := sh.deleg
 	sh.deleg = DelegNone
 	switch {
 	// THE ROW "Delegation that delegates" (ROADMAP) will edit: any other
 	// sharer, even one holding nothing since its recall, denies the write
 	// delegation until it ages out — which is what keeps the benchmark's
-	// share producer writing through. TestSharerStateMachine pins it.
-	case a.write && len(f.sharers) == 1:
+	// share producer writing through. TestSharerStateMachine pins it. The
+	// only holder's own READ keeps its write delegation: downgraded, it would
+	// keep buffering the blocks it holds dirty while others read past them
+	// (TestHolderReadKeepsWriteDelegation).
+	case (a.write || held == DelegWrite) && len(f.sharers) == 1:
 		sh.deleg = DelegWrite
 	case !a.write && readable:
 		sh.deleg = DelegRead

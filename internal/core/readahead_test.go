@@ -552,7 +552,7 @@ func TestStreamStateReclaimedWithFile(t *testing.T) {
 			if got := b.p.cache.liveStreams(); got != files {
 				t.Errorf("%d files streaming, want %d", got, files)
 			}
-			if got := b.p.Stats().ReadAheads; got != files*2 {
+			if got := b.p.met.readAheads.Value(); got != files*2 {
 				t.Errorf("prefetched %d blocks, want %d (each file's other two)", got, files*2)
 			}
 			// Removed behind the proxy's back and invalidated, as a GETINV
@@ -572,7 +572,7 @@ func TestStreamStateReclaimedWithFile(t *testing.T) {
 			if got := b.p.cache.liveStreams(); got != 0 {
 				t.Errorf("%d stream entries outlive their files", got)
 			}
-			if _, _, cached, _ := b.p.CacheStats(); cached != 0 {
+			if _, _, cached, _ := b.p.cache.stats(); cached != 0 {
 				t.Errorf("%d file entries outlive their files", cached)
 			}
 		})
@@ -598,7 +598,7 @@ func TestNoPrefetchAfterStop(t *testing.T) {
 				return
 			}
 			b.clk.Sleep(time.Second)
-			before := b.p.Stats().ReadAheads
+			before := b.p.met.readAheads.Value()
 			if before == 0 {
 				t.Error("nothing was prefetched before the stop")
 			}
@@ -608,7 +608,7 @@ func TestNoPrefetchAfterStop(t *testing.T) {
 			}
 			b.p.issueChunk(b.p.claimChunk(0, lk.FH, 4))
 			b.clk.Sleep(time.Second)
-			if got := b.p.Stats().ReadAheads; got != before {
+			if got := b.p.met.readAheads.Value(); got != before {
 				t.Errorf("prefetched %d more blocks after Stop", got-before)
 			}
 			b.p.cache.mu.Lock()

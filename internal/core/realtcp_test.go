@@ -50,6 +50,12 @@ func tcpProxy(t *testing.T, sess *gvfs.Session, host string, kopts nfsclient.Opt
 	return m
 }
 
+// proxyCount reads m's proxy-client series of family fam from the
+// deployment's registry, where the proxy client's node is host/session.
+func proxyCount(d *gvfs.Deployment, sess *gvfs.Session, m *gvfs.Mount, fam string) int64 {
+	return d.Obs.Registry().Snapshot().Sum(fam, "node", m.Host()+"/"+sess.Name)
+}
+
 // tcpMount opens one more bare kernel-side connection to a proxy client —
 // no kernel caches, no tracing on the caller's side — and mounts.
 func tcpMount(t *testing.T, clk *vclock.Clock, kernelAddr string) (*nfscall.Conn, nfs3.FH) {
@@ -140,13 +146,8 @@ func TestFullChainOverRealTCP(t *testing.T) {
 func TestInvalidationOverRealTCP(t *testing.T) {
 	d, sess := tcpSession(t, core.Config{Model: core.ModelPolling, PollPeriod: 50 * time.Millisecond})
 	d.FS.WriteFile("shared/doc", []byte("v1"))
-	mountClient := func(id string) (*nfsclient.Client, *core.ProxyClient) {
-		m := tcpProxy(t, sess, id, nfsclient.Options{NoAC: true})
-		return m.Client, m.Proxy
-	}
-
-	reader, readerProxy := mountClient("tcp-reader")
-	writer, _ := mountClient("tcp-writer")
+	readerM := tcpProxy(t, sess, "tcp-reader", nfsclient.Options{NoAC: true})
+	reader, writer := readerM.Client, tcpProxy(t, sess, "tcp-writer", nfsclient.Options{NoAC: true}).Client
 
 	if got, err := reader.ReadFile("shared/doc"); err != nil || string(got) != "v1" {
 		t.Fatalf("read v1 = %q, %v", got, err)
@@ -167,7 +168,7 @@ func TestInvalidationOverRealTCP(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if readerProxy.Stats().Invalidations == 0 && readerProxy.Stats().ForceInvalidations == 0 {
+	if proxyCount(d, sess, readerM, "gvfs_client_invalidations_total") == 0 && proxyCount(d, sess, readerM, "gvfs_client_force_invalidations_total") == 0 {
 		t.Error("no invalidations processed over TCP")
 	}
 }
@@ -220,7 +221,7 @@ func TestColdReadsOverRealTCPByteForByte(t *testing.T) {
 	d, sess := tcpSession(t, cfg)
 	bigFile(t, d.FS, "exported/big", blocks, bs)
 	m := tcpProxy(t, sess, "workstation", nfsclient.Options{})
-	clk, proxy, kernelAddr := d.Clock, m.Proxy, m.Addr()
+	clk, kernelAddr := d.Clock, m.Addr()
 
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -248,8 +249,8 @@ func TestColdReadsOverRealTCPByteForByte(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if st := proxy.Stats(); st.Forwards == 0 || st.LocalHits == 0 {
-		t.Errorf("want both misses and hits, got %d forwards, %d hits", st.Forwards, st.LocalHits)
+	if forwards, hits := proxyCount(d, sess, m, "gvfs_client_forwards_total"), proxyCount(d, sess, m, "gvfs_client_local_hits_total"); forwards == 0 || hits == 0 {
+		t.Errorf("want both misses and hits, got %d forwards, %d hits", forwards, hits)
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/diskcache"
-	"repro/internal/memfs"
+	"repro/internal/simnet"
+	"repro/internal/sunrpc"
+	"repro/internal/vclock"
 )
 
 // TestRecoveryOverBudgetEvictsThroughTheStore: a proxy client that restarts
@@ -58,23 +60,44 @@ func TestRecoveryOverBudgetEvictsThroughTheStore(t *testing.T) {
 		}
 	}
 
-	cfg := Config{BlockSize: bs, CacheBytes: budget * bs, DiskCacheDir: dir, DiskCacheSyncPolicy: "none"}
-	runRABed(t, cfg, func(*memfs.FS) {}, func(b *raBed) {
-		s := b.p.Stats()
-		if s.RecoveredBlocks != cleanOnDsk+dirtyOnDsk || s.RecoveredDirty != dirtyOnDsk {
-			t.Errorf("recovered %d blocks (%d dirty), want %d (%d)", s.RecoveredBlocks, s.RecoveredDirty, cleanOnDsk+dirtyOnDsk, dirtyOnDsk)
+	// The next incarnation adopts the store as it is built; Serve would go on
+	// to recovery's write-back, which has no server here and is not what is
+	// under test.
+	clk := vclock.NewVirtual()
+	defer clk.Stop()
+	net := simnet.New(clk, simnet.Params{})
+	if _, err := net.Host("server").Listen(":2049"); err != nil {
+		t.Fatal(err)
+	}
+	var p *ProxyClient
+	done := make(chan struct{})
+	clk.Go("adopt", func() {
+		defer close(done)
+		up, err := net.Host("client").Dial("server:2049")
+		if err != nil {
+			t.Error(err)
+			return
 		}
-		if _, _, _, held := b.p.CacheStats(); held != budget*bs {
-			t.Errorf("%d clean bytes in memory, budget %d", held, budget*bs)
-		}
-		if got := len(b.p.cache.dirtyBlocks(fhN(2))); got != dirtyOnDsk {
-			t.Errorf("%d dirty blocks in memory, want %d", got, dirtyOnDsk)
-		}
-		if _, blocks, _ := b.p.DiskStore().Usage(); blocks != budget+dirtyOnDsk {
-			t.Errorf("store indexes %d blocks after adoption, want %d", blocks, budget+dirtyOnDsk)
-		}
-		b.p.Crash()
+		cfg := Config{BlockSize: bs, CacheBytes: budget * bs, DiskCacheDir: dir, DiskCacheSyncPolicy: "none"}
+		p = NewProxyClient(clk, cfg, sunrpc.NewClient(clk, up, sunrpc.NoneCred()), SessionCred{SessionKey: "s", ClientID: "ra-test"})
 	})
+	<-done
+	if p == nil {
+		return
+	}
+	if blocks, dirty := p.met.recoveredBlocks.Value(), p.met.recoveredDirty.Value(); blocks != cleanOnDsk+dirtyOnDsk || dirty != dirtyOnDsk {
+		t.Errorf("recovered %d blocks (%d dirty), want %d (%d)", blocks, dirty, cleanOnDsk+dirtyOnDsk, dirtyOnDsk)
+	}
+	if _, _, _, held := p.cache.stats(); held != budget*bs {
+		t.Errorf("%d clean bytes in memory, budget %d", held, budget*bs)
+	}
+	if got := len(p.cache.dirtyBlocks(fhN(2))); got != dirtyOnDsk {
+		t.Errorf("%d dirty blocks in memory, want %d", got, dirtyOnDsk)
+	}
+	if _, blocks, _ := p.DiskStore().Usage(); blocks != budget+dirtyOnDsk {
+		t.Errorf("store indexes %d blocks after adoption, want %d", blocks, budget+dirtyOnDsk)
+	}
+	p.Crash()
 	reopen("after the first restart")
 	reopen("after the second restart")
 }

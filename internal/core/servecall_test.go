@@ -119,7 +119,7 @@ func TestServeCallAllocs(t *testing.T) {
 			for i := 0; i < 2*len(wire); i++ {
 				dispatch(i) // the first pass dirties (write) and fills the pools
 			}
-			forwards := m.Proxy.Stats().Forwards
+			forwards := proxyCount(d, sess, m, "gvfs_client_forwards_total")
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
@@ -131,7 +131,7 @@ func TestServeCallAllocs(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			perOp := float64(after.Mallocs-before.Mallocs) / ops
 			t.Logf("%.2f allocs/op, %d bytes/op", perOp, (after.TotalAlloc-before.TotalAlloc)/ops)
-			if n := m.Proxy.Stats().Forwards - forwards; n != 0 {
+			if n := proxyCount(d, sess, m, "gvfs_client_forwards_total") - forwards; n != 0 {
 				t.Errorf("%d of %d warm calls crossed the wide area", n, ops)
 			}
 			if leaked != 0 {
@@ -174,7 +174,7 @@ func TestHitReadsBesideAbsorbedWrites(t *testing.T) {
 	}
 	// The bootstrap poll's force-invalidate would send a READ or a WRITE
 	// across in the middle.
-	for deadline := time.Now().Add(10 * time.Second); m.Proxy.Stats().ForceInvalidations == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); proxyCount(d, sess, m, "gvfs_client_force_invalidations_total") == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("timed out waiting for the bootstrap poll")
 		}
@@ -193,7 +193,7 @@ func TestHitReadsBesideAbsorbedWrites(t *testing.T) {
 	if res, err := reader.Read(fh, 0, bs); err != nil || res.Status != nfs3.OK {
 		t.Fatalf("warm block 0: %v %v", res.Status, err)
 	}
-	forwards := m.Proxy.Stats().Forwards
+	forwards := proxyCount(d, sess, m, "gvfs_client_forwards_total")
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -221,7 +221,7 @@ func TestHitReadsBesideAbsorbedWrites(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if n := m.Proxy.Stats().Forwards - forwards; n != 0 {
+	if n := proxyCount(d, sess, m, "gvfs_client_forwards_total") - forwards; n != 0 {
 		t.Errorf("%d READs and WRITEs of a cached, write-back block crossed the wide area", n)
 	}
 }
@@ -283,7 +283,7 @@ func TestServeCallMissAllocs(t *testing.T) {
 	for i := 0; i < 2*blocks; i++ {
 		read(i) // fills the cache, the pools and the servers' connections
 	}
-	forwards := m.Proxy.Stats().Forwards
+	forwards := proxyCount(d, sess, m, "gvfs_client_forwards_total")
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -294,7 +294,7 @@ func TestServeCallMissAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perOp, bytesPerOp := float64(after.Mallocs-before.Mallocs)/ops, (after.TotalAlloc-before.TotalAlloc)/ops
 	t.Logf("%.2f allocs/op, %d bytes/op", perOp, bytesPerOp)
-	if n := m.Proxy.Stats().Forwards - forwards; n != ops {
+	if n := proxyCount(d, sess, m, "gvfs_client_forwards_total") - forwards; n != ops {
 		t.Errorf("%d of %d READs crossed the wide area, want every one", n, ops)
 	}
 	// A server releases a request's frame just after sending its reply: give

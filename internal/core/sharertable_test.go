@@ -540,7 +540,7 @@ func TestRecallSettlesTheSameForEveryReason(t *testing.T) {
 					if err != nil {
 						t.Error(err)
 					}
-					if sent := s.Stats().CallbacksSent; sent != 1 || answer.reachable && served != 1 {
+					if sent := s.met.callbacksSent.Value(); sent != 1 || answer.reachable && served != 1 {
 						t.Errorf("%d callbacks sent, %d served; want one recall", sent, served)
 					}
 				})
@@ -701,4 +701,19 @@ func checkSharerTable(s *ProxyServer) error {
 		}
 		return &f.link
 	})
+}
+
+// TestHolderReadKeepsWriteDelegation: the write delegation's only holder
+// reading a block — a demand miss, or the fetch before an absorbed partial
+// WRITE — keeps the delegation, so another client's read still recalls it.
+func TestHolderReadKeepsWriteDelegation(t *testing.T) {
+	fh := fhN(7)
+	d := &tableDriver{s: tableServer("A", "B"), answers: map[string]outcome{}}
+	d.access("A", accessReq{fh: fh, write: true, offset: off(1)})
+	if _, grant := d.access("A", accessReq{fh: fh, offset: off(0)}); grant != "write" || describeFile(d.s, fh) != "A=write" {
+		t.Fatalf("A's read was granted %q, row %q; want write, A=write", grant, describeFile(d.s, fh))
+	}
+	if recalls, _ := d.access("B", accessReq{fh: fh, offset: off(1)}); recalls == "" {
+		t.Error("B's read recalled nothing from the write holder")
+	}
 }

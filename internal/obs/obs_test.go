@@ -221,6 +221,37 @@ func TestLabel(t *testing.T) {
 	}
 }
 
+// TestSnapshotSum: Sum picks series by family and by whole label pairs, over
+// counters and gauges alike.
+func TestSnapshotSum(t *testing.T) {
+	r := NewRegistry()
+	hits := Label("hits_total", "node", "C1/s")
+	r.Counter(Label(hits, "cache", "attr")).Add(1)
+	r.Counter(Label(hits, "cache", "dentry")).Add(2)
+	r.Counter(Label(Label("hits_total", "node", "C2/s"), "cache", "dentry")).Add(4)
+	r.Counter(Label("hits_total", "node", "C1/s2")).Add(8)
+	r.Counter("hits_total_other").Add(16)
+	r.Gauge(Label("bytes", "node", "C1/s")).Set(32)
+	s := r.Snapshot()
+	for _, c := range []struct {
+		fam  string
+		kv   []string
+		want int64
+	}{
+		{"hits_total", nil, 15},
+		{"hits_total", []string{"cache", "dentry"}, 6},
+		{"hits_total", []string{"node", "C1/s"}, 3},
+		{"hits_total", []string{"node", "C1/s", "cache", "dentry"}, 2},
+		{"hits_total", []string{"node", "C1"}, 0},
+		{"bytes", []string{"node", "C1/s"}, 32},
+		{"missing", nil, 0},
+	} {
+		if got := s.Sum(c.fam, c.kv...); got != c.want {
+			t.Errorf("Sum(%q, %q) = %d, want %d", c.fam, c.kv, got, c.want)
+		}
+	}
+}
+
 func TestFormatSpansDeterministic(t *testing.T) {
 	mk := func(order []int) string {
 		spans := []Span{

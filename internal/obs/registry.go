@@ -289,6 +289,34 @@ func (s Snapshot) SumCounters(fam string) int64 {
 	return total
 }
 
+// Sum totals the counter and gauge series of family fam whose labels include
+// every key/value pair in kv: Sum("gvfs_client_meta_hits_total", "cache",
+// "dentry") over every node, or one node's series with "node", name added.
+func (s Snapshot) Sum(fam string, kv ...string) int64 {
+	var total int64
+	for _, series := range []map[string]int64{s.Counters, s.Gauges} {
+		for name, v := range series {
+			f, labels := splitSeries(name)
+			if f == fam && hasLabels(labels, kv) {
+				total += v
+			}
+		}
+	}
+	return total
+}
+
+// hasLabels reports whether a series' label block carries every key/value
+// pair in kv.
+func hasLabels(labels string, kv []string) bool {
+	for i := 0; i+1 < len(kv); i += 2 {
+		pair := kv[i] + `="` + escapeLabelValue(kv[i+1]) + `"`
+		if !strings.Contains(labels, "{"+pair) && !strings.Contains(labels, ","+pair) {
+			return false
+		}
+	}
+	return true
+}
+
 // Snapshot copies all series. Safe to call concurrently with updates.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
