@@ -37,7 +37,7 @@ func main() {
 	writeback := flag.Bool("writeback", false, "enable write-back caching")
 	poll := flag.Duration("poll-period", 30*time.Second, "invalidation polling window")
 	metrics := flag.String("metrics", "", "HTTP listen address for /metrics, /metrics.json, /spans, /trace, /attr and /debug/pprof/ (empty = disabled)")
-	workers := flag.Int("workers", runtime.NumCPU()*4, "callback-service worker-pool size (0 = unbounded legacy spawn)")
+	workers := flag.Int("workers", runtime.NumCPU()*4, "callback-service worker-pool size (0 = unbounded)")
 	queueDepth := flag.Int("queue-depth", 0, "callback-service queue bound (0 = scheduler default)")
 	diskDir := flag.String("disk-cache-dir", "", "directory for the crash-consistent persistent block cache (empty = in-memory only); a restart on the same directory recovers the cache")
 	diskBytes := flag.Int64("disk-cache-bytes", 0, "clean-block byte budget of the persistent cache (0 = the in-memory cache budget)")

@@ -30,7 +30,7 @@ func main() {
 	poll := flag.Duration("poll-period", 30*time.Second, "invalidation polling window")
 	expiry := flag.Duration("deleg-expiry", 10*time.Minute, "delegation expiration period")
 	metrics := flag.String("metrics", "", "HTTP listen address for /metrics, /metrics.json, /spans, /trace, /attr and /debug/pprof/ (empty = disabled)")
-	workers := flag.Int("workers", runtime.NumCPU()*4, "request worker-pool size (0 = unbounded legacy spawn)")
+	workers := flag.Int("workers", runtime.NumCPU()*4, "request worker-pool size (0 = unbounded)")
 	queueDepth := flag.Int("queue-depth", 0, "per-client queue bound (0 = scheduler default)")
 	rateLimit := flag.Float64("rate-limit", 0, "global admission rate in ops/sec (0 = unlimited)")
 	rateBurst := flag.Float64("rate-burst", 0, "global admission burst (0 = scheduler default)")

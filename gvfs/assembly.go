@@ -36,8 +36,8 @@ const serverHost = "server"
 
 // ServeNFS exports fs over NFSv3 and MOUNT on nw at addr, as node "nfsd" of o,
 // and returns the RPC server with the address actually bound. sched is the
-// export's worker pool; the zero value dispatches unbounded, which an export
-// facing clients without a retransmission policy must (it can never shed).
+// export's worker pool; the zero value bounds nothing and never sheds, which
+// an export facing clients without a retransmission policy needs.
 func ServeNFS(clk *vclock.Clock, nw transport.Network, addr string, fs *memfs.FS, o *obs.Obs, sched sunrpc.SchedConfig) (*sunrpc.Server, string, error) {
 	l, err := nw.Listen(addr)
 	if err != nil {

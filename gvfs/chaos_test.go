@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/obs/attr"
 	"repro/internal/simnet"
@@ -382,14 +381,9 @@ func TestChaosReplay(t *testing.T) {
 				t.Errorf("scheduling work differs across replays: %d/%d sheds, %d/%d DRC hits",
 					r1.Sheds, r2.Sheds, r1.DRCHits, r2.DRCHits)
 			}
-			// Quarantined under -race: on an oversubscribed host the two runs have been
-			// seen to differ by one retransmit, and no leak of the wall clock into
-			// virtual time was found. The suspect is a tie: actors runnable at the same
-			// virtual instant run in Go-scheduler order, so a retransmit timer armed by
-			// one and a reply delivery scheduled by another can take their sequence
-			// numbers in either order, and the race detector's slowdown makes the
-			// other order likelier. The span dumps below still have to match.
-			if r1.Retransmits != r2.Retransmits && !bufpool.RaceBuild {
+			// One actor runs at a time under the virtual clock, so timers armed
+			// at one instant take their sequence numbers in a replayable order.
+			if r1.Retransmits != r2.Retransmits {
 				t.Errorf("retransmissions differ across replays: %d/%d", r1.Retransmits, r2.Retransmits)
 			}
 			sameTraces(t, r1, r2)

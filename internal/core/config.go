@@ -199,10 +199,9 @@ type Config struct {
 	// ServerWorkers bounds how many request handlers the proxy server (and
 	// the proxy client's callback service) run concurrently: requests beyond
 	// the pool wait in per-client FIFO queues drained by byte-costed deficit
-	// round-robin, so one hot mount cannot starve the rest. 0 dispatches
-	// every request as it arrives, without bound (the kernel-facing server's
-	// dispatch, which never sheds); negative also means unbounded but allows
-	// the rate limits below to stand alone.
+	// round-robin, so one hot mount cannot starve the rest. 0 or negative
+	// dispatches every admitted request as it arrives, without bound, as the
+	// kernel-facing server always does.
 	ServerWorkers int
 	// ServerQueueDepth bounds each client's queue; a full queue sheds its
 	// oldest request with a retryable TRY_LATER the retransmitting client
@@ -383,12 +382,8 @@ func (c Config) callbackSchedConfig() sunrpc.SchedConfig {
 // present (stable across a client's reconnects), falling back to the
 // connection's remote address.
 func (c Config) schedConfig() sunrpc.SchedConfig {
-	workers := c.ServerWorkers
-	if workers < 0 {
-		workers = 0
-	}
 	return sunrpc.SchedConfig{
-		Workers:     workers,
+		Workers:     c.ServerWorkers,
 		QueueDepth:  c.ServerQueueDepth,
 		RateLimit:   c.RateLimitOps,
 		RateBurst:   c.RateLimitBurst,

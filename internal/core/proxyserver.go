@@ -231,7 +231,8 @@ func (s *ProxyServer) PublishMetrics() {
 }
 
 // Inflight reports the proxy server's current and peak concurrently
-// executing request handlers (zero when Config leaves it unscheduled).
+// executing request handlers (zero when Config leaves ServerWorkers
+// unbounded).
 func (s *ProxyServer) Inflight() (running, peak int) {
 	return s.srv.Inflight()
 }

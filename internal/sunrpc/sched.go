@@ -11,12 +11,12 @@ import (
 	"repro/internal/vclock"
 )
 
-// This file is the server's bounded scheduling layer. Without it every
-// accepted request is dispatched at once (Server.dispatch), so a heavy fan-in
-// of proxy clients means unbounded concurrent handlers and no back-pressure — the
-// server-side metadata overload that concentrates on a handful of proxy
-// servers in the paper's architecture. The scheduler bounds the damage
-// three ways:
+// This file is the server's scheduling layer, the only way a call reaches its
+// handler. Its zero SchedConfig bounds nothing: every call is admitted and
+// dispatched as it arrives. Left so, a heavy fan-in of proxy clients means
+// unbounded concurrent handlers and no back-pressure — the server-side
+// metadata overload that concentrates on a handful of proxy servers in the
+// paper's architecture. A configured scheduler bounds the damage three ways:
 //
 //   - a worker pool of W actors fed from per-client FIFO queues drained by
 //     deficit round-robin (byte-costed, so one hot mount streaming jumbo
@@ -34,16 +34,13 @@ import (
 // section in Call.Yield, which parks the handler off-pool and re-admits
 // it with priority over queued work.
 //
-// Determinism. Under the virtual clock, actors that are runnable at the
-// same virtual instant execute as real goroutines, so the order in which
-// they would reach this scheduler's mutex is real scheduling, not
-// simulation state. Every scheduling decision — bucket charge, queue
-// insert, slot grant — therefore happens in drain(), a zero-delay timer
-// callback: vclock fires it only after every actor runnable at the
-// current instant has blocked, and it processes the batch of arrivals in
-// sorted (client, arrival-sequence) order. Same-seed runs thus make
-// identical shed/dispatch decisions regardless of goroutine interleaving,
-// which the chaos harness asserts by diffing span traces.
+// Determinism. Under the virtual clock every scheduling decision — bucket
+// charge, queue insert, slot grant, dispatch — happens in drain(), a
+// zero-delay timer callback: vclock fires it only after every actor runnable
+// at the current instant has blocked, and it processes the batch of arrivals
+// in sorted (client, arrival-sequence) order. Same-seed runs thus make
+// identical shed/dispatch decisions, which the chaos harness asserts by
+// diffing span traces.
 //
 // Under the real clock there is no instant to batch and no simulated link to
 // keep in order: the actor that changes the scheduler's state — a connection
@@ -64,11 +61,9 @@ const (
 )
 
 // SchedConfig parameterizes the server's scheduling layer. The zero value
-// disables it: every call is dispatched as it arrives, without bound (under
-// the real clock onto the server's parked workers, under the virtual clock
-// onto an actor of its own). Any of Workers, RateLimit, or ClientRate enables
-// it; Workers <= 0 with a rate limit set gives admission control with
-// unbounded execution.
+// bounds nothing: every call is admitted and dispatched, never queued or shed
+// — what a server whose callers cannot be told to retry needs. Workers bounds
+// execution and RateLimit or ClientRate admission, each on its own.
 type SchedConfig struct {
 	// Workers bounds concurrently executing handlers. <= 0 means unbounded.
 	Workers int
@@ -92,10 +87,6 @@ type SchedConfig struct {
 	// connection address. Nil keys queues by remote address — one queue per
 	// connection.
 	ClientName func(cred Cred, remote string) string
-}
-
-func (c SchedConfig) active() bool {
-	return c.Workers > 0 || c.RateLimit > 0 || c.ClientRate > 0
 }
 
 func (c SchedConfig) withDefaults() SchedConfig {
@@ -209,6 +200,7 @@ func newSched(clk *vclock.Clock, srv *Server, cfg SchedConfig) *sched {
 		queues:  make(map[string]*clientQueue),
 		metShed: make(map[string]*obs.Counter),
 	}
+	sc.global = newBucket(sc.cfg.RateLimit, sc.cfg.RateBurst, clk.Now())
 	sc.drainFn = sc.drain
 	return sc
 }
@@ -469,11 +461,9 @@ func (sc *sched) do(a action) {
 
 // drain is the virtual clock's decision point, run by Clock.Soon once every
 // actor runnable at the current instant has blocked. It takes at most ONE
-// action and re-arms itself. One action per micro-step matters for
-// determinism beyond this scheduler: actors released in the same instant
-// race for shared simulated links (bandwidth serialization is granted in
-// Send order), so each granted actor must run to its blocking point before
-// the next grant.
+// action and re-arms itself, so each dispatched or woken handler runs to its
+// blocking point — claiming its place on the shared simulated links, whose
+// bandwidth is granted in Send order — before the next decision.
 func (sc *sched) drain() {
 	sc.mu.Lock()
 	sc.drainArmed = false
@@ -581,10 +571,6 @@ func (sc *sched) yield(r *request, fn func()) {
 	sc.release(false)
 	defer func() {
 		sc.mu.Lock()
-		if sc.cfg.Workers <= 0 {
-			sc.mu.Unlock()
-			return
-		}
 		// Only the drain wakes it, and a Wake is done with the waiter once
 		// this Wait has returned: it can be readied again for the handler's
 		// next yield, or the request's next use.
@@ -601,13 +587,10 @@ func (sc *sched) yield(r *request, fn func()) {
 	fn()
 }
 
-// Inflight returns the current and peak number of concurrently executing
-// handlers (zero for an unscheduled server).
+// Inflight returns the current and peak number of handlers holding a worker
+// slot (zero for a server whose SchedConfig leaves Workers unbounded).
 func (s *Server) Inflight() (running, peak int) {
 	sc := s.table.Load().sched
-	if sc == nil {
-		return 0, 0
-	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	return sc.running, sc.peak

@@ -96,32 +96,25 @@ func (s *Server) SetObs(node *obs.Node, procName ProcNameFunc) {
 			t.metDRCHits = reg.Counter(obs.Label("gvfs_rpc_drc_hits_total", "node", node.Name()))
 			t.metDRCBusy = reg.Counter(obs.Label("gvfs_rpc_drc_busy_total", "node", node.Name()))
 		}
-		if t.sched != nil {
-			t.sched.setObs(node)
-		}
+		t.sched.setObs(node)
 	})
 }
 
-// SetSched installs the bounded scheduling layer (worker pool, per-client
-// DRR queues, token-bucket admission — see sched.go). The zero SchedConfig
-// removes it: every call is dispatched as it arrives. Takes effect for
-// requests received after the call.
+// SetSched replaces the server's scheduler (worker pool, per-client DRR
+// queues, token-bucket admission — see sched.go), through which every call
+// reaches its handler. The zero SchedConfig bounds nothing: every call is
+// admitted and dispatched, never queued or shed. Takes effect for requests
+// received after the call.
 func (s *Server) SetSched(cfg SchedConfig) {
 	s.edit(func(t *dispatchTable) {
-		if !cfg.active() {
-			t.sched = nil
-			return
-		}
 		t.sched = newSched(s.clk, s, cfg)
-		t.sched.global = newBucket(t.sched.cfg.RateLimit, t.sched.cfg.RateBurst, s.clk.Now())
-		if t.node != nil {
-			t.sched.setObs(t.node)
-		}
+		t.sched.setObs(t.node)
 	})
 }
 
-// NewServer returns an empty server; register programs before Serve. Every
-// connection it accepts gets a duplicate-request cache.
+// NewServer returns an empty server with the zero SchedConfig's scheduler;
+// register programs before Serve. Every connection it accepts gets a
+// duplicate-request cache.
 func NewServer(clk *vclock.Clock) *Server {
 	s := &Server{
 		clk:        clk,
@@ -131,6 +124,7 @@ func NewServer(clk *vclock.Clock) *Server {
 	s.table.Store(&dispatchTable{
 		programs: make(map[progVers]program),
 		calls:    make(map[uint32]*[procSlots]atomic.Int64),
+		sched:    newSched(clk, s, SchedConfig{}),
 	})
 	return s
 }
@@ -308,12 +302,12 @@ func (r *request) serve() *request {
 	return nil
 }
 
-// dispatch runs an admitted request: the one place a call is given an actor,
-// whether the server is unscheduled or its scheduler admitted the call or
-// granted it a slot. Under the virtual clock every call is an actor of its
-// own, so the simulation accounts for each handler and its deadlock dump
-// names every one still blocked. Under the real clock it goes to a worker of
-// this server (workerPool), which keeps the stack it has grown.
+// dispatch runs a request the scheduler has admitted (and, when it bounds
+// workers, granted a slot): the one place a call is given an actor. Under the
+// virtual clock every call is an actor of its own, so the simulation accounts
+// for each handler and its deadlock dump names every one still blocked.
+// Under the real clock it goes to a worker of this server (workerPool), which
+// keeps the stack it has grown.
 func (s *Server) dispatch(r *request) {
 	if s.clk.Virtual() {
 		s.clk.Go("sunrpc-req", r.run)
@@ -571,21 +565,16 @@ func (s *Server) serveConn(conn transport.Conn, cache *drc) {
 			r.release()
 			continue
 		}
-		sc := t.sched
-		if sc == nil {
-			// Unscheduled: each request is served on an actor apart from the
-			// connection's, so slow handlers (e.g. a proxy server blocked
-			// issuing a callback) do not stall the connection — the
-			// multithreading the paper requires to avoid deadlock between
-			// NFS RPCs and GVFS callbacks.
-			s.dispatch(r)
-			continue
-		}
 		// Every scheduling decision — admission, queueing, dispatch — runs
-		// in the scheduler's end-of-instant drain, in deterministic arrival
-		// order; serveConn only records the arrival. If the drain sheds this
-		// request it removes the DRC entry begun above, so the client's
-		// retransmission executes it fresh.
+		// in the scheduler's drain, in deterministic arrival order;
+		// serveConn only records the arrival. Each admitted request is
+		// served on an actor apart from the connection's, so slow handlers
+		// (e.g. a proxy server blocked issuing a callback) do not stall the
+		// connection — the multithreading the paper requires to avoid
+		// deadlock between NFS RPCs and GVFS callbacks. If the drain sheds
+		// this request it removes the DRC entry begun above, so the
+		// client's retransmission executes it fresh.
+		sc := t.sched
 		sc.submit(keys.of(sc, r.cred, remote), r, len(raw))
 	}
 }
@@ -614,9 +603,7 @@ func (k *connKey) of(sc *sched, cred Cred, remote string) string {
 // bypasses the DRC: the retransmission must execute, not replay the shed.
 func (s *Server) shed(r *request, reason string) {
 	t := s.table.Load()
-	if t.sched != nil {
-		t.sched.shedCounter(reason).Inc()
-	}
+	t.sched.shedCounter(reason).Inc()
 	if t.node != nil {
 		now := t.node.Now()
 		t.node.Record(obs.Span{

@@ -3,8 +3,11 @@
 //   - Real mode: thin wrappers around the time package, for running the stack
 //     over real networks (the cmd/ daemons and examples).
 //   - Virtual mode: a discrete-event simulated clock, for deterministic and
-//     fast wide-area experiments. Time advances only when every managed actor
-//     is blocked in a clock primitive, jumping straight to the next timer.
+//     fast wide-area experiments. One managed actor runs at a time: an actor
+//     woken or spawned while another runs starts once every actor readied
+//     before it has blocked, in that order. Time advances only when every
+//     actor is blocked in a clock primitive, jumping straight to the next
+//     timer.
 //
 // All blocking coordination between simulated components must go through the
 // clock's primitives (Sleep, Waiter, Mailbox, AfterFunc) so that the virtual
@@ -37,6 +40,7 @@ type Clock struct {
 
 	actorSeq int
 	actors   map[int]*actorState
+	ready    []*Waiter // virtual mode: actors to run, in order, before any timer
 }
 
 type actorState struct {
@@ -96,13 +100,17 @@ func (c *Clock) spawn(name string, fn func(), daemon bool) {
 		go fn()
 		return
 	}
+	// The new actor starts as one woken from a wait: at once when no actor
+	// runs, else in its turn.
+	start := &Waiter{c: c, ch: make(chan struct{}), waiting: true}
 	c.mu.Lock()
 	c.actorSeq++
 	id := c.actorSeq
 	c.actors[id] = &actorState{name: name, state: "running", daemon: daemon}
-	c.runnable++
+	c.wakeLocked(start)
 	c.mu.Unlock()
 	go func() {
+		<-start.ch
 		defer c.actorExit(id)
 		fn()
 	}()
@@ -134,6 +142,11 @@ func (c *Clock) Stop() {
 		}
 	}
 	c.timers = nil
+	for _, w := range c.ready {
+		c.runnable++
+		close(w.ch)
+	}
+	c.ready = nil
 }
 
 // Sleep blocks the calling actor for d. In virtual mode this may advance
@@ -275,9 +288,14 @@ func (c *Clock) wakeLocked(w *Waiter) {
 		return
 	}
 	w.woken = true
-	// Transfer a runnable credit only if an actor is actually blocked in
-	// Wait; waking a not-yet-waited waiter must not inflate the count.
-	if w.waiting {
+	switch {
+	case !w.waiting:
+		// Not yet waited: there is no blocked actor to count runnable.
+	case c.runnable > 0 && !c.stopped:
+		// Another actor runs: this one runs in its turn (advanceLocked).
+		c.ready = append(c.ready, w)
+		return
+	default:
 		c.runnable++
 	}
 	close(w.ch)
@@ -374,11 +392,19 @@ func (c *Clock) decRunnableLocked() {
 	}
 }
 
-// advanceLocked fires timers until at least one actor is runnable again.
-// Called with c.mu held and runnable == 0.
+// advanceLocked runs the next ready actor or, with none, fires timers until
+// one actor is runnable again. Called with c.mu held and runnable == 0.
 func (c *Clock) advanceLocked() {
 	for c.runnable == 0 {
 		if c.stopped {
+			return
+		}
+		if len(c.ready) > 0 {
+			w := c.ready[0]
+			c.ready[0] = nil
+			c.ready = c.ready[1:]
+			c.runnable++
+			close(w.ch)
 			return
 		}
 		if len(c.timers) == 0 {

@@ -1,6 +1,8 @@
 package vclock
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -342,5 +344,63 @@ func TestGroupMultipleWaiters(t *testing.T) {
 	})
 	if !<-collect || len(seen) != 3 {
 		t.Fatalf("waiters woken: %v", seen)
+	}
+}
+
+// TestOneActorRunsAtATime pins the virtual clock's sequencing: actors woken or
+// spawned while another runs start one at a time, in the order they were
+// readied, each once the one before it has blocked or exited — so same-instant
+// actors can never race for shared state, whatever the Go scheduler does.
+func TestOneActorRunsAtATime(t *testing.T) {
+	const n = 8
+	c := NewVirtual()
+	var running, overlaps atomic.Int32
+	var order []int // appended by one actor at a time, so unlocked
+	run := func(i int) {
+		if running.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		for range 100 {
+			runtime.Gosched()
+		}
+		order = append(order, i)
+		running.Add(-1)
+	}
+	done := make(chan struct{})
+	c.Go("waker", func() {
+		ws := make([]*Waiter, n)
+		g := c.NewGroup()
+		for i := range ws {
+			ws[i] = c.NewWaiter()
+			g.Go("woken", func() {
+				c.Wait(ws[i])
+				run(i)
+			})
+		}
+		g.Go("blocker", func() { c.Sleep(time.Millisecond) })
+		c.Sleep(time.Microsecond) // every woken actor is now blocked in Wait
+		for i := range ws {
+			ws[n-1-i].Wake()
+		}
+		for i := range n {
+			g.Go("spawned", func() { run(n + i) })
+		}
+		run(-1)
+		g.Wait()
+		close(done)
+	})
+	<-done
+	if k := overlaps.Load(); k > 0 {
+		t.Errorf("%d times an actor ran beside another", k)
+	}
+	want := []int{-1}
+	for i := range n {
+		want = append(want, n-1-i)
+	}
+	for i := range n {
+		want = append(want, n+i)
+	}
+	if !slices.Equal(order, want) {
+		t.Errorf("run order %v, want %v: readied actors run in turn", order, want)
 	}
 }
