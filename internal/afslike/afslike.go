@@ -12,6 +12,7 @@ package afslike
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 
@@ -233,7 +234,8 @@ func (s *Server) promise(path, addr string) {
 	set[addr] = true
 }
 
-// breakCallbacks notifies every holder except the mutator.
+// breakCallbacks notifies every holder except the mutator, in address order
+// so that a simulated run repeats.
 func (s *Server) breakCallbacks(path, from string) {
 	s.mu.Lock()
 	var targets []string
@@ -244,6 +246,7 @@ func (s *Server) breakCallbacks(path, from string) {
 	}
 	delete(s.callbacks, path)
 	s.mu.Unlock()
+	slices.Sort(targets)
 	for _, addr := range targets {
 		s.breakOne(addr, path)
 	}

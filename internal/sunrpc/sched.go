@@ -34,20 +34,20 @@ import (
 // section in Call.Yield, which parks the handler off-pool and re-admits
 // it with priority over queued work.
 //
-// Determinism. Under the virtual clock every scheduling decision — bucket
-// charge, queue insert, slot grant, dispatch — happens in drain(), a
-// zero-delay timer callback: vclock fires it only after every actor runnable
-// at the current instant has blocked, and it processes the batch of arrivals
-// in sorted (client, arrival-sequence) order. Same-seed runs thus make
-// identical shed/dispatch decisions, which the chaos harness asserts by
-// diffing span traces.
+// One drain, under either clock. The actor that changes the scheduler's
+// state — a connection submitting a call, a worker finishing one, a handler
+// yielding — takes the first decision in the same critical section and then
+// runs the drain itself, outside the mutex, taking every action it can; a
+// worker whose call is done serves the next queued call itself before it
+// parks. A call goes to a worker of its server (workerPool), a clock actor
+// under either clock.
 //
-// Under the real clock there is no instant to batch and no simulated link to
-// keep in order: the actor that changes the scheduler's state — a connection
-// submitting a call, a worker finishing one, a handler yielding — runs the
-// drain itself once it has released the mutex, taking every action it can
-// (drainNow), and a worker whose call is done serves the next queued call
-// itself before it parks.
+// Determinism. The virtual clock runs one actor at a time, and starts the
+// actors readied meanwhile — the workers a drain hands calls to or wakes —
+// in the order they were readied, once the running one blocks. Every
+// decision is therefore taken in an order fixed by the simulation's inputs,
+// and same-seed runs make identical shed/dispatch decisions, which the chaos
+// harness asserts by diffing span traces.
 
 // Scheduler defaults.
 const (
@@ -156,29 +156,21 @@ type clientQueue struct {
 
 // sched is the per-server scheduler instance.
 type sched struct {
-	clk  *vclock.Clock
-	real bool // the real clock: the drain runs where it is armed (drainNow)
-	srv  *Server
-	cfg  SchedConfig
-
-	// drainFn is sc.drain bound once, so arming a drain allocates nothing.
-	drainFn func()
+	clk *vclock.Clock
+	srv *Server
+	cfg SchedConfig
 
 	// The slices below are queues popped at the front (popFront), so each
 	// keeps its backing array.
-	mu         sync.Mutex
-	seq        uint64     // arrival order; within a key (one connection) deterministic
-	arrivals   []*request // awaiting the next drain
-	drainArmed bool
-	sheds      []shedAction // TryLater replies owed, sent one per drain step
-	spawns     []*request   // admission-only dispatches owed
-	queues     map[string]*clientQueue
-	round      []*clientQueue // DRR visiting order; only queues with items
-	running    int
-	peak       int
-	queued     int        // total items across all queues
-	yielders   []*request // parked handlers awaiting re-acquire
-	global     bucket
+	mu       sync.Mutex
+	seq      uint64 // arrival order
+	queues   map[string]*clientQueue
+	round    []*clientQueue // DRR visiting order; only queues with items
+	running  int
+	peak     int
+	queued   int        // total items across all queues
+	yielders []*request // parked handlers awaiting re-acquire
+	global   bucket
 
 	// Metrics (nil-safe when no registry is attached).
 	reg           *obs.Registry
@@ -194,14 +186,12 @@ type sched struct {
 func newSched(clk *vclock.Clock, srv *Server, cfg SchedConfig) *sched {
 	sc := &sched{
 		clk:     clk,
-		real:    !clk.Virtual(),
 		srv:     srv,
 		cfg:     cfg.withDefaults(),
 		queues:  make(map[string]*clientQueue),
 		metShed: make(map[string]*obs.Counter),
 	}
 	sc.global = newBucket(sc.cfg.RateLimit, sc.cfg.RateBurst, clk.Now())
-	sc.drainFn = sc.drain
 	return sc
 }
 
@@ -216,9 +206,8 @@ func popFront[T any](s []T) (T, []T) {
 	return v, s[:n]
 }
 
-// byArrival orders requests by (client, arrival sequence): the order every
-// same-instant decision is taken in, whatever order the actors that submitted
-// them ran in.
+// byArrival orders requests by (client, arrival sequence): the order in which
+// yielders waiting together are granted slots back.
 func byArrival(a, b *request) int {
 	if c := strings.Compare(a.key, b.key); c != 0 {
 		return c
@@ -292,105 +281,70 @@ func (sc *sched) queueLocked(key string) *clientQueue {
 	return q
 }
 
-// armDrainLocked arms the drain after a change of the scheduler's state. Under
-// the virtual clock it schedules one at the current virtual instant, once
-// (vclock.Clock.Soon): it runs only after every currently runnable actor has
-// blocked, so it sees the complete batch of same-instant arrivals. Under the
-// real clock nothing is scheduled: it returns true, and the caller runs the
-// drain itself (drainNow) once it has released sc.mu.
-func (sc *sched) armDrainLocked() (now bool) {
-	if sc.real {
-		return true
-	}
-	if !sc.drainArmed {
-		sc.drainArmed = true
-		sc.clk.Soon(sc.drainFn)
-	}
-	return false
-}
-
-// submit records a request's arrival and arms the drain. All decisions —
-// admission, queueing, dispatch — are deferred to the drain so they cannot
-// depend on the order in which concurrent connection actors reach this
-// method.
+// submit admits a request as it arrives — a TryLater owed to it or to a
+// request its queue overflows, an admission-only dispatch, or a place in its
+// client's queue — and takes the first decision in the same critical section,
+// then drains.
 func (sc *sched) submit(key string, r *request, cost int) {
 	sc.mu.Lock()
 	sc.seq++
 	r.key, r.seq, r.cost, r.enq = key, sc.seq, cost, sc.clk.Now()
-	sc.arrivals = append(sc.arrivals, r)
-	now := sc.armDrainLocked()
+	a := sc.admitLocked(r)
+	if a.kind == actNone {
+		a = sc.nextActionLocked()
+	}
 	sc.mu.Unlock()
-	if now {
-		sc.drainNow(false)
-	}
+	sc.drain(a, false)
 }
 
-// shedAction is a TryLater reply owed after a drain, sent outside sc.mu.
-type shedAction struct {
-	r      *request
-	reason string
+// admitLocked runs the token buckets for an arriving request, then queues it
+// when workers are bounded. It returns the action the arrival itself calls
+// for, if any: r shed, r dispatched admission-only, or the oldest request of
+// r's full queue shed to make room. Pure state transformation: nothing is
+// dispatched or sent here.
+func (sc *sched) admitLocked(r *request) action {
+	reason := ""
+	switch {
+	case !sc.global.take(r.enq):
+		reason = "rate"
+	case sc.cfg.ClientRate > 0 && !sc.queueLocked(r.key).bucket.take(r.enq):
+		reason = "client-rate"
+	}
+	if reason != "" {
+		// The shed reply must leave no DRC entry: the client's
+		// retransmission under the same XID re-executes the request.
+		r.cache.remove(r.xid)
+		return action{kind: actShed, r: r, reason: reason}
+	}
+	if sc.cfg.Workers <= 0 {
+		// Admission-only mode: execution stays unbounded.
+		return action{kind: actDispatch, r: r}
+	}
+	var a action
+	q := sc.queueLocked(r.key)
+	if len(q.items) >= sc.cfg.QueueDepth {
+		// Queue overflow: shed the oldest queued request to make room —
+		// its retransmission will find a shorter queue.
+		var dropped *request
+		dropped, q.items = popFront(q.items)
+		sc.queued--
+		dropped.cache.remove(dropped.xid)
+		a = action{kind: actShed, r: dropped, reason: "overflow"}
+	}
+	r.q = q
+	q.items = append(q.items, r)
+	sc.queued++
+	if !q.inRound {
+		q.inRound = true
+		sc.round = append(sc.round, q)
+	}
+	sc.metQueued.Set(int64(sc.queued))
+	sc.metQueueDepth.Observe(int64(sc.queued))
+	return a
 }
 
-// admitLocked runs the token buckets for one request. It returns "" to
-// admit, or the shed reason ("rate", "client-rate").
-func (sc *sched) admitLocked(key string, now time.Duration) string {
-	if !sc.global.take(now) {
-		return "rate"
-	}
-	if sc.cfg.ClientRate > 0 {
-		if !sc.queueLocked(key).bucket.take(now) {
-			return "client-rate"
-		}
-	}
-	return ""
-}
-
-// admitArrivalsLocked runs admission over the accumulated arrivals in
-// sorted (client, sequence) order — deterministic regardless of how the
-// submitting actors interleaved — filling the owed-shed and owed-spawn
-// lists and the per-client queues. Pure state transformation: no actors
-// are spawned and no messages sent here.
-func (sc *sched) admitArrivalsLocked(now time.Duration) {
-	slices.SortFunc(sc.arrivals, byArrival)
-	for _, it := range sc.arrivals {
-		if reason := sc.admitLocked(it.key, now); reason != "" {
-			// The shed reply must leave no DRC entry: the client's
-			// retransmission under the same XID re-executes the request.
-			it.cache.remove(it.xid)
-			sc.sheds = append(sc.sheds, shedAction{it, reason})
-			continue
-		}
-		if sc.cfg.Workers <= 0 {
-			// Admission-only mode: execution stays unbounded.
-			sc.spawns = append(sc.spawns, it)
-			continue
-		}
-		q := sc.queueLocked(it.key)
-		if len(q.items) >= sc.cfg.QueueDepth {
-			// Queue overflow: shed the oldest queued request to make room —
-			// its retransmission will find a shorter queue.
-			var dropped *request
-			dropped, q.items = popFront(q.items)
-			sc.queued--
-			dropped.cache.remove(dropped.xid)
-			sc.sheds = append(sc.sheds, shedAction{dropped, "overflow"})
-		}
-		it.q = q
-		q.items = append(q.items, it)
-		sc.queued++
-		if !q.inRound {
-			q.inRound = true
-			sc.round = append(sc.round, q)
-		}
-		sc.metQueued.Set(int64(sc.queued))
-		sc.metQueueDepth.Observe(int64(sc.queued))
-	}
-	clear(sc.arrivals)
-	sc.arrivals = sc.arrivals[:0]
-}
-
-// action is one scheduling decision, taken under sc.mu and carried out
-// (do) once it is released.
+// action is one scheduling decision, taken under sc.mu and carried out by
+// drain once it is released.
 type action struct {
 	kind   actionKind
 	r      *request
@@ -406,23 +360,9 @@ const (
 	actWake                // r is a yielder granted its slot back
 )
 
-// nextActionLocked admits the accumulated arrivals and takes the next
-// decision, in a fixed order: an owed TryLater reply, an admission-only
-// dispatch, a slot granted back to a yielder, one pooled dispatch.
+// nextActionLocked takes the next decision a free worker slot allows: a slot
+// granted back to a yielder, else one pooled dispatch.
 func (sc *sched) nextActionLocked() action {
-	sc.admitArrivalsLocked(sc.clk.Now())
-	// Owed TryLater replies first: fixed, deterministic order.
-	if len(sc.sheds) > 0 {
-		var sh shedAction
-		sh, sc.sheds = popFront(sc.sheds)
-		return action{kind: actShed, r: sh.r, reason: sh.reason}
-	}
-	// Admission-only dispatches (Workers <= 0): unbounded execution.
-	if len(sc.spawns) > 0 {
-		var it *request
-		it, sc.spawns = popFront(sc.spawns)
-		return action{kind: actDispatch, r: it}
-	}
 	if sc.cfg.Workers <= 0 || sc.running >= sc.cfg.Workers {
 		return action{}
 	}
@@ -435,7 +375,6 @@ func (sc *sched) nextActionLocked() action {
 		sc.acquireLocked()
 		return action{kind: actWake, r: y}
 	}
-	// Finally one pooled dispatch, if a queued request exists.
 	it := sc.nextLocked()
 	if it == nil {
 		return action{}
@@ -447,53 +386,32 @@ func (sc *sched) nextActionLocked() action {
 	return action{kind: actDispatch, r: it}
 }
 
-// do carries an action out, outside sc.mu.
-func (sc *sched) do(a action) {
-	switch a.kind {
-	case actShed:
-		sc.srv.shed(a.r, a.reason)
-	case actDispatch:
-		sc.srv.dispatch(a.r)
-	case actWake:
-		a.r.wake.Wake()
-	}
-}
-
-// drain is the virtual clock's decision point, run by Clock.Soon once every
-// actor runnable at the current instant has blocked. It takes at most ONE
-// action and re-arms itself, so each dispatched or woken handler runs to its
-// blocking point — claiming its place on the shared simulated links, whose
-// bandwidth is granted in Send order — before the next decision.
-func (sc *sched) drain() {
-	sc.mu.Lock()
-	sc.drainArmed = false
-	a := sc.nextActionLocked()
-	if a.kind != actNone {
-		sc.armDrainLocked()
-	}
-	sc.mu.Unlock()
-	sc.do(a)
-}
-
-// drainNow is the real clock's drain, run by the actor that armed it: there
-// is no instant to batch and no simulated link to keep in order, so it takes
-// every action it can. With keep set, the caller is a worker whose call has
-// just finished, and the first pooled dispatch is returned for it to serve
-// itself rather than handed to another worker.
-func (sc *sched) drainNow(keep bool) (own *request) {
-	for {
-		sc.mu.Lock()
-		a := sc.nextActionLocked()
-		sc.mu.Unlock()
+// drain carries out a, then every action the scheduler can take after it,
+// each outside sc.mu. It runs in the actor that changed the scheduler's
+// state. With keep set, the caller is a worker whose call has just finished,
+// and the first pooled dispatch is returned for it to serve itself rather
+// than handed to another worker.
+func (sc *sched) drain(a action, keep bool) (own *request) {
+	for a.kind != actNone {
 		switch {
-		case a.kind == actNone:
-			return own
 		case keep && own == nil && a.kind == actDispatch && a.r.pool != nil:
 			own = a.r
+		case a.kind == actShed:
+			sc.srv.shed(a.r, a.reason)
+		case a.kind == actDispatch:
+			sc.srv.workers.hand(a.r)
 		default:
-			sc.do(a)
+			a.r.wake.Wake()
 		}
+		if sc.cfg.Workers <= 0 {
+			// Unbounded: admission was the only decision to take.
+			return own
+		}
+		sc.mu.Lock()
+		a = sc.nextActionLocked()
+		sc.mu.Unlock()
 	}
+	return own
 }
 
 // acquireLocked takes one worker slot for a running handler.
@@ -542,47 +460,35 @@ func (sc *sched) nextLocked() *request {
 	return nil
 }
 
-// release frees a worker slot and arms a drain if anything is waiting for it.
-// Under the virtual clock the slot is granted by the drain, never here, so a
-// release racing other same-instant events cannot influence who runs next;
-// it returns nil. Under the real clock the releasing actor drains at once,
-// and with keep set (a worker whose call has finished) returns the queued
-// call it takes on itself, if any.
+// release frees a worker slot and drains. With keep set (a worker whose call
+// has finished) it returns the queued call the worker takes on itself, if any.
 func (sc *sched) release(keep bool) *request {
 	sc.mu.Lock()
 	sc.running--
 	sc.metInflight.Set(int64(sc.running))
-	now := false
-	if len(sc.yielders) > 0 || sc.queued > 0 {
-		now = sc.armDrainLocked()
-	}
+	a := sc.nextActionLocked()
 	sc.mu.Unlock()
-	if now {
-		return sc.drainNow(keep)
-	}
-	return nil
+	return sc.drain(a, keep)
 }
 
 // yield implements Call.Yield for pooled handlers: release the slot, run fn
-// off-pool, then park until the drain grants a slot back — ahead of freshly
+// off-pool, then park until a drain grants a slot back — ahead of freshly
 // queued requests, so a parked handler cannot be starved. The handler keeps
-// its goroutine throughout; the slot goes to another worker.
+// its worker throughout; the slot goes to another worker.
 func (sc *sched) yield(r *request, fn func()) {
 	sc.release(false)
 	defer func() {
 		sc.mu.Lock()
-		// Only the drain wakes it, and a Wake is done with the waiter once
+		// Only a drain wakes it, and a Wake is done with the waiter once
 		// this Wait has returned: it can be readied again for the handler's
 		// next yield, or the request's next use.
 		w := sc.clk.InitWaiter(&r.wake)
 		sc.yielders = append(sc.yielders, r)
-		now := sc.armDrainLocked()
+		a := sc.nextActionLocked()
 		sc.mu.Unlock()
-		if now {
-			sc.drainNow(false)
-		}
+		sc.drain(a, false)
 		sc.clk.WaitAs(w, "sched reacquire")
-		// The drain's grant incremented running on our behalf.
+		// The grant incremented running on our behalf.
 	}()
 	fn()
 }

@@ -65,7 +65,7 @@ type Server struct {
 
 	table atomic.Pointer[dispatchTable]
 
-	// workers serves calls under the real clock (dispatch).
+	// workers serves the calls the scheduler dispatches.
 	workers workerPool
 
 	mu         sync.Mutex // guards the fields below and serialises table edits
@@ -118,6 +118,7 @@ func (s *Server) SetSched(cfg SchedConfig) {
 func NewServer(clk *vclock.Clock) *Server {
 	s := &Server{
 		clk:        clk,
+		workers:    workerPool{clk: clk},
 		conns:      make(map[transport.Conn]*drc),
 		otherCalls: make(map[uint64]int64),
 	}
@@ -266,9 +267,6 @@ type request struct {
 	pool   *sched
 	queued time.Duration
 	wake   vclock.Waiter
-	// run is r.serve bound once, so starting an actor on it allocates
-	// nothing.
-	run func()
 }
 
 var requests sync.Pool
@@ -277,7 +275,6 @@ func newRequest() *request {
 	r, _ := requests.Get().(*request)
 	if r == nil {
 		r = new(request)
-		r.run = func() { r.serve() }
 	}
 	return r
 }
@@ -286,13 +283,13 @@ func newRequest() *request {
 // afterwards: the arguments, the credential and the Call all alias them.
 func (r *request) release() {
 	bufpool.Put(r.raw)
-	*r = request{run: r.run}
+	*r = request{}
 	requests.Put(r)
 }
 
 // serve handles the request, then gives back the worker slot it was
-// dispatched into, if any. It returns the queued call a real-clock worker
-// takes on next in that slot (sched.release), or nil.
+// dispatched into, if any. It returns the queued call the worker takes on
+// next in that slot (sched.release), or nil.
 func (r *request) serve() *request {
 	srv, pool := r.srv, r.pool
 	srv.handle(r)
@@ -302,31 +299,20 @@ func (r *request) serve() *request {
 	return nil
 }
 
-// dispatch runs a request the scheduler has admitted (and, when it bounds
-// workers, granted a slot): the one place a call is given an actor. Under the
-// virtual clock every call is an actor of its own, so the simulation accounts
-// for each handler and its deadlock dump names every one still blocked.
-// Under the real clock it goes to a worker of this server (workerPool), which
-// keeps the stack it has grown.
-func (s *Server) dispatch(r *request) {
-	if s.clk.Virtual() {
-		s.clk.Go("sunrpc-req", r.run)
-		return
-	}
-	s.workers.hand(r)
-}
-
-// workerPool is a server's real-clock workers: goroutines that serve one call
-// after another and park in between. A call is handed to the most recently
-// parked worker — the one whose stack is most likely still grown and warm in
-// cache — and a worker is started only when none is parked, so a server
-// starts no more workers than the calls it has had in hand at once.
+// workerPool is a server's workers: clock actors that serve the calls the
+// scheduler dispatches, one after another, and park in between. A call is
+// handed to the most recently parked worker — the one whose stack is most
+// likely still grown and warm in cache — and a worker is started only when
+// none is parked, so a server starts no more workers than the calls it has
+// had in hand at once. A parked worker waits idle (vclock.Clock.WaitIdle):
+// it lets a simulation quiesce, while one blocked inside a call counts toward
+// a virtual deadlock, whose dump names it.
 type workerPool struct {
+	clk *vclock.Clock
+
 	mu sync.Mutex
-	// parked holds each parked worker's hand-off channel, a stack: the last
-	// parked is the first handed a call. A channel holds one call, so
-	// handing one over never blocks; nil is the pool's word to end.
-	parked []chan *request
+	// parked is a stack: the last parked is the first handed a call.
+	parked []*worker
 	closed bool
 	// busy counts workers in hand of a call, from the hand-off until they
 	// park again; peak is its maximum and started the workers ever started,
@@ -334,7 +320,15 @@ type workerPool struct {
 	busy, peak, started int
 }
 
-// hand gives r to a parked worker, or starts one for it.
+// worker is one parked worker's hand-off: the call it is given, nil being the
+// pool's word to end, and the waiter it parks on.
+type worker struct {
+	r    *request
+	wake vclock.Waiter
+}
+
+// hand gives r to a parked worker, or starts one for it: the one place a call
+// is given an actor.
 func (p *workerPool) hand(r *request) {
 	p.mu.Lock()
 	if p.busy++; p.busy > p.peak {
@@ -344,19 +338,20 @@ func (p *workerPool) hand(r *request) {
 		w := p.parked[n-1]
 		p.parked[n-1] = nil
 		p.parked = p.parked[:n-1]
+		w.r = r
 		p.mu.Unlock()
-		w <- r
+		w.wake.Wake()
 		return
 	}
 	p.started++
 	p.mu.Unlock()
-	go p.work(r)
+	p.clk.Go("sunrpc-worker", func() { p.work(r) })
 }
 
 // work is a worker's life: serve r and whatever it is handed next until the
 // pool is closed.
 func (p *workerPool) work(r *request) {
-	w := make(chan *request, 1)
+	w := new(worker)
 	for r != nil {
 		if r = r.serve(); r == nil {
 			r = p.park(w)
@@ -365,16 +360,20 @@ func (p *workerPool) work(r *request) {
 }
 
 // park waits for the next call, or returns nil once the pool is closed.
-func (p *workerPool) park(w chan *request) *request {
+func (p *workerPool) park(w *worker) *request {
 	p.mu.Lock()
 	p.busy--
 	if p.closed {
 		p.mu.Unlock()
 		return nil
 	}
+	p.clk.InitWaiter(&w.wake)
 	p.parked = append(p.parked, w)
 	p.mu.Unlock()
-	return <-w
+	p.clk.WaitIdle(&w.wake, "sunrpc worker parked")
+	r := w.r
+	w.r = nil
+	return r
 }
 
 // close ends the parked workers, and every worker that parks from now on.
@@ -385,7 +384,7 @@ func (p *workerPool) close() {
 	p.parked = nil
 	p.mu.Unlock()
 	for _, w := range parked {
-		w <- nil
+		w.wake.Wake()
 	}
 }
 
@@ -565,15 +564,14 @@ func (s *Server) serveConn(conn transport.Conn, cache *drc) {
 			r.release()
 			continue
 		}
-		// Every scheduling decision — admission, queueing, dispatch — runs
-		// in the scheduler's drain, in deterministic arrival order;
-		// serveConn only records the arrival. Each admitted request is
-		// served on an actor apart from the connection's, so slow handlers
-		// (e.g. a proxy server blocked issuing a callback) do not stall the
-		// connection — the multithreading the paper requires to avoid
-		// deadlock between NFS RPCs and GVFS callbacks. If the drain sheds
-		// this request it removes the DRC entry begun above, so the
-		// client's retransmission executes it fresh.
+		// The scheduler admits the request and drains on this actor; each
+		// admitted request is served on a worker apart from the
+		// connection's actor, so slow handlers (e.g. a proxy server blocked
+		// issuing a callback) do not stall the connection — the
+		// multithreading the paper requires to avoid deadlock between NFS
+		// RPCs and GVFS callbacks. If the scheduler sheds this request it
+		// removes the DRC entry begun above, so the client's retransmission
+		// executes it fresh.
 		sc := t.sched
 		sc.submit(keys.of(sc, r.cred, remote), r, len(raw))
 	}

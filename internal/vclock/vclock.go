@@ -12,7 +12,10 @@
 // All blocking coordination between simulated components must go through the
 // clock's primitives (Sleep, Waiter, Mailbox, AfterFunc) so that the virtual
 // scheduler can account for runnable actors. Goroutines participating in a
-// virtual simulation must be spawned with Clock.Go.
+// virtual simulation must be spawned with Clock.Go. With no timer pending and
+// every actor blocked, the simulation has quiesced if each of them is a daemon
+// (GoDaemon) or waits idle for work (WaitIdle), such as a server's parked
+// worker; any other blocked actor makes it a deadlock, which panics.
 package vclock
 
 import (
@@ -41,6 +44,7 @@ type Clock struct {
 	actorSeq int
 	actors   map[int]*actorState
 	ready    []*Waiter // virtual mode: actors to run, in order, before any timer
+	idle     int       // virtual mode: actors blocked in WaitIdle
 }
 
 type actorState struct {
@@ -102,7 +106,7 @@ func (c *Clock) spawn(name string, fn func(), daemon bool) {
 	}
 	// The new actor starts as one woken from a wait: at once when no actor
 	// runs, else in its turn.
-	start := &Waiter{c: c, ch: make(chan struct{}), waiting: true}
+	start := &Waiter{c: c, ch: make(chan struct{}, 1), waiting: true}
 	c.mu.Lock()
 	c.actorSeq++
 	id := c.actorSeq
@@ -144,7 +148,7 @@ func (c *Clock) Stop() {
 	c.timers = nil
 	for _, w := range c.ready {
 		c.runnable++
-		close(w.ch)
+		w.ch <- struct{}{}
 	}
 	c.ready = nil
 }
@@ -214,23 +218,6 @@ func (c *Clock) AfterFunc(d time.Duration, fn func()) *Timer {
 	if !c.virtual {
 		return &Timer{c: c, rt: time.AfterFunc(d, fn)}
 	}
-	return &Timer{c: c, t: c.callbackAfter(d, fn)}
-}
-
-// Soon runs fn once as a transient actor: under the virtual clock once every
-// actor runnable at the current instant has blocked (AfterFunc(0, fn), with no
-// Timer to stop it), under the real clock on a goroutine of its own at once.
-// Under the real clock it allocates nothing for a fn the caller keeps.
-func (c *Clock) Soon(fn func()) {
-	if !c.virtual {
-		go fn()
-		return
-	}
-	c.callbackAfter(0, fn)
-}
-
-// callbackAfter schedules the virtual-mode callback timer of AfterFunc.
-func (c *Clock) callbackAfter(d time.Duration, fn func()) *timer {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.scheduleLocked(c.now+d, fn, nil)
@@ -239,19 +226,22 @@ func (c *Clock) callbackAfter(d time.Duration, fn func()) *timer {
 		// kick the event loop so the timer is not stranded.
 		c.advanceLocked()
 	}
-	return t
+	return &Timer{c: c, t: t}
 }
 
 // Waiter is a one-shot wake-up point. Exactly one actor may Wait on it; any
 // number of actors or timers may Wake it, but only the first Wake has effect.
 type Waiter struct {
-	c  *Clock
+	c *Clock
+	// ch carries the one wake-up, and is kept when the waiter is readied
+	// again (InitWaiter).
 	ch chan struct{}
-	// woken and waiting are guarded by c.mu in virtual mode; in real mode
-	// closed picks the one Wake that closes ch.
+	// woken, waiting and idle are guarded by c.mu in virtual mode; in real
+	// mode sent picks the one Wake that sends on ch.
 	woken   bool
 	waiting bool
-	closed  atomic.Bool
+	idle    bool // its actor waits in WaitIdle
+	sent    atomic.Bool
 }
 
 // NewWaiter returns a fresh waiter bound to the clock.
@@ -262,10 +252,20 @@ func (c *Clock) NewWaiter() *Waiter {
 // InitWaiter readies w, a Waiter its owner embeds in a value of its own so as
 // not to allocate one apart, as NewWaiter would, and returns it. An owner may
 // ready the same Waiter again once its Wait has returned and nothing else will
-// Wake it: a Wake touches the waiter no more once it has closed the channel
-// the Wait returned on.
+// Wake it: a Wake touches the waiter no more once it has sent on the channel
+// the Wait returned from. The waiter keeps that channel, so readying it again
+// allocates nothing.
 func (c *Clock) InitWaiter(w *Waiter) *Waiter {
-	*w = Waiter{c: c, ch: make(chan struct{})}
+	ch := w.ch
+	if ch == nil {
+		ch = make(chan struct{}, 1)
+	} else {
+		select {
+		case <-ch: // the wake-up of a WaitFor that timed out
+		default:
+		}
+	}
+	*w = Waiter{c: c, ch: ch}
 	return w
 }
 
@@ -273,8 +273,8 @@ func (c *Clock) InitWaiter(w *Waiter) *Waiter {
 // timer callbacks; only the first call has effect.
 func (w *Waiter) Wake() {
 	if !w.c.virtual {
-		if w.closed.CompareAndSwap(false, true) {
-			close(w.ch)
+		if w.sent.CompareAndSwap(false, true) {
+			w.ch <- struct{}{}
 		}
 		return
 	}
@@ -288,6 +288,10 @@ func (c *Clock) wakeLocked(w *Waiter) {
 		return
 	}
 	w.woken = true
+	if w.idle {
+		w.idle = false
+		c.idle--
+	}
 	switch {
 	case !w.waiting:
 		// Not yet waited: there is no blocked actor to count runnable.
@@ -298,14 +302,23 @@ func (c *Clock) wakeLocked(w *Waiter) {
 	default:
 		c.runnable++
 	}
-	close(w.ch)
+	w.ch <- struct{}{}
 }
 
 // Wait blocks the calling actor until the waiter is woken.
 func (c *Clock) Wait(w *Waiter) { c.WaitAs(w, "wait") }
 
 // WaitAs is Wait with a diagnostic label describing the blocking point.
-func (c *Clock) WaitAs(w *Waiter, label string) {
+func (c *Clock) WaitAs(w *Waiter, label string) { c.wait(w, label, false) }
+
+// WaitIdle is WaitAs for an actor that waits for work rather than for
+// progress, such as a server's parked worker: under the virtual clock, while
+// it waits it no more keeps the simulation from quiescing than a daemon does.
+// The same actor blocked anywhere else still counts toward a deadlock. Only an
+// actor started with Go waits idle; a daemon's every wait already is.
+func (c *Clock) WaitIdle(w *Waiter, label string) { c.wait(w, label, true) }
+
+func (c *Clock) wait(w *Waiter, label string, idle bool) {
 	if !c.virtual {
 		<-w.ch
 		return
@@ -325,6 +338,10 @@ func (c *Clock) WaitAs(w *Waiter, label string) {
 		return
 	}
 	w.waiting = true
+	if idle {
+		w.idle = true
+		c.idle++
+	}
 	c.blockLocked(label)
 	c.mu.Unlock()
 	<-w.ch
@@ -404,13 +421,13 @@ func (c *Clock) advanceLocked() {
 			c.ready[0] = nil
 			c.ready = c.ready[1:]
 			c.runnable++
-			close(w.ch)
+			w.ch <- struct{}{}
 			return
 		}
 		if len(c.timers) == 0 {
-			if c.onlyDaemonsLocked() {
-				// Every remaining actor is a daemon waiting for work: the
-				// simulation is idle, not deadlocked.
+			if c.idleLocked() {
+				// Every remaining actor is a daemon or waits idle for work:
+				// the simulation has quiesced, not deadlocked.
 				return
 			}
 			// Mark stopped so unwinding actors do not re-enter advance or
@@ -446,13 +463,15 @@ func (c *Clock) advanceLocked() {
 	}
 }
 
-func (c *Clock) onlyDaemonsLocked() bool {
+// idleLocked reports whether every actor that is not a daemon waits idle.
+func (c *Clock) idleLocked() bool {
+	busy := 0
 	for _, a := range c.actors {
 		if !a.daemon {
-			return false
+			busy++
 		}
 	}
-	return true
+	return busy == c.idle
 }
 
 // Diag is a point-in-time view of the scheduler, suitable for metrics

@@ -111,13 +111,17 @@ func TestWaiterCrossActor(t *testing.T) {
 	c := NewVirtual()
 	done := make(chan time.Duration, 1)
 	w := c.NewWaiter()
-	c.Go("waiter", func() {
-		c.Wait(w)
-		done <- c.Now()
-	})
-	c.Go("waker", func() {
-		c.Sleep(7 * time.Millisecond)
-		w.Wake()
+	// Spawned from outside the simulation, the waiter could block before
+	// the waker exists, and that is a deadlock.
+	c.Go("spawner", func() {
+		c.Go("waiter", func() {
+			c.Wait(w)
+			done <- c.Now()
+		})
+		c.Go("waker", func() {
+			c.Sleep(7 * time.Millisecond)
+			w.Wake()
+		})
 	})
 	if got := <-done; got != 7*time.Millisecond {
 		t.Fatalf("woken at %v, want 7ms", got)
@@ -130,22 +134,26 @@ func TestMailboxPutGet(t *testing.T) {
 	got := make(chan int, 3)
 	var wg sync.WaitGroup
 	wg.Add(1)
-	c.Go("receiver", func() {
-		defer wg.Done()
-		for i := 0; i < 3; i++ {
-			v, ok := m.Get()
-			if !ok {
-				t.Error("Get returned !ok on open mailbox")
-				return
+	// Spawned from outside the simulation, the receiver could block before
+	// the sender exists, and that is a deadlock.
+	c.Go("spawner", func() {
+		c.Go("receiver", func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				v, ok := m.Get()
+				if !ok {
+					t.Error("Get returned !ok on open mailbox")
+					return
+				}
+				got <- v
 			}
-			got <- v
-		}
-	})
-	c.Go("sender", func() {
-		for i := 1; i <= 3; i++ {
-			c.Sleep(time.Millisecond)
-			m.Put(i)
-		}
+		})
+		c.Go("sender", func() {
+			for i := 1; i <= 3; i++ {
+				c.Sleep(time.Millisecond)
+				m.Put(i)
+			}
+		})
 	})
 	wg.Wait()
 	for want := 1; want <= 3; want++ {
@@ -219,13 +227,18 @@ func TestMailboxCloseWakesBlockedReceiver(t *testing.T) {
 	c := NewVirtual()
 	m := NewMailbox[int](c)
 	done := make(chan bool, 1)
-	c.Go("receiver", func() {
-		_, ok := m.Get()
-		done <- ok
-	})
-	c.Go("closer", func() {
-		c.Sleep(time.Millisecond)
-		m.Close()
+	// Both actors are spawned from inside the simulation: spawned from
+	// outside, the receiver could block before the closer exists, and that
+	// is a deadlock.
+	c.Go("spawner", func() {
+		c.Go("receiver", func() {
+			_, ok := m.Get()
+			done <- ok
+		})
+		c.Go("closer", func() {
+			c.Sleep(time.Millisecond)
+			m.Close()
+		})
 	})
 	if ok := <-done; ok {
 		t.Fatal("Get on closed mailbox reported ok")
@@ -253,16 +266,148 @@ func TestRealClockBasics(t *testing.T) {
 	}
 }
 
+// TestVirtualDeadlockPanics: an actor blocked for good in a plain wait is a
+// deadlock, and panics. Actors parked in WaitIdle are not: once every other
+// actor has exited, the simulation quiesces, and they can still be woken from
+// outside it. But one of them, woken and then blocked for good in a plain
+// wait, is a deadlock again.
 func TestVirtualDeadlockPanics(t *testing.T) {
-	c := NewVirtual()
-	panicked := make(chan bool, 1)
-	c.Go("stuck", func() {
-		defer func() { panicked <- recover() != nil }()
-		w := c.NewWaiter()
-		c.Wait(w) // nothing will ever wake this
+	t.Run("wait", func(t *testing.T) {
+		c := NewVirtual()
+		panicked := make(chan bool, 1)
+		c.Go("stuck", func() {
+			defer func() { panicked <- recover() != nil }()
+			w := c.NewWaiter()
+			c.Wait(w) // nothing will ever wake this
+		})
+		wantDeadlock(t, panicked)
 	})
-	if !<-panicked {
-		t.Fatal("expected virtual-deadlock panic")
+
+	// parkers starts n actors that wait idle for work, each on its own
+	// waiter, run work when woken, and end when woken with stop set.
+	const n = 3
+	parkers := func(c *Clock, ws []Waiter, stop *atomic.Bool, work func(), ended chan<- struct{}) {
+		for i := range n {
+			c.Go("parker", func() {
+				defer func() { ended <- struct{}{} }()
+				for {
+					c.InitWaiter(&ws[i])
+					c.WaitIdle(&ws[i], "parked")
+					if stop.Load() {
+						return
+					}
+					work()
+				}
+			})
+		}
+	}
+
+	t.Run("idle", func(t *testing.T) {
+		c := NewVirtual()
+		ws := make([]Waiter, n)
+		var stop atomic.Bool
+		var served atomic.Int32
+		ended := make(chan struct{}, n)
+		done := make(chan struct{})
+		c.Go("main", func() {
+			defer close(done)
+			parkers(c, ws, &stop, func() {
+				c.Sleep(time.Millisecond)
+				served.Add(1)
+			}, ended)
+			c.Sleep(time.Millisecond) // every parker is parked
+			ws[1].Wake()
+			c.Sleep(5 * time.Millisecond) // it served, and parked again
+		})
+		<-done
+		deadline := time.Now().Add(5 * time.Second)
+		for c.Diag() != (Diag{Virtual: true, Now: 6 * time.Millisecond, Actors: n}) {
+			if time.Now().After(deadline) {
+				t.Fatalf("no quiescence with every actor parked: %+v", c.Diag())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if served.Load() != 1 {
+			t.Fatalf("%d calls served, want 1", served.Load())
+		}
+		stop.Store(true)
+		for i := range ws {
+			ws[i].Wake()
+		}
+		for range n {
+			<-ended
+		}
+		if d := c.Diag(); d.Actors != 0 || d.Runnable != 0 {
+			t.Fatalf("after waking every parker: %+v", d)
+		}
+	})
+
+	t.Run("busy", func(t *testing.T) {
+		c := NewVirtual()
+		ws := make([]Waiter, n)
+		var stop atomic.Bool
+		ended := make(chan struct{}, n)
+		panicked := make(chan bool, 1)
+		c.Go("main", func() {
+			parkers(c, ws, &stop, func() {
+				// The panic stops the clock, so this parker's next wait
+				// returns at once, and it ends.
+				defer func() {
+					stop.Store(true)
+					panicked <- recover() != nil
+				}()
+				c.Wait(c.NewWaiter()) // a call that never completes
+			}, ended)
+			c.Sleep(time.Millisecond)
+			ws[0].Wake()
+		})
+		wantDeadlock(t, panicked)
+		for i := 1; i < n; i++ {
+			ws[i].Wake()
+		}
+		for range n {
+			<-ended
+		}
+	})
+}
+
+// wantDeadlock fails the test unless an actor reports, within 5 s, that it
+// recovered the virtual-deadlock panic.
+func wantDeadlock(t *testing.T, panicked <-chan bool) {
+	t.Helper()
+	select {
+	case p := <-panicked:
+		if !p {
+			t.Fatal("expected virtual-deadlock panic")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no virtual-deadlock panic: a blocked actor was taken for idle")
+	}
+}
+
+// TestRealWaiterReadiedAgain: a real-clock Waiter readied again after its Wait
+// keeps its channel, so parking on it allocates nothing; and a wake-up that
+// arrived after a timed-out WaitFor does not satisfy the next Wait.
+func TestRealWaiterReadiedAgain(t *testing.T) {
+	c := NewReal()
+	var w Waiter
+	c.InitWaiter(&w)
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.InitWaiter(&w)
+		w.Wake()
+		c.Wait(&w)
+	}); allocs != 0 {
+		t.Errorf("readying, waking and waiting on a waiter: %v allocations, want 0", allocs)
+	}
+
+	c.InitWaiter(&w)
+	c.WaitFor(&w, time.Millisecond, "timed out")
+	w.Wake() // late: nobody waits any more
+	c.InitWaiter(&w)
+	start := time.Now()
+	c.WaitFor(&w, 20*time.Millisecond, "readied again")
+	if waited := time.Since(start); waited < 20*time.Millisecond {
+		t.Errorf("a readied waiter returned after %v: the late wake-up carried over", waited)
 	}
 }
 
