@@ -189,7 +189,7 @@ func TestSchedRecallFlushStormBounded(t *testing.T) {
 				t.Errorf("final read f%d: %d bytes, err=%v", i, len(got), err)
 			}
 		}
-		hw := writer.Proxy.RecallFlushHighWater()
+		hw := clientCount(d, writer, "gvfs_client_recall_flushers_peak")
 		if hw == 0 {
 			t.Error("no background recall flush ran: storm never hit the pending-list path")
 		}

@@ -137,17 +137,17 @@ func runCacheOps(t *testing.T, ops []byte) {
 					sc.flushed(r.fh, b, r.gens[j], wcc)
 				}
 			case 5:
-				sc.loseDirty(r.fh)
+				sc.discardDirty(r.fh, true)
 			}
 			for _, w := range sc.endFlush(r.fh, r.bns) {
 				w.Wake()
 			}
 		case 7:
-			sc.dropDirty(fh)
+			sc.discardDirty(fh, false)
 		case 8:
 			switch arg % 4 {
 			case 0:
-				sc.recall(fh, uint64(arg), opsNames[arg%len(opsNames)])
+				sc.applyRecall(RecallArgs{FH: fh, Seq: uint64(arg), Name: opsNames[arg%len(opsNames)]})
 			case 1:
 				sc.invalidateHandle(fh)
 			case 2:
@@ -193,18 +193,18 @@ func runCacheOps(t *testing.T, ops []byte) {
 			name := opsNames[arg%len(opsNames)]
 			switch arg % 3 {
 			case 0:
-				sc.putLookup(fh, name, fhN(uint64(1+bn%opsFiles)))
+				sc.putLookup(fh, name, fhN(uint64(1+bn%opsFiles)), false)
 			case 1:
-				sc.putNegLookup(fh, name)
+				sc.putLookup(fh, name, nfs3.FH{}, true)
 			case 2:
 				sc.dropLookup(fh, name)
 			}
 		case 15:
 			sc.putDirListing(fh, []nfs3.DirEntry{{Name: opsNames[arg%len(opsNames)]}})
 		case 16: // a reply's trailer: a grant (possibly stale), or a non-cacheable verdict
-			sc.applyReply(Trailers{{FH: fh, Deleg: DelegType(arg % 3), Cacheable: arg%5 != 0, Seq: uint64(arg)}}, nil)
+			sc.applyReplySince(Trailers{{FH: fh, Deleg: DelegType(arg % 3), Cacheable: arg%5 != 0, Seq: uint64(arg)}}, nil, sc.forgets.Load())
 		case 17:
-			sc.applyReply(nil, []nfs3.FH{fh})
+			sc.applyReplySince(nil, []nfs3.FH{fh}, sc.forgets.Load())
 		case 18: // an actor waits out the file's write-back
 			if w := sc.awaitFlushIdle(fh, clk); w != nil {
 				if fc := sc.files[fh.Key()]; fc == nil || fc.inflight == 0 {

@@ -97,7 +97,7 @@ func TestTakeDirtyRunShortTailEndsRun(t *testing.T) {
 
 // TestCacheCopiesFrameAliasedData pins the ownership boundary between
 // pooled RPC frames and the block cache: WriteArgs.Data and ReadRes.Data
-// alias the request/reply frame, so writeDirty and putCleanBlock must copy.
+// alias the request/reply frame, so writeDirty and putBlock must copy.
 // The frame is scribbled after the cache call — exactly what frame
 // recycling does — and the cached bytes must not change.
 func TestCacheCopiesFrameAliasedData(t *testing.T) {
@@ -130,11 +130,11 @@ func TestCacheCopiesFrameAliasedData(t *testing.T) {
 	if err := rr.Decode(xdr.NewDecoder(frame)); err != nil {
 		t.Fatal(err)
 	}
-	sc.putCleanBlock(fh2, 0, rr.Data, nfs3.Fattr{Size: coalesceBS})
+	sc.putBlock(fh2, 0, rr.Data, nfs3.Fattr{Size: coalesceBS}, false)
 	for i := range frame {
 		frame[i] = 0xFF
 	}
 	if b, ok := sc.getBlock(fh2, 0); !ok || !bytes.Equal(b, payload) {
-		t.Fatal("clean block corrupted by frame recycle; putCleanBlock must copy")
+		t.Fatal("clean block corrupted by frame recycle; putBlock must copy")
 	}
 }

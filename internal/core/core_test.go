@@ -182,7 +182,7 @@ func TestCacheAttrLifecycle(t *testing.T) {
 	if a, ok := sc.getAttr(fh); !ok || a.Mtime.Sec != 1 {
 		t.Fatalf("getAttr = %+v, %v", a, ok)
 	}
-	sc.recall(fh, 0, "")
+	sc.applyRecall(RecallArgs{FH: fh})
 	if _, ok := sc.getAttr(fh); ok {
 		t.Fatal("invalidated attr still served")
 	}
@@ -192,7 +192,7 @@ func TestCacheInvalidateAllDropsLookups(t *testing.T) {
 	sc := newSessionCache(32*1024, 1<<20)
 	dir := fhN(1)
 	sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
-	sc.putLookup(dir, "x", fhN(2))
+	sc.putLookup(dir, "x", fhN(2), false)
 	sc.invalidateAllAttrs(true)
 	sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
 	if _, _, ok := sc.getLookup(dir, "x"); ok {
@@ -205,7 +205,7 @@ func TestCachePositiveLookupSurvivesDirChange(t *testing.T) {
 	dir := fhN(1)
 	child := fhN(2)
 	sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
-	sc.putLookup(dir, "kept", child)
+	sc.putLookup(dir, "kept", child, false)
 	// Another file is created next to it: dir mtime changes.
 	sc.putAttr(dir, attrWithMtime(2, nfs3.TypeDir))
 	fh, neg, ok := sc.getLookup(dir, "kept")
@@ -218,7 +218,7 @@ func TestCacheNegativeLookupDiesOnDirChange(t *testing.T) {
 	sc := newSessionCache(32*1024, 1<<20)
 	dir := fhN(1)
 	sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
-	sc.putNegLookup(dir, "ghost")
+	sc.putLookup(dir, "ghost", nfs3.FH{}, true)
 	if _, neg, ok := sc.getLookup(dir, "ghost"); !ok || !neg {
 		t.Fatal("negative entry not cached")
 	}
@@ -233,8 +233,8 @@ func TestCacheLookupRequiresDirAttrs(t *testing.T) {
 	sc := newSessionCache(32*1024, 1<<20)
 	dir := fhN(1)
 	sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
-	sc.putLookup(dir, "x", fhN(2))
-	sc.recall(dir, 0, "")
+	sc.putLookup(dir, "x", fhN(2), false)
+	sc.applyRecall(RecallArgs{FH: dir})
 	if _, _, ok := sc.getLookup(dir, "x"); ok {
 		t.Fatal("lookup served with invalidated dir attrs")
 	}
@@ -244,7 +244,7 @@ func TestCacheBlocksDroppedOnForeignMtimeChange(t *testing.T) {
 	sc := newSessionCache(4, 1<<20)
 	fh := fhN(1)
 	a1 := attrWithMtime(1, nfs3.TypeReg)
-	sc.putCleanBlock(fh, 0, []byte{1, 2, 3, 4}, a1)
+	sc.putBlock(fh, 0, []byte{1, 2, 3, 4}, a1, false)
 	if _, ok := sc.getBlock(fh, 0); !ok {
 		t.Fatal("block not cached")
 	}
@@ -259,7 +259,7 @@ func TestCacheOwnWriteKeepsBlocks(t *testing.T) {
 	sc := newSessionCache(4, 1<<20)
 	fh := fhN(1)
 	a1 := attrWithMtime(1, nfs3.TypeReg)
-	sc.putCleanBlock(fh, 0, []byte{1, 2, 3, 4}, a1)
+	sc.putBlock(fh, 0, []byte{1, 2, 3, 4}, a1, false)
 	// Our own WRITE to block 1 advanced mtime 1 -> 2; wcc proves it was us.
 	a2 := attrWithMtime(2, nfs3.TypeReg)
 	sc.updateAfterWrite(fh, 4, 4, nfs3.WccData{
@@ -287,8 +287,8 @@ func TestCacheOwnPartialWriteDropsTheBlock(t *testing.T) {
 	sc := newSessionCache(4, 1<<20)
 	fh := fhN(1)
 	a1 := attrWithMtime(1, nfs3.TypeReg)
-	sc.putCleanBlock(fh, 0, []byte{1, 2, 3, 4}, a1)
-	sc.putCleanBlock(fh, 1, []byte{5, 6, 7, 8}, a1)
+	sc.putBlock(fh, 0, []byte{1, 2, 3, 4}, a1, false)
+	sc.putBlock(fh, 1, []byte{5, 6, 7, 8}, a1, false)
 	sc.updateAfterWrite(fh, 1, 2, nfs3.WccData{
 		Before: nfs3.PreOpAttr{Present: true, Attr: nfs3.WccAttr{Mtime: a1.Mtime, Size: a1.Size}},
 		After:  nfs3.PostOpAttr{Present: true, Attr: attrWithMtime(2, nfs3.TypeReg)},
@@ -347,7 +347,7 @@ func TestCacheDirtyLifecycle(t *testing.T) {
 	if sc.hasDirty(fh) {
 		t.Fatal("dirty state after flushing all blocks")
 	}
-	sc.dropDirty(fh) // no-op now
+	sc.discardDirty(fh, false) // no-op now
 }
 
 // TestFirstAbsorbedWriteKeepsEOF: a WRITE absorbed into a file the session
@@ -414,7 +414,7 @@ func TestCacheFlushForeignCommitDropsClean(t *testing.T) {
 	sc := newSessionCache(4, 1<<20)
 	fh := fhN(1)
 	// Block 1 is a clean copy fetched under mtime 1.
-	sc.putCleanBlock(fh, 1, []byte{9, 9, 9, 9}, attrWithMtime(1, nfs3.TypeReg))
+	sc.putBlock(fh, 1, []byte{9, 9, 9, 9}, attrWithMtime(1, nfs3.TypeReg), false)
 	// We dirty block 0 and flush; by the time the WRITE lands, a foreign
 	// commit has moved the file to mtime 2, so our reply reads pre-op mtime
 	// 2, post-op mtime 3.
@@ -439,7 +439,7 @@ func TestCacheFlushForeignCommitDropsClean(t *testing.T) {
 
 	// Control: a flush with a matching pre-op mtime (no interleaving) keeps
 	// clean copies.
-	sc.putCleanBlock(fh, 1, []byte{8, 8, 8, 8}, attrWithMtime(3, nfs3.TypeReg))
+	sc.putBlock(fh, 1, []byte{8, 8, 8, 8}, attrWithMtime(3, nfs3.TypeReg), false)
 	sc.writeDirty(fh, 0, []byte{2, 2, 2, 2})
 	_, _, gen2, ok := takeOne(sc, fh, 0)
 	if !ok {
@@ -478,7 +478,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	for bn := uint64(0); bn < 5; bn++ {
 		// Full-size blocks: short data is stored at natural length and five
 		// 1-byte blocks would fit the bound without evicting anything.
-		sc.putCleanBlock(fh, bn, []byte{byte(bn), byte(bn), byte(bn), byte(bn)}, a)
+		sc.putBlock(fh, bn, []byte{byte(bn), byte(bn), byte(bn), byte(bn)}, a, false)
 	}
 	if _, _, _, bytes := sc.stats(); bytes > 12 {
 		t.Fatalf("cache %d bytes, bound 12", bytes)
@@ -499,7 +499,7 @@ func TestCacheDirtyBlocksPinnedAgainstEviction(t *testing.T) {
 	sc.writeDirty(fh, 0, []byte{1, 1, 1, 1})
 	a := attrWithMtime(1, nfs3.TypeReg)
 	for bn := uint64(1); bn < 6; bn++ {
-		sc.putCleanBlock(fh, bn, []byte{byte(bn), byte(bn), byte(bn), byte(bn)}, a)
+		sc.putBlock(fh, bn, []byte{byte(bn), byte(bn), byte(bn), byte(bn)}, a, false)
 	}
 	if _, ok := sc.getBlock(fh, 0); !ok {
 		t.Fatal("dirty block evicted")

@@ -55,7 +55,7 @@ func TestDirWalkStateMachine(t *testing.T) {
 	sc := newSessionCache(opsBS, 1<<20)
 	sc.setPolicy(func() time.Duration { now++; return now }, cachePolicy{model: ModelPolling}, met)
 
-	var pg dirPage // the last page claimed
+	var pg speculation // the last page claimed
 	lookup := func(name string) func() bool {
 		return func() bool {
 			_, p, hit := sc.lookupHit(dir, name)
@@ -77,7 +77,7 @@ func TestDirWalkStateMachine(t *testing.T) {
 		}
 	}
 	returns := func(res *nfs3.ReaddirplusRes) func() bool {
-		return func() bool { sc.landPage(pg, res); return false }
+		return func() bool { sc.landCall(&pg, 0, res); return false }
 	}
 	walk := func() dirWalk {
 		sc.mu.Lock()
@@ -113,7 +113,7 @@ func TestDirWalkStateMachine(t *testing.T) {
 			false, dirWalk{misses: 3, started: true, done: true, cookie: 6}},
 		{"or miss", lookup("y"),
 			false, dirWalk{misses: 4, started: true, done: true, cookie: 6}},
-		{"the session's own CREATE does not restart it", func() bool { sc.putLookup(dir, "n", fhN(50)); return false },
+		{"the session's own CREATE does not restart it", func() bool { sc.putLookup(dir, "n", fhN(50), false); return false },
 			false, dirWalk{misses: 4, started: true, done: true, cookie: 6}},
 		{"GETINV names the directory: the evidence starts over", func() bool { sc.invalidateHandle(dir); return false },
 			false, dirWalk{}},
@@ -194,7 +194,7 @@ func TestDirWalkStateMachine(t *testing.T) {
 		sc := newSessionCache(opsBS, 1<<20)
 		sc.setPolicy(nil, cachePolicy{model: model, delegRenew: time.Hour}, cacheCounters{})
 		// Under polling, a directory the server called non-cacheable.
-		sc.applyReply(Trailers{{FH: dir, Deleg: DelegRead, Cacheable: model == ModelDelegation, Seq: 1}}, nil)
+		sc.applyReplySince(Trailers{{FH: dir, Deleg: DelegRead, Cacheable: model == ModelDelegation, Seq: 1}}, nil, sc.forgets.Load())
 		for i := 0; i < 5; i++ {
 			if _, p, _ := sc.lookupHit(dir, "a"); p.due {
 				t.Errorf("%v: a page fell due", model)
@@ -221,8 +221,8 @@ func TestSeedRepliesAcrossInvalidation(t *testing.T) {
 		{"GETINV names the directory", func(sc *sessionCache) { sc.invalidateHandle(dir) }, false},
 		{"GETINV names another handle", func(sc *sessionCache) { sc.invalidateHandle(other) }, false},
 		{"a force-invalidate", func(sc *sessionCache) { sc.invalidateAllAttrs(true) }, false},
-		{"the session's own REMOVE", func(sc *sessionCache) { sc.dropLookup(dir, "b"); sc.putNegLookup(dir, "b") }, false},
-		{"the session's own CREATE", func(sc *sessionCache) { sc.putLookup(dir, "n", fhN(9)) }, false},
+		{"the session's own REMOVE", func(sc *sessionCache) { sc.dropLookup(dir, "b"); sc.putLookup(dir, "b", nfs3.FH{}, true) }, false},
+		{"the session's own CREATE", func(sc *sessionCache) { sc.putLookup(dir, "n", fhN(9), false) }, false},
 		{"the directory's removal", func(sc *sessionCache) { sc.forget(dir) }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -287,7 +287,7 @@ func TestDirWalkRaces(t *testing.T) {
 	sc.setPersister(mirror, recoveryCounters{})
 
 	var lookups atomic.Int64
-	pages := make(chan dirPage, 4) // claimed, not landed yet: at most one per walk epoch in practice
+	pages := make(chan speculation, 4) // claimed, not landed yet: at most one per walk epoch in practice
 	var wg, landers sync.WaitGroup
 	landers.Add(1)
 	go func() {
@@ -303,7 +303,7 @@ func TestDirWalkRaces(t *testing.T) {
 			default:
 				res = pageOf(names, from, min(from+2, len(names)), from+2 >= len(names))
 			}
-			sc.landPage(pg, res)
+			sc.landCall(&pg, 0, res)
 		}
 	}()
 	for _, actor := range []func(i int){
@@ -335,11 +335,11 @@ func TestDirWalkRaces(t *testing.T) {
 		func(i int) {
 			switch i % 3 {
 			case 0:
-				sc.putLookup(dir, "n", fhN(50))
+				sc.putLookup(dir, "n", fhN(50), false)
 			case 1:
 				sc.dropLookup(dir, "n")
 			case 2:
-				sc.putNegLookup(dir, "n")
+				sc.putLookup(dir, "n", nfs3.FH{}, true)
 			}
 		},
 		func(i int) { sc.seedDir(sc.ticket(dir), pageOf(names, 0, len(names), true)) },

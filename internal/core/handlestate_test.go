@@ -30,10 +30,10 @@ func TestHandleStateMachine(t *testing.T) {
 			attr.Size = blocks * opsBS
 			revalidate := func() {
 				sc.putAttr(fh, attr)
-				sc.putCleanBlock(fh, 0, make([]byte, opsBS), attr)
+				sc.putBlock(fh, 0, make([]byte, opsBS), attr, false)
 			}
 			grant := func(d DelegType, cacheable bool, seq uint64) {
-				sc.applyReply(Trailers{{FH: fh, Deleg: d, Cacheable: cacheable, Seq: seq}}, nil)
+				sc.applyReplySince(Trailers{{FH: fh, Deleg: d, Cacheable: cacheable, Seq: seq}}, nil, sc.forgets.Load())
 			}
 			// served asks every local-serve decision at once; they must agree.
 			served := func() bool {
@@ -49,11 +49,11 @@ func TestHandleStateMachine(t *testing.T) {
 			prefetches := func() int {
 				sc.streamRead(fh, 0, 4)
 				sc.streamRead(fh, 1, 4)
-				claimed := sc.beginFetches(fh, 4)
-				for _, bn := range claimed {
-					sc.endFetch(fh, bn)
+				own, _ := sc.claimChunk(fh, 4)
+				for i := range own.runs {
+					sc.landCall(&own, i, nil)
 				}
-				return len(claimed)
+				return len(own.blocks)
 			}
 			record := func() cachedFile {
 				sc.mu.Lock()
@@ -77,9 +77,9 @@ func TestHandleStateMachine(t *testing.T) {
 					true, false, cachedFile{}},
 				{"grant", func() { grant(DelegRead, true, 5) },
 					true, true, cachedFile{deleg: DelegRead}},
-				{"recall", func() { sc.recall(fh, 7, "") },
+				{"recall", func() { sc.applyRecall(RecallArgs{FH: fh, Seq: 7}) },
 					false, false, cachedFile{recallFence: 7}},
-				{"an older recall arrives late: the fence only rises", func() { sc.recall(fh, 6, "") },
+				{"an older recall arrives late: the fence only rises", func() { sc.applyRecall(RecallArgs{FH: fh, Seq: 6}) },
 					false, false, cachedFile{recallFence: 7}},
 				{"revalidated, no delegation", revalidate,
 					true, false, cachedFile{recallFence: 7}},
@@ -91,7 +91,7 @@ func TestHandleStateMachine(t *testing.T) {
 					true, true, cachedFile{recallFence: 7, deleg: DelegWrite}},
 				{"renewal period elapsed: the request bypasses the cache", func() { now++ },
 					true, false, cachedFile{recallFence: 7, deleg: DelegWrite}},
-				{"the bypass was forwarded", func() { sc.applyReply(nil, []nfs3.FH{fh}) },
+				{"the bypass was forwarded", func() { sc.applyReplySince(nil, []nfs3.FH{fh}, sc.forgets.Load()) },
 					true, true, cachedFile{recallFence: 7, deleg: DelegWrite}},
 				{"RECALL_ALL: delegations and fences are void", func() { sc.recallAll(true); revalidate() },
 					true, false, cachedFile{}},
@@ -134,7 +134,7 @@ func TestHandleStateMachine(t *testing.T) {
 			}
 
 			// forget: nothing left, on any table or ring — not even the fence.
-			sc.recall(fh, 20, "")
+			sc.applyRecall(RecallArgs{FH: fh, Seq: 20})
 			sc.forget(fh)
 			sc.mu.Lock()
 			left := len(sc.files) + sc.attrLRU.n + sc.listLRU.n + sc.lookupLRU.n + int(sc.lru.bytes)
@@ -169,18 +169,18 @@ func TestHandleRecordRaces(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for _, actor := range []func(i int){
-		func(i int) { sc.recall(fh, uint64(i), "f") },
+		func(i int) { sc.applyRecall(RecallArgs{FH: fh, Seq: uint64(i), Name: "f"}) },
 		func(i int) {
-			sc.applyReply(Trailers{{FH: fh, Deleg: DelegType(i % 3), Cacheable: i%7 != 0, Seq: uint64(i)}, {FH: dir, Deleg: DelegRead, Cacheable: true, Seq: uint64(i)}}, nil)
+			sc.applyReplySince(Trailers{{FH: fh, Deleg: DelegType(i % 3), Cacheable: i%7 != 0, Seq: uint64(i)}, {FH: dir, Deleg: DelegRead, Cacheable: true, Seq: uint64(i)}}, nil, sc.forgets.Load())
 		},
 		func(i int) {
 			sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
 			sc.putAttr(fh, attr)
-			sc.putLookup(dir, "f", fh)
+			sc.putLookup(dir, "f", fh, false)
 			sc.putDirListing(dir, []nfs3.DirEntry{{Name: "f"}})
-			sc.putCleanBlock(fh, uint64(i%opsBlocks), make([]byte, opsBS), attr)
+			sc.putBlock(fh, uint64(i%opsBlocks), make([]byte, opsBS), attr, false)
 		},
-		func(i int) { sc.applyReply(nil, []nfs3.FH{fh, dir}) },
+		func(i int) { sc.applyReplySince(nil, []nfs3.FH{fh, dir}, sc.forgets.Load()) },
 		func(i int) {
 			sc.readHit(fh, uint64(i%opsBlocks))
 			sc.attrHit(fh)
@@ -208,8 +208,8 @@ func TestHandleRecordRaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Without a RECALL_ALL in the way the fence is the highest recall served.
-	sc.recall(fh, rounds+1, "")
-	sc.recall(fh, 3, "")
+	sc.applyRecall(RecallArgs{FH: fh, Seq: rounds + 1})
+	sc.applyRecall(RecallArgs{FH: fh, Seq: 3})
 	sc.mu.Lock()
 	fence := sc.files[fh.Key()].recallFence
 	sc.mu.Unlock()

@@ -55,7 +55,7 @@ func TestMetaCapacityEviction(t *testing.T) {
 		dir := fhN(1)
 		sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
 		for i := 0; i < 4; i++ {
-			sc.putLookup(dir, fmt.Sprintf("f%d", i), fhN(uint64(10+i)))
+			sc.putLookup(dir, fmt.Sprintf("f%d", i), fhN(uint64(10+i)), false)
 		}
 		if _, _, ok := sc.getLookup(dir, "f0"); ok {
 			t.Fatal("LRU dentry survived eviction")
@@ -109,8 +109,8 @@ func TestMetaInvalidationChannels(t *testing.T) {
 	seed := func(sc *sessionCache) {
 		sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
 		sc.putAttr(child, attrWithMtime(1, nfs3.TypeReg))
-		sc.putLookup(dir, "kept", child)
-		sc.putNegLookup(dir, "ghost")
+		sc.putLookup(dir, "kept", child, false)
+		sc.putLookup(dir, "ghost", nfs3.FH{}, true)
 		sc.putDirListing(dir, []nfs3.DirEntry{{Name: "kept"}})
 	}
 	revalidate := func(sc *sessionCache) {
@@ -144,7 +144,7 @@ func TestMetaInvalidationChannels(t *testing.T) {
 		seed(sc)
 		// What handleRecall applies for a recall of the dir triggered by
 		// REMOVE(dir, "kept"): attr invalidation plus the named binding.
-		sc.recall(dir, 1, "kept")
+		sc.applyRecall(RecallArgs{FH: dir, Seq: 1, Name: "kept"})
 		revalidate(sc)
 		if _, _, ok := sc.getLookup(dir, "kept"); ok {
 			t.Fatal("recalled binding still served")
@@ -162,7 +162,7 @@ func TestMetaNegativePromotionOnCreate(t *testing.T) {
 	sc, _ := newMetaCache(cachePolicy{}, cacheCounters{})
 	dir, child := fhN(1), fhN(2)
 	sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
-	sc.putNegLookup(dir, "new")
+	sc.putLookup(dir, "new", nfs3.FH{}, true)
 	if _, neg, ok := sc.getLookup(dir, "new"); !ok || !neg {
 		t.Fatal("negative entry not cached")
 	}
@@ -170,7 +170,7 @@ func TestMetaNegativePromotionOnCreate(t *testing.T) {
 	// and the child binding, as forwardCreate does.
 	sc.putAttr(dir, attrWithMtime(2, nfs3.TypeDir))
 	sc.putAttr(child, attrWithMtime(2, nfs3.TypeReg))
-	sc.putLookup(dir, "new", child)
+	sc.putLookup(dir, "new", child, false)
 	fh, neg, ok := sc.getLookup(dir, "new")
 	if !ok || neg || !fh.Equal(child) {
 		t.Fatalf("getLookup after create = fh %v neg %v ok %v; want positive binding", fh, neg, ok)

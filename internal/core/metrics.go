@@ -97,9 +97,10 @@ type clientMetrics struct {
 	diskCacheErrors  *obs.Counter
 	recoveryReplayNs *obs.Gauge
 
-	flushInflight  *obs.Gauge
-	getinvBatch    *obs.Histogram
-	forwardLatency *obs.Histogram
+	flushInflight   *obs.Gauge
+	recallFlushPeak *obs.Gauge // most background recall flushers at once
+	getinvBatch     *obs.Histogram
+	forwardLatency  *obs.Histogram
 
 	cacheAttrs, cacheLookups, cacheFiles, cacheBytes *obs.Gauge
 }
@@ -148,6 +149,7 @@ func newClientMetrics(reg *obs.Registry, node string) *clientMetrics {
 		diskCacheErrors:    reg.Counter(l("gvfs_client_disk_cache_errors_total")),
 		recoveryReplayNs:   reg.Gauge(l("gvfs_client_recovery_replay_ns")),
 		flushInflight:      reg.Gauge(l("gvfs_client_flush_inflight")),
+		recallFlushPeak:    reg.Gauge(l("gvfs_client_recall_flushers_peak")),
 		getinvBatch:        reg.Histogram(l("gvfs_client_getinv_batch"), obs.CountBuckets),
 		forwardLatency:     reg.Histogram(l("gvfs_client_forward_latency"), obs.DurationBuckets),
 		cacheAttrs:         reg.Gauge(l("gvfs_client_cache_attrs")),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,8 +24,10 @@ type succBed struct {
 	files  []nfs3.FH         // in the order state() lists them
 	names  map[string]string // handle key -> one letter
 	blocks map[string]int    // handle key -> length
-	// hold keeps claimed blocks in flight instead of landing them at once.
+	// hold keeps claimed blocks in flight instead of landing them at once,
+	// in held.
 	hold   bool
+	held   []speculation
 	claims []string // what the reads since the last take() claimed
 
 	wasted, spills, spillBlocks, misses *obs.Counter
@@ -75,12 +78,10 @@ func (b *succBed) span(fh nfs3.FH, bns []uint64) string {
 	return name + strings.ReplaceAll(fmt.Sprint(bns), " ", ",")
 }
 
-// land ends the prefetch of fh's blocks bns with their bytes.
-func (b *succBed) land(fh nfs3.FH, bns []uint64) {
-	for _, bn := range bns {
-		b.sc.endFetch(fh, bn)
-		b.sc.putBlock(fh, bn, make([]byte, succBS), b.attr(fh), true)
-	}
+// land ends run i of the prefetch s with its bytes.
+func (b *succBed) land(s *speculation, i int) {
+	n := len(s.runs[i]) * succBS
+	b.sc.landCall(s, i, &nfs3.ReadRes{Status: nfs3.OK, Attr: nfs3.PostOpAttr{Present: true, Attr: b.attr(s.fh)}, Count: uint32(n), Data: make([]byte, n)})
 }
 
 // inflight counts the prefetches in flight across all files.
@@ -97,26 +98,28 @@ func (b *succBed) inflight() (n int) {
 func (b *succBed) read(name string, bn uint64) {
 	fh := b.file(name)
 	if due, _ := b.sc.streamRead(fh, bn, b.w); due {
-		own := b.sc.beginFetches(fh, b.w)
-		if len(own) > 0 {
-			b.claims = append(b.claims, fmt.Sprintf("@%d %s", bn, b.span(fh, own)))
+		own, sp := b.sc.claimChunk(fh, b.w)
+		if len(own.blocks) > 0 {
+			b.claims = append(b.claims, fmt.Sprintf("@%d %s", bn, b.span(fh, own.blocks)))
 		}
-		sp := b.sc.beginSpill(fh, b.w)
-		if sp != nil {
+		if sp.due {
 			b.claims = append(b.claims, fmt.Sprintf("@%d ->%s", bn, b.span(sp.fh, sp.blocks)))
 		}
 		if got := b.inflight(); int64(got) > b.w {
 			b.t.Fatalf("read of %s block %d left %d prefetches in flight under a window of %d", name, bn, got, b.w)
 		}
-		if !b.hold {
-			b.land(fh, own)
-			if sp != nil {
-				b.land(sp.fh, sp.blocks)
+		for _, s := range []speculation{own, sp} {
+			if b.hold {
+				b.held = append(b.held, s)
+				continue
+			}
+			for i := range s.runs {
+				b.land(&s, i)
 			}
 		}
 	}
 	if _, ok := b.sc.getBlock(fh, bn); !ok {
-		b.sc.putCleanBlock(fh, bn, make([]byte, succBS), b.attr(fh)) // the demand READ's reply
+		b.sc.putBlock(fh, bn, make([]byte, succBS), b.attr(fh), false) // the demand READ's reply
 	}
 }
 
@@ -280,14 +283,14 @@ func TestSpillGates(t *testing.T) {
 	}{
 		{"the delegation model", ModelDelegation, func(*succBed) {}, nil},
 		{"Y is not cacheable", ModelPolling, func(b *succBed) {
-			b.sc.applyReply(Trailers{{FH: b.file("Y"), Cacheable: false}}, nil)
+			b.sc.applyReplySince(Trailers{{FH: b.file("Y"), Cacheable: false}}, nil, b.sc.forgets.Load())
 		}, func(b *succBed) {
-			b.sc.applyReply(Trailers{{FH: b.file("Y"), Cacheable: true}}, nil)
+			b.sc.applyReplySince(Trailers{{FH: b.file("Y"), Cacheable: true}}, nil, b.sc.forgets.Load())
 		}},
 		{"X is not cacheable", ModelPolling, func(b *succBed) {
-			b.sc.applyReply(Trailers{{FH: b.file("X"), Cacheable: false}}, nil)
+			b.sc.applyReplySince(Trailers{{FH: b.file("X"), Cacheable: false}}, nil, b.sc.forgets.Load())
 		}, func(b *succBed) {
-			b.sc.applyReply(Trailers{{FH: b.file("X"), Cacheable: true}}, nil)
+			b.sc.applyReplySince(Trailers{{FH: b.file("X"), Cacheable: true}}, nil, b.sc.forgets.Load())
 		}},
 		{"Y's attributes are not validly cached", ModelPolling, func(b *succBed) {
 			b.sc.invalidateHandle(b.file("Y"))
@@ -364,7 +367,7 @@ func TestSpillSizing(t *testing.T) {
 	t.Run("cached, dirty and in-flight blocks are skipped", func(t *testing.T) {
 		b := learn(t, 16, 16)
 		y := b.file("Y")
-		b.sc.putCleanBlock(y, 1, make([]byte, succBS), b.attr(y))
+		b.sc.putBlock(y, 1, make([]byte, succBS), b.attr(y), false)
 		b.sc.writeDirty(y, 2*succBS, make([]byte, succBS))
 		b.sc.mu.Lock()
 		b.sc.files[y.Key()].fetching[3] = nil
@@ -373,7 +376,9 @@ func TestSpillSizing(t *testing.T) {
 		if got, want := b.take(), "@9 ->Y[0]"; got != want {
 			t.Fatalf("claimed %q, want %q", got, want)
 		}
-		b.sc.endFetch(y, 3)
+		b.sc.mu.Lock()
+		delete(b.sc.files[y.Key()].fetching, 3)
+		b.sc.mu.Unlock()
 	})
 	t.Run("a one-block X spills when it is claimed", func(t *testing.T) {
 		b := learn(t, 1, 16)
@@ -407,7 +412,13 @@ func TestSpillSizing(t *testing.T) {
 			t.Fatalf("%d prefetches in flight, want the window's 8", got)
 		}
 		// X's tail lands: the next read in reach of the boundary tops the spill up.
-		b.land(b.file("X"), []uint64{15})
+		for _, s := range b.held {
+			for i, run := range s.runs {
+				if s.fh == b.file("X") && slices.Equal(run, []uint64{15}) {
+					b.land(&s, i)
+				}
+			}
+		}
 		b.read("Y", 0)
 		if got, want := b.take(), "@0 Y[7]"; got != want {
 			t.Fatalf("claimed %q, want %q", got, want)
@@ -444,11 +455,7 @@ func TestReadAheadSuccessorRaces(t *testing.T) {
 		sc.putAttr(fh(i), attr(1))
 	}
 
-	type claim struct {
-		fh  nfs3.FH
-		bns []uint64
-	}
-	claims := make(chan claim, 4) // small, so that prefetches land well after later reads
+	claims := make(chan speculation, 4) // small, so that prefetches land well after later reads
 	var parked, released atomic.Int64
 	read := func(f nfs3.FH, bn uint64) {
 		due, busy := sc.streamRead(f, bn, w)
@@ -459,11 +466,12 @@ func TestReadAheadSuccessorRaces(t *testing.T) {
 			joined = sc.awaitFetch(f, bn, wt)
 		}
 		if due {
-			if own := sc.beginFetches(f, w); len(own) > 0 {
-				claims <- claim{f, own}
+			own, sp := sc.claimChunk(f, w)
+			if own.due {
+				claims <- own
 			}
-			if sp := sc.beginSpill(f, w); sp != nil {
-				claims <- claim{sp.fh, sp.blocks}
+			if sp.due {
+				claims <- sp
 			}
 		}
 		if joined {
@@ -472,7 +480,7 @@ func TestReadAheadSuccessorRaces(t *testing.T) {
 			released.Add(1)
 		}
 		if _, ok := sc.readHit(f, bn); !ok {
-			sc.putCleanBlock(f, bn, make([]byte, opsBS), attr(1))
+			sc.putBlock(f, bn, make([]byte, opsBS), attr(1), false)
 			sc.putAttr(f, attr(1))
 		}
 	}
@@ -489,9 +497,9 @@ func TestReadAheadSuccessorRaces(t *testing.T) {
 	go func() {
 		defer landers.Done()
 		for c := range claims {
-			for _, bn := range c.bns {
-				ws := sc.endFetch(c.fh, bn)
-				sc.putBlock(c.fh, bn, make([]byte, opsBS), attr(1), true)
+			for i, run := range c.runs {
+				n := len(run) * opsBS
+				ws, _ := sc.landCall(&c, i, &nfs3.ReadRes{Status: nfs3.OK, Attr: nfs3.PostOpAttr{Present: true, Attr: attr(1)}, Count: uint32(n), Data: make([]byte, n)})
 				for _, w := range ws {
 					w.Wake()
 				}

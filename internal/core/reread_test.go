@@ -12,6 +12,7 @@ import (
 	"repro/internal/nfscall"
 	"repro/internal/obs"
 	"repro/internal/simnet"
+	"repro/internal/vclock"
 )
 
 // rereadBed is a bare session cache holding one file, X, that another client
@@ -28,6 +29,8 @@ type rereadBed struct {
 	// The file as the server has it now.
 	blocks int
 	mtime  uint32
+	// claims holds every claim made of X, each landed block by block.
+	claims []speculation
 
 	wasted, spills, reopens, reopenBlocks *obs.Counter
 }
@@ -58,8 +61,17 @@ func (b *rereadBed) reply(bn uint64) *nfs3.ReadRes {
 	return res
 }
 
-// land ends the prefetch of block bn with the server's current bytes.
-func (b *rereadBed) land(bn uint64) { b.sc.landFetch(b.fh, bn, b.reply(bn)) }
+// land ends the prefetch of block bn with the server's current bytes, as a
+// run of its own of the latest claim that holds it.
+func (b *rereadBed) land(bn uint64) (ws []*vclock.Waiter, kept int) {
+	for i := len(b.claims) - 1; i >= 0; i-- {
+		if s := b.claims[i]; slices.Contains(s.blocks, bn) {
+			one := speculation{kind: s.kind, seedTicket: s.seedTicket, blocks: []uint64{bn}, runs: [][]uint64{{bn}}}
+			return b.sc.landCall(&one, 0, b.reply(bn))
+		}
+	}
+	return nil, 0
+}
 
 // landAll lands every prefetch in flight.
 func (b *rereadBed) landAll() {
@@ -84,7 +96,9 @@ func (b *rereadBed) inflight() (bns []uint64) {
 // getattr is a GETATTR of X the cache could not answer: what it claims to
 // carry behind it, as "X[0..7]" ("" for nothing).
 func (b *rereadBed) getattr() string {
-	bns := b.sc.beginReread(b.fh, b.w)
+	s := b.sc.claimReread(b.fh, b.w)
+	b.claims = append(b.claims, s)
+	bns := s.blocks
 	if len(bns) == 0 {
 		return ""
 	}
@@ -102,7 +116,9 @@ func (b *rereadBed) answer() { b.sc.putAttr(b.fh, b.attr()) }
 func (b *rereadBed) read(bn uint64) string {
 	due, busy := b.sc.streamRead(b.fh, bn, b.w)
 	if due {
-		for _, x := range b.sc.beginFetches(b.fh, b.w) {
+		own, _ := b.sc.claimChunk(b.fh, b.w)
+		b.claims = append(b.claims, own)
+		for _, x := range own.blocks {
 			b.land(x)
 		}
 	}
@@ -112,7 +128,7 @@ func (b *rereadBed) read(bn uint64) string {
 		how = "joined"
 	}
 	if _, ok := b.sc.readHit(b.fh, bn); !ok {
-		b.sc.putCleanBlock(b.fh, bn, make([]byte, succBS), b.attr())
+		b.sc.putBlock(b.fh, bn, make([]byte, succBS), b.attr(), false)
 		b.sc.putAttr(b.fh, b.attr())
 		how = "forwarded"
 	}
@@ -286,9 +302,9 @@ func TestRereadGates(t *testing.T) {
 			b.record(func(fc *cachedFile) { b.sc.dropBlockLocked(fc.blocks[0]) })
 		}, nil},
 		{"not cacheable", func(b *rereadBed) {
-			b.sc.applyReply(Trailers{{FH: b.fh, Cacheable: false}}, nil)
+			b.sc.applyReplySince(Trailers{{FH: b.fh, Cacheable: false}}, nil, b.sc.forgets.Load())
 		}, func(b *rereadBed) {
-			b.sc.applyReply(Trailers{{FH: b.fh, Deleg: DelegRead, Cacheable: true, Seq: 9}}, nil)
+			b.sc.applyReplySince(Trailers{{FH: b.fh, Deleg: DelegRead, Cacheable: true, Seq: 9}}, nil, b.sc.forgets.Load())
 		}},
 		{"recovered from disk", func(b *rereadBed) { b.record(func(fc *cachedFile) { fc.recovered = true }) }, nil},
 	} {
@@ -329,8 +345,12 @@ func TestRereadGates(t *testing.T) {
 		b.whole()
 		b.mtime++
 		b.sc.invalidateHandle(b.fh)
-		if c := tc.p(b.sc).claimReread(1, b.fh); len(c.rids) != 0 || len(b.inflight()) != 0 {
-			t.Errorf("%s: the GETATTR carried %d READs, %d blocks claimed", tc.name, len(c.rids), len(b.inflight()))
+		reads := 0
+		for _, s := range tc.p(b.sc).rereadClaim(1, b.fh) {
+			reads += len(s.rids)
+		}
+		if reads != 0 || len(b.inflight()) != 0 {
+			t.Errorf("%s: the GETATTR carried %d READs, %d blocks claimed", tc.name, reads, len(b.inflight()))
 		}
 	}
 }
@@ -445,8 +465,8 @@ func TestRereadAnswers(t *testing.T) {
 		b := claim(t)
 		b.sc.forget(b.fh)
 		for bn := uint64(0); bn < 8; bn++ {
-			if ws, kept := b.sc.landFetch(b.fh, bn, b.reply(bn)); ws != nil || kept {
-				t.Fatalf("block %d landed on a forgotten record: %d waiters, kept=%v", bn, len(ws), kept)
+			if ws, kept := b.land(bn); ws != nil || kept > 0 {
+				t.Fatalf("block %d landed on a forgotten record: %d waiters, kept=%v", bn, len(ws), kept > 0)
 			}
 		}
 		if got := b.state(); got != "forgotten" {

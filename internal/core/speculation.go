@@ -211,7 +211,7 @@ func (p *ProxyClient) issue(specs []speculation) {
 		for k := range specs {
 			s := &specs[k]
 			for i, rid := range s.rids {
-				var c nfsCall
+				var c upstreamCall
 				if s.kind == specPage {
 					c = p.startUpstream(rid, nfs3.ProcReaddirplus, &nfs3.ReaddirplusArgs{
 						Dir: s.fh, Cookie: s.cookie, CookieVerf: s.verf, DirCount: bs, MaxCount: bs,
@@ -229,7 +229,7 @@ func (p *ProxyClient) issue(specs []speculation) {
 // collect waits for call i of s, records its span and lands it. Waiting demand
 // reads are woken whether or not the call succeeded: on failure they forward.
 // A READ's span says how many blocks it asked for; its bytes are the reply's.
-func (p *ProxyClient) collect(s *speculation, i int, c nfsCall) {
+func (p *ProxyClient) collect(s *speculation, i int, c upstreamCall) {
 	sp := obs.Span{Req: s.rids[i], Parent: s.parent, Op: "READAHEAD", Model: shortModel(p.cfg.Model), Start: c.start}
 	var read nfs3.ReadRes
 	var page nfs3.ReaddirplusRes

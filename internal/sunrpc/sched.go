@@ -49,15 +49,15 @@ import (
 // and same-seed runs make identical shed/dispatch decisions, which the chaos
 // harness asserts by diffing span traces.
 
-// Scheduler defaults.
+// Scheduler sizes.
 const (
 	// defaultQueueDepth bounds each client's FIFO when SchedConfig leaves
 	// QueueDepth zero.
 	defaultQueueDepth = 256
-	// defaultQuantum is the per-round DRR byte allowance: a shade over one
-	// maximal WRITE, so a bulk writer gets one large request per round while
-	// metadata clients drain several small ones.
-	defaultQuantum = 40 << 10
+	// quantum is the DRR byte allowance added to a client's deficit each
+	// round: a shade over one maximal WRITE, so a bulk writer gets one large
+	// request per round while metadata clients drain several small ones.
+	quantum = 40 << 10
 )
 
 // SchedConfig parameterizes the server's scheduling layer. The zero value
@@ -71,9 +71,6 @@ type SchedConfig struct {
 	// oldest request is shed (TryLater) to make room. <= 0 selects the
 	// default (256).
 	QueueDepth int
-	// Quantum is the DRR byte allowance added to a client's deficit each
-	// round. <= 0 selects the default (40 KiB).
-	Quantum int
 	// RateLimit is the global admission rate in requests/second; 0 disables
 	// the global bucket.
 	RateLimit float64
@@ -92,9 +89,6 @@ type SchedConfig struct {
 func (c SchedConfig) withDefaults() SchedConfig {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = defaultQueueDepth
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = defaultQuantum
 	}
 	if c.RateLimit > 0 && c.RateBurst <= 0 {
 		c.RateBurst = c.RateLimit
@@ -434,7 +428,7 @@ func (sc *sched) nextLocked() *request {
 		q := sc.round[0]
 		if !q.visited {
 			q.visited = true
-			q.deficit += sc.cfg.Quantum
+			q.deficit += quantum
 		}
 		if head := q.items[0]; head.cost <= q.deficit {
 			q.deficit -= head.cost

@@ -3,6 +3,7 @@ package sunrpc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -198,7 +199,7 @@ func TestSchedDRRFairness(t *testing.T) {
 		dmu.Unlock()
 		return fn(call)
 	}
-	cfg := SchedConfig{Workers: 1, Quantum: 4096}
+	cfg := SchedConfig{Workers: 1}
 	clk, o, _, clis, cleanup := schedSim(t, cfg, 3, indirect)
 	defer cleanup()
 	// The plug call holds the only worker slot for 100ms so both backlogs
@@ -235,7 +236,7 @@ func TestSchedDRRFairness(t *testing.T) {
 		for i := 0; i < bulkCalls; i++ {
 			i := i
 			clk.Go("bulk", func() {
-				payload := fmt.Sprintf("B%d|", i) + strings.Repeat("x", 3900)
+				payload := fmt.Sprintf("B%d|", i) + strings.Repeat("x", quantum-196)
 				if _, err := bulk.CallTimeout(testProg, testVers, procEcho, echoArgs(payload), 60*time.Second); err != nil {
 					t.Errorf("bulk %d: %v", i, err)
 				}
@@ -509,6 +510,73 @@ func TestSchedYield(t *testing.T) {
 		}
 		a.Close()
 		b.Close()
+		srv.Close()
+	})
+	clk.Stop()
+}
+
+// TestSchedYieldersResumeByArrival pins the order in which handlers that
+// finished their Yield while the pool was full get slots back: by client
+// (the scheduler's key), then by arrival, whatever order their yields ended
+// in. One worker; c1's call arrives first, then two of c0's; all three
+// yield, and a plug from c2 holds the slot until every yield has ended, the
+// second of c0's first. They resume c0's in arrival order, then c1's.
+func TestSchedYieldersResumeByArrival(t *testing.T) {
+	const procYield = 50
+	clk := vclock.NewVirtual()
+	net := simnet.New(clk, simnet.Params{RTT: 10 * time.Millisecond})
+	srv := NewServer(clk)
+	srv.SetSched(SchedConfig{Workers: 1})
+	var mu sync.Mutex
+	var resumed []string
+	yieldFor := map[string]time.Duration{"c1": 60 * time.Millisecond, "c0a": 80 * time.Millisecond, "c0b": 40 * time.Millisecond}
+	srv.Register(testProg, testVers, func(call *Call) AcceptStat {
+		b, err := call.Args.Opaque(0)
+		if err != nil {
+			return GarbageArgs
+		}
+		name := string(b)
+		if call.Proc == procYield {
+			call.Yield(func() { clk.Sleep(yieldFor[name]) })
+			mu.Lock()
+			resumed = append(resumed, name)
+			mu.Unlock()
+		} else {
+			clk.Sleep(300 * time.Millisecond) // the plug: holds the slot, never yields
+		}
+		call.Reply.Opaque(b)
+		return Success
+	})
+	inSim(t, clk, func() {
+		l, _ := net.Host("server").Listen(":111")
+		srv.Serve(l)
+		clis := map[string]*Client{}
+		for _, h := range []string{"c0", "c1", "c2"} {
+			conn, _ := net.Host(h).Dial("server:111")
+			clis[h] = NewClient(clk, conn, NoneCred())
+		}
+		g := clk.NewGroup()
+		call := func(cli *Client, proc uint32, name string) {
+			g.Go(name, func() {
+				if _, err := cli.Call(testProg, testVers, proc, echoArgs(name)); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			})
+			clk.Sleep(time.Millisecond) // arrivals one millisecond apart
+		}
+		call(clis["c1"], procYield, "c1")
+		call(clis["c0"], procYield, "c0a")
+		call(clis["c0"], procYield, "c0b")
+		call(clis["c2"], procEcho, "plug")
+		g.Wait()
+		mu.Lock()
+		if want := []string{"c0a", "c0b", "c1"}; !slices.Equal(resumed, want) {
+			t.Errorf("yielders resumed in order %v, want %v (by client, then arrival)", resumed, want)
+		}
+		mu.Unlock()
+		for _, cli := range clis {
+			cli.Close()
+		}
 		srv.Close()
 	})
 	clk.Stop()
