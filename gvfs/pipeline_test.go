@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -869,15 +870,20 @@ func TestSmallFileTransactionRoundTrips(t *testing.T) {
 
 // TestSmallFileTransactionsInOneDirectory is the same transaction over and
 // over in one directory, by name, with nobody ever listing it — PostMark's
-// shape. The first LOOKUP miss there starts nothing (the test above); the
-// second buys the directory's listing one page behind itself, and from then on
-// the names are answered at home: by the fourth transaction three round trips
-// are left where there were four.
+// shape. The directory is larger than one READDIRPLUS page, so no listing
+// rides the LOOKUP that resolves it (core's TestSmallListingRidesLookup).
+// The first LOOKUP miss there starts nothing (the test above); the second
+// buys the directory's listing one page behind itself, the next LOOKUP the
+// page after it, and from then on the names are answered at home: by the
+// fourth transaction three round trips are left where there were four.
 func TestSmallFileTransactionsInOneDirectory(t *testing.T) {
-	const txns = 8
+	const txns, pad = 8, 250 // pad files sort after the rest and push the listing onto a second page
 	files := map[string][]byte{}
 	for n := 0; n < txns; n++ {
 		files[fmt.Sprintf("pm/src%d", n)] = streamData(30+n, 2)
+	}
+	for i := 0; i < pad; i++ {
+		files[fmt.Sprintf("pm/z%03d", i)] = nil
 	}
 	dst := streamData(40, 2)
 	d := runStream(t, fastWAN, core.Config{WriteBack: true}, files,
@@ -925,8 +931,8 @@ func TestSmallFileTransactionsInOneDirectory(t *testing.T) {
 				}
 			}
 		})
-	if pages := series(d, "gvfs_client_dirwalk_pages_total"); pages != 1 {
-		t.Errorf("%d pages walked a directory that fits one, want 1", pages)
+	if pages := series(d, "gvfs_client_dirwalk_pages_total"); pages != 2 {
+		t.Errorf("%d pages walked a directory that fits two, want 2", pages)
 	}
 	if used, brought := series(d, "gvfs_client_dirwalk_entries_used_total"), series(d, "gvfs_client_dirwalk_entries_total"); used != txns-2 || brought < txns {
 		t.Errorf("%d of %d walked entries served, want %d of at least %d", used, brought, txns-2, txns)
@@ -937,8 +943,8 @@ func TestSmallFileTransactionsInOneDirectory(t *testing.T) {
 			pages = append(pages, s)
 		}
 	}
-	if len(pages) != 1 || pages[0].Parent == 0 || pages[0].Req == pages[0].Parent {
-		t.Errorf("prefetch READDIRPLUS spans = %+v, want one under a request ID of its own, parented on its LOOKUP", pages)
+	if len(pages) != 2 || slices.ContainsFunc(pages, func(s obs.Span) bool { return s.Parent == 0 || s.Req == s.Parent }) {
+		t.Errorf("prefetch READDIRPLUS spans = %+v, want two, each under a request ID of its own, parented on its LOOKUP", pages)
 	}
 	for n := 0; n < txns; n++ {
 		if attr, err := d.FS.LookupPath(fmt.Sprintf("pm/dst%d", n)); err != nil || attr.Size != uint64(len(dst)) {

@@ -44,8 +44,10 @@ type sessionCache struct {
 	lookupLRU        ring[lookupEnt]
 	// invGen counts the invalidations the consistency channel has delivered; a
 	// reply sent before one and installed after it would bring back what the
-	// invalidation took (seedTicket).
-	invGen uint64
+	// invalidation took (seedTicket). namesGen sums every record's namesGen:
+	// a listing that rides a LOOKUP is for a directory unknown when the LOOKUP
+	// went out (seedLookup).
+	invGen, namesGen uint64
 
 	lru  lruList
 	maxB int64
@@ -140,12 +142,15 @@ type cachedFile struct {
 	// handle must not be cached at all; lastForward is when a request for the
 	// handle last crossed the wide area (delegation renewal); recallFence is
 	// the sequence of the latest recall served, against which grants that lost
-	// a race with it are dropped. Only a dead handle's fence may go: a live
-	// file's must outlast everything else cached of it.
+	// a race with it are dropped; trailerSeq is the highest sequence of a
+	// trailer applied, against which a trailer overtaken on the way by its
+	// successor is dropped. Only a dead handle's stamps may go: a live file's
+	// must outlast everything else cached of it.
 	deleg        DelegType
 	noncacheable bool
 	lastForward  time.Duration
 	recallFence  uint64
+	trailerSeq   uint64
 
 	// The data state follows; blocks and fetching are nil until the data path
 	// first touches the handle, which is also what "a cached file" means to
@@ -345,7 +350,10 @@ func (sc *sessionCache) servableLocked(fc *cachedFile) bool {
 // record for a handle the session holds none of, and not if a record was
 // forgotten while the request was in flight: a READ of a file this session has
 // since removed, or that the server has since called stale, would otherwise
-// bring the dead handle back, under delegation holding a read delegation.
+// bring the dead handle back, under delegation holding a read delegation. A
+// trailer stamped before one the record has applied says nothing any more: the
+// server made the later decision after it (a READ's grant, say, that a WRITE's
+// reply overtook, whose decision took the delegation back without a recall).
 func (sc *sessionCache) applyReplySince(ts Trailers, forwarded []nfs3.FH, forgets uint64) {
 	if len(ts)+len(forwarded) == 0 {
 		return
@@ -362,6 +370,11 @@ func (sc *sessionCache) applyReplySince(ts Trailers, forwarded []nfs3.FH, forget
 		default:
 			fc = sc.record(tr.FH.Key())
 		}
+		fc.lastForward = now
+		if tr.Seq < fc.trailerSeq {
+			continue
+		}
+		fc.trailerSeq = tr.Seq
 		if sc.pol.model == ModelDelegation {
 			if tr.Deleg != DelegNone && tr.Seq <= fc.recallFence {
 				// The grant raced with (and lost to) a recall for a concurrent
@@ -373,7 +386,6 @@ func (sc *sessionCache) applyReplySince(ts Trailers, forwarded []nfs3.FH, forget
 			fc.deleg = tr.Deleg
 		}
 		fc.noncacheable = !tr.Cacheable
-		fc.lastForward = now
 	}
 	for _, fh := range forwarded {
 		if fc := sc.files[fh.Key()]; fc != nil {
@@ -397,7 +409,7 @@ func (sc *sessionCache) applyRecall(args RecallArgs) {
 	fc.deleg = DelegNone
 	fc.recallFence = max(fc.recallFence, args.Seq)
 	sc.dropAttrLocked(fc)
-	fc.namesGen++
+	sc.namesTakenLocked(fc)
 	sc.dropLookupLocked(fc.names[args.Name])
 	if args.Deleg == DelegRead && args.HasOffset && fc.blocks != nil {
 		fc.remoteWrite = true
@@ -407,9 +419,9 @@ func (sc *sessionCache) applyRecall(args RecallArgs) {
 // recallAll applies the loss of the proxy server's state (RECALL_ALL during
 // its reconstruction, Section 4.3.4) or of this proxy's own (crash recovery):
 // every cached attribute must be revalidated and every delegation is void. So
-// is every recall fence — the sequence they were stamped in died with the
-// server, and a fence kept across the restart would drop the new instance's
-// grants until its counter happened to pass it. With rebuild, files holding
+// is every recall fence and trailer stamp — the sequence they were stamped in
+// died with the server, and a stamp kept across the restart would drop the new
+// instance's grants until its counter happened to pass it. With rebuild, files holding
 // locally modified data keep a write delegation, which the server's rebuild
 // re-establishes from the returned list.
 func (sc *sessionCache) recallAll(rebuild bool) []nfs3.FH {
@@ -417,7 +429,7 @@ func (sc *sessionCache) recallAll(rebuild bool) []nfs3.FH {
 	defer sc.mu.Unlock()
 	sc.invalidateAllLocked(true)
 	for _, fc := range sc.files {
-		fc.recallFence = 0
+		fc.recallFence, fc.trailerSeq = 0, 0
 		fc.deleg = DelegNone
 		if rebuild && fc.ndirty > 0 {
 			fc.deleg = DelegWrite

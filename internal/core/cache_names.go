@@ -39,9 +39,15 @@ func (sc *sessionCache) flushDirLocked(fc *cachedFile) {
 		sc.lookupLRU.remove(&ent.link)
 	}
 	fc.names = nil
-	fc.namesGen++
+	sc.namesTakenLocked(fc)
 	fc.walk.reset()
 	sc.dropListingLocked(fc)
+}
+
+// namesTakenLocked records that a name under dfc was taken back (seedTicket).
+func (sc *sessionCache) namesTakenLocked(dfc *cachedFile) {
+	dfc.namesGen++
+	sc.namesGen++
 }
 
 // --- lookup cache and directory listings --------------------------------------
@@ -134,7 +140,7 @@ func (sc *sessionCache) putLookup(dir nfs3.FH, name string, fh nfs3.FH, negative
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if dfc := sc.files[dir.Key()]; dfc != nil {
-		dfc.namesGen++
+		sc.namesTakenLocked(dfc)
 		sc.putLookupLocked(dfc, name, fh, negative, false)
 	}
 }
@@ -167,7 +173,7 @@ func (sc *sessionCache) dropLookup(dir nfs3.FH, name string) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if dfc := sc.files[dir.Key()]; dfc != nil {
-		dfc.namesGen++
+		sc.namesTakenLocked(dfc)
 		sc.dropLookupLocked(dfc.names[name])
 	}
 }

@@ -59,7 +59,7 @@ func TestTrailersRoundTrip(t *testing.T) {
 	}
 	e := xdr.NewEncoder()
 	ts.Encode(e)
-	got, err := DecodeTrailers(xdr.NewDecoder(e.Bytes()))
+	got, err := DecodeTrailers(xdr.NewDecoder(e.Bytes()), nil)
 	if err != nil || len(got) != 3 {
 		t.Fatalf("decode: %v, %d trailers", err, len(got))
 	}
@@ -73,7 +73,7 @@ func TestTrailersRoundTrip(t *testing.T) {
 	// be rejected.
 	e = xdr.NewEncoder()
 	e.Uint32(1000)
-	if _, err := DecodeTrailers(xdr.NewDecoder(e.Bytes())); err == nil {
+	if _, err := DecodeTrailers(xdr.NewDecoder(e.Bytes()), nil); err == nil {
 		t.Fatal("absurd trailer count accepted")
 	}
 }

@@ -9,13 +9,17 @@ import (
 // Directory walks: the page kind of speculation (speculation.go). A kernel
 // that resolves names one at a time — PostMark, a compiler's include search,
 // tar of a file list — asks for every name in a directory the proxy could have
-// listed once. The second LOOKUP miss in a directory is the evidence that it
-// will: from then on each LOOKUP there, hit or miss, claims one READDIRPLUS
-// page of one block (walkStepLocked), landed (landLocked) exactly as a kernel's
-// READDIRPLUS is seeded, until the listing is complete. So pages never
-// outnumber LOOKUPs, a path walk (one miss per ancestor) pays for no listing,
-// and a huge directory touched twice costs one page. Only under polling: under
-// delegation a seeded child is not servable without a delegation of its own.
+// listed once. A directory one page lists completely needs no walk: that
+// listing rides the LOOKUP that resolves the directory, fetched by the proxy
+// server across its LAN (ProxyServer.smallListing), and lands here as a walk's
+// page does (seedLookup), so a path walk crosses once per directory it names.
+// For a larger directory the second LOOKUP miss in it is the evidence that the
+// kernel will: from then on each LOOKUP there, hit or miss, claims one
+// READDIRPLUS page of one block (walkStepLocked), landed (landLocked) exactly
+// as a kernel's READDIRPLUS is seeded, until the listing is complete. So pages
+// never outnumber LOOKUPs, and a huge directory touched twice costs one page.
+// Only under polling: under delegation a seeded child is not servable without
+// a delegation of its own.
 
 // dirWalk is one directory's walk, in the directory's handle record under the
 // session cache's mutex. The zero value (but for epoch) is "no evidence yet".
@@ -110,11 +114,22 @@ func (sc *sessionCache) seedDirLocked(tk seedTicket, res *nfs3.ReaddirplusRes, w
 
 // seedLookup is seedDir for a forwarded LOOKUP's reply: the directory's
 // attributes, and the one name — bound, known absent, or (any other error) no
-// longer known at all.
-func (sc *sessionCache) seedLookup(tk seedTicket, name string, res *nfs3.LookupRes) {
+// longer known at all. listing (nil: the caller takes none) is the listing the
+// reply may have carried for the directory it resolved; one that completes it
+// lands as a walk's page does, under this ticket, and that directory's walk is
+// done. The directory was unknown when the LOOKUP went out, so its own
+// generation was not taken: the listing is dropped whole if any name of the
+// session's was taken back meanwhile.
+func (sc *sessionCache) seedLookup(tk seedTicket, name string, res *nfs3.LookupRes, listing *nfs3.ReaddirplusRes) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if !sc.freshLocked(tk) {
+	rides := listing != nil && listing.Status == nfs3.OK && listing.EOF && res.Status == nfs3.OK
+	fresh := sc.freshLocked(tk)
+	if rides && !(fresh && sc.namesGen == tk.allNames) {
+		sc.met.walkDiscarded.Inc()
+		rides = false
+	}
+	if !fresh {
 		return
 	}
 	dfc := tk.rec
@@ -127,6 +142,11 @@ func (sc *sessionCache) seedLookup(tk seedTicket, name string, res *nfs3.LookupR
 			sc.seedAttrLocked(sc.record(res.FH.Key()), res.Attr.Attr, tk.sent)
 		}
 		sc.putLookupLocked(dfc, name, res.FH, false, false)
+		if rides {
+			child := sc.record(res.FH.Key())
+			sc.seedDirLocked(seedTicket{fh: res.FH, rec: child, sent: tk.sent}, listing, true)
+			child.walk.done = true
+		}
 	case nfs3.ErrNoEnt:
 		sc.putLookupLocked(dfc, name, nfs3.FH{}, true, false)
 	default:

@@ -71,7 +71,7 @@ func TestDirWalkStateMachine(t *testing.T) {
 					res.Status, res.FH = nfs3.OK, fhN(uint64(100+i))
 					res.Attr = nfs3.PostOpAttr{Present: true, Attr: attrWithMtime(1, nfs3.TypeReg)}
 				}
-				sc.seedLookup(p.seedTicket, name, res)
+				sc.seedLookup(p.seedTicket, name, res, nil)
 			}
 			return p.due
 		}
@@ -237,7 +237,7 @@ func TestSeedRepliesAcrossInvalidation(t *testing.T) {
 			sc.putAttr(dir, dirAttr.Attr) // revalidated since, whatever happened
 			sc.seedDir(plus, pageOf(names, 0, 1, true))
 			sc.seedLookup(look, "b", &nfs3.LookupRes{Status: nfs3.OK, FH: fhN(101), DirAttr: dirAttr,
-				Attr: nfs3.PostOpAttr{Present: true, Attr: attrWithMtime(1, nfs3.TypeReg)}})
+				Attr: nfs3.PostOpAttr{Present: true, Attr: attrWithMtime(1, nfs3.TypeReg)}}, nil)
 			for i, name := range names {
 				fh, negative, ok := sc.getLookup(dir, name)
 				if kept := ok && !negative && fh.Equal(fhN(uint64(100+i))); kept != tc.kept {
@@ -321,7 +321,7 @@ func TestDirWalkRaces(t *testing.T) {
 			}
 			if !hit {
 				sc.seedLookup(pg.seedTicket, "ghost", &nfs3.LookupRes{Status: nfs3.ErrNoEnt,
-					DirAttr: nfs3.PostOpAttr{Present: true, Attr: attrWithMtime(1, nfs3.TypeDir)}})
+					DirAttr: nfs3.PostOpAttr{Present: true, Attr: attrWithMtime(1, nfs3.TypeDir)}}, nil)
 			}
 		},
 		func(i int) {

@@ -151,6 +151,44 @@ func TestHandleStateMachine(t *testing.T) {
 	}
 }
 
+// TestOvertakenTrailerIsDropped is the reordered-trailer race: a client reads
+// block 0 and is granted a read delegation (seq 1); before that reply arrives
+// it writes, and with another sharer on the file its WRITE is granted nothing
+// (seq 2), which clears the read delegation at the server without a recall.
+// The WRITE's reply lands first. The READ's, landing after it, must not
+// reinstall the delegation the server has forgotten, or nothing would ever
+// call it back. A restarted server's grants start from 1 again.
+func TestOvertakenTrailerIsDropped(t *testing.T) {
+	fh := fhN(1)
+	sc := newSessionCache(opsBS, 1<<20)
+	sc.setPolicy(nil, cachePolicy{model: ModelDelegation, delegRenew: time.Hour}, cacheCounters{})
+	attr := attrWithMtime(1, nfs3.TypeReg)
+	attr.Size = opsBS
+	sc.putAttr(fh, attr)
+	sc.putBlock(fh, 0, make([]byte, opsBS), attr, false)
+	reply := func(d DelegType, seq uint64) {
+		sc.applyReplySince(Trailers{{FH: fh, Deleg: d, Cacheable: d != DelegNone, Seq: seq}}, []nfs3.FH{fh}, sc.forgets.Load())
+	}
+	deleg := func() DelegType {
+		sc.mu.Lock()
+		defer sc.mu.Unlock()
+		return sc.files[fh.Key()].deleg
+	}
+	reply(DelegNone, 2) // the WRITE's
+	reply(DelegRead, 1) // the READ's, overtaken
+	if d := deleg(); d != DelegNone {
+		t.Fatalf("the overtaken READ's grant left %v, want none", d)
+	}
+	if _, ok := sc.readHit(fh, 0); ok {
+		t.Error("block 0 served on a delegation the server has forgotten")
+	}
+	sc.recallAll(false)
+	reply(DelegRead, 1)
+	if d := deleg(); d != DelegRead {
+		t.Errorf("the restarted server's first grant left %v, want read", d)
+	}
+}
+
 // TestHandleRecordRaces hammers one handle's record from every direction at
 // once — recalls, grant trailers, revalidations, forwards and warm reads — for
 // the race detector, then checks the table's invariants and that the fence

@@ -13,8 +13,9 @@
 //     write-back of large dirty sets.
 //
 // This file defines the GVFS wire protocol extensions: the GETINV program,
-// the callback program, the session credential, and the delegation trailer
-// piggybacked on native NFS replies.
+// the callback program, the session credential, and what the proxy server
+// piggybacks on native NFS replies — the delegation trailers and, on a LOOKUP
+// under polling, a small directory's listing.
 package core
 
 import (
@@ -52,6 +53,10 @@ type SessionCred struct {
 	SessionKey   string
 	ClientID     string
 	CallbackAddr string
+	// NoListings says the session caches no metadata, so a LOOKUP reply
+	// carries it no directory listing (ProxyServer.smallListing). It is
+	// encoded only when set: a credential without it is the three strings.
+	NoListings bool
 }
 
 // Encode renders the credential as a sunrpc.Cred with the AuthGVFS flavor.
@@ -60,6 +65,9 @@ func (sc *SessionCred) Encode() sunrpc.Cred {
 	e.String(sc.SessionKey)
 	e.String(sc.ClientID)
 	e.String(sc.CallbackAddr)
+	if sc.NoListings {
+		e.Bool(true)
+	}
 	return sunrpc.Cred{Flavor: sunrpc.AuthGVFS, Body: e.Bytes()}
 }
 
@@ -77,7 +85,10 @@ func DecodeSessionCred(cred sunrpc.Cred) (SessionCred, error) {
 	if sc.ClientID, err = d.String(64); err != nil {
 		return sc, err
 	}
-	sc.CallbackAddr, err = d.String(128)
+	if sc.CallbackAddr, err = d.String(128); err != nil || d.Remaining() == 0 {
+		return sc, err
+	}
+	sc.NoListings, err = d.Bool()
 	return sc, err
 }
 
@@ -273,8 +284,14 @@ func (ts Trailers) Encode(e *xdr.Encoder) {
 	}
 }
 
-// DecodeTrailers reads a trailer list.
-func DecodeTrailers(d *xdr.Decoder) (Trailers, error) {
+// DecodeTrailers reads a trailer list and, into page when page is not nil,
+// the listing that may follow it: under polling, a LOOKUP reply that resolved
+// a directory carries that directory's first READDIRPLUS page behind its
+// trailers when the page completes the listing (ProxyServer.smallListing). No
+// bytes after the list means no page. A page that does not decode whole is
+// dropped, not an error: the reply and its trailers stand, and page is left
+// zero, which lists nothing and is not EOF.
+func DecodeTrailers(d *xdr.Decoder, page *nfs3.ReaddirplusRes) (Trailers, error) {
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, err
@@ -289,6 +306,9 @@ func DecodeTrailers(d *xdr.Decoder) (Trailers, error) {
 			return nil, err
 		}
 		ts = append(ts, t)
+	}
+	if page != nil && d.Remaining() > 0 && page.Decode(d) != nil {
+		*page = nfs3.ReaddirplusRes{}
 	}
 	return ts, nil
 }

@@ -99,9 +99,10 @@ type ProxyClientStats struct {
 // NewProxyClient builds a proxy client over an established upstream RPC
 // connection (to the proxy server, or directly to an NFS server for
 // pass-through operation). The session credential is attached to every
-// upstream call.
+// upstream call, its NoListings set from cfg.DisableMetaCache.
 func NewProxyClient(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, cred SessionCred) *ProxyClient {
 	cfg = cfg.withDefaults()
+	cred.NoListings = cfg.DisableMetaCache
 	upstream.SetCred(cred.Encode())
 	p := &ProxyClient{
 		clk:   clk,

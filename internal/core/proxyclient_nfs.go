@@ -93,6 +93,10 @@ func (p *ProxyClient) lookup(call *sunrpc.Call) sunrpc.AcceptStat {
 	}
 	var res nfs3.LookupRes
 	c := p.startUpstream(call.ReqID, nfs3.ProcLookup, &args)
+	if !p.cfg.DisableMetaCache {
+		// A small directory's listing may ride the reply (dirwalk.go).
+		c.listing = new(nfs3.ReaddirplusRes)
+	}
 	p.issue(page) // behind the reply the kernel is waiting for
 	rep, err := p.finishUpstream(c, &res, []nfs3.FH{args.Dir})
 	rep.Release() // the result owns what it decoded
@@ -100,7 +104,7 @@ func (p *ProxyClient) lookup(call *sunrpc.Call) sunrpc.AcceptStat {
 		return encodeReply(call, &nfs3.LookupRes{Status: nfs3.ErrJukebox})
 	}
 	p.hitForward(call)
-	p.cache.seedLookup(tk, args.Name, &res)
+	p.cache.seedLookup(tk, args.Name, &res, c.listing)
 	return encodeReply(call, &res)
 }
 

@@ -78,6 +78,9 @@ type upstreamCall struct {
 	enc     *xdr.Encoder // nil for a raw call
 	start   time.Duration
 	forgets uint64 // the session cache's forget count when it was sent
+	// listing, when a LOOKUP's caller sets it, receives the small directory's
+	// listing the reply may carry behind its trailers (DecodeTrailers).
+	listing *nfs3.ReaddirplusRes
 }
 
 // send sends c on the current upstream connection and returns without
@@ -173,7 +176,7 @@ func (p *ProxyClient) finishUpstream(c upstreamCall, res wireDec, forwarded []nf
 	p.ra.observe(lat, res, p.cfg.BlockSize)
 	var ts Trailers
 	if d.Remaining() > 0 {
-		if ts, err = DecodeTrailers(d); err != nil {
+		if ts, err = DecodeTrailers(d, c.listing); err != nil {
 			ts = nil
 		}
 	}

@@ -79,6 +79,10 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 	// one or two handles, so their decisions fit on the stack.
 	var tbuf [2]Trailer
 	trailers := Trailers(tbuf[:0])
+	// listing is the small directory's listing the reply carries, if any, out
+	// of the frame listingRep holds.
+	var listing []byte
+	var listingRep sunrpc.Reply
 	if s.cfg.Model == ModelDelegation {
 		for _, a := range info.accesses {
 			t, _, fenced := s.handleAccess(call.ReqID, client, a, call.Yield)
@@ -133,7 +137,7 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 			}
 		}
 		if info.postResolve {
-			if fh, isWrite, ok := postPrimary(call.Proc, replyBytes); ok {
+			if fh, isWrite, isDir, ok := postPrimary(call.Proc, replyBytes); ok {
 				t := Trailer{Deleg: DelegNone, Cacheable: true, FH: fh}
 				if s.cfg.Model == ModelDelegation {
 					var recalled bool
@@ -146,6 +150,11 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 					}
 				}
 				trailers = append(trailers, t)
+				if isDir && s.cfg.Model == ModelPolling {
+					if cred, _ := DecodeSessionCred(call.Cred); !cred.NoListings {
+						listing, listingRep = s.smallListing(call.ReqID, fh)
+					}
+				}
 			}
 		}
 	}
@@ -153,7 +162,40 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 	call.Reply.FixedOpaque(replyBytes)
 	rep.Release() // nothing below reads the upstream frame
 	trailers.Encode(call.Reply)
+	call.Reply.FixedOpaque(listing)
+	listingRep.Release()
 	return sunrpc.Success
+}
+
+// smallListing is what a LOOKUP that resolved the directory dir carries under
+// polling: the directory's first READDIRPLUS page, asked of the NFS server
+// across the server's LAN, sized as a directory walk's page is (one block), and
+// only if that page is the whole listing (OK and EOF). The kernel asks for a
+// name in the directory next, and the listing answers it, and every other, for
+// the one round trip the LOOKUP already cost. A larger directory is left to the
+// proxy client's walk (dirwalk.go). The caller asks for none under delegation,
+// where a seeded child is not servable without a delegation of its own, nor for
+// a session without a metadata cache (SessionCred.NoListings). It returns the
+// page's bytes (nil: no listing) and the frame they live in, for the caller to
+// release.
+func (s *ProxyServer) smallListing(rid uint64, dir nfs3.FH) ([]byte, sunrpc.Reply) {
+	bs := uint32(s.cfg.BlockSize)
+	e := xdr.NewEncoder()
+	(&nfs3.ReaddirplusArgs{Dir: dir, DirCount: bs, MaxCount: bs}).Encode(e)
+	rep, err := s.up.CallOwned(rid, nfs3.Program, nfs3.Version, nfs3.ProcReaddirplus, e.Bytes(), s.cfg.CallTimeout)
+	if err != nil {
+		return nil, rep
+	}
+	// An OK result ends in its EOF flag: the page's first word and its last
+	// say whether it completes the listing, without decoding the entries.
+	page := rep.Body.Rest()
+	if len(page) < 8 || replyStatus(page) != nfs3.OK {
+		return nil, rep
+	}
+	if eof, _ := xdr.NewDecoder(page[len(page)-4:]).Bool(); !eof {
+		return nil, rep
+	}
+	return page, rep
 }
 
 // replyStatus extracts the leading nfsstat3 of a reply body.
@@ -167,25 +209,26 @@ func replyStatus(b []byte) nfs3.Status {
 }
 
 // postPrimary extracts the child/new handle from LOOKUP and CREATE-like
-// replies, with the access mode the creator/resolver obtains.
-func postPrimary(proc uint32, replyBytes []byte) (nfs3.FH, bool, bool) {
+// replies, with the access mode the creator/resolver obtains and, for a
+// LOOKUP, whether the handle resolved names a directory.
+func postPrimary(proc uint32, replyBytes []byte) (fh nfs3.FH, isWrite, isDir, ok bool) {
 	d := xdr.NewDecoder(replyBytes)
 	switch proc {
 	case nfs3.ProcLookup:
 		var res nfs3.LookupRes
 		if res.Decode(d) != nil || res.Status != nfs3.OK {
-			return nfs3.FH{}, false, false
+			return fh, false, false, false
 		}
-		return res.FH, false, true
+		return res.FH, false, res.Attr.Present && res.Attr.Attr.Type == nfs3.TypeDir, true
 	case nfs3.ProcCreate, nfs3.ProcMkdir, nfs3.ProcSymlink:
 		var res nfs3.CreateRes
 		if res.Decode(d) != nil || res.Status != nfs3.OK || !res.FHFollows {
-			return nfs3.FH{}, false, false
+			return fh, false, false, false
 		}
 		// The creator is (so far) the sole opener: write access.
-		return res.FH, proc == nfs3.ProcCreate, true
+		return res.FH, proc == nfs3.ProcCreate, false, true
 	}
-	return nfs3.FH{}, false, false
+	return fh, false, false, false
 }
 
 // inspect decodes just enough of each call to drive consistency handling.

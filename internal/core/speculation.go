@@ -72,15 +72,16 @@ func runsOf(blocks []uint64, window int64) [][]uint64 {
 // catch it later, and a name whose invalidation was already consumed would be
 // bound again for good. A block needs only its record (landLocked).
 type seedTicket struct {
-	fh    nfs3.FH
-	rec   *cachedFile
-	names uint64 // rec.namesGen when sent
-	inv   uint64 // sessionCache.invGen when sent
-	sent  time.Duration
+	fh       nfs3.FH
+	rec      *cachedFile
+	names    uint64 // rec.namesGen when sent
+	inv      uint64 // sessionCache.invGen when sent
+	allNames uint64 // sessionCache.namesGen when sent
+	sent     time.Duration
 }
 
 func (sc *sessionCache) ticketLocked(fh nfs3.FH, fc *cachedFile) seedTicket {
-	return seedTicket{fh: fh, rec: fc, names: fc.namesGen, inv: sc.invGen, sent: sc.nowLocked()}
+	return seedTicket{fh: fh, rec: fc, names: fc.namesGen, inv: sc.invGen, allNames: sc.namesGen, sent: sc.nowLocked()}
 }
 
 // ticket is the seedTicket for a request about dir that is about to be sent.
