@@ -111,7 +111,6 @@ func StartProxyClient(clk *vclock.Clock, wan, local transport.Network, upstream,
 		}
 		return nil, "", err
 	}
-	cfg.ObsName = cred.ClientID
 	proxy := core.NewProxyClient(clk, cfg, up, cred)
 	proxy.SetRedial(func() (*sunrpc.Client, error) {
 		c, err := wan.Dial(upstream)

@@ -755,9 +755,7 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 		// ~3 s), so a dropped request or reply is usually recovered without
 		// surfacing an error; the jitter hash is seeded from the run so
 		// replays stay byte-identical.
-		RetransmitInitial: time.Second,
-		RetransmitMax:     4 * time.Second,
-		RetransmitSeed:    o.Seed,
+		RetransmitSeed: o.Seed,
 	}
 	if o.Model == core.ModelPolling {
 		cfg.WriteBack = true

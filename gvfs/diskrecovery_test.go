@@ -152,15 +152,13 @@ func TestWarmRestartRecoversDirtyBlocksMidFlush(t *testing.T) {
 	d.FS.WriteFile(path, fixedVal("old"))
 	d.Run("dirty-crash", func() {
 		cfg := core.Config{
-			Model:             core.ModelPolling,
-			WriteBack:         true,
-			FlushInterval:     5 * time.Second,
-			PollPeriod:        10 * time.Second,
-			PollBackoffMax:    10 * time.Second,
-			CallTimeout:       4 * time.Second,
-			RetransmitInitial: time.Second,
-			RetransmitMax:     4 * time.Second,
-			DiskCacheDir:      t.TempDir(),
+			Model:          core.ModelPolling,
+			WriteBack:      true,
+			FlushInterval:  5 * time.Second,
+			PollPeriod:     10 * time.Second,
+			PollBackoffMax: 10 * time.Second,
+			CallTimeout:    4 * time.Second,
+			DiskCacheDir:   t.TempDir(),
 		}
 		sess, err := d.NewSession("dirty", cfg)
 		if err != nil {

@@ -228,8 +228,6 @@ func TestSchedFairnessShedsLandOnFlooder(t *testing.T) {
 			ServerWorkers:        2,
 			ClientRateLimitOps:   20,
 			ClientRateLimitBurst: 5,
-			RetransmitInitial:    200 * time.Millisecond,
-			RetransmitMax:        time.Second,
 		}
 		sess, err := d.NewSession("s", cfg)
 		if err != nil {

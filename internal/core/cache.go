@@ -66,6 +66,14 @@ type sessionCache struct {
 	recMet  recoveryCounters
 }
 
+// The session cache's metadata caps: past one, the least recently used entry
+// of that part is evicted.
+const (
+	maxAttrEntries = 65536
+	maxDentries    = 65536
+	maxDirListings = 1024
+)
+
 // cachePolicy is what the session tells its cache at construction: the
 // consistency model that decides whether a record may be served, the
 // delegation renewal period, whether WRITEs are absorbed without a write

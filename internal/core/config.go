@@ -92,13 +92,6 @@ type Config struct {
 	// (Section 4.3.3). Default 65536.
 	MaxOpenFiles int
 
-	// MaxAttrEntries, MaxDentries, and MaxDirListings cap the metadata
-	// caches; past the cap the least recently used entry is evicted.
-	// Defaults 65536, 65536, and 1024; negative values remove the bound.
-	MaxAttrEntries int
-	MaxDentries    int
-	MaxDirListings int
-
 	// DisableMetaCache turns the metadata fast path off: GETATTR, LOOKUP,
 	// ACCESS, and READDIR always cross the wide area. Attributes are still
 	// recorded from replies — the data path's block reconciliation depends
@@ -180,19 +173,14 @@ type Config struct {
 
 	// CallTimeout bounds upstream and callback RPCs so crashes and
 	// partitions surface as retriable timeouts. Default 15 s.
+	//
+	// Within it, an unanswered call is retransmitted under the same XID (the
+	// at-least-once recovery NFS assumes; the server's duplicate-request
+	// cache keeps the extra copies from re-executing): first after sunrpc's
+	// 1 s, each later wait doubled up to min(8 s, CallTimeout), every wait
+	// stretched by the request frame's size, a READ's count and a
+	// deterministic jitter (retransmitPerByte, retransmitJitter).
 	CallTimeout time.Duration
-
-	// RetransmitInitial is the wait before an unanswered upstream or
-	// callback RPC is retransmitted under the same XID (the at-least-once
-	// recovery NFS assumes; the server's duplicate-request cache keeps the
-	// extra copies from re-executing). Subsequent waits double up to
-	// RetransmitMax, each stretched by the request frame's size, a READ's
-	// count and a deterministic jitter (retransmitPerByte, retransmitJitter).
-	// Negative disables retransmission. Default 1 s.
-	RetransmitInitial time.Duration
-	// RetransmitMax caps the exponential retransmission backoff.
-	// Default 8 s.
-	RetransmitMax time.Duration
 	// RetransmitSeed perturbs the retransmission jitter hash. Default 0.
 	RetransmitSeed int64
 
@@ -238,8 +226,9 @@ type Config struct {
 	// proxy creates a private one, so the Stats views keep working for
 	// standalone use.
 	Obs *obs.Obs
-	// ObsName qualifies this component's trace node name (for example a
-	// session name). Defaults to the session credential's client ID.
+	// ObsName names the proxy server's trace node and metric series (for
+	// example a session name). Default "server". A proxy client is always
+	// named by its session credential's client ID.
 	ObsName string
 
 	// Staleness, when set, is the deployment-global staleness oracle: the
@@ -256,9 +245,12 @@ const (
 	// each retransmission wait (hashed from RetransmitSeed, the XID and the
 	// attempt, so simulations reproduce exactly).
 	retransmitJitter = 100 * time.Millisecond
+	// retransmitMax caps the exponential retransmission backoff; a
+	// CallTimeout below it lowers the cap to the call's own deadline.
+	retransmitMax = 8 * time.Second
 	// retransmitPerByte stretches the initial retransmission wait by the
-	// request frame's size and a READ's count (effective initial =
-	// RetransmitInitial + (frameBytes+count)*retransmitPerByte), so neither a
+	// request frame's size and a READ's count (effective initial = 1 s +
+	// (frameBytes+count)*retransmitPerByte), so neither a
 	// coalesced megabyte WRITE nor a multi-block READ is retransmitted while
 	// its first copy, or its reply, is still crossing a bandwidth-limited
 	// link. 2 µs/byte is the transfer rate of the paper's 4 Mbit/s WAN — a
@@ -300,15 +292,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxOpenFiles == 0 {
 		c.MaxOpenFiles = 65536
 	}
-	if c.MaxAttrEntries == 0 {
-		c.MaxAttrEntries = 65536
-	}
-	if c.MaxDentries == 0 {
-		c.MaxDentries = 65536
-	}
-	if c.MaxDirListings == 0 {
-		c.MaxDirListings = 1024
-	}
 	if c.BlockSize == 0 {
 		c.BlockSize = 32 * 1024
 	}
@@ -336,30 +319,18 @@ func (c Config) withDefaults() Config {
 	if c.CallTimeout == 0 {
 		c.CallTimeout = 15 * time.Second
 	}
-	if c.RetransmitInitial == 0 {
-		c.RetransmitInitial = time.Second
-	}
-	if c.RetransmitMax == 0 {
-		c.RetransmitMax = 8 * time.Second
-	}
 	return c
 }
 
 // cachePolicy derives what the session cache is told at construction.
 func (c Config) cachePolicy() cachePolicy {
-	cap := func(n int) int {
-		if n < 0 {
-			return 0 // unbounded
-		}
-		return n
-	}
 	return cachePolicy{
 		model:       c.Model,
 		delegRenew:  c.DelegRenew,
 		writeBack:   c.WriteBack,
-		maxAttrs:    cap(c.MaxAttrEntries),
-		maxDentries: cap(c.MaxDentries),
-		maxListings: cap(c.MaxDirListings),
+		maxAttrs:    maxAttrEntries,
+		maxDentries: maxDentries,
+		maxListings: maxDirListings,
 	}
 }
 
@@ -398,19 +369,12 @@ func (c Config) schedConfig() sunrpc.SchedConfig {
 	}
 }
 
-// applyRetransmit installs the session's retransmission policy on an RPC
-// client (upstream or callback), unless retransmission is disabled.
-func (c Config) applyRetransmit(cl *sunrpc.Client) {
-	if c.RetransmitInitial > 0 {
-		cl.SetRetransmit(c.retransmitPolicy())
-	}
-}
-
-// retransmitPolicy is the session's retransmission policy.
+// retransmitPolicy is the session's retransmission policy, installed on every
+// upstream and callback RPC client: sunrpc's initial wait, a ceiling no later
+// than the call's own deadline.
 func (c Config) retransmitPolicy() sunrpc.RetransmitPolicy {
 	return sunrpc.RetransmitPolicy{
-		Initial:    c.RetransmitInitial,
-		Max:        c.RetransmitMax,
+		Max:        min(retransmitMax, c.CallTimeout),
 		PerByte:    retransmitPerByte,
 		ReplyBytes: readReplyBytes,
 		Jitter:     retransmitJitter,

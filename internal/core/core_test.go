@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/nfs3"
 	"repro/internal/sunrpc"
@@ -509,21 +511,81 @@ func TestCacheDirtyBlocksPinnedAgainstEviction(t *testing.T) {
 	}
 }
 
+// TestConfigDefaults pins what the zero Config becomes: one row per field,
+// found by reflection, so a field added without a documented default fails
+// here. Then the values derived from the fields.
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.Model != ModelPolling {
-		t.Errorf("default model = %v", cfg.Model)
+	// off: the zero value is the default and means the feature is off (or,
+	// for a pointer, that nothing is attached).
+	off := struct{}{}
+	rows := map[string]any{
+		"Model":                ModelPolling,
+		"WriteBack":            off,
+		"PollPeriod":           30 * time.Second,
+		"PollBackoffMax":       off,
+		"InvBufferEntries":     1024,
+		"MaxHandlesPerReply":   1024, // the whole buffer: fewer than MaxIOSize/(MaxFHSize+8)
+		"DelegExpiry":          10 * time.Minute,
+		"DelegRenew":           8 * time.Minute,
+		"DirtyListThreshold":   1024,
+		"MaxOpenFiles":         65536,
+		"DisableMetaCache":     off,
+		"BlockSize":            32 * 1024,
+		"CacheBytes":           int64(4 << 30),
+		"DiskCacheDir":         off,
+		"DiskCacheBytes":       int64(4 << 30), // CacheBytes'
+		"DiskCacheSyncPolicy":  off,            // diskcache reads "" as "dirty"
+		"ProxyDelay":           off,
+		"DiskDelay":            off,
+		"FlushInterval":        30 * time.Second,
+		"FlushParallelism":     1,
+		"MaxWriteBytes":        nfs3.MaxIOSize,
+		"ReadAhead":            4,
+		"CallTimeout":          15 * time.Second,
+		"RetransmitSeed":       off,
+		"ServerWorkers":        off,
+		"ServerQueueDepth":     off, // sunrpc's 256 per client, once ServerWorkers > 0
+		"RateLimitOps":         off,
+		"RateLimitBurst":       off,
+		"ClientRateLimitOps":   off,
+		"ClientRateLimitBurst": off,
+		"UIDMap":               off,
+		"GIDMap":               off,
+		"Encrypt":              off,
+		"Obs":                  off, // a private spine
+		"ObsName":              off, // the proxy server's node is "server"
+		"Staleness":            off,
 	}
-	if cfg.PollPeriod == 0 || cfg.InvBufferEntries == 0 || cfg.DelegExpiry == 0 {
-		t.Errorf("zero defaults: %+v", cfg)
+	cfg := reflect.ValueOf(Config{}.withDefaults())
+	for i := 0; i < cfg.NumField(); i++ {
+		name, got := cfg.Type().Field(i).Name, cfg.Field(i)
+		want, ok := rows[name]
+		delete(rows, name)
+		switch {
+		case !ok:
+			t.Errorf("Config.%s has no row: document its default and pin it here", name)
+		case want == off && !got.IsZero():
+			t.Errorf("Config.%s defaults to %v, want off", name, got)
+		case want != off && !reflect.DeepEqual(got.Interface(), want):
+			t.Errorf("Config.%s defaults to %v, want %v", name, got, want)
+		}
 	}
-	if cfg.DelegRenew >= cfg.DelegExpiry {
-		t.Errorf("renew %v >= expiry %v", cfg.DelegRenew, cfg.DelegExpiry)
+	for name := range rows {
+		t.Errorf("row %s names no Config field", name)
 	}
-	// A renew configured above expiry is pulled back under it.
-	cfg = Config{DelegExpiry: 10, DelegRenew: 20}.withDefaults()
-	if cfg.DelegRenew >= cfg.DelegExpiry {
-		t.Errorf("renew not clamped: %+v", cfg)
+
+	for _, d := range []struct {
+		name      string
+		got, want any
+	}{
+		{"retransmission start left to sunrpc's 1 s", Config{}.withDefaults().retransmitPolicy().Initial, time.Duration(0)},
+		{"retransmission ceiling", Config{}.withDefaults().retransmitPolicy().Max, 8 * time.Second},
+		{"retransmission ceiling under a 4 s CallTimeout", Config{CallTimeout: 4 * time.Second}.withDefaults().retransmitPolicy().Max, 4 * time.Second},
+		{"DelegRenew not below DelegExpiry is pulled to 4/5 of it", Config{DelegExpiry: 10, DelegRenew: 20}.withDefaults().DelegRenew, time.Duration(8)},
+	} {
+		if !reflect.DeepEqual(d.got, d.want) {
+			t.Errorf("%s: %v, want %v", d.name, d.got, d.want)
+		}
 	}
 }
 

@@ -567,7 +567,10 @@ func TestDirWalkRule(t *testing.T) {
 
 	t.Run("MaxDentries bounds the lookup cache during a long walk", func(t *testing.T) {
 		const maxDentries = 16
-		runWalkBed(t, Config{MaxDentries: maxDentries}, 700, nil, func(b *walkBed) {
+		runWalkBed(t, Config{}, 700, nil, func(b *walkBed) {
+			b.p.cache.mu.Lock()
+			b.p.cache.pol.maxDentries = maxDentries
+			b.p.cache.mu.Unlock()
 			for i := 0; i < 8; i++ {
 				b.lookup(i * 80)
 				b.settle()

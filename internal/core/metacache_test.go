@@ -177,15 +177,14 @@ func TestMetaNegativePromotionOnCreate(t *testing.T) {
 	}
 }
 
-// TestCachePolicyCaps checks how the config's metadata caps reach the cache:
-// defaults apply, and a negative cap means unbounded.
+// TestCachePolicyCaps checks how the metadata caps reach the cache: the
+// zero Config's policy carries the fixed attribute, dentry and listing caps.
 func TestCachePolicyCaps(t *testing.T) {
-	unbounded := Config{Model: ModelPolling, MaxAttrEntries: -1, MaxDentries: -1, MaxDirListings: -1}
-	if p := unbounded.withDefaults().cachePolicy(); p.maxAttrs != 0 || p.maxDentries != 0 || p.maxListings != 0 {
-		t.Fatalf("negative caps should mean unbounded: %+v", p)
-	}
-	if p := (Config{}).withDefaults().cachePolicy(); p.maxAttrs != 65536 || p.maxDentries != 65536 || p.maxListings != 1024 {
+	if p := (Config{}).withDefaults().cachePolicy(); p.maxAttrs != maxAttrEntries || p.maxDentries != maxDentries || p.maxListings != maxDirListings {
 		t.Fatalf("default caps wrong: %+v", p)
+	}
+	if maxAttrEntries != 65536 || maxDentries != 65536 || maxDirListings != 1024 {
+		t.Fatalf("cap constants = %d/%d/%d, want 65536/65536/1024", maxAttrEntries, maxDentries, maxDirListings)
 	}
 }
 

@@ -118,12 +118,8 @@ func NewProxyClient(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, cred
 	if o == nil {
 		o = obs.New(clk.Now, 1024)
 	}
-	name := cfg.ObsName
-	if name == "" {
-		name = cred.ClientID
-	}
-	p.node = o.Node("proxyc:" + name)
-	p.met = newClientMetrics(o.Registry(), name)
+	p.node = o.Node("proxyc:" + cred.ClientID)
+	p.met = newClientMetrics(o.Registry(), cred.ClientID)
 	p.ra.init(cfg)
 	p.met.readaheadWindow.Set(p.ra.window.Load())
 	cfg.Staleness.Register(shortModel(cfg.Model))
@@ -134,7 +130,7 @@ func NewProxyClient(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, cred
 	// Upstream call spans (the wide-area round trips) are recorded at this
 	// proxy's node, nested under the kernel request via the shared ID.
 	upstream.SetObs(p.node, RPCName)
-	cfg.applyRetransmit(upstream)
+	upstream.SetRetransmit(cfg.retransmitPolicy())
 	p.srv.Register(nfs3.Program, nfs3.Version, p.ServeCall)
 	p.srv.SetReadOnly(nfs3.Program, nfs3.Version, nfs3.ReadOnlyProcs()...)
 	p.srv.Register(nfs3.MountProgram, nfs3.MountVersion, p.dispatchMount)

@@ -39,7 +39,7 @@ func (p *ProxyClient) reconnect(old *sunrpc.Client) bool {
 	}
 	nu.SetCred(p.cred.Encode())
 	nu.SetObs(p.node, RPCName)
-	p.cfg.applyRetransmit(nu)
+	nu.SetRetransmit(p.cfg.retransmitPolicy())
 	p.mu.Lock()
 	if p.up != old {
 		p.mu.Unlock()

@@ -159,7 +159,7 @@ func NewProxyServer(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, dial
 	// forwards and callback recalls record their own call spans at this node.
 	s.srv.SetObs(s.node, RPCName)
 	s.up.SetObs(s.node, RPCName)
-	cfg.applyRetransmit(upstream)
+	upstream.SetRetransmit(cfg.retransmitPolicy())
 	s.srv.SetSched(cfg.schedConfig())
 	s.srv.Register(nfs3.Program, nfs3.Version, s.dispatchNFS)
 	s.srv.SetReadOnly(nfs3.Program, nfs3.Version, nfs3.ReadOnlyProcs()...)
@@ -390,7 +390,7 @@ func (s *ProxyServer) callbackClient(c *clientState) (*sunrpc.Client, error) {
 	}
 	cb = sunrpc.NewClient(s.clk, conn, sunrpc.NoneCred())
 	cb.SetObs(s.node, RPCName)
-	s.cfg.applyRetransmit(cb)
+	cb.SetRetransmit(s.cfg.retransmitPolicy())
 	s.mu.Lock()
 	if c.cb == nil {
 		c.cb = cb

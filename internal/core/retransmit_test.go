@@ -55,8 +55,9 @@ func TestRetransmitWaitsOutALargeReadReply(t *testing.T) {
 				}
 				cli := sunrpc.NewClient(clk, conn, sunrpc.NoneCred())
 				defer cli.Close()
-				cfg := Config{RetransmitInitial: 100 * time.Millisecond}.withDefaults()
+				cfg := Config{}.withDefaults()
 				policy := cfg.retransmitPolicy()
+				policy.Initial = 100 * time.Millisecond
 				if !tc.stretch {
 					policy.ReplyBytes = nil
 				}
