@@ -396,18 +396,42 @@ func TestChaosReplay(t *testing.T) {
 		name: "attribution", seed: 613,
 		opts:  ChaosOptions{Model: core.ModelPolling, Overload: true, Steps: 60, Faults: lossyFaults()},
 		check: sameAttribution,
+	}, {
+		// Multi-block files over lossy links, where connections close with
+		// calls pending: the woken callers run in XID order, not map order.
+		name: "blocks", seed: 101,
+		opts: ChaosOptions{Model: core.ModelPolling, Workload: Overwrites{Blocks: 4}, Faults: lossyFaults()},
+		check: func(t *testing.T, r1, r2 *ChaosReport) {
+			sameNetEvents(t, r1, r2)
+			sameTraces(t, r1, r2)
+		},
+	}, {
+		// Warm restarts from the disk cache replay, and so does every metric
+		// series: none of them reads the wall clock.
+		name: "warm", seed: 11,
+		opts: ChaosOptions{Model: core.ModelPolling, Faults: chaosFaults(), WarmRestarts: 2},
+		check: func(t *testing.T, r1, r2 *ChaosReport) {
+			if r1.WarmRestarts == 0 {
+				t.Error("no warm restart in a warm-restart run")
+			}
+			sameTraces(t, r1, r2)
+			sameMetrics(t, r1, r2)
+		},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts
 			opts.Seed = testSeed(t, tc.seed)
-			r1, err := RunChaos(opts)
-			if err != nil {
-				t.Fatalf("run 1: %v", err)
+			run := func(n int) *ChaosReport {
+				if opts.WarmRestarts > 0 {
+					opts.DiskCacheDir = t.TempDir() // each run starts from an empty disk
+				}
+				rep, err := RunChaos(opts)
+				if err != nil {
+					t.Fatalf("run %d: %v", n, err)
+				}
+				return rep
 			}
-			r2, err := RunChaos(opts)
-			if err != nil {
-				t.Fatalf("run 2: %v", err)
-			}
+			r1, r2 := run(1), run(2)
 			requireClean(t, r1)
 			requireClean(t, r2)
 			tc.check(t, r1, r2)
@@ -440,6 +464,26 @@ func sameTraces(t *testing.T, r1, r2 *ChaosReport) {
 		}
 		if tr1 != tr2 {
 			t.Errorf("trace for %s differs between identically seeded runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", p, tr1, tr2)
+		}
+	}
+}
+
+func sameMetrics(t *testing.T, r1, r2 *ChaosReport) {
+	t.Helper()
+	var b1, b2 strings.Builder
+	if err := r1.Metrics.WriteProm(&b1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r2.Metrics.WriteProm(&b2); err != nil {
+		t.Fatal(err)
+	}
+	l1, l2 := strings.Split(b1.String(), "\n"), strings.Split(b2.String(), "\n")
+	if len(l1) != len(l2) {
+		t.Fatalf("metrics dumps differ: %d vs %d lines", len(l1), len(l2))
+	}
+	for i := range l1 {
+		if l1[i] != l2[i] {
+			t.Errorf("metrics dumps differ between identically seeded runs:\n  %s\n  %s", l1[i], l2[i])
 		}
 	}
 }

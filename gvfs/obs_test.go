@@ -89,8 +89,8 @@ func TestTraceFullReadPipeline(t *testing.T) {
 	if pc == nil {
 		t.Fatalf("no proxy-client READ span for req %s\n%s", obs.FormatReq(first.Req), obs.FormatSpans(spans))
 	}
-	if pc.Detail != "forward" {
-		t.Errorf("cold READ detail = %q, want %q", pc.Detail, "forward")
+	if pc.Note != obs.NoteForward {
+		t.Errorf("cold READ note = %q, want %q", pc.Note, obs.NoteForward)
 	}
 	if pc.FH != key {
 		t.Errorf("proxy-client READ span FH = %q, want %q", pc.FH, key)
@@ -121,15 +121,15 @@ func TestTraceFullReadPipeline(t *testing.T) {
 	for _, s := range spans {
 		if s.Op == "READAHEAD" && s.FH == key {
 			readaheads++
-			readaheadBlocks += spanBlocks(s)
+			readaheadBlocks += int64(s.Blocks)
 			if s.Parent == 0 {
 				t.Errorf("READAHEAD span has no parent: %+v", s)
 			}
-			if s.Bytes != spanBlocks(s)*32*1024 {
-				t.Errorf("READAHEAD span of %d whole blocks carries %d bytes: %+v", spanBlocks(s), s.Bytes, s)
+			if s.Bytes != int64(s.Blocks)*32*1024 {
+				t.Errorf("READAHEAD span of %d whole blocks carries %d bytes: %+v", s.Blocks, s.Bytes, s)
 			}
 		}
-		if s.Node == "proxyc:C1/tr" && s.Op == "READ" && s.Detail == "join" {
+		if s.Node == "proxyc:C1/tr" && s.Op == "READ" && s.Note == obs.NoteJoin {
 			joins++
 		}
 	}
@@ -218,7 +218,7 @@ func TestWarmRevalidationHitsLocally(t *testing.T) {
 	}
 	var hits int
 	for _, s := range d.TraceForFH(fh, 0) {
-		if s.Node == "proxyc:C1/w" && s.Op == "GETATTR" && s.Detail == "hit" {
+		if s.Node == "proxyc:C1/w" && s.Op == "GETATTR" && s.Note == obs.NoteHit {
 			hits++
 		}
 	}

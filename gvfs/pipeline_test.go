@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -388,13 +387,6 @@ func callbacksSent(d *Deployment, s *Session) int64 {
 
 func readaheadWindow(d *Deployment) int64 { return series(d, "gvfs_client_readahead_window") }
 
-// spanBlocks is how many blocks a READAHEAD span's READ asked for.
-func spanBlocks(s obs.Span) int64 {
-	_, rest, _ := strings.Cut(s.Detail, " blocks=")
-	n, _ := strconv.ParseInt(strings.Fields(rest + " ")[0], 10, 64)
-	return n
-}
-
 // readaheadSpans returns the deployment's READAHEAD spans, oldest first.
 func readaheadSpans(d *Deployment) []obs.Span {
 	var out []obs.Span
@@ -473,12 +465,12 @@ func TestReadAheadWindowFillsTheLink(t *testing.T) {
 		t.Fatal("no READAHEAD spans")
 	}
 	for _, s := range spans {
-		if !strings.HasPrefix(s.Detail, "win=") {
-			t.Fatalf("READAHEAD span without a window detail: %+v", s)
+		if s.Window == 0 || s.Blocks == 0 {
+			t.Fatalf("READAHEAD span without a window and a block count: %+v", s)
 		}
 	}
-	if got, want := spans[len(spans)-1].Detail, fmt.Sprintf("win=%d blocks=", readaheadWindow(d)); !strings.HasPrefix(got, want) || spanBlocks(spans[len(spans)-1]) == 0 {
-		t.Errorf("last READAHEAD span detail = %q, want %q and a count", got, want)
+	if last := spans[len(spans)-1]; int64(last.Window) != readaheadWindow(d) {
+		t.Errorf("last READAHEAD span's window = %d, want %d", last.Window, readaheadWindow(d))
 	}
 }
 
@@ -854,14 +846,14 @@ func TestSmallFileTransactionRoundTrips(t *testing.T) {
 	if local := series(d, "gvfs_client_commit_local_total"); local != 1 {
 		t.Errorf("commit_local counter = %d, want 1", local)
 	}
-	var details []string
+	var notes []obs.Note
 	for _, s := range d.Obs.Spans() {
 		if s.Op == "COMMIT" && strings.HasPrefix(s.Node, "proxyc:") {
-			details = append(details, s.Detail)
+			notes = append(notes, s.Note)
 		}
 	}
-	if fmt.Sprint(details) != "[local]" {
-		t.Errorf("proxy client COMMIT span details = %v, want [local]", details)
+	if fmt.Sprint(notes) != "[local]" {
+		t.Errorf("proxy client COMMIT span notes = %v, want [local]", notes)
 	}
 	if attr, err := d.FS.LookupPath("dst"); err != nil || attr.Size != uint64(len(dst)) {
 		t.Errorf("committed file on the server: %v size %d", err, attr.Size)
@@ -1045,10 +1037,10 @@ func TestHandoffRereadPipelines(t *testing.T) {
 			}
 			var reopen int64
 			for _, s := range readaheadSpans(d) {
-				if strings.HasSuffix(s.Detail, " reopen") {
-					reopen += spanBlocks(s)
-					if !strings.HasPrefix(s.Detail, "win=") || !getattrs[s.Parent] {
-						t.Errorf("re-read span %+v: want win=N blocks=K reopen, parented on the consumer's GETATTR", s)
+				if s.Note == obs.NoteReopen {
+					reopen += int64(s.Blocks)
+					if s.Window == 0 || !getattrs[s.Parent] {
+						t.Errorf("re-read span %+v: want a window and the reopen note, parented on the consumer's GETATTR", s)
 					}
 				}
 			}
@@ -1294,12 +1286,12 @@ func TestReadAheadSpillInvalidatedInFlight(t *testing.T) {
 				var next, yUnderX int64
 				for _, s := range readaheadSpans(r.d) {
 					parent := byReq[s.Parent]
-					if marked := strings.HasSuffix(s.Detail, " next"); marked != (parent.FH != s.FH) || !strings.HasPrefix(s.Detail, "win=") {
-						t.Errorf("READAHEAD %+v under %+v: want win=N, and next exactly when it crossed a file boundary", s, parent)
+					if marked := s.Note == obs.NoteNext; marked != (parent.FH != s.FH) || s.Window == 0 {
+						t.Errorf("READAHEAD %+v under %+v: want a window, and the next note exactly when it crossed a file boundary", s, parent)
 					} else if marked {
-						next += spanBlocks(s)
+						next += int64(s.Blocks)
 						if s.FH == fy.String() && parent.FH == fx.String() {
-							yUnderX += spanBlocks(s)
+							yUnderX += int64(s.Blocks)
 						}
 					}
 				}

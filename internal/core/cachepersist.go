@@ -110,7 +110,6 @@ func (p *ProxyClient) openDiskCache() {
 	p.met.recoveredBlocks.Add(int64(rec.Stats.Blocks))
 	p.met.recoveredDirty.Add(int64(rec.Stats.DirtyBlocks))
 	p.met.recoveryDropped.Add(int64(rec.Stats.Dropped))
-	p.met.recoveryReplayNs.Set(rec.Stats.Replay.Nanoseconds())
 }
 
 // DiskStore exposes the persistent store (nil when persistence is off), for

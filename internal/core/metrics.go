@@ -89,13 +89,12 @@ type clientMetrics struct {
 	// Disk-cache recovery: blocks carried across a restart, how their
 	// contents were settled (revalidated without a refetch vs dropped by
 	// the normal mtime reconciliation), and store-level failures.
-	recoveredBlocks  *obs.Counter
-	recoveredDirty   *obs.Counter
-	recoveryDropped  *obs.Counter
-	revalidatedBlks  *obs.Counter
-	refetchedBlks    *obs.Counter
-	diskCacheErrors  *obs.Counter
-	recoveryReplayNs *obs.Gauge
+	recoveredBlocks *obs.Counter
+	recoveredDirty  *obs.Counter
+	recoveryDropped *obs.Counter
+	revalidatedBlks *obs.Counter
+	refetchedBlks   *obs.Counter
+	diskCacheErrors *obs.Counter
 
 	flushInflight   *obs.Gauge
 	recallFlushPeak *obs.Gauge // most background recall flushers at once
@@ -147,7 +146,6 @@ func newClientMetrics(reg *obs.Registry, node string) *clientMetrics {
 		revalidatedBlks:    reg.Counter(l("gvfs_client_revalidated_blocks_total")),
 		refetchedBlks:      reg.Counter(l("gvfs_client_refetched_blocks_total")),
 		diskCacheErrors:    reg.Counter(l("gvfs_client_disk_cache_errors_total")),
-		recoveryReplayNs:   reg.Gauge(l("gvfs_client_recovery_replay_ns")),
 		flushInflight:      reg.Gauge(l("gvfs_client_flush_inflight")),
 		recallFlushPeak:    reg.Gauge(l("gvfs_client_recall_flushers_peak")),
 		getinvBatch:        reg.Histogram(l("gvfs_client_getinv_batch"), obs.CountBuckets),

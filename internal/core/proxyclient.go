@@ -296,20 +296,20 @@ func spanFH(call *sunrpc.Call, fh nfs3.FH) {
 }
 
 // hitLocal counts a kernel RPC answered from the disk cache and annotates
-// the serve span. A detail set earlier (e.g. "join" for a read that waited
+// the serve span. A note set earlier (e.g. NoteJoin for a read that waited
 // on an in-flight readahead) is kept.
 func (p *ProxyClient) hitLocal(call *sunrpc.Call) {
 	p.met.localHits.Inc()
-	if call != nil && call.SpanDetail == "" {
-		call.SpanDetail = "hit"
+	if call != nil && call.SpanNote == "" {
+		call.SpanNote = obs.NoteHit
 	}
 }
 
 // hitForward counts a kernel RPC that crossed the wide area.
 func (p *ProxyClient) hitForward(call *sunrpc.Call) {
 	p.met.forwards.Inc()
-	if call != nil && call.SpanDetail == "" {
-		call.SpanDetail = "forward"
+	if call != nil && call.SpanNote == "" {
+		call.SpanNote = obs.NoteForward
 	}
 }
 
@@ -334,7 +334,7 @@ func (p *ProxyClient) dispatchMount(call *sunrpc.Call) sunrpc.AcceptStat {
 // the real handler chain without a transport in between, e.g. to measure the
 // warm block path's allocation profile in isolation. It wraps serveNFS with a
 // trace span: the proxy's view of each kernel RPC, carrying the handler's
-// FH/detail/bytes annotations. The proxy's own sunrpc.Server records no
+// FH/note/bytes annotations. The proxy's own sunrpc.Server records no
 // generic spans (SetObs is not installed on it), so this is the single
 // serve-side record per kernel call at this node.
 func (p *ProxyClient) ServeCall(call *sunrpc.Call) sunrpc.AcceptStat {
@@ -354,14 +354,14 @@ func (p *ProxyClient) traced(call *sunrpc.Call, prog uint32, serve func(*sunrpc.
 	start := p.node.Now()
 	stat := serve(call)
 	sp := obs.Span{
-		Req:    call.ReqID,
-		Op:     RPCName(prog, call.Proc),
-		FH:     call.SpanFH,
-		Model:  shortModel(p.cfg.Model),
-		Detail: call.SpanDetail,
-		Bytes:  call.SpanBytes,
-		Start:  start,
-		End:    p.node.Now(),
+		Req:   call.ReqID,
+		Op:    RPCName(prog, call.Proc),
+		FH:    call.SpanFH,
+		Model: shortModel(p.cfg.Model),
+		Note:  call.SpanNote,
+		Bytes: call.SpanBytes,
+		Start: start,
+		End:   p.node.Now(),
 	}
 	if stat != sunrpc.Success {
 		sp.Err = stat.String()

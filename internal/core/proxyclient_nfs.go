@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/nfs3"
+	"repro/internal/obs"
 	"repro/internal/sunrpc"
 )
 
@@ -141,7 +142,7 @@ func (p *ProxyClient) read(call *sunrpc.Call) sunrpc.AcceptStat {
 					// The demand read rode an in-flight readahead instead of
 					// paying its own round-trip.
 					p.met.readaheadJoins.Inc()
-					call.SpanDetail = "join"
+					call.SpanNote = obs.NoteJoin
 				}
 				p.hitLocal(call)
 				p.observeServe(args.FH, hit.stamp, hit.dirty)
@@ -545,7 +546,7 @@ func (p *ProxyClient) commit(call *sunrpc.Call) sunrpc.AcceptStat {
 		// forwarded WRITEs is waiting on a COMMIT: the server has nothing
 		// left to make stable, so the round trip would carry no news.
 		p.met.commitLocal.Inc()
-		call.SpanDetail = "local"
+		call.SpanNote = obs.NoteLocal
 		p.hitLocal(call)
 		p.observeServe(args.FH, h.stamp, h.dirty)
 		return encodeReply(call, &nfs3.CommitRes{

@@ -415,9 +415,9 @@ func (s *ProxyServer) callbackCall(rid uint64, c *clientState, proc uint32, args
 		if err != nil {
 			return nil, err
 		}
-		d, err := cb.CallTraced(rid, CallbackProgram, CallbackVersion, proc, args, s.cfg.CallTimeout)
+		rep, err := cb.CallParts(rid, CallbackProgram, CallbackVersion, proc, args, nil, s.cfg.CallTimeout)
 		if err == nil {
-			return d, nil
+			return rep.Body, nil
 		}
 		lastErr = err
 		s.mu.Lock()
@@ -545,14 +545,14 @@ func (s *ProxyServer) dispatchInv(call *sunrpc.Call) sunrpc.AcceptStat {
 		b.flush()
 		res.ForceInvalidate = true
 		s.met.forceReplies.Inc()
-		call.SpanDetail = "force"
+		call.SpanNote = obs.NoteForce
 	case args.Timestamp != b.lastSentTS || b.overflowed:
 		// 2) The client has not kept up (crash, lost reply, or buffer
 		// wrap-around): flush and force-invalidate.
 		b.flush()
 		res.ForceInvalidate = true
 		s.met.forceReplies.Inc()
-		call.SpanDetail = "force"
+		call.SpanNote = obs.NoteForce
 	default:
 		// 3) Return buffer contents (bounded by one reply) and clear them.
 		// A client-requested batch of 0 (or one beyond what fits under

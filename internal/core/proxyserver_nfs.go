@@ -179,7 +179,7 @@ func (s *ProxyServer) smallListing(rid uint64, dir nfs3.FH) ([]byte, sunrpc.Repl
 	bs := uint32(s.cfg.BlockSize)
 	e := xdr.NewEncoder()
 	(&nfs3.ReaddirplusArgs{Dir: dir, DirCount: bs, MaxCount: bs}).Encode(e)
-	rep, err := s.up.CallOwned(rid, nfs3.Program, nfs3.Version, nfs3.ProcReaddirplus, e.Bytes(), s.cfg.CallTimeout)
+	rep, err := s.up.CallParts(rid, nfs3.Program, nfs3.Version, nfs3.ProcReaddirplus, e.Bytes(), nil, s.cfg.CallTimeout)
 	if err != nil {
 		return nil, rep
 	}
@@ -358,12 +358,12 @@ func (s *ProxyServer) lookupUpstream(rid uint64, dir nfs3.FH, name string) (nfs3
 	args := nfs3.DirOpArgs{Dir: dir, Name: name}
 	e := xdr.NewEncoder()
 	args.Encode(e)
-	d, err := s.up.CallTraced(rid, nfs3.Program, nfs3.Version, nfs3.ProcLookup, e.Bytes(), s.cfg.CallTimeout)
+	rep, err := s.up.CallParts(rid, nfs3.Program, nfs3.Version, nfs3.ProcLookup, e.Bytes(), nil, s.cfg.CallTimeout)
 	if err != nil {
 		return nfs3.FH{}, false
 	}
 	var res nfs3.LookupRes
-	if res.Decode(d) != nil || res.Status != nfs3.OK {
+	if res.Decode(rep.Body) != nil || res.Status != nfs3.OK {
 		return nfs3.FH{}, false
 	}
 	return res.FH, true

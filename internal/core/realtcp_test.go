@@ -273,7 +273,7 @@ func TestWarmReadAllocatesLittle(t *testing.T) {
 	read := func(bn int) {
 		e := bufpool.GetEncoder()
 		(&nfs3.ReadArgs{FH: file, Offset: uint64(bn) * bs, Count: bs}).Encode(e)
-		rep, err := nc.RPC().CallOwned(0, nfs3.Program, nfs3.Version, nfs3.ProcRead, e.Bytes(), time.Minute)
+		rep, err := nc.RPC().CallParts(0, nfs3.Program, nfs3.Version, nfs3.ProcRead, e.Bytes(), nil, time.Minute)
 		bufpool.PutEncoder(e)
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"time"
 
 	"repro/internal/nfs3"
@@ -26,8 +25,8 @@ const (
 	specPage                       // a directory's LOOKUPs (dirwalk.go)
 )
 
-// specDetail is what a READ kind's span says beyond its window.
-var specDetail = [...]string{specSpill: " next", specReread: " reopen"}
+// specNote is what a READ kind's span notes beside its window.
+var specNote = [...]obs.Note{specSpill: obs.NoteNext, specReread: obs.NoteReopen}
 
 // speculation is one claimed prefetch on one record. The zero value, and any
 // value with due unset, claims nothing.
@@ -242,7 +241,7 @@ func (p *ProxyClient) collect(s *speculation, i int, c upstreamCall) {
 	if p.node.Tracing() {
 		sp.FH = s.fh.String()
 		if s.kind != specPage {
-			sp.Detail = "win=" + strconv.FormatInt(s.window, 10) + " blocks=" + strconv.Itoa(len(s.runs[i])) + specDetail[s.kind]
+			sp.Window, sp.Blocks, sp.Note = int(s.window), len(s.runs[i]), specNote[s.kind]
 		}
 	}
 	rep, err := p.finishUpstream(c, res, nil)

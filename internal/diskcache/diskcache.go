@@ -39,7 +39,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 )
 
 // SyncPolicy selects which store mutations force an fsync.
@@ -108,7 +107,6 @@ type RecoveryStats struct {
 	Blocks      int // blocks recovered intact (clean + dirty)
 	DirtyBlocks int
 	Dropped     int // records or blocks discarded: torn tail, CRC mismatch, missing file
-	Replay      time.Duration
 }
 
 // Recovered is the full result of opening an existing store directory.
@@ -191,11 +189,9 @@ func Open(dir string, maxBytes int64, policy SyncPolicy) (*Store, Recovered, err
 	}
 	s := &Store{dir: dir, maxB: maxBytes, policy: policy, files: map[string]*fileMeta{}}
 
-	start := time.Now()
 	s.replayInto(filepath.Join(dir, manifestName), true, &rec.Stats)
 	s.replayInto(filepath.Join(dir, journalName), false, &rec.Stats)
 	s.loadBlocks(&rec)
-	rec.Stats.Replay = time.Since(start)
 
 	blk, err := os.Open(filepath.Join(dir, blockSubdir))
 	if err != nil {

@@ -18,9 +18,10 @@
 // starts: scheduler queue wait (the server's handler span deliberately
 // starts after the queue, leaving the wait inside the enclosing call span)
 // and retransmission stalls (the client blocks between same-XID sends with
-// no sub-span active). Both are recovered from span details ("queued=",
-// "stall=", "shed=") and moved out of the wire segment, clamped so the sum
-// invariant survives even a truncated trace.
+// no sub-span active). Both are recovered from the spans' typed waits
+// (Span.Queued; Span.Stall, a shed backoff when Span.Sheds is nonzero) and
+// moved out of the wire segment, clamped so the sum invariant survives even
+// a truncated trace.
 package attr
 
 import (
@@ -250,9 +251,10 @@ func analyzeOne(root obs.Span, g []obs.Span) Breakdown {
 		bd.Seg[cat] += t2 - t1
 	}
 
-	// Recover the sweep-invisible costs from span details, moving time out
-	// of the wire segment (where both necessarily landed) with clamping so
-	// the partition stays exact. Moves are collected first and the shed ones
+	// Recover the sweep-invisible costs from the spans' waits (a call's
+	// Stall, a serve's Queued), moving time out of the wire segment (where
+	// both necessarily landed) with clamping so the partition stays exact.
+	// Moves are collected first and the shed ones
 	// applied before the rest: a shed stall at the proxy client and the
 	// kernel's own same-XID retransmit stall cover the same wall time, and
 	// both compete for the same wire budget — the more specific cause (the
@@ -272,7 +274,8 @@ func analyzeOne(root obs.Span, g []obs.Span) Breakdown {
 		d  time.Duration
 		to string
 	}
-	var shedMoves, otherMoves []pendingMove
+	var shed time.Duration // moves to one segment clamp alike summed or apart
+	var others []pendingMove
 	rootSeen := false
 	for _, s := range g {
 		if !rootSeen && s.Node == root.Node && s.Op == root.Op && s.Start == root.Start && s.End == root.End {
@@ -284,49 +287,23 @@ func analyzeOne(root obs.Span, g []obs.Span) Breakdown {
 				continue
 			}
 		}
-		if s.End < root.Start || s.Start > root.End || s.Detail == "" {
+		if s.End < root.Start || s.Start > root.End {
 			continue
 		}
-		queued, stall, shed := parseDetail(s.Detail)
-		if strings.HasPrefix(s.Op, "call ") {
-			if stall > 0 {
-				if shed {
-					shedMoves = append(shedMoves, pendingMove{stall, SegShed})
-				} else {
-					otherMoves = append(otherMoves, pendingMove{stall, SegRetransmit})
-				}
-			}
-		} else if queued > 0 {
-			otherMoves = append(otherMoves, pendingMove{queued, SegQueue})
+		switch {
+		case s.Stall > 0 && s.Sheds > 0:
+			shed += s.Stall
+		case s.Stall > 0:
+			others = append(others, pendingMove{s.Stall, SegRetransmit})
+		case s.Queued > 0:
+			others = append(others, pendingMove{s.Queued, SegQueue})
 		}
 	}
-	for _, m := range shedMoves {
-		move(m.d, m.to)
-	}
-	for _, m := range otherMoves {
+	move(shed, SegShed)
+	for _, m := range others {
 		move(m.d, m.to)
 	}
 	return bd
-}
-
-// parseDetail extracts the queued= and stall= durations and whether the span
-// saw shed replies from a span detail string.
-func parseDetail(detail string) (queued, stall time.Duration, shed bool) {
-	for _, f := range strings.Fields(detail) {
-		switch {
-		case strings.HasPrefix(f, "queued="):
-			if d, err := time.ParseDuration(f[len("queued="):]); err == nil {
-				queued += d
-			}
-		case strings.HasPrefix(f, "stall="):
-			if d, err := time.ParseDuration(f[len("stall="):]); err == nil {
-				stall += d
-			}
-		case strings.HasPrefix(f, "shed="):
-			shed = true
-		}
-	}
-	return queued, stall, shed
 }
 
 // OpStats aggregates breakdowns of one operation type.

@@ -39,7 +39,7 @@ func TestAnalyzeNestedPipeline(t *testing.T) {
 		{Req: 1, Node: "kern:C1", Op: "call READ", Start: 0, End: 100 * msec},
 		{Req: 1, Node: "proxyc:C1", Op: "serve READ", Start: 10 * msec, End: 90 * msec},
 		{Req: 1, Node: "proxyc:C1", Op: "call READ", Start: 20 * msec, End: 80 * msec},
-		{Req: 1, Node: "proxyd:s", Op: "serve READ", Start: 40 * msec, End: 60 * msec, Detail: "queued=5ms"},
+		{Req: 1, Node: "proxyd:s", Op: "serve READ", Start: 40 * msec, End: 60 * msec, Queued: 5 * msec},
 	}
 	bds := Analyze(spans)
 	if len(bds) != 1 {
@@ -68,10 +68,10 @@ func TestAnalyzeNestedPipeline(t *testing.T) {
 func TestAnalyzeRetransmitAndShedMoves(t *testing.T) {
 	spans := []obs.Span{
 		{Req: 7, Node: "kern:C2", Op: "call WRITE", Start: 0, End: 100 * msec,
-			Detail: "retransmit=1 stall=30ms"},
+			Retransmits: 1, Stall: 30 * msec},
 		{Req: 7, Node: "proxyc:C2", Op: "serve WRITE", Start: 10 * msec, End: 20 * msec},
 		{Req: 7, Node: "proxyc:C2", Op: "call WRITE", Start: 30 * msec, End: 40 * msec,
-			Detail: "shed=2 stall=15ms"},
+			Sheds: 2, Stall: 15 * msec},
 	}
 	bds := Analyze(spans)
 	if len(bds) != 1 {
@@ -103,10 +103,10 @@ func TestAnalyzeShedWinsOverlappingRetransmit(t *testing.T) {
 		// of wire exists (0-100 minus the 40ms proxy-client handler), so
 		// the two moves compete.
 		{Req: 9, Node: "kern:C1", Op: "call READ", Start: 0, End: 100 * msec,
-			Detail: "retransmit=2 stall=60ms"},
+			Retransmits: 2, Stall: 60 * msec},
 		{Req: 9, Node: "proxyc:C1", Op: "serve READ", Start: 30 * msec, End: 70 * msec},
 		{Req: 9, Node: "proxyc:C1", Op: "call READ", Start: 72 * msec, End: 95 * msec,
-			Detail: "retransmit=1 shed=1 stall=50ms"},
+			Retransmits: 1, Sheds: 1, Stall: 50 * msec},
 	}
 	bds := Analyze(spans)
 	if len(bds) != 1 {
@@ -143,13 +143,13 @@ func TestAnalyzeRecallBlocking(t *testing.T) {
 	}
 }
 
-// TestAnalyzeClampTruncatedTrace: detail-recovered costs may not exceed the
+// TestAnalyzeClampTruncatedTrace: the recovered waits may not exceed the
 // wire time actually present in the (possibly truncated) trace; the
 // partition invariant survives.
 func TestAnalyzeClampTruncatedTrace(t *testing.T) {
 	spans := []obs.Span{
 		{Req: 5, Node: "kern:C1", Op: "call READ", Start: 0, End: 20 * msec,
-			Detail: "retransmit=3 stall=400ms"},
+			Retransmits: 3, Stall: 400 * msec},
 		{Req: 5, Node: "proxyc:C1", Op: "serve READ", Start: 5 * msec, End: 15 * msec},
 	}
 	bds := Analyze(spans)
@@ -180,11 +180,11 @@ func TestAnalyzeSkipsInternalTraffic(t *testing.T) {
 }
 
 // TestAnalyzeLocalIdleSegment: idle time inside a daemon's own serve span is
-// that daemon's handler time, and its queued= detail (wait before the span)
+// that daemon's handler time, and its Queued wait (before the span)
 // is not moved into the attributed interval.
 func TestAnalyzeLocalIdleSegment(t *testing.T) {
 	spans := []obs.Span{
-		{Req: 11, Node: "proxyd:s", Op: "serve READ", Start: 0, End: 50 * msec, Detail: "queued=10ms"},
+		{Req: 11, Node: "proxyd:s", Op: "serve READ", Start: 0, End: 50 * msec, Queued: 10 * msec},
 		{Req: 11, Node: "proxyd:s", Op: "call READ", Start: 10 * msec, End: 30 * msec},
 	}
 	bds := AnalyzeLocal(spans)
@@ -237,7 +237,7 @@ func TestFormatReportDeterministic(t *testing.T) {
 		{Req: 1, Node: "kern:C1", Op: "call READ", Start: 0, End: 80 * msec},
 		{Req: 1, Node: "proxyc:C1", Op: "serve READ", Start: 10 * msec, End: 70 * msec},
 		{Req: 2, Node: "kern:C2", Op: "call WRITE", Start: 5 * msec, End: 85 * msec},
-		{Req: 2, Node: "proxyd:s", Op: "serve WRITE", Start: 25 * msec, End: 45 * msec, Detail: "queued=3ms"},
+		{Req: 2, Node: "proxyd:s", Op: "serve WRITE", Start: 25 * msec, End: 45 * msec, Queued: 3 * msec},
 		{Req: 3, Node: "kern:C1", Op: "call READ", Start: 40 * msec, End: 120 * msec},
 	}
 	perms := [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {2, 0, 4, 1, 3}}

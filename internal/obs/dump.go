@@ -35,10 +35,13 @@ func (d TraceDump) Write(w io.Writer) error {
 	return enc.Encode(d)
 }
 
-// ReadTraceDump parses a dump written by Write.
+// ReadTraceDump parses a dump written by Write. A field Write does not
+// emit is refused: spans of older dumps kept their waits in a free-text
+// "detail", which attribution would otherwise silently read as zero.
 func ReadTraceDump(r io.Reader) (TraceDump, error) {
 	var d TraceDump
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&d); err != nil {
 		return d, fmt.Errorf("trace dump: %w", err)
 	}

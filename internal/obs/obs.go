@@ -14,18 +14,50 @@ import (
 // ReqID (or a file handle) by virtual start time reconstructs the causal
 // chain. Background work spawned on behalf of a request (readahead,
 // recall-triggered flushes) records the triggering request in Parent.
+//
+// What a span says beyond its operation is values, each zero when it does
+// not apply; FormatSpans alone renders them as text.
 type Span struct {
-	Req    uint64        `json:"req"`
-	Parent uint64        `json:"parent,omitempty"`
-	Node   string        `json:"node"`
-	Op     string        `json:"op"`
-	FH     string        `json:"fh,omitempty"`
-	Model  string        `json:"model,omitempty"`
-	Detail string        `json:"detail,omitempty"`
-	Bytes  int64         `json:"bytes,omitempty"`
-	Start  time.Duration `json:"start"`
-	End    time.Duration `json:"end"`
-	Err    string        `json:"err,omitempty"`
+	Req    uint64 `json:"req"`
+	Parent uint64 `json:"parent,omitempty"`
+	Node   string `json:"node"`
+	Op     string `json:"op"`
+	FH     string `json:"fh,omitempty"`
+	Model  string `json:"model,omitempty"`
+	Note   Note   `json:"note,omitempty"`
+	// A call's same-XID resends, its TryLater replies, and its stall.
+	Retransmits int           `json:"retransmits,omitempty"`
+	Sheds       int           `json:"sheds,omitempty"`
+	Stall       time.Duration `json:"stall,omitempty"`  // from its first transmission to its last
+	Queued      time.Duration `json:"queued,omitempty"` // a pooled serve's wait for a worker slot
+	Window      int           `json:"window,omitempty"` // a READAHEAD's window, and the blocks its READ asked for
+	Blocks      int           `json:"blocks,omitempty"`
+	Bytes       int64         `json:"bytes,omitempty"`
+	Start       time.Duration `json:"start"`
+	End         time.Duration `json:"end"`
+	Err         string        `json:"err,omitempty"`
+}
+
+// Note is a span's one-word reason: how a proxy answered a call, which kind
+// of prefetch a READAHEAD was, or why a server shed a call.
+type Note string
+
+const (
+	NoteHit            Note = "hit"         // answered from the proxy client's cache
+	NoteForward        Note = "forward"     // crossed the wide area
+	NoteJoin           Note = "join"        // a demand read that rode an in-flight readahead
+	NoteLocal          Note = "local"       // a COMMIT with nothing left to make stable
+	NoteForce          Note = "force"       // a GETINV reply that force-invalidates
+	NoteNext           Note = "next"        // readahead spilling into the next file
+	NoteReopen         Note = "reopen"      // readahead of a rewritten file's head
+	NoteShedRate       Note = "rate"        // shed: the server's token bucket was empty
+	NoteShedClientRate Note = "client-rate" // shed: the client's token bucket was empty
+	NoteShedOverflow   Note = "overflow"    // shed: the oldest request of a full queue
+)
+
+// shed reports whether n is a server's reason to shed a call.
+func (n Note) shed() bool {
+	return n == NoteShedRate || n == NoteShedClientRate || n == NoteShedOverflow
 }
 
 // Tracer is a bounded per-node ring buffer of spans.
@@ -301,8 +333,8 @@ func (n *Node) Record(s Span) {
 }
 
 // Tracing reports whether spans recorded at this node are retained. Hot
-// paths use it to skip computing span labels (handle formatting, detail
-// strings) when no tracer will keep them.
+// paths use it to skip computing span labels (handle formatting) when no
+// tracer will keep them.
 func (n *Node) Tracing() bool {
 	return n != nil && n.tr != nil
 }
@@ -346,7 +378,30 @@ func FormatSpans(spans []Span, dropped ...uint64) string {
 			req += "<" + FormatReq(s.Parent)
 		}
 		fmt.Fprintf(&b, "%-14s %-14s %-10s %-22s %-20s %-30s %-10s %-12s %8d %s\n",
-			s.Start, s.End, req, s.Node, s.Op, s.FH, s.Model, s.Detail, s.Bytes, s.Err)
+			s.Start, s.End, req, s.Node, s.Op, s.FH, s.Model, s.detail(), s.Bytes, s.Err)
 	}
+	return b.String()
+}
+
+// detail renders a span's values as its DETAIL column: the readahead window,
+// the note, then the call's and the serve's waits.
+func (s *Span) detail() string {
+	var b strings.Builder
+	add := func(on bool, format string, v any) {
+		if on {
+			if b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, format, v)
+		}
+	}
+	add(s.Window > 0, "win=%d", s.Window)
+	add(s.Blocks > 0, "blocks=%d", s.Blocks)
+	add(s.Note.shed(), "shed=%v", s.Note)
+	add(s.Note != "" && !s.Note.shed(), "%v", s.Note)
+	add(s.Retransmits > 0, "retransmit=%d", s.Retransmits)
+	add(s.Sheds > 0, "shed=%d", s.Sheds)
+	add(s.Stall > 0, "stall=%v", s.Stall)
+	add(s.Queued > 0, "queued=%v", s.Queued)
 	return b.String()
 }

@@ -256,7 +256,7 @@ func TestFormatSpansDeterministic(t *testing.T) {
 	mk := func(order []int) string {
 		spans := []Span{
 			{Req: 1, Node: "kern:C1", Op: "READ", FH: "fh:01", Start: 100, End: 200},
-			{Req: 1, Node: "proxyc:C1", Op: "READ", FH: "fh:01", Start: 120, End: 180, Detail: "miss"},
+			{Req: 1, Node: "proxyc:C1", Op: "READ", FH: "fh:01", Start: 120, End: 180, Note: NoteForward},
 			{Req: 2, Parent: 1, Node: "proxyc:C1", Op: "READAHEAD", FH: "fh:01", Start: 130, End: 190},
 		}
 		var in []Span
@@ -275,4 +275,29 @@ func TestFormatSpansDeterministic(t *testing.T) {
 		t.Fatalf("no parent annotation in:\n%s", a)
 	}
 	_ = fmt.Sprintf("%s", a)
+}
+
+// TestSpanDetail pins the one rendering of a span's values: the DETAIL
+// column FormatSpans prints, in a fixed order, zero values left out.
+func TestSpanDetail(t *testing.T) {
+	for _, c := range []struct {
+		sp   Span
+		want string
+	}{
+		{Span{}, ""},
+		{Span{Note: NoteHit}, "hit"},
+		{Span{Note: NoteForce, Queued: 5 * time.Millisecond}, "force queued=5ms"},
+		{Span{Note: NoteShedClientRate}, "shed=client-rate"},
+		{Span{Retransmits: 1, Sheds: 2, Stall: 50 * time.Millisecond}, "retransmit=1 shed=2 stall=50ms"},
+		{Span{Sheds: 1, Stall: time.Second}, "shed=1 stall=1s"},
+		{Span{Window: 32, Blocks: 8}, "win=32 blocks=8"},
+		{Span{Window: 4, Blocks: 1, Note: NoteReopen}, "win=4 blocks=1 reopen"},
+	} {
+		if got := c.sp.detail(); got != c.want {
+			t.Errorf("detail of %+v = %q, want %q", c.sp, got, c.want)
+		}
+		if !strings.Contains(FormatSpans([]Span{c.sp}), c.want) {
+			t.Errorf("FormatSpans leaves out %q", c.want)
+		}
+	}
 }

@@ -102,4 +102,8 @@ func TestTraceDumpRoundTrip(t *testing.T) {
 	if _, err := ReadTraceDump(strings.NewReader("{not json")); err == nil {
 		t.Fatal("malformed dump accepted")
 	}
+	old := `{"spans":[{"req":1,"node":"nfsd","op":"serve READ","detail":"queued=2ms","start":0,"end":5}],"metrics":{}}`
+	if _, err := ReadTraceDump(strings.NewReader(old)); err == nil {
+		t.Fatal("dump with a free-text span detail accepted")
+	}
 }

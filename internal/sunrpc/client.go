@@ -3,6 +3,7 @@ package sunrpc
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"time"
 
@@ -191,18 +192,11 @@ func (c *Client) Call(prog, vers, proc uint32, args []byte) (*xdr.Decoder, error
 
 // CallTimeout is Call with a deadline; timeout 0 means wait forever. On
 // timeout the pending entry is abandoned (a late reply is dropped), matching
-// at-least-once RPC semantics where the caller simply retries.
+// at-least-once RPC semantics where the caller simply retries. The frame the
+// returned decoder reads is never recycled: the caller may keep what it
+// decodes by reference for as long as it likes.
 func (c *Client) CallTimeout(prog, vers, proc uint32, args []byte, timeout time.Duration) (*xdr.Decoder, error) {
-	return c.CallTraced(0, prog, vers, proc, args, timeout)
-}
-
-// CallTraced is CallTimeout carrying an explicit trace request ID, used by
-// proxies forwarding a traced call so the downstream RPC shares the
-// originating ID. A zero reqID mints a fresh ID when a trace node is
-// attached. The frame the returned decoder reads is never recycled: the
-// caller may keep what it decodes by reference for as long as it likes.
-func (c *Client) CallTraced(reqID uint64, prog, vers, proc uint32, args []byte, timeout time.Duration) (*xdr.Decoder, error) {
-	rep, err := c.CallOwned(reqID, prog, vers, proc, args, timeout)
+	rep, err := c.CallParts(0, prog, vers, proc, args, nil, timeout)
 	return rep.Body, err
 }
 
@@ -226,22 +220,16 @@ func (r *Reply) Release() {
 	}
 }
 
-// CallOwned is CallTraced for callers that give the reply frame back: it
-// returns the body with its frame, which the caller owns outright and
-// releases once it has copied out what it keeps. A forwarding proxy receives
-// a 32 KiB frame per READ; released, they cycle through the pool instead of
-// being allocated and zeroed for each reply.
-func (c *Client) CallOwned(reqID uint64, prog, vers, proc uint32, args []byte, timeout time.Duration) (Reply, error) {
-	return c.CallParts(reqID, prog, vers, proc, args, nil, timeout)
-}
-
-// CallParts is CallOwned for arguments that end in bulk bytes: see StartParts.
+// CallParts is StartParts then Wait. A forwarding proxy passes the traced
+// call's reqID on; zero mints a fresh one when a trace node is attached. The
+// caller owns the reply's frame: released once copied out of, a forwarded
+// READ's 32 KiB frame cycles through the pool instead of being reallocated.
 func (c *Client) CallParts(reqID uint64, prog, vers, proc uint32, args, tail []byte, timeout time.Duration) (Reply, error) {
 	p := c.StartParts(reqID, prog, vers, proc, args, tail, timeout)
 	return p.Wait()
 }
 
-// Pending is a call that Start has sent and Wait has not yet collected.
+// Pending is a call that StartParts has sent and Wait has not yet collected.
 type Pending struct {
 	c   *Client
 	pc  *pendingCall // nil: the client was already closed and nothing was sent
@@ -259,29 +247,25 @@ type Pending struct {
 	argBytes        int
 	replyBytes      int // what the retransmit policy expects the reply to carry
 	timeout         time.Duration
-	start           time.Duration // trace time at Start
+	start           time.Duration // trace time at StartParts
 	firstSend       time.Duration
 }
 
-// Start sends the call and returns without waiting for its reply; Wait, which
-// must follow exactly once, collects it. Call, CallTimeout, CallTraced and
-// CallOwned are Start then Wait. Starting apart from waiting is for a burst
-// of calls whose order on the wire matters — readahead's chunk of READs comes
-// back in the order it went out, and the reader wants the blocks in theirs:
-// started one after another they leave in that order, while started from as
-// many goroutines they leave in whatever order the scheduler ran those.
-func (c *Client) Start(reqID uint64, prog, vers, proc uint32, args []byte, timeout time.Duration) Pending {
-	return c.StartParts(reqID, prog, vers, proc, args, nil, timeout)
-}
-
-// StartParts is Start for arguments in two parts: args, encoded by the
-// caller, and tail, the bytes that follow them on the wire — a WRITE's data,
-// a relayed call's arguments — XDR padding included. The tail is not copied
-// into the call message: a transport that gathers (transport.SendParts)
-// writes it from where it lies, on the first transmission and on every
-// retransmission, so it belongs to the call until Wait returns and must not
-// change or be recycled before then. The retransmission timeout's size
-// stretch and the call span's byte count include it. An empty tail is Start.
+// StartParts sends the call and returns without waiting for its reply; Wait,
+// which must follow exactly once, collects it. Starting apart from waiting is
+// for a burst of calls whose order on the wire matters — readahead's chunk of
+// READs comes back in the order it went out, and the reader wants the blocks
+// in theirs: started one after another they leave in that order, while
+// started from as many goroutines they leave in whatever order the scheduler
+// ran those. The arguments come in two parts: args, encoded by the caller,
+// and tail (may be empty), the bytes that follow them on the wire — a WRITE's
+// data, a relayed call's arguments — XDR padding included. The tail is not
+// copied into the call message: a transport that gathers
+// (transport.SendParts) writes it from where it lies, on the first
+// transmission and on every retransmission, so it belongs to the call until
+// Wait returns and must not change or be recycled before then. The
+// retransmission timeout's size stretch and the call span's byte count
+// include it.
 func (c *Client) StartParts(reqID uint64, prog, vers, proc uint32, args, tail []byte, timeout time.Duration) Pending {
 	c.mu.Lock()
 	if c.closed {
@@ -333,7 +317,7 @@ func (c *Client) StartParts(reqID uint64, prog, vers, proc uint32, args, tail []
 }
 
 // Wait blocks for the call's completion and returns its reply, whose frame
-// the caller owns (see CallOwned).
+// the caller owns (see CallParts).
 func (p *Pending) Wait() (Reply, error) {
 	if p.pc == nil {
 		return Reply{}, p.err
@@ -349,29 +333,14 @@ func (p *Pending) Wait() (Reply, error) {
 	c.mu.Unlock()
 	if node.Tracing() {
 		sp := obs.Span{
-			Req:   p.reqID,
-			Op:    "call " + procLabel(procName, p.prog, p.proc),
-			Bytes: int64(p.argBytes),
-			Start: p.start,
-			End:   node.Now(),
-		}
-		if retrans > 0 {
-			sp.Detail = fmt.Sprintf("retransmit=%d", retrans)
-		}
-		if shed > 0 {
-			if sp.Detail != "" {
-				sp.Detail += " "
-			}
-			sp.Detail += fmt.Sprintf("shed=%d", shed)
-		}
-		if stall > 0 {
-			// stall= is the virtual time between the first and the last
-			// transmission of this XID: the latency the loss/shedding added.
-			// Latency attribution moves it out of the wire segment.
-			if sp.Detail != "" {
-				sp.Detail += " "
-			}
-			sp.Detail += "stall=" + stall.String()
+			Req:         p.reqID,
+			Op:          "call " + procLabel(procName, p.prog, p.proc),
+			Retransmits: retrans,
+			Sheds:       shed,
+			Stall:       stall,
+			Bytes:       int64(p.argBytes),
+			Start:       p.start,
+			End:         node.Now(),
 		}
 		if rep.Body != nil {
 			sp.Bytes += int64(rep.Body.Remaining())
@@ -579,14 +548,22 @@ func (c *Client) demux() {
 	}
 }
 
+// failAll fails every pending call with ErrClosed and wakes their callers in
+// XID order: under the virtual clock woken actors run in wake order, so map
+// order here would make a seeded run's schedule vary.
 func (c *Client) failAll() {
 	c.mu.Lock()
 	c.closed = true
-	ws := make([]*vclock.Waiter, 0, len(c.pending))
-	for xid, pc := range c.pending {
-		pc.err = ErrClosed
-		pc.done = true
-		ws = append(ws, pc.w)
+	xids := make([]uint32, 0, len(c.pending))
+	for xid := range c.pending {
+		xids = append(xids, xid)
+	}
+	slices.Sort(xids)
+	ws := make([]*vclock.Waiter, len(xids))
+	for i, xid := range xids {
+		pc := c.pending[xid]
+		pc.err, pc.done = ErrClosed, true
+		ws[i] = pc.w
 		delete(c.pending, xid)
 	}
 	c.mu.Unlock()

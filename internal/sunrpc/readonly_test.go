@@ -159,7 +159,7 @@ func TestReadOnlyRepliesAreNotRetained(t *testing.T) {
 	// in the order they came.
 	srv.SetSched(SchedConfig{Workers: 1})
 	for i := 0; i < 10000; i++ {
-		rep, err := cli.CallOwned(0, testProg, testVers, pipeReadRO, nil, 0)
+		rep, err := cli.CallParts(0, testProg, testVers, pipeReadRO, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestReadOnlyRepliesAreNotRetained(t *testing.T) {
 	// the server's word that it has: with one worker that call's handler
 	// starts only when the READ's has returned. It is retained, so its small
 	// reply is the one entry left.
-	rep, err := cli.CallOwned(0, testProg, testVers, pipeNull, nil, 0)
+	rep, err := cli.CallParts(0, testProg, testVers, pipeNull, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestReadOnlyRepliesAreNotRetained(t *testing.T) {
 		t.Errorf("after 10000 read-only READs and a NULL the cache holds %d entries, %d reply bytes; want the NULL's alone", entries, bytes)
 	}
 	for i := 0; i < 2*defaultDRCEntries; i++ {
-		rep, err := cli.CallOwned(0, testProg, testVers, pipeRead, nil, 0)
+		rep, err := cli.CallParts(0, testProg, testVers, pipeRead, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestReleasedFrameIsReused(t *testing.T) {
 	_, cli := pipePair(t)
 	before := bufpool.Outstanding()
 	for i := 0; i < 100; i++ {
-		rep, err := cli.CallOwned(0, testProg, testVers, pipeReadRO, nil, 0)
+		rep, err := cli.CallParts(0, testProg, testVers, pipeReadRO, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestReleasedFrameIsReused(t *testing.T) {
 	}
 	kept, _ := d.OpaqueRef(0)
 	for i := 0; i < 10; i++ {
-		rep, _ := cli.CallOwned(0, testProg, testVers, pipeReadRO, nil, 0)
+		rep, _ := cli.CallParts(0, testProg, testVers, pipeReadRO, nil, nil, 0)
 		rep.Release()
 	}
 	if len(kept) != 32<<10 || kept[1] != 31 || kept[len(kept)-1] != byte((len(kept)-1)*31) {
@@ -231,7 +231,7 @@ func benchCall(b *testing.B, proc uint32, size int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := cli.CallOwned(0, testProg, testVers, proc, nil, 0)
+		rep, err := cli.CallParts(0, testProg, testVers, proc, nil, nil, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

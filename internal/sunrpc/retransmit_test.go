@@ -272,34 +272,17 @@ func TestRetransmitSpanDetail(t *testing.T) {
 		}
 		found := false
 		for _, sp := range o.Spans() {
-			if strings.HasPrefix(sp.Op, "call ") && strings.HasPrefix(sp.Detail, "retransmit=1 stall=") {
-				if _, stall, _ := parseSpanDetail(sp.Detail); stall <= 0 {
-					t.Errorf("span %q carries no positive stall", sp.Detail)
+			if strings.HasPrefix(sp.Op, "call ") && sp.Retransmits == 1 {
+				if sp.Stall <= 0 || sp.Sheds != 0 {
+					t.Errorf("call span stall %v, sheds %d: want a positive stall and no sheds", sp.Stall, sp.Sheds)
 				}
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("no call span with Detail retransmit=1 stall=... in:\n%s", obs.FormatSpans(o.Spans()))
+			t.Errorf("no call span with one retransmission in:\n%s", obs.FormatSpans(o.Spans()))
 		}
 	})
-}
-
-// parseSpanDetail extracts queued= and stall= durations from a span detail.
-func parseSpanDetail(detail string) (queued, stall time.Duration, ok bool) {
-	for _, f := range strings.Fields(detail) {
-		if strings.HasPrefix(f, "queued=") {
-			if d, err := time.ParseDuration(f[len("queued="):]); err == nil {
-				queued, ok = d, true
-			}
-		}
-		if strings.HasPrefix(f, "stall=") {
-			if d, err := time.ParseDuration(f[len("stall="):]); err == nil {
-				stall, ok = d, true
-			}
-		}
-	}
-	return queued, stall, ok
 }
 
 // TestRetransmitBackoffSchedule verifies the exponential schedule: with the

@@ -174,7 +174,7 @@ type sched struct {
 	metQueued     *obs.Gauge
 	metQueueWait  *obs.Histogram
 	metQueueDepth *obs.Histogram
-	metShed       map[string]*obs.Counter
+	metShed       map[obs.Note]*obs.Counter
 }
 
 func newSched(clk *vclock.Clock, srv *Server, cfg SchedConfig) *sched {
@@ -183,7 +183,7 @@ func newSched(clk *vclock.Clock, srv *Server, cfg SchedConfig) *sched {
 		srv:     srv,
 		cfg:     cfg.withDefaults(),
 		queues:  make(map[string]*clientQueue),
-		metShed: make(map[string]*obs.Counter),
+		metShed: make(map[obs.Note]*obs.Counter),
 	}
 	sc.global = newBucket(sc.cfg.RateLimit, sc.cfg.RateBurst, clk.Now())
 	return sc
@@ -225,7 +225,7 @@ func (sc *sched) setObs(node *obs.Node) {
 	sc.metQueued = reg.Gauge(obs.Label("gvfs_server_queued", "node", sc.nodeName))
 	sc.metQueueWait = reg.Histogram(obs.Label("gvfs_server_queue_wait", "node", sc.nodeName), obs.DurationBuckets)
 	sc.metQueueDepth = reg.Histogram(obs.Label("gvfs_server_queue_depth", "node", sc.nodeName), obs.CountBuckets)
-	sc.metShed = make(map[string]*obs.Counter)
+	sc.metShed = make(map[obs.Note]*obs.Counter)
 	for _, q := range sc.queues {
 		q.served = sc.servedCounterLocked(q.key)
 	}
@@ -239,13 +239,13 @@ func (sc *sched) servedCounterLocked(client string) *obs.Counter {
 	return sc.reg.Counter(obs.Label(name, "client", client))
 }
 
-func (sc *sched) shedCounter(reason string) *obs.Counter {
+func (sc *sched) shedCounter(reason obs.Note) *obs.Counter {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	c, ok := sc.metShed[reason]
 	if !ok && sc.reg != nil {
 		name := obs.Label("gvfs_server_shed_total", "node", sc.nodeName)
-		c = sc.reg.Counter(obs.Label(name, "reason", reason))
+		c = sc.reg.Counter(obs.Label(name, "reason", string(reason)))
 		sc.metShed[reason] = c
 	}
 	return c
@@ -297,12 +297,12 @@ func (sc *sched) submit(key string, r *request, cost int) {
 // r's full queue shed to make room. Pure state transformation: nothing is
 // dispatched or sent here.
 func (sc *sched) admitLocked(r *request) action {
-	reason := ""
+	var reason obs.Note
 	switch {
 	case !sc.global.take(r.enq):
-		reason = "rate"
+		reason = obs.NoteShedRate
 	case sc.cfg.ClientRate > 0 && !sc.queueLocked(r.key).bucket.take(r.enq):
-		reason = "client-rate"
+		reason = obs.NoteShedClientRate
 	}
 	if reason != "" {
 		// The shed reply must leave no DRC entry: the client's
@@ -323,7 +323,7 @@ func (sc *sched) admitLocked(r *request) action {
 		dropped, q.items = popFront(q.items)
 		sc.queued--
 		dropped.cache.remove(dropped.xid)
-		a = action{kind: actShed, r: dropped, reason: "overflow"}
+		a = action{kind: actShed, r: dropped, reason: obs.NoteShedOverflow}
 	}
 	r.q = q
 	q.items = append(q.items, r)
@@ -342,7 +342,7 @@ func (sc *sched) admitLocked(r *request) action {
 type action struct {
 	kind   actionKind
 	r      *request
-	reason string // actShed: why
+	reason obs.Note // actShed: why
 }
 
 type actionKind int

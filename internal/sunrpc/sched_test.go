@@ -414,12 +414,12 @@ func TestSchedRateLimitSheds(t *testing.T) {
 		// Shed decisions are visible in the trace.
 		found := false
 		for _, sp := range o.Spans() {
-			if sp.Detail == "shed=rate" && sp.Err == "TRY_LATER" {
+			if sp.Note == obs.NoteShedRate && sp.Err == "TRY_LATER" {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("no serve span with Detail=shed=rate in:\n%s", obs.FormatSpans(o.Spans()))
+			t.Errorf("no serve span noting a rate shed in:\n%s", obs.FormatSpans(o.Spans()))
 		}
 	})
 }

@@ -596,21 +596,21 @@ func (k *connKey) of(sc *sched, cred Cred, remote string) string {
 }
 
 // shed answers a request with TryLater instead of executing it, recording
-// the decision as a span (Detail "shed=<reason>") and a per-reason
+// the decision as a span noting the reason and a per-reason
 // gvfs_server_shed_total counter, and releases it. The reply deliberately
 // bypasses the DRC: the retransmission must execute, not replay the shed.
-func (s *Server) shed(r *request, reason string) {
+func (s *Server) shed(r *request, reason obs.Note) {
 	t := s.table.Load()
 	t.sched.shedCounter(reason).Inc()
 	if t.node != nil {
 		now := t.node.Now()
 		t.node.Record(obs.Span{
-			Req:    r.reqID,
-			Op:     "serve " + procLabel(t.procName, r.prog, r.proc),
-			Detail: "shed=" + reason,
-			Err:    TryLater.String(),
-			Start:  now,
-			End:    now,
+			Req:   r.reqID,
+			Op:    "serve " + procLabel(t.procName, r.prog, r.proc),
+			Note:  reason,
+			Err:   TryLater.String(),
+			Start: now,
+			End:   now,
 		})
 	}
 	r.conn.Send(marshalReply(r.xid, TryLater, nil))
@@ -627,8 +627,8 @@ func (s *Server) reply(conn transport.Conn, cache *drc, xid uint32, stat AcceptS
 }
 
 // handle executes one admitted request and releases it. A request dispatched
-// into a worker slot (r.pool) records the time it waited for the slot as a
-// "queued=" span detail.
+// into a worker slot (r.pool) records the time it waited for the slot as its
+// span's Queued.
 func (s *Server) handle(r *request) {
 	t := s.table.Load()
 	s.count(t, r.prog, r.proc)
@@ -675,18 +675,11 @@ func (s *Server) handle(r *request) {
 			Req:    call.ReqID,
 			Op:     "serve " + procLabel(t.procName, r.prog, r.proc),
 			FH:     call.SpanFH,
-			Detail: call.SpanDetail,
+			Note:   call.SpanNote,
+			Queued: r.queued,
 			Bytes:  call.SpanBytes,
 			Start:  start,
 			End:    node.Now(),
-		}
-		if r.pool != nil {
-			q := "queued=" + r.queued.String()
-			if sp.Detail != "" {
-				sp.Detail += " " + q
-			} else {
-				sp.Detail = q
-			}
 		}
 		if stat != Success {
 			sp.Err = stat.String()

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/xdr"
 )
 
@@ -150,12 +151,12 @@ type Call struct {
 	Traced bool
 
 	// Span annotations. A dispatch function may fill these in so the
-	// server's tracer records a richer serve span (file handle, cache
-	// hit/miss detail, payload size) without the RPC layer understanding
-	// the program's argument encoding.
-	SpanFH     string
-	SpanDetail string
-	SpanBytes  int64
+	// server's tracer records a richer serve span (file handle, how the call
+	// was answered, payload size) without the RPC layer understanding the
+	// program's argument encoding.
+	SpanFH    string
+	SpanNote  obs.Note
+	SpanBytes int64
 
 	// req is the server's record of the call; see Yield.
 	req *request

@@ -2,6 +2,7 @@ package sunrpc
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -282,6 +283,35 @@ func TestClosedConnectionFailsPendingCalls(t *testing.T) {
 			t.Errorf("call after close err = %v, want ErrClosed", err)
 		}
 	})
+}
+
+// TestCloseFailsPendingInXIDOrder: a client closed with calls pending fails
+// them in XID order. The virtual clock runs woken actors in wake order, so
+// waking them in map order would let a seeded run's schedule vary.
+func TestCloseFailsPendingInXIDOrder(t *testing.T) {
+	for round := 0; round < 4; round++ {
+		clk, _, cli, cleanup := simPair(t)
+		var order []uint32
+		inSim(t, clk, func() {
+			g := clk.NewGroup()
+			for i := 0; i < 8; i++ {
+				p := cli.StartParts(0, testProg, testVers, procSlow, nil, nil, 0)
+				g.Go("caller", func() {
+					if _, err := p.Wait(); !errors.Is(err, ErrClosed) {
+						t.Errorf("pending call ended with %v, want ErrClosed", err)
+					}
+					order = append(order, p.xid)
+				})
+			}
+			clk.Sleep(10 * time.Millisecond) // every caller is waiting
+			cli.Close()
+			g.Wait()
+		})
+		cleanup()
+		if len(order) != 8 || !slices.IsSorted(order) {
+			t.Fatalf("round %d: pending calls completed in XID order %v, want 8 ascending", round, order)
+		}
+	}
 }
 
 func TestCountsTrackCalls(t *testing.T) {
