@@ -304,9 +304,11 @@ func TestRealTimeDirectoryWalk(t *testing.T) {
 	if err != nil || dir.Status != nfs3.OK {
 		t.Fatalf("lookup rt: %v %v", err, dir.Status)
 	}
+	// The root's listing, which the MOUNT carried, is not the walk's.
+	mounted := series(d, "gvfs_client_dirwalk_entries_total")
 	landed := func(n int64) {
 		t.Helper()
-		until(fmt.Sprintf("the walk's pages to bring %d entries", n), func() bool { return series(d, "gvfs_client_dirwalk_entries_total") >= n })
+		until(fmt.Sprintf("the walk's pages to bring %d entries", n), func() bool { return series(d, "gvfs_client_dirwalk_entries_total")-mounted >= n })
 	}
 	for i := 0; i < files; i++ {
 		lk, err := conn.Lookup(dir.FH, fmt.Sprintf("f%03d", i))
@@ -324,10 +326,10 @@ func TestRealTimeDirectoryWalk(t *testing.T) {
 		}
 	}
 	sent := m.WANCounts()
-	if sent["READDIRPLUS"] != 2 || sent["LOOKUP"] > 4 || sent["GETATTR"] != 0 {
-		t.Errorf("%d names resolved with %v upstream, want 2 pages, the directory's own LOOKUP and at most three misses", files, sent)
+	if sent["READDIRPLUS"] != 2 || sent["LOOKUP"] > 3 || sent["GETATTR"] != 0 {
+		t.Errorf("%d names resolved with %v upstream, want 2 pages and at most three misses (the directory is named by the root's listing the MOUNT carried)", files, sent)
 	}
-	if used := series(d, "gvfs_client_dirwalk_entries_used_total"); used < files-3 {
+	if used := series(d, "gvfs_client_dirwalk_entries_used_total"); used < 1+files-3 {
 		t.Errorf("%d walked entries served, want at least %d", used, files-3)
 	}
 }

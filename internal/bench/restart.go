@@ -127,18 +127,21 @@ func runRestartSetup(opt Options, name string, model core.Model, files, changed 
 		setup.ColdRPCs = m.WANCounts()
 		setup.ColdReads = setup.ColdRPCs["READ"]
 
-		// Power loss; the server-side content moves under `changed` files
-		// while the client machine is down.
-		nm, err := sess.RemountFromDisk(m, kernelNoac())
-		if err != nil {
-			runErr = fmt.Errorf("remount from disk: %w", err)
-			return
-		}
+		// The server-side content moves under `changed` files, then power
+		// loss. The writes go straight to the NFS server's file system, past
+		// the proxy server, so no invalidation names them: the restarted
+		// client can only see them in attributes it fetches after them, and
+		// so they come before its remount (whose MOUNT may carry them).
 		for i := 0; i < changed; i++ {
 			if _, err := d.FS.WriteFile(path(i), val("v1", i)); err != nil {
 				runErr = err
 				return
 			}
+		}
+		nm, err := sess.RemountFromDisk(m, kernelNoac())
+		if err != nil {
+			runErr = fmt.Errorf("remount from disk: %w", err)
+			return
 		}
 		for i := 0; i < files; i++ {
 			if _, err := nm.Client.ReadFile(path(i)); err != nil {

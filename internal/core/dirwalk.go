@@ -153,3 +153,35 @@ func (sc *sessionCache) seedLookup(tk seedTicket, name string, res *nfs3.LookupR
 		sc.dropLookupLocked(dfc.names[name])
 	}
 }
+
+// mountTicket is the ticket a MOUNT goes out under: the session's, not a
+// directory's, since the root is not known yet.
+func (sc *sessionCache) mountTicket() seedTicket {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return seedTicket{inv: sc.invGen, allNames: sc.namesGen, sent: sc.nowLocked()}
+}
+
+// seedMount lands the pages a MNT reply carried (MountBundle) as a walk's pages
+// land, each under its directory's record, whose walk is then done. The whole
+// bundle is dropped if sound is false (the bootstrap poll's check failed,
+// dispatchMount), or if, while the MOUNT was in flight, the invalidation
+// channel delivered anything or a name of the session's was taken back. A page
+// that does not complete its listing seeds nothing.
+func (sc *sessionCache) seedMount(tk seedTicket, pages []MountPage, sound bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if !sound || sc.invGen != tk.inv || sc.namesGen != tk.allNames {
+		sc.met.walkDiscarded.Inc()
+		return
+	}
+	for i := range pages {
+		pg := &pages[i]
+		if pg.Page.Status != nfs3.OK || !pg.Page.EOF {
+			continue
+		}
+		rec := sc.record(pg.Dir.Key())
+		sc.seedDirLocked(seedTicket{fh: pg.Dir, rec: rec, sent: tk.sent}, &pg.Page, true)
+		rec.walk.done = true
+	}
+}

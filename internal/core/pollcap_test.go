@@ -51,7 +51,7 @@ func TestPollOnceBoundedAgainstPollAgainLoop(t *testing.T) {
 		cfg := Config{InvBufferEntries: 64, MaxHandlesPerReply: 16}
 		p := NewProxyClient(clk, cfg, up, SessionCred{SessionKey: "s", ClientID: "C1"})
 
-		gotAny, err := p.pollOnce()
+		gotAny, err := p.pollOnce(nil)
 		if err != nil {
 			t.Errorf("pollOnce: %v", err)
 		}
@@ -67,7 +67,7 @@ func TestPollOnceBoundedAgainstPollAgainLoop(t *testing.T) {
 		}
 
 		// A second poll starts a fresh budget rather than staying wedged.
-		if _, err := p.pollOnce(); err != nil {
+		if _, err := p.pollOnce(nil); err != nil {
 			t.Errorf("second pollOnce: %v", err)
 		}
 		if got := p.met.pollCapped.Value(); got != 2 {
@@ -138,7 +138,7 @@ func TestPollHorizonAdvancesUnderCappedPolls(t *testing.T) {
 		cfg := Config{InvBufferEntries: 64, MaxHandlesPerReply: 16}
 		p := NewProxyClient(clk, cfg, up, SessionCred{SessionKey: "s", ClientID: "C1"})
 
-		if _, err := p.pollOnce(); err != nil {
+		if _, err := p.pollOnce(nil); err != nil {
 			t.Errorf("pollOnce: %v", err)
 		}
 		if got := p.met.pollCapped.Value(); got != 1 {
@@ -157,7 +157,7 @@ func TestPollHorizonAdvancesUnderCappedPolls(t *testing.T) {
 
 		// A later complete drain advances the horizon past the capped poll's.
 		calm.Store(true)
-		if _, err := p.pollOnce(); err != nil {
+		if _, err := p.pollOnce(nil); err != nil {
 			t.Errorf("calm pollOnce: %v", err)
 		}
 		if h2 := p.PollHorizon(); h2 <= h1 {

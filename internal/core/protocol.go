@@ -14,8 +14,9 @@
 //
 // This file defines the GVFS wire protocol extensions: the GETINV program,
 // the callback program, the session credential, and what the proxy server
-// piggybacks on native NFS replies — the delegation trailers and, on a LOOKUP
-// under polling, a small directory's listing.
+// piggybacks on native NFS replies — the delegation trailers, on a LOOKUP
+// under polling a small directory's listing, and on a polling session's MNT
+// the listings of the top of the export.
 package core
 
 import (
@@ -53,9 +54,10 @@ type SessionCred struct {
 	SessionKey   string
 	ClientID     string
 	CallbackAddr string
-	// NoListings says the session caches no metadata, so a LOOKUP reply
-	// carries it no directory listing (ProxyServer.smallListing). It is
-	// encoded only when set: a credential without it is the three strings.
+	// NoListings says the session caches no metadata, so neither a LOOKUP
+	// reply nor a MNT reply carries it a directory listing
+	// (ProxyServer.smallListing, mountBundle). It is encoded only when set: a
+	// credential without it is the three strings.
 	NoListings bool
 }
 
@@ -311,6 +313,102 @@ func DecodeTrailers(d *xdr.Decoder, page *nfs3.ReaddirplusRes) (Trailers, error)
 		*page = nfs3.ReaddirplusRes{}
 	}
 	return ts, nil
+}
+
+// MountPage is one directory's listing in a MountBundle: the directory's
+// handle and its first READDIRPLUS page, which the server sends only when the
+// page completes the listing.
+type MountPage struct {
+	Dir  nfs3.FH
+	Page nfs3.ReaddirplusRes
+}
+
+// MountBundle is what the proxy server appends to a polling session's MNT
+// reply, behind the NFS server's mountres3 (ProxyServer.mountBundle): the
+// listings of the top of the export, breadth-first from the root, and Stamp,
+// the server's invalidation timestamp when it began to read them. A session
+// installs the pages only if its bootstrap GETINV's timestamp is no later
+// than Stamp: then every change made after the pages were read is queued for
+// it (ProxyClient.dispatchMount).
+type MountBundle struct {
+	Stamp uint64
+	Pages []MountPage
+}
+
+// mountPageMin is the least a MountPage takes on the wire: a handle and a
+// result that is a status and an absent attribute.
+const mountPageMin = 4 + nfs3.FHSize + 8
+
+// encodeMountBundleHead starts a bundle of n pages; each follows as its
+// directory's handle and the page's bytes, as nfsd sent them.
+func encodeMountBundleHead(e *xdr.Encoder, stamp uint64, n int) {
+	e.Uint64(stamp)
+	e.Uint32(uint32(n))
+}
+
+// Decode reads a bundle.
+func (b *MountBundle) Decode(d *xdr.Decoder) error {
+	var err error
+	if b.Stamp, err = d.Uint64(); err != nil {
+		return err
+	}
+	n, err := d.Uint32()
+	if err != nil {
+		return err
+	}
+	if err := checkCount(d, n, mountPageMin); err != nil {
+		return err
+	}
+	b.Pages = make([]MountPage, n)
+	for i := range b.Pages {
+		fh, err := d.Opaque(nfs3.MaxFHSize)
+		if err != nil {
+			return err
+		}
+		if b.Pages[i].Dir, err = nfs3.FHFromBytes(fh); err != nil {
+			return err
+		}
+		if err := b.Pages[i].Page.Decode(d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// splitMountReply parses the mountres3 at the head of a MNT reply: it returns
+// the root handle (ok: the mount succeeded), how many bytes the mountres3
+// takes, and the bundle that follows it, nil when none does or when it does
+// not decode whole. A reply whose mountres3 does not parse is n = len(b): it
+// is relayed as it came, and nothing of it is installed.
+func splitMountReply(b []byte) (root nfs3.FH, n int, bundle *MountBundle) {
+	d := xdr.NewDecoder(b)
+	st, err := d.Uint32()
+	if err != nil || st != 0 {
+		return root, len(b), nil
+	}
+	fh, err := d.Opaque(nfs3.MaxFHSize)
+	if err != nil {
+		return root, len(b), nil
+	}
+	flavors, err := d.Uint32()
+	if err != nil || checkCount(d, flavors, 4) != nil {
+		return root, len(b), nil
+	}
+	for i := uint32(0); i < flavors; i++ {
+		d.Uint32()
+	}
+	if root, err = nfs3.FHFromBytes(fh); err != nil {
+		return nfs3.FH{}, len(b), nil
+	}
+	n = len(b) - d.Remaining()
+	if d.Remaining() == 0 {
+		return root, n, nil
+	}
+	bundle = new(MountBundle)
+	if bundle.Decode(d) != nil {
+		bundle = nil
+	}
+	return root, n, bundle
 }
 
 // RecallArgs asks a proxy client to give up a delegation on FH. For write

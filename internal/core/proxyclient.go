@@ -56,6 +56,8 @@ type ProxyClient struct {
 	// lastInvTS is the server timestamp the next GETINV carries. Only the poll
 	// actor (pollOnce) touches it.
 	lastInvTS uint64
+	// boot is the bootstrap GETINV, which a MOUNT may send (pollBoot).
+	boot pollBoot
 	// pollHorizon is the staleness observatory's freshness horizon under the
 	// polling model, a time.Duration: the send time of the latest GETINV round
 	// whose pre-round invalidations have all been applied to this cache (see
@@ -121,6 +123,7 @@ func NewProxyClient(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, cred
 	p.node = o.Node("proxyc:" + cred.ClientID)
 	p.met = newClientMetrics(o.Registry(), cred.ClientID)
 	p.ra.init(cfg)
+	clk.InitWaiter(&p.boot.kick)
 	p.met.readaheadWindow.Set(p.ra.window.Load())
 	cfg.Staleness.Register(shortModel(cfg.Model))
 	p.cache.setPolicy(clk.Now, cfg.cachePolicy(), p.met.cacheCounters())
@@ -315,14 +318,34 @@ func (p *ProxyClient) hitForward(call *sunrpc.Call) {
 
 // --- kernel-facing NFS dispatch --------------------------------------------
 
+// dispatchMount relays a MOUNT: the root handle comes from the real server,
+// and the kernel gets the NFS server's mountres3 byte for byte. Under polling
+// the bootstrap GETINV goes out ahead of it, and the listings a MNT reply
+// carries behind the mountres3 (MountBundle) land before the kernel has its
+// answer, so the path walk that follows is answered at home. They land only
+// if the bootstrap's timestamp is no later than the bundle's stamp: the pages
+// were read after the bootstrap flushed the session's invalidation buffer, so
+// every change made since is queued for the session; and only on a ticket
+// taken before the MOUNT went out (seedMount).
 func (p *ProxyClient) dispatchMount(call *sunrpc.Call) sunrpc.AcceptStat {
-	// Forward MOUNT verbatim: the root handle comes from the real server.
+	polling := p.cfg.Model == ModelPolling
+	var tk seedTicket
+	if polling {
+		p.sendBootstrap()
+		tk = p.cache.mountTicket()
+	}
 	rep, err := p.rawCall(call.ReqID, nfs3.MountProgram, nfs3.MountVersion, call.Proc, call.Args.Rest())
 	if err != nil {
 		return sunrpc.SystemErr
 	}
-	call.Reply.FixedOpaque(rep.Body.Rest())
-	rep.Release()
+	res := rep.Body.Rest()
+	_, n, bundle := splitMountReply(res)
+	call.Reply.FixedOpaque(res[:n])
+	rep.Release() // the bundle owns what it decoded
+	if bundle != nil && polling {
+		ts, ok := p.boot.wait(p.clk)
+		p.cache.seedMount(tk, bundle.Pages, ok && ts <= bundle.Stamp)
+	}
 	return sunrpc.Success
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/vclock"
 )
 
 // pollLoop is the invalidation-polling client side (Section 4.2.1): poll the
@@ -13,18 +15,22 @@ func (p *ProxyClient) pollLoop() {
 	// Offset the bootstrap poll slightly so it never shares a virtual
 	// instant with session setup traffic on the same link: concurrent
 	// same-instant sends race for bandwidth-serialization order, which
-	// would make traces diverge between runs of the same seed.
-	p.clk.Sleep(pollBootstrapDelay)
+	// would make traces diverge between runs of the same seed. A MOUNT
+	// that sends it sooner, ahead of itself, cuts the wait short
+	// (sendBootstrap): its reply is then collected as soon as it lands.
+	p.clk.WaitFor(&p.boot.kick, pollBootstrapDelay, "bootstrap delay")
 	// Bootstrap: the first GETINV carries a null timestamp and obtains the
 	// session's initial logical timestamp (Section 4.2.2).
-	p.pollOnce()
+	boot := p.sendBootstrap()
+	_, err := p.pollOnce(&boot)
+	p.boot.finish(p.lastInvTS, err == nil)
 	window := p.cfg.PollPeriod
 	for {
 		p.clk.Sleep(window)
 		if p.stopped.Load() {
 			return
 		}
-		gotAny, err := p.pollOnce()
+		gotAny, err := p.pollOnce(nil)
 		switch {
 		case err != nil:
 			// Server unreachable; soft state, just poll again.
@@ -39,6 +45,77 @@ func (p *ProxyClient) pollLoop() {
 // pollBootstrapDelay staggers the poll loop's first GETINV away from mount
 // traffic issued at the same virtual instant.
 const pollBootstrapDelay = 1300 * time.Microsecond
+
+// pollBoot is the session's bootstrap GETINV. Whichever comes first sends it:
+// the poll actor's first poll, or the session's first MOUNT, ahead of itself
+// on the wire, so that the proxy server has bootstrapped the session's
+// invalidation buffer when it reads the listings the MNT reply carries
+// (ProxyServer.mountBundle). The poll actor collects the reply either way;
+// its timestamp is what a bundle is checked against (dispatchMount).
+type pollBoot struct {
+	mu   sync.Mutex
+	sent bool
+	call upstreamCall
+	// kick ends the poll actor's pollBootstrapDelay once the call is sent.
+	kick vclock.Waiter
+	// done: the bootstrap poll is over; ok: it succeeded, and ts is the
+	// timestamp it left the session at.
+	done, ok bool
+	ts       uint64
+	waiters  []*vclock.Waiter
+}
+
+// sendBootstrap sends the bootstrap GETINV unless it has gone out already, and
+// returns it. The lock is held across the send, so a MOUNT that finds it sent
+// follows it on the wire.
+func (p *ProxyClient) sendBootstrap() upstreamCall {
+	b := &p.boot
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.sent {
+		b.sent = true
+		b.call = p.sendGetInv(p.node.Mint(), 0)
+		b.kick.Wake()
+	}
+	return b.call
+}
+
+// finish records the bootstrap poll's outcome and wakes the MOUNTs waiting for
+// it.
+func (b *pollBoot) finish(ts uint64, ok bool) {
+	b.mu.Lock()
+	b.done, b.ok, b.ts = true, ok, ts
+	ws := b.waiters
+	b.waiters = nil
+	b.mu.Unlock()
+	for _, w := range ws {
+		w.Wake()
+	}
+}
+
+// wait parks until the bootstrap poll is over and returns its outcome.
+func (b *pollBoot) wait(clk *vclock.Clock) (ts uint64, ok bool) {
+	b.mu.Lock()
+	if !b.done {
+		w := clk.NewWaiter()
+		b.waiters = append(b.waiters, w)
+		b.mu.Unlock()
+		clk.WaitAs(w, "bootstrap poll")
+		b.mu.Lock()
+	}
+	defer b.mu.Unlock()
+	return b.ts, b.ok
+}
+
+// sendGetInv sends a GETINV carrying ts, stamped with its send time; waitCall
+// collects it, and its encoder goes back to the pool after that.
+func (p *ProxyClient) sendGetInv(rid, ts uint64) upstreamCall {
+	e := bufpool.GetEncoder()
+	(&GetInvArgs{Timestamp: ts, MaxHandles: uint32(p.cfg.MaxHandlesPerReply)}).Encode(e)
+	c := upstreamCall{rid: rid, prog: InvProgram, vers: InvVersion, proc: ProcGetInv, args: e.Bytes(), enc: e, start: p.clk.Now()}
+	p.send(&c)
+	return c
+}
 
 // maxPollRounds bounds one poll's GETINV loop: a healthy server drains its
 // invalidation buffer (at most InvBufferEntries handles, overflow collapses
@@ -64,9 +141,13 @@ type pollCover struct {
 
 // pollOnce issues GETINV calls until the buffer is drained, applying the
 // client-side algorithm of Section 4.2.1. All GETINVs of one poll round
-// share a request ID minted at this proxy.
-func (p *ProxyClient) pollOnce() (gotAny bool, err error) {
+// share a request ID minted at this proxy. boot, when it is not nil, is the
+// bootstrap GETINV already on the wire: the first round's.
+func (p *ProxyClient) pollOnce(boot *upstreamCall) (gotAny bool, err error) {
 	rid := p.node.Mint()
+	if boot != nil {
+		rid = boot.rid
+	}
 	var covers []pollCover
 	for rounds := 0; ; rounds++ {
 		if rounds >= p.maxPollRounds() {
@@ -75,19 +156,25 @@ func (p *ProxyClient) pollOnce() (gotAny bool, err error) {
 			return gotAny, nil
 		}
 		ts := p.lastInvTS
-		args := GetInvArgs{Timestamp: ts, MaxHandles: uint32(p.cfg.MaxHandlesPerReply)}
-		e := bufpool.GetEncoder()
-		args.Encode(e)
 		// The round's send time is the staleness horizon candidate: any
 		// commit at or before it is queued in the server's invalidation
 		// buffer before the server processes this GETINV, so a complete
 		// drain proves this cache has seen every such commit.
-		sentAt := p.clk.Now()
-		rep, callErr := p.rawCall(rid, InvProgram, InvVersion, ProcGetInv, e.Bytes())
-		bufpool.PutEncoder(e)
+		var c upstreamCall
+		if rounds == 0 && boot != nil {
+			c = *boot
+		} else {
+			c = p.sendGetInv(rid, ts)
+		}
+		sentAt := c.start
+		rep, callErr := p.waitCall(c)
+		bufpool.PutEncoder(c.enc)
 		if callErr != nil {
 			return gotAny, callErr
 		}
+		// A GETINV is a small RPC: its round trip is the readahead's measure
+		// of the link's, before any of the session's NFS calls has crossed.
+		p.ra.observe(p.clk.Now()-sentAt, nil, p.cfg.BlockSize)
 		var res GetInvRes
 		decErr := res.Decode(rep.Body)
 		rep.Release() // the handles are copies

@@ -66,8 +66,9 @@ func (p *ProxyClient) rawCall(rid uint64, prog, vers, proc uint32, args []byte) 
 }
 
 // upstreamCall is an RPC sent upstream that nobody has waited for yet. An NFS
-// call (startUpstream) also carries the pooled encoder its args live in, and
-// what finishUpstream needs to know of when it was sent.
+// call (startUpstream) and a GETINV (sendGetInv) also carry the pooled encoder
+// their args live in and when they were sent; an NFS call, what
+// finishUpstream needs to know of the cache then.
 type upstreamCall struct {
 	sunrpc.Pending
 	up               *sunrpc.Client

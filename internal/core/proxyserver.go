@@ -106,6 +106,10 @@ type fileState struct {
 type sharer struct {
 	c     *clientState
 	deleg DelegType
+	// granted stamps the sharer's last grant (grantLocked): a recall stamped
+	// before it was on the wire when the client was granted what it holds
+	// now, and its settling leaves that standing (settleLocked).
+	granted uint64
 	// lastAccess is the idle clock DelegExpiry runs on: the sharer's last
 	// access, or the settling of a recall that left it owing something.
 	lastAccess time.Duration
@@ -163,7 +167,7 @@ func NewProxyServer(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, dial
 	s.srv.SetSched(cfg.schedConfig())
 	s.srv.Register(nfs3.Program, nfs3.Version, s.dispatchNFS)
 	s.srv.SetReadOnly(nfs3.Program, nfs3.Version, nfs3.ReadOnlyProcs()...)
-	s.srv.Register(nfs3.MountProgram, nfs3.MountVersion, s.forwardRaw(nfs3.MountProgram, nfs3.MountVersion))
+	s.srv.Register(nfs3.MountProgram, nfs3.MountVersion, s.dispatchMount)
 	s.srv.Register(InvProgram, InvVersion, s.dispatchInv)
 	return s
 }

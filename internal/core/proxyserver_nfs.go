@@ -31,17 +31,94 @@ type callInfo struct {
 	postResolve bool
 }
 
-// forwardRaw relays a program verbatim (MOUNT), the arguments by reference
-// out of the call's frame as dispatchNFS relays them.
-func (s *ProxyServer) forwardRaw(prog, vers uint32) sunrpc.DispatchFunc {
-	return func(call *sunrpc.Call) sunrpc.AcceptStat {
-		rep, err := s.up.CallParts(call.ReqID, prog, vers, call.Proc, nil, call.Args.Rest(), s.cfg.CallTimeout)
-		if err != nil {
-			return sunrpc.SystemErr
+// dispatchMount relays a MOUNT call to the NFS server, the arguments by
+// reference out of the call's frame as dispatchNFS relays them, and registers
+// the calling session: from here on every change another client makes is
+// queued for it. A MNT reply to a polling session carries the top of the
+// export behind the NFS server's mountres3 (mountBundle).
+func (s *ProxyServer) dispatchMount(call *sunrpc.Call) sunrpc.AcceptStat {
+	client := s.ensureClient(call.Cred)
+	rep, err := s.up.CallParts(call.ReqID, nfs3.MountProgram, nfs3.MountVersion, call.Proc, nil, call.Args.Rest(), s.cfg.CallTimeout)
+	if err != nil {
+		return sunrpc.SystemErr
+	}
+	res := rep.Body.Rest()
+	call.Reply.FixedOpaque(res)
+	if call.Proc == nfs3.MountProcMnt {
+		if root, n, _ := splitMountReply(res); n == len(res) && !root.IsZero() {
+			s.mountBundle(call, client, root)
 		}
-		call.Reply.FixedOpaque(rep.Body.Rest())
-		rep.Release()
-		return sunrpc.Success
+	}
+	rep.Release()
+	return sunrpc.Success
+}
+
+// mountBundle appends to a MNT reply the listings of the top of the export
+// (MountBundle): breadth-first from root, each directory's first READDIRPLUS
+// page, asked of the NFS server across its LAN as smallListing asks it. A
+// directory whose page does not complete its listing is a leaf of the walk:
+// its LOOKUP would carry nothing either. The bundle rides only if the walk
+// ends within one block of pages. Cut short, it would answer at home the
+// LOOKUP of a directory whose listing that LOOKUP would have carried, and the
+// path through it would cost a round trip more than it did without the
+// bundle. So nothing rides when the root's own page does not complete, or
+// when the top of the export does not fit a block.
+//
+// It lists only under polling, for a session that caches metadata, and only
+// once the session's invalidation buffer is bootstrapped: the proxy client
+// sends its bootstrap GETINV ahead of its MNT, and a change queued before the
+// bootstrap is flushed by it. Stamp lets the client check the same of a buffer
+// an earlier incarnation of it bootstrapped. Under delegation a listed child
+// is not servable without a delegation of its own, so nothing rides there.
+func (s *ProxyServer) mountBundle(call *sunrpc.Call, c *clientState, root nfs3.FH) {
+	if s.cfg.Model != ModelPolling {
+		return
+	}
+	if cred, err := DecodeSessionCred(call.Cred); err != nil || cred.NoListings {
+		return
+	}
+	s.mu.Lock()
+	bootstrapped, stamp := c.buf.bootstrapped, s.invTS
+	s.mu.Unlock()
+	if !bootstrapped {
+		return
+	}
+	type listed struct {
+		dir  nfs3.FH
+		page []byte
+		rep  sunrpc.Reply
+	}
+	var pages []listed
+	defer func() {
+		for _, l := range pages {
+			l.rep.Release()
+		}
+	}()
+	budget := s.cfg.BlockSize
+	for queue := []nfs3.FH{root}; len(queue) > 0; queue = queue[1:] {
+		page, rep := s.smallListing(call.ReqID, queue[0])
+		var res nfs3.ReaddirplusRes
+		if page == nil || res.Decode(xdr.NewDecoder(page)) != nil {
+			rep.Release()
+			if len(pages) == 0 {
+				return // the root's page does not complete
+			}
+			continue // a leaf
+		}
+		pages = append(pages, listed{queue[0], page, rep})
+		if budget -= len(page); budget < 0 {
+			return
+		}
+		for _, ent := range res.Entries {
+			if ent.FHFollows && ent.Attr.Present && ent.Attr.Attr.Type == nfs3.TypeDir {
+				queue = append(queue, ent.FH)
+			}
+		}
+	}
+	encodeMountBundleHead(call.Reply, stamp, len(pages))
+	for _, l := range pages {
+		call.Reply.Opaque(l.dir.Bytes())
+		call.Reply.FixedOpaque(l.page)
 	}
 }
 
@@ -172,9 +249,9 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 // the one round trip the LOOKUP already cost. A larger directory is left to the
 // proxy client's walk (dirwalk.go). The caller asks for none under delegation,
 // where a seeded child is not servable without a delegation of its own, nor for
-// a session without a metadata cache (SessionCred.NoListings). It returns the
-// page's bytes (nil: no listing) and the frame they live in, for the caller to
-// release.
+// a session without a metadata cache (SessionCred.NoListings). A MNT's bundle
+// is made of these pages (mountBundle). It returns the page's bytes (nil: no
+// listing) and the frame they live in, for the caller to release.
 func (s *ProxyServer) smallListing(rid uint64, dir nfs3.FH) ([]byte, sunrpc.Reply) {
 	bs := uint32(s.cfg.BlockSize)
 	e := xdr.NewEncoder()

@@ -93,17 +93,19 @@ func (r *readPipe) init(cfg Config) {
 // off reports that readahead is off: Config.ReadAhead sized no pipe.
 func (r *readPipe) off() bool { return r.limit == 0 }
 
-// observe folds one upstream RPC's latency into the link measurements:
-// every reply bounds the round trip, a READ reply carrying a full block also
-// bounds what a block costs.
+// observe folds one upstream RPC's latency into the link measurements: a
+// READ reply carrying a full block bounds what a block costs, any other reply
+// the round trip. A block's latency is not taken for the round trip: before a
+// small RPC has been timed, that would make a block's wire time zero (grow).
 func (r *readPipe) observe(lat time.Duration, res wireDec, blockSize int) {
 	if r.off() {
 		return
 	}
-	observeMin(&r.minRTT, lat)
 	if rr, ok := res.(*nfs3.ReadRes); ok && rr.Status == nfs3.OK && int(rr.Count) == blockSize {
 		observeMin(&r.minBlock, lat)
+		return
 	}
+	observeMin(&r.minRTT, lat)
 }
 
 // observeMin folds one latency sample into a running minimum.

@@ -207,7 +207,9 @@ func TestStreamResets(t *testing.T) {
 
 // TestReadPipeGrowthRule pins the learning rule on the links the repository
 // models: it grows while half a window's blocks take less wire time than
-// one block's round trip, and holds from there.
+// one block's round trip, and holds from there. The samples go through
+// observe, as replies do: a full block's READ times a block, any other reply
+// the round trip, and a session whose only timed replies are READs holds.
 func TestReadPipeGrowthRule(t *testing.T) {
 	ms := func(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
 	cases := []struct {
@@ -230,10 +232,12 @@ func TestReadPipeGrowthRule(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var r readPipe
-			r.init(tc.cfg.withDefaults())
-			observeMin(&r.minRTT, tc.rtt)
-			observeMin(&r.minBlock, tc.block)
-			observeMin(&r.minBlock, 2*tc.block) // a queued sample never raises the minimum
+			cfg := tc.cfg.withDefaults()
+			r.init(cfg)
+			block := &nfs3.ReadRes{Status: nfs3.OK, Count: uint32(cfg.BlockSize)}
+			r.observe(tc.rtt, &nfs3.GetattrRes{}, cfg.BlockSize)
+			r.observe(tc.block, block, cfg.BlockSize)
+			r.observe(2*tc.block, block, cfg.BlockSize) // a queued sample never raises the minimum
 			for i := 0; i < 10; i++ {
 				r.grow()
 			}

@@ -167,6 +167,7 @@ func (s *ProxyServer) grantLocked(c *clientState, a accessReq, now time.Duration
 		sh.deleg = DelegRead
 	}
 	s.grantSeq++
+	sh.granted = s.grantSeq
 	return sh.deleg, s.grantSeq
 }
 
@@ -185,7 +186,10 @@ func (s *ProxyServer) committedLocked(id string, a accessReq) []recallReq {
 }
 
 // settleLocked records how one recall ended (res nil: never answered),
-// whatever demanded it. The delegation is gone. An unanswered write recall
+// whatever demanded it. The delegation is gone, unless the sharer was granted
+// it after the recall was stamped: the client applies that grant after the
+// recall (Trailer.Seq), so it holds it, and the server must too, or the next
+// conflicting access would call nobody back. An unanswered write recall
 // leaves the fence, an answer naming unwritten blocks the pending list;
 // either restarts the sharer's idle clock and fronts the file in the
 // eviction order, so what it owes outlives the sweep that found it by a
@@ -205,7 +209,10 @@ func (s *ProxyServer) settleLocked(r recallReq, res *RecallRes, now time.Duratio
 	if sh == nil || r.closed && !sh.closing {
 		return joined // dropped, or back since the sweep speculated it gone: what it holds now stands
 	}
-	sh.deleg, sh.closing = DelegNone, false
+	if sh.granted < r.args.Seq {
+		sh.deleg = DelegNone
+	}
+	sh.closing = false
 	switch {
 	case res == nil && r.args.Deleg == DelegWrite:
 		sh.lostRecall = true

@@ -456,6 +456,50 @@ func TestSweepRecallDisprovedByTheSharersOwnAccess(t *testing.T) {
 	}
 }
 
+// TestGrantNewerThanTheRecallStands replays the forgotten grant: B's WRITE
+// recalls A's read delegation (stamped 2), and while that recall is on the
+// wire A reads again and is granted a read delegation (stamped 3). A's proxy
+// client applies the grant after the recall, whichever arrives first, since
+// its stamp is the newer (Trailer.Seq), and holds the delegation. Settling the
+// recall must leave it in the row: otherwise B's next WRITE recalls nobody and
+// A serves its cached blocks past it.
+func TestGrantNewerThanTheRecallStands(t *testing.T) {
+	fh := fhN(7)
+	rd := accessReq{fh: fh, offset: off(0)}
+	wr := accessReq{fh: fh, write: true, offset: off(0)}
+	for _, answer := range []outcome{acked, ackedOwing, lost} {
+		s := tableServer("A", "B")
+		a, b := s.clients["A"], s.clients["B"]
+		if reqs, _ := s.accessLocked(a, rd, 0); len(reqs) != 0 {
+			t.Fatalf("A's first read recalled %q", describeReqs(reqs))
+		}
+		if g, _ := s.grantLocked(a, rd, 0); g != DelegRead {
+			t.Fatalf("A's first read was granted %v", g)
+		}
+		onWire, _ := s.accessLocked(b, wr, 1)
+		if got := describeReqs(onWire); got != "A:read@0" {
+			t.Fatalf("B's write recalled %q", got)
+		}
+		if reqs, _ := s.accessLocked(a, rd, 2); len(reqs) != 0 {
+			t.Fatalf("A's read beside the recall recalled %q", describeReqs(reqs))
+		}
+		g, seq := s.grantLocked(a, rd, 2)
+		if g != DelegRead || seq <= onWire[0].args.Seq {
+			t.Fatalf("A's read beside the recall was granted %v stamped %d, want read after the recall's %d", g, seq, onWire[0].args.Seq)
+		}
+		s.settleLocked(onWire[0], answer.res(), 3)
+		if g, _ := s.grantLocked(b, wr, 3); g != DelegNone {
+			t.Fatalf("B's write was granted %v beside a reader", g)
+		}
+		if row := describeFile(s, fh); !strings.HasPrefix(row, "A=read") {
+			t.Errorf("answer %d: row %q after the settle, want A still holding the read delegation it was granted since", answer, row)
+		}
+		if reqs, _ := s.accessLocked(b, wr, 4); describeReqs(reqs) != "A:read@0" {
+			t.Errorf("answer %d: B's next write recalled %q, want A's read delegation", answer, describeReqs(reqs))
+		}
+	}
+}
+
 // TestRecallSettlesTheSameForEveryReason takes A's write delegation back for
 // each of the four reasons the server has — a conflicting access, the sweep
 // after a destructive operation commits, idleness, the state budget — through
