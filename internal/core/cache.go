@@ -31,9 +31,10 @@ type sessionCache struct {
 	// files is the one table keyed by file handle. A record appears on first
 	// sight of a handle and leaves only through forget (the handle is dead);
 	// the attribute and listing caps evict that part of a record, never the
-	// record. forgets counts the records forget has taken: a reply to a call
-	// sent before one cannot tell a handle it never saw from one that died
-	// under it, and brings no record back (applyReplySince).
+	// record. forgets counts the handles forget was told are dead, held or
+	// not: a reply to a call sent before one cannot tell a handle it never saw
+	// from one that died under it, and brings no record back
+	// (applyReplySince).
 	files   map[string]*cachedFile
 	forgets atomic.Uint64
 
@@ -145,15 +146,16 @@ type cachedFile struct {
 	namesGen uint64
 	walk     dirWalk
 
-	// The handle's protocol state. deleg is the delegation held (always
-	// DelegNone under polling); noncacheable is the server's verdict that the
-	// handle must not be cached at all; lastForward is when a request for the
-	// handle last crossed the wide area (delegation renewal); recallFence is
-	// the sequence of the latest recall served, against which grants that lost
-	// a race with it are dropped; trailerSeq is the highest sequence of a
-	// trailer applied, against which a trailer overtaken on the way by its
-	// successor is dropped. Only a dead handle's stamps may go: a live file's
-	// must outlast everything else cached of it.
+	// The handle's protocol state, which only the delegation model keeps.
+	// deleg is the delegation held; noncacheable is set by a grant of none,
+	// the server's verdict that the handle must not be cached at all until its
+	// next grant; lastForward is when a request for the handle last crossed
+	// the wide area (delegation renewal); recallFence is the sequence of the
+	// latest recall served, against which grants that lost a race with it are
+	// dropped; trailerSeq is the highest sequence of a trailer applied, against
+	// which a trailer overtaken on the way by its successor is dropped. Only a
+	// dead handle's stamps may go: a live file's must outlast everything else
+	// cached of it.
 	deleg        DelegType
 	noncacheable bool
 	lastForward  time.Duration
@@ -299,6 +301,7 @@ func (sc *sessionCache) dataFor(key string) *cachedFile {
 // record to clear and nobody to wake when it returns.
 func (sc *sessionCache) forget(fh nfs3.FH) {
 	sc.mu.Lock()
+	sc.forgets.Add(1)
 	key := fh.Key()
 	fc := sc.files[key]
 	if fc == nil {
@@ -317,7 +320,6 @@ func (sc *sessionCache) forget(fh nfs3.FH) {
 		parked = append(parked, ws...)
 	}
 	delete(sc.files, key)
-	sc.forgets.Add(1)
 	if fc.blocks != nil && sc.persist != nil {
 		sc.persist.DropFile(key)
 	}
@@ -350,18 +352,21 @@ func (sc *sessionCache) servableLocked(fc *cachedFile) bool {
 }
 
 // applyReplySince records what a forwarded request's reply says about handles:
-// for each the proxy server's trailers name, the delegation granted (if any)
-// and whether the handle may be cached; and for those and the handles the
-// request itself was for, that a request just crossed the wide area (renewal
-// clock). forgets is sc.forgets when the request was sent. Only a trailer that
-// says something — a delegation, or that the handle may not be cached — makes a
-// record for a handle the session holds none of, and not if a record was
-// forgotten while the request was in flight: a READ of a file this session has
-// since removed, or that the server has since called stale, would otherwise
-// bring the dead handle back, under delegation holding a read delegation. A
-// trailer stamped before one the record has applied says nothing any more: the
-// server made the later decision after it (a READ's grant, say, that a WRITE's
-// reply overtook, whose decision took the delegation back without a recall).
+// for each the proxy server's trailers name, the delegation it decided on; and
+// for those and the handles the request itself was for, that a request just
+// crossed the wide area (renewal clock). forgets is sc.forgets when the
+// request was sent. Only the delegation model decides, and a grant of none is
+// the server's verdict that the handle may not be cached (noncacheable) until
+// its next grant. A trailer makes a record for a handle the session holds none
+// of, but not if a record was forgotten while the request was in flight: a
+// READ of a file this session has since removed, or that the server has since
+// called stale, would otherwise bring the dead handle back holding a read
+// delegation. A record that a recall made to carry its fence, and no trailer
+// has reached since, is as new: the recall may have reached the handle after
+// the session forgot it. A trailer stamped before one the record has applied
+// says nothing any more: the server made the later decision after it (a READ's
+// grant, say, that a WRITE's reply overtook, whose decision took the
+// delegation back without a recall).
 func (sc *sessionCache) applyReplySince(ts Trailers, forwarded []nfs3.FH, forgets uint64) {
 	if len(ts)+len(forwarded) == 0 {
 		return
@@ -372,10 +377,10 @@ func (sc *sessionCache) applyReplySince(ts Trailers, forwarded []nfs3.FH, forget
 	for _, tr := range ts {
 		fc := sc.files[tr.FH.Key()]
 		switch {
-		case fc != nil:
-		case tr.FH.IsZero(), tr.Deleg == DelegNone && tr.Cacheable, sc.forgets.Load() != forgets:
+		case fc != nil && (fc.trailerSeq > 0 || fc.recallFence == 0): // not made by a recall alone
+		case tr.FH.IsZero(), sc.forgets.Load() != forgets:
 			continue
-		default:
+		case fc == nil:
 			fc = sc.record(tr.FH.Key())
 		}
 		fc.lastForward = now
@@ -383,17 +388,17 @@ func (sc *sessionCache) applyReplySince(ts Trailers, forwarded []nfs3.FH, forget
 			continue
 		}
 		fc.trailerSeq = tr.Seq
-		if sc.pol.model == ModelDelegation {
-			if tr.Deleg != DelegNone && tr.Seq <= fc.recallFence {
-				// The grant raced with (and lost to) a recall for a concurrent
-				// destructive operation: honoring it would cache revoked state.
-				// Drop it; the next access simply forwards.
-				tr.Deleg = DelegNone
-				tr.Cacheable = false
-			}
-			fc.deleg = tr.Deleg
+		if sc.pol.model != ModelDelegation {
+			continue
 		}
-		fc.noncacheable = !tr.Cacheable
+		if tr.Deleg != DelegNone && tr.Seq <= fc.recallFence {
+			// The grant raced with (and lost to) a recall for a concurrent
+			// destructive operation: honoring it would cache revoked state.
+			// Drop it; the next access simply forwards.
+			tr.Deleg = DelegNone
+		}
+		fc.deleg = tr.Deleg
+		fc.noncacheable = tr.Deleg == DelegNone
 	}
 	for _, fh := range forwarded {
 		if fc := sc.files[fh.Key()]; fc != nil {
@@ -426,19 +431,19 @@ func (sc *sessionCache) applyRecall(args RecallArgs) {
 
 // recallAll applies the loss of the proxy server's state (RECALL_ALL during
 // its reconstruction, Section 4.3.4) or of this proxy's own (crash recovery):
-// every cached attribute must be revalidated and every delegation is void. So
-// is every recall fence and trailer stamp — the sequence they were stamped in
-// died with the server, and a stamp kept across the restart would drop the new
-// instance's grants until its counter happened to pass it. With rebuild, files holding
-// locally modified data keep a write delegation, which the server's rebuild
-// re-establishes from the returned list.
+// every cached attribute must be revalidated and every delegation is void, a
+// grant of none included. So is every recall fence and trailer stamp — the
+// sequence they were stamped in died with the server, and a stamp kept across
+// the restart would drop the new instance's grants until its counter happened
+// to pass it. With rebuild, files holding locally modified data keep a write
+// delegation, which the server's rebuild re-establishes from the returned list.
 func (sc *sessionCache) recallAll(rebuild bool) []nfs3.FH {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	sc.invalidateAllLocked(true)
 	for _, fc := range sc.files {
 		fc.recallFence, fc.trailerSeq = 0, 0
-		fc.deleg = DelegNone
+		fc.deleg, fc.noncacheable = DelegNone, false
 		if rebuild && fc.ndirty > 0 {
 			fc.deleg = DelegWrite
 		}

@@ -201,8 +201,8 @@ func runCacheOps(t *testing.T, ops []byte) {
 			}
 		case 15:
 			sc.putDirListing(fh, []nfs3.DirEntry{{Name: opsNames[arg%len(opsNames)]}})
-		case 16: // a reply's trailer: a grant (possibly stale), or a non-cacheable verdict
-			sc.applyReplySince(Trailers{{FH: fh, Deleg: DelegType(arg % 3), Cacheable: arg%5 != 0, Seq: uint64(arg)}}, nil, sc.forgets.Load())
+		case 16: // a reply's trailer: a grant (possibly stale), or the non-cacheable verdict, a grant of none
+			sc.applyReplySince(Trailers{{FH: fh, Deleg: DelegType(arg % 3), Seq: uint64(arg)}}, nil, sc.forgets.Load())
 		case 17:
 			sc.applyReplySince(nil, []nfs3.FH{fh}, sc.forgets.Load())
 		case 18: // an actor waits out the file's write-back
@@ -309,6 +309,9 @@ func checkCacheInvariants(sc *sessionCache, mirror fakePersister, runs []infligh
 		}
 		if sc.pol.model != ModelDelegation && fc.deleg != DelegNone {
 			return fmt.Errorf("%q: delegation %v held outside the delegation model", key, fc.deleg)
+		}
+		if fc.noncacheable && (sc.pol.model != ModelDelegation || fc.deleg != DelegNone) {
+			return fmt.Errorf("%q: non-cacheable beside delegation %v under %v: a verdict no server sends", key, fc.deleg, sc.pol.model)
 		}
 		if fc.remoteWrite && (fc.blocks == nil || fc.attrLink.on()) || fc.stream.reread && fc.stream.next != 0 {
 			return fmt.Errorf("%q: news of a remote write=%v (data touched=%v, attributes valid=%v), revalidation stream %+v",

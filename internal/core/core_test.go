@@ -55,9 +55,9 @@ func TestGetInvMessagesRoundTrip(t *testing.T) {
 
 func TestTrailersRoundTrip(t *testing.T) {
 	ts := Trailers{
-		{Deleg: DelegRead, Cacheable: true, FH: fhN(3)},
-		{Deleg: DelegWrite, Cacheable: true, FH: fhN(4)},
-		{Deleg: DelegNone, Cacheable: false, FH: fhN(5)},
+		{Deleg: DelegRead, FH: fhN(3), Seq: 1},
+		{Deleg: DelegWrite, FH: fhN(4), Seq: 2},
+		{Deleg: DelegNone, FH: fhN(5), Seq: 1 << 40},
 	}
 	e := xdr.NewEncoder()
 	ts.Encode(e)
@@ -66,7 +66,7 @@ func TestTrailersRoundTrip(t *testing.T) {
 		t.Fatalf("decode: %v, %d trailers", err, len(got))
 	}
 	for i := range ts {
-		if got[i].Deleg != ts[i].Deleg || got[i].Cacheable != ts[i].Cacheable || !got[i].FH.Equal(ts[i].FH) {
+		if got[i].Deleg != ts[i].Deleg || got[i].Seq != ts[i].Seq || !got[i].FH.Equal(ts[i].FH) {
 			t.Fatalf("trailer %d mismatch: %+v vs %+v", i, got[i], ts[i])
 		}
 	}
@@ -78,6 +78,57 @@ func TestTrailersRoundTrip(t *testing.T) {
 	if _, err := DecodeTrailers(xdr.NewDecoder(e.Bytes()), nil); err == nil {
 		t.Fatal("absurd trailer count accepted")
 	}
+}
+
+// FuzzExtensionDecoders feeds the GVFS extension's decoders the bytes a peer
+// sends — a reply's trailer list, with and without a listing behind it, a
+// GETINV reply, a recall, the answers to RECALL and RECALL_ALL, a session
+// credential — and holds each to never panicking. A trailer list never holds
+// more than 16 entries, and what it decoded encodes and decodes back to
+// itself.
+func FuzzExtensionDecoders(f *testing.F) {
+	e := xdr.NewEncoder()
+	Trailers{{Deleg: DelegRead, FH: fhN(3), Seq: 7}, {Deleg: DelegNone, FH: fhN(4), Seq: 8}}.Encode(e)
+	pageOf([]string{"x", "y"}, 0, 2, true).Encode(e)
+	f.Add(e.Bytes())
+	e = xdr.NewEncoder()
+	Trailers(nil).Encode(e)
+	f.Add(e.Bytes())
+	e = xdr.NewEncoder()
+	(&RecallArgs{FH: fhN(9), Deleg: DelegWrite, HasOffset: true, Offset: 4096, Seq: 3, Name: "f"}).Encode(e)
+	f.Add(e.Bytes())
+	e = xdr.NewEncoder()
+	(&GetInvRes{Timestamp: 9, PollAgain: true, Remaining: 1, Handles: []nfs3.FH{fhN(1)}}).Encode(e)
+	f.Add(e.Bytes())
+	f.Add((&SessionCred{SessionKey: "s", ClientID: "C1", CallbackAddr: "C1:5007", NoListings: true}).Encode().Body)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, page := range []*nfs3.ReaddirplusRes{nil, new(nfs3.ReaddirplusRes)} {
+			ts, err := DecodeTrailers(xdr.NewDecoder(b), page)
+			if err != nil {
+				continue
+			}
+			if len(ts) > 16 {
+				t.Fatalf("%d trailers decoded", len(ts))
+			}
+			e := xdr.NewEncoder()
+			ts.Encode(e)
+			back, err := DecodeTrailers(xdr.NewDecoder(e.Bytes()), nil)
+			if err != nil || len(back) != len(ts) {
+				t.Fatalf("%+v re-encoded decodes as %+v, %v", ts, back, err)
+			}
+			for i := range ts {
+				if back[i].Deleg != ts[i].Deleg || back[i].Seq != ts[i].Seq || !back[i].FH.Equal(ts[i].FH) {
+					t.Fatalf("trailer %d: %+v round-trips as %+v", i, ts[i], back[i])
+				}
+			}
+		}
+		(&GetInvRes{}).Decode(xdr.NewDecoder(b))
+		(&RecallArgs{}).Decode(xdr.NewDecoder(b))
+		(&RecallRes{}).Decode(xdr.NewDecoder(b))
+		(&RecallAllRes{}).Decode(xdr.NewDecoder(b))
+		DecodeSessionCred(sunrpc.Cred{Flavor: sunrpc.AuthGVFS, Body: b})
+	})
 }
 
 func TestRecallMessagesRoundTrip(t *testing.T) {

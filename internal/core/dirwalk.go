@@ -49,7 +49,7 @@ func (w *dirWalk) reset() { *w = dirWalk{epoch: w.epoch + 1} }
 // LOOKUP after that finds it either complete, waiting for a page, or buys one.
 func (sc *sessionCache) walkStepLocked(dir nfs3.FH, dfc *cachedFile, miss bool) speculation {
 	pg := speculation{kind: specPage, seedTicket: sc.ticketLocked(dir, dfc)}
-	if sc.pol.model == ModelDelegation || dfc.noncacheable {
+	if sc.pol.model == ModelDelegation {
 		return pg
 	}
 	w := &dfc.walk

@@ -188,16 +188,16 @@ func TestDirWalkStateMachine(t *testing.T) {
 		}
 	}
 
-	// Where a seeded child could not be served, or nothing may be cached, no
-	// amount of evidence starts a walk.
-	for _, model := range []Model{ModelDelegation, ModelPolling} {
+	// Where a seeded child could not be served — under delegation, with the
+	// directory delegated or granted none — no amount of evidence starts a
+	// walk.
+	for _, d := range []DelegType{DelegRead, DelegNone} {
 		sc := newSessionCache(opsBS, 1<<20)
-		sc.setPolicy(nil, cachePolicy{model: model, delegRenew: time.Hour}, cacheCounters{})
-		// Under polling, a directory the server called non-cacheable.
-		sc.applyReplySince(Trailers{{FH: dir, Deleg: DelegRead, Cacheable: model == ModelDelegation, Seq: 1}}, nil, sc.forgets.Load())
+		sc.setPolicy(nil, cachePolicy{model: ModelDelegation, delegRenew: time.Hour}, cacheCounters{})
+		sc.applyReplySince(Trailers{{FH: dir, Deleg: d, Seq: 1}}, nil, sc.forgets.Load())
 		for i := 0; i < 5; i++ {
 			if _, p, _ := sc.lookupHit(dir, "a"); p.due {
-				t.Errorf("%v: a page fell due", model)
+				t.Errorf("granted %v: a page fell due", d)
 			}
 		}
 	}

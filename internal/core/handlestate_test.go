@@ -32,8 +32,8 @@ func TestHandleStateMachine(t *testing.T) {
 				sc.putAttr(fh, attr)
 				sc.putBlock(fh, 0, make([]byte, opsBS), attr, false)
 			}
-			grant := func(d DelegType, cacheable bool, seq uint64) {
-				sc.applyReplySince(Trailers{{FH: fh, Deleg: d, Cacheable: cacheable, Seq: seq}}, nil, sc.forgets.Load())
+			grant := func(d DelegType, seq uint64) {
+				sc.applyReplySince(Trailers{{FH: fh, Deleg: d, Seq: seq}}, nil, sc.forgets.Load())
 			}
 			// served asks every local-serve decision at once; they must agree.
 			served := func() bool {
@@ -75,7 +75,7 @@ func TestHandleStateMachine(t *testing.T) {
 			}{
 				{"attributes and a block, no trailer yet", revalidate,
 					true, false, cachedFile{}},
-				{"grant", func() { grant(DelegRead, true, 5) },
+				{"grant", func() { grant(DelegRead, 5) },
 					true, true, cachedFile{deleg: DelegRead}},
 				{"recall", func() { sc.applyRecall(RecallArgs{FH: fh, Seq: 7}) },
 					false, false, cachedFile{recallFence: 7}},
@@ -83,9 +83,9 @@ func TestHandleStateMachine(t *testing.T) {
 					false, false, cachedFile{recallFence: 7}},
 				{"revalidated, no delegation", revalidate,
 					true, false, cachedFile{recallFence: 7}},
-				{"stale grant (seq <= fence)", func() { grant(DelegWrite, true, 7) },
+				{"stale grant (seq <= fence)", func() { grant(DelegWrite, 7) },
 					true, false, cachedFile{recallFence: 7, noncacheable: true}},
-				{"newer grant", func() { grant(DelegWrite, true, 8) },
+				{"newer grant", func() { grant(DelegWrite, 8) },
 					true, true, cachedFile{recallFence: 7, deleg: DelegWrite}},
 				{"just short of the renewal period", func() { now += renew - 1 },
 					true, true, cachedFile{recallFence: 7, deleg: DelegWrite}},
@@ -95,10 +95,10 @@ func TestHandleStateMachine(t *testing.T) {
 					true, true, cachedFile{recallFence: 7, deleg: DelegWrite}},
 				{"RECALL_ALL: delegations and fences are void", func() { sc.recallAll(true); revalidate() },
 					true, false, cachedFile{}},
-				{"the new server's first grant", func() { grant(DelegRead, true, 1) },
+				{"the new server's first grant", func() { grant(DelegRead, 1) },
 					true, true, cachedFile{deleg: DelegRead}},
-				{"non-cacheable trailer", func() { grant(DelegRead, false, 9) },
-					false, false, cachedFile{deleg: DelegRead, noncacheable: true}},
+				{"granted none: the non-cacheable verdict", func() { grant(DelegNone, 9) },
+					true, false, cachedFile{noncacheable: true}},
 			}
 			for _, st := range steps {
 				st.do()
@@ -120,17 +120,24 @@ func TestHandleStateMachine(t *testing.T) {
 				t.Errorf("%d renewal bypasses counted", got)
 			}
 
-			// Non-cacheable: never served (above), never absorbed, never
-			// prefetched — and prefetched again once the verdict is lifted.
-			if _, ok := sc.absorbable(fh); ok {
-				t.Error("a WRITE to a non-cacheable handle would be absorbed")
+			// Granted none under delegation: never served (above), never
+			// absorbed, even by a session that writes back, never prefetched —
+			// and prefetched again once a grant lifts the verdict. Polling has
+			// no verdict to lift.
+			if deleg {
+				sc.mu.Lock()
+				sc.pol.writeBack = true
+				sc.mu.Unlock()
+				if _, ok := sc.absorbable(fh); ok {
+					t.Error("a WRITE to a handle granted none would be absorbed")
+				}
+				if n := prefetches(); n != 0 {
+					t.Errorf("%d blocks of a handle granted none prefetched", n)
+				}
+				grant(DelegRead, 10)
 			}
-			if n := prefetches(); n != 0 {
-				t.Errorf("%d blocks of a non-cacheable handle prefetched", n)
-			}
-			grant(DelegRead, true, 10)
 			if n := prefetches(); n == 0 {
-				t.Error("nothing prefetched once the handle is cacheable again")
+				t.Error("nothing prefetched of a cacheable handle")
 			}
 
 			// forget: nothing left, on any table or ring — not even the fence.
@@ -143,7 +150,7 @@ func TestHandleStateMachine(t *testing.T) {
 				t.Errorf("%d traces left of a forgotten handle", left)
 			}
 			revalidate()
-			grant(DelegRead, true, 1)
+			grant(DelegRead, 1)
 			if !served() {
 				t.Error("a dead handle's fence outlived it: the reused handle's first grant was dropped")
 			}
@@ -167,7 +174,7 @@ func TestOvertakenTrailerIsDropped(t *testing.T) {
 	sc.putAttr(fh, attr)
 	sc.putBlock(fh, 0, make([]byte, opsBS), attr, false)
 	reply := func(d DelegType, seq uint64) {
-		sc.applyReplySince(Trailers{{FH: fh, Deleg: d, Cacheable: d != DelegNone, Seq: seq}}, []nfs3.FH{fh}, sc.forgets.Load())
+		sc.applyReplySince(Trailers{{FH: fh, Deleg: d, Seq: seq}}, []nfs3.FH{fh}, sc.forgets.Load())
 	}
 	deleg := func() DelegType {
 		sc.mu.Lock()
@@ -186,6 +193,44 @@ func TestOvertakenTrailerIsDropped(t *testing.T) {
 	reply(DelegRead, 1)
 	if d := deleg(); d != DelegRead {
 		t.Errorf("the restarted server's first grant left %v, want read", d)
+	}
+}
+
+// TestForgottenHandleStaysForgotten: a reply to a call sent before the session
+// forgot a handle brings no delegation back — not through a record a recall
+// made after the forget (to carry its fence), and not when the session held no
+// record of the handle when it forgot it. A recall-made record with no forget
+// in between takes a grant stamped after the recall as before.
+func TestForgottenHandleStaysForgotten(t *testing.T) {
+	fh := fhN(1)
+	attr := attrWithMtime(1, nfs3.TypeReg)
+	for _, tc := range []struct {
+		name   string
+		before func(sc *sessionCache) // between the call's sending and its reply
+		want   DelegType
+	}{
+		{"a recall after the forget", func(sc *sessionCache) {
+			sc.putAttr(fh, attr)
+			sc.forget(fh)
+			sc.applyRecall(RecallArgs{FH: fh, Deleg: DelegWrite, Seq: 2})
+		}, DelegNone},
+		{"a forget of a handle never held", func(sc *sessionCache) { sc.forget(fh) }, DelegNone},
+		{"a recall, no forget", func(sc *sessionCache) {
+			sc.applyRecall(RecallArgs{FH: fh, Deleg: DelegWrite, Seq: 2})
+		}, DelegRead},
+	} {
+		sc := newSessionCache(opsBS, 1<<20)
+		sc.setPolicy(nil, cachePolicy{model: ModelDelegation, delegRenew: time.Hour}, cacheCounters{})
+		sent := sc.forgets.Load()
+		tc.before(sc)
+		sc.applyReplySince(Trailers{{FH: fh, Deleg: DelegRead, Seq: 3}}, []nfs3.FH{fh}, sent)
+		got := DelegNone
+		if fc := sc.files[fh.Key()]; fc != nil {
+			got = fc.deleg
+		}
+		if got != tc.want {
+			t.Errorf("%s: the reply left %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -209,7 +254,7 @@ func TestHandleRecordRaces(t *testing.T) {
 	for _, actor := range []func(i int){
 		func(i int) { sc.applyRecall(RecallArgs{FH: fh, Seq: uint64(i), Name: "f"}) },
 		func(i int) {
-			sc.applyReplySince(Trailers{{FH: fh, Deleg: DelegType(i % 3), Cacheable: i%7 != 0, Seq: uint64(i)}, {FH: dir, Deleg: DelegRead, Cacheable: true, Seq: uint64(i)}}, nil, sc.forgets.Load())
+			sc.applyReplySince(Trailers{{FH: fh, Deleg: DelegType(i % 3), Seq: uint64(i)}, {FH: dir, Deleg: DelegRead, Seq: uint64(i)}}, nil, sc.forgets.Load())
 		},
 		func(i int) {
 			sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))

@@ -224,16 +224,16 @@ func (t DelegType) String() string {
 	}
 }
 
-// Trailer is the GVFS decision piggybacked by the proxy server on a native
-// NFS reply (Section 4.3.1): a delegation grant/denial and a cacheability
-// bit for the file the call touched. The proxy client strips it before
-// answering the kernel client.
+// Trailer is the proxy server's delegation decision for one file the call
+// touched, piggybacked on the native NFS reply (Section 4.3.1): the
+// delegation granted, or none. A grant of none is the paper's non-cacheable
+// verdict; nothing else is, so the decision is the whole entry. Only the
+// delegation model decides: under polling the list is empty. The proxy client
+// strips the list before answering the kernel client.
 type Trailer struct {
 	// Deleg is the delegation now held by the calling client for FH.
 	Deleg DelegType
-	// Cacheable is cleared while the file is under conflicting sharing.
-	Cacheable bool
-	// FH identifies the file the decision applies to (zero if none).
+	// FH identifies the file the decision applies to.
 	FH nfs3.FH
 	// Seq orders this grant against recalls: the server stamps every grant
 	// and recall from one monotonic counter, and a client ignores a grant
@@ -247,7 +247,6 @@ type Trailer struct {
 // Encode appends the trailer to a reply.
 func (t *Trailer) Encode(e *xdr.Encoder) {
 	e.Uint32(uint32(t.Deleg))
-	e.Bool(t.Cacheable)
 	e.Opaque(t.FH.Bytes())
 	e.Uint64(t.Seq)
 }
@@ -259,9 +258,6 @@ func (t *Trailer) Decode(d *xdr.Decoder) error {
 		return err
 	}
 	t.Deleg = DelegType(v)
-	if t.Cacheable, err = d.Bool(); err != nil {
-		return err
-	}
 	b, err := d.Opaque(nfs3.MaxFHSize)
 	if err != nil {
 		return err
@@ -275,7 +271,7 @@ func (t *Trailer) Decode(d *xdr.Decoder) error {
 
 // Trailers is the full piggyback appended to a native NFS reply: one
 // decision per file handle the call touched (e.g. a LOOKUP carries one for
-// the directory and one for the resolved child).
+// the directory and one for the resolved child), none under polling.
 type Trailers []Trailer
 
 // Encode writes the list with a count prefix.
@@ -289,10 +285,10 @@ func (ts Trailers) Encode(e *xdr.Encoder) {
 // DecodeTrailers reads a trailer list and, into page when page is not nil,
 // the listing that may follow it: under polling, a LOOKUP reply that resolved
 // a directory carries that directory's first READDIRPLUS page behind its
-// trailers when the page completes the listing (ProxyServer.smallListing). No
-// bytes after the list means no page. A page that does not decode whole is
-// dropped, not an error: the reply and its trailers stand, and page is left
-// zero, which lists nothing and is not EOF.
+// (empty) trailer list when the page completes the listing
+// (ProxyServer.smallListing). No bytes after the list means no page. A page
+// that does not decode whole is dropped, not an error: the reply and its
+// trailers stand, and page is left zero, which lists nothing and is not EOF.
 func DecodeTrailers(d *xdr.Decoder, page *nfs3.ReaddirplusRes) (Trailers, error) {
 	n, err := d.Uint32()
 	if err != nil {

@@ -150,7 +150,8 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 
 	// Delegation model: resolve conflicts before the operation proceeds,
 	// collecting one piggyback decision per touched handle. A call touches
-	// one or two handles, so their decisions fit on the stack.
+	// one or two handles, so their decisions fit on the stack. Under polling
+	// nothing is decided: the list stays empty.
 	var tbuf [2]Trailer
 	trailers := Trailers(tbuf[:0])
 	// listing is the small directory's listing the reply carries, if any, out
@@ -168,8 +169,6 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 			}
 			trailers = append(trailers, t)
 		}
-	} else if len(info.accesses) > 0 && !info.postResolve {
-		trailers = append(trailers, Trailer{Deleg: DelegNone, Cacheable: true, FH: info.accesses[0].fh})
 	}
 
 	// Forward across the loopback to the kernel NFS server.
@@ -212,19 +211,16 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 		}
 		if info.postResolve {
 			if fh, isWrite, isDir, ok := postPrimary(call.Proc, replyBytes); ok {
-				t := Trailer{Deleg: DelegNone, Cacheable: true, FH: fh}
 				if s.cfg.Model == ModelDelegation {
-					var recalled bool
-					t, recalled, _ = s.handleAccess(call.ReqID, client, accessReq{fh: fh, write: isWrite}, call.Yield)
+					t, recalled, _ := s.handleAccess(call.ReqID, client, accessReq{fh: fh, write: isWrite}, call.Yield)
 					if recalled {
 						// The reply in hand predates the recall-triggered
 						// write-back; withholding the delegation forces the
 						// client to revalidate on its next access.
-						t.Deleg, t.Cacheable = DelegNone, false
+						t.Deleg = DelegNone
 					}
-				}
-				trailers = append(trailers, t)
-				if isDir && s.cfg.Model == ModelPolling {
+					trailers = append(trailers, t)
+				} else if isDir {
 					if cred, _ := DecodeSessionCred(call.Cred); !cred.NoListings {
 						listing, listingRep = s.smallListing(call.ReqID, fh)
 					}
@@ -519,7 +515,7 @@ func (s *ProxyServer) handleAccess(rid uint64, client *clientState, a accessReq,
 	})
 	granted, seq := s.grantLocked(client, a, now)
 	s.met.delegationGrants[granted].Inc()
-	return Trailer{Deleg: granted, Cacheable: granted != DelegNone, FH: a.fh, Seq: seq}, len(reqs) > 0, false
+	return Trailer{Deleg: granted, FH: a.fh, Seq: seq}, len(reqs) > 0, false
 }
 
 // revokeOthers runs committedLocked once a destructive operation is durable

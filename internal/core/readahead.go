@@ -348,16 +348,14 @@ func (sc *sessionCache) unlinkLocked(fc *cachedFile) {
 
 // spillTargetLocked returns the record the window of fc — its own stream
 // claimed to EOF — should now continue into, and the block of it to go on from;
-// nil when nothing is due. That takes a believed successor that may be cached,
-// has an EOF to stop at and is not being read by anyone (its stream never
-// started, finished, or only ever begun by a spill), the polling model, and a
-// reader within three quarters of a window of what has been requested ahead of
-// it, counting through the end of fc into the successor: the cadence chunks
-// use.
+// nil when nothing is due. That takes a believed successor that has an EOF to
+// stop at and is not being read by anyone (its stream never started, finished,
+// or only ever begun by a spill), the polling model, and a reader within three
+// quarters of a window of what has been requested ahead of it, counting
+// through the end of fc into the successor: the cadence chunks use.
 func (sc *sessionCache) spillTargetLocked(fc *cachedFile, window int64) (y *cachedFile, from uint64) {
 	y = fc.succ
-	if y == nil || fc.succHeld || sc.pol.model == ModelDelegation ||
-		fc.noncacheable || y.noncacheable || !y.attrLink.on() {
+	if y == nil || fc.succHeld || sc.pol.model == ModelDelegation || !y.attrLink.on() {
 		return nil, 0
 	}
 	st, yst := &fc.stream, &y.stream

@@ -271,7 +271,8 @@ func checkSuccInvariants(sc *sessionCache) error {
 }
 
 // TestSpillGates: where a speculative READ could recall another client's
-// delegation, where a handle may not be cached, where the successor has no EOF
+// delegation (the only model in which a handle may be granted none, and so
+// not cached), where the successor has no EOF
 // to stop at or is being read by someone, the window stops at end-of-file
 // however well the order is known — and goes on again once the gate lifts.
 func TestSpillGates(t *testing.T) {
@@ -282,16 +283,6 @@ func TestSpillGates(t *testing.T) {
 		lift  func(b *succBed) // nil: nothing lifts it
 	}{
 		{"the delegation model", ModelDelegation, func(*succBed) {}, nil},
-		{"Y is not cacheable", ModelPolling, func(b *succBed) {
-			b.sc.applyReplySince(Trailers{{FH: b.file("Y"), Cacheable: false}}, nil, b.sc.forgets.Load())
-		}, func(b *succBed) {
-			b.sc.applyReplySince(Trailers{{FH: b.file("Y"), Cacheable: true}}, nil, b.sc.forgets.Load())
-		}},
-		{"X is not cacheable", ModelPolling, func(b *succBed) {
-			b.sc.applyReplySince(Trailers{{FH: b.file("X"), Cacheable: false}}, nil, b.sc.forgets.Load())
-		}, func(b *succBed) {
-			b.sc.applyReplySince(Trailers{{FH: b.file("X"), Cacheable: true}}, nil, b.sc.forgets.Load())
-		}},
 		{"Y's attributes are not validly cached", ModelPolling, func(b *succBed) {
 			b.sc.invalidateHandle(b.file("Y"))
 		}, func(b *succBed) {

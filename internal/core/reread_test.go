@@ -287,8 +287,8 @@ func TestRereadStateMachine(t *testing.T) {
 }
 
 // TestRereadGates: with both pieces of evidence in hand, a GETATTR miss
-// claims nothing where block 0 is dirty, gone, or the handle may not be
-// cached, for a file recovered from disk and not yet revalidated, on a proxy
+// claims nothing where block 0 is dirty, gone, or the handle was granted
+// none, for a file recovered from disk and not yet revalidated, on a proxy
 // that has stopped or runs with readahead off — and claims exactly once the
 // gate is lifted.
 func TestRereadGates(t *testing.T) {
@@ -302,9 +302,9 @@ func TestRereadGates(t *testing.T) {
 			b.record(func(fc *cachedFile) { b.sc.dropBlockLocked(fc.blocks[0]) })
 		}, nil},
 		{"not cacheable", func(b *rereadBed) {
-			b.sc.applyReplySince(Trailers{{FH: b.fh, Cacheable: false}}, nil, b.sc.forgets.Load())
+			b.sc.applyReplySince(Trailers{{FH: b.fh, Deleg: DelegNone, Seq: 8}}, nil, b.sc.forgets.Load())
 		}, func(b *rereadBed) {
-			b.sc.applyReplySince(Trailers{{FH: b.fh, Deleg: DelegRead, Cacheable: true, Seq: 9}}, nil, b.sc.forgets.Load())
+			b.sc.applyReplySince(Trailers{{FH: b.fh, Deleg: DelegRead, Seq: 9}}, nil, b.sc.forgets.Load())
 		}},
 		{"recovered from disk", func(b *rereadBed) { b.record(func(fc *cachedFile) { fc.recovered = true }) }, nil},
 	} {
