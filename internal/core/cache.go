@@ -153,14 +153,17 @@ type cachedFile struct {
 	// the wide area (delegation renewal); recallFence is the sequence of the
 	// latest recall served, against which grants that lost a race with it are
 	// dropped; trailerSeq is the highest sequence of a trailer applied, against
-	// which a trailer overtaken on the way by its successor is dropped. Only a
-	// dead handle's stamps may go: a live file's must outlast everything else
-	// cached of it.
+	// which a trailer overtaken on the way by its successor is dropped;
+	// noneSeq is the highest stamp of a decision of none seen for the handle,
+	// applied or overtaken, after which another client's change reaches the
+	// session unannounced (overtaken). Only a dead handle's stamps may go: a
+	// live file's must outlast everything else cached of it.
 	deleg        DelegType
 	noncacheable bool
 	lastForward  time.Duration
 	recallFence  uint64
 	trailerSeq   uint64
+	noneSeq      uint64
 
 	// The data state follows; blocks and fetching are nil until the data path
 	// first touches the handle, which is also what "a cached file" means to
@@ -367,12 +370,21 @@ func (sc *sessionCache) servableLocked(fc *cachedFile) bool {
 // says nothing any more: the server made the later decision after it (a READ's
 // grant, say, that a WRITE's reply overtook, whose decision took the
 // delegation back without a recall).
+//
+// What the reply says of a handle is installed only if its decision there was
+// not overtaken meanwhile (cachedFile.overtaken): the installs compare stamps
+// under the lock they install under, so a recall served between this call and
+// theirs counts too.
 func (sc *sessionCache) applyReplySince(ts Trailers, forwarded []nfs3.FH, forgets uint64) {
 	if len(ts)+len(forwarded) == 0 {
 		return
 	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	sc.applyReplyLocked(ts, forwarded, forgets)
+}
+
+func (sc *sessionCache) applyReplyLocked(ts Trailers, forwarded []nfs3.FH, forgets uint64) {
 	now := sc.nowLocked()
 	for _, tr := range ts {
 		fc := sc.files[tr.FH.Key()]
@@ -384,6 +396,9 @@ func (sc *sessionCache) applyReplySince(ts Trailers, forwarded []nfs3.FH, forget
 			fc = sc.record(tr.FH.Key())
 		}
 		fc.lastForward = now
+		if tr.Deleg == DelegNone {
+			fc.noneSeq = max(fc.noneSeq, tr.Seq)
+		}
 		if tr.Seq < fc.trailerSeq {
 			continue
 		}
@@ -405,6 +420,22 @@ func (sc *sessionCache) applyReplySince(ts Trailers, forwarded []nfs3.FH, forget
 			fc.lastForward = now
 		}
 	}
+}
+
+// overtaken reports whether what a reply whose decision about fc is stamped
+// seq says of the file may be older than another client's change the session
+// has since been told of, or was since left untold of. A reply read the file
+// under its own decision. While the session holds a delegation from then on,
+// another client's change reaches it as a recall, stamped later: the record's
+// fence is at or past seq. A decision of none at or after seq (the reply's
+// own, or one that overtook it) ends that: a change after it is announced to
+// nobody, and the record may already hold a later reply's newer view, which
+// this one must not replace. seq 0 is a reply that decides nothing about fc
+// (polling, or a plain NFS server), whose installs stand as before. A later
+// grant alone overtakes nothing: the session's own READs, demand and
+// prefetch, come back in any order under one delegation.
+func (fc *cachedFile) overtaken(seq uint64) bool {
+	return seq != 0 && (seq <= fc.recallFence || seq < fc.trailerSeq && seq <= fc.noneSeq)
 }
 
 // applyRecall applies a delegation recall: the delegation is gone, grants
@@ -442,7 +473,7 @@ func (sc *sessionCache) recallAll(rebuild bool) []nfs3.FH {
 	defer sc.mu.Unlock()
 	sc.invalidateAllLocked(true)
 	for _, fc := range sc.files {
-		fc.recallFence, fc.trailerSeq = 0, 0
+		fc.recallFence, fc.trailerSeq, fc.noneSeq = 0, 0, 0
 		fc.deleg, fc.noncacheable = DelegNone, false
 		if rebuild && fc.ndirty > 0 {
 			fc.deleg = DelegWrite
@@ -542,9 +573,17 @@ func (sc *sessionCache) attrHit(fh nfs3.FH) (metaHit, bool) {
 // putAttr installs server-observed attributes, reconciling the data cache:
 // a changed mtime drops clean blocks.
 func (sc *sessionCache) putAttr(fh nfs3.FH, a nfs3.Fattr) {
+	sc.putAttrSince(fh, a, 0)
+}
+
+// putAttrSince is putAttr for a forwarded reply whose decision about fh is
+// stamped seq: nothing is installed if that decision was overtaken.
+func (sc *sessionCache) putAttrSince(fh nfs3.FH, a nfs3.Fattr, seq uint64) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	sc.putAttrLocked(sc.record(fh.Key()), a)
+	if fc := sc.record(fh.Key()); !fc.overtaken(seq) {
+		sc.putAttrLocked(fc, a)
+	}
 }
 
 func (sc *sessionCache) putAttrLocked(fc *cachedFile, a nfs3.Fattr) {

@@ -137,13 +137,17 @@ func (sc *sessionCache) readHit(fh nfs3.FH, bn uint64) (h blockHit, ok bool) {
 	return blockHit{blk.data, metaHit{attr: fc.adjust(a), stamp: blk.stamp, dirty: fc.ndirty > 0}}, true
 }
 
-// putBlock caches data a READ fetched from the server for (fh, bn), tagged
-// with the server attributes observed alongside it. A block readahead
-// fetched (prefetched) stays marked unread until a demand read consumes it.
-func (sc *sessionCache) putBlock(fh nfs3.FH, bn uint64, data []byte, attr nfs3.Fattr, prefetched bool) {
+// putBlock caches data a forwarded READ or WRITE carried for (fh, bn), tagged
+// with the server attributes observed alongside it, unless the reply's
+// decision about fh, stamped seq, was overtaken (cachedFile.overtaken; 0: the
+// reply decides nothing). A block readahead fetched lands through
+// putBlockLocked, marked unread until a demand read consumes it.
+func (sc *sessionCache) putBlock(fh nfs3.FH, bn uint64, data []byte, attr nfs3.Fattr, seq uint64) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	sc.putBlockLocked(sc.fileFor(fh.Key()), bn, data, attr, prefetched)
+	if fc := sc.fileFor(fh.Key()); !fc.overtaken(seq) {
+		sc.putBlockLocked(fc, bn, data, attr, false)
+	}
 }
 
 func (sc *sessionCache) putBlockLocked(fc *cachedFile, bn uint64, data []byte, attr nfs3.Fattr, prefetched bool) {
@@ -196,8 +200,12 @@ func (sc *sessionCache) dropUnreadLocked(blk *cachedBlock) {
 // own modification: when the pre-op mtime matches the cached one, the mtime
 // advance is ours and cached blocks stay valid — except the clean ones the
 // write overlaps, whose bytes the server now holds newer. They go; the
-// caller puts back a block the write covered whole.
-func (sc *sessionCache) updateAfterWrite(fh nfs3.FH, off uint64, n int, wcc nfs3.WccData) {
+// caller puts back a block the write covered whole. seq stamps the reply's
+// decision about fh: a reply overtaken by a later decision (overtaken) may
+// have been forwarded before a read whose attributes the record now holds, or
+// before a change a recall announced, so neither its attributes nor the
+// record's can be trusted to be the newer. Both go, with the clean blocks.
+func (sc *sessionCache) updateAfterWrite(fh nfs3.FH, off uint64, n int, wcc nfs3.WccData, seq uint64) {
 	if !wcc.After.Present {
 		return
 	}
@@ -205,6 +213,13 @@ func (sc *sessionCache) updateAfterWrite(fh nfs3.FH, off uint64, n int, wcc nfs3
 	defer sc.mu.Unlock()
 	after := wcc.After.Attr
 	fc := sc.record(fh.Key())
+	if fc.overtaken(seq) {
+		sc.dropAttrLocked(fc)
+		if fc.blocks != nil {
+			sc.dropCleanLocked(fc)
+		}
+		return
+	}
 	if fc.blocks != nil {
 		if wcc.Before.Present {
 			// The pre-op mtime is the server state the surviving clean blocks

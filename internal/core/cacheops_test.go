@@ -110,7 +110,7 @@ func runCacheOps(t *testing.T, ops []byte) {
 			if arg%4 == 0 {
 				n = 1 + arg%opsBS
 			}
-			sc.putBlock(fh, bn, bytes.Repeat([]byte{byte(arg)}, n), attr, op == 1)
+			putPrefetched(sc, fh, bn, bytes.Repeat([]byte{byte(arg)}, n), attr, op == 1)
 		case 2: // a local write, possibly unaligned and spanning blocks
 			off := bn*opsBS + uint64(arg%opsBS)
 			sc.writeDirty(fh, off, bytes.Repeat([]byte{byte(step)}, 1+arg%(2*opsBS)))

@@ -82,14 +82,15 @@ func (sc *sessionCache) seedDir(tk seedTicket, res *nfs3.ReaddirplusRes) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if sc.freshLocked(tk) {
-		sc.seedDirLocked(tk, res, false)
+		sc.seedDirLocked(tk, res, false, nil)
 	}
 }
 
 // seedDirLocked is the one way a directory listing's entries enter the cache,
 // whoever asked for it: the directory's post-op attributes, then every entry's
-// attributes and name. walked says a walk's page brought them.
-func (sc *sessionCache) seedDirLocked(tk seedTicket, res *nfs3.ReaddirplusRes, walked bool) {
+// attributes and name. walked says a walk's page brought them. keep, when not
+// nil, says which entries' attributes may be installed (seedMount).
+func (sc *sessionCache) seedDirLocked(tk seedTicket, res *nfs3.ReaddirplusRes, walked bool, keep func(nfs3.FH) bool) {
 	dfc := tk.rec
 	if res.DirAttr.Present {
 		sc.seedAttrLocked(dfc, res.DirAttr.Attr, tk.sent)
@@ -102,7 +103,9 @@ func (sc *sessionCache) seedDirLocked(tk seedTicket, res *nfs3.ReaddirplusRes, w
 	for i := range res.Entries {
 		ent := &res.Entries[i]
 		if ent.FHFollows && ent.Attr.Present {
-			sc.seedAttrLocked(sc.record(ent.FH.Key()), ent.Attr.Attr, tk.sent)
+			if keep == nil || keep(ent.FH) {
+				sc.seedAttrLocked(sc.record(ent.FH.Key()), ent.Attr.Attr, tk.sent)
+			}
 			sc.putLookupLocked(dfc, ent.Name, ent.FH, false, walked)
 			seeded++
 		}
@@ -144,7 +147,7 @@ func (sc *sessionCache) seedLookup(tk seedTicket, name string, res *nfs3.LookupR
 		sc.putLookupLocked(dfc, name, res.FH, false, false)
 		if rides {
 			child := sc.record(res.FH.Key())
-			sc.seedDirLocked(seedTicket{fh: res.FH, rec: child, sent: tk.sent}, listing, true)
+			sc.seedDirLocked(seedTicket{fh: res.FH, rec: child, sent: tk.sent}, listing, true, nil)
 			child.walk.done = true
 		}
 	case nfs3.ErrNoEnt:
@@ -159,29 +162,47 @@ func (sc *sessionCache) seedLookup(tk seedTicket, name string, res *nfs3.LookupR
 func (sc *sessionCache) mountTicket() seedTicket {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return seedTicket{inv: sc.invGen, allNames: sc.namesGen, sent: sc.nowLocked()}
+	return seedTicket{inv: sc.invGen, allNames: sc.namesGen, forgets: sc.forgets.Load(), sent: sc.nowLocked()}
 }
 
 // seedMount lands the pages a MNT reply carried (MountBundle) as a walk's pages
 // land, each under its directory's record, whose walk is then done. The whole
 // bundle is dropped if sound is false (the bootstrap poll's check failed,
 // dispatchMount), or if, while the MOUNT was in flight, the invalidation
-// channel delivered anything or a name of the session's was taken back. A page
-// that does not complete its listing seeds nothing.
-func (sc *sessionCache) seedMount(tk seedTicket, pages []MountPage, sound bool) {
+// channel delivered anything, a name of the session's was taken back (a
+// recall takes one back, so under delegation any recall that reached the
+// session meanwhile drops it), or a handle was forgotten. A page that does
+// not complete its listing seeds nothing.
+//
+// Under delegation the bundle's grants are applied first, as a reply's
+// trailers are (applyReplyLocked), and in the same critical section only what
+// a grant it applied covers lands: a directory's attributes and names if the
+// directory's, an entry's attributes if the entry's. A grant a recall or a
+// later decision overtook (cachedFile.overtaken) covers nothing, and neither
+// does a handle that rode without one.
+func (sc *sessionCache) seedMount(tk seedTicket, b *MountBundle, sound bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if !sound || sc.invGen != tk.inv || sc.namesGen != tk.allNames {
+	if !sound || sc.invGen != tk.inv || sc.namesGen != tk.allNames || sc.forgets.Load() != tk.forgets {
 		sc.met.walkDiscarded.Inc()
 		return
 	}
-	for i := range pages {
-		pg := &pages[i]
-		if pg.Page.Status != nfs3.OK || !pg.Page.EOF {
+	var granted func(nfs3.FH) bool // nil: everything the pages list lands
+	if sc.pol.model == ModelDelegation {
+		sc.applyReplyLocked(b.Grants, nil, tk.forgets)
+		granted = func(fh nfs3.FH) bool {
+			seq := b.Grants.seqOf(fh)
+			fc := sc.files[fh.Key()]
+			return seq != 0 && fc != nil && fc.deleg != DelegNone && !fc.overtaken(seq)
+		}
+	}
+	for i := range b.Pages {
+		pg := &b.Pages[i]
+		if pg.Page.Status != nfs3.OK || !pg.Page.EOF || granted != nil && !granted(pg.Dir) {
 			continue
 		}
 		rec := sc.record(pg.Dir.Key())
-		sc.seedDirLocked(seedTicket{fh: pg.Dir, rec: rec, sent: tk.sent}, &pg.Page, true)
+		sc.seedDirLocked(seedTicket{fh: pg.Dir, rec: rec, sent: tk.sent}, &pg.Page, true, granted)
 		rec.walk.done = true
 	}
 }

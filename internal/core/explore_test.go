@@ -4,10 +4,14 @@ import (
 	"flag"
 	"fmt"
 	"hash/maphash"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +23,9 @@ import (
 // tableServer driven through its real *Locked transitions in the order
 // handleAccess, recall and revokeOthers run them; each client is a real
 // sessionCache, driven through applyReplySince, applyRecall, recallAll and
-// forget as the proxy client drives them. Nothing is copied: a state is the
+// forget as the proxy client drives them, and the installs a forwarded
+// READ's and WRITE's reply make (putAttrSince, updateAfterWrite) and a MNT
+// reply's bundle lands by (seedMount). Nothing is copied: a state is the
 // list of choices that reaches it, replayed from the start, and its key is
 // what the world holds, with every stamp replaced by its rank among the
 // stamps the world holds, so states that differ only in the stamps' absolute
@@ -27,26 +33,38 @@ import (
 // DESIGN.md "Explorer" describes the world and the bounds.
 var (
 	exploreDepth = flag.Int("explore.depth", 0, "TestExplore: steps the search enumerates from the initial state (0: the world's own bound)")
-	exploreWide  = flag.Bool("explore.wide", false, "TestExplore: the wide world: three clients, lost and duplicated recalls, and a server restart")
+	exploreWide  = flag.Bool("explore.wide", false, "TestExplore: the wide worlds: three clients, lost and duplicated recalls, and a server restart; and two clients of two calls each, either of which may be a MNT")
 )
 
 // exWorldCfg bounds the world.
 type exWorldCfg struct {
 	calls   []int // calls each client makes in all, one entry per client; the first may REMOVE the file
+	mount   bool  // one of each client's calls may be a MNT, whose bundle lists the file
 	faults  int   // how many recalls or answers may be lost, or recalls sent twice
 	restart bool  // the server may restart, once, with nothing on the wire
 	depth   int   // the bound the search stops at unless -explore.depth says otherwise
 }
 
 // exOp is a call a client makes on the one file: a READ or WRITE of its
-// block, or the REMOVE of its only name. Which block a call names changes
-// nothing where no answer leaves blocks pending, so the world's file has one.
+// block, the REMOVE of its only name, or a MNT whose bundle lists the root
+// and, in it, the file. Which block a call names changes nothing where no
+// answer leaves blocks pending, so the world's file has one.
 type exOp byte
 
-var exOps = []exOp{'R', 'W', 'X'}
+var exOps = []exOp{'R', 'W', 'X', 'M'}
 
 func (o exOp) String() string {
-	return map[exOp]string{'R': "READ", 'W': "WRITE", 'X': "REMOVE"}[o]
+	return map[exOp]string{'R': "READ", 'W': "WRITE", 'X': "REMOVE", 'M': "MNT"}[o]
+}
+
+// exRoot is the root the MNT lists the file in.
+var exRoot = fhN(1)
+
+// exAttr is the file's attributes after version changes: a reply's, or a
+// bundle's, stamped with how many changes the NFS server had made when it was
+// read.
+func exAttr(version int) nfs3.Fattr {
+	return nfs3.Fattr{Type: nfs3.TypeReg, Size: uint64(version), Mtime: nfs3.Time{Sec: uint32(version)}}
 }
 
 // access is what inspect makes of the call, for the file: a REMOVE's is the
@@ -68,6 +86,7 @@ type exClient struct {
 	calls    int  // calls made
 	inflight int  // calls not yet answered
 	forgot   bool // it forgot the file: its REMOVE, or a STALE reply
+	mounted  bool // it sent its MNT
 	// missed is the stamp of the last recall sent to it that never arrived:
 	// a belief it applied before that is one the server could not call back.
 	missed uint64
@@ -94,6 +113,22 @@ type exHandler struct {
 	// has been forwarded and reqs are revokeOthers'.
 	granted, revoking bool
 	tr                Trailer
+	version           int // the file's version the forward read, or wrote
+}
+
+// exMount is a MNT the proxy server is serving, as dispatchMount and
+// mountBundle serve it under delegation: the client took its ticket when it
+// sent it; the pages are read (read), which lists the file if it is still
+// there; then, under the table's lock, the grants are made and the reply sent.
+type exMount struct {
+	c       *exClient
+	tk      seedTicket
+	read    bool
+	version int    // the file's version the page read
+	listed  bool   // the page lists the file
+	commits uint64 // the server's commit count when the page was read
+	grants  Trailers
+	bundle  bool // the reply carries a bundle
 }
 
 type exMsg int
@@ -112,6 +147,8 @@ type exReply struct {
 	stale   bool // the file was gone when the call was forwarded
 	fenced  bool // a WRITE refused by the lost-recall fence
 	forgets uint64
+	version int      // a READ's or WRITE's attributes
+	mount   *exMount // a MNT's
 }
 
 // exDup is a retransmitted recall that may still arrive.
@@ -128,8 +165,12 @@ type exWorld struct {
 	hs       []*exHandler
 	replies  []exReply
 	dups     []exDup
+	ms       []*exMount
 	removing bool // a REMOVE has been sent (one per world)
 	removed  bool // the file is gone from the NFS server
+	// changes names, in order, the client each change the NFS server made
+	// was made for: a WRITE's, or the REMOVE.
+	changes  []string
 	restarts int
 	faults   int // faults injected
 }
@@ -141,7 +182,10 @@ func newExWorld(cfg exWorldCfg) *exWorld {
 		id := string(rune('A' + i))
 		ids = append(ids, id)
 		sc := newSessionCache(tblBS, 1<<20)
-		sc.setPolicy(nil, cachePolicy{model: ModelDelegation, delegRenew: time.Hour}, cacheCounters{})
+		// Write-back absorbs a WRITE on any record whose attributes are
+		// valid and not the non-cacheable verdict's: what the attribute
+		// invariant checks (check).
+		sc.setPolicy(nil, cachePolicy{model: ModelDelegation, delegRenew: time.Hour, writeBack: true}, cacheCounters{})
 		w.cs = append(w.cs, &exClient{id: id, sc: sc})
 	}
 	w.s = tableServer(ids...)
@@ -156,6 +200,11 @@ func newExWorld(cfg exWorldCfg) *exWorld {
 func (w *exWorld) call(c *exClient, op exOp) {
 	c.calls++
 	c.inflight++
+	if op == 'M' {
+		c.mounted = true
+		w.ms = append(w.ms, &exMount{c: c, tk: c.sc.mountTicket()})
+		return
+	}
 	w.removing = w.removing || op == 'X'
 	h := &exHandler{c: c, op: op, a: op.access(w.fh), forgets: c.sc.forgets.Load()}
 	reqs, fenced := w.s.accessLocked(w.s.clients[c.id], h.a, 0)
@@ -236,6 +285,10 @@ func (w *exWorld) forward(h *exHandler) {
 		return
 	}
 	w.removed = w.removed || h.op == 'X'
+	if h.a.write {
+		w.changes = append(w.changes, h.c.id)
+	}
+	h.version = len(w.changes)
 	if !h.a.write {
 		w.finish(h, false)
 		return
@@ -246,12 +299,41 @@ func (w *exWorld) forward(h *exHandler) {
 
 // finish sends h's reply.
 func (w *exWorld) finish(h *exHandler, stale bool) {
-	rep := exReply{c: h.c, op: h.op, stale: stale, forgets: h.forgets}
+	rep := exReply{c: h.c, op: h.op, stale: stale, forgets: h.forgets, version: h.version}
 	if !stale {
 		rep.ts = Trailers{h.tr}
 	}
 	w.replies = append(w.replies, rep)
 	w.hs = slices.DeleteFunc(w.hs, func(o *exHandler) bool { return o == h })
+}
+
+// readPages is m's pages read from the NFS server: the file's version, and
+// whether it is still there to be listed.
+func (w *exWorld) readPages(m *exMount) {
+	m.read, m.version, m.listed, m.commits = true, len(w.changes), !w.removed, w.s.commits
+}
+
+// grant is m's grants made, as mountBundle makes them once its pages are
+// read, and its reply sent: a bundle only if a grant was made.
+func (w *exWorld) grant(m *exMount) {
+	fhs := []nfs3.FH{exRoot}
+	if m.listed {
+		fhs = append(fhs, w.fh)
+	}
+	ts, ok := w.s.mountGrantsLocked(w.s.clients[m.c.id], fhs, m.commits, 0)
+	m.grants, m.bundle = ts, ok && len(ts) > 0
+	w.replies = append(w.replies, exReply{c: m.c, op: 'M', mount: m})
+	w.ms = slices.DeleteFunc(w.ms, func(o *exMount) bool { return o == m })
+}
+
+// bundle is what m's reply carries behind the mountres3.
+func (w *exWorld) bundle(m *exMount) *MountBundle {
+	page := nfs3.ReaddirplusRes{Status: nfs3.OK, DirAttr: nfs3.PostOpAttr{Present: true, Attr: nfs3.Fattr{Type: nfs3.TypeDir}}, EOF: true}
+	if m.listed {
+		page.Entries = []nfs3.DirEntryPlus{{FileID: 7, Name: "f", Cookie: 1,
+			Attr: nfs3.PostOpAttr{Present: true, Attr: exAttr(m.version)}, FHFollows: true, FH: w.fh}}
+	}
+	return &MountBundle{Pages: []MountPage{{Dir: exRoot, Page: page}}, Grants: m.grants}
 }
 
 // restart is the proxy server losing its table and rebuilding it: RECALL_ALL
@@ -282,16 +364,32 @@ func (w *exWorld) recalled(h *exHandler, c *exClient, args RecallArgs, dup bool)
 }
 
 // reply delivers a reply: the client applies its trailers, as finishUpstream
-// does, and forgets the file after its REMOVE or a STALE (on which the
-// kernel's revalidating GETATTR, STALE too, makes the proxy client forget it).
+// does, then installs the attributes a READ's reply carries as readForward
+// does and a WRITE's as writeForward does, and forgets the file after its
+// REMOVE or a STALE (on which the kernel's revalidating GETATTR, STALE too,
+// makes the proxy client forget it). A MNT's bundle lands as dispatchMount
+// lands it.
 func (w *exWorld) reply(r exReply) {
 	c := r.c
 	c.inflight--
 	if r.fenced {
 		return
 	}
+	if r.mount != nil {
+		if r.mount.bundle {
+			c.sc.seedMount(r.mount.tk, w.bundle(r.mount), true)
+		}
+		return
+	}
 	if !r.stale {
 		c.sc.applyReplySince(r.ts, []nfs3.FH{w.fh}, r.forgets)
+		seq := r.ts.seqOf(w.fh)
+		switch r.op {
+		case 'R':
+			c.sc.putAttrSince(w.fh, exAttr(r.version), seq)
+		case 'W':
+			c.sc.updateAfterWrite(w.fh, 0, 1, nfs3.WccData{After: nfs3.PostOpAttr{Present: true, Attr: exAttr(r.version)}}, seq)
+		}
 	}
 	if r.stale || r.op == 'X' {
 		c.sc.forget(w.fh)
@@ -319,6 +417,8 @@ const (
 	exDeliver                  // reply i arrives
 	exAgain                    // duplicate recall i arrives
 	exRestart                  // the proxy server restarts
+	exPages                    // MNT i's pages are read
+	exGrants                   // MNT i's grants are made, and its reply sent
 )
 
 // exAction is one enabled step.
@@ -335,9 +435,17 @@ func (w *exWorld) enabled(acts []exAction) []exAction {
 			continue
 		}
 		for v, op := range exOps {
-			if op != 'X' || !w.removing && i == 0 {
-				acts = append(acts, exAction{exSend, i, v})
+			switch op {
+			case 'X':
+				if w.removing || i != 0 {
+					continue
+				}
+			case 'M':
+				if !w.cfg.mount || c.mounted {
+					continue
+				}
 			}
+			acts = append(acts, exAction{exSend, i, v})
 		}
 	}
 	for i, h := range w.hs {
@@ -362,13 +470,20 @@ func (w *exWorld) enabled(acts []exAction) []exAction {
 			acts = append(acts, exAction{exForward, i, 0})
 		}
 	}
+	for i, m := range w.ms {
+		if m.read {
+			acts = append(acts, exAction{exGrants, i, 0})
+		} else {
+			acts = append(acts, exAction{exPages, i, 0})
+		}
+	}
 	for i := range w.replies {
 		acts = append(acts, exAction{exDeliver, i, 0})
 	}
 	for i := range w.dups {
 		acts = append(acts, exAction{exAgain, i, 0})
 	}
-	if w.cfg.restart && w.restarts == 0 && len(w.hs)+len(w.replies) == 0 {
+	if w.cfg.restart && w.restarts == 0 && len(w.hs)+len(w.ms)+len(w.replies) == 0 {
 		acts = append(acts, exAction{exRestart, 0, 0})
 	}
 	return acts
@@ -414,6 +529,10 @@ func (w *exWorld) do(a exAction) {
 	case exRestart:
 		w.dups = nil // callbacks die with the server's connections
 		w.restart()
+	case exPages:
+		w.readPages(w.ms[a.i])
+	case exGrants:
+		w.grant(w.ms[a.i])
 	}
 }
 
@@ -456,20 +575,62 @@ func (w *exWorld) describe(a exAction) string {
 			desc += " (refused: the fence)"
 		case rep.stale:
 			desc += " (STALE)"
+		case rep.mount != nil && !rep.mount.bundle:
+			desc += " (no bundle)"
+		case rep.mount != nil:
+			desc += fmt.Sprintf(" (the file at version %d, listed %v; grants %v)", rep.mount.version, rep.mount.listed, exGrantList(rep.mount.grants))
 		default:
-			desc += fmt.Sprintf(" (%v, seq %d)", rep.ts[0].Deleg, rep.ts[0].Seq)
+			desc += fmt.Sprintf(" (%v, seq %d; the file at version %d)", rep.ts[0].Deleg, rep.ts[0].Seq, rep.version)
 		}
 		return desc + " arrives"
 	case exAgain:
 		return fmt.Sprintf("the recall of %s (seq %d) arrives again", w.dups[a.i].c.id, w.dups[a.i].args.Seq)
+	case exPages:
+		return fmt.Sprintf("%s's MNT reads its pages: the file at version %d", w.ms[a.i].c.id, len(w.changes))
+	case exGrants:
+		return fmt.Sprintf("%s's MNT makes its grants", w.ms[a.i].c.id)
 	}
 	return "the proxy server restarts"
+}
+
+// exGrantList renders a bundle's grants, the root's as "root".
+func exGrantList(ts Trailers) string {
+	var out []string
+	for _, t := range ts {
+		name := "the file"
+		if t.FH.Equal(exRoot) {
+			name = "root"
+		}
+		out = append(out, fmt.Sprintf("%s %v seq %d", name, t.Deleg, t.Seq))
+	}
+	return "[" + strings.Join(out, ", ") + "]"
+}
+
+// staleFor reports whether attributes read at version are older than a
+// change the NFS server made for another client than id: one the session
+// must be told of before it serves them or absorbs a WRITE against them.
+func (w *exWorld) staleFor(id string, version int) bool {
+	for _, by := range w.changes[min(version, len(w.changes)):] {
+		if by != id {
+			return true
+		}
+	}
+	return false
 }
 
 // check is what must hold in every state.
 func (w *exWorld) check() error {
 	if err := checkSharerTable(w.s); err != nil {
 		return fmt.Errorf("the sharer table: %v", err)
+	}
+	// A write delegation stands beside another sharer only while its recall
+	// is demanded: whoever became a sharer beside it called it back.
+	for _, f := range w.s.files {
+		for id, sh := range f.sharers {
+			if sh.deleg == DelegWrite && len(f.sharers) > 1 && sh.recall == nil {
+				return fmt.Errorf("%s holds a write delegation beside %d other sharers, and no recall of it is demanded", id, len(f.sharers)-1)
+			}
+		}
 	}
 	// The recalls of each client demanded and not yet settled: the one on the
 	// wire, and those later in a batch.
@@ -502,6 +663,16 @@ func (w *exWorld) check() error {
 		}
 		if c.forgot && fc.deleg != DelegNone {
 			return fmt.Errorf("%s forgot the removed file, and a reply brought it back holding %v", c.id, fc.deleg)
+		}
+		// Attributes the record would serve, or absorb a WRITE against, are
+		// no older than any other client's change, unless the recall that
+		// announces it is on its way or was lost (a change whose recalls are
+		// still being demanded counts), or a call of the client's own is out,
+		// whose reply may carry the decision that ends them.
+		revoking := slices.ContainsFunc(w.hs, func(h *exHandler) bool { return h.revoking && h.c != c })
+		settled := c.inflight == 0 && recalls[c.id] == 0 && !revoking && c.missed <= fc.trailerSeq
+		if a, ok := c.sc.absorbable(w.fh); ok && settled && !c.forgot && w.staleFor(c.id, int(a.Size)) {
+			return fmt.Errorf("%s's record holds %v and would absorb a WRITE against attributes of version %d, older than another client's change (the file is at version %d)", c.id, fc.deleg, a.Size, len(w.changes))
 		}
 		if fc.deleg == DelegNone || c.inflight > 0 || recalls[c.id] > 0 || c.missed > fc.trailerSeq {
 			continue
@@ -538,12 +709,19 @@ func (w *exWorld) key(b []byte) []byte {
 	for _, d := range w.dups {
 		stamps = append(stamps, d.args.Seq)
 	}
+	for _, r := range w.replies {
+		if r.mount != nil {
+			for _, t := range r.mount.grants {
+				stamps = append(stamps, t.Seq)
+			}
+		}
+	}
 	key := w.fh.Key()
 	f := w.s.files[key]
 	for _, c := range w.cs {
 		stamps = append(stamps, c.missed)
 		if fc := c.sc.files[key]; fc != nil {
-			stamps = append(stamps, fc.recallFence, fc.trailerSeq)
+			stamps = append(stamps, fc.recallFence, fc.trailerSeq, fc.noneSeq)
 		}
 		if f != nil && f.sharers[c.id] != nil {
 			stamps = append(stamps, f.sharers[c.id].granted)
@@ -581,22 +759,40 @@ func (w *exWorld) key(b []byte) []byte {
 		}
 	}
 
+	// Attributes are rendered by whether they are stale for their client
+	// (staleFor): which changes came after them changes nothing else.
+	attrs := func(c *exClient, version int) {
+		flag(w.staleFor(c.id, version))
+	}
+	ticket := func(c *exClient, tk seedTicket) {
+		flag(tk.inv == c.sc.invGen && tk.allNames == c.sc.namesGen && tk.forgets == c.sc.forgets.Load())
+	}
+	grants := func(ts Trailers) {
+		for _, t := range ts {
+			flag(t.FH.Equal(w.fh))
+			num(t.Seq)
+		}
+	}
+
 	flag(w.removing, w.removed)
 	b = append(b, byte('0'+w.restarts), byte('0'+w.faults))
 	for _, c := range w.cs {
 		b = append(b, '|', byte('0'+c.calls), byte('0'+c.inflight))
-		flag(c.forgot, c.owes)
+		flag(c.forgot, c.owes, c.mounted)
 		num(c.missed)
 		if fc := c.sc.files[key]; fc != nil {
 			b = append(b, '[', byte('0'+fc.deleg))
-			flag(fc.noncacheable)
-			num(fc.recallFence, fc.trailerSeq)
+			flag(fc.noncacheable, fc.attrLink.on())
+			if fc.attrLink.on() {
+				attrs(c, int(fc.attr.Size))
+			}
+			num(fc.recallFence, fc.trailerSeq, fc.noneSeq)
 		}
 		if f != nil {
 			if sh := f.sharers[c.id]; sh != nil {
 				b = append(b, '{', byte('0'+sh.deleg))
 				num(sh.granted)
-				flag(sh.lostRecall) // no answer leaves blocks pending, and no sweep marks a sharer closing
+				flag(sh.lostRecall, sh.unanswered, sh.closing, sh.speculative) // no answer leaves blocks pending
 				flight(sh.recall)
 			}
 		}
@@ -622,6 +818,20 @@ func (w *exWorld) key(b []byte) []byte {
 			b = append(b, byte('0'+h.next), byte('0'+h.tr.Deleg))
 			num(h.tr.Seq)
 			flag(h.granted, h.revoking, h.forgets != h.c.sc.forgets.Load())
+			if h.revoking {
+				attrs(h.c, h.version)
+			}
+		})
+	}
+	for _, m := range w.ms {
+		part(func() {
+			b = append(b, 'M', m.c.id[0])
+			flag(m.read)
+			ticket(m.c, m.tk)
+			if m.read {
+				flag(m.listed, m.commits != w.s.commits)
+				attrs(m.c, m.version)
+			}
 		})
 	}
 	for _, r := range w.replies {
@@ -632,6 +842,14 @@ func (w *exWorld) key(b []byte) []byte {
 				num(t.Seq)
 			}
 			flag(r.stale, r.fenced, r.forgets != r.c.sc.forgets.Load())
+			if m := r.mount; m != nil {
+				flag(m.bundle, m.listed)
+				ticket(r.c, m.tk)
+				attrs(r.c, m.version)
+				grants(m.grants)
+			} else if r.op != 'X' && !r.stale && !r.fenced {
+				attrs(r.c, r.version)
+			}
 		})
 	}
 	for _, d := range w.dups {
@@ -672,69 +890,120 @@ type exResult struct {
 
 // explore searches cfg's world breadth-first to depth steps, checking every
 // state it reaches; the first violation stops it, with a shortest trace.
-// States are told apart by a 64-bit hash of their keys.
+// States are told apart by a 64-bit hash of their keys. Each depth's frontier
+// is replayed by a few workers at once, and what they found is taken in
+// frontier order, so the search (and the trace it reports) is the same
+// whatever the workers' timing.
 func explore(cfg exWorldCfg, depth int) exResult {
 	type node struct {
 		trace []uint8
 		n     int // steps enabled there
 	}
+	// child is what a worker found at one step from a frontier node.
+	type child struct {
+		node
+		hash uint64
+		err  error
+	}
 	seed := maphash.MakeSeed()
-	var acts []exAction
-	var key []byte
-	w := exReplay(cfg, nil, acts, nil)
-	acts = w.enabled(acts[:0])
-	key = w.key(key[:0])
-	seen := map[uint64]struct{}{maphash.Bytes(seed, key): {}}
+	w := exReplay(cfg, nil, nil, nil)
+	acts := w.enabled(nil)
+	seen := map[uint64]struct{}{maphash.Bytes(seed, w.key(nil)): {}}
 	res := exResult{states: 1}
 	frontier := []node{{nil, len(acts)}}
+	workers := min(runtime.GOMAXPROCS(0), 4)
+	// A replay allocates a world of short-lived maps and records, and the
+	// collector would otherwise take a third of the search's time.
+	defer debug.SetGCPercent(debug.SetGCPercent(400))
 	for d := 1; d <= depth && len(frontier) > 0; d++ {
-		var next []node
-		for _, nd := range frontier {
-			for i := 0; i < nd.n; i++ {
-				child := append(slices.Clip(nd.trace), uint8(i))
-				cw := exReplay(cfg, child, acts, nil)
-				if err := cw.check(); err != nil {
-					res.depth, res.violation = d, err
-					exReplay(cfg, child, nil, &res.trace)
+		found := make([][]child, len(frontier))
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var acts []exAction
+				var key []byte
+				for k := int(next.Add(1)) - 1; k < len(frontier); k = int(next.Add(1)) - 1 {
+					nd := frontier[k]
+					out := make([]child, nd.n)
+					for i := range out {
+						tr := append(slices.Clip(nd.trace), uint8(i))
+						cw := exReplay(cfg, tr, acts, nil)
+						if err := cw.check(); err != nil {
+							out[i] = child{node: node{trace: tr}, err: err}
+							continue
+						}
+						key = cw.key(key[:0])
+						acts = cw.enabled(acts[:0])
+						out[i] = child{node{tr, len(acts)}, maphash.Bytes(seed, key), nil}
+					}
+					found[k] = out
+				}
+			}()
+		}
+		wg.Wait()
+		var nextFrontier []node
+		for _, out := range found {
+			for _, c := range out {
+				if c.err != nil {
+					res.depth, res.violation = d, c.err
+					exReplay(cfg, c.trace, nil, &res.trace)
 					return res
 				}
-				key = cw.key(key[:0])
-				h := maphash.Bytes(seed, key)
-				if _, ok := seen[h]; ok {
+				if _, ok := seen[c.hash]; ok {
 					continue
 				}
-				seen[h] = struct{}{}
-				acts = cw.enabled(acts[:0])
-				next = append(next, node{child, len(acts)})
+				seen[c.hash] = struct{}{}
+				nextFrontier = append(nextFrontier, c.node)
 			}
 		}
-		res.states += len(next)
-		res.perDepth = append(res.perDepth, len(next))
-		if len(next) > 0 {
+		res.states += len(nextFrontier)
+		res.perDepth = append(res.perDepth, len(nextFrontier))
+		if len(nextFrontier) > 0 {
 			res.depth = d
 		}
-		frontier = next
+		frontier = nextFrontier
 	}
 	return res
 }
 
-// TestExplore runs the explorer. By default it searches the tier-1 world to
-// the end: two clients with two calls each, up to two in flight, the first
-// possibly its REMOVE. With -explore.wide it searches, to depth 11, three
-// clients (the first with two calls), with up to two recalls or answers lost
-// or recalls sent twice, and a server restart.
+// TestExplore runs the explorer. By default it searches three worlds to the
+// end: two clients with two calls each, up to two in flight, the first
+// possibly its REMOVE; and twice the world with MNTs, with two calls for one
+// client and one for the other, either of which may be a MNT. With
+// -explore.wide it searches, to depth 11, three clients (the first with two
+// calls), with up to two recalls or answers lost or recalls sent twice, and a
+// server restart; and to the end the MNT world with two calls each.
 func TestExplore(t *testing.T) {
-	cfg := exWorldCfg{calls: []int{2, 2}, depth: 64}
+	type world struct {
+		name string
+		cfg  exWorldCfg
+	}
+	worlds := []world{
+		{"two clients", exWorldCfg{calls: []int{2, 2}, depth: 64}},
+		{"a MNT beside the other client's call", exWorldCfg{calls: []int{2, 1}, mount: true, depth: 64}},
+		{"a MNT beside the other client's two calls", exWorldCfg{calls: []int{1, 2}, mount: true, depth: 64}},
+	}
 	if *exploreWide {
-		cfg = exWorldCfg{calls: []int{2, 1, 1}, faults: 2, restart: true, depth: 11}
+		worlds = []world{
+			{"three clients, faults and a restart", exWorldCfg{calls: []int{2, 1, 1}, faults: 2, restart: true, depth: 11}},
+			{"two clients, each a MNT", exWorldCfg{calls: []int{2, 2}, mount: true, depth: 64}},
+		}
 	}
-	if *exploreDepth > 0 {
-		cfg.depth = *exploreDepth
+	for _, wd := range worlds {
+		t.Run(wd.name, func(t *testing.T) {
+			cfg := wd.cfg
+			if *exploreDepth > 0 {
+				cfg.depth = *exploreDepth
+			}
+			start := time.Now()
+			res := explore(cfg, cfg.depth)
+			if res.violation != nil {
+				t.Fatalf("after %d states, at depth %d: %v\n\t%s", res.states, res.depth, res.violation, strings.Join(res.trace, "\n\t"))
+			}
+			t.Logf("%d states to depth %d in %v; new states by depth %v", res.states, res.depth, time.Since(start).Round(time.Millisecond), res.perDepth)
+		})
 	}
-	start := time.Now()
-	res := explore(cfg, cfg.depth)
-	if res.violation != nil {
-		t.Fatalf("after %d states, at depth %d: %v\n\t%s", res.states, res.depth, res.violation, strings.Join(res.trace, "\n\t"))
-	}
-	t.Logf("%d states to depth %d in %v; new states by depth %v", res.states, res.depth, time.Since(start).Round(time.Millisecond), res.perDepth)
 }

@@ -30,7 +30,7 @@ func TestHandleStateMachine(t *testing.T) {
 			attr.Size = blocks * opsBS
 			revalidate := func() {
 				sc.putAttr(fh, attr)
-				sc.putBlock(fh, 0, make([]byte, opsBS), attr, false)
+				sc.putBlock(fh, 0, make([]byte, opsBS), attr, 0)
 			}
 			grant := func(d DelegType, seq uint64) {
 				sc.applyReplySince(Trailers{{FH: fh, Deleg: d, Seq: seq}}, nil, sc.forgets.Load())
@@ -172,7 +172,7 @@ func TestOvertakenTrailerIsDropped(t *testing.T) {
 	attr := attrWithMtime(1, nfs3.TypeReg)
 	attr.Size = opsBS
 	sc.putAttr(fh, attr)
-	sc.putBlock(fh, 0, make([]byte, opsBS), attr, false)
+	sc.putBlock(fh, 0, make([]byte, opsBS), attr, 0)
 	reply := func(d DelegType, seq uint64) {
 		sc.applyReplySince(Trailers{{FH: fh, Deleg: d, Seq: seq}}, []nfs3.FH{fh}, sc.forgets.Load())
 	}
@@ -261,7 +261,7 @@ func TestHandleRecordRaces(t *testing.T) {
 			sc.putAttr(fh, attr)
 			sc.putLookup(dir, "f", fh, false)
 			sc.putDirListing(dir, []nfs3.DirEntry{{Name: "f"}})
-			sc.putBlock(fh, uint64(i%opsBlocks), make([]byte, opsBS), attr, false)
+			sc.putBlock(fh, uint64(i%opsBlocks), make([]byte, opsBS), attr, 0)
 		},
 		func(i int) { sc.applyReplySince(nil, []nfs3.FH{fh, dir}, sc.forgets.Load()) },
 		func(i int) {

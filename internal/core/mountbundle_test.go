@@ -149,9 +149,9 @@ var gvfsCred = SessionCred{SessionKey: "s", ClientID: "C1"}
 // comes back: the NFS server's mountres3 byte for byte, and, for a polling
 // session whose invalidation buffer is bootstrapped, the listings of the top
 // of the export breadth-first — the root alone for a pm-like tree, the root
-// and its one directory for a seq-like tree — and nothing when they do not
-// fit one block, when the root's own page does not complete, under
-// delegation, for a session without a metadata cache, for a credential that is
+// and its one directory for a seq-like tree — behind an empty grant list, and
+// nothing when they do not fit one block, when the root's own page does not
+// complete, for a session without a metadata cache, for a credential that is
 // not a session's, or before the session's bootstrap GETINV.
 func TestMountCarriesTopOfExport(t *testing.T) {
 	per := listingPerPage()
@@ -178,12 +178,43 @@ func TestMountCarriesTopOfExport(t *testing.T) {
 				if fmt.Sprint(listed) != fmt.Sprint(tree.listed) {
 					t.Errorf("the bundle lists %v, want %v", listed, tree.listed)
 				}
+				if bundle != nil && len(bundle.Grants) != 0 {
+					t.Errorf("a polling bundle carries grants %v", bundle.Grants)
+				}
 				if n != len(reply) && bundle == nil {
 					t.Errorf("%d bytes behind the mountres3 that are no bundle", len(reply)-n)
 				}
 			})
 		})
 	}
+
+	t.Run("delegation grants what it lists", func(t *testing.T) {
+		runMountBed(t, Config{Model: ModelDelegation}, mountTrees[1].files(per), func(b *mountBed) {
+			reply := b.mnt(gvfsCred.Encode())
+			_, _, bundle := splitMountReply(reply)
+			if bundle == nil {
+				t.Fatal("no bundle rode")
+			}
+			var listed, granted []string
+			for _, pg := range bundle.Pages {
+				listed = append(listed, b.path(pg.Dir))
+			}
+			for _, g := range bundle.Grants {
+				if g.Deleg != DelegRead {
+					t.Errorf("%s granted %v, want read", b.path(g.FH), g.Deleg)
+				}
+				granted = append(granted, b.path(g.FH))
+			}
+			// Each walked directory and every entry, each once, in walk order.
+			want := []string{"/", "seq"}
+			for i := 0; i < 8; i++ {
+				want = append(want, fmt.Sprintf("seq/f%d", i))
+			}
+			if fmt.Sprint(listed) != "[/ seq]" || fmt.Sprint(granted) != fmt.Sprint(want) {
+				t.Errorf("the bundle lists %v and grants %v; want [/ seq] and %v", listed, granted, want)
+			}
+		})
+	})
 
 	seq := mountTrees[1].files(per)
 	for _, tc := range []struct {
@@ -192,7 +223,6 @@ func TestMountCarriesTopOfExport(t *testing.T) {
 		cred sunrpc.Cred
 		boot bool
 	}{
-		{"delegation", Config{Model: ModelDelegation}, gvfsCred.Encode(), true},
 		{"a session without a metadata cache", Config{}, (&SessionCred{SessionKey: "s", ClientID: "C1", NoListings: true}).Encode(), true},
 		{"an anonymous credential", Config{}, sunrpc.SysCred("kernel", 0, 0), true},
 		{"before the bootstrap GETINV", Config{}, gvfsCred.Encode(), false},
@@ -212,12 +242,13 @@ func TestMountCarriesTopOfExport(t *testing.T) {
 }
 
 // TestMountReplyCutAtEveryWord encodes a MNT reply with a two-page bundle and
+// a grant and
 // splits every word-aligned prefix of it: the mountres3 always parses, and the
 // bundle is whole at the reply's full length or dropped, never half-seeded.
 func TestMountReplyCutAtEveryWord(t *testing.T) {
 	reply := mountReply(t)
 	root, n, whole := splitMountReply(reply)
-	if whole == nil || len(whole.Pages) != 2 || whole.Stamp != 42 {
+	if whole == nil || len(whole.Pages) != 2 || whole.Stamp != 42 || len(whole.Grants) != 1 || whole.Grants[0].Seq != 7 {
 		t.Fatalf("the whole reply's bundle: %+v", whole)
 	}
 	for cut := n; cut <= len(reply); cut += 4 {
@@ -249,6 +280,7 @@ func mountReply(t testing.TB) []byte {
 		e.Opaque(dir.Bytes())
 		pageOf([]string{"x", "y"}, 0, 2-i, true).Encode(e)
 	}
+	Trailers{{Deleg: DelegRead, FH: fhN(2), Seq: 7}}.Encode(e)
 	return e.Bytes()
 }
 
@@ -300,10 +332,10 @@ func TestSeedMount(t *testing.T) {
 			sc.putAttr(other, dirAttr)
 			tk := sc.mountTicket()
 			tc.across(sc)
-			sc.seedMount(tk, []MountPage{
+			sc.seedMount(tk, &MountBundle{Pages: []MountPage{
 				{Dir: root, Page: *pageOf([]string{"d", "x"}, 0, 2, true)},
 				{Dir: dir, Page: *pageOf([]string{"y", "z"}, 0, 2, tc.dirEOF)},
-			}, tc.sound)
+			}}, tc.sound)
 			for i, d := range []nfs3.FH{root, dir} {
 				_, _, ok := sc.getLookup(d, "y")
 				if i == 0 {
@@ -329,6 +361,7 @@ func TestSeedMount(t *testing.T) {
 type mountChain struct {
 	t     *testing.T
 	clk   *vclock.Clock
+	s     *ProxyServer
 	p     *ProxyClient
 	nc    *nfscall.Conn // the kernel's, through p
 	other *nfscall.Conn // another session's, to the proxy server
@@ -401,7 +434,7 @@ func runMountChain(t *testing.T, cfg Config, files []string, fn func(b *mountCha
 		defer other.Close()
 		direct := dial(server, "server:2049", sunrpc.SysCred("kernel", 0, 0))
 		defer direct.Close()
-		fn(&mountChain{t: t, clk: clk, p: p, nc: nc, other: other, up: up, nfsd: direct})
+		fn(&mountChain{t: t, clk: clk, s: ps, p: p, nc: nc, other: other, up: up, nfsd: direct})
 	})
 	<-done
 }
@@ -597,6 +630,7 @@ func TestMountBundleCheckedAgainstTheBootstrap(t *testing.T) {
 				encodeMountBundleHead(e, tc.stamp, 1)
 				e.Opaque(root.Bytes())
 				pageOf([]string{"x"}, 0, 1, true).Encode(e)
+				Trailers(nil).Encode(e)
 				return sunrpc.Success
 			})
 			done := make(chan struct{})
@@ -642,4 +676,116 @@ func TestMountBundleCheckedAgainstTheBootstrap(t *testing.T) {
 			<-done
 		})
 	}
+}
+
+// TestMountGrantsUnderDelegation pins what a MOUNT's bundle costs and buys a
+// proxy client under delegation over a 40 ms link: the path walk after it
+// sends no LOOKUP; each grant the session never uses is called back once, at
+// DelegExpiry, answered clean, and the sharer table is empty afterwards; a
+// top of the export larger than a block grants nothing; and a file another
+// client holds a write delegation on rides ungranted, calling nobody back.
+func TestMountGrantsUnderDelegation(t *testing.T) {
+	tree := []string{"a/b/file", "c/x"}
+	deleg := Config{Model: ModelDelegation}
+	grants := func(s *ProxyServer) int64 { return s.met.delegationGrants[DelegRead].Value() }
+	sharers := func(s *ProxyServer) (n int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, f := range s.files {
+			n += len(f.sharers)
+		}
+		return n
+	}
+
+	t.Run("a/b/file after the MOUNT sends no LOOKUP", func(t *testing.T) {
+		runMountChain(t, deleg, tree, func(b *mountChain) {
+			root := b.mount()
+			if g := grants(b.s); g != 6 {
+				t.Errorf("%d read delegations granted, want 6: the root, a, c, a/b, a/b/file and c/x", g)
+			}
+			_, mark := b.sent(0)
+			fh := root
+			for _, name := range []string{"a", "b", "file"} {
+				fh = b.lookup(fh, name).FH
+			}
+			if sent, _ := b.sent(mark); len(sent) != 0 {
+				t.Errorf("the walk sent %v upstream, want nothing", sent)
+			}
+		})
+	})
+
+	t.Run("each unused grant is called back once, clean, at DelegExpiry", func(t *testing.T) {
+		cfg := deleg
+		cfg.DelegExpiry = time.Minute
+		runMountChain(t, cfg, tree, func(b *mountChain) {
+			b.mount()
+			n := grants(b.s)
+			if n == 0 || int64(sharers(b.s)) != n {
+				t.Fatalf("%d grants and %d sharers after the MOUNT, want one sharer per grant", n, sharers(b.s))
+			}
+			b.clk.Sleep(3 * cfg.DelegExpiry)
+			if cb := b.s.met.callbacksSent.Value(); cb != n {
+				t.Errorf("%d callbacks sent for %d unused grants, want one each", cb, n)
+			}
+			if r := b.p.met.recalls.Value(); r != n {
+				t.Errorf("the proxy client served %d recalls, want %d", r, n)
+			}
+			if left := sharers(b.s); left != 0 {
+				t.Errorf("%d sharers left after every grant was called back", left)
+			}
+		})
+	})
+
+	t.Run("a top of the export larger than a block grants nothing", func(t *testing.T) {
+		per := listingPerPage()
+		runMountBed(t, deleg, mountTrees[3].files(per), func(b *mountBed) {
+			want := b.direct()
+			if reply := b.mnt(gvfsCred.Encode()); !bytes.Equal(reply, want) {
+				t.Errorf("MNT reply %x, want the NFS server's own %x", reply, want)
+			}
+			if g, n := grants(b.s), sharers(b.s); g != 0 || n != 0 {
+				t.Errorf("%d grants, %d sharers; want none", g, n)
+			}
+		})
+	})
+
+	t.Run("a file another client writes rides ungranted and nobody is called back", func(t *testing.T) {
+		runMountChain(t, deleg, tree, func(b *mountChain) {
+			file, err := b.other.Mount("/export")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"a", "b", "file"} {
+				lk, err := b.other.Lookup(file, name)
+				if err != nil || lk.Status != nfs3.OK {
+					t.Fatalf("the other client's lookup %s: %v %v", name, err, lk.Status)
+				}
+				file = lk.FH
+			}
+			if wr, err := b.other.Write(file, 0, []byte("y"), nfs3.FileSync); err != nil || wr.Status != nfs3.OK {
+				t.Fatalf("the other client's write: %v %v", err, wr.Status)
+			}
+			before := b.s.met.callbacksSent.Value()
+			b.mount()
+			if cb := b.s.met.callbacksSent.Value() - before; cb != 0 {
+				t.Errorf("the MOUNT called back %d delegations, want none", cb)
+			}
+			b.s.mu.Lock()
+			row := describeFile(b.s, file)
+			b.s.mu.Unlock()
+			if row != "other/s=write" {
+				t.Errorf("the written file's row is %q after the MOUNT, want the writer alone", row)
+			}
+			b.p.cache.mu.Lock()
+			fc := b.p.cache.files[file.Key()]
+			landed := fc != nil && (fc.deleg != DelegNone || fc.attrLink.on())
+			b.p.cache.mu.Unlock()
+			if landed {
+				t.Error("the MOUNT landed a delegation or attributes for the file another client writes")
+			}
+			if g := grants(b.s); g < 5 {
+				t.Errorf("%d read grants, want the other five handles'", g)
+			}
+		})
+	})
 }

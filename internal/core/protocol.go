@@ -297,6 +297,18 @@ func DecodeTrailers(d *xdr.Decoder, page *nfs3.ReaddirplusRes) (Trailers, error)
 	if n > 16 {
 		return nil, fmt.Errorf("core: %d trailers", n)
 	}
+	ts, err := decodeTrailerList(d, n)
+	if err != nil {
+		return nil, err
+	}
+	if page != nil && d.Remaining() > 0 && page.Decode(d) != nil {
+		*page = nfs3.ReaddirplusRes{}
+	}
+	return ts, nil
+}
+
+// decodeTrailerList reads n trailers, the count already read.
+func decodeTrailerList(d *xdr.Decoder, n uint32) (Trailers, error) {
 	ts := make(Trailers, 0, n)
 	for i := uint32(0); i < n; i++ {
 		var t Trailer
@@ -305,10 +317,18 @@ func DecodeTrailers(d *xdr.Decoder, page *nfs3.ReaddirplusRes) (Trailers, error)
 		}
 		ts = append(ts, t)
 	}
-	if page != nil && d.Remaining() > 0 && page.Decode(d) != nil {
-		*page = nfs3.ReaddirplusRes{}
-	}
 	return ts, nil
+}
+
+// seqOf is the stamp of ts's decision about fh, 0 when ts decides nothing
+// about it.
+func (ts Trailers) seqOf(fh nfs3.FH) uint64 {
+	for i := range ts {
+		if ts[i].FH.Equal(fh) {
+			return ts[i].Seq
+		}
+	}
+	return 0
 }
 
 // MountPage is one directory's listing in a MountBundle: the directory's
@@ -319,24 +339,32 @@ type MountPage struct {
 	Page nfs3.ReaddirplusRes
 }
 
-// MountBundle is what the proxy server appends to a polling session's MNT
-// reply, behind the NFS server's mountres3 (ProxyServer.mountBundle): the
-// listings of the top of the export, breadth-first from the root, and Stamp,
-// the server's invalidation timestamp when it began to read them. A session
-// installs the pages only if its bootstrap GETINV's timestamp is no later
-// than Stamp: then every change made after the pages were read is queued for
-// it (ProxyClient.dispatchMount).
+// MountBundle is what the proxy server appends to a session's MNT reply,
+// behind the NFS server's mountres3 (ProxyServer.mountBundle): the listings
+// of the top of the export, breadth-first from the root; Stamp, the server's
+// invalidation timestamp when it began to read them; and Grants, one read
+// delegation per listed handle granted, empty under polling. A polling
+// session installs the pages only if its bootstrap GETINV's timestamp is no
+// later than Stamp: then every change made after the pages were read is
+// queued for it (ProxyClient.dispatchMount). A session under delegation
+// installs what a grant it applied covers (sessionCache.seedMount).
 type MountBundle struct {
-	Stamp uint64
-	Pages []MountPage
+	Stamp  uint64
+	Pages  []MountPage
+	Grants Trailers
 }
 
 // mountPageMin is the least a MountPage takes on the wire: a handle and a
-// result that is a status and an absent attribute.
-const mountPageMin = 4 + nfs3.FHSize + 8
+// result that is a status and an absent attribute. trailerMin is the least a
+// Trailer does.
+const (
+	mountPageMin = 4 + nfs3.FHSize + 8
+	trailerMin   = 4 + 4 + nfs3.FHSize + 8
+)
 
 // encodeMountBundleHead starts a bundle of n pages; each follows as its
-// directory's handle and the page's bytes, as nfsd sent them.
+// directory's handle and the page's bytes, as nfsd sent them, and the grants
+// end it.
 func encodeMountBundleHead(e *xdr.Encoder, stamp uint64, n int) {
 	e.Uint64(stamp)
 	e.Uint32(uint32(n))
@@ -368,7 +396,14 @@ func (b *MountBundle) Decode(d *xdr.Decoder) error {
 			return err
 		}
 	}
-	return nil
+	if n, err = d.Uint32(); err != nil {
+		return err
+	}
+	if err := checkCount(d, n, trailerMin); err != nil {
+		return err
+	}
+	b.Grants, err = decodeTrailerList(d, n)
+	return err
 }
 
 // splitMountReply parses the mountres3 at the head of a MNT reply: it returns

@@ -319,32 +319,45 @@ func (p *ProxyClient) hitForward(call *sunrpc.Call) {
 // --- kernel-facing NFS dispatch --------------------------------------------
 
 // dispatchMount relays a MOUNT: the root handle comes from the real server,
-// and the kernel gets the NFS server's mountres3 byte for byte. Under polling
-// the bootstrap GETINV goes out ahead of it, and the listings a MNT reply
-// carries behind the mountres3 (MountBundle) land before the kernel has its
-// answer, so the path walk that follows is answered at home. They land only
-// if the bootstrap's timestamp is no later than the bundle's stamp: the pages
-// were read after the bootstrap flushed the session's invalidation buffer, so
-// every change made since is queued for the session; and only on a ticket
-// taken before the MOUNT went out (seedMount).
+// and the kernel gets the NFS server's mountres3 byte for byte. The listings
+// a MNT reply carries behind the mountres3 (MountBundle) land before the
+// kernel has its answer, so the path walk that follows is answered at home,
+// and only on a ticket taken before the MOUNT went out (seedMount). Under
+// polling the bootstrap GETINV goes out ahead of the MOUNT, and the bundle
+// lands only if the bootstrap's timestamp is no later than the bundle's
+// stamp: the pages were read after the bootstrap flushed the session's
+// invalidation buffer, so every change made since is queued for the session.
+// Under delegation what lands is what the bundle's grants cover.
 func (p *ProxyClient) dispatchMount(call *sunrpc.Call) sunrpc.AcceptStat {
 	polling := p.cfg.Model == ModelPolling
-	var tk seedTicket
 	if polling {
 		p.sendBootstrap()
-		tk = p.cache.mountTicket()
 	}
+	tk := p.cache.mountTicket()
+	start := p.node.Now()
 	rep, err := p.rawCall(call.ReqID, nfs3.MountProgram, nfs3.MountVersion, call.Proc, call.Args.Rest())
 	if err != nil {
 		return sunrpc.SystemErr
 	}
 	res := rep.Body.Rest()
+	if !polling && len(res) <= p.cfg.BlockSize/8 {
+		// The round trip the readahead window is sized by (readPipe.grow):
+		// with the path walk answered at home, this may be the only small
+		// RPC a session under delegation times before its first READs.
+		// Polling times its bootstrap GETINV. A reply of an eighth of a block
+		// adds at most an eighth of a block's wire time to it.
+		p.ra.observe(p.node.Now()-start, nil, p.cfg.BlockSize)
+	}
 	_, n, bundle := splitMountReply(res)
 	call.Reply.FixedOpaque(res[:n])
 	rep.Release() // the bundle owns what it decoded
-	if bundle != nil && polling {
-		ts, ok := p.boot.wait(p.clk)
-		p.cache.seedMount(tk, bundle.Pages, ok && ts <= bundle.Stamp)
+	if bundle != nil {
+		sound := true
+		if polling {
+			ts, ok := p.boot.wait(p.clk)
+			sound = ok && ts <= bundle.Stamp
+		}
+		p.cache.seedMount(tk, bundle, sound)
 	}
 	return sunrpc.Success
 }

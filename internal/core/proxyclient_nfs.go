@@ -36,7 +36,7 @@ func (p *ProxyClient) getattr(call *sunrpc.Call) sunrpc.AcceptStat {
 	var res nfs3.GetattrRes
 	c := p.startUpstream(call.ReqID, nfs3.ProcGetattr, &args)
 	p.issue(reread) // behind the answer the kernel is waiting for
-	rep, err := p.finishUpstream(c, &res, []nfs3.FH{args.FH})
+	rep, ts, err := p.finishUpstream(c, &res, []nfs3.FH{args.FH})
 	rep.Release() // the result owns what it decoded
 	if err != nil {
 		return encodeReply(call, &nfs3.GetattrRes{Status: nfs3.ErrJukebox})
@@ -44,7 +44,7 @@ func (p *ProxyClient) getattr(call *sunrpc.Call) sunrpc.AcceptStat {
 	p.hitForward(call)
 	switch res.Status {
 	case nfs3.OK:
-		p.cache.putAttr(args.FH, res.Attr)
+		p.cache.putAttrSince(args.FH, res.Attr, ts.seqOf(args.FH))
 	case nfs3.ErrStale:
 		// The handle no longer names a file: every trace of it goes, its
 		// protocol state included.
@@ -99,7 +99,7 @@ func (p *ProxyClient) lookup(call *sunrpc.Call) sunrpc.AcceptStat {
 		c.listing = new(nfs3.ReaddirplusRes)
 	}
 	p.issue(page) // behind the reply the kernel is waiting for
-	rep, err := p.finishUpstream(c, &res, []nfs3.FH{args.Dir})
+	rep, _, err := p.finishUpstream(c, &res, []nfs3.FH{args.Dir})
 	rep.Release() // the result owns what it decoded
 	if err != nil {
 		return encodeReply(call, &nfs3.LookupRes{Status: nfs3.ErrJukebox})
@@ -167,17 +167,18 @@ func (p *ProxyClient) readForward(call *sunrpc.Call, args nfs3.ReadArgs, bn uint
 	var res nfs3.ReadRes
 	c := p.startUpstream(call.ReqID, nfs3.ProcRead, &args)
 	p.issue(chunk) // behind the block the reader is waiting for
-	rep, err := p.finishUpstream(c, &res, []nfs3.FH{args.FH})
+	rep, ts, err := p.finishUpstream(c, &res, []nfs3.FH{args.FH})
 	if err != nil {
 		return encodeReply(call, &nfs3.ReadRes{Status: nfs3.ErrJukebox})
 	}
 	p.hitForward(call)
 	call.SpanBytes = int64(res.Count)
 	if res.Status == nfs3.OK && res.Attr.Present {
+		seq := ts.seqOf(args.FH)
 		if aligned && (uint64(res.Count) == bs || res.EOF) {
-			p.cache.putBlock(args.FH, bn, res.Data, res.Attr.Attr, false)
+			p.cache.putBlock(args.FH, bn, res.Data, res.Attr.Attr, seq)
 		}
-		p.cache.putAttr(args.FH, res.Attr.Attr)
+		p.cache.putAttrSince(args.FH, res.Attr.Attr, seq)
 	}
 	res.Encode(call.Reply)
 	rep.Release() // cached and encoded: nothing reads the upstream frame again
@@ -255,7 +256,7 @@ func (p *ProxyClient) write(call *sunrpc.Call) sunrpc.AcceptStat {
 			}
 			var rres nfs3.ReadRes
 			rargs := nfs3.ReadArgs{FH: args.FH, Offset: blockStart, Count: uint32(bs)}
-			rep, err := p.finishUpstream(p.startUpstream(call.ReqID, nfs3.ProcRead, &rargs), &rres, nil)
+			rep, ts, err := p.finishUpstream(p.startUpstream(call.ReqID, nfs3.ProcRead, &rargs), &rres, nil)
 			if err != nil || rres.Status != nfs3.OK {
 				rep.Release()
 				writeLocal = false
@@ -263,7 +264,7 @@ func (p *ProxyClient) write(call *sunrpc.Call) sunrpc.AcceptStat {
 			}
 			p.hitForward(call)
 			if rres.Attr.Present {
-				p.cache.putBlock(args.FH, bn, rres.Data, rres.Attr.Attr, false)
+				p.cache.putBlock(args.FH, bn, rres.Data, rres.Attr.Attr, ts.seqOf(args.FH))
 			}
 			rep.Release()
 		}
@@ -296,19 +297,23 @@ func (p *ProxyClient) write(call *sunrpc.Call) sunrpc.AcceptStat {
 // upstream out of the kernel's call frame, which outlives the handler's call.
 func (p *ProxyClient) writeForward(call *sunrpc.Call, args nfs3.WriteArgs) sunrpc.AcceptStat {
 	var res nfs3.WriteRes
-	if err := p.forward(call, nfs3.ProcWrite, &args, &res, args.FH); err != nil {
+	rep, ts, err := p.finishUpstream(p.startUpstream(call.ReqID, nfs3.ProcWrite, &args), &res, []nfs3.FH{args.FH})
+	rep.Release() // the result owns what it decoded
+	if err != nil {
 		return encodeReply(call, &nfs3.WriteRes{Status: nfs3.ErrJukebox})
 	}
+	p.hitForward(call)
 	if res.Status == nfs3.OK && res.Committed != nfs3.FileSync {
 		p.cache.noteUnstable(args.FH)
 	}
 	if res.Status == nfs3.OK && res.Wcc.After.Present {
 		// Reconcile first (recognizing our own mtime advance via the wcc
 		// data), then cache the freshly written block.
-		p.cache.updateAfterWrite(args.FH, args.Offset, len(args.Data), res.Wcc)
+		seq := ts.seqOf(args.FH)
+		p.cache.updateAfterWrite(args.FH, args.Offset, len(args.Data), res.Wcc, seq)
 		bs := uint64(p.cfg.BlockSize)
 		if args.Offset%bs == 0 && (uint64(len(args.Data)) == bs || args.Offset+uint64(len(args.Data)) >= res.Wcc.After.Attr.Size) {
-			p.cache.putBlock(args.FH, args.Offset/bs, args.Data, res.Wcc.After.Attr, false)
+			p.cache.putBlock(args.FH, args.Offset/bs, args.Data, res.Wcc.After.Attr, seq)
 		}
 	}
 	return encodeReply(call, &res)

@@ -127,7 +127,7 @@ type wireDec interface{ Decode(*xdr.Decoder) error }
 // it decoded — every result does but READ's, whose callers use startUpstream
 // and finishUpstream themselves and release the frame when done with the data.
 func (p *ProxyClient) callUpstream(rid uint64, proc uint32, args wireEnc, res wireDec, forwarded ...nfs3.FH) error {
-	rep, err := p.finishUpstream(p.startUpstream(rid, proc, args), res, forwarded)
+	rep, _, err := p.finishUpstream(p.startUpstream(rid, proc, args), res, forwarded)
 	rep.Release()
 	return err
 }
@@ -158,21 +158,23 @@ func (p *ProxyClient) startUpstream(rid uint64, proc uint32, args wireEnc) upstr
 }
 
 // finishUpstream waits for a started NFS call, decodes its result into res
-// and applies the reply's trailers. The caller owns the reply's frame, which
-// a READ result's Data aliases: it releases it once the data is where it was
-// going — copied into the cache, encoded into the kernel's reply.
-func (p *ProxyClient) finishUpstream(c upstreamCall, res wireDec, forwarded []nfs3.FH) (sunrpc.Reply, error) {
+// and applies the reply's trailers, which it returns: what the reply says of
+// a handle is installed under the stamp of its decision there
+// (Trailers.seqOf). The caller owns the reply's frame, which a READ result's
+// Data aliases: it releases it once the data is where it was going — copied
+// into the cache, encoded into the kernel's reply.
+func (p *ProxyClient) finishUpstream(c upstreamCall, res wireDec, forwarded []nfs3.FH) (sunrpc.Reply, Trailers, error) {
 	rep, err := p.waitCall(c)
 	bufpool.PutEncoder(c.enc)
 	lat := p.node.Now() - c.start
 	p.met.forwardLatency.ObserveDuration(lat)
 	if err != nil {
-		return rep, err
+		return rep, nil, err
 	}
 	d := rep.Body
 	if err := res.Decode(d); err != nil {
 		rep.Release()
-		return rep, err
+		return rep, nil, err
 	}
 	p.ra.observe(lat, res, p.cfg.BlockSize)
 	var ts Trailers
@@ -182,7 +184,7 @@ func (p *ProxyClient) finishUpstream(c upstreamCall, res wireDec, forwarded []nf
 		}
 	}
 	p.cache.applyReplySince(ts, forwarded, c.forgets)
-	return rep, nil
+	return rep, ts, nil
 }
 
 // forward is callUpstream for the kernel RPC being served: the call crossed the

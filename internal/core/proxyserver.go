@@ -79,9 +79,13 @@ type ProxyServer struct {
 	lru      ring[fileState]       // files, most recently accessed first
 	grace    bool
 	grantSeq uint64
-	graceW   []*vclock.Waiter
-	store    StateStore
-	stopped  bool
+	// commits counts the destructive operations made durable
+	// (committedLocked): a MOUNT's speculative grants stand only if none
+	// landed while its pages were read (mountGrantsLocked).
+	commits uint64
+	graceW  []*vclock.Waiter
+	store   StateStore
+	stopped bool
 
 	// node records this proxy's trace spans; met holds its registry series.
 	// Counters are the single source of truth — ProxyServerStats is a view
@@ -113,9 +117,15 @@ type sharer struct {
 	// lastAccess is the idle clock DelegExpiry runs on: the sharer's last
 	// access, or the settling of a recall that left it owing something.
 	lastAccess time.Duration
-	// closing: the sweep speculated it gone and asked for its delegation. It
-	// leaves when that settles, unless an access of its own came first.
+	// closing: the sweep speculated it gone, or an access found it holding
+	// only what a MOUNT granted it, and asked for its delegation. It leaves
+	// when that settles, unless an access of its own came first.
 	closing bool
+	// speculative: it holds only what a MOUNT granted it (mountGrantsLocked)
+	// and has made no access of its own since. Recalled, it leaves: a sharer
+	// that holds nothing denies others the write delegation until it ages out,
+	// and one the session never used would deny it for DelegExpiry.
+	speculative bool
 	// recall is the callback on the wire to it, nil when there is none: an
 	// access that conflicts with it meanwhile waits for that to settle rather
 	// than calling it back again.
@@ -128,6 +138,14 @@ type sharer struct {
 	// discard the suspect blocks (Section 4.3.4's discard semantics)
 	// instead of clobbering newer data.
 	lostRecall bool
+	// unanswered: a recall took its delegation and was never answered, so its
+	// client may still believe it holds it, and replies it has in flight were
+	// read under it. Its next grant is none (grantLocked): the client learns
+	// the delegation ended, and installs nothing those replies say
+	// (cachedFile.overtaken). A sharer a closed recall speculated gone leaves
+	// instead: idle, or holding only a MOUNT's grant, it has no reply in
+	// flight.
+	unanswered bool
 }
 
 // NewProxyServer wraps an upstream connection to the kernel NFS server.

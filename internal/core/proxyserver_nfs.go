@@ -34,8 +34,8 @@ type callInfo struct {
 // dispatchMount relays a MOUNT call to the NFS server, the arguments by
 // reference out of the call's frame as dispatchNFS relays them, and registers
 // the calling session: from here on every change another client makes is
-// queued for it. A MNT reply to a polling session carries the top of the
-// export behind the NFS server's mountres3 (mountBundle).
+// queued for it. A MNT reply carries the top of the export behind the NFS
+// server's mountres3 (mountBundle).
 func (s *ProxyServer) dispatchMount(call *sunrpc.Call) sunrpc.AcceptStat {
 	client := s.ensureClient(call.Cred)
 	rep, err := s.up.CallParts(call.ReqID, nfs3.MountProgram, nfs3.MountVersion, call.Proc, nil, call.Args.Rest(), s.cfg.CallTimeout)
@@ -62,25 +62,31 @@ func (s *ProxyServer) dispatchMount(call *sunrpc.Call) sunrpc.AcceptStat {
 // LOOKUP of a directory whose listing that LOOKUP would have carried, and the
 // path through it would cost a round trip more than it did without the
 // bundle. So nothing rides when the root's own page does not complete, or
-// when the top of the export does not fit a block.
+// when the top of the export does not fit a block. It lists only for a
+// session that caches metadata.
 //
-// It lists only under polling, for a session that caches metadata, and only
-// once the session's invalidation buffer is bootstrapped: the proxy client
-// sends its bootstrap GETINV ahead of its MNT, and a change queued before the
-// bootstrap is flushed by it. Stamp lets the client check the same of a buffer
-// an earlier incarnation of it bootstrapped. Under delegation a listed child
-// is not servable without a delegation of its own, so nothing rides there.
+// Under polling it lists only once the session's invalidation buffer is
+// bootstrapped: the proxy client sends its bootstrap GETINV ahead of its MNT,
+// and a change queued before the bootstrap is flushed by it. Stamp lets the
+// client check the same of a buffer an earlier incarnation of it bootstrapped.
+// The trailer list is empty.
+//
+// Under delegation a listed name or attribute is servable only under a
+// delegation, so the walked directories and their entries are granted read
+// delegations once the pages are read (mountGrantsLocked), one trailer each,
+// bounded by what one block lists. A handle another client writes, or that
+// is being called back, rides ungranted, and the client lands nothing of it.
+// Each grant the session never uses costs one clean callback, at DelegExpiry
+// or at the first conflicting access by another client.
 func (s *ProxyServer) mountBundle(call *sunrpc.Call, c *clientState, root nfs3.FH) {
-	if s.cfg.Model != ModelPolling {
-		return
-	}
 	if cred, err := DecodeSessionCred(call.Cred); err != nil || cred.NoListings {
 		return
 	}
+	delegation := s.cfg.Model == ModelDelegation
 	s.mu.Lock()
-	bootstrapped, stamp := c.buf.bootstrapped, s.invTS
+	bootstrapped, stamp, commits := c.buf.bootstrapped, s.invTS, s.commits
 	s.mu.Unlock()
-	if !bootstrapped {
+	if !bootstrapped && !delegation {
 		return
 	}
 	type listed struct {
@@ -94,6 +100,16 @@ func (s *ProxyServer) mountBundle(call *sunrpc.Call, c *clientState, root nfs3.F
 			l.rep.Release()
 		}
 	}()
+	// handles are what the pages list, each once: the walked directories and
+	// every entry with a handle and attributes, which is what a client lands.
+	var handles []nfs3.FH
+	seen := map[string]bool{}
+	note := func(fh nfs3.FH) {
+		if !seen[fh.Key()] {
+			seen[fh.Key()] = true
+			handles = append(handles, fh)
+		}
+	}
 	budget := s.cfg.BlockSize
 	for queue := []nfs3.FH{root}; len(queue) > 0; queue = queue[1:] {
 		page, rep := s.smallListing(call.ReqID, queue[0])
@@ -109,10 +125,28 @@ func (s *ProxyServer) mountBundle(call *sunrpc.Call, c *clientState, root nfs3.F
 		if budget -= len(page); budget < 0 {
 			return
 		}
+		note(queue[0])
 		for _, ent := range res.Entries {
-			if ent.FHFollows && ent.Attr.Present && ent.Attr.Attr.Type == nfs3.TypeDir {
+			if !ent.FHFollows || !ent.Attr.Present {
+				continue
+			}
+			note(ent.FH)
+			if ent.Attr.Attr.Type == nfs3.TypeDir {
 				queue = append(queue, ent.FH)
 			}
+		}
+	}
+	var grants Trailers
+	if delegation {
+		var ok bool
+		s.mu.Lock()
+		grants, ok = s.mountGrantsLocked(c, handles, commits, s.clk.Now())
+		s.mu.Unlock()
+		if !ok || len(grants) == 0 {
+			return // nothing of it would land
+		}
+		for _, t := range grants {
+			s.met.delegationGrants[t.Deleg].Inc()
 		}
 	}
 	encodeMountBundleHead(call.Reply, stamp, len(pages))
@@ -120,6 +154,7 @@ func (s *ProxyServer) mountBundle(call *sunrpc.Call, c *clientState, root nfs3.F
 		call.Reply.Opaque(l.dir.Bytes())
 		call.Reply.FixedOpaque(l.page)
 	}
+	grants.Encode(call.Reply)
 }
 
 // dispatchNFS is the proxy server's request path: inspect, resolve
@@ -243,11 +278,13 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 // only if that page is the whole listing (OK and EOF). The kernel asks for a
 // name in the directory next, and the listing answers it, and every other, for
 // the one round trip the LOOKUP already cost. A larger directory is left to the
-// proxy client's walk (dirwalk.go). The caller asks for none under delegation,
-// where a seeded child is not servable without a delegation of its own, nor for
-// a session without a metadata cache (SessionCred.NoListings). A MNT's bundle
-// is made of these pages (mountBundle). It returns the page's bytes (nil: no
-// listing) and the frame they live in, for the caller to release.
+// proxy client's walk (dirwalk.go). A LOOKUP carries none under delegation,
+// where a seeded child is not servable without a delegation of its own and the
+// LOOKUP grants none on the listed names, nor for a session without a metadata
+// cache (SessionCred.NoListings). A MNT's bundle is made of these pages, with
+// those delegations granted under delegation (mountBundle). It returns the
+// page's bytes (nil: no listing) and the frame they live in, for the caller
+// to release.
 func (s *ProxyServer) smallListing(rid uint64, dir nfs3.FH) ([]byte, sunrpc.Reply) {
 	bs := uint32(s.cfg.BlockSize)
 	e := xdr.NewEncoder()

@@ -269,23 +269,31 @@ func TestUnreadPrefetchAccounting(t *testing.T) {
 	a.Size = 64
 	blk := []byte{1, 2, 3, 4}
 
-	sc.putBlock(fh, 0, blk, a, true)
-	sc.putBlock(fh, 1, blk, a, true)
+	putPrefetched(sc, fh, 0, blk, a, true)
+	putPrefetched(sc, fh, 1, blk, a, true)
 	sc.getBlock(fh, 0) // consumed
-	sc.putBlock(fh, 2, blk, a, false)
-	sc.putBlock(fh, 3, blk, a, false) // evicts block 1 (least recently used), unread
+	sc.putBlock(fh, 2, blk, a, 0)
+	sc.putBlock(fh, 3, blk, a, 0) // evicts block 1 (least recently used), unread
 	if got := met.raWasted.Value(); got != 1 {
 		t.Fatalf("wasted = %d after evicting one unread prefetch, want 1", got)
 	}
-	sc.putBlock(fh, 4, blk, a, true) // evicts block 0: read, not wasted
+	putPrefetched(sc, fh, 4, blk, a, true) // evicts block 0: read, not wasted
 	a2 := attrWithMtime(2, nfs3.TypeReg)
 	sc.putAttr(fh, a2) // foreign change drops the clean blocks, block 4 unread
 	if got := met.raWasted.Value(); got != 2 {
 		t.Fatalf("wasted = %d after invalidating one unread prefetch, want 2", got)
 	}
 	sc.writeDirty(fh, 20, blk)
-	sc.putBlock(fh, 5, blk, a2, true) // lands on a dirty block: dropped
+	putPrefetched(sc, fh, 5, blk, a2, true) // lands on a dirty block: dropped
 	if got := met.raWasted.Value(); got != 3 {
 		t.Fatalf("wasted = %d after a prefetch lost to dirty data, want 3", got)
 	}
+}
+
+// putPrefetched lands a block as putBlock does, or, prefetched, as a
+// readahead's landing does: marked unread until a demand read consumes it.
+func putPrefetched(sc *sessionCache, fh nfs3.FH, bn uint64, data []byte, attr nfs3.Fattr, prefetched bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.putBlockLocked(sc.fileFor(fh.Key()), bn, data, attr, prefetched)
 }

@@ -128,7 +128,7 @@ func (b *rereadBed) read(bn uint64) string {
 		how = "joined"
 	}
 	if _, ok := b.sc.readHit(b.fh, bn); !ok {
-		b.sc.putBlock(b.fh, bn, make([]byte, succBS), b.attr(), false)
+		b.sc.putBlock(b.fh, bn, make([]byte, succBS), b.attr(), 0)
 		b.sc.putAttr(b.fh, b.attr())
 		how = "forwarded"
 	}

@@ -74,7 +74,7 @@ func (s *ProxyServer) touchLocked(fh nfs3.FH, c *clientState, now time.Duration)
 		sh = &sharer{c: c}
 		f.sharers[c.rec.ID] = sh
 	}
-	sh.lastAccess, sh.closing = now, false
+	sh.lastAccess, sh.closing, sh.speculative = now, false, false
 	return f, sh
 }
 
@@ -105,7 +105,8 @@ func (s *ProxyServer) demandLocked(reqs []recallReq, f *fileState, sh *sharer, a
 // delegation against a read, and — chasing a partial write-back, Section
 // 4.3.2 — a block at a's offset that its holder has yet to submit. A sharer
 // already being called back is not called again: the access joins that recall,
-// and looks again once it has settled (recallWithin).
+// and looks again once it has settled (recallWithin). A speculative sharer is
+// asked as the sweep asks an idle one (closed), and leaves when that settles.
 func (s *ProxyServer) conflictsLocked(f *fileState, id string, a accessReq) (reqs []recallReq) {
 	for _, otherID := range sortedKeys(f.sharers) {
 		other := f.sharers[otherID]
@@ -117,7 +118,8 @@ func (s *ProxyServer) conflictsLocked(f *fileState, id string, a accessReq) (req
 		case other.recall != nil:
 			reqs = append(reqs, recallReq{f: f, c: other.c, args: RecallArgs{FH: f.fh, Deleg: other.deleg}, flight: other.recall, joined: true})
 		default:
-			reqs = s.demandLocked(reqs, f, other, a, false)
+			other.closing = other.closing || other.speculative
+			reqs = s.demandLocked(reqs, f, other, a, other.speculative)
 		}
 	}
 	return reqs
@@ -161,6 +163,10 @@ func (s *ProxyServer) grantLocked(c *clientState, a accessReq, now time.Duration
 	// only holder's own READ keeps its write delegation: downgraded, it would
 	// keep buffering the blocks it holds dirty while others read past them
 	// (TestHolderReadKeepsWriteDelegation).
+	case sh.unanswered:
+		// What it still believes it holds ended unannounced: a grant of none
+		// tells it so.
+		sh.unanswered = false
 	case (a.write || held == DelegWrite) && len(f.sharers) == 1:
 		sh.deleg = DelegWrite
 	case !a.write && readable:
@@ -175,6 +181,7 @@ func (s *ProxyServer) grantLocked(c *clientState, a accessReq, now time.Duration
 // clears its block from the writer's own pending list, and whatever others
 // gained on a.fh between the conflict scan and the forward is listed.
 func (s *ProxyServer) committedLocked(id string, a accessReq) []recallReq {
+	s.commits++
 	f := s.files[a.fh.Key()]
 	if f == nil {
 		return nil
@@ -183,6 +190,53 @@ func (s *ProxyServer) committedLocked(id string, a accessReq) []recallReq {
 		delete(sh.pending, s.blockOf(*a.offset))
 	}
 	return s.conflictsLocked(f, id, accessReq{fh: a.fh, write: true, name: a.name})
+}
+
+// mountGrantsLocked is c's MOUNT granting a read delegation on each of fhs,
+// the directories its bundle lists and their entries, in order and each once,
+// as a LOOKUP's access and postResolve would: a speculative grant, since the
+// session has asked for none of them yet. A handle is granted only where
+// conflictsLocked would list nothing for a read and grantLocked would give a
+// read delegation (speculableLocked). Any other handle is left as it is and
+// rides with no grant: a speculative grant sends no callback, waits for
+// nothing and leaves no sharer holding nothing. A sharer it makes stays
+// speculative until the session's own first access of the file. The pages
+// were read before this runs, so the grants stand only if no destructive
+// operation was made durable since commits was read, and none is made
+// otherwise (ok false). One made durable after the grants recalls them
+// (committedLocked), as it would a LOOKUP's.
+func (s *ProxyServer) mountGrantsLocked(c *clientState, fhs []nfs3.FH, commits uint64, now time.Duration) (ts Trailers, ok bool) {
+	if s.commits != commits || s.grace {
+		return nil, false
+	}
+	for _, fh := range fhs {
+		if !s.speculableLocked(fh) {
+			continue
+		}
+		f := s.files[fh.Key()]
+		spec := f == nil || f.sharers[c.rec.ID] == nil || f.sharers[c.rec.ID].speculative
+		d, seq := s.grantLocked(c, accessReq{fh: fh}, now)
+		s.files[fh.Key()].sharers[c.rec.ID].speculative = spec
+		ts = append(ts, Trailer{Deleg: d, FH: fh, Seq: seq})
+	}
+	return ts, true
+}
+
+// speculableLocked reports whether a read delegation on fh may be granted
+// without calling anyone back or taking anything from anyone: no sharer, the
+// grantee included, holds a write delegation, owes blocks or is being called
+// back.
+func (s *ProxyServer) speculableLocked(fh nfs3.FH) bool {
+	f := s.files[fh.Key()]
+	if f == nil {
+		return true
+	}
+	for _, sh := range f.sharers {
+		if sh.deleg == DelegWrite || len(sh.pending) > 0 || sh.recall != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // settleLocked records how one recall ended (res nil: never answered),
@@ -211,6 +265,7 @@ func (s *ProxyServer) settleLocked(r recallReq, res *RecallRes, now time.Duratio
 	}
 	if sh.granted < r.args.Seq {
 		sh.deleg = DelegNone
+		sh.unanswered = sh.unanswered || res == nil
 	}
 	sh.closing = false
 	switch {

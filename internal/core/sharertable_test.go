@@ -590,3 +590,74 @@ func TestRecallSettlesTheSameForEveryReason(t *testing.T) {
 		}
 	}
 }
+
+// TestMountGrantsOnTheTable drives mountGrantsLocked on a bare table: a MOUNT
+// grants read where nothing conflicts and leaves every other handle as it
+// was; a change made durable while its pages were read voids every grant; a
+// sharer it made is speculative, leaves when another client's access calls
+// it back, and stays a sharer like any other once it has accessed the file
+// itself.
+func TestMountGrantsOnTheTable(t *testing.T) {
+	free, written := fhN(1), fhN(2)
+	mount := func(d *tableDriver, id string, commits uint64, fhs ...nfs3.FH) (string, bool) {
+		ts, ok := d.s.mountGrantsLocked(d.s.clients[id], fhs, commits, d.now)
+		var out []string
+		for _, tr := range ts {
+			out = append(out, fmt.Sprintf("%d:%v", tr.FH.Bytes()[15], tr.Deleg))
+		}
+		return strings.Join(out, " "), ok
+	}
+
+	d := &tableDriver{s: tableServer("A", "B"), answers: map[string]outcome{}}
+	d.access("B", accessReq{fh: written, write: true, offset: off(0)})
+	if got, ok := mount(d, "A", d.s.commits, free, written); !ok || got != "1:read" {
+		t.Errorf("A's MOUNT granted %q (ok %v), want the free file alone", got, ok)
+	}
+	if row := describeFile(d.s, written); row != "B=write" {
+		t.Errorf("the written file's row is %q after A's MOUNT, want B=write untouched", row)
+	}
+	if got, ok := mount(d, "B", d.s.commits-1, free); ok || got != "" {
+		t.Errorf("a MOUNT whose pages were read before a commit granted %q (ok %v), want nothing", got, ok)
+	}
+
+	t.Run("called back, a speculative sharer leaves", func(t *testing.T) {
+		d := &tableDriver{s: tableServer("A", "B"), answers: map[string]outcome{}}
+		mount(d, "A", 0, free)
+		if recalls, grant := d.access("B", accessReq{fh: free, write: true, offset: off(0)}); recalls != "A:read@0/closed" || grant != "write" {
+			t.Errorf("B's WRITE recalled %q and was granted %q; want A:read@0/closed, then write", recalls, grant)
+		}
+		if row := describeFile(d.s, free); row != "B=write" {
+			t.Errorf("row %q, want B=write: A left with its grant", row)
+		}
+	})
+	t.Run("after an access of its own, it stays", func(t *testing.T) {
+		d := &tableDriver{s: tableServer("A", "B"), answers: map[string]outcome{}}
+		mount(d, "A", 0, free)
+		d.access("A", accessReq{fh: free, offset: off(0)})
+		if recalls, grant := d.access("B", accessReq{fh: free, write: true, offset: off(0)}); recalls != "A:read@0" || grant != "none" {
+			t.Errorf("B's WRITE recalled %q and was granted %q; want A:read@0, then none", recalls, grant)
+		}
+		if row := describeFile(d.s, free); row != "A=none B=none" {
+			t.Errorf("row %q, want A=none B=none", row)
+		}
+	})
+}
+
+// TestUnansweredRecallEndsInNone: a reader whose recall was never answered
+// may still believe it holds its read delegation, with replies in flight read
+// under it; its next access is granted none, which tells its client the
+// delegation ended, and the one after that is granted read again.
+func TestUnansweredRecallEndsInNone(t *testing.T) {
+	fh := fhN(7)
+	d := &tableDriver{s: tableServer("A", "B"), answers: map[string]outcome{"A": lost}}
+	d.access("A", accessReq{fh: fh, offset: off(0)})
+	d.access("B", accessReq{fh: fh, offset: off(0)})
+	if recalls, _ := d.access("B", accessReq{fh: fh, write: true, offset: off(0)}); recalls != "A:read@0" {
+		t.Fatalf("B's WRITE recalled %q, want A's read", recalls)
+	}
+	for i, want := range []string{"none", "read"} {
+		if _, grant := d.access("A", accessReq{fh: fh, offset: off(0)}); grant != want {
+			t.Errorf("A's read %d after the unanswered recall was granted %s, want %s", i+1, grant, want)
+		}
+	}
+}

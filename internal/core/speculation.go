@@ -76,6 +76,7 @@ type seedTicket struct {
 	names    uint64 // rec.namesGen when sent
 	inv      uint64 // sessionCache.invGen when sent
 	allNames uint64 // sessionCache.namesGen when sent
+	forgets  uint64 // sessionCache.forgets when sent
 	sent     time.Duration
 }
 
@@ -136,7 +137,7 @@ func (sc *sessionCache) landLocked(s *speculation, i int, res wireDec) (ws []*vc
 		}
 		switch {
 		case fresh:
-			sc.seedDirLocked(s.seedTicket, pg, true)
+			sc.seedDirLocked(s.seedTicket, pg, true, nil)
 		case pg != nil:
 			sc.met.walkDiscarded.Inc()
 		}
@@ -244,7 +245,7 @@ func (p *ProxyClient) collect(s *speculation, i int, c upstreamCall) {
 			sp.Window, sp.Blocks, sp.Note = int(s.window), len(s.runs[i]), specNote[s.kind]
 		}
 	}
-	rep, err := p.finishUpstream(c, res, nil)
+	rep, _, err := p.finishUpstream(c, res, nil)
 	sp.End = p.node.Now()
 	if err != nil {
 		res, sp.Err = nil, err.Error()
