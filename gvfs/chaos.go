@@ -284,8 +284,8 @@ type chaosEvent struct {
 	client     int
 	start      time.Duration
 	// land is the last virtual time at which the event can still reach the
-	// server: end + flushLag for a write-back write, end + nameLag for a
-	// write-through namespace op, start for the initial contents.
+	// server: end + flushLag for a write-back write, end + nameLag or
+	// unlinkLag for a namespace op, start for the initial contents.
 	land time.Duration
 	// failed marks an op that returned an error: indeterminate, it never
 	// anchors, and a client may observe it at any time.
@@ -330,13 +330,13 @@ func (op *chaosOp) setValue(client int, key, state string, flushLag time.Duratio
 		start: op.start, land: op.end + flushLag, failed: op.err != nil, value: true})
 }
 
-// setName records that a namespace op set name's existence. Namespace ops
-// are write-through: only the RPC retry window, nameLag, extends past the
-// op's return. A failed one has no deadline at all: its request can execute
-// even when its reply is lost, so its state stays plausible, even to the
-// server's final state.
-func (op *chaosOp) setName(client int, name string, exists bool, nameLag time.Duration) {
-	land := op.end + nameLag
+// setName records that a namespace op set name's existence, landing at most
+// lag after the op returns: the RPC retry window for a write-through op, a
+// partition too for an unlink under write-back. A failed one has no deadline
+// at all: its request can execute even when its reply is lost, so its state
+// stays plausible, even to the server's final state.
+func (op *chaosOp) setName(client int, name string, exists bool, lag time.Duration) {
+	land := op.end + lag
 	if op.err != nil {
 		land = farFuture
 	}
@@ -603,7 +603,7 @@ func (Namespace) step(c *chaosClient, r *rand.Rand) {
 		op.kind = 'u'
 		op.err = c.m.Client.Remove(n)
 		op.end = c.now()
-		op.setName(c.id, n, false, c.nameLag)
+		op.setName(c.id, n, false, c.unlinkLag)
 	case roll < 12: // rename: n vanishes, dst appears (replacing any old dst)
 		op.kind = 'm'
 		dst := names[r.Intn(len(names))]
@@ -690,13 +690,15 @@ func (Namespace) final(d *Deployment, n string) ([]chaosObs, error) {
 // chaosClient is one client's side of a run: its mount, its op log, and
 // what its workload's steps need.
 type chaosClient struct {
-	d                 *Deployment
-	m                 *Mount
-	id, seq           int
-	paths             []string
-	flushLag, nameLag time.Duration
-	restarts          []time.Duration // warm restarts still to come
-	log               []chaosOp
+	d       *Deployment
+	m       *Mount
+	id, seq int
+	paths   []string
+	// The lags after which a write-back write, a create or rename, and an
+	// unlink have landed on the server (runChaos).
+	flushLag, nameLag, unlinkLag time.Duration
+	restarts                     []time.Duration // warm restarts still to come
+	log                          []chaosOp
 }
 
 func (c *chaosClient) now() time.Duration { return c.d.Clock.Now() }
@@ -793,10 +795,16 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 		propLag = cfg.DelegRenew + rpcSlack + 10*time.Second
 	}
 
-	// nameLag: how long after a write-through namespace op returns its
-	// effect can still land on the server (in-flight retries only — there
-	// is no write-back buffer for namespace state).
-	nameLag := rpcSlack
+	// nameLag: how long after a create or a rename returns its effect can
+	// still land on the server (in-flight retries only: both are
+	// write-through). unlinkLag is an unlink's: under write-back the proxy
+	// client answers a REMOVE at home and sends it at once behind the reply,
+	// again and again until it is answered, so a partition delays it (the
+	// write-back lag without its flush tick).
+	nameLag, unlinkLag := rpcSlack, rpcSlack
+	if cfg.WriteBack {
+		unlinkLag = maxPartition + rpcSlack
+	}
 
 	rep := &ChaosReport{Plan: plan}
 	events := make(map[string][]*chaosEvent)
@@ -837,7 +845,7 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 				runErr = fmt.Errorf("chaos: mount %s: %w", chaosHost(i), err)
 				return
 			}
-			clients[i] = &chaosClient{d: d, m: m, id: i, paths: paths, flushLag: flushLag, nameLag: nameLag}
+			clients[i] = &chaosClient{d: d, m: m, id: i, paths: paths, flushLag: flushLag, nameLag: nameLag, unlinkLag: unlinkLag}
 		}
 
 		// Chaos begins: install the fault policy on every client<->server

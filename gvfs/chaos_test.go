@@ -223,11 +223,18 @@ func TestChaosMetadataBothModels(t *testing.T) {
 			if polling := mode.model == core.ModelPolling; (pages > 0) != polling {
 				t.Errorf("%d directory-walk pages under %s", pages, mode.name)
 			}
-			t.Logf("%s: %d ops (%d mutations, %d probes, %d errors), %d walk pages (%d entries, %d used, %d pages discarded), %d dentry hits, %d negative hits",
+			// The polling sessions write back, so an unlink the cache can
+			// prove is answered at home, its REMOVE crossing behind it.
+			absorbed := rep.Metrics.SumCounters("gvfs_client_remove_absorbed_total")
+			if polling := mode.model == core.ModelPolling; (absorbed > 0) != polling {
+				t.Errorf("%d REMOVEs answered at home under %s", absorbed, mode.name)
+			}
+			t.Logf("%s: %d ops (%d mutations, %d probes, %d errors), %d walk pages (%d entries, %d used, %d pages discarded), %d dentry hits, %d negative hits, %d REMOVEs absorbed (%d refused)",
 				mode.name, rep.Ops, rep.Writes, rep.Reads, rep.OpErrors, pages,
 				rep.Metrics.SumCounters("gvfs_client_dirwalk_entries_total"),
 				rep.Metrics.SumCounters("gvfs_client_dirwalk_entries_used_total"),
-				rep.Metrics.SumCounters("gvfs_client_dirwalk_discarded_total"), dentry, negative)
+				rep.Metrics.SumCounters("gvfs_client_dirwalk_discarded_total"), dentry, negative,
+				absorbed, rep.Metrics.SumCounters("gvfs_client_remove_refused_total"))
 		})
 	}
 }
@@ -528,4 +535,70 @@ func sameAttribution(t *testing.T, r1, r2 *ChaosReport) {
 			t.Errorf("%d sheds but zero %s time attributed", r1.Sheds, attr.SegShed)
 		}
 	}
+}
+
+// TestAbsorbedRemoveCrossesAPartition pins the lag the metadata chaos checker
+// allows an unlink under write-back (runChaos's unlinkLag): the proxy client
+// answers the REMOVE at home while the link is down for the longest partition
+// a plan makes, keeps sending it, and it lands on the server within the RPC
+// retry window of the heal — so within maxPartition + rpcSlack of the
+// unlink's return. Nothing is refused, and the name stays absent to the
+// unlinking client throughout.
+func TestAbsorbedRemoveCrossesAPartition(t *testing.T) {
+	d := newDeployment(t)
+	d.FS.WriteFile("rm/f", []byte("x"))
+	d.Run("test", func() {
+		cfg := core.Config{Model: core.ModelPolling, WriteBack: true, PollPeriod: 10 * time.Second,
+			FlushInterval: 10 * time.Second, CallTimeout: 4 * time.Second}
+		rpcSlack := 3*(cfg.CallTimeout+time.Second) + 5*time.Second // as runChaos bounds it
+		sess, err := d.NewSession("s", cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		m, err := sess.Mount("C1", kernelNoac())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := m.Client.Stat("rm/f"); err != nil {
+			t.Errorf("stat: %v", err)
+			return
+		}
+		d.Net.Partition("C1", "server")
+		start := d.Clock.Now()
+		if err := m.Client.Remove("rm/f"); err != nil {
+			t.Errorf("remove with the link down: %v", err)
+			return
+		}
+		end := d.Clock.Now()
+		if end-start > time.Second {
+			t.Errorf("the REMOVE took %v with the link down: it was not answered at home", end-start)
+		}
+		d.Clock.Sleep(maxPartition - (end - start))
+		if _, err := d.FS.LookupPath("rm/f"); err != nil {
+			t.Error("the file left the server while the link was down")
+		}
+		if _, err := m.Client.Stat("rm/f"); !isNoEnt(err) {
+			t.Errorf("stat on the unlinking client during the partition: %v, want NOENT", err)
+		}
+		d.Net.Heal("C1", "server")
+		healed := d.Clock.Now()
+		for {
+			if _, err := d.FS.LookupPath("rm/f"); err != nil {
+				break
+			}
+			if d.Clock.Now()-healed > rpcSlack {
+				t.Fatalf("the file is still on the server %v after the heal", rpcSlack)
+			}
+			d.Clock.Sleep(100 * time.Millisecond)
+		}
+		if landed := d.Clock.Now() - end; landed > maxPartition+rpcSlack {
+			t.Errorf("the REMOVE landed %v after the unlink returned, past the bound of %v", landed, maxPartition+rpcSlack)
+		}
+		if n := clientCount(d, m, "gvfs_client_remove_refused_total"); n != 0 {
+			t.Errorf("%d REMOVEs refused", n)
+		}
+		t.Logf("absorbed at %v, landed %v after the heal", end, d.Clock.Now()-healed)
+	})
 }

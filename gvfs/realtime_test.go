@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/nfs3"
 	"repro/internal/obs"
+	"repro/internal/sunrpc"
 	"repro/internal/tcpnet"
+	"repro/internal/transport"
 )
 
 // The strong model on sockets. Every test here runs a session on a RealTime
@@ -504,4 +507,162 @@ func TestRealTimeHandoffReread(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRealTimeRemovesCrossBehind runs rm of 16 files over sockets through
+// StartProxyClient, its wide-area leg a loopback link that holds each message
+// rtt/2 in each direction (delayNet). A polling session with write-back
+// answers each REMOVE at home and sends it upstream at once behind the reply,
+// so the 16 cost about one round trip, not 16: the kernel is done well inside
+// four round trips, and the server has lost every file within eight of the
+// first REMOVE. Under -race the REMOVEs' actors land their replies beside the
+// kernel's next calls.
+func TestRealTimeRemovesCrossBehind(t *testing.T) {
+	const files, rtt = 16, 40 * time.Millisecond
+	d := newRealTimeDeployment(t)
+	for i := 0; i < files; i++ {
+		if _, err := d.FS.WriteFile(fmt.Sprintf("rm/f%02d", i), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := core.Config{WriteBack: true, FlushInterval: time.Hour, Obs: d.Obs, ObsName: "rm", Staleness: d.Staleness}
+	nfsd, nfsAddr, err := ServeNFS(d.Clock, d.network(serverHost), d.listenAddr(3049), d.FS, d.Obs, sunrpc.SchedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nfsd.Close()
+	srvNet := d.network(serverHost)
+	ps, psAddr, err := StartProxyServer(d.Clock, srvNet, srvNet, d.listenAddr(d.nextPort()), nfsAddr, cfg, &core.MemStateStore{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Stop()
+	cNet := d.network("A")
+	pc, kernelAddr, err := StartProxyClient(d.Clock, delayNet{cNet, rtt / 2}, cNet, psAddr, d.listenAddr(d.nextPort()), d.listenAddr(d.nextPort()),
+		cfg, core.SessionCred{SessionKey: "rm", ClientID: "A/rm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := attachKernelClient(d, "A", kernelAddr, kernelNoac())
+	if err != nil {
+		pc.Stop()
+		t.Fatal(err)
+	}
+	m.Proxy, m.node = pc, "A/rm"
+	defer m.close()
+	for deadline := time.Now().Add(10 * time.Second); clientCount(d, m, "gvfs_client_force_invalidations_total") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the bootstrap poll")
+		}
+	}
+	names := make([]string, files)
+	for i := range names {
+		names[i] = fmt.Sprintf("rm/f%02d", i)
+		if _, err := m.Client.Stat(names[i]); err != nil {
+			t.Fatalf("stat %s: %v", names[i], err)
+		}
+	}
+	start := time.Now()
+	for _, name := range names {
+		if err := m.Client.Remove(name); err != nil {
+			t.Fatalf("remove %s: %v", name, err)
+		}
+	}
+	took := time.Since(start)
+	for _, name := range names {
+		for {
+			if _, err := d.FS.LookupPath(name); err != nil {
+				break
+			}
+			if time.Since(start) > 10*time.Second {
+				t.Fatalf("%s is still on the server", name)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	gone := time.Since(start)
+	if took > 4*rtt {
+		t.Errorf("rm of %d files took the kernel %v: forwarded, each would wait a round trip (%v)", files, took, rtt)
+	}
+	if gone > 8*rtt {
+		t.Errorf("the last file left the server %v after the first REMOVE, more than eight round trips", gone)
+	}
+	if n := clientCount(d, m, "gvfs_client_remove_absorbed_total"); n != files {
+		t.Errorf("%d REMOVEs answered at home, want %d", n, files)
+	}
+	t.Logf("rm of %d files: the kernel waited %v, the server lost the last %v after the first", files, took, gone)
+}
+
+// delayNet is a transport.Network whose connections hold every message for
+// delay each way, sent and received in order and pipelined: a wide-area link
+// with a round trip of twice delay, on loopback.
+type delayNet struct {
+	transport.Network
+	delay time.Duration
+}
+
+func (n delayNet) Dial(addr string) (transport.Conn, error) {
+	c, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	// Each direction buffers more messages than one test has in flight, so
+	// neither side of the connection waits on the other's delay.
+	dc := &delayConn{Conn: c, delay: n.delay, out: make(chan delayed, 1024), in: make(chan delayed, 1024)}
+	go func() {
+		for m := range dc.out {
+			time.Sleep(time.Until(m.at.Add(dc.delay)))
+			c.Send(m.msg)
+		}
+	}()
+	go func() {
+		for {
+			msg, err := c.Recv()
+			dc.in <- delayed{msg, err, time.Now()}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	return dc, nil
+}
+
+type delayed struct {
+	msg []byte
+	err error
+	at  time.Time
+}
+
+type delayConn struct {
+	transport.Conn
+	delay   time.Duration
+	out, in chan delayed
+	mu      sync.Mutex
+	closed  bool
+}
+
+func (c *delayConn) Send(msg []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return transport.ErrClosed
+	}
+	c.out <- delayed{msg: append([]byte(nil), msg...), at: time.Now()}
+	return nil
+}
+
+func (c *delayConn) Recv() ([]byte, error) {
+	m := <-c.in
+	time.Sleep(time.Until(m.at.Add(c.delay)))
+	return m.msg, m.err
+}
+
+func (c *delayConn) Close() error {
+	c.mu.Lock()
+	if !c.closed {
+		c.closed = true
+		close(c.out)
+	}
+	c.mu.Unlock()
+	return c.Conn.Close()
 }

@@ -65,6 +65,12 @@ type sessionCache struct {
 	// the crash-consistent disk store. Every call site already holds sc.mu.
 	persist blockPersister
 	recMet  recoveryCounters
+
+	// removing is the table of absorbed REMOVEs whose replies have not landed
+	// (proxyclient_remove.go); nremoving mirrors its length for the send
+	// path, which reads nothing else while the table is empty.
+	removing  []*pendingRemove
+	nremoving atomic.Int32
 }
 
 // The session cache's metadata caps: past one, the least recently used entry
@@ -233,6 +239,11 @@ type cachedFile struct {
 	// write. Hints, like succ: neither is persisted, and dropping attributes
 	// for any other reason sets neither.
 	readThrough, remoteWrite bool
+
+	// invs counts the invalidations the polling channel delivered for this
+	// handle, a GETINV naming it or a force: a reply sent before one installs
+	// nothing (invTicket).
+	invs uint64
 }
 
 func newSessionCache(blockSize int, maxBytes int64) *sessionCache {
@@ -304,12 +315,19 @@ func (sc *sessionCache) dataFor(key string) *cachedFile {
 // record to clear and nobody to wake when it returns.
 func (sc *sessionCache) forget(fh nfs3.FH) {
 	sc.mu.Lock()
+	parked := sc.forgetLocked(fh.Key())
+	sc.mu.Unlock()
+	for _, w := range parked {
+		w.Wake()
+	}
+}
+
+// forgetLocked is forget's critical section; it returns the actors to wake.
+func (sc *sessionCache) forgetLocked(key string) []*vclock.Waiter {
 	sc.forgets.Add(1)
-	key := fh.Key()
 	fc := sc.files[key]
 	if fc == nil {
-		sc.mu.Unlock()
-		return
+		return nil
 	}
 	sc.attrLRU.remove(&fc.attrLink)
 	sc.flushDirLocked(fc)
@@ -326,10 +344,7 @@ func (sc *sessionCache) forget(fh nfs3.FH) {
 	if fc.blocks != nil && sc.persist != nil {
 		sc.persist.DropFile(key)
 	}
-	sc.mu.Unlock()
-	for _, w := range parked {
-		w.Wake()
-	}
+	return parked
 }
 
 // --- protocol state: who may serve, when ------------------------------------
@@ -581,9 +596,79 @@ func (sc *sessionCache) putAttr(fh nfs3.FH, a nfs3.Fattr) {
 func (sc *sessionCache) putAttrSince(fh nfs3.FH, a nfs3.Fattr, seq uint64) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if fc := sc.record(fh.Key()); !fc.overtaken(seq) {
+	if fc := sc.record(fh.Key()); sc.landsLocked(invTicket{}, fc, seq) {
 		sc.putAttrLocked(fc, a)
 	}
+}
+
+// invTicket is taken when a call goes out whose reply installs what the server
+// said of a handle: a forwarded GETATTR's or READ's, and an absorbed REMOVE's
+// of its directory. It is shown when the reply lands. If the polling channel
+// delivered the handle meanwhile, the reply may have been read before the
+// change the invalidation announced, and nothing it says is installed: a
+// polling attribute has no timer to catch it later. The count is the record's
+// own (cachedFile.invs), so an invalidation voids only the replies about its
+// handle; a handle with no record falls back to the session's invGen. The
+// zero ticket checks nothing, and is what a session under delegation takes:
+// there a reply is ordered against the recalls by its decision's stamp
+// (cachedFile.overtaken), and a RECALL_ALL that crossed it was sent before
+// the restarted server decided it.
+type invTicket struct {
+	rec   *cachedFile
+	inv   uint64
+	taken bool
+}
+
+func (sc *sessionCache) invTicketLocked(key string) invTicket {
+	if sc.pol.model == ModelDelegation {
+		return invTicket{}
+	}
+	if fc := sc.files[key]; fc != nil {
+		return invTicket{rec: fc, inv: fc.invs, taken: true}
+	}
+	return invTicket{inv: sc.invGen, taken: true}
+}
+
+// sendTicket is the invTicket for a call about fh that is about to be sent.
+func (sc *sessionCache) sendTicket(fh nfs3.FH) invTicket {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.invTicketLocked(fh.Key())
+}
+
+// heldLocked reports whether no invalidation of tk's handle, now fc (nil: no
+// record), was delivered since tk was taken.
+func (sc *sessionCache) heldLocked(tk invTicket, fc *cachedFile) bool {
+	switch {
+	case !tk.taken:
+		return true
+	case tk.rec == nil:
+		return sc.invGen == tk.inv
+	}
+	return fc == tk.rec && fc.invs == tk.inv
+}
+
+// landsLocked is the landing rule of a forwarded reply about fc: sent under
+// tk, its decision there stamped seq, it may install only if neither an
+// invalidation nor a later decision overtook it.
+func (sc *sessionCache) landsLocked(tk invTicket, fc *cachedFile, seq uint64) bool {
+	return sc.heldLocked(tk, fc) && !fc.overtaken(seq)
+}
+
+// landReply installs what a forwarded GETATTR's or READ's reply, sent under
+// tk, says of fh: its attributes and, with block set, the block bn it carried
+// (putBlock's rule), unless the landing rule refuses both.
+func (sc *sessionCache) landReply(tk invTicket, fh nfs3.FH, a nfs3.Fattr, seq uint64, block bool, bn uint64, data []byte) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	fc := sc.record(fh.Key())
+	if !sc.landsLocked(tk, fc, seq) {
+		return
+	}
+	if block {
+		sc.putBlockLocked(sc.fileFor(fc.key), bn, data, a, false)
+	}
+	sc.putAttrLocked(fc, a)
 }
 
 func (sc *sessionCache) putAttrLocked(fc *cachedFile, a nfs3.Fattr) {
@@ -629,6 +714,7 @@ func (sc *sessionCache) invalidateHandle(fh nfs3.FH) {
 	defer sc.mu.Unlock()
 	sc.invGen++
 	if fc := sc.files[fh.Key()]; fc != nil {
+		fc.invs++
 		sc.dropAttrLocked(fc)
 		sc.flushDirLocked(fc)
 		if fc.blocks != nil {
@@ -652,6 +738,9 @@ func (sc *sessionCache) invalidateAllLocked(news bool) {
 		sc.invGen++
 	}
 	for _, fc := range sc.files {
+		if news {
+			fc.invs++
+		}
 		sc.dropAttrLocked(fc)
 		sc.dropListingLocked(fc)
 		fc.names = nil

@@ -145,7 +145,7 @@ func (sc *sessionCache) readHit(fh nfs3.FH, bn uint64) (h blockHit, ok bool) {
 func (sc *sessionCache) putBlock(fh nfs3.FH, bn uint64, data []byte, attr nfs3.Fattr, seq uint64) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if fc := sc.fileFor(fh.Key()); !fc.overtaken(seq) {
+	if fc := sc.fileFor(fh.Key()); sc.landsLocked(invTicket{}, fc, seq) {
 		sc.putBlockLocked(fc, bn, data, attr, false)
 	}
 }

@@ -66,6 +66,8 @@ type clientMetrics struct {
 	pollCapped         *obs.Counter
 	coalescedWrites    *obs.Counter
 	commitLocal        *obs.Counter
+	removeAbsorbed     *obs.Counter // REMOVEs answered at home, sent behind their reply
+	removeRefused      *obs.Counter // absorbed REMOVEs the server refused, or that got no reply
 
 	// Metadata fast path: per-cache local serves, plus the session cache's
 	// bookkeeping events (capacity evictions, whole-directory flushes on
@@ -129,6 +131,8 @@ func newClientMetrics(reg *obs.Registry, node string) *clientMetrics {
 		pollCapped:         reg.Counter(l("gvfs_client_poll_capped_total")),
 		coalescedWrites:    reg.Counter(l("gvfs_client_coalesced_writes_total")),
 		commitLocal:        reg.Counter(l("gvfs_client_commit_local_total")),
+		removeAbsorbed:     reg.Counter(l("gvfs_client_remove_absorbed_total")),
+		removeRefused:      reg.Counter(l("gvfs_client_remove_refused_total")),
 		attrHits:           reg.Counter(obs.Label(l("gvfs_client_meta_hits_total"), "cache", "attr")),
 		dentryHits:         reg.Counter(obs.Label(l("gvfs_client_meta_hits_total"), "cache", "dentry")),
 		negHits:            reg.Counter(obs.Label(l("gvfs_client_meta_hits_total"), "cache", "negative")),

@@ -186,12 +186,14 @@ func (p *ProxyClient) recoverAfterCrash() {
 }
 
 // Stop halts the proxy and closes its connections. Dirty data is flushed
-// first on a best-effort basis.
+// first on a best-effort basis, and the absorbed REMOVEs still on their way
+// are waited for.
 func (p *ProxyClient) Stop() {
 	if p.stopped.Swap(true) {
 		return
 	}
 	p.flushAll(0)
+	p.drainRemoves()
 	if p.disk != nil {
 		// The flushed MarkClean records are already journaled; Close folds
 		// them into a final compacting checkpoint.
@@ -333,6 +335,9 @@ func (p *ProxyClient) dispatchMount(call *sunrpc.Call) sunrpc.AcceptStat {
 	if polling {
 		p.sendBootstrap()
 	}
+	// The bundle lists directories: one a pending REMOVE is changing would
+	// bring its victim back.
+	p.drainRemoves()
 	tk := p.cache.mountTicket()
 	start := p.node.Now()
 	rep, err := p.rawCall(call.ReqID, nfs3.MountProgram, nfs3.MountVersion, call.Proc, call.Args.Rest())

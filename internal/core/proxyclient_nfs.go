@@ -34,6 +34,7 @@ func (p *ProxyClient) getattr(call *sunrpc.Call) sunrpc.AcceptStat {
 		reread = p.rereadClaim(call.ReqID, args.FH)
 	}
 	var res nfs3.GetattrRes
+	tk := p.cache.sendTicket(args.FH)
 	c := p.startUpstream(call.ReqID, nfs3.ProcGetattr, &args)
 	p.issue(reread) // behind the answer the kernel is waiting for
 	rep, ts, err := p.finishUpstream(c, &res, []nfs3.FH{args.FH})
@@ -44,7 +45,7 @@ func (p *ProxyClient) getattr(call *sunrpc.Call) sunrpc.AcceptStat {
 	p.hitForward(call)
 	switch res.Status {
 	case nfs3.OK:
-		p.cache.putAttrSince(args.FH, res.Attr, ts.seqOf(args.FH))
+		p.cache.landReply(tk, args.FH, res.Attr, ts.seqOf(args.FH), false, 0, nil)
 	case nfs3.ErrStale:
 		// The handle no longer names a file: every trace of it goes, its
 		// protocol state included.
@@ -165,6 +166,7 @@ func (p *ProxyClient) read(call *sunrpc.Call) sunrpc.AcceptStat {
 func (p *ProxyClient) readForward(call *sunrpc.Call, args nfs3.ReadArgs, bn uint64, aligned bool, chunk []speculation) sunrpc.AcceptStat {
 	bs := uint64(p.cfg.BlockSize)
 	var res nfs3.ReadRes
+	tk := p.cache.sendTicket(args.FH)
 	c := p.startUpstream(call.ReqID, nfs3.ProcRead, &args)
 	p.issue(chunk) // behind the block the reader is waiting for
 	rep, ts, err := p.finishUpstream(c, &res, []nfs3.FH{args.FH})
@@ -174,11 +176,8 @@ func (p *ProxyClient) readForward(call *sunrpc.Call, args nfs3.ReadArgs, bn uint
 	p.hitForward(call)
 	call.SpanBytes = int64(res.Count)
 	if res.Status == nfs3.OK && res.Attr.Present {
-		seq := ts.seqOf(args.FH)
-		if aligned && (uint64(res.Count) == bs || res.EOF) {
-			p.cache.putBlock(args.FH, bn, res.Data, res.Attr.Attr, seq)
-		}
-		p.cache.putAttrSince(args.FH, res.Attr.Attr, seq)
+		whole := aligned && (uint64(res.Count) == bs || res.EOF)
+		p.cache.landReply(tk, args.FH, res.Attr.Attr, ts.seqOf(args.FH), whole, bn, res.Data)
 	}
 	res.Encode(call.Reply)
 	rep.Release() // cached and encoded: nothing reads the upstream frame again
@@ -332,11 +331,12 @@ func (p *ProxyClient) setattr(call *sunrpc.Call) sunrpc.AcceptStat {
 		p.flushFile(call.ReqID, args.FH)
 	}
 	var res nfs3.WccRes
-	if err := p.forward(call, nfs3.ProcSetattr, &args, &res, args.FH); err != nil {
+	ts, err := p.forward(call, nfs3.ProcSetattr, &args, &res, args.FH)
+	if err != nil {
 		return encodeReply(call, &nfs3.WccRes{Status: nfs3.ErrJukebox})
 	}
 	if res.Status == nfs3.OK && res.Wcc.After.Present {
-		p.cache.putAttr(args.FH, res.Wcc.After.Attr)
+		p.cache.putAttrSince(args.FH, res.Wcc.After.Attr, ts.seqOf(args.FH))
 	}
 	return encodeReply(call, &res)
 }
@@ -373,18 +373,19 @@ func (p *ProxyClient) forwardCreate(call *sunrpc.Call, args wireEnc, where nfs3.
 	p.mapIdentity(attr)
 	spanFH(call, where.Dir)
 	var res nfs3.CreateRes
-	if err := p.forward(call, call.Proc, args, &res, where.Dir); err != nil {
+	ts, err := p.forward(call, call.Proc, args, &res, where.Dir)
+	if err != nil {
 		return encodeReply(call, &nfs3.CreateRes{Status: nfs3.ErrJukebox})
 	}
 	if res.DirWcc.After.Present {
-		p.cache.putAttr(where.Dir, res.DirWcc.After.Attr)
+		p.cache.putAttrSince(where.Dir, res.DirWcc.After.Attr, ts.seqOf(where.Dir))
 	}
 	if res.Status == nfs3.OK && res.FHFollows {
 		if truncates {
 			p.cache.discardDirty(res.FH, false)
 		}
 		if res.Attr.Present {
-			p.cache.putAttr(res.FH, res.Attr.Attr)
+			p.cache.putAttrSince(res.FH, res.Attr.Attr, ts.seqOf(res.FH))
 		}
 		p.cache.putLookup(where.Dir, where.Name, res.FH, false)
 	}
@@ -397,6 +398,11 @@ func (p *ProxyClient) unlink(call *sunrpc.Call) sunrpc.AcceptStat {
 		return sunrpc.GarbageArgs
 	}
 	spanFH(call, args.Dir)
+	if call.Proc == nfs3.ProcRemove && p.absorbsRemoves() {
+		if st, ok := p.absorbRemove(call, args); ok {
+			return st
+		}
+	}
 	// Abandon buffered dirty data for the victim: it is being deleted.
 	victim, negative, known := p.cache.getLookup(args.Dir, args.Name)
 	known = known && !negative
@@ -404,7 +410,8 @@ func (p *ProxyClient) unlink(call *sunrpc.Call) sunrpc.AcceptStat {
 		p.cache.discardDirty(victim, false)
 	}
 	var res nfs3.WccRes
-	if err := p.forward(call, call.Proc, &args, &res, args.Dir); err != nil {
+	ts, err := p.forward(call, call.Proc, &args, &res, args.Dir)
+	if err != nil {
 		return encodeReply(call, &nfs3.WccRes{Status: nfs3.ErrJukebox})
 	}
 	if res.Status == nfs3.OK && known {
@@ -416,7 +423,7 @@ func (p *ProxyClient) unlink(call *sunrpc.Call) sunrpc.AcceptStat {
 	}
 	p.cache.dropLookup(args.Dir, args.Name)
 	if res.Wcc.After.Present {
-		p.cache.putAttr(args.Dir, res.Wcc.After.Attr)
+		p.cache.putAttrSince(args.Dir, res.Wcc.After.Attr, ts.seqOf(args.Dir))
 		if res.Status == nfs3.OK {
 			// The name is now known absent.
 			p.cache.putLookup(args.Dir, args.Name, nfs3.FH{}, true)
@@ -432,16 +439,17 @@ func (p *ProxyClient) rename(call *sunrpc.Call) sunrpc.AcceptStat {
 	}
 	spanFH(call, args.From.Dir)
 	var res nfs3.RenameRes
-	if err := p.forward(call, nfs3.ProcRename, &args, &res, args.From.Dir, args.To.Dir); err != nil {
+	ts, err := p.forward(call, nfs3.ProcRename, &args, &res, args.From.Dir, args.To.Dir)
+	if err != nil {
 		return encodeReply(call, &nfs3.RenameRes{Status: nfs3.ErrJukebox})
 	}
 	p.cache.dropLookup(args.From.Dir, args.From.Name)
 	p.cache.dropLookup(args.To.Dir, args.To.Name)
 	if res.FromWcc.After.Present {
-		p.cache.putAttr(args.From.Dir, res.FromWcc.After.Attr)
+		p.cache.putAttrSince(args.From.Dir, res.FromWcc.After.Attr, ts.seqOf(args.From.Dir))
 	}
 	if res.ToWcc.After.Present {
-		p.cache.putAttr(args.To.Dir, res.ToWcc.After.Attr)
+		p.cache.putAttrSince(args.To.Dir, res.ToWcc.After.Attr, ts.seqOf(args.To.Dir))
 	}
 	return encodeReply(call, &res)
 }
@@ -453,14 +461,15 @@ func (p *ProxyClient) linkProc(call *sunrpc.Call) sunrpc.AcceptStat {
 	}
 	spanFH(call, args.FH)
 	var res nfs3.LinkRes
-	if err := p.forward(call, nfs3.ProcLink, &args, &res, args.FH, args.Link.Dir); err != nil {
+	ts, err := p.forward(call, nfs3.ProcLink, &args, &res, args.FH, args.Link.Dir)
+	if err != nil {
 		return encodeReply(call, &nfs3.LinkRes{Status: nfs3.ErrJukebox})
 	}
 	if res.Attr.Present {
-		p.cache.putAttr(args.FH, res.Attr.Attr)
+		p.cache.putAttrSince(args.FH, res.Attr.Attr, ts.seqOf(args.FH))
 	}
 	if res.LinkWcc.After.Present {
-		p.cache.putAttr(args.Link.Dir, res.LinkWcc.After.Attr)
+		p.cache.putAttrSince(args.Link.Dir, res.LinkWcc.After.Attr, ts.seqOf(args.Link.Dir))
 	}
 	if res.Status == nfs3.OK {
 		p.cache.putLookup(args.Link.Dir, args.Link.Name, args.FH, false)
@@ -491,11 +500,12 @@ func (p *ProxyClient) readdir(call *sunrpc.Call) sunrpc.AcceptStat {
 		}
 	}
 	var res nfs3.ReaddirRes
-	if err := p.forward(call, nfs3.ProcReaddir, &args, &res, args.Dir); err != nil {
+	ts, err := p.forward(call, nfs3.ProcReaddir, &args, &res, args.Dir)
+	if err != nil {
 		return encodeReply(call, &nfs3.ReaddirRes{Status: nfs3.ErrJukebox})
 	}
 	if res.DirAttr.Present {
-		p.cache.putAttr(args.Dir, res.DirAttr.Attr)
+		p.cache.putAttrSince(args.Dir, res.DirAttr.Attr, ts.seqOf(args.Dir))
 	}
 	// A single-page complete listing is cacheable; multi-page listings are
 	// not worth stitching.
@@ -523,7 +533,7 @@ func (p *ProxyClient) readdirplus(call *sunrpc.Call) sunrpc.AcceptStat {
 	spanFH(call, args.Dir)
 	tk := p.cache.ticket(args.Dir)
 	var res nfs3.ReaddirplusRes
-	if err := p.forward(call, nfs3.ProcReaddirplus, &args, &res, args.Dir); err != nil {
+	if _, err := p.forward(call, nfs3.ProcReaddirplus, &args, &res, args.Dir); err != nil {
 		return encodeReply(call, &nfs3.ReaddirplusRes{Status: nfs3.ErrJukebox})
 	}
 	p.cache.seedDir(tk, &res)
@@ -561,7 +571,7 @@ func (p *ProxyClient) commit(call *sunrpc.Call) sunrpc.AcceptStat {
 		})
 	}
 	var res nfs3.CommitRes
-	if err := p.forward(call, nfs3.ProcCommit, &args, &res); err != nil {
+	if _, err := p.forward(call, nfs3.ProcCommit, &args, &res); err != nil {
 		return encodeReply(call, &nfs3.CommitRes{Status: nfs3.ErrJukebox})
 	}
 	if res.Status == nfs3.OK {
@@ -600,11 +610,12 @@ func (p *ProxyClient) access(call *sunrpc.Call) sunrpc.AcceptStat {
 		}
 	}
 	var res nfs3.AccessRes
-	if err := p.forward(call, nfs3.ProcAccess, &args, &res, args.FH); err != nil {
+	ts, err := p.forward(call, nfs3.ProcAccess, &args, &res, args.FH)
+	if err != nil {
 		return encodeReply(call, &nfs3.AccessRes{Status: nfs3.ErrJukebox})
 	}
 	if res.Status == nfs3.OK && res.Attr.Present {
-		p.cache.putAttr(args.FH, res.Attr.Attr)
+		p.cache.putAttrSince(args.FH, res.Attr.Attr, ts.seqOf(args.FH))
 	}
 	return encodeReply(call, &res)
 }

@@ -121,22 +121,32 @@ type wireDec interface{ Decode(*xdr.Decoder) error }
 
 // callUpstream forwards one NFS call across the wide area and applies the
 // GVFS trailers the proxy server piggybacks on the reply (absent when the
-// upstream is a plain NFS server). forwarded names the handles for which a
-// kernel request thereby bypassed the cache (renewal bookkeeping). The reply
-// frame goes back to the pool before it returns, so res must own everything
-// it decoded — every result does but READ's, whose callers use startUpstream
-// and finishUpstream themselves and release the frame when done with the data.
-func (p *ProxyClient) callUpstream(rid uint64, proc uint32, args wireEnc, res wireDec, forwarded ...nfs3.FH) error {
-	rep, _, err := p.finishUpstream(p.startUpstream(rid, proc, args), res, forwarded)
+// upstream is a plain NFS server), which it returns. forwarded names the
+// handles for which a kernel request thereby bypassed the cache (renewal
+// bookkeeping). The reply frame goes back to the pool before it returns, so
+// res must own everything it decoded — every result does but READ's, whose
+// callers use startUpstream and finishUpstream themselves and release the
+// frame when done with the data.
+func (p *ProxyClient) callUpstream(rid uint64, proc uint32, args wireEnc, res wireDec, forwarded ...nfs3.FH) (Trailers, error) {
+	rep, ts, err := p.finishUpstream(p.startUpstream(rid, proc, args), res, forwarded)
 	rep.Release()
-	return err
+	return ts, err
 }
 
 // startUpstream encodes args and sends the call; finishUpstream must follow.
-// A WRITE's data is not encoded: it follows the head by reference, so it must
-// stay as it is until finishUpstream returns. A READ counts the blocks it asks
-// for.
+// A call that names the directory or the victim of an absorbed REMOVE still
+// on its way waits for that REMOVE's reply first (awaitRemoves).
 func (p *ProxyClient) startUpstream(rid uint64, proc uint32, args wireEnc) upstreamCall {
+	if p.cache.nremoving.Load() > 0 {
+		p.awaitRemoves(proc, args)
+	}
+	return p.sendUpstream(rid, proc, args)
+}
+
+// sendUpstream is startUpstream without the wait. A WRITE's data is not
+// encoded: it follows the head by reference, so it must stay as it is until
+// finishUpstream returns. A READ counts the blocks it asks for.
+func (p *ProxyClient) sendUpstream(rid uint64, proc uint32, args wireEnc) upstreamCall {
 	e := bufpool.GetEncoder()
 	var tail []byte
 	switch a := args.(type) {
@@ -189,10 +199,10 @@ func (p *ProxyClient) finishUpstream(c upstreamCall, res wireDec, forwarded []nf
 
 // forward is callUpstream for the kernel RPC being served: the call crossed the
 // wide area, and is counted so.
-func (p *ProxyClient) forward(call *sunrpc.Call, proc uint32, args wireEnc, res wireDec, forwarded ...nfs3.FH) error {
-	err := p.callUpstream(call.ReqID, proc, args, res, forwarded...)
+func (p *ProxyClient) forward(call *sunrpc.Call, proc uint32, args wireEnc, res wireDec, forwarded ...nfs3.FH) (Trailers, error) {
+	ts, err := p.callUpstream(call.ReqID, proc, args, res, forwarded...)
 	if err == nil {
 		p.hitForward(call)
 	}
-	return err
+	return ts, err
 }

@@ -199,7 +199,7 @@ func (p *ProxyClient) flushBlock(rid uint64, fh nfs3.FH, bn uint64) error {
 	}
 	args := nfs3.WriteArgs{FH: fh, Offset: off, Count: uint32(len(data)), Stable: nfs3.FileSync, Data: data}
 	var res nfs3.WriteRes
-	if err := p.callUpstream(rid, nfs3.ProcWrite, &args, &res); err != nil {
+	if _, err := p.callUpstream(rid, nfs3.ProcWrite, &args, &res); err != nil {
 		return err
 	}
 	if res.Status == nfs3.ErrStale && p.cfg.Model == ModelDelegation && p.unwrittenSince(rid, fh) {
@@ -211,7 +211,7 @@ func (p *ProxyClient) flushBlock(rid uint64, fh nfs3.FH, bn uint64) error {
 		// while the partition hid the recall. Discarding them would lose
 		// those writes for nothing, so they go again; the fence is one shot.
 		res = nfs3.WriteRes{}
-		if err := p.callUpstream(rid, nfs3.ProcWrite, &args, &res); err != nil {
+		if _, err := p.callUpstream(rid, nfs3.ProcWrite, &args, &res); err != nil {
 			return err
 		}
 	}
@@ -238,12 +238,13 @@ func (p *ProxyClient) unwrittenSince(rid uint64, fh nfs3.FH) bool {
 		return false
 	}
 	var res nfs3.GetattrRes
-	if err := p.callUpstream(rid, nfs3.ProcGetattr, &nfs3.GetattrArgs{FH: fh}, &res); err != nil || res.Status != nfs3.OK {
+	ts, err := p.callUpstream(rid, nfs3.ProcGetattr, &nfs3.GetattrArgs{FH: fh}, &res)
+	if err != nil || res.Status != nfs3.OK {
 		return false
 	}
 	// The reply's trailer may grant a delegation: the attributes it covers
-	// are these.
-	p.cache.putAttr(fh, res.Attr)
+	// are these, unless a later decision overtook it.
+	p.cache.putAttrSince(fh, res.Attr, ts.seqOf(fh))
 	return res.Attr.Mtime == base
 }
 

@@ -152,11 +152,24 @@ func runRABed(t *testing.T, cfg Config, populate func(fs *memfs.FS), fn func(b *
 // the proxy client: an upstream that answers what the test needs it to.
 func runTamperedBed(t *testing.T, cfg Config, tamper func(proc uint32, reply []byte) []byte, populate func(fs *memfs.FS), fn func(b *raBed)) {
 	t.Helper()
-	runBedOver(t, simnet.Params{RTT: 40 * time.Millisecond}, cfg, tamper, populate, fn)
+	var front *bedFront
+	if tamper != nil {
+		front = &bedFront{edit: tamper}
+	}
+	runBedOver(t, simnet.Params{RTT: 40 * time.Millisecond}, cfg, front, populate, fn)
 }
 
-// runBedOver is runTamperedBed over a link of the caller's choosing.
-func runBedOver(t *testing.T, link simnet.Params, cfg Config, tamper func(proc uint32, reply []byte) []byte, populate func(fs *memfs.FS), fn func(b *raBed)) {
+// bedFront is what a bed's upstream does to the NFS calls it relays to the
+// server: hold, when set, says how long a call of proc is kept back before the
+// server runs it; edit, when set, rewrites its reply.
+type bedFront struct {
+	hold func(proc uint32) time.Duration
+	edit func(proc uint32, reply []byte) []byte
+}
+
+// runBedOver is runTamperedBed over a link of the caller's choosing, with a
+// front of the caller's choosing (nil: none).
+func runBedOver(t *testing.T, link simnet.Params, cfg Config, front *bedFront, populate func(fs *memfs.FS), fn func(b *raBed)) {
 	t.Helper()
 	clk := vclock.NewVirtual()
 	defer clk.Stop()
@@ -176,7 +189,7 @@ func runBedOver(t *testing.T, link simnet.Params, cfg Config, tamper func(proc u
 	clk.Go("driver", func() {
 		defer close(done)
 		upstream := "server:2049"
-		if tamper != nil {
+		if front != nil {
 			// A front on the server's own host relays to the real server.
 			bconn, err := net.Host("server").Dial("server:2049")
 			if err != nil {
@@ -185,27 +198,33 @@ func runBedOver(t *testing.T, link simnet.Params, cfg Config, tamper func(proc u
 			}
 			back := sunrpc.NewClient(clk, bconn, sunrpc.NoneCred())
 			defer back.Close()
-			relay := func(prog, vers uint32, edit func(uint32, []byte) []byte) sunrpc.DispatchFunc {
+			relay := func(prog, vers uint32, f bedFront) sunrpc.DispatchFunc {
 				return func(call *sunrpc.Call) sunrpc.AcceptStat {
+					if f.hold != nil {
+						clk.Sleep(f.hold(call.Proc))
+					}
 					d, err := back.Call(prog, vers, call.Proc, call.Args.Rest())
 					if err != nil {
 						return sunrpc.SystemErr
 					}
-					call.Reply.FixedOpaque(edit(call.Proc, d.Rest()))
+					reply := d.Rest()
+					if f.edit != nil {
+						reply = f.edit(call.Proc, reply)
+					}
+					call.Reply.FixedOpaque(reply)
 					return sunrpc.Success
 				}
 			}
-			front := sunrpc.NewServer(clk)
-			front.Register(nfs3.Program, nfs3.Version, relay(nfs3.Program, nfs3.Version, tamper))
-			front.Register(nfs3.MountProgram, nfs3.MountVersion,
-				relay(nfs3.MountProgram, nfs3.MountVersion, func(_ uint32, b []byte) []byte { return b }))
+			fsrv := sunrpc.NewServer(clk)
+			fsrv.Register(nfs3.Program, nfs3.Version, relay(nfs3.Program, nfs3.Version, *front))
+			fsrv.Register(nfs3.MountProgram, nfs3.MountVersion, relay(nfs3.MountProgram, nfs3.MountVersion, bedFront{}))
 			fl, err := net.Host("server").Listen(":2050")
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			defer front.Close()
-			front.Serve(fl)
+			defer fsrv.Close()
+			fsrv.Serve(fl)
 			upstream = "server:2050"
 		}
 		client := net.Host("client")
