@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path"
 	"slices"
 	"sort"
 	"strconv"
@@ -285,7 +286,7 @@ type chaosEvent struct {
 	start      time.Duration
 	// land is the last virtual time at which the event can still reach the
 	// server: end + flushLag for a write-back write, end + nameLag or
-	// unlinkLag for a namespace op, start for the initial contents.
+	// absorbLag for a namespace op, start for the initial contents.
 	land time.Duration
 	// failed marks an op that returned an error: indeterminate, it never
 	// anchors, and a client may observe it at any time.
@@ -598,12 +599,12 @@ func (Namespace) step(c *chaosClient, r *rand.Rand) {
 			err = f.Close()
 		}
 		op.err, op.end = err, c.now()
-		op.setName(c.id, n, true, c.nameLag)
+		op.setName(c.id, n, true, c.absorbLag)
 	case roll < 9: // unlink
 		op.kind = 'u'
 		op.err = c.m.Client.Remove(n)
 		op.end = c.now()
-		op.setName(c.id, n, false, c.unlinkLag)
+		op.setName(c.id, n, false, c.absorbLag)
 	case roll < 12: // rename: n vanishes, dst appears (replacing any old dst)
 		op.kind = 'm'
 		dst := names[r.Intn(len(names))]
@@ -694,9 +695,9 @@ type chaosClient struct {
 	m       *Mount
 	id, seq int
 	paths   []string
-	// The lags after which a write-back write, a create or rename, and an
-	// unlink have landed on the server (runChaos).
-	flushLag, nameLag, unlinkLag time.Duration
+	// The lags after which a write-back write, a rename, and an unlink or a
+	// create have landed on the server (runChaos).
+	flushLag, nameLag, absorbLag time.Duration
 	restarts                     []time.Duration // warm restarts still to come
 	log                          []chaosOp
 }
@@ -795,15 +796,16 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 		propLag = cfg.DelegRenew + rpcSlack + 10*time.Second
 	}
 
-	// nameLag: how long after a create or a rename returns its effect can
-	// still land on the server (in-flight retries only: both are
-	// write-through). unlinkLag is an unlink's: under write-back the proxy
-	// client answers a REMOVE at home and sends it at once behind the reply,
-	// again and again until it is answered, so a partition delays it (the
-	// write-back lag without its flush tick).
-	nameLag, unlinkLag := rpcSlack, rpcSlack
+	// nameLag: how long after a rename returns its effect can still land on
+	// the server (in-flight retries only: it is write-through). absorbLag is
+	// an unlink's and an exclusive create's: under write-back the proxy
+	// client answers a REMOVE, and a CREATE of a name it proves absent, at
+	// home and sends it at once behind the reply, again and again until it is
+	// answered, so a partition delays it (the write-back lag without its
+	// flush tick). Without write-back both are write-through too.
+	nameLag, absorbLag := rpcSlack, rpcSlack
 	if cfg.WriteBack {
-		unlinkLag = maxPartition + rpcSlack
+		absorbLag = maxPartition + rpcSlack
 	}
 
 	rep := &ChaosReport{Plan: plan}
@@ -845,7 +847,7 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 				runErr = fmt.Errorf("chaos: mount %s: %w", chaosHost(i), err)
 				return
 			}
-			clients[i] = &chaosClient{d: d, m: m, id: i, paths: paths, flushLag: flushLag, nameLag: nameLag, unlinkLag: unlinkLag}
+			clients[i] = &chaosClient{d: d, m: m, id: i, paths: paths, flushLag: flushLag, nameLag: nameLag, absorbLag: absorbLag}
 		}
 
 		// Chaos begins: install the fault policy on every client<->server
@@ -911,6 +913,13 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 		return nil, runErr
 	}
 
+	// An absorbed create the server refused set nothing: the name was
+	// another client's. Each is matched to such a create (or a rename onto
+	// the name) that landed within the polling bound before the session's
+	// own began, and its phantom event dropped; one that matches none is a
+	// violation.
+	rep.Violations = append(rep.Violations, matchRefusedCreates(d, clients, propLag)...)
+
 	// Merge every op's events into per-key history, then check every
 	// observation, the server's final state last.
 	for _, c := range clients {
@@ -964,6 +973,63 @@ func RunChaos(o ChaosOptions) (*ChaosReport, error) {
 	rep.NetEvents = d.Net.Events()
 	rep.NetStats = d.Net.TotalStats()
 	return rep, nil
+}
+
+// matchRefusedCreates finds every absorbed create a proxy client reports
+// refused (core.RefusedCreate) and the op that made it, and requires another
+// client's successful event that made the name exist, begun before the
+// refusal and able to have landed no more than propLag before the op began:
+// inside the polling bound, the session could not have known of it. The
+// matched op's event goes, since its create made nothing. A refusal the span
+// rings dropped cannot be matched: the count of refusals found must equal the
+// counter's unless spans were dropped.
+func matchRefusedCreates(d *Deployment, clients []*chaosClient, propLag time.Duration) []string {
+	var out []string
+	found := int64(0)
+	for _, s := range d.Obs.Spans() {
+		name, ok := core.RefusedCreate(s)
+		if !ok {
+			continue
+		}
+		found++
+		var c *chaosClient
+		for _, x := range clients {
+			if strings.HasPrefix(s.Node, "proxyc:"+x.m.Host()+"/") {
+				c = x
+			}
+		}
+		var op *chaosOp
+		for i := range c.log {
+			o := &c.log[i]
+			if o.kind == 'c' && o.err == nil && path.Base(o.path) == name && o.start <= s.Start && s.Start <= o.end {
+				op = o
+			}
+		}
+		if op == nil {
+			out = append(out, fmt.Sprintf("client %d: refused create of %s at %v matches no create it made", c.id, name, s.End))
+			continue
+		}
+		matched := false
+		for _, x := range clients {
+			for i := range x.log {
+				for _, e := range x.log[i].events {
+					if x.id != c.id && e.key == op.path && e.state == nameExists && !e.failed &&
+						e.start <= s.End && e.land+propLag >= op.start {
+						matched = true
+					}
+				}
+			}
+		}
+		if !matched {
+			out = append(out, fmt.Sprintf("client %d: create of %s at %v refused at %v, and no other client made the name within the polling bound", c.id, op.path, op.end, s.End))
+			continue
+		}
+		op.events = nil
+	}
+	if counted := d.Obs.Registry().Snapshot().SumCounters("gvfs_client_create_refused_total"); d.Obs.DroppedSpans() == 0 && counted != found {
+		out = append(out, fmt.Sprintf("%d creates counted refused, %d found in the spans", counted, found))
+	}
+	return out
 }
 
 // checkClientLog judges one client's observations. An observation of a key

@@ -229,12 +229,19 @@ func TestChaosMetadataBothModels(t *testing.T) {
 			if polling := mode.model == core.ModelPolling; (absorbed > 0) != polling {
 				t.Errorf("%d REMOVEs answered at home under %s", absorbed, mode.name)
 			}
-			t.Logf("%s: %d ops (%d mutations, %d probes, %d errors), %d walk pages (%d entries, %d used, %d pages discarded), %d dentry hits, %d negative hits, %d REMOVEs absorbed (%d refused)",
+			// So is an exclusive create of a name the cache proves absent,
+			// under a handle the session mints.
+			created := rep.Metrics.SumCounters("gvfs_client_create_absorbed_total")
+			if polling := mode.model == core.ModelPolling; (created > 0) != polling {
+				t.Errorf("%d CREATEs answered at home under %s", created, mode.name)
+			}
+			t.Logf("%s: %d ops (%d mutations, %d probes, %d errors), %d walk pages (%d entries, %d used, %d pages discarded), %d dentry hits, %d negative hits, %d REMOVEs absorbed (%d refused), %d CREATEs absorbed (%d refused)",
 				mode.name, rep.Ops, rep.Writes, rep.Reads, rep.OpErrors, pages,
 				rep.Metrics.SumCounters("gvfs_client_dirwalk_entries_total"),
 				rep.Metrics.SumCounters("gvfs_client_dirwalk_entries_used_total"),
 				rep.Metrics.SumCounters("gvfs_client_dirwalk_discarded_total"), dentry, negative,
-				absorbed, rep.Metrics.SumCounters("gvfs_client_remove_refused_total"))
+				absorbed, rep.Metrics.SumCounters("gvfs_client_remove_refused_total"),
+				created, rep.Metrics.SumCounters("gvfs_client_create_refused_total"))
 		})
 	}
 }
@@ -538,7 +545,7 @@ func sameAttribution(t *testing.T, r1, r2 *ChaosReport) {
 }
 
 // TestAbsorbedRemoveCrossesAPartition pins the lag the metadata chaos checker
-// allows an unlink under write-back (runChaos's unlinkLag): the proxy client
+// allows an unlink under write-back (runChaos's absorbLag): the proxy client
 // answers the REMOVE at home while the link is down for the longest partition
 // a plan makes, keeps sending it, and it lands on the server within the RPC
 // retry window of the heal — so within maxPartition + rpcSlack of the

@@ -496,7 +496,7 @@ func translateCounts(in map[uint64]int64) map[string]int64 {
 		case nfs3.Program:
 			out[nfs3.ProcName(proc)] += v
 		case core.InvProgram:
-			out["GETINV"] += v
+			out[core.RPCName(prog, proc)] += v
 		case core.CallbackProgram:
 			out["CALLBACK"] += v
 		case nfs3.MountProgram:

@@ -66,11 +66,14 @@ type sessionCache struct {
 	persist blockPersister
 	recMet  recoveryCounters
 
-	// removing is the table of absorbed REMOVEs whose replies have not landed
-	// (proxyclient_remove.go); nremoving mirrors its length for the send
-	// path, which reads nothing else while the table is empty.
-	removing  []*pendingRemove
-	nremoving atomic.Int32
+	// pending is the table of absorbed REMOVEs and CREATEs whose replies have
+	// not landed (proxyclient_pending.go), in the order they were absorbed;
+	// mints, the handles the session minted for the files it created at home
+	// (proxyclient_create.go). held counts both for the upstream boundary,
+	// which reads nothing else while it is zero.
+	pending []*pendingOp
+	mints   mintTable
+	held    atomic.Int32
 }
 
 // The session cache's metadata caps: past one, the least recently used entry
@@ -325,6 +328,9 @@ func (sc *sessionCache) forget(fh nfs3.FH) {
 // forgetLocked is forget's critical section; it returns the actors to wake.
 func (sc *sessionCache) forgetLocked(key string) []*vclock.Waiter {
 	sc.forgets.Add(1)
+	if m := sc.mints.byP[key]; m != nil && m.op == nil {
+		sc.dropMintLocked(m)
+	}
 	fc := sc.files[key]
 	if fc == nil {
 		return nil
@@ -706,14 +712,15 @@ func (sc *sessionCache) putAttrLocked(fc *cachedFile, a nfs3.Fattr) {
 // cached listing are all flushed: any binding observed under the old
 // contents is suspect. The flush granularity matches the invalidation
 // channel's granularity. A handle the session has never seen has nothing to
-// invalidate and gains no record. The channel names only what another client
-// changed: for a file the data path has touched, news of a remote write
-// (readahead.go).
+// invalidate and gains no record. A file the session created at home is
+// named by the server's handle, and its record is found by the minted one.
+// The channel names only what another client changed: for a file the data
+// path has touched, news of a remote write (readahead.go).
 func (sc *sessionCache) invalidateHandle(fh nfs3.FH) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	sc.invGen++
-	if fc := sc.files[fh.Key()]; fc != nil {
+	if fc := sc.files[sc.sessionKeyLocked(fh.Key())]; fc != nil {
 		fc.invs++
 		sc.dropAttrLocked(fc)
 		sc.flushDirLocked(fc)

@@ -640,10 +640,12 @@ func (sc *sessionCache) dirtyBaseOf(fh nfs3.FH) (nfs3.Time, bool) {
 func (sc *sessionCache) discardDirty(fh nfs3.FH, lost bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc := sc.dataFor(fh.Key())
-	if fc == nil {
-		return
+	if fc := sc.dataFor(fh.Key()); fc != nil {
+		sc.discardDirtyLocked(fc, lost)
 	}
+}
+
+func (sc *sessionCache) discardDirtyLocked(fc *cachedFile, lost bool) {
 	if lost && fc.ndirty > 0 {
 		fc.lost = true
 	}

@@ -169,20 +169,25 @@ func (sc *sessionCache) putLookupLocked(dfc *cachedFile, name string, fh nfs3.FH
 	}
 }
 
+// dropLookup forgets what name under dir resolves to, whether or not the cache
+// held it: the directory's walk no longer proves it absent either.
 func (sc *sessionCache) dropLookup(dir nfs3.FH, name string) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if dfc := sc.files[dir.Key()]; dfc != nil {
 		sc.namesTakenLocked(dfc)
 		sc.dropLookupLocked(dfc.names[name])
+		dfc.walk.evicted = true
 	}
 }
 
-// dropLookupLocked removes one resolution (nil: there is none).
+// dropLookupLocked removes one resolution (nil: there is none). The
+// directory's walk has lost an entry (dirWalk.evicted).
 func (sc *sessionCache) dropLookupLocked(ent *lookupEnt) {
 	if ent != nil {
 		sc.lookupLRU.remove(&ent.link)
 		delete(ent.dir.names, ent.name)
+		ent.dir.walk.evicted = true
 	}
 }
 
@@ -191,7 +196,26 @@ func (sc *sessionCache) dropLookupLocked(ent *lookupEnt) {
 func (sc *sessionCache) putDirListing(dir nfs3.FH, entries []nfs3.DirEntry) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc := sc.files[dir.Key()]
+	sc.putDirListingLocked(sc.files[dir.Key()], entries)
+}
+
+// landListing installs what a forwarded READDIR's reply, sent under tk, says
+// of the directory dir: its attributes and, with complete set, its listing,
+// unless the landing rule (landsLocked) refuses both.
+func (sc *sessionCache) landListing(tk invTicket, dir nfs3.FH, a nfs3.Fattr, seq uint64, complete bool, entries []nfs3.DirEntry) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	fc := sc.record(dir.Key())
+	if !sc.landsLocked(tk, fc, seq) {
+		return
+	}
+	sc.putAttrLocked(fc, a)
+	if complete {
+		sc.putDirListingLocked(fc, entries)
+	}
+}
+
+func (sc *sessionCache) putDirListingLocked(fc *cachedFile, entries []nfs3.DirEntry) {
 	dirAttr, ok := sc.attrLocked(fc)
 	if !ok {
 		return

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -83,9 +84,10 @@ func TestTrailersRoundTrip(t *testing.T) {
 // FuzzExtensionDecoders feeds the GVFS extension's decoders the bytes a peer
 // sends — a reply's trailer list, with and without a listing behind it, a
 // GETINV reply, a recall, the answers to RECALL and RECALL_ALL, a session
-// credential — and holds each to never panicking. A trailer list never holds
-// more than 16 entries, and what it decoded encodes and decodes back to
-// itself.
+// credential, a minted CREATE's arguments, a MINT-WRITE and its reply — and
+// holds each to never panicking. A trailer list never holds more than 16
+// entries, and what it decoded encodes and decodes back to itself, as does a
+// MINT-WRITE and its reply.
 func FuzzExtensionDecoders(f *testing.F) {
 	e := xdr.NewEncoder()
 	Trailers{{Deleg: DelegRead, FH: fhN(3), Seq: 7}, {Deleg: DelegNone, FH: fhN(4), Seq: 8}}.Encode(e)
@@ -101,6 +103,14 @@ func FuzzExtensionDecoders(f *testing.F) {
 	(&GetInvRes{Timestamp: 9, PollAgain: true, Remaining: 1, Handles: []nfs3.FH{fhN(1)}}).Encode(e)
 	f.Add(e.Bytes())
 	f.Add((&SessionCred{SessionKey: "s", ClientID: "C1", CallbackAddr: "C1:5007", NoListings: true}).Encode().Body)
+	mode := uint32(0o644)
+	mc := MintedCreate{CreateArgs: nfs3.CreateArgs{Where: nfs3.DirOpArgs{Dir: fhN(2), Name: "n"}, Mode: nfs3.CreateGuarded, Attr: nfs3.Sattr{Mode: &mode}}, Verf: 9}
+	e = xdr.NewEncoder()
+	(&MintWriteArgs{Create: mc, Write: nfs3.WriteArgs{Offset: 4096, Count: 4, Stable: nfs3.FileSync, Data: []byte("data")}}).Encode(e)
+	f.Add(e.Bytes())
+	e = xdr.NewEncoder()
+	(&MintWriteRes{Create: nfs3.CreateRes{Status: nfs3.OK, FHFollows: true, FH: fhN(5)}, Write: nfs3.WriteRes{Status: nfs3.OK, Count: 4, Committed: nfs3.FileSync}}).Encode(e)
+	f.Add(e.Bytes())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, page := range []*nfs3.ReaddirplusRes{nil, new(nfs3.ReaddirplusRes)} {
@@ -128,6 +138,27 @@ func FuzzExtensionDecoders(f *testing.F) {
 		(&RecallRes{}).Decode(xdr.NewDecoder(b))
 		(&RecallAllRes{}).Decode(xdr.NewDecoder(b))
 		DecodeSessionCred(sunrpc.Cred{Flavor: sunrpc.AuthGVFS, Body: b})
+		(&MintedCreate{}).Decode(xdr.NewDecoder(b))
+		var mw MintWriteArgs
+		if mw.Decode(xdr.NewDecoder(b)) == nil {
+			e := xdr.NewEncoder()
+			mw.Encode(e)
+			var back MintWriteArgs
+			if err := back.Decode(xdr.NewDecoder(e.Bytes())); err != nil || back.Create.Verf != mw.Create.Verf ||
+				back.Create.Where.Name != mw.Create.Where.Name || !bytes.Equal(back.Write.Data, mw.Write.Data) {
+				t.Fatalf("MINT-WRITE %+v round-trips as %+v, %v", mw, back, err)
+			}
+		}
+		var mr MintWriteRes
+		if mr.Decode(xdr.NewDecoder(b)) == nil {
+			e := xdr.NewEncoder()
+			mr.Encode(e)
+			var back MintWriteRes
+			if err := back.Decode(xdr.NewDecoder(e.Bytes())); err != nil || back.Create.Status != mr.Create.Status ||
+				!back.Create.FH.Equal(mr.Create.FH) || back.Write.Status != mr.Write.Status || back.Write.Count != mr.Write.Count {
+				t.Fatalf("MINT-WRITE reply %+v round-trips as %+v, %v", mr, back, err)
+			}
+		}
 	})
 }
 

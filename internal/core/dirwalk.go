@@ -31,8 +31,11 @@ type dirWalk struct {
 	misses int
 	// started: the first page has been asked for. inflight: a page is out. done:
 	// the server said EOF. off: a page came back not OK, and no more are asked
-	// for until the directory is next invalidated.
-	started, inflight, done, off bool
+	// for until the directory is next invalidated. evicted: an entry left the
+	// directory's names other than by a flush (the cap evicted it, or an
+	// operation of the session's left the name unknown), so a name with no
+	// entry is no longer proven absent by done (absorbCreate).
+	started, inflight, done, off, evicted bool
 	// cookie and verf resume the listing where the last page ended.
 	cookie, verf uint64
 }
@@ -98,6 +101,7 @@ func (sc *sessionCache) seedDirLocked(tk seedTicket, res *nfs3.ReaddirplusRes, w
 	if res.Status != nfs3.OK {
 		return
 	}
+	sc.pageFromServerLocked(res)
 	// Entry attributes and handles are a free prefetch into the disk cache.
 	seeded := 0
 	for i := range res.Entries {
@@ -154,6 +158,20 @@ func (sc *sessionCache) seedLookup(tk seedTicket, name string, res *nfs3.LookupR
 		sc.putLookupLocked(dfc, name, nfs3.FH{}, true, false)
 	default:
 		sc.dropLookupLocked(dfc.names[name])
+	}
+}
+
+// madeEmpty records that the session's own MKDIR, sent under tk, made the
+// directory dir: its listing is complete and empty, as a walk's last page
+// would say, so a name in it is absent until the session adds one
+// (absorbCreate). Only under polling, and only if no invalidation was
+// delivered while the MKDIR was out: another client's name in the new
+// directory would have been news of a handle the session had no record of.
+func (sc *sessionCache) madeEmpty(tk invTicket, dir nfs3.FH) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if fc := sc.files[dir.Key()]; tk.taken && sc.heldLocked(tk, nil) && fc != nil && fc.attrLink.on() && len(fc.names) == 0 {
+		fc.walk.done = true
 	}
 }
 

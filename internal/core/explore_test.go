@@ -96,19 +96,19 @@ type exClient struct {
 }
 
 // exHandler is one call the proxy server is serving, as dispatchNFS serves it
-// under delegation: the access (and the recalls it demands, sent one at a
-// time), the grant, the forward, and the recalls the committed operation
-// demands (revokeOthers).
+// under delegation: the access (and the recalls it demands, sent at once),
+// the grant, the forward, and the recalls the committed operation demands
+// (revokeOthers).
 type exHandler struct {
 	c       *exClient
 	op      exOp
 	a       accessReq
 	forgets uint64 // the client's forget count when it sent the call
-	// reqs is the batch of recalls being sent; reqs[next] is the one on the
-	// wire (msg) or, joined, awaited.
+	// reqs is the batch of recalls being sent, all at once as recall sends
+	// them; msgs[j] is where reqs[j]'s is: on the wire, its answer on the
+	// wire, or neither (settled, or joined and awaited).
 	reqs []recallReq
-	next int
-	msg  exMsg
+	msgs []exMsg
 	// granted: grantLocked has run, and tr is the decision. revoking: the call
 	// has been forwarded and reqs are revokeOthers'.
 	granted, revoking bool
@@ -135,7 +135,7 @@ type exMsg int
 
 const (
 	exIdle     exMsg = iota
-	exRecall         // the recall of reqs[next] is on the wire
+	exRecall         // the recall is on the wire
 	exAnswered       // its answer is
 )
 
@@ -217,12 +217,17 @@ func (w *exWorld) call(c *exClient, op exOp) {
 	w.batch(h, reqs)
 }
 
-// batch starts h on reqs: it sends the first recall, or waits on a joined one,
-// or — with nothing to ask for — goes on: the grant, or the reply.
+// batch starts h on reqs: it sends every recall of its own at once and waits
+// on the joined ones, or — with nothing to ask for — goes on: the grant, or
+// the reply.
 func (w *exWorld) batch(h *exHandler, reqs []recallReq) {
-	h.reqs, h.next = reqs, 0
+	h.reqs, h.msgs = reqs, make([]exMsg, len(reqs))
+	for j, r := range reqs {
+		if !r.joined {
+			h.msgs[j] = exRecall
+		}
+	}
 	if len(reqs) > 0 {
-		w.advance(h)
 		return
 	}
 	if !h.revoking {
@@ -233,31 +238,25 @@ func (w *exWorld) batch(h *exHandler, reqs []recallReq) {
 	w.finish(h, false)
 }
 
-// advance moves h past the joined recalls that have settled, and sends the
-// next recall of its own, as recall does.
-func (w *exWorld) advance(h *exHandler) {
-	for ; h.next < len(h.reqs); h.next++ {
-		r := h.reqs[h.next]
-		if !r.joined {
-			h.msg = exRecall
-			return
-		}
-		if !r.flight.settled {
-			return
+// settled reports whether every recall of h's batch has settled: its own, and
+// those it joined.
+func (h *exHandler) settled() bool {
+	for j, r := range h.reqs {
+		if h.msgs[j] != exIdle || r.joined && !r.flight.settled {
+			return false
 		}
 	}
+	return true
 }
 
-// settle is the recall h is waiting on ending with res (nil: never answered).
-func (w *exWorld) settle(h *exHandler, res *RecallRes) {
-	r := h.reqs[h.next]
+// settle is h's recall reqs[j] ending with res (nil: never answered).
+func (w *exWorld) settle(h *exHandler, j int, res *RecallRes) {
+	r := h.reqs[j]
 	if res == nil && r.args.Deleg == DelegWrite {
 		w.client(r.c.rec.ID).owes = true
 	}
 	w.s.settleLocked(r, res, 0)
-	h.msg = exIdle
-	h.next++
-	w.advance(h)
+	h.msgs[j] = exIdle
 }
 
 // rescan is recallWithin taking the lock again once h's batch has settled:
@@ -352,12 +351,13 @@ func (w *exWorld) restart() {
 
 // --- the clients' side --------------------------------------------------------
 
-// recalled is h's recall reaching c, which applies it and answers, as
-// handleRecall does (clean: the world holds no dirty data). dup: the recall
-// was sent again, and the copy is still on the wire.
-func (w *exWorld) recalled(h *exHandler, c *exClient, args RecallArgs, dup bool) {
+// recalled is h's recall reqs[j] reaching its client, which applies it and
+// answers, as handleRecall does (clean: the world holds no dirty data). dup:
+// the recall was sent again, and the copy is still on the wire.
+func (w *exWorld) recalled(h *exHandler, j int, dup bool) {
+	c, args := w.client(h.reqs[j].c.rec.ID), h.reqs[j].args
 	c.sc.applyRecall(args)
-	h.msg = exAnswered
+	h.msgs[j] = exAnswered
 	if dup {
 		w.dups = append(w.dups, exDup{c, args})
 	}
@@ -406,13 +406,12 @@ type exKind uint8
 
 const (
 	exSend       exKind = iota // client i sends exOps[v]
-	exReach                    // handler i's recall reaches its client
+	exReach                    // handler i's recall v reaches its client
 	exReachTwice               // it reaches its client, and a copy sent again is still on the wire
-	exLose                     // handler i's recall is lost
-	exAnswer                   // the answer to handler i's recall arrives
+	exLose                     // handler i's recall v is lost
+	exAnswer                   // the answer to handler i's recall v arrives
 	exLoseAnswer               // it is lost
-	exWake                     // handler i's joined recall has settled
-	exRescan                   // handler i takes the lock again after its batch
+	exRescan                   // handler i takes the lock again after its batch has settled
 	exForward                  // handler i's call reaches the NFS server
 	exDeliver                  // reply i arrives
 	exAgain                    // duplicate recall i arrives
@@ -449,23 +448,25 @@ func (w *exWorld) enabled(acts []exAction) []exAction {
 		}
 	}
 	for i, h := range w.hs {
+		for j, m := range h.msgs {
+			switch m {
+			case exRecall:
+				acts = append(acts, exAction{exReach, i, j})
+				if w.faults < w.cfg.faults {
+					acts = append(acts, exAction{exReachTwice, i, j}, exAction{exLose, i, j})
+				}
+			case exAnswered:
+				acts = append(acts, exAction{exAnswer, i, j})
+				if w.faults < w.cfg.faults {
+					acts = append(acts, exAction{exLoseAnswer, i, j})
+				}
+			}
+		}
 		switch {
-		case h.msg == exRecall:
-			acts = append(acts, exAction{exReach, i, 0})
-			if w.faults < w.cfg.faults {
-				acts = append(acts, exAction{exReachTwice, i, 0}, exAction{exLose, i, 0})
-			}
-		case h.msg == exAnswered:
-			acts = append(acts, exAction{exAnswer, i, 0})
-			if w.faults < w.cfg.faults {
-				acts = append(acts, exAction{exLoseAnswer, i, 0})
-			}
-		case h.next < len(h.reqs):
-			if h.reqs[h.next].flight.settled {
-				acts = append(acts, exAction{exWake, i, 0})
-			}
 		case len(h.reqs) > 0:
-			acts = append(acts, exAction{exRescan, i, 0})
+			if h.settled() {
+				acts = append(acts, exAction{exRescan, i, 0})
+			}
 		case h.granted && !h.revoking:
 			acts = append(acts, exAction{exForward, i, 0})
 		}
@@ -495,25 +496,20 @@ func (w *exWorld) do(a exAction) {
 	case exSend:
 		w.call(w.cs[a.i], exOps[a.v])
 	case exReach, exReachTwice:
-		h := w.hs[a.i]
 		if a.kind == exReachTwice {
 			w.faults++
 		}
-		w.recalled(h, w.client(h.reqs[h.next].c.rec.ID), h.reqs[h.next].args, a.kind == exReachTwice)
+		w.recalled(w.hs[a.i], a.v, a.kind == exReachTwice)
 	case exLose:
 		w.faults++
 		h := w.hs[a.i]
-		w.client(h.reqs[h.next].c.rec.ID).missed = h.reqs[h.next].args.Seq
-		w.settle(h, nil)
+		w.client(h.reqs[a.v].c.rec.ID).missed = h.reqs[a.v].args.Seq
+		w.settle(h, a.v, nil)
 	case exAnswer:
-		w.settle(w.hs[a.i], &RecallRes{Status: nfs3.OK})
+		w.settle(w.hs[a.i], a.v, &RecallRes{Status: nfs3.OK})
 	case exLoseAnswer:
 		w.faults++
-		w.settle(w.hs[a.i], nil)
-	case exWake:
-		h := w.hs[a.i]
-		h.next++
-		w.advance(h)
+		w.settle(w.hs[a.i], a.v, nil)
 	case exRescan:
 		w.rescan(w.hs[a.i])
 	case exForward:
@@ -542,8 +538,8 @@ func (w *exWorld) describe(a exAction) string {
 	var r recallReq
 	if a.kind >= exReach && a.kind <= exForward {
 		h = w.hs[a.i]
-		if h.next < len(h.reqs) {
-			r = h.reqs[h.next]
+		if a.kind <= exLoseAnswer {
+			r = h.reqs[a.v]
 		}
 	}
 	recall := func() string {
@@ -561,8 +557,6 @@ func (w *exWorld) describe(a exAction) string {
 	case exAnswer, exLoseAnswer:
 		return fmt.Sprintf("%s's answer to the recall (seq %d) for %s's %v %s", r.c.rec.ID, r.args.Seq, h.c.id, h.op,
 			map[exKind]string{exAnswer: "arrives", exLoseAnswer: "is lost"}[a.kind])
-	case exWake:
-		return fmt.Sprintf("%s's %v wakes: the recall it joined has settled", h.c.id, h.op)
 	case exRescan:
 		return fmt.Sprintf("%s's %v takes the lock again", h.c.id, h.op)
 	case exForward:
@@ -632,12 +626,12 @@ func (w *exWorld) check() error {
 			}
 		}
 	}
-	// The recalls of each client demanded and not yet settled: the one on the
-	// wire, and those later in a batch.
+	// The recalls of each client demanded and not yet settled: on the wire,
+	// or their answers.
 	recalls := map[string]int{}
 	for _, h := range w.hs {
-		for _, r := range h.reqs[h.next:] {
-			if !r.joined {
+		for j, r := range h.reqs {
+			if h.msgs[j] != exIdle {
 				recalls[r.c.rec.ID]++
 			}
 		}
@@ -808,14 +802,14 @@ func (w *exWorld) key(b []byte) []byte {
 	}
 	for _, h := range w.hs {
 		part(func() {
-			b = append(b, 'H', h.c.id[0], byte(h.op), byte('0'+h.msg))
-			for _, r := range h.reqs {
-				b = append(b, r.c.rec.ID[0], byte('0'+r.args.Deleg))
+			b = append(b, 'H', h.c.id[0], byte(h.op))
+			for j, r := range h.reqs {
+				b = append(b, r.c.rec.ID[0], byte('0'+r.args.Deleg), byte('0'+h.msgs[j]))
 				num(r.args.Seq)
 				flag(r.joined)
 				flight(r.flight)
 			}
-			b = append(b, byte('0'+h.next), byte('0'+h.tr.Deleg))
+			b = append(b, byte('0'+h.tr.Deleg))
 			num(h.tr.Seq)
 			flag(h.granted, h.revoking, h.forgets != h.c.sc.forgets.Load())
 			if h.revoking {

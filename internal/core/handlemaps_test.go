@@ -35,6 +35,15 @@ func runChainBedOver(t *testing.T, link simnet.Params, cfg Config, populate func
 // proxy server noted on the way (readRecorder).
 func runRecordedChainBed(t *testing.T, link simnet.Params, cfg Config, populate func(fs *memfs.FS), fn func(p *ProxyClient, nc *nfscall.Conn, root nfs3.FH, up *readRecorder)) {
 	t.Helper()
+	runChainBedFront(t, link, cfg, nil, populate, func(b *raBed) { fn(b.p, b.nc, b.root, b.up) })
+}
+
+// runChainBedFront runs fn against the whole chain over link, the proxy
+// server reaching the NFS server through front (nil: none) on its own host:
+// raBed's helpers drive it, and what the proxy server sends the NFS server
+// can be held, rewritten or lost.
+func runChainBedFront(t *testing.T, link simnet.Params, cfg Config, front *bedFront, populate func(fs *memfs.FS), fn func(b *raBed)) {
+	t.Helper()
 	clk := vclock.NewVirtual()
 	defer clk.Stop()
 	net := simnet.New(clk, link)
@@ -64,7 +73,13 @@ func runRecordedChainBed(t *testing.T, link simnet.Params, cfg Config, populate 
 			}
 			return sunrpc.NewClient(clk, c, cred)
 		}
-		ps := NewProxyServer(clk, cfg, dial(server, "server:2049", sunrpc.SysCred("proxyd", 0, 0)), Dialer(server.Dial), &MemStateStore{})
+		lan := "server:2049"
+		if front != nil {
+			addr, stop := serveFront(clk, net, *front)
+			defer stop()
+			lan = addr
+		}
+		ps := NewProxyServer(clk, cfg, dial(server, lan, sunrpc.SysCred("proxyd", 0, 0)), Dialer(server.Dial), &MemStateStore{})
 		defer ps.Stop()
 		ps.Serve(listen(server, ":4000"))
 		conn, err := client.Dial("server:4000")
@@ -84,7 +99,7 @@ func runRecordedChainBed(t *testing.T, link simnet.Params, cfg Config, populate 
 			t.Error(err)
 			return
 		}
-		fn(p, nc, root, up)
+		fn(&raBed{clk: clk, net: net, fs: fs, p: p, nc: nc, root: root, up: up, srv: rpcSrv})
 	})
 	<-done
 }

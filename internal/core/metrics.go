@@ -14,6 +14,9 @@ func RPCName(prog, proc uint32) string {
 	case nfs3.Program:
 		return nfs3.ProcName(proc)
 	case InvProgram:
+		if proc == ProcMintWrite {
+			return "MINT-WRITE"
+		}
 		return "GETINV"
 	case CallbackProgram:
 		switch proc {
@@ -68,6 +71,8 @@ type clientMetrics struct {
 	commitLocal        *obs.Counter
 	removeAbsorbed     *obs.Counter // REMOVEs answered at home, sent behind their reply
 	removeRefused      *obs.Counter // absorbed REMOVEs the server refused, or that got no reply
+	createAbsorbed     *obs.Counter // CREATEs answered at home under a minted handle
+	createRefused      *obs.Counter // absorbed CREATEs that made no file (EXIST, or no reply)
 
 	// Metadata fast path: per-cache local serves, plus the session cache's
 	// bookkeeping events (capacity evictions, whole-directory flushes on
@@ -133,6 +138,8 @@ func newClientMetrics(reg *obs.Registry, node string) *clientMetrics {
 		commitLocal:        reg.Counter(l("gvfs_client_commit_local_total")),
 		removeAbsorbed:     reg.Counter(l("gvfs_client_remove_absorbed_total")),
 		removeRefused:      reg.Counter(l("gvfs_client_remove_refused_total")),
+		createAbsorbed:     reg.Counter(l("gvfs_client_create_absorbed_total")),
+		createRefused:      reg.Counter(l("gvfs_client_create_refused_total")),
 		attrHits:           reg.Counter(obs.Label(l("gvfs_client_meta_hits_total"), "cache", "attr")),
 		dentryHits:         reg.Counter(obs.Label(l("gvfs_client_meta_hits_total"), "cache", "dentry")),
 		negHits:            reg.Counter(obs.Label(l("gvfs_client_meta_hits_total"), "cache", "negative")),

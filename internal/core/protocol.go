@@ -35,6 +35,9 @@ const (
 	InvVersion = 1
 	// ProcGetInv requests the contents of the caller's invalidation buffer.
 	ProcGetInv = 1
+	// ProcMintWrite writes to the file a create of the caller's made, named
+	// by that create rather than by a handle (MintWriteArgs).
+	ProcMintWrite = 2
 
 	// CallbackProgram is served by each proxy client; the proxy server
 	// calls it to recall delegations and to reconstruct state.
@@ -440,6 +443,85 @@ func splitMountReply(b []byte) (root nfs3.FH, n int, bundle *MountBundle) {
 		bundle = nil
 	}
 	return root, n, bundle
+}
+
+// MintedCreate is a CREATE a polling session answered at home under a handle
+// it minted (proxyclient_create.go): the kernel's CREATE3args, GUARDED or
+// UNCHECKED with its attributes, and behind them, where a plain CREATE ends,
+// Verf, the verifier the proxy server creates the file under. The proxy
+// server makes it an exclusive create (RFC 1813) and then applies the
+// attributes across its LAN: sent again, after a reconnect or a restart of
+// the proxy server, the create finds the file its first run made and succeeds
+// again, and a name another client holds fails with EXIST, whatever the mode.
+type MintedCreate struct {
+	nfs3.CreateArgs
+	Verf uint64
+}
+
+// Encode writes the wire form.
+func (a *MintedCreate) Encode(e *xdr.Encoder) {
+	a.CreateArgs.Encode(e)
+	e.Uint64(a.Verf)
+}
+
+// Decode reads the wire form.
+func (a *MintedCreate) Decode(d *xdr.Decoder) error {
+	if err := a.CreateArgs.Decode(d); err != nil {
+		return err
+	}
+	var err error
+	a.Verf, err = d.Uint64()
+	return err
+}
+
+// MintWriteArgs is ProcMintWrite's call: a WRITE to the file Create makes,
+// sent before the session knows the file's handle. The proxy server holds it
+// until that create has run on its LAN (running it itself if it has no record
+// of it), then writes to the file the create made, and to no other. Write's
+// handle is not read.
+type MintWriteArgs struct {
+	Create MintedCreate
+	Write  nfs3.WriteArgs
+}
+
+// EncodeHead writes the call up to the data's length and returns the data,
+// to be sent by reference behind it (nfs3.WriteArgs.EncodeHead).
+func (a *MintWriteArgs) EncodeHead(e *xdr.Encoder) []byte {
+	a.Create.Encode(e)
+	return a.Write.EncodeHead(e)
+}
+
+// Encode writes the wire form.
+func (a *MintWriteArgs) Encode(e *xdr.Encoder) { e.FixedOpaque(a.EncodeHead(e)) }
+
+// Decode reads the wire form; Write.Data aliases the frame.
+func (a *MintWriteArgs) Decode(d *xdr.Decoder) error {
+	if err := a.Create.Decode(d); err != nil {
+		return err
+	}
+	return a.Write.Decode(d)
+}
+
+// MintWriteRes answers a MintWriteArgs: what the create came to, and the
+// WRITE's result. A create that did not make the file (EXIST: another client
+// holds the name) is the WRITE's status too, and nothing was written.
+type MintWriteRes struct {
+	Create nfs3.CreateRes
+	Write  nfs3.WriteRes
+}
+
+// Encode writes the wire form.
+func (r *MintWriteRes) Encode(e *xdr.Encoder) {
+	r.Create.Encode(e)
+	r.Write.Encode(e)
+}
+
+// Decode reads the wire form.
+func (r *MintWriteRes) Decode(d *xdr.Decoder) error {
+	if err := r.Create.Decode(d); err != nil {
+		return err
+	}
+	return r.Write.Decode(d)
 }
 
 // RecallArgs asks a proxy client to give up a delegation on FH. For write

@@ -42,6 +42,8 @@ type ProxyClient struct {
 	redial func() (*sunrpc.Client, error)
 
 	stopped atomic.Bool
+	// noMintWrite: the upstream serves no MINT-WRITE (writeByCreate).
+	noMintWrite atomic.Bool
 
 	// mu guards the upstream connection, its counts and the recall write-back
 	// queue (proxyclient_writeback.go) only: everything keyed by file handle
@@ -127,6 +129,11 @@ func NewProxyClient(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, cred
 	p.met.readaheadWindow.Set(p.ra.window.Load())
 	cfg.Staleness.Register(shortModel(cfg.Model))
 	p.cache.setPolicy(clk.Now, cfg.cachePolicy(), p.met.cacheCounters())
+	started := clk.Now()
+	if !clk.Virtual() {
+		started = time.Duration(time.Now().UnixNano())
+	}
+	p.cache.mints.nonce = mintNonce(cred.ClientID, started)
 	if cfg.DiskCacheDir != "" {
 		p.openDiskCache()
 	}
@@ -186,14 +193,14 @@ func (p *ProxyClient) recoverAfterCrash() {
 }
 
 // Stop halts the proxy and closes its connections. Dirty data is flushed
-// first on a best-effort basis, and the absorbed REMOVEs still on their way
-// are waited for.
+// first on a best-effort basis, and the absorbed REMOVEs and CREATEs still on
+// their way are waited for.
 func (p *ProxyClient) Stop() {
 	if p.stopped.Swap(true) {
 		return
 	}
 	p.flushAll(0)
-	p.drainRemoves()
+	p.drainPending()
 	if p.disk != nil {
 		// The flushed MarkClean records are already journaled; Close folds
 		// them into a final compacting checkpoint.
@@ -335,9 +342,10 @@ func (p *ProxyClient) dispatchMount(call *sunrpc.Call) sunrpc.AcceptStat {
 	if polling {
 		p.sendBootstrap()
 	}
-	// The bundle lists directories: one a pending REMOVE is changing would
-	// bring its victim back.
-	p.drainRemoves()
+	// The bundle lists directories: one a pending REMOVE or CREATE is
+	// changing would bring its victim back, or list a file the session knows
+	// by another handle.
+	p.drainPending()
 	tk := p.cache.mountTicket()
 	start := p.node.Now()
 	rep, err := p.rawCall(call.ReqID, nfs3.MountProgram, nfs3.MountVersion, call.Proc, call.Args.Rest())

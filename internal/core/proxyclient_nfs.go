@@ -4,6 +4,7 @@ import (
 	"repro/internal/nfs3"
 	"repro/internal/obs"
 	"repro/internal/sunrpc"
+	"repro/internal/xdr"
 )
 
 func encodeReply(call *sunrpc.Call, res wireEnc) sunrpc.AcceptStat {
@@ -346,6 +347,14 @@ func (p *ProxyClient) create(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Decode(call.Args) != nil {
 		return sunrpc.GarbageArgs
 	}
+	if p.absorbsNames() {
+		spanFH(call, args.Where.Dir)
+		mapped := args // forwardCreate maps the attributes it sends itself
+		p.mapIdentity(&mapped.Attr)
+		if st, ok := p.absorbCreate(call, &mapped); ok {
+			return st
+		}
+	}
 	// An unchecked create truncates an existing file: any dirty data buffered
 	// for the old contents is gone by definition.
 	return p.forwardCreate(call, &args, args.Where, &args.Attr, args.Mode == nfs3.CreateUnchecked)
@@ -373,8 +382,12 @@ func (p *ProxyClient) forwardCreate(call *sunrpc.Call, args wireEnc, where nfs3.
 	p.mapIdentity(attr)
 	spanFH(call, where.Dir)
 	var res nfs3.CreateRes
+	tk := p.cache.sendTicket(nfs3.FH{}) // the new directory's: it has no record yet
 	ts, err := p.forward(call, call.Proc, args, &res, where.Dir)
 	if err != nil {
+		// The server may have run it: the name is no longer known either
+		// way, and a walk of the directory proves nothing absent.
+		p.cache.dropLookup(where.Dir, where.Name)
 		return encodeReply(call, &nfs3.CreateRes{Status: nfs3.ErrJukebox})
 	}
 	if res.DirWcc.After.Present {
@@ -388,6 +401,13 @@ func (p *ProxyClient) forwardCreate(call *sunrpc.Call, args wireEnc, where nfs3.
 			p.cache.putAttrSince(res.FH, res.Attr.Attr, ts.seqOf(res.FH))
 		}
 		p.cache.putLookup(where.Dir, where.Name, res.FH, false)
+		if call.Proc == nfs3.ProcMkdir {
+			p.cache.madeEmpty(tk, res.FH)
+		}
+	}
+	if res.Status == nfs3.ErrExist {
+		// The name is there, bound to what the session does not know.
+		p.cache.dropLookup(where.Dir, where.Name)
 	}
 	return encodeReply(call, &res)
 }
@@ -398,7 +418,7 @@ func (p *ProxyClient) unlink(call *sunrpc.Call) sunrpc.AcceptStat {
 		return sunrpc.GarbageArgs
 	}
 	spanFH(call, args.Dir)
-	if call.Proc == nfs3.ProcRemove && p.absorbsRemoves() {
+	if call.Proc == nfs3.ProcRemove && p.absorbsNames() {
 		if st, ok := p.absorbRemove(call, args); ok {
 			return st
 		}
@@ -412,6 +432,7 @@ func (p *ProxyClient) unlink(call *sunrpc.Call) sunrpc.AcceptStat {
 	var res nfs3.WccRes
 	ts, err := p.forward(call, call.Proc, &args, &res, args.Dir)
 	if err != nil {
+		p.cache.dropLookup(args.Dir, args.Name) // it may have run
 		return encodeReply(call, &nfs3.WccRes{Status: nfs3.ErrJukebox})
 	}
 	if res.Status == nfs3.OK && known {
@@ -441,6 +462,8 @@ func (p *ProxyClient) rename(call *sunrpc.Call) sunrpc.AcceptStat {
 	var res nfs3.RenameRes
 	ts, err := p.forward(call, nfs3.ProcRename, &args, &res, args.From.Dir, args.To.Dir)
 	if err != nil {
+		p.cache.dropLookup(args.From.Dir, args.From.Name) // it may have run
+		p.cache.dropLookup(args.To.Dir, args.To.Name)
 		return encodeReply(call, &nfs3.RenameRes{Status: nfs3.ErrJukebox})
 	}
 	p.cache.dropLookup(args.From.Dir, args.From.Name)
@@ -463,6 +486,7 @@ func (p *ProxyClient) linkProc(call *sunrpc.Call) sunrpc.AcceptStat {
 	var res nfs3.LinkRes
 	ts, err := p.forward(call, nfs3.ProcLink, &args, &res, args.FH, args.Link.Dir)
 	if err != nil {
+		p.cache.dropLookup(args.Link.Dir, args.Link.Name) // it may have run
 		return encodeReply(call, &nfs3.LinkRes{Status: nfs3.ErrJukebox})
 	}
 	if res.Attr.Present {
@@ -500,17 +524,16 @@ func (p *ProxyClient) readdir(call *sunrpc.Call) sunrpc.AcceptStat {
 		}
 	}
 	var res nfs3.ReaddirRes
+	tk := p.cache.sendTicket(args.Dir)
 	ts, err := p.forward(call, nfs3.ProcReaddir, &args, &res, args.Dir)
 	if err != nil {
 		return encodeReply(call, &nfs3.ReaddirRes{Status: nfs3.ErrJukebox})
 	}
 	if res.DirAttr.Present {
-		p.cache.putAttrSince(args.Dir, res.DirAttr.Attr, ts.seqOf(args.Dir))
-	}
-	// A single-page complete listing is cacheable; multi-page listings are
-	// not worth stitching.
-	if res.Status == nfs3.OK && res.EOF && args.Cookie == 0 {
-		p.cache.putDirListing(args.Dir, res.Entries)
+		// A single-page complete listing is cacheable; multi-page listings
+		// are not worth stitching.
+		complete := res.Status == nfs3.OK && res.EOF && args.Cookie == 0
+		p.cache.landListing(tk, args.Dir, res.DirAttr.Attr, ts.seqOf(args.Dir), complete, res.Entries)
 	}
 	return encodeReply(call, &res)
 }
@@ -610,19 +633,37 @@ func (p *ProxyClient) access(call *sunrpc.Call) sunrpc.AcceptStat {
 		}
 	}
 	var res nfs3.AccessRes
+	tk := p.cache.sendTicket(args.FH)
 	ts, err := p.forward(call, nfs3.ProcAccess, &args, &res, args.FH)
 	if err != nil {
 		return encodeReply(call, &nfs3.AccessRes{Status: nfs3.ErrJukebox})
 	}
 	if res.Status == nfs3.OK && res.Attr.Present {
-		p.cache.putAttrSince(args.FH, res.Attr.Attr, ts.seqOf(args.FH))
+		p.cache.landReply(tk, args.FH, res.Attr.Attr, ts.seqOf(args.FH), false, 0, nil)
 	}
 	return encodeReply(call, &res)
 }
 
-// passthrough forwards a call without caching semantics.
+// passthrough forwards a call without caching semantics. Each procedure it
+// relays names one handle first, which leaves as the server's if the session
+// minted it.
 func (p *ProxyClient) passthrough(call *sunrpc.Call) sunrpc.AcceptStat {
-	rep, err := p.rawCall(call.ReqID, nfs3.Program, nfs3.Version, call.Proc, call.Args.Rest())
+	args := call.Args.Rest()
+	if p.cache.held.Load() > 0 {
+		var head nfs3.GetattrArgs
+		d := xdr.NewDecoder(args)
+		if head.Decode(d) == nil {
+			fhs, _ := handlesOf(&head)
+			p.awaitPending(nfs3.ProcGetattr, fhs, "")
+			if _, changed := p.cache.toServer(fhs); changed {
+				e := xdr.NewEncoder()
+				head.Encode(e)
+				e.FixedOpaque(d.Rest())
+				args = e.Bytes()
+			}
+		}
+	}
+	rep, err := p.rawCall(call.ReqID, nfs3.Program, nfs3.Version, call.Proc, args)
 	if err != nil {
 		return sunrpc.SystemErr
 	}

@@ -79,6 +79,9 @@ type upstreamCall struct {
 	enc     *xdr.Encoder // nil for a raw call
 	start   time.Duration
 	forgets uint64 // the session cache's forget count when it was sent
+	// held: the session had minted handles or pending namespace operations
+	// when the call was sent, so its result is translated (fromServer).
+	held bool
 	// listing, when a LOOKUP's caller sets it, receives the small directory's
 	// listing the reply may carry behind its trailers (DecodeTrailers).
 	listing *nfs3.ReaddirplusRes
@@ -134,13 +137,21 @@ func (p *ProxyClient) callUpstream(rid uint64, proc uint32, args wireEnc, res wi
 }
 
 // startUpstream encodes args and sends the call; finishUpstream must follow.
-// A call that names the directory or the victim of an absorbed REMOVE still
-// on its way waits for that REMOVE's reply first (awaitRemoves).
+// A call that names the directory or the object of an absorbed REMOVE or
+// CREATE still on its way waits for its reply first (awaitPending), and a
+// handle the session minted leaves as the server's (toServer). A session with
+// neither pays one atomic load here.
 func (p *ProxyClient) startUpstream(rid uint64, proc uint32, args wireEnc) upstreamCall {
-	if p.cache.nremoving.Load() > 0 {
-		p.awaitRemoves(proc, args)
+	if p.cache.held.Load() == 0 {
+		return p.sendUpstream(rid, proc, args)
 	}
-	return p.sendUpstream(rid, proc, args)
+	fhs, name := handlesOf(args)
+	p.awaitPending(proc, fhs, name)
+	was, _ := p.cache.toServer(fhs)
+	c := p.sendUpstream(rid, proc, args) // encodes args before it returns
+	putBack(fhs, was)
+	c.held = true
+	return c
 }
 
 // sendUpstream is startUpstream without the wait. A WRITE's data is not
@@ -187,6 +198,11 @@ func (p *ProxyClient) finishUpstream(c upstreamCall, res wireDec, forwarded []nf
 		return rep, nil, err
 	}
 	p.ra.observe(lat, res, p.cfg.BlockSize)
+	if c.held || namesFiles(c.proc) && p.cache.held.Load() > 0 {
+		// A listing or a name resolution may name a file the session created
+		// at home whatever the call was sent under.
+		p.cache.fromServer(res)
+	}
 	var ts Trailers
 	if d.Remaining() > 0 {
 		if ts, err = DecodeTrailers(d, c.listing); err != nil {
@@ -195,6 +211,16 @@ func (p *ProxyClient) finishUpstream(c upstreamCall, res wireDec, forwarded []nf
 	}
 	p.cache.applyReplySince(ts, forwarded, c.forgets)
 	return rep, ts, nil
+}
+
+// namesFiles reports whether proc's result may name a file by its handle or
+// fileid other than the one the call was about.
+func namesFiles(proc uint32) bool {
+	switch proc {
+	case nfs3.ProcLookup, nfs3.ProcCreate, nfs3.ProcMkdir, nfs3.ProcSymlink, nfs3.ProcLink, nfs3.ProcReaddir, nfs3.ProcReaddirplus:
+		return true
+	}
+	return false
 }
 
 // forward is callUpstream for the kernel RPC being served: the call crossed the

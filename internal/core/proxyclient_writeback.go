@@ -199,8 +199,16 @@ func (p *ProxyClient) flushBlock(rid uint64, fh nfs3.FH, bn uint64) error {
 	}
 	args := nfs3.WriteArgs{FH: fh, Offset: off, Count: uint32(len(data)), Stable: nfs3.FileSync, Data: data}
 	var res nfs3.WriteRes
-	if _, err := p.callUpstream(rid, nfs3.ProcWrite, &args, &res); err != nil {
-		return err
+	sent := false
+	if m := p.cache.pendingMint(fh); m != nil {
+		// The file's CREATE is still on its way: the WRITE names it, and
+		// crosses now rather than behind its reply.
+		res, sent = p.writeByCreate(rid, m, &args)
+	}
+	if !sent {
+		if _, err := p.callUpstream(rid, nfs3.ProcWrite, &args, &res); err != nil {
+			return err
+		}
 	}
 	if res.Status == nfs3.ErrStale && p.cfg.Model == ModelDelegation && p.unwrittenSince(rid, fh) {
 		// The lost-recall fence (Section 4.3.4): the server revoked a write

@@ -83,6 +83,8 @@ type ProxyServer struct {
 	// (committedLocked): a MOUNT's speculative grants stand only if none
 	// landed while its pages were read (mountGrantsLocked).
 	commits uint64
+	// mints is every minted create run or running (proxyserver_mint.go).
+	mints   map[mintKey]*mintRun
 	graceW  []*vclock.Waiter
 	store   StateStore
 	stopped bool
@@ -163,6 +165,7 @@ func NewProxyServer(clk *vclock.Clock, cfg Config, upstream *sunrpc.Client, dial
 		clients: make(map[string]*clientState),
 		creds:   make(map[string]ClientRecord),
 		files:   make(map[string]*fileState),
+		mints:   make(map[mintKey]*mintRun),
 		store:   store,
 	}
 	s.lru.init()
@@ -544,7 +547,11 @@ func (b *invBuffer) flush() {
 // dispatchInv serves the GETINV program (server-side algorithm of Section
 // 4.2.1).
 func (s *ProxyServer) dispatchInv(call *sunrpc.Call) sunrpc.AcceptStat {
-	if call.Proc != ProcGetInv {
+	switch call.Proc {
+	case ProcMintWrite:
+		return s.mintWrite(call)
+	case ProcGetInv:
+	default:
 		return sunrpc.ProcUnavail
 	}
 	var args GetInvArgs

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/nfs3"
 	"repro/internal/sunrpc"
+	"repro/internal/vclock"
 	"repro/internal/xdr"
 )
 
@@ -29,6 +30,9 @@ type callInfo struct {
 	invTargets []nfs3.FH
 	// postResolve marks calls whose reply names one more handle to decide on.
 	postResolve bool
+	// mint is a CREATE a polling session answered at home, run as
+	// mintCreate runs it rather than relayed (proxyserver_mint.go).
+	mint *MintedCreate
 }
 
 // dispatchMount relays a MOUNT call to the NFS server, the arguments by
@@ -206,13 +210,23 @@ func (s *ProxyServer) dispatchNFS(call *sunrpc.Call) sunrpc.AcceptStat {
 		}
 	}
 
-	// Forward across the loopback to the kernel NFS server.
-	s.met.forwards.Inc()
-	rep, err := s.up.CallParts(call.ReqID, nfs3.Program, nfs3.Version, call.Proc, nil, argBytes, s.cfg.CallTimeout)
-	if err != nil {
-		return sunrpc.SystemErr
+	// Forward across the loopback to the kernel NFS server. A minted create
+	// is run once however often it is sent, and reports its own change.
+	var rep sunrpc.Reply
+	var replyBytes []byte
+	if info.mint != nil {
+		res := s.mintCreate(call.ReqID, client, info.mint, call.Yield)
+		e := xdr.NewEncoder()
+		res.Encode(e)
+		replyBytes = e.Bytes()
+	} else {
+		s.met.forwards.Inc()
+		var err error
+		if rep, err = s.up.CallParts(call.ReqID, nfs3.Program, nfs3.Version, call.Proc, nil, argBytes, s.cfg.CallTimeout); err != nil {
+			return sunrpc.SystemErr
+		}
+		replyBytes = rep.Body.Rest()
 	}
-	replyBytes := rep.Body.Rest()
 
 	switch replyStatus(replyBytes) {
 	case nfs3.ErrStale:
@@ -390,6 +404,11 @@ func (s *ProxyServer) inspect(rid uint64, proc uint32, argBytes []byte) (callInf
 		info.accesses = []accessReq{{fh: args.Where.Dir, write: true}}
 		info.invTargets = []nfs3.FH{args.Where.Dir}
 		info.postResolve = true
+		if verf, err := d.Uint64(); err == nil && s.cfg.Model == ModelPolling && args.Mode != nfs3.CreateExclusive {
+			// A verifier behind the arguments: a create answered at home.
+			info.mint = &MintedCreate{CreateArgs: args, Verf: verf}
+			info.invTargets = nil
+		}
 	case nfs3.ProcMkdir:
 		var args nfs3.MkdirArgs
 		if args.Decode(d) != nil {
@@ -465,30 +484,23 @@ func (s *ProxyServer) inspect(rid uint64, proc uint32, argBytes []byte) (callInf
 // lookupUpstream resolves (dir, name) against the kernel NFS server; used to
 // learn victim handles of destructive directory operations.
 func (s *ProxyServer) lookupUpstream(rid uint64, dir nfs3.FH, name string) (nfs3.FH, bool) {
-	args := nfs3.DirOpArgs{Dir: dir, Name: name}
-	e := xdr.NewEncoder()
-	args.Encode(e)
-	rep, err := s.up.CallParts(rid, nfs3.Program, nfs3.Version, nfs3.ProcLookup, e.Bytes(), nil, s.cfg.CallTimeout)
-	if err != nil {
-		return nfs3.FH{}, false
-	}
 	var res nfs3.LookupRes
-	if res.Decode(rep.Body) != nil || res.Status != nfs3.OK {
+	if s.callLAN(rid, nfs3.ProcLookup, &nfs3.DirOpArgs{Dir: dir, Name: name}, &res) != nil || res.Status != nfs3.OK {
 		return nfs3.FH{}, false
 	}
 	return res.FH, true
 }
 
-// recall takes back every delegation in reqs, in order, settling each answer
-// (or the lack of one) before the next is sent; a request that joined a recall
-// already on the wire waits for that one's settle instead. No lock is held
-// across a callback: the recalled client writes back through this same server.
+// recall takes back every delegation in reqs and returns once each has
+// settled. The callbacks a batch sends go out at once, each from an actor of
+// its own, and each is settled as it answers (or fails to): they are to
+// different sharers, or for different files, and the access waiting on them
+// waits one callback round trip rather than one per sharer. A request that
+// joined a recall already on the wire waits for that one's settle instead. No
+// lock is held across a callback: the recalled client writes back through
+// this same server.
 func (s *ProxyServer) recall(rid uint64, reqs []recallReq) {
-	for _, r := range reqs {
-		if r.joined {
-			s.awaitSettle(r.flight)
-			continue
-		}
+	send := func(r recallReq) {
 		res := s.callbackRecall(rid, r.c, r.args)
 		s.mu.Lock()
 		joined := s.settleLocked(r, res, s.clk.Now())
@@ -496,6 +508,31 @@ func (s *ProxyServer) recall(rid uint64, reqs []recallReq) {
 		for _, w := range joined {
 			w.Wake()
 		}
+	}
+	var g *vclock.Group
+	var first *recallReq
+	for i := range reqs {
+		switch r := reqs[i]; {
+		case r.joined:
+		case first == nil:
+			first = &reqs[i]
+		default:
+			if g == nil {
+				g = s.clk.NewGroup()
+			}
+			g.Go("gvfs-recall", func() { send(r) })
+		}
+	}
+	if first != nil {
+		send(*first) // the batch's first callback goes from this actor
+	}
+	for _, r := range reqs {
+		if r.joined {
+			s.awaitSettle(r.flight)
+		}
+	}
+	if g != nil {
+		g.Wait()
 	}
 }
 

@@ -161,10 +161,52 @@ func runTamperedBed(t *testing.T, cfg Config, tamper func(proc uint32, reply []b
 
 // bedFront is what a bed's upstream does to the NFS calls it relays to the
 // server: hold, when set, says how long a call of proc is kept back before the
-// server runs it; edit, when set, rewrites its reply.
+// server runs it; edit, when set, rewrites its reply; fail, when set and
+// true, answers SYSTEM_ERR in its place, the call having run: a reply lost.
 type bedFront struct {
 	hold func(proc uint32) time.Duration
 	edit func(proc uint32, reply []byte) []byte
+	fail func(proc uint32) bool
+}
+
+// serveFront serves front on the server's host in front of the bed's NFS
+// server at server:2049 and returns its address and what closes it. It must
+// run on an actor.
+func serveFront(clk *vclock.Clock, net *simnet.Net, front bedFront) (addr string, stop func()) {
+	bconn, err := net.Host("server").Dial("server:2049")
+	if err != nil {
+		panic(err)
+	}
+	back := sunrpc.NewClient(clk, bconn, sunrpc.NoneCred())
+	relay := func(prog, vers uint32, f bedFront) sunrpc.DispatchFunc {
+		return func(call *sunrpc.Call) sunrpc.AcceptStat {
+			if f.hold != nil {
+				clk.Sleep(f.hold(call.Proc))
+			}
+			d, err := back.Call(prog, vers, call.Proc, call.Args.Rest())
+			if err != nil || f.fail != nil && f.fail(call.Proc) {
+				return sunrpc.SystemErr
+			}
+			reply := d.Rest()
+			if f.edit != nil {
+				reply = f.edit(call.Proc, reply)
+			}
+			call.Reply.FixedOpaque(reply)
+			return sunrpc.Success
+		}
+	}
+	fsrv := sunrpc.NewServer(clk)
+	fsrv.Register(nfs3.Program, nfs3.Version, relay(nfs3.Program, nfs3.Version, front))
+	fsrv.Register(nfs3.MountProgram, nfs3.MountVersion, relay(nfs3.MountProgram, nfs3.MountVersion, bedFront{}))
+	fl, err := net.Host("server").Listen(":2050")
+	if err != nil {
+		panic(err)
+	}
+	fsrv.Serve(fl)
+	return "server:2050", func() {
+		fsrv.Close()
+		back.Close()
+	}
 }
 
 // runBedOver is runTamperedBed over a link of the caller's choosing, with a
@@ -191,41 +233,9 @@ func runBedOver(t *testing.T, link simnet.Params, cfg Config, front *bedFront, p
 		upstream := "server:2049"
 		if front != nil {
 			// A front on the server's own host relays to the real server.
-			bconn, err := net.Host("server").Dial("server:2049")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			back := sunrpc.NewClient(clk, bconn, sunrpc.NoneCred())
-			defer back.Close()
-			relay := func(prog, vers uint32, f bedFront) sunrpc.DispatchFunc {
-				return func(call *sunrpc.Call) sunrpc.AcceptStat {
-					if f.hold != nil {
-						clk.Sleep(f.hold(call.Proc))
-					}
-					d, err := back.Call(prog, vers, call.Proc, call.Args.Rest())
-					if err != nil {
-						return sunrpc.SystemErr
-					}
-					reply := d.Rest()
-					if f.edit != nil {
-						reply = f.edit(call.Proc, reply)
-					}
-					call.Reply.FixedOpaque(reply)
-					return sunrpc.Success
-				}
-			}
-			fsrv := sunrpc.NewServer(clk)
-			fsrv.Register(nfs3.Program, nfs3.Version, relay(nfs3.Program, nfs3.Version, *front))
-			fsrv.Register(nfs3.MountProgram, nfs3.MountVersion, relay(nfs3.MountProgram, nfs3.MountVersion, bedFront{}))
-			fl, err := net.Host("server").Listen(":2050")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer fsrv.Close()
-			fsrv.Serve(fl)
-			upstream = "server:2050"
+			addr, stop := serveFront(clk, net, *front)
+			defer stop()
+			upstream = addr
 		}
 		client := net.Host("client")
 		conn, err := client.Dial(upstream)

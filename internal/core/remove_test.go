@@ -190,8 +190,9 @@ func TestRemoveForwardedUnderDelegation(t *testing.T) {
 // TestRemoveBehindKeepsItsPlace: proxyd runs a connection's calls on a pool
 // of workers, so a call sent right behind the absorbed REMOVE could run before
 // it. Here the server's side holds each REMOVE back five round trips, and the
-// kernel creates the name again right after its REMOVE returns: the CREATE must wait
-// for the REMOVE's reply, succeed, and leave the new file on the server. A
+// kernel creates the name again right after its REMOVE returns, exclusively, so
+// that the CREATE is forwarded rather than answered at home: it must wait for
+// the REMOVE's reply, succeed, and leave the new file on the server. A
 // REMOVE of another name in the directory, and a READ of another file, do not
 // wait: each is on the wire while the first REMOVE is still held.
 func TestRemoveBehindKeepsItsPlace(t *testing.T) {
@@ -209,7 +210,7 @@ func TestRemoveBehindKeepsItsPlace(t *testing.T) {
 		if rd, err := b.nc.Read(x, 0, raBS); err != nil || rd.Status != nfs3.OK {
 			t.Errorf("read x: %v %v", err, rd.Status)
 		}
-		cr, err := b.nc.Create(d, "f", 0o644, nfs3.CreateGuarded)
+		cr, err := b.nc.Create(d, "f", 0o644, nfs3.CreateExclusive)
 		if err != nil || cr.Status != nfs3.OK {
 			t.Errorf("create f again behind its REMOVE: %v %v (run ahead of the REMOVE, it finds the old file)", err, cr.Status)
 		}
@@ -369,7 +370,7 @@ func TestStopLeavesNoRemovePending(t *testing.T) {
 		if b.onServerPath("d/f") {
 			t.Error("Stop returned with the absorbed REMOVE still pending: the file is on the server")
 		}
-		if n := b.p.cache.nremoving.Load(); n != 0 {
+		if n := b.p.cache.held.Load(); n != 0 {
 			t.Errorf("%d REMOVEs pending after Stop", n)
 		}
 	})

@@ -77,6 +77,9 @@ type inode struct {
 	data     []byte        // TypeFile
 	children map[string]ID // TypeDir
 	target   string        // TypeSymlink
+	// verf is the verifier of the exclusive create that made a regular file
+	// (CreateExclusive), 0 for any other.
+	verf uint64
 }
 
 // FS is a thread-safe in-memory filesystem. Times come from the now function
@@ -293,6 +296,34 @@ func (fs *FS) Create(dir ID, name string, mode uint32, exclusive bool) (Attr, er
 		return ino.attr(), nil
 	}
 	ino := fs.newInode(TypeFile, mode)
+	d.children[name] = ino.id
+	fs.touch(d, true, true)
+	return ino.attr(), nil
+}
+
+// CreateExclusive makes a regular file under dir as RFC 1813's exclusive
+// CREATE does: the file keeps verf, and a create of the same name with the
+// same verifier finds the file it made and succeeds again, as it stands, so a
+// retransmitted create is not turned into EEXIST by its own first run. Any
+// other existing name fails with ErrExist. A zero verifier matches nothing.
+func (fs *FS) CreateExclusive(dir ID, name string, mode uint32, verf uint64) (Attr, error) {
+	if err := checkName(name); err != nil {
+		return Attr{}, err
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	d, err := fs.dir(dir)
+	if err != nil {
+		return Attr{}, err
+	}
+	if existing, ok := d.children[name]; ok {
+		if ino, err := fs.get(existing); err == nil && ino.typ == TypeFile && verf != 0 && ino.verf == verf {
+			return ino.attr(), nil
+		}
+		return Attr{}, fmt.Errorf("%w: %s", ErrExist, name)
+	}
+	ino := fs.newInode(TypeFile, mode)
+	ino.verf = verf
 	d.children[name] = ino.id
 	fs.touch(d, true, true)
 	return ino.attr(), nil

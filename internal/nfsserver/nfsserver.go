@@ -399,8 +399,15 @@ func (s *Server) create(call *sunrpc.Call) sunrpc.AcceptStat {
 	if args.Attr.Mode != nil {
 		mode = *args.Attr.Mode
 	}
-	exclusive := args.Mode != nfs3.CreateUnchecked
-	attr, err := s.fs.Create(dirID, args.Where.Name, mode, exclusive)
+	var attr memfs.Attr
+	var err error
+	if args.Mode == nfs3.CreateExclusive {
+		// The verifier is kept with the file: the same create sent again
+		// finds it and succeeds (RFC 1813). Its attributes follow by SETATTR.
+		attr, err = s.fs.CreateExclusive(dirID, args.Where.Name, mode, args.Verf)
+	} else {
+		attr, err = s.fs.Create(dirID, args.Where.Name, mode, args.Mode == nfs3.CreateGuarded)
+	}
 	res.Status = mapErr(err)
 	if err == nil {
 		if args.Attr.Size != nil || args.Attr.UID != nil || args.Attr.GID != nil {
