@@ -33,8 +33,7 @@ type sessionCache struct {
 	// the attribute and listing caps evict that part of a record, never the
 	// record. forgets counts the handles forget was told are dead, held or
 	// not: a reply to a call sent before one cannot tell a handle it never saw
-	// from one that died under it, and brings no record back
-	// (applyReplySince).
+	// from one that died under it, and brings no record back (ticket).
 	files   map[string]*cachedFile
 	forgets atomic.Uint64
 
@@ -45,8 +44,8 @@ type sessionCache struct {
 	lookupLRU        ring[lookupEnt]
 	// invGen counts the invalidations the consistency channel has delivered; a
 	// reply sent before one and installed after it would bring back what the
-	// invalidation took (seedTicket). namesGen sums every record's namesGen:
-	// a listing that rides a LOOKUP is for a directory unknown when the LOOKUP
+	// invalidation took (ticket). namesGen sums every record's namesGen: a
+	// listing that rides a LOOKUP is for a directory unknown when the LOOKUP
 	// went out (seedLookup).
 	invGen, namesGen uint64
 
@@ -150,7 +149,7 @@ type cachedFile struct {
 	names     map[string]*lookupEnt
 	// namesGen counts the times a name under this directory was taken back —
 	// flushed by an invalidation, or changed by one of the session's own
-	// namespace operations; see seedTicket. walk is the directory's walk
+	// namespace operations; see ticket. walk is the directory's walk
 	// (dirwalk.go), reset whenever the names are flushed.
 	namesGen uint64
 	walk     dirWalk
@@ -244,8 +243,8 @@ type cachedFile struct {
 	readThrough, remoteWrite bool
 
 	// invs counts the invalidations the polling channel delivered for this
-	// handle, a GETINV naming it or a force: a reply sent before one installs
-	// nothing (invTicket).
+	// handle, a GETINV naming it or a force: a reply about it sent before one
+	// installs nothing (ticket).
 	invs uint64
 }
 
@@ -378,16 +377,16 @@ func (sc *sessionCache) servableLocked(fc *cachedFile) bool {
 // applyReplySince records what a forwarded request's reply says about handles:
 // for each the proxy server's trailers name, the delegation it decided on; and
 // for those and the handles the request itself was for, that a request just
-// crossed the wide area (renewal clock). forgets is sc.forgets when the
-// request was sent. Only the delegation model decides, and a grant of none is
-// the server's verdict that the handle may not be cached (noncacheable) until
-// its next grant. A trailer makes a record for a handle the session holds none
-// of, but not if a record was forgotten while the request was in flight: a
-// READ of a file this session has since removed, or that the server has since
-// called stale, would otherwise bring the dead handle back holding a read
-// delegation. A record that a recall made to carry its fence, and no trailer
-// has reached since, is as new: the recall may have reached the handle after
-// the session forgot it. A trailer stamped before one the record has applied
+// crossed the wide area (renewal clock). tk is the request's ticket. Only the
+// delegation model decides, and a grant of none is the server's verdict that
+// the handle may not be cached (noncacheable) until its next grant. A trailer
+// makes a record for a handle the session holds none of only if the landing
+// rule lets a record be made (landsLocked): not if a record was forgotten
+// while the request was in flight, since a READ of a file this session has
+// since removed, or that the server has since called stale, would otherwise
+// bring the dead handle back holding a read delegation. A record that a
+// recall made to carry its fence, and no trailer has reached since, is as
+// new: the recall may have reached the handle after the session forgot it. A trailer stamped before one the record has applied
 // says nothing any more: the server made the later decision after it (a READ's
 // grant, say, that a WRITE's reply overtook, whose decision took the
 // delegation back without a recall).
@@ -396,22 +395,22 @@ func (sc *sessionCache) servableLocked(fc *cachedFile) bool {
 // not overtaken meanwhile (cachedFile.overtaken): the installs compare stamps
 // under the lock they install under, so a recall served between this call and
 // theirs counts too.
-func (sc *sessionCache) applyReplySince(ts Trailers, forwarded []nfs3.FH, forgets uint64) {
+func (sc *sessionCache) applyReplySince(ts Trailers, forwarded []nfs3.FH, tk ticket) {
 	if len(ts)+len(forwarded) == 0 {
 		return
 	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	sc.applyReplyLocked(ts, forwarded, forgets)
+	sc.applyReplyLocked(ts, forwarded, tk)
 }
 
-func (sc *sessionCache) applyReplyLocked(ts Trailers, forwarded []nfs3.FH, forgets uint64) {
+func (sc *sessionCache) applyReplyLocked(ts Trailers, forwarded []nfs3.FH, tk ticket) {
 	now := sc.nowLocked()
 	for _, tr := range ts {
 		fc := sc.files[tr.FH.Key()]
 		switch {
 		case fc != nil && (fc.trailerSeq > 0 || fc.recallFence == 0): // not made by a recall alone
-		case tr.FH.IsZero(), sc.forgets.Load() != forgets:
+		case tr.FH.IsZero(), !sc.landsLocked(tk, nil, 0, false):
 			continue
 		case fc == nil:
 			fc = sc.record(tr.FH.Key())
@@ -489,10 +488,12 @@ func (sc *sessionCache) applyRecall(args RecallArgs) {
 // the restart would drop the new instance's grants until its counter happened
 // to pass it. With rebuild, files holding locally modified data keep a write
 // delegation, which the server's rebuild re-establishes from the returned list.
+// It is no news to a reply in flight (ticket): the restarted server decides
+// what crosses it after sending it.
 func (sc *sessionCache) recallAll(rebuild bool) []nfs3.FH {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	sc.invalidateAllLocked(true)
+	sc.invalidateAllLocked(false)
 	for _, fc := range sc.files {
 		fc.recallFence, fc.trailerSeq, fc.noneSeq = 0, 0, 0
 		fc.deleg, fc.noncacheable = DelegNone, false
@@ -591,90 +592,95 @@ func (sc *sessionCache) attrHit(fh nfs3.FH) (metaHit, bool) {
 	return sc.hitLocked(sc.files[fh.Key()])
 }
 
-// putAttr installs server-observed attributes, reconciling the data cache:
-// a changed mtime drops clean blocks.
-func (sc *sessionCache) putAttr(fh nfs3.FH, a nfs3.Fattr) {
-	sc.putAttrSince(fh, a, 0)
+// ticket is what a forwarded call goes out under, taken once as it is sent
+// (startUpstream; an absorbed REMOVE or CREATE at its absorb; a walk page at
+// its claim, renewed at its send) and shown wherever its reply installs
+// (landsLocked). The reply read the server before whatever reached the session
+// while it was out, so what it says may be older than that news.
+type ticket struct {
+	fh       nfs3.FH     // the call's first handle (handlesOf); zero for none
+	rec      *cachedFile // fh's record when sent; nil if the session had none
+	invs     uint64      // rec.invs when sent
+	names    uint64      // rec.namesGen when sent
+	inv      uint64      // sessionCache.invGen when sent
+	allNames uint64      // sessionCache.namesGen when sent
+	forgets  uint64      // sessionCache.forgets when sent
+	sent     time.Duration
 }
 
-// putAttrSince is putAttr for a forwarded reply whose decision about fh is
-// stamped seq: nothing is installed if that decision was overtaken.
-func (sc *sessionCache) putAttrSince(fh nfs3.FH, a nfs3.Fattr, seq uint64) {
+// ticket is the ticket of a call about fh (zero: about no handle) that is
+// about to be sent.
+func (sc *sessionCache) ticket(fh nfs3.FH) ticket {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if fc := sc.record(fh.Key()); sc.landsLocked(invTicket{}, fc, seq) {
-		sc.putAttrLocked(fc, a)
+	return sc.ticketLocked(fh)
+}
+
+func (sc *sessionCache) ticketLocked(fh nfs3.FH) ticket {
+	tk := ticket{fh: fh, rec: sc.files[fh.Key()], inv: sc.invGen, allNames: sc.namesGen, forgets: sc.forgets.Load(), sent: sc.nowLocked()}
+	if tk.rec != nil {
+		tk.invs, tk.names = tk.rec.invs, tk.rec.namesGen
 	}
+	return tk
 }
 
-// invTicket is taken when a call goes out whose reply installs what the server
-// said of a handle: a forwarded GETATTR's or READ's, and an absorbed REMOVE's
-// of its directory. It is shown when the reply lands. If the polling channel
-// delivered the handle meanwhile, the reply may have been read before the
-// change the invalidation announced, and nothing it says is installed: a
-// polling attribute has no timer to catch it later. The count is the record's
-// own (cachedFile.invs), so an invalidation voids only the replies about its
-// handle; a handle with no record falls back to the session's invGen. The
-// zero ticket checks nothing, and is what a session under delegation takes:
-// there a reply is ordered against the recalls by its decision's stamp
-// (cachedFile.overtaken), and a RECALL_ALL that crossed it was sent before
-// the restarted server decided it.
-type invTicket struct {
-	rec   *cachedFile
-	inv   uint64
-	taken bool
-}
-
-func (sc *sessionCache) invTicketLocked(key string) invTicket {
-	if sc.pol.model == ModelDelegation {
-		return invTicket{}
+// landsLocked is the one landing rule of a forwarded reply: what the reply
+// sent under tk says of fc may be installed only if nothing it may have
+// missed reached the session while it was out. fc nil is a record the
+// install would make.
+//
+//   - The call's own handle, whose record tk took: that record is still in
+//     place (forget did not end it), and no invalidation named it (invs).
+//   - Any other handle (a CREATE's child, a RENAME's second directory, a
+//     listing's entries), or the call's own if the session had no record of
+//     it then: no invalidation was delivered at all (invGen), since news of
+//     it could not be told from news of anything else.
+//   - A record the install would make: besides, no handle was forgotten
+//     (forgets), lest the reply bring a dead one back.
+//   - names, for a reply that binds names under fc (a listing, a LOOKUP):
+//     no name under fc was taken back, by an invalidation or by a namespace
+//     operation of the session's own (namesGen: the record's, or the
+//     session's for a handle it had no record of); and, since the names bind
+//     handles the call did not name, no invalidation was delivered at all.
+//   - Under delegation, the reply's decision about fc, stamped seq (0: it
+//     decides nothing), was not overtaken (cachedFile.overtaken).
+//
+// The rule is the same under both models. A RECALL_ALL is no news to a reply
+// it crossed (recallAll): the restarted server holds calls until its rebuild
+// is done, and decided that reply after sending it. So under delegation
+// nothing moves invs or invGen, and a reply there is ordered against the
+// recalls by its decision's stamp alone, a listing's and a MOUNT's as a
+// GETATTR's.
+func (sc *sessionCache) landsLocked(tk ticket, fc *cachedFile, seq uint64, names bool) bool {
+	if fc != nil && fc.overtaken(seq) {
+		return false
 	}
-	if fc := sc.files[key]; fc != nil {
-		return invTicket{rec: fc, inv: fc.invs, taken: true}
+	if fc != nil && tk.rec != nil && fc.key == tk.rec.key { // the call's own handle
+		held := sc.files[fc.key] == tk.rec && tk.rec.invs == tk.invs
+		return held && (!names || tk.rec.namesGen == tk.names && sc.invGen == tk.inv)
 	}
-	return invTicket{inv: sc.invGen, taken: true}
+	return sc.invGen == tk.inv && (fc != nil || sc.forgets.Load() == tk.forgets) && (!names || sc.namesGen == tk.allNames)
 }
 
-// sendTicket is the invTicket for a call about fh that is about to be sent.
-func (sc *sessionCache) sendTicket(fh nfs3.FH) invTicket {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.invTicketLocked(fh.Key())
-}
-
-// heldLocked reports whether no invalidation of tk's handle, now fc (nil: no
-// record), was delivered since tk was taken.
-func (sc *sessionCache) heldLocked(tk invTicket, fc *cachedFile) bool {
-	switch {
-	case !tk.taken:
-		return true
-	case tk.rec == nil:
-		return sc.invGen == tk.inv
-	}
-	return fc == tk.rec && fc.invs == tk.inv
-}
-
-// landsLocked is the landing rule of a forwarded reply about fc: sent under
-// tk, its decision there stamped seq, it may install only if neither an
-// invalidation nor a later decision overtook it.
-func (sc *sessionCache) landsLocked(tk invTicket, fc *cachedFile, seq uint64) bool {
-	return sc.heldLocked(tk, fc) && !fc.overtaken(seq)
-}
-
-// landReply installs what a forwarded GETATTR's or READ's reply, sent under
-// tk, says of fh: its attributes and, with block set, the block bn it carried
-// (putBlock's rule), unless the landing rule refuses both.
-func (sc *sessionCache) landReply(tk invTicket, fh nfs3.FH, a nfs3.Fattr, seq uint64, block bool, bn uint64, data []byte) {
+// landReply installs what a forwarded reply, sent under tk with trailers ts,
+// says of fh: its attributes and, with block set, the block bn it carried
+// (putBlockLocked's rule), unless the landing rule refuses both.
+func (sc *sessionCache) landReply(tk ticket, ts Trailers, fh nfs3.FH, a nfs3.Fattr, block bool, bn uint64, data []byte) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	fc := sc.record(fh.Key())
-	if !sc.landsLocked(tk, fc, seq) {
+	if !sc.landsLocked(tk, fc, ts.seqOf(fh), false) {
 		return
 	}
 	if block {
 		sc.putBlockLocked(sc.fileFor(fc.key), bn, data, a, false)
 	}
 	sc.putAttrLocked(fc, a)
+}
+
+// landAttr is landReply for a reply's attributes alone.
+func (sc *sessionCache) landAttr(tk ticket, ts Trailers, fh nfs3.FH, a nfs3.Fattr) {
+	sc.landReply(tk, ts, fh, a, false, 0, nil)
 }
 
 func (sc *sessionCache) putAttrLocked(fc *cachedFile, a nfs3.Fattr) {

@@ -137,15 +137,15 @@ func (sc *sessionCache) readHit(fh nfs3.FH, bn uint64) (h blockHit, ok bool) {
 	return blockHit{blk.data, metaHit{attr: fc.adjust(a), stamp: blk.stamp, dirty: fc.ndirty > 0}}, true
 }
 
-// putBlock caches data a forwarded READ or WRITE carried for (fh, bn), tagged
-// with the server attributes observed alongside it, unless the reply's
-// decision about fh, stamped seq, was overtaken (cachedFile.overtaken; 0: the
-// reply decides nothing). A block readahead fetched lands through
-// putBlockLocked, marked unread until a demand read consumes it.
-func (sc *sessionCache) putBlock(fh nfs3.FH, bn uint64, data []byte, attr nfs3.Fattr, seq uint64) {
+// landBlock caches data a forwarded READ or WRITE, sent under tk with
+// trailers ts, carried for (fh, bn), tagged with the server attributes
+// observed alongside it, unless the landing rule refuses it. A block
+// readahead fetched lands through putBlockLocked, marked unread until a
+// demand read consumes it.
+func (sc *sessionCache) landBlock(tk ticket, ts Trailers, fh nfs3.FH, bn uint64, data []byte, attr nfs3.Fattr) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if fc := sc.fileFor(fh.Key()); sc.landsLocked(invTicket{}, fc, seq) {
+	if fc := sc.fileFor(fh.Key()); sc.landsLocked(tk, fc, ts.seqOf(fh), false) {
 		sc.putBlockLocked(fc, bn, data, attr, false)
 	}
 }
@@ -200,12 +200,13 @@ func (sc *sessionCache) dropUnreadLocked(blk *cachedBlock) {
 // own modification: when the pre-op mtime matches the cached one, the mtime
 // advance is ours and cached blocks stay valid — except the clean ones the
 // write overlaps, whose bytes the server now holds newer. They go; the
-// caller puts back a block the write covered whole. seq stamps the reply's
-// decision about fh: a reply overtaken by a later decision (overtaken) may
-// have been forwarded before a read whose attributes the record now holds, or
-// before a change a recall announced, so neither its attributes nor the
-// record's can be trusted to be the newer. Both go, with the clean blocks.
-func (sc *sessionCache) updateAfterWrite(fh nfs3.FH, off uint64, n int, wcc nfs3.WccData, seq uint64) {
+// caller puts back a block the write covered whole. The reply was sent under
+// tk with trailers ts: one the landing rule refuses (landsLocked) may have
+// been forwarded before a read whose attributes the record now holds, or
+// before a change an invalidation or a recall announced, so neither its
+// attributes nor the record's can be trusted to be the newer. Both go, with
+// the clean blocks.
+func (sc *sessionCache) updateAfterWrite(tk ticket, ts Trailers, fh nfs3.FH, off uint64, n int, wcc nfs3.WccData) {
 	if !wcc.After.Present {
 		return
 	}
@@ -213,7 +214,7 @@ func (sc *sessionCache) updateAfterWrite(fh nfs3.FH, off uint64, n int, wcc nfs3
 	defer sc.mu.Unlock()
 	after := wcc.After.Attr
 	fc := sc.record(fh.Key())
-	if fc.overtaken(seq) {
+	if !sc.landsLocked(tk, fc, ts.seqOf(fh), false) {
 		sc.dropAttrLocked(fc)
 		if fc.blocks != nil {
 			sc.dropCleanLocked(fc)

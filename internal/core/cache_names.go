@@ -44,7 +44,7 @@ func (sc *sessionCache) flushDirLocked(fc *cachedFile) {
 	sc.dropListingLocked(fc)
 }
 
-// namesTakenLocked records that a name under dfc was taken back (seedTicket).
+// namesTakenLocked records that a name under dfc was taken back (ticket).
 func (sc *sessionCache) namesTakenLocked(dfc *cachedFile) {
 	dfc.namesGen++
 	sc.namesGen++
@@ -199,14 +199,14 @@ func (sc *sessionCache) putDirListing(dir nfs3.FH, entries []nfs3.DirEntry) {
 	sc.putDirListingLocked(sc.files[dir.Key()], entries)
 }
 
-// landListing installs what a forwarded READDIR's reply, sent under tk, says
-// of the directory dir: its attributes and, with complete set, its listing,
-// unless the landing rule (landsLocked) refuses both.
-func (sc *sessionCache) landListing(tk invTicket, dir nfs3.FH, a nfs3.Fattr, seq uint64, complete bool, entries []nfs3.DirEntry) {
+// landListing installs what a forwarded READDIR's reply, sent under tk with
+// trailers ts, says of the directory dir: its attributes and, with complete
+// set, its listing, unless the landing rule (landsLocked) refuses both.
+func (sc *sessionCache) landListing(tk ticket, ts Trailers, dir nfs3.FH, a nfs3.Fattr, complete bool, entries []nfs3.DirEntry) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	fc := sc.record(dir.Key())
-	if !sc.landsLocked(tk, fc, seq) {
+	if !sc.landsLocked(tk, fc, ts.seqOf(dir), false) {
 		return
 	}
 	sc.putAttrLocked(fc, a)

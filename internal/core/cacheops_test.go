@@ -202,9 +202,9 @@ func runCacheOps(t *testing.T, ops []byte) {
 		case 15:
 			sc.putDirListing(fh, []nfs3.DirEntry{{Name: opsNames[arg%len(opsNames)]}})
 		case 16: // a reply's trailer: a grant (possibly stale), or the non-cacheable verdict, a grant of none
-			sc.applyReplySince(Trailers{{FH: fh, Deleg: DelegType(arg % 3), Seq: uint64(arg)}}, nil, sc.forgets.Load())
+			sc.applyReplySince(Trailers{{FH: fh, Deleg: DelegType(arg % 3), Seq: uint64(arg)}}, nil, sc.ticket(nfs3.FH{}))
 		case 17:
-			sc.applyReplySince(nil, []nfs3.FH{fh}, sc.forgets.Load())
+			sc.applyReplySince(nil, []nfs3.FH{fh}, sc.ticket(nfs3.FH{}))
 		case 18: // an actor waits out the file's write-back
 			if w := sc.awaitFlushIdle(fh, clk); w != nil {
 				if fc := sc.files[fh.Key()]; fc == nil || fc.inflight == 0 {

@@ -130,7 +130,7 @@ func TestCacheCopiesFrameAliasedData(t *testing.T) {
 	if err := rr.Decode(xdr.NewDecoder(frame)); err != nil {
 		t.Fatal(err)
 	}
-	sc.putBlock(fh2, 0, rr.Data, nfs3.Fattr{Size: coalesceBS}, 0)
+	sc.putBlock(fh2, 0, rr.Data, nfs3.Fattr{Size: coalesceBS})
 	for i := range frame {
 		frame[i] = 0xFF
 	}

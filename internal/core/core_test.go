@@ -15,6 +15,18 @@ import (
 
 func fhN(n uint64) nfs3.FH { return nfs3.MakeFH(1, n) }
 
+// putAttr and putBlock install server state a test starts from, under no
+// ticket: what a reply about fh would install had nothing crossed it.
+func (sc *sessionCache) putAttr(fh nfs3.FH, a nfs3.Fattr) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.putAttrLocked(sc.record(fh.Key()), a)
+}
+
+func (sc *sessionCache) putBlock(fh nfs3.FH, bn uint64, data []byte, attr nfs3.Fattr) {
+	sc.landBlock(sc.ticket(fh), nil, fh, bn, data, attr)
+}
+
 func TestSessionCredRoundTrip(t *testing.T) {
 	in := SessionCred{SessionKey: "sess-42", ClientID: "C3/sess-42", CallbackAddr: "C3:5007"}
 	cred := in.Encode()
@@ -328,7 +340,7 @@ func TestCacheBlocksDroppedOnForeignMtimeChange(t *testing.T) {
 	sc := newSessionCache(4, 1<<20)
 	fh := fhN(1)
 	a1 := attrWithMtime(1, nfs3.TypeReg)
-	sc.putBlock(fh, 0, []byte{1, 2, 3, 4}, a1, 0)
+	sc.putBlock(fh, 0, []byte{1, 2, 3, 4}, a1)
 	if _, ok := sc.getBlock(fh, 0); !ok {
 		t.Fatal("block not cached")
 	}
@@ -343,22 +355,22 @@ func TestCacheOwnWriteKeepsBlocks(t *testing.T) {
 	sc := newSessionCache(4, 1<<20)
 	fh := fhN(1)
 	a1 := attrWithMtime(1, nfs3.TypeReg)
-	sc.putBlock(fh, 0, []byte{1, 2, 3, 4}, a1, 0)
+	sc.putBlock(fh, 0, []byte{1, 2, 3, 4}, a1)
 	// Our own WRITE to block 1 advanced mtime 1 -> 2; wcc proves it was us.
 	a2 := attrWithMtime(2, nfs3.TypeReg)
-	sc.updateAfterWrite(fh, 4, 4, nfs3.WccData{
+	sc.updateAfterWrite(sc.ticket(fh), nil, fh, 4, 4, nfs3.WccData{
 		Before: nfs3.PreOpAttr{Present: true, Attr: nfs3.WccAttr{Mtime: a1.Mtime, Size: a1.Size}},
 		After:  nfs3.PostOpAttr{Present: true, Attr: a2},
-	}, 0)
+	})
 	if _, ok := sc.getBlock(fh, 0); !ok {
 		t.Fatal("own write dropped cached blocks (wcc reconciliation broken)")
 	}
 	// A write whose pre-op mtime does not match is foreign: drop.
 	a9 := attrWithMtime(9, nfs3.TypeReg)
-	sc.updateAfterWrite(fh, 4, 4, nfs3.WccData{
+	sc.updateAfterWrite(sc.ticket(fh), nil, fh, 4, 4, nfs3.WccData{
 		Before: nfs3.PreOpAttr{Present: true, Attr: nfs3.WccAttr{Mtime: nfs3.Time{Sec: 8}}},
 		After:  nfs3.PostOpAttr{Present: true, Attr: a9},
-	}, 0)
+	})
 	if _, ok := sc.getBlock(fh, 0); ok {
 		t.Fatal("foreign interleaved write did not drop blocks")
 	}
@@ -371,12 +383,12 @@ func TestCacheOwnPartialWriteDropsTheBlock(t *testing.T) {
 	sc := newSessionCache(4, 1<<20)
 	fh := fhN(1)
 	a1 := attrWithMtime(1, nfs3.TypeReg)
-	sc.putBlock(fh, 0, []byte{1, 2, 3, 4}, a1, 0)
-	sc.putBlock(fh, 1, []byte{5, 6, 7, 8}, a1, 0)
-	sc.updateAfterWrite(fh, 1, 2, nfs3.WccData{
+	sc.putBlock(fh, 0, []byte{1, 2, 3, 4}, a1)
+	sc.putBlock(fh, 1, []byte{5, 6, 7, 8}, a1)
+	sc.updateAfterWrite(sc.ticket(fh), nil, fh, 1, 2, nfs3.WccData{
 		Before: nfs3.PreOpAttr{Present: true, Attr: nfs3.WccAttr{Mtime: a1.Mtime, Size: a1.Size}},
 		After:  nfs3.PostOpAttr{Present: true, Attr: attrWithMtime(2, nfs3.TypeReg)},
-	}, 0)
+	})
 	if data, ok := sc.getBlock(fh, 0); ok {
 		t.Errorf("block 0 still cached as %v after our write of bytes 1-2", data)
 	}
@@ -498,7 +510,7 @@ func TestCacheFlushForeignCommitDropsClean(t *testing.T) {
 	sc := newSessionCache(4, 1<<20)
 	fh := fhN(1)
 	// Block 1 is a clean copy fetched under mtime 1.
-	sc.putBlock(fh, 1, []byte{9, 9, 9, 9}, attrWithMtime(1, nfs3.TypeReg), 0)
+	sc.putBlock(fh, 1, []byte{9, 9, 9, 9}, attrWithMtime(1, nfs3.TypeReg))
 	// We dirty block 0 and flush; by the time the WRITE lands, a foreign
 	// commit has moved the file to mtime 2, so our reply reads pre-op mtime
 	// 2, post-op mtime 3.
@@ -523,7 +535,7 @@ func TestCacheFlushForeignCommitDropsClean(t *testing.T) {
 
 	// Control: a flush with a matching pre-op mtime (no interleaving) keeps
 	// clean copies.
-	sc.putBlock(fh, 1, []byte{8, 8, 8, 8}, attrWithMtime(3, nfs3.TypeReg), 0)
+	sc.putBlock(fh, 1, []byte{8, 8, 8, 8}, attrWithMtime(3, nfs3.TypeReg))
 	sc.writeDirty(fh, 0, []byte{2, 2, 2, 2})
 	_, _, gen2, ok := takeOne(sc, fh, 0)
 	if !ok {
@@ -562,7 +574,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	for bn := uint64(0); bn < 5; bn++ {
 		// Full-size blocks: short data is stored at natural length and five
 		// 1-byte blocks would fit the bound without evicting anything.
-		sc.putBlock(fh, bn, []byte{byte(bn), byte(bn), byte(bn), byte(bn)}, a, 0)
+		sc.putBlock(fh, bn, []byte{byte(bn), byte(bn), byte(bn), byte(bn)}, a)
 	}
 	if _, _, _, bytes := sc.stats(); bytes > 12 {
 		t.Fatalf("cache %d bytes, bound 12", bytes)
@@ -583,7 +595,7 @@ func TestCacheDirtyBlocksPinnedAgainstEviction(t *testing.T) {
 	sc.writeDirty(fh, 0, []byte{1, 1, 1, 1})
 	a := attrWithMtime(1, nfs3.TypeReg)
 	for bn := uint64(1); bn < 6; bn++ {
-		sc.putBlock(fh, bn, []byte{byte(bn), byte(bn), byte(bn), byte(bn)}, a, 0)
+		sc.putBlock(fh, bn, []byte{byte(bn), byte(bn), byte(bn), byte(bn)}, a)
 	}
 	if _, ok := sc.getBlock(fh, 0); !ok {
 		t.Fatal("dirty block evicted")

@@ -47,11 +47,11 @@ const walkStartMisses = 2
 func (w *dirWalk) reset() { *w = dirWalk{epoch: w.epoch + 1} }
 
 // walkStepLocked is the walk's one input: a LOOKUP in the directory dfc, which
-// the cache answered or (miss) did not. It returns the LOOKUP's ticket as a
-// page, due when one is claimed: the second miss starts the walk, and every
-// LOOKUP after that finds it either complete, waiting for a page, or buys one.
+// the cache answered or (miss) did not. It returns a page, due when one is
+// claimed: the second miss starts the walk, and every LOOKUP after that finds
+// it either complete, waiting for a page, or buys one.
 func (sc *sessionCache) walkStepLocked(dir nfs3.FH, dfc *cachedFile, miss bool) speculation {
-	pg := speculation{kind: specPage, seedTicket: sc.ticketLocked(dir, dfc)}
+	pg := speculation{kind: specPage, ticket: sc.ticketLocked(dir)}
 	if sc.pol.model == ModelDelegation {
 		return pg
 	}
@@ -79,24 +79,35 @@ func (sc *sessionCache) seedAttrLocked(fc *cachedFile, a nfs3.Fattr, sent time.D
 	sc.putAttrLocked(fc, a)
 }
 
-// seedDir caches what a READDIRPLUS reply the kernel asked for says, if it may
-// still be installed.
-func (sc *sessionCache) seedDir(tk seedTicket, res *nfs3.ReaddirplusRes) {
+// seedDir caches what a READDIRPLUS reply the kernel asked for, sent under
+// tk, says, if the landing rule lets its names land.
+func (sc *sessionCache) seedDir(tk ticket, res *nfs3.ReaddirplusRes) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if sc.freshLocked(tk) {
-		sc.seedDirLocked(tk, res, false, nil)
+	if dfc := sc.seedRecordLocked(tk); dfc != nil {
+		sc.seedDirLocked(dfc, tk.sent, res, false, nil)
 	}
 }
 
+// seedRecordLocked is the record a seed sent under tk lands in, nil if the
+// landing rule does not let its names land: the one tk took, or, for a
+// directory the session had no record of then, one made only once the rule,
+// which counts it as a record the install would make, let it.
+func (sc *sessionCache) seedRecordLocked(tk ticket) *cachedFile {
+	if !sc.landsLocked(tk, tk.rec, 0, true) {
+		return nil
+	}
+	return sc.record(tk.fh.Key())
+}
+
 // seedDirLocked is the one way a directory listing's entries enter the cache,
-// whoever asked for it: the directory's post-op attributes, then every entry's
-// attributes and name. walked says a walk's page brought them. keep, when not
-// nil, says which entries' attributes may be installed (seedMount).
-func (sc *sessionCache) seedDirLocked(tk seedTicket, res *nfs3.ReaddirplusRes, walked bool, keep func(nfs3.FH) bool) {
-	dfc := tk.rec
+// whoever asked for it: the directory dfc's post-op attributes, then every
+// entry's attributes and name, each unless fetched after the listing was
+// sent. walked says a walk's page brought them. keep, when not nil, says
+// which entries' attributes may be installed (seedMount).
+func (sc *sessionCache) seedDirLocked(dfc *cachedFile, sent time.Duration, res *nfs3.ReaddirplusRes, walked bool, keep func(nfs3.FH) bool) {
 	if res.DirAttr.Present {
-		sc.seedAttrLocked(dfc, res.DirAttr.Attr, tk.sent)
+		sc.seedAttrLocked(dfc, res.DirAttr.Attr, sent)
 	}
 	if res.Status != nfs3.OK {
 		return
@@ -108,7 +119,7 @@ func (sc *sessionCache) seedDirLocked(tk seedTicket, res *nfs3.ReaddirplusRes, w
 		ent := &res.Entries[i]
 		if ent.FHFollows && ent.Attr.Present {
 			if keep == nil || keep(ent.FH) {
-				sc.seedAttrLocked(sc.record(ent.FH.Key()), ent.Attr.Attr, tk.sent)
+				sc.seedAttrLocked(sc.record(ent.FH.Key()), ent.Attr.Attr, sent)
 			}
 			sc.putLookupLocked(dfc, ent.Name, ent.FH, false, walked)
 			seeded++
@@ -124,22 +135,20 @@ func (sc *sessionCache) seedDirLocked(tk seedTicket, res *nfs3.ReaddirplusRes, w
 // longer known at all. listing (nil: the caller takes none) is the listing the
 // reply may have carried for the directory it resolved; one that completes it
 // lands as a walk's page does, under this ticket, and that directory's walk is
-// done. The directory was unknown when the LOOKUP went out, so its own
-// generation was not taken: the listing is dropped whole if any name of the
-// session's was taken back meanwhile.
-func (sc *sessionCache) seedLookup(tk seedTicket, name string, res *nfs3.LookupRes, listing *nfs3.ReaddirplusRes) {
+// done. The LOOKUP did not name that directory: the listing lands under the
+// landing rule's terms for another handle's names.
+func (sc *sessionCache) seedLookup(tk ticket, name string, res *nfs3.LookupRes, listing *nfs3.ReaddirplusRes) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	dfc := sc.seedRecordLocked(tk)
 	rides := listing != nil && listing.Status == nfs3.OK && listing.EOF && res.Status == nfs3.OK
-	fresh := sc.freshLocked(tk)
-	if rides && !(fresh && sc.namesGen == tk.allNames) {
+	if rides && !(dfc != nil && sc.landsLocked(tk, sc.files[res.FH.Key()], 0, true)) {
 		sc.met.walkDiscarded.Inc()
 		rides = false
 	}
-	if !fresh {
+	if dfc == nil {
 		return
 	}
-	dfc := tk.rec
 	if res.DirAttr.Present {
 		sc.seedAttrLocked(dfc, res.DirAttr.Attr, tk.sent)
 	}
@@ -151,7 +160,7 @@ func (sc *sessionCache) seedLookup(tk seedTicket, name string, res *nfs3.LookupR
 		sc.putLookupLocked(dfc, name, res.FH, false, false)
 		if rides {
 			child := sc.record(res.FH.Key())
-			sc.seedDirLocked(seedTicket{fh: res.FH, rec: child, sent: tk.sent}, listing, true, nil)
+			sc.seedDirLocked(child, tk.sent, listing, true, nil)
 			child.walk.done = true
 		}
 	case nfs3.ErrNoEnt:
@@ -164,33 +173,28 @@ func (sc *sessionCache) seedLookup(tk seedTicket, name string, res *nfs3.LookupR
 // madeEmpty records that the session's own MKDIR, sent under tk, made the
 // directory dir: its listing is complete and empty, as a walk's last page
 // would say, so a name in it is absent until the session adds one
-// (absorbCreate). Only under polling, and only if no invalidation was
-// delivered while the MKDIR was out: another client's name in the new
-// directory would have been news of a handle the session had no record of.
-func (sc *sessionCache) madeEmpty(tk invTicket, dir nfs3.FH) {
+// (absorbCreate). Only if the landing rule lets the new directory land: the
+// MKDIR did not name it, so no invalidation may have been delivered while it
+// was out, since another client's name in it would have been news of a
+// handle the session had no record of.
+func (sc *sessionCache) madeEmpty(tk ticket, dir nfs3.FH) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if fc := sc.files[dir.Key()]; tk.taken && sc.heldLocked(tk, nil) && fc != nil && fc.attrLink.on() && len(fc.names) == 0 {
+	if fc := sc.files[dir.Key()]; fc != nil && sc.landsLocked(tk, fc, 0, false) && fc.attrLink.on() && len(fc.names) == 0 {
 		fc.walk.done = true
 	}
 }
 
-// mountTicket is the ticket a MOUNT goes out under: the session's, not a
-// directory's, since the root is not known yet.
-func (sc *sessionCache) mountTicket() seedTicket {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return seedTicket{inv: sc.invGen, allNames: sc.namesGen, forgets: sc.forgets.Load(), sent: sc.nowLocked()}
-}
-
-// seedMount lands the pages a MNT reply carried (MountBundle) as a walk's pages
-// land, each under its directory's record, whose walk is then done. The whole
-// bundle is dropped if sound is false (the bootstrap poll's check failed,
-// dispatchMount), or if, while the MOUNT was in flight, the invalidation
-// channel delivered anything, a name of the session's was taken back (a
-// recall takes one back, so under delegation any recall that reached the
-// session meanwhile drops it), or a handle was forgotten. A page that does
-// not complete its listing seeds nothing.
+// seedMount lands the pages a MNT reply carried (MountBundle), sent under tk,
+// as a walk's pages land, each under its directory's record, whose walk is
+// then done. The MOUNT named no handle the session knew, so the whole bundle
+// is dropped if sound is false (the bootstrap poll's check failed,
+// dispatchMount), or unless the landing rule lets a record it makes bind
+// names (landsLocked): while the MOUNT was in flight, the invalidation channel
+// delivered nothing, no name of the session's was taken back (a recall takes
+// one back, so under delegation any recall that reached the session meanwhile
+// drops it), and no handle was forgotten. A page that does not complete its
+// listing seeds nothing.
 //
 // Under delegation the bundle's grants are applied first, as a reply's
 // trailers are (applyReplyLocked), and in the same critical section only what
@@ -198,16 +202,16 @@ func (sc *sessionCache) mountTicket() seedTicket {
 // directory's, an entry's attributes if the entry's. A grant a recall or a
 // later decision overtook (cachedFile.overtaken) covers nothing, and neither
 // does a handle that rode without one.
-func (sc *sessionCache) seedMount(tk seedTicket, b *MountBundle, sound bool) {
+func (sc *sessionCache) seedMount(tk ticket, b *MountBundle, sound bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if !sound || sc.invGen != tk.inv || sc.namesGen != tk.allNames || sc.forgets.Load() != tk.forgets {
+	if !sound || !sc.landsLocked(tk, nil, 0, true) {
 		sc.met.walkDiscarded.Inc()
 		return
 	}
 	var granted func(nfs3.FH) bool // nil: everything the pages list lands
 	if sc.pol.model == ModelDelegation {
-		sc.applyReplyLocked(b.Grants, nil, tk.forgets)
+		sc.applyReplyLocked(b.Grants, nil, tk)
 		granted = func(fh nfs3.FH) bool {
 			seq := b.Grants.seqOf(fh)
 			fc := sc.files[fh.Key()]
@@ -220,7 +224,7 @@ func (sc *sessionCache) seedMount(tk seedTicket, b *MountBundle, sound bool) {
 			continue
 		}
 		rec := sc.record(pg.Dir.Key())
-		sc.seedDirLocked(seedTicket{fh: pg.Dir, rec: rec, sent: tk.sent}, &pg.Page, true, granted)
+		sc.seedDirLocked(rec, tk.sent, &pg.Page, true, granted)
 		rec.walk.done = true
 	}
 }

@@ -71,7 +71,7 @@ func TestDirWalkStateMachine(t *testing.T) {
 					res.Status, res.FH = nfs3.OK, fhN(uint64(100+i))
 					res.Attr = nfs3.PostOpAttr{Present: true, Attr: attrWithMtime(1, nfs3.TypeReg)}
 				}
-				sc.seedLookup(p.seedTicket, name, res, nil)
+				sc.seedLookup(p.ticket, name, res, nil)
 			}
 			return p.due
 		}
@@ -194,7 +194,7 @@ func TestDirWalkStateMachine(t *testing.T) {
 	for _, d := range []DelegType{DelegRead, DelegNone} {
 		sc := newSessionCache(opsBS, 1<<20)
 		sc.setPolicy(nil, cachePolicy{model: ModelDelegation, delegRenew: time.Hour}, cacheCounters{})
-		sc.applyReplySince(Trailers{{FH: dir, Deleg: d, Seq: 1}}, nil, sc.forgets.Load())
+		sc.applyReplySince(Trailers{{FH: dir, Deleg: d, Seq: 1}}, nil, sc.ticket(nfs3.FH{}))
 		for i := 0; i < 5; i++ {
 			if _, p, _ := sc.lookupHit(dir, "a"); p.due {
 				t.Errorf("granted %v: a page fell due", d)
@@ -320,7 +320,7 @@ func TestDirWalkRaces(t *testing.T) {
 				pages <- pg
 			}
 			if !hit {
-				sc.seedLookup(pg.seedTicket, "ghost", &nfs3.LookupRes{Status: nfs3.ErrNoEnt,
+				sc.seedLookup(pg.ticket, "ghost", &nfs3.LookupRes{Status: nfs3.ErrNoEnt,
 					DirAttr: nfs3.PostOpAttr{Present: true, Attr: attrWithMtime(1, nfs3.TypeDir)}}, nil)
 			}
 		},

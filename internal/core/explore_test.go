@@ -24,7 +24,7 @@ import (
 // handleAccess, recall and revokeOthers run them; each client is a real
 // sessionCache, driven through applyReplySince, applyRecall, recallAll and
 // forget as the proxy client drives them, and the installs a forwarded
-// READ's and WRITE's reply make (putAttrSince, updateAfterWrite) and a MNT
+// READ's and WRITE's reply make (landAttr, updateAfterWrite) and a MNT
 // reply's bundle lands by (seedMount). Nothing is copied: a state is the
 // list of choices that reaches it, replayed from the start, and its key is
 // what the world holds, with every stamp replaced by its rank among the
@@ -100,10 +100,10 @@ type exClient struct {
 // the grant, the forward, and the recalls the committed operation demands
 // (revokeOthers).
 type exHandler struct {
-	c       *exClient
-	op      exOp
-	a       accessReq
-	forgets uint64 // the client's forget count when it sent the call
+	c  *exClient
+	op exOp
+	a  accessReq
+	tk ticket // the ticket the client sent the call under
 	// reqs is the batch of recalls being sent, all at once as recall sends
 	// them; msgs[j] is where reqs[j]'s is: on the wire, its answer on the
 	// wire, or neither (settled, or joined and awaited).
@@ -122,7 +122,7 @@ type exHandler struct {
 // there; then, under the table's lock, the grants are made and the reply sent.
 type exMount struct {
 	c       *exClient
-	tk      seedTicket
+	tk      ticket
 	read    bool
 	version int    // the file's version the page read
 	listed  bool   // the page lists the file
@@ -146,7 +146,7 @@ type exReply struct {
 	ts      Trailers
 	stale   bool // the file was gone when the call was forwarded
 	fenced  bool // a WRITE refused by the lost-recall fence
-	forgets uint64
+	tk      ticket
 	version int      // a READ's or WRITE's attributes
 	mount   *exMount // a MNT's
 }
@@ -202,11 +202,11 @@ func (w *exWorld) call(c *exClient, op exOp) {
 	c.inflight++
 	if op == 'M' {
 		c.mounted = true
-		w.ms = append(w.ms, &exMount{c: c, tk: c.sc.mountTicket()})
+		w.ms = append(w.ms, &exMount{c: c, tk: c.sc.ticket(nfs3.FH{})})
 		return
 	}
 	w.removing = w.removing || op == 'X'
-	h := &exHandler{c: c, op: op, a: op.access(w.fh), forgets: c.sc.forgets.Load()}
+	h := &exHandler{c: c, op: op, a: op.access(w.fh), tk: c.sc.ticket(w.fh)}
 	reqs, fenced := w.s.accessLocked(w.s.clients[c.id], h.a, 0)
 	if fenced {
 		c.owes = false
@@ -298,7 +298,7 @@ func (w *exWorld) forward(h *exHandler) {
 
 // finish sends h's reply.
 func (w *exWorld) finish(h *exHandler, stale bool) {
-	rep := exReply{c: h.c, op: h.op, stale: stale, forgets: h.forgets, version: h.version}
+	rep := exReply{c: h.c, op: h.op, stale: stale, tk: h.tk, version: h.version}
 	if !stale {
 		rep.ts = Trailers{h.tr}
 	}
@@ -382,13 +382,12 @@ func (w *exWorld) reply(r exReply) {
 		return
 	}
 	if !r.stale {
-		c.sc.applyReplySince(r.ts, []nfs3.FH{w.fh}, r.forgets)
-		seq := r.ts.seqOf(w.fh)
+		c.sc.applyReplySince(r.ts, []nfs3.FH{w.fh}, r.tk)
 		switch r.op {
 		case 'R':
-			c.sc.putAttrSince(w.fh, exAttr(r.version), seq)
+			c.sc.landAttr(r.tk, r.ts, w.fh, exAttr(r.version))
 		case 'W':
-			c.sc.updateAfterWrite(w.fh, 0, 1, nfs3.WccData{After: nfs3.PostOpAttr{Present: true, Attr: exAttr(r.version)}}, seq)
+			c.sc.updateAfterWrite(r.tk, r.ts, w.fh, 0, 1, nfs3.WccData{After: nfs3.PostOpAttr{Present: true, Attr: exAttr(r.version)}})
 		}
 	}
 	if r.stale || r.op == 'X' {
@@ -758,8 +757,20 @@ func (w *exWorld) key(b []byte) []byte {
 	attrs := func(c *exClient, version int) {
 		flag(w.staleFor(c.id, version))
 	}
-	ticket := func(c *exClient, tk seedTicket) {
-		flag(tk.inv == c.sc.invGen && tk.allNames == c.sc.namesGen && tk.forgets == c.sc.forgets.Load())
+	// A ticket is rendered by what the landing rule says of it: for the
+	// call's own record (or, without one, any handle's), and for a record a
+	// reply would make; a MNT's, as seedMount asks it.
+	other := &cachedFile{}
+	ticket := func(c *exClient, tk ticket) {
+		if tk.fh.IsZero() {
+			flag(c.sc.landsLocked(tk, nil, 0, true))
+			return
+		}
+		own := tk.rec
+		if own == nil {
+			own = other
+		}
+		flag(c.sc.landsLocked(tk, own, 0, false), c.sc.landsLocked(tk, nil, 0, false))
 	}
 	grants := func(ts Trailers) {
 		for _, t := range ts {
@@ -811,7 +822,8 @@ func (w *exWorld) key(b []byte) []byte {
 			}
 			b = append(b, byte('0'+h.tr.Deleg))
 			num(h.tr.Seq)
-			flag(h.granted, h.revoking, h.forgets != h.c.sc.forgets.Load())
+			flag(h.granted, h.revoking)
+			ticket(h.c, h.tk)
 			if h.revoking {
 				attrs(h.c, h.version)
 			}
@@ -835,7 +847,8 @@ func (w *exWorld) key(b []byte) []byte {
 				b = append(b, byte('0'+t.Deleg))
 				num(t.Seq)
 			}
-			flag(r.stale, r.fenced, r.forgets != r.c.sc.forgets.Load())
+			flag(r.stale, r.fenced)
+			ticket(r.c, r.tk)
 			if m := r.mount; m != nil {
 				flag(m.bundle, m.listed)
 				ticket(r.c, m.tk)

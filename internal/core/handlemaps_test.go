@@ -273,7 +273,7 @@ func TestRepliesDoNotBringForgottenHandlesBack(t *testing.T) {
 func removeBehind(p *ProxyClient, dir nfs3.FH, name string) error {
 	args := nfs3.DirOpArgs{Dir: dir, Name: name}
 	var res nfs3.WccRes
-	if _, err := p.callUpstream(0, nfs3.ProcRemove, &args, &res); err != nil || res.Status != nfs3.OK {
+	if _, _, err := p.callUpstream(0, nfs3.ProcRemove, &args, &res); err != nil || res.Status != nfs3.OK {
 		return fmt.Errorf("remove behind the proxy: %v %v", err, res.Status)
 	}
 	return nil

@@ -30,10 +30,10 @@ func TestHandleStateMachine(t *testing.T) {
 			attr.Size = blocks * opsBS
 			revalidate := func() {
 				sc.putAttr(fh, attr)
-				sc.putBlock(fh, 0, make([]byte, opsBS), attr, 0)
+				sc.putBlock(fh, 0, make([]byte, opsBS), attr)
 			}
 			grant := func(d DelegType, seq uint64) {
-				sc.applyReplySince(Trailers{{FH: fh, Deleg: d, Seq: seq}}, nil, sc.forgets.Load())
+				sc.applyReplySince(Trailers{{FH: fh, Deleg: d, Seq: seq}}, nil, sc.ticket(nfs3.FH{}))
 			}
 			// served asks every local-serve decision at once; they must agree.
 			served := func() bool {
@@ -91,7 +91,7 @@ func TestHandleStateMachine(t *testing.T) {
 					true, true, cachedFile{recallFence: 7, deleg: DelegWrite}},
 				{"renewal period elapsed: the request bypasses the cache", func() { now++ },
 					true, false, cachedFile{recallFence: 7, deleg: DelegWrite}},
-				{"the bypass was forwarded", func() { sc.applyReplySince(nil, []nfs3.FH{fh}, sc.forgets.Load()) },
+				{"the bypass was forwarded", func() { sc.applyReplySince(nil, []nfs3.FH{fh}, sc.ticket(nfs3.FH{})) },
 					true, true, cachedFile{recallFence: 7, deleg: DelegWrite}},
 				{"RECALL_ALL: delegations and fences are void", func() { sc.recallAll(true); revalidate() },
 					true, false, cachedFile{}},
@@ -172,9 +172,9 @@ func TestOvertakenTrailerIsDropped(t *testing.T) {
 	attr := attrWithMtime(1, nfs3.TypeReg)
 	attr.Size = opsBS
 	sc.putAttr(fh, attr)
-	sc.putBlock(fh, 0, make([]byte, opsBS), attr, 0)
+	sc.putBlock(fh, 0, make([]byte, opsBS), attr)
 	reply := func(d DelegType, seq uint64) {
-		sc.applyReplySince(Trailers{{FH: fh, Deleg: d, Seq: seq}}, []nfs3.FH{fh}, sc.forgets.Load())
+		sc.applyReplySince(Trailers{{FH: fh, Deleg: d, Seq: seq}}, []nfs3.FH{fh}, sc.ticket(nfs3.FH{}))
 	}
 	deleg := func() DelegType {
 		sc.mu.Lock()
@@ -221,7 +221,7 @@ func TestForgottenHandleStaysForgotten(t *testing.T) {
 	} {
 		sc := newSessionCache(opsBS, 1<<20)
 		sc.setPolicy(nil, cachePolicy{model: ModelDelegation, delegRenew: time.Hour}, cacheCounters{})
-		sent := sc.forgets.Load()
+		sent := sc.ticket(nfs3.FH{})
 		tc.before(sc)
 		sc.applyReplySince(Trailers{{FH: fh, Deleg: DelegRead, Seq: 3}}, []nfs3.FH{fh}, sent)
 		got := DelegNone
@@ -254,16 +254,16 @@ func TestHandleRecordRaces(t *testing.T) {
 	for _, actor := range []func(i int){
 		func(i int) { sc.applyRecall(RecallArgs{FH: fh, Seq: uint64(i), Name: "f"}) },
 		func(i int) {
-			sc.applyReplySince(Trailers{{FH: fh, Deleg: DelegType(i % 3), Seq: uint64(i)}, {FH: dir, Deleg: DelegRead, Seq: uint64(i)}}, nil, sc.forgets.Load())
+			sc.applyReplySince(Trailers{{FH: fh, Deleg: DelegType(i % 3), Seq: uint64(i)}, {FH: dir, Deleg: DelegRead, Seq: uint64(i)}}, nil, sc.ticket(nfs3.FH{}))
 		},
 		func(i int) {
 			sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
 			sc.putAttr(fh, attr)
 			sc.putLookup(dir, "f", fh, false)
 			sc.putDirListing(dir, []nfs3.DirEntry{{Name: "f"}})
-			sc.putBlock(fh, uint64(i%opsBlocks), make([]byte, opsBS), attr, 0)
+			sc.putBlock(fh, uint64(i%opsBlocks), make([]byte, opsBS), attr)
 		},
-		func(i int) { sc.applyReplySince(nil, []nfs3.FH{fh, dir}, sc.forgets.Load()) },
+		func(i int) { sc.applyReplySince(nil, []nfs3.FH{fh, dir}, sc.ticket(nfs3.FH{})) },
 		func(i int) {
 			sc.readHit(fh, uint64(i%opsBlocks))
 			sc.attrHit(fh)

@@ -31,14 +31,14 @@ func TestLentBlockIsNeverRecycled(t *testing.T) {
 		{"evicted", func(sc *sessionCache) {
 			// Room for two blocks: the third insert evicts block 0, the
 			// oldest since its hit.
-			sc.putBlock(fh, 1, fill(1), attr, 0)
-			sc.putBlock(fh, 2, fill(2), attr, 0)
+			sc.putBlock(fh, 1, fill(1), attr)
+			sc.putBlock(fh, 2, fill(2), attr)
 			if _, ok := sc.getBlock(fh, 0); ok {
 				t.Error("block 0 was not evicted")
 			}
 		}},
 		{"rewritten", func(sc *sessionCache) { sc.writeDirty(fh, 0, fill(0xEE)) }},
-		{"refetched", func(sc *sessionCache) { sc.putBlock(fh, 0, fill(0xAA), attr, 0) }},
+		{"refetched", func(sc *sessionCache) { sc.putBlock(fh, 0, fill(0xAA), attr) }},
 		{"forgotten", func(sc *sessionCache) { sc.forget(fh) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -46,7 +46,7 @@ func TestLentBlockIsNeverRecycled(t *testing.T) {
 			sc := newSessionCache(bs, 2*bs)
 			sc.putAttr(fh, attr)
 			want := fill(0x5A)
-			sc.putBlock(fh, 0, want, attr, 0)
+			sc.putBlock(fh, 0, want, attr)
 			hit, ok := sc.readHit(fh, 0)
 			if !ok {
 				t.Fatal("block 0 is not a hit")

@@ -330,7 +330,7 @@ func TestSeedMount(t *testing.T) {
 			sc := newSessionCache(opsBS, 1<<20)
 			sc.setPolicy(func() time.Duration { now++; return now }, cachePolicy{model: ModelPolling}, met)
 			sc.putAttr(other, dirAttr)
-			tk := sc.mountTicket()
+			tk := sc.ticket(nfs3.FH{})
 			tc.across(sc)
 			sc.seedMount(tk, &MountBundle{Pages: []MountPage{
 				{Dir: root, Page: *pageOf([]string{"d", "x"}, 0, 2, true)},

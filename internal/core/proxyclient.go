@@ -346,7 +346,7 @@ func (p *ProxyClient) dispatchMount(call *sunrpc.Call) sunrpc.AcceptStat {
 	// changing would bring its victim back, or list a file the session knows
 	// by another handle.
 	p.drainPending()
-	tk := p.cache.mountTicket()
+	tk := p.cache.ticket(nfs3.FH{}) // the MOUNT names no handle the session knows
 	start := p.node.Now()
 	rep, err := p.rawCall(call.ReqID, nfs3.MountProgram, nfs3.MountVersion, call.Proc, call.Args.Rest())
 	if err != nil {

@@ -35,11 +35,10 @@ type mintedFile struct {
 	fileid, realID uint64
 	create         MintedCreate
 	// op is the CREATE while its reply has not landed, nil after. tk is the
-	// directory's ticket and inv the session's invalidation count when the
-	// CREATE was absorbed: the landing installs only what nothing overtook.
-	op  *pendingOp
-	tk  invTicket
-	inv uint64
+	// ticket it went out under, the directory's when the CREATE was absorbed:
+	// the landing installs only what the landing rule lets land.
+	op *pendingOp
+	tk ticket
 }
 
 // mintTable holds the session's minted files by P, by R and by the server's
@@ -113,7 +112,7 @@ func (p *ProxyClient) createBehind(parent uint64, m *mintedFile) {
 		var res *nfs3.CreateRes
 		for {
 			var r nfs3.CreateRes
-			rep, _, err := p.finishUpstream(p.sendUpstream(rid, nfs3.ProcCreate, &m.create), &r, []nfs3.FH{m.create.Where.Dir})
+			rep, _, err := p.finishUpstream(p.sendUpstream(rid, nfs3.ProcCreate, &m.create, m.tk), &r, []nfs3.FH{m.create.Where.Dir})
 			rep.Release()
 			if err == nil && r.Status != nfs3.ErrJukebox {
 				res = &r
@@ -240,7 +239,7 @@ func (sc *sessionCache) absorbCreate(args *nfs3.CreateArgs, uid, gid uint32, now
 	}
 	fh, fileid := t.mintLocked()
 	m = &mintedFile{p: fh, fileid: fileid, create: MintedCreate{CreateArgs: *args, Verf: verifier(id, fh)},
-		tk: invTicket{rec: dfc, inv: dfc.invs, taken: true}, inv: sc.invGen}
+		tk: sc.ticketLocked(args.Where.Dir)}
 	a = nfs3.Fattr{Type: nfs3.TypeReg, Mode: 0o644, Nlink: 1, FSID: h.attr.FSID, FileID: fileid, Atime: now, Mtime: now, Ctime: now}
 	s := args.Attr
 	if s.Mode != nil {
@@ -266,15 +265,15 @@ func (sc *sessionCache) absorbCreate(args *nfs3.CreateArgs, uid, gid uint32, now
 
 // landCreate lands m's CREATE (res nil: no reply came) and takes it off the
 // pending table, returning the actors waiting for it, whether the create was
-// refused, and whether this was its landing (false: it had landed already).
-// A made file is known by R from here on; its attributes, the server's with
-// the minted fileid, are installed unless an invalidation was delivered
-// since the CREATE was absorbed (news of R could not be told from news of
-// nothing while R was unknown), and the directory's post-op attributes under
-// its ticket. A refusal (another client holds the name, or no reply) means
-// the session's view of the directory was wrong: everything cached under it
-// goes, attributes included, and so does what the session wrote to the file,
-// which its next COMMIT reports lost.
+// refused, and whether this was its landing (false: it had landed already). A
+// made file is known by R from here on; its attributes, the server's with the
+// minted fileid, and the directory's post-op attributes are installed as the
+// landing rule lets them under the CREATE's ticket: the file's only if no
+// invalidation was delivered since the CREATE was absorbed (news of R could not
+// be told from news of nothing while R was unknown). A refusal (another client
+// holds the name, or no reply) means the session's view of the directory was
+// wrong: everything cached under it goes, attributes included, and so does what
+// the session wrote to the file, which its next COMMIT reports lost.
 func (sc *sessionCache) landCreate(m *mintedFile, res *nfs3.CreateRes) (ws []*vclock.Waiter, refused, first bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -309,14 +308,14 @@ func (sc *sessionCache) landCreate(m *mintedFile, res *nfs3.CreateRes) (ws []*vc
 			m.realID = res.Attr.Attr.FileID
 			sc.mints.byID[m.realID] = m
 		}
-		if a := res.Attr.Attr; res.Attr.Present && sc.invGen == m.inv {
+		if a := res.Attr.Attr; res.Attr.Present && sc.landsLocked(m.tk, fc, 0, false) {
 			a.FileID = m.fileid
 			sc.putAttrLocked(fc, a)
 		} else {
 			sc.dropAttrLocked(fc)
 		}
 	}
-	if dfc != nil && sc.heldLocked(m.tk, dfc) {
+	if dfc != nil && sc.landsLocked(m.tk, dfc, 0, false) {
 		if after := res.DirWcc.After; after.Present {
 			sc.putAttrLocked(dfc, after.Attr)
 			if fc != nil {

@@ -35,7 +35,6 @@ func (p *ProxyClient) getattr(call *sunrpc.Call) sunrpc.AcceptStat {
 		reread = p.rereadClaim(call.ReqID, args.FH)
 	}
 	var res nfs3.GetattrRes
-	tk := p.cache.sendTicket(args.FH)
 	c := p.startUpstream(call.ReqID, nfs3.ProcGetattr, &args)
 	p.issue(reread) // behind the answer the kernel is waiting for
 	rep, ts, err := p.finishUpstream(c, &res, []nfs3.FH{args.FH})
@@ -46,7 +45,7 @@ func (p *ProxyClient) getattr(call *sunrpc.Call) sunrpc.AcceptStat {
 	p.hitForward(call)
 	switch res.Status {
 	case nfs3.OK:
-		p.cache.landReply(tk, args.FH, res.Attr, ts.seqOf(args.FH), false, 0, nil)
+		p.cache.landAttr(c.tk, ts, args.FH, res.Attr)
 	case nfs3.ErrStale:
 		// The handle no longer names a file: every trace of it goes, its
 		// protocol state included.
@@ -61,16 +60,12 @@ func (p *ProxyClient) lookup(call *sunrpc.Call) sunrpc.AcceptStat {
 		return sunrpc.GarbageArgs
 	}
 	spanFH(call, args.Dir)
-	// tk is the ticket this LOOKUP's reply is cached under if it is forwarded
-	// and page, when the directory's walk says so, a page of its listing to ask
+	// page is, when the directory's walk says so, a page of its listing to ask
 	// for.
-	var tk seedTicket
 	var page []speculation
-	if p.cfg.DisableMetaCache {
-		tk = p.cache.ticket(args.Dir)
-	} else {
+	if !p.cfg.DisableMetaCache {
 		h, pg, ok := p.cache.lookupHit(args.Dir, args.Name)
-		if tk = pg.seedTicket; !p.stopped.Load() {
+		if !p.stopped.Load() {
 			page = p.mint(call.ReqID, pg)
 		}
 		if ok {
@@ -107,7 +102,7 @@ func (p *ProxyClient) lookup(call *sunrpc.Call) sunrpc.AcceptStat {
 		return encodeReply(call, &nfs3.LookupRes{Status: nfs3.ErrJukebox})
 	}
 	p.hitForward(call)
-	p.cache.seedLookup(tk, args.Name, &res, c.listing)
+	p.cache.seedLookup(c.tk, args.Name, &res, c.listing)
 	return encodeReply(call, &res)
 }
 
@@ -167,7 +162,6 @@ func (p *ProxyClient) read(call *sunrpc.Call) sunrpc.AcceptStat {
 func (p *ProxyClient) readForward(call *sunrpc.Call, args nfs3.ReadArgs, bn uint64, aligned bool, chunk []speculation) sunrpc.AcceptStat {
 	bs := uint64(p.cfg.BlockSize)
 	var res nfs3.ReadRes
-	tk := p.cache.sendTicket(args.FH)
 	c := p.startUpstream(call.ReqID, nfs3.ProcRead, &args)
 	p.issue(chunk) // behind the block the reader is waiting for
 	rep, ts, err := p.finishUpstream(c, &res, []nfs3.FH{args.FH})
@@ -178,7 +172,7 @@ func (p *ProxyClient) readForward(call *sunrpc.Call, args nfs3.ReadArgs, bn uint
 	call.SpanBytes = int64(res.Count)
 	if res.Status == nfs3.OK && res.Attr.Present {
 		whole := aligned && (uint64(res.Count) == bs || res.EOF)
-		p.cache.landReply(tk, args.FH, res.Attr.Attr, ts.seqOf(args.FH), whole, bn, res.Data)
+		p.cache.landReply(c.tk, ts, args.FH, res.Attr.Attr, whole, bn, res.Data)
 	}
 	res.Encode(call.Reply)
 	rep.Release() // cached and encoded: nothing reads the upstream frame again
@@ -256,7 +250,8 @@ func (p *ProxyClient) write(call *sunrpc.Call) sunrpc.AcceptStat {
 			}
 			var rres nfs3.ReadRes
 			rargs := nfs3.ReadArgs{FH: args.FH, Offset: blockStart, Count: uint32(bs)}
-			rep, ts, err := p.finishUpstream(p.startUpstream(call.ReqID, nfs3.ProcRead, &rargs), &rres, nil)
+			c := p.startUpstream(call.ReqID, nfs3.ProcRead, &rargs)
+			rep, ts, err := p.finishUpstream(c, &rres, nil)
 			if err != nil || rres.Status != nfs3.OK {
 				rep.Release()
 				writeLocal = false
@@ -264,7 +259,7 @@ func (p *ProxyClient) write(call *sunrpc.Call) sunrpc.AcceptStat {
 			}
 			p.hitForward(call)
 			if rres.Attr.Present {
-				p.cache.putBlock(args.FH, bn, rres.Data, rres.Attr.Attr, ts.seqOf(args.FH))
+				p.cache.landBlock(c.tk, ts, args.FH, bn, rres.Data, rres.Attr.Attr)
 			}
 			rep.Release()
 		}
@@ -297,7 +292,8 @@ func (p *ProxyClient) write(call *sunrpc.Call) sunrpc.AcceptStat {
 // upstream out of the kernel's call frame, which outlives the handler's call.
 func (p *ProxyClient) writeForward(call *sunrpc.Call, args nfs3.WriteArgs) sunrpc.AcceptStat {
 	var res nfs3.WriteRes
-	rep, ts, err := p.finishUpstream(p.startUpstream(call.ReqID, nfs3.ProcWrite, &args), &res, []nfs3.FH{args.FH})
+	c := p.startUpstream(call.ReqID, nfs3.ProcWrite, &args)
+	rep, ts, err := p.finishUpstream(c, &res, []nfs3.FH{args.FH})
 	rep.Release() // the result owns what it decoded
 	if err != nil {
 		return encodeReply(call, &nfs3.WriteRes{Status: nfs3.ErrJukebox})
@@ -309,11 +305,10 @@ func (p *ProxyClient) writeForward(call *sunrpc.Call, args nfs3.WriteArgs) sunrp
 	if res.Status == nfs3.OK && res.Wcc.After.Present {
 		// Reconcile first (recognizing our own mtime advance via the wcc
 		// data), then cache the freshly written block.
-		seq := ts.seqOf(args.FH)
-		p.cache.updateAfterWrite(args.FH, args.Offset, len(args.Data), res.Wcc, seq)
+		p.cache.updateAfterWrite(c.tk, ts, args.FH, args.Offset, len(args.Data), res.Wcc)
 		bs := uint64(p.cfg.BlockSize)
 		if args.Offset%bs == 0 && (uint64(len(args.Data)) == bs || args.Offset+uint64(len(args.Data)) >= res.Wcc.After.Attr.Size) {
-			p.cache.putBlock(args.FH, args.Offset/bs, args.Data, res.Wcc.After.Attr, seq)
+			p.cache.landBlock(c.tk, ts, args.FH, args.Offset/bs, args.Data, res.Wcc.After.Attr)
 		}
 	}
 	return encodeReply(call, &res)
@@ -332,12 +327,12 @@ func (p *ProxyClient) setattr(call *sunrpc.Call) sunrpc.AcceptStat {
 		p.flushFile(call.ReqID, args.FH)
 	}
 	var res nfs3.WccRes
-	ts, err := p.forward(call, nfs3.ProcSetattr, &args, &res, args.FH)
+	tk, ts, err := p.forward(call, nfs3.ProcSetattr, &args, &res, args.FH)
 	if err != nil {
 		return encodeReply(call, &nfs3.WccRes{Status: nfs3.ErrJukebox})
 	}
 	if res.Status == nfs3.OK && res.Wcc.After.Present {
-		p.cache.putAttrSince(args.FH, res.Wcc.After.Attr, ts.seqOf(args.FH))
+		p.cache.landAttr(tk, ts, args.FH, res.Wcc.After.Attr)
 	}
 	return encodeReply(call, &res)
 }
@@ -382,8 +377,7 @@ func (p *ProxyClient) forwardCreate(call *sunrpc.Call, args wireEnc, where nfs3.
 	p.mapIdentity(attr)
 	spanFH(call, where.Dir)
 	var res nfs3.CreateRes
-	tk := p.cache.sendTicket(nfs3.FH{}) // the new directory's: it has no record yet
-	ts, err := p.forward(call, call.Proc, args, &res, where.Dir)
+	tk, ts, err := p.forward(call, call.Proc, args, &res, where.Dir)
 	if err != nil {
 		// The server may have run it: the name is no longer known either
 		// way, and a walk of the directory proves nothing absent.
@@ -391,14 +385,14 @@ func (p *ProxyClient) forwardCreate(call *sunrpc.Call, args wireEnc, where nfs3.
 		return encodeReply(call, &nfs3.CreateRes{Status: nfs3.ErrJukebox})
 	}
 	if res.DirWcc.After.Present {
-		p.cache.putAttrSince(where.Dir, res.DirWcc.After.Attr, ts.seqOf(where.Dir))
+		p.cache.landAttr(tk, ts, where.Dir, res.DirWcc.After.Attr)
 	}
 	if res.Status == nfs3.OK && res.FHFollows {
 		if truncates {
 			p.cache.discardDirty(res.FH, false)
 		}
 		if res.Attr.Present {
-			p.cache.putAttrSince(res.FH, res.Attr.Attr, ts.seqOf(res.FH))
+			p.cache.landAttr(tk, ts, res.FH, res.Attr.Attr)
 		}
 		p.cache.putLookup(where.Dir, where.Name, res.FH, false)
 		if call.Proc == nfs3.ProcMkdir {
@@ -430,7 +424,7 @@ func (p *ProxyClient) unlink(call *sunrpc.Call) sunrpc.AcceptStat {
 		p.cache.discardDirty(victim, false)
 	}
 	var res nfs3.WccRes
-	ts, err := p.forward(call, call.Proc, &args, &res, args.Dir)
+	tk, ts, err := p.forward(call, call.Proc, &args, &res, args.Dir)
 	if err != nil {
 		p.cache.dropLookup(args.Dir, args.Name) // it may have run
 		return encodeReply(call, &nfs3.WccRes{Status: nfs3.ErrJukebox})
@@ -444,7 +438,7 @@ func (p *ProxyClient) unlink(call *sunrpc.Call) sunrpc.AcceptStat {
 	}
 	p.cache.dropLookup(args.Dir, args.Name)
 	if res.Wcc.After.Present {
-		p.cache.putAttrSince(args.Dir, res.Wcc.After.Attr, ts.seqOf(args.Dir))
+		p.cache.landAttr(tk, ts, args.Dir, res.Wcc.After.Attr)
 		if res.Status == nfs3.OK {
 			// The name is now known absent.
 			p.cache.putLookup(args.Dir, args.Name, nfs3.FH{}, true)
@@ -460,7 +454,7 @@ func (p *ProxyClient) rename(call *sunrpc.Call) sunrpc.AcceptStat {
 	}
 	spanFH(call, args.From.Dir)
 	var res nfs3.RenameRes
-	ts, err := p.forward(call, nfs3.ProcRename, &args, &res, args.From.Dir, args.To.Dir)
+	tk, ts, err := p.forward(call, nfs3.ProcRename, &args, &res, args.From.Dir, args.To.Dir)
 	if err != nil {
 		p.cache.dropLookup(args.From.Dir, args.From.Name) // it may have run
 		p.cache.dropLookup(args.To.Dir, args.To.Name)
@@ -469,10 +463,10 @@ func (p *ProxyClient) rename(call *sunrpc.Call) sunrpc.AcceptStat {
 	p.cache.dropLookup(args.From.Dir, args.From.Name)
 	p.cache.dropLookup(args.To.Dir, args.To.Name)
 	if res.FromWcc.After.Present {
-		p.cache.putAttrSince(args.From.Dir, res.FromWcc.After.Attr, ts.seqOf(args.From.Dir))
+		p.cache.landAttr(tk, ts, args.From.Dir, res.FromWcc.After.Attr)
 	}
 	if res.ToWcc.After.Present {
-		p.cache.putAttrSince(args.To.Dir, res.ToWcc.After.Attr, ts.seqOf(args.To.Dir))
+		p.cache.landAttr(tk, ts, args.To.Dir, res.ToWcc.After.Attr)
 	}
 	return encodeReply(call, &res)
 }
@@ -484,16 +478,16 @@ func (p *ProxyClient) linkProc(call *sunrpc.Call) sunrpc.AcceptStat {
 	}
 	spanFH(call, args.FH)
 	var res nfs3.LinkRes
-	ts, err := p.forward(call, nfs3.ProcLink, &args, &res, args.FH, args.Link.Dir)
+	tk, ts, err := p.forward(call, nfs3.ProcLink, &args, &res, args.FH, args.Link.Dir)
 	if err != nil {
 		p.cache.dropLookup(args.Link.Dir, args.Link.Name) // it may have run
 		return encodeReply(call, &nfs3.LinkRes{Status: nfs3.ErrJukebox})
 	}
 	if res.Attr.Present {
-		p.cache.putAttrSince(args.FH, res.Attr.Attr, ts.seqOf(args.FH))
+		p.cache.landAttr(tk, ts, args.FH, res.Attr.Attr)
 	}
 	if res.LinkWcc.After.Present {
-		p.cache.putAttrSince(args.Link.Dir, res.LinkWcc.After.Attr, ts.seqOf(args.Link.Dir))
+		p.cache.landAttr(tk, ts, args.Link.Dir, res.LinkWcc.After.Attr)
 	}
 	if res.Status == nfs3.OK {
 		p.cache.putLookup(args.Link.Dir, args.Link.Name, args.FH, false)
@@ -524,8 +518,7 @@ func (p *ProxyClient) readdir(call *sunrpc.Call) sunrpc.AcceptStat {
 		}
 	}
 	var res nfs3.ReaddirRes
-	tk := p.cache.sendTicket(args.Dir)
-	ts, err := p.forward(call, nfs3.ProcReaddir, &args, &res, args.Dir)
+	tk, ts, err := p.forward(call, nfs3.ProcReaddir, &args, &res, args.Dir)
 	if err != nil {
 		return encodeReply(call, &nfs3.ReaddirRes{Status: nfs3.ErrJukebox})
 	}
@@ -533,7 +526,7 @@ func (p *ProxyClient) readdir(call *sunrpc.Call) sunrpc.AcceptStat {
 		// A single-page complete listing is cacheable; multi-page listings
 		// are not worth stitching.
 		complete := res.Status == nfs3.OK && res.EOF && args.Cookie == 0
-		p.cache.landListing(tk, args.Dir, res.DirAttr.Attr, ts.seqOf(args.Dir), complete, res.Entries)
+		p.cache.landListing(tk, ts, args.Dir, res.DirAttr.Attr, complete, res.Entries)
 	}
 	return encodeReply(call, &res)
 }
@@ -554,9 +547,9 @@ func (p *ProxyClient) readdirplus(call *sunrpc.Call) sunrpc.AcceptStat {
 		return sunrpc.GarbageArgs
 	}
 	spanFH(call, args.Dir)
-	tk := p.cache.ticket(args.Dir)
 	var res nfs3.ReaddirplusRes
-	if _, err := p.forward(call, nfs3.ProcReaddirplus, &args, &res, args.Dir); err != nil {
+	tk, _, err := p.forward(call, nfs3.ProcReaddirplus, &args, &res, args.Dir)
+	if err != nil {
 		return encodeReply(call, &nfs3.ReaddirplusRes{Status: nfs3.ErrJukebox})
 	}
 	p.cache.seedDir(tk, &res)
@@ -594,7 +587,7 @@ func (p *ProxyClient) commit(call *sunrpc.Call) sunrpc.AcceptStat {
 		})
 	}
 	var res nfs3.CommitRes
-	if _, err := p.forward(call, nfs3.ProcCommit, &args, &res); err != nil {
+	if _, _, err := p.forward(call, nfs3.ProcCommit, &args, &res); err != nil {
 		return encodeReply(call, &nfs3.CommitRes{Status: nfs3.ErrJukebox})
 	}
 	if res.Status == nfs3.OK {
@@ -633,13 +626,12 @@ func (p *ProxyClient) access(call *sunrpc.Call) sunrpc.AcceptStat {
 		}
 	}
 	var res nfs3.AccessRes
-	tk := p.cache.sendTicket(args.FH)
-	ts, err := p.forward(call, nfs3.ProcAccess, &args, &res, args.FH)
+	tk, ts, err := p.forward(call, nfs3.ProcAccess, &args, &res, args.FH)
 	if err != nil {
 		return encodeReply(call, &nfs3.AccessRes{Status: nfs3.ErrJukebox})
 	}
 	if res.Status == nfs3.OK && res.Attr.Present {
-		p.cache.landReply(tk, args.FH, res.Attr.Attr, ts.seqOf(args.FH), false, 0, nil)
+		p.cache.landAttr(tk, ts, args.FH, res.Attr.Attr)
 	}
 	return encodeReply(call, &res)
 }

@@ -12,7 +12,8 @@ import (
 // handlesOf returns where the arguments of an NFS call name file handles (at
 // most two, nil for none) and, for a call on a directory entry by its name
 // alone (LOOKUP, REMOVE, RMDIR), that name: what the barrier orders a call by
-// (awaitPending) and what leaves the session as the server's (toServer).
+// (awaitPending), what leaves the session as the server's (toServer), and
+// whose record the call's ticket takes (startUpstream).
 func handlesOf(args wireEnc) (fhs [2]*nfs3.FH, name string) {
 	switch a := args.(type) {
 	case *nfs3.GetattrArgs:

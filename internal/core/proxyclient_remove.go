@@ -81,7 +81,7 @@ func (p *ProxyClient) absorbRemove(call *sunrpc.Call, args nfs3.DirOpArgs) (sunr
 // JUKEBOX is a reply that says to come back. An absorbed CREATE of the name
 // still on its way goes first (awaitBefore). The reply lands under tk
 // (sessionCache.landRemove); a refusal is counted and marks the span.
-func (p *ProxyClient) removeBehind(parent uint64, args nfs3.DirOpArgs, op *pendingOp, tk invTicket) {
+func (p *ProxyClient) removeBehind(parent uint64, args nfs3.DirOpArgs, op *pendingOp, tk ticket) {
 	rid := p.node.Mint()
 	p.clk.Go("gvfs-remove:"+p.cred.ClientID, func() {
 		sp := obs.Span{Req: rid, Parent: parent, Op: "REMOVE behind", Model: shortModel(p.cfg.Model), Start: p.node.Now()}
@@ -89,7 +89,7 @@ func (p *ProxyClient) removeBehind(parent uint64, args nfs3.DirOpArgs, op *pendi
 		var res *nfs3.WccRes
 		for {
 			var r nfs3.WccRes
-			rep, _, err := p.finishUpstream(p.sendUpstream(rid, nfs3.ProcRemove, &args), &r, []nfs3.FH{args.Dir})
+			rep, _, err := p.finishUpstream(p.sendUpstream(rid, nfs3.ProcRemove, &args, tk), &r, []nfs3.FH{args.Dir})
 			rep.Release()
 			if err == nil && r.Status != nfs3.ErrJukebox {
 				res = &r
@@ -131,7 +131,7 @@ func (p *ProxyClient) removeBehind(parent uint64, args nfs3.DirOpArgs, op *pendi
 // the pending table, so that no call sent after this one returns can overtake
 // it. It returns the directory's attributes, the pending entry and the ticket
 // the reply lands under.
-func (sc *sessionCache) absorbRemove(dir nfs3.FH, name string, uid, gid uint32) (a nfs3.Fattr, op *pendingOp, tk invTicket, ok bool) {
+func (sc *sessionCache) absorbRemove(dir nfs3.FH, name string, uid, gid uint32) (a nfs3.Fattr, op *pendingOp, tk ticket, ok bool) {
 	sc.mu.Lock()
 	dfc := sc.files[dir.Key()]
 	h, ok := sc.nameHitLocked(dfc, name)
@@ -140,7 +140,7 @@ func (sc *sessionCache) absorbRemove(dir nfs3.FH, name string, uid, gid uint32) 
 		sc.mu.Unlock()
 		return a, nil, tk, false
 	}
-	tk = invTicket{rec: dfc, inv: dfc.invs, taken: true}
+	tk = sc.ticketLocked(dir)
 	parked := sc.forgetLocked(h.fh.Key())
 	sc.namesTakenLocked(dfc)
 	sc.putLookupLocked(dfc, name, nfs3.FH{}, true, false)
@@ -153,15 +153,15 @@ func (sc *sessionCache) absorbRemove(dir nfs3.FH, name string, uid, gid uint32) 
 	return h.dir.attr, op, tk, true
 }
 
-// landRemove lands op's reply (nil: no reply came) and takes it off the
-// pending table, returning the actors waiting for it, to be woken, and
-// whether the REMOVE was refused. OK and NOENT mean the name is gone on the
-// server: the directory's post-op attributes and the negative entry are
-// installed, unless the polling channel invalidated the directory meanwhile
-// (tk). Anything else means the session's view of the directory was wrong:
-// everything cached under it goes, attributes included, so the next access
-// asks the server.
-func (sc *sessionCache) landRemove(op *pendingOp, tk invTicket, res *nfs3.WccRes) (ws []*vclock.Waiter, refused bool) {
+// landRemove lands op's reply (nil: no reply came) and takes it off the pending
+// table, returning the actors waiting for it, to be woken, and whether the
+// REMOVE was refused. OK and NOENT mean the name is gone on the server: the
+// directory's post-op attributes and the negative entry are installed, unless
+// the landing rule refuses them (tk: the polling channel invalidated the
+// directory meanwhile). Anything else means the session's view of the directory
+// was wrong: everything cached under it goes, attributes included, so the next
+// access asks the server.
+func (sc *sessionCache) landRemove(op *pendingOp, tk ticket, res *nfs3.WccRes) (ws []*vclock.Waiter, refused bool) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	dfc := sc.files[op.dir]
@@ -172,7 +172,7 @@ func (sc *sessionCache) landRemove(op *pendingOp, tk invTicket, res *nfs3.WccRes
 			sc.dropAttrLocked(dfc)
 			sc.flushDirLocked(dfc)
 		}
-	case !sc.heldLocked(tk, dfc):
+	case !sc.landsLocked(tk, dfc, 0, false):
 	case !res.Wcc.After.Present:
 		sc.dropAttrLocked(dfc)
 	default:

@@ -67,8 +67,8 @@ func (p *ProxyClient) rawCall(rid uint64, prog, vers, proc uint32, args []byte) 
 
 // upstreamCall is an RPC sent upstream that nobody has waited for yet. An NFS
 // call (startUpstream) and a GETINV (sendGetInv) also carry the pooled encoder
-// their args live in and when they were sent; an NFS call, what
-// finishUpstream needs to know of the cache then.
+// their args live in and when they were sent; an NFS call, the ticket its
+// reply lands under.
 type upstreamCall struct {
 	sunrpc.Pending
 	up               *sunrpc.Client
@@ -76,9 +76,9 @@ type upstreamCall struct {
 	prog, vers, proc uint32
 	args, tail       []byte // what a retry sends again
 
-	enc     *xdr.Encoder // nil for a raw call
-	start   time.Duration
-	forgets uint64 // the session cache's forget count when it was sent
+	enc   *xdr.Encoder // nil for a raw call
+	start time.Duration
+	tk    ticket
 	// held: the session had minted handles or pending namespace operations
 	// when the call was sent, so its result is translated (fromServer).
 	held bool
@@ -130,34 +130,47 @@ type wireDec interface{ Decode(*xdr.Decoder) error }
 // res must own everything it decoded — every result does but READ's, whose
 // callers use startUpstream and finishUpstream themselves and release the
 // frame when done with the data.
-func (p *ProxyClient) callUpstream(rid uint64, proc uint32, args wireEnc, res wireDec, forwarded ...nfs3.FH) (Trailers, error) {
-	rep, ts, err := p.finishUpstream(p.startUpstream(rid, proc, args), res, forwarded)
+// It returns the ticket the call went out under, which its reply's installs
+// show (landsLocked).
+func (p *ProxyClient) callUpstream(rid uint64, proc uint32, args wireEnc, res wireDec, forwarded ...nfs3.FH) (ticket, Trailers, error) {
+	c := p.startUpstream(rid, proc, args)
+	rep, ts, err := p.finishUpstream(c, res, forwarded)
 	rep.Release()
-	return ts, err
+	return c.tk, ts, err
 }
 
-// startUpstream encodes args and sends the call; finishUpstream must follow.
-// A call that names the directory or the object of an absorbed REMOVE or
-// CREATE still on its way waits for its reply first (awaitPending), and a
+// startUpstream encodes args and sends the call under the ticket of the first
+// handle it names (handlesOf); finishUpstream must follow. A call that names
+// the directory or the object of an absorbed REMOVE or CREATE still on its way
+// waits for its reply first (awaitPending), and takes its ticket after: a
 // handle the session minted leaves as the server's (toServer). A session with
-// neither pays one atomic load here.
+// neither pays one atomic load for them here.
 func (p *ProxyClient) startUpstream(rid uint64, proc uint32, args wireEnc) upstreamCall {
-	if p.cache.held.Load() == 0 {
-		return p.sendUpstream(rid, proc, args)
-	}
 	fhs, name := handlesOf(args)
-	p.awaitPending(proc, fhs, name)
+	held := p.cache.held.Load() > 0
+	if held {
+		p.awaitPending(proc, fhs, name)
+	}
+	var first nfs3.FH // zero: the call names no handle
+	if fhs[0] != nil {
+		first = *fhs[0]
+	}
+	tk := p.cache.ticket(first)
+	if !held {
+		return p.sendUpstream(rid, proc, args, tk)
+	}
 	was, _ := p.cache.toServer(fhs)
-	c := p.sendUpstream(rid, proc, args) // encodes args before it returns
+	c := p.sendUpstream(rid, proc, args, tk) // encodes args before it returns
 	putBack(fhs, was)
 	c.held = true
 	return c
 }
 
-// sendUpstream is startUpstream without the wait. A WRITE's data is not
-// encoded: it follows the head by reference, so it must stay as it is until
-// finishUpstream returns. A READ counts the blocks it asks for.
-func (p *ProxyClient) sendUpstream(rid uint64, proc uint32, args wireEnc) upstreamCall {
+// sendUpstream is startUpstream without the wait, under the ticket tk. A
+// WRITE's data is not encoded: it follows the head by reference, so it must
+// stay as it is until finishUpstream returns. A READ counts the blocks it asks
+// for.
+func (p *ProxyClient) sendUpstream(rid uint64, proc uint32, args wireEnc, tk ticket) upstreamCall {
 	e := bufpool.GetEncoder()
 	var tail []byte
 	switch a := args.(type) {
@@ -173,7 +186,7 @@ func (p *ProxyClient) sendUpstream(rid uint64, proc uint32, args wireEnc) upstre
 		a.Encode(e)
 	}
 	c := upstreamCall{rid: rid, prog: nfs3.Program, vers: nfs3.Version, proc: proc, args: e.Bytes(), tail: tail,
-		enc: e, start: p.node.Now(), forgets: p.cache.forgets.Load()}
+		enc: e, start: p.node.Now(), tk: tk}
 	p.send(&c)
 	return c
 }
@@ -209,7 +222,7 @@ func (p *ProxyClient) finishUpstream(c upstreamCall, res wireDec, forwarded []nf
 			ts = nil
 		}
 	}
-	p.cache.applyReplySince(ts, forwarded, c.forgets)
+	p.cache.applyReplySince(ts, forwarded, c.tk)
 	return rep, ts, nil
 }
 
@@ -225,10 +238,10 @@ func namesFiles(proc uint32) bool {
 
 // forward is callUpstream for the kernel RPC being served: the call crossed the
 // wide area, and is counted so.
-func (p *ProxyClient) forward(call *sunrpc.Call, proc uint32, args wireEnc, res wireDec, forwarded ...nfs3.FH) (Trailers, error) {
-	ts, err := p.callUpstream(call.ReqID, proc, args, res, forwarded...)
+func (p *ProxyClient) forward(call *sunrpc.Call, proc uint32, args wireEnc, res wireDec, forwarded ...nfs3.FH) (ticket, Trailers, error) {
+	tk, ts, err := p.callUpstream(call.ReqID, proc, args, res, forwarded...)
 	if err == nil {
 		p.hitForward(call)
 	}
-	return ts, err
+	return tk, ts, err
 }

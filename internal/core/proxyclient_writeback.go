@@ -206,7 +206,7 @@ func (p *ProxyClient) flushBlock(rid uint64, fh nfs3.FH, bn uint64) error {
 		res, sent = p.writeByCreate(rid, m, &args)
 	}
 	if !sent {
-		if _, err := p.callUpstream(rid, nfs3.ProcWrite, &args, &res); err != nil {
+		if _, _, err := p.callUpstream(rid, nfs3.ProcWrite, &args, &res); err != nil {
 			return err
 		}
 	}
@@ -219,7 +219,7 @@ func (p *ProxyClient) flushBlock(rid uint64, fh nfs3.FH, bn uint64) error {
 		// while the partition hid the recall. Discarding them would lose
 		// those writes for nothing, so they go again; the fence is one shot.
 		res = nfs3.WriteRes{}
-		if _, err := p.callUpstream(rid, nfs3.ProcWrite, &args, &res); err != nil {
+		if _, _, err := p.callUpstream(rid, nfs3.ProcWrite, &args, &res); err != nil {
 			return err
 		}
 	}
@@ -246,13 +246,13 @@ func (p *ProxyClient) unwrittenSince(rid uint64, fh nfs3.FH) bool {
 		return false
 	}
 	var res nfs3.GetattrRes
-	ts, err := p.callUpstream(rid, nfs3.ProcGetattr, &nfs3.GetattrArgs{FH: fh}, &res)
+	tk, ts, err := p.callUpstream(rid, nfs3.ProcGetattr, &nfs3.GetattrArgs{FH: fh}, &res)
 	if err != nil || res.Status != nfs3.OK {
 		return false
 	}
 	// The reply's trailer may grant a delegation: the attributes it covers
 	// are these, unless a later decision overtook it.
-	p.cache.putAttrSince(fh, res.Attr, ts.seqOf(fh))
+	p.cache.landAttr(tk, ts, fh, res.Attr)
 	return res.Attr.Mtime == base
 }
 

@@ -58,7 +58,7 @@ type readStream struct {
 	eof uint64
 	// reread marks a stream begun by a revalidating GETATTR (claimReread), until
 	// its reader arrives: it was claimed against the last-known size, which the
-	// GETATTR's answer is compared with (putAttr), and its head is not a spill.
+	// GETATTR's answer is compared with (putAttrLocked), and its head is not a spill.
 	reread bool
 }
 
@@ -215,7 +215,7 @@ func (sc *sessionCache) blocksLocked(fc *cachedFile, attr nfs3.Fattr) uint64 {
 // them.
 func (sc *sessionCache) claimedLocked(kind specKind, fh nfs3.FH, fc *cachedFile, blocks []uint64, window int64) (s speculation) {
 	if len(blocks) > 0 {
-		s = speculation{kind: kind, due: true, seedTicket: sc.ticketLocked(fh, fc), blocks: blocks, runs: runsOf(blocks, window), window: window}
+		s = speculation{kind: kind, due: true, ticket: sc.ticketLocked(fh), blocks: blocks, runs: runsOf(blocks, window), window: window}
 	}
 	return s
 }

@@ -119,7 +119,7 @@ func (b *succBed) read(name string, bn uint64) {
 		}
 	}
 	if _, ok := b.sc.getBlock(fh, bn); !ok {
-		b.sc.putBlock(fh, bn, make([]byte, succBS), b.attr(fh), 0) // the demand READ's reply
+		b.sc.putBlock(fh, bn, make([]byte, succBS), b.attr(fh)) // the demand READ's reply
 	}
 }
 
@@ -358,7 +358,7 @@ func TestSpillSizing(t *testing.T) {
 	t.Run("cached, dirty and in-flight blocks are skipped", func(t *testing.T) {
 		b := learn(t, 16, 16)
 		y := b.file("Y")
-		b.sc.putBlock(y, 1, make([]byte, succBS), b.attr(y), 0)
+		b.sc.putBlock(y, 1, make([]byte, succBS), b.attr(y))
 		b.sc.writeDirty(y, 2*succBS, make([]byte, succBS))
 		b.sc.mu.Lock()
 		b.sc.files[y.Key()].fetching[3] = nil
@@ -471,7 +471,7 @@ func TestReadAheadSuccessorRaces(t *testing.T) {
 			released.Add(1)
 		}
 		if _, ok := sc.readHit(f, bn); !ok {
-			sc.putBlock(f, bn, make([]byte, opsBS), attr(1), 0)
+			sc.putBlock(f, bn, make([]byte, opsBS), attr(1))
 			sc.putAttr(f, attr(1))
 		}
 	}

@@ -272,8 +272,8 @@ func TestUnreadPrefetchAccounting(t *testing.T) {
 	putPrefetched(sc, fh, 0, blk, a, true)
 	putPrefetched(sc, fh, 1, blk, a, true)
 	sc.getBlock(fh, 0) // consumed
-	sc.putBlock(fh, 2, blk, a, 0)
-	sc.putBlock(fh, 3, blk, a, 0) // evicts block 1 (least recently used), unread
+	sc.putBlock(fh, 2, blk, a)
+	sc.putBlock(fh, 3, blk, a) // evicts block 1 (least recently used), unread
 	if got := met.raWasted.Value(); got != 1 {
 		t.Fatalf("wasted = %d after evicting one unread prefetch, want 1", got)
 	}

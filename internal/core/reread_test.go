@@ -66,7 +66,7 @@ func (b *rereadBed) reply(bn uint64) *nfs3.ReadRes {
 func (b *rereadBed) land(bn uint64) (ws []*vclock.Waiter, kept int) {
 	for i := len(b.claims) - 1; i >= 0; i-- {
 		if s := b.claims[i]; slices.Contains(s.blocks, bn) {
-			one := speculation{kind: s.kind, seedTicket: s.seedTicket, blocks: []uint64{bn}, runs: [][]uint64{{bn}}}
+			one := speculation{kind: s.kind, ticket: s.ticket, blocks: []uint64{bn}, runs: [][]uint64{{bn}}}
 			return b.sc.landCall(&one, 0, b.reply(bn))
 		}
 	}
@@ -128,7 +128,7 @@ func (b *rereadBed) read(bn uint64) string {
 		how = "joined"
 	}
 	if _, ok := b.sc.readHit(b.fh, bn); !ok {
-		b.sc.putBlock(b.fh, bn, make([]byte, succBS), b.attr(), 0)
+		b.sc.putBlock(b.fh, bn, make([]byte, succBS), b.attr())
 		b.sc.putAttr(b.fh, b.attr())
 		how = "forwarded"
 	}
@@ -302,9 +302,9 @@ func TestRereadGates(t *testing.T) {
 			b.record(func(fc *cachedFile) { b.sc.dropBlockLocked(fc.blocks[0]) })
 		}, nil},
 		{"not cacheable", func(b *rereadBed) {
-			b.sc.applyReplySince(Trailers{{FH: b.fh, Deleg: DelegNone, Seq: 8}}, nil, b.sc.forgets.Load())
+			b.sc.applyReplySince(Trailers{{FH: b.fh, Deleg: DelegNone, Seq: 8}}, nil, b.sc.ticket(nfs3.FH{}))
 		}, func(b *rereadBed) {
-			b.sc.applyReplySince(Trailers{{FH: b.fh, Deleg: DelegRead, Seq: 9}}, nil, b.sc.forgets.Load())
+			b.sc.applyReplySince(Trailers{{FH: b.fh, Deleg: DelegRead, Seq: 9}}, nil, b.sc.ticket(nfs3.FH{}))
 		}},
 		{"recovered from disk", func(b *rereadBed) { b.record(func(fc *cachedFile) { fc.recovered = true }) }, nil},
 	} {

@@ -68,7 +68,7 @@ func TestReadRuns(t *testing.T) {
 				// Blocks 5 and 6 are held: the window's claim goes round them.
 				a, _ := b.p.cache.getAttr(lk.FH)
 				for _, bn := range []uint64{5, 6} {
-					b.p.cache.putBlock(lk.FH, bn, make([]byte, raBS), a, 0)
+					b.p.cache.putBlock(lk.FH, bn, make([]byte, raBS), a)
 				}
 				before := len(b.up.sent())
 				if _, err := b.nc.Read(lk.FH, 0, raBS); err != nil {

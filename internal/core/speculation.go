@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/nfs3"
 	"repro/internal/obs"
 	"repro/internal/vclock"
@@ -10,9 +8,9 @@ import (
 
 // Speculation: every prefetch the proxy client makes takes one path, claim →
 // issue → land (DESIGN.md, "Speculation"). A critical section the demand
-// request already takes claims it under a ticket (claimChunk, claimReread,
-// walkStepLocked); mint and issue send it behind the demand call, a READ
-// kind's blocks as one READ per run of adjacent ones; collect lands it
+// request already takes claims it with its record's ticket (claimChunk,
+// claimReread, walkStepLocked); mint and issue send it behind the demand call,
+// a READ kind's blocks as one READ per run of adjacent ones; collect lands it
 // (landLocked), block by block.
 
 // specKind is the evidence a speculation was claimed on.
@@ -33,7 +31,7 @@ var specNote = [...]obs.Note{specSpill: obs.NoteNext, specReread: obs.NoteReopen
 type speculation struct {
 	kind         specKind
 	due          bool       // something was claimed: its issuer's to send
-	seedTicket              // the record and its handle, and what the landing compares
+	ticket                  // its handle and record, and (a page) what the landing compares
 	blocks       []uint64   // READ kinds: the blocks claimed, in block order
 	runs         [][]uint64 // READ kinds: blocks cut into one READ each (runsOf)
 	epoch        uint64     // page: the walk it was claimed in
@@ -63,39 +61,6 @@ func runsOf(blocks []uint64, window int64) [][]uint64 {
 	return runs
 }
 
-// seedTicket is taken when a request goes out whose reply will seed the cache
-// (a LOOKUP, a READDIRPLUS, any speculation at its claim) and shown when the
-// reply lands. Names and attributes that were in flight while the directory's
-// names were taken back, or while the invalidation channel delivered anything
-// at all, are not installed: an attribute has no mtime-style reconciliation to
-// catch it later, and a name whose invalidation was already consumed would be
-// bound again for good. A block needs only its record (landLocked).
-type seedTicket struct {
-	fh       nfs3.FH
-	rec      *cachedFile
-	names    uint64 // rec.namesGen when sent
-	inv      uint64 // sessionCache.invGen when sent
-	allNames uint64 // sessionCache.namesGen when sent
-	forgets  uint64 // sessionCache.forgets when sent
-	sent     time.Duration
-}
-
-func (sc *sessionCache) ticketLocked(fh nfs3.FH, fc *cachedFile) seedTicket {
-	return seedTicket{fh: fh, rec: fc, names: fc.namesGen, inv: sc.invGen, allNames: sc.namesGen, sent: sc.nowLocked()}
-}
-
-// ticket is the seedTicket for a request about dir that is about to be sent.
-func (sc *sessionCache) ticket(dir nfs3.FH) seedTicket {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.ticketLocked(dir, sc.record(dir.Key()))
-}
-
-// freshLocked reports whether a reply sent under tk may still be installed.
-func (sc *sessionCache) freshLocked(tk seedTicket) bool {
-	return sc.files[tk.rec.key] == tk.rec && tk.rec.namesGen == tk.names && sc.invGen == tk.inv
-}
-
 // landCall settles call i of s with its reply (nil, or a nil result, when the
 // call failed), returning the demand reads parked on it, to be woken, and how
 // many blocks it kept.
@@ -107,8 +72,8 @@ func (sc *sessionCache) landCall(s *speculation, i int, res wireDec) (ws []*vclo
 
 // landLocked is the one landing: the ticket is shown, then the kind's rule
 // decides. A page moves its walk on only within the walk's epoch, and is
-// seeded only on a fresh ticket; one that crossed an invalidation is discarded
-// whole, and one not OK latches the walk off. A READ's blocks land one by one,
+// seeded only if the landing rule lets its names land (landsLocked); one it
+// refuses is discarded whole, and one not OK latches the walk off. A READ's blocks land one by one,
 // in block order, each under the same rule: it needs its record (forget handed
 // back what was parked on a forgotten one) and its claim mark; its bytes are
 // kept, through putBlockLocked's mtime reconciliation, when the reply is OK
@@ -121,7 +86,7 @@ func (sc *sessionCache) landLocked(s *speculation, i int, res wireDec) (ws []*vc
 	fc := s.rec
 	if s.kind == specPage {
 		pg, _ := res.(*nfs3.ReaddirplusRes)
-		fresh := pg != nil && sc.freshLocked(s.seedTicket)
+		fresh := pg != nil && sc.landsLocked(s.ticket, fc, 0, true)
 		if w := &fc.walk; w.epoch == s.epoch {
 			w.inflight = false
 			switch {
@@ -137,7 +102,7 @@ func (sc *sessionCache) landLocked(s *speculation, i int, res wireDec) (ws []*vc
 		}
 		switch {
 		case fresh:
-			sc.seedDirLocked(s.seedTicket, pg, true, nil)
+			sc.seedDirLocked(fc, s.sent, pg, true, nil)
 		case pg != nil:
 			sc.met.walkDiscarded.Inc()
 		}
@@ -198,7 +163,9 @@ func (p *ProxyClient) mint(parent uint64, claimed ...speculation) []speculation 
 // cross the link (and their replies come back) in the order the reader will
 // want them, and parks one collector on each so that the round trips overlap;
 // sent from the collectors, they would leave in whatever order the scheduler
-// ran those. The sender is an actor of its own so that a reply served from the
+// ran those. A page lands under the ticket its send took, if that is of the
+// record it was claimed on (one the claim's record was forgotten for would not
+// land under either). The sender is an actor of its own so that a reply served from the
 // cache does not wait for the sends. A caller forwarding a request of its own
 // starts it first: its reply never queues behind a prefetch. A run is one
 // READ of its blocks (runsOf). A page is one block: on a slow link a reply of
@@ -217,6 +184,9 @@ func (p *ProxyClient) issue(specs []speculation) {
 					c = p.startUpstream(rid, nfs3.ProcReaddirplus, &nfs3.ReaddirplusArgs{
 						Dir: s.fh, Cookie: s.cookie, CookieVerf: s.verf, DirCount: bs, MaxCount: bs,
 					})
+					if c.tk.rec == s.rec {
+						s.ticket = c.tk
+					}
 				} else {
 					run := s.runs[i]
 					c = p.startUpstream(rid, nfs3.ProcRead, &nfs3.ReadArgs{FH: s.fh, Offset: run[0] * uint64(bs), Count: uint32(len(run)) * bs})
