@@ -32,8 +32,9 @@ type sessionCache struct {
 	// sight of a handle and leaves only through forget (the handle is dead);
 	// the attribute and listing caps evict that part of a record, never the
 	// record. forgets counts the handles forget was told are dead, held or
-	// not: a reply to a call sent before one cannot tell a handle it never saw
-	// from one that died under it, and brings no record back (ticket).
+	// not, and the recalls of handles with no record: a reply to a call sent
+	// before one cannot tell a handle it never saw from one that died under
+	// it, and brings no record back (ticket).
 	files   map[string]*cachedFile
 	forgets atomic.Uint64
 
@@ -130,7 +131,8 @@ type cacheCounters struct {
 // server said about it, what the session holds of it, and what the consistency
 // protocol currently lets the session do with it.
 type cachedFile struct {
-	key string
+	key  string
+	born uint64 // sessionCache.forgets when the record was made (landsLocked)
 
 	// attr is the handle's attributes as the server last reported them, and
 	// fetched when; valid exactly while attrLink is on the attribute LRU.
@@ -157,20 +159,19 @@ type cachedFile struct {
 	// The handle's protocol state, which only the delegation model keeps.
 	// deleg is the delegation held; noncacheable is set by a grant of none,
 	// the server's verdict that the handle must not be cached at all until its
-	// next grant; lastForward is when a request for the handle last crossed
-	// the wide area (delegation renewal); recallFence is the sequence of the
-	// latest recall served, against which grants that lost a race with it are
-	// dropped; trailerSeq is the highest sequence of a trailer applied, against
-	// which a trailer overtaken on the way by its successor is dropped;
+	// next grant (a recall is no such verdict: it must not stop the recalled
+	// file's re-read and stream, claimReread and claimStreamLocked);
+	// lastForward is when a request for the handle last crossed the wide area
+	// (delegation renewal); decided is the highest stamp of a decision applied,
+	// a trailer's or a recall's, at or below which a trailer is dropped whole;
 	// noneSeq is the highest stamp of a decision of none seen for the handle,
-	// applied or overtaken, after which another client's change reaches the
-	// session unannounced (overtaken). Only a dead handle's stamps may go: a
-	// live file's must outlast everything else cached of it.
+	// a recall or a trailer applied or overtaken, after which another client's
+	// change reaches the session unannounced (overtaken). Only a dead handle's
+	// stamps may go: a live file's must outlast everything else cached of it.
 	deleg        DelegType
 	noncacheable bool
 	lastForward  time.Duration
-	recallFence  uint64
-	trailerSeq   uint64
+	decided      uint64
 	noneSeq      uint64
 
 	// The data state follows; blocks and fetching are nil until the data path
@@ -284,7 +285,7 @@ func (sc *sessionCache) nowLocked() time.Duration {
 func (sc *sessionCache) record(key string) *cachedFile {
 	fc := sc.files[key]
 	if fc == nil {
-		fc = &cachedFile{key: key}
+		fc = &cachedFile{key: key, born: sc.forgets.Load()}
 		fc.attrLink.of, fc.listLink.of = fc, fc
 		sc.files[key] = fc
 	}
@@ -379,17 +380,14 @@ func (sc *sessionCache) servableLocked(fc *cachedFile) bool {
 // for those and the handles the request itself was for, that a request just
 // crossed the wide area (renewal clock). tk is the request's ticket. Only the
 // delegation model decides, and a grant of none is the server's verdict that
-// the handle may not be cached (noncacheable) until its next grant. A trailer
-// makes a record for a handle the session holds none of only if the landing
-// rule lets a record be made (landsLocked): not if a record was forgotten
-// while the request was in flight, since a READ of a file this session has
-// since removed, or that the server has since called stale, would otherwise
-// bring the dead handle back holding a read delegation. A record that a
-// recall made to carry its fence, and no trailer has reached since, is as
-// new: the recall may have reached the handle after the session forgot it. A trailer stamped before one the record has applied
-// says nothing any more: the server made the later decision after it (a READ's
-// grant, say, that a WRITE's reply overtook, whose decision took the
-// delegation back without a recall).
+// the handle may not be cached (noncacheable) until its next grant. A grant
+// lands only as the landing rule lets it (landingLocked), so a READ of a file
+// since removed or called stale does not bring the dead handle back holding a
+// read delegation; a none, which only takes away and is how the server takes
+// a delegation back without a recall, reaches any record held. A trailer
+// stamped at or before a decision the record has applied says nothing any
+// more but its none (noneSeq): the server decided later (a recall, or a
+// WRITE's reply that overtook a READ's grant and took the delegation back).
 //
 // What the reply says of a handle is installed only if its decision there was
 // not overtaken meanwhile (cachedFile.overtaken): the installs compare stamps
@@ -407,33 +405,25 @@ func (sc *sessionCache) applyReplySince(ts Trailers, forwarded []nfs3.FH, tk tic
 func (sc *sessionCache) applyReplyLocked(ts Trailers, forwarded []nfs3.FH, tk ticket) {
 	now := sc.nowLocked()
 	for _, tr := range ts {
-		fc := sc.files[tr.FH.Key()]
-		switch {
-		case fc != nil && (fc.trailerSeq > 0 || fc.recallFence == 0): // not made by a recall alone
-		case tr.FH.IsZero(), !sc.landsLocked(tk, nil, 0, false):
+		fc := sc.landingLocked(tk, tr.FH, 0, false)
+		if fc == nil && tr.Deleg == DelegNone {
+			fc = sc.files[tr.FH.Key()]
+		}
+		if fc == nil {
 			continue
-		case fc == nil:
-			fc = sc.record(tr.FH.Key())
 		}
 		fc.lastForward = now
 		if tr.Deleg == DelegNone {
 			fc.noneSeq = max(fc.noneSeq, tr.Seq)
 		}
-		if tr.Seq < fc.trailerSeq {
+		if tr.Seq <= fc.decided {
 			continue
 		}
-		fc.trailerSeq = tr.Seq
-		if sc.pol.model != ModelDelegation {
-			continue
+		fc.decided = tr.Seq
+		if sc.pol.model == ModelDelegation {
+			fc.deleg = tr.Deleg
+			fc.noncacheable = tr.Deleg == DelegNone
 		}
-		if tr.Deleg != DelegNone && tr.Seq <= fc.recallFence {
-			// The grant raced with (and lost to) a recall for a concurrent
-			// destructive operation: honoring it would cache revoked state.
-			// Drop it; the next access simply forwards.
-			tr.Deleg = DelegNone
-		}
-		fc.deleg = tr.Deleg
-		fc.noncacheable = tr.Deleg == DelegNone
 	}
 	for _, fh := range forwarded {
 		if fc := sc.files[fh.Key()]; fc != nil {
@@ -444,34 +434,37 @@ func (sc *sessionCache) applyReplyLocked(ts Trailers, forwarded []nfs3.FH, tk ti
 
 // overtaken reports whether what a reply whose decision about fc is stamped
 // seq says of the file may be older than another client's change the session
-// has since been told of, or was since left untold of. A reply read the file
-// under its own decision. While the session holds a delegation from then on,
-// another client's change reaches it as a recall, stamped later: the record's
-// fence is at or past seq. A decision of none at or after seq (the reply's
-// own, or one that overtook it) ends that: a change after it is announced to
-// nobody, and the record may already hold a later reply's newer view, which
-// this one must not replace. seq 0 is a reply that decides nothing about fc
-// (polling, or a plain NFS server), whose installs stand as before. A later
-// grant alone overtakes nothing: the session's own READs, demand and
-// prefetch, come back in any order under one delegation.
+// has since been told of, or was since left untold of: a decision of none
+// at or after seq (a recall, announcing a change; or a trailer's none, the
+// reply's own or one that overtook it, after which a change is announced to
+// nobody), with a later decision than seq's applied, whose view this one must
+// not replace. Grants and recalls are stamped from one counter, so a recall's
+// stamp is never seq. seq 0 is a reply that decides nothing about fc
+// (polling, or a plain NFS server). A later grant alone overtakes nothing:
+// the session's own READs come back in any order under one delegation.
 func (fc *cachedFile) overtaken(seq uint64) bool {
-	return seq != 0 && (seq <= fc.recallFence || seq < fc.trailerSeq && seq <= fc.noneSeq)
+	return seq != 0 && seq < fc.decided && seq <= fc.noneSeq
 }
 
-// applyRecall applies a delegation recall: the delegation is gone, grants
-// stamped at or before the recall's are fenced off, and the attributes must be
-// revalidated. Data blocks are kept; they are reconciled against the next
+// applyRecall applies a delegation recall, a decision of none: the delegation
+// is gone, what was decided before it is overtaken, and the attributes must
+// be revalidated. Data blocks are kept; they are reconciled against the next
 // server-observed attributes. Recalls are precise — a destructive directory
 // operation carries the removed name and recalls the victim handle separately
 // — so the named binding goes and the directory's other dentries need no
 // blanket flush. A recall of a read delegation that names an offset can only
-// be for another client's WRITE: news of a remote write (readahead.go).
+// be for another client's WRITE: news of a remote write (readahead.go). A
+// recall of a handle with no record counts as a forget (landsLocked).
 func (sc *sessionCache) applyRecall(args RecallArgs) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc := sc.record(args.FH.Key())
+	fc := sc.files[args.FH.Key()]
+	if fc == nil {
+		sc.forgets.Add(1)
+		return
+	}
 	fc.deleg = DelegNone
-	fc.recallFence = max(fc.recallFence, args.Seq)
+	fc.decided, fc.noneSeq = max(fc.decided, args.Seq), max(fc.noneSeq, args.Seq)
 	sc.dropAttrLocked(fc)
 	sc.namesTakenLocked(fc)
 	sc.dropLookupLocked(fc.names[args.Name])
@@ -483,19 +476,19 @@ func (sc *sessionCache) applyRecall(args RecallArgs) {
 // recallAll applies the loss of the proxy server's state (RECALL_ALL during
 // its reconstruction, Section 4.3.4) or of this proxy's own (crash recovery):
 // every cached attribute must be revalidated and every delegation is void, a
-// grant of none included. So is every recall fence and trailer stamp — the
-// sequence they were stamped in died with the server, and a stamp kept across
-// the restart would drop the new instance's grants until its counter happened
-// to pass it. With rebuild, files holding locally modified data keep a write
-// delegation, which the server's rebuild re-establishes from the returned list.
-// It is no news to a reply in flight (ticket): the restarted server decides
-// what crosses it after sending it.
+// grant of none included. So is every decision stamp — the sequence they were
+// stamped in died with the server, and a stamp kept across the restart would
+// drop the new instance's grants until its counter happened to pass it. With
+// rebuild, files holding locally modified data keep a write delegation, which
+// the server's rebuild re-establishes from the returned list. It is no news to
+// a reply in flight (ticket): the restarted server decides what crosses it
+// after sending it.
 func (sc *sessionCache) recallAll(rebuild bool) []nfs3.FH {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	sc.invalidateAllLocked(false)
 	for _, fc := range sc.files {
-		fc.recallFence, fc.trailerSeq, fc.noneSeq = 0, 0, 0
+		fc.decided, fc.noneSeq = 0, 0
 		fc.deleg, fc.noncacheable = DelegNone, false
 		if rebuild && fc.ndirty > 0 {
 			fc.deleg = DelegWrite
@@ -634,9 +627,10 @@ func (sc *sessionCache) ticketLocked(fh nfs3.FH) ticket {
 //   - Any other handle (a CREATE's child, a RENAME's second directory, a
 //     listing's entries), or the call's own if the session had no record of
 //     it then: no invalidation was delivered at all (invGen), since news of
-//     it could not be told from news of anything else.
-//   - A record the install would make: besides, no handle was forgotten
-//     (forgets), lest the reply bring a dead one back.
+//     it could not be told from news of anything else; and the record it
+//     lands in, or would make, was made before any forget the ticket did not
+//     see (born, forgets), lest the reply bring a dead handle back. A recall
+//     of a handle with no record counts as a forget: it is its one trace.
 //   - names, for a reply that binds names under fc (a listing, a LOOKUP):
 //     no name under fc was taken back, by an invalidation or by a namespace
 //     operation of the session's own (namesGen: the record's, or the
@@ -659,7 +653,20 @@ func (sc *sessionCache) landsLocked(tk ticket, fc *cachedFile, seq uint64, names
 		held := sc.files[fc.key] == tk.rec && tk.rec.invs == tk.invs
 		return held && (!names || tk.rec.namesGen == tk.names && sc.invGen == tk.inv)
 	}
-	return sc.invGen == tk.inv && (fc != nil || sc.forgets.Load() == tk.forgets) && (!names || sc.namesGen == tk.allNames)
+	born := sc.forgets.Load()
+	if fc != nil {
+		born = fc.born
+	}
+	return sc.invGen == tk.inv && born <= tk.forgets && (!names || sc.namesGen == tk.allNames)
+}
+
+// landingLocked is the record fh's part of a reply sent under tk lands in:
+// nil unless the landing rule lets it, and made only once it does.
+func (sc *sessionCache) landingLocked(tk ticket, fh nfs3.FH, seq uint64, names bool) *cachedFile {
+	if fh.IsZero() || !sc.landsLocked(tk, sc.files[fh.Key()], seq, names) {
+		return nil
+	}
+	return sc.record(fh.Key())
 }
 
 // landReply installs what a forwarded reply, sent under tk with trailers ts,
@@ -668,8 +675,8 @@ func (sc *sessionCache) landsLocked(tk ticket, fc *cachedFile, seq uint64, names
 func (sc *sessionCache) landReply(tk ticket, ts Trailers, fh nfs3.FH, a nfs3.Fattr, block bool, bn uint64, data []byte) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc := sc.record(fh.Key())
-	if !sc.landsLocked(tk, fc, ts.seqOf(fh), false) {
+	fc := sc.landingLocked(tk, fh, ts.seqOf(fh), false)
+	if fc == nil {
 		return
 	}
 	if block {

@@ -145,8 +145,8 @@ func (sc *sessionCache) readHit(fh nfs3.FH, bn uint64) (h blockHit, ok bool) {
 func (sc *sessionCache) landBlock(tk ticket, ts Trailers, fh nfs3.FH, bn uint64, data []byte, attr nfs3.Fattr) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if fc := sc.fileFor(fh.Key()); sc.landsLocked(tk, fc, ts.seqOf(fh), false) {
-		sc.putBlockLocked(fc, bn, data, attr, false)
+	if fc := sc.landingLocked(tk, fh, ts.seqOf(fh), false); fc != nil {
+		sc.putBlockLocked(sc.fileFor(fc.key), bn, data, attr, false)
 	}
 }
 
@@ -205,7 +205,7 @@ func (sc *sessionCache) dropUnreadLocked(blk *cachedBlock) {
 // been forwarded before a read whose attributes the record now holds, or
 // before a change an invalidation or a recall announced, so neither its
 // attributes nor the record's can be trusted to be the newer. Both go, with
-// the clean blocks.
+// the clean blocks, and the reply makes no record.
 func (sc *sessionCache) updateAfterWrite(tk ticket, ts Trailers, fh nfs3.FH, off uint64, n int, wcc nfs3.WccData) {
 	if !wcc.After.Present {
 		return
@@ -213,10 +213,10 @@ func (sc *sessionCache) updateAfterWrite(tk ticket, ts Trailers, fh nfs3.FH, off
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	after := wcc.After.Attr
-	fc := sc.record(fh.Key())
-	if !sc.landsLocked(tk, fc, ts.seqOf(fh), false) {
-		sc.dropAttrLocked(fc)
-		if fc.blocks != nil {
+	fc := sc.landingLocked(tk, fh, ts.seqOf(fh), false)
+	if fc == nil {
+		if fc = sc.files[fh.Key()]; fc != nil {
+			sc.dropAttrLocked(fc)
 			sc.dropCleanLocked(fc)
 		}
 		return

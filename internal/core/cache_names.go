@@ -205,8 +205,8 @@ func (sc *sessionCache) putDirListing(dir nfs3.FH, entries []nfs3.DirEntry) {
 func (sc *sessionCache) landListing(tk ticket, ts Trailers, dir nfs3.FH, a nfs3.Fattr, complete bool, entries []nfs3.DirEntry) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	fc := sc.record(dir.Key())
-	if !sc.landsLocked(tk, fc, ts.seqOf(dir), false) {
+	fc := sc.landingLocked(tk, dir, ts.seqOf(dir), false)
+	if fc == nil {
 		return
 	}
 	sc.putAttrLocked(fc, a)

@@ -84,30 +84,20 @@ func (sc *sessionCache) seedAttrLocked(fc *cachedFile, a nfs3.Fattr, sent time.D
 func (sc *sessionCache) seedDir(tk ticket, res *nfs3.ReaddirplusRes) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if dfc := sc.seedRecordLocked(tk); dfc != nil {
-		sc.seedDirLocked(dfc, tk.sent, res, false, nil)
+	if dfc := sc.landingLocked(tk, tk.fh, 0, true); dfc != nil {
+		sc.seedDirLocked(dfc, tk, res, false, nil)
 	}
-}
-
-// seedRecordLocked is the record a seed sent under tk lands in, nil if the
-// landing rule does not let its names land: the one tk took, or, for a
-// directory the session had no record of then, one made only once the rule,
-// which counts it as a record the install would make, let it.
-func (sc *sessionCache) seedRecordLocked(tk ticket) *cachedFile {
-	if !sc.landsLocked(tk, tk.rec, 0, true) {
-		return nil
-	}
-	return sc.record(tk.fh.Key())
 }
 
 // seedDirLocked is the one way a directory listing's entries enter the cache,
 // whoever asked for it: the directory dfc's post-op attributes, then every
-// entry's attributes and name, each unless fetched after the listing was
-// sent. walked says a walk's page brought them. keep, when not nil, says
-// which entries' attributes may be installed (seedMount).
-func (sc *sessionCache) seedDirLocked(dfc *cachedFile, sent time.Duration, res *nfs3.ReaddirplusRes, walked bool, keep func(nfs3.FH) bool) {
+// entry's attributes (where the landing rule lets them) and name, each unless
+// fetched after the listing was sent under tk. walked says a walk's page
+// brought them. keep, when not nil, says which entries' attributes may be
+// installed (seedMount).
+func (sc *sessionCache) seedDirLocked(dfc *cachedFile, tk ticket, res *nfs3.ReaddirplusRes, walked bool, keep func(nfs3.FH) bool) {
 	if res.DirAttr.Present {
-		sc.seedAttrLocked(dfc, res.DirAttr.Attr, sent)
+		sc.seedAttrLocked(dfc, res.DirAttr.Attr, tk.sent)
 	}
 	if res.Status != nfs3.OK {
 		return
@@ -119,7 +109,9 @@ func (sc *sessionCache) seedDirLocked(dfc *cachedFile, sent time.Duration, res *
 		ent := &res.Entries[i]
 		if ent.FHFollows && ent.Attr.Present {
 			if keep == nil || keep(ent.FH) {
-				sc.seedAttrLocked(sc.record(ent.FH.Key()), ent.Attr.Attr, sent)
+				if fc := sc.landingLocked(tk, ent.FH, 0, false); fc != nil {
+					sc.seedAttrLocked(fc, ent.Attr.Attr, tk.sent)
+				}
 			}
 			sc.putLookupLocked(dfc, ent.Name, ent.FH, false, walked)
 			seeded++
@@ -140,7 +132,7 @@ func (sc *sessionCache) seedDirLocked(dfc *cachedFile, sent time.Duration, res *
 func (sc *sessionCache) seedLookup(tk ticket, name string, res *nfs3.LookupRes, listing *nfs3.ReaddirplusRes) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	dfc := sc.seedRecordLocked(tk)
+	dfc := sc.landingLocked(tk, tk.fh, 0, true)
 	rides := listing != nil && listing.Status == nfs3.OK && listing.EOF && res.Status == nfs3.OK
 	if rides && !(dfc != nil && sc.landsLocked(tk, sc.files[res.FH.Key()], 0, true)) {
 		sc.met.walkDiscarded.Inc()
@@ -154,13 +146,16 @@ func (sc *sessionCache) seedLookup(tk ticket, name string, res *nfs3.LookupRes, 
 	}
 	switch res.Status {
 	case nfs3.OK:
-		if res.Attr.Present {
-			sc.seedAttrLocked(sc.record(res.FH.Key()), res.Attr.Attr, tk.sent)
+		var child *cachedFile
+		if res.Attr.Present || rides {
+			child = sc.landingLocked(tk, res.FH, 0, false)
+		}
+		if child != nil && res.Attr.Present {
+			sc.seedAttrLocked(child, res.Attr.Attr, tk.sent)
 		}
 		sc.putLookupLocked(dfc, name, res.FH, false, false)
-		if rides {
-			child := sc.record(res.FH.Key())
-			sc.seedDirLocked(child, tk.sent, listing, true, nil)
+		if rides && child != nil {
+			sc.seedDirLocked(child, tk, listing, true, nil)
 			child.walk.done = true
 		}
 	case nfs3.ErrNoEnt:
@@ -223,8 +218,9 @@ func (sc *sessionCache) seedMount(tk ticket, b *MountBundle, sound bool) {
 		if pg.Page.Status != nfs3.OK || !pg.Page.EOF || granted != nil && !granted(pg.Dir) {
 			continue
 		}
-		rec := sc.record(pg.Dir.Key())
-		sc.seedDirLocked(rec, tk.sent, &pg.Page, true, granted)
-		rec.walk.done = true
+		if rec := sc.landingLocked(tk, pg.Dir, 0, true); rec != nil {
+			sc.seedDirLocked(rec, tk, &pg.Page, true, granted)
+			rec.walk.done = true
+		}
 	}
 }

@@ -663,11 +663,11 @@ func (w *exWorld) check() error {
 		// still being demanded counts), or a call of the client's own is out,
 		// whose reply may carry the decision that ends them.
 		revoking := slices.ContainsFunc(w.hs, func(h *exHandler) bool { return h.revoking && h.c != c })
-		settled := c.inflight == 0 && recalls[c.id] == 0 && !revoking && c.missed <= fc.trailerSeq
+		settled := c.inflight == 0 && recalls[c.id] == 0 && !revoking && c.missed <= fc.decided
 		if a, ok := c.sc.absorbable(w.fh); ok && settled && !c.forgot && w.staleFor(c.id, int(a.Size)) {
 			return fmt.Errorf("%s's record holds %v and would absorb a WRITE against attributes of version %d, older than another client's change (the file is at version %d)", c.id, fc.deleg, a.Size, len(w.changes))
 		}
-		if fc.deleg == DelegNone || c.inflight > 0 || recalls[c.id] > 0 || c.missed > fc.trailerSeq {
+		if fc.deleg == DelegNone || c.inflight > 0 || recalls[c.id] > 0 || c.missed > fc.decided {
 			continue
 		}
 		if sh == nil || sh.deleg != DelegWrite && sh.deleg != fc.deleg {
@@ -675,7 +675,7 @@ func (w *exWorld) check() error {
 			if sh != nil {
 				held = sh.deleg.String()
 			}
-			return fmt.Errorf("%s believes it holds %v (seq %d), the server has it holding %s, and no recall of it is on the wire", c.id, fc.deleg, fc.trailerSeq, held)
+			return fmt.Errorf("%s believes it holds %v (seq %d), the server has it holding %s, and no recall of it is on the wire", c.id, fc.deleg, fc.decided, held)
 		}
 	}
 	return nil
@@ -714,7 +714,7 @@ func (w *exWorld) key(b []byte) []byte {
 	for _, c := range w.cs {
 		stamps = append(stamps, c.missed)
 		if fc := c.sc.files[key]; fc != nil {
-			stamps = append(stamps, fc.recallFence, fc.trailerSeq, fc.noneSeq)
+			stamps = append(stamps, fc.decided, fc.noneSeq)
 		}
 		if f != nil && f.sharers[c.id] != nil {
 			stamps = append(stamps, f.sharers[c.id].granted)
@@ -757,20 +757,12 @@ func (w *exWorld) key(b []byte) []byte {
 	attrs := func(c *exClient, version int) {
 		flag(w.staleFor(c.id, version))
 	}
-	// A ticket is rendered by what the landing rule says of it: for the
-	// call's own record (or, without one, any handle's), and for a record a
-	// reply would make; a MNT's, as seedMount asks it.
-	other := &cachedFile{}
+	// A ticket is rendered by what the landing rule says of it: for a record
+	// a reply would make (a MNT's, as seedMount asks it for the root), and
+	// for the file's record as it stands, whenever it was made (born).
 	ticket := func(c *exClient, tk ticket) {
-		if tk.fh.IsZero() {
-			flag(c.sc.landsLocked(tk, nil, 0, true))
-			return
-		}
-		own := tk.rec
-		if own == nil {
-			own = other
-		}
-		flag(c.sc.landsLocked(tk, own, 0, false), c.sc.landsLocked(tk, nil, 0, false))
+		fc := c.sc.files[key]
+		flag(c.sc.landsLocked(tk, nil, 0, tk.fh.IsZero()), fc != nil && c.sc.landsLocked(tk, fc, 0, false))
 	}
 	grants := func(ts Trailers) {
 		for _, t := range ts {
@@ -791,7 +783,7 @@ func (w *exWorld) key(b []byte) []byte {
 			if fc.attrLink.on() {
 				attrs(c, int(fc.attr.Size))
 			}
-			num(fc.recallFence, fc.trailerSeq, fc.noneSeq)
+			num(fc.decided, fc.noneSeq)
 		}
 		if f != nil {
 			if sh := f.sharers[c.id]; sh != nil {

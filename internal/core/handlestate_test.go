@@ -59,7 +59,7 @@ func TestHandleStateMachine(t *testing.T) {
 				sc.mu.Lock()
 				defer sc.mu.Unlock()
 				if fc := sc.files[fh.Key()]; fc != nil {
-					return cachedFile{deleg: fc.deleg, noncacheable: fc.noncacheable, recallFence: fc.recallFence}
+					return cachedFile{deleg: fc.deleg, noncacheable: fc.noncacheable, decided: fc.decided}
 				}
 				return cachedFile{}
 			}
@@ -76,29 +76,29 @@ func TestHandleStateMachine(t *testing.T) {
 				{"attributes and a block, no trailer yet", revalidate,
 					true, false, cachedFile{}},
 				{"grant", func() { grant(DelegRead, 5) },
-					true, true, cachedFile{deleg: DelegRead}},
+					true, true, cachedFile{deleg: DelegRead, decided: 5}},
 				{"recall", func() { sc.applyRecall(RecallArgs{FH: fh, Seq: 7}) },
-					false, false, cachedFile{recallFence: 7}},
-				{"an older recall arrives late: the fence only rises", func() { sc.applyRecall(RecallArgs{FH: fh, Seq: 6}) },
-					false, false, cachedFile{recallFence: 7}},
+					false, false, cachedFile{decided: 7}},
+				{"an older recall arrives late: the stamp only rises", func() { sc.applyRecall(RecallArgs{FH: fh, Seq: 6}) },
+					false, false, cachedFile{decided: 7}},
 				{"revalidated, no delegation", revalidate,
-					true, false, cachedFile{recallFence: 7}},
-				{"stale grant (seq <= fence)", func() { grant(DelegWrite, 7) },
-					true, false, cachedFile{recallFence: 7, noncacheable: true}},
+					true, false, cachedFile{decided: 7}},
+				{"stale grant (seq <= the recall's): dropped whole", func() { grant(DelegWrite, 7) },
+					true, false, cachedFile{decided: 7}},
 				{"newer grant", func() { grant(DelegWrite, 8) },
-					true, true, cachedFile{recallFence: 7, deleg: DelegWrite}},
+					true, true, cachedFile{deleg: DelegWrite, decided: 8}},
 				{"just short of the renewal period", func() { now += renew - 1 },
-					true, true, cachedFile{recallFence: 7, deleg: DelegWrite}},
+					true, true, cachedFile{deleg: DelegWrite, decided: 8}},
 				{"renewal period elapsed: the request bypasses the cache", func() { now++ },
-					true, false, cachedFile{recallFence: 7, deleg: DelegWrite}},
+					true, false, cachedFile{deleg: DelegWrite, decided: 8}},
 				{"the bypass was forwarded", func() { sc.applyReplySince(nil, []nfs3.FH{fh}, sc.ticket(nfs3.FH{})) },
-					true, true, cachedFile{recallFence: 7, deleg: DelegWrite}},
-				{"RECALL_ALL: delegations and fences are void", func() { sc.recallAll(true); revalidate() },
+					true, true, cachedFile{deleg: DelegWrite, decided: 8}},
+				{"RECALL_ALL: delegations and stamps are void", func() { sc.recallAll(true); revalidate() },
 					true, false, cachedFile{}},
 				{"the new server's first grant", func() { grant(DelegRead, 1) },
-					true, true, cachedFile{deleg: DelegRead}},
+					true, true, cachedFile{deleg: DelegRead, decided: 1}},
 				{"granted none: the non-cacheable verdict", func() { grant(DelegNone, 9) },
-					true, false, cachedFile{noncacheable: true}},
+					true, false, cachedFile{noncacheable: true, decided: 9}},
 			}
 			for _, st := range steps {
 				st.do()
@@ -109,9 +109,9 @@ func TestHandleStateMachine(t *testing.T) {
 				if got := served(); got != want {
 					t.Fatalf("after %q: served locally = %v, want %v", st.event, got, want)
 				}
-				if got, want := record(), st.want; deleg && (got.deleg != want.deleg || got.noncacheable != want.noncacheable || got.recallFence != want.recallFence) {
-					t.Fatalf("after %q: deleg=%v noncacheable=%v fence=%d, want deleg=%v noncacheable=%v fence=%d", st.event,
-						got.deleg, got.noncacheable, got.recallFence, want.deleg, want.noncacheable, want.recallFence)
+				if got, want := record(), st.want; deleg && (got.deleg != want.deleg || got.noncacheable != want.noncacheable || got.decided != want.decided) {
+					t.Fatalf("after %q: deleg=%v noncacheable=%v decided=%d, want deleg=%v noncacheable=%v decided=%d", st.event,
+						got.deleg, got.noncacheable, got.decided, want.deleg, want.noncacheable, want.decided)
 				}
 			}
 			// The renewal refused exactly one kind of serve, and only under
@@ -140,7 +140,7 @@ func TestHandleStateMachine(t *testing.T) {
 				t.Error("nothing prefetched of a cacheable handle")
 			}
 
-			// forget: nothing left, on any table or ring — not even the fence.
+			// forget: nothing left, on any table or ring — not even the stamps.
 			sc.applyRecall(RecallArgs{FH: fh, Seq: 20})
 			sc.forget(fh)
 			sc.mu.Lock()
@@ -152,7 +152,7 @@ func TestHandleStateMachine(t *testing.T) {
 			revalidate()
 			grant(DelegRead, 1)
 			if !served() {
-				t.Error("a dead handle's fence outlived it: the reused handle's first grant was dropped")
+				t.Error("a dead handle's stamps outlived it: the reused handle's first grant was dropped")
 			}
 		})
 	}
@@ -197,12 +197,15 @@ func TestOvertakenTrailerIsDropped(t *testing.T) {
 }
 
 // TestForgottenHandleStaysForgotten: a reply to a call sent before the session
-// forgot a handle brings no delegation back — not through a record a recall
-// made after the forget (to carry its fence), and not when the session held no
-// record of the handle when it forgot it. A recall-made record with no forget
-// in between takes a grant stamped after the recall as before.
+// forgot a handle brings no delegation back — not across a recall after the
+// forget, and not when the session held no record of the handle when it
+// forgot it. A recall of a handle the session holds no record of makes none
+// and counts as a forget, so the reply makes none either, nor lands in a
+// record something else made since; a record the recall found takes a grant
+// stamped after the recall as before. The call is a LOOKUP of a held
+// directory whose reply names the child fh.
 func TestForgottenHandleStaysForgotten(t *testing.T) {
-	fh := fhN(1)
+	dir, fh := fhN(9), fhN(1)
 	attr := attrWithMtime(1, nfs3.TypeReg)
 	for _, tc := range []struct {
 		name   string
@@ -215,13 +218,22 @@ func TestForgottenHandleStaysForgotten(t *testing.T) {
 			sc.applyRecall(RecallArgs{FH: fh, Deleg: DelegWrite, Seq: 2})
 		}, DelegNone},
 		{"a forget of a handle never held", func(sc *sessionCache) { sc.forget(fh) }, DelegNone},
-		{"a recall, no forget", func(sc *sessionCache) {
+		{"a recall of a handle never held", func(sc *sessionCache) {
+			sc.applyRecall(RecallArgs{FH: fh, Deleg: DelegWrite, Seq: 2})
+		}, DelegNone},
+		{"a recall of a handle never held, stamped after the grant, then a record made", func(sc *sessionCache) {
+			sc.applyRecall(RecallArgs{FH: fh, Deleg: DelegRead, Seq: 4})
+			sc.putAttr(fh, attr) // a listing sent after the recall lands first
+		}, DelegNone},
+		{"a recall of a held handle, no forget", func(sc *sessionCache) {
+			sc.putAttr(fh, attr)
 			sc.applyRecall(RecallArgs{FH: fh, Deleg: DelegWrite, Seq: 2})
 		}, DelegRead},
 	} {
 		sc := newSessionCache(opsBS, 1<<20)
 		sc.setPolicy(nil, cachePolicy{model: ModelDelegation, delegRenew: time.Hour}, cacheCounters{})
-		sent := sc.ticket(nfs3.FH{})
+		sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
+		sent := sc.ticket(dir)
 		tc.before(sc)
 		sc.applyReplySince(Trailers{{FH: fh, Deleg: DelegRead, Seq: 3}}, []nfs3.FH{fh}, sent)
 		got := DelegNone
@@ -234,10 +246,61 @@ func TestForgottenHandleStaysForgotten(t *testing.T) {
 	}
 }
 
+// TestLateNoneTakesTheGrantBack: a trailer of none is how the server takes a
+// delegation back without a recall, so the latest decision of none ends the
+// grant the session holds, across a forget of another handle while it was
+// out. Of a WRITE of a file the session had no record of, landing after the
+// READ sent beside it made the record; and of a LOOKUP's child, landing after
+// a READ of the child sent after the forget, which the server decided first:
+// the landing rule refuses that reply the record, made since the forget, but
+// not its none.
+func TestLateNoneTakesTheGrantBack(t *testing.T) {
+	dir, fh, other := fhN(9), fhN(1), fhN(2)
+	for _, forget := range []struct {
+		name string
+		do   func(sc *sessionCache)
+	}{
+		{"an own REMOVE of another file", func(sc *sessionCache) {
+			sc.putAttr(other, attrWithMtime(1, nfs3.TypeReg))
+			sc.forget(other)
+		}},
+		{"a recall of a handle never held", func(sc *sessionCache) {
+			sc.applyRecall(RecallArgs{FH: other, Deleg: DelegRead, Seq: 6})
+		}},
+	} {
+		for _, call := range []string{"WRITE", "LOOKUP"} {
+			sc := newSessionCache(opsBS, 1<<20)
+			sc.setPolicy(nil, cachePolicy{model: ModelDelegation, delegRenew: time.Hour}, cacheCounters{})
+			sc.putAttr(dir, attrWithMtime(1, nfs3.TypeDir))
+			grant := Trailers{{FH: fh, Deleg: DelegRead, Seq: 5}}
+			var none ticket
+			if call == "WRITE" {
+				read := sc.ticket(fh)
+				none = sc.ticket(fh)
+				sc.applyReplySince(grant, []nfs3.FH{fh}, read)
+				forget.do(sc)
+			} else {
+				none = sc.ticket(dir)
+				forget.do(sc)
+				sc.applyReplySince(grant, []nfs3.FH{fh}, sc.ticket(fh))
+			}
+			sc.applyReplySince(Trailers{{FH: fh, Deleg: DelegNone, Seq: 7}}, []nfs3.FH{fh}, none)
+			fc := sc.files[fh.Key()]
+			if fc == nil {
+				t.Fatalf("%s, %s: the READ's grant made no record", call, forget.name)
+			}
+			if fc.deleg != DelegNone || !fc.noncacheable || fc.decided != 7 || fc.noneSeq != 7 {
+				t.Errorf("%s, %s: after the none the record holds %v (noncacheable %v, decided %d, noneSeq %d), want none, noncacheable, 7, 7",
+					call, forget.name, fc.deleg, fc.noncacheable, fc.decided, fc.noneSeq)
+			}
+		}
+	}
+}
+
 // TestHandleRecordRaces hammers one handle's record from every direction at
 // once — recalls, grant trailers, revalidations, forwards and warm reads — for
 // the race detector, then checks the table's invariants and that the fence
-// kept the highest recall it saw.
+// stamp kept the highest recall it saw.
 func TestHandleRecordRaces(t *testing.T) {
 	const rounds = 2000
 	var tick atomic.Int64
@@ -290,13 +353,13 @@ func TestHandleRecordRaces(t *testing.T) {
 	if err := checkCacheInvariants(sc, mirror, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Without a RECALL_ALL in the way the fence is the highest recall served.
+	// Without a RECALL_ALL in the way the stamp is the highest recall served.
 	sc.applyRecall(RecallArgs{FH: fh, Seq: rounds + 1})
 	sc.applyRecall(RecallArgs{FH: fh, Seq: 3})
 	sc.mu.Lock()
-	fence := sc.files[fh.Key()].recallFence
+	fence := sc.files[fh.Key()].decided
 	sc.mu.Unlock()
 	if fence != rounds+1 {
-		t.Errorf("recall fence = %d after recalls up to %d", fence, rounds+1)
+		t.Errorf("decided = %d after recalls up to %d", fence, rounds+1)
 	}
 }

@@ -374,3 +374,18 @@ func TestTrailersCarryListing(t *testing.T) {
 		}
 	}
 }
+
+// TestRidingListingUnderZeroHandle: a LOOKUP reply whose handle is empty (the
+// decoder accepts a handle of length zero) makes no record, so a complete
+// listing riding with it seeds nothing and the reply is not fatal.
+func TestRidingListingUnderZeroHandle(t *testing.T) {
+	root := fhN(1)
+	dirAttr := nfs3.PostOpAttr{Present: true, Attr: attrWithMtime(1, nfs3.TypeDir)}
+	sc := newSessionCache(opsBS, 1<<20)
+	sc.setPolicy(nil, cachePolicy{model: ModelPolling}, walkCounters())
+	sc.putAttr(root, dirAttr.Attr)
+	sc.seedLookup(sc.ticket(root), "d", &nfs3.LookupRes{Status: nfs3.OK, DirAttr: dirAttr}, pageOf([]string{"x"}, 0, 1, true))
+	if len(sc.files) != 1 {
+		t.Errorf("the reply left %d records, want only the directory's", len(sc.files))
+	}
+}

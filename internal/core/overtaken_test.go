@@ -114,9 +114,12 @@ func TestOvertakenSetattrAndCreateInstallNothing(t *testing.T) {
 		proc   uint32
 		args   wireEnc
 		target nfs3.FH
+		held   bool // the session has a record of the target when the call goes out
 	}{
-		{"SETATTR", nfs3.ProcSetattr, &nfs3.SetattrArgs{FH: file}, file},
-		{"CREATE", nfs3.ProcCreate, &nfs3.CreateArgs{Where: nfs3.DirOpArgs{Dir: dir, Name: "n"}, Mode: nfs3.CreateGuarded}, dir},
+		{"SETATTR", nfs3.ProcSetattr, &nfs3.SetattrArgs{FH: file}, file, false},
+		{"SETATTR of a held file", nfs3.ProcSetattr, &nfs3.SetattrArgs{FH: file}, file, true},
+		{"CREATE", nfs3.ProcCreate, &nfs3.CreateArgs{Where: nfs3.DirOpArgs{Dir: dir, Name: "n"}, Mode: nfs3.CreateGuarded}, dir, false},
+		{"CREATE in a held directory", nfs3.ProcCreate, &nfs3.CreateArgs{Where: nfs3.DirOpArgs{Dir: dir, Name: "n"}, Mode: nfs3.CreateGuarded}, dir, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := vclock.NewVirtual()
@@ -158,6 +161,9 @@ func TestOvertakenSetattrAndCreateInstallNothing(t *testing.T) {
 				cfg := Config{Model: ModelDelegation, WriteBack: true, ReadAhead: -1, FlushInterval: time.Hour}
 				p := NewProxyClient(clk, cfg, sunrpc.NewClient(clk, conn, sunrpc.NoneCred()), SessionCred{SessionKey: "s", ClientID: "A"})
 				defer p.Stop()
+				if tc.held {
+					p.cache.putAttr(tc.target, old)
+				}
 				g := clk.NewGroup()
 				g.Go(tc.name, func() {
 					e := xdr.NewEncoder()

@@ -102,7 +102,7 @@ func (sc *sessionCache) landLocked(s *speculation, i int, res wireDec) (ws []*vc
 		}
 		switch {
 		case fresh:
-			sc.seedDirLocked(fc, s.sent, pg, true, nil)
+			sc.seedDirLocked(fc, s.ticket, pg, true, nil)
 		case pg != nil:
 			sc.met.walkDiscarded.Inc()
 		}
